@@ -17,6 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
+from repro.errors import StorageFullError
 from repro.faults.plan import FaultDecision, FaultPlan, raise_fault
 from repro.fs.memfs import ObjectStore
 from repro.sim import Simulator
@@ -133,6 +134,21 @@ class FileSystem(ABC):
             raise
         return objs
 
+    def append(self, path: str, data: bytes, label: str = "write") -> Generator:
+        """Process: extend an object (created when absent) by ``data``.
+
+        What a log-structured writer (the PLFS index log) uses instead of
+        rewriting the object: device backends override it to charge
+        metadata latency, device time and capacity for the appended bytes
+        only.  The base implementation rewrites the whole object (no
+        append win).  All-or-nothing like :meth:`write`: a failed append
+        leaves the object as it was.  Returns the appended extent as a
+        :class:`StoredObject`.
+        """
+        old = self.store.data(path) if self.store.exists(path) else b""
+        yield from self.write(path, data=old + data, label=label)
+        return StoredObject(path=path, nbytes=len(data), data=data)
+
     # -- synchronous helpers --------------------------------------------------
 
     def exists(self, path: str) -> bool:
@@ -148,7 +164,26 @@ class FileSystem(ABC):
         return self.store.listdir(prefix)
 
     def delete(self, path: str) -> int:
-        return self.store.delete(path)
+        """Remove an object and release its capacity; returns freed bytes."""
+        freed = self.store.delete(path)
+        self._release(0, freed)
+        return freed
+
+    def replace(self, path: str, data: bytes) -> int:
+        """Swap an object's content for ``data``; returns the new size.
+
+        A metadata-path operation like :meth:`delete` -- synchronous and
+        free of simulated cost -- that keeps the capacity ledger exact:
+        the old reservation is released and the new size reserved.
+        """
+        old = self._size(path)
+        self._release(0, old)
+        try:
+            self._reserve(0, len(data))
+        except StorageFullError:
+            self._reserve(0, old)
+            raise
+        return self.store.put(path, data=data)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, objects={len(self.store)})"
@@ -198,6 +233,25 @@ class FileSystem(ABC):
         return data
 
     # -- shared internals -------------------------------------------------------
+
+    def _reserve(self, start: int, nbytes: int) -> None:
+        """Claim capacity for bytes ``[start, start + nbytes)`` of an object.
+
+        Device backends override this and :meth:`_release` (the base file
+        system has no capacity to account).  Raises ``StorageFullError``
+        before claiming anything.
+        """
+
+    def _release(self, start: int, nbytes: int) -> None:
+        """Give back what :meth:`_reserve` claimed for the same extent."""
+
+    def _size(self, path: str) -> int:
+        """Stored size of ``path``; 0 when there is no such object."""
+        return self.store.nbytes(path) if self.store.exists(path) else 0
+
+    def _release_replaced(self, path: str) -> None:
+        """Release the object a write is about to replace, if any."""
+        self._release(0, self._size(path))
 
     @staticmethod
     def _payload_size(data: Optional[bytes], nbytes: Optional[int]) -> int:

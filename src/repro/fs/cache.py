@@ -112,6 +112,23 @@ class CachedFS(FileSystem):
         self.bytes_written += obj.nbytes
         return obj
 
+    def append(self, path: str, data: bytes, label: str = "write") -> Generator:
+        # Same coherence contract as ``write``: invalidate first, append
+        # through, re-admit the grown object once the backend has it.
+        self.invalidate(path)
+        obj = yield from self.inner.append(path, data, label=label)
+        self._admit(path, self.store.nbytes(path))
+        self.bytes_written += obj.nbytes
+        return obj
+
+    # The wrapped file system owns the capacity ledger.
+
+    def _reserve(self, start: int, nbytes: int) -> None:
+        self.inner._reserve(start, nbytes)
+
+    def _release(self, start: int, nbytes: int) -> None:
+        self.inner._release(start, nbytes)
+
     def read(
         self,
         path: str,

@@ -46,19 +46,35 @@ class LocalFS(FileSystem):
     ) -> Generator:
         yield from self._fault_gate("write", path)
         size = self._payload_size(data, nbytes)
-        self.device.allocate(size)
+        yield from self._device_write(size, request_size, label)
+        self._release_replaced(path)
+        self.store.put(path, data=data, nbytes=size)
+        self.bytes_written += size
+        return StoredObject(path=path, nbytes=size, data=data)
+
+    def append(self, path: str, data: bytes, label: str = "write") -> Generator:
+        """Process: extend an object, paying for the appended bytes only."""
+        yield from self._fault_gate("write", path)
+        yield from self._device_write(len(data), None, label)
+        self.store.append(path, data)
+        self.bytes_written += len(data)
+        return StoredObject(path=path, nbytes=len(data), data=data)
+
+    def _device_write(
+        self, size: int, request_size: Optional[int], label: str
+    ) -> Generator:
+        """Process: reserve ``size`` bytes, then pay one metadata operation
+        and the device transfer.  Nothing is stored yet; a device-level
+        injected failure releases the reservation so a retried write does
+        not leak capacity."""
+        self._reserve(0, size)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
             requests = self._request_count(size, request_size)
             yield from self.device.write(size, requests=requests, label=label)
         except FaultError:
-            # A device-level injected failure: release the reservation so a
-            # retried write does not leak capacity.
-            self.device.free(size)
+            self._release(0, size)
             raise
-        self.store.put(path, data=data, nbytes=size)
-        self.bytes_written += size
-        return StoredObject(path=path, nbytes=size, data=data)
 
     def read(
         self,
@@ -142,24 +158,19 @@ class LocalFS(FileSystem):
         ):
             yield from self._fault_gate("write", items[0][0])
             sizes = [self._payload_size(data, None) for _, data in items]
-            total = sum(sizes)
-            self.device.allocate(total)
-            try:
-                yield self.sim.timeout(self.metadata_latency_s)
-                requests = self._request_count(total, request_size)
-                yield from self.device.write(total, requests=requests, label=label)
-            except FaultError:
-                self.device.free(total)
-                raise
+            yield from self._device_write(sum(sizes), request_size, label)
             objs = []
             for (path, data), size in zip(items, sizes):
+                self._release_replaced(path)
                 self.store.put(path, data=data, nbytes=size)
                 self.bytes_written += size
                 objs.append(StoredObject(path=path, nbytes=size, data=data))
             return objs
 
-    def delete(self, path: str) -> int:
-        """Remove an object and release its device capacity."""
-        freed = super().delete(path)
-        self.device.free(freed)
-        return freed
+    # One device: an extent's capacity does not depend on where it starts.
+
+    def _reserve(self, start: int, nbytes: int) -> None:
+        self.device.allocate(nbytes)
+
+    def _release(self, start: int, nbytes: int) -> None:
+        self.device.free(nbytes)

@@ -21,6 +21,8 @@ __all__ = ["ObjectStore"]
 class _Entry:
     nbytes: int
     data: Optional[bytes]
+    # Appended segments not yet joined into ``data`` (see ``append``).
+    tail: List[bytes] = field(default_factory=list)
 
 
 class ObjectStore:
@@ -61,6 +63,23 @@ class ObjectStore:
         self._entries[key] = _Entry(nbytes=size, data=data)
         return size
 
+    def append(self, path: str, data: bytes) -> int:
+        """Extend an object (created when absent); returns its new size.
+
+        The segment is only queued -- ``data()`` joins queued segments on
+        the next read -- so a log that grows by many small appends is
+        copied once per read, not once per append.  Appending to a
+        virtual object grows its size and keeps it virtual.
+        """
+        key = self.normalize(path)
+        entry = self._entries.get(key)
+        if entry is None:
+            return self.put(key, data=data)
+        if entry.data is not None:
+            entry.tail.append(data)
+        entry.nbytes += len(data)
+        return entry.nbytes
+
     def delete(self, path: str) -> int:
         """Remove an object; returns the freed size."""
         key = self.normalize(path)
@@ -84,6 +103,9 @@ class ObjectStore:
             raise FileNotFoundInFSError(
                 f"{path!r} is a virtual (size-only) object with no content"
             )
+        if entry.tail:
+            entry.data = b"".join([entry.data, *entry.tail])
+            entry.tail.clear()
         return entry.data
 
     def is_virtual(self, path: str) -> bool:

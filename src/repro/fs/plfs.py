@@ -7,17 +7,22 @@ HDD-backed FS.  The underlying file systems see ordinary files and "process
 an assigned data subset as independent files without noticing that the
 contents have been altered from the original" (paper §3.3).
 
-An index object (JSON, stored on the metadata backend) records, per subset
-chunk: tag, backend, path, and size.  The index is what ADA's indexer
-consults to resolve a tag-selective read.
+An index object on the metadata backend records, per subset chunk: tag,
+backend, path, size and CRC-32.  It is an append-only record log, one JSON
+record per line, like PLFS's own index droppings: a write extends it by
+the records of its own run (``FileSystem.append``), so an index flush
+costs the same at chunk 10 000 as at chunk 10, and a fresh client replays
+the log.  In memory each container keeps one chunk-ordered record list and
+a running byte total per tag, which is what ADA's indexer consults to
+resolve a tag-selective read without walking the container.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.errors import (
     ConfigurationError,
@@ -50,6 +55,38 @@ class IndexRecord:
     crc: int = -1
 
 
+@dataclass
+class _Subset:
+    """One tag's records in chunk order, with their running byte total."""
+
+    records: List[IndexRecord] = field(default_factory=list)
+    nbytes: int = 0
+
+    def add(self, record: IndexRecord) -> None:
+        # Writers register when their backend write lands, so a lower
+        # chunk number can arrive after a higher one; it is never far
+        # from the end.
+        pos = len(self.records)
+        while pos and self.records[pos - 1].chunk > record.chunk:
+            pos -= 1
+        self.records.insert(pos, record)
+        self.nbytes += record.nbytes
+
+    def remove(self, record: IndexRecord) -> None:
+        """Drop ``record`` (by identity; it is one of the newest)."""
+        for pos in range(len(self.records) - 1, -1, -1):
+            if self.records[pos] is record:
+                del self.records[pos]
+                self.nbytes -= record.nbytes
+                return
+
+
+def _encode_log(records: List[IndexRecord]) -> bytes:
+    """Index-log lines for ``records`` (``vars`` of the flat dataclass is
+    its field dict, without ``asdict``'s deep copy)."""
+    return "".join(json.dumps(vars(r)) + "\n" for r in records).encode()
+
+
 class PLFS:
     """Container layer multiplexing subsets across backend file systems."""
 
@@ -68,8 +105,12 @@ class PLFS:
             raise ConfigurationError(
                 f"metadata backend {self.metadata_backend!r} is not a backend"
             )
-        self._indexes: Dict[str, List[IndexRecord]] = {}
+        # logical -> tag -> that subset's records; a tag with no records
+        # has no entry.
+        self._indexes: Dict[str, Dict[str, _Subset]] = {}
         self._chunk_counters: Dict[tuple, int] = {}
+        # Registered records whose log append is still in flight.
+        self._flushing: Set[IndexRecord] = set()
 
     # -- paths ------------------------------------------------------------
 
@@ -94,39 +135,79 @@ class PLFS:
 
     def tags(self, logical: str) -> List[str]:
         """Distinct subset tags present in a container, sorted."""
-        return sorted({r.tag for r in self.container_index(logical)})
+        return sorted(self._index(logical))
 
     def container_index(self, logical: str) -> List[IndexRecord]:
-        """The container's index records (cached after first load)."""
-        if logical in self._indexes:
-            return list(self._indexes[logical])
-        meta_fs = self.backends[self.metadata_backend]
-        path = self.index_path(logical)
-        if not meta_fs.exists(path):
-            raise ContainerError(f"no container index for {logical!r}")
-        try:
-            records = [
-                IndexRecord(**rec) for rec in json.loads(meta_fs.data(path))
-            ]
-        except (ValueError, TypeError) as exc:
-            raise ContainerError(f"corrupt index for {logical!r}: {exc}") from exc
-        self._indexes[logical] = records
-        return list(records)
+        """Every index record of a container, by tag then chunk."""
+        index = self._index(logical)
+        return [r for tag in sorted(index) for r in index[tag].records]
 
     def subset_records(self, logical: str, tag: str) -> List[IndexRecord]:
-        records = [r for r in self.container_index(logical) if r.tag == tag]
-        if not records:
+        """One subset's records in chunk order (a snapshot: callers keep
+        it across simulated time while writers append)."""
+        return list(self._subset(logical, tag).records)
+
+    def subset_nbytes(self, logical: str, tag: str) -> int:
+        return self._subset(logical, tag).nbytes
+
+    def container_nbytes(self, logical: str) -> int:
+        return sum(s.nbytes for s in self._index(logical).values())
+
+    def _index(self, logical: str, create: bool = False) -> Dict[str, _Subset]:
+        """The container's in-memory index, replayed from the on-disk
+        log on first use by this client."""
+        index = self._indexes.get(logical)
+        if index is not None:
+            return index
+        meta_fs = self.backends[self.metadata_backend]
+        path = self.index_path(logical)
+        index = {}
+        if meta_fs.exists(path):
+            try:
+                for line in meta_fs.data(path).splitlines():
+                    self._register(logical, index, IndexRecord(**json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise ContainerError(
+                    f"corrupt index for {logical!r}: {exc}"
+                ) from exc
+        elif not create:
+            raise ContainerError(f"no container index for {logical!r}")
+        self._indexes[logical] = index
+        return index
+
+    def _register(
+        self, logical: str, index: Dict[str, _Subset], record: IndexRecord
+    ) -> None:
+        """Index one record and keep the tag's next chunk number above it,
+        so a client that replayed the log never reuses a stored name."""
+        index.setdefault(record.tag, _Subset()).add(record)
+        key = (logical, record.tag)
+        self._chunk_counters[key] = max(
+            self._chunk_counters.get(key, 0), record.chunk + 1
+        )
+
+    def _subset(self, logical: str, tag: str) -> _Subset:
+        subset = self._index(logical).get(tag)
+        if subset is None:
             raise TagNotFoundError(
                 f"container {logical!r} has no subset tagged {tag!r} "
                 f"(available: {self.tags(logical)})"
             )
-        return sorted(records, key=lambda r: r.chunk)
+        return subset
 
-    def subset_nbytes(self, logical: str, tag: str) -> int:
-        return sum(r.nbytes for r in self.subset_records(logical, tag))
+    def _adopt(self, logical: str) -> None:
+        """Before writing to a container another client created, replay
+        its log (a container nobody has written yet needs nothing)."""
+        if self.exists(logical):
+            self._index(logical)
 
-    def container_nbytes(self, logical: str) -> int:
-        return sum(r.nbytes for r in self.container_index(logical))
+    def _claim_chunk(self, logical: str, tag: str) -> int:
+        """Next chunk number of a subset.  Claimed *before* the write (so
+        concurrent writers pick distinct names) and never handed out
+        twice: a failed write leaves a gap, not a reused name."""
+        chunk = self._chunk_counters.get((logical, tag), 0)
+        self._chunk_counters[(logical, tag)] = chunk + 1
+        return chunk
 
     # -- DES processes ------------------------------------------------------------
 
@@ -142,13 +223,10 @@ class PLFS:
         """Process: append one subset chunk to a container."""
         if backend not in self.backends:
             raise ConfigurationError(f"unknown backend {backend!r}")
-        records = self._indexes.setdefault(logical, [])
-        # Chunk numbers come from a counter claimed *before* the write (so
-        # concurrent writers pick distinct names), but the index record is
-        # registered only *after* the backend write succeeds (so a failed
-        # dispatch leaves no dangling index entry).
-        chunk = self._chunk_counters.get((logical, tag), 0)
-        self._chunk_counters[(logical, tag)] = chunk + 1
+        self._adopt(logical)
+        # The index record is registered only *after* the backend write
+        # succeeds, so a failed dispatch leaves no dangling index entry.
+        chunk = self._claim_chunk(logical, tag)
         path = self.chunk_path(logical, tag, chunk)
         size = FileSystem._payload_size(data, nbytes)
         yield from self.backends[backend].write(
@@ -162,17 +240,7 @@ class PLFS:
             chunk=chunk,
             crc=zlib.crc32(data) if data is not None else -1,
         )
-        records.append(record)
-        try:
-            yield from self._flush_index(logical)
-        except FaultError:
-            # Roll the chunk back so a dispatcher-level retry rewrites it
-            # cleanly instead of duplicating subset bytes.
-            records.pop()
-            backend_fs = self.backends[backend]
-            if backend_fs.exists(path):
-                backend_fs.delete(path)
-            raise
+        yield from self._commit(logical, [record])
         return record
 
     def verify_chunk(self, record: IndexRecord, obj: StoredObject) -> None:
@@ -265,13 +333,9 @@ class PLFS:
             raise ConfigurationError(f"unknown backend {backend!r}")
         if not entries:
             return []
-        records = self._indexes.setdefault(logical, [])
+        self._adopt(logical)
         backend_fs = self.backends[backend]
-        chunks = []
-        for tag, _data in entries:
-            chunk = self._chunk_counters.get((logical, tag), 0)
-            self._chunk_counters[(logical, tag)] = chunk + 1
-            chunks.append(chunk)
+        chunks = [self._claim_chunk(logical, tag) for tag, _data in entries]
         items = [
             (self.chunk_path(logical, tag, chunk), data)
             for (tag, data), chunk in zip(entries, chunks)
@@ -305,18 +369,7 @@ class PLFS:
             )
             for (tag, data), (path, _), chunk in zip(entries, items, chunks)
         ]
-        records.extend(run_records)
-        try:
-            yield from self._flush_index(logical)
-        except FaultError:
-            # Roll the whole run back (records by identity -- concurrent
-            # writers may have appended behind us) so a retry rewrites it
-            # cleanly instead of duplicating subset bytes.
-            for record in run_records:
-                records.remove(record)
-                if backend_fs.exists(record.path):
-                    backend_fs.delete(record.path)
-            raise
+        yield from self._commit(logical, run_records)
         return run_records
 
     def read_subset(
@@ -453,28 +506,63 @@ class PLFS:
         the rest of the container (and its index) stays serviceable.
         Deleting the last subset removes the container entirely.
         """
-        records = self.container_index(logical)
-        keep = [r for r in records if r.tag != tag]
-        if len(keep) == len(records):
+        index = self._index(logical)
+        subset = index.get(tag)
+        if subset is None:
             return 0
-        if not keep:
+        if len(index) == 1:
             return self.delete_container(logical)
+        del index[tag]
         freed = 0
-        for record in records:
-            if record.tag != tag:
-                continue
+        for record in subset.records:
             backend = self.backends[record.backend]
             if backend.exists(record.path):
                 freed += backend.delete(record.path)
-        self._indexes[logical] = keep
         self._chunk_counters.pop((logical, tag), None)
+        # Compact the log so a fresh client does not replay the dropped
+        # subset's records.  A run whose append is still in flight adds
+        # its own lines when it lands (or none, when it fails).
+        flushed = [
+            r for r in self.container_index(logical) if r not in self._flushing
+        ]
+        self.backends[self.metadata_backend].replace(
+            self.index_path(logical), _encode_log(flushed)
+        )
         return freed
 
-    def _flush_index(self, logical: str) -> Generator:
-        """Persist the index object to the metadata backend."""
-        payload = json.dumps(
-            [asdict(r) for r in self._indexes[logical]]
-        ).encode()
-        yield from self.backends[self.metadata_backend].write(
-            self.index_path(logical), data=payload, label="plfs-index"
+    def _commit(self, logical: str, run_records: List[IndexRecord]) -> Generator:
+        """Process: index the chunks of one landed write, then persist.
+
+        An index-flush fault rolls the whole run back -- its records (by
+        identity: concurrent writers may have registered behind it) and
+        its chunk objects -- so a dispatcher-level retry rewrites it
+        cleanly instead of duplicating subset bytes.
+        """
+        index = self._index(logical, create=True)
+        for record in run_records:
+            self._register(logical, index, record)
+        self._flushing.update(run_records)
+        try:
+            yield from self._flush_index(logical, run_records)
+        except FaultError:
+            for record in run_records:
+                subset = index[record.tag]
+                subset.remove(record)
+                if not subset.records:
+                    del index[record.tag]
+                backend_fs = self.backends[record.backend]
+                if backend_fs.exists(record.path):
+                    backend_fs.delete(record.path)
+            raise
+        finally:
+            self._flushing.difference_update(run_records)
+
+    def _flush_index(
+        self, logical: str, new_records: List[IndexRecord]
+    ) -> Generator:
+        """Process: extend the on-disk index log by ``new_records``."""
+        yield from self.backends[self.metadata_backend].append(
+            self.index_path(logical),
+            _encode_log(new_records),
+            label="plfs-index",
         )

@@ -84,6 +84,18 @@ class PVFS(FileSystem):
             per_target[full % n] += rem
         return per_target
 
+    def _extent_layout(self, start: int, nbytes: int) -> List[int]:
+        """Bytes landing on each target for ``[start, start + nbytes)`` of
+        an object (striping only ever adds bytes to a target)."""
+        if not start:
+            return self.stripe_layout(nbytes)
+        return [
+            grown - before
+            for before, grown in zip(
+                self.stripe_layout(start), self.stripe_layout(start + nbytes)
+            )
+        ]
+
     # -- DES processes ----------------------------------------------------------
 
     def write(
@@ -96,18 +108,41 @@ class PVFS(FileSystem):
     ) -> Generator:
         yield from self._fault_gate("write", path)
         size = self._payload_size(data, nbytes)
-        layout = self.stripe_layout(size)
-        # Check the whole layout before allocating anything so a mid-loop
-        # failure cannot leak partially-reserved capacity.
-        for target, share in zip(self.targets, layout):
-            if share and share > target.device.free_bytes:
-                raise StorageFullError(
-                    f"{self.name}: target {target.name} needs {share:.3e} B, "
-                    f"has {target.device.free_bytes:.3e} B free"
-                )
-        for target, share in zip(self.targets, layout):
-            if share:
-                target.device.allocate(share)
+        yield from self._striped_write(0, size, request_size, label)
+        self._release_replaced(path)
+        self.store.put(path, data=data, nbytes=size)
+        self.bytes_written += size
+        return StoredObject(path=path, nbytes=size, data=data)
+
+    def append(self, path: str, data: bytes, label: str = "write") -> Generator:
+        """Process: extend an object, paying for the appended bytes only.
+
+        The new bytes continue the object's round-robin striping where it
+        ended, so only the targets the delta lands on are reserved and
+        written, and a later :meth:`delete` (which frees the layout of
+        the total size) balances exactly.
+        """
+        yield from self._fault_gate("write", path)
+        start = self._size(path)
+        yield from self._striped_write(start, len(data), None, label)
+        end = self._size(path)
+        if end != start:
+            # Another writer landed while this one was in flight: move the
+            # reservation to the stripes the bytes actually continue on.
+            self._release(start, len(data))
+            self._reserve(end, len(data))
+        self.store.append(path, data)
+        self.bytes_written += len(data)
+        return StoredObject(path=path, nbytes=len(data), data=data)
+
+    def _striped_write(
+        self, start: int, nbytes: int, request_size: Optional[int], label: str
+    ) -> Generator:
+        """Process: reserve and write bytes ``[start, start + nbytes)`` of
+        an object on the targets they stripe onto.  Nothing is stored
+        yet; a target-level injected failure releases every stripe
+        reservation so a retried write starts from a clean slate."""
+        self._reserve(start, nbytes)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
             procs = [
@@ -115,21 +150,14 @@ class PVFS(FileSystem):
                     self._target_io(t, share, request_size, label, write=True),
                     name=f"{self.name}:write:{t.name}",
                 )
-                for t, share in zip(self.targets, layout)
+                for t, share in zip(self.targets, self._extent_layout(start, nbytes))
                 if share
             ]
             if procs:
                 yield AllOf(self.sim, procs)
         except FaultError:
-            # A target-level injected failure: release every stripe
-            # reservation so a retried write starts from a clean slate.
-            for target, share in zip(self.targets, layout):
-                if share:
-                    target.device.free(share)
+            self._release(start, nbytes)
             raise
-        self.store.put(path, data=data, nbytes=size)
-        self.bytes_written += size
-        return StoredObject(path=path, nbytes=size, data=data)
 
     def read(
         self,
@@ -158,15 +186,24 @@ class PVFS(FileSystem):
         data = self._fault_payload(decision, "read", data)
         return StoredObject(path=path, nbytes=size, data=data)
 
-    def delete(self, path: str) -> int:
-        """Remove an object and release capacity on every target."""
-        size = self.store.nbytes(path)
-        layout = self.stripe_layout(size)
-        freed = super().delete(path)
+    def _reserve(self, start: int, nbytes: int) -> None:
+        layout = self._extent_layout(start, nbytes)
+        # Check the whole layout before allocating anything so a mid-loop
+        # failure cannot leak partially-reserved capacity.
+        for target, share in zip(self.targets, layout):
+            if share > target.device.free_bytes:
+                raise StorageFullError(
+                    f"{self.name}: target {target.name} needs {share:.3e} B, "
+                    f"has {target.device.free_bytes:.3e} B free"
+                )
         for target, share in zip(self.targets, layout):
             if share:
+                target.device.allocate(share)
+
+    def _release(self, start: int, nbytes: int) -> None:
+        for target, share in zip(self.targets, self._extent_layout(start, nbytes)):
+            if share:
                 target.device.free(share)
-        return freed
 
     def _target_io(
         self,

@@ -1,0 +1,394 @@
+"""The PLFS index is an append-only record log (``FileSystem.append``).
+
+A write extends ``<logical>.plfs/index`` by its own run's records, so an
+index flush costs the same however long the container already is; a
+fresh client replays the log.  In memory every ``(logical, tag)`` keeps a
+chunk-ordered record list, whatever order concurrent writers land in.
+"""
+
+import json
+
+import pytest
+
+from repro.errors import ContainerError, TransientFaultError
+from repro.faults import FaultPlan, FaultSpec
+from repro.fs import PLFS, PVFS, LocalFS, StorageTarget
+from repro.fs.base import FileSystem, StoredObject
+from repro.fs.cache import CachedFS
+from repro.fs.memfs import ObjectStore
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import Simulator
+from repro.storage import Device, DevicePower, DeviceSpec
+from repro.units import GB, mbps
+
+LOGICAL = "bar.xtc"
+INDEX = PLFS.index_path(LOGICAL)
+
+
+def _spec(name, bw=100.0):
+    return DeviceSpec(
+        name=name,
+        read_bw=mbps(bw),
+        write_bw=mbps(bw),
+        seek_latency_s=1e-3,
+        capacity=GB,
+        power=DevicePower(active_w=5.0, idle_w=1.0),
+    )
+
+
+def _local(sim, name, bw=100.0):
+    return LocalFS(sim, _spec(name, bw), name=name)
+
+
+def _striped(sim, name, ntargets=3, stripe_size=64):
+    targets = [
+        StorageTarget(Device(sim, _spec(f"{name}{i}"), name=f"{name}{i}"))
+        for i in range(ntargets)
+    ]
+    return PVFS(sim, targets, name=name, stripe_size=stripe_size)
+
+
+def _plfs(meta_factory=_local):
+    """Fast and slow data backends plus a separate metadata backend, so
+    everything on ``meta`` is index traffic."""
+    sim = Simulator()
+    sim.metrics = MetricsRegistry()
+    backends = {
+        "ssd": _local(sim, "ssd", bw=1000.0),
+        "hdd": _local(sim, "hdd", bw=10.0),
+        "meta": meta_factory(sim, "meta"),
+    }
+    return sim, PLFS(sim, backends, metadata_backend="meta")
+
+
+def _fresh(plfs):
+    """A second client of the same backends (nothing in memory)."""
+    return PLFS(plfs.sim, plfs.backends, metadata_backend="meta")
+
+
+def _used(fs):
+    if isinstance(fs, PVFS):
+        return [t.device.used_bytes for t in fs.targets]
+    return [fs.device.used_bytes]
+
+
+# -- (a) a flush costs O(run), not O(container) -------------------------------
+
+
+def test_kth_flush_bytes_do_not_grow_with_the_container():
+    sim, plfs = _plfs()
+    written = sim.metrics.counter("device_bytes_total", device="meta", op="write")
+    meta = plfs.backends["meta"]
+    run = [("m", b"misc-bytes"), ("p", b"protein-bytes")]
+    per_flush = []
+    for _ in range(120):
+        before, log_before = written.value, (
+            meta.nbytes(INDEX) if meta.exists(INDEX) else 0
+        )
+        sim.run_process(plfs.write_chunk_run(LOGICAL, run, backend="hdd"))
+        per_flush.append(written.value - before)
+        # The device moved exactly the run's own log lines.
+        assert per_flush[-1] == meta.nbytes(INDEX) - log_before
+    # Only the chunk number's digit count (in ``path`` and ``chunk``, two
+    # records a run) separates the first flush from the last.
+    assert max(per_flush) - min(per_flush) <= 2 * 2 * 2
+    assert sum(per_flush) == meta.nbytes(INDEX)
+    assert meta.device.used_bytes == meta.nbytes(INDEX)
+
+
+# -- (b) replay == warm index; failed writers leave no lines ------------------
+
+
+def test_cold_replay_matches_warm_index_after_concurrent_writers():
+    sim, plfs = _plfs()
+    flaky = plfs.backends["flaky"] = _local(sim, "flaky")
+    FaultPlan(seed=5, sites={"fs:flaky": FaultSpec(transient_rate=1.0)}).attach(
+        flaky
+    )
+    failures = []
+
+    def runs():
+        for _ in range(4):
+            yield from plfs.write_chunk_run(
+                LOGICAL, [("m", b"m" * 400), ("p", b"p" * 90)], backend="hdd"
+            )
+
+    def subsets():
+        for _ in range(6):
+            yield from plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"s" * 50)
+
+    def doomed():
+        try:
+            yield from plfs.write_chunk_run(LOGICAL, [("p", b"lost")], backend="flaky")
+        except TransientFaultError as exc:
+            failures.append(exc)
+
+    for writer in (runs, subsets, doomed):
+        sim.process(writer())
+    sim.run()
+    assert len(failures) == 1
+
+    warm = plfs.container_index(LOGICAL)
+    log = [
+        json.loads(line)
+        for line in plfs.backends["meta"].data(INDEX).splitlines()
+    ]
+    # The writers really interleaved: the log is not in (tag, chunk) order.
+    assert [(r["tag"], r["chunk"]) for r in log] != [(r.tag, r.chunk) for r in warm]
+    assert all(r["backend"] != "flaky" for r in log)
+    assert len(log) == len(warm) == 4 * 2 + 6
+
+    cold = _fresh(plfs)
+    assert cold.container_index(LOGICAL) == warm
+    assert cold.tags(LOGICAL) == plfs.tags(LOGICAL) == ["m", "p"]
+    for tag in ("m", "p"):
+        assert cold.subset_records(LOGICAL, tag) == plfs.subset_records(LOGICAL, tag)
+        assert cold.subset_nbytes(LOGICAL, tag) == plfs.subset_nbytes(LOGICAL, tag)
+    assert cold.container_nbytes(LOGICAL) == 4 * 490 + 6 * 50
+    # The doomed writer burned a chunk number; nobody reused it.
+    chunks = [r.chunk for r in warm if r.tag == "p"]
+    assert len(set(chunks)) == len(chunks) == 10 and max(chunks) == 10
+    assert plfs.fsck(LOGICAL)["ok"]
+
+
+def test_fresh_client_appends_after_the_stored_chunks():
+    sim, plfs = _plfs()
+    sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"one"))
+    sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"two"))
+    other = _fresh(plfs)
+    record = sim.run_process(
+        other.write_subset(LOGICAL, "p", backend="ssd", data=b"three")
+    )
+    assert record.chunk == 2
+    assert sim.run_process(other.read_subset(LOGICAL, "p")).data == b"onetwothree"
+    assert _fresh(plfs).container_index(LOGICAL) == other.container_index(LOGICAL)
+
+
+# -- (c) a torn or non-JSON line is a corrupt index ---------------------------
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda log: log[: len(log) - 9],  # torn final line
+        lambda log: log + b"not json\n",
+        lambda log: log + b"\n",  # blank line
+        lambda log: log + b"[1, 2]\n",  # JSON, but not a record
+        lambda log: log + b'{"tag": "p"}\n',  # record with fields missing
+    ],
+)
+def test_damaged_log_line_raises_container_error(damage):
+    sim, plfs = _plfs()
+    sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"x"))
+    sim.run_process(plfs.write_subset(LOGICAL, "m", backend="hdd", data=b"yy"))
+    meta = plfs.backends["meta"]
+    meta.store.put(INDEX, data=damage(meta.data(INDEX)))
+    with pytest.raises(ContainerError, match="corrupt"):
+        _fresh(plfs).container_index(LOGICAL)
+
+
+# -- (d) append goes through the write fault gate -----------------------------
+
+
+@pytest.mark.parametrize("meta_factory", [_local, _striped])
+def test_append_is_gated_as_a_write(meta_factory):
+    sim, plfs = _plfs(meta_factory)
+    meta = plfs.backends["meta"]
+    plan = FaultPlan(seed=11, sites={"fs:meta": FaultSpec(transient_rate=1.0)})
+    plan.attach(meta)
+    with pytest.raises(TransientFaultError, match="during write"):
+        sim.run_process(meta.append("log", b"line\n"))
+    assert not meta.exists("log") and not any(_used(meta))
+    # The index flush sees the same gate: the run rolls back, no line lands.
+    with pytest.raises(TransientFaultError, match="during write"):
+        sim.run_process(
+            plfs.write_chunk_run(LOGICAL, [("p", b"data")], backend="ssd")
+        )
+    assert not meta.exists(INDEX)
+    assert plfs.container_index(LOGICAL) == []
+    assert list(plfs.backends["ssd"].store.walk()) == []
+    assert plan.injected[("fs:meta", "transient")] == 2
+
+
+# -- (e) chunk order survives out-of-order registration -----------------------
+
+
+def test_subset_records_stay_chunk_ordered_when_a_lower_chunk_lands_late():
+    sim, plfs = _plfs()
+    # Chunk 0 goes to the slow disk and lands after chunks 1 and 2.
+    sim.process(plfs.write_subset(LOGICAL, "p", backend="hdd", data=b"0" * 400_000))
+    sim.process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"1"))
+    sim.process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"2"))
+    sim.run()
+    log = [
+        json.loads(line)["chunk"]
+        for line in plfs.backends["meta"].data(INDEX).splitlines()
+    ]
+    assert log == [1, 2, 0]
+    assert [r.chunk for r in plfs.subset_records(LOGICAL, "p")] == [0, 1, 2]
+    assert plfs.subset_nbytes(LOGICAL, "p") == 400_002
+    assert [r.chunk for r in _fresh(plfs).subset_records(LOGICAL, "p")] == [0, 1, 2]
+    obj = sim.run_process(plfs.read_subset(LOGICAL, "p"))
+    assert obj.data == b"0" * 400_000 + b"12"
+
+
+# -- delete_subset persists ---------------------------------------------------
+
+
+def test_delete_subset_survives_a_cold_reload():
+    sim, plfs = _plfs()
+    for _ in range(3):
+        sim.run_process(
+            plfs.write_chunk_run(LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
+        )
+    meta = plfs.backends["meta"]
+    assert plfs.delete_subset(LOGICAL, "m") == 6
+    assert meta.device.used_bytes == meta.nbytes(INDEX)
+    cold = _fresh(plfs)
+    assert cold.tags(LOGICAL) == ["p"]
+    assert cold.container_index(LOGICAL) == plfs.container_index(LOGICAL)
+    assert cold.fsck(LOGICAL)["ok"]
+    # The log keeps growing from the compacted state.
+    sim.run_process(plfs.write_subset(LOGICAL, "m", backend="hdd", data=b"new"))
+    assert _fresh(plfs).subset_nbytes(LOGICAL, "m") == 3
+    assert plfs.delete_subset(LOGICAL, "nope") == 0
+
+
+def test_delete_subset_during_an_inflight_flush_keeps_the_log_exact():
+    sim, plfs = _plfs()
+    sim.run_process(
+        plfs.write_chunk_run(LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="ssd")
+    )
+    meta = plfs.backends["meta"]
+    lines = len(meta.data(INDEX).splitlines())
+    sim.process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"late"))
+    # Stop once the chunk is registered in memory but its log line is not
+    # down yet, and compact under it.
+    while len(plfs.subset_records(LOGICAL, "p")) == 1:
+        sim.run(until=sim.now + 1e-4)
+    assert len(meta.data(INDEX).splitlines()) == lines
+    plfs.delete_subset(LOGICAL, "m")
+    sim.run()
+    assert [r.chunk for r in _fresh(plfs).container_index(LOGICAL)] == [0, 1]
+    assert _fresh(plfs).container_index(LOGICAL) == plfs.container_index(LOGICAL)
+    assert meta.device.used_bytes == meta.nbytes(INDEX)
+
+
+# -- the capacity ledger balances --------------------------------------------
+
+
+@pytest.mark.parametrize("factory", [_local, _striped])
+def test_overwrite_and_append_balance_the_capacity_ledger(factory):
+    sim = Simulator()
+    fs = factory(sim, "fs")
+    sim.run_process(fs.write("f", data=b"a" * 300))
+    sim.run_process(fs.write("f", data=b"b" * 70))  # releases the 300
+    assert sum(_used(fs)) == 70
+    for i in range(25):
+        sim.run_process(fs.append("f", bytes([i]) * 37))
+        assert sum(_used(fs)) == fs.nbytes("f") == fs.store.total_bytes()
+    sim.run_process(fs.write_span([("f", b"c" * 10), ("g", b"d" * 5)]))
+    assert sum(_used(fs)) == 15
+    assert fs.replace("g", b"e" * 200) == 200
+    assert sum(_used(fs)) == fs.store.total_bytes() == 210
+    fs.delete("f")
+    fs.delete("g")
+    assert not any(_used(fs))
+
+
+def test_pvfs_append_continues_the_stripe_layout():
+    sim = Simulator()
+    fs = _striped(sim, "pv", ntargets=3, stripe_size=64)
+    total = 0
+    for size in (10, 100, 64, 1, 500):
+        sim.run_process(fs.append("log", b"x" * size))
+        total += size
+        # Exactly the layout one write of the total would have reserved,
+        # so ``delete`` (which frees that layout) balances every target.
+        assert _used(fs) == fs.stripe_layout(total)
+    assert fs.data("log") == b"x" * total
+    fs.delete("log")
+    assert not any(_used(fs))
+
+
+def test_pvfs_concurrent_appends_balance_every_target():
+    sim = Simulator()
+    fs = _striped(sim, "pv", ntargets=2, stripe_size=64)
+    # Both start from size 0 and would each reserve target 0's first
+    # stripe; the second to land re-homes onto the stripes it continues.
+    sim.process(fs.append("log", b"a" * 40))
+    sim.process(fs.append("log", b"b" * 40))
+    sim.run()
+    assert _used(fs) == fs.stripe_layout(80) == [64, 16]
+    fs.delete("log")
+    assert not any(_used(fs))
+
+
+@pytest.mark.parametrize("meta_factory", [_local, _striped])
+def test_container_lifecycle_returns_every_byte(meta_factory):
+    sim, plfs = _plfs(meta_factory)
+    for _ in range(8):
+        sim.run_process(
+            plfs.write_chunk_run(LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
+        )
+        sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"s"))
+    for fs in plfs.backends.values():
+        assert sum(_used(fs)) == fs.store.total_bytes()
+    plfs.delete_subset(LOGICAL, "m")
+    plfs.delete_container(LOGICAL)
+    for fs in plfs.backends.values():
+        assert not any(_used(fs)) and len(fs.store) == 0
+
+
+# -- the store primitive ------------------------------------------------------
+
+
+def test_object_store_append_joins_lazily():
+    store = ObjectStore()
+    assert store.append("log", b"ab") == 2  # creates
+    for i in range(3):
+        store.append("log", b"cd")
+    assert store.nbytes("log") == store.total_bytes() == 8
+    assert store.data("log") == b"abcdcdcd"
+    assert store.data("log") is store.data("log")  # joined once, then kept
+    store.put("log", data=b"z")  # overwrite drops the segments
+    assert store.data("log") == b"z"
+    store.put("virtual", nbytes=10)
+    assert store.append("virtual", b"xyz") == 13 and store.is_virtual("virtual")
+
+
+# -- append on the other file systems -----------------------------------------
+
+
+def test_cached_fs_append_invalidates_then_readmits_the_grown_object():
+    sim = Simulator()
+    inner = _local(sim, "inner")
+    fs = CachedFS(inner, GB)
+    sim.run_process(fs.write("log", data=b"head"))
+    sim.run_process(fs.append("log", b"-tail"))
+    assert fs.invalidations == 1 and fs.is_cached("log")
+    assert fs.cached_bytes == 9 == inner.device.used_bytes
+    assert sim.run_process(fs.read("log")).data == b"head-tail"
+    assert fs.hits == 1
+    fs.delete("log")
+    assert inner.device.used_bytes == 0
+
+
+def test_base_append_fallback_rewrites_the_object():
+    class PlainFS(FileSystem):
+        def write(self, path, data=None, nbytes=None, request_size=None,
+                  label="write"):
+            yield self.sim.timeout(1e-6)
+            self.store.put(path, data=data)
+            return StoredObject(path=path, nbytes=len(data), data=data)
+
+        def read(self, path, request_size=None, label="read"):
+            yield self.sim.timeout(1e-6)
+            return StoredObject(path, self.store.nbytes(path), self.store.data(path))
+
+    sim = Simulator()
+    fs = PlainFS(sim, "plain")
+    for part in (b"a", b"bc", b"def"):
+        extent = sim.run_process(fs.append("log", part))
+        assert extent.data == part
+    assert fs.data("log") == b"abcdef"

@@ -125,7 +125,7 @@ def test_coalesced_run_pays_one_device_write():
 def test_index_flush_fault_rolls_back_whole_run():
     sim, plfs = _plfs()
 
-    def failing_flush(logical):
+    def failing_flush(logical, new_records):
         raise TransientFaultError("index flush lost")
         yield  # pragma: no cover
 
@@ -133,9 +133,10 @@ def test_index_flush_fault_rolls_back_whole_run():
     plfs._flush_index = failing_flush
     with pytest.raises(TransientFaultError):
         sim.run_process(plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd"))
-    # No index records, no chunk objects left behind.
-    assert plfs._indexes["bar.xtc"] == []
+    # No index records, no chunk objects, no log lines left behind.
+    assert plfs.container_index("bar.xtc") == []
     assert list(plfs.backends["hdd"].store.walk()) == []
+    assert list(plfs.backends["meta"].store.walk()) == []
     # A retry rewrites cleanly: counters left gaps, names are never reused.
     plfs._flush_index = real_flush
     records = sim.run_process(
