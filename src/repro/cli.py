@@ -404,7 +404,7 @@ def _run_bench_pipeline(args) -> int:
         nchunks=args.nchunks,
         frames_per_chunk=args.frames_per_chunk,
         window_chunks=args.window_chunks,
-        seed=args.seed,
+        seed=args.seed if args.seed else 7,
     )
     if args.json:
         path = args.output or BENCH_PIPELINE_JSON

@@ -15,17 +15,17 @@ the middleware out:
   flag and load gauges.  Each node owns its *own* backends, block cache,
   prefetcher, and retriever, so N nodes mean N independent device queues
   and N private working sets.
-* :class:`ShardedADA` -- the front: exposes the same ``fetch`` /
-  ``fetch_chunks`` / ``fetch_merged`` / ``ingest_stream`` surface as a
-  single :class:`~repro.core.middleware.ADA` (``repro.serve`` and
-  ``repro.vmd`` run on top unmodified), routing every subset operation to
-  its owners.  The hot active subset (tag ``p`` by default) is replicated
-  to R nodes with read-any/primary-write semantics; reads pick the
-  least-loaded live replica (sticky per stream, so sequential scans keep
-  training one shard's stride detector); a dead node triggers failover to
-  a surviving replica, and an unreplicated subset whose only holder died
-  degrades exactly like a lost inactive tier
-  (:class:`~repro.errors.DegradedReadWarning`).
+* :class:`ShardedADA` -- the front: the same
+  :class:`~repro.core.dataplane.DataPlane` as a single
+  :class:`~repro.core.middleware.ADA` (``repro.serve`` and ``repro.vmd``
+  run on top unmodified), with storage hooks that route every subset
+  operation to its owners.  The hot active subset (tag ``p`` by
+  default) is replicated to R nodes with read-any/primary-write
+  semantics; reads pick the least-loaded live replica (sticky per
+  stream, so sequential scans keep training one shard's stride
+  detector); a dead node triggers failover to a surviving replica, and
+  an unreplicated subset whose only holder died degrades exactly like a
+  lost inactive tier (:class:`~repro.errors.DegradedReadWarning`).
 
 Fault injection composes: each routed operation first consults the
 ``shard:<node>`` site of the attached :class:`~repro.faults.FaultPlan`
@@ -42,23 +42,15 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import warnings
+from dataclasses import replace
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.ingest import IngestPipeline, IngestPipelineConfig
+from repro.core.dataplane import DataPlane
+from repro.core.ingest import IngestPipelineConfig
 from repro.core.labeler import LabelMap
-from repro.core.lod import (
-    base_tags,
-    is_lod_tag,
-    lod_max_error,
-    lod_tag,
-    validate_precision,
-)
-from repro.core.middleware import ADA, IngestReceipt, merge_decoded_subsets
+from repro.core.middleware import ADA
 from repro.errors import (
     ConfigurationError,
-    DegradedReadWarning,
-    FaultError,
     LabelIndexError,
     NodeDownError,
     PermanentFaultError,
@@ -66,7 +58,6 @@ from repro.errors import (
 from repro.faults.plan import PERMANENT, FaultPlan, raise_fault
 from repro.faults.retry import Retrier, RetryPolicy, RetryStats
 from repro.fs.base import FileSystem, StoredObject
-from repro.fs.cache import DERIVED_SUBSET
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.sim import AllOf, Simulator
@@ -215,6 +206,13 @@ class ShardNode:
         return f"ShardNode({self.name!r}, {state}, inflight={self.inflight})"
 
 
+def _advertise(obj: StoredObject, bound: Optional[float]) -> StoredObject:
+    """Stamp the *front's* pinned LOD bound on a node's coarse-tier
+    answer: nodes never see an ingest receipt, so only the front knows
+    the bound the dataset was encoded with."""
+    return obj if obj.max_error == bound else replace(obj, max_error=bound)
+
+
 class _ClusterIndex:
     """Just enough of the ``PLFS`` surface for the serving layer.
 
@@ -313,7 +311,7 @@ class _PrefetchFanout:
         return out
 
 
-class ShardedADA:
+class ShardedADA(DataPlane):
     """N ADA middleware nodes behind one single-middleware surface.
 
     Containers partition across nodes by consistent-hashing ``(logical,
@@ -323,10 +321,15 @@ class ShardedADA:
     (primary first, so the primary's copy is never behind a replica's),
     and ``fetch_merged`` scatter-gathers each tag from its own shard.
 
-    The surface mirrors :class:`ADA` closely enough that
+    Everything that is not routing -- tier resolution, the ingest
+    skeletons, ``fetch_all``'s degrade policy, the merge, ``tags``/
+    ``has_lod``/``lod_bound``/``remove``/``fault_counters`` -- is the
+    shared :class:`~repro.core.dataplane.DataPlane`, so
     :class:`~repro.serve.ServeFront` and
     :class:`~repro.vmd.session.VMDSession` run unmodified on top.
     """
+
+    _span_family = "cluster"
 
     def __init__(
         self,
@@ -346,10 +349,7 @@ class ShardedADA:
             raise ConfigurationError("ShardedADA needs at least one node")
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        self.sim = sim
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if getattr(sim, "metrics", None) is None:
-            sim.metrics = self.metrics
+        super().__init__(sim, metrics, {"shard": "front"})
         self.replicas = int(replicas)
         self.replicated_tags = tuple(replicated_tags)
         self.affinity_slack = int(affinity_slack)
@@ -361,15 +361,12 @@ class ShardedADA:
         #: data currently *is*, so reads keep resolving mid-migration.
         self._placement: Dict[Tuple[str, str], List[str]] = {}
         self._catalog: Dict[str, List[str]] = {}
-        self._label_maps: Dict[str, LabelMap] = {}
         self._affinity: Dict[Tuple[str, str], str] = {}
         #: Failure/recovery timeline: kill and failover events in sim time.
         self.events: List[Dict[str, object]] = []
         #: (logical, tag, dead primary) already logged as promoted, so the
         #: timeline records each promotion once, not once per read.
         self._promoted: set = set()
-        #: (logical, tag, reason) for every degraded fetch_all (ADA mirror).
-        self.degraded: List[Tuple[str, str, str]] = []
         self.block_cache = None  # per-shard caches live inside the nodes
         self.plfs = _ClusterIndex(self)
         self.prefetcher = _PrefetchFanout(self)
@@ -379,7 +376,7 @@ class ShardedADA:
                 sim,
                 policy=retry_policy,
                 stats=RetryStats(
-                    metrics=self.metrics, metric_labels={"shard": "front"}
+                    metrics=self.metrics, metric_labels=self.metric_labels
                 ),
             )
             if fault_plan is not None
@@ -397,14 +394,12 @@ class ShardedADA:
                 "cluster_lod_fallback_total"
             ),
         }
-        self._ingest_pipeline: Optional[IngestPipeline] = None
         for node in nodes:
             self._register(node)
         # The front does host-side preprocessing (categorize/encode)
         # once; nodes only see already-encoded per-tag subsets.
-        first = next(iter(self.nodes.values()))
-        self.preprocessor = first.ada.preprocessor
-        self.policy = first.ada.policy
+        self.preprocessor = self._first_ada().preprocessor
+        self.policy = self._first_ada().policy
 
     # -- membership -----------------------------------------------------------
 
@@ -536,17 +531,9 @@ class ShardedADA:
 
     @staticmethod
     def _result_nbytes(result) -> int:
-        if isinstance(result, StoredObject):
-            return int(result.nbytes)
-        if isinstance(result, (list, tuple)):
-            return int(
-                sum(
-                    o.nbytes
-                    for o in result
-                    if isinstance(o, StoredObject)
-                )
-            )
-        return 0
+        """Served bytes of a routed read (one object or a chunk list)."""
+        objs = [result] if isinstance(result, StoredObject) else result
+        return int(sum(obj.nbytes for obj in objs))
 
     def _routed(
         self,
@@ -593,17 +580,7 @@ class ShardedADA:
                 except (NodeDownError, PermanentFaultError) as exc:
                     tried.append(name)
                     self._counters["failovers"].inc()
-                    self.events.append(
-                        {
-                            "t": self.sim.now,
-                            "event": "failover",
-                            "logical": logical,
-                            "tag": tag,
-                            "op": op,
-                            "from": name,
-                            "reason": str(exc),
-                        }
-                    )
+                    self._log_failover(logical, tag, op, name, reason=str(exc))
                     sp.tag(failover=len(tried))
                     continue
                 finally:
@@ -622,32 +599,34 @@ class ShardedADA:
                     promo = (logical, tag, primary)
                     if promo not in self._promoted:
                         self._promoted.add(promo)
-                        self.events.append(
-                            {
-                                "t": self.sim.now,
-                                "event": "failover",
-                                "logical": logical,
-                                "tag": tag,
-                                "op": op,
-                                "from": primary,
-                                "to": name,
-                                "reason": "primary dead; replica promoted",
-                            }
+                        self._log_failover(
+                            logical, tag, op, primary, to=name,
+                            reason="primary dead; replica promoted",
                         )
                     sp.tag(promoted_from=primary)
                 sp.tag(node=name)
                 return result
 
+    def _log_failover(
+        self, logical: str, tag: str, op: str, source: str, **extra
+    ) -> None:
+        self.events.append(
+            {
+                "t": self.sim.now, "event": "failover", "logical": logical,
+                "tag": tag, "op": op, "from": source, **extra,
+            }
+        )
+
     # -- ingest (write) path -----------------------------------------------------
 
-    def _route_subsets(
+    def _write_subsets(
         self,
         logical: str,
         subsets: Dict[str, bytes],
-        store_op: str = "store",
-        coalesce: bool = True,
+        config: Optional[IngestPipelineConfig] = None,
     ) -> Generator:
-        """Process: write each tag's blob to every holder, in parallel.
+        """Process: write each tag's blob to every holder, in parallel
+        (a pipelined stream window as coalesced chunk runs).
 
         Primary-write semantics: the holder list is ring order, primary
         first; all copies are written before the ingest completes, so a
@@ -664,13 +643,13 @@ class ShardedADA:
                     tags.append(tag)
                     tags.sort()
             for name in self._placement[key]:
-                node = self.nodes[name]
-                if store_op == "store_run":
-                    gen = node.ada.determinator.store_run(
-                        logical, {tag: blob}, coalesce=coalesce
+                store = self.nodes[name].ada.determinator
+                if config is not None and config.pipelined:
+                    gen = store.store_run(
+                        logical, {tag: blob}, coalesce=config.coalesce
                     )
                 else:
-                    gen = node.ada.determinator.store(logical, {tag: blob})
+                    gen = store.store(logical, {tag: blob})
                 procs.append(
                     self.sim.process(
                         gen, name=f"shardwrite:{name}:{logical}#{tag}"
@@ -682,44 +661,40 @@ class ShardedADA:
     def _charge_preprocess(self, raw_nbytes: float) -> Generator:
         """Process: the front's pre-processing CPU charge.
 
-        Charged on the primary holder's storage CPUs when it has any
+        Charged on the first node's storage CPUs when it has any
         (mirrors single-node ADA; a no-op for CPU-less deployments).
         """
-        first = next(iter(self.nodes.values()))
-        yield from first.ada._charge_preprocess(raw_nbytes)
+        return self._first_ada()._charge_preprocess(raw_nbytes)
+
+    def _charge_analysis(self, raw_nbytes: float) -> Generator:
+        """Process: the fused in-situ pass, charged like pre-processing."""
+        return self._first_ada()._charge_analysis(raw_nbytes)
+
+    def _first_ada(self) -> ADA:
+        return next(iter(self.nodes.values())).ada
+
+    def _store_label(self, logical: str, label_map: LabelMap):
+        """The front keeps label maps in memory: nothing to write."""
+        self._label_maps[logical] = label_map
+        return ()
 
     def ingest(
         self, logical: str, pdb_text: str, trajectory_blob: bytes
     ) -> Generator:
         """Process: pre-process once, route each tagged subset to its shard."""
-        result = self.preprocessor.process(pdb_text, trajectory_blob)
-        yield from self._charge_preprocess(result.raw_nbytes)
-        self._label_maps[logical] = result.label_map
         with span(self.sim, "cluster.ingest", logical=logical):
-            yield from self._route_subsets(logical, result.subsets)
-        return self._receipt(
-            logical,
-            result.label_map,
-            {tag: len(blob) for tag, blob in result.subsets.items()},
-            result.raw_nbytes,
-            result.compressed_nbytes,
-        )
+            receipt = yield from self._ingest_batch(
+                logical, trajectory_blob, pdb_text
+            )
+        return receipt
 
     def ingest_append(self, logical: str, trajectory_blob: bytes) -> Generator:
         """Process: append a chunk; each tag lands on its existing holders."""
-        label_map = self.label_map(logical)
-        result = self.preprocessor.process_chunk(label_map, trajectory_blob)
-        yield from self._charge_preprocess(result.raw_nbytes)
         with span(self.sim, "cluster.ingest_append", logical=logical):
-            yield from self._route_subsets(logical, result.subsets)
-        self._invalidate_derived(logical)
-        return self._receipt(
-            logical,
-            label_map,
-            {tag: len(blob) for tag, blob in result.subsets.items()},
-            result.raw_nbytes,
-            result.compressed_nbytes,
-        )
+            receipt = yield from self._ingest_batch(
+                logical, trajectory_blob, None
+            )
+        return receipt
 
     def ingest_stream(
         self,
@@ -727,120 +702,57 @@ class ShardedADA:
         trajectory_blob: bytes,
         pdb_text: Optional[str] = None,
         config: Optional[IngestPipelineConfig] = None,
+        analysis: Optional[object] = None,
     ) -> Generator:
         """Process: windowed streaming ingest with sharded write-behind.
 
-        The front runs the same bounded producer/consumer pipeline as a
-        single middleware; the dispatch stage fans each window's tags out
-        to their holder shards as coalesced chunk runs.  Chunk order per
-        ``(node, logical, tag)`` follows window order, so every replica
-        stores byte-identical chunks.
+        The front runs the same bounded producer/(analyzer/)consumer
+        pipeline as a single middleware (see :meth:`ADA.ingest_stream`);
+        the dispatch stage fans each window's tags out to their holder
+        shards as coalesced chunk runs.  Chunk order per ``(node,
+        logical, tag)`` follows window order, so every replica stores
+        byte-identical chunks.
         """
-        config = config or IngestPipelineConfig()
-        if pdb_text is not None:
-            label_map = self.preprocessor.analyze_structure(pdb_text)
-            self._label_maps[logical] = label_map
-            appending = False
-        else:
-            label_map = self.label_map(logical)
-            appending = True
-        if (
-            self._ingest_pipeline is None
-            or self._ingest_pipeline.config != config
-        ):
-            self._ingest_pipeline = IngestPipeline(
-                self.sim, config, metrics=self.metrics,
-                metric_labels={"shard": "front"},
-            )
-        windows = self.preprocessor.process_windows(
-            label_map, trajectory_blob, config.window_frames
-        )
-        subset_sizes: Dict[str, int] = {}
-        raw_total = [0]
-
-        def dispatch_window(result) -> Generator:
-            raw_total[0] += result.raw_nbytes
-            for tag, blob in result.subsets.items():
-                subset_sizes[tag] = subset_sizes.get(tag, 0) + len(blob)
-            yield from self._route_subsets(
-                logical,
-                result.subsets,
-                store_op="store_run" if config.pipelined else "store",
-                coalesce=config.coalesce,
-            )
-            return []
-
-        with span(
-            self.sim, "cluster.ingest_stream",
-            logical=logical, pipelined=config.pipelined,
-        ):
-            yield from self._ingest_pipeline.run(
-                windows, self._charge_preprocess, dispatch_window
-            )
-        if appending:
-            self._invalidate_derived(logical)
-        return self._receipt(
-            logical, label_map, subset_sizes, raw_total[0],
-            len(trajectory_blob),
+        return self._ingest_windows(
+            logical, trajectory_blob, pdb_text,
+            config or IngestPipelineConfig(), analysis,
         )
 
     def _invalidate_derived(self, logical: str) -> None:
         for tag in self._catalog.get(logical, ()):
             for name in self._placement.get((logical, tag), ()):
-                cache = self.nodes[name].ada.block_cache
-                if cache is not None:
-                    cache.invalidate(logical=logical, chunk=DERIVED_SUBSET)
+                self.nodes[name].ada._invalidate_derived(logical)
 
     # -- fetch (read) path ---------------------------------------------------------
 
-    def _resolve_tier(
-        self, logical: str, tag: str, precision: str
-    ) -> Tuple[str, str]:
-        """Front-side tier choice: ``(tier, routing tag)``.
-
-        The tier must resolve *before* routing because the ``lod:``
-        sibling hashes to its own ring position -- it may live on a
-        different node than its base subset.  ``"auto"`` folds in the
-        live holders' own pressure signals (cache watermark, fresh fault
-        degradation); the chosen tier is then passed to the node
-        explicitly so front and node never disagree mid-request.
-        """
-        precision = validate_precision(precision)
-        if precision == "full" or is_lod_tag(tag):
-            return "full", tag
-        available = (logical, lod_tag(tag)) in self._placement
-        if precision == "lod":
-            if not available:
-                self._counters["lod_fallback"].inc()
-                return "full", tag
-            return "lod", lod_tag(tag)
-        if available and self._under_pressure(logical, tag):
-            return "lod", lod_tag(tag)
-        return "full", tag
-
-    def _under_pressure(self, logical: str, tag: str) -> bool:
-        """Any live holder of the base subset reporting pressure?"""
-        for name in self._placement.get((logical, tag), ()):
-            node = self.nodes[name]
-            if node.alive and node.ada._under_pressure():
-                return True
+    def _under_pressure(self, logical: str, tag: Optional[str]) -> bool:
+        """Any live holder of the base subset (of any base subset, for a
+        merged read) reporting pressure?  The front has no signal of its
+        own: ``"auto"`` folds in the holders' cache watermark and fresh
+        fault degradation."""
+        for base in [tag] if tag is not None else self.tags(logical):
+            for name in self._placement.get((logical, base), ()):
+                node = self.nodes[name]
+                if node.alive and node.ada._under_pressure(logical, base):
+                    return True
         return False
 
     def fetch(self, logical: str, tag: str, precision: str = "full") -> Generator:
-        """Process: tag-selective read from the best live holder."""
-        tier, route_tag = self._resolve_tier(logical, tag, precision)
+        """Process: tag-selective read from the best live holder.
+
+        The tier resolves *before* routing -- the ``lod:`` sibling hashes
+        to its own ring position, so it may live on a different node than
+        its base subset -- and is then passed to the node explicitly, so
+        front and node never disagree mid-request.
+        """
+        tier, route_tag, bound = self._resolve_tier(logical, tag, precision)
         if tier == "lod":
             self._counters["lod_routed"].inc()
-            obj = yield from self._routed(
-                logical, route_tag, "fetch",
-                lambda node: node.ada.fetch(logical, tag, precision="lod"),
-            )
-            return obj
         obj = yield from self._routed(
-            logical, tag, "fetch",
-            lambda node: node.ada.fetch(logical, tag),
+            logical, route_tag, "fetch",
+            lambda node: node.ada.fetch(logical, tag, precision=tier),
         )
-        return obj
+        return _advertise(obj, bound) if tier == "lod" else obj
 
     def fetch_chunks(
         self, logical: str, tag: str, chunks, precision: str = "full"
@@ -848,64 +760,34 @@ class ShardedADA:
         """Process: windowed chunk read; sticky routing keeps one shard's
         prefetcher trained on the stream."""
         chunks = list(chunks)
-        tier, route_tag = self._resolve_tier(logical, tag, precision)
+        tier, route_tag, bound = self._resolve_tier(logical, tag, precision)
         if tier == "lod":
             self._counters["lod_routed"].inc()
-            objs = yield from self._routed(
-                logical, route_tag, "fetch_chunks",
-                lambda node: node.ada.fetch_chunks(
-                    logical, tag, chunks, precision="lod"
-                ),
-            )
-            return objs
         objs = yield from self._routed(
-            logical, tag, "fetch_chunks",
-            lambda node: node.ada.fetch_chunks(logical, tag, chunks),
+            logical, route_tag, "fetch_chunks",
+            lambda node: node.ada.fetch_chunks(
+                logical, tag, chunks, precision=tier
+            ),
         )
+        if tier == "lod":
+            objs = [_advertise(obj, bound) for obj in objs]
         return objs
 
-    def fetch_all(self, logical: str, allow_degraded: bool = True) -> Generator:
-        """Process: read every subset; degrade like a single middleware.
+    def fetch_merged(self, logical: str, precision: str = "full") -> Generator:
+        """Process: scatter-gather -- each tag reads from its own shard,
+        frames reassemble at the front."""
+        return self._gather_merged(logical, precision)
 
-        A subset whose every holder is gone degrades (warning + record)
-        when it is expendable -- unreplicated *and* living off the active
-        tier on its shard -- otherwise the failure raises.
-        """
-        tags = self.tags(logical)
-        with span(self.sim, "cluster.fetch_all", logical=logical) as sp:
-            procs = [
-                self.sim.process(
-                    self._guarded_fetch(logical, tag),
-                    name=f"clusterfetch:{logical}#{tag}",
-                )
-                for tag in tags
-            ]
-            results = yield AllOf(self.sim, procs)
-            objs: Dict[str, StoredObject] = {}
-            for tag, result in zip(tags, results):
-                if isinstance(result, FaultError):
-                    if allow_degraded and self._downgradable(logical, tag):
-                        self.degraded.append((logical, tag, str(result)))
-                        self._counters["degraded"].inc()
-                        sp.tag(degraded=True)
-                        warnings.warn(
-                            DegradedReadWarning(
-                                f"{logical}: subset {tag!r} unavailable "
-                                f"cluster-wide, loading without it ({result})"
-                            ),
-                            stacklevel=2,
-                        )
-                        continue
-                    raise result
-                objs[tag] = result
-            return objs
+    def _read_subset(self, logical: str, tag: str) -> Generator:
+        return self.fetch(logical, tag)
 
-    def _guarded_fetch(self, logical: str, tag: str) -> Generator:
-        try:
-            obj = yield from self.fetch(logical, tag)
-        except FaultError as exc:
-            return exc
-        return obj
+    def _read_chunks(self, logical: str, tag: str) -> Generator:
+        return self._routed(
+            logical, tag, "fetch_merged",
+            lambda node: node.ada.determinator.retriever.retrieve_chunks(
+                logical, tag
+            ),
+        )
 
     def _downgradable(self, logical: str, tag: str) -> bool:
         """Expendable = unreplicated (the cluster analog of 'inactive').
@@ -918,60 +800,16 @@ class ShardedADA:
         """
         return tag not in self.replicated_tags
 
-    def fetch_merged(self, logical: str, precision: str = "full") -> Generator:
-        """Process: scatter-gather -- each tag reads from its own shard,
-        frames reassemble at the front."""
-        precision = validate_precision(precision)
-        tags = self.tags(logical)
-        tier = "full"
-        if precision != "full":
-            # The merged read degrades only as a whole: every base subset
-            # needs a sibling, or frame counts would disagree mid-merge.
-            available = all(
-                (logical, lod_tag(t)) in self._placement for t in tags
-            )
-            if precision == "lod":
-                if available:
-                    tier = "lod"
-                else:
-                    self._counters["lod_fallback"].inc()
-            elif available and any(
-                self._under_pressure(logical, t) for t in tags
-            ):
-                tier = "lod"
-        read_tags = [lod_tag(t) if tier == "lod" else t for t in tags]
-        if tier == "lod":
-            self._counters["lod_routed"].inc()
-        with span(
-            self.sim, "cluster.fetch_merged", logical=logical, tier=tier
-        ):
-            procs = [
-                self.sim.process(
-                    self._routed(
-                        logical, read_tag, "fetch_merged",
-                        lambda node, t=read_tag: node.ada.determinator
-                        .retriever.retrieve_chunks(logical, t),
-                    ),
-                    name=f"clustermerge:{logical}#{read_tag}",
-                )
-                for read_tag in read_tags
-            ]
-            results = yield AllOf(self.sim, procs)
-        merged = merge_decoded_subsets(
-            logical,
-            self.label_map(logical),
-            dict(zip(tags, results)),
-            self.preprocessor.decompressor.decompress,
-        )
-        # merge_decoded_subsets yields a plain Trajectory; the tier verdict
-        # rides along as attributes (mirrors StoredObject.tier/max_error).
-        merged.tier = tier
-        merged.max_error = (
-            lod_max_error(self.preprocessor.lod_precision)
-            if tier == "lod"
-            else None
-        )
-        return merged
+    def _record_degraded(self, logical: str, tag: str, reason: str) -> None:
+        super()._record_degraded(logical, tag, reason)
+        self._counters["degraded"].inc()
+
+    def _tier_counters(self) -> Dict[str, object]:
+        """The tier events the front counts; nodes keep their own ``lod_*``."""
+        return {
+            "routed": self._counters["lod_routed"],
+            "fallback": self._counters["lod_fallback"],
+        }
 
     # -- metadata --------------------------------------------------------------------
 
@@ -980,27 +818,10 @@ class ShardedADA:
             raise LabelIndexError(f"no label map for {logical!r}")
         return self._label_maps[logical]
 
-    def tags(self, logical: str) -> List[str]:
+    def _stored_tags(self, logical: str) -> List[str]:
         if logical not in self._catalog:
             raise LabelIndexError(f"unknown dataset {logical!r}")
-        return base_tags(self._catalog[logical])
-
-    def all_tags(self, logical: str) -> List[str]:
-        """Every catalogued tag, the LOD family included."""
-        if logical not in self._catalog:
-            raise LabelIndexError(f"unknown dataset {logical!r}")
-        return list(self._catalog[logical])
-
-    def has_lod(self, logical: str, tag: Optional[str] = None) -> bool:
-        """Mirror of :meth:`ADA.has_lod` against the cluster catalog."""
-        if logical not in self._catalog:
-            return False
-        if tag is not None:
-            return (logical, lod_tag(tag)) in self._placement
-        bases = self.tags(logical)
-        return bool(bases) and all(
-            (logical, lod_tag(t)) in self._placement for t in bases
-        )
+        return self._catalog[logical]
 
     def subset_nbytes(self, logical: str, tag: str) -> int:
         return self._any_holder(logical, tag).ada.subset_nbytes(logical, tag)
@@ -1011,17 +832,17 @@ class ShardedADA:
             self.subset_nbytes(logical, tag) for tag in self.all_tags(logical)
         )
 
-    def remove(self, logical: str) -> int:
-        """Delete a dataset from every holder; returns freed bytes."""
+    def _delete_stored(self, logical: str) -> int:
+        """Every holder's copy, plus the routing state keyed on it."""
         freed = 0
-        for tag in self._catalog.get(logical, []):
+        for tag in self._catalog.pop(logical, []):
             for name in self._placement.pop((logical, tag), []):
                 node = self.nodes[name]
                 freed += node.ada.plfs.delete_subset(logical, tag)
                 if node.ada.block_cache is not None:
                     node.ada.block_cache.invalidate(logical=logical)
-        self._catalog.pop(logical, None)
-        self._label_maps.pop(logical, None)
+            self._affinity.pop((logical, tag), None)
+        self._promoted = {p for p in self._promoted if p[0] != logical}
         return freed
 
     # -- rebalancing -------------------------------------------------------------
@@ -1129,8 +950,7 @@ class ShardedADA:
         """Front-side retry counters (shard-gate retries)."""
         if self._retrier is not None:
             return self._retrier.stats
-        first = next(iter(self.nodes.values()))
-        return first.ada.retry_stats
+        return self._first_ada().retry_stats
 
     def node_loads(self) -> Dict[str, Dict[str, object]]:
         return {
@@ -1159,33 +979,9 @@ class ShardedADA:
         }
 
     def fault_counters(self) -> Dict[str, object]:
-        counters: Dict[str, object] = {
-            "retry": self.retry_stats.as_dict(),
-            "degraded_reads": len(self.degraded),
-            "degraded": list(self.degraded),
-            "failovers": int(self._counters["failovers"].value),
-        }
-        if self.fault_plan is not None:
-            counters["injected"] = self.fault_plan.snapshot()
-            counters["injected_total"] = self.fault_plan.total()
+        counters = super().fault_counters()
+        counters["failovers"] = int(self._counters["failovers"].value)
         return counters
 
-    def _receipt(
-        self,
-        logical: str,
-        label_map: LabelMap,
-        subset_sizes: Dict[str, int],
-        raw_nbytes: int,
-        compressed_nbytes: int,
-    ) -> IngestReceipt:
-        return IngestReceipt(
-            logical=logical,
-            label_map=label_map,
-            subset_sizes=subset_sizes,
-            backends={
-                tag: ",".join(self._placement.get((logical, tag), []))
-                for tag in subset_sizes
-            },
-            raw_nbytes=raw_nbytes,
-            compressed_nbytes=compressed_nbytes,
-        )
+    def _landed_on(self, logical: str, tag: str) -> str:
+        return ",".join(self._placement.get((logical, tag), []))

@@ -19,14 +19,13 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Request, Resource
-from repro.sim.stats import BusyTracker, Counter, TimeSeries
+from repro.sim.stats import BusyTracker
 from repro.sim.store import Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "BusyTracker",
-    "Counter",
     "Event",
     "Interrupt",
     "Process",
@@ -34,6 +33,5 @@ __all__ = [
     "Resource",
     "Simulator",
     "Store",
-    "TimeSeries",
     "Timeout",
 ]

@@ -3,8 +3,8 @@
 :class:`BusyTracker` records the intervals during which a component (CPU,
 disk, NIC) is active; the cluster energy model integrates these intervals
 against per-component active power to reproduce the paper's Fig. 10d energy
-measurements.  :class:`TimeSeries` and :class:`Counter` are small helpers for
-harness-level metrics.
+measurements.  (Counters, gauges and histograms live in
+:mod:`repro.obs.metrics`.)
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-__all__ = ["BusyTracker", "Counter", "TimeSeries"]
+__all__ = ["BusyTracker"]
 
 
 @dataclass
@@ -72,36 +72,3 @@ class BusyTracker:
 
     def clear(self) -> None:
         self.intervals.clear()
-
-
-@dataclass
-class Counter:
-    """A named monotonically increasing counter."""
-
-    name: str = "counter"
-    value: float = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-
-@dataclass
-class TimeSeries:
-    """(time, value) samples with simple reducers."""
-
-    name: str = "series"
-    samples: List[Tuple[float, float]] = field(default_factory=list)
-
-    def sample(self, time: float, value: float) -> None:
-        self.samples.append((float(time), float(value)))
-
-    def max(self) -> float:
-        return max((v for _, v in self.samples), default=0.0)
-
-    def last(self) -> float:
-        return self.samples[-1][1] if self.samples else 0.0
-
-    def values(self) -> List[float]:
-        return [v for _, v in self.samples]

@@ -200,22 +200,17 @@ def test_contact_free_reference_drops_default_contacts_operator():
 # -- chaos: the fused ingest path under transient faults ---------------------
 
 
-@pytest.mark.chaos
-def test_fused_ingest_retries_never_double_count(tmp_path):
-    from repro.core import ADA, IngestPipelineConfig
-    from repro.core.decompressor import Decompressor
-    from repro.faults import FaultPlan, FaultSpec, RetryPolicy
+def _backends(sim, prefix="", transient_rate=0.3):
+    """An ssd+hdd pair whose every operation fails transiently at the
+    given rate."""
+    from repro.faults import FaultPlan, FaultSpec
     from repro.fs import LocalFS
-    from repro.sim import Simulator
     from repro.storage import DevicePower, DeviceSpec
     from repro.units import GB, mbps
-    from repro.workloads import build_workload
 
-    workload = build_workload(
-        natoms=300, nframes=32, seed=11, keyframe_interval=4
-    )
-
-    def _fs(sim, name):
+    backends = {}
+    for tier in ("ssd", "hdd"):
+        name = prefix + tier
         spec = DeviceSpec(
             name=name,
             read_bw=mbps(1000),
@@ -224,28 +219,75 @@ def test_fused_ingest_retries_never_double_count(tmp_path):
             capacity=100 * GB,
             power=DevicePower(active_w=5.0, idle_w=1.0),
         )
-        return LocalFS(sim, spec, name=name, metadata_latency_s=0.0)
+        fs = LocalFS(sim, spec, name=name, metadata_latency_s=0.0)
+        if transient_rate:
+            FaultPlan(
+                seed=3,
+                sites={f"fs:{name}": FaultSpec(transient_rate=transient_rate)},
+            ).attach(fs)
+        backends[tier] = fs
+    return backends
 
-    sim = Simulator()
+
+def _faulty_ada(sim):
+    from repro.core import ADA
+    from repro.faults import RetryPolicy
+
     ada = ADA(
-        sim,
-        backends={"ssd": _fs(sim, "ssd"), "hdd": _fs(sim, "hdd")},
+        sim, backends=_backends(sim),
         retry_policy=RetryPolicy(max_retries=8, seed=3),
     )
-    for fs in ada.plfs.backends.values():
-        FaultPlan(
-            seed=3, sites={f"fs:{fs.name}": FaultSpec(transient_rate=0.3)}
-        ).attach(fs)
-    hook = InSituAnalysis()
-    receipt = sim.run_process(
-        ada.ingest_stream(
-            "chaos.xtc", workload.xtc_blob, pdb_text=workload.pdb_text,
-            config=IngestPipelineConfig(window_frames=4, depth=3),
-            analysis=hook,
+    return ada, [ada], {}
+
+
+def _faulty_cluster(sim):
+    from repro.cluster.shard import ShardNode, ShardedADA
+    from repro.faults import RetryPolicy
+    from repro.obs.metrics import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    nodes = [
+        ShardNode.build(
+            sim, f"node{i}", backends=_backends(sim, f"node{i}:"),
+            metrics=metrics, retry_policy=RetryPolicy(max_retries=8, seed=3),
         )
+        for i in range(3)
+    ]
+    front = ShardedADA(sim, nodes, metrics=metrics)
+    return front, [node.ada for node in nodes], {"shard": "front"}
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize(
+    "build", [_faulty_ada, _faulty_cluster], ids=["ada", "sharded"]
+)
+def test_fused_ingest_retries_never_double_count(build):
+    """The same fused stream through a bare middleware and through a
+    3-node sharded front: bit-identical to batch, hence to each other."""
+    from repro.core import ADA, IngestPipelineConfig
+    from repro.core.decompressor import Decompressor
+    from repro.sim import Simulator
+    from repro.workloads import build_workload
+
+    workload = build_workload(
+        natoms=300, nframes=32, seed=11, keyframe_interval=4
     )
+
+    def fused_ingest(sim, ada, hook):
+        return sim.run_process(
+            ada.ingest_stream(
+                "chaos.xtc", workload.xtc_blob, pdb_text=workload.pdb_text,
+                config=IngestPipelineConfig(window_frames=4, depth=3),
+                analysis=hook,
+            )
+        )
+
+    sim = Simulator()
+    ada, middlewares, labels = build(sim)
+    hook = InSituAnalysis()
+    receipt = fused_ingest(sim, ada, hook)
     # Retries were actually exercised...
-    assert ada.retry_stats.transient_faults > 0
+    assert sum(m.retry_stats.transient_faults for m in middlewares) > 0
     # ...and the online state counted every frame exactly once.
     decoded = Decompressor().decompress(workload.xtc_blob)
     res = receipt.analysis
@@ -254,6 +296,21 @@ def test_fused_ingest_retries_never_double_count(tmp_path):
     assert np.array_equal(res["rmsd"], rmsd_trajectory(decoded))
     assert np.array_equal(res["contacts"], contact_count(decoded))
     assert (
-        int(ada.metrics.counter("analysis_frames_total").value)
+        int(ada.metrics.counter("analysis_frames_total", **labels).value)
         == decoded.nframes
     )
+    # Key for key the receipt of a clean single-node run of the stream.
+    clean_sim = Simulator()
+    clean = fused_ingest(
+        clean_sim,
+        ADA(clean_sim, backends=_backends(clean_sim, transient_rate=0.0)),
+        InSituAnalysis(),
+    )
+    assert receipt.subset_sizes == clean.subset_sizes
+    assert res.keys() == clean.analysis.keys()
+    for key, value in clean.analysis.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(res[key], value), key
+    # What landed is the stream itself, whichever front wrote it.
+    merged = sim.run_process(ada.fetch_merged("chaos.xtc"))
+    assert np.array_equal(merged.coords, decoded.coords)

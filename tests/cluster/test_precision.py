@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster.shard import ShardNode, ShardedADA
 from repro.core import ADA
-from repro.core.lod import lod_tag
+from repro.core.lod import lod_max_error, lod_tag
 from repro.errors import ConfigurationError
 from repro.fs.localfs import LocalFS
 from repro.harness.benchserve import _catalog_blobs
@@ -141,3 +141,66 @@ def test_auto_follows_a_holder_under_pressure():
         front.nodes[name].ada.degraded.append(LOGICAL)
     degraded = simn.run_process(front.fetch(LOGICAL, "p", precision="auto"))
     assert degraded.tier == "lod"
+
+
+def _retune(deployment, lod_precision):
+    """Operator re-tunes the coarse grid for *future* ingests."""
+    deployment.preprocessor.lod_precision = lod_precision
+    for node in getattr(deployment, "nodes", {}).values():
+        node.ada.lod_precision = lod_precision
+
+
+def test_front_pins_the_lod_bound_at_ingest_like_a_single_middleware():
+    """Data encoded at 12.5 keeps advertising 12.5's bound after the
+    deployment is re-tuned -- through every read surface of the front."""
+    sim1, single = _single()
+    simn, front = _cluster()
+    _retune(single, 50.0)
+    _retune(front, 50.0)
+    pinned = lod_max_error(12.5)
+    assert single.lod_bound(LOGICAL) == front.lod_bound(LOGICAL) == pinned
+
+    ref = sim1.run_process(single.fetch(LOGICAL, "p", precision="lod"))
+    got = simn.run_process(front.fetch(LOGICAL, "p", precision="lod"))
+    assert got.max_error == ref.max_error == pinned
+    chunks = simn.run_process(
+        front.fetch_chunks(LOGICAL, "p", [0, 1], precision="lod")
+    )
+    assert [o.max_error for o in chunks] == [pinned, pinned]
+    ref_merged = sim1.run_process(
+        single.fetch_merged(LOGICAL, precision="lod")
+    )
+    merged = simn.run_process(front.fetch_merged(LOGICAL, precision="lod"))
+    assert merged.max_error == ref_merged.max_error == pinned
+
+
+@pytest.mark.parametrize("build", [_single, _cluster], ids=["ada", "sharded"])
+def test_remove_forgets_the_pinned_bound_and_routing_state(build):
+    """remove -> re-tune -> re-ingest the same name must advertise the
+    bound of the *new* encoding, never the stale one."""
+    sim, deployment = build()
+    logical, pdb_text, chunks = BLOBS[0]
+    deployment.remove(logical)
+    assert logical not in deployment._lod_bounds
+
+    _retune(deployment, 3.0)
+    sim.run_process(deployment.ingest(logical, pdb_text, chunks[0]))
+    exact = sim.run_process(deployment.fetch_merged(logical))
+    coarse = sim.run_process(deployment.fetch_merged(logical, precision="lod"))
+    measured = float(np.abs(coarse.coords - exact.coords).max())
+    assert coarse.max_error == lod_max_error(3.0)
+    assert measured > lod_max_error(12.5)  # the stale bound would be a lie
+    assert coarse.max_error >= measured
+
+
+def test_remove_drops_the_datasets_affinity_and_promotion_entries():
+    sim, front = _cluster(replicas=2)
+    front.kill_node(front.holders(LOGICAL, "p")[0])
+    sim.run_process(front.fetch(LOGICAL, "p"))  # promoted to the replica
+    assert any(key[0] == LOGICAL for key in front._affinity)
+    assert any(key[0] == LOGICAL for key in front._promoted)
+    front.remove(LOGICAL)
+    assert not any(key[0] == LOGICAL for key in front._affinity)
+    assert not any(key[0] == LOGICAL for key in front._promoted)
+    other = BLOBS[1][0]
+    sim.run_process(front.fetch(other, "p"))  # other datasets unaffected

@@ -1,8 +1,8 @@
-"""Tests for busy-interval tracking and metric helpers."""
+"""Tests for busy-interval tracking."""
 
 import pytest
 
-from repro.sim import BusyTracker, Counter, TimeSeries
+from repro.sim import BusyTracker
 
 
 def test_busy_time_accumulates_work_seconds():
@@ -65,23 +65,3 @@ def test_clear():
     t.record(0.0, 1.0)
     t.clear()
     assert t.busy_time() == 0.0
-
-
-def test_counter_monotone():
-    c = Counter("frames")
-    c.add(2)
-    c.add()
-    assert c.value == 3.0
-    with pytest.raises(ValueError):
-        c.add(-1)
-
-
-def test_timeseries_reducers():
-    s = TimeSeries("mem")
-    assert s.max() == 0.0
-    s.sample(0.0, 1.0)
-    s.sample(1.0, 5.0)
-    s.sample(2.0, 3.0)
-    assert s.max() == 5.0
-    assert s.last() == 3.0
-    assert s.values() == [1.0, 5.0, 3.0]
