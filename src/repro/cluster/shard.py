@@ -216,7 +216,7 @@ def _advertise(obj: StoredObject, bound: Optional[float]) -> StoredObject:
 class _ClusterIndex:
     """Just enough of the ``PLFS`` surface for the serving layer.
 
-    ``ServeFront`` sizes admission costs from ``plfs.subset_records`` and
+    ``ServeFront`` sizes admission costs from ``plfs.chunk_record`` and
     ``FaultPlan.attach_to`` walks ``plfs.backends``; both resolve against
     the member nodes here.
     """
@@ -238,9 +238,9 @@ class _ClusterIndex:
             "a sharded deployment has per-node metadata backends"
         )
 
-    def subset_records(self, logical: str, tag: str):
+    def chunk_record(self, logical: str, tag: str, chunk: int):
         node = self._front._any_holder(logical, tag)
-        return node.ada.plfs.subset_records(logical, tag)
+        return node.ada.plfs.chunk_record(logical, tag, chunk)
 
     def subset_nbytes(self, logical: str, tag: str) -> int:
         node = self._front._any_holder(logical, tag)

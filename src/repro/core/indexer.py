@@ -9,7 +9,7 @@ slightly in Fig. 7a -- charged as simulated time per query.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional, Sequence
 
 from repro.fs.plfs import PLFS, IndexRecord
 from repro.sim import Simulator
@@ -26,10 +26,15 @@ class Indexer:
         self.lookup_latency_s = lookup_latency_s
         self.lookups = 0
 
-    def lookup(self, logical: str, tag: str) -> Generator:
-        """Process: resolve one tag to its chunk records (charges latency)."""
+    def lookup(
+        self, logical: str, tag: str, chunks: Optional[Sequence[int]] = None
+    ) -> Generator:
+        """Process: resolve one tag to its chunk records (charges latency);
+        with ``chunks``, to the records of that window only."""
         yield self.sim.timeout(self.lookup_latency_s)
         self.lookups += 1
+        if chunks is not None:
+            return self.plfs.chunk_records(logical, tag, chunks)
         return self.plfs.subset_records(logical, tag)
 
     def lookup_all(self, logical: str) -> Generator:

@@ -168,6 +168,7 @@ class Prefetcher:
         """
         if not chunks:
             return None
+        counters = self._metric_fields
         tenant = self.tenant_source() if self.tenant_source is not None else None
         start, span = min(chunks), len(chunks)
         state = self._streams.setdefault(
@@ -175,19 +176,19 @@ class Prefetcher:
         )
         self._advance_pattern(state, start, span)
         if not state.confirmed and not state.direction:
-            self.suppressed_pattern += 1
+            counters["suppressed_pattern"].inc()
             return None
         if self._degraded():
-            self.suppressed_degraded += 1
+            counters["suppressed_degraded"].inc()
             return None
         cache = self.retriever.cache
         if cache is None or cache.pressure() >= self.high_watermark:
-            self.suppressed_pressure += 1
+            counters["suppressed_pressure"].inc()
             return None
         inflight = self._inflight.setdefault(tenant, [])
         inflight[:] = [p for p in inflight if p.is_alive]
         if len(inflight) >= self.max_inflight:
-            self.suppressed_inflight += 1
+            counters["suppressed_inflight"].inc()
             return None
         if state.confirmed:
             # Exact stride (forward or backward playback, skip-frame):
@@ -206,21 +207,20 @@ class Prefetcher:
         # Clamp the predicted window to the chunks the index actually has:
         # speculation past chunk 0 *or* past the subset's last chunk would
         # only spawn doomed no-op processes and inflate the issue counters.
-        records = list(self.retriever.plfs.subset_records(logical, tag))
-        last_chunk = max((r.chunk for r in records), default=-1)
+        last_chunk = self.retriever.plfs.last_chunk(logical, tag)
         targets = [c for c in predicted if 0 <= c <= last_chunk]
         clamped = span - len(targets)
         if clamped:
-            self.suppressed_eof += clamped
+            counters["suppressed_eof"].inc(clamped)
         if not targets:
             return None
-        if not self._within_budget(tenant, cache, records, targets):
-            self.suppressed_budget += 1
+        if not self._within_budget(tenant, cache, logical, tag, targets):
+            counters["suppressed_budget"].inc()
             return None
-        self.issued += 1
+        counters["issued"].inc()
         if not state.confirmed:
-            self.issued_direction += 1
-        self.chunks_requested += len(targets)
+            counters["issued_direction"].inc()
+        counters["chunks_requested"].inc(len(targets))
         proc = self.sim.process(
             self._prefetch(logical, tag, targets),
             name=f"prefetch:{logical}#{tag}:{next_start}",
@@ -255,7 +255,7 @@ class Prefetcher:
         state.last_start = start
         state.last_len = span
 
-    def _within_budget(self, tenant, cache, records, targets) -> bool:
+    def _within_budget(self, tenant, cache, logical, tag, targets) -> bool:
         """Would this window keep the tenant's speculative bytes capped?
 
         The budget counts *resident prefetched-but-unused* bytes, so it is
@@ -269,8 +269,9 @@ class Prefetcher:
             return True
         resident_fn = getattr(cache, "prefetched_bytes", None)
         resident = float(resident_fn(tenant)) if resident_fn is not None else 0.0
-        wanted = set(targets)
-        window_bytes = sum(r.nbytes for r in records if r.chunk in wanted)
+        stored = self.retriever.plfs.chunk_record
+        records = [stored(logical, tag, chunk) for chunk in targets]
+        window_bytes = sum(r.nbytes for r in records if r is not None)
         return resident + window_bytes <= float(budget)
 
     def _degraded(self) -> bool:
@@ -290,10 +291,8 @@ class Prefetcher:
         else -- fault errors propagate through the retriever's retry
         machinery exactly as demand reads do.
         """
-        existing = {
-            r.chunk for r in self.retriever.plfs.subset_records(logical, tag)
-        }
-        targets = [c for c in targets if c in existing]
+        stored = self.retriever.plfs.chunk_record
+        targets = [c for c in targets if stored(logical, tag, c) is not None]
         if not targets:
             return 0
         with trace_span(

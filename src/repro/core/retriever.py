@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Sequence
 
-from repro.errors import ContainerError, FaultError
+from repro.errors import FaultError
 from repro.faults.retry import Retrier
 from repro.fs.base import StoredObject
 from repro.fs.cache import DERIVED_SUBSET, BlockCache, BlockKey
@@ -225,15 +225,10 @@ class IORetriever:
         that decode per chunk (``fetch_merged``, streaming playback)
         consume the buffers zero-copy.
         """
-        records = self.plfs.subset_records(logical, tag)
-        if chunks is not None:
-            wanted = set(chunks)
-            records = [r for r in records if r.chunk in wanted]
-            missing = wanted - {r.chunk for r in records}
-            if missing:
-                raise ContainerError(
-                    f"{logical}#{tag}: no chunk(s) {sorted(missing)}"
-                )
+        if chunks is None:
+            records = self.plfs.subset_records(logical, tag)
+        else:
+            records = self.plfs.chunk_records(logical, tag, chunks)
         with span(
             self.sim, "retriever.retrieve_chunks",
             logical=logical, tag=tag, chunks=len(records),
@@ -242,6 +237,9 @@ class IORetriever:
             out: List[Optional[StoredObject]] = [None] * len(records)
             to_read: List[int] = []  # positions in `records` that missed
             waits: Dict[int, Process] = {}  # positions someone else is reading
+            # Held reference: ``+=`` through the view is a descriptor round
+            # trip per hit.  The byte counters are floats (the view's cast).
+            cache_served = self._metric_fields["cache_served_bytes"]
             for pos, record in enumerate(records):
                 if self.cache is None:
                     to_read.append(pos)
@@ -253,7 +251,7 @@ class IORetriever:
                     out[pos] = StoredObject(
                         path=record.path, nbytes=block.nbytes, data=block.data
                     )
-                    self.cache_served_bytes += block.nbytes
+                    cache_served.inc(float(block.nbytes))
                     continue
                 inflight = self._inflight.get((logical, tag, record.chunk))
                 if inflight is not None and inflight.is_alive:
@@ -362,12 +360,12 @@ class IORetriever:
         """
         if self.cache is None:
             return 0
-        records = self.plfs.subset_records(logical, tag)
-        wanted = set(chunks)
+        stored = self.plfs.chunk_record
         cold = [
-            r.chunk
-            for r in records
-            if r.chunk in wanted and not self.cache.peek((logical, tag, r.chunk))
+            chunk
+            for chunk in sorted(set(chunks))
+            if stored(logical, tag, chunk) is not None
+            and not self.cache.peek((logical, tag, chunk))
         ]
         if not cold:
             return 0

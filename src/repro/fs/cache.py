@@ -241,6 +241,10 @@ class BlockCache:
         self.l2_latency_s = float(l2_latency_s)
         self._l1: "OrderedDict[BlockKey, CachedBlock]" = OrderedDict()
         self._l2: "OrderedDict[BlockKey, CachedBlock]" = OrderedDict()
+        # Running byte totals of the two tiers (block sizes are ints), so
+        # ``pressure()`` and the eviction loops cost O(1), not O(blocks).
+        self._l1_nbytes = 0
+        self._l2_nbytes = 0
         self.metric_labels: Dict[str, str] = dict(metric_labels or {})
         # Hit/eviction accounting is registry-backed (the attributes above
         # are views); occupancy surfaces as derived gauges so exporters
@@ -313,11 +317,11 @@ class BlockCache:
 
     @property
     def l1_bytes(self) -> float:
-        return float(sum(b.nbytes for b in self._l1.values()))
+        return float(self._l1_nbytes)
 
     @property
     def l2_bytes(self) -> float:
-        return float(sum(b.nbytes for b in self._l2.values()))
+        return float(self._l2_nbytes)
 
     @property
     def cached_bytes(self) -> float:
@@ -325,7 +329,7 @@ class BlockCache:
 
     def pressure(self) -> float:
         """L1 occupancy fraction -- the prefetcher's back-off watermark."""
-        return self.l1_bytes / self.l1_capacity_bytes
+        return self._l1_nbytes / self.l1_capacity_bytes
 
     def __len__(self) -> int:
         return len(self._l1) + len(self._l2)
@@ -346,21 +350,24 @@ class BlockCache:
         ``None`` on a miss.
         """
         logical, tag, chunk = key
+        counters = self._metric_fields
         block = self._l1.get(key)
         if block is not None:
-            self.hits_l1 += 1
+            counters["hits_l1"].inc()
             self._l1.move_to_end(key)
-            self._count_prefetch_use(block)
+            if block.prefetched:
+                self._count_prefetch_use(key, block)
             with span(
                 self.sim, "cache.lookup", logical=logical, tag=tag,
                 chunk=chunk, tier="l1", cache_hit=True,
             ):
                 yield self.sim.timeout(block.nbytes / self.l1_bandwidth)
             return block
-        block = self._l2.pop(key, None)
+        block = self._take_l2(key)
         if block is not None:
-            self.hits_l2 += 1
-            self._count_prefetch_use(block)
+            counters["hits_l2"].inc()
+            if block.prefetched:
+                self._count_prefetch_use(key, block)
             with span(
                 self.sim, "cache.lookup", logical=logical, tag=tag,
                 chunk=chunk, tier="l2", cache_hit=True,
@@ -370,7 +377,7 @@ class BlockCache:
                 )
             self._insert_l1(key, block)  # promote
             return block
-        self.misses += 1
+        counters["misses"].inc()
         return None
 
     def admit(
@@ -383,7 +390,9 @@ class BlockCache:
         """Install (or refresh) a block in L1."""
         if nbytes > self.l1_capacity_bytes:
             return  # larger than the whole L1: bypass
-        self._l2.pop(key, None)
+        stale = self._take_l2(key)
+        if stale is not None:
+            self._on_replaced(key, stale)
         self._insert_l1(
             key, CachedBlock(nbytes=int(nbytes), data=data, prefetched=prefetched)
         )
@@ -409,15 +418,12 @@ class BlockCache:
 
         dropped = 0
         for key in [k for k in self._l1 if matches(k)]:
-            block = self._l1.pop(key)
-            self._on_l1_remove(key, block)
-            self._on_removed(key, block)
+            self._on_removed(key, self._take_l1(key))
             dropped += 1
         for key in [k for k in self._l2 if matches(k)]:
-            block = self._l2.pop(key)
-            self._on_removed(key, block)
+            self._on_removed(key, self._take_l2(key))
             dropped += 1
-        self.invalidations += dropped
+        self._metric_fields["invalidations"].inc(dropped)
         return dropped
 
     # -- reporting ---------------------------------------------------------
@@ -445,45 +451,55 @@ class BlockCache:
 
     # -- internals ---------------------------------------------------------
 
-    def _count_prefetch_use(self, block: CachedBlock) -> None:
-        if block.prefetched:
-            self.prefetch_hits += 1
-            block.prefetched = False
+    def _count_prefetch_use(self, key: BlockKey, block: CachedBlock) -> None:
+        """A speculatively admitted block served its first demand read."""
+        self._metric_fields["prefetch_hits"].inc()
+        block.prefetched = False
+
+    def _take_l1(self, key: BlockKey) -> CachedBlock:
+        """Remove and return a resident L1 block."""
+        block = self._l1.pop(key)
+        self._l1_nbytes -= block.nbytes
+        self._on_l1_remove(key, block)
+        return block
+
+    def _take_l2(self, key: BlockKey) -> Optional[CachedBlock]:
+        """Remove and return an L2 block (``None`` when not resident)."""
+        block = self._l2.pop(key, None)
+        if block is not None:
+            self._l2_nbytes -= block.nbytes
+        return block
 
     def _insert_l1(self, key: BlockKey, block: CachedBlock) -> None:
-        previous = self._l1.pop(key, None)
-        if previous is not None:
-            self._on_l1_remove(key, previous)
+        if key in self._l1:
+            self._on_replaced(key, self._take_l1(key))
         self._l1[key] = block
-        self._l1.move_to_end(key)
+        self._l1_nbytes += block.nbytes
         self._on_l1_insert(key, block)
-        while self.l1_bytes > self.l1_capacity_bytes and len(self._l1) > 1:
+        while self._l1_nbytes > self.l1_capacity_bytes and len(self._l1) > 1:
             victim_key = self._pick_l1_victim()
-            victim = self._l1.pop(victim_key)
-            self._on_l1_remove(victim_key, victim)
-            self._demote(victim_key, victim)
+            self._demote(victim_key, self._take_l1(victim_key))
         # A single over-budget resident block demotes too.
-        if self.l1_bytes > self.l1_capacity_bytes:
-            only_key, only = self._l1.popitem(last=False)
-            self._on_l1_remove(only_key, only)
-            self._demote(only_key, only)
+        if self._l1_nbytes > self.l1_capacity_bytes:
+            only_key = next(iter(self._l1))
+            self._demote(only_key, self._take_l1(only_key))
 
     def _demote(self, key: BlockKey, block: CachedBlock) -> None:
         if block.nbytes > self.l2_capacity_bytes:
             self._drop(key, block)
             return
-        self.demotions += 1
+        self._metric_fields["demotions"].inc()
         self._l2[key] = block
         self._l2.move_to_end(key)
-        while self.l2_bytes > self.l2_capacity_bytes and self._l2:
+        self._l2_nbytes += block.nbytes
+        while self._l2_nbytes > self.l2_capacity_bytes and self._l2:
             victim_key = self._pick_l2_victim()
-            evicted = self._l2.pop(victim_key)
-            self._drop(victim_key, evicted)
+            self._drop(victim_key, self._take_l2(victim_key))
 
     def _drop(self, key: BlockKey, block: CachedBlock) -> None:
-        self.evictions += 1
+        self._metric_fields["evictions"].inc()
         if block.prefetched:
-            self.prefetch_wasted += 1
+            self._metric_fields["prefetch_wasted"].inc()
         self._on_removed(key, block)
 
     # -- subclass hooks (fair-share partitioning overrides these) ----------
@@ -504,3 +520,7 @@ class BlockCache:
 
     def _on_removed(self, key: BlockKey, block: CachedBlock) -> None:
         """A block left the cache entirely (eviction or invalidation)."""
+
+    def _on_replaced(self, key: BlockKey, block: CachedBlock) -> None:
+        """A resident block was overwritten by a newer one under its key
+        (re-admission; the key itself stays resident)."""

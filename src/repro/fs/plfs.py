@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, Iterable, List, Optional, Set
 
 from repro.errors import (
     ConfigurationError,
@@ -71,6 +71,24 @@ class _Subset:
             pos -= 1
         self.records.insert(pos, record)
         self.nbytes += record.nbytes
+
+    def find(self, chunk: int) -> Optional[IndexRecord]:
+        """The record of one chunk number, or ``None``.  Chunk numbers
+        are dense unless a write failed, and a gap only moves later
+        chunks down, so the search starts at the chunk's own position."""
+        records = self.records
+        if 0 <= chunk < len(records) and records[chunk].chunk == chunk:
+            return records[chunk]
+        lo, hi = 0, min(len(records), chunk)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if records[mid].chunk < chunk:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(records) and records[lo].chunk == chunk:
+            return records[lo]
+        return None
 
     def remove(self, record: IndexRecord) -> None:
         """Drop ``record`` (by identity; it is one of the newest)."""
@@ -146,6 +164,31 @@ class PLFS:
         """One subset's records in chunk order (a snapshot: callers keep
         it across simulated time while writers append)."""
         return list(self._subset(logical, tag).records)
+
+    def chunk_record(
+        self, logical: str, tag: str, chunk: int
+    ) -> Optional[IndexRecord]:
+        """One chunk's record, or ``None`` when the subset has no such
+        chunk -- a windowed reader's lookup, O(log chunks) at worst."""
+        return self._subset(logical, tag).find(chunk)
+
+    def chunk_records(
+        self, logical: str, tag: str, chunks: Iterable[int]
+    ) -> List[IndexRecord]:
+        """The records of the requested chunks in chunk order, without
+        copying the rest of the subset (a window of a paper-scale subset
+        is a few chunks out of hundreds of thousands)."""
+        find = self._subset(logical, tag).find
+        wanted = sorted(set(chunks))
+        records = [find(chunk) for chunk in wanted]
+        if None in records:
+            missing = [c for c, r in zip(wanted, records) if r is None]
+            raise ContainerError(f"{logical}#{tag}: no chunk(s) {missing}")
+        return records
+
+    def last_chunk(self, logical: str, tag: str) -> int:
+        """The subset's highest chunk number."""
+        return self._subset(logical, tag).records[-1].chunk
 
     def subset_nbytes(self, logical: str, tag: str) -> int:
         return self._subset(logical, tag).nbytes

@@ -132,10 +132,9 @@ _NULL = _NullContext()
 class Tracer:
     """Collects spans into per-root timelines on one simulator.
 
-    Construction attaches to the simulator (``sim.tracer``); use
-    :meth:`Tracer.for_sim` to share an already-attached tracer instead of
-    displacing it.  ``max_traces`` bounds retained root timelines (oldest
-    dropped first) so long soaks cannot grow without bound.
+    Construction attaches to the simulator (``sim.tracer``).
+    ``max_traces`` bounds retained root timelines (oldest dropped first)
+    so long soaks cannot grow without bound.
     """
 
     def __init__(self, sim, max_traces: int = 1024):
@@ -147,31 +146,25 @@ class Tracer:
         self.spans_started = 0
         sim.tracer = self
 
-    @classmethod
-    def for_sim(cls, sim, max_traces: int = 1024) -> "Tracer":
-        """The simulator's attached tracer, created on first use."""
-        existing = getattr(sim, "tracer", None)
-        if existing is not None:
-            return existing
-        return cls(sim, max_traces=max_traces)
-
     # -- context plumbing --------------------------------------------------
 
     def _stack(self) -> List[Span]:
-        proc = getattr(self.sim, "_active_process", None)
+        proc = self.sim.active_process
         if proc is None:
             return self._global_stack
-        return proc._span_stack
+        stack = proc._span_stack
+        if stack is None:
+            stack = proc._span_stack = []
+        return stack
 
     def current(self) -> Optional[Span]:
         """The innermost open span in the active process (or globally)."""
-        stack = self._stack()
-        if stack:
-            return stack[-1]
-        proc = getattr(self.sim, "_active_process", None)
-        if proc is not None:
-            return proc._trace_ctx
-        return None
+        proc = self.sim.active_process
+        if proc is None:
+            stack = self._global_stack
+            return stack[-1] if stack else None
+        stack = proc._span_stack
+        return stack[-1] if stack else proc._trace_ctx
 
     def span(self, name: str, **tags) -> _SpanContext:
         """Open a child of the current span (context manager).

@@ -20,12 +20,12 @@
   first, and in-flight dedup joins where the joining tenant consumed a
   block only the issuing tenant was charged for.
 
-Tenant attribution is ambient: :func:`span_tenant_source` resolves the
-current tenant by walking the open trace-span chain for a ``tenant`` tag,
-which the scheduler's ``serve.request`` span carries.  Because spawned
-processes inherit their parent's span context, background prefetches are
+Tenant attribution is ambient: :func:`span_tenant_source` reads the
+``context`` of the DES process that is running, which the scheduler sets
+to the tenant when it starts executing a request.  Because a spawned
+process inherits its parent's context, background prefetches are
 attributed to the tenant whose demand window triggered them.  Outside any
-tenant-tagged span (direct ADA use, tier-1 tests) the source returns
+request (direct ADA use, warm-up reads, tier-1 tests) the source returns
 ``None`` and the cache behaves exactly like its parent class.
 """
 
@@ -34,31 +34,31 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.fs.cache import BlockCache, BlockKey, CachedBlock
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, metric_view
 
 __all__ = ["TenantBlockCache", "span_tenant_source"]
 
 
 def span_tenant_source(sim) -> Callable[[], Optional[str]]:
-    """Ambient tenant resolver: nearest ``tenant`` tag up the span chain."""
+    """Ambient tenant resolver: the running process's ``context`` (the
+    name is from when the tenant rode the trace-span chain)."""
 
     def current() -> Optional[str]:
-        tracer = getattr(sim, "tracer", None)
-        if tracer is None:
-            return None
-        sp = tracer.current()
-        while sp is not None:
-            tenant = sp.tags.get("tenant")
-            if tenant is not None:
-                return str(tenant)
-            sp = sp.parent
-        return None
+        proc = sim.active_process
+        return None if proc is None else proc.context
 
     return current
 
 
 class TenantBlockCache(BlockCache):
     """Two-tier block cache with per-tenant L1 quotas over a shared pool."""
+
+    cross_tenant_hits = metric_view(
+        "_metric_fields", key="cross_tenant_hits", cast=int
+    )
+    quota_evictions = metric_view(
+        "_metric_fields", key="quota_evictions", cast=int
+    )
 
     def __init__(
         self,
@@ -71,6 +71,8 @@ class TenantBlockCache(BlockCache):
         # it calls ``bind_metrics``, which our override extends.
         self._owner: Dict[BlockKey, Optional[str]] = {}
         self._l1_charged: Dict[Optional[str], float] = {}
+        # Resident prefetched-but-unused bytes per owner, both tiers.
+        self._speculative: Dict[Optional[str], int] = {}
         self._quotas: Dict[str, float] = {}
         self.tenant_source = tenant_source
         super().__init__(sim, **kwargs)
@@ -119,22 +121,6 @@ class TenantBlockCache(BlockCache):
             **extra,
         )
 
-    @property
-    def cross_tenant_hits(self) -> int:
-        return int(self._metric_fields["cross_tenant_hits"].value)
-
-    @cross_tenant_hits.setter
-    def cross_tenant_hits(self, value: int) -> None:
-        self._metric_fields["cross_tenant_hits"].set(value)
-
-    @property
-    def quota_evictions(self) -> int:
-        return int(self._metric_fields["quota_evictions"].value)
-
-    @quota_evictions.setter
-    def quota_evictions(self, value: int) -> None:
-        self._metric_fields["quota_evictions"].set(value)
-
     # -- accounting queries --------------------------------------------------
 
     def owner(self, key: BlockKey) -> Optional[str]:
@@ -148,12 +134,7 @@ class TenantBlockCache(BlockCache):
     def prefetched_bytes(self, tenant: Optional[str]) -> float:
         """Resident speculative (prefetched, unused) bytes billed to
         ``tenant`` -- what the prefetcher's per-tenant budget caps."""
-        total = 0.0
-        for lru in (self._l1, self._l2):
-            for key, block in lru.items():
-                if block.prefetched and self._owner.get(key) == tenant:
-                    total += block.nbytes
-        return total
+        return float(self._speculative.get(tenant, 0))
 
     # -- data path overrides -------------------------------------------------
 
@@ -188,7 +169,7 @@ class TenantBlockCache(BlockCache):
             owner = self._owner.get(key)
             tenant = self._current_tenant()
             if tenant is not None and owner is not None and tenant != owner:
-                self.cross_tenant_hits += 1
+                self._metric_fields["cross_tenant_hits"].inc()
                 self._transfer(key, None)
         return block
 
@@ -199,6 +180,10 @@ class TenantBlockCache(BlockCache):
         self._l1_charged[owner] = (
             self._l1_charged.get(owner, 0.0) + block.nbytes
         )
+        if block.prefetched:
+            # Only a fresh speculative admission arrives flagged: a
+            # promotion's flag was cleared by the hit that caused it.
+            self._speculate(owner, block.nbytes)
 
     def _on_l1_remove(self, key: BlockKey, block: CachedBlock) -> None:
         owner = self._owner.get(key)
@@ -209,7 +194,25 @@ class TenantBlockCache(BlockCache):
             self._l1_charged.pop(owner, None)
 
     def _on_removed(self, key: BlockKey, block: CachedBlock) -> None:
-        self._owner.pop(key, None)
+        owner = self._owner.pop(key, None)
+        if block.prefetched:
+            self._speculate(owner, -block.nbytes)
+
+    def _on_replaced(self, key: BlockKey, block: CachedBlock) -> None:
+        if block.prefetched:
+            self._speculate(self._owner.get(key), -block.nbytes)
+
+    def _count_prefetch_use(self, key: BlockKey, block: CachedBlock) -> None:
+        self._speculate(self._owner.get(key), -block.nbytes)
+        super()._count_prefetch_use(key, block)
+
+    def _speculate(self, owner: Optional[str], nbytes: int) -> None:
+        """Move ``owner``'s resident speculative bytes by ``nbytes``."""
+        left = self._speculative.get(owner, 0) + nbytes
+        if left:
+            self._speculative[owner] = left
+        else:
+            self._speculative.pop(owner, None)
 
     def _transfer(self, key: BlockKey, new_owner: Optional[str]) -> None:
         old_owner = self._owner.get(key)
@@ -225,6 +228,11 @@ class TenantBlockCache(BlockCache):
             self._l1_charged[new_owner] = (
                 self._l1_charged.get(new_owner, 0.0) + block.nbytes
             )
+        else:
+            block = self._l2.get(key)
+        if block is not None and block.prefetched:
+            self._speculate(old_owner, -block.nbytes)
+            self._speculate(new_owner, block.nbytes)
         self._owner[key] = new_owner
 
     def _over_allocation(self, owner: Optional[str]) -> bool:
@@ -243,7 +251,7 @@ class TenantBlockCache(BlockCache):
             if fallback is None:
                 fallback = key
             if self._over_allocation(self._owner.get(key)):
-                self.quota_evictions += 1
+                self._metric_fields["quota_evictions"].inc()
                 return key
         return fallback
 

@@ -8,12 +8,15 @@ middleware with the serving-layer pieces::
                    --> per-tenant fault gate + bounded retries
                    --> ADA.fetch_chunks / fetch / fetch_merged / ingest_stream
 
-Tenant attribution is ambient: the scheduler wraps every execution in a
-``serve.request`` span tagged with the tenant, and the front wires a
-span-walking tenant source into the :class:`TenantBlockCache` and the
+Tenant attribution is ambient: the scheduler stamps the tenant on the
+DES process executing a request (``Process.context``), and the front
+wires a source reading it into the :class:`TenantBlockCache` and the
 prefetcher, so *every* cache admission and speculative read deep inside
 the middleware is billed to the right tenant -- including background
-prefetch processes, which inherit the demand fetch's span context.
+prefetch processes, which inherit the demand fetch's context.  Serving
+is traced like every other layer: attach a :class:`~repro.obs.Tracer`
+to the simulator (or pass ``ADA(tracer=...)``) and the ``serve.*`` spans
+appear; without one nothing is recorded.
 
 Per-tenant device faults are modeled at the serving boundary: when a
 :class:`~repro.faults.FaultPlan` is supplied, every dispatched request
@@ -33,7 +36,6 @@ from repro.core.middleware import ADA
 from repro.errors import ConfigurationError, ReproError
 from repro.faults.plan import FaultPlan, raise_fault
 from repro.faults.retry import Retrier, RetryPolicy
-from repro.obs.trace import Tracer
 from repro.serve.fairshare import TenantBlockCache, span_tenant_source
 from repro.serve.scheduler import RequestScheduler, ServeRequest
 from repro.serve.session import Session, SessionManager, TenantConfig
@@ -65,9 +67,6 @@ class ServeFront:
         )
         self.sim = ada.sim
         self.metrics = ada.metrics
-        # Ambient tenant context rides the span chain, so serving always
-        # runs traced (a no-op-cheap tracer if none was attached).
-        self.tracer = Tracer.for_sim(self.sim)
         self.tenant_source = span_tenant_source(self.sim)
         cache = ada.block_cache
         if isinstance(cache, TenantBlockCache) and cache.tenant_source is None:
@@ -168,14 +167,15 @@ class ServeFront:
         """
         try:
             if kind == "fetch_chunks":
-                sizes = {
-                    r.chunk: r.nbytes
-                    for r in self.ada.plfs.subset_records(
-                        payload["logical"], payload["tag"]
-                    )
-                }
-                wanted = payload.get("chunks") or ()
-                return max(1, int(sum(sizes.get(c, 0) for c in wanted)))
+                stored = self.ada.plfs.chunk_record
+                logical, tag = payload["logical"], payload["tag"]
+                records = [
+                    stored(logical, tag, chunk)
+                    for chunk in payload.get("chunks") or ()
+                ]
+                return max(
+                    1, sum(r.nbytes for r in records if r is not None)
+                )
             if kind == "fetch":
                 return max(
                     1,
@@ -195,7 +195,7 @@ class ServeFront:
             return 1
         return 1
 
-    # -- dispatch (runs inside the scheduler's serve.request span) ----------
+    # -- dispatch (runs in the scheduler's per-request process) -------------
 
     def _dispatch(self, request: ServeRequest) -> Generator:
         if self.fault_plan is None:

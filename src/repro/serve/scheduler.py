@@ -119,6 +119,7 @@ class RequestScheduler:
         self.slots = Resource(sim, capacity=self.concurrency, name="serve.slots")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queues: Dict[str, Deque[ServeRequest]] = {}
+        self._backlog = 0  # requests queued across all tenants
         self._flow_finish: Dict[str, float] = {}
         self._vtime = 0.0
         self._seq = itertools.count()
@@ -127,15 +128,15 @@ class RequestScheduler:
         self.completed: Dict[str, List[ServeRequest]] = {}
         self._tenant_metrics: Dict[str, Dict[str, object]] = {}
         # The drain loop starts idle and parks on a wake event; it is
-        # spawned eagerly so its trace context is the (empty) construction
-        # scope, never some tenant's open span.
+        # spawned eagerly so its process and trace context are the (empty)
+        # construction scope, never some tenant's.
         self._loop: Process = self.sim.process(self._run(), name="serve.scheduler")
 
     # -- submission ---------------------------------------------------------
 
     @property
     def backlog(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._backlog
 
     @property
     def vtime(self) -> float:
@@ -163,6 +164,7 @@ class RequestScheduler:
         request.finish_tag = start + cost / request.weight
         self._flow_finish[request.tenant] = request.finish_tag
         self._queues.setdefault(request.tenant, deque()).append(request)
+        self._backlog += 1
         self._metrics_for(request.tenant)["queued"].inc()
         self._kick()
         return request
@@ -207,32 +209,38 @@ class RequestScheduler:
         if best_tenant is None:
             return None
         request = self._queues[best_tenant].popleft()
+        self._backlog -= 1
         self._vtime = max(self._vtime, request.start_tag)
         return request
 
     def _execute(self, request: ServeRequest, grant) -> Generator:
-        request.started_s = self.sim.now
+        sim = self.sim
+        # Everything this process (and whatever it spawns) does from here
+        # on is on the tenant's behalf -- see ``span_tenant_source``.
+        sim.active_process.context = request.tenant
+        request.started_s = sim.now
         tm = self._metrics_for(request.tenant)
         tm["wait"].observe(request.started_s - request.submitted_s)
-        # Zero-duration marker span recording the dispatch decision.
-        with span(
-            self.sim, "serve.schedule",
-            tenant=request.tenant, seq=request.seq, nice=request.nice,
-            finish_tag=round(request.finish_tag, 6),
-            wait_s=round(request.started_s - request.submitted_s, 9),
-        ):
-            pass
+        if sim.tracer is not None:
+            # Zero-duration marker span recording the dispatch decision.
+            with span(
+                sim, "serve.schedule",
+                tenant=request.tenant, seq=request.seq, nice=request.nice,
+                finish_tag=round(request.finish_tag, 6),
+                wait_s=round(request.started_s - request.submitted_s, 9),
+            ):
+                pass
         result = None
         try:
             with span(
-                self.sim, "serve.request",
+                sim, "serve.request",
                 tenant=request.tenant, kind=request.kind, seq=request.seq,
             ) as sp:
                 result = yield from self.dispatch(request)
                 sp.tag(served_bytes=request.served_bytes)
         except Exception as exc:  # noqa: BLE001 - delivered to the waiter
             request.error = exc
-        request.finished_s = self.sim.now
+        request.finished_s = sim.now
         tm["latency"].observe(request.finished_s - request.submitted_s)
         if request.error is None:
             tm["completed"].inc()

@@ -71,7 +71,7 @@ class TenantState:
 
     __slots__ = (
         "config", "inflight", "outstanding_bytes",
-        "admitted", "rejected", "completed",
+        "admitted", "rejected", "completed", "admitted_counter",
     )
 
     def __init__(self, config: TenantConfig):
@@ -81,6 +81,9 @@ class TenantState:
         self.admitted = 0
         self.rejected = 0
         self.completed = 0
+        #: ``serve_admitted_total{tenant}``, held from the first admission
+        #: (a tenant that never submits exports no series).
+        self.admitted_counter = None
 
 
 class SessionManager:
@@ -162,7 +165,12 @@ class SessionManager:
             state.inflight += 1
             state.outstanding_bytes += int(cost_bytes)
             state.admitted += 1
-            self.metrics.counter("serve_admitted_total", tenant=tenant).inc()
+            counter = state.admitted_counter
+            if counter is None:
+                counter = state.admitted_counter = self.metrics.counter(
+                    "serve_admitted_total", tenant=tenant
+                )
+            counter.inc()
             sp.tag(admitted=True)
 
     def release(self, tenant: str, cost_bytes: int) -> None:

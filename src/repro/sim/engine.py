@@ -53,6 +53,14 @@ class Event:
     Events start *pending*; :meth:`succeed` or :meth:`fail` triggers them,
     after which every subscribed callback runs at the current simulation
     time.  Processes wait on events by ``yield``-ing them.
+
+    Kernel invariant: nothing ever subscribes to an event that has already
+    triggered -- :class:`Process` and :class:`_Condition` both take the
+    already-fired path instead -- so an event that triggers with no
+    subscriber has no one to tell and is never put on the heap (an
+    uncontended resource grant, the barrier of an empty fan-out, the
+    completion of a process nobody waits for).  Order is unchanged: a
+    dispatch that ran no callback had no effect.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_cancelled")
@@ -100,7 +108,8 @@ class Event:
         self._value = value
         self._ok = True
         self._triggered = True
-        self.sim._schedule(self, delay=0.0)
+        if self.callbacks:
+            self.sim._schedule(self, 0.0)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -112,7 +121,8 @@ class Event:
         self._value = exception
         self._ok = False
         self._triggered = True
-        self.sim._schedule(self, delay=0.0)
+        if self.callbacks:
+            self.sim._schedule(self, 0.0)
         return self
 
 
@@ -124,12 +134,16 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = float(delay)
+        # Slots set here rather than through ``Event.__init__`` and
+        # ``_schedule``: a timeout is the kernel's most common event.
+        self.sim = sim
+        self.callbacks = []
+        self.delay = delay = float(delay)
         self._value = value
         self._ok = True
         self._triggered = True  # scheduled immediately, fires at now+delay
-        sim._schedule(self, delay=self.delay)
+        self._cancelled = False
+        heapq.heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
 
 
 class Process(Event):
@@ -139,9 +153,17 @@ class Process(Event):
     event triggers, its value is sent back into the generator (or its
     exception thrown in, if it failed).  The process-as-event triggers with
     the generator's return value, so processes can wait on each other.
+
+    ``context`` is one opaque slot for whoever runs the process to say on
+    whose behalf it works; a process inherits the context of the process
+    that spawned it (the serving layer keeps the tenant there, so a
+    background prefetch is billed to the tenant whose read launched it).
     """
 
-    __slots__ = ("generator", "_waiting_on", "name", "_trace_ctx", "_span_stack")
+    __slots__ = (
+        "generator", "_waiting_on", "name", "context",
+        "_trace_ctx", "_span_stack",
+    )
 
     def __init__(
         self,
@@ -154,18 +176,21 @@ class Process(Event):
             raise SimulationError(f"process target is not a generator: {generator!r}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        #: The event whose firing resumes this process next: the yielded
+        #: event, or the private wake standing in for one that had already
+        #: fired.  ``interrupt`` unhooks from it, whichever it is.
         self._waiting_on: Optional[Event] = None
+        parent = sim.active_process
+        self.context: Any = parent.context if parent is not None else None
         # Observability context: a process spawned while a trace span is
         # open inherits that span as its parent (see repro.obs.trace); the
-        # per-process span stack keeps nesting correct across interleaved
-        # processes.  Both stay None/empty with no tracer attached.
+        # per-process span stack (made by the tracer on first use) keeps
+        # nesting correct across interleaved processes.
         tracer = sim.tracer
         self._trace_ctx = tracer.current() if tracer is not None else None
-        self._span_stack: List[Any] = []
+        self._span_stack: Optional[List[Any]] = None
         # Bootstrap: resume once at the current time.
-        boot = Event(sim)
-        boot.callbacks.append(self._resume)
-        boot.succeed(None)
+        self._wake(True, None)
 
     @property
     def is_alive(self) -> bool:
@@ -175,67 +200,76 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:
             return
-        target = self._waiting_on
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._waiting_on = None
-        wake = Event(self.sim)
-        wake.callbacks.append(lambda ev: self._step(throw=Interrupt(cause)))
-        wake.succeed(None)
+        self._unpark()
+        self._wake(False, Interrupt(cause))
 
     # -- internal machinery -------------------------------------------------
 
-    def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        if event.ok:
-            self._step(send=event.value)
-        else:
-            self._step(throw=event.value)
+    def _wake(self, ok: bool, value: Any) -> Event:
+        """Schedule a resume at the current time with the given outcome."""
+        wake = Event(self.sim)
+        wake._ok = ok
+        wake._value = value
+        wake._triggered = True
+        wake.callbacks.append(self._resume)
+        self.sim._schedule(wake, 0.0)
+        return wake
 
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
+    def _unpark(self) -> None:
+        """Stop waiting on whatever this process parked on."""
+        target, self._waiting_on = self._waiting_on, None
+        if target is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+
+    def _resume(self, event: Event) -> None:
+        sim = self.sim
+        waiting = self._waiting_on
+        if waiting is not event and waiting is not None:
+            # An interrupt's wake, overtaking whatever the process parked
+            # on since ``interrupt()`` ran: that wake-up must not also fire.
+            self._unpark()
+        self._waiting_on = None
         # Mark this process active while its generator chain runs, so the
         # tracer (and any other ambient-context consumer) can attribute
         # work -- including spans opened deep inside ``yield from`` chains
         # -- to the right process.
-        previous_active = self.sim._active_process
-        self.sim._active_process = self
+        previous_active = sim.active_process
+        sim.active_process = self
         try:
-            self._step_inner(send=send, throw=throw)
-        finally:
-            self.sim._active_process = previous_active
-
-    def _step_inner(
-        self, send: Any = None, throw: Optional[BaseException] = None
-    ) -> None:
-        try:
-            if throw is not None:
-                target = self.generator.throw(throw)
+            try:
+                if event._ok:
+                    target = self.generator.send(event._value)
+                else:
+                    target = self.generator.throw(event._value)
+            except StopIteration as stop:
+                if not self._triggered:
+                    self.succeed(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - propagate into waiters
+                if not self._triggered:
+                    self.fail(exc)
+                    if not self.callbacks:
+                        # Nobody is watching this process: surface the error.
+                        raise
+                return
+            if not isinstance(target, Event):
+                self.generator.throw(
+                    SimulationError(
+                        f"process {self.name!r} yielded non-event {target!r}"
+                    )
+                )
+                return
+            if target._triggered and not isinstance(target, Timeout):
+                # Already-fired event: resume immediately (same timestamp).
+                self._waiting_on = self._wake(target._ok, target._value)
             else:
-                target = self.generator.send(send)
-        except StopIteration as stop:
-            if not self._triggered:
-                self.succeed(getattr(stop, "value", None))
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            if not self._triggered:
-                self.fail(exc)
-                if not self.callbacks:
-                    # Nobody is watching this process: surface the error.
-                    raise
-            return
-        if not isinstance(target, Event):
-            self.generator.throw(
-                SimulationError(f"process {self.name!r} yielded non-event {target!r}")
-            )
-            return
-        self._waiting_on = target
-        if target.triggered and not isinstance(target, Timeout):
-            # Already-fired event: resume immediately (same timestamp).
-            wake = Event(self.sim)
-            wake.callbacks.append(lambda ev: self._resume(target))
-            wake.succeed(None)
-        else:
-            target.callbacks.append(self._resume)
+                target.callbacks.append(self._resume)
+                self._waiting_on = target
+        finally:
+            sim.active_process = previous_active
 
 
 class _Condition(Event):
@@ -307,10 +341,12 @@ class Simulator:
         self._processed = 0
         #: Observability hooks (see :mod:`repro.obs`): a Tracer attaches
         #: itself here, a MetricsRegistry may be attached by the deployment
-        #: (ADA does); ``_active_process`` is maintained by Process._step.
+        #: (ADA does).
         self.tracer: Optional[Any] = None
         self.metrics: Optional[Any] = None
-        self._active_process: Optional[Process] = None
+        #: The process whose generator is running right now (None between
+        #: resumes); maintained by ``Process._resume``.
+        self.active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
@@ -319,7 +355,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events dispatched so far (diagnostics)."""
+        """Number of events dispatched so far (diagnostics).  A trigger
+        nobody was subscribed to is not dispatched, so not counted."""
         return self._processed
 
     # -- event factories -----------------------------------------------------
@@ -352,17 +389,19 @@ class Simulator:
 
         Returns the final simulation time.
         """
-        while self._heap:
-            when, _, event = self._heap[0]
-            if until is not None and when > until:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self._now = until
-                return self._now
-            heapq.heappop(self._heap)
+                return until
+            when, _, event = pop(heap)
             if event._cancelled:
                 continue
-            if when < self._now - 1e-12:
+            if when > self._now:
+                self._now = when
+            elif when < self._now - 1e-12:
                 raise SimulationError("event scheduled in the past")
-            self._now = max(self._now, when)
             self._processed += 1
             callbacks, event.callbacks = event.callbacks, []
             for callback in callbacks:

@@ -177,3 +177,49 @@ def test_virtual_subsets_flow_through():
     obj = sim.run_process(plfs.read_subset("bar", "p"))
     assert obj.is_virtual
     assert obj.nbytes == 10**9
+
+
+# -- windowed index lookups ---------------------------------------------------
+
+
+def _gappy(sim, stored=(0, 1, 2, 5, 6, 9)):
+    """A subset whose chunk numbers have gaps (failed writes leave them):
+    claim every number up to the highest, store only ``stored``."""
+    plfs = _plfs(sim)
+    for chunk in range(max(stored) + 1):
+        if chunk in stored:
+            sim.run_process(
+                plfs.write_subset("bar", "p", backend="ssd", data=b"x" * (chunk + 1))
+            )
+        else:
+            plfs._claim_chunk("bar", "p")
+    assert [r.chunk for r in plfs.subset_records("bar", "p")] == list(stored)
+    return plfs
+
+
+def test_chunk_record_finds_dense_and_gappy_chunks():
+    plfs = _gappy(Simulator())
+    whole = {r.chunk: r for r in plfs.subset_records("bar", "p")}
+    for chunk in range(-2, 13):
+        assert plfs.chunk_record("bar", "p", chunk) is whole.get(chunk)
+    assert plfs.last_chunk("bar", "p") == 9
+
+
+def test_chunk_records_is_the_filtered_subset_in_chunk_order():
+    plfs = _gappy(Simulator())
+    whole = plfs.subset_records("bar", "p")
+    for window in ([6, 5], [0], [9, 0, 2, 2], range(0, 3), []):
+        wanted = set(window)
+        assert plfs.chunk_records("bar", "p", window) == [
+            r for r in whole if r.chunk in wanted
+        ]
+
+
+def test_chunk_records_names_the_missing_chunks():
+    plfs = _gappy(Simulator())
+    with pytest.raises(ContainerError, match=r"bar#p: no chunk\(s\) \[3, 7\]"):
+        plfs.chunk_records("bar", "p", [7, 2, 3])
+    with pytest.raises(TagNotFoundError):
+        plfs.chunk_records("bar", "nope", [0])
+    with pytest.raises(TagNotFoundError):
+        plfs.last_chunk("bar", "nope")

@@ -1,0 +1,127 @@
+"""The warm-hit request budget, gated by exact counts.
+
+A request whose chunks are all cache hits should cost almost nothing, and
+what it costs is bookkeeping: kernel events, trace spans, index copies.
+Those are *counts* -- deterministic at a fixed seed -- so this gate (marked
+``bench``: CI's ``pytest -m bench`` step runs it) pins them per request on
+a small warmed ``ServeFront`` of the end-to-end benchmark's ``serve_warm``
+shape.  A regression in any of the three mechanisms that keep the hit path
+lean fails here as a number, not as a slower wall clock:
+
+* **kernel events** -- an event that fires with nobody subscribed (an idle
+  slot's grant, the barrier of an all-hit window, a completion nobody
+  waits for) is never dispatched;
+* **spans** -- the tenant rides the DES process, so serving without a
+  tracer attached constructs no ``Span``;
+* **record copies** -- a window resolves its own chunks' records; nobody
+  snapshots the whole subset.
+"""
+
+import pytest
+
+from repro.fs.plfs import PLFS
+from repro.harness.benchserve import PLAYBACK_TAG, _build_front, _catalog_blobs
+from repro.obs import trace
+from repro.serve import DatasetRef, TrafficConfig, TrafficGenerator
+from repro.sim import AllOf
+
+pytestmark = pytest.mark.bench
+
+#: ``serve_warm`` in miniature: same window, tenants, slots and Zipf skew.
+NDATASETS, NCHUNKS, WINDOW = 3, 16, 4
+TENANTS = ("t0", "t1", "t2", "t3")
+REQUESTS_PER_TENANT = 60
+
+#: Kernel events dispatched by the measured phase, exactly.  A request
+#: costs 11 at most: the scheduler loop woken by the submit, its wake on
+#: the (already granted) slot, the executing process's boot, the indexer
+#: latency, one timeout per cache hit, the wake on the window's empty read
+#: barrier, the loop woken again by the completion, and the client's wake
+#: on ``done``.  A kick that finds the loop already awake is merged, which
+#: is where the remainder goes: 10.71 a request here, 11.27 at the
+#: end-to-end benchmark's own shape.  Before subscriber-less triggers
+#: stopped reaching the heap this phase dispatched 3350 (13.96 a request;
+#: 14.53 at the benchmark's shape), built 2219 spans and made 953
+#: whole-subset record copies.
+REQUESTS = len(TENANTS) * REQUESTS_PER_TENANT
+EVENTS = 2570
+
+
+def _warm_front():
+    blobs = _catalog_blobs(NDATASETS, 200, NCHUNKS, 4, 7)
+    working_set = sum(len(b) for _l, _p, chunks in blobs for b in chunks)
+    front = _build_front(
+        blobs, ntenants=len(TENANTS), concurrency=8,
+        l1_capacity_bytes=2.0 * working_set, max_inflight=8, byte_budget=None,
+    )
+    sim, ada = front.sim, front.ada
+    # Warm-up: every window once, so the measured phase is all hits.
+    for logical, _pdb, _chunks in blobs:
+        for start in range(0, NCHUNKS, WINDOW):
+            sim.run_process(
+                ada.fetch_chunks(
+                    logical, PLAYBACK_TAG, list(range(start, start + WINDOW))
+                )
+            )
+    return front
+
+
+def _closed_loops(front):
+    """Each tenant walks its Zipf plan, one request at a time."""
+    sim = front.sim
+    catalog = [
+        DatasetRef(f"traj{i}.xtc", PLAYBACK_TAG, NCHUNKS)
+        for i in range(NDATASETS)
+    ]
+    generator = TrafficGenerator(
+        catalog,
+        TrafficConfig(
+            mode="closed", requests_per_tenant=REQUESTS_PER_TENANT,
+            window_chunks=WINDOW, zipf_s=1.1, seed=7,
+        ),
+    )
+
+    def loop(name):
+        session = front.session(name)
+        for ref, window in generator.plan(name):
+            yield from session.fetch_chunks(ref.logical, ref.tag, window)
+
+    procs = [sim.process(loop(name), name=f"gate:{name}") for name in TENANTS]
+
+    def barrier():
+        yield AllOf(sim, procs)
+
+    sim.run_process(barrier())
+
+
+def test_warm_hit_request_budget(monkeypatch):
+    front = _warm_front()
+    sim, cache = front.sim, front.ada.block_cache
+
+    spans = []
+    span_init = trace.Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spans.append(1)
+        span_init(self, *args, **kwargs)
+
+    copies = []
+    subset_records = PLFS.subset_records
+
+    def counting_records(self, logical, tag):
+        copies.append((logical, tag))
+        return subset_records(self, logical, tag)
+
+    monkeypatch.setattr(trace.Span, "__init__", counting_init)
+    monkeypatch.setattr(PLFS, "subset_records", counting_records)
+
+    misses, events = cache.misses, sim.events_processed
+    _closed_loops(front)
+    done = front.scheduler.completed
+    assert sum(len(v) for v in done.values()) == REQUESTS
+    assert all(r.ok for v in done.values() for r in v)
+    assert cache.misses == misses  # the phase really was all hits
+
+    assert sim.events_processed - events == EVENTS
+    assert sim.tracer is None and not spans
+    assert not copies

@@ -294,3 +294,132 @@ def test_nested_fan_out_fan_in():
 
     assert sim.run_process(read(sim, 4)) == [0, 1, 2, 3]
     assert sim.now == pytest.approx(1.0 + 3 * 0.5)
+
+
+def test_interrupt_while_parked_on_fired_event():
+    """A process parked on an already-fired event wakes through a private
+    event; interrupting it there must cancel that wake-up, or the process
+    runs on and the Interrupt lands one yield late with a stale callback
+    left behind."""
+    sim = Simulator()
+    log = []
+
+    def victim(sim):
+        ev = sim.event()
+        ev.succeed("early")
+        yield sim.timeout(1.0)
+        try:
+            log.append((yield ev))
+            log.append((yield sim.timeout(5.0, "slow")))
+        except Interrupt:
+            log.append((sim.now, (yield sim.timeout(10.0, "after")), sim.now))
+
+    def interrupter(sim, proc):
+        yield sim.timeout(1.0)
+        proc.interrupt()
+
+    proc = sim.process(victim(sim))
+    sim.process(interrupter(sim, proc))
+    sim.run()
+    assert log == [(1.0, "after", 11.0)]
+
+
+def test_second_interrupt_unhooks_the_handlers_wait():
+    """Two interrupts at one instant: the second lands on whatever the
+    first one's handler parked on, and that wait must not resume it again."""
+    sim = Simulator()
+    log = []
+
+    def victim(sim):
+        try:
+            yield sim.timeout(100.0)
+        except Interrupt:
+            try:
+                yield sim.timeout(5.0, "first handler")
+            except Interrupt:
+                log.append((yield sim.timeout(10.0, "second handler")))
+
+    def interrupter(sim, proc):
+        yield sim.timeout(1.0)
+        proc.interrupt()
+        proc.interrupt()
+
+    proc = sim.process(victim(sim))
+    sim.process(interrupter(sim, proc))
+    sim.run()
+    assert log == ["second handler"]
+    assert sim.now == 100.0  # the abandoned timeouts still drain, unheard
+
+
+def test_subscriberless_trigger_is_not_dispatched():
+    """An event that triggers with nobody subscribed never reaches the
+    heap; one that has a waiter is dispatched exactly as before."""
+    sim = Simulator()
+    sim.event().succeed("nobody listens")
+    sim.event().fail(RuntimeError("nobody listens"))
+    assert AllOf(sim, []).triggered
+    sim.run()
+    assert sim.events_processed == 0
+
+    gate = sim.event()
+
+    def waiter(sim):
+        return (yield gate)
+
+    proc = sim.process(waiter(sim))
+    sim.run()  # boot
+    gate.succeed("heard")
+    sim.run()  # the gate; the unobserved completion is elided
+    assert (proc.value, sim.events_processed) == ("heard", 2)
+
+
+def test_elision_keeps_same_time_order():
+    """Waking on an event that fired unobserved takes the already-fired
+    path: the wake-up is queued when the process yields, so it runs ahead
+    of anything scheduled after that and behind anything before."""
+    sim = Simulator()
+    order = []
+    fired = sim.event()
+    fired.succeed("x")
+
+    def a(sim):
+        yield fired
+        order.append("a")
+        yield fired
+        order.append("a again")
+
+    def b(sim):
+        yield sim.timeout(0.0)
+        order.append("b")
+
+    sim.process(a(sim))
+    sim.process(b(sim))
+    sim.run()
+    assert order == ["a", "b", "a again"]
+
+
+def test_process_context_is_inherited_at_spawn():
+    sim = Simulator()
+    seen = {}
+
+    def child(sim, key):
+        seen[key] = sim.active_process.context
+        yield sim.timeout(1.0)
+        seen[key + ":late"] = sim.active_process.context
+
+    def parent(sim):
+        sim.process(child(sim, "before"))
+        sim.active_process.context = "tenant-a"
+        sim.process(child(sim, "after"))
+        yield sim.timeout(0.5)
+        sim.active_process.context = "tenant-b"  # children keep theirs
+
+    sim.process(parent(sim))
+    top = sim.process(child(sim, "top"))
+    sim.run()
+    assert seen == {
+        "before": None, "before:late": None,
+        "after": "tenant-a", "after:late": "tenant-a",
+        "top": None, "top:late": None,
+    }
+    assert top.context is None and sim.active_process is None
