@@ -2,8 +2,11 @@
 
 Contact maps and native-contact fractions are the observables GPCR papers
 actually report (the CB1 activation studies the paper's datasets come
-from track helix-helix contacts).  Distance computation is blocked so
-memory stays bounded on large selections.
+from track helix-helix contacts).  Every contact is decided by the exact
+neighbour-grid kernel in :mod:`repro.analysis.neighbors`, so time and
+memory follow the number of contacts, not the square of the selection --
+only :func:`contact_map`, whose *result* is an ``(N, N)`` matrix, is
+quadratic in anything.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.neighbors import (
+    count_self_pairs,
+    pairs_within,
+    self_pairs,
+)
 from repro.errors import TopologyError
 from repro.formats.trajectory import Trajectory
 
@@ -22,27 +30,21 @@ __all__ = [
     "native_contact_fraction",
 ]
 
-_BLOCK = 512
-
-#: Element budget for the (nframes, block, natoms) distance tensor of the
-#: batched frame path -- keeps transient memory in the same ballpark as
-#: the single-frame path's (512, natoms) blocks.
-_BATCH_ELEMENTS = 2 * 1024 * 1024
+Pairs = Tuple[np.ndarray, np.ndarray]
 
 
-def _pairwise_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
-    """Boolean (N, N) contact matrix, diagonal False, blocked in rows."""
-    n = coords.shape[0]
-    out = np.zeros((n, n), dtype=bool)
-    c2 = cutoff * cutoff
-    pts = coords.astype(np.float64)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        delta = pts[start:stop, None, :] - pts[None, :, :]
-        d2 = (delta**2).sum(axis=2)
-        out[start:stop] = d2 < c2
-    np.fill_diagonal(out, False)
-    return out
+def _frame_pairs(
+    frame_coords: np.ndarray, cutoff: float, selection: Optional[np.ndarray]
+) -> Tuple[int, Pairs]:
+    """``(natoms, (i, j))``: one frame's contacts as ``i < j`` pairs."""
+    coords = np.asarray(frame_coords)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise TopologyError(f"frame coords shape {coords.shape} invalid")
+    if cutoff <= 0:
+        raise TopologyError("cutoff must be positive")
+    if selection is not None:
+        coords = coords[np.asarray(selection)]
+    return coords.shape[0], self_pairs(coords, cutoff)
 
 
 def contact_map(
@@ -51,14 +53,50 @@ def contact_map(
     selection: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Symmetric boolean contact matrix for one frame."""
-    coords = np.asarray(frame_coords)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise TopologyError(f"frame coords shape {coords.shape} invalid")
+    natoms, (i, j) = _frame_pairs(frame_coords, cutoff, selection)
+    out = np.zeros((natoms, natoms), dtype=bool)
+    out[i, j] = True
+    out[j, i] = True
+    return out
+
+
+def native_pairs(
+    frame_coords: np.ndarray,
+    cutoff: float,
+    selection: Optional[np.ndarray] = None,
+) -> Pairs:
+    """A reference frame's contacts as ``i < j`` index pairs -- the native
+    map in O(contacts) memory.  Raises if the frame has none."""
+    _, pairs = _frame_pairs(frame_coords, cutoff, selection)
+    if pairs[0].size == 0:
+        raise TopologyError("reference frame has no contacts at this cutoff")
+    return pairs
+
+
+def pair_series(
+    coords: np.ndarray, cutoff: float, native: Optional[Pairs] = None
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per-frame *unordered* contact counts for an ``(F, N, 3)`` stack and,
+    given ``native`` index pairs, how many of those are in contact.
+
+    The native pairs go through the very distance test that found them in
+    their reference frame, so ``overlap`` equals the count of native pairs
+    among the frame's contacts without looking one up in the other.
+    """
+    stack = np.asarray(coords)
+    if stack.ndim != 3 or stack.shape[2] != 3:
+        raise TopologyError(f"frame stack shape {stack.shape} invalid")
     if cutoff <= 0:
         raise TopologyError("cutoff must be positive")
-    if selection is not None:
-        coords = coords[np.asarray(selection)]
-    return _pairwise_within(coords, cutoff)
+    counts = np.zeros(stack.shape[0], dtype=np.int64)
+    overlap = np.zeros_like(counts) if native is not None else None
+    for f, frame in enumerate(stack):
+        counts[f] = count_self_pairs(frame, cutoff)
+        if native is not None:
+            overlap[f] = np.count_nonzero(
+                pairs_within(frame, *native, cutoff)
+            )
+    return counts, overlap
 
 
 def frame_contact_counts(
@@ -71,35 +109,18 @@ def frame_contact_counts(
     Returns ``(counts, overlap)``: ``counts[i]`` is frame *i*'s full
     (both-orders) contact-matrix sum -- halve it for unordered pairs --
     and, when a boolean ``native`` map is given, ``overlap[i]`` is the
-    count of native contacts present in frame *i*.  The frame loop is
-    batched (all frames share one row-blocked distance pass) but every
-    element goes through the same float64 subtract/square/sum/compare as
-    the single-frame :func:`contact_map`, so the results are bit-identical
-    to the per-frame loop they replaced.
+    count of native contacts present in frame *i*.  Every pair goes
+    through the same float64 subtract/square/sum/compare as the
+    single-frame :func:`contact_map`, so the results are bit-identical to
+    summing per-frame maps.
     """
-    stack = np.asarray(coords)
-    if stack.ndim != 3 or stack.shape[2] != 3:
-        raise TopologyError(f"frame stack shape {stack.shape} invalid")
-    if cutoff <= 0:
-        raise TopologyError("cutoff must be positive")
-    nframes, natoms = stack.shape[0], stack.shape[1]
-    c2 = cutoff * cutoff
-    pts = stack.astype(np.float64)
-    counts = np.zeros(nframes, dtype=np.int64)
-    overlap = np.zeros(nframes, dtype=np.int64) if native is not None else None
-    # Row-block so the (F, block, N) distance tensor stays within the
-    # element budget (matching the single-frame path's bounded memory).
-    block = max(1, min(_BLOCK, _BATCH_ELEMENTS // max(1, nframes * natoms)))
-    for start in range(0, natoms, block):
-        stop = min(start + block, natoms)
-        delta = pts[:, start:stop, None, :] - pts[:, None, :, :]
-        d2 = (delta**2).sum(axis=3)
-        mask = d2 < c2
-        mask[:, np.arange(stop - start), np.arange(start, stop)] = False
-        counts += mask.sum(axis=(1, 2))
-        if native is not None:
-            overlap += (mask & native[start:stop]).sum(axis=(1, 2))
-    return counts, overlap
+    pairs = None
+    if native is not None:
+        i, j = np.nonzero(native)
+        off_diagonal = i != j
+        pairs = (i[off_diagonal], j[off_diagonal])
+    counts, overlap = pair_series(coords, cutoff, native=pairs)
+    return 2 * counts, overlap
 
 
 def contact_count(
@@ -111,8 +132,7 @@ def contact_count(
     coords = trajectory.coords
     if selection is not None:
         coords = coords[:, np.asarray(selection)]
-    counts, _ = frame_contact_counts(coords, cutoff)
-    return counts // 2
+    return pair_series(coords, cutoff)[0]
 
 
 def native_contact_fraction(
@@ -123,19 +143,16 @@ def native_contact_fraction(
 ) -> np.ndarray:
     """Q(t): fraction of the reference frame's contacts present per frame.
 
-    The classic folding/activation order parameter.  The reference map is
-    computed once and shared across the batched frame pass.
+    The classic folding/activation order parameter.  The reference pairs
+    are found once and shared across the frame pass.
     """
     if not 0 <= reference_frame < trajectory.nframes:
         raise TopologyError(f"reference frame {reference_frame} out of range")
-    native = contact_map(
-        trajectory.coords[reference_frame], cutoff=cutoff, selection=selection
+    native = native_pairs(
+        trajectory.coords[reference_frame], cutoff, selection=selection
     )
-    n_native = native.sum()
-    if n_native == 0:
-        raise TopologyError("reference frame has no contacts at this cutoff")
     coords = trajectory.coords
     if selection is not None:
         coords = coords[:, np.asarray(selection)]
-    _, overlap = frame_contact_counts(coords, cutoff, native=native)
-    return overlap / n_native
+    _, overlap = pair_series(coords, cutoff, native=native)
+    return overlap / native[0].size

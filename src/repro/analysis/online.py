@@ -37,10 +37,11 @@ over random window splits):
 
 :class:`InSituAnalysis` bundles a set of operators behind the single
 ``consume(start, stop, coords)`` surface the ingest pipeline's analysis
-stage drives.  Consumption is **idempotent over replays**: a window whose
-frames were already counted (a retried delivery after a transient fault)
-is ignored, and a gap in the stream raises -- online state can never
-silently double-count or skip frames.
+stage drives.  Consumption is **idempotent over replays**: frames that
+were already counted (a retried delivery after a transient fault, on the
+same window boundaries or others) are ignored, a window is taken by every
+operator or by none, and a gap in the stream raises -- online state can
+never silently double-count or skip frames.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.contacts import contact_map, frame_contact_counts
+from repro.analysis.contacts import native_pairs, pair_series
 from repro.analysis.rmsd import rmsd
 from repro.analysis.timeseries import BlockResult
 from repro.errors import ConfigurationError, TopologyError
@@ -82,6 +83,11 @@ def _as_slab(coords: np.ndarray) -> np.ndarray:
     return slab
 
 
+def _drop_tail(nframes: int, *series: list) -> None:
+    for values in series:
+        del values[len(values) - nframes:]
+
+
 class OnlineRMSD:
     """Per-frame RMSD against a fixed reference, one slab at a time.
 
@@ -109,6 +115,9 @@ class OnlineRMSD:
         self._values.extend(fresh.tolist())
         return {"rmsd": fresh}
 
+    def rewind(self, nframes: int) -> None:
+        _drop_tail(nframes, self._values)
+
     def result(self) -> Dict[str, np.ndarray]:
         return {"rmsd": np.array(self._values)}
 
@@ -116,11 +125,12 @@ class OnlineRMSD:
 class OnlineContacts:
     """Per-frame contact counts and native-contact fraction Q(t).
 
-    The native (reference) contact map is computed once -- from
-    ``reference`` coordinates, or from the first frame consumed -- and
-    shared across every slab, exactly as the batch
-    ``native_contact_fraction(trajectory, reference_frame=0)`` shares it
-    across its frame loop.
+    The native (reference) contacts are found once -- in ``reference``
+    coordinates, or in the first frame consumed -- and shared across every
+    slab, exactly as the batch
+    ``native_contact_fraction(trajectory, reference_frame=0)`` shares them
+    across its frame loop.  They are held as index pairs, so the state is
+    O(contacts), not O(natoms^2).
     """
 
     def __init__(
@@ -135,40 +145,37 @@ class OnlineContacts:
         self.selection = (
             np.asarray(selection) if selection is not None else None
         )
-        self._native: Optional[np.ndarray] = None
-        self._n_native = 0
+        self._native: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if reference is not None:
             self._set_reference(np.asarray(reference))
         self._counts: List[int] = []
         self._q: List[float] = []
 
     def _set_reference(self, frame: np.ndarray) -> None:
-        native = contact_map(
-            frame, cutoff=self.cutoff, selection=self.selection
+        self._native = native_pairs(
+            frame, self.cutoff, selection=self.selection
         )
-        n_native = native.sum()
-        if n_native == 0:
-            raise TopologyError(
-                "reference frame has no contacts at this cutoff"
-            )
-        self._native = native
-        self._n_native = n_native
 
     def update(self, coords: np.ndarray) -> Dict[str, np.ndarray]:
         slab = _as_slab(coords)
-        if self._native is None and slab.shape[0] > 0:
+        if slab.shape[0] == 0:
+            return {
+                "contacts": np.zeros(0, dtype=np.int64),
+                "native_fraction": np.zeros(0),
+            }
+        if self._native is None:
             self._set_reference(slab[0])
         sel = slab
         if self.selection is not None:
             sel = slab[:, self.selection]
-        raw, overlap = frame_contact_counts(
-            sel, self.cutoff, native=self._native
-        )
-        counts = raw // 2
-        q = overlap / self._n_native
+        counts, overlap = pair_series(sel, self.cutoff, native=self._native)
+        q = overlap / self._native[0].size
         self._counts.extend(counts.tolist())
         self._q.extend(q.tolist())
         return {"contacts": counts, "native_fraction": q}
+
+    def rewind(self, nframes: int) -> None:
+        _drop_tail(nframes, self._counts, self._q)
 
     def result(self) -> Dict[str, np.ndarray]:
         return {
@@ -196,7 +203,14 @@ class OnlineObservables:
         slab = _as_slab(coords)
         if slab.shape[1] < 2:
             raise TopologyError("end-to-end distance needs at least two atoms")
-        if self._frame0 is None and slab.shape[0] > 0:
+        if slab.shape[0] == 0:
+            return {
+                "center_of_mass": np.empty((0, 3)),
+                "gyration_radius": np.empty(0),
+                "end_to_end": np.empty(0),
+                "msd": np.empty(0),
+            }
+        if self._frame0 is None:
             self._frame0 = slab[0].astype(np.float64)
         com = slab.mean(axis=1)
         pts = slab.astype(np.float64)
@@ -216,6 +230,11 @@ class OnlineObservables:
             "end_to_end": e2e,
             "msd": msd,
         }
+
+    def rewind(self, nframes: int) -> None:
+        if nframes:  # one part per non-empty slab
+            for parts in (self._com, self._gyr, self._e2e, self._msd):
+                parts.pop()
 
     def result(self) -> Dict[str, np.ndarray]:
         def cat(parts: List[np.ndarray], width: int = 0) -> np.ndarray:
@@ -368,17 +387,20 @@ class InSituAnalysis:
     :meth:`results` at any time).
 
     ``operators`` maps names to online operators (``update(coords) ->
-    {series: values}`` / ``result()``); by default the standard set:
+    {series: values}`` / ``rewind(nframes)``, which undoes the last
+    ``update`` of that many frames / ``result()``); by default the
+    standard set:
     :class:`OnlineRMSD`, :class:`OnlineContacts` (skipped automatically
     if the reference frame has no contacts at the cutoff), and
     :class:`OnlineObservables`.  ``stats_over`` names scalar series to
     track with :class:`OnlineStats` (error bars without series
     retention).
 
-    Replay safety: windows must arrive in stream order.  A window whose
-    frames were already consumed -- a retried delivery after a transient
-    mid-ingest fault -- is ignored (frames are never double-counted); a
-    gap raises :class:`~repro.errors.ConfigurationError`.
+    Replay safety: windows must arrive in stream order.  Frames that were
+    already consumed -- a retried delivery after a transient mid-ingest
+    fault, whole or overlapping -- are ignored (never double-counted) and
+    the unseen rest of the window is consumed; a gap raises
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -407,45 +429,65 @@ class InSituAnalysis:
     def consume(self, start: int, stop: int, coords: np.ndarray) -> int:
         """Fold one window's decoded frames ``[start, stop)`` in.
 
-        Returns the number of *new* frames consumed (0 for a replayed
-        window).
+        Returns the number of *new* frames consumed: 0 for a replayed
+        window, the unseen tail for a window that overlaps what was
+        already consumed (a retry re-split on different boundaries).
+        All-or-nothing: if an operator raises, the operators that already
+        took the window are rewound, so delivering it again counts it once.
         """
         if stop < start:
             raise ConfigurationError(f"bad window [{start}, {stop})")
-        if start < self._next_start:
-            # Replayed delivery (e.g. a retried window after a transient
-            # fault): every frame before _next_start is already in the
-            # running state.  Ignore rather than double-count.
-            self.replays_ignored += 1
-            return 0
         if start > self._next_start:
             raise ConfigurationError(
                 f"window gap: expected frame {self._next_start}, "
                 f"got [{start}, {stop})"
             )
+        # Replayed delivery (e.g. a retried window after a transient
+        # fault): every frame before _next_start is already in the running
+        # state.  Ignore those rather than double-count.
+        replayed = max(0, self._next_start - start)
+        if replayed and stop <= self._next_start:
+            self.replays_ignored += 1
+            return 0
         slab = _as_slab(coords)
         if slab.shape[0] != stop - start:
             raise ConfigurationError(
                 f"window [{start}, {stop}) carries {slab.shape[0]} frames"
             )
+        slab = slab[replayed:]
+        fresh = slab.shape[0]
         series: Dict[str, np.ndarray] = {}
-        for name, op in list(self.operators.items()):
-            try:
-                series.update(op.update(slab))
-            except TopologyError:
-                if self._default_contacts and isinstance(op, OnlineContacts):
-                    # Default bundle on a contact-free reference: drop the
-                    # operator rather than fail the whole ingest.
-                    del self.operators[name]
-                    continue
-                raise
+        advanced: List[object] = []
+        contact_free: List[str] = []
+        try:
+            for name, op in self.operators.items():
+                try:
+                    series.update(op.update(slab))
+                    advanced.append(op)
+                except TopologyError:
+                    if self._default_contacts and isinstance(
+                        op, OnlineContacts
+                    ):
+                        # Default bundle on a contact-free reference: drop
+                        # the operator rather than fail the whole ingest.
+                        contact_free.append(name)
+                        continue
+                    raise
+        except BaseException:
+            for op in advanced:
+                op.rewind(fresh)
+            raise
+        for name in contact_free:
+            del self.operators[name]
         for name in self.stats_over:
             if name in series:
                 self.stats[name].add(series[name])
+        if replayed:
+            self.replays_ignored += 1
         self._next_start = stop
-        self.frames_seen += stop - start
+        self.frames_seen += fresh
         self.windows_seen += 1
-        return stop - start
+        return fresh
 
     def results(self) -> Dict[str, object]:
         """Flattened snapshot of every operator's running result."""

@@ -32,6 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.analysis.neighbors import any_within
 from repro.errors import ReproError
 from repro.formats.topology import AtomClass, Topology
 
@@ -155,15 +156,7 @@ class _Parser:
         reference = self.factor()
         if not reference.any():
             return np.zeros(self.topology.natoms, dtype=bool)
-        pts = np.asarray(self.coords, dtype=np.float64)
-        ref = pts[reference]
-        c2 = cutoff * cutoff
-        out = np.zeros(self.topology.natoms, dtype=bool)
-        block = 1024
-        for start in range(0, pts.shape[0], block):
-            stop = min(start + block, pts.shape[0])
-            delta = pts[start:stop, None, :] - ref[None, :, :]
-            out[start:stop] = ((delta**2).sum(axis=2) < c2).any(axis=1)
+        out = any_within(self.coords, self.coords[reference], cutoff)
         # VMD semantics: the reference atoms are within 0 of themselves.
         out |= reference
         return out
