@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import CodecError
-from repro.formats.codecexec import CodecPool, resolve_backend
+from repro.formats.codecexec import CodecPool, validate_backend
 from repro.formats.dcd import (
     DCD_MAGIC,
     dcd_frame_count,
@@ -96,7 +96,7 @@ class Decompressor:
     ):
         if index_cache_size < 0:
             raise CodecError("index_cache_size must be >= 0")
-        resolve_backend(codec_backend)  # validate eagerly
+        validate_backend(codec_backend)  # eagerly
         self.workers = workers
         self.codec_backend = codec_backend
         self.metrics = metrics

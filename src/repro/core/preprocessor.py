@@ -15,7 +15,7 @@ from typing import Dict, Iterator, Optional
 from repro.core.categorizer import Categorizer
 from repro.core.decompressor import Decompressor
 from repro.core.lod import lod_max_error, lod_tag
-from repro.formats.codecexec import CodecPool, resolve_backend
+from repro.formats.codecexec import CodecPool, validate_backend
 from repro.core.labeler import LabelMap
 from repro.core.tags import TagPolicy
 from repro.formats.pdb import parse_pdb
@@ -113,7 +113,7 @@ class DataPreProcessor:
                 f"unknown subset format {subset_format!r}; "
                 f"have {sorted(SUBSET_ENCODERS)}"
             )
-        resolve_backend(codec_backend)  # validate eagerly
+        validate_backend(codec_backend)  # eagerly
         if lod_precision is not None:
             lod_max_error(lod_precision)  # validates > 0
         self.policy = policy or TagPolicy.protein_vs_misc()

@@ -72,6 +72,7 @@ __all__ = [
     "process_encode",
     "resolve_backend",
     "shared_pool",
+    "validate_backend",
 ]
 
 #: Accepted values of every ``codec_backend`` knob.
@@ -88,16 +89,26 @@ _FORK_CTX = (
 )
 
 
+def validate_backend(backend: str) -> None:
+    """Reject an unknown ``codec_backend`` knob without resolving it.
+
+    Serial codec calls and eager constructor checks only need the name
+    checked; resolving ``'auto'`` asks the OS for its CPU count, which a
+    call that never fans out has no use for.
+    """
+    if backend not in BACKENDS:
+        raise CodecError(
+            f"unknown codec backend {backend!r}; have {'/'.join(BACKENDS)}"
+        )
+
+
 def resolve_backend(backend: str = "auto") -> str:
     """Resolve a ``codec_backend`` knob to ``'thread'`` or ``'process'``.
 
     ``'auto'`` picks processes only where they can pay off: with a single
     CPU the fork/IPC overhead buys nothing, so threads win by default.
     """
-    if backend not in BACKENDS:
-        raise CodecError(
-            f"unknown codec backend {backend!r}; have {'/'.join(BACKENDS)}"
-        )
+    validate_backend(backend)
     if backend != "auto":
         return backend
     return "process" if (os.cpu_count() or 1) > 1 else "thread"

@@ -44,13 +44,14 @@ Performance model (the materialized-mode hot path):
   speedup).  Parallel output is bit-identical to serial because each GOF
   is self-contained and results are reassembled in stream order;
 * a :class:`FrameIndex` captures one header scan (offsets, keyframe
-  anchors, cumulative raw bytes) and makes every subsequent
-  :func:`decode_frame_range` / frame-count / size query O(1) in the number
-  of frames outside the requested window.
+  anchors) and makes every subsequent :func:`decode_frame_range` /
+  frame-count / size query O(1) in the number of frames outside the
+  requested window.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import os
@@ -66,8 +67,8 @@ from repro.formats.codecexec import (
     CodecPool,
     process_decode,
     process_encode,
-    resolve_backend,
     shared_pool,
+    validate_backend,
 )
 from repro.formats.trajectory import BYTES_PER_COORD, Trajectory
 
@@ -696,7 +697,9 @@ def _encode_gof(
 def _resolve_pool(executor, backend: str, nworkers: int):
     """Pick the :class:`CodecPool` serving a codec call (None => caller
     runs serial or drives a raw executor it supplied itself)."""
-    resolve_backend(backend)  # validate the knob even on serial paths
+    # Validate the knob even on serial paths -- by name only: resolving
+    # "auto" costs a CPU-count syscall no serial call has a use for.
+    validate_backend(backend)
     if executor is not None:
         return executor if isinstance(executor, CodecPool) else None
     if nworkers <= 1:
@@ -810,14 +813,14 @@ class FrameIndex:
     """Random-access index over one XTC blob, built with a single header scan.
 
     Captures what :func:`iter_frame_infos` produces -- per-frame offsets and
-    metadata, keyframe anchors, cumulative raw bytes -- so repeated
-    :func:`decode_frame_range` calls (windowed streaming playback) and size
-    queries (:meth:`~repro.core.decompressor.Decompressor.frame_count`,
+    metadata, keyframe anchors -- so repeated :func:`decode_frame_range`
+    calls (windowed streaming playback) and size queries
+    (:meth:`~repro.core.decompressor.Decompressor.frame_count`,
     ``raw_nbytes``) stop rescanning every frame header: build once per blob,
     then each window costs only its own decode work.
     """
 
-    __slots__ = ("infos", "keyframes", "_cum_raw")
+    __slots__ = ("infos", "keyframes")
 
     def __init__(self, infos: Sequence[XtcFrameInfo]):
         self.infos: Tuple[XtcFrameInfo, ...] = tuple(infos)
@@ -826,14 +829,12 @@ class FrameIndex:
         natoms = self.infos[0].natoms
         if any(i.natoms != natoms for i in self.infos):
             raise CodecError("frames disagree on atom count")
-        self.keyframes = np.asarray(
-            [i.index for i in self.infos if i.is_keyframe], dtype=np.int64
-        )
-        if self.keyframes.size == 0 or self.keyframes[0] != 0:
+        #: Frame indices of the I-frames, ascending (header-scan order).
+        self.keyframes: List[int] = [
+            i.index for i in self.infos if not i.flags & _FLAG_PFRAME
+        ]
+        if not self.keyframes or self.keyframes[0] != 0:
             raise CodecError("stream does not begin with a keyframe")
-        self._cum_raw = np.cumsum(
-            [i.raw_nbytes for i in self.infos], dtype=np.int64
-        )
 
     @classmethod
     def build(cls, data: bytes) -> "FrameIndex":
@@ -853,8 +854,9 @@ class FrameIndex:
 
     @property
     def raw_nbytes(self) -> int:
-        """Total decompressed payload size of the stream."""
-        return int(self._cum_raw[-1])
+        """Total decompressed payload size of the stream (every frame
+        carries the same ``natoms`` -- enforced at construction)."""
+        return len(self.infos) * raw_frame_nbytes(self.infos[0].natoms)
 
     @property
     def stream_nbytes(self) -> int:
@@ -864,15 +866,31 @@ class FrameIndex:
 
     def anchor(self, frame: int) -> int:
         """Index of the nearest keyframe at or before ``frame``."""
+        return self.gof(frame)[0]
+
+    def gof(self, frame: int) -> Tuple[int, int]:
+        """``(start, stop)`` span of the group of frames holding ``frame``."""
         if not 0 <= frame < len(self.infos):
             raise CodecError(f"frame {frame} outside [0, {len(self.infos)})")
-        pos = int(np.searchsorted(self.keyframes, frame, side="right")) - 1
-        return int(self.keyframes[pos])
+        pos = bisect.bisect_right(self.keyframes, frame)
+        stop = (
+            self.keyframes[pos] if pos < len(self.keyframes) else len(self.infos)
+        )
+        return self.keyframes[pos - 1], stop
 
     def gofs(self) -> List[Tuple[int, int]]:
         """``(start, stop)`` frame spans of each independently decodable GOF."""
-        bounds = self.keyframes.tolist() + [len(self.infos)]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+        bounds = self.keyframes + [len(self.infos)]
+        return list(zip(bounds, bounds[1:]))
+
+    def gofs_overlapping(self, start: int, stop: int) -> List[Tuple[int, int]]:
+        """Spans of the GOFs holding frames ``[start, stop)``: the first
+        begins at ``anchor(start)``, the last is cut at ``stop``.  Found by
+        bisection -- a seek never walks the stream's other GOFs."""
+        first = bisect.bisect_right(self.keyframes, start) - 1
+        last = bisect.bisect_left(self.keyframes, stop)
+        bounds = self.keyframes[first:last] + [stop]
+        return list(zip(bounds, bounds[1:]))
 
 
 def _header_box(data: bytes, offset: int) -> Optional[np.ndarray]:
@@ -1066,15 +1084,12 @@ def decode_frame_range(
         raise CodecError(
             f"frame range [{start}, {stop}) outside [0, {nframes})"
         )
-    anchor = idx.anchor(start)
+    spans = idx.gofs_overlapping(start, stop)
+    anchor = spans[0][0]
     infos = idx.infos[anchor:stop]
     keep_from = start - anchor
     # Groups of frames overlapping the window, relative to the anchor.
-    rel = [
-        (s - anchor, min(e, stop) - anchor)
-        for s, e in idx.gofs()
-        if s < stop and e > anchor
-    ]
+    rel = [(s - anchor, e - anchor) for s, e in spans]
     nworkers = resolve_workers(workers, len(rel))
     pool = _resolve_pool(executor, backend, nworkers)
     if pool is not None and pool.backend == "process" and nworkers > 1:

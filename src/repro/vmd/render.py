@@ -84,7 +84,8 @@ class GeometryBuilder:
     ``"vdw"`` emits one sphere per atom at its van-der-Waals radius,
     ``"trace"`` draws the CA backbone polyline (the cartoon-ish overview
     used for big systems).  Static structure (bonds, radii, trace path) is
-    computed once; per-frame work is pure fancy-indexing.
+    computed once; per-frame work is one gather for the segments and one
+    ``(3, N)`` transpose that the bounds and the radius of gyration share.
     """
 
     def __init__(
@@ -107,6 +108,7 @@ class GeometryBuilder:
             self.bonds = self._trace_bonds(topo)
         else:
             self.bonds = build_bonds(topo, molecule.frame_coords(0), cutoff=cutoff)
+        self._bond_atoms = np.ascontiguousarray(self.bonds).reshape(-1)
         self._radii = (
             np.array(
                 [VDW_RADII.get(e, _DEFAULT_RADIUS) for e in topo.elements],
@@ -129,18 +131,28 @@ class GeometryBuilder:
 
     def render_frame(self, iframe: int) -> FrameGeometry:
         coords = self.molecule.frame_coords(iframe)
-        segments = coords[self.bonds]  # (nbonds, 2, 3) fancy-index
+        # By bond count, not -1: a bondless molecule is (0, 2, 3) segments.
+        segments = coords.take(self._bond_atoms, axis=0).reshape(
+            len(self.bonds), 2, 3
+        )
         com = coords.mean(axis=0)
-        rg = float(np.sqrt(((coords - com) ** 2).sum(axis=1).mean()))
+        # One contiguous row per axis: min/max and the squared distances
+        # stream whole rows instead of reducing N three-element columns.
+        xyz = np.ascontiguousarray(coords.T)
+        offset = xyz - com[:, None]
+        np.square(offset, out=offset)
+        # (dx^2 + dy^2) + dz^2, the order a three-element row sum adds in.
+        squared = offset[0] + offset[1]
+        squared += offset[2]
         spheres = None
         if self._radii is not None:
             spheres = np.column_stack([coords, self._radii])
         return FrameGeometry(
             segments=segments,
             center_of_mass=com,
-            radius_of_gyration=rg,
-            bounds_min=coords.min(axis=0),
-            bounds_max=coords.max(axis=0),
+            radius_of_gyration=float(np.sqrt(squared.mean())),
+            bounds_min=xyz.min(axis=1),
+            bounds_max=xyz.max(axis=1),
             spheres=spheres,
         )
 

@@ -21,6 +21,7 @@ from repro.cluster.memory import MemoryLedger
 from repro.core.middleware import ADA
 from repro.errors import ConfigurationError, TopologyError
 from repro.formats.pdb import parse_pdb
+from repro.formats.topology import Topology
 from repro.vmd.loader import LoadResult, TrajectoryLoader
 from repro.vmd.molecule import Molecule
 
@@ -39,14 +40,25 @@ class VMDSession:
         self.memory = memory
         self.loader = TrajectoryLoader()
         self.molecules: Dict[int, Molecule] = {}
+        # Structure text -> its parsed topology, for this session only: a
+        # viewer opens one structure under several molecules (exact, LOD,
+        # playback view), and a Topology has no mutators to un-share it.
+        self._topologies: Dict[str, Topology] = {}
         self._next_id = 0
         self.top: Optional[Molecule] = None
 
     # -- mol new -----------------------------------------------------------
 
     def mol_new(self, pdb_text: str, name: str = "molecule") -> Molecule:
-        """``mol new foo.pdb``: create a molecule from structure text."""
-        topology, _ = parse_pdb(pdb_text)
+        """``mol new foo.pdb``: create a molecule from structure text.
+
+        A text already opened in this session is not parsed again; its
+        molecules share one :class:`Topology` by reference.
+        """
+        topology = self._topologies.get(pdb_text)
+        if topology is None:
+            topology, _ = parse_pdb(pdb_text)
+            self._topologies[pdb_text] = topology
         mol = Molecule(self._next_id, name, topology)
         self.molecules[self._next_id] = mol
         self._next_id += 1

@@ -3,19 +3,26 @@
 Paper §2.1: on a memory-limited node, "recently retrieved frames should be
 evacuated from the limited memory to make room for subsequent phases of
 frames".  :class:`StreamingTrajectory` does exactly that over a compressed
-XTC stream: frames decode window-by-window through
+XTC stream: frames decode through
 :func:`~repro.formats.xtc.decode_frame_range` (keyframe-anchored partial
-decode), with an LRU of decoded windows bounding residency.  Sequential
-playback decodes each window once; rocking playback with a too-small
-budget thrashes -- reproducing the paper's "low data hit rate under random
-frame accesses".
+decode), with an LRU of decoded windows bounding residency.  The *window*
+is the residency unit -- what the LRU holds, evicts and counts as a hit or
+a decode; the keyframe-anchored *group of frames* is the decode unit: a
+window is demand-filled, a miss decoding only the group (clipped to the
+window) that holds the requested frame, the other groups on first touch.
+A random seek thus costs at most ``keyframe_interval`` frames of decode,
+whatever the window size, and a group at least as long as the window
+degenerates to a whole-window decode.  Sequential playback decodes each
+window once; rocking playback with a too-small budget thrashes --
+reproducing the paper's "low data hit rate under random frame accesses".
 
 With ``prefetch=True`` the stream overlaps decode with playback: once the
 window access pattern is confirmed sequential (or strided -- skip-frame
-playback), the *next* window decodes on a background worker while the
-caller consumes the current one.  Speculation is watermark-guarded -- it
-never evicts a demand window (``resident + pending < max_windows``) and
-stands down when an external ``pressure_fn`` reports a loaded cache.
+playback), the *next* window decodes -- whole: the caller is about to play
+through it -- on a background worker while the caller consumes the current
+one.  Speculation is watermark-guarded -- it never evicts a demand window
+(``resident + pending < max_windows``) and stands down when an external
+``pressure_fn`` reports a loaded cache.
 Prefetched windows are bit-identical to demand decodes
 (:func:`decode_frame_range` is deterministic), so playback output is
 unchanged; only the stall time moves.
@@ -34,24 +41,49 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.lod import validate_precision
 from repro.errors import CodecError
-from repro.formats.codecexec import resolve_backend
+from repro.formats.codecexec import validate_backend
 from repro.formats.trajectory import BYTES_PER_COORD, Frame, Trajectory
 from repro.formats.xtc import FrameIndex, decode_frame_range
 
 __all__ = ["StreamingTrajectory"]
 
 
+class _Window:
+    """One resident window: frames ``[start, stop)``, filled span by span.
+
+    ``slots[i]`` is ``(decoded span, its first frame)`` for window frame
+    ``start + i``, or ``None`` while that frame's group is still undecoded.
+    """
+
+    __slots__ = ("start", "slots", "nbytes")
+
+    def __init__(self, start: int, stop: int):
+        self.start = start
+        self.slots: List[Optional[Tuple[Trajectory, int]]] = [None] * (
+            stop - start
+        )
+        self.nbytes = 0
+
+    def fill(self, first: int, span: Trajectory) -> None:
+        lo = first - self.start
+        self.slots[lo : lo + span.nframes] = [(span, first)] * span.nframes
+        self.nbytes += span.nbytes
+
+
 class StreamingTrajectory:
     """Frame access over compressed bytes with bounded decoded residency.
 
     The frame headers are scanned exactly once, at construction, into a
-    :class:`FrameIndex`; every window decode then seeks straight to its
-    keyframe anchor, so playback costs O(window) per window instead of
-    O(file).
+    :class:`FrameIndex`; every decode then seeks straight to its keyframe
+    anchor, so a seek costs O(group of frames) and playback O(window) per
+    window instead of O(file).  :attr:`window_decodes`/:attr:`window_hits`
+    count window residency misses/hits; :attr:`frames_decoded` counts the
+    frames actually pushed through the decode kernel (rewind frames
+    before a mid-group window edge included).
 
     ``prefetch`` enables adaptive window readahead (see module docstring);
     ``pressure_fn`` optionally reports external memory pressure in
@@ -85,7 +117,7 @@ class StreamingTrajectory:
     ):
         if window_frames < 1 or max_windows < 1:
             raise CodecError("window_frames and max_windows must be >= 1")
-        resolve_backend(codec_backend)  # validate eagerly
+        validate_backend(codec_backend)  # eagerly
         self.workers = workers
         self.codec_backend = codec_backend
         self._data = xtc_bytes
@@ -96,11 +128,12 @@ class StreamingTrajectory:
         self.max_windows = int(max_windows)
         # Keyed (tier, window_id): the coarse tier's windows are distinct
         # cache entries, never aliased with full-precision ones.
-        self._windows: "OrderedDict[Tuple[str, int], Trajectory]" = (
+        self._windows: "OrderedDict[Tuple[str, int], _Window]" = (
             OrderedDict()
         )
         self.window_decodes = 0
         self.window_hits = 0
+        self.frames_decoded = 0
         # -- LOD tier ------------------------------------------------------
         self._lod_data = lod_bytes
         self._lod_index: Optional[FrameIndex] = None  # built on first use
@@ -162,9 +195,11 @@ class StreamingTrajectory:
     def frame(self, index: int) -> Frame:
         """Fetch one frame, decoding (or LRU-hitting) its window.
 
-        The tier the frame decodes from is resolved per call (see
-        :meth:`tier`), so flipping :attr:`precision` mid-playback takes
-        effect on the very next frame.
+        A window miss decodes only the group of frames holding ``index``;
+        a hit on a window whose group for ``index`` is still undecoded
+        fills that group.  The tier the frame decodes from is resolved
+        per call (see :meth:`tier`), so flipping :attr:`precision`
+        mid-playback takes effect on the very next frame.
         """
         if not 0 <= index < self._nframes:
             raise CodecError(f"frame {index} outside [0, {self._nframes})")
@@ -186,20 +221,24 @@ class StreamingTrajectory:
             if future is not None:
                 # In flight: wait out the remaining decode (the overlap
                 # already absorbed the rest) and count it a useful hit.
-                window = future.result()
+                window = self._whole_window(key, future.result())
                 self._speculative.discard(key)
                 self.window_hits += 1
                 self.prefetch_hits += 1
             else:
-                window = self._decode_window(key)
+                window = _Window(*self._window_span(window_id))
+                self._fill(tier, window, index)  # raises before any count
                 self.window_decodes += 1
             self._install(key, window)
+        if window.slots[index - window.start] is None:
+            self._fill(tier, window, index)
         self.last_tier = tier
         if tier == "lod":
             self.lod_frames_served += 1
         if self.prefetch:
             self._observe(tier, window_id)
-        return window.frame(index - window_id * self.window_frames)
+        span, first = window.slots[index - window.start]
+        return span.frame(index - first)
 
     def tier(self) -> str:
         """The tier the next ``frame()`` call would decode from.
@@ -246,14 +285,17 @@ class StreamingTrajectory:
             self._lod_index = index
         return self._lod_index
 
-    def _decode_window(self, key: Tuple[str, int]) -> Trajectory:
-        tier, window_id = key
+    def _window_span(self, window_id: int) -> Tuple[int, int]:
         start = window_id * self.window_frames
-        stop = min(start + self.window_frames, self._nframes)
+        return start, min(start + self.window_frames, self._nframes)
+
+    def _tier_source(self, tier: str) -> Tuple[bytes, FrameIndex]:
         if tier == "lod":
-            data, index = self._lod_data, self._lod_frame_index()
-        else:
-            data, index = self._data, self.index
+            return self._lod_data, self._lod_frame_index()
+        return self._data, self.index
+
+    def _decode(self, tier: str, start: int, stop: int) -> Trajectory:
+        data, index = self._tier_source(tier)
         return decode_frame_range(
             data,
             start,
@@ -263,7 +305,32 @@ class StreamingTrajectory:
             backend=self.codec_backend,
         )
 
-    def _install(self, key: Tuple[str, int], window: Trajectory) -> None:
+    def _fill(self, tier: str, window: _Window, index: int) -> None:
+        """Decode the group of frames holding ``index``, clipped to
+        ``window``, into it."""
+        gof_start, gof_stop = self._tier_source(tier)[1].gof(index)
+        first = max(gof_start, window.start)
+        stop = min(gof_stop, window.start + len(window.slots))
+        window.fill(first, self._decode(tier, first, stop))
+        self.frames_decoded += stop - gof_start
+
+    def _decode_window(self, key: Tuple[str, int]) -> Trajectory:
+        """Whole-window decode: what a speculative prefetch runs."""
+        tier, window_id = key
+        return self._decode(tier, *self._window_span(window_id))
+
+    def _whole_window(
+        self, key: Tuple[str, int], decoded: Trajectory
+    ) -> _Window:
+        """Wrap a finished speculative decode as a fully filled window."""
+        tier, window_id = key
+        start, stop = self._window_span(window_id)
+        window = _Window(start, stop)
+        window.fill(start, decoded)
+        self.frames_decoded += stop - self._tier_source(tier)[1].anchor(start)
+        return window
+
+    def _install(self, key: Tuple[str, int], window: _Window) -> None:
         self._windows[key] = window
         while len(self._windows) > self.max_windows:
             evicted, _ = self._windows.popitem(last=False)
@@ -319,4 +386,4 @@ class StreamingTrajectory:
         done = [wid for wid, f in self._pending.items() if f.done()]
         for wid in done:
             future = self._pending.pop(wid)
-            self._install(wid, future.result())
+            self._install(wid, self._whole_window(wid, future.result()))
