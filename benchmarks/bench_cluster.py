@@ -10,20 +10,12 @@ hottest dataset's primary must leave every response digest bit-identical
 to the clean run.
 """
 
-import json
-
-from repro.harness.benchcluster import (
-    FLOORS,
-    render_cluster_bench,
-    run_cluster_bench,
-)
+from repro.harness.benchcluster import FLOORS
 
 
-def test_bench_cluster_json_floors(artifact_sink):
+def test_bench_cluster_json_floors(run_gate):
     """Emit BENCH_cluster.json and hold the scaling/imbalance floors."""
-    result = run_cluster_bench()
-    artifact_sink("BENCH_cluster.json", json.dumps(result, indent=2))
-    artifact_sink("BENCH_cluster.txt", render_cluster_bench(result))
+    result = run_gate("bench-cluster")
     assert result["schema_version"] == 1
     assert result["all_completed"], "a sweep dropped requests"
     assert result["digests_consistent_across_node_counts"]

@@ -6,8 +6,6 @@ The decode rate is the physical analogue of the model's calibrated
 ``decompress_rate``.
 """
 
-import json
-
 import pytest
 
 from repro.formats import decode_xtc, encode_xtc
@@ -54,7 +52,7 @@ def test_decode_rate_report(artifact_sink, small_workload):
     assert rate > 20.0  # same order as the calibrated rates
 
 
-def test_bench_codec_json_baseline(artifact_sink):
+def test_bench_codec_json_baseline(run_gate):
     """Emit BENCH_codec.json (schema v2) and hold every codec floor.
 
     The projected process-backend critical path must clear >= 3x decode /
@@ -64,15 +62,9 @@ def test_bench_codec_json_baseline(artifact_sink):
     that kernel actually produced).  best-of-5 repeats keep scheduler
     noise out of the recorded baseline.
     """
-    from repro.harness.benchcodec import (
-        FLOORS,
-        render_codec_bench,
-        run_codec_bench,
-    )
+    from repro.harness.benchcodec import FLOORS
 
-    result = run_codec_bench(repeats=5)
-    artifact_sink("BENCH_codec.json", json.dumps(result, indent=2))
-    artifact_sink("BENCH_codec.txt", render_codec_bench(result))
+    result = run_gate("bench-codec", repeats=5)
     assert result["schema_version"] == 2
     assert 2.5 < result["workload"]["compression_ratio"] < 5.0
     assert result["bit_identical"] is True

@@ -9,21 +9,12 @@ serial schedule) holds deterministically, and the stored bytes -- chunk
 paths, CRCs, index records -- must be identical across all three paths.
 """
 
-import json
-
-from repro.harness.benchingest import (
-    BUFFER_WATERMARK,
-    FLOORS,
-    render_ingest_bench,
-    run_ingest_bench,
-)
+from repro.harness.benchingest import BUFFER_WATERMARK, FLOORS
 
 
-def test_bench_ingest_json_floors(artifact_sink):
+def test_bench_ingest_json_floors(run_gate):
     """Emit BENCH_ingest.json and hold the streaming-ingest floors."""
-    result = run_ingest_bench()
-    artifact_sink("BENCH_ingest.json", json.dumps(result, indent=2))
-    artifact_sink("BENCH_ingest.txt", render_ingest_bench(result))
+    result = run_gate("bench-ingest")
     assert result["schema_version"] == 1
     assert result["identical"], "pipelined ingest changed the stored bytes"
     speedups = result["speedup_vs_serial"]

@@ -15,26 +15,19 @@ fused analysis stage's *host* cost: the exact neighbour-grid kernel
 against the frozen all-pairs reference it replaced.
 """
 
-import json
 import time
 
 import numpy as np
 
 from repro import build_workload
 from repro.analysis import frame_contact_counts
-from repro.harness.benchinsitu import (
-    FLOORS,
-    render_insitu_bench,
-    run_insitu_bench,
-)
+from repro.harness.benchinsitu import FLOORS
 from tests.analysis import allpairs_reference
 
 
-def test_bench_insitu_json_floors(artifact_sink):
+def test_bench_insitu_json_floors(run_gate):
     """Emit BENCH_insitu.json and hold the in-situ fusion floors."""
-    result = run_insitu_bench()
-    artifact_sink("BENCH_insitu.json", json.dumps(result, indent=2))
-    artifact_sink("BENCH_insitu.txt", render_insitu_bench(result))
+    result = run_gate("bench-insitu")
     assert result["schema_version"] == 1
     # Analysis is a read-side passenger: the stored bytes never change.
     assert result["identical"], "fused analysis changed the stored bytes"

@@ -8,20 +8,12 @@ so the floors (coarse bytes/frame <= 0.35x full, coarse forward scrub
 bit-identical with and without the LOD layer) hold deterministically.
 """
 
-import json
-
-from repro.harness.benchlod import (
-    FLOORS,
-    render_lod_bench,
-    run_lod_bench,
-)
+from repro.harness.benchlod import FLOORS
 
 
-def test_bench_lod_json_floors(artifact_sink):
+def test_bench_lod_json_floors(run_gate):
     """Emit BENCH_lod.json and hold the precision-tier floors."""
-    result = run_lod_bench()
-    artifact_sink("BENCH_lod.json", json.dumps(result, indent=2))
-    artifact_sink("BENCH_lod.txt", render_lod_bench(result))
+    result = run_gate("bench-lod")
     assert result["schema_version"] == 1
     assert result["identical"], "the LOD layer perturbed full-tier bytes"
     assert result["error_bound"]["within"]

@@ -9,20 +9,12 @@ serial-request baseline, warm-pass cache hit ratio >= 0.9) hold
 deterministically -- there is no scheduler noise to absorb.
 """
 
-import json
-
-from repro.harness.benchpipeline import (
-    FLOORS,
-    render_pipeline_bench,
-    run_pipeline_bench,
-)
+from repro.harness.benchpipeline import FLOORS
 
 
-def test_bench_pipeline_json_floors(artifact_sink):
+def test_bench_pipeline_json_floors(run_gate):
     """Emit BENCH_pipeline.json and hold the pipelining floors."""
-    result = run_pipeline_bench()
-    artifact_sink("BENCH_pipeline.json", json.dumps(result, indent=2))
-    artifact_sink("BENCH_pipeline.txt", render_pipeline_bench(result))
+    result = run_gate("bench-pipeline")
     assert result["schema_version"] == 2
     assert result["identical"], "pipelined playback changed the bytes seen"
     speedups = result["speedup_vs_serial"]

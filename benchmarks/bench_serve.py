@@ -9,20 +9,12 @@ over per-tenant served bytes, contended p99 within 8x the uncontended
 baseline) hold deterministically.
 """
 
-import json
-
-from repro.harness.benchserve import (
-    FLOORS,
-    render_serve_bench,
-    run_serve_bench,
-)
+from repro.harness.benchserve import FLOORS
 
 
-def test_bench_serve_json_floors(artifact_sink):
+def test_bench_serve_json_floors(run_gate):
     """Emit BENCH_serve.json and hold the fairness/latency floors."""
-    result = run_serve_bench()
-    artifact_sink("BENCH_serve.json", json.dumps(result, indent=2))
-    artifact_sink("BENCH_serve.txt", render_serve_bench(result))
+    result = run_gate("bench-serve")
     assert result["schema_version"] == 1
     assert result["all_completed"], "contended run dropped requests"
     assert result["fairness"]["jain_contended"] >= FLOORS["jain_fairness"]

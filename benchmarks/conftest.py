@@ -29,6 +29,25 @@ def artifact_sink():
 
 
 @pytest.fixture(scope="session")
+def run_gate(artifact_sink):
+    """Callable running one ``repro.cli.BENCHES`` gate by name; writes its
+    JSON record and rendered sibling, returns the record."""
+    from repro.cli import BENCHES
+    from repro.harness.benchkit import dump_record
+
+    def _run(name: str, **run_kwargs) -> dict:
+        bench = BENCHES[name]
+        result = bench.run(**run_kwargs)
+        artifact_sink(bench.artifact.name, dump_record(result))
+        artifact_sink(
+            bench.artifact.with_suffix(".txt").name, bench.render(result)
+        )
+        return result
+
+    return _run
+
+
+@pytest.fixture(scope="session")
 def small_workload():
     """A shared materialized GPCR workload for the real-bytes benches."""
     from repro.workloads import build_workload

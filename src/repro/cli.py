@@ -16,18 +16,33 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.harness import (
     fat_node,
     measure_calibration,
+    render_chaos,
+    run_chaos,
     run_sweep,
+    run_trace_demo,
     series_pivot,
     small_cluster,
     ssd_server,
 )
+from repro.harness.benchcluster import render_cluster_bench, run_cluster_bench
+from repro.harness.benchcodec import render_codec_bench, run_codec_bench
+from repro.harness.benchingest import render_ingest_bench, run_ingest_bench
+from repro.harness.benchinsitu import render_insitu_bench, run_insitu_bench
+from repro.harness.benchkit import dump_record
+from repro.harness.benchlod import render_lod_bench, run_lod_bench
+from repro.harness.benchpipeline import (
+    render_pipeline_bench,
+    run_pipeline_bench,
+)
+from repro.harness.benchserve import render_serve_bench, run_serve_bench
 from repro.harness.profilecpu import measured_cpu_profile, modeled_cpu_profile
 from repro.harness.report import Table
+from repro.obs.trace import render_trace
 from repro.units import to_gb, to_mb
 from repro.workloads import (
     CLUSTER_FRAME_COUNTS,
@@ -36,39 +51,22 @@ from repro.workloads import (
     SizingModel,
 )
 
-__all__ = ["main", "GENERATORS"]
+__all__ = ["main", "BENCHES", "COMMANDS", "GENERATORS", "flag_kwargs"]
 
 
-def _gen_table2() -> str:
+def _gen_sizes(number, fs_label, frame_counts, to_unit, unit, fmt) -> str:
+    """Tables 2 and 6: stored bytes per frame count, one file system each."""
     model = SizingModel.paper()
     table = Table(
-        ["frames", "ext4 (compressed, MB)", "ADA (protein, MB)", "raw (MB)"],
-        title="Table 2: data size comparisons (ext4 vs ADA)",
+        ["frames", f"{fs_label} (compressed, {unit})",
+         f"ADA (protein, {unit})", f"raw ({unit})"],
+        title=f"Table {number}: data size comparisons ({fs_label} vs ADA)",
     )
-    for nframes in SSD_SERVER_FRAME_COUNTS:
+    for nframes in frame_counts:
         d = model.dataset(nframes)
+        sizes = (d.compressed_nbytes, d.protein_nbytes, d.raw_nbytes)
         table.add_row(
-            f"{nframes:,}",
-            f"{to_mb(d.compressed_nbytes):,.0f}",
-            f"{to_mb(d.protein_nbytes):,.0f}",
-            f"{to_mb(d.raw_nbytes):,.0f}",
-        )
-    return table.render()
-
-
-def _gen_table6() -> str:
-    model = SizingModel.paper()
-    table = Table(
-        ["frames", "XFS (compressed, GB)", "ADA (protein, GB)", "raw (GB)"],
-        title="Table 6: data size comparisons (XFS vs ADA)",
-    )
-    for nframes in FAT_NODE_FRAME_COUNTS:
-        d = model.dataset(nframes)
-        table.add_row(
-            f"{nframes:,}",
-            f"{to_gb(d.compressed_nbytes):,.1f}",
-            f"{to_gb(d.protein_nbytes):,.1f}",
-            f"{to_gb(d.raw_nbytes):,.1f}",
+            f"{nframes:,}", *(format(to_unit(n), fmt) for n in sizes)
         )
     return table.render()
 
@@ -150,8 +148,12 @@ def _gen_csv(platform_factory, frame_counts, fs_label, scenario_keys=None):
 
 
 GENERATORS: Dict[str, Callable[[], str]] = {
-    "table2": _gen_table2,
-    "table6": _gen_table6,
+    "table2": lambda: _gen_sizes(
+        2, "ext4", SSD_SERVER_FRAME_COUNTS, to_mb, "MB", ",.0f"
+    ),
+    "table6": lambda: _gen_sizes(
+        6, "XFS", FAT_NODE_FRAME_COUNTS, to_gb, "GB", ",.1f"
+    ),
     "fig7": _gen_fig7,
     "fig8": _gen_fig8,
     "fig9": _gen_fig9,
@@ -169,6 +171,73 @@ GENERATORS: Dict[str, Callable[[], str]] = {
 }
 
 
+class Bench(NamedTuple):
+    """One ``bench-*`` engineering gate: a row of :data:`BENCHES`."""
+
+    run: Callable[..., dict]  # -> the JSON record; ``record["pass"]`` gates
+    render: Callable[[dict], str]  # record -> the human-readable sibling
+    artifact: pathlib.Path  # where ``--json`` lands without ``-o``
+    flags: Dict[str, str]  # argparse dest -> ``run`` keyword
+
+
+_RESULTS = pathlib.Path("benchmarks/results")
+
+
+def _flags(*same: str, **renamed: str) -> Dict[str, str]:
+    """Flag map: dests forwarded under their own name, plus the renamed."""
+    return {**{dest: dest for dest in same}, **renamed}
+
+
+#: Every gate the CLI (and ``benchmarks/bench_*.py``) can run.  Adding a
+#: gate is adding a row: the flags named here are forwarded only when the
+#: user sets them, so each default is stated once -- in ``run``'s signature
+#: -- and the no-flag CLI, the pytest wrapper and the committed artifact
+#: are the same run.
+BENCHES: Dict[str, Bench] = {
+    "bench-cluster": Bench(
+        run_cluster_bench, render_cluster_bench,
+        _RESULTS / "BENCH_cluster.json",
+        _flags("requests_per_tenant", "replicas", "seed",
+               nodes="node_counts", zipf="zipf_s"),
+    ),
+    "bench-codec": Bench(
+        run_codec_bench, render_codec_bench,
+        _RESULTS / "BENCH_codec.json",
+        _flags("natoms", "nframes", "keyframe_interval", "workers",
+               "repeats", codec_backend="backend"),
+    ),
+    "bench-ingest": Bench(
+        run_ingest_bench, render_ingest_bench,
+        _RESULTS / "BENCH_ingest.json",
+        _flags("natoms", "nframes", "keyframe_interval", "window_frames",
+               "depth", "seed", "workers", "codec_backend"),
+    ),
+    "bench-insitu": Bench(
+        run_insitu_bench, render_insitu_bench,
+        _RESULTS / "BENCH_insitu.json",
+        _flags("natoms", "nframes", "keyframe_interval", "window_frames",
+               "depth", "seed"),
+    ),
+    "bench-lod": Bench(
+        run_lod_bench, render_lod_bench,
+        _RESULTS / "BENCH_lod.json",
+        _flags("natoms", "nchunks", "frames_per_chunk", "window_chunks",
+               "seed", "lod_precision", "precision"),
+    ),
+    "bench-pipeline": Bench(
+        run_pipeline_bench, render_pipeline_bench,
+        _RESULTS / "BENCH_pipeline.json",
+        _flags("nchunks", "frames_per_chunk", "window_chunks", "seed"),
+    ),
+    "bench-serve": Bench(
+        run_serve_bench, render_serve_bench,
+        _RESULTS / "BENCH_serve.json",
+        _flags("ndatasets", "natoms", "requests_per_tenant", "concurrency",
+               "seed", tenants="ntenants", zipf="zipf_s"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -176,10 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "target",
-        choices=sorted(GENERATORS)
-        + ["all", "bench-codec", "bench-cluster", "bench-ingest",
-           "bench-insitu", "bench-lod", "bench-pipeline", "bench-serve",
-           "chaos", "metrics", "trace", "list"],
+        choices=sorted(GENERATORS) + sorted(BENCHES) + sorted(COMMANDS)
+        + ["all", "list"],
         help="which artifact to regenerate",
     )
     parser.add_argument(
@@ -190,79 +257,79 @@ def build_parser() -> argparse.ArgumentParser:
         "-d", "--directory", type=pathlib.Path, default=None,
         help="(with 'all') directory to write one file per artifact",
     )
-    bench = parser.add_argument_group("bench-codec options")
-    bench.add_argument(
+    parser.add_argument(
         "--json", action="store_true",
-        help="(bench-codec/bench-ingest/bench-pipeline/chaos) write the "
-             "JSON record instead of text",
+        help="(bench-*/chaos/metrics/trace) write the JSON record instead "
+             "of text; a bench without -o writes its canonical "
+             "benchmarks/results/BENCH_*.json",
     )
-    bench.add_argument("--workers", type=int, default=0,
+    # Every flag below defaults to None = "not given": the target then runs
+    # with the default its own function signature states.
+    bench = parser.add_argument_group(
+        "workload flags (unset: the target's own default)"
+    )
+    bench.add_argument("--seed", type=int,
+                       help="workload / fault-plan seed (every bench-*, "
+                            "chaos, metrics, trace)")
+    bench.add_argument("--natoms", type=int,
+                       help="(bench-codec/-ingest/-insitu/-lod/-serve) "
+                            "atoms in the generated system")
+    bench.add_argument("--nframes", type=int,
+                       help="(bench-codec/-ingest/-insitu) trajectory frames")
+    bench.add_argument("--keyframe-interval", type=int,
+                       help="(bench-codec/-ingest/-insitu) frames per GOF")
+    bench.add_argument("--workers", type=int,
                        help="host-side codec workers: GOF codec workers "
-                            "(bench-codec) and the ingest pre-processor's "
-                            "persistent pools (bench-ingest); "
-                            "0 = one per CPU")
-    bench.add_argument("--codec-backend", default="auto",
+                            "(bench-codec; 0 = the sweep maximum) and the "
+                            "ingest pre-processor's persistent pools "
+                            "(bench-ingest; 0 = one per CPU)")
+    bench.add_argument("--codec-backend",
                        choices=["auto", "thread", "process"],
-                       help="codec worker-pool flavour: 'process' escapes "
-                            "the GIL via shared-memory GOF workers, "
-                            "'thread' shares the interpreter, 'auto' picks "
-                            "per host (bench-codec/bench-ingest)")
-    bench.add_argument("--natoms", type=int, default=None,
-                       help="(bench-codec/bench-ingest) atoms in the "
-                            "generated system")
-    bench.add_argument("--nframes", type=int, default=None,
-                       help="(bench-codec/bench-ingest) trajectory frames")
-    bench.add_argument("--keyframe-interval", type=int, default=None,
-                       help="(bench-codec/bench-ingest) frames per GOF")
-    bench.add_argument("--repeats", type=int, default=3,
+                       help="(bench-codec/-ingest) codec worker-pool "
+                            "flavour: 'process' escapes the GIL via "
+                            "shared-memory GOF workers, 'thread' shares the "
+                            "interpreter, 'auto' picks per host")
+    bench.add_argument("--repeats", type=int,
                        help="(bench-codec) best-of-N timing repeats")
-    pipe = parser.add_argument_group("bench-pipeline options")
-    pipe.add_argument("--nchunks", type=int, default=96,
-                      help="(bench-pipeline) PLFS chunks in the dataset")
-    pipe.add_argument("--frames-per-chunk", type=int, default=80,
-                      help="(bench-pipeline) trajectory frames per chunk")
-    pipe.add_argument("--window-chunks", type=int, default=8,
-                      help="(bench-pipeline) chunks per playback window")
-    ingest = parser.add_argument_group("bench-ingest options")
-    ingest.add_argument("--window-frames", type=int, default=8,
-                        help="(bench-ingest/bench-insitu) frames per "
-                             "ingest window")
-    ingest.add_argument("--depth", type=int, default=4,
-                        help="(bench-ingest/bench-insitu) write-behind "
-                             "queue depth in windows")
-    serve = parser.add_argument_group("bench-serve options")
-    serve.add_argument("--tenants", type=int, default=8,
+    bench.add_argument("--nchunks", type=int,
+                       help="(bench-pipeline/-lod) PLFS chunks in the dataset")
+    bench.add_argument("--frames-per-chunk", type=int,
+                       help="(bench-pipeline/-lod) trajectory frames per "
+                            "chunk")
+    bench.add_argument("--window-chunks", type=int,
+                       help="(bench-pipeline/-lod) chunks per playback window")
+    bench.add_argument("--window-frames", type=int,
+                       help="(bench-ingest/-insitu) frames per ingest window")
+    bench.add_argument("--depth", type=int,
+                       help="(bench-ingest/-insitu) write-behind queue depth "
+                            "in windows")
+    bench.add_argument("--tenants", type=int,
                        help="(bench-serve) concurrent tenant sessions")
-    serve.add_argument("--requests-per-tenant", type=int, default=24,
-                       help="(bench-serve) closed/open-loop requests each "
-                            "tenant issues")
-    serve.add_argument("--concurrency", type=int, default=4,
+    bench.add_argument("--requests-per-tenant", type=int,
+                       help="(bench-serve/-cluster) closed/open-loop "
+                            "requests each tenant issues")
+    bench.add_argument("--concurrency", type=int,
                        help="(bench-serve) scheduler execution slots")
-    serve.add_argument("--ndatasets", type=int, default=4,
+    bench.add_argument("--ndatasets", type=int,
                        help="(bench-serve) trajectories in the Zipf catalog")
-    serve.add_argument("--zipf", type=float, default=1.1,
-                       help="(bench-serve) Zipf skew of dataset popularity")
-    lod = parser.add_argument_group("bench-lod options")
-    lod.add_argument("--precision", default="both",
-                     choices=["full", "lod", "both"],
-                     help="(bench-lod) which precision tier(s) to replay; "
-                          "the comparative floors only gate a 'both' run")
-    lod.add_argument("--lod-precision", type=float, default=None,
-                     help="(bench-lod) coarse-tier quantization precision "
-                          "(positions per nm; default 12.5 = 0.04 nm bound)")
-    cluster = parser.add_argument_group("bench-cluster options")
-    cluster.add_argument("--nodes", type=str, default="1,2,4,8",
-                         help="(bench-cluster) comma-separated node counts "
-                              "to sweep (must include 1)")
-    cluster.add_argument("--replicas", type=int, default=3,
-                         help="(bench-cluster) replica count for the hot "
-                              "playback tag")
-    chaos = parser.add_argument_group("chaos options")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="(chaos) fault-plan / workload seed")
-    chaos.add_argument("--rate", type=float, default=0.05,
+    bench.add_argument("--zipf", type=float,
+                       help="(bench-serve/-cluster) Zipf skew of dataset "
+                            "popularity")
+    bench.add_argument("--precision", choices=["full", "lod", "both"],
+                       help="(bench-lod) which precision tier(s) to replay; "
+                            "the comparative floors only gate a 'both' run")
+    bench.add_argument("--lod-precision", type=float,
+                       help="(bench-lod) coarse-tier quantization precision "
+                            "(positions per nm; 12.5 = 0.04 nm bound)")
+    bench.add_argument("--nodes", type=str,
+                       help="(bench-cluster) comma-separated node counts "
+                            "to sweep (must include 1)")
+    bench.add_argument("--replicas", type=int,
+                       help="(bench-cluster) replica count for the hot "
+                            "playback tag")
+    bench.add_argument("--rate", type=float,
                        help="(chaos) transient fault rate per operation")
-    chaos.add_argument("--rounds", type=int, default=3,
+    bench.add_argument("--rounds", type=int,
                        help="(chaos) read rounds after ingest")
     obs = parser.add_argument_group("metrics / trace options")
     obs.add_argument("--selftest", action="store_true",
@@ -275,256 +342,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_chaos(args) -> int:
-    from repro.harness.chaos import render_chaos, run_chaos
+def _node_counts(text: str) -> Tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"bad --nodes value {text!r}") from None
 
+
+def flag_kwargs(args: argparse.Namespace, flags: Dict[str, str]) -> dict:
+    """Keywords for the flags the user set; an unset flag is not passed."""
+    kwargs = {}
+    for dest, keyword in flags.items():
+        value = getattr(args, dest)
+        if value is not None:
+            kwargs[keyword] = _node_counts(value) if dest == "nodes" else value
+    return kwargs
+
+
+def _emit(text: str, path: Optional[pathlib.Path]) -> None:
+    """Write ``text`` and its trailing newline to ``path``, or print it."""
+    if path is None:
+        print(text)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def _run_bench(args, name: str) -> int:
+    bench = BENCHES[name]
+    try:
+        result = bench.run(**flag_kwargs(args, bench.flags))
+    except ValueError as exc:  # a flag value the bench (or its codec) rejects
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    if args.json:
+        _emit(dump_record(result), args.output or bench.artifact)
+    else:
+        _emit(bench.render(result), args.output)
+    if not result["pass"]:
+        print(f"repro: {name} below its floors", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _run_chaos(args) -> int:
     report = run_chaos(
-        seed=args.seed, transient_rate=args.rate, rounds=args.rounds
+        **flag_kwargs(args, _flags("seed", "rounds", rate="transient_rate"))
     )
     if args.json:
-        path = args.output or pathlib.Path("CHAOS_report.json")
-        path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
+        _emit(
+            dump_record(report.as_dict()),
+            args.output or pathlib.Path("CHAOS_report.json"),
+        )
     else:
-        text = render_chaos(report)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
+        _emit(render_chaos(report), args.output)
     if not report.identical:
         print("repro: chaos run diverged from fault-free baseline",
               file=sys.stderr)
-        return 1
-    return 0
-
-
-#: Canonical location of the bench-pipeline JSON record.  There is
-#: exactly one copy; override with ``-o/--output`` to write elsewhere.
-BENCH_PIPELINE_JSON = pathlib.Path("benchmarks/results/BENCH_pipeline.json")
-
-#: Canonical location of the bench-ingest JSON record.
-BENCH_INGEST_JSON = pathlib.Path("benchmarks/results/BENCH_ingest.json")
-
-#: Canonical location of the bench-insitu JSON record.
-BENCH_INSITU_JSON = pathlib.Path("benchmarks/results/BENCH_insitu.json")
-
-#: Canonical location of the bench-codec JSON record.
-BENCH_CODEC_JSON = pathlib.Path("benchmarks/results/BENCH_codec.json")
-
-#: Canonical location of the bench-serve JSON record.
-BENCH_SERVE_JSON = pathlib.Path("benchmarks/results/BENCH_serve.json")
-
-#: Canonical location of the bench-cluster JSON record.
-BENCH_CLUSTER_JSON = pathlib.Path("benchmarks/results/BENCH_cluster.json")
-
-#: Canonical location of the bench-lod JSON record.
-BENCH_LOD_JSON = pathlib.Path("benchmarks/results/BENCH_lod.json")
-
-
-def _run_bench_ingest(args) -> int:
-    from repro.harness.benchingest import (
-        render_ingest_bench,
-        run_ingest_bench,
-    )
-
-    result = run_ingest_bench(
-        natoms=args.natoms if args.natoms is not None else 4000,
-        nframes=args.nframes if args.nframes is not None else 160,
-        keyframe_interval=(
-            args.keyframe_interval
-            if args.keyframe_interval is not None else 8
-        ),
-        window_frames=args.window_frames,
-        depth=args.depth,
-        seed=args.seed if args.seed else 7,
-        workers=args.workers,
-        codec_backend=args.codec_backend,
-    )
-    if args.json:
-        path = args.output or BENCH_INGEST_JSON
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        text = render_ingest_bench(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-    if not result["pass"]:
-        print("repro: bench-ingest below its floors", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_bench_insitu(args) -> int:
-    from repro.harness.benchinsitu import (
-        render_insitu_bench,
-        run_insitu_bench,
-    )
-
-    result = run_insitu_bench(
-        natoms=args.natoms if args.natoms is not None else 1000,
-        nframes=args.nframes if args.nframes is not None else 160,
-        keyframe_interval=(
-            args.keyframe_interval
-            if args.keyframe_interval is not None else 8
-        ),
-        window_frames=args.window_frames,
-        depth=args.depth,
-        seed=args.seed if args.seed else 7,
-    )
-    if args.json:
-        path = args.output or BENCH_INSITU_JSON
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        text = render_insitu_bench(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-    if not result["pass"]:
-        print("repro: bench-insitu below its floors", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_bench_pipeline(args) -> int:
-    from repro.harness.benchpipeline import (
-        render_pipeline_bench,
-        run_pipeline_bench,
-    )
-
-    result = run_pipeline_bench(
-        nchunks=args.nchunks,
-        frames_per_chunk=args.frames_per_chunk,
-        window_chunks=args.window_chunks,
-        seed=args.seed if args.seed else 7,
-    )
-    if args.json:
-        path = args.output or BENCH_PIPELINE_JSON
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        text = render_pipeline_bench(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-    if not result["pass"]:
-        print("repro: bench-pipeline below its floors", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_bench_lod(args) -> int:
-    from repro.core.lod import DEFAULT_LOD_PRECISION
-    from repro.harness.benchlod import render_lod_bench, run_lod_bench
-
-    result = run_lod_bench(
-        natoms=args.natoms if args.natoms is not None else 1200,
-        nchunks=args.nchunks,
-        frames_per_chunk=args.frames_per_chunk,
-        window_chunks=args.window_chunks,
-        seed=args.seed if args.seed else 7,
-        lod_precision=(
-            args.lod_precision
-            if args.lod_precision is not None else DEFAULT_LOD_PRECISION
-        ),
-        precision=args.precision,
-    )
-    if args.json:
-        path = args.output or BENCH_LOD_JSON
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        text = render_lod_bench(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-    if not result["pass"]:
-        print("repro: bench-lod below its floors", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_bench_serve(args) -> int:
-    from repro.harness.benchserve import (
-        render_serve_bench,
-        run_serve_bench,
-    )
-
-    result = run_serve_bench(
-        ntenants=args.tenants,
-        ndatasets=args.ndatasets,
-        natoms=args.natoms if args.natoms is not None else 600,
-        requests_per_tenant=args.requests_per_tenant,
-        concurrency=args.concurrency,
-        zipf_s=args.zipf,
-        seed=args.seed if args.seed else 7,
-    )
-    if args.json:
-        path = args.output or BENCH_SERVE_JSON
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        text = render_serve_bench(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-    if not result["pass"]:
-        print("repro: bench-serve below its floors", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_bench_cluster(args) -> int:
-    from repro.harness.benchcluster import (
-        render_cluster_bench,
-        run_cluster_bench,
-    )
-
-    try:
-        node_counts = tuple(
-            int(part) for part in args.nodes.split(",") if part.strip()
-        )
-    except ValueError:
-        print(f"repro: bad --nodes value {args.nodes!r}", file=sys.stderr)
-        return 2
-    result = run_cluster_bench(
-        node_counts=node_counts,
-        requests_per_tenant=args.requests_per_tenant,
-        replicas=args.replicas,
-        zipf_s=args.zipf,
-        seed=args.seed if args.seed else 7,
-    )
-    if args.json:
-        path = args.output or BENCH_CLUSTER_JSON
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        text = render_cluster_bench(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-    if not result["pass"]:
-        print("repro: bench-cluster below its floors", file=sys.stderr)
         return 1
     return 0
 
@@ -565,129 +440,51 @@ def _run_metrics(args) -> int:
     """Export the trace-demo run's registry (or run the selftest)."""
     if args.selftest:
         return _metrics_selftest()
-    from repro.harness.tracedemo import run_trace_demo
-
-    ada, _ = run_trace_demo(seed=args.seed if args.seed else 11)
+    ada, _ = run_trace_demo(**flag_kwargs(args, _flags("seed")))
     if args.json:
         text = json.dumps(ada.metrics.to_json(), indent=2, sort_keys=True)
     else:
         text = ada.metrics.to_prometheus().rstrip("\n")
-    if args.output is not None:
-        args.output.write_text(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
+    _emit(text, args.output)
     return 0
 
 
 def _run_trace(args) -> int:
     """Render the trace-demo timelines (demand read overlapping prefetch)."""
-    from repro.harness.tracedemo import run_trace_demo
-    from repro.obs.trace import render_trace
-
-    _, tracer = run_trace_demo(seed=args.seed if args.seed else 11)
+    _, tracer = run_trace_demo(**flag_kwargs(args, _flags("seed")))
     if args.json:
         text = tracer.to_json(logical=args.logical, tag=args.tag)
     else:
         roots = tracer.traces(logical=args.logical, tag=args.tag)
-        text = render_trace(roots)
-        if not text:
-            text = "(no matching timelines)"
-    if args.output is not None:
-        args.output.write_text(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
+        text = render_trace(roots) or "(no matching timelines)"
+    _emit(text, args.output)
     return 0
 
 
-def _run_bench_codec(args) -> int:
-    from repro.errors import CodecError
-    from repro.harness.benchcodec import render_codec_bench, run_codec_bench
-
-    try:
-        result = run_codec_bench(
-            natoms=args.natoms if args.natoms is not None else 8000,
-            nframes=args.nframes if args.nframes is not None else 384,
-            keyframe_interval=(
-                args.keyframe_interval
-                if args.keyframe_interval is not None else 12
-            ),
-            workers=args.workers,
-            repeats=args.repeats,
-            backend=args.codec_backend,
-        )
-    except CodecError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        path = args.output or BENCH_CODEC_JSON
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        text = render_codec_bench(result)
-        if args.output is not None:
-            args.output.write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-    if not result["pass"]:
-        print("repro: bench-codec below its floors", file=sys.stderr)
-        return 1
-    return 0
+#: Targets that are neither a paper artifact nor a gate.
+COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "chaos": _run_chaos,
+    "metrics": _run_metrics,
+    "trace": _run_trace,
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.target == "list":
-        for name in sorted(GENERATORS):
-            print(name)
-        print("bench-codec")
-        print("bench-cluster")
-        print("bench-ingest")
-        print("bench-insitu")
-        print("bench-lod")
-        print("bench-pipeline")
-        print("bench-serve")
-        print("chaos")
-        print("metrics")
-        print("trace")
+        for group in (GENERATORS, BENCHES, COMMANDS):
+            print("\n".join(sorted(group)))
         return 0
-    if args.target == "bench-codec":
-        return _run_bench_codec(args)
-    if args.target == "bench-cluster":
-        return _run_bench_cluster(args)
-    if args.target == "bench-ingest":
-        return _run_bench_ingest(args)
-    if args.target == "bench-insitu":
-        return _run_bench_insitu(args)
-    if args.target == "bench-lod":
-        return _run_bench_lod(args)
-    if args.target == "bench-pipeline":
-        return _run_bench_pipeline(args)
-    if args.target == "bench-serve":
-        return _run_bench_serve(args)
-    if args.target == "chaos":
-        return _run_chaos(args)
-    if args.target == "metrics":
-        return _run_metrics(args)
-    if args.target == "trace":
-        return _run_trace(args)
+    if args.target in BENCHES:
+        return _run_bench(args, args.target)
+    if args.target in COMMANDS:
+        return COMMANDS[args.target](args)
     if args.target == "all":
         directory = args.directory or pathlib.Path("results")
-        directory.mkdir(parents=True, exist_ok=True)
         for name, gen in sorted(GENERATORS.items()):
-            path = directory / f"{name}.txt"
-            path.write_text(gen() + "\n")
-            print(f"wrote {path}", file=sys.stderr)
+            _emit(gen(), directory / f"{name}.txt")
         return 0
-    text = GENERATORS[args.target]()
-    if args.output is not None:
-        args.output.write_text(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
+    _emit(GENERATORS[args.target](), args.output)
     return 0
 
 

@@ -30,7 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cluster.shard import ShardNode, ShardedADA
 from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
-from repro.harness.benchserve import _catalog_blobs, _run_traffic
+from repro.harness.benchkit import (
+    PLAYBACK_TAG,
+    chunked_catalog,
+    ingest_chunks,
+    run_traffic,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import DatasetRef, ServeFront, TrafficConfig
 from repro.sim import Simulator
@@ -44,9 +49,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-#: The tag every playback window reads (the paper's hot protein subset).
-PLAYBACK_TAG = "p"
 
 #: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
 FLOORS = {
@@ -94,9 +96,7 @@ def _build_cluster_front(
         affinity_bytes_slack=affinity_bytes_slack,
     )
     for logical, pdb_text, chunks in blobs:
-        sim.run_process(sharded.ingest(logical, pdb_text, chunks[0]))
-        for blob in chunks[1:]:
-            sim.run_process(sharded.ingest_append(logical, blob))
+        ingest_chunks(sharded, logical, pdb_text, chunks)
     front = ServeFront(sharded, concurrency=concurrency)
     for index in range(ntenants):
         # No cache_quota_bytes: the cluster front has no front-side cache
@@ -148,7 +148,7 @@ def run_cluster_bench(
         raise ValueError("node_counts must be positive integers")
     if counts[0] != 1:
         raise ValueError("node_counts must include 1 (the scaling baseline)")
-    blobs = _catalog_blobs(ndatasets, natoms, nchunks, frames_per_chunk, seed)
+    blobs = chunked_catalog(ndatasets, natoms, nchunks, frames_per_chunk, seed)
     catalog = [
         DatasetRef(logical=logical, tag=PLAYBACK_TAG, nchunks=nchunks)
         for logical, _, _ in blobs
@@ -190,7 +190,7 @@ def run_cluster_bench(
     digests_consistent = True
     for nnodes in counts:
         front = fresh_front(nnodes)
-        traffic = _run_traffic(front, tenants, catalog, traffic_config)
+        traffic = run_traffic(front, tenants, catalog, traffic_config)
         digests = _digest_map(traffic)
         if baseline_digests is None:
             baseline_digests = digests
@@ -247,7 +247,7 @@ def run_cluster_bench(
         return None
 
     chaos_front.sim.process(assassin(), name="chaos:assassin")
-    chaos_traffic = _run_traffic(
+    chaos_traffic = run_traffic(
         chaos_front, tenants, catalog, traffic_config
     )
     chaos_digests = _digest_map(chaos_traffic)

@@ -31,16 +31,11 @@ overrides).  ``FLOORS`` holds the regression gate.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Optional
 
-from repro.cluster.node import ComputeNode
-from repro.core import ADA, IngestPipelineConfig
-from repro.harness.calibration import E5_2603V4
-from repro.fs.localfs import LocalFS
+from repro.core import IngestPipelineConfig
+from repro.harness.benchkit import hdd_ada, storage_cpu, store_digest
 from repro.sim import Simulator
-from repro.storage.hdd import WD_1TB_HDD
-from repro.storage.power import NodePower
 from repro.units import MiB, to_mb
 from repro.workloads import build_workload
 
@@ -55,49 +50,6 @@ FLOORS = {
 
 #: Write-behind watermark the pipelined scenarios must stay under.
 BUFFER_WATERMARK = 2 * MiB
-
-
-def _build_ada(
-    sim: Simulator,
-    config: IngestPipelineConfig,
-    workers: Optional[int],
-    codec_backend: str = "auto",
-) -> ADA:
-    """Single rotating-disk deployment with one storage-side CPU.
-
-    The HDD's per-request seek tax is what the coalesced span writes
-    amortize; the storage CPU's decompress+categorize charge is what the
-    write-behind queue overlaps with it.
-    """
-    cpu = ComputeNode(
-        sim, "storage0", E5_2603V4, memory_capacity=64 << 30,
-        power=NodePower(idle_w=330.0, cpu_active_w=60.0, io_active_w=10.0),
-    )
-    return ADA(
-        sim,
-        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
-        storage_cpu=cpu,
-        workers=workers,
-        codec_backend=codec_backend,
-        ingest_config=config,
-    )
-
-
-def _store_digest(ada: ADA) -> str:
-    """SHA-256 over every backend's full contents (paths and bytes).
-
-    Covers subset chunks, the container index, and the label file, so two
-    scenarios match only if chunk numbering, placement, CRCs, and index
-    records are all identical.
-    """
-    digest = hashlib.sha256()
-    for name in sorted(ada.plfs.backends):
-        fs = ada.plfs.backends[name]
-        for path in sorted(fs.store.walk()):
-            digest.update(name.encode())
-            digest.update(path.encode())
-            digest.update(fs.store.data(path))
-    return digest.hexdigest()
 
 
 def _scenario(
@@ -117,7 +69,13 @@ def _scenario(
         pipelined=pipelined,
     )
     sim = Simulator()
-    ada = _build_ada(sim, config, workers, codec_backend)
+    ada = hdd_ada(
+        sim,
+        storage_cpu=storage_cpu(sim),
+        workers=workers,
+        codec_backend=codec_backend,
+        ingest_config=config,
+    )
     started = sim.now
     sim.run_process(
         ada.ingest_stream(
@@ -138,7 +96,7 @@ def _scenario(
             "write_coalescing": stats["write_coalescing"],
             "dispatched_bytes_per_tag": stats["dispatched_bytes_per_tag"],
         },
-        "digest": _store_digest(ada),
+        "digest": store_digest(ada),
     }
 
 

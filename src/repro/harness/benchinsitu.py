@@ -36,7 +36,6 @@ overrides).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict
 
 import numpy as np
@@ -53,13 +52,9 @@ from repro.analysis import (
     native_contact_fraction,
     rmsd_trajectory,
 )
-from repro.cluster.node import ComputeNode
-from repro.core import ADA, IngestPipelineConfig
-from repro.harness.calibration import E5_2603V4
-from repro.fs.localfs import LocalFS
+from repro.core import IngestPipelineConfig
+from repro.harness.benchkit import hdd_ada, storage_cpu, store_digest
 from repro.sim import Simulator
-from repro.storage.hdd import WD_1TB_HDD
-from repro.storage.power import NodePower
 from repro.units import to_mb
 from repro.workloads import build_workload
 
@@ -77,34 +72,9 @@ FLOORS = {
 }
 
 
-def _build_ada(sim: Simulator) -> ADA:
-    """The bench-ingest rotating-disk deployment with one storage CPU."""
-    cpu = ComputeNode(
-        sim, "storage0", E5_2603V4, memory_capacity=64 << 30,
-        power=NodePower(idle_w=330.0, cpu_active_w=60.0, io_active_w=10.0),
-    )
-    return ADA(
-        sim,
-        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
-        storage_cpu=cpu,
-    )
-
-
-def _store_digest(ada: ADA) -> str:
-    """SHA-256 over every backend's full contents (paths and bytes)."""
-    digest = hashlib.sha256()
-    for name in sorted(ada.plfs.backends):
-        fs = ada.plfs.backends[name]
-        for path in sorted(fs.store.walk()):
-            digest.update(name.encode())
-            digest.update(path.encode())
-            digest.update(fs.store.data(path))
-    return digest.hexdigest()
-
-
 def _ingest(workload, config, analysis=None):
     sim = Simulator()
-    ada = _build_ada(sim)
+    ada = hdd_ada(sim, storage_cpu=storage_cpu(sim))
     started = sim.now
     receipt = sim.run_process(
         ada.ingest_stream(
@@ -198,7 +168,7 @@ def run_insitu_bench(
     )
     equivalent = exact and stats_ok and online["frames"] == merged.nframes
 
-    identical = _store_digest(ada_plain) == _store_digest(ada_fused)
+    identical = store_digest(ada_plain) == store_digest(ada_fused)
     overhead_frac = (fused_s - plain_s) / plain_s if plain_s > 0 else 0.0
     speedup_vs_post_hoc = post_hoc_s / fused_s if fused_s > 0 else 0.0
     passed = (

@@ -33,8 +33,7 @@ coarse forward scrub >= 2x faster than exact).
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -43,12 +42,16 @@ from repro.core.lod import DEFAULT_LOD_PRECISION, lod_tag
 from repro.errors import ConfigurationError
 from repro.formats.xtc import decode_raw, decode_xtc
 from repro.fs.cache import BlockCache
-from repro.fs.localfs import LocalFS
-from repro.harness.calibration import E5_2603V4
+from repro.harness.benchkit import (
+    PLAYBACK_TAG,
+    chunk_windows,
+    chunked_catalog,
+    hdd_ada,
+    ingest_chunks,
+    play_windows,
+)
 from repro.sim import Simulator
-from repro.storage.hdd import WD_1TB_HDD
 from repro.units import to_mb
-from repro.workloads import build_workload
 
 __all__ = ["FLOORS", "render_lod_bench", "run_lod_bench"]
 
@@ -59,109 +62,6 @@ FLOORS = {
     "lod_bytes_per_frame_ratio": 0.35,  # coarse layer <= 0.35x full bytes
     "scrub_lod_speedup": 2.0,  # coarse forward scrub at least doubles
 }
-
-#: The playback tag: protein subsets are what interactive scrubbing loads.
-PLAYBACK_TAG = "p"
-
-
-def _chunked_dataset(
-    natoms: int, nchunks: int, frames_per_chunk: int, seed: int
-) -> Tuple[str, List[bytes]]:
-    """One PDB plus ``nchunks`` raw-container trajectory chunks."""
-    from repro.formats.xtc import encode_raw
-
-    workload = build_workload(
-        natoms=natoms, nframes=nchunks * frames_per_chunk, seed=seed
-    )
-    trajectory = workload.trajectory
-    blobs = [
-        encode_raw(
-            trajectory.slice_frames(
-                i * frames_per_chunk, (i + 1) * frames_per_chunk
-            )
-        )
-        for i in range(nchunks)
-    ]
-    return workload.pdb_text, blobs
-
-
-def _build_ada(sim: Simulator, lod_precision: Optional[float]) -> ADA:
-    """Rotating-disk deployment with cache + prefetch: the scrubbing
-    scenario the LOD tier exists to make cheap."""
-    return ADA(
-        sim,
-        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
-        block_cache=BlockCache(sim),
-        prefetch=True,
-        lod_precision=lod_precision,
-    )
-
-
-def _ingest(ada: ADA, logical: str, pdb_text: str, blobs: List[bytes]) -> None:
-    sim = ada.sim
-    sim.run_process(ada.ingest(logical, pdb_text, blobs[0]))
-    for blob in blobs[1:]:
-        sim.run_process(ada.ingest_append(logical, blob))
-
-
-def _scrub_windows(
-    pattern: str, nchunks: int, window_chunks: int
-) -> List[List[int]]:
-    """The chunk windows one scrub pass visits, in visit order."""
-    starts = list(range(0, nchunks, window_chunks))
-    if pattern == "scrub":
-        ordered = starts
-    elif pattern == "backward":
-        ordered = list(reversed(starts))
-    elif pattern == "skip":
-        # Jumpy forward browse: alternating jumps of 2 and 3 windows, so
-        # no exact stride ever repeats -- only the prefetcher's
-        # direction-only detector can keep readahead live here.
-        ordered, i, jump = [], 0, 2
-        while i < len(starts):
-            ordered.append(starts[i])
-            i += jump
-            jump = 5 - jump
-    else:
-        raise ConfigurationError(f"unknown scrub pattern {pattern!r}")
-    return [
-        list(range(s, min(s + window_chunks, nchunks))) for s in ordered
-    ]
-
-
-def _playback(
-    ada: ADA,
-    logical: str,
-    windows: Sequence[List[int]],
-    precision: str,
-) -> Tuple[float, int, str]:
-    """One scrub pass; returns (simulated seconds, bytes served, digest).
-
-    Per window the consumer pays the calibrated single-thread CPU time
-    to scan and render the served bytes (Xeon E5-2603 v4 rates, Table
-    4) -- a coarse window is cheaper end to end, not just on the wire.
-    """
-    sim = ada.sim
-    digest = hashlib.sha256()
-    served = 0
-
-    def consumer():
-        nonlocal served
-        for window in windows:
-            objs = yield from ada.fetch_chunks(
-                logical, PLAYBACK_TAG, window, precision=precision
-            )
-            nbytes = 0
-            for obj in objs:
-                digest.update(obj.data)
-                nbytes += obj.nbytes
-            served += nbytes
-            yield sim.timeout(nbytes / E5_2603V4.scan_rate)
-            yield sim.timeout(nbytes / E5_2603V4.render_rate)
-
-    started = sim.now
-    sim.run_process(consumer())
-    return sim.now - started, served, digest.hexdigest()
 
 
 def _max_lod_error(ada: ADA, logical: str, chunks: Sequence[int]) -> float:
@@ -182,8 +82,8 @@ def _max_lod_error(ada: ADA, logical: str, chunks: Sequence[int]) -> float:
 
 def run_lod_bench(
     natoms: int = 1200,
-    nchunks: int = 64,
-    frames_per_chunk: int = 60,
+    nchunks: int = 96,
+    frames_per_chunk: int = 80,
     window_chunks: int = 8,
     seed: int = 7,
     lod_precision: float = DEFAULT_LOD_PRECISION,
@@ -199,17 +99,28 @@ def run_lod_bench(
             f"precision must be 'full', 'lod', or 'both', got {precision!r}"
         )
     logical = "scrub.xtc"
-    pdb_text, blobs = _chunked_dataset(natoms, nchunks, frames_per_chunk, seed)
+    [(_, pdb_text, blobs)] = chunked_catalog(
+        1, natoms, nchunks, frames_per_chunk, seed
+    )
     nframes = nchunks * frames_per_chunk
     tiers = ("full", "lod") if precision == "both" else (precision,)
 
+    def deployment(lod: Optional[float]) -> ADA:
+        """Cache + prefetch on the rotating disk: the scrubbing scenario
+        the LOD tier exists to make cheap.  Always fresh, so every pass
+        starts from a cold cache."""
+        sim = Simulator()
+        ada = hdd_ada(
+            sim, block_cache=BlockCache(sim), prefetch=True, lod_precision=lod
+        )
+        ingest_chunks(ada, logical, pdb_text, blobs)
+        return ada
+
     # Baseline deployment with no LOD layer at all: its full-tier digest
     # pins that the sibling tier never perturbs exact bytes.
-    sim = Simulator()
-    bare = _build_ada(sim, lod_precision=None)
-    _ingest(bare, logical, pdb_text, blobs)
-    _, _, bare_digest = _playback(
-        bare, logical, _scrub_windows("scrub", nchunks, window_chunks), "full"
+    _, _, bare_digest = play_windows(
+        deployment(None), logical, PLAYBACK_TAG,
+        chunk_windows(nchunks, window_chunks), "full",
     )
 
     scenarios: Dict[str, Dict[str, object]] = {}
@@ -217,12 +128,11 @@ def run_lod_bench(
     ada = None
     for tier in tiers:
         for pattern in ("scrub", "backward", "skip"):
-            # Fresh deployment per scenario: every pass is a cold cache.
-            sim = Simulator()
-            ada = _build_ada(sim, lod_precision=lod_precision)
-            _ingest(ada, logical, pdb_text, blobs)
-            windows = _scrub_windows(pattern, nchunks, window_chunks)
-            elapsed, served, digest = _playback(ada, logical, windows, tier)
+            ada = deployment(lod_precision)
+            windows = chunk_windows(nchunks, window_chunks, pattern)
+            elapsed, served, digest = play_windows(
+                ada, logical, PLAYBACK_TAG, windows, tier
+            )
             name = f"{pattern}_{tier}"
             scenarios[name] = {
                 "playback_s": round(elapsed, 6),

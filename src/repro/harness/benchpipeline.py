@@ -30,17 +30,20 @@ serial, warm-pass hit ratio >= 0.9).
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 from repro.core import ADA
 from repro.fs.cache import BlockCache
-from repro.fs.localfs import LocalFS
-from repro.harness.calibration import E5_2603V4
+from repro.harness.benchkit import (
+    PLAYBACK_TAG,
+    chunk_windows,
+    chunked_catalog,
+    hdd_ada,
+    ingest_chunks,
+    play_windows,
+)
 from repro.sim import Simulator
-from repro.storage.hdd import WD_1TB_HDD
 from repro.units import to_mb
-from repro.workloads import build_workload
 
 __all__ = ["FLOORS", "render_pipeline_bench", "run_pipeline_bench"]
 
@@ -51,86 +54,6 @@ FLOORS = {
     "prefetch_vs_serial": 2.0,  # pipelined playback at least doubles
     "warm_hit_ratio": 0.9,  # second pass serves from the block cache
 }
-
-#: The playback tag: protein subsets are what Fig. 8/9 playback loads.
-PLAYBACK_TAG = "p"
-
-
-def _chunked_dataset(
-    natoms: int, nchunks: int, frames_per_chunk: int, seed: int
-) -> Tuple[str, List[bytes]]:
-    """One PDB plus ``nchunks`` raw-container trajectory chunks.
-
-    The chunks are what a running simulation would append over time; each
-    becomes one PLFS chunk per subset, giving the chunk-granular read
-    path something real to coalesce and prefetch.
-    """
-    from repro.formats.xtc import encode_raw
-
-    workload = build_workload(
-        natoms=natoms, nframes=nchunks * frames_per_chunk, seed=seed
-    )
-    trajectory = workload.trajectory
-    blobs = [
-        encode_raw(
-            trajectory.slice_frames(
-                i * frames_per_chunk, (i + 1) * frames_per_chunk
-            )
-        )
-        for i in range(nchunks)
-    ]
-    return workload.pdb_text, blobs
-
-
-def _build_ada(
-    sim: Simulator, serial: bool = False, cache: bool = False,
-    prefetch: bool = False,
-) -> ADA:
-    """Single rotating-disk deployment: the per-request seek tax that the
-    coalesced span reads amortize is the paper's HDD scenario."""
-    backends = {"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")}
-    return ADA(
-        sim,
-        backends=backends,
-        block_cache=BlockCache(sim) if cache else None,
-        prefetch=prefetch,
-        serial_requests=serial,
-    )
-
-
-def _ingest(ada: ADA, logical: str, pdb_text: str, blobs: List[bytes]) -> None:
-    sim = ada.sim
-    sim.run_process(ada.ingest(logical, pdb_text, blobs[0]))
-    for blob in blobs[1:]:
-        sim.run_process(ada.ingest_append(logical, blob))
-
-
-def _playback(
-    ada: ADA, logical: str, nchunks: int, window_chunks: int
-) -> Tuple[float, str]:
-    """One sequential playback pass; returns (simulated seconds, digest).
-
-    Per window the consumer pays the calibrated single-thread CPU time to
-    scan and render the subset bytes (Xeon E5-2603 v4 rates, Table 4) --
-    the work the prefetcher's span reads overlap with.
-    """
-    sim = ada.sim
-    digest = hashlib.sha256()
-
-    def consumer():
-        for start in range(0, nchunks, window_chunks):
-            window = list(range(start, min(start + window_chunks, nchunks)))
-            objs = yield from ada.fetch_chunks(logical, PLAYBACK_TAG, window)
-            nbytes = 0
-            for obj in objs:
-                digest.update(obj.data)
-                nbytes += obj.nbytes
-            yield sim.timeout(nbytes / E5_2603V4.scan_rate)
-            yield sim.timeout(nbytes / E5_2603V4.render_rate)
-
-    started = sim.now
-    sim.run_process(consumer())
-    return sim.now - started, digest.hexdigest()
 
 
 def _cache_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str, float]:
@@ -157,44 +80,50 @@ def run_pipeline_bench(
 ) -> dict:
     """Measure the four read-path scenarios; returns the JSON record."""
     logical = "playback.xtc"
-    pdb_text, blobs = _chunked_dataset(natoms, nchunks, frames_per_chunk, seed)
-    chunk_nbytes = None
+    [(_, pdb_text, blobs)] = chunked_catalog(
+        1, natoms, nchunks, frames_per_chunk, seed
+    )
+    windows = chunk_windows(nchunks, window_chunks)
+
+    def deployment(cache: bool = False, **ada_kwargs) -> ADA:
+        sim = Simulator()
+        ada = hdd_ada(
+            sim, block_cache=BlockCache(sim) if cache else None, **ada_kwargs
+        )
+        ingest_chunks(ada, logical, pdb_text, blobs)
+        return ada
+
+    def playback(ada: ADA, name: str) -> float:
+        elapsed, _, digest = play_windows(
+            ada, logical, PLAYBACK_TAG, windows, "full"
+        )
+        digests[name] = digest
+        return round(elapsed, 6)
 
     scenarios: Dict[str, Dict[str, object]] = {}
     digests: Dict[str, str] = {}
 
     # serial: the pre-pipelining baseline -- one chunk request at a time.
-    sim = Simulator()
-    ada = _build_ada(sim, serial=True)
-    _ingest(ada, logical, pdb_text, blobs)
+    ada = deployment(serial_requests=True)
     chunk_nbytes = ada.subset_nbytes(logical, PLAYBACK_TAG) // nchunks
-    elapsed, digests["serial"] = _playback(ada, logical, nchunks, window_chunks)
-    scenarios["serial"] = {"playback_s": round(elapsed, 6)}
+    scenarios["serial"] = {"playback_s": playback(ada, "serial")}
 
     # cold + warm: one cached deployment, two passes.
-    sim = Simulator()
-    ada = _build_ada(sim, cache=True)
-    _ingest(ada, logical, pdb_text, blobs)
-    elapsed, digests["cold_cache"] = _playback(ada, logical, nchunks, window_chunks)
-    cold_stats = ada.block_cache.stats()
+    ada = deployment(cache=True)
     scenarios["cold_cache"] = {
-        "playback_s": round(elapsed, 6),
+        "playback_s": playback(ada, "cold_cache"),
         "coalescing": ada.determinator.retriever.coalesce_stats(),
     }
-    elapsed, digests["warm_cache"] = _playback(ada, logical, nchunks, window_chunks)
-    warm_stats = ada.block_cache.stats()
+    cold_stats = ada.block_cache.stats()
     scenarios["warm_cache"] = {
-        "playback_s": round(elapsed, 6),
-        **_cache_delta(cold_stats, warm_stats),
+        "playback_s": playback(ada, "warm_cache"),
+        **_cache_delta(cold_stats, ada.block_cache.stats()),
     }
 
     # prefetch: cache + coalescing + adaptive readahead, cold pass.
-    sim = Simulator()
-    ada = _build_ada(sim, cache=True, prefetch=True)
-    _ingest(ada, logical, pdb_text, blobs)
-    elapsed, digests["prefetch"] = _playback(ada, logical, nchunks, window_chunks)
+    ada = deployment(cache=True, prefetch=True)
     scenarios["prefetch"] = {
-        "playback_s": round(elapsed, 6),
+        "playback_s": playback(ada, "prefetch"),
         "prefetcher": ada.prefetcher.stats(),
         "cache": {
             "prefetch_hits": ada.block_cache.prefetch_hits,

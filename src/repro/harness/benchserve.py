@@ -24,36 +24,36 @@ bench-serve --json``); ``FLOORS`` holds the regression gate.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core import ADA
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.fs.localfs import LocalFS
-from repro.serve import (
-    DatasetRef,
-    ServeFront,
-    TenantBlockCache,
-    TrafficConfig,
-    TrafficGenerator,
+from repro.harness.benchkit import (
+    PLAYBACK_TAG,
+    chunked_catalog,
+    hdd_ada,
+    ingest_chunks,
+    jain_index,
+    percentile,
+    run_traffic,
 )
-from repro.sim import AllOf, Simulator
-from repro.storage.hdd import WD_1TB_HDD
+from repro.serve import DatasetRef, ServeFront, TenantBlockCache, TrafficConfig
+from repro.sim import Simulator
 from repro.units import KiB, MiB
-from repro.workloads import build_workload
 
+# ``percentile``/``jain_index``/``PLAYBACK_TAG`` are re-exported from the kit:
+# ``benchmarks/e2e/run.py`` imports the first two from this module.
 __all__ = [
     "FLOORS",
+    "PLAYBACK_TAG",
+    "build_front",
     "jain_index",
+    "percentile",
     "render_serve_bench",
     "run_serve_bench",
 ]
 
 SCHEMA_VERSION = 1
-
-#: The tag every playback window reads (the paper's hot protein subset).
-PLAYBACK_TAG = "p"
 
 #: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
 FLOORS = {
@@ -62,55 +62,7 @@ FLOORS = {
 }
 
 
-def jain_index(shares: Sequence[float]) -> float:
-    """Jain's fairness index: 1.0 = perfectly equal, 1/n = one hog."""
-    values = [float(v) for v in shares]
-    if not values or not any(values):
-        return 0.0
-    square_of_sum = sum(values) ** 2
-    sum_of_squares = sum(v * v for v in values)
-    return square_of_sum / (len(values) * sum_of_squares)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Exact nearest-rank percentile over the sample (no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
-def _catalog_blobs(
-    ndatasets: int,
-    natoms: int,
-    nchunks: int,
-    frames_per_chunk: int,
-    seed: int,
-) -> List[Tuple[str, str, List[bytes]]]:
-    """``(logical, pdb_text, chunk blobs)`` per dataset, deterministic."""
-    from repro.formats.xtc import encode_raw
-
-    out = []
-    for index in range(ndatasets):
-        workload = build_workload(
-            natoms=natoms,
-            nframes=nchunks * frames_per_chunk,
-            seed=seed + index,
-        )
-        blobs = [
-            encode_raw(
-                workload.trajectory.slice_frames(
-                    i * frames_per_chunk, (i + 1) * frames_per_chunk
-                )
-            )
-            for i in range(nchunks)
-        ]
-        out.append((f"traj{index}.xtc", workload.pdb_text, blobs))
-    return out
-
-
-def _build_front(
+def build_front(
     blobs: List[Tuple[str, str, List[bytes]]],
     ntenants: int,
     concurrency: int,
@@ -132,16 +84,9 @@ def _build_front(
         l1_capacity_bytes=l1_capacity_bytes,
         l2_capacity_bytes=4 * l1_capacity_bytes,
     )
-    ada = ADA(
-        sim,
-        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
-        block_cache=cache,
-        prefetch=True,
-    )
+    ada = hdd_ada(sim, block_cache=cache, prefetch=True)
     for logical, pdb_text, chunks in blobs:
-        sim.run_process(ada.ingest(logical, pdb_text, chunks[0]))
-        for blob in chunks[1:]:
-            sim.run_process(ada.ingest_append(logical, blob))
+        ingest_chunks(ada, logical, pdb_text, chunks)
     front = ServeFront(
         ada,
         concurrency=concurrency,
@@ -158,65 +103,6 @@ def _build_front(
             prefetch_budget_bytes=int(quota),
         )
     return front
-
-
-def _run_traffic(
-    front: ServeFront,
-    tenants: Sequence[str],
-    catalog: Sequence[DatasetRef],
-    config: TrafficConfig,
-) -> Dict[str, object]:
-    """Drive the tenant loops to completion; returns per-tenant results."""
-    sim = front.sim
-    generator = TrafficGenerator(catalog, config)
-    procs = {
-        name: sim.process(
-            generator.tenant_loop(front.session(name)),
-            name=f"traffic:{name}",
-        )
-        for name in tenants
-    }
-
-    def driver():
-        yield AllOf(sim, list(procs.values()))
-        return None
-
-    started = sim.now
-    sim.run_process(driver())
-    elapsed = sim.now - started
-
-    per_tenant: Dict[str, Dict[str, object]] = {}
-    for name, proc in procs.items():
-        stats = proc.value
-        latencies = [
-            r.latency_s
-            for r in front.scheduler.completed.get(name, [])
-            if r.ok
-        ]
-        per_tenant[name] = {
-            "completed": stats.completed,
-            "failed": stats.failed,
-            "rejected": stats.rejected,
-            "served_bytes": stats.served_bytes,
-            "digest": stats.hexdigest(),
-            "p50_s": round(percentile(latencies, 0.50), 6),
-            "p99_s": round(percentile(latencies, 0.99), 6),
-        }
-    all_latencies = [
-        r.latency_s
-        for name in tenants
-        for r in front.scheduler.completed.get(name, [])
-        if r.ok
-    ]
-    return {
-        "elapsed_s": round(elapsed, 6),
-        "p50_s": round(percentile(all_latencies, 0.50), 6),
-        "p99_s": round(percentile(all_latencies, 0.99), 6),
-        "completed": sum(t["completed"] for t in per_tenant.values()),
-        "failed": sum(t["failed"] for t in per_tenant.values()),
-        "rejected": sum(t["rejected"] for t in per_tenant.values()),
-        "per_tenant": per_tenant,
-    }
 
 
 def run_serve_bench(
@@ -236,7 +122,7 @@ def run_serve_bench(
     """Measure the three serving scenarios; returns the JSON record."""
     if ntenants < 2:
         raise ValueError("serve bench needs >= 2 tenants")
-    blobs = _catalog_blobs(ndatasets, natoms, nchunks, frames_per_chunk, seed)
+    blobs = chunked_catalog(ndatasets, natoms, nchunks, frames_per_chunk, seed)
     catalog = [
         DatasetRef(logical=logical, tag=PLAYBACK_TAG, nchunks=nchunks)
         for logical, _, _ in blobs
@@ -245,7 +131,7 @@ def run_serve_bench(
     tenants = [f"t{i}" for i in range(ntenants)]
 
     def fresh_front() -> ServeFront:
-        return _build_front(
+        return build_front(
             blobs,
             ntenants=ntenants,
             concurrency=concurrency,
@@ -271,16 +157,16 @@ def run_serve_bench(
     )
 
     solo_front = fresh_front()
-    solo = _run_traffic(solo_front, tenants[:1], catalog, closed)
+    solo = run_traffic(solo_front, tenants[:1], catalog, closed)
 
     contended_front = fresh_front()
-    contended = _run_traffic(contended_front, tenants, catalog, closed)
+    contended = run_traffic(contended_front, tenants, catalog, closed)
     contended["scheduler"] = contended_front.scheduler.stats()
     contended["cache"] = contended_front.ada.block_cache.stats()
     contended["prefetch"] = contended_front.ada.prefetcher.stats()
 
     open_front = fresh_front()
-    opened = _run_traffic(open_front, tenants, catalog, open_loop)
+    opened = run_traffic(open_front, tenants, catalog, open_loop)
 
     shares = [
         contended["per_tenant"][name]["served_bytes"] for name in tenants

@@ -24,17 +24,21 @@ from typing import Tuple
 
 from repro.core import ADA
 from repro.fs.cache import BlockCache
-from repro.fs.localfs import LocalFS
+from repro.harness.benchkit import (
+    PLAYBACK_TAG,
+    chunk_windows,
+    chunked_catalog,
+    hdd_ada,
+    ingest_chunks,
+)
 from repro.obs.trace import Tracer
 from repro.sim import Simulator
-from repro.storage.hdd import WD_1TB_HDD
-from repro.workloads import build_workload
 
 __all__ = ["TRACE_LOGICAL", "TRACE_TAG", "run_trace_demo"]
 
 #: Dataset / tag names the demo (and ``python -m repro trace``) uses.
 TRACE_LOGICAL = "trace-demo.xtc"
-TRACE_TAG = "p"
+TRACE_TAG = PLAYBACK_TAG
 
 
 def run_trace_demo(
@@ -52,40 +56,22 @@ def run_trace_demo(
     demand fetch that launched them); the registry on ``ada.metrics``
     holds the matching counters.
     """
-    from repro.formats.xtc import encode_raw
-
     sim = Simulator()
     tracer = Tracer(sim)
-    ada = ADA(
-        sim,
-        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
-        block_cache=BlockCache(sim),
-        prefetch=True,
-        tracer=tracer,
+    ada = hdd_ada(
+        sim, block_cache=BlockCache(sim), prefetch=True, tracer=tracer
     )
-
-    workload = build_workload(
-        natoms=natoms, nframes=nchunks * frames_per_chunk, seed=seed
+    [(_, pdb_text, blobs)] = chunked_catalog(
+        1, natoms, nchunks, frames_per_chunk, seed
     )
-    blobs = [
-        encode_raw(
-            workload.trajectory.slice_frames(
-                i * frames_per_chunk, (i + 1) * frames_per_chunk
-            )
-        )
-        for i in range(nchunks)
-    ]
-    sim.run_process(ada.ingest(TRACE_LOGICAL, workload.pdb_text, blobs[0]))
-    for blob in blobs[1:]:
-        sim.run_process(ada.ingest_append(TRACE_LOGICAL, blob))
+    ingest_chunks(ada, TRACE_LOGICAL, pdb_text, blobs)
     tracer.clear()  # the interesting timelines are the read path's
 
     def consumer():
         # One process drives every window: the heap never drains between
         # windows, so the prefetcher's background read launched after
         # window N is still in flight when window N+1 demands its chunks.
-        for start in range(0, nchunks, window_chunks):
-            window = list(range(start, min(start + window_chunks, nchunks)))
+        for window in chunk_windows(nchunks, window_chunks):
             yield from ada.fetch_chunks(TRACE_LOGICAL, TRACE_TAG, window)
             yield sim.timeout(think_s)
 

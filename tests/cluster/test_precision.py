@@ -15,14 +15,14 @@ from repro.core import ADA
 from repro.core.lod import lod_max_error, lod_tag
 from repro.errors import ConfigurationError
 from repro.fs.localfs import LocalFS
-from repro.harness.benchserve import _catalog_blobs
+from repro.harness.benchkit import chunked_catalog
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.storage.ssd import NVME_SSD_256GB
 
 pytestmark = [pytest.mark.cluster, pytest.mark.lod]
 
-BLOBS = _catalog_blobs(
+BLOBS = chunked_catalog(
     ndatasets=2, natoms=300, nchunks=4, frames_per_chunk=4, seed=13
 )
 LOGICAL = BLOBS[0][0]

@@ -16,14 +16,14 @@ from repro.core import ADA
 from repro.errors import ContainerError, DegradedReadWarning, NodeDownError
 from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
-from repro.harness.benchserve import _catalog_blobs
+from repro.harness.benchkit import chunked_catalog
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.storage.hdd import WD_1TB_HDD
 
 pytestmark = pytest.mark.cluster
 
-BLOBS = _catalog_blobs(
+BLOBS = chunked_catalog(
     ndatasets=4, natoms=400, nchunks=5, frames_per_chunk=4, seed=11
 )
 

@@ -23,7 +23,7 @@ from repro.errors import DegradedReadWarning, NodeDownError
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
-from repro.harness.benchserve import PLAYBACK_TAG, _catalog_blobs, _run_traffic
+from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog, run_traffic
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import DatasetRef, ServeFront, TrafficConfig
 from repro.sim import Simulator
@@ -38,7 +38,7 @@ _REQUESTS = 12
 
 
 def _blobs():
-    return _catalog_blobs(
+    return chunked_catalog(
         _WORKLOAD["ndatasets"], _WORKLOAD["natoms"], _WORKLOAD["nchunks"],
         _WORKLOAD["frames_per_chunk"], _WORKLOAD["seed"],
     )
@@ -91,7 +91,7 @@ def playback_runs():
         serve_front = ServeFront(front, concurrency=_NTENANTS)
         for name in tenants:
             serve_front.register(name, max_inflight=4)
-        return _run_traffic(serve_front, tenants, catalog, config)
+        return run_traffic(serve_front, tenants, catalog, config)
 
     _, clean_front = _build(blobs)
     clean = serve(clean_front)

@@ -15,7 +15,8 @@ its ``serve:<tenant>`` fault site); the properties are:
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
-from repro.harness.benchserve import PLAYBACK_TAG, _build_front, _catalog_blobs, _run_traffic
+from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog, run_traffic
+from repro.harness.benchserve import build_front
 from repro.serve import DatasetRef, TrafficConfig
 
 pytestmark = [pytest.mark.chaos, pytest.mark.serve]
@@ -32,7 +33,7 @@ _SPEC = FaultSpec(transient_rate=0.2, latency_rate=0.3, latency_spike_s=5e-3)
 
 @pytest.fixture(scope="module")
 def runs():
-    blobs = _catalog_blobs(
+    blobs = chunked_catalog(
         _WORKLOAD["ndatasets"], _WORKLOAD["natoms"], _WORKLOAD["nchunks"],
         _WORKLOAD["frames_per_chunk"], _WORKLOAD["seed"],
     )
@@ -47,7 +48,7 @@ def runs():
     tenants = [f"t{i}" for i in range(_NTENANTS)]
 
     def build(fault_plan=None):
-        return _build_front(
+        return build_front(
             blobs,
             ntenants=_NTENANTS,
             concurrency=_NTENANTS,  # one slot per tenant
@@ -59,11 +60,11 @@ def runs():
         )
 
     clean_front = build()
-    clean = _run_traffic(clean_front, tenants, catalog, config)
+    clean = run_traffic(clean_front, tenants, catalog, config)
 
     plan = FaultPlan(seed=11, sites={f"serve:{_FAULTY_TENANT}": _SPEC})
     chaos_front = build(fault_plan=plan)
-    chaos = _run_traffic(chaos_front, tenants, catalog, config)
+    chaos = run_traffic(chaos_front, tenants, catalog, config)
     return {
         "tenants": tenants,
         "clean": clean,

@@ -123,8 +123,10 @@ def test_cli_bench_pipeline_output_override(tmp_path, monkeypatch):
             "--nchunks", "24",
             "--frames-per-chunk", "20",
             "--window-chunks", "4",
+            "--seed", "0",
         ]
     )
     assert code == 0
-    assert out.exists()
     assert not (tmp_path / "benchmarks").exists()
+    # An explicit 0 is a seed, not "unset" (it used to become 7).
+    assert json.loads(out.read_text())["workload"]["seed"] == 0

@@ -20,7 +20,8 @@ lean fails here as a number, not as a slower wall clock:
 import pytest
 
 from repro.fs.plfs import PLFS
-from repro.harness.benchserve import PLAYBACK_TAG, _build_front, _catalog_blobs
+from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog
+from repro.harness.benchserve import build_front
 from repro.obs import trace
 from repro.serve import DatasetRef, TrafficConfig, TrafficGenerator
 from repro.sim import AllOf
@@ -48,9 +49,9 @@ EVENTS = 2570
 
 
 def _warm_front():
-    blobs = _catalog_blobs(NDATASETS, 200, NCHUNKS, 4, 7)
+    blobs = chunked_catalog(NDATASETS, 200, NCHUNKS, 4, 7)
     working_set = sum(len(b) for _l, _p, chunks in blobs for b in chunks)
-    front = _build_front(
+    front = build_front(
         blobs, ntenants=len(TENANTS), concurrency=8,
         l1_capacity_bytes=2.0 * working_set, max_inflight=8, byte_budget=None,
     )

@@ -12,7 +12,7 @@ import pytest
 from repro.cluster.shard import ShardedADA, ShardNode
 from repro.fs.localfs import LocalFS
 from repro.core.middleware import ADA
-from repro.harness.benchserve import PLAYBACK_TAG, _catalog_blobs
+from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve import ServeFront, TenantBlockCache, span_tenant_source
@@ -28,7 +28,7 @@ _TENANTS = ("t0", "t1", "t2")
 
 @pytest.fixture(scope="module")
 def catalog_blobs():
-    return _catalog_blobs(2, 200, _NCHUNKS, 4, 5)
+    return chunked_catalog(2, 200, _NCHUNKS, 4, 5)
 
 
 #: One chunk is ~4.3 KiB, a window two: t0 and t1 may speculate one window

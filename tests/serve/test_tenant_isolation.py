@@ -10,12 +10,8 @@ import hashlib
 
 import pytest
 
-from repro.harness.benchserve import (
-    PLAYBACK_TAG,
-    _build_front,
-    _catalog_blobs,
-    _run_traffic,
-)
+from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog, run_traffic
+from repro.harness.benchserve import build_front
 from repro.serve import DatasetRef, TenantBlockCache, TrafficConfig
 from repro.sim import Simulator
 
@@ -28,7 +24,7 @@ _NTENANTS = 8
 
 @pytest.fixture(scope="module")
 def catalog_blobs():
-    return _catalog_blobs(
+    return chunked_catalog(
         _WORKLOAD["ndatasets"], _WORKLOAD["natoms"], _WORKLOAD["nchunks"],
         _WORKLOAD["frames_per_chunk"], _WORKLOAD["seed"],
     )
@@ -43,7 +39,7 @@ def _front(catalog_blobs, **overrides):
         byte_budget=None,
     )
     kwargs.update(overrides)
-    return _build_front(catalog_blobs, **kwargs)
+    return build_front(catalog_blobs, **kwargs)
 
 
 def _catalog():
@@ -67,8 +63,8 @@ def test_reads_bit_identical_solo_vs_contended(catalog_blobs):
     config = _traffic()
     tenants = [f"t{i}" for i in range(_NTENANTS)]
 
-    solo = _run_traffic(_front(catalog_blobs), ["t0"], _catalog(), config)
-    contended = _run_traffic(_front(catalog_blobs), tenants, _catalog(), config)
+    solo = run_traffic(_front(catalog_blobs), ["t0"], _catalog(), config)
+    contended = run_traffic(_front(catalog_blobs), tenants, _catalog(), config)
 
     assert solo["per_tenant"]["t0"]["completed"] == config.requests_per_tenant
     assert contended["completed"] == _NTENANTS * config.requests_per_tenant
@@ -97,7 +93,7 @@ def test_served_bytes_match_direct_middleware_access(catalog_blobs):
         for obj in objs:
             expected.update(obj.data if obj.data is not None else b"")
 
-    served = _run_traffic(_front(catalog_blobs), ["t0"], _catalog(), config)
+    served = run_traffic(_front(catalog_blobs), ["t0"], _catalog(), config)
     assert served["per_tenant"]["t0"]["digest"] == expected.hexdigest()
 
 
@@ -191,7 +187,7 @@ def test_contended_quotas_hold_under_real_traffic(catalog_blobs):
     bytes exceed quota + one block, and the pool stayed within L1."""
     # L1 holds about a third of the catalog, so eviction pressure is real.
     front = _front(catalog_blobs, l1_capacity_bytes=40 * 1024.0)
-    _run_traffic(front, [f"t{i}" for i in range(_NTENANTS)], _catalog(), _traffic())
+    run_traffic(front, [f"t{i}" for i in range(_NTENANTS)], _catalog(), _traffic())
     cache = front.ada.block_cache
     assert isinstance(cache, TenantBlockCache)
     assert cache.l1_bytes <= cache.l1_capacity_bytes

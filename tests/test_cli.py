@@ -1,17 +1,57 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import inspect
+import json
+
 import pytest
 
-from repro.cli import GENERATORS, main
+from repro.cli import (
+    BENCHES,
+    COMMANDS,
+    GENERATORS,
+    build_parser,
+    flag_kwargs,
+    main,
+)
 
 
 def test_list_prints_targets(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out.split()
-    assert set(out) == set(GENERATORS) | {
-        "bench-codec", "bench-cluster", "bench-ingest", "bench-insitu", "bench-lod",
-        "bench-pipeline", "bench-serve", "chaos", "metrics", "trace",
+    assert set(out) == set(GENERATORS) | set(BENCHES) | set(COMMANDS)
+    assert len(out) == len(set(out))
+    parser = build_parser()
+    for target in out:  # everything listed is something the parser accepts
+        assert parser.parse_args([target]).target == target
+
+
+@pytest.mark.parametrize("name", sorted(BENCHES))
+def test_bench_cli_defaults_are_the_function_defaults(name):
+    """No bench flag has an argparse default: an unset flag is not passed,
+    so the only default is the one ``run_*_bench``'s signature states."""
+    bench = BENCHES[name]
+    assert flag_kwargs(build_parser().parse_args([name]), bench.flags) == {}
+    parameters = inspect.signature(bench.run).parameters
+    assert set(bench.flags.values()) <= set(parameters)
+    assert bench.artifact.name == f"BENCH_{name[len('bench-'):]}.json"
+
+
+def test_bench_cli_forwards_only_the_flags_given():
+    args = build_parser().parse_args(
+        ["bench-cluster", "--seed", "0", "--nodes", "1,2", "--zipf", "0.5"]
+    )
+    assert flag_kwargs(args, BENCHES["bench-cluster"].flags) == {
+        "seed": 0, "node_counts": (1, 2), "zipf_s": 0.5,
     }
+
+
+def test_chaos_without_seed_runs_seed_zero(tmp_path):
+    """``--seed`` unset falls through to ``run_chaos``'s own default (0),
+    not to the benches' 7 or the trace demo's 11."""
+    out = tmp_path / "chaos.json"
+    assert main(["chaos", "--json", "--rounds", "1", "-o", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert (record["seed"], record["rounds"]) == (0, 1)
 
 
 def test_table2_to_stdout(capsys):
