@@ -204,13 +204,13 @@ BENCHES: Dict[str, Bench] = {
         run_codec_bench, render_codec_bench,
         _RESULTS / "BENCH_codec.json",
         _flags("natoms", "nframes", "keyframe_interval", "workers",
-               "repeats", codec_backend="backend"),
+               "repeats"),
     ),
     "bench-ingest": Bench(
         run_ingest_bench, render_ingest_bench,
         _RESULTS / "BENCH_ingest.json",
         _flags("natoms", "nframes", "keyframe_interval", "window_frames",
-               "depth", "seed", "workers", "codec_backend"),
+               "depth", "seed", "workers"),
     ),
     "bench-insitu": Bench(
         run_insitu_bench, render_insitu_bench,
@@ -279,16 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--keyframe-interval", type=int,
                        help="(bench-codec/-ingest/-insitu) frames per GOF")
     bench.add_argument("--workers", type=int,
-                       help="host-side codec workers: GOF codec workers "
-                            "(bench-codec; 0 = the sweep maximum) and the "
-                            "ingest pre-processor's persistent pools "
-                            "(bench-ingest; 0 = one per CPU)")
-    bench.add_argument("--codec-backend",
-                       choices=["auto", "thread", "process"],
-                       help="(bench-codec/-ingest) codec worker-pool "
-                            "flavour: 'process' escapes the GIL via "
-                            "shared-memory GOF workers, 'thread' shares the "
-                            "interpreter, 'auto' picks per host")
+                       help="host-side codec worker processes: the sweep "
+                            "row the headline quotes (bench-codec; 0 = the "
+                            "sweep maximum) and the ingest pre-processor's "
+                            "GOF fan-out (bench-ingest; 0 = one per CPU, "
+                            "unset or 1 = serial)")
     bench.add_argument("--repeats", type=int,
                        help="(bench-codec) best-of-N timing repeats")
     bench.add_argument("--nchunks", type=int,

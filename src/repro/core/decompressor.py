@@ -4,14 +4,11 @@ Wraps the XTC codec for ADA's storage-side use: "the data decompressor
 will be invoked if the original data is compressed" (§3.1).  Pass-through
 for raw containers, so the pre-processor accepts either representation.
 
-Three performance knobs ride along with the codec's hot path:
+Two performance knobs ride along with the codec's hot path:
 
-* ``workers`` -- groups of frames decode concurrently (see
-  :func:`repro.formats.xtc.resolve_workers`); results are bit-identical to
-  a serial decode, so callers opt in freely.
-* ``codec_backend`` -- ``"thread"``, ``"process"``, or ``"auto"``; the
-  worker-pool flavour (see :mod:`repro.formats.codecexec`).  Process
-  workers escape the GIL and fill a shared-memory coordinate array.
+* ``workers`` -- groups of frames decode concurrently in worker processes
+  (see :func:`repro.formats.xtc.resolve_workers`); results are
+  bit-identical to a serial decode, so callers opt in freely.
 * a small :class:`~repro.formats.xtc.FrameIndex` cache -- repeated queries
   against the same blob (``frame_count`` then ``raw_nbytes`` then
   ``decompress``, the pre-processor's exact sequence) share one header
@@ -20,13 +17,13 @@ Three performance knobs ride along with the codec's hot path:
 
 from __future__ import annotations
 
-import os
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import CodecError
-from repro.formats.codecexec import CodecPool, validate_backend
+from repro.formats.codecexec import CodecPool
 from repro.formats.dcd import (
     DCD_MAGIC,
     dcd_frame_count,
@@ -47,6 +44,7 @@ from repro.formats.xtc import (
     decode_frame_range,
     decode_xtc,
     decode_raw,
+    resolve_workers,
 )
 
 __all__ = ["Decompressor", "TrajectoryWindow"]
@@ -80,25 +78,21 @@ class Decompressor:
     """Format-sniffing trajectory decoder.
 
     ``workers`` is forwarded to :func:`repro.formats.xtc.decode_xtc` for
-    group-of-frames parallel decode; ``codec_backend`` picks the worker
-    pool flavour (``"thread"``/``"process"``/``"auto"``);
-    ``index_cache_size`` bounds how many blobs keep a cached
-    :class:`FrameIndex` (LRU, keyed by blob identity); ``metrics`` is the
-    registry pool lifecycle lands in (ambient global by default).
+    group-of-frames parallel decode; ``index_cache_size`` bounds how many
+    blobs keep a cached :class:`FrameIndex` (LRU, keyed by blob identity);
+    ``metrics`` is the registry pool lifecycle lands in (ambient global by
+    default).
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         index_cache_size: int = 8,
-        codec_backend: str = "auto",
         metrics=None,
     ):
         if index_cache_size < 0:
             raise CodecError("index_cache_size must be >= 0")
-        validate_backend(codec_backend)  # eagerly
         self.workers = workers
-        self.codec_backend = codec_backend
         self.metrics = metrics
         self.index_cache_size = int(index_cache_size)
         # id(blob) -> (blob, FrameIndex).  Holding the blob keeps the id
@@ -123,15 +117,13 @@ class Decompressor:
 
     def _pool(self) -> Optional[CodecPool]:
         """The lazily-created persistent worker pool (None when serial)."""
-        if self.workers is None:
-            return None
-        size = os.cpu_count() or 1 if self.workers == 0 else int(self.workers)
+        # Sized by ``workers`` alone: the pool outlives any one stream, and
+        # each call caps its own fan-out at its number of groups of frames.
+        size = resolve_workers(self.workers, sys.maxsize)
         if size <= 1:
             return None
         if self._executor is None:
-            self._executor = CodecPool(
-                size, backend=self.codec_backend, metrics=self.metrics
-            )
+            self._executor = CodecPool(size, metrics=self.metrics)
         return self._executor
 
     def close(self) -> None:

@@ -8,21 +8,20 @@ every read, on a compute node, as the traditional workflow does.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterator, Optional
 
 from repro.core.categorizer import Categorizer
 from repro.core.decompressor import Decompressor
 from repro.core.lod import lod_max_error, lod_tag
-from repro.formats.codecexec import CodecPool, validate_backend
 from repro.core.labeler import LabelMap
 from repro.core.tags import TagPolicy
 from repro.formats.pdb import parse_pdb
 from repro.formats.topology import Topology
 from repro.formats.trajectory import Trajectory
 from repro.formats.dcd import encode_dcd
-from repro.formats.xtc import encode_raw, encode_xtc, resolve_workers
+from repro.formats.xtc import encode_raw, encode_xtc
 
 __all__ = [
     "DataPreProcessor",
@@ -104,7 +103,6 @@ class DataPreProcessor:
         policy: TagPolicy = None,
         subset_format: str = "raw",
         workers: Optional[int] = None,
-        codec_backend: str = "auto",
         lod_precision: Optional[float] = None,
         metrics=None,
     ):
@@ -113,52 +111,20 @@ class DataPreProcessor:
                 f"unknown subset format {subset_format!r}; "
                 f"have {sorted(SUBSET_ENCODERS)}"
             )
-        validate_backend(codec_backend)  # eagerly
         if lod_precision is not None:
             lod_max_error(lod_precision)  # validates > 0
         self.policy = policy or TagPolicy.protein_vs_misc()
         self.subset_format = subset_format
         self.workers = workers
-        self.codec_backend = codec_backend
         self.lod_precision = (
             float(lod_precision) if lod_precision is not None else None
         )
         self.metrics = metrics
         self.categorizer = Categorizer(self.policy)
-        self.decompressor = Decompressor(
-            workers=workers, codec_backend=codec_backend, metrics=metrics
-        )
-        # Persistent encode pool: streaming ingestion calls ``_divide``
-        # once per appended chunk/window, so constructing (and tearing
-        # down) a worker pool per call would churn on the hot path.
-        # Created lazily on the first parallel divide.  Always
-        # thread-backed: the per-tag fan-out runs unpicklable closures
-        # over shared split arrays; the process backend parallelizes
-        # *inside* each xtc encode instead (GOF shared-memory workers).
-        self._executor: Optional[CodecPool] = None
-
-    def _pool_size(self) -> int:
-        if self.workers is None:
-            return 1
-        size = os.cpu_count() or 1 if self.workers == 0 else int(self.workers)
-        return max(1, size)
-
-    def _pool(self) -> Optional[CodecPool]:
-        """The lazily-created persistent encode pool (None when serial)."""
-        size = self._pool_size()
-        if size <= 1:
-            return None
-        if self._executor is None:
-            self._executor = CodecPool(
-                size, backend="thread", metrics=self.metrics
-            )
-        return self._executor
+        self.decompressor = Decompressor(workers=workers, metrics=metrics)
 
     def close(self) -> None:
-        """Shut down the persistent pools (idempotent)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        """Shut down the decompressor's persistent pool (idempotent)."""
         self.decompressor.close()
 
     def __enter__(self) -> "DataPreProcessor":
@@ -239,43 +205,23 @@ class DataPreProcessor:
         :mod:`repro.core.lod`) -- so every dispatch/index/cache mechanism
         downstream applies to the cheap tier unchanged.
         """
-        encoder = SUBSET_ENCODERS[self.subset_format]
         split = self.categorizer.split(trajectory, label_map)
-        parallel_xtc = self.subset_format == "xtc" and self._pool_size() > 1
-        # out-tag -> zero-arg encode job, base tags first (the serial
-        # baseline's chunk-claim order), then the LOD siblings.
-        jobs: Dict[str, object] = {}
-        for tag, sub in split.items():
-            if parallel_xtc:
-                jobs[tag] = lambda s=sub: encoder(
-                    s, workers=self.workers, backend=self.codec_backend
-                )
-            else:
-                jobs[tag] = lambda s=sub: encoder(s)
+        # Every compressed encode fans its groups of frames out under
+        # ``workers`` (subset sizes are wildly uneven, so per-GOF work
+        # units balance far better than per-tag ones); raw and dcd
+        # containers are a header plus a copy and encode inline.
+        if self.subset_format == "xtc":
+            encoder = partial(encode_xtc, workers=self.workers)
+        else:
+            encoder = SUBSET_ENCODERS[self.subset_format]
+        # Base tags first (the chunk-claim order), then the LOD siblings.
+        subsets = {tag: encoder(sub) for tag, sub in split.items()}
         if self.lod_precision is not None:
             for tag, sub in split.items():
-                if parallel_xtc:
-                    jobs[lod_tag(tag)] = lambda s=sub: encode_xtc(
-                        s, precision=self.lod_precision,
-                        workers=self.workers, backend=self.codec_backend,
-                    )
-                else:
-                    jobs[lod_tag(tag)] = lambda s=sub: encode_xtc(
-                        s, precision=self.lod_precision
-                    )
-        if parallel_xtc:
-            # Parallelize inside each compressed encode (GOF fan-out on
-            # the configured backend) rather than across tags: subset
-            # sizes are wildly uneven, so per-GOF work units balance far
-            # better than per-tag ones.
-            return {tag: job() for tag, job in jobs.items()}
-        nworkers = resolve_workers(self.workers, len(jobs))
-        pool = self._pool() if nworkers > 1 else None
-        if pool is not None:
-            tags = list(jobs)
-            blobs = pool.run(lambda t: jobs[t](), [(t,) for t in tags])
-            return dict(zip(tags, blobs))
-        return {tag: job() for tag, job in jobs.items()}
+                subsets[lod_tag(tag)] = encode_xtc(
+                    sub, precision=self.lod_precision, workers=self.workers
+                )
+        return subsets
 
     def _divide(
         self, label_map: LabelMap, trajectory: Trajectory, compressed_nbytes: int

@@ -1,22 +1,21 @@
-"""Codec execution layer: persistent worker pools + shared-memory buffers.
+"""Codec execution layer: one persistent process pool + shared-memory buffers.
 
 The XTC-like codec fans independent groups of frames (GOFs) out to
-workers.  Threads were the original backend, but the per-frame Python
-driver holds the GIL for most of a GOF's wall time, so thread fan-out
-bought ~1.0x (the ``BENCH_codec.json`` regression this module exists to
-fix).  Two backends now live behind one :class:`CodecPool` interface:
+workers.  The per-frame Python driver holds the GIL for most of a GOF's
+wall time, so only separate processes scale; a codec call that fans out
+(``resolve_workers(workers, ntasks) > 1``) runs on a :class:`CodecPool`,
+every other call runs the serial kernel in the caller.
 
-* ``thread`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`.  Zero
-  marshalling cost; scales only as far as the kernels release the GIL.
-* ``process`` -- a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-  fed through :mod:`multiprocessing.shared_memory` frame buffers.  The
-  parent creates one segment per call; workers attach by name and fill
-  **disjoint slices** of the shared coordinate array (decode) or read
-  disjoint frame runs out of it (encode).  On decode the compressed runs
-  ride in the same segment after the coordinate region, so the only
-  pickled payloads are small argument tuples.  Decode results return
-  zero-copy: the caller receives an ndarray view over the segment and
-  the mapping lives exactly as long as that array.
+A :class:`CodecPool` is a persistent
+:class:`~concurrent.futures.ProcessPoolExecutor` fed through
+:mod:`multiprocessing.shared_memory` frame buffers.  The parent creates
+one segment per call; workers attach by name and fill **disjoint slices**
+of the shared coordinate array (decode) or read disjoint frame runs out
+of it (encode).  On decode the compressed runs ride in the same segment
+after the coordinate region, so the only pickled payloads are small
+argument tuples.  Decode results return zero-copy: the caller receives an
+ndarray view over the segment and the mapping lives exactly as long as
+that array.
 
 Shared-memory ownership rules (enforced here, relied on by tests):
 
@@ -27,7 +26,7 @@ Shared-memory ownership rules (enforced here, relied on by tests):
 2. workers attach by name and close their mapping before returning --
    including when the decode raises, which is why worker errors are
    re-raised as fresh :class:`CodecError` instances carrying no traceback
-   frames that could pin buffer views.  Process pools are pinned to the
+   frames that could pin buffer views.  The pool is pinned to the
    ``fork`` start method where available, so workers share the parent's
    ``resource_tracker`` and registration stays single-owner; on
    spawn-only platforms workers deregister their attach (3.9-3.12 track
@@ -51,10 +50,10 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from repro.errors import CodecError
 from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry, global_registry
 
 __all__ = [
-    "BACKENDS",
     "CodecPool",
     "close_shared_pools",
     "partition_weighted",
@@ -70,13 +68,8 @@ __all__ = [
     "probe_encode_overhead",
     "process_decode",
     "process_encode",
-    "resolve_backend",
     "shared_pool",
-    "validate_backend",
 ]
-
-#: Accepted values of every ``codec_backend`` knob.
-BACKENDS = ("auto", "thread", "process")
 
 #: Fork start method where the platform offers it: workers inherit the
 #: parent's resource tracker (single-owner segment registration) and the
@@ -87,31 +80,6 @@ _FORK_CTX = (
     if "fork" in multiprocessing.get_all_start_methods()
     else None
 )
-
-
-def validate_backend(backend: str) -> None:
-    """Reject an unknown ``codec_backend`` knob without resolving it.
-
-    Serial codec calls and eager constructor checks only need the name
-    checked; resolving ``'auto'`` asks the OS for its CPU count, which a
-    call that never fans out has no use for.
-    """
-    if backend not in BACKENDS:
-        raise CodecError(
-            f"unknown codec backend {backend!r}; have {'/'.join(BACKENDS)}"
-        )
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a ``codec_backend`` knob to ``'thread'`` or ``'process'``.
-
-    ``'auto'`` picks processes only where they can pay off: with a single
-    CPU the fork/IPC overhead buys nothing, so threads win by default.
-    """
-    validate_backend(backend)
-    if backend != "auto":
-        return backend
-    return "process" if (os.cpu_count() or 1) > 1 else "thread"
 
 
 def partition_weighted(
@@ -163,7 +131,7 @@ def partition_weighted(
 
 
 class CodecPool:
-    """A persistent codec worker pool (thread- or process-backed).
+    """A persistent pool of codec worker processes.
 
     Lazily spawns on first use, so constructing one costs nothing until a
     parallel call actually happens.  ``run`` submits one task per argument
@@ -175,45 +143,27 @@ class CodecPool:
     """
 
     def __init__(
-        self,
-        workers: int,
-        backend: str = "thread",
-        metrics: Optional[MetricsRegistry] = None,
+        self, workers: int, metrics: Optional[MetricsRegistry] = None
     ):
         self.workers = max(1, int(workers))
-        self._backend = resolve_backend(backend)
         self.metrics = metrics if metrics is not None else global_registry()
-        self._executor = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._lock = threading.RLock()
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def closed(self) -> bool:
         return self._executor is None
 
-    def _counter(self, name: str):
-        return self.metrics.counter(name, backend=self._backend)
-
     def _ensure(self):
         with self._lock:
             if self._executor is None:
                 start = time.perf_counter()
-                if self._backend == "process":
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers, mp_context=_FORK_CTX
-                    )
-                else:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.workers, thread_name_prefix="codec"
-                    )
-                self._counter("codec_pool_spawns_total").inc()
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=_FORK_CTX
+                )
+                self.metrics.counter("codec_pool_spawns_total").inc()
                 self.metrics.histogram(
-                    "codec_pool_spawn_seconds",
-                    bounds=TIME_BUCKETS,
-                    backend=self._backend,
+                    "codec_pool_spawn_seconds", bounds=TIME_BUCKETS
                 ).observe(time.perf_counter() - start)
             return self._executor
 
@@ -222,7 +172,7 @@ class CodecPool:
             if self._executor is not None:
                 self._executor.shutdown(wait=True)
                 self._executor = None
-            self._counter("codec_pool_restarts_total").inc()
+            self.metrics.counter("codec_pool_restarts_total").inc()
 
     def run(self, fn: Callable, tasks: Sequence[tuple]) -> list:
         """Run ``fn(*args)`` for every args tuple; results in task order."""
@@ -240,7 +190,7 @@ class CodecPool:
                 self._restart()
                 continue
             wait(futures)
-            self._counter("codec_tasks_total").inc(len(tasks))
+            self.metrics.counter("codec_tasks_total").inc(len(tasks))
             broken = next(
                 (
                     f.exception()
@@ -250,7 +200,7 @@ class CodecPool:
                 None,
             )
             if broken is not None:
-                self._counter("codec_task_failures_total").inc()
+                self.metrics.counter("codec_task_failures_total").inc()
                 last_exc = broken
                 if attempt == 0:
                     self._restart()
@@ -260,7 +210,7 @@ class CodecPool:
             for future in futures:
                 exc = future.exception()
                 if exc is not None:
-                    self._counter("codec_task_failures_total").inc()
+                    self.metrics.counter("codec_task_failures_total").inc()
                     raise exc
                 results.append(future.result())
             return results
@@ -275,7 +225,7 @@ class CodecPool:
             if self._executor is not None:
                 self._executor.shutdown(wait=True)
                 self._executor = None
-                self._counter("codec_pool_closes_total").inc()
+                self.metrics.counter("codec_pool_closes_total").inc()
 
     def __enter__(self) -> "CodecPool":
         return self
@@ -284,48 +234,43 @@ class CodecPool:
         self.close()
 
 
-# -- process-lifetime shared pools --------------------------------------------
+# -- the process-lifetime shared pool ------------------------------------------
 #
-# Bare ``decode_xtc``/``encode_xtc`` calls used to construct (and tear
-# down) a transient ThreadPoolExecutor per call -- pool churn sat inside
-# the measured region of every benchmark.  Callers without a long-lived
-# owner (Decompressor / DataPreProcessor hold their own pools) now share
-# one process-lifetime pool per backend.
+# Codec calls without a long-lived owner (the Decompressor holds its own
+# pool) share one pool for the life of the process, so a bare
+# ``decode_xtc``/``encode_xtc`` never pays per-call pool construction.
 
 _SHARED_LOCK = threading.Lock()
-_SHARED: Dict[str, CodecPool] = {}
+_SHARED: Optional[CodecPool] = None
 
 
 def shared_pool(
-    backend: str,
-    workers: int,
-    metrics: Optional[MetricsRegistry] = None,
+    workers: int, metrics: Optional[MetricsRegistry] = None
 ) -> CodecPool:
-    """The process-lifetime pool for ``backend``, grown to >= ``workers``.
+    """The process-lifetime pool, grown to >= ``workers``.
 
     Growing recreates the pool (executors cannot resize); shrinking never
     happens -- a larger pool serves smaller fan-outs fine, and task-count
     partitioning (not pool size) decides actual parallelism.
     """
-    resolved = resolve_backend(backend)
+    global _SHARED
     size = max(1, int(workers))
     with _SHARED_LOCK:
-        pool = _SHARED.get(resolved)
-        if pool is not None and pool.workers < size:
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = CodecPool(size, backend=resolved, metrics=metrics)
-            _SHARED[resolved] = pool
-        return pool
+        if _SHARED is not None and _SHARED.workers < size:
+            _SHARED.close()
+            _SHARED = None
+        if _SHARED is None:
+            _SHARED = CodecPool(size, metrics=metrics)
+        return _SHARED
 
 
 def close_shared_pools() -> None:
-    """Shut down every process-lifetime shared pool (idempotent)."""
+    """Shut down the process-lifetime shared pool (idempotent)."""
+    global _SHARED
     with _SHARED_LOCK:
-        for pool in _SHARED.values():
-            pool.close()
-        _SHARED.clear()
+        if _SHARED is not None:
+            _SHARED.close()
+            _SHARED = None
 
 
 atexit.register(close_shared_pools)

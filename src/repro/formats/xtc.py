@@ -37,12 +37,12 @@ Performance model (the materialized-mode hot path):
   task spends its time inside GIL-releasing C loops;
 * keyframes every ``keyframe_interval`` partition a stream into
   independently codable **groups of frames** (GOFs); ``encode_xtc`` /
-  ``decode_xtc`` accept ``workers=N`` and fan GOFs out to a worker pool
-  selected by ``backend`` (``"thread"``, ``"process"``, or ``"auto"`` --
-  see :mod:`repro.formats.codecexec`; process workers exchange
-  coordinates through shared memory and deliver real multi-core
-  speedup).  Parallel output is bit-identical to serial because each GOF
-  is self-contained and results are reassembled in stream order;
+  ``decode_xtc`` accept ``workers=N`` and, when that resolves to more
+  than one worker (:func:`resolve_workers`), fan GOFs out to the worker
+  processes of :mod:`repro.formats.codecexec`, which exchange coordinates
+  through shared memory.  Parallel output is bit-identical to serial
+  because each GOF is self-contained and results are reassembled in
+  stream order;
 * a :class:`FrameIndex` captures one header scan (offsets, keyframe
   anchors) and makes every subsequent :func:`decode_frame_range` /
   frame-count / size query O(1) in the number of frames outside the
@@ -68,7 +68,6 @@ from repro.formats.codecexec import (
     process_decode,
     process_encode,
     shared_pool,
-    validate_backend,
 )
 from repro.formats.trajectory import BYTES_PER_COORD, Trajectory
 
@@ -630,11 +629,14 @@ def _decode_frame_payload(
 
 
 def resolve_workers(workers: Optional[int], ntasks: int) -> int:
-    """Effective thread count for ``ntasks`` independent codec tasks.
+    """Effective worker count for ``ntasks`` independent codec tasks.
 
-    ``None`` or ``1`` means serial, ``0`` means one thread per CPU, and any
-    positive count is capped at the number of tasks.  Worker count never
-    changes results -- only how GOFs are scheduled.
+    ``None`` or ``1`` means serial, ``0`` means one worker per CPU (so
+    serial on a one-CPU host), and any positive count is capped at the
+    number of tasks.  A result above 1 is the whole selection rule: the
+    call fans out to a :class:`~repro.formats.codecexec.CodecPool`,
+    otherwise it runs the serial kernel.  Worker count never changes
+    results -- only how GOFs are scheduled.
     """
     if workers is None:
         return 1
@@ -694,19 +696,10 @@ def _encode_gof(
     return b"".join(chunks)
 
 
-def _resolve_pool(executor, backend: str, nworkers: int):
-    """Pick the :class:`CodecPool` serving a codec call (None => caller
-    runs serial or drives a raw executor it supplied itself)."""
-    # Validate the knob even on serial paths -- by name only: resolving
-    # "auto" costs a CPU-count syscall no serial call has a use for.
-    validate_backend(backend)
-    if executor is not None:
-        return executor if isinstance(executor, CodecPool) else None
-    if nworkers <= 1:
-        return None
-    # No owning pool supplied: reuse the process-lifetime shared pool
-    # instead of constructing (and tearing down) a transient one per call.
-    return shared_pool(backend, nworkers)
+def _fanout_pool(executor: Optional[CodecPool], nworkers: int) -> CodecPool:
+    """The pool a fanned-out call runs on: the caller's long-lived one,
+    else the process-lifetime shared pool (no per-call construction)."""
+    return executor if executor is not None else shared_pool(nworkers)
 
 
 def encode_xtc(
@@ -715,8 +708,7 @@ def encode_xtc(
     level: int = 6,
     keyframe_interval: int = 100,
     workers: Optional[int] = None,
-    executor=None,
-    backend: str = "auto",
+    executor: Optional[CodecPool] = None,
 ) -> bytes:
     """Serialize a trajectory to an XTC-like compressed byte stream.
 
@@ -725,14 +717,11 @@ def encode_xtc(
     :func:`decode_frame_range` must rewind for random access.  Because each
     group of frames (keyframe to keyframe) is encoded against only its own
     frames, GOFs are embarrassingly parallel: ``workers`` (see
-    :func:`resolve_workers`) fans them out to the ``backend`` worker pool
-    (``"thread"``, ``"process"``, or ``"auto"``; process workers read
-    coordinates from a shared-memory segment) and the concatenated result
+    :func:`resolve_workers`) fans them out to worker processes reading
+    coordinates from a shared-memory segment, and the concatenated result
     is bit-identical to a serial encode.  ``executor`` supplies a caller's
-    long-lived :class:`~repro.formats.codecexec.CodecPool` (or a plain
-    executor with ``.map``); without one the process-lifetime shared pool
-    of ``backend`` is reused -- bare calls no longer pay per-call pool
-    construction.
+    long-lived :class:`~repro.formats.codecexec.CodecPool`; without one
+    the process-lifetime shared pool is reused.
     """
     if precision <= 0:
         raise CodecError(f"precision must be positive, got {precision}")
@@ -752,24 +741,14 @@ def encode_xtc(
         for s in range(0, nframes, keyframe_interval)
     ]
     nworkers = resolve_workers(workers, len(spans))
-    pool = _resolve_pool(executor, backend, nworkers)
-    if pool is not None and pool.backend == "process" and nworkers > 1:
+    if nworkers > 1:
         return process_encode(
-            trajectory, spans, precision, level, box9, pool, nworkers
+            trajectory, spans, precision, level, box9,
+            _fanout_pool(executor, nworkers), nworkers,
         )
-    if nworkers <= 1:
-        parts = [
-            _encode_gof(trajectory, s, e, precision, level, box9) for s, e in spans
-        ]
-    else:
-        encode = lambda span: _encode_gof(  # noqa: E731
-            trajectory, span[0], span[1], precision, level, box9
-        )
-        if pool is not None:
-            parts = pool.run(encode, [(span,) for span in spans])
-        else:
-            parts = list(executor.map(encode, spans))
-    return b"".join(parts)
+    return b"".join(
+        _encode_gof(trajectory, s, e, precision, level, box9) for s, e in spans
+    )
 
 
 def iter_frame_infos(data: bytes) -> Iterator[XtcFrameInfo]:
@@ -1000,8 +979,7 @@ def decode_xtc(
     atom_indices: Optional[np.ndarray] = None,
     workers: Optional[int] = None,
     index: Optional[FrameIndex] = None,
-    executor=None,
-    backend: str = "auto",
+    executor: Optional[CodecPool] = None,
 ) -> Trajectory:
     """Decompress an XTC stream into a :class:`Trajectory`.
 
@@ -1011,12 +989,11 @@ def decode_xtc(
     discarded atoms.
 
     ``workers`` (see :func:`resolve_workers`) decodes independent groups of
-    frames concurrently on the ``backend`` worker pool (``"thread"``,
-    ``"process"``, or ``"auto"``; process workers fill disjoint slices of a
-    shared-memory coordinate array, returned zero-copy); results are
-    reassembled in stream order, so the output is bit-identical to a serial
-    decode.  ``index`` reuses an existing :class:`FrameIndex` instead of
-    rescanning headers; ``executor`` reuses a caller's long-lived
+    frames concurrently: worker processes fill disjoint slices of a
+    shared-memory coordinate array, returned zero-copy, so the output is
+    bit-identical to a serial decode.  ``index`` reuses an existing
+    :class:`FrameIndex` instead of rescanning headers; ``executor`` reuses
+    a caller's long-lived
     :class:`~repro.formats.codecexec.CodecPool` (the
     :class:`~repro.core.decompressor.Decompressor` holds one for its read
     path); without one the process-lifetime shared pool is reused.
@@ -1026,25 +1003,15 @@ def decode_xtc(
     selection = np.asarray(atom_indices) if atom_indices is not None else None
     gofs = idx.gofs()
     nworkers = resolve_workers(workers, len(gofs))
-    pool = _resolve_pool(executor, backend, nworkers)
-    if pool is not None and pool.backend == "process" and nworkers > 1:
-        coords = process_decode(data, infos, gofs, selection, pool, nworkers)
+    if nworkers > 1:
+        coords = process_decode(
+            data, infos, gofs, selection,
+            _fanout_pool(executor, nworkers), nworkers,
+        )
     else:
         natoms_kept = idx.natoms if selection is None else len(selection)
         coords = np.empty((len(infos), natoms_kept, 3), dtype=np.float32)
-        if nworkers <= 1:
-            _decode_run(data, infos, coords, atom_indices=selection)
-        else:
-            decode = lambda span: _decode_run(  # noqa: E731
-                data,
-                infos[span[0] : span[1]],
-                coords[span[0] : span[1]],
-                atom_indices=selection,
-            )
-            if pool is not None:
-                pool.run(decode, [(span,) for span in gofs])
-            else:
-                list(executor.map(decode, gofs))
+        _decode_run(data, infos, coords, atom_indices=selection)
     return Trajectory(
         coords=coords,
         steps=[i.step for i in infos],
@@ -1059,8 +1026,7 @@ def decode_frame_range(
     stop: int,
     index: Optional[FrameIndex] = None,
     workers: Optional[int] = None,
-    executor=None,
-    backend: str = "auto",
+    executor: Optional[CodecPool] = None,
 ) -> Trajectory:
     """Decode only frames ``[start, stop)`` of an XTC stream.
 
@@ -1070,8 +1036,8 @@ def decode_frame_range(
     streaming playback layer uses to animate trajectories that do not fit
     in memory.  Passing ``index`` (a prebuilt :class:`FrameIndex`) skips the
     per-call header scan, making windowed playback O(window) instead of
-    O(file) per window.  ``workers``/``executor``/``backend`` fan the
-    window's groups of frames out exactly as in :func:`decode_xtc`.
+    O(file) per window.  ``workers``/``executor`` fan the window's groups
+    of frames out exactly as in :func:`decode_xtc`.
     """
     try:
         start = operator.index(start)
@@ -1091,29 +1057,15 @@ def decode_frame_range(
     # Groups of frames overlapping the window, relative to the anchor.
     rel = [(s - anchor, e - anchor) for s, e in spans]
     nworkers = resolve_workers(workers, len(rel))
-    pool = _resolve_pool(executor, backend, nworkers)
-    if pool is not None and pool.backend == "process" and nworkers > 1:
+    if nworkers > 1:
         coords = process_decode(
-            data, infos, rel, None, pool, nworkers, keep_from=keep_from
+            data, infos, rel, None,
+            _fanout_pool(executor, nworkers), nworkers,
+            keep_from=keep_from,
         )
     else:
         coords = np.empty((stop - start, idx.natoms, 3), dtype=np.float32)
-        if nworkers <= 1 or pool is None:
-            _decode_run(data, infos, coords, keep_from=keep_from)
-        else:
-
-            def decode(span):
-                f_lo, f_hi = span
-                skip = max(keep_from - f_lo, 0)
-                row0 = max(f_lo, keep_from) - keep_from
-                _decode_run(
-                    data,
-                    infos[f_lo:f_hi],
-                    coords[row0 : row0 + (f_hi - f_lo - skip)],
-                    keep_from=skip,
-                )
-
-            pool.run(decode, [(span,) for span in rel])
+        _decode_run(data, infos, coords, keep_from=keep_from)
     kept = idx.infos[start:stop]
     return Trajectory(
         coords=coords,

@@ -1,10 +1,10 @@
 """Codec throughput benchmark with a frozen pre-PR kernel baseline.
 
-Produces the machine-readable ``BENCH_codec.json`` record (schema v2):
-encode/decode MB/s, a {1, 2, 4, 8}-worker sweep over both executor
-backends, ``baseline_ratio`` -- serial decode throughput of the vectorized
-kernels relative to the seed's bit-matrix kernels -- and a full
-metrics-registry snapshot of the pools' lifecycle.
+Produces the machine-readable ``BENCH_codec.json`` record (schema v3):
+encode/decode MB/s, a measured {1, 2, 4, 8}-worker sweep,
+``baseline_ratio`` -- serial decode throughput of the vectorized kernels
+relative to the seed's bit-matrix kernels -- and a full metrics-registry
+snapshot of the pools' lifecycle.
 
 The baseline is *embedded* here rather than checked out from history:
 :func:`legacy_decode_xtc` decodes the exact same stream with the seed's
@@ -40,10 +40,9 @@ from measured quantities only::
   the parent-side memcpy of the compressed runs into the segment's blob
   region, task pickling, and the pool round trip.
 
-Measured wall-clock sweep numbers for both backends are recorded
-alongside (``sweep``) so multi-core hosts can see the realized speedup;
-``bit_identical`` asserts every parallel configuration reproduced the
-serial bytes exactly.
+Measured wall-clock sweep numbers are recorded alongside (``sweep``) so
+multi-core hosts can see the realized speedup; ``bit_identical`` asserts
+every worker count reproduced the serial bytes exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from repro.formats.codecexec import (
     partition_weighted,
     probe_decode_overhead,
     probe_encode_overhead,
-    resolve_backend,
 )
 from repro.formats.trajectory import Trajectory
 from repro.formats.xtc import (
@@ -92,7 +90,7 @@ __all__ = [
     "run_codec_bench",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Worker counts every sweep exercises (and the projection is evaluated at).
 WORKER_SWEEP = (1, 2, 4, 8)
@@ -255,20 +253,17 @@ def run_codec_bench(
     workers: int = 0,
     repeats: int = 3,
     seed: int = 7,
-    backend: str = "auto",
 ) -> dict:
     """Measure codec throughput; returns the ``BENCH_codec.json`` record.
 
-    ``workers=0`` resolves to the sweep maximum (8 -- the gated
-    configuration); ``backend`` picks which sweep column the headline
-    ``encode_mb_s``/``decode_mb_s`` parallel entries quote.  Rates are
-    best-of-``repeats`` so a noisy run cannot understate them; the floors
-    gate on the projected process-backend critical path either way (see
-    module docstring).
+    ``workers`` picks which sweep row the headline ``encode_mb_s``/
+    ``decode_mb_s`` parallel entries quote; ``0`` resolves to the sweep
+    maximum (8 -- the gated configuration).  Rates are best-of-``repeats``
+    so a noisy run cannot understate them; the floors gate on the
+    projected critical path either way (see module docstring).
     """
     from repro.workloads import build_workload
 
-    headline_backend = resolve_backend(backend)
     registry = MetricsRegistry()
     workload = build_workload(natoms=natoms, nframes=nframes, seed=seed)
     trajectory = workload.trajectory
@@ -342,15 +337,13 @@ def run_codec_bench(
     decode_fixed_s = max(0.0, decode_serial_s - sum(decode_costs))
     encode_fixed_s = max(0.0, encode_serial_s - sum(encode_costs))
 
-    # -- dispatch overhead + projection (process backend) ----------------
+    # -- dispatch overhead + projection -----------------------------------
     spans = gofs
     projected_decode: dict = {}
     projected_encode: dict = {}
     decode_overhead: dict = {}
     encode_overhead: dict = {}
-    with CodecPool(
-        max(WORKER_SWEEP), backend="process", metrics=registry
-    ) as probe_pool:
+    with CodecPool(max(WORKER_SWEEP), metrics=registry) as probe_pool:
         for w in WORKER_SWEEP:
             d_over, _ = _best_seconds(
                 lambda w=w: probe_decode_overhead(
@@ -386,52 +379,44 @@ def run_codec_bench(
                 2,
             )
 
-    # -- measured wall-clock sweep, both backends, bit-identity ----------
+    # -- measured wall-clock sweep, bit-identity ---------------------------
     sweep: dict = {}
     bit_identical = True
-    for sweep_backend in ("thread", "process"):
-        with CodecPool(
-            max(WORKER_SWEEP), backend=sweep_backend, metrics=registry
-        ) as pool:
-            column: dict = {}
-            for w in WORKER_SWEEP:
-                dec_s, traj = _best_seconds(
-                    lambda w=w: decode_xtc(
-                        blob, workers=w, index=idx, executor=pool
-                    ),
-                    repeats,
-                )
-                enc_s, reblob = _best_seconds(
-                    lambda w=w: encode_xtc(
-                        trajectory,
-                        keyframe_interval=keyframe_interval,
-                        workers=w,
-                        executor=pool,
-                    ),
-                    repeats,
-                )
-                bit_identical = bit_identical and (
-                    np.array_equal(traj.coords, reference.coords)
-                    and np.array_equal(traj.steps, reference.steps)
-                    and np.array_equal(traj.times_ps, reference.times_ps)
-                    and reblob == blob
-                )
-                column[str(w)] = {
-                    "decode_mb_s": round(to_mb(raw_nbytes) / dec_s, 1),
-                    "encode_mb_s": round(to_mb(raw_nbytes) / enc_s, 1),
-                    "decode_speedup": round(decode_serial_s / dec_s, 2),
-                    "encode_speedup": round(encode_serial_s / enc_s, 2),
-                }
-            sweep[sweep_backend] = column
+    with CodecPool(max(WORKER_SWEEP), metrics=registry) as pool:
+        for w in WORKER_SWEEP:
+            dec_s, traj = _best_seconds(
+                lambda w=w: decode_xtc(
+                    blob, workers=w, index=idx, executor=pool
+                ),
+                repeats,
+            )
+            enc_s, reblob = _best_seconds(
+                lambda w=w: encode_xtc(
+                    trajectory,
+                    keyframe_interval=keyframe_interval,
+                    workers=w,
+                    executor=pool,
+                ),
+                repeats,
+            )
+            bit_identical = bit_identical and (
+                np.array_equal(traj.coords, reference.coords)
+                and np.array_equal(traj.steps, reference.steps)
+                and np.array_equal(traj.times_ps, reference.times_ps)
+                and reblob == blob
+            )
+            sweep[str(w)] = {
+                "decode_mb_s": round(to_mb(raw_nbytes) / dec_s, 1),
+                "encode_mb_s": round(to_mb(raw_nbytes) / enc_s, 1),
+                "decode_speedup": round(decode_serial_s / dec_s, 2),
+                "encode_speedup": round(encode_serial_s / enc_s, 2),
+            }
     # Zero-copy decode results keep their shm mapping alive; drop the last
     # one so the metrics snapshot below records codec_shm_active == 0.
     traj = None
 
-    headline_w = str(min(nworkers, max(WORKER_SWEEP)))
-    headline = sweep[headline_backend].get(
-        headline_w, sweep[headline_backend][str(max(WORKER_SWEEP))]
-    )
     gate_w = str(max(WORKER_SWEEP))
+    headline = sweep.get(str(nworkers), sweep[gate_w])
     baseline_ratio = round(decode_serial / decode_legacy, 2)
     floors_ok = (
         projected_decode[gate_w] >= FLOORS["decode_parallel_speedup_8w"]
@@ -451,14 +436,10 @@ def run_codec_bench(
             "compression_ratio": round(raw_nbytes / len(blob), 3),
             "seed": seed,
         },
-        "host": {
-            "cpus": os.cpu_count() or 1,
-            "default_backend": resolve_backend("auto"),
-        },
+        "host": {"cpus": os.cpu_count() or 1},
         "workers": nworkers,
         "workers_swept": list(WORKER_SWEEP),
         "repeats": repeats,
-        "backend": headline_backend,
         "encode_mb_s": {
             "serial": round(encode_serial, 1),
             "parallel": headline["encode_mb_s"],
@@ -476,7 +457,7 @@ def run_codec_bench(
                 "per-GOF costs measured serially into fresh mmaps (page "
                 "faults count as parallelizable work), makespan under the "
                 "dispatcher's weighted contiguous partition, overhead from "
-                "a kernel-stubbed process-pool dispatch through the real "
+                "a kernel-stubbed pool dispatch through the real "
                 "shm+pool machinery"
             ),
             "decode": projected_decode,
@@ -491,8 +472,8 @@ def run_codec_bench(
             "encode": projected_encode[gate_w],
             "basis": "projected_process_critical_path_8w",
             "measured": {
-                "decode": sweep[headline_backend][gate_w]["decode_speedup"],
-                "encode": sweep[headline_backend][gate_w]["encode_speedup"],
+                "decode": sweep[gate_w]["decode_speedup"],
+                "encode": sweep[gate_w]["encode_speedup"],
             },
         },
         "bit_identical": bit_identical,
@@ -512,24 +493,23 @@ def render_codec_bench(result: dict) -> str:
         f"  workload: {w['natoms']} atoms x {w['nframes']} frames "
         f"({w['raw_mb']} MB raw, ratio {w['compression_ratio']}x, "
         f"keyframe interval {w['keyframe_interval']}, {w['gofs']} GOFs)",
-        f"  host: {result['host']['cpus']} cpu(s), "
-        f"auto backend = {result['host']['default_backend']}",
+        f"  host: {result['host']['cpus']} cpu(s)",
         f"  encode: serial {enc['serial']}, "
-        f"parallel[{result['backend']} x{result['workers']}] "
-        f"{enc['parallel']}",
+        f"parallel[x{result['workers']}] {enc['parallel']}",
         f"  decode: serial {dec['serial']}, "
-        f"parallel[{result['backend']} x{result['workers']}] "
-        f"{dec['parallel']}, legacy kernel {dec['legacy_kernel']}",
+        f"parallel[x{result['workers']}] {dec['parallel']}, "
+        f"legacy kernel {dec['legacy_kernel']}",
         f"  baseline_ratio: {result['baseline_ratio']}x over the pre-PR kernel",
-        "  sweep (decode_speedup @ workers):",
+        "  sweep (measured speedup @ workers):",
     ]
-    for backend_name, column in result["sweep"].items():
+    for op in ("decode", "encode"):
         entries = ", ".join(
-            f"{wk}w {cell['decode_speedup']}x" for wk, cell in column.items()
+            f"{wk}w {cell[f'{op}_speedup']}x"
+            for wk, cell in result["sweep"].items()
         )
-        lines.append(f"    {backend_name}: {entries}")
+        lines.append(f"    {op}: {entries}")
     lines += [
-        f"  projected (process critical path): "
+        f"  projected (critical path): "
         f"decode {speedup['decode']}x, encode {speedup['encode']}x @ 8w",
         f"  bit_identical: {result['bit_identical']}",
         f"  pass: {result['pass']} (floors: {result['floors']})",

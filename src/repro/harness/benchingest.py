@@ -59,7 +59,6 @@ def _scenario(
     depth: int,
     workload,
     workers: Optional[int],
-    codec_backend: str = "auto",
 ) -> Dict[str, object]:
     config = IngestPipelineConfig(
         window_frames=window_frames,
@@ -73,7 +72,6 @@ def _scenario(
         sim,
         storage_cpu=storage_cpu(sim),
         workers=workers,
-        codec_backend=codec_backend,
         ingest_config=config,
     )
     started = sim.now
@@ -108,14 +106,13 @@ def run_ingest_bench(
     depth: int = 4,
     seed: int = 7,
     workers: Optional[int] = None,
-    codec_backend: str = "auto",
 ) -> dict:
     """Measure the three write-path scenarios; returns the JSON record.
 
-    ``workers`` sizes every scenario's pre-processor pools identically
-    (the >= 2x gate compares equal worker counts) and ``codec_backend``
-    picks their flavour; both affect host wall time only -- simulated
-    timings and stored bytes are worker- and backend-invariant.
+    ``workers`` gives every scenario's pre-processor the same codec
+    fan-out (the >= 2x gate compares equal worker counts); it affects
+    host wall time only -- simulated timings and stored bytes are
+    worker-invariant.
     """
     workload = build_workload(
         natoms=natoms, nframes=nframes, seed=seed,
@@ -124,16 +121,13 @@ def run_ingest_bench(
 
     runs = {
         "serial": _scenario(
-            False, False, window_frames, depth, workload, workers,
-            codec_backend,
+            False, False, window_frames, depth, workload, workers
         ),
         "pipelined_uncoalesced": _scenario(
-            True, False, window_frames, depth, workload, workers,
-            codec_backend,
+            True, False, window_frames, depth, workload, workers
         ),
         "pipelined": _scenario(
-            True, True, window_frames, depth, workload, workers,
-            codec_backend,
+            True, True, window_frames, depth, workload, workers
         ),
     }
     scenarios = {name: run["record"] for name, run in runs.items()}

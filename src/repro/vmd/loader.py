@@ -82,18 +82,11 @@ class TrajectoryLoader:
     """Executes the three load paths on in-memory blobs.
 
     ``workers`` enables parallel group-of-frames decompression on the C
-    path (bit-identical to serial decode; ``0`` means one per CPU);
-    ``codec_backend`` picks the worker flavour
-    (``"thread"``/``"process"``/``"auto"``, see
-    :mod:`repro.formats.codecexec`).
+    path (bit-identical to serial decode; ``0`` means one per CPU).
     """
 
-    def __init__(
-        self, workers: Optional[int] = None, codec_backend: str = "auto"
-    ) -> None:
-        self.decompressor = Decompressor(
-            workers=workers, codec_backend=codec_backend
-        )
+    def __init__(self, workers: Optional[int] = None) -> None:
+        self.decompressor = Decompressor(workers=workers)
 
     def load_compressed(
         self, blob: bytes, selection: Optional[np.ndarray] = None

@@ -45,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.lod import validate_precision
 from repro.errors import CodecError
-from repro.formats.codecexec import validate_backend
 from repro.formats.trajectory import BYTES_PER_COORD, Frame, Trajectory
 from repro.formats.xtc import FrameIndex, decode_frame_range
 
@@ -88,8 +87,8 @@ class StreamingTrajectory:
     ``prefetch`` enables adaptive window readahead (see module docstring);
     ``pressure_fn`` optionally reports external memory pressure in
     ``[0, 1]`` -- speculation is suppressed at or above
-    ``pressure_watermark``.  ``workers``/``codec_backend`` fan each
-    window's groups of frames out across a codec pool (see
+    ``pressure_watermark``.  ``workers`` fans each window's groups of
+    frames out across the codec's worker processes (see
     :func:`~repro.formats.xtc.decode_frame_range`) -- bit-identical to
     serial window decodes.
 
@@ -110,16 +109,13 @@ class StreamingTrajectory:
         pressure_fn: Optional[Callable[[], float]] = None,
         pressure_watermark: float = 0.85,
         workers: Optional[int] = None,
-        codec_backend: str = "auto",
         lod_bytes: Optional[bytes] = None,
         lod_max_error: Optional[float] = None,
         precision: str = "full",
     ):
         if window_frames < 1 or max_windows < 1:
             raise CodecError("window_frames and max_windows must be >= 1")
-        validate_backend(codec_backend)  # eagerly
         self.workers = workers
-        self.codec_backend = codec_backend
         self._data = xtc_bytes
         self.index = index if index is not None else FrameIndex.build(xtc_bytes)
         self._nframes = self.index.nframes
@@ -297,12 +293,7 @@ class StreamingTrajectory:
     def _decode(self, tier: str, start: int, stop: int) -> Trajectory:
         data, index = self._tier_source(tier)
         return decode_frame_range(
-            data,
-            start,
-            stop,
-            index=index,
-            workers=self.workers,
-            backend=self.codec_backend,
+            data, start, stop, index=index, workers=self.workers
         )
 
     def _fill(self, tier: str, window: _Window, index: int) -> None:

@@ -5,7 +5,8 @@ import pytest
 from repro.core import DataPreProcessor, TagPolicy
 from repro.datagen import build_gpcr_system, generate_trajectory
 from repro.formats import encode_xtc, write_pdb
-from repro.formats.xtc import decode_raw
+from repro.formats.codecexec import shared_pool
+from repro.formats.xtc import decode_raw, encode_raw
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +66,47 @@ def test_per_class_policy_produces_more_subsets(dataset):
 
 def test_raw_input_accepted(dataset):
     """Pre-processor handles already-decompressed (raw container) arrivals."""
-    from repro.formats.xtc import encode_raw
-
     system, pdb_text, _, traj = dataset
     result = DataPreProcessor().process(pdb_text, encode_raw(traj))
     assert result.raw_nbytes == traj.nbytes
 
 
-def test_parallel_divide_identical_subsets(dataset):
-    """Per-tag subset encoding with a thread pool is byte-identical."""
-    _, pdb_text, blob, _ = dataset
-    serial = DataPreProcessor().process(pdb_text, blob)
+@pytest.fixture(scope="module")
+def long_chunk():
+    """A raw-container chunk longer than ``encode_xtc``'s default 100-frame
+    keyframe interval, so every XTC encode of it has >= 2 groups of frames
+    to fan out -- and, arriving raw, a decode that is a parse and cannot
+    touch a pool."""
+    system = build_gpcr_system(natoms_target=300, protein_fraction=0.45, seed=7)
+    traj = generate_trajectory(system, nframes=130, seed=8)
+    label_map = DataPreProcessor().analyze_structure(
+        write_pdb(system.topology, system.coords)
+    )
+    return label_map, encode_raw(traj)
+
+
+def test_parallel_divide_identical_subsets(long_chunk):
+    """Fanned-out subset encoding is byte-identical to serial."""
     for fmt in ("raw", "xtc"):
-        a = DataPreProcessor(subset_format=fmt).process(pdb_text, blob)
-        b = DataPreProcessor(subset_format=fmt, workers=4).process(pdb_text, blob)
-        assert a.subsets == b.subsets
-    assert serial.tags == ["m", "p"]
+        for lod_precision in (None, 12.5):
+            kwargs = dict(subset_format=fmt, lod_precision=lod_precision)
+            serial = DataPreProcessor(**kwargs).process_chunk(*long_chunk)
+            fanned = DataPreProcessor(workers=4, **kwargs).process_chunk(
+                *long_chunk
+            )
+            assert fanned.subsets == serial.subsets
+            assert ("lod:p" in serial.tags) == (lod_precision is not None)
+
+
+def test_lod_sibling_encode_reaches_the_pool_in_the_raw_format(long_chunk):
+    """Under the default ``subset_format="raw"`` the ``lod:`` siblings are
+    the only compressed encodes; they used to run serially whatever
+    ``workers`` said."""
+    segments = shared_pool(2).metrics.counter("codec_shm_segments_total")
+    before = segments.value
+    fanned = DataPreProcessor(workers=2, lod_precision=12.5).process_chunk(
+        *long_chunk
+    )
+    assert segments.value > before
+    serial = DataPreProcessor(lod_precision=12.5).process_chunk(*long_chunk)
+    assert fanned.subsets == serial.subsets

@@ -1,4 +1,4 @@
-"""Chaos properties over the parallel codec's process backend.
+"""Chaos properties over the parallel codec's process pool.
 
 A corrupted stream must behave *identically* under serial decode and the
 process-pool dispatch: either both return the original coordinates
@@ -47,7 +47,7 @@ _HEADER_POSITIONS = sorted(
 
 @pytest.fixture(scope="module")
 def pool():
-    with CodecPool(4, backend="process") as p:
+    with CodecPool(4) as p:
         yield p
 
 
@@ -69,7 +69,7 @@ def _assert_same_outcome(mutant, pool, require_original):
     serial_coords, serial_err = _outcome(mutant)
     proc_coords, proc_err = _outcome(mutant, workers=4, executor=pool)
     assert serial_err == proc_err, (
-        "serial and process backends disagreed on whether the corruption "
+        "serial and process-pool decodes disagreed on whether the corruption "
         "is detectable"
     )
     if serial_err is None:

@@ -1,8 +1,8 @@
 """Pool lifecycle, partitioning, and shared-memory hygiene for codecexec.
 
-The codec's parallel contract lives here: backends resolve predictably,
-the dispatcher's contiguous weighted partition is balanced and lossless,
-pools close idempotently and propagate worker failures as typed
+The codec's parallel contract lives here: the dispatcher's contiguous
+weighted partition is balanced and lossless, pools close idempotently
+and propagate worker failures as typed
 :class:`CodecError`\\ s, a crashed worker triggers exactly one respawn +
 retry, and no shared-memory segment ever outlives a call -- including
 the failure paths.
@@ -17,11 +17,9 @@ import pytest
 from repro.errors import CodecError
 from repro.formats import Trajectory, decode_xtc, encode_xtc
 from repro.formats.codecexec import (
-    BACKENDS,
     CodecPool,
     close_shared_pools,
     partition_weighted,
-    resolve_backend,
     shared_pool,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -57,23 +55,6 @@ def _die(x):
     os._exit(13)  # simulate a segfaulting worker
 
 
-# -- backend resolution -------------------------------------------------------
-
-
-def test_resolve_backend_values():
-    assert resolve_backend("thread") == "thread"
-    assert resolve_backend("process") == "process"
-    expected = "process" if (os.cpu_count() or 1) > 1 else "thread"
-    assert resolve_backend("auto") == expected
-    assert set(BACKENDS) == {"auto", "thread", "process"}
-
-
-@pytest.mark.parametrize("bad", ["", "threads", "fork", None, 3])
-def test_resolve_backend_rejects_unknown(bad):
-    with pytest.raises(CodecError):
-        resolve_backend(bad)
-
-
 # -- weighted contiguous partition --------------------------------------------
 
 
@@ -107,9 +88,8 @@ def test_partition_weighted_zero_total_falls_back_to_equal():
 # -- pool lifecycle -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_pool_runs_ordered_and_close_is_idempotent(backend):
-    pool = CodecPool(3, backend=backend)
+def test_pool_runs_ordered_and_close_is_idempotent():
+    pool = CodecPool(3)
     assert pool.run(_double, [(i,) for i in range(7)]) == [
         2 * i for i in range(7)
     ]
@@ -122,9 +102,8 @@ def test_pool_runs_ordered_and_close_is_idempotent(backend):
     pool.close()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_pool_propagates_worker_errors_typed(backend):
-    with CodecPool(2, backend=backend) as pool:
+def test_pool_propagates_worker_errors_typed():
+    with CodecPool(2) as pool:
         with pytest.raises(CodecError, match="boom"):
             pool.run(_typed_boom, [(1,), (2,)])
         with pytest.raises(Exception, match="boom"):
@@ -135,29 +114,26 @@ def test_pool_propagates_worker_errors_typed(backend):
 
 def test_pool_restarts_after_worker_crash():
     metrics = MetricsRegistry()
-    with CodecPool(2, backend="process", metrics=metrics) as pool:
+    with CodecPool(2, metrics=metrics) as pool:
         with pytest.raises(CodecError, match="worker process died"):
             pool.run(_die, [(1,), (2,)])
         # One respawn was attempted; the fresh pool still works.
-        restarts = metrics.counter(
-            "codec_pool_restarts_total", backend="process"
-        ).value
-        assert restarts >= 1
+        assert metrics.counter("codec_pool_restarts_total").value >= 1
         assert pool.run(_double, [(5,)]) == [10]
 
 
 def test_shared_pools_are_cached_and_closeable():
     close_shared_pools()
-    a = shared_pool("thread", 2)
-    b = shared_pool("thread", 2)
+    a = shared_pool(2)
+    b = shared_pool(2)
     assert a is b
-    c = shared_pool("thread", 4)  # growing recreates the pool
+    c = shared_pool(4)  # growing recreates the pool
     assert c is not a and c.workers == 4
-    assert shared_pool("thread", 2) is c  # larger pool serves smaller asks
+    assert shared_pool(2) is c  # larger pool serves smaller asks
     close_shared_pools()
     assert a.closed and c.closed
-    # The registry was cleared: the next request gets a distinct pool.
-    d = shared_pool("thread", 2)
+    # The slot was cleared: the next request gets a distinct pool.
+    d = shared_pool(2)
     assert d is not a and d is not c
     assert d.run(_double, [(4,)]) == [8]
     close_shared_pools()
@@ -171,7 +147,7 @@ def test_decode_result_is_zero_copy_and_releases_segment():
     t = _traj(nframes=24)
     blob = encode_xtc(t, keyframe_interval=6)
     before = set(_shm_names())
-    with CodecPool(4, backend="process", metrics=metrics) as pool:
+    with CodecPool(4, metrics=metrics) as pool:
         out = decode_xtc(blob, workers=4, executor=pool)
         np.testing.assert_array_equal(out.coords, decode_xtc(blob).coords)
         # Zero-copy: the coords view over the (unlinked) segment holds the
@@ -190,7 +166,7 @@ def test_segment_unlinked_even_when_worker_fails():
     # Corrupt a payload byte in the middle so one worker's decode raises.
     blob[len(blob) // 2] ^= 0xFF
     before = set(_shm_names())
-    with CodecPool(3, backend="process", metrics=metrics) as pool:
+    with CodecPool(3, metrics=metrics) as pool:
         with pytest.raises(CodecError):
             decode_xtc(bytes(blob), workers=3, executor=pool)
     assert metrics.gauge("codec_shm_active").value == 0
@@ -201,7 +177,7 @@ def test_encode_segment_released_on_success_and_failure():
     metrics = MetricsRegistry()
     t = _traj(nframes=16, natoms=50, seed=2)
     before = set(_shm_names())
-    with CodecPool(3, backend="process", metrics=metrics) as pool:
+    with CodecPool(3, metrics=metrics) as pool:
         blob = encode_xtc(t, keyframe_interval=4, workers=3, executor=pool)
         assert blob == encode_xtc(t, keyframe_interval=4)
         assert metrics.gauge("codec_shm_active").value == 0

@@ -78,62 +78,43 @@ def test_unpack_words_validates_width_and_length():
 # -- parallel GOF codec --------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("keyframe_interval", [1, 3, 100])
 @pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_decode_bit_identical(keyframe_interval, workers, backend):
+def test_parallel_decode_bit_identical(keyframe_interval, workers):
     t = _traj(nframes=25)
     blob = encode_xtc(t, keyframe_interval=keyframe_interval)
     serial = decode_xtc(blob)
-    parallel = decode_xtc(blob, workers=workers, backend=backend)
+    parallel = decode_xtc(blob, workers=workers)
     np.testing.assert_array_equal(serial.coords, parallel.coords)
     np.testing.assert_array_equal(serial.steps, parallel.steps)
     np.testing.assert_array_equal(serial.times_ps, parallel.times_ps)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("keyframe_interval", [1, 3, 100])
-def test_parallel_encode_bit_identical(keyframe_interval, backend):
+def test_parallel_encode_bit_identical(keyframe_interval):
     t = _traj(nframes=25, seed=4)
     serial = encode_xtc(t, keyframe_interval=keyframe_interval)
-    parallel = encode_xtc(
-        t, keyframe_interval=keyframe_interval, workers=4, backend=backend
-    )
+    parallel = encode_xtc(t, keyframe_interval=keyframe_interval, workers=4)
     assert serial == parallel
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_decode_with_selection(backend):
+def test_parallel_decode_with_selection():
     t = _traj(nframes=20, natoms=50)
     blob = encode_xtc(t, keyframe_interval=5)
     sel = np.arange(0, 50, 3)
     serial = decode_xtc(blob, atom_indices=sel)
-    parallel = decode_xtc(
-        blob, atom_indices=sel, workers=3, backend=backend
-    )
+    parallel = decode_xtc(blob, atom_indices=sel, workers=3)
     np.testing.assert_array_equal(serial.coords, parallel.coords)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_frame_range_bit_identical(backend):
+def test_parallel_frame_range_bit_identical():
     t = _traj(nframes=27, seed=9)
     blob = encode_xtc(t, keyframe_interval=4)
     for start, stop in [(0, 27), (1, 5), (3, 17), (5, 6), (2, 22), (20, 27)]:
         serial = decode_frame_range(blob, start, stop)
-        parallel = decode_frame_range(
-            blob, start, stop, workers=4, backend=backend
-        )
+        parallel = decode_frame_range(blob, start, stop, workers=4)
         np.testing.assert_array_equal(serial.coords, parallel.coords)
         np.testing.assert_array_equal(serial.steps, parallel.steps)
-
-
-def test_decode_rejects_unknown_backend():
-    t = _traj(nframes=4)
-    blob = encode_xtc(t)
-    with pytest.raises(CodecError, match="backend"):
-        decode_xtc(blob, workers=2, backend="fibers")
-    with pytest.raises(CodecError, match="backend"):
-        encode_xtc(t, workers=2, backend="fibers")
 
 
 def test_resolve_workers():

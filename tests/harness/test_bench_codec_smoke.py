@@ -2,8 +2,8 @@
 
 Marked ``bench`` so CI can run ``pytest -m bench`` as a fast gate.  A
 moderate workload (12 GOFs, ~2 MB raw) keeps wall time in seconds while
-still exercising the full v2 pipeline: both executor backends, the
-worker sweep, the projection model, and the embedded metrics snapshot.
+still exercising the full v3 pipeline: the worker sweep, the projection
+model, and the embedded metrics snapshot.
 Absolute floor values are asserted only by ``benchmarks/bench_codec.py``
 at full size; here we check the *shape* of the result -- parallelism
 must help on the projected critical path, identity must hold, and no
@@ -27,10 +27,10 @@ def smoke_result():
 
 @pytest.mark.bench
 def test_bench_codec_smoke_schema_and_identity(smoke_result):
-    assert smoke_result["schema_version"] == 2
+    assert smoke_result["schema_version"] == 3
     assert smoke_result["workload"]["gofs"] == 12
     assert smoke_result["bit_identical"] is True
-    assert set(smoke_result["sweep"]) == {"thread", "process"}
+    assert set(smoke_result["sweep"]) == {str(w) for w in WORKER_SWEEP}
 
 
 def _projection_scales(result):
@@ -77,7 +77,7 @@ def test_bench_codec_smoke_pools_and_segments_accounted(smoke_result):
     closes = sum(
         s["value"] for s in by_name["codec_pool_closes_total"]["metrics"]
     )
-    assert spawns >= 2  # probe pool + at least one sweep pool
+    assert spawns >= 2  # probe pool + sweep pool
     assert closes >= spawns  # every spawn (incl. respawns) was closed
     assert all(
         s["value"] == 0 for s in by_name["codec_shm_active"]["metrics"]
@@ -100,5 +100,5 @@ def test_cli_bench_codec_writes_canonical_artifact(tmp_path, monkeypatch):
     canonical = tmp_path / "benchmarks" / "results" / "BENCH_codec.json"
     assert canonical.exists()
     record = json.loads(canonical.read_text())
-    assert record["schema_version"] == 2
+    assert record["schema_version"] == 3
     assert record["bit_identical"] is True

@@ -3,10 +3,10 @@
 Kept deliberately small and assertion-light on absolute numbers: the full
 benchmark (with the projected-speedup and ``baseline_ratio`` floors)
 lives in ``benchmarks/bench_codec.py`` and the bench-marked smoke in
-``tests/harness/test_bench_codec_smoke.py``.  Here we pin the v2 schema
+``tests/harness/test_bench_codec_smoke.py``.  Here we pin the v3 schema
 so downstream tooling reading ``BENCH_codec.json`` never silently
-breaks, and check the cheap invariants: every backend/worker combination
-is bit-identical, the pool lifecycle shows up in the embedded metrics
+breaks, and check the cheap invariants: every worker count is
+bit-identical, the pool lifecycle shows up in the embedded metrics
 snapshot, and no shared-memory segment outlives the run.
 
 At this workload size the projected-speedup floors are *expected* to
@@ -31,7 +31,7 @@ def small_result():
 
 def test_bench_codec_schema_stable(small_result):
     result = small_result
-    assert result["schema_version"] == 2
+    assert result["schema_version"] == 3
     assert set(result) == {
         "schema_version",
         "workload",
@@ -39,7 +39,6 @@ def test_bench_codec_schema_stable(small_result):
         "workers",
         "workers_swept",
         "repeats",
-        "backend",
         "encode_mb_s",
         "decode_mb_s",
         "baseline_ratio",
@@ -61,8 +60,7 @@ def test_bench_codec_schema_stable(small_result):
         "compression_ratio",
         "seed",
     }
-    assert set(result["host"]) == {"cpus", "default_backend"}
-    assert result["host"]["default_backend"] in ("thread", "process")
+    assert set(result["host"]) == {"cpus"}
     assert result["workers_swept"] == list(WORKER_SWEEP)
     assert set(result["encode_mb_s"]) == {"serial", "parallel"}
     assert set(result["decode_mb_s"]) == {"serial", "parallel", "legacy_kernel"}
@@ -70,20 +68,18 @@ def test_bench_codec_schema_stable(small_result):
     assert result["baseline_ratio"] > 0
 
 
-def test_bench_codec_sweep_covers_both_backends(small_result):
+def test_bench_codec_records_one_worker_sweep(small_result):
     sweep = small_result["sweep"]
-    assert set(sweep) == {"thread", "process"}
-    for column in sweep.values():
-        assert set(column) == {str(w) for w in WORKER_SWEEP}
-        for cell in column.values():
-            assert set(cell) == {
-                "decode_mb_s",
-                "encode_mb_s",
-                "decode_speedup",
-                "encode_speedup",
-            }
-            assert cell["decode_mb_s"] > 0
-            assert cell["encode_mb_s"] > 0
+    assert set(sweep) == {str(w) for w in WORKER_SWEEP}
+    for cell in sweep.values():
+        assert set(cell) == {
+            "decode_mb_s",
+            "encode_mb_s",
+            "decode_speedup",
+            "encode_speedup",
+        }
+        assert cell["decode_mb_s"] > 0
+        assert cell["encode_mb_s"] > 0
 
 
 def test_bench_codec_projection_terms_recorded(small_result):
@@ -141,7 +137,7 @@ def test_cli_writes_json(tmp_path):
     # the record must be written either way.
     assert main(argv) in (0, 1)
     data = json.loads(out.read_text())
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert data["workload"]["nframes"] == 12
     assert data["bit_identical"] is True
 
@@ -156,16 +152,3 @@ def test_cli_text_mode(capsys):
     assert "baseline_ratio" in out
     assert "sweep" in out
     assert "projected" in out
-
-
-def test_cli_backend_flag_threads_through(tmp_path):
-    out = tmp_path / "BENCH_codec.json"
-    argv = [
-        "bench-codec", "--json", "-o", str(out),
-        "--codec-backend", "thread",
-        "--natoms", "600", "--nframes", "8",
-        "--keyframe-interval", "4", "--repeats", "1",
-    ]
-    assert main(argv) in (0, 1)
-    data = json.loads(out.read_text())
-    assert data["backend"] == "thread"

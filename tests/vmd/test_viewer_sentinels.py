@@ -133,16 +133,11 @@ def test_serial_codec_calls_never_ask_for_the_cpu_count(long_blob, monkeypatch):
     traj = decode_xtc(long_blob)
     encode_xtc(traj.slice_frames(0, 16), keyframe_interval=KEYFRAME_INTERVAL)
     decode_frame_range(long_blob, 9, 21)
-    decode_xtc(long_blob, workers=None, backend="auto")
+    decode_xtc(long_blob, workers=None)
     stream = StreamingTrajectory(long_blob)
     stream.frame(100)
     stream.close()
     assert asked == []
-    # The knob is still validated on those paths.
-    with pytest.raises(CodecError, match="unknown codec backend"):
-        decode_xtc(long_blob, backend="gpu")
-    with pytest.raises(CodecError, match="unknown codec backend"):
-        StreamingTrajectory(long_blob, codec_backend="gpu")
 
 
 # -- FrameIndex ------------------------------------------------------------------
