@@ -25,16 +25,22 @@ and what the "D-" scenarios of the paper load.
 
 Performance model (the materialized-mode hot path):
 
-* the bit-packing kernels are **word-oriented**: values are shifted/OR-ed
-  into 64-bit lanes in one numpy pass per equal-width run of blocks, not
-  expanded into a per-bit matrix;
+* the bit-packing kernels work on **period words**: a fixed-width stream
+  repeats its byte/bit phase every few values, so pack folds each period
+  into big-endian 64-bit words with one integer mat-vec and unpack pulls
+  the lanes back out with one shift each -- a constant handful of numpy
+  passes per equal-width run of blocks, never a per-bit matrix (unpack
+  alone keeps a per-lane byte path, for periods wider than two words);
 * the delta/zigzag/quantize stages run as **whole-GOF batch operations**:
-  encode quantizes a GOF's frames in one pass and takes every P-frame's
-  temporal deltas with a single ``np.diff`` along the frame axis; decode
-  collects all delta rows of a GOF into one int64 matrix, reconstructs
-  with a single axis-0 ``np.cumsum``, and converts kept frames with one
-  reciprocal multiply -- so per-frame Python overhead disappears and each
-  task spends its time inside GIL-releasing C loops;
+  encode quantizes a GOF's frames in five passes into one int64 block
+  that feeds the I-frame's intra-frame deltas and, with a single
+  subtraction along the frame axis, every P-frame's temporal deltas,
+  zigzags them in place and scans every block's width with one segmented
+  ``max``; decode collects all delta rows of a GOF into one int64 matrix,
+  reconstructs with an in-place row-wise prefix sum, and converts kept
+  frames with one reciprocal multiply -- so per-frame Python overhead
+  disappears and each task spends its time inside GIL-releasing C loops
+  (on encode, most of it inside the one ``zlib.compress`` per frame);
 * keyframes every ``keyframe_interval`` partition a stream into
   independently codable **groups of frames** (GOFs); ``encode_xtc`` /
   ``decode_xtc`` accept ``workers=N`` and, when that resolves to more
@@ -52,6 +58,7 @@ Performance model (the materialized-mode hot path):
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 import os
@@ -123,6 +130,9 @@ _PAYLOAD_HEAD = struct.Struct("<HI")
 # coordinates instead of a typed error.
 _STORED_CRC = struct.Struct("<I")
 _BLOCK_VALUES = 8192
+_INT32_MAX = float(np.iinfo(np.int32).max)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_PRECISION_MIN = _INT32_MAX / _FLOAT32_MAX
 _RAW_HEADER = struct.Struct("<iiqif")  # magic, natoms, nframes, reserved, dt
 
 
@@ -160,20 +170,44 @@ def raw_frame_nbytes(natoms: int) -> int:
     return natoms * BYTES_PER_COORD
 
 
+def _check_precision(precision: float, frame: Optional[int] = None) -> None:
+    """Reject a precision the format cannot carry: NaN, +-inf, <= 0, beyond
+    the float32 header field, or so small that the largest quantum (int32
+    max) divided by it overflows float32.  ``frame`` is the header it was
+    read from; ``None`` means it was passed to :func:`encode_xtc`."""
+    if not _PRECISION_MIN <= precision <= _FLOAT32_MAX:
+        where = "passed to encode_xtc" if frame is None else f"in frame {frame}"
+        raise CodecError(f"bad precision {precision} {where}")
+
+
 def _quantize(coords: np.ndarray, precision: float) -> np.ndarray:
-    values = coords.astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise CodecError("non-finite coordinates cannot be encoded")
-    ints = np.rint(values * precision)
-    if np.any(np.abs(ints) > np.iinfo(np.int32).max):
-        raise CodecError("coordinates overflow int32 at this precision")
-    return ints.astype(np.int32)
+    """Round ``coords * precision`` to int32-range quanta, returned as int64
+    (every delta taken downstream needs 33 bits).
+
+    Five passes: multiply straight into float64, round in place, one
+    ``min`` and one ``max``, cast.  NaN propagates through both
+    reductions and +-inf survives the multiply (``precision`` is finite,
+    see :func:`_check_precision`), so the two scalars carry the non-finite
+    check as well as the overflow check -- and no NaN reaches the cast.
+    """
+    values = np.multiply(coords, precision, dtype=np.float64)
+    np.rint(values, out=values)
+    if values.size:
+        lo, hi = float(values.min()), float(values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise CodecError("non-finite coordinates cannot be encoded")
+        if hi > _INT32_MAX or lo < -_INT32_MAX:
+            raise CodecError("coordinates overflow int32 at this precision")
+    return values.astype(np.int64)
 
 
 def _zigzag(values: np.ndarray) -> np.ndarray:
-    """Map signed int64 to unsigned (0,-1,1,-2 -> 0,1,2,3) for bit packing."""
-    v = values.astype(np.int64)
-    return ((v << 1) ^ (v >> 63)).astype(np.uint64)
+    """Map signed int64 to unsigned (0,-1,1,-2 -> 0,1,2,3) for bit packing,
+    in place; ``values`` is consumed and its uint64 view returned."""
+    sign = values >> 63
+    np.left_shift(values, 1, out=values)
+    np.bitwise_xor(values, sign, out=values)
+    return values.view(np.uint64)
 
 
 def _unzigzag(values: np.ndarray) -> np.ndarray:
@@ -195,13 +229,43 @@ def _lane_geometry(nbits: int, count: int) -> "tuple[int, int, int]":
     ``(L, period_bytes, nperiods)``: the packed stream is ``nperiods``
     repetitions of a ``period_bytes``-byte pattern, and lane ``j`` of every
     period starts at the same scalar ``(byte, bit)`` offset -- which is what
-    lets pack/unpack run as a handful of strided column ops per lane instead
-    of per-value (or per-bit) work.
+    lets pack/unpack run as a handful of whole-array ops per period word
+    (or per lane) instead of per-value (or per-bit) work.
     """
     lanes = 8 // math.gcd(nbits, 8)
     period_bytes = nbits * lanes // 8
     nperiods = (count + lanes - 1) // lanes
     return lanes, period_bytes, nperiods
+
+
+@functools.lru_cache(maxsize=None)  # at most one entry per width, 1..64
+def _pack_layout(nbits: int):
+    """How one *pack period* of ``nbits``-wide fields folds into big-endian
+    64-bit words: ``(lanes, period_bytes, mask, weights, spills)``.
+
+    The period is :func:`_lane_geometry`'s, repeated as often as fits one
+    word (width 2 packs 32 fields a word, not 4 a byte).  ``weights`` is a
+    ``(lanes, nwords)`` uint64 matrix holding, for each lane, the power of
+    two that shifts its field to where it *ends*; fields never overlap, so
+    ``grid @ weights`` ORs a whole period together in one pass.  A field
+    that straddles a word boundary lands its low bits through that product
+    (uint64 multiply wraps, dropping the high ones) and is listed in
+    ``spills`` as ``(lane, word, shift)`` for its high bits.
+    """
+    lanes, period_bytes, _ = _lane_geometry(nbits, 1)
+    fold = max(1, 8 // period_bytes)
+    lanes, period_bytes = lanes * fold, period_bytes * fold
+    weights = np.zeros((lanes, (period_bytes + 7) // 8), dtype=np.uint64)
+    spills = []
+    for j in range(lanes):
+        end = (j + 1) * nbits
+        word = (end - 1) >> 6
+        weights[j, word] = np.uint64(1) << np.uint64(64 * (word + 1) - end)
+        if end - nbits < 64 * word:
+            spills.append((j, word - 1, np.uint64(end - 64 * word)))
+    weights.flags.writeable = False  # shared by every call at this width
+    mask = np.uint64((1 << nbits) - 1)
+    return lanes, period_bytes, mask, weights, tuple(spills)
 
 
 def _pack_words(values_u: np.ndarray, nbits: int) -> bytes:
@@ -210,52 +274,32 @@ def _pack_words(values_u: np.ndarray, nbits: int) -> bytes:
     This is the moral equivalent of xdr3dfcoord's fixed-width "smallidx"
     packing: the per-frame word width adapts to the largest delta.
 
-    Word-oriented: values are reshaped into bit-phase periods (see
-    :func:`_lane_geometry`); each of the <= 8 lanes shifts its values once
-    and ORs the resulting bytes into strided output columns, so the whole
-    block is packed in a constant number of vectorized passes -- no
-    ``count x nbits`` bit-matrix expansion.
+    Period words, the mirror of :func:`_unpack_periods`: mask once, fold
+    each period's lanes into its 64-bit words with one uint64 mat-vec
+    against the width's cached lane weights (:func:`_pack_layout`), one
+    cast to big-endian, one copy of each period's used bytes out -- a
+    constant handful of passes at every width, and no staging copy when
+    ``count`` is a whole number of periods (every full block is).  Bits of
+    a value above ``nbits`` are dropped.
     """
     count = int(values_u.size)
     if nbits == 0 or count == 0:
         return b""
     if not 0 < nbits <= 64:
         raise CodecError(f"word width {nbits} outside [0, 64]")
-    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    values = np.zeros(nperiods * lanes, dtype=np.uint64)
-    values[:count] = values_u
-    if nbits < 64:
-        values &= np.uint64((1 << nbits) - 1)
-    values = values.reshape(nperiods, lanes)
-    out = np.zeros(nperiods * period_bytes + 16, dtype=np.uint8)
-    stop = (nperiods - 1) * period_bytes + 1
-    for j in range(lanes):
-        offset = j * nbits
-        byte0, phase = offset >> 3, offset & 7
-        span = (phase + nbits + 7) // 8  # bytes this lane's field touches
-        lane_vals = values[:, j]
-        if span <= 8:
-            # Field fits one 64-bit accumulator: position it, emit bytes.
-            field = lane_vals << np.uint64(span * 8 - phase - nbits)
-            for k in range(span):
-                shift = np.uint64(8 * (span - 1 - k))
-                out[byte0 + k : byte0 + k + stop : period_bytes] |= (
-                    (field >> shift) & np.uint64(0xFF)
-                ).astype(np.uint8)
-        else:
-            # 9-byte span (nbits > 57 at odd phase): top 8 bytes hold the
-            # field minus ``spill`` low bits, which land in the ninth byte.
-            spill = phase + nbits - 64
-            head = lane_vals >> np.uint64(spill)
-            for k in range(8):
-                shift = np.uint64(8 * (7 - k))
-                out[byte0 + k : byte0 + k + stop : period_bytes] |= (
-                    (head >> shift) & np.uint64(0xFF)
-                ).astype(np.uint8)
-            tail = (lane_vals << np.uint64(8 - spill)) & np.uint64(0xFF)
-            out[byte0 + 8 : byte0 + 8 + stop : period_bytes] |= tail.astype(
-                np.uint8
-            )
+    lanes, period_bytes, mask, weights, spills = _pack_layout(nbits)
+    nperiods = -(-count // lanes)
+    if count == nperiods * lanes:
+        grid = values_u & mask
+    else:
+        grid = np.zeros(nperiods * lanes, dtype=np.uint64)
+        np.bitwise_and(values_u, mask, out=grid[:count])
+    grid = grid.reshape(nperiods, lanes)
+    words = grid @ weights
+    for j, word, shift in spills:
+        words[:, word] |= grid[:, j] >> shift
+    words = words.astype(">u8")
+    out = words.view(np.uint8)[:, :period_bytes]
     return out.tobytes()[: (count * nbits + 7) // 8]
 
 
@@ -442,40 +486,37 @@ def _width_runs(widths: Sequence[int]) -> Iterator[Tuple[int, int]]:
         b = e
 
 
-def _encode_delta_block(
-    deltas: np.ndarray, level: int, allow_stored: bool = True
-) -> "tuple[int, bytes]":
-    """Zigzag + blockwise fixed-width bit-pack signed deltas.
+def _block_widths(rows: np.ndarray) -> List[bytes]:
+    """Per-block word widths of each row of zigzagged values.
 
-    Returns ``(flags, payload)`` where ``flags`` is ``_FLAG_STORED`` when the
+    ``rows`` is ``(nrows, nvalues)`` uint64; entry ``i`` of the result is
+    row ``i``'s width table, one byte per ``_BLOCK_VALUES``-long block
+    (the last may be short).  One segmented ``max`` over the rows as they
+    lie scans a whole group of frames -- no zero-padded copy per frame.
+    """
+    starts = np.arange(0, rows.shape[1], _BLOCK_VALUES)
+    maxima = np.maximum.reduceat(rows, starts, axis=1)
+    return [bytes(map(int.bit_length, row)) for row in maxima.tolist()]
+
+
+def _encode_zigzag_block(
+    flat: np.ndarray, widths: bytes, level: int, allow_stored: bool = True
+) -> "tuple[int, bytes]":
+    """Blockwise fixed-width bit-pack + entropy-code zigzagged uint64 values.
+
+    ``widths`` is ``flat``'s row of :func:`_block_widths`.  Returns
+    ``(flags, payload)`` where ``flags`` is ``_FLAG_STORED`` when the
     bit-packed body ships as-is (deflate did not shrink it by >= 1/16) and
     ``0`` when the payload is deflated.  ``allow_stored=False`` forces the
     deflate stage -- used for I-frames so every group of frames keeps a
     zlib-checksummed anchor that rejects corrupted streams.
     """
-    return _encode_zigzag_block(_zigzag(deltas.ravel()), level, allow_stored)
-
-
-def _encode_zigzag_block(
-    flat: np.ndarray, level: int, allow_stored: bool = True
-) -> "tuple[int, bytes]":
-    """Entropy-code already-zigzagged uint64 values (see
-    :func:`_encode_delta_block`); batched encoders zigzag a whole GOF in
-    one pass and feed each frame's row here."""
-    nvalues = flat.size
-    nblocks = (nvalues + _BLOCK_VALUES - 1) // _BLOCK_VALUES
-    if nblocks:
-        padded = np.zeros(nblocks * _BLOCK_VALUES, dtype=np.uint64)
-        padded[:nvalues] = flat
-        maxima = padded.reshape(nblocks, _BLOCK_VALUES).max(axis=1)
-        widths = bytes(int(m).bit_length() for m in maxima)
-    else:
-        widths = b""
-    packed: List[bytes] = []
+    parts = [_PAYLOAD_HEAD.pack(len(widths), flat.size), widths]
     for b, e in _width_runs(widths):
-        run = flat[b * _BLOCK_VALUES : min(e * _BLOCK_VALUES, nvalues)]
-        packed.append(_pack_words(run, widths[b]))
-    body = _PAYLOAD_HEAD.pack(nblocks, nvalues) + widths + b"".join(packed)
+        parts.append(
+            _pack_words(flat[b * _BLOCK_VALUES : e * _BLOCK_VALUES], widths[b])
+        )
+    body = b"".join(parts)
     comp = zlib.compress(body, level)
     if not allow_stored or len(comp) < len(body) - len(body) // 16:
         return 0, comp
@@ -537,28 +578,6 @@ def _decode_delta_block(
         )
         offset += nbytes
     return _unzigzag(out)
-
-
-def _encode_frame_payload(
-    ints: np.ndarray, prev_ints: Optional[np.ndarray], level: int
-) -> "tuple[int, bytes]":
-    """Encode one quantized frame; returns ``(flags, payload)``.
-
-    I-frames (first frame) store the first atom absolutely plus intra-frame
-    deltas along the atom axis; P-frames store temporal deltas against the
-    previous frame, which are much smaller for equilibrated dynamics.
-    """
-    if prev_ints is None:
-        # The raw origin sits outside the deflate stream, so it needs its
-        # own CRC -- a flipped origin bit would otherwise silently shift
-        # every coordinate in the group of frames.
-        origin = ints[0:1].astype("<i4").tobytes()
-        deltas = np.diff(ints, axis=0)
-        sflag, block = _encode_delta_block(deltas, level, allow_stored=False)
-        return sflag, origin + _STORED_CRC.pack(zlib.crc32(origin)) + block
-    deltas = ints.astype(np.int64) - prev_ints.astype(np.int64)
-    sflag, block = _encode_delta_block(deltas, level)
-    return _FLAG_PFRAME | sflag, block
 
 
 def _decode_iframe_ints(
@@ -658,41 +677,47 @@ def _encode_gof(
 ) -> bytes:
     """Encode one group of frames; ``start`` becomes an I-frame.
 
-    Whole-GOF batch kernels: one quantize pass over the frame block, one
-    ``np.diff`` along the frame axis for every P-frame's temporal deltas,
-    one zigzag pass over all of them -- the only per-frame work left is
-    the entropy stage (width scan, bit-pack, deflate), which runs inside
-    GIL-releasing C loops.  Transient int64 state is one GOF's deltas,
-    bounded by ``keyframe_interval``.
+    The I-frame stores its first atom absolutely plus intra-frame deltas
+    along the atom axis; P-frames store temporal deltas against the
+    previous frame, which are much smaller for equilibrated dynamics.
+
+    Whole-GOF batch kernels: one quantize pass over the frame block, whose
+    int64 result feeds both the I-frame's deltas and -- one subtraction
+    along the frame axis -- every P-frame's, each zigzagged in place and
+    width-scanned in one go; the only per-frame work left is the entropy
+    stage (bit-pack, deflate).  Transient int64 state is one GOF's quanta
+    and deltas, bounded by ``keyframe_interval``.
     """
     nframes = stop - start
-    block = _quantize(trajectory.coords[start:stop], precision)
+    ints = _quantize(trajectory.coords[start:stop], precision).reshape(nframes, -1)
+    # The raw origin sits outside the deflate stream, so it needs its own
+    # CRC -- a flipped origin bit would otherwise silently shift every
+    # coordinate in the group of frames.
+    origin = ints[0, :3].astype("<i4").tobytes()
+    intra = ints[:1, 3:] - ints[:1, :-3]
+    temporal = ints[1:] - ints[:-1]
+    del ints  # before the zigzag temporaries, which then reuse its pages
+    intra, temporal = _zigzag(intra), _zigzag(temporal)
+    steps = trajectory.steps[start:stop].tolist()
+    times = trajectory.times_ps[start:stop].tolist()
     chunks: List[bytes] = []
 
     def emit(i: int, flags: int, payload: bytes) -> None:
         chunks.append(
             _HEADER.pack(
-                XTC_MAGIC,
-                trajectory.natoms,
-                int(trajectory.steps[start + i]),
-                float(trajectory.times_ps[start + i]),
-                *box9,
-                float(precision),
-                flags,
-                len(payload),
+                XTC_MAGIC, trajectory.natoms, steps[i], times[i], *box9,
+                float(precision), flags, len(payload),
             )
         )
         chunks.append(payload)
 
-    flags, payload = _encode_frame_payload(block[0], None, level)
-    emit(0, flags, payload)
-    if nframes > 1:
-        zz = _zigzag(
-            np.diff(block.reshape(nframes, -1).astype(np.int64), axis=0)
-        )
-        for i in range(1, nframes):
-            sflag, payload = _encode_zigzag_block(zz[i - 1], level)
-            emit(i, _FLAG_PFRAME | sflag, payload)
+    sflag, block = _encode_zigzag_block(
+        intra[0], _block_widths(intra)[0], level, allow_stored=False
+    )
+    emit(0, sflag, origin + _STORED_CRC.pack(zlib.crc32(origin)) + block)
+    for i, (row, widths) in enumerate(zip(temporal, _block_widths(temporal)), 1):
+        sflag, block = _encode_zigzag_block(row, widths, level)
+        emit(i, _FLAG_PFRAME | sflag, block)
     return b"".join(chunks)
 
 
@@ -723,8 +748,7 @@ def encode_xtc(
     long-lived :class:`~repro.formats.codecexec.CodecPool`; without one
     the process-lifetime shared pool is reused.
     """
-    if precision <= 0:
-        raise CodecError(f"precision must be positive, got {precision}")
+    _check_precision(precision)
     if keyframe_interval < 1:
         raise CodecError("keyframe interval must be >= 1")
     box9 = tuple(
@@ -766,6 +790,7 @@ def iter_frame_infos(data: bytes) -> Iterator[XtcFrameInfo]:
             raise CodecError(f"bad magic {magic} at offset {offset}")
         if natoms <= 0:
             raise CodecError(f"non-positive atom count {natoms} in frame {index}")
+        _check_precision(fields[13], index)
         if offset + _HEADER.size + payload_nbytes > n:
             raise CodecError(f"truncated frame payload in frame {index}")
         yield XtcFrameInfo(
@@ -896,8 +921,6 @@ def _decode_gof_ints(
     ints = np.empty((nframes, natoms * 3), dtype=np.int64)
     udat = ints.view(np.uint64)
     for pos, info in enumerate(infos):
-        if info.precision <= 0:
-            raise CodecError(f"bad precision {info.precision} in frame {info.index}")
         begin = info.offset + info.header_nbytes
         payload = view[begin : begin + info.payload_nbytes]
         stored = bool(info.flags & _FLAG_STORED)

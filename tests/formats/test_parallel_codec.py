@@ -37,8 +37,11 @@ def _reference_pack(values_u, nbits):
 
 @pytest.mark.parametrize("nbits", list(range(0, 65)))
 def test_pack_words_matches_reference_all_widths(nbits):
+    """Counts straddle the period (<= 64 values) and the block (8192)
+    geometry: a whole number of periods takes the no-staging-copy path,
+    8193 and 16389 (= 2 * 8192 + 5) leave a ragged last period."""
     rng = np.random.default_rng(nbits)
-    for count in (0, 1, 2, 7, 8, 9, 63, 64, 65, 200):
+    for count in (0, 1, 2, 7, 8, 9, 63, 64, 65, 200, 8191, 8192, 8193, 16389):
         if nbits == 64:
             values = rng.integers(0, 2**63, size=count, dtype=np.uint64) * 2 + 1
         else:
@@ -46,6 +49,19 @@ def test_pack_words_matches_reference_all_widths(nbits):
         assert _pack_words(values, nbits) == _reference_pack(values, nbits), (
             f"nbits={nbits} count={count}"
         )
+
+
+@pytest.mark.parametrize("nbits", list(range(1, 64)))
+def test_pack_words_drops_bits_above_the_width(nbits):
+    """The mask is behaviour: a value wider than ``nbits`` packs as its low
+    ``nbits`` bits and never bleeds into its neighbours' fields."""
+    rng = np.random.default_rng(1000 + nbits)
+    for count in (1, 9, 200, 8192, 8193):
+        wide = rng.integers(0, 2**63, size=count, dtype=np.uint64) * 2 + 1
+        low = wide & np.uint64((1 << nbits) - 1)
+        packed = _pack_words(wide, nbits)
+        assert packed == _reference_pack(wide, nbits), f"nbits={nbits} count={count}"
+        assert packed == _pack_words(low, nbits)
 
 
 @pytest.mark.parametrize("nbits", list(range(0, 65)))

@@ -1,9 +1,12 @@
 """Tests for the XTC-like codec, including hypothesis round-trip properties."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import CodecError
 from repro.formats import (
@@ -120,10 +123,79 @@ def test_negative_precision_rejected():
         encode_xtc(_traj(), precision=0.0)
 
 
+_HEADER_PRECISION_OFFSET = 52  # "<iii f 9f" precede the precision float
+
+
+@pytest.mark.parametrize(
+    "precision", [float("nan"), float("inf"), float("-inf"), 1e-38, -100.0, 0.0]
+)
+def test_unusable_precision_rejected_on_both_sides(precision):
+    """NaN compares false against everything, so a ``<= 0`` check lets it
+    through: a NaN header precision used to decode to all-NaN coordinates,
+    inf to all zeros, a denormal to +-inf with an overflow warning -- and
+    the encoder blamed "non-finite coordinates".  Both sides now name the
+    precision."""
+    with pytest.raises(CodecError, match="bad precision"):
+        encode_xtc(_traj(), precision=precision)
+    blob = bytearray(encode_xtc(_traj(nframes=3), keyframe_interval=2))
+    for info in list(iter_frame_infos(bytes(blob))):
+        struct.pack_into("<f", blob, info.offset + _HEADER_PRECISION_OFFSET, precision)
+    with pytest.raises(CodecError, match="bad precision"):
+        decode_xtc(bytes(blob))
+    with pytest.raises(CodecError, match="bad precision"):
+        list(iter_frame_infos(bytes(blob)))
+
+
+def test_precision_too_large_for_the_header_rejected():
+    with pytest.raises(CodecError, match="bad precision"):
+        encode_xtc(_traj(), precision=1e300)  # was struct's OverflowError
+
+
 def test_coordinate_overflow_rejected():
     t = Trajectory(coords=np.full((1, 2, 3), 1e9, dtype=np.float32))
     with pytest.raises(CodecError, match="overflow"):
         encode_xtc(t, precision=1e6)
+
+
+def test_iframe_neighbours_more_than_int32_apart_roundtrip():
+    """Each quantum fits int32 (1.2e9 at precision 100) but neighbouring
+    atoms are 2.4e9 quanta apart: the I-frame's intra-frame deltas used to
+    be taken in int32 and wrapped, and the second atom came back at
+    3.09e7 A with no error."""
+    coords = np.array(
+        [[[1.2e7] * 3, [-1.2e7] * 3, [5.0] * 3]], dtype=np.float32
+    )
+    decoded = decode_xtc(encode_xtc(Trajectory(coords=coords), precision=100.0))
+    np.testing.assert_array_equal(decoded.coords, coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    precision=st.sampled_from([100.0, 12.5, 1000.0, 1.0]),
+    keyframe_interval=st.sampled_from([1, 100]),
+)
+def test_property_whole_admitted_domain_roundtrips(data, precision, keyframe_interval):
+    """Anything ``_quantize`` admits (|x * precision| <= int32 max) comes
+    back within half a quantum plus float32 rounding -- as an I-frame and
+    as a P-frame, however far apart neighbours in space or time are."""
+    limit = float(np.nextafter(np.float32(2147483647 / precision), np.float32(0)))
+    coords = data.draw(
+        hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 3), st.integers(1, 4), st.just(3)),
+            elements=st.one_of(
+                st.floats(-limit, limit, width=32),
+                st.sampled_from([limit, -limit, 0.0]),
+            ),
+        )
+    )
+    t = Trajectory(coords=coords)
+    d = decode_xtc(
+        encode_xtc(t, precision=precision, keyframe_interval=keyframe_interval)
+    )
+    tol = 0.5 / precision + np.abs(coords.astype(np.float64)) * 2.0**-23
+    assert np.all(np.abs(d.coords.astype(np.float64) - coords) <= tol)
 
 
 def test_higher_precision_means_bigger_file():

@@ -7,6 +7,8 @@ else -- IndexError, struct.error, UnicodeDecodeError, segfault-adjacent
 numpy errors -- is a bug these tests exist to catch.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,15 +186,35 @@ def test_fuzz_xtc_payload_bitflip_decodes_original_or_raises(k, bit):
         pass
 
 
+def _assert_typed_error_or_finite(blob):
+    """RuntimeWarnings are errors here whatever the command line says (CI
+    also runs this file under ``-W error::RuntimeWarning``)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            traj = decode_xtc(blob)
+        except CodecError:
+            return
+    assert np.isfinite(traj.coords).all()
+
+
 @settings(**SETTINGS)
 @given(k=st.integers(min_value=0), bit=st.integers(0, 7))
 def test_fuzz_xtc_header_bitflip_never_crashes_untyped(k, bit):
-    """Header flips may alter metadata but must fail typed, not crash."""
+    """Header flips may alter metadata (step, time, box, a still-usable
+    precision) but every outcome is a typed error or finite coordinates --
+    never NaN/inf from a precision no encoder could have written, and no
+    overflow warning on the way."""
     pos = _HEADER_POSITIONS[k % len(_HEADER_POSITIONS)]
-    try:
-        decode_xtc(_flipped(pos, bit))
-    except CodecError:
-        pass
+    _assert_typed_error_or_finite(_flipped(pos, bit))
+
+
+@pytest.mark.parametrize("bit", range(32))
+def test_every_precision_bit_flip_is_typed_or_finite(bit):
+    """The property above, exhaustively over the field it is about (the
+    float32 at header offset 52), in every frame."""
+    for info in _XTC_INFOS:
+        _assert_typed_error_or_finite(_flipped(info.offset + 52 + bit // 8, bit % 8))
 
 
 @settings(**SETTINGS)
