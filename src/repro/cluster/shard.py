@@ -303,12 +303,6 @@ class _PrefetchFanout:
         if self._budget_source is not None and prefetcher.budget_source is None:
             prefetcher.budget_source = self._budget_source
 
-    def stats(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for node in self._front.nodes.values():
-            if node.ada.prefetcher is not None:
-                out[node.name] = node.ada.prefetcher.stats()
-        return out
 
 
 class ShardedADA(DataPlane):
@@ -323,7 +317,7 @@ class ShardedADA(DataPlane):
 
     Everything that is not routing -- tier resolution, the ingest
     skeletons, ``fetch_all``'s degrade policy, the merge, ``tags``/
-    ``has_lod``/``lod_bound``/``remove``/``fault_counters`` -- is the
+    ``has_lod``/``lod_bound``/``remove`` -- is the
     shared :class:`~repro.core.dataplane.DataPlane`, so
     :class:`~repro.serve.ServeFront` and
     :class:`~repro.vmd.session.VMDSession` run unmodified on top.
@@ -719,9 +713,13 @@ class ShardedADA(DataPlane):
         )
 
     def _invalidate_derived(self, logical: str) -> None:
-        for tag in self._catalog.get(logical, ()):
-            for name in self._placement.get((logical, tag), ()):
-                self.nodes[name].ada._invalidate_derived(logical)
+        holders = {
+            name
+            for tag in self._catalog.get(logical, ())
+            for name in self._placement.get((logical, tag), ())
+        }
+        for name in sorted(holders):
+            self.nodes[name].ada._invalidate_derived(logical)
 
     # -- fetch (read) path ---------------------------------------------------------
 
@@ -945,13 +943,6 @@ class ShardedADA(DataPlane):
 
     # -- reporting ----------------------------------------------------------------
 
-    @property
-    def retry_stats(self):
-        """Front-side retry counters (shard-gate retries)."""
-        if self._retrier is not None:
-            return self._retrier.stats
-        return self._first_ada().retry_stats
-
     def node_loads(self) -> Dict[str, Dict[str, object]]:
         return {
             name: {
@@ -963,25 +954,15 @@ class ShardedADA(DataPlane):
         }
 
     def stats(self) -> Dict[str, object]:
+        """Live cluster state the registry does not hold as counts (the
+        ``cluster_*``/``shard_*`` families carry those)."""
         return {
             "nodes": self.node_loads(),
             "replicas": self.replicas,
             "replicated_tags": list(self.replicated_tags),
             "placement_keys": len(self._placement),
-            "failovers": int(self._counters["failovers"].value),
-            "kills": int(self._counters["kills"].value),
-            "keys_moved": int(self._counters["keys_moved"].value),
-            "bytes_moved": int(self._counters["bytes_moved"].value),
-            "degraded_reads": len(self.degraded),
-            "lod_routed": int(self._counters["lod_routed"].value),
-            "lod_fallback": int(self._counters["lod_fallback"].value),
-            "prefetch": self.prefetcher.stats(),
+            "degraded": list(self.degraded),
         }
-
-    def fault_counters(self) -> Dict[str, object]:
-        counters = super().fault_counters()
-        counters["failovers"] = int(self._counters["failovers"].value)
-        return counters
 
     def _landed_on(self, logical: str, tag: str) -> str:
         return ",".join(self._placement.get((logical, tag), []))

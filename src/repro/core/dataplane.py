@@ -5,14 +5,14 @@
 the *same* middleware over different storage: both pick a precision
 tier, run the ingest skeleton (pre-process -> charge CPU -> record the
 label map -> write subsets -> invalidate derived cache entries ->
-receipt), serve whole-dataset reads under one degrade policy, and report
-the same fault counters.  :class:`DataPlane` holds that logic once.  A
+receipt) and serve whole-dataset reads under one degrade policy.
+:class:`DataPlane` holds that logic once.  A
 front supplies only the storage-facing steps -- ``_stored_tags``,
 ``_write_subsets``, ``_read_subset``, ``_read_chunks``, ``_lookup_all``,
 ``_store_label``, ``_invalidate_derived``, ``_delete_stored``,
 ``_under_pressure``, ``_downgradable``, ``_charge_preprocess``,
 ``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
-``label_map``, ``retry_stats``, ``preprocessor`` and ``fault_plan``.
+``label_map``, ``preprocessor`` and ``fault_plan``.
 Nothing here knows which front it serves: a step that would have to ask
 stays in the subclass.
 """
@@ -112,8 +112,8 @@ def merge_decoded_subsets(
 
 
 class DataPlane:
-    """Tier resolution, ingest skeletons, whole-dataset reads and fault
-    reporting over a front's storage hooks (see the module docstring)."""
+    """Tier resolution, ingest skeletons and whole-dataset reads over a
+    front's storage hooks (see the module docstring)."""
 
     #: Span-name family of the front (``ada.fetch_all`` / ``cluster.fetch_all``).
     _span_family = "ada"
@@ -126,10 +126,10 @@ class DataPlane:
     ):
         self.sim = sim
         # One registry for the whole middleware: every layer under the
-        # front records into it, so ``stats()``/``fault_counters()`` and
-        # the Prometheus/JSON exporters read the same numbers.  Attached
-        # to the simulator so deep layers (devices) can record without
-        # constructor threading.
+        # front records into it, and ``metrics.value``/``query`` and the
+        # Prometheus/JSON exporters are the only way to read a count.
+        # Attached to the simulator so deep layers (devices) can record
+        # without constructor threading.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if getattr(sim, "metrics", None) is None:
             sim.metrics = self.metrics
@@ -483,22 +483,6 @@ class DataPlane:
         # A re-ingest under the same name may encode at another grid.
         self._lod_bounds.pop(logical, None)
         return freed
-
-    def fault_counters(self) -> Dict[str, object]:
-        """Retry/failure/injection counters for operators.
-
-        Always present (zeros on a healthy run); the ``injected`` section
-        appears only when a fault plan is attached to this middleware.
-        """
-        counters: Dict[str, object] = {
-            "retry": self.retry_stats.as_dict(),
-            "degraded_reads": len(self.degraded),
-            "degraded": list(self.degraded),
-        }
-        if self.fault_plan is not None:
-            counters["injected"] = self.fault_plan.snapshot()
-            counters["injected_total"] = self.fault_plan.total()
-        return counters
 
     # -- precision tiers ------------------------------------------------------
 

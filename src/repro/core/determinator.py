@@ -28,9 +28,9 @@ __all__ = ["IODeterminator"]
 class IODeterminator:
     """ADA's storage interface, composed per Fig. 5.
 
-    One :class:`Retrier` (and its :class:`RetryStats`) is shared by the
-    dispatcher and retriever, so operators see a single set of counters for
-    the determinator's I/O.
+    One :class:`Retrier` (and its :class:`RetryStats` counters) is shared
+    by the dispatcher and retriever, so operators see a single set of
+    ``retry_*`` series for the determinator's I/O.
     """
 
     def __init__(
@@ -42,7 +42,6 @@ class IODeterminator:
         retriever_request_size: Optional[int] = None,
         spill_on_full: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_stats: Optional[RetryStats] = None,
         block_cache: Optional[BlockCache] = None,
         coalesce: bool = False,
         serial_requests: bool = False,
@@ -53,13 +52,13 @@ class IODeterminator:
         self.plfs = plfs
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metric_labels = dict(metric_labels or {})
-        self.retry_stats = (
-            retry_stats
-            if retry_stats is not None
-            else RetryStats(metrics=self.metrics,
-                            metric_labels=self.metric_labels)
+        self.retrier = Retrier(
+            sim,
+            policy=retry_policy,
+            stats=RetryStats(
+                metrics=self.metrics, metric_labels=self.metric_labels
+            ),
         )
-        self.retrier = Retrier(sim, policy=retry_policy, stats=self.retry_stats)
         self.indexer = Indexer(sim, plfs, lookup_latency_s=indexer_latency_s)
         self.dispatcher = IODispatcher(
             sim, plfs, placement, spill_on_full=spill_on_full,

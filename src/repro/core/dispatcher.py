@@ -30,7 +30,7 @@ from repro.core.tags import PlacementPolicy
 from repro.errors import StorageFullError
 from repro.faults.retry import Retrier
 from repro.fs.plfs import PLFS, IndexRecord
-from repro.obs.metrics import Counter, MetricsRegistry, metric_view
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import span
 from repro.sim import AllOf, Simulator
 
@@ -44,12 +44,6 @@ class IODispatcher:
     retried with backoff rather than failing the ingest.  ``StorageFullError``
     is *not* a fault -- it propagates straight to the spill logic.
     """
-
-    writes = metric_view("_metric_fields", key="writes")
-    spill_count = metric_view("_metric_fields", key="spill_count")
-    coalesced_runs = metric_view("_metric_fields", key="coalesced_runs")
-    coalesced_chunks = metric_view("_metric_fields", key="coalesced_chunks")
-    requests_saved = metric_view("_metric_fields", key="requests_saved")
 
     def __init__(
         self,
@@ -66,10 +60,9 @@ class IODispatcher:
         self.placement = placement
         self.spill_on_full = spill_on_full
         self.retrier = retrier if retrier is not None else Retrier(sim)
-        # Registry-backed accounting (mirrors the retriever): the views
-        # above keep ``+=`` call sites working while the exporters see the
-        # same numbers.  ``metric_labels`` keep per-dispatcher series
-        # distinct when several dispatchers (shards) share one registry.
+        # Registry-backed accounting (mirrors the retriever).
+        # ``metric_labels`` keep per-dispatcher series distinct when
+        # several dispatchers (shards) share one registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metric_labels = dict(metric_labels or {})
         extra = self.metric_labels
@@ -89,22 +82,12 @@ class IODispatcher:
             ),  # backend requests coalescing removed
         }
         #: tag -> dispatcher_bytes_total counter (created on first dispatch).
+        #: Exact ints, counted once per chunk *after* its write (and any
+        #: spill) finally succeeds: retried or spilled chunks never
+        #: double-count.
         self._bytes_counters: Dict[str, Counter] = {}
         #: (logical, tag, preferred backend, actual backend) spill records.
         self.spills: List[Tuple[str, str, str, str]] = []
-
-    @property
-    def dispatched_bytes(self) -> Dict[str, int]:
-        """Per-tag bytes successfully dispatched (a registry view).
-
-        Values are exact ints -- byte counts, not measurements -- and each
-        tag is counted once per chunk, *after* its write (and any spill)
-        finally succeeds, so retried or spilled chunks never double-count.
-        """
-        return {
-            tag: int(counter.value)
-            for tag, counter in self._bytes_counters.items()
-        }
 
     def _count_bytes(self, tag: str, nbytes: int) -> None:
         counter = self._bytes_counters.get(tag)
@@ -114,13 +97,6 @@ class IODispatcher:
             )
             self._bytes_counters[tag] = counter
         counter.inc(int(nbytes))
-
-    def coalesce_stats(self) -> Dict[str, object]:
-        return {
-            "coalesced_runs": self.coalesced_runs,
-            "coalesced_chunks": self.coalesced_chunks,
-            "requests_saved": self.requests_saved,
-        }
 
     def dispatch(
         self,
@@ -258,8 +234,8 @@ class IODispatcher:
                 key=f"spill:{logical}#{tag}",
             )
             self.spills.append((logical, tag, preferred, fallback))
-            self.spill_count += 1
-        self.writes += 1
+            self._metric_fields["spill_count"].inc()
+        self._metric_fields["writes"].inc()
         self._count_bytes(record.tag, record.nbytes)
         return record
 
@@ -281,6 +257,7 @@ class IODispatcher:
         first, last = entries[0][0], entries[-1][0]
         tag_span = first if last == first else f"{first}-{last}"
         do_coalesce = coalesce and len(entries) > 1
+        counters = self._metric_fields
         with span(
             self.sim, "dispatcher.write_run",
             logical=logical, tags=tag_span, chunks=len(entries),
@@ -312,13 +289,13 @@ class IODispatcher:
                 )
                 for tag in sorted({tag for tag, _ in entries}):
                     self.spills.append((logical, tag, preferred, fallback))
-                    self.spill_count += 1
+                    counters["spill_count"].inc()
                 sp.tag(spilled_to=fallback)
-        self.writes += len(recs)
+        counters["writes"].inc(len(recs))
         if do_coalesce:
-            self.coalesced_runs += 1
-            self.coalesced_chunks += len(recs)
-            self.requests_saved += len(recs) - 1
+            counters["coalesced_runs"].inc()
+            counters["coalesced_chunks"].inc(len(recs))
+            counters["requests_saved"].inc(len(recs) - 1)
         for rec in recs:
             self._count_bytes(rec.tag, rec.nbytes)
         return recs

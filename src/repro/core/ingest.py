@@ -52,7 +52,7 @@ from typing import Callable, Deque, Dict, Generator, Iterable, List, Optional
 
 from repro.core.preprocessor import WindowResult
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry, metric_view
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.sim import AllOf, Event, Interrupt, Process, Simulator
 
@@ -117,19 +117,6 @@ class IngestPipeline:
     counters.
     """
 
-    windows = metric_view("_metric_fields", key="windows")
-    backpressure_waits = metric_view("_metric_fields", key="backpressure_waits")
-    backpressure_seconds = metric_view(
-        "_metric_fields", key="backpressure_seconds", cast=float
-    )
-    cpu_seconds = metric_view("_metric_fields", key="cpu_seconds", cast=float)
-    dispatch_seconds = metric_view(
-        "_metric_fields", key="dispatch_seconds", cast=float
-    )
-    analysis_seconds = metric_view(
-        "_metric_fields", key="analysis_seconds", cast=float
-    )
-
     def __init__(
         self,
         sim: Simulator,
@@ -163,8 +150,6 @@ class IngestPipeline:
         #: Windows currently buffered: queued plus in analysis/dispatch.
         self._held = 0
         self._buffered_bytes = 0
-        self.queue_depth_peak = 0
-        self.buffered_bytes_peak = 0
         self.metrics.gauge("ingest_queue_depth", fn=lambda: self._held, **extra)
         self.metrics.gauge(
             "ingest_buffered_bytes", fn=lambda: self._buffered_bytes, **extra
@@ -201,21 +186,22 @@ class IngestPipeline:
         """
         started = self.sim.now
         records: List[list] = []
+        counters = self._metric_fields
         if not self.config.pipelined:
             try:
                 for result in windows:
                     t0 = self.sim.now
                     yield from cpu_charge(result.raw_nbytes)
-                    self.cpu_seconds += self.sim.now - t0
+                    counters["cpu_seconds"].inc(self.sim.now - t0)
                     if analyze_window is not None:
                         t0 = self.sim.now
                         yield from analyze_window(result)
-                        self.analysis_seconds += self.sim.now - t0
+                        counters["analysis_seconds"].inc(self.sim.now - t0)
                     t0 = self.sim.now
                     recs = yield from dispatch_window(result)
-                    self.dispatch_seconds += self.sim.now - t0
+                    counters["dispatch_seconds"].inc(self.sim.now - t0)
                     records.append(recs)
-                    self.windows += 1
+                    counters["windows"].inc()
                 self.last_elapsed_s = self.sim.now - started
                 return records
             finally:
@@ -271,17 +257,18 @@ class IngestPipeline:
         fused: bool,
     ) -> Generator:
         """Process: pre-process windows, enqueue under backpressure."""
+        counters = self._metric_fields
         try:
             for result in windows:
                 t0 = self.sim.now
                 yield from cpu_charge(result.raw_nbytes)
-                self.cpu_seconds += self.sim.now - t0
+                counters["cpu_seconds"].inc(self.sim.now - t0)
                 while (
                     state["error"] is None
                     and not state["abort"]
                     and not self._admits(result)
                 ):
-                    self.backpressure_waits += 1
+                    counters["backpressure_waits"].inc()
                     with span(
                         self.sim, "ingest.backpressure",
                         window=result.index, depth=self._held,
@@ -291,7 +278,7 @@ class IngestPipeline:
                         event = self.sim.event()
                         self._space_event = event
                         yield event
-                        self.backpressure_seconds += self.sim.now - t0
+                        counters["backpressure_seconds"].inc(self.sim.now - t0)
                 if state["abort"]:
                     return
                 if state["error"] is not None:
@@ -301,11 +288,9 @@ class IngestPipeline:
                 queue.append(result)
                 self._held += 1
                 self._buffered_bytes += result.nbytes
-                if self._held > self.queue_depth_peak:
-                    self.queue_depth_peak = self._held
+                if self._held > self._peak_depth_gauge.value:
                     self._peak_depth_gauge.set(self._held)
-                if self._buffered_bytes > self.buffered_bytes_peak:
-                    self.buffered_bytes_peak = self._buffered_bytes
+                if self._buffered_bytes > self._peak_bytes_gauge.value:
                     self._peak_bytes_gauge.set(self._buffered_bytes)
                 self._wake(which="feed" if fused else "data")
         except Interrupt:
@@ -332,6 +317,7 @@ class IngestPipeline:
         released; the window stays *held* (for backpressure accounting)
         until dispatch completes.
         """
+        counters = self._metric_fields
         try:
             while True:
                 if state["abort"]:
@@ -352,7 +338,7 @@ class IngestPipeline:
                         state["error"] = exc
                     raise
                 finally:
-                    self.analysis_seconds += self.sim.now - t0
+                    counters["analysis_seconds"].inc(self.sim.now - t0)
                 ready.append(result)
                 self._wake(which="data")
         except Interrupt:
@@ -371,6 +357,7 @@ class IngestPipeline:
         records: List[list],
     ) -> Generator:
         """Process: drain windows in arrival order, dispatching each."""
+        counters = self._metric_fields
         try:
             while True:
                 if state["abort"]:
@@ -391,12 +378,12 @@ class IngestPipeline:
                         state["error"] = exc
                     raise
                 finally:
-                    self.dispatch_seconds += self.sim.now - t0
+                    counters["dispatch_seconds"].inc(self.sim.now - t0)
                     self._held -= 1
                     self._buffered_bytes -= result.nbytes
                     self._wake(which="space")
                 records.append(recs)
-                self.windows += 1
+                counters["windows"].inc()
         except Interrupt:
             if not state["abort"]:
                 raise
@@ -464,36 +451,19 @@ class IngestPipeline:
         if event is not None and not event.triggered:
             event.succeed()
 
-    def stats(self) -> Dict[str, object]:
-        """Operational snapshot of the pipeline's registry counters.
-
-        ``overlap_ratio`` is the fraction of the *overlappable* work that
-        actually overlapped in the last run: with CPU time C, analysis
-        time A, dispatch time D, and wall time W, overlap is
-        ``C + A + D - W`` and the achievable maximum is
-        ``C + A + D - max(C, A, D)`` (with no analysis stage this reduces
-        to the two-stage ``min(C, D)``).  Serial runs report 0.
-        """
-        cpu = self.cpu_seconds
-        io = self.dispatch_seconds
-        ana = self.analysis_seconds
-        wall = self.last_elapsed_s
+    @property
+    def overlap_ratio(self) -> float:
+        """Fraction of the *overlappable* work that actually overlapped in
+        the last run: with CPU time C, analysis time A, dispatch time D,
+        and wall time W, overlap is ``C + A + D - W`` and the achievable
+        maximum is ``C + A + D - max(C, A, D)`` (with no analysis stage
+        this reduces to the two-stage ``min(C, D)``).  Serial runs report
+        0."""
+        cpu, ana, io = (
+            self._metric_fields[f"{stage}_seconds"].value
+            for stage in ("cpu", "analysis", "dispatch")
+        )
         bound = cpu + ana + io - max(cpu, ana, io)
-        overlap = max(0.0, cpu + ana + io - wall) / bound if bound > 0 else 0.0
-        return {
-            "enabled": True,
-            "pipelined": self.config.pipelined,
-            "window_frames": self.config.window_frames,
-            "depth": self.config.depth,
-            "max_buffered_bytes": self.config.max_buffered_bytes,
-            "windows": self.windows,
-            "backpressure_waits": self.backpressure_waits,
-            "backpressure_seconds": self.backpressure_seconds,
-            "cpu_seconds": cpu,
-            "analysis_seconds": ana,
-            "dispatch_seconds": io,
-            "elapsed_seconds": wall,
-            "overlap_ratio": min(1.0, overlap),
-            "queue_depth_peak": self.queue_depth_peak,
-            "buffered_bytes_peak": self.buffered_bytes_peak,
-        }
+        if bound <= 0:
+            return 0.0
+        return min(1.0, max(0.0, cpu + ana + io - self.last_elapsed_s) / bound)

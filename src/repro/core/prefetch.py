@@ -30,11 +30,16 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.retriever import IORetriever
 from repro.errors import ConfigurationError, FaultError
-from repro.obs.metrics import MetricsRegistry, metric_view
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as trace_span
 from repro.sim import Process, Simulator
 
 __all__ = ["Prefetcher"]
+
+#: L1 occupancy at which speculation stands down -- and at which
+#: ``precision="auto"`` reads degrade to the LOD tier, so "the server is
+#: under pressure" means one thing.
+HIGH_WATERMARK = 0.85
 
 
 class _StreamState:
@@ -72,41 +77,11 @@ class Prefetcher:
     processes whose only output is a warmer cache.
     """
 
-    FIELDS = (
-        "issued",  # speculative windows launched
-        "issued_direction",  # of which: direction-only (jumpy scrub)
-        "chunks_requested",
-        "suppressed_pressure",
-        "suppressed_degraded",
-        "suppressed_pattern",  # no confirmed stride yet / random access
-        "suppressed_inflight",
-        "suppressed_eof",  # predicted chunks clamped at the subset's end
-        "suppressed_budget",  # tenant's speculative-byte budget exhausted
-        "failed",  # speculative reads that hit a permanent fault
-    )
-
-    issued = metric_view("_metric_fields", key="issued")
-    issued_direction = metric_view("_metric_fields", key="issued_direction")
-    chunks_requested = metric_view("_metric_fields", key="chunks_requested")
-    suppressed_pressure = metric_view(
-        "_metric_fields", key="suppressed_pressure"
-    )
-    suppressed_degraded = metric_view(
-        "_metric_fields", key="suppressed_degraded"
-    )
-    suppressed_pattern = metric_view("_metric_fields", key="suppressed_pattern")
-    suppressed_inflight = metric_view(
-        "_metric_fields", key="suppressed_inflight"
-    )
-    suppressed_eof = metric_view("_metric_fields", key="suppressed_eof")
-    suppressed_budget = metric_view("_metric_fields", key="suppressed_budget")
-    failed = metric_view("_metric_fields", key="failed")
-
     def __init__(
         self,
         sim: Simulator,
         retriever: IORetriever,
-        high_watermark: float = 0.85,
+        high_watermark: float = HIGH_WATERMARK,
         degradation_source: Optional[Callable[[], float]] = None,
         max_inflight: int = 1,
         metrics: Optional[MetricsRegistry] = None,
@@ -144,7 +119,6 @@ class Prefetcher:
         ] = {}
         self._inflight: Dict[Optional[str], list] = {}
         self._last_degradation: Optional[float] = None
-        # Registry-backed counters (the attributes above are views).
         self.metrics = (
             metrics if metrics is not None else retriever.metrics
         )
@@ -152,7 +126,18 @@ class Prefetcher:
             field: self.metrics.counter(
                 f"prefetch_{field}_total", **self.metric_labels
             )
-            for field in self.FIELDS
+            for field in (
+                "issued",  # speculative windows launched
+                "issued_direction",  # of which: direction-only (jumpy scrub)
+                "chunks_requested",
+                "suppressed_pressure",
+                "suppressed_degraded",
+                "suppressed_pattern",  # no confirmed stride yet / random access
+                "suppressed_inflight",
+                "suppressed_eof",  # predicted chunks clamped at the subset's end
+                "suppressed_budget",  # tenant's speculative-byte budget exhausted
+                "failed",  # speculative reads that hit a permanent fault
+            )
         }
 
     # -- the demand-path hook ------------------------------------------------
@@ -227,9 +212,6 @@ class Prefetcher:
         )
         inflight.append(proc)
         return proc
-
-    def stats(self) -> Dict[str, object]:
-        return {field: getattr(self, field) for field in self.FIELDS}
 
     # -- internals -----------------------------------------------------------
 
@@ -309,7 +291,7 @@ class Prefetcher:
                 # not crash anything -- the demand read will surface it (or
                 # route around it via graceful degradation) when it actually
                 # matters.
-                self.failed += 1
+                self._metric_fields["failed"].inc()
                 sp.tag(failed=True)
                 return 0
             sp.tag(admitted=count)

@@ -34,7 +34,7 @@ from repro.faults.retry import Retrier
 from repro.fs.base import StoredObject
 from repro.fs.cache import DERIVED_SUBSET, BlockCache, BlockKey
 from repro.fs.plfs import PLFS, IndexRecord
-from repro.obs.metrics import MetricsRegistry, SIZE_BUCKETS, metric_view
+from repro.obs.metrics import MetricsRegistry, SIZE_BUCKETS
 from repro.obs.trace import span
 from repro.sim import AllOf, Process, Simulator
 from repro.units import MiB
@@ -58,18 +58,6 @@ class IORetriever:
     baseline the ``bench-pipeline`` harness measures against.
     """
 
-    retrieved_bytes = metric_view(
-        "_metric_fields", key="retrieved_bytes", cast=float
-    )
-    cache_served_bytes = metric_view(
-        "_metric_fields", key="cache_served_bytes", cast=float
-    )
-    coalesced_runs = metric_view("_metric_fields", key="coalesced_runs")
-    coalesced_chunks = metric_view("_metric_fields", key="coalesced_chunks")
-    requests_saved = metric_view("_metric_fields", key="requests_saved")
-    prefetched_chunks = metric_view("_metric_fields", key="prefetched_chunks")
-    dedup_waits = metric_view("_metric_fields", key="dedup_waits")
-
     def __init__(
         self,
         sim: Simulator,
@@ -89,11 +77,9 @@ class IORetriever:
         self.cache = cache
         self.coalesce = coalesce
         self.serial_requests = serial_requests
-        # Registry-backed accounting: the traffic counters above are
-        # views, so ``coalesce_stats()`` and ``ADA.stats()`` read exactly
-        # what the Prometheus/JSON exporters see.  ``metric_labels``
-        # (e.g. ``{"shard": name}``) keep per-retriever series distinct
-        # when several retrievers share one registry.
+        # Registry-backed accounting.  ``metric_labels`` (e.g. ``{"shard":
+        # name}``) keep per-retriever series distinct when several
+        # retrievers share one registry.  The two byte counters are floats.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metric_labels = dict(metric_labels or {})
         extra = self.metric_labels
@@ -139,14 +125,6 @@ class IORetriever:
         """Is any pipelined-read feature (cache/coalescing) active?"""
         return self.cache is not None or self.coalesce
 
-    def coalesce_stats(self) -> Dict[str, object]:
-        return {
-            "enabled": self.coalesce,
-            "coalesced_runs": self.coalesced_runs,
-            "coalesced_chunks": self.coalesced_chunks,
-            "requests_saved": self.requests_saved,
-        }
-
     # -- subset retrieval ---------------------------------------------------
 
     def retrieve(self, logical: str, tag: str) -> Generator:
@@ -162,7 +140,7 @@ class IORetriever:
                     ),
                     key=f"read:{logical}#{tag}",
                 )
-                self.retrieved_bytes += obj.nbytes
+                self._metric_fields["retrieved_bytes"].inc(float(obj.nbytes))
                 return obj
             if self.cache is not None:
                 # Derived whole-subset entry: a repeat fetch of a multi-chunk
@@ -172,8 +150,9 @@ class IORetriever:
                     (logical, tag, DERIVED_SUBSET)
                 )
                 if derived is not None:
-                    self.retrieved_bytes += derived.nbytes
-                    self.cache_served_bytes += derived.nbytes
+                    served = float(derived.nbytes)
+                    self._metric_fields["retrieved_bytes"].inc(served)
+                    self._metric_fields["cache_served_bytes"].inc(served)
                     sp.tag(cache_hit=True)
                     return StoredObject(
                         path=f"{logical}#{tag}",
@@ -190,7 +169,7 @@ class IORetriever:
                 data = b"".join(o.data for o in objs)
             if self.cache is not None and len(objs) > 1:
                 self.cache.admit((logical, tag, DERIVED_SUBSET), total, data=data)
-            self.retrieved_bytes += total
+            self._metric_fields["retrieved_bytes"].inc(float(total))
             return StoredObject(path=f"{logical}#{tag}", nbytes=total, data=data)
 
     def retrieve_all(self, logical: str) -> Generator:
@@ -237,8 +216,6 @@ class IORetriever:
             out: List[Optional[StoredObject]] = [None] * len(records)
             to_read: List[int] = []  # positions in `records` that missed
             waits: Dict[int, Process] = {}  # positions someone else is reading
-            # Held reference: ``+=`` through the view is a descriptor round
-            # trip per hit.  The byte counters are floats (the view's cast).
             cache_served = self._metric_fields["cache_served_bytes"]
             for pos, record in enumerate(records):
                 if self.cache is None:
@@ -317,7 +294,7 @@ class IORetriever:
         a failed or evicted in-flight read degrades to a private re-read,
         so the wait can only ever save device traffic, never lose data.
         """
-        self.dedup_waits += len(waits)
+        self._metric_fields["dedup_waits"].inc(len(waits))
         with span(
             self.sim, "retriever.dedup_join",
             logical=logical, tag=tag, joined=len(waits),
@@ -339,7 +316,9 @@ class IORetriever:
                     out[pos] = StoredObject(
                         path=record.path, nbytes=block.nbytes, data=block.data
                     )
-                    self.cache_served_bytes += block.nbytes
+                    self._metric_fields["cache_served_bytes"].inc(
+                        float(block.nbytes)
+                    )
                 else:
                     reread += 1
                     objs = yield from self._read_run(
@@ -372,7 +351,7 @@ class IORetriever:
         objs = yield from self.retrieve_chunks(
             logical, tag, chunks=cold, prefetched=True
         )
-        self.prefetched_chunks += len(objs)
+        self._metric_fields["prefetched_chunks"].inc(len(objs))
         return len(objs)
 
     # -- internals ----------------------------------------------------------
@@ -440,9 +419,10 @@ class IORetriever:
             sp.tag(nbytes=nbytes)
             self._run_bytes.observe(nbytes)
         if coalesced:
-            self.coalesced_runs += 1
-            self.coalesced_chunks += len(run_records)
-            self.requests_saved += len(run_records) - 1
+            counters = self._metric_fields
+            counters["coalesced_runs"].inc()
+            counters["coalesced_chunks"].inc(len(run_records))
+            counters["requests_saved"].inc(len(run_records) - 1)
         if self.cache is not None:
             for record, obj in zip(run_records, objs):
                 self.cache.admit(

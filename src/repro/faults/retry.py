@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -31,7 +31,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransientFaultError,
 )
-from repro.obs.metrics import MetricsRegistry, metric_view
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.sim import AnyOf, Simulator
 
@@ -105,40 +105,10 @@ class RetryPolicy:
 
 
 class RetryStats:
-    """Counters shared by every retried operation of a middleware.
-
-    Since the observability layer landed these are *views* over a
-    :class:`~repro.obs.metrics.MetricsRegistry` (one ``retry_<field>``
-    counter per field): the attribute names, increments at call sites,
-    and the :meth:`as_dict` shape are unchanged, but the registry is the
-    source of truth, so exporters see the same numbers operators do.
+    """The ``retry_<field>_total`` counters every retried operation of a
+    middleware shares.  Each attribute is the registry counter itself:
+    the :class:`Retrier` increments it, everyone else reads the registry.
     """
-
-    FIELDS = (
-        "attempts",  # individual tries, including the first
-        "retries",  # re-tries after a transient failure
-        "recovered",  # operations that succeeded after >= 1 retry
-        "transient_faults",
-        "corruption_detected",
-        "timeouts",
-        "permanent_failures",
-        "exhausted",  # operations whose retries ran out
-        "backoff_s",  # simulated seconds spent backing off
-    )
-
-    attempts = metric_view("_metrics_by_field", key="attempts")
-    retries = metric_view("_metrics_by_field", key="retries")
-    recovered = metric_view("_metrics_by_field", key="recovered")
-    transient_faults = metric_view("_metrics_by_field", key="transient_faults")
-    corruption_detected = metric_view(
-        "_metrics_by_field", key="corruption_detected"
-    )
-    timeouts = metric_view("_metrics_by_field", key="timeouts")
-    permanent_failures = metric_view(
-        "_metrics_by_field", key="permanent_failures"
-    )
-    exhausted = metric_view("_metrics_by_field", key="exhausted")
-    backoff_s = metric_view("_metrics_by_field", key="backoff_s", cast=float)
 
     def __init__(
         self,
@@ -146,22 +116,20 @@ class RetryStats:
         metric_labels: Optional[Dict[str, str]] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metric_labels = dict(metric_labels or {})
-        self._metrics_by_field = {
-            field: self.metrics.counter(
-                f"retry_{field}_total", **self.metric_labels
-            )
-            for field in self.FIELDS
-        }
+        labels = metric_labels or {}
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        def counter(field: str):
+            return self.metrics.counter(f"retry_{field}_total", **labels)
 
-    def __repr__(self) -> str:
-        return (
-            f"RetryStats(attempts={self.attempts}, retries={self.retries}, "
-            f"recovered={self.recovered}, exhausted={self.exhausted})"
-        )
+        self.attempts = counter("attempts")  # tries, including the first
+        self.retries = counter("retries")  # re-tries after a transient failure
+        self.recovered = counter("recovered")  # succeeded after >= 1 retry
+        self.transient_faults = counter("transient_faults")
+        self.corruption_detected = counter("corruption_detected")
+        self.timeouts = counter("timeouts")
+        self.permanent_failures = counter("permanent_failures")
+        self.exhausted = counter("exhausted")  # operations whose retries ran out
+        self.backoff_s = counter("backoff_s")  # simulated seconds backing off
 
 
 class Retrier:
@@ -190,21 +158,21 @@ class Retrier:
         attempt = 0
         with span(self.sim, "retry.call", key=key) as sp:
             while True:
-                self.stats.attempts += 1
+                self.stats.attempts.inc()
                 try:
                     result = yield from self._attempt(op_factory(), key)
                 except PermanentFaultError:
-                    self.stats.permanent_failures += 1
+                    self.stats.permanent_failures.inc()
                     sp.tag(retries=attempt)
                     raise
                 except TransientFaultError as exc:
-                    self.stats.transient_faults += 1
+                    self.stats.transient_faults.inc()
                     if isinstance(exc, CorruptionError):
-                        self.stats.corruption_detected += 1
+                        self.stats.corruption_detected.inc()
                     if isinstance(exc, FaultTimeoutError):
-                        self.stats.timeouts += 1
+                        self.stats.timeouts.inc()
                     if attempt >= self.policy.max_retries:
-                        self.stats.exhausted += 1
+                        self.stats.exhausted.inc()
                         sp.tag(retries=attempt)
                         raise RetryExhaustedError(
                             f"{key}: gave up after {attempt + 1} attempt(s): "
@@ -212,16 +180,16 @@ class Retrier:
                         ) from exc
                     delay = self.policy.delay_s(attempt, key)
                     if delay > 0:
-                        self.stats.backoff_s += delay
+                        self.stats.backoff_s.inc(float(delay))
                         with span(
                             self.sim, "retry.backoff", key=key, attempt=attempt
                         ):
                             yield self.sim.timeout(delay)
                     attempt += 1
-                    self.stats.retries += 1
+                    self.stats.retries.inc()
                     continue
                 if attempt:
-                    self.stats.recovered += 1
+                    self.stats.recovered.inc()
                 sp.tag(retries=attempt)
                 return result
 

@@ -17,9 +17,9 @@ Two distinct caches live here:
   shared by ``ADA.fetch`` / ``fetch_all`` / ``fetch_merged`` and warmed by
   the adaptive prefetcher.  L1 serves at memory bandwidth; blocks evicted
   from L1 demote to an SSD-class L2 before leaving the cache entirely.
-  Hit/miss/eviction counters surface through ``ADA.stats()``; the
-  :meth:`BlockCache.pressure` watermark is what the prefetcher consults
-  before issuing speculative reads.
+  Hit/miss/eviction counters are the ``block_cache_*`` registry
+  families; the :meth:`BlockCache.pressure` watermark is what the
+  prefetcher consults before issuing speculative reads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fs.base import FileSystem, StoredObject
-from repro.obs.metrics import MetricsRegistry, metric_view
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.units import MiB, gbps
 
@@ -48,10 +48,6 @@ class CachedFS(FileSystem):
     snapshot -- never a torn object whose size and bytes disagree.
     """
 
-    hits = metric_view("_metric_fields", key="hits")
-    misses = metric_view("_metric_fields", key="misses")
-    invalidations = metric_view("_metric_fields", key="invalidations")
-
     def __init__(
         self,
         inner: FileSystem,
@@ -68,8 +64,7 @@ class CachedFS(FileSystem):
         self.capacity_bytes = float(capacity_bytes)
         self.memory_bandwidth = float(memory_bandwidth)
         self._lru: "OrderedDict[str, int]" = OrderedDict()
-        # Counters live in the (injectable) metrics registry; the public
-        # ``hits``/``misses``/``invalidations`` attributes are views.
+        # Counters live in the (injectable) metrics registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._metric_fields = {
             field: self.metrics.counter(f"page_cache_{field}_total", fs=self.name)
@@ -86,10 +81,10 @@ class CachedFS(FileSystem):
     def invalidate(self, path: Optional[str] = None) -> None:
         """Drop one path (or everything) from the cache."""
         if path is None:
-            self.invalidations += len(self._lru)
+            self._metric_fields["invalidations"].inc(len(self._lru))
             self._lru.clear()
         elif self._lru.pop(self.store.normalize(path), None) is not None:
-            self.invalidations += 1
+            self._metric_fields["invalidations"].inc()
 
     # -- FS interface -----------------------------------------------------
 
@@ -137,7 +132,7 @@ class CachedFS(FileSystem):
     ) -> Generator:
         key = self.store.normalize(path)
         if key in self._lru:
-            self.hits += 1
+            self._metric_fields["hits"].inc()
             self._lru.move_to_end(key)
             # Snapshot size *and* bytes before sleeping: the hit serves the
             # cached copy as of the request, not whatever a concurrent
@@ -147,7 +142,7 @@ class CachedFS(FileSystem):
             yield self.sim.timeout(size / self.memory_bandwidth)
             self.bytes_read += size
             return StoredObject(path=path, nbytes=size, data=data)
-        self.misses += 1
+        self._metric_fields["misses"].inc()
         obj = yield from self.inner.read(
             path, request_size=request_size, label=label
         )
@@ -205,15 +200,6 @@ class BlockCache:
     convention that metadata mutation is free while data movement pays.
     """
 
-    hits_l1 = metric_view("_metric_fields", key="hits_l1")
-    hits_l2 = metric_view("_metric_fields", key="hits_l2")
-    misses = metric_view("_metric_fields", key="misses")
-    demotions = metric_view("_metric_fields", key="demotions")
-    evictions = metric_view("_metric_fields", key="evictions")
-    invalidations = metric_view("_metric_fields", key="invalidations")
-    prefetch_hits = metric_view("_metric_fields", key="prefetch_hits")
-    prefetch_wasted = metric_view("_metric_fields", key="prefetch_wasted")
-
     def __init__(
         self,
         sim,
@@ -246,9 +232,8 @@ class BlockCache:
         self._l1_nbytes = 0
         self._l2_nbytes = 0
         self.metric_labels: Dict[str, str] = dict(metric_labels or {})
-        # Hit/eviction accounting is registry-backed (the attributes above
-        # are views); occupancy surfaces as derived gauges so exporters
-        # always see the live value.
+        # Hit/eviction accounting is registry-backed; occupancy surfaces as
+        # derived gauges so exporters always see the live value.
         self.bind_metrics(metrics if metrics is not None else MetricsRegistry())
 
     def bind_metrics(
@@ -406,48 +391,32 @@ class BlockCache:
         """Drop matching blocks; ``None`` fields are wildcards.
 
         ``invalidate()`` empties the cache; ``invalidate(logical)`` drops a
-        dataset (what ``ADA.remove`` and ``ingest_append`` use to keep
-        derived subset state coherent).  Returns the number dropped.
+        dataset (what ``ADA.remove`` uses).  Naming all three fields is an
+        exact-key drop that scans nothing -- what ``ingest_append`` pays
+        per stored tag to keep derived subset state coherent.  Returns the
+        number dropped.
         """
-        def matches(key: BlockKey) -> bool:
-            return (
-                (logical is None or key[0] == logical)
-                and (tag is None or key[1] == tag)
-                and (chunk is None or key[2] == chunk)
-            )
+        if None not in (logical, tag, chunk):
+            key = (logical, tag, chunk)
+            in_l1 = [key] if key in self._l1 else []
+            in_l2 = [key] if key in self._l2 else []
+        else:
+            def matches(key: BlockKey) -> bool:
+                return (
+                    (logical is None or key[0] == logical)
+                    and (tag is None or key[1] == tag)
+                    and (chunk is None or key[2] == chunk)
+                )
 
-        dropped = 0
-        for key in [k for k in self._l1 if matches(k)]:
+            in_l1 = [k for k in self._l1 if matches(k)]
+            in_l2 = [k for k in self._l2 if matches(k)]
+        for key in in_l1:
             self._on_removed(key, self._take_l1(key))
-            dropped += 1
-        for key in [k for k in self._l2 if matches(k)]:
+        for key in in_l2:
             self._on_removed(key, self._take_l2(key))
-            dropped += 1
+        dropped = len(in_l1) + len(in_l2)
         self._metric_fields["invalidations"].inc(dropped)
         return dropped
-
-    # -- reporting ---------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        hits = self.hits_l1 + self.hits_l2
-        total = hits + self.misses
-        return {
-            "l1_capacity_bytes": self.l1_capacity_bytes,
-            "l2_capacity_bytes": self.l2_capacity_bytes,
-            "l1_bytes": self.l1_bytes,
-            "l2_bytes": self.l2_bytes,
-            "blocks": len(self),
-            "hits_l1": self.hits_l1,
-            "hits_l2": self.hits_l2,
-            "misses": self.misses,
-            "hit_ratio": (hits / total) if total else 0.0,
-            "demotions": self.demotions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_wasted": self.prefetch_wasted,
-            "pressure": self.pressure(),
-        }
 
     # -- internals ---------------------------------------------------------
 

@@ -216,7 +216,6 @@ def run_cluster_bench(
             ),
             "imbalance": round(_imbalance(loads), 4),
             "node_loads": loads,
-            "cluster": sharded.stats(),
         }
         if nnodes == widest:
             widest_front = front
@@ -275,7 +274,6 @@ def run_cluster_bench(
         "recovery_s": recovery_s,
         "degraded_reads": len(chaos_sharded.degraded),
         "digests_match_clean_run": chaos_match,
-        "cluster": chaos_sharded.stats(),
     }
 
     expected = ntenants * requests_per_tenant

@@ -34,7 +34,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core import IngestPipelineConfig
-from repro.harness.benchkit import hdd_ada, storage_cpu, store_digest
+from repro.harness.benchkit import (
+    counter_values,
+    hdd_ada,
+    storage_cpu,
+    store_digest,
+)
 from repro.sim import Simulator
 from repro.units import MiB, to_mb
 from repro.workloads import build_workload
@@ -80,19 +85,24 @@ def _scenario(
             "stream.xtc", workload.xtc_blob, pdb_text=workload.pdb_text
         )
     )
-    stats = ada.stats()
-    ingest = stats["ingest"]
+    value = ada.metrics.value
     return {
         "ada": ada,
         "record": {
             "ingest_s": round(sim.now - started, 6),
-            "windows": ingest["windows"],
-            "overlap_ratio": round(ingest["overlap_ratio"], 4),
-            "backpressure_waits": ingest["backpressure_waits"],
-            "queue_depth_peak": ingest["queue_depth_peak"],
-            "buffered_bytes_peak": ingest["buffered_bytes_peak"],
-            "write_coalescing": stats["write_coalescing"],
-            "dispatched_bytes_per_tag": stats["dispatched_bytes_per_tag"],
+            "windows": value("ingest_windows_total"),
+            "overlap_ratio": round(ada.stats()["ingest"]["overlap_ratio"], 4),
+            "backpressure_waits": value("ingest_backpressure_waits_total"),
+            "queue_depth_peak": value("ingest_queue_depth_peak"),
+            "buffered_bytes_peak": value("ingest_buffered_bytes_peak"),
+            "write_coalescing": counter_values(
+                ada.metrics, "dispatcher",
+                "coalesced_runs", "coalesced_chunks", "requests_saved",
+            ),
+            "dispatched_bytes_per_tag": {
+                tag: value("dispatcher_bytes_total", tag=tag)
+                for tag in ada.all_tags("stream.xtc")
+            },
         },
         "digest": store_digest(ada),
     }

@@ -140,7 +140,6 @@ def run_insitu_bench(
     # Fused: the in-situ hook rides the third pipeline stage.
     hook = InSituAnalysis()
     _, ada_fused, receipt, fused_s = _ingest(workload, config, analysis=hook)
-    fused_stats = ada_fused.stats()["ingest"]
 
     # Post hoc: plain ingest, then read everything back and pay the
     # batch analysis scan afterwards on the same storage CPU.
@@ -186,7 +185,7 @@ def run_insitu_bench(
             "keyframe_interval": keyframe_interval,
             "window_frames": window_frames,
             "depth": depth,
-            "windows": fused_stats["windows"],
+            "windows": ada_fused.metrics.value("ingest_windows_total"),
             "raw_mb": round(to_mb(raw_nbytes), 3),
             "seed": seed,
         },
@@ -194,8 +193,12 @@ def run_insitu_bench(
             "pipelined": {"ingest_s": round(plain_s, 6)},
             "fused": {
                 "ingest_s": round(fused_s, 6),
-                "analysis_seconds": round(fused_stats["analysis_seconds"], 6),
-                "overlap_ratio": round(fused_stats["overlap_ratio"], 4),
+                "analysis_seconds": round(
+                    ada_fused.metrics.value("ingest_analysis_seconds_total"), 6
+                ),
+                "overlap_ratio": round(
+                    ada_fused.stats()["ingest"]["overlap_ratio"], 4
+                ),
                 "frames_analyzed": online["frames"],
                 "operators": sorted(
                     k for k in online

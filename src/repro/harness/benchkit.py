@@ -15,7 +15,8 @@ exist once, here, as plain functions:
   for one viewer, :func:`run_traffic` for many tenants behind a
   :class:`~repro.serve.ServeFront`;
 * the **checks and the record** -- :func:`store_digest`,
-  :func:`percentile`, :func:`jain_index`, :func:`dump_record`.
+  :func:`counter_values`, :func:`percentile`, :func:`jain_index`,
+  :func:`dump_record`.
 
 Variants are only comparable when one dataset/deployment recipe sits
 under all of them, so a harness states its scenario matrix, ``FLOORS``,
@@ -46,6 +47,7 @@ __all__ = [
     "PLAYBACK_TAG",
     "chunk_windows",
     "chunked_catalog",
+    "counter_values",
     "dump_record",
     "hdd_ada",
     "ingest_chunks",
@@ -279,6 +281,11 @@ def store_digest(ada: ADA) -> str:
             digest.update(path.encode())
             digest.update(fs.store.data(path))
     return digest.hexdigest()
+
+
+def counter_values(metrics, prefix: str, *fields: str) -> Dict[str, object]:
+    """``{field: value}`` of the ``<prefix>_<field>_total`` counters."""
+    return {f: metrics.value(f"{prefix}_{f}_total") for f in fields}
 
 
 def percentile(values: Sequence[float], q: float) -> float:

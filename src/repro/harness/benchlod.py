@@ -46,6 +46,7 @@ from repro.harness.benchkit import (
     PLAYBACK_TAG,
     chunk_windows,
     chunked_catalog,
+    counter_values,
     hdd_ada,
     ingest_chunks,
     play_windows,
@@ -137,10 +138,10 @@ def run_lod_bench(
             scenarios[name] = {
                 "playback_s": round(elapsed, 6),
                 "served_mb": round(to_mb(served), 3),
-                "prefetcher": {
-                    k: ada.prefetcher.stats()[k]
-                    for k in ("issued", "issued_direction", "chunks_requested")
-                },
+                "prefetcher": counter_values(
+                    ada.metrics, "prefetch",
+                    "issued", "issued_direction", "chunks_requested",
+                ),
             }
             if name == "scrub_full":
                 # Same visit order as the bare deployment's pass: byte-for-
@@ -196,9 +197,12 @@ def run_lod_bench(
             and bytes_ratio <= FLOORS["lod_bytes_per_frame_ratio"]
             and speedups["scrub"] >= FLOORS["scrub_lod_speedup"]
         )
-        # Registry snapshot of the last LOD deployment: the lod_* counters
-        # are the observable trace of tiered serving.
-        record["lod"] = ada.lod_stats()
+        # The last LOD deployment's lod_* counters: the observable trace
+        # of tiered serving.
+        record["lod"] = counter_values(
+            ada.metrics, "lod",
+            "served", "chunks", "fallback", "auto_lod", "auto_full",
+        )
     else:
         record["pass"] = identical and record["error_bound"]["within"]
     return record

@@ -30,7 +30,7 @@ serial, warm-pass hit ratio >= 0.9).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.core import ADA
 from repro.fs.cache import BlockCache
@@ -38,6 +38,7 @@ from repro.harness.benchkit import (
     PLAYBACK_TAG,
     chunk_windows,
     chunked_catalog,
+    counter_values,
     hdd_ada,
     ingest_chunks,
     play_windows,
@@ -56,19 +57,18 @@ FLOORS = {
 }
 
 
-def _cache_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str, float]:
-    """Hit accounting for one pass, from two ``BlockCache.stats()`` snapshots."""
-    hits = (
-        int(after["hits_l1"]) - int(before["hits_l1"])
-        + int(after["hits_l2"]) - int(before["hits_l2"])
+def _hits_misses(ada: ADA) -> Tuple[int, int]:
+    """The deployment's block-cache ``(hits, misses)`` so far."""
+    value = ada.metrics.value
+    hits = value("block_cache_hits_total", tier="l1") + value(
+        "block_cache_hits_total", tier="l2"
     )
-    misses = int(after["misses"]) - int(before["misses"])
+    return hits, value("block_cache_misses_total")
+
+
+def _hit_ratio(hits: int, misses: int) -> float:
     total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_ratio": round(hits / total, 4) if total else 0.0,
-    }
+    return round(hits / total, 4) if total else 0.0
 
 
 def run_pipeline_bench(
@@ -112,24 +112,32 @@ def run_pipeline_bench(
     ada = deployment(cache=True)
     scenarios["cold_cache"] = {
         "playback_s": playback(ada, "cold_cache"),
-        "coalescing": ada.determinator.retriever.coalesce_stats(),
+        "coalescing": {
+            "enabled": ada.determinator.retriever.coalesce,
+            **counter_values(
+                ada.metrics, "retriever",
+                "coalesced_runs", "coalesced_chunks", "requests_saved",
+            ),
+        },
     }
-    cold_stats = ada.block_cache.stats()
+    cold_hits, cold_misses = _hits_misses(ada)
+    warm_s = playback(ada, "warm_cache")
+    hits, misses = _hits_misses(ada)
+    hits, misses = hits - cold_hits, misses - cold_misses
     scenarios["warm_cache"] = {
-        "playback_s": playback(ada, "warm_cache"),
-        **_cache_delta(cold_stats, ada.block_cache.stats()),
+        "playback_s": warm_s,
+        "hits": hits,
+        "misses": misses,
+        "hit_ratio": _hit_ratio(hits, misses),
     }
 
     # prefetch: cache + coalescing + adaptive readahead, cold pass.
     ada = deployment(cache=True, prefetch=True)
+    # (Its counters are the ``prefetch_*``/``block_cache_*`` series of the
+    # ``metrics`` snapshot below; only the derived ratio is stated here.)
     scenarios["prefetch"] = {
         "playback_s": playback(ada, "prefetch"),
-        "prefetcher": ada.prefetcher.stats(),
-        "cache": {
-            "prefetch_hits": ada.block_cache.prefetch_hits,
-            "prefetch_wasted": ada.block_cache.prefetch_wasted,
-            "hit_ratio": round(ada.block_cache.stats()["hit_ratio"], 4),
-        },
+        "cache": {"hit_ratio": _hit_ratio(*_hits_misses(ada))},
     }
 
     serial_s = scenarios["serial"]["playback_s"]

@@ -161,9 +161,6 @@ def run_serve_bench(
 
     contended_front = fresh_front()
     contended = run_traffic(contended_front, tenants, catalog, closed)
-    contended["scheduler"] = contended_front.scheduler.stats()
-    contended["cache"] = contended_front.ada.block_cache.stats()
-    contended["prefetch"] = contended_front.ada.prefetcher.stats()
 
     open_front = fresh_front()
     opened = run_traffic(open_front, tenants, catalog, open_loop)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core import ADA
 from repro.faults.plan import FaultPlan
@@ -50,7 +50,10 @@ class ChaosReport:
     identical: bool
     baseline_digest: str
     faulted_digest: str
+    #: The faulted run's ``retry_*`` series (``metrics.query("retry_")``).
     counters: Dict[str, object] = field(default_factory=dict)
+    degraded_reads: int = 0
+    injected_total: int = 0
     sim_time_baseline_s: float = 0.0
     sim_time_faulted_s: float = 0.0
     #: Structured snapshot of the faulted run's metrics registry (the
@@ -59,11 +62,7 @@ class ChaosReport:
 
     @property
     def retries(self) -> int:
-        return int(self.counters.get("retry", {}).get("retries", 0))
-
-    @property
-    def injected_total(self) -> int:
-        return int(self.counters.get("injected_total", 0))
+        return int(self.counters.get("retry_retries_total", 0))
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -76,6 +75,8 @@ class ChaosReport:
             "baseline_digest": self.baseline_digest,
             "faulted_digest": self.faulted_digest,
             "counters": self.counters,
+            "degraded_reads": self.degraded_reads,
+            "injected_total": self.injected_total,
             "sim_time_baseline_s": self.sim_time_baseline_s,
             "sim_time_faulted_s": self.sim_time_faulted_s,
             "metrics": self.metrics,
@@ -158,7 +159,9 @@ def run_chaos(
         identical=baseline_digest == faulted_digest,
         baseline_digest=baseline_digest,
         faulted_digest=faulted_digest,
-        counters=faulted.fault_counters(),
+        counters=faulted.metrics.query("retry_"),
+        degraded_reads=len(faulted.degraded),
+        injected_total=plan.total(),
         sim_time_baseline_s=baseline_sim.now,
         sim_time_faulted_s=faulted_sim.now,
         metrics=faulted.metrics.to_json(),
@@ -167,7 +170,9 @@ def run_chaos(
 
 def render_chaos(report: ChaosReport) -> str:
     """Paper-style table of one chaos run."""
-    retry = report.counters.get("retry", {})
+    def retry(field):
+        return report.counters.get(f"retry_{field}_total", 0)
+
     table = Table(
         ["metric", "value"],
         title=(
@@ -182,13 +187,13 @@ def render_chaos(report: ChaosReport) -> str:
     )
     table.add_row("digest", report.faulted_digest[:16] + "...")
     table.add_row("faults injected", f"{report.injected_total}")
-    table.add_row("attempts", f"{retry.get('attempts', 0)}")
-    table.add_row("retries", f"{retry.get('retries', 0)}")
-    table.add_row("recovered ops", f"{retry.get('recovered', 0)}")
-    table.add_row("corruption detected", f"{retry.get('corruption_detected', 0)}")
-    table.add_row("timeouts", f"{retry.get('timeouts', 0)}")
-    table.add_row("backoff (sim s)", f"{retry.get('backoff_s', 0.0):.6f}")
-    table.add_row("degraded reads", f"{report.counters.get('degraded_reads', 0)}")
+    table.add_row("attempts", f"{retry('attempts')}")
+    table.add_row("retries", f"{retry('retries')}")
+    table.add_row("recovered ops", f"{retry('recovered')}")
+    table.add_row("corruption detected", f"{retry('corruption_detected')}")
+    table.add_row("timeouts", f"{retry('timeouts')}")
+    table.add_row("backoff (sim s)", f"{retry('backoff_s'):.6f}")
+    table.add_row("degraded reads", f"{report.degraded_reads}")
     table.add_row("sim time, fault-free", f"{report.sim_time_baseline_s:.4f} s")
     table.add_row("sim time, faulted", f"{report.sim_time_faulted_s:.4f} s")
     return table.render()

@@ -4,7 +4,7 @@
 
 * :class:`~repro.obs.metrics.MetricsRegistry` -- counters, gauges, and
   fixed-bucket log-scale histograms; deterministic, no wall-clock; the
-  single source of truth behind the legacy ``stats()`` dicts (now views).
+  one place every count lives (read it with ``value``/``query``).
 * :class:`~repro.obs.trace.Tracer` -- span timelines on the DES clock:
   middleware -> retriever -> coalesced run -> PLFS chunk read -> device,
   tagged with ``(logical, tag, chunk, tier, cache_hit, retries)``.
@@ -29,7 +29,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     global_registry,
-    metric_view,
 )
 from repro.obs.trace import Span, Tracer, render_trace, span
 
@@ -43,7 +42,6 @@ __all__ = [
     "TIME_BUCKETS",
     "Tracer",
     "global_registry",
-    "metric_view",
     "parse_metrics_json",
     "parse_prometheus",
     "registry_to_json",

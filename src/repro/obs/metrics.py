@@ -4,8 +4,11 @@ The evaluation sections of the source paper (Tables 4-6, Figures 7-10) are
 entirely about *measured* behaviour -- per-stage latency, tier traffic
 split, time-to-first-frame.  Before this module those numbers lived in
 ad-hoc ``stats()`` dicts scattered across the middleware, retriever,
-prefetcher, and block cache; now one :class:`MetricsRegistry` is the
-single source of truth and those dicts are *views* over it.
+prefetcher, and block cache; now one :class:`MetricsRegistry` holds every
+count exactly once.  A component keeps the metric objects it writes and
+calls ``inc``/``set``/``observe`` on them; every reader -- harness, CLI,
+tests, exporters -- goes through :meth:`MetricsRegistry.value` (one
+series) or :meth:`MetricsRegistry.query` (a slice of the catalogue).
 
 Design constraints, in order:
 
@@ -19,11 +22,6 @@ Design constraints, in order:
   registry through its determinator, retriever, prefetcher, block cache,
   and retry layer.  :func:`global_registry` offers the conventional
   process-wide instance for CLI tooling.
-* **View-compatible.**  The pre-existing public counters
-  (``BlockCache.hits_l1``, ``RetryStats.attempts``, ...) keep their exact
-  names and ``stats()`` shapes; :func:`metric_view` turns an attribute
-  into a read/write window onto a registry metric so call sites like
-  ``self.hits_l1 += 1`` keep working unchanged.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "TIME_BUCKETS",
     "SIZE_BUCKETS",
     "global_registry",
-    "metric_view",
 ]
 
 #: Fixed log-scale (x4) latency bounds: 1 us .. ~67 s, in seconds.
@@ -61,8 +58,8 @@ class Counter:
     """Monotone (by convention) numeric metric.
 
     ``inc`` preserves int-ness: integer increments on an integer counter
-    keep the value an ``int``, so views over byte/operation counts expose
-    the same Python types the old plain attributes had.
+    keep the value an ``int``, so byte/operation counts export without a
+    decimal point and second totals stay ``float``.
     """
 
     __slots__ = ("name", "labels", "_value")
@@ -86,8 +83,8 @@ class Counter:
         self._value += amount
 
     def set(self, value) -> None:
-        """Direct assignment -- exists to back attribute *views* (legacy
-        ``obj.counter = value`` call sites), not for general use."""
+        """Direct assignment -- exists so ``bind_metrics`` can carry a
+        count over into another registry, not for general use."""
         self._value = value
 
 
@@ -245,6 +242,32 @@ class MetricsRegistry:
         metric = family.get(_label_key(labels))
         return 0 if metric is None else metric.value
 
+    def query(self, prefix: str = "", **labels) -> Dict[str, object]:
+        """``{series: value}`` over every family whose name starts with
+        ``prefix``, restricted to series carrying all of ``labels``.
+
+        Keys are the canonical ``family{label="v"}`` strings the
+        Prometheus exporter prints, in exporter order; a histogram
+        contributes its ``_sum`` and ``_count`` series (no buckets).
+        """
+        from repro.obs.export import _label_str
+
+        wanted = set(_label_key(labels))
+        out: Dict[str, object] = {}
+        for name, kind, metrics in self.families():
+            if not name.startswith(prefix):
+                continue
+            for metric in metrics:
+                if not wanted <= set(metric.labels):
+                    continue
+                tail = _label_str(metric.labels)
+                if kind == "histogram":
+                    out[f"{name}_sum{tail}"] = metric.sum
+                    out[f"{name}_count{tail}"] = metric.count
+                else:
+                    out[name + tail] = metric.value
+        return out
+
     # -- export ------------------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:
@@ -270,31 +293,3 @@ def global_registry() -> MetricsRegistry:
     if _GLOBAL is None:
         _GLOBAL = MetricsRegistry()
     return _GLOBAL
-
-
-def metric_view(attr: str, key: Optional[str] = None, cast=None):
-    """A class-level attribute that reads/writes a registry metric.
-
-    ``attr`` names the instance attribute holding either the metric object
-    itself or (with ``key``) a dict of metrics.  Existing call sites like
-    ``self.hits_l1 += 1`` then transparently drive the registry while
-    ``stats()`` dicts keep their historical shapes.
-    """
-
-    class _View:
-        __slots__ = ()
-
-        def _metric(self, obj):
-            holder = getattr(obj, attr)
-            return holder[key] if key is not None else holder
-
-        def __get__(self, obj, owner=None):
-            if obj is None:
-                return self
-            value = self._metric(obj).value
-            return cast(value) if cast is not None else value
-
-        def __set__(self, obj, value):
-            self._metric(obj).set(value)
-
-    return _View()

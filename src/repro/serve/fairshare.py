@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.fs.cache import BlockCache, BlockKey, CachedBlock
-from repro.obs.metrics import MetricsRegistry, metric_view
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TenantBlockCache", "span_tenant_source"]
 
@@ -52,13 +52,6 @@ def span_tenant_source(sim) -> Callable[[], Optional[str]]:
 
 class TenantBlockCache(BlockCache):
     """Two-tier block cache with per-tenant L1 quotas over a shared pool."""
-
-    cross_tenant_hits = metric_view(
-        "_metric_fields", key="cross_tenant_hits", cast=int
-    )
-    quota_evictions = metric_view(
-        "_metric_fields", key="quota_evictions", cast=int
-    )
 
     def __init__(
         self,
@@ -254,23 +247,3 @@ class TenantBlockCache(BlockCache):
                 self._metric_fields["quota_evictions"].inc()
                 return key
         return fallback
-
-    # -- reporting -----------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats["shared_capacity_bytes"] = self.shared_capacity_bytes()
-        stats["shared_l1_bytes"] = self.charged_bytes(None)
-        stats["cross_tenant_hits"] = self.cross_tenant_hits
-        stats["quota_evictions"] = self.quota_evictions
-        stats["tenants"] = {
-            tenant: {
-                "quota_bytes": self._quotas.get(tenant, 0.0),
-                "l1_bytes": self.charged_bytes(tenant),
-            }
-            for tenant in sorted(
-                set(self._quotas)
-                | {o for o in self._l1_charged if o is not None}
-            )
-        }
-        return stats

@@ -35,7 +35,7 @@ from repro.core.lod import validate_precision
 from repro.core.middleware import ADA
 from repro.errors import ConfigurationError, ReproError
 from repro.faults.plan import FaultPlan, raise_fault
-from repro.faults.retry import Retrier, RetryPolicy
+from repro.faults.retry import Retrier, RetryPolicy, RetryStats
 from repro.serve.fairshare import TenantBlockCache, span_tenant_source
 from repro.serve.scheduler import RequestScheduler, ServeRequest
 from repro.serve.session import Session, SessionManager, TenantConfig
@@ -85,8 +85,16 @@ class ServeFront:
             metrics=self.metrics,
         )
         self.fault_plan = fault_plan
+        # Serve-boundary retries count into the deployment's registry,
+        # apart from the middleware's own ``retry_*`` series.
         self._retrier = (
-            Retrier(self.sim, policy=retry_policy)
+            Retrier(
+                self.sim,
+                policy=retry_policy,
+                stats=RetryStats(
+                    metrics=self.metrics, metric_labels={"layer": "serve"}
+                ),
+            )
             if fault_plan is not None
             else None
         )
@@ -284,10 +292,7 @@ class ServeFront:
     # -- reporting -----------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        out = {
+        return {
             "scheduler": self.scheduler.stats(),
             "sessions": self.sessions.stats(),
         }
-        if self._retrier is not None:
-            out["serve_retry"] = self._retrier.stats.as_dict()
-        return out

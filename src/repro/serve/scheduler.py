@@ -293,21 +293,10 @@ class RequestScheduler:
         return tm
 
     def stats(self) -> Dict[str, object]:
-        tenants: Dict[str, Dict[str, object]] = {}
-        for tenant in sorted(set(self._queues) | set(self.completed)):
-            done = self.completed.get(tenant, [])
-            ok = [r for r in done if r.error is None]
-            waits = [r.wait_s for r in done]
-            tenants[tenant] = {
-                "queued": len(self._queues.get(tenant) or ()),
-                "completed": len(ok),
-                "failed": len(done) - len(ok),
-                "served_bytes": int(sum(r.served_bytes for r in ok)),
-                "mean_wait_s": (sum(waits) / len(waits)) if waits else 0.0,
-            }
+        """Scheduler state outside the registry (per-tenant counts and
+        waits are the ``serve_*{tenant=...}`` series)."""
         return {
             "concurrency": self.concurrency,
             "backlog": self.backlog,
             "vtime": self._vtime,
-            "tenants": tenants,
         }

@@ -70,17 +70,13 @@ class TenantState:
     """Live admission accounting for one registered tenant."""
 
     __slots__ = (
-        "config", "inflight", "outstanding_bytes",
-        "admitted", "rejected", "completed", "admitted_counter",
+        "config", "inflight", "outstanding_bytes", "admitted_counter",
     )
 
     def __init__(self, config: TenantConfig):
         self.config = config
         self.inflight = 0
         self.outstanding_bytes = 0
-        self.admitted = 0
-        self.rejected = 0
-        self.completed = 0
         #: ``serve_admitted_total{tenant}``, held from the first admission
         #: (a tenant that never submits exports no series).
         self.admitted_counter = None
@@ -135,7 +131,6 @@ class SessionManager:
             self.sim, "serve.admit", tenant=tenant, cost_bytes=cost_bytes,
         ) as sp:
             if state.inflight + 1 > config.max_inflight:
-                state.rejected += 1
                 self.metrics.counter(
                     "serve_rejected_total", tenant=tenant, reason="inflight"
                 ).inc()
@@ -153,7 +148,6 @@ class SessionManager:
                 # An idle tenant's first request always admits, however
                 # large -- a budget smaller than one request must degrade
                 # to serialization, not a permanent lockout.
-                state.rejected += 1
                 self.metrics.counter(
                     "serve_rejected_total", tenant=tenant, reason="bytes"
                 ).inc()
@@ -164,7 +158,6 @@ class SessionManager:
                 )
             state.inflight += 1
             state.outstanding_bytes += int(cost_bytes)
-            state.admitted += 1
             counter = state.admitted_counter
             if counter is None:
                 counter = state.admitted_counter = self.metrics.counter(
@@ -180,9 +173,10 @@ class SessionManager:
         state.outstanding_bytes = max(
             0, state.outstanding_bytes - int(cost_bytes)
         )
-        state.completed += 1
 
     def stats(self) -> Dict[str, object]:
+        """The registered tenants' policy (admission counts and in-flight
+        gauges are the ``serve_*{tenant=...}`` registry series)."""
         return {
             name: {
                 "nice": state.config.nice,
@@ -190,11 +184,6 @@ class SessionManager:
                 "max_inflight": state.config.max_inflight,
                 "byte_budget": state.config.byte_budget,
                 "precision": state.config.precision,
-                "inflight": state.inflight,
-                "outstanding_bytes": state.outstanding_bytes,
-                "admitted": state.admitted,
-                "rejected": state.rejected,
-                "completed": state.completed,
             }
             for name, state in sorted(self._tenants.items())
         }

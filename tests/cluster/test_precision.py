@@ -84,8 +84,8 @@ def test_lod_reads_bit_identical_to_single_middleware():
             got = simn.run_process(front.fetch(logical, tag, precision="lod"))
             assert got.data == ref.data, f"{logical}#{tag}"
             assert got.tier == "lod" and got.max_error == ref.max_error
-    assert front.stats()["lod_routed"] > 0
-    assert front.stats()["lod_fallback"] == 0
+    assert front.metrics.value("cluster_lod_routed_total") > 0
+    assert front.metrics.value("cluster_lod_fallback_total") == 0
 
 
 def test_lod_fetch_chunks_routes_and_annotates():
@@ -118,8 +118,8 @@ def test_lod_request_without_layer_falls_back():
     simn, front = _cluster(lod_precision=None)
     obj = simn.run_process(front.fetch(LOGICAL, "p", precision="lod"))
     assert obj.tier == "full" and obj.max_error is None
-    assert front.stats()["lod_fallback"] == 1
-    assert front.stats()["lod_routed"] == 0
+    assert front.metrics.value("cluster_lod_fallback_total") == 1
+    assert front.metrics.value("cluster_lod_routed_total") == 0
     assert not front.has_lod(LOGICAL)
 
 

@@ -37,7 +37,7 @@ def _public_methods(cls):
 def test_shared_public_methods_have_equal_signatures():
     shared = _public_methods(ADA) & _public_methods(ShardedADA)
     assert set(TRACED_ENTRY_POINTS) <= shared
-    assert {"fetch_all", "lod_bound", "remove", "fault_counters"} <= shared
+    assert {"fetch_all", "lod_bound", "remove", "has_lod"} <= shared
     for name in sorted(shared):
         assert inspect.signature(getattr(ADA, name)) == inspect.signature(
             getattr(ShardedADA, name)

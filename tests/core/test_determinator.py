@@ -76,14 +76,17 @@ def test_store_virtual_and_metadata(setup):
 def test_dispatch_counters(setup):
     sim, _, det = setup
     sim.run_process(det.store("bar.xtc", {"p": b"12345", "m": b"123"}))
-    assert det.dispatcher.dispatched_bytes == {"p": 5.0, "m": 3.0}
+    assert det.metrics.query("dispatcher_bytes_total") == {
+        'dispatcher_bytes_total{tag="m"}': 3,
+        'dispatcher_bytes_total{tag="p"}': 5,
+    }
 
 
 def test_retriever_counts_bytes(setup):
     sim, _, det = setup
     sim.run_process(det.store("bar.xtc", {"p": b"12345"}))
     sim.run_process(det.fetch("bar.xtc", "p"))
-    assert det.retriever.retrieved_bytes == 5.0
+    assert det.metrics.value("retriever_bytes_total") == 5.0
 
 
 def test_parallel_subset_fetch_overlaps(setup):

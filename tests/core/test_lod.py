@@ -132,8 +132,8 @@ def test_lod_read_is_annotated_and_within_bound(workload):
         decode_xtc(lod.data).coords - decode_raw(full.data).coords
     ).max()
     assert err <= lod.max_error
-    stats = ada.lod_stats()
-    assert stats["served"] == 1 and stats["served_bytes"] == lod.nbytes
+    assert ada.metrics.value("lod_served_total") == 1
+    assert ada.metrics.value("lod_served_bytes_total") == lod.nbytes
 
 
 def test_lod_fetch_chunks_annotates_every_chunk(workload):
@@ -143,14 +143,14 @@ def test_lod_fetch_chunks_annotates_every_chunk(workload):
     )
     assert all(o.tier == "lod" for o in objs)
     assert all(o.max_error == ada.lod_bound(LOGICAL) for o in objs)
-    assert ada.lod_stats()["chunks"] == len(objs)
+    assert ada.metrics.value("lod_chunks_total") == len(objs)
 
 
 def test_lod_request_without_layer_falls_back_to_full(workload):
     sim, ada = _ingested(workload, lod_precision=None)
     obj = sim.run_process(ada.fetch(LOGICAL, "p", precision="lod"))
     assert obj.tier == "full" and obj.max_error is None
-    assert ada.lod_stats()["fallback"] == 1
+    assert ada.metrics.value("lod_fallback_total") == 1
 
 
 def test_direct_lod_tag_read_bypasses_tier_selection(workload):
@@ -158,7 +158,7 @@ def test_direct_lod_tag_read_bypasses_tier_selection(workload):
     sim, ada = _ingested(workload)
     obj = sim.run_process(ada.fetch(LOGICAL, lod_tag("p"), precision="lod"))
     assert obj.tier == "full" and obj.max_error is None
-    assert ada.lod_stats()["served"] == 0
+    assert ada.metrics.value("lod_served_total") == 0
 
 
 def test_unknown_precision_rejected(workload):
@@ -200,7 +200,7 @@ def test_auto_degrades_at_the_cache_watermark(workload):
 
     relaxed = sim.run_process(ada.fetch(LOGICAL, "p", precision="auto"))
     assert relaxed.tier == "full"
-    assert ada.lod_stats()["auto_full"] == 1
+    assert ada.metrics.value("lod_auto_full_total") == 1
 
     # Warm the L1, then shrink it under the working set: occupancy sits
     # past the prefetch watermark -- the signal auto shares with the
@@ -211,7 +211,7 @@ def test_auto_degrades_at_the_cache_watermark(workload):
     degraded = sim.run_process(ada.fetch(LOGICAL, "p", precision="auto"))
     assert degraded.tier == "lod"
     assert degraded.max_error == ada.lod_bound(LOGICAL)
-    assert ada.lod_stats()["auto_lod"] == 1
+    assert ada.metrics.value("lod_auto_lod_total") == 1
 
     # ... but an explicit "full" is always honoured regardless.
     pinned = sim.run_process(ada.fetch(LOGICAL, "p"))
@@ -229,6 +229,13 @@ def test_bound_is_pinned_at_ingest_not_reconfiguration(workload):
 def test_stats_carry_the_lod_section(workload):
     sim, ada = _ingested(workload)
     sim.run_process(ada.fetch(LOGICAL, "p", precision="lod"))
-    section = ada.stats()["lod"]
-    assert section["enabled"] and section["served"] == 1
-    assert section["lod_precision"] == DEFAULT_LOD_PRECISION
+    section = ada.metrics.query("lod_")
+    assert section["lod_served_total"] == 1
+    assert set(section) == {
+        f"lod_{event}_total"
+        for event in (
+            "served", "chunks", "served_bytes", "fallback",
+            "auto_lod", "auto_full",
+        )
+    }
+    assert ada.lod_precision == DEFAULT_LOD_PRECISION

@@ -97,7 +97,7 @@ def test_coalesced_reads_bit_identical_to_plain(dataset):
             for tag in ada.tags("bar.xtc")
         }
         if mode == "pipelined":
-            assert ada.determinator.retriever.requests_saved > 0
+            assert ada.metrics.value("retriever_requests_saved_total") > 0
     assert results["pipelined"] == results["plain"] == results["serial"]
 
 
@@ -162,7 +162,9 @@ def test_repeat_fetch_serves_from_cache(dataset):
     warm = sim.run_process(ada.fetch("bar.xtc", "p"))
     warm_s = sim.now - t0
     assert warm.data == cold.data
-    assert ada.determinator.retriever.cache_served_bytes >= warm.nbytes
+    assert ada.metrics.value(
+        "retriever_cache_served_bytes_total"
+    ) >= warm.nbytes
     assert warm_s < cold_s / 2  # memory-speed, no seeks paid twice
 
 
@@ -200,14 +202,14 @@ def test_stats_exposes_cache_prefetch_and_coalescing(dataset):
     ada = _ada(sim, cache=True, prefetch=True)
     _ingest(ada, "bar.xtc", pdb_text, blobs)
     sim.run_process(ada.fetch("bar.xtc", "p"))
-    stats = ada.stats()
-    assert stats["cache"]["blocks"] > 0
-    assert stats["coalescing"]["enabled"]
-    assert "issued" in stats["prefetch"]
-    plain = _ada(Simulator()).stats()
-    assert plain["cache"] == {"enabled": False}
-    assert plain["prefetch"] == {"enabled": False}
-    assert not plain["coalescing"]["enabled"]
+    series = ada.metrics.query()
+    assert len(ada.block_cache) > 0
+    assert series['block_cache_bytes{tier="l1"}'] > 0
+    assert series["retriever_coalesced_runs_total"] > 0
+    assert "prefetch_issued_total" in series
+    plain = _ada(Simulator()).metrics
+    assert not plain.query("block_cache_") and not plain.query("prefetch_")
+    assert plain.value("retriever_coalesced_runs_total") == 0
 
 
 # -- zero-copy fetch_merged ---------------------------------------------------
@@ -268,8 +270,8 @@ def test_prefetch_on_playback_bit_identical_to_on_demand():
         _ingest(ada, "bar.xtc", pdb_text, blobs)
         digests[mode] = _playback_digest(ada, "bar.xtc", 12, 2)
         if mode == "prefetch":
-            assert ada.prefetcher.issued > 0
-            assert ada.block_cache.prefetch_hits > 0
+            assert ada.metrics.value("prefetch_issued_total") > 0
+            assert ada.metrics.value("block_cache_prefetch_hits_total") > 0
     assert digests["prefetch"] == digests["on_demand"]
 
 
@@ -291,7 +293,7 @@ def test_demand_read_joins_inflight_prefetch():
 
     sim.run_process(consume())
     read = sum(fs.bytes_read for fs in ada.plfs.backends.values()) - before
-    assert ada.determinator.retriever.dedup_waits > 0
+    assert ada.metrics.value("retriever_dedup_waits_total") > 0
     # Every chunk moved over the backend exactly once -- the demand reads
     # rode the speculative ones instead of re-issuing them.
     assert read == ada.subset_nbytes("bar.xtc", "p")
@@ -304,8 +306,8 @@ def test_prefetch_suppressed_on_random_access():
     _ingest(ada, "bar.xtc", pdb_text, blobs)
     for start in (0, 8, 2, 10, 4, 6):  # no steady stride
         sim.run_process(ada.fetch_chunks("bar.xtc", "p", [start, start + 1]))
-    assert ada.prefetcher.issued == 0
-    assert ada.prefetcher.suppressed_pattern > 0
+    assert ada.metrics.value("prefetch_issued_total") == 0
+    assert ada.metrics.value("prefetch_suppressed_pattern_total") > 0
 
 
 def test_prefetch_backs_off_under_cache_pressure():
@@ -323,7 +325,7 @@ def test_prefetch_backs_off_under_cache_pressure():
     )
     _ingest(ada, "bar.xtc", pdb_text, blobs)
     _playback_digest(ada, "bar.xtc", 12, 2)
-    assert ada.prefetcher.suppressed_pressure > 0
+    assert ada.metrics.value("prefetch_suppressed_pressure_total") > 0
 
 
 def test_prefetch_backs_off_when_fault_layer_degrades():
@@ -348,7 +350,7 @@ def test_prefetch_backs_off_when_fault_layer_degrades():
     # New faults since the last window: back off.
     level["n"] = 1
     assert prefetcher.observe("bar.xtc", "p", [6, 7]) is None
-    assert prefetcher.suppressed_degraded == 1
+    assert prefetcher.metrics.value("prefetch_suppressed_degraded_total") == 1
     # A clean window afterwards resumes speculation.
     assert prefetcher.observe("bar.xtc", "p", [8, 9]) is not None
-    assert prefetcher.issued == 2
+    assert prefetcher.metrics.value("prefetch_issued_total") == 2

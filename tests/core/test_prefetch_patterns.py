@@ -59,8 +59,9 @@ def test_negative_stride_readahead_predicts_backwards():
     prefetcher.observe(LOGICAL, "p", [8, 9])
     proc = prefetcher.observe(LOGICAL, "p", [6, 7])
     assert proc is not None
-    assert prefetcher.issued == 1
-    assert prefetcher.issued_direction == 0  # exact stride, not fuzzy
+    assert prefetcher.metrics.value("prefetch_issued_total") == 1
+    # exact stride, not fuzzy
+    assert prefetcher.metrics.value("prefetch_issued_direction_total") == 0
     sim.run()
     # The prediction extrapolated the -2 stride: chunks 4 and 5.
     assert ada.block_cache.peek((LOGICAL, "p", 4))
@@ -75,8 +76,8 @@ def test_jumpy_forward_scrub_confirms_direction():
     prefetcher.observe(LOGICAL, "p", [3, 4])  # +3
     proc = prefetcher.observe(LOGICAL, "p", [7, 8])  # +4: direction only
     assert proc is not None
-    assert prefetcher.issued == 1
-    assert prefetcher.issued_direction == 1
+    assert prefetcher.metrics.value("prefetch_issued_total") == 1
+    assert prefetcher.metrics.value("prefetch_issued_direction_total") == 1
     sim.run()
     # Direction-mode prediction: the window adjacent in playback
     # direction, [start + span, start + 2*span) = chunks 9 and 10.
@@ -91,7 +92,7 @@ def test_jumpy_backward_scrub_confirms_direction():
     prefetcher.observe(LOGICAL, "p", [7, 8])  # -3
     proc = prefetcher.observe(LOGICAL, "p", [5, 6])  # -2: direction only
     assert proc is not None
-    assert prefetcher.issued_direction == 1
+    assert prefetcher.metrics.value("prefetch_issued_direction_total") == 1
     sim.run()
     # Adjacent window backwards: [start - span, start) = chunks 3 and 4.
     assert ada.block_cache.peek((LOGICAL, "p", 3))
@@ -106,7 +107,7 @@ def test_exact_stride_takes_precedence_over_direction():
     prefetcher.observe(LOGICAL, "p", [3])
     proc = prefetcher.observe(LOGICAL, "p", [6])  # stride 3 confirmed twice
     assert proc is not None
-    assert prefetcher.issued_direction == 0
+    assert prefetcher.metrics.value("prefetch_issued_direction_total") == 0
     sim.run()
     assert ada.block_cache.peek((LOGICAL, "p", 9))  # 6 + 3, not 6 + 1
     assert not ada.block_cache.peek((LOGICAL, "p", 7))
@@ -118,9 +119,9 @@ def test_rocking_playback_stays_suppressed():
     prefetcher = ada.prefetcher
     for start in (5, 8, 3, 9, 2, 10):  # signs: +, -, +, -, +
         prefetcher.observe(LOGICAL, "p", [start])
-    assert prefetcher.issued == 0
-    assert prefetcher.issued_direction == 0
-    assert prefetcher.suppressed_pattern == 6
+    assert prefetcher.metrics.value("prefetch_issued_total") == 0
+    assert prefetcher.metrics.value("prefetch_issued_direction_total") == 0
+    assert prefetcher.metrics.value("prefetch_suppressed_pattern_total") == 6
     sim.run()
 
 
@@ -133,7 +134,7 @@ def test_direction_readahead_clamped_at_chunk_zero():
     proc = prefetcher.observe(LOGICAL, "p", [1, 2])  # -3: direction only
     assert proc is not None
     # Prediction [-1, 1) clamps to chunk 0 alone.
-    assert prefetcher.chunks_requested == 1
-    assert prefetcher.suppressed_eof == 1
+    assert prefetcher.metrics.value("prefetch_chunks_requested_total") == 1
+    assert prefetcher.metrics.value("prefetch_suppressed_eof_total") == 1
     sim.run()
     assert ada.block_cache.peek((LOGICAL, "p", 0))

@@ -100,9 +100,11 @@ def test_prefetch_prediction_clamped_at_last_chunk():
     prefetcher.observe(LOGICAL, "p", [3, 4, 5, 6])
     proc = prefetcher.observe(LOGICAL, "p", [6, 7, 8, 9])
     assert proc is not None  # ...so a (clamped) window still launches
-    assert prefetcher.issued == 1
-    assert prefetcher.chunks_requested == 1  # chunk 9 only
-    assert prefetcher.suppressed_eof == 3  # 10, 11, 12 never issued
+    assert prefetcher.metrics.value("prefetch_issued_total") == 1
+    # chunk 9 only
+    assert prefetcher.metrics.value("prefetch_chunks_requested_total") == 1
+    # 10, 11, 12 never issued
+    assert prefetcher.metrics.value("prefetch_suppressed_eof_total") == 3
     sim.run()
     assert ada.block_cache.peek((LOGICAL, "p", 9))
 
@@ -114,10 +116,10 @@ def test_prefetch_prediction_entirely_past_eof_is_suppressed():
     prefetcher.observe(LOGICAL, "p", [6, 7])
     proc = prefetcher.observe(LOGICAL, "p", [10, 11])  # hypothetical window
     assert proc is None
-    assert prefetcher.issued == 0
-    assert prefetcher.chunks_requested == 0
-    assert prefetcher.suppressed_eof == 2  # 14 and 15, both past the end
-    assert prefetcher.stats()["suppressed_eof"] == 2
+    assert prefetcher.metrics.value("prefetch_issued_total") == 0
+    assert prefetcher.metrics.value("prefetch_chunks_requested_total") == 0
+    # 14 and 15, both past the end
+    assert prefetcher.metrics.value("prefetch_suppressed_eof_total") == 2
 
 
 # -- per-tenant cache accounting (charge follows use) -----------------------
@@ -183,7 +185,7 @@ def test_derived_subset_entry_recharged_on_cross_tenant_hit():
     current["tenant"] = "b"
     sim.run_process(ada.fetch(LOGICAL, "p"))
     assert ada.block_cache.owner(key) is None  # community property now
-    assert ada.block_cache.cross_tenant_hits >= 1
+    assert ada.metrics.value("block_cache_cross_tenant_hits_total") >= 1
     assert ada.block_cache.charged_bytes("a") < charged_to_a
     assert ada.block_cache.charged_bytes(None) > 0
     assert _charge_is_consistent(ada.block_cache)
@@ -254,8 +256,9 @@ def test_stride_detection_survives_cross_tenant_interleaving():
             prefetcher.observe(LOGICAL, "p", window)
     assert (None, "a", LOGICAL, "p") in prefetcher._streams
     assert (None, "b", LOGICAL, "p") in prefetcher._streams
-    assert prefetcher.issued == 2  # both confirmed on their third window
-    assert prefetcher.suppressed_inflight == 0
+    # both confirmed on their third window
+    assert prefetcher.metrics.value("prefetch_issued_total") == 2
+    assert prefetcher.metrics.value("prefetch_suppressed_inflight_total") == 0
     sim.run()
 
 
@@ -273,15 +276,16 @@ def test_inflight_cap_is_per_tenant_not_global():
 
     # A itself is capped...
     prefetcher.observe(LOGICAL, "p", [6, 7])
-    assert prefetcher.suppressed_inflight == 1
+    assert prefetcher.metrics.value("prefetch_suppressed_inflight_total") == 1
 
     # ...but B is not: its slot is its own.
     current["tenant"] = "b"
     prefetcher.observe(LOGICAL, "p", [0, 1])
     prefetcher.observe(LOGICAL, "p", [2, 3])
     assert prefetcher.observe(LOGICAL, "p", [4, 5]) is not None
-    assert prefetcher.suppressed_inflight == 1  # unchanged
-    assert prefetcher.issued == 2
+    # unchanged
+    assert prefetcher.metrics.value("prefetch_suppressed_inflight_total") == 1
+    assert prefetcher.metrics.value("prefetch_issued_total") == 2
     assert set(prefetcher._inflight) == {"a", "b"}
     sim.run()
 
@@ -296,13 +300,13 @@ def test_prefetch_budget_caps_speculative_bytes():
     prefetcher.observe(LOGICAL, "p", [0, 1])
     prefetcher.observe(LOGICAL, "p", [2, 3])
     assert prefetcher.observe(LOGICAL, "p", [4, 5]) is None
-    assert prefetcher.suppressed_budget == 1
-    assert prefetcher.issued == 0
+    assert prefetcher.metrics.value("prefetch_suppressed_budget_total") == 1
+    assert prefetcher.metrics.value("prefetch_issued_total") == 0
 
     # No ambient tenant -> single-tenant behavior: budgets do not apply.
     current["tenant"] = None
     prefetcher.observe(LOGICAL, "p", [6, 7])
     prefetcher.observe(LOGICAL, "p", [8, 9])
     # (stream for None confirmed on its second same-stride step)
-    assert prefetcher.suppressed_budget == 1
+    assert prefetcher.metrics.value("prefetch_suppressed_budget_total") == 1
     sim.run()

@@ -1,15 +1,17 @@
-"""Schema pins for every public stats dict (exact keys, value types).
+"""The registry catalogue is the contract (exact families, kinds, types).
 
-These dicts became *views* over the metrics registry; downstream tooling
-(benchmark JSON, operators' scripts) reads them by key, so the key sets
-and Python value types are part of the public contract and must not
-drift as instrumentation evolves.
+Every count lives in ``repro.obs.MetricsRegistry`` and nowhere else;
+downstream tooling (benchmark JSON, operators' scrapes) reads it by
+family name and label, so the set of ``(family, kind, label keys)`` a
+deployment exports -- and whether a family is an ``int`` or a ``float``
+-- is the public contract and must not drift as instrumentation evolves.
+The handful of ``stats()`` snapshots that remain hold only live state the
+registry does not.
 """
 
 import pytest
 
 from repro.core import ADA
-from repro.core.prefetch import Prefetcher
 from repro.faults.plan import FaultPlan
 from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
@@ -17,6 +19,55 @@ from repro.sim import Simulator
 from repro.storage.hdd import WD_1TB_HDD
 from repro.storage.ssd import NVME_SSD_256GB
 from repro.workloads import build_workload
+
+_PREFETCH = (
+    "issued", "issued_direction", "chunks_requested", "suppressed_pressure",
+    "suppressed_degraded", "suppressed_pattern", "suppressed_inflight",
+    "suppressed_eof", "suppressed_budget", "failed",
+)
+_RETRY = (
+    "attempts", "retries", "recovered", "transient_faults",
+    "corruption_detected", "timeouts", "permanent_failures", "exhausted",
+)
+
+#: family -> (kind, label keys, Python type of the value / histogram sum).
+CATALOGUE = {
+    "block_cache_bytes": ("gauge", ("tier",), float),
+    "block_cache_hits_total": ("counter", ("tier",), int),
+    "block_cache_pressure": ("gauge", (), float),
+    **{
+        f"block_cache_{field}_total": ("counter", (), int)
+        for field in (
+            "demotions", "evictions", "invalidations", "misses",
+            "prefetch_hits", "prefetch_wasted",
+        )
+    },
+    "device_bytes_total": ("counter", ("device", "op"), int),
+    "device_ops_total": ("counter", ("device", "op"), int),
+    "device_service_seconds": ("histogram", ("device", "op"), float),
+    "dispatcher_bytes_total": ("counter", ("tag",), int),
+    **{
+        f"dispatcher_{field}_total": ("counter", (), int)
+        for field in (
+            "coalesced_chunks", "coalesced_runs", "requests_saved", "spills",
+            "writes",
+        )
+    },
+    **{f"prefetch_{field}_total": ("counter", (), int) for field in _PREFETCH},
+    "retriever_bytes_total": ("counter", (), float),
+    "retriever_cache_served_bytes_total": ("counter", (), float),
+    **{
+        f"retriever_{field}_total": ("counter", (), int)
+        for field in (
+            "coalesced_chunks", "coalesced_runs", "dedup_waits",
+            "prefetched_chunks", "requests_saved",
+        )
+    },
+    "retriever_inflight_reads": ("gauge", (), int),
+    "retriever_run_bytes": ("histogram", (), float),
+    **{f"retry_{field}_total": ("counter", (), int) for field in _RETRY},
+    "retry_backoff_s_total": ("counter", (), float),
+}
 
 
 @pytest.fixture()
@@ -41,138 +92,79 @@ def driven_ada():
     return ada
 
 
+def test_registry_catalogue_is_exact(driven_ada):
+    seen = {}
+    for name, kind, metrics in driven_ada.metrics.families():
+        (label_keys,) = {tuple(k for k, _ in m.labels) for m in metrics}
+        (value_type,) = {
+            type(m.sum if kind == "histogram" else m.value) for m in metrics
+        }
+        seen[name] = (kind, label_keys, value_type)
+    assert seen == CATALOGUE
+
+
 def test_ada_stats_schema(driven_ada):
     stats = driven_ada.stats()
     assert set(stats) == {
         "datasets",
         "bytes_written_per_backend",
-        "dispatched_bytes_per_tag",
         "spills",
         "indexer_lookups",
-        "retrieved_bytes",
-        "cache_served_bytes",
-        "cache",
-        "prefetch",
-        "coalescing",
-        "write_coalescing",
+        "degraded",
+        "injected",
         "ingest",
-        "lod",
-        "faults",
     }
-    lod = stats["lod"]
-    assert set(lod) == {
-        "enabled", "lod_precision", "served", "chunks", "served_bytes",
-        "fallback", "auto_lod", "auto_full",
-    }
-    assert lod["enabled"] is False  # fixture ingests without an LOD tier
     assert stats["datasets"] == ["s.xtc"]
     assert all(
         isinstance(v, float) for v in stats["bytes_written_per_backend"].values()
     )
     assert isinstance(stats["indexer_lookups"], int)
-    assert isinstance(stats["retrieved_bytes"], float)
-    assert isinstance(stats["cache_served_bytes"], float)
     assert isinstance(stats["spills"], list)
-    coal = stats["coalescing"]
-    assert set(coal) == {
-        "enabled", "coalesced_runs", "coalesced_chunks", "requests_saved"
-    }
-    assert isinstance(coal["enabled"], bool)
-    assert all(
-        isinstance(coal[k], int)
-        for k in ("coalesced_runs", "coalesced_chunks", "requests_saved")
-    )
-    wcoal = stats["write_coalescing"]
-    assert set(wcoal) == {
-        "coalesced_runs", "coalesced_chunks", "requests_saved"
-    }
-    assert all(isinstance(v, int) for v in wcoal.values())
-    # The fixture ingests through the monolithic path, so the streaming
-    # pipeline section reports disabled.
-    assert stats["ingest"] == {"enabled": False}
-    assert all(
-        isinstance(v, int)
-        for v in stats["dispatched_bytes_per_tag"].values()
-    )
+    assert isinstance(stats["degraded"], list)
+    # The fixture attaches a fault plan, so its injection ledger appears.
+    assert stats["injected"] == driven_ada.fault_plan.snapshot()
+    assert all(isinstance(v, int) for v in stats["injected"].values())
+    # The fixture ingests through the monolithic path: no streaming
+    # pipeline, so the two keys kept for benchmarks/e2e are absent.
+    assert stats["ingest"] == {}
 
 
 def test_block_cache_stats_schema(driven_ada):
-    stats = driven_ada.block_cache.stats()
-    assert set(stats) == {
-        "l1_capacity_bytes",
-        "l2_capacity_bytes",
-        "l1_bytes",
-        "l2_bytes",
-        "blocks",
-        "hits_l1",
-        "hits_l2",
-        "misses",
-        "hit_ratio",
-        "demotions",
-        "evictions",
-        "invalidations",
-        "prefetch_hits",
-        "prefetch_wasted",
-        "pressure",
-    }
-    int_keys = (
-        "blocks", "hits_l1", "hits_l2", "misses", "demotions",
-        "evictions", "invalidations", "prefetch_hits", "prefetch_wasted",
-    )
-    for key in int_keys:
-        assert isinstance(stats[key], int), key
-    float_keys = (
-        "l1_capacity_bytes", "l2_capacity_bytes", "l1_bytes", "l2_bytes",
-        "hit_ratio", "pressure",
-    )
-    for key in float_keys:
-        assert isinstance(stats[key], float), key
-    assert stats["hits_l1"] + stats["hits_l2"] > 0  # the repeat fetch hit
+    series = driven_ada.metrics.query("block_cache_")
+    assert list(series) == [
+        'block_cache_bytes{tier="l1"}',
+        'block_cache_bytes{tier="l2"}',
+        "block_cache_demotions_total",
+        "block_cache_evictions_total",
+        'block_cache_hits_total{tier="l1"}',
+        'block_cache_hits_total{tier="l2"}',
+        "block_cache_invalidations_total",
+        "block_cache_misses_total",
+        "block_cache_prefetch_hits_total",
+        "block_cache_prefetch_wasted_total",
+        "block_cache_pressure",
+    ]
+    hits = sum(driven_ada.metrics.query("block_cache_hits_total").values())
+    assert hits > 0  # the repeat fetch hit
+    assert series["block_cache_pressure"] == driven_ada.block_cache.pressure()
 
 
 def test_prefetcher_stats_schema(driven_ada):
-    stats = driven_ada.prefetcher.stats()
-    assert tuple(stats) == Prefetcher.FIELDS
-    assert set(stats) == {
-        "issued",
-        "issued_direction",
-        "chunks_requested",
-        "suppressed_pressure",
-        "suppressed_degraded",
-        "suppressed_pattern",
-        "suppressed_inflight",
-        "suppressed_eof",
-        "suppressed_budget",
-        "failed",
-    }
-    for key, value in stats.items():
+    series = driven_ada.metrics.query("prefetch_")
+    assert set(series) == {f"prefetch_{field}_total" for field in _PREFETCH}
+    for key, value in series.items():
         assert isinstance(value, int), key
 
 
 def test_fault_counters_schema(driven_ada):
-    counters = driven_ada.fault_counters()
-    # The fixture attaches a fault plan, so the injected section appears.
-    assert set(counters) == {
-        "retry", "degraded_reads", "degraded", "injected", "injected_total"
+    series = driven_ada.metrics.query("retry_")
+    assert set(series) == {
+        f"retry_{field}_total" for field in _RETRY + ("backoff_s",)
     }
-    retry = counters["retry"]
-    assert set(retry) == {
-        "attempts",
-        "retries",
-        "recovered",
-        "transient_faults",
-        "corruption_detected",
-        "timeouts",
-        "permanent_failures",
-        "exhausted",
-        "backoff_s",
-    }
-    for key, value in retry.items():
-        expected = float if key == "backoff_s" else int
-        assert isinstance(value, expected), key
-    assert isinstance(counters["degraded_reads"], int)
-    assert isinstance(counters["degraded"], list)
-    assert isinstance(counters["injected_total"], int)
+    assert series["retry_attempts_total"] > 0
+    # What the registry does not hold stays on plain attributes.
+    assert isinstance(driven_ada.degraded, list)
+    assert isinstance(driven_ada.fault_plan.total(), int)
 
 
 def test_fault_counters_schema_without_plan():
@@ -180,6 +172,7 @@ def test_fault_counters_schema_without_plan():
     ada = ADA(
         sim, backends={"ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd")}
     )
-    assert set(ada.fault_counters()) == {
-        "retry", "degraded_reads", "degraded"
-    }
+    # Always present (zeros on a healthy run); nothing injected.
+    assert set(ada.metrics.query("retry_").values()) == {0}
+    assert len(ada.metrics.query("retry_")) == len(_RETRY) + 1
+    assert ada.stats()["injected"] == {} and ada.degraded == []

@@ -65,7 +65,8 @@ def _records_copied(monkeypatch, nchunks: int):
         return served
 
     served = front.sim.run_process(playback())
-    assert front.ada.prefetcher.issued == 1  # the speculative path ran too
+    # the speculative path ran too
+    assert front.ada.metrics.value("prefetch_issued_total") == 1
     assert front.ada.block_cache.peek((LOGICAL, TAG, 15))
     return sum(copied), served
 

@@ -128,7 +128,7 @@ def _exercise() -> None:
     assert len(policy.schedule("k")) == 3
     assert RetryPolicy.no_retries().max_retries == 0
     stats = RetryStats()
-    assert stats.as_dict()["attempts"] == 0 and repr(stats)
+    assert stats.metrics.value("retry_attempts_total") == 0
 
     # -- Retrier: every outcome class ----------------------------------------
     def flaky(failures, exc_type=TransientFaultError, value="ok"):
@@ -159,8 +159,10 @@ def _exercise() -> None:
             retrier.call(flaky(99, CorruptionError), "corrupt")
         ),
     )
-    assert retrier.stats.recovered == 1
-    assert retrier.stats.corruption_detected >= 1
+    assert retrier.stats.metrics.value("retry_recovered_total") == 1
+    assert retrier.stats.metrics.value(
+        "retry_corruption_detected_total"
+    ) >= 1
 
     # Timeout race: slow op times out, fast op cancels the deadline, an op
     # finishing exactly at the deadline is honored, a failing op under a
@@ -180,7 +182,7 @@ def _exercise() -> None:
             raise exc.__cause__  # the wrapped FaultTimeoutError
 
     expect(FaultTimeoutError, hang)
-    assert timed.stats.timeouts == 1
+    assert timed.stats.metrics.value("retry_timeouts_total") == 1
 
     def fast(sim):
         yield sim.timeout(0.01)

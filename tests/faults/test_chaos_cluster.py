@@ -132,8 +132,9 @@ def test_kill_actually_disrupted_the_run(playback_runs):
     front = playback_runs["chaos_front"]
     victim = playback_runs["victim"]
     assert not front.nodes[victim].alive
-    assert front.stats()["kills"] == 1
-    assert front.stats()["failovers"] > 0, "no read was ever promoted"
+    assert front.metrics.value("cluster_node_kills_total") == 1
+    failovers = front.metrics.value("cluster_failovers_total")
+    assert failovers > 0, "no read was ever promoted"
     events = front.events
     kills = [e for e in events if e["event"] == "kill"]
     assert len(kills) == 1 and kills[0]["node"] == victim
@@ -175,8 +176,8 @@ def test_injected_node_crash_fails_over():
     assert got.data == reference
     assert plan.total() > 0, "the injection never fired"
     assert not front.nodes[primary].alive, "permanent fault must fail-stop"
-    assert front.stats()["failovers"] >= 1
-    assert front.fault_counters()["injected_total"] == plan.total()
+    assert front.metrics.value("cluster_failovers_total") >= 1
+    assert front.fault_plan is plan
 
 
 def test_transient_shard_faults_retry_without_promotion():
@@ -196,11 +197,11 @@ def test_transient_shard_faults_retry_without_promotion():
         ).data
         assert sim.run_process(front.fetch(logical, PLAYBACK_TAG)).data == ref
     assert plan.total() > 0, "chaos run injected nothing"
-    retry = front.fault_counters()["retry"]
-    assert retry["transient_faults"] > 0
-    assert retry["retries"] > 0
+    retry = front.metrics.query("retry_", shard="front")
+    assert retry['retry_transient_faults_total{shard="front"}'] > 0
+    assert retry['retry_retries_total{shard="front"}'] > 0
     # Transients are same-node affairs: nothing was killed or promoted.
-    assert front.stats()["kills"] == 0
+    assert front.metrics.value("cluster_node_kills_total") == 0
     assert all(node.alive for node in front.nodes.values())
 
 
@@ -235,7 +236,7 @@ def test_degraded_read_accounting_matches_warnings():
         assert len(subsets) == len(tags) - len(lost_here)
     assert warned == len(lost_keys)
     assert len(front.degraded) == warned
-    assert front.fault_counters()["degraded_reads"] == warned
+    assert front.metrics.value("cluster_degraded_reads_total") == warned
 
 
 def test_replicated_tag_never_degrades_while_one_replica_lives():

@@ -9,7 +9,7 @@ path under injected faults:
 * **StorageFullError** mid-stream spills whole runs to the inactive tier
   without losing or duplicating a single chunk, and the dispatcher's byte
   accounting counts every chunk exactly once -- retries and spills never
-  double-count ``dispatched_bytes``.
+  double-count ``dispatcher_bytes_total``.
 """
 
 import numpy as np
@@ -105,15 +105,14 @@ def test_transient_faults_mid_window_recover_bit_identically(workload):
     baseline = _stream_ingest(workload)
     faulted = _stream_ingest(workload, transient_rate=0.1, seed=7)
     assert _app_bytes(faulted) == _app_bytes(baseline)
-    counters = faulted.fault_counters()
-    assert counters["retry"]["transient_faults"] > 0  # faults actually fired
-    assert counters["retry"]["permanent_failures"] == 0
+    value = faulted.metrics.value
+    assert value("retry_transient_faults_total") > 0  # faults actually fired
+    assert value("retry_permanent_failures_total") == 0
     assert faulted.plfs.fsck(LOGICAL)["ok"]
     # Retried runs never double-count dispatched bytes.
-    assert (
-        faulted.determinator.dispatcher.dispatched_bytes
-        == baseline.determinator.dispatcher.dispatched_bytes
-    )
+    assert faulted.metrics.query(
+        "dispatcher_bytes_total"
+    ) == baseline.metrics.query("dispatcher_bytes_total")
 
 
 @settings(max_examples=5, deadline=None)
@@ -125,14 +124,14 @@ def test_transient_ingest_chaos_sweep(seed):
     baseline = _stream_ingest(workload)
     faulted = _stream_ingest(workload, transient_rate=0.08, seed=seed)
     assert _app_bytes(faulted) == _app_bytes(baseline)
-    assert faulted.fault_counters()["retry"]["exhausted"] == 0
+    assert faulted.metrics.value("retry_exhausted_total") == 0
 
 
 def test_faulted_stream_ingest_is_deterministic(workload):
     a = _stream_ingest(workload, transient_rate=0.1, seed=13)
     b = _stream_ingest(workload, transient_rate=0.1, seed=13)
     assert _digest(a) == _digest(b)
-    assert a.fault_counters()["retry"] == b.fault_counters()["retry"]
+    assert a.metrics.query("retry_") == b.metrics.query("retry_")
     assert a.sim.now == b.sim.now
 
 
@@ -144,7 +143,7 @@ def test_storage_full_mid_stream_spills_whole_runs(workload):
     # spill protein runs to the rotating tier without losing a chunk.
     ada = _stream_ingest(workload, ssd_capacity=12 * KiB)
     dispatcher = ada.determinator.dispatcher
-    assert dispatcher.spill_count > 0
+    assert ada.metrics.value("dispatcher_spills_total") > 0
     assert all(s[2] == "ssd" and s[3] == "hdd" for s in dispatcher.spills)
     # Nothing lost, nothing duplicated: the index cross-references clean,
     # and the protein subset's chunks land once each across both tiers.
@@ -167,17 +166,16 @@ def test_spill_path_accounting_never_double_counts(workload):
     spilled = _stream_ingest(workload, ssd_capacity=12 * KiB)
     # Spilled chunks are counted once, at their final landing spot: the
     # per-tag byte totals match the spill-free run exactly.
-    assert (
-        spilled.determinator.dispatcher.dispatched_bytes
-        == clean.determinator.dispatcher.dispatched_bytes
-    )
-    for tag, nbytes in spilled.determinator.dispatcher.dispatched_bytes.items():
+    assert spilled.metrics.query(
+        "dispatcher_bytes_total"
+    ) == clean.metrics.query("dispatcher_bytes_total")
+    for tag in spilled.all_tags(LOGICAL):
+        nbytes = spilled.metrics.value("dispatcher_bytes_total", tag=tag)
         assert isinstance(nbytes, int)
         assert nbytes == spilled.plfs.subset_nbytes(LOGICAL, tag)
-    assert (
-        spilled.determinator.dispatcher.writes
-        == clean.determinator.dispatcher.writes
-    )
+    assert spilled.metrics.value(
+        "dispatcher_writes_total"
+    ) == clean.metrics.value("dispatcher_writes_total")
 
 
 def test_spills_under_transient_chaos_stay_exact(workload):
@@ -185,11 +183,13 @@ def test_spills_under_transient_chaos_stay_exact(workload):
     ada = _stream_ingest(
         workload, transient_rate=0.1, ssd_capacity=12 * KiB, seed=23
     )
-    assert ada.determinator.dispatcher.spill_count > 0
-    assert ada.fault_counters()["retry"]["transient_faults"] > 0
+    assert ada.metrics.value("dispatcher_spills_total") > 0
+    assert ada.metrics.value("retry_transient_faults_total") > 0
     assert ada.plfs.fsck(LOGICAL)["ok"]
-    for tag, nbytes in ada.determinator.dispatcher.dispatched_bytes.items():
-        assert nbytes == ada.plfs.subset_nbytes(LOGICAL, tag)
+    for tag in ada.all_tags(LOGICAL):
+        assert ada.metrics.value(
+            "dispatcher_bytes_total", tag=tag
+        ) == ada.plfs.subset_nbytes(LOGICAL, tag)
     merged = ada.sim.run_process(ada.fetch_merged(LOGICAL))
     ref = DataPreProcessor().decompressor.decompress(workload.xtc_blob)
     assert np.array_equal(merged.coords, ref.coords)

@@ -65,12 +65,15 @@ def test_auto_degrades_under_faults_and_recovers_when_clear(seed):
 
     # Injected trouble: full-precision reads under a noisy plan drive the
     # fault layer's monotone degradation level up.
-    level = ada.retry_stats.transient_faults
+    def faults():
+        return ada.metrics.value("retry_transient_faults_total")
+
+    level = faults()
     for _ in range(32):
         sim.run_process(ada.fetch(LOGICAL, "p"))
-        if ada.retry_stats.transient_faults > level:
+        if faults() > level:
             break
-    assert ada.retry_stats.transient_faults > level, "plan injected nothing"
+    assert faults() > level, "plan injected nothing"
 
     degraded = sim.run_process(ada.fetch(LOGICAL, "p", precision="auto"))
     assert degraded.tier == "lod"
@@ -78,7 +81,7 @@ def test_auto_degrades_under_faults_and_recovers_when_clear(seed):
     assert degraded.max_error == bound
     err = np.abs(decode_xtc(degraded.data).coords - exact_coords).max()
     assert err <= bound
-    assert ada.lod_stats()["auto_lod"] >= 1
+    assert ada.metrics.value("lod_auto_lod_total") >= 1
 
     # A pinned full read is exact even mid-trouble.
     pinned = sim.run_process(ada.fetch(LOGICAL, "p"))
@@ -98,4 +101,4 @@ def test_auto_degrades_under_faults_and_recovers_when_clear(seed):
     # ... and it stays settled.
     again = sim.run_process(ada.fetch(LOGICAL, "p", precision="auto"))
     assert again.tier == "full"
-    assert ada.lod_stats()["auto_full"] >= 2
+    assert ada.metrics.value("lod_auto_full_total") >= 2

@@ -71,8 +71,8 @@ def test_transient_chaos_is_bit_identical_with_retries():
     )
     assert report.retries > 0  # the middleware counters saw recovery work
     assert report.injected_total > 0
-    assert report.counters["retry"]["permanent_failures"] == 0
-    assert report.counters["degraded_reads"] == 0
+    assert report.counters["retry_permanent_failures_total"] == 0
+    assert report.degraded_reads == 0
 
 
 @settings(max_examples=6, deadline=None)
@@ -83,7 +83,7 @@ def test_transient_chaos_sweep(seed):
         seed=seed, transient_rate=0.08, rounds=2, natoms=400, nframes=3
     )
     assert report.identical
-    assert report.counters["retry"]["exhausted"] == 0
+    assert report.counters["retry_exhausted_total"] == 0
 
 
 def test_run_chaos_is_deterministic():
@@ -118,9 +118,8 @@ def test_inactive_tier_permanent_failure_degrades_with_warning(workload):
     assert "p" in objs and objs["p"].data is not None
     assert "m" not in objs
     assert ada.degraded and ada.degraded[0][:2] == ("bar.xtc", "m")
-    counters = ada.fault_counters()
-    assert counters["degraded_reads"] == 1
-    assert counters["retry"]["permanent_failures"] >= 1
+    assert len(ada.degraded) == 1
+    assert ada.metrics.value("retry_permanent_failures_total") >= 1
 
 
 def test_active_tier_permanent_failure_raises(workload):
@@ -162,9 +161,8 @@ def test_exhausted_transient_retries_degrade_like_permanent(workload):
     with pytest.warns(DegradedReadWarning):
         objs = sim.run_process(ada.fetch_all("bar.xtc"))
     assert "p" in objs and "m" not in objs
-    counters = ada.fault_counters()
-    assert counters["retry"]["exhausted"] >= 1
-    assert counters["degraded_reads"] == 1
+    assert ada.metrics.value("retry_exhausted_total") >= 1
+    assert len(ada.degraded) == 1
 
 
 def test_degradation_disabled_raises_instead(workload):
@@ -178,6 +176,5 @@ def test_degradation_disabled_raises_instead(workload):
 
 def test_fault_counters_surface_in_stats(workload):
     sim, ada = _ingested_ada(workload)
-    stats = ada.stats()
-    assert stats["faults"]["retry"]["attempts"] >= 1
-    assert stats["faults"]["degraded_reads"] == 0
+    assert ada.metrics.value("retry_attempts_total") >= 1
+    assert ada.stats()["degraded"] == [] == ada.degraded

@@ -116,7 +116,8 @@ def _attach_everywhere(ada, seed, spec):
 def test_pipelined_fault_free_matches_plain_reader(dataset, baseline_digest):
     sim, ada = _ingested_ada(dataset)
     assert _playback_digest(sim, ada) == baseline_digest
-    assert ada.prefetcher.issued > 0  # the accelerated path actually ran
+    # the accelerated path actually ran
+    assert ada.metrics.value("prefetch_issued_total") > 0
 
 
 @settings(max_examples=6, deadline=None)
@@ -131,8 +132,8 @@ def test_transient_chaos_with_prefetch_is_bit_identical(
         ada, seed, FaultSpec(transient_rate=0.08, corruption_rate=0.02)
     )
     assert _playback_digest(sim, ada) == baseline_digest
-    assert ada.retry_stats.exhausted == 0
-    assert ada.fault_counters()["degraded_reads"] == 0
+    assert ada.metrics.value("retry_exhausted_total") == 0
+    assert ada.degraded == []
 
 
 def test_heavy_transient_chaos_recovers_and_retries(dataset, baseline_digest):
@@ -142,7 +143,7 @@ def test_heavy_transient_chaos_recovers_and_retries(dataset, baseline_digest):
     plans = _attach_everywhere(ada, 5, FaultSpec(transient_rate=0.2))
     assert _playback_digest(sim, ada) == baseline_digest
     assert sum(plan.total() for plan in plans) > 0
-    assert ada.retry_stats.retries > 0
+    assert ada.metrics.value("retry_retries_total") > 0
 
 
 def test_failed_prefetch_never_crashes_playback(dataset):
@@ -174,7 +175,7 @@ def test_failed_prefetch_never_crashes_playback(dataset):
         yield sim.timeout(1.0)
 
     sim.run_process(doomed_speculation())
-    assert ada.prefetcher.failed >= 1
+    assert ada.metrics.value("prefetch_failed_total") >= 1
     # The demand read for the same chunks surfaces the real error.
     with pytest.raises(PermanentFaultError):
         sim.run_process(ada.fetch_chunks("bar.xtc", "m", [8, 9]))
@@ -186,6 +187,5 @@ def test_degradation_backoff_engages_under_sustained_faults(dataset):
     sim, ada = _ingested_ada(dataset)
     _attach_everywhere(ada, 3, FaultSpec(transient_rate=0.5))
     _playback_digest(sim, ada)
-    stats = ada.prefetcher.stats()
-    assert stats["suppressed_degraded"] > 0
-    assert ada.retry_stats.transient_faults > 0
+    assert ada.metrics.value("prefetch_suppressed_degraded_total") > 0
+    assert ada.metrics.value("retry_transient_faults_total") > 0

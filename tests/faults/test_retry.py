@@ -85,15 +85,20 @@ def test_policy_validation():
 # -- retrier behaviour --------------------------------------------------------
 
 
+def _count(retrier, field):
+    """One ``retry_<field>_total`` series of the retrier's registry."""
+    return retrier.stats.metrics.value(f"retry_{field}_total")
+
+
 def test_success_without_faults_costs_no_sim_time():
     sim = Simulator()
     retrier = Retrier(sim)
     result = sim.run_process(retrier.call(_flaky(0), key="op"))
     assert result == "ok"
     assert sim.now == 0.0
-    assert retrier.stats.attempts == 1
-    assert retrier.stats.retries == 0
-    assert retrier.stats.recovered == 0
+    assert _count(retrier, "attempts") == 1
+    assert _count(retrier, "retries") == 0
+    assert _count(retrier, "recovered") == 0
 
 
 def test_recovers_after_transient_failures_with_exact_backoff():
@@ -104,11 +109,11 @@ def test_recovers_after_transient_failures_with_exact_backoff():
     assert result == "ok"
     expected = sum(policy.delay_s(a, "k") for a in range(3))
     assert sim.now == pytest.approx(expected)
-    assert retrier.stats.attempts == 4
-    assert retrier.stats.retries == 3
-    assert retrier.stats.recovered == 1
-    assert retrier.stats.transient_faults == 3
-    assert retrier.stats.backoff_s == pytest.approx(expected)
+    assert _count(retrier, "attempts") == 4
+    assert _count(retrier, "retries") == 3
+    assert _count(retrier, "recovered") == 1
+    assert _count(retrier, "transient_faults") == 3
+    assert _count(retrier, "backoff_s") == pytest.approx(expected)
 
 
 def test_zero_retries_fails_fast_without_backoff():
@@ -117,8 +122,8 @@ def test_zero_retries_fails_fast_without_backoff():
     with pytest.raises(RetryExhaustedError):
         sim.run_process(retrier.call(_flaky(1), key="k"))
     assert sim.now == 0.0  # no backoff was paid
-    assert retrier.stats.attempts == 1
-    assert retrier.stats.exhausted == 1
+    assert _count(retrier, "attempts") == 1
+    assert _count(retrier, "exhausted") == 1
 
 
 def test_exhaustion_wraps_last_transient_as_cause():
@@ -128,8 +133,8 @@ def test_exhaustion_wraps_last_transient_as_cause():
         sim.run_process(retrier.call(_flaky(99), key="k"))
     assert isinstance(excinfo.value.__cause__, TransientFaultError)
     assert isinstance(excinfo.value, PermanentFaultError)  # typed: final
-    assert retrier.stats.attempts == 3
-    assert retrier.stats.exhausted == 1
+    assert _count(retrier, "attempts") == 3
+    assert _count(retrier, "exhausted") == 1
 
 
 def test_permanent_fault_never_retried():
@@ -140,9 +145,9 @@ def test_permanent_fault_never_retried():
             retrier.call(_flaky(1, exc_type=PermanentFaultError), key="k")
         )
     assert sim.now == 0.0
-    assert retrier.stats.attempts == 1
-    assert retrier.stats.permanent_failures == 1
-    assert retrier.stats.retries == 0
+    assert _count(retrier, "attempts") == 1
+    assert _count(retrier, "permanent_failures") == 1
+    assert _count(retrier, "retries") == 0
 
 
 def test_corruption_counted_separately():
@@ -152,8 +157,8 @@ def test_corruption_counted_separately():
         retrier.call(_flaky(2, exc_type=CorruptionError), key="k")
     )
     assert result == "ok"
-    assert retrier.stats.corruption_detected == 2
-    assert retrier.stats.transient_faults == 2
+    assert _count(retrier, "corruption_detected") == 2
+    assert _count(retrier, "transient_faults") == 2
 
 
 def test_non_fault_errors_propagate_untouched():
@@ -164,8 +169,8 @@ def test_non_fault_errors_propagate_untouched():
     retrier = Retrier(sim, RetryPolicy(max_retries=5))
     with pytest.raises(NotOurs):
         sim.run_process(retrier.call(_flaky(1, exc_type=NotOurs), key="k"))
-    assert retrier.stats.attempts == 1
-    assert retrier.stats.transient_faults == 0
+    assert _count(retrier, "attempts") == 1
+    assert _count(retrier, "transient_faults") == 0
 
 
 # -- per-op timeout ----------------------------------------------------------
@@ -191,7 +196,7 @@ def test_timeout_fires_on_never_completing_op():
         sim.run_process(retrier.call(_never_completes(sim), key="k"))
     assert isinstance(excinfo.value.__cause__, FaultTimeoutError)
     assert sim.now == pytest.approx(timeout_s)
-    assert retrier.stats.timeouts == 1
+    assert _count(retrier, "timeouts") == 1
 
 
 def test_timeout_then_retry_then_exhaust():
@@ -202,8 +207,8 @@ def test_timeout_then_retry_then_exhaust():
         sim.run_process(retrier.call(_never_completes(sim), key="k"))
     expected = 0.1 + policy.delay_s(0, "k") + 0.1
     assert sim.now == pytest.approx(expected)
-    assert retrier.stats.timeouts == 2
-    assert retrier.stats.attempts == 2
+    assert _count(retrier, "timeouts") == 2
+    assert _count(retrier, "attempts") == 2
 
 
 def test_fast_op_beats_timeout():
@@ -217,7 +222,7 @@ def test_fast_op_beats_timeout():
     result = sim.run_process(retrier.call(lambda: op(), key="k"))
     assert result == "fast"
     assert sim.now == pytest.approx(0.01)
-    assert retrier.stats.timeouts == 0
+    assert _count(retrier, "timeouts") == 0
 
 
 def test_shared_stats_across_retriers():
@@ -227,6 +232,6 @@ def test_shared_stats_across_retriers():
     r2 = Retrier(sim, RetryPolicy(seed=1), stats)
     sim.run_process(r1.call(_flaky(1), key="a"))
     sim.run_process(r2.call(_flaky(1), key="b"))
-    assert stats.attempts == 4
-    assert stats.recovered == 2
-    assert set(stats.as_dict()) == set(RetryStats.FIELDS)
+    assert stats.metrics.value("retry_attempts_total") == 4
+    assert stats.metrics.value("retry_recovered_total") == 2
+    assert len(stats.metrics.query("retry_")) == 9

@@ -48,7 +48,7 @@ def test_concurrent_overwrite_cannot_tear_a_cached_read():
     assert obj.data == old  # the snapshot the reader started with
     assert obj.nbytes == len(old)  # ... and a size that matches it
     # The overwrite both invalidated and re-populated the cache.
-    assert fs.invalidations >= 1
+    assert fs.metrics.value("page_cache_invalidations_total", fs=fs.name) >= 1
     assert sim.run_process(fs.read("f")).data == new
 
 
@@ -58,7 +58,7 @@ def test_overwrite_invalidates_before_backend_charge():
     sim.run_process(fs.write("f", data=b"x" * 1000))
     assert fs.is_cached("f")
     sim.run_process(fs.write("f", data=b"y" * 1000))
-    assert fs.invalidations == 1
+    assert fs.metrics.value("page_cache_invalidations_total", fs=fs.name) == 1
     assert sim.run_process(fs.read("f")).data == b"y" * 1000
 
 
@@ -77,7 +77,8 @@ def test_lookup_miss_then_hit():
     cache.admit(key, 1000, data=b"z" * 1000)
     block = sim.run_process(cache.lookup(key))
     assert block is not None and block.data == b"z" * 1000
-    assert cache.misses == 1 and cache.hits_l1 == 1
+    assert cache.metrics.value("block_cache_misses_total") == 1
+    assert cache.metrics.value("block_cache_hits_total", tier="l1") == 1
 
 
 def test_l1_hit_pays_memory_bandwidth_time():
@@ -95,17 +96,17 @@ def test_eviction_demotes_to_l2_and_promotes_back():
     for chunk in range(3):
         cache.admit(("f", "p", chunk), int(100 * KB))
     # chunk 0 was demoted to the SSD tier, not dropped.
-    assert cache.demotions == 1
+    assert cache.metrics.value("block_cache_demotions_total") == 1
     assert ("f", "p", 0) in cache
     t0 = sim.now
     block = sim.run_process(cache.lookup(("f", "p", 0)))
     assert block is not None
-    assert cache.hits_l2 == 1
+    assert cache.metrics.value("block_cache_hits_total", tier="l2") == 1
     # L2 pays its latency floor; an L1 hit of the same size costs far less.
     l2_time = sim.now - t0
     t0 = sim.now
     sim.run_process(cache.lookup(("f", "p", 0)))  # promoted: now an L1 hit
-    assert cache.hits_l1 == 1
+    assert cache.metrics.value("block_cache_hits_total", tier="l1") == 1
     assert sim.now - t0 < l2_time
 
 
@@ -114,7 +115,7 @@ def test_eviction_without_l2_drops():
     cache = _block_cache(sim, l1=int(250 * KB), l2=0.0)
     for chunk in range(3):
         cache.admit(("f", "p", chunk), int(100 * KB))
-    assert cache.evictions >= 1
+    assert cache.metrics.value("block_cache_evictions_total") >= 1
     assert ("f", "p", 0) not in cache
     assert cache.l1_bytes <= 250 * KB
 
@@ -139,7 +140,7 @@ def test_invalidate_wildcards():
     assert cache.invalidate(logical="a", tag="m") == 1
     assert cache.invalidate(logical="a") == 2
     assert ("b", "p", 0) in cache
-    assert cache.invalidations == 4
+    assert cache.metrics.value("block_cache_invalidations_total") == 4
 
 
 def test_pressure_tracks_l1_occupancy():
@@ -155,11 +156,11 @@ def test_prefetched_accounting_hit_and_wasted():
     cache = _block_cache(sim, l1=int(250 * KB))
     cache.admit(("f", "p", 0), int(100 * KB), prefetched=True)
     sim.run_process(cache.lookup(("f", "p", 0)))
-    assert cache.prefetch_hits == 1
+    assert cache.metrics.value("block_cache_prefetch_hits_total") == 1
     cache.admit(("f", "p", 1), int(100 * KB), prefetched=True)
     cache.admit(("f", "p", 2), int(100 * KB))
     cache.admit(("f", "p", 3), int(100 * KB))  # evicts 1, never used
-    assert cache.prefetch_wasted == 1
+    assert cache.metrics.value("block_cache_prefetch_wasted_total") == 1
 
 
 def test_stats_schema():
@@ -167,24 +168,24 @@ def test_stats_schema():
     cache = _block_cache(sim)
     cache.admit(("f", "p", 0), 10)
     sim.run_process(cache.lookup(("f", "p", 0)))
-    stats = cache.stats()
+    series = cache.metrics.query("block_cache_")
     for key in (
-        "l1_bytes",
-        "l2_bytes",
-        "blocks",
-        "hits_l1",
-        "hits_l2",
-        "misses",
-        "hit_ratio",
-        "demotions",
-        "evictions",
-        "invalidations",
-        "prefetch_hits",
-        "prefetch_wasted",
-        "pressure",
+        'block_cache_bytes{tier="l1"}',
+        'block_cache_bytes{tier="l2"}',
+        'block_cache_hits_total{tier="l1"}',
+        'block_cache_hits_total{tier="l2"}',
+        "block_cache_misses_total",
+        "block_cache_demotions_total",
+        "block_cache_evictions_total",
+        "block_cache_invalidations_total",
+        "block_cache_prefetch_hits_total",
+        "block_cache_prefetch_wasted_total",
+        "block_cache_pressure",
     ):
-        assert key in stats
-    assert stats["hit_ratio"] == 1.0
+        assert key in series
+    assert len(cache) == 1
+    hits = sum(cache.metrics.query("block_cache_hits_total").values())
+    assert hits / (hits + series["block_cache_misses_total"]) == 1.0
 
 
 # -- precision tiers share the cache without colliding ------------------------
@@ -201,19 +202,19 @@ def test_lod_and_full_tiers_never_collide():
 
     # A full-precision lookup of the same logical chunk is a miss.
     assert sim.run_process(cache.lookup(full_key)) is None
-    assert cache.misses == 1 and cache.hits_l1 == 0
+    assert cache.metrics.value("block_cache_misses_total") == 1
+    assert cache.metrics.value("block_cache_hits_total", tier="l1") == 0
 
     cache.admit(full_key, 1000, data=b"f" * 1000)
     exact = sim.run_process(cache.lookup(full_key))
     coarse = sim.run_process(cache.lookup(lod_key))
     assert exact.data == b"f" * 1000
     assert coarse.data == b"c" * 250
-    assert cache.hits_l1 == 2
+    assert cache.metrics.value("block_cache_hits_total", tier="l1") == 2
 
     # Accounting sees two distinct blocks, bytes summed per tier.
-    stats = cache.stats()
-    assert stats["blocks"] == 2
-    assert stats["l1_bytes"] == 1250
+    assert len(cache) == 2
+    assert cache.metrics.value("block_cache_bytes", tier="l1") == 1250
 
     # Invalidating the dataset's full tier leaves the coarse tier alone
     # only if asked per-tag; whole-logical invalidation drops both.

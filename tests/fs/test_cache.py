@@ -45,7 +45,8 @@ def test_first_read_misses_second_hits():
     t0 = sim.now
     sim.run_process(fs.read("f"))
     warm = sim.now - t0
-    assert fs.misses == 1 and fs.hits == 1
+    assert fs.metrics.value("page_cache_misses_total", fs=fs.name) == 1
+    assert fs.metrics.value("page_cache_hits_total", fs=fs.name) == 1
     assert cold == pytest.approx(1.0, rel=0.01)
     assert warm < cold / 20  # memory speed
 
@@ -56,7 +57,7 @@ def test_write_through_populates_cache():
     sim.run_process(fs.write("f", data=b"x" * 1000))
     assert fs.is_cached("f")
     obj = sim.run_process(fs.read("f"))
-    assert fs.hits == 1
+    assert fs.metrics.value("page_cache_hits_total", fs=fs.name) == 1
     assert obj.data == b"x" * 1000
 
 

@@ -280,8 +280,13 @@ def _check_tiers(cache, oracle):
     assert (cache.l1_bytes, cache.l2_bytes) == (
         oracle.l1_bytes(), oracle.l2_bytes()
     )
-    stats = cache.stats()
-    assert {name: stats[name] for name in oracle.counts} == oracle.counts
+    value = cache.metrics.value
+    assert {
+        name: value("block_cache_hits_total", tier=name[-2:])
+        if name.startswith("hits_l")
+        else value(f"block_cache_{name}_total")
+        for name in oracle.counts
+    } == oracle.counts
 
 
 @settings(max_examples=120, deadline=None)

@@ -366,10 +366,11 @@ def test_cached_fs_append_invalidates_then_readmits_the_grown_object():
     fs = CachedFS(inner, GB)
     sim.run_process(fs.write("log", data=b"head"))
     sim.run_process(fs.append("log", b"-tail"))
-    assert fs.invalidations == 1 and fs.is_cached("log")
+    assert fs.metrics.value("page_cache_invalidations_total", fs=fs.name) == 1
+    assert fs.is_cached("log")
     assert fs.cached_bytes == 9 == inner.device.used_bytes
     assert sim.run_process(fs.read("log")).data == b"head-tail"
-    assert fs.hits == 1
+    assert fs.metrics.value("page_cache_hits_total", fs=fs.name) == 1
     fs.delete("log")
     assert inner.device.used_bytes == 0
 

@@ -52,13 +52,13 @@ def test_bench_cluster_schema_stable(small_result):
         assert set(sweep) == {
             "nodes", "elapsed_s", "p50_s", "p99_s", "completed", "failed",
             "served_bytes", "throughput_bytes_per_s", "imbalance",
-            "node_loads", "cluster",
+            "node_loads",
         }
         assert len(sweep["node_loads"]) == sweep["nodes"]
     assert set(result["chaos"]) == {
         "nodes", "victim", "kill_t_s", "completed", "failed", "elapsed_s",
         "failovers", "recovery_s", "degraded_reads",
-        "digests_match_clean_run", "cluster",
+        "digests_match_clean_run",
     }
     assert set(result["floors"]) == set(FLOORS)
     # The embedded snapshot carries the per-shard observability contract:

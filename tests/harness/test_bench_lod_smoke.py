@@ -65,8 +65,8 @@ def test_bench_lod_schema_stable(small_result):
     for scenario in result["scenarios"].values():
         assert scenario["playback_s"] > 0.0
     # The tiered deployment's counters: the observable trace of LOD serving.
-    assert result["lod"]["enabled"]
     assert result["lod"]["served"] > 0
+    assert result["lod"]["fallback"] == 0
 
 
 @pytest.mark.bench

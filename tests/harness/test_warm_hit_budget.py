@@ -97,7 +97,7 @@ def _closed_loops(front):
 
 def test_warm_hit_request_budget(monkeypatch):
     front = _warm_front()
-    sim, cache = front.sim, front.ada.block_cache
+    sim = front.sim
 
     spans = []
     span_init = trace.Span.__init__
@@ -116,12 +116,15 @@ def test_warm_hit_request_budget(monkeypatch):
     monkeypatch.setattr(trace.Span, "__init__", counting_init)
     monkeypatch.setattr(PLFS, "subset_records", counting_records)
 
-    misses, events = cache.misses, sim.events_processed
+    def cache_misses():
+        return front.metrics.value("block_cache_misses_total")
+
+    misses, events = cache_misses(), sim.events_processed
     _closed_loops(front)
     done = front.scheduler.completed
     assert sum(len(v) for v in done.values()) == REQUESTS
     assert all(r.ok for v in done.values() for r in v)
-    assert cache.misses == misses  # the phase really was all hits
+    assert cache_misses() == misses  # the phase really was all hits
 
     assert sim.events_processed - events == EVENTS
     assert sim.tracer is None and not spans

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     SIZE_BUCKETS,
     TIME_BUCKETS,
     MetricsRegistry,
-    metric_view,
 )
 
 pytestmark = pytest.mark.obs
@@ -73,29 +72,6 @@ def test_bucket_constants_are_ascending():
     assert list(SIZE_BUCKETS) == sorted(SIZE_BUCKETS)
 
 
-def test_metric_view_reads_and_writes_registry():
-    class Holder:
-        hits = metric_view("_fields", key="hits")
-        nbytes = metric_view("_fields", key="nbytes", cast=float)
-
-        def __init__(self, registry):
-            self._fields = {
-                "hits": registry.counter("holder_hits_total"),
-                "nbytes": registry.counter("holder_bytes_total"),
-            }
-
-    registry = MetricsRegistry()
-    holder = Holder(registry)
-    holder.hits += 3
-    holder.nbytes += 10
-    assert holder.hits == 3
-    assert holder.nbytes == 10.0
-    assert isinstance(holder.nbytes, float)
-    assert registry.value("holder_hits_total") == 3
-    holder.hits = 0  # legacy reset idiom drives the registry too
-    assert registry.value("holder_hits_total") == 0
-
-
 # -- exporter round-trips ---------------------------------------------------
 
 
@@ -148,6 +124,87 @@ def test_json_round_trip_and_validation():
     assert [b["le"] for b in hist["buckets"]] == list(TIME_BUCKETS)
     with pytest.raises(ValueError):
         parse_metrics_json(json.dumps({"schema_version": 99, "families": []}))
+
+
+# -- query: the read surface ---------------------------------------------------
+
+
+def test_query_filters_by_prefix_and_labels():
+    registry = _populated_registry()
+    registry.counter("device_ops_total", device="ssd", op="read").inc(7)
+    assert registry.query("device_") == {
+        'device_ops_total{device="hdd",op="read"}': 12,
+        'device_ops_total{device="hdd",op="write"}': 3,
+        'device_ops_total{device="ssd",op="read"}': 7,
+    }
+    # Labels narrow to series carrying *all* of them (others may ride along).
+    assert registry.query("device_", op="read") == {
+        'device_ops_total{device="hdd",op="read"}': 12,
+        'device_ops_total{device="ssd",op="read"}': 7,
+    }
+    assert registry.query(device="ssd", op="read") == {
+        'device_ops_total{device="ssd",op="read"}': 7,
+    }
+    assert registry.query("plain") == {"plain_total": 1}
+    assert registry.query("nothing_") == {}
+    assert registry.query("device_", op="erase") == {}
+    # One series read two ways.
+    assert registry.value("device_ops_total", device="ssd", op="read") == 7
+
+
+def test_query_reports_histograms_as_sum_and_count():
+    registry = _populated_registry()
+    assert registry.query("svc_") == {
+        "svc_seconds_sum": pytest.approx(0.500203),
+        "svc_seconds_count": 3,
+    }
+    labelled = MetricsRegistry()
+    labelled.histogram("wait_seconds", tenant="a").observe(0.5)
+    assert labelled.query() == {
+        'wait_seconds_sum{tenant="a"}': 0.5,
+        'wait_seconds_count{tenant="a"}': 1,
+    }
+
+
+def test_query_keys_are_the_exporters_sample_lines_in_order():
+    registry = _populated_registry()
+    lines = [
+        line.rpartition(" ")
+        for line in registry.to_prometheus().splitlines()
+        if not line.startswith("#") and "_bucket{" not in line
+    ]
+    series = registry.query()
+    assert list(series) == [name for name, _, _ in lines]
+    assert [float(v) for v in series.values()] == [
+        float(value) for _, _, value in lines
+    ]
+
+
+def test_query_everything_equals_the_json_snapshot():
+    registry = _populated_registry()
+    flat = {}
+    for family in registry.to_json()["families"]:
+        for metric in family["metrics"]:
+            labels = ",".join(
+                f'{k}="{v}"' for k, v in metric["labels"].items()
+            )
+            tail = f"{{{labels}}}" if labels else ""
+            if family["kind"] == "histogram":
+                flat[f"{family['name']}_sum{tail}"] = metric["sum"]
+                flat[f"{family['name']}_count{tail}"] = metric["count"]
+            else:
+                flat[family["name"] + tail] = metric["value"]
+    assert registry.query("") == registry.query() == flat
+    assert list(registry.query()) == list(flat)
+
+
+def test_query_reads_live_values_and_escapes_like_the_exporter():
+    registry = MetricsRegistry()
+    level = {"now": 1}
+    registry.gauge("depth", fn=lambda: level["now"], fs='a"b')
+    assert registry.query() == {'depth{fs="a\\"b"}': 1}
+    level["now"] = 4
+    assert registry.query("depth") == {'depth{fs="a\\"b"}': 4}
 
 
 def test_exports_are_deterministic():

@@ -58,7 +58,7 @@ def test_demand_overlapping_prefetch_dedups_device_read(demo):
     assert len(device_reads) == len(windows) - len(joins) - len(
         [w for w in windows if w.tags.get("cache_hits") == w.tags["chunks"]]
     )
-    assert ada.determinator.retriever.dedup_waits > 0
+    assert ada.metrics.value("retriever_dedup_waits_total") > 0
 
 
 def test_prefetch_window_nests_under_triggering_fetch(demo):
@@ -99,21 +99,21 @@ def test_registry_is_unified_across_subsystems(demo):
         "retry_attempts_total",
         "device_ops_total",
     } <= names
-    # Views and registry agree.
-    retriever = ada.determinator.retriever
-    assert registry.value("retriever_bytes_total") == retriever.retrieved_bytes
-    assert registry.value("prefetch_issued_total") == ada.prefetcher.issued
-    assert (
-        registry.value("block_cache_hits_total", tier="l1")
-        == ada.block_cache.hits_l1
+    # value() and query() read the same series.
+    series = registry.query()
+    retrieved = registry.value("retriever_bytes_total")
+    assert series["retriever_bytes_total"] == retrieved
+    assert series["prefetch_issued_total"] == registry.value(
+        "prefetch_issued_total"
+    )
+    assert series['block_cache_hits_total{tier="l1"}'] == registry.value(
+        "block_cache_hits_total", tier="l1"
     )
     # The inflight gauge reads live (and is zero once the run drained).
     assert registry.value("retriever_inflight_reads") == 0
     # The exported text parses and carries the same numbers.
     parsed = parse_prometheus(registry.to_prometheus())
-    assert parsed["retriever_bytes_total"][()] == float(
-        retriever.retrieved_bytes
-    )
+    assert parsed["retriever_bytes_total"][()] == float(retrieved)
 
 
 def test_untraced_run_timing_is_unchanged_by_observability():

@@ -173,10 +173,10 @@ def test_fair_share_converges_to_nice_weights():
         for _ in range(400):
             submit(scheduler, tenant, nice=nice)
     sim.run(until=0.200)  # ~200 of 1200 one-millisecond requests served
-    stats = scheduler.stats()["tenants"]
+    value = scheduler.metrics.value
     # Honest measurement: every flow must still be backlogged at the cut.
-    assert all(stats[t]["queued"] > 0 for t in nices)
-    served = {t: stats[t]["served_bytes"] for t in nices}
+    assert all(value("serve_queue_depth", tenant=t) > 0 for t in nices)
+    served = {t: value("serve_served_bytes_total", tenant=t) for t in nices}
     total = sum(served.values())
     total_weight = sum(nice_weight(n) for n in nices.values())
     for tenant, nice in nices.items():
@@ -196,13 +196,16 @@ def test_fairness_is_byte_weighted_not_request_counted():
     for _ in range(400):
         submit(scheduler, "small", cost=1000)
     sim.run(until=0.200)
-    stats = scheduler.stats()["tenants"]
-    assert stats["big"]["queued"] > 0 and stats["small"]["queued"] > 0
-    big = stats["big"]["served_bytes"]
-    small = stats["small"]["served_bytes"]
+    value = scheduler.metrics.value
+    assert value("serve_queue_depth", tenant="big") > 0
+    assert value("serve_queue_depth", tenant="small") > 0
+    big = value("serve_served_bytes_total", tenant="big")
+    small = value("serve_served_bytes_total", tenant="small")
     assert abs(big - small) / max(big, small) <= 0.10
     # Request *counts* are therefore far apart -- the point of the test.
-    assert stats["small"]["completed"] >= 3 * stats["big"]["completed"]
+    assert value("serve_completed_total", tenant="small") >= 3 * value(
+        "serve_completed_total", tenant="big"
+    )
 
 
 def test_concurrency_bounds_parallelism():
@@ -242,7 +245,7 @@ def test_dispatch_failure_is_delivered_to_the_waiter():
     assert len(caught) == 1
     (request,) = scheduler.completed["t"]
     assert not request.ok and isinstance(request.error, ValueError)
-    assert scheduler.stats()["tenants"]["t"]["failed"] == 1
+    assert scheduler.metrics.value("serve_failed_total", tenant="t") == 1
 
 
 def test_failure_without_waiter_is_counted_not_raised():
@@ -252,11 +255,17 @@ def test_failure_without_waiter_is_counted_not_raised():
     submit(scheduler, "t", boom=True)
     submit(scheduler, "t")
     sim.run()
-    stats = scheduler.stats()["tenants"]["t"]
-    assert stats == {
-        "queued": 0,
-        "completed": 1,
-        "failed": 1,
-        "served_bytes": 1000,
-        "mean_wait_s": stats["mean_wait_s"],
+    series = scheduler.metrics.query("serve_", tenant="t")
+    for family, want in (
+        ("serve_queue_depth", 0),
+        ("serve_completed_total", 1),
+        ("serve_failed_total", 1),
+        ("serve_served_bytes_total", 1000),
+        ("serve_wait_seconds_count", 2),
+    ):
+        assert series[f'{family}{{tenant="t"}}'] == want, family
+    assert scheduler.stats() == {
+        "concurrency": scheduler.concurrency,
+        "backlog": 0,
+        "vtime": scheduler.vtime,
     }

@@ -137,8 +137,9 @@ def _ledger(front: ServeFront):
     out = []
     for cache, prefetcher in _deployments(front):
         out.append({
-            "cross_tenant_hits": cache.cross_tenant_hits,
-            "quota_evictions": cache.quota_evictions,
+            "cache": cache.metrics.query(
+                "block_cache_", **cache.metric_labels
+            ),
             "charged": {
                 t: cache.charged_bytes(t) for t in _TENANTS + (None,)
             },
@@ -150,7 +151,9 @@ def _ledger(front: ServeFront):
                 key: (s.last_start, s.stride, s.confirmed, s.direction)
                 for key, s in prefetcher._streams.items()
             },
-            "prefetch": prefetcher.stats(),
+            "prefetch": prefetcher.metrics.query(
+                "prefetch_", **prefetcher.metric_labels
+            ),
         })
     return out, front.sim.now
 
@@ -181,20 +184,17 @@ def test_attribution_is_the_same_with_and_without_a_tracer(
     assert (ledgers, now) == _ledger(traced)
 
     # The scenario has teeth: every attributed quantity actually moved.
-    def total(*path):
-        values = ledgers
-        for step in path:
-            values = [entry[step] for entry in values]
-        return sum(values)
+    def total(family):
+        return sum(untraced.metrics.query(family).values())
 
-    assert total("cross_tenant_hits") > 0
+    assert total("block_cache_cross_tenant_hits_total") > 0
     assert {key[1] for e in ledgers for key in e["streams"]} == set(_TENANTS)
     assert any(e["charged"][t] > 0 for e in ledgers for t in _TENANTS)
     if build is _tight:
-        assert total("quota_evictions") > 0
+        assert total("block_cache_quota_evictions_total") > 0
     else:
-        assert total("prefetch", "issued") > 0
-        assert total("prefetch", "suppressed_budget") > 0
+        assert total("prefetch_issued_total") > 0
+        assert total("prefetch_suppressed_budget_total") > 0
 
 
 @pytest.mark.parametrize("build", [_single, _sharded], ids=["ada", "sharded"])

@@ -123,9 +123,8 @@ def test_quota_protects_working_set_from_neighbor_scan():
     assert cache.charged_bytes("a") == 5_000.0
     # B's own blocks evicted each other; the cache never overflowed.
     assert cache.l1_bytes <= cache.l1_capacity_bytes
-    assert cache.quota_evictions > 0
-    stats = cache.stats()
-    assert stats["tenants"]["a"] == {"quota_bytes": 5_000.0, "l1_bytes": 5_000.0}
+    assert cache.metrics.value("block_cache_quota_evictions_total") > 0
+    assert cache.quota_bytes("a") == 5_000.0 == cache.charged_bytes("a")
 
 
 def test_shared_pool_is_reclaimable_not_wasted():
@@ -144,7 +143,7 @@ def test_shared_pool_is_reclaimable_not_wasted():
     for i in range(10):
         cache.admit(("d.xtc", "p", i), 1_000, data=b"a")
     assert cache.charged_bytes("a") == 10_000.0
-    assert cache.evictions == 0
+    assert cache.metrics.value("block_cache_evictions_total") == 0
 
     # Two more force evictions: the over-quota tenant pays, LRU first.
     for i in range(10, 12):
@@ -171,7 +170,7 @@ def test_cross_tenant_hit_moves_block_to_shared_pool():
     block = sim.run_process(cache.lookup(key))
     assert block is not None
     assert cache.owner(key) is None
-    assert cache.cross_tenant_hits == 1
+    assert cache.metrics.value("block_cache_cross_tenant_hits_total") == 1
     assert cache.charged_bytes("a") == 0.0
     assert cache.charged_bytes(None) == 1_000.0
 
@@ -179,7 +178,7 @@ def test_cross_tenant_hit_moves_block_to_shared_pool():
     current["tenant"] = "a"
     sim.run_process(cache.lookup(key))
     assert cache.owner(key) is None
-    assert cache.cross_tenant_hits == 1
+    assert cache.metrics.value("block_cache_cross_tenant_hits_total") == 1
 
 
 def test_contended_quotas_hold_under_real_traffic(catalog_blobs):
@@ -191,7 +190,7 @@ def test_contended_quotas_hold_under_real_traffic(catalog_blobs):
     cache = front.ada.block_cache
     assert isinstance(cache, TenantBlockCache)
     assert cache.l1_bytes <= cache.l1_capacity_bytes
-    stats = cache.stats()
+    value = front.metrics.value
     # The fair-share machinery actually fired under this contention.
-    assert stats["cross_tenant_hits"] > 0
-    assert stats["quota_evictions"] > 0
+    assert value("block_cache_cross_tenant_hits_total") > 0
+    assert value("block_cache_quota_evictions_total") > 0

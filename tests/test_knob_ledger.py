@@ -33,7 +33,7 @@ LEDGER = {
         "sim backends policy placement storage_cpu storage_cpus "
         "metadata_backend indexer_latency_s subset_format workers "
         "spill_on_full retry_policy fault_plan block_cache coalesce prefetch "
-        "prefetch_watermark serial_requests ingest_config lod_precision "
+        "serial_requests ingest_config lod_precision "
         "metrics tracer shard_id"
     ),
     "ShardedADA": (

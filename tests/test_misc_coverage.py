@@ -55,7 +55,8 @@ def test_cached_fs_serves_virtual_objects():
     sim.run_process(fs.write("v", nbytes=int(10 * MB)))
     obj = sim.run_process(fs.read("v"))
     assert obj.is_virtual and obj.nbytes == int(10 * MB)
-    assert fs.hits == 1  # write-through populated the cache
+    # write-through populated the cache
+    assert fs.metrics.value("page_cache_hits_total", fs=fs.name) == 1
 
 
 def test_vfs_nbytes_and_exists_on_plain_mounts():
@@ -117,6 +118,9 @@ def test_ada_stats_shape():
     stats = ada.stats()
     assert stats["datasets"] == ["s.xtc"]
     assert stats["indexer_lookups"] == 1
-    assert stats["retrieved_bytes"] > 0
-    assert set(stats["dispatched_bytes_per_tag"]) == {"p", "m"}
+    assert ada.metrics.value("retriever_bytes_total") > 0
+    assert set(ada.metrics.query("dispatcher_bytes_total")) == {
+        'dispatcher_bytes_total{tag="m"}',
+        'dispatcher_bytes_total{tag="p"}',
+    }
     assert stats["spills"] == []
