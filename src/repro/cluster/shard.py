@@ -67,6 +67,10 @@ __all__ = ["HashRing", "ShardNode", "ShardedADA"]
 #: Virtual nodes per physical node; more vnodes = tighter balance.
 DEFAULT_VNODES = 256
 
+#: Requests a stream's sticky replica may trail the least-loaded one by
+#: before the stream switches (see :meth:`ShardedADA._select`).
+AFFINITY_SLACK = 2
+
 
 def _hash64(text: str) -> int:
     """Stable 64-bit hash (md5 prefix): identical across processes,
@@ -213,98 +217,6 @@ def _advertise(obj: StoredObject, bound: Optional[float]) -> StoredObject:
     return obj if obj.max_error == bound else replace(obj, max_error=bound)
 
 
-class _ClusterIndex:
-    """Just enough of the ``PLFS`` surface for the serving layer.
-
-    ``ServeFront`` sizes admission costs from ``plfs.chunk_record`` and
-    ``FaultPlan.attach_to`` walks ``plfs.backends``; both resolve against
-    the member nodes here.
-    """
-
-    def __init__(self, front: "ShardedADA"):
-        self._front = front
-
-    @property
-    def backends(self) -> Dict[str, FileSystem]:
-        merged: Dict[str, FileSystem] = {}
-        for node in self._front.nodes.values():
-            for name, fs in node.ada.plfs.backends.items():
-                merged[f"{node.name}/{name}"] = fs
-        return merged
-
-    @property
-    def metadata_backend(self) -> str:
-        raise ConfigurationError(
-            "a sharded deployment has per-node metadata backends"
-        )
-
-    def chunk_record(self, logical: str, tag: str, chunk: int):
-        node = self._front._any_holder(logical, tag)
-        return node.ada.plfs.chunk_record(logical, tag, chunk)
-
-    def subset_nbytes(self, logical: str, tag: str) -> int:
-        node = self._front._any_holder(logical, tag)
-        return node.ada.plfs.subset_nbytes(logical, tag)
-
-    def container_nbytes(self, logical: str) -> int:
-        return self._front.container_nbytes(logical)
-
-    def tags(self, logical: str) -> List[str]:
-        return self._front.tags(logical)
-
-
-class _PrefetchFanout:
-    """The front's ``prefetcher`` handle: broadcast wiring to every shard.
-
-    ``ServeFront`` assigns ``tenant_source``/``budget_source`` once on
-    ``ada.prefetcher``; this facade forwards the assignment to each
-    node's real prefetcher (and to nodes added later), so per-tenant
-    stride scoping and speculative-byte budgets keep working when the
-    middleware is sharded.
-    """
-
-    def __init__(self, front: "ShardedADA"):
-        self._front = front
-        self._tenant_source: Optional[Callable[[], Optional[str]]] = None
-        self._budget_source: Optional[Callable[[str], Optional[float]]] = None
-
-    def _node_prefetchers(self):
-        for node in self._front.nodes.values():
-            if node.ada.prefetcher is not None:
-                yield node.ada.prefetcher
-
-    @property
-    def tenant_source(self):
-        return self._tenant_source
-
-    @tenant_source.setter
-    def tenant_source(self, source) -> None:
-        self._tenant_source = source
-        for prefetcher in self._node_prefetchers():
-            prefetcher.tenant_source = source
-
-    @property
-    def budget_source(self):
-        return self._budget_source
-
-    @budget_source.setter
-    def budget_source(self, source) -> None:
-        self._budget_source = source
-        for prefetcher in self._node_prefetchers():
-            prefetcher.budget_source = source
-
-    def wire(self, node: ShardNode) -> None:
-        """Apply the stored wiring to a newly added node."""
-        prefetcher = node.ada.prefetcher
-        if prefetcher is None:
-            return
-        if self._tenant_source is not None and prefetcher.tenant_source is None:
-            prefetcher.tenant_source = self._tenant_source
-        if self._budget_source is not None and prefetcher.budget_source is None:
-            prefetcher.budget_source = self._budget_source
-
-
-
 class ShardedADA(DataPlane):
     """N ADA middleware nodes behind one single-middleware surface.
 
@@ -331,12 +243,9 @@ class ShardedADA(DataPlane):
         nodes: Sequence[ShardNode],
         replicas: int = 2,
         replicated_tags: Sequence[str] = ("p",),
-        ring_vnodes: int = DEFAULT_VNODES,
-        ring_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
-        affinity_slack: int = 2,
         affinity_bytes_slack: int = 256 * 1024,
     ):
         if not nodes:
@@ -346,10 +255,9 @@ class ShardedADA(DataPlane):
         super().__init__(sim, metrics, {"shard": "front"})
         self.replicas = int(replicas)
         self.replicated_tags = tuple(replicated_tags)
-        self.affinity_slack = int(affinity_slack)
         self.affinity_bytes_slack = int(affinity_bytes_slack)
         self.nodes: Dict[str, ShardNode] = {}
-        self.ring = HashRing(vnodes=ring_vnodes, seed=ring_seed)
+        self.ring = HashRing()
         #: Authoritative holder lists: ``(logical, tag) -> [node, ...]``
         #: (primary first).  The ring proposes targets; this records where
         #: data currently *is*, so reads keep resolving mid-migration.
@@ -361,9 +269,6 @@ class ShardedADA(DataPlane):
         #: (logical, tag, dead primary) already logged as promoted, so the
         #: timeline records each promotion once, not once per read.
         self._promoted: set = set()
-        self.block_cache = None  # per-shard caches live inside the nodes
-        self.plfs = _ClusterIndex(self)
-        self.prefetcher = _PrefetchFanout(self)
         self.fault_plan = fault_plan
         self._retrier = (
             Retrier(
@@ -400,6 +305,8 @@ class ShardedADA(DataPlane):
     def _register(self, node: ShardNode) -> None:
         if node.name in self.nodes:
             raise ConfigurationError(f"duplicate shard node {node.name!r}")
+        if self.nodes:
+            self._wire_like_peer(node.ada)
         self.nodes[node.name] = node
         self.ring.add(node.name)
         self.metrics.gauge(
@@ -413,7 +320,22 @@ class ShardedADA(DataPlane):
         node._served_counter = self.metrics.counter(
             "shard_served_bytes_total", shard=node.name
         )
-        self.prefetcher.wire(node)
+
+    def _wire_like_peer(self, ada: ADA) -> None:
+        """A joining node takes the ambient sources (current tenant,
+        prefetch budget) a consumer wired on the members already here, so
+        its cache and prefetcher bill the same tenants -- the sources
+        only, not cache reservations made before it joined."""
+        peer = self._first_ada()
+        for part in ("block_cache", "prefetcher"):
+            wired, fresh = getattr(peer, part), getattr(ada, part)
+            for source in ("tenant_source", "budget_source"):
+                # has the slot, and nobody filled it
+                if getattr(fresh, source, True) is None:
+                    setattr(fresh, source, getattr(wired, source, None))
+
+    def members(self) -> List[ADA]:
+        return [node.ada for node in self.nodes.values()]
 
     def node(self, name: str) -> ShardNode:
         return self.nodes[name]
@@ -470,7 +392,7 @@ class ShardedADA(DataPlane):
         sequential scan that alternated replicas every window would feed
         each shard's stride detector a broken pattern and kill prefetch.
         The stream switches replicas when its node died, fell
-        ``affinity_slack`` requests behind the least-loaded one, or has
+        :data:`AFFINITY_SLACK` requests behind the least-loaded one, or has
         served ``affinity_bytes_slack`` more bytes than it (the byte
         bound stops a Zipf-hot stream from pinning its whole volume on
         one replica -- stickiness is a tiebreak, not a hard pin).
@@ -484,7 +406,7 @@ class ShardedADA(DataPlane):
         if sticky in candidates:
             snode, bnode = self.nodes[sticky], self.nodes[best]
             if (
-                snode.inflight <= bnode.inflight + self.affinity_slack
+                snode.inflight <= bnode.inflight + AFFINITY_SLACK
                 and snode.served_bytes
                 <= bnode.served_bytes + self.affinity_bytes_slack
             ):
@@ -821,6 +743,10 @@ class ShardedADA(DataPlane):
             raise LabelIndexError(f"unknown dataset {logical!r}")
         return self._catalog[logical]
 
+    def chunks_nbytes(self, logical: str, tag: str, chunks) -> int:
+        holder = self._any_holder(logical, tag).ada
+        return holder.chunks_nbytes(logical, tag, chunks)
+
     def subset_nbytes(self, logical: str, tag: str) -> int:
         return self._any_holder(logical, tag).ada.subset_nbytes(logical, tag)
 
@@ -833,13 +759,17 @@ class ShardedADA(DataPlane):
     def _delete_stored(self, logical: str) -> int:
         """Every holder's copy, plus the routing state keyed on it."""
         freed = 0
+        holders = set()
         for tag in self._catalog.pop(logical, []):
             for name in self._placement.pop((logical, tag), []):
-                node = self.nodes[name]
-                freed += node.ada.plfs.delete_subset(logical, tag)
-                if node.ada.block_cache is not None:
-                    node.ada.block_cache.invalidate(logical=logical)
+                freed += self.nodes[name].ada.plfs.delete_subset(logical, tag)
+                holders.add(name)
             self._affinity.pop((logical, tag), None)
+        # One scan of each holder's cache, however many tags it held.
+        for name in sorted(holders):
+            cache = self.nodes[name].ada.block_cache
+            if cache is not None:
+                cache.invalidate(logical=logical)
         self._promoted = {p for p in self._promoted if p[0] != logical}
         return freed
 

@@ -12,7 +12,9 @@ front supplies only the storage-facing steps -- ``_stored_tags``,
 ``_store_label``, ``_invalidate_derived``, ``_delete_stored``,
 ``_under_pressure``, ``_downgradable``, ``_charge_preprocess``,
 ``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
-``label_map``, ``preprocessor`` and ``fault_plan``.
+``label_map``, ``preprocessor`` and ``fault_plan``, and the two hooks a
+*consumer* of the plane needs (:meth:`DataPlane.members`,
+:meth:`DataPlane.chunks_nbytes`).
 Nothing here knows which front it serves: a step that would have to ask
 stays in the subclass.
 """
@@ -183,12 +185,11 @@ class DataPlane:
         trajectory_blob: bytes,
         pdb_text: Optional[str],
         config: IngestPipelineConfig,
-        analysis: Optional[object],
+        hook: Optional[object],
     ) -> Generator:
         """Process: streaming windowed ingest with write-behind dispatch
         and, optionally, a fused in-situ analysis stage (the contract is
         on :meth:`repro.core.middleware.ADA.ingest_stream`)."""
-        hook = analysis if analysis is not None else config.analysis
         if hook is not None and not callable(getattr(hook, "consume", None)):
             raise ConfigurationError(
                 "analysis hook must provide consume(start, stop, coords)"
@@ -443,6 +444,20 @@ class DataPlane:
         """Process: the metadata cost of a whole-dataset read (free
         unless the front pays an index lookup)."""
         return ()
+
+    # -- what a consumer of the plane may ask ---------------------------------
+
+    def members(self) -> List["DataPlane"]:
+        """The single-node middlewares underneath (``[self]``, or one per
+        shard node): whoever wires or inspects a deployment's per-node
+        parts -- block caches, prefetchers, backends -- loops over these."""
+        raise NotImplementedError
+
+    def chunks_nbytes(self, logical: str, tag: str, chunks) -> int:
+        """Stored bytes of the listed chunks of one subset (absent chunks
+        count nothing): the serving layer's admission-cost estimate, from
+        index metadata alone."""
+        raise NotImplementedError
 
     # -- metadata -------------------------------------------------------------
 

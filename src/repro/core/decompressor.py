@@ -49,6 +49,9 @@ from repro.formats.xtc import (
 
 __all__ = ["Decompressor", "TrajectoryWindow"]
 
+#: Blobs whose :class:`FrameIndex` (or raw decode) a decompressor keeps.
+INDEX_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class TrajectoryWindow:
@@ -78,7 +81,7 @@ class Decompressor:
     """Format-sniffing trajectory decoder.
 
     ``workers`` is forwarded to :func:`repro.formats.xtc.decode_xtc` for
-    group-of-frames parallel decode; ``index_cache_size`` bounds how many
+    group-of-frames parallel decode; the last :data:`INDEX_CACHE_SIZE`
     blobs keep a cached :class:`FrameIndex` (LRU, keyed by blob identity);
     ``metrics`` is the registry pool lifecycle lands in (ambient global by
     default).
@@ -87,14 +90,10 @@ class Decompressor:
     def __init__(
         self,
         workers: Optional[int] = None,
-        index_cache_size: int = 8,
         metrics=None,
     ):
-        if index_cache_size < 0:
-            raise CodecError("index_cache_size must be >= 0")
         self.workers = workers
         self.metrics = metrics
-        self.index_cache_size = int(index_cache_size)
         # id(blob) -> (blob, FrameIndex).  Holding the blob keeps the id
         # stable (and the entry is verified by identity before use, so a
         # recycled id can never alias a different blob).
@@ -172,11 +171,10 @@ class Decompressor:
             return entry[1]
         index = FrameIndex.build(data)
         self.index_misses += 1
-        if self.index_cache_size:
-            self._index_cache[key] = (data, index)
-            self._index_cache.move_to_end(key)
-            while len(self._index_cache) > self.index_cache_size:
-                self._index_cache.popitem(last=False)
+        self._index_cache[key] = (data, index)
+        self._index_cache.move_to_end(key)
+        if len(self._index_cache) > INDEX_CACHE_SIZE:
+            self._index_cache.popitem(last=False)
         return index
 
     def decompress(self, data: bytes) -> Trajectory:
@@ -304,9 +302,8 @@ class Decompressor:
             self._raw_cache.move_to_end(key)
             return entry[1]
         trajectory = decode_raw(data)
-        if self.index_cache_size:
-            self._raw_cache[key] = (data, trajectory)
-            self._raw_cache.move_to_end(key)
-            while len(self._raw_cache) > self.index_cache_size:
-                self._raw_cache.popitem(last=False)
+        self._raw_cache[key] = (data, trajectory)
+        self._raw_cache.move_to_end(key)
+        if len(self._raw_cache) > INDEX_CACHE_SIZE:
+            self._raw_cache.popitem(last=False)
         return trajectory

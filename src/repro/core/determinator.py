@@ -38,9 +38,6 @@ class IODeterminator:
         sim: Simulator,
         plfs: PLFS,
         placement: PlacementPolicy,
-        indexer_latency_s: float = 2e-3,
-        retriever_request_size: Optional[int] = None,
-        spill_on_full: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         block_cache: Optional[BlockCache] = None,
         coalesce: bool = False,
@@ -59,19 +56,15 @@ class IODeterminator:
                 metrics=self.metrics, metric_labels=self.metric_labels
             ),
         )
-        self.indexer = Indexer(sim, plfs, lookup_latency_s=indexer_latency_s)
+        self.indexer = Indexer(sim, plfs)
         self.dispatcher = IODispatcher(
-            sim, plfs, placement, spill_on_full=spill_on_full,
-            retrier=self.retrier, metrics=self.metrics,
-            metric_labels=self.metric_labels,
+            sim, plfs, placement, retrier=self.retrier,
+            metrics=self.metrics, metric_labels=self.metric_labels,
         )
-        kwargs = {}
-        if retriever_request_size is not None:
-            kwargs["request_size"] = retriever_request_size
         self.retriever = IORetriever(
             sim, plfs, retrier=self.retrier, cache=block_cache,
             coalesce=coalesce, serial_requests=serial_requests,
-            metrics=self.metrics, metric_labels=self.metric_labels, **kwargs,
+            metrics=self.metrics, metric_labels=self.metric_labels,
         )
 
     # -- write path ---------------------------------------------------------

@@ -9,8 +9,8 @@ tags and rotation for the rest.
 Flash is small (the cluster's SSD pool totals 1.5 TB): when the preferred
 backend is full, the dispatcher *spills* the subset to the inactive
 backend instead of failing the ingest -- the dataset stays complete, just
-slower, and the spill is recorded for operators.  Disable with
-``spill_on_full=False`` to get the strict fail-fast behaviour.
+slower, and the spill is recorded for operators.  A subset that fits
+neither backend still raises ``StorageFullError``.
 
 The streaming ingest pipeline drives :meth:`dispatch_run`: one window's
 ``(tag, data)`` entries arrive in deterministic tag order, stretches bound
@@ -50,7 +50,6 @@ class IODispatcher:
         sim: Simulator,
         plfs: PLFS,
         placement: PlacementPolicy,
-        spill_on_full: bool = True,
         retrier: Optional[Retrier] = None,
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Dict[str, str]] = None,
@@ -58,7 +57,6 @@ class IODispatcher:
         self.sim = sim
         self.plfs = plfs
         self.placement = placement
-        self.spill_on_full = spill_on_full
         self.retrier = retrier if retrier is not None else Retrier(sim)
         # Registry-backed accounting (mirrors the retriever).
         # ``metric_labels`` keep per-dispatcher series distinct when
@@ -98,20 +96,14 @@ class IODispatcher:
             self._bytes_counters[tag] = counter
         counter.inc(int(nbytes))
 
-    def dispatch(
-        self,
-        logical: str,
-        subsets: Dict[str, bytes],
-        request_size: Optional[int] = None,
-    ) -> Generator:
+    def dispatch(self, logical: str, subsets: Dict[str, bytes]) -> Generator:
         """Process: write every subset to its backend, backends in parallel."""
         procs = []
         for tag in sorted(subsets):
             data = subsets[tag]
             procs.append(
                 self.sim.process(
-                    self._dispatch_one(logical, tag, data=data, nbytes=None,
-                                       request_size=request_size),
+                    self._dispatch_one(logical, tag, data=data, nbytes=None),
                     name=f"dispatch:{logical}#{tag}",
                 )
             )
@@ -119,10 +111,7 @@ class IODispatcher:
         return records
 
     def dispatch_sequential(
-        self,
-        logical: str,
-        subsets: Dict[str, bytes],
-        request_size: Optional[int] = None,
+        self, logical: str, subsets: Dict[str, bytes]
     ) -> Generator:
         """Process: write every subset one at a time, in tag order.
 
@@ -134,8 +123,7 @@ class IODispatcher:
         records = []
         for tag in sorted(subsets):
             record = yield from self._dispatch_one(
-                logical, tag, data=subsets[tag], nbytes=None,
-                request_size=request_size,
+                logical, tag, data=subsets[tag], nbytes=None
             )
             records.append(record)
         return records
@@ -144,7 +132,6 @@ class IODispatcher:
         self,
         logical: str,
         entries: List[Tuple[str, bytes]],
-        request_size: Optional[int] = None,
         coalesce: bool = True,
     ) -> Generator:
         """Process: write one window's ``(tag, data)`` entries as chunk runs.
@@ -169,7 +156,7 @@ class IODispatcher:
         records: List[IndexRecord] = []
         for backend, run_entries in runs:
             recs = yield from self._dispatch_chunk_run(
-                logical, backend, run_entries, request_size, coalesce
+                logical, backend, run_entries, coalesce
             )
             records.extend(recs)
         return records
@@ -180,8 +167,7 @@ class IODispatcher:
         """Process: dispatch size-only subsets (paper-scale modeled mode)."""
         procs = [
             self.sim.process(
-                self._dispatch_one(logical, tag, data=None, nbytes=size,
-                                   request_size=None),
+                self._dispatch_one(logical, tag, data=None, nbytes=size),
                 name=f"dispatch:{logical}#{tag}",
             )
             for tag, size in sorted(subset_sizes.items())
@@ -193,7 +179,7 @@ class IODispatcher:
         return self.placement.backend_for(tag)
 
     def _fallback_for(self, preferred: str) -> Optional[str]:
-        if self.spill_on_full and preferred != self.placement.inactive_backend:
+        if preferred != self.placement.inactive_backend:
             return self.placement.inactive_backend
         return None
 
@@ -203,7 +189,6 @@ class IODispatcher:
         tag: str,
         data: Optional[bytes],
         nbytes: Optional[int],
-        request_size: Optional[int],
     ) -> Generator:
         preferred = self.placement.backend_for(tag)
         fallback = self._fallback_for(preferred)
@@ -215,7 +200,6 @@ class IODispatcher:
                     backend=preferred,
                     data=data,
                     nbytes=nbytes,
-                    request_size=request_size,
                 ),
                 key=f"write:{logical}#{tag}",
             )
@@ -229,7 +213,6 @@ class IODispatcher:
                     backend=fallback,
                     data=data,
                     nbytes=nbytes,
-                    request_size=request_size,
                 ),
                 key=f"spill:{logical}#{tag}",
             )
@@ -244,7 +227,6 @@ class IODispatcher:
         logical: str,
         preferred: str,
         entries: List[Tuple[str, bytes]],
-        request_size: Optional[int],
         coalesce: bool,
     ) -> Generator:
         """Process: one retried, spillable write of a backend chunk run.
@@ -269,7 +251,6 @@ class IODispatcher:
                         logical,
                         entries,
                         backend=preferred,
-                        request_size=request_size,
                         coalesce=do_coalesce,
                     ),
                     key=f"write:{logical}#{tag_span}:{len(entries)}",
@@ -282,7 +263,6 @@ class IODispatcher:
                         logical,
                         entries,
                         backend=fallback,
-                        request_size=request_size,
                         coalesce=do_coalesce,
                     ),
                     key=f"spill:{logical}#{tag_span}:{len(entries)}",

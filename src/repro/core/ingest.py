@@ -72,12 +72,6 @@ class IngestPipelineConfig:
     adds a byte watermark on top.  ``pipelined=False`` runs the identical
     windowed schedule with no overlap and no coalescing -- the serial
     baseline the ``bench-ingest`` harness measures against.
-
-    ``analysis`` optionally carries a default in-situ analysis hook (an
-    object with ``consume(start, stop, coords)`` /``results()``, e.g.
-    :class:`repro.analysis.online.InSituAnalysis`) applied to every
-    stream ingested under this config; a per-call
-    ``ADA.ingest_stream(analysis=...)`` hook wins.
     """
 
     window_frames: int = DEFAULT_WINDOW_FRAMES
@@ -85,7 +79,6 @@ class IngestPipelineConfig:
     max_buffered_bytes: Optional[int] = None
     coalesce: bool = True
     pipelined: bool = True
-    analysis: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.window_frames < 1:
@@ -97,12 +90,6 @@ class IngestPipelineConfig:
         if self.max_buffered_bytes is not None and self.max_buffered_bytes < 1:
             raise ConfigurationError(
                 f"max_buffered_bytes must be >= 1, got {self.max_buffered_bytes}"
-            )
-        if self.analysis is not None and not callable(
-            getattr(self.analysis, "consume", None)
-        ):
-            raise ConfigurationError(
-                "analysis hook must provide consume(start, stop, coords)"
             )
 
 

@@ -11,7 +11,7 @@ consumer decodes the current one.
 
 Speculation is guarded by two watermarks:
 
-* **cache pressure** -- when L1 occupancy crosses ``high_watermark`` the
+* **cache pressure** -- when L1 occupancy crosses :data:`HIGH_WATERMARK` the
   prefetcher stands down rather than evict blocks the consumer still
   wants (speculation must never worsen the demand hit rate);
 * **fault degradation** -- when the retry layer reports new transient
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.retriever import IORetriever
-from repro.errors import ConfigurationError, FaultError
+from repro.errors import FaultError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as trace_span
 from repro.sim import Process, Simulator
@@ -40,6 +40,9 @@ __all__ = ["Prefetcher"]
 #: ``precision="auto"`` reads degrade to the LOD tier, so "the server is
 #: under pressure" means one thing.
 HIGH_WATERMARK = 0.85
+
+#: Speculative windows one tenant may have in flight at once.
+MAX_INFLIGHT = 1
 
 
 class _StreamState:
@@ -81,32 +84,22 @@ class Prefetcher:
         self,
         sim: Simulator,
         retriever: IORetriever,
-        high_watermark: float = HIGH_WATERMARK,
         degradation_source: Optional[Callable[[], float]] = None,
-        max_inflight: int = 1,
         metrics: Optional[MetricsRegistry] = None,
-        tenant_source: Optional[Callable[[], Optional[str]]] = None,
-        budget_source: Optional[Callable[[str], Optional[float]]] = None,
         metric_labels: Optional[Dict[str, str]] = None,
     ):
-        if not 0.0 < high_watermark <= 1.0:
-            raise ConfigurationError(
-                f"prefetch watermark {high_watermark!r} outside (0, 1]"
-            )
         self.sim = sim
         self.retriever = retriever
-        self.high_watermark = float(high_watermark)
         self.degradation_source = degradation_source
-        self.max_inflight = int(max_inflight)
-        # Multi-tenant serving (repro.serve) wires these: ``tenant_source``
+        # Multi-tenant serving (repro.serve) assigns these: ``tenant_source``
         # resolves the ambient tenant so stride state and the in-flight
         # cap become *per tenant* (two tenants interleaving sequential
         # scans on one dataset must not corrupt each other's pattern or
         # starve each other's speculation slot); ``budget_source`` maps a
-        # tenant to its cap on resident speculative bytes.  Both default
-        # to None, collapsing to the original single-tenant behavior.
-        self.tenant_source = tenant_source
-        self.budget_source = budget_source
+        # tenant to its cap on resident speculative bytes.  Left at None,
+        # both collapse to the single-tenant behavior.
+        self.tenant_source: Optional[Callable[[], Optional[str]]] = None
+        self.budget_source: Optional[Callable[[str], Optional[float]]] = None
         # Sharded deployments label each prefetcher (``{"shard": name}``):
         # the shard id becomes part of every stream key, so one logical
         # scan that touches datasets owned by different shards tracks an
@@ -167,12 +160,12 @@ class Prefetcher:
             counters["suppressed_degraded"].inc()
             return None
         cache = self.retriever.cache
-        if cache is None or cache.pressure() >= self.high_watermark:
+        if cache is None or cache.pressure() >= HIGH_WATERMARK:
             counters["suppressed_pressure"].inc()
             return None
         inflight = self._inflight.setdefault(tenant, [])
         inflight[:] = [p for p in inflight if p.is_alive]
-        if len(inflight) >= self.max_inflight:
+        if len(inflight) >= MAX_INFLIGHT:
             counters["suppressed_inflight"].inc()
             return None
         if state.confirmed:

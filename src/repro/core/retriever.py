@@ -62,7 +62,6 @@ class IORetriever:
         self,
         sim: Simulator,
         plfs: PLFS,
-        request_size: int = BULK_REQUEST_SIZE,
         retrier: Optional[Retrier] = None,
         cache: Optional[BlockCache] = None,
         coalesce: bool = False,
@@ -72,7 +71,6 @@ class IORetriever:
     ):
         self.sim = sim
         self.plfs = plfs
-        self.request_size = int(request_size)
         self.retrier = retrier if retrier is not None else Retrier(sim)
         self.cache = cache
         self.coalesce = coalesce
@@ -136,7 +134,7 @@ class IORetriever:
                 # Legacy path: identical timing to the pre-pipeline reader.
                 obj: StoredObject = yield from self.retrier.call(
                     lambda: self.plfs.read_subset(
-                        logical, tag, request_size=self.request_size
+                        logical, tag, request_size=BULK_REQUEST_SIZE
                     ),
                     key=f"read:{logical}#{tag}",
                 )
@@ -410,7 +408,7 @@ class IORetriever:
             objs = yield from self.retrier.call(
                 lambda: self.plfs.read_chunk_run(
                     run_records,
-                    request_size=self.request_size,
+                    request_size=BULK_REQUEST_SIZE,
                     coalesce=coalesced,
                 ),
                 key=key,

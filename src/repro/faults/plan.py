@@ -210,18 +210,20 @@ class FaultPlan:
             obj.attach_faults(self)
         return self
 
-    def attach_to(self, ada) -> "FaultPlan":
-        """Attach to every injection point reachable from an ADA middleware:
-        each backend FS, its local device or striped targets, and links."""
-        for fs in ada.plfs.backends.values():
-            fs.attach_faults(self)
-            device = getattr(fs, "device", None)
-            if device is not None:
-                device.attach_faults(self)
-            for target in getattr(fs, "targets", ()) or ():
-                target.device.attach_faults(self)
-                if target.link is not None:
-                    target.link.attach_faults(self)
+    def attach_to(self, plane) -> "FaultPlan":
+        """Attach to every injection point reachable from a data plane:
+        each member's backend FSes, their local device or striped targets,
+        and links."""
+        for member in plane.members():
+            for fs in member.plfs.backends.values():
+                fs.attach_faults(self)
+                device = getattr(fs, "device", None)
+                if device is not None:
+                    device.attach_faults(self)
+                for target in getattr(fs, "targets", ()) or ():
+                    target.device.attach_faults(self)
+                    if target.link is not None:
+                        target.link.attach_faults(self)
         return self
 
     # -- decision streams ----------------------------------------------------

@@ -244,9 +244,7 @@ _SHARED_LOCK = threading.Lock()
 _SHARED: Optional[CodecPool] = None
 
 
-def shared_pool(
-    workers: int, metrics: Optional[MetricsRegistry] = None
-) -> CodecPool:
+def shared_pool(workers: int) -> CodecPool:
     """The process-lifetime pool, grown to >= ``workers``.
 
     Growing recreates the pool (executors cannot resize); shrinking never
@@ -260,7 +258,7 @@ def shared_pool(
             _SHARED.close()
             _SHARED = None
         if _SHARED is None:
-            _SHARED = CodecPool(size, metrics=metrics)
+            _SHARED = CodecPool(size)
         return _SHARED
 
 
@@ -346,9 +344,7 @@ def _bind_segment_lifetime(
 # fresh CodecError so no foreign traceback frame can pin a view open.
 
 
-def _decode_span_task(
-    shm_name, shape, row0, keep_skip, blob_off, blob_nbytes, sel_bytes
-):
+def _decode_span_task(shm_name, shape, row0, keep_skip, blob_off, blob_nbytes):
     """Decode one GOF-aligned frame run into rows ``[row0, ...)`` of the
     shared float32 output array; returns the number of rows written.
 
@@ -369,18 +365,9 @@ def _decode_span_task(
         # segment only through its disjoint ``out`` rows.
         blob = bytes(seg.buf[blob_off : blob_off + blob_nbytes])
         infos = list(xtc.iter_frame_infos(blob))
-        selection = (
-            np.frombuffer(sel_bytes, dtype=np.int64)
-            if sel_bytes is not None
-            else None
-        )
         count = len(infos) - keep_skip
         xtc._decode_run(
-            blob,
-            infos,
-            out[row0 : row0 + count],
-            keep_from=keep_skip,
-            atom_indices=selection,
+            blob, infos, out[row0 : row0 + count], keep_from=keep_skip
         )
     except Exception as exc:
         if isinstance(exc, CodecError):
@@ -395,7 +382,7 @@ def _decode_span_task(
 
 
 def _encode_span_task(
-    shm_name, shape, lo, hi, steps_b, times_b, box9, precision, level, spans
+    shm_name, shape, lo, hi, steps_b, times_b, box9, precision, spans
 ):
     """Encode frames ``[lo, hi)`` read from the shared coordinate array as
     the given (run-relative) GOF spans; returns the serialized bytes."""
@@ -414,8 +401,7 @@ def _encode_span_task(
             times_ps=np.frombuffer(times_b, dtype=np.float64),
         )
         result = b"".join(
-            xtc._encode_gof(traj, s, e, precision, level, box9)
-            for s, e in spans
+            xtc._encode_gof(traj, s, e, precision, box9) for s, e in spans
         )
     except Exception as exc:
         if isinstance(exc, CodecError):
@@ -429,9 +415,7 @@ def _encode_span_task(
     return result
 
 
-def _noop_decode_task(
-    shm_name, shape, row0, keep_skip, blob_off, blob_nbytes, sel_bytes
-):
+def _noop_decode_task(shm_name, shape, row0, keep_skip, blob_off, blob_nbytes):
     """Overhead probe twin of :func:`_decode_span_task`: same pickled
     payload, same attach/close, no kernel work."""
     seg = _attach_segment(shm_name)
@@ -440,7 +424,7 @@ def _noop_decode_task(
 
 
 def _noop_encode_task(
-    shm_name, shape, lo, hi, steps_b, times_b, box9, precision, level, spans
+    shm_name, shape, lo, hi, steps_b, times_b, box9, precision, spans
 ):
     """Overhead probe twin of :func:`_encode_span_task`."""
     seg = _attach_segment(shm_name)
@@ -452,7 +436,7 @@ def _noop_encode_task(
 
 
 def _stage_decode_segment(
-    data, infos, gofs, selection, nworkers, shape, keep_from, metrics
+    data, infos, gofs, nworkers, shape, keep_from, metrics
 ):
     """Create the decode segment and build the task tuples.
 
@@ -467,11 +451,6 @@ def _stage_decode_segment(
         (infos[e - 1].offset + infos[e - 1].total_nbytes) - infos[s].offset
         for s, e in gofs
     ]
-    sel_bytes = (
-        None
-        if selection is None
-        else np.ascontiguousarray(selection, dtype=np.int64).tobytes()
-    )
     chunks = []
     for clo, chi in partition_weighted(weights, nworkers):
         f_lo, f_hi = gofs[clo][0], gofs[chi - 1][1]
@@ -495,7 +474,6 @@ def _stage_decode_segment(
                 keep_skip,
                 coords_nbytes + (b_lo - base),
                 b_hi - b_lo,
-                sel_bytes,
             )
             for row0, keep_skip, b_lo, b_hi in chunks
         ]
@@ -509,7 +487,6 @@ def process_decode(
     data,
     infos,
     gofs,
-    selection,
     pool: CodecPool,
     nworkers: int,
     keep_from: int = 0,
@@ -523,10 +500,9 @@ def process_decode(
     """
     metrics = pool.metrics
     nkept = len(infos) - keep_from
-    natoms_kept = len(selection) if selection is not None else infos[0].natoms
-    shape = (nkept, natoms_kept, 3)
+    shape = (nkept, infos[0].natoms, 3)
     seg, tasks = _stage_decode_segment(
-        data, infos, gofs, selection, nworkers, shape, keep_from, metrics
+        data, infos, gofs, nworkers, shape, keep_from, metrics
     )
     try:
         counts = pool.run(_decode_span_task, tasks)
@@ -546,7 +522,7 @@ def process_decode(
     return coords
 
 
-def _encode_tasks(trajectory, spans, box9, precision, level, nworkers, seg):
+def _encode_tasks(trajectory, spans, box9, precision, nworkers, seg):
     weights = [e - s for s, e in spans]
     shape = None if seg is None else tuple(seg)
     tasks = []
@@ -562,7 +538,6 @@ def _encode_tasks(trajectory, spans, box9, precision, level, nworkers, seg):
                 trajectory.times_ps[lo:hi].astype(np.float64).tobytes(),
                 box9,
                 precision,
-                level,
                 rel,
             )
         )
@@ -573,7 +548,6 @@ def process_encode(
     trajectory,
     spans: Sequence[Tuple[int, int]],
     precision: float,
-    level: int,
     box9: Tuple[float, ...],
     pool: CodecPool,
     nworkers: int,
@@ -594,8 +568,7 @@ def process_encode(
         tasks = [
             (seg.name,) + t
             for t in _encode_tasks(
-                trajectory, spans, box9, precision, level, nworkers,
-                coords.shape,
+                trajectory, spans, box9, precision, nworkers, coords.shape
             )
         ]
         parts = pool.run(_encode_span_task, tasks)
@@ -608,7 +581,7 @@ def process_encode(
 
 
 def probe_decode_overhead(
-    data, infos, gofs, selection, pool: CodecPool, nworkers: int
+    data, infos, gofs, pool: CodecPool, nworkers: int
 ) -> None:
     """One parallel-decode dispatch with the kernels stubbed out.
 
@@ -619,10 +592,9 @@ def probe_decode_overhead(
     critical-path projection.
     """
     metrics = pool.metrics
-    natoms_kept = len(selection) if selection is not None else infos[0].natoms
-    shape = (len(infos), natoms_kept, 3)
+    shape = (len(infos), infos[0].natoms, 3)
     seg, tasks = _stage_decode_segment(
-        data, infos, gofs, selection, nworkers, shape, 0, metrics
+        data, infos, gofs, nworkers, shape, 0, metrics
     )
     try:
         pool.run(_noop_decode_task, tasks)
@@ -634,7 +606,6 @@ def probe_encode_overhead(
     trajectory,
     spans: Sequence[Tuple[int, int]],
     precision: float,
-    level: int,
     box9: Tuple[float, ...],
     pool: CodecPool,
     nworkers: int,
@@ -650,8 +621,9 @@ def probe_encode_overhead(
         shared = None
         tasks = [
             (seg.name,) + t
-            for t in _encode_tasks(trajectory, spans, box9, precision, level,
-                                   nworkers, coords.shape)
+            for t in _encode_tasks(
+                trajectory, spans, box9, precision, nworkers, coords.shape
+            )
         ]
         pool.run(_noop_encode_task, tasks)
     finally:

@@ -118,6 +118,8 @@ _FLAG_PFRAME = 1
 # shrinks the body by at least 1/16 (real xdr3dfcoord likewise skips its
 # entropy stage when packing alone suffices).
 _FLAG_STORED = 2
+# zlib level of the entropy stage; every stored byte depends on it.
+_DEFLATE_LEVEL = 6
 
 # Payload prologue (inside the deflate stream): block count, value count.
 # Each block then carries its own word width, so a few outlier deltas (5-sigma
@@ -500,7 +502,7 @@ def _block_widths(rows: np.ndarray) -> List[bytes]:
 
 
 def _encode_zigzag_block(
-    flat: np.ndarray, widths: bytes, level: int, allow_stored: bool = True
+    flat: np.ndarray, widths: bytes, allow_stored: bool = True
 ) -> "tuple[int, bytes]":
     """Blockwise fixed-width bit-pack + entropy-code zigzagged uint64 values.
 
@@ -517,7 +519,7 @@ def _encode_zigzag_block(
             _pack_words(flat[b * _BLOCK_VALUES : e * _BLOCK_VALUES], widths[b])
         )
     body = b"".join(parts)
-    comp = zlib.compress(body, level)
+    comp = zlib.compress(body, _DEFLATE_LEVEL)
     if not allow_stored or len(comp) < len(body) - len(body) // 16:
         return 0, comp
     return _FLAG_STORED, body + _STORED_CRC.pack(zlib.crc32(body))
@@ -672,7 +674,6 @@ def _encode_gof(
     start: int,
     stop: int,
     precision: float,
-    level: int,
     box9: Tuple[float, ...],
 ) -> bytes:
     """Encode one group of frames; ``start`` becomes an I-frame.
@@ -712,11 +713,11 @@ def _encode_gof(
         chunks.append(payload)
 
     sflag, block = _encode_zigzag_block(
-        intra[0], _block_widths(intra)[0], level, allow_stored=False
+        intra[0], _block_widths(intra)[0], allow_stored=False
     )
     emit(0, sflag, origin + _STORED_CRC.pack(zlib.crc32(origin)) + block)
     for i, (row, widths) in enumerate(zip(temporal, _block_widths(temporal)), 1):
-        sflag, block = _encode_zigzag_block(row, widths, level)
+        sflag, block = _encode_zigzag_block(row, widths)
         emit(i, _FLAG_PFRAME | sflag, block)
     return b"".join(chunks)
 
@@ -730,7 +731,6 @@ def _fanout_pool(executor: Optional[CodecPool], nworkers: int) -> CodecPool:
 def encode_xtc(
     trajectory: Trajectory,
     precision: float = DEFAULT_PRECISION,
-    level: int = 6,
     keyframe_interval: int = 100,
     workers: Optional[int] = None,
     executor: Optional[CodecPool] = None,
@@ -767,11 +767,11 @@ def encode_xtc(
     nworkers = resolve_workers(workers, len(spans))
     if nworkers > 1:
         return process_encode(
-            trajectory, spans, precision, level, box9,
+            trajectory, spans, precision, box9,
             _fanout_pool(executor, nworkers), nworkers,
         )
     return b"".join(
-        _encode_gof(trajectory, s, e, precision, level, box9) for s, e in spans
+        _encode_gof(trajectory, s, e, precision, box9) for s, e in spans
     )
 
 
@@ -964,11 +964,10 @@ def _decode_run(
     infos: Sequence[XtcFrameInfo],
     out: np.ndarray,
     keep_from: int = 0,
-    atom_indices: Optional[np.ndarray] = None,
 ) -> None:
     """Decode a contiguous keyframe-anchored run into ``out``.
 
-    ``out`` is a ``(len(infos) - keep_from, natoms_kept, 3)`` float32 array
+    ``out`` is a ``(len(infos) - keep_from, natoms, 3)`` float32 array
     (or view); frames before ``keep_from`` are decoded for prediction state
     but not materialized.  Each group of frames decodes through the batched
     :func:`_decode_gof_ints` kernel and dequantizes straight into its output
@@ -986,30 +985,22 @@ def _decode_run(
         ints = _decode_gof_ints(view, infos[pos:end], natoms)
         lo = max(keep_from - pos, 0)
         if pos + lo < end:
-            kept = ints[lo:]
-            if atom_indices is not None:
-                # Select quantized ints *before* the float conversion --
-                # identical values to selecting floats after, with the
-                # multiply running only over kept atoms.
-                kept = kept[:, atom_indices]
             dst = out[pos + lo - keep_from : end - keep_from]
-            _ints_to_coords(kept, infos[pos + lo : end], dst)
+            _ints_to_coords(ints[lo:], infos[pos + lo : end], dst)
         pos = end
 
 
 def decode_xtc(
     data: bytes,
-    atom_indices: Optional[np.ndarray] = None,
     workers: Optional[int] = None,
     index: Optional[FrameIndex] = None,
     executor: Optional[CodecPool] = None,
 ) -> Trajectory:
     """Decompress an XTC stream into a :class:`Trajectory`.
 
-    ``atom_indices`` selects an atom subset *after* decompression -- the
-    paper's point is precisely that this selection cannot happen before: the
-    full frame is always inflated.  Passing indices merely avoids keeping the
-    discarded atoms.
+    The full frame is always inflated -- the paper's point is precisely
+    that an atom selection cannot happen before decompression; filter the
+    result with :meth:`Trajectory.select_atoms`.
 
     ``workers`` (see :func:`resolve_workers`) decodes independent groups of
     frames concurrently: worker processes fill disjoint slices of a
@@ -1023,18 +1014,15 @@ def decode_xtc(
     """
     idx = index if index is not None else FrameIndex.build(data)
     infos = idx.infos
-    selection = np.asarray(atom_indices) if atom_indices is not None else None
     gofs = idx.gofs()
     nworkers = resolve_workers(workers, len(gofs))
     if nworkers > 1:
         coords = process_decode(
-            data, infos, gofs, selection,
-            _fanout_pool(executor, nworkers), nworkers,
+            data, infos, gofs, _fanout_pool(executor, nworkers), nworkers
         )
     else:
-        natoms_kept = idx.natoms if selection is None else len(selection)
-        coords = np.empty((len(infos), natoms_kept, 3), dtype=np.float32)
-        _decode_run(data, infos, coords, atom_indices=selection)
+        coords = np.empty((len(infos), idx.natoms, 3), dtype=np.float32)
+        _decode_run(data, infos, coords)
     return Trajectory(
         coords=coords,
         steps=[i.step for i in infos],
@@ -1082,8 +1070,7 @@ def decode_frame_range(
     nworkers = resolve_workers(workers, len(rel))
     if nworkers > 1:
         coords = process_decode(
-            data, infos, rel, None,
-            _fanout_pool(executor, nworkers), nworkers,
+            data, infos, rel, _fanout_pool(executor, nworkers), nworkers,
             keep_from=keep_from,
         )
     else:

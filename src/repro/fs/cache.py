@@ -176,6 +176,13 @@ BlockKey = Tuple[str, str, int]
 #: must be invalidated whenever new chunks land (``ingest_append``).
 DERIVED_SUBSET = -1
 
+#: Service-time calibration of the two tiers: an L1 hit streams from
+#: memory with no fixed latency; an L2 (SSD-class) hit pays a fixed
+#: latency plus its transfer.
+L1_BANDWIDTH = gbps(6.0)
+L2_BANDWIDTH = gbps(2.0)
+L2_LATENCY_S = 80e-6
+
 
 @dataclass
 class CachedBlock:
@@ -189,11 +196,11 @@ class CachedBlock:
 class BlockCache:
     """Two-level LRU block cache over ``(logical, tag, chunk)`` keys.
 
-    * **L1 (memory)** serves hits at ``l1_bandwidth`` with no fixed
+    * **L1 (memory)** serves hits at :data:`L1_BANDWIDTH` with no fixed
       latency -- the block is already in the reader's address space.
     * **L2 (SSD-class)** holds blocks demoted from L1; a hit pays
-      ``l2_latency_s`` plus ``nbytes / l2_bandwidth`` and promotes the
-      block back to L1.
+      :data:`L2_LATENCY_S` plus ``nbytes / L2_BANDWIDTH`` and promotes
+      the block back to L1.
 
     ``lookup`` is a DES process (it charges simulated time); ``admit`` /
     ``invalidate`` are synchronous bookkeeping, matching the repo's
@@ -205,36 +212,25 @@ class BlockCache:
         sim,
         l1_capacity_bytes: float = 64 * MiB,
         l2_capacity_bytes: float = 0.0,
-        l1_bandwidth: float = gbps(6.0),
-        l2_bandwidth: float = gbps(2.0),
-        l2_latency_s: float = 80e-6,
-        metrics: Optional[MetricsRegistry] = None,
-        metric_labels: Optional[Dict[str, str]] = None,
     ):
         if l1_capacity_bytes <= 0:
             raise ConfigurationError("block cache L1 capacity must be positive")
         if l2_capacity_bytes < 0:
             raise ConfigurationError("block cache L2 capacity must be >= 0")
-        if l1_bandwidth <= 0 or l2_bandwidth <= 0:
-            raise ConfigurationError("block cache bandwidths must be positive")
-        if l2_latency_s < 0:
-            raise ConfigurationError("block cache L2 latency must be >= 0")
         self.sim = sim
         self.l1_capacity_bytes = float(l1_capacity_bytes)
         self.l2_capacity_bytes = float(l2_capacity_bytes)
-        self.l1_bandwidth = float(l1_bandwidth)
-        self.l2_bandwidth = float(l2_bandwidth)
-        self.l2_latency_s = float(l2_latency_s)
         self._l1: "OrderedDict[BlockKey, CachedBlock]" = OrderedDict()
         self._l2: "OrderedDict[BlockKey, CachedBlock]" = OrderedDict()
         # Running byte totals of the two tiers (block sizes are ints), so
         # ``pressure()`` and the eviction loops cost O(1), not O(blocks).
         self._l1_nbytes = 0
         self._l2_nbytes = 0
-        self.metric_labels: Dict[str, str] = dict(metric_labels or {})
+        self.metric_labels: Dict[str, str] = {}
         # Hit/eviction accounting is registry-backed; occupancy surfaces as
-        # derived gauges so exporters always see the live value.
-        self.bind_metrics(metrics if metrics is not None else MetricsRegistry())
+        # derived gauges so exporters always see the live value.  A private
+        # registry until a middleware rebinds the cache into its own.
+        self.bind_metrics(MetricsRegistry())
 
     def bind_metrics(
         self,
@@ -245,9 +241,8 @@ class BlockCache:
 
         A cache is usually constructed standalone and handed to ``ADA``,
         which then rebinds it into the middleware's shared registry;
-        counts accumulated so far carry over.  ``labels`` (merged over any
-        construction-time ``metric_labels``) distinguish this cache's
-        series when several caches share one registry -- a sharded
+        counts accumulated so far carry over.  ``labels`` distinguish this
+        cache's series when several caches share one registry -- a sharded
         deployment binds each shard's cache with ``{"shard": name}``.
         Without them, same-named counters from two caches would be the
         *same* registry object (silently merged series) and the derived
@@ -346,7 +341,7 @@ class BlockCache:
                 self.sim, "cache.lookup", logical=logical, tag=tag,
                 chunk=chunk, tier="l1", cache_hit=True,
             ):
-                yield self.sim.timeout(block.nbytes / self.l1_bandwidth)
+                yield self.sim.timeout(block.nbytes / L1_BANDWIDTH)
             return block
         block = self._take_l2(key)
         if block is not None:
@@ -358,7 +353,7 @@ class BlockCache:
                 chunk=chunk, tier="l2", cache_hit=True,
             ):
                 yield self.sim.timeout(
-                    self.l2_latency_s + block.nbytes / self.l2_bandwidth
+                    L2_LATENCY_S + block.nbytes / L2_BANDWIDTH
                 )
             self._insert_l1(key, block)  # promote
             return block

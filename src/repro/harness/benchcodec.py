@@ -322,7 +322,7 @@ def run_codec_bench(
     encode_costs = [
         _best_seconds(
             lambda s=s, e=e: _encode_gof(
-                trajectory, s, e, DEFAULT_PRECISION, 6, box9
+                trajectory, s, e, DEFAULT_PRECISION, box9
             ),
             repeats,
         )[0]
@@ -347,14 +347,13 @@ def run_codec_bench(
         for w in WORKER_SWEEP:
             d_over, _ = _best_seconds(
                 lambda w=w: probe_decode_overhead(
-                    blob, idx.infos, gofs, None, probe_pool, w
+                    blob, idx.infos, gofs, probe_pool, w
                 ),
                 max(2, repeats),
             )
             e_over, _ = _best_seconds(
                 lambda w=w: probe_encode_overhead(
-                    trajectory, spans, DEFAULT_PRECISION, 6, box9,
-                    probe_pool, w,
+                    trajectory, spans, DEFAULT_PRECISION, box9, probe_pool, w,
                 ),
                 max(2, repeats),
             )

@@ -74,11 +74,6 @@ class TenantBlockCache(BlockCache):
 
     # -- configuration ------------------------------------------------------
 
-    def set_tenant_source(
-        self, source: Optional[Callable[[], Optional[str]]]
-    ) -> None:
-        self.tenant_source = source
-
     def set_quota(self, tenant: str, nbytes: float) -> None:
         """Reserve ``nbytes`` of L1 for ``tenant`` (0 removes protection)."""
         self._quotas[str(tenant)] = max(0.0, float(nbytes))

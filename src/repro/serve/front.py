@@ -55,28 +55,29 @@ class ServeFront:
         concurrency: int = 4,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        lod_backlog: Optional[int] = None,
     ):
         self.ada = ada
         # The serving layer's own degradation signal for "auto" reads: a
-        # WFQ backlog deeper than this many queued requests means demand
+        # WFQ backlog deeper than twice the slot count means demand
         # outruns the slots, so auto-tier tenants drop to the cheap LOD
-        # layer until the queues drain.  Defaults to 2x the slot count.
-        self.lod_backlog = (
-            2 * int(concurrency) if lod_backlog is None else int(lod_backlog)
-        )
+        # layer until the queues drain.
+        self.lod_backlog = 2 * int(concurrency)
         self.sim = ada.sim
         self.metrics = ada.metrics
         self.tenant_source = span_tenant_source(self.sim)
-        cache = ada.block_cache
-        if isinstance(cache, TenantBlockCache) and cache.tenant_source is None:
-            cache.set_tenant_source(self.tenant_source)
-        prefetcher = ada.prefetcher
-        if prefetcher is not None:
-            if prefetcher.tenant_source is None:
-                prefetcher.tenant_source = self.tenant_source
-            if prefetcher.budget_source is None:
-                prefetcher.budget_source = self._prefetch_budget
+        # Every node's cache and prefetcher bill the ambient tenant (a
+        # shard node joining later copies this wiring from its peers).
+        for member in ada.members():
+            cache, prefetcher = member.block_cache, member.prefetcher
+            if isinstance(cache, TenantBlockCache) and (
+                cache.tenant_source is None
+            ):
+                cache.tenant_source = self.tenant_source
+            if prefetcher is not None:
+                if prefetcher.tenant_source is None:
+                    prefetcher.tenant_source = self.tenant_source
+                if prefetcher.budget_source is None:
+                    prefetcher.budget_source = self._prefetch_budget
         self.sessions = SessionManager(self.sim, self.metrics)
         self.scheduler = RequestScheduler(
             self.sim,
@@ -121,16 +122,20 @@ class ServeFront:
             prefetch_budget_bytes=prefetch_budget_bytes,
             precision=precision,
         )
-        state = self.sessions.register(config)
-        cache = self.ada.block_cache
+        caches = []
         if cache_quota_bytes is not None:
-            if isinstance(cache, TenantBlockCache):
-                cache.set_quota(name, cache_quota_bytes)
-            else:
-                raise ConfigurationError(
-                    "cache_quota_bytes needs a TenantBlockCache; "
-                    f"the deployment has {type(cache).__name__!r}"
-                )
+            # The reservation is per node: every member's cache takes it.
+            caches = [member.block_cache for member in self.ada.members()]
+            for cache in caches:
+                if not isinstance(cache, TenantBlockCache):
+                    found = "no cache" if cache is None else type(cache).__name__
+                    raise ConfigurationError(
+                        "cache_quota_bytes needs a TenantBlockCache on "
+                        f"every node of the deployment; one has {found}"
+                    )
+        state = self.sessions.register(config)
+        for cache in caches:
+            cache.set_quota(name, cache_quota_bytes)
         return Session(self, state)
 
     def session(self, name: str) -> Session:
@@ -175,14 +180,12 @@ class ServeFront:
         """
         try:
             if kind == "fetch_chunks":
-                stored = self.ada.plfs.chunk_record
-                logical, tag = payload["logical"], payload["tag"]
-                records = [
-                    stored(logical, tag, chunk)
-                    for chunk in payload.get("chunks") or ()
-                ]
                 return max(
-                    1, sum(r.nbytes for r in records if r is not None)
+                    1,
+                    self.ada.chunks_nbytes(
+                        payload["logical"], payload["tag"],
+                        payload.get("chunks") or (),
+                    ),
                 )
             if kind == "fetch":
                 return max(

@@ -79,14 +79,10 @@ class LoadResult:
 
 
 class TrajectoryLoader:
-    """Executes the three load paths on in-memory blobs.
+    """Executes the three load paths on in-memory blobs."""
 
-    ``workers`` enables parallel group-of-frames decompression on the C
-    path (bit-identical to serial decode; ``0`` means one per CPU).
-    """
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.decompressor = Decompressor(workers=workers)
+    def __init__(self) -> None:
+        self.decompressor = Decompressor()
 
     def load_compressed(
         self, blob: bytes, selection: Optional[np.ndarray] = None

@@ -44,6 +44,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.lod import validate_precision
+from repro.core.prefetch import HIGH_WATERMARK
 from repro.errors import CodecError
 from repro.formats.trajectory import BYTES_PER_COORD, Frame, Trajectory
 from repro.formats.xtc import FrameIndex, decode_frame_range
@@ -87,10 +88,8 @@ class StreamingTrajectory:
     ``prefetch`` enables adaptive window readahead (see module docstring);
     ``pressure_fn`` optionally reports external memory pressure in
     ``[0, 1]`` -- speculation is suppressed at or above
-    ``pressure_watermark``.  ``workers`` fans each window's groups of
-    frames out across the codec's worker processes (see
-    :func:`~repro.formats.xtc.decode_frame_range`) -- bit-identical to
-    serial window decodes.
+    :data:`~repro.core.prefetch.HIGH_WATERMARK`, the middleware's own
+    stand-down point.
 
     ``lod_bytes`` optionally attaches the coarse LOD sibling stream;
     :attr:`precision` (``"full"``/``"lod"``/``"auto"``, mutable at any
@@ -107,15 +106,12 @@ class StreamingTrajectory:
         index: Optional[FrameIndex] = None,
         prefetch: bool = False,
         pressure_fn: Optional[Callable[[], float]] = None,
-        pressure_watermark: float = 0.85,
-        workers: Optional[int] = None,
         lod_bytes: Optional[bytes] = None,
         lod_max_error: Optional[float] = None,
         precision: str = "full",
     ):
         if window_frames < 1 or max_windows < 1:
             raise CodecError("window_frames and max_windows must be >= 1")
-        self.workers = workers
         self._data = xtc_bytes
         self.index = index if index is not None else FrameIndex.build(xtc_bytes)
         self._nframes = self.index.nframes
@@ -140,7 +136,6 @@ class StreamingTrajectory:
         # -- adaptive prefetch state ---------------------------------------
         self.prefetch = bool(prefetch)
         self.pressure_fn = pressure_fn
-        self.pressure_watermark = float(pressure_watermark)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._pending: Dict[Tuple[str, int], "Future[Trajectory]"] = {}
         self._speculative: set = set()  # resident but never demanded yet
@@ -240,7 +235,7 @@ class StreamingTrajectory:
         """The tier the next ``frame()`` call would decode from.
 
         ``"auto"`` degrades to the coarse tier exactly while
-        ``pressure_fn`` sits at or above ``pressure_watermark`` -- the
+        ``pressure_fn`` sits at or above ``HIGH_WATERMARK`` -- the
         same signal that stands prefetch down: under memory pressure the
         stream first stops speculating, then (if asked to) serves cheap
         frames instead of exact ones.
@@ -249,12 +244,13 @@ class StreamingTrajectory:
             return "full"
         if self._precision == "lod":
             return "lod"
-        if (
+        return "lod" if self._under_pressure() else "full"
+
+    def _under_pressure(self) -> bool:
+        return (
             self.pressure_fn is not None
-            and self.pressure_fn() >= self.pressure_watermark
-        ):
-            return "lod"
-        return "full"
+            and self.pressure_fn() >= HIGH_WATERMARK
+        )
 
     def close(self) -> None:
         """Drain the prefetch worker (idempotent; safe without prefetch)."""
@@ -292,9 +288,7 @@ class StreamingTrajectory:
 
     def _decode(self, tier: str, start: int, stop: int) -> Trajectory:
         data, index = self._tier_source(tier)
-        return decode_frame_range(
-            data, start, stop, index=index, workers=self.workers
-        )
+        return decode_frame_range(data, start, stop, index=index)
 
     def _fill(self, tier: str, window: _Window, index: int) -> None:
         """Decode the group of frames holding ``index``, clipped to
@@ -358,10 +352,7 @@ class StreamingTrajectory:
         if len(self._windows) + len(self._pending) >= self.max_windows:
             self.prefetch_suppressed += 1
             return
-        if (
-            self.pressure_fn is not None
-            and self.pressure_fn() >= self.pressure_watermark
-        ):
+        if self._under_pressure():
             self.prefetch_suppressed += 1
             return
         if self._executor is None:

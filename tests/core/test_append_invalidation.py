@@ -144,3 +144,41 @@ def test_sharded_append_visits_each_holder_once(workload, monkeypatch):
     }
     assert sorted(visits) == sorted(holders)  # once each, not per tag
     assert len(visits) < 2 * len(front.all_tags(LOGICAL))
+
+
+def test_sharded_remove_scans_each_holder_cache_once(workload):
+    """``remove`` drops a dataset by wildcard -- a full scan by design --
+    but one scan per holder node, not one per (tag, holder) pair."""
+    sim = Simulator()
+    nodes = [
+        ShardNode.build(
+            sim, f"node{i}",
+            backends={"ssd": LocalFS(sim, NVME_SSD_256GB, name=f"ssd{i}")},
+            block_cache=BlockCache(sim),
+        )
+        for i in range(3)
+    ]
+    front = ShardedADA(sim, nodes, replicas=2, replicated_tags=("p", "m"))
+    sim.run_process(front.ingest(LOGICAL, workload.pdb_text, workload.xtc_blob))
+    for tag in front.tags(LOGICAL):
+        sim.run_process(front.fetch(LOGICAL, tag))
+    pairs = [
+        (tag, name)
+        for tag in front.all_tags(LOGICAL)
+        for name in front.holders(LOGICAL, tag)
+    ]
+    holders = {name for _, name in pairs}
+    assert len(pairs) > len(holders)  # some node holds several tags
+    one_scan_each = 0
+    for node in nodes:
+        cache = node.ada.block_cache
+        for i in range(64):
+            cache.admit(("other.xtc", "p", i), 64)
+        if node.name in holders:
+            one_scan_each += len(cache)
+        _instrument(cache)
+    _CountingTier.examined = 0
+    assert front.remove(LOGICAL) > 0
+    assert 0 < _CountingTier.examined <= one_scan_each
+    for node in nodes:
+        assert all(key[0] == "other.xtc" for key in node.ada.block_cache._l1)

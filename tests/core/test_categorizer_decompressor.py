@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Categorizer, Decompressor, TagPolicy
+from repro.core.decompressor import INDEX_CACHE_SIZE
 from repro.datagen import build_gpcr_system, generate_trajectory
 from repro.errors import CodecError, TopologyError
 from repro.formats import AtomClass, decode_xtc, encode_xtc
@@ -121,23 +122,19 @@ def test_index_cache_shares_one_scan(trajectory):
 
 
 def test_index_cache_identity_keyed(trajectory):
-    d = Decompressor(index_cache_size=1)
+    d = Decompressor()
     a = encode_xtc(trajectory)
-    b = encode_xtc(trajectory, keyframe_interval=2)
     assert d.frame_index(a) is d.frame_index(a)
-    d.frame_index(b)  # evicts a (LRU of size 1)
-    d.frame_index(a)
-    assert d.index_misses == 3
-
-
-def test_index_cache_disabled(trajectory):
-    d = Decompressor(index_cache_size=0)
-    blob = encode_xtc(trajectory)
-    d.frame_index(blob)
-    d.frame_index(blob)
-    assert d.index_hits == 0 and d.index_misses == 2
-    with pytest.raises(CodecError):
-        Decompressor(index_cache_size=-1)
+    # Equal bytes, distinct objects: each is its own entry, and the LRU
+    # holds INDEX_CACHE_SIZE of them -- filling it evicts ``a``.
+    others = [bytes(bytearray(a)) for _ in range(INDEX_CACHE_SIZE)]
+    for blob in others:
+        d.frame_index(blob)
+    assert d.index_misses == 1 + INDEX_CACHE_SIZE
+    d.frame_index(others[-1])  # still resident
+    assert d.index_misses == 1 + INDEX_CACHE_SIZE
+    d.frame_index(a)  # evicted: rescanned
+    assert d.index_misses == 2 + INDEX_CACHE_SIZE
 
 
 def test_parallel_decompress_bit_identical(trajectory):

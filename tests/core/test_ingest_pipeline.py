@@ -492,8 +492,6 @@ def test_rerunning_failed_stream_with_same_hook_skips_seen_windows(workload):
 
 
 def test_rejects_analysis_hook_without_consume(workload):
-    with pytest.raises(ConfigurationError):
-        IngestPipelineConfig(analysis=object())
     sim = Simulator()
     ada = _ada(sim)
     with pytest.raises(ConfigurationError):

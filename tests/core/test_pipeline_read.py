@@ -340,13 +340,13 @@ def test_prefetch_backs_off_when_fault_layer_degrades():
         sim,
         ada.determinator.retriever,
         degradation_source=lambda: float(level["n"]),
-        max_inflight=2,
     )
     # Two same-stride steps confirm the pattern; the first confirmed
     # window also records the degradation baseline and speculates.
     assert prefetcher.observe("bar.xtc", "p", [0, 1]) is None
     assert prefetcher.observe("bar.xtc", "p", [2, 3]) is None
     assert prefetcher.observe("bar.xtc", "p", [4, 5]) is not None
+    sim.run()  # the one speculation slot (MAX_INFLIGHT) frees up
     # New faults since the last window: back off.
     level["n"] = 1
     assert prefetcher.observe("bar.xtc", "p", [6, 7]) is None

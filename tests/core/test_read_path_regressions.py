@@ -16,6 +16,7 @@
 import pytest
 
 from repro.core import ADA
+from repro.core.prefetch import MAX_INFLIGHT
 from repro.errors import FaultError, PermanentFaultError
 from repro.fs.cache import DERIVED_SUBSET, BlockCache
 from repro.fs.localfs import LocalFS
@@ -266,7 +267,7 @@ def test_inflight_cap_is_per_tenant_not_global():
     """A's in-flight speculation must not suppress B's (but still its own)."""
     sim, ada, current = _tenant_ada(prefetch=True)
     prefetcher = ada.prefetcher
-    assert prefetcher.max_inflight == 1
+    assert MAX_INFLIGHT == 1
 
     current["tenant"] = "a"
     prefetcher.observe(LOGICAL, "p", [0, 1])

@@ -112,6 +112,9 @@ def _exercise() -> None:
     class FakeAda:
         plfs = FakePlfs()
 
+        def members(self):
+            return [self]
+
     plan.attach_to(FakeAda())
     assert sink.plans and local_fs.device.plans
     assert striped_fs.targets[0].link.plans

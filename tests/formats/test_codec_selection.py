@@ -45,9 +45,9 @@ def test_workers_zero_on_a_one_cpu_host_runs_the_serial_kernel(monkeypatch):
     np.testing.assert_array_equal(
         Decompressor(workers=0).decompress(blob).coords, serial.coords
     )
-    stream = StreamingTrajectory(blob, workers=0, window_frames=8)
-    np.testing.assert_array_equal(stream.frame(7).coords, serial.coords[7])
-    stream.close()
+    np.testing.assert_array_equal(
+        decode_frame_range(blob, 0, 8, workers=0).coords, serial.coords[:8]
+    )
     auto = DataPreProcessor(subset_format="xtc", workers=0).process(
         workload.pdb_text, blob
     )

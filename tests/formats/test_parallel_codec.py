@@ -118,8 +118,8 @@ def test_parallel_decode_with_selection():
     t = _traj(nframes=20, natoms=50)
     blob = encode_xtc(t, keyframe_interval=5)
     sel = np.arange(0, 50, 3)
-    serial = decode_xtc(blob, atom_indices=sel)
-    parallel = decode_xtc(blob, atom_indices=sel, workers=3)
+    serial = decode_xtc(blob).select_atoms(sel)
+    parallel = decode_xtc(blob, workers=3).select_atoms(sel)
     np.testing.assert_array_equal(serial.coords, parallel.coords)
 
 

@@ -72,7 +72,7 @@ def test_single_frame_single_atom():
 
 def test_decode_with_atom_indices_filters():
     t = _traj(natoms=10)
-    d = decode_xtc(encode_xtc(t), atom_indices=np.array([2, 5]))
+    d = decode_xtc(encode_xtc(t)).select_atoms(np.array([2, 5]))
     assert d.natoms == 2
     np.testing.assert_allclose(d.coords[:, 1], t.coords[:, 5], atol=0.01)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fs import LocalFS
-from repro.fs.cache import DERIVED_SUBSET, BlockCache, CachedFS
+from repro.fs.cache import DERIVED_SUBSET, L1_BANDWIDTH, BlockCache, CachedFS
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
 from repro.units import GB, KB, MB, MiB, gbps, mbps
@@ -83,7 +83,8 @@ def test_lookup_miss_then_hit():
 
 def test_l1_hit_pays_memory_bandwidth_time():
     sim = Simulator()
-    cache = BlockCache(sim, l1_capacity_bytes=1 * GB, l1_bandwidth=gbps(6.0))
+    assert L1_BANDWIDTH == gbps(6.0)
+    cache = BlockCache(sim, l1_capacity_bytes=1 * GB)
     cache.admit(("f", "p", 0), int(600 * MB))
     t0 = sim.now
     sim.run_process(cache.lookup(("f", "p", 0)))

@@ -44,22 +44,23 @@ def workload():
     return build_workload(natoms=1200, nframes=5, seed=81)
 
 
-def _ada(sim, ssd_capacity=100 * GB, **kwargs):
+def _ada(sim, ssd_capacity=100 * GB, hdd_capacity=100 * GB, **kwargs):
     return ADA(
         sim,
         backends={
             "ssd": _fs(sim, "ssd", capacity=ssd_capacity),
-            "hdd": _fs(sim, "hdd"),
+            "hdd": _fs(sim, "hdd", capacity=hdd_capacity),
         },
         **kwargs,
     )
 
 
 def test_full_ssd_fails_ingest_loudly_without_spill(workload):
-    """With spill disabled, a full flash tier errors with StorageFull."""
+    """With nowhere left to spill -- the inactive tier is full too -- a
+    full flash tier errors with StorageFull."""
     sim = Simulator()
-    ada = _ada(sim, ssd_capacity=1000, spill_on_full=False)  # 1 KB "SSD"
-    with pytest.raises(StorageFullError, match="ssd"):
+    ada = _ada(sim, ssd_capacity=1000, hdd_capacity=1000)  # 1 KB each
+    with pytest.raises(StorageFullError, match="hdd"):
         sim.run_process(
             ada.ingest("bar.xtc", workload.pdb_text, workload.xtc_blob)
         )
@@ -154,7 +155,7 @@ def test_oom_mid_load_leaves_clean_error(workload):
 def test_ingest_failure_does_not_leave_phantom_dataset(workload):
     """After a failed ingest, fetching the dataset fails cleanly too."""
     sim = Simulator()
-    ada = _ada(sim, ssd_capacity=1000, spill_on_full=False)
+    ada = _ada(sim, ssd_capacity=1000, hdd_capacity=1000)
     with pytest.raises(StorageFullError):
         sim.run_process(
             ada.ingest("bar.xtc", workload.pdb_text, workload.xtc_blob)

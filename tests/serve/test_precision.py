@@ -84,19 +84,19 @@ def test_bad_tenant_precision_rejected_at_register(workload):
 
 
 def test_auto_tenant_degrades_when_the_backlog_builds(workload):
-    """A WFQ queue past ``lod_backlog`` resolves auto straight to LOD."""
-    sim, ada, front = _deployment(
-        workload, concurrency=1, lod_backlog=0
-    )
+    """A WFQ queue past 2 x concurrency resolves auto straight to LOD."""
+    sim, ada, front = _deployment(workload, concurrency=1)
+    assert front.lod_backlog == 2
     viewer = front.register("viewer", precision="auto", max_inflight=16)
 
     requests = [
-        viewer.submit("fetch", logical=LOGICAL, tag="p") for _ in range(4)
+        viewer.submit("fetch", logical=LOGICAL, tag="p") for _ in range(6)
     ]
     results = _wait_all(sim, requests)
 
     tiers = [obj.tier for obj in results]
     assert "lod" in tiers  # queued requests dropped to the coarse tier
+    assert tiers[-1] == "full"  # ...and the drained queue serves exact again
     assert ada.metrics.value("serve_lod_backlog_total", tenant="viewer") >= 1
     for obj in results:
         if obj.tier == "lod":

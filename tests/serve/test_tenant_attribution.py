@@ -15,7 +15,9 @@ from repro.core.middleware import ADA
 from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.serve import ServeFront, TenantBlockCache, span_tenant_source
+from repro.errors import ConfigurationError
+from repro.fs.cache import BlockCache
+from repro.serve import ServeFront, TenantBlockCache
 from repro.sim import AllOf, Simulator
 from repro.storage.hdd import WD_1TB_HDD
 
@@ -79,10 +81,7 @@ def _sharded(catalog_blobs) -> ServeFront:
             sim, f"node{i}",
             backends={"hdd": LocalFS(sim, WD_1TB_HDD, name=f"node{i}:hdd")},
             metrics=metrics,
-            block_cache=TenantBlockCache(
-                sim, l1_capacity_bytes=_ROOMY,
-                tenant_source=span_tenant_source(sim),
-            ),
+            block_cache=TenantBlockCache(sim, l1_capacity_bytes=_ROOMY),
             prefetch=True,
         )
         for i in range(2)
@@ -123,13 +122,10 @@ def _drive(front: ServeFront) -> None:
 
 def _deployments(front: ServeFront):
     """``(cache, prefetcher)`` of every middleware behind the front."""
-    ada = front.ada
-    if isinstance(ada, ShardedADA):
-        return [
-            (node.ada.block_cache, node.ada.prefetcher)
-            for node in ada.nodes.values()
-        ]
-    return [(ada.block_cache, ada.prefetcher)]
+    return [
+        (member.block_cache, member.prefetcher)
+        for member in front.ada.members()
+    ]
 
 
 def _ledger(front: ServeFront):
@@ -246,3 +242,89 @@ def test_read_outside_any_request_is_billed_to_nobody(catalog_blobs, build):
         assert all(cache.charged_bytes(t) == 0.0 for t in _TENANTS)
         assert all(key[1] is None for key in prefetcher._streams)
     assert resident >= 8
+
+
+# -- one wiring for both deployments ------------------------------------------
+
+_FOUR = ("traj0.xtc", PLAYBACK_TAG, range(4))
+
+
+def _node(sim, name, metrics, cache_cls=TenantBlockCache):
+    return ShardNode.build(
+        sim, name,
+        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name=f"{name}:hdd")},
+        metrics=metrics,
+        block_cache=cache_cls(sim, l1_capacity_bytes=_ROOMY),
+        prefetch=True,
+    )
+
+
+def _billed_for_four_chunks(front: ServeFront, tenant="t0"):
+    """``(tenant's bytes, shared-pool bytes)`` over every node's cache
+    after the tenant reads four chunks."""
+    objs = front.sim.run_process(front.session(tenant).fetch_chunks(*_FOUR))
+    caches = [member.block_cache for member in front.ada.members()]
+    return (
+        sum(obj.nbytes for obj in objs),
+        sum(cache.charged_bytes(tenant) for cache in caches),
+        sum(cache.charged_bytes(None) for cache in caches),
+    )
+
+
+def test_sharded_front_bills_the_tenant_like_a_single_node(catalog_blobs):
+    """The same read bills the same tenant the same bytes whichever data
+    plane is behind the front: the front wires every member's cache (a
+    shard node's used to bill the shared pool), ``cache_quota_bytes``
+    reserves on every node, and a node that joins later is wired too."""
+    sim = Simulator()
+    ada = ADA(
+        sim,
+        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
+        block_cache=TenantBlockCache(sim, l1_capacity_bytes=_ROOMY),
+        prefetch=True,
+    )
+    _ingest(ada, catalog_blobs)
+    single = ServeFront(ada)
+    single.register("t0", cache_quota_bytes=8192)
+    payload, billed, shared = _billed_for_four_chunks(single)
+    assert (billed, shared) == (payload, 0.0)
+
+    sim = Simulator()
+    metrics = MetricsRegistry()
+    sharded = ShardedADA(
+        sim, [_node(sim, f"node{i}", metrics) for i in range(2)],
+        replicas=3, metrics=metrics,
+    )
+    _ingest(sharded, catalog_blobs)
+    front = ServeFront(sharded)
+    front.register("t0", cache_quota_bytes=8192)
+    assert [
+        member.block_cache.quota_bytes("t0") for member in sharded.members()
+    ] == [8192.0, 8192.0]
+    assert _billed_for_four_chunks(front) == (payload, billed, shared)
+
+    # A third node joins, takes its replica, and then is the only one up.
+    late = _node(sim, "node2", metrics)
+    sim.run_process(sharded.add_node(late))
+    cache, prefetcher = late.ada.block_cache, late.ada.prefetcher
+    assert cache.tenant_source is front.tenant_source
+    assert prefetcher.tenant_source is front.tenant_source
+    assert prefetcher.budget_source == front._prefetch_budget
+    sharded.kill_node("node0")
+    sharded.kill_node("node1")
+    sim.run_process(front.session("t0").fetch_chunks(*_FOUR))
+    assert cache.charged_bytes("t0") == billed
+    assert cache.charged_bytes(None) == 0.0
+
+
+def test_cache_quota_on_plain_node_caches_names_the_cause(catalog_blobs):
+    sim = Simulator()
+    sharded = ShardedADA(
+        sim, [_node(sim, "node0", None, cache_cls=BlockCache)]
+    )
+    front = ServeFront(sharded)
+    with pytest.raises(
+        ConfigurationError, match="TenantBlockCache on every node.*BlockCache"
+    ):
+        front.register("t0", cache_quota_bytes=8192)
+    assert "t0" not in front.sessions.stats()  # nothing half-registered

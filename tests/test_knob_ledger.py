@@ -9,7 +9,9 @@ a parameter fails tier-1 until its line is edited, so the diff of this
 file *is* the PR's knob ledger.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -31,40 +33,37 @@ from repro.vmd.streaming import StreamingTrajectory
 LEDGER = {
     "ADA": (
         "sim backends policy placement storage_cpu storage_cpus "
-        "metadata_backend indexer_latency_s subset_format workers "
-        "spill_on_full retry_policy fault_plan block_cache coalesce prefetch "
+        "subset_format workers retry_policy fault_plan block_cache prefetch "
         "serial_requests ingest_config lod_precision "
         "metrics tracer shard_id"
     ),
     "ShardedADA": (
-        "sim nodes replicas replicated_tags ring_vnodes ring_seed fault_plan "
-        "retry_policy metrics affinity_slack affinity_bytes_slack"
+        "sim nodes replicas replicated_tags fault_plan "
+        "retry_policy metrics affinity_bytes_slack"
     ),
     "ShardNode.build": "sim name backends metrics ada_kwargs",
-    "ServeFront": "ada concurrency fault_plan retry_policy lod_backlog",
+    "ServeFront": "ada concurrency fault_plan retry_policy",
     "BlockCache": (
-        "sim l1_capacity_bytes l2_capacity_bytes l1_bandwidth l2_bandwidth "
-        "l2_latency_s metrics metric_labels"
+        "sim l1_capacity_bytes l2_capacity_bytes"
     ),
     "TenantBlockCache": "sim quotas tenant_source kwargs",
     "Prefetcher": (
-        "sim retriever high_watermark degradation_source max_inflight "
-        "metrics tenant_source budget_source metric_labels"
+        "sim retriever degradation_source metrics metric_labels"
     ),
     "IngestPipelineConfig": (
-        "window_frames depth max_buffered_bytes coalesce pipelined analysis"
+        "window_frames depth max_buffered_bytes coalesce pipelined"
     ),
-    "Decompressor": "workers index_cache_size metrics",
+    "Decompressor": "workers metrics",
     "DataPreProcessor": "policy subset_format workers lod_precision metrics",
-    "TrajectoryLoader": "workers",
+    "TrajectoryLoader": "",
     "StreamingTrajectory": (
         "xtc_bytes window_frames max_windows index prefetch pressure_fn "
-        "pressure_watermark workers lod_bytes lod_max_error precision"
+        "lod_bytes lod_max_error precision"
     ),
     "CodecPool": "workers metrics",
-    "shared_pool": "workers metrics",
-    "encode_xtc": "trajectory precision level keyframe_interval workers executor",
-    "decode_xtc": "data atom_indices workers index executor",
+    "shared_pool": "workers",
+    "encode_xtc": "trajectory precision keyframe_interval workers executor",
+    "decode_xtc": "data workers index executor",
     "decode_frame_range": "data start stop index workers executor",
     "run_cluster_bench": (
         "node_counts ntenants ndatasets natoms nchunks frames_per_chunk "
@@ -141,3 +140,111 @@ def test_surface_matches_the_committed_ledger(entry):
         f"{entry} changed its parameters: edit its LEDGER line in this "
         "file and say in CHANGES.md which knob pays for any added one"
     )
+
+
+# -- the caller audit ----------------------------------------------------------
+#
+# A parameter nobody passes is a constant with extra steps: every product
+# caller gets the default, and only tests can reach the other path.  The
+# audit walks every call under ``src/``, ``benchmarks/`` and ``examples/``
+# (tests do not count as callers) and requires each parameter of the
+# ledger's constructors and codec entry points to be passed by someone,
+# or to sit in ``KEPT_FOR`` with the reason it stays.  The ``run_*_bench``
+# workload sizes are out of scope: each is the one statement of a default
+# (``repro.cli.BENCHES``), set by the CLI's flags and the harness tests.
+
+_ROOT = Path(__file__).resolve().parents[1]
+_AUDITED_DIRS = ("src", "benchmarks", "examples")
+_AUDITED = [
+    entry for entry in _CALLABLES if not entry.startswith("run_")
+]
+
+#: ``**kwargs`` forwarders, by the name they are called under -> the ledger
+#: entry that receives the keywords they do not name themselves.
+_FORWARDS_TO = {
+    "hdd_ada": "ADA",
+    "deployment": "ADA",
+    "ShardNode.build": "ADA",
+    "TenantBlockCache": "BlockCache",
+}
+
+#: Parameters without a product caller, kept on purpose: the reason.
+KEPT_FOR = {
+    ("ShardedADA", "fault_plan"): "tests/faults chaos: injected shard sites",
+    ("ShardedADA", "retry_policy"): "the chaos suites bound the front's retries",
+    ("ShardedADA", "replicated_tags"): "policy: which subsets are hot enough "
+    "to replicate; tests/cluster replicates other tags",
+    ("StreamingTrajectory", "index"): "callers holding a FrameIndex skip the "
+    "header scan (tests/vmd viewer budget counts index builds)",
+    ("StreamingTrajectory", "prefetch"): "tests/vmd compare readahead on "
+    "against off, bit-equal frames",
+    ("StreamingTrajectory", "pressure_fn"): "a test substitutes a fake signal",
+    ("StreamingTrajectory", "precision"): "the starting tier; mutable after",
+    ("TenantBlockCache", "quotas"): "reservations before any ServeFront exists",
+    ("TenantBlockCache", "tenant_source"): "a test substitutes a fake tenant",
+}
+
+
+def _call_name(func: ast.expr) -> str:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and (
+            f"{func.value.id}.{func.attr}" in _CALLABLES
+        ):
+            return f"{func.value.id}.{func.attr}"
+        return func.attr
+    return ""
+
+
+def _named_params(entry: str) -> list:
+    return [
+        name
+        for name, param in inspect.signature(
+            _CALLABLES[entry]
+        ).parameters.items()
+        if param.kind is not inspect.Parameter.VAR_KEYWORD
+    ]
+
+
+def _passed_parameters() -> set:
+    """Every ``(ledger entry, parameter)`` some product call site passes."""
+    passed = set()
+    for top in _AUDITED_DIRS:
+        for path in sorted((_ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = _call_name(node.func)
+                own = _named_params(name) if name in _CALLABLES else []
+                target = _FORWARDS_TO.get(name)
+                for position, arg in enumerate(node.args):
+                    if position < len(own) and not isinstance(
+                        arg, ast.Starred
+                    ):
+                        passed.add((name, own[position]))
+                for keyword in node.keywords:
+                    if keyword.arg in own:
+                        passed.add((name, keyword.arg))
+                    elif keyword.arg is not None and target is not None:
+                        passed.add((target, keyword.arg))
+    return passed
+
+
+def test_every_knob_has_a_caller():
+    passed = _passed_parameters()
+    orphans = {
+        (entry, name)
+        for entry in _AUDITED
+        for name in _named_params(entry)
+        if (entry, name) not in passed
+    }
+    unexplained = sorted(orphans - set(KEPT_FOR))
+    assert not unexplained, (
+        f"{unexplained} are passed by no caller under "
+        f"{'/, '.join(_AUDITED_DIRS)}/: make each a constant, or add it to "
+        "KEPT_FOR with the reason it stays"
+    )
+    stale = sorted(set(KEPT_FOR) - orphans)
+    assert not stale, f"{stale} have a caller now (or are gone): drop them"
