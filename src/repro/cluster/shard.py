@@ -541,16 +541,15 @@ class ShardedADA(DataPlane):
         subsets: Dict[str, bytes],
         config: Optional[IngestPipelineConfig] = None,
     ) -> Generator:
-        """Process: write each tag's blob to every holder, in parallel
-        (a pipelined stream window as coalesced chunk runs).
+        """Process: write each tag's blob to every holder -- one store
+        per node carrying every tag it holds, nodes in parallel.
 
         Primary-write semantics: the holder list is ring order, primary
         first; all copies are written before the ingest completes, so a
         later failover can serve bit-identical bytes from any replica.
         """
-        procs = []
+        by_node: Dict[str, Dict[str, bytes]] = {}
         for tag in sorted(subsets):
-            blob = subsets[tag]
             key = (logical, tag)
             if key not in self._placement:
                 self._placement[key] = self.targets(logical, tag)
@@ -559,18 +558,17 @@ class ShardedADA(DataPlane):
                     tags.append(tag)
                     tags.sort()
             for name in self._placement[key]:
-                store = self.nodes[name].ada.determinator
-                if config is not None and config.pipelined:
-                    gen = store.store_run(
-                        logical, {tag: blob}, coalesce=config.coalesce
-                    )
-                else:
-                    gen = store.store(logical, {tag: blob})
-                procs.append(
-                    self.sim.process(
-                        gen, name=f"shardwrite:{name}:{logical}#{tag}"
-                    )
-                )
+                by_node.setdefault(name, {})[tag] = subsets[tag]
+        procs = []
+        for name, held in by_node.items():
+            store = self.nodes[name].ada.determinator
+            if config is not None and config.pipelined:
+                gen = store.store_run(logical, held, coalesce=config.coalesce)
+            else:
+                gen = store.store(logical, held)
+            procs.append(
+                self.sim.process(gen, name=f"shardwrite:{name}:{logical}")
+            )
         if procs:
             yield AllOf(self.sim, procs)
 

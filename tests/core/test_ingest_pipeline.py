@@ -295,9 +295,6 @@ def test_stream_append_racing_fetch_merged(workload):
 
 def test_ingest_counters_are_registry_backed(workload):
     sim = Simulator()
-    # One backend, so each window's tags form one coalescible run (with
-    # tags split across tiers every run is a single chunk and coalescing
-    # correctly stays idle).
     ada = ADA(sim, backends={"hdd": _fs(sim, "hdd")})
     config = IngestPipelineConfig(window_frames=4)
     sim.run_process(
@@ -316,6 +313,25 @@ def test_ingest_counters_are_registry_backed(workload):
     assert value("ingest_windows_total") == 8
     assert value("dispatcher_coalesced_runs_total") == 8
     assert value("dispatcher_requests_saved_total") >= 8
+
+
+def test_two_tier_windows_coalesce_once_per_backend(workload):
+    sim = Simulator()
+    ada = _ada(sim, lod_precision=12.5)
+    sim.run_process(
+        ada.ingest_stream(
+            LOGICAL, workload.xtc_blob, pdb_text=workload.pdb_text,
+            config=IngestPipelineConfig(window_frames=4),
+        )
+    )
+    value = ada.metrics.value
+    windows = value("ingest_windows_total")
+    assert windows == 8
+    # lod:m, lod:p, m, p alternate HDD and SSD in tag order; each tier's
+    # pair is still one coalesced run, saving one request per tier.
+    assert ada.all_tags(LOGICAL) == ["lod:m", "lod:p", "m", "p"]
+    assert value("dispatcher_coalesced_runs_total") == 2 * windows
+    assert value("dispatcher_requests_saved_total") == 2 * windows
 
 
 def test_consumer_failure_propagates_without_deadlock(workload):

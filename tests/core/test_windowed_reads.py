@@ -31,12 +31,13 @@ def _front(nchunks: int) -> ServeFront:
         block_cache=BlockCache(sim),
         prefetch=True,
     )
-    sim.run_process(
+    records = sim.run_process(
         ada.plfs.write_chunk_run(
             LOGICAL, [(TAG, bytes([i % 251]) * 64) for i in range(nchunks)],
             backend="ssd",
         )
     )
+    sim.run_process(ada.plfs.commit(LOGICAL, records))
     front = ServeFront(ada)
     front.register("viewer", prefetch_budget_bytes=1 << 20)
     return front

@@ -1,6 +1,6 @@
 """The PLFS index is an append-only record log (``FileSystem.append``).
 
-A write extends ``<logical>.plfs/index`` by its own run's records, so an
+A commit extends ``<logical>.plfs/index`` by its own records, so an
 index flush costs the same however long the container already is; a
 fresh client replays the log.  In memory every ``(logical, tag)`` keeps a
 chunk-ordered record list, whatever order concurrent writers land in.
@@ -66,6 +66,13 @@ def _fresh(plfs):
     return PLFS(plfs.sim, plfs.backends, metadata_backend="meta")
 
 
+def _write_run(plfs, entries, backend):
+    """Process: land one chunk run, then commit it with one index append."""
+    records = yield from plfs.write_chunk_run(LOGICAL, entries, backend=backend)
+    yield from plfs.commit(LOGICAL, records)
+    return records
+
+
 def _used(fs):
     if isinstance(fs, PVFS):
         return [t.device.used_bytes for t in fs.targets]
@@ -85,7 +92,7 @@ def test_kth_flush_bytes_do_not_grow_with_the_container():
         before, log_before = written.value, (
             meta.nbytes(INDEX) if meta.exists(INDEX) else 0
         )
-        sim.run_process(plfs.write_chunk_run(LOGICAL, run, backend="hdd"))
+        sim.run_process(_write_run(plfs, run, backend="hdd"))
         per_flush.append(written.value - before)
         # The device moved exactly the run's own log lines.
         assert per_flush[-1] == meta.nbytes(INDEX) - log_before
@@ -109,8 +116,8 @@ def test_cold_replay_matches_warm_index_after_concurrent_writers():
 
     def runs():
         for _ in range(4):
-            yield from plfs.write_chunk_run(
-                LOGICAL, [("m", b"m" * 400), ("p", b"p" * 90)], backend="hdd"
+            yield from _write_run(
+                plfs, [("m", b"m" * 400), ("p", b"p" * 90)], backend="hdd"
             )
 
     def subsets():
@@ -119,7 +126,7 @@ def test_cold_replay_matches_warm_index_after_concurrent_writers():
 
     def doomed():
         try:
-            yield from plfs.write_chunk_run(LOGICAL, [("p", b"lost")], backend="flaky")
+            yield from _write_run(plfs, [("p", b"lost")], backend="flaky")
         except TransientFaultError as exc:
             failures.append(exc)
 
@@ -202,7 +209,7 @@ def test_append_is_gated_as_a_write(meta_factory):
     # The index flush sees the same gate: the run rolls back, no line lands.
     with pytest.raises(TransientFaultError, match="during write"):
         sim.run_process(
-            plfs.write_chunk_run(LOGICAL, [("p", b"data")], backend="ssd")
+            _write_run(plfs, [("p", b"data")], backend="ssd")
         )
     assert not meta.exists(INDEX)
     assert plfs.container_index(LOGICAL) == []
@@ -239,7 +246,7 @@ def test_delete_subset_survives_a_cold_reload():
     sim, plfs = _plfs()
     for _ in range(3):
         sim.run_process(
-            plfs.write_chunk_run(LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
+            _write_run(plfs, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
         )
     meta = plfs.backends["meta"]
     assert plfs.delete_subset(LOGICAL, "m") == 6
@@ -257,7 +264,7 @@ def test_delete_subset_survives_a_cold_reload():
 def test_delete_subset_during_an_inflight_flush_keeps_the_log_exact():
     sim, plfs = _plfs()
     sim.run_process(
-        plfs.write_chunk_run(LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="ssd")
+        _write_run(plfs, [("m", b"mm"), ("p", b"ppp")], backend="ssd")
     )
     meta = plfs.backends["meta"]
     lines = len(meta.data(INDEX).splitlines())
@@ -329,7 +336,7 @@ def test_container_lifecycle_returns_every_byte(meta_factory):
     sim, plfs = _plfs(meta_factory)
     for _ in range(8):
         sim.run_process(
-            plfs.write_chunk_run(LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
+            _write_run(plfs, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
         )
         sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"s"))
     for fs in plfs.backends.values():

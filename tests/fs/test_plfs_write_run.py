@@ -4,8 +4,9 @@ The write-side mirror of the read path's span coalescing: one metadata
 operation and one seek-amortized device transfer per backend run, while
 every chunk keeps its own index record and CRC-32.  The failure contract
 is run-scoped: capacity is claimed before any store (``StorageFullError``
-spills the whole run), a mid-span fault leaves no partial objects, and an
-index-flush fault rolls back every chunk of the run.
+spills the whole run), a mid-span fault leaves no partial objects, and
+nothing is indexed until a commit, whose failed append rolls back every
+chunk it covers.
 """
 
 import zlib
@@ -52,11 +53,21 @@ def _plfs(capacity=GB, seek_s=8e-3):
 ENTRIES = [("m", b"misc-bytes-0"), ("p", b"protein-bytes-00")]
 
 
+def _committed_run(plfs, entries, backend="hdd", coalesce=True):
+    """Process: land one chunk run, then commit it with one index append."""
+    records = yield from plfs.write_chunk_run(
+        "bar.xtc", entries, backend=backend, coalesce=coalesce
+    )
+    yield from plfs.commit("bar.xtc", records)
+    return records
+
+
 def test_write_chunk_run_happy_path():
     sim, plfs = _plfs()
-    records = sim.run_process(
-        plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd")
-    )
+    records = sim.run_process(plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd"))
+    # Landed, not indexed: the window's commit indexes every run at once.
+    assert not plfs.exists("bar.xtc")
+    sim.run_process(plfs.commit("bar.xtc", records))
     assert [(r.tag, r.chunk) for r in records] == [("m", 0), ("p", 0)]
     hdd = plfs.backends["hdd"]
     for record, (tag, data) in zip(records, ENTRIES):
@@ -74,12 +85,8 @@ def test_write_chunk_run_happy_path():
 
 def test_chunk_numbers_continue_across_runs():
     sim, plfs = _plfs()
-    first = sim.run_process(
-        plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd")
-    )
-    second = sim.run_process(
-        plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd")
-    )
+    first = sim.run_process(_committed_run(plfs, ENTRIES))
+    second = sim.run_process(_committed_run(plfs, ENTRIES))
     assert [(r.tag, r.chunk) for r in first] == [("m", 0), ("p", 0)]
     assert [(r.tag, r.chunk) for r in second] == [("m", 1), ("p", 1)]
     assert plfs.subset_nbytes("bar.xtc", "p") == 2 * len(ENTRIES[1][1])
@@ -105,15 +112,9 @@ def test_coalesced_run_pays_one_device_write():
         return int(counter.value)
 
     sim_c, plfs_c = _plfs()
-    sim_c.run_process(
-        plfs_c.write_chunk_run("bar.xtc", ENTRIES * 2, backend="hdd")
-    )
+    sim_c.run_process(_committed_run(plfs_c, ENTRIES * 2))
     sim_u, plfs_u = _plfs()
-    sim_u.run_process(
-        plfs_u.write_chunk_run(
-            "bar.xtc", ENTRIES * 2, backend="hdd", coalesce=False
-        )
-    )
+    sim_u.run_process(_committed_run(plfs_u, ENTRIES * 2, coalesce=False))
     assert ops(sim_c) == 1
     assert ops(sim_u) == len(ENTRIES * 2)
     # Same chunks landed either way; only the request count differs.
@@ -132,16 +133,14 @@ def test_index_flush_fault_rolls_back_whole_run():
     real_flush = plfs._flush_index
     plfs._flush_index = failing_flush
     with pytest.raises(TransientFaultError):
-        sim.run_process(plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd"))
+        sim.run_process(_committed_run(plfs, ENTRIES))
     # No index records, no chunk objects, no log lines left behind.
     assert plfs.container_index("bar.xtc") == []
     assert list(plfs.backends["hdd"].store.walk()) == []
     assert list(plfs.backends["meta"].store.walk()) == []
     # A retry rewrites cleanly: counters left gaps, names are never reused.
     plfs._flush_index = real_flush
-    records = sim.run_process(
-        plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd")
-    )
+    records = sim.run_process(_committed_run(plfs, ENTRIES))
     assert [(r.tag, r.chunk) for r in records] == [("m", 1), ("p", 1)]
     assert plfs.fsck("bar.xtc")["ok"]
 
