@@ -107,6 +107,7 @@ class FileSystem(ABC):
         items: List[Tuple[str, bytes]],
         request_size: Optional[int] = None,
         label: str = "write",
+        chain: bool = False,
     ) -> Generator:
         """Process: persist several objects as one coalesced span.
 
@@ -114,11 +115,12 @@ class FileSystem(ABC):
         ``(path, data)`` pairs bound for this backend.  The base
         implementation writes each object in turn; single-device backends
         override it to charge one metadata operation and one
-        seek-amortized transfer for the span's total size.  A mid-span
-        failure must leave no partial objects behind (the caller retries
-        the whole span), so the sequential fallback rolls back anything it
-        already stored before re-raising.  Returns the
-        :class:`StoredObject` list in ``items`` order.
+        seek-amortized transfer for the span's total size (and honour
+        ``chain``, see ``Device.write``).  A mid-span failure must leave no
+        partial objects behind (the caller retries the whole span), so the
+        sequential fallback rolls back anything it already stored before
+        re-raising.  Returns the :class:`StoredObject` list in ``items``
+        order.
         """
         objs: List[StoredObject] = []
         try:

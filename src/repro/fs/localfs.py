@@ -61,7 +61,8 @@ class LocalFS(FileSystem):
         return StoredObject(path=path, nbytes=len(data), data=data)
 
     def _device_write(
-        self, size: int, request_size: Optional[int], label: str
+        self, size: int, request_size: Optional[int], label: str,
+        chain: bool = False,
     ) -> Generator:
         """Process: reserve ``size`` bytes, then pay one metadata operation
         and the device transfer.  Nothing is stored yet; a device-level
@@ -71,7 +72,7 @@ class LocalFS(FileSystem):
         try:
             yield self.sim.timeout(self.metadata_latency_s)
             requests = self._request_count(size, request_size)
-            yield from self.device.write(size, requests=requests, label=label)
+            yield from self.device.write(size, requests, label, chain)
         except FaultError:
             self._release(0, size)
             raise
@@ -139,6 +140,7 @@ class LocalFS(FileSystem):
         items,
         request_size: Optional[int] = None,
         label: str = "write",
+        chain: bool = False,
     ) -> Generator:
         """Process: coalesced write of several objects to the one device.
 
@@ -158,7 +160,7 @@ class LocalFS(FileSystem):
         ):
             yield from self._fault_gate("write", items[0][0])
             sizes = [self._payload_size(data, None) for _, data in items]
-            yield from self._device_write(sum(sizes), request_size, label)
+            yield from self._device_write(sum(sizes), request_size, label, chain)
             objs = []
             for (path, data), size in zip(items, sizes):
                 self._release_replaced(path)

@@ -19,6 +19,9 @@ from repro.storage.power import DevicePower
 
 __all__ = ["DeviceSpec", "Device"]
 
+#: Seconds a chained write holds the device for the write that follows.
+CHAIN_WINDOW_S = 1e-3
+
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -69,6 +72,7 @@ class Device:
         self.busy = BusyTracker(self.name)
         self.used_bytes = 0.0
         self.faults: Optional[FaultPlan] = None
+        self._held = None  # a chained write's expiry, valued with its slot
 
     @property
     def free_bytes(self) -> float:
@@ -111,37 +115,50 @@ class Device:
 
     def read(self, nbytes: float, requests: int = 1, label: str = "read") -> Generator:
         """DES process: occupy the device for the read's service time."""
-        with span(
-            self.sim, "device.read",
-            device=self.name, nbytes=int(nbytes), requests=requests,
-        ):
-            yield from self._fault_gate("read")
-            yield from self._serve(
-                self.spec.read_time(nbytes, requests), label, "read", nbytes
-            )
+        duration = self.spec.read_time(nbytes, requests)
+        return self._serve("read", duration, nbytes, requests, label)
 
     def write(
-        self, nbytes: float, requests: int = 1, label: str = "write"
+        self, nbytes: float, requests: int = 1, label: str = "write",
+        chain: bool = False,
     ) -> Generator:
-        """DES process: occupy the device for the write's service time."""
-        with span(
-            self.sim, "device.write",
-            device=self.name, nbytes=int(nbytes), requests=requests,
-        ):
-            yield from self._fault_gate("write")
-            yield from self._serve(
-                self.spec.write_time(nbytes, requests), label, "write", nbytes
-            )
+        """DES process: occupy the device for the write's service time.
+        ``chain`` holds the device for up to :data:`CHAIN_WINDOW_S` after
+        it, for the next write only -- a window's index append follows
+        its data span with no queued read between (block-layer plugging).
+        """
+        duration = self.spec.write_time(nbytes, requests)
+        return self._serve("write", duration, nbytes, requests, label, chain)
 
     def _serve(
-        self, duration: float, label: str, op: str, nbytes: float
+        self, op: str, duration: float, nbytes: float, requests: int,
+        label: str, chain: bool = False,
     ) -> Generator:
-        with self.resource.request() as req:
-            yield req
-            start = self.sim.now
-            yield self.sim.timeout(duration)
-            self.busy.record(start, self.sim.now, label)
-        self._record_metrics(op, duration, nbytes)
+        with span(
+            self.sim, f"device.{op}",
+            device=self.name, nbytes=int(nbytes), requests=requests,
+        ):
+            yield from self._fault_gate(op)
+            req = (self._unhold() if op == "write" else None) or self.resource.request()
+            try:
+                yield req
+                start = self.sim.now
+                yield self.sim.timeout(duration)
+                self.busy.record(start, self.sim.now, label)
+            except BaseException:
+                req.release()
+                raise
+            if chain:
+                self._held = self.sim.timeout(CHAIN_WINDOW_S, value=req)
+                self._held.callbacks.append(lambda _: self._unhold().release())
+            else:
+                req.release()
+            self._record_metrics(op, duration, nbytes)
+
+    def _unhold(self):
+        """The slot a chained write holds (its expiry stopped), or None."""
+        held, self._held = self._held, None
+        return held.cancel().value if held is not None else None
 
     def _record_metrics(self, op: str, duration: float, nbytes: float) -> None:
         """Per-device counters/histograms on the sim-attached registry.
