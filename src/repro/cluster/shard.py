@@ -535,7 +535,7 @@ class ShardedADA(DataPlane):
 
     # -- ingest (write) path -----------------------------------------------------
 
-    def _write_subsets(
+    def _store_subsets(
         self,
         logical: str,
         subsets: Dict[str, bytes],
@@ -559,16 +559,13 @@ class ShardedADA(DataPlane):
                     tags.sort()
             for name in self._placement[key]:
                 by_node.setdefault(name, {})[tag] = subsets[tag]
-        procs = []
-        for name, held in by_node.items():
-            store = self.nodes[name].ada.determinator
-            if config is not None and config.pipelined:
-                gen = store.store_run(logical, held, coalesce=config.coalesce)
-            else:
-                gen = store.store(logical, held)
-            procs.append(
-                self.sim.process(gen, name=f"shardwrite:{name}:{logical}")
+        procs = [
+            self.sim.process(
+                self.nodes[name].ada.determinator.store(logical, held, config),
+                name=f"shardwrite:{name}:{logical}",
             )
+            for name, held in by_node.items()
+        ]
         if procs:
             yield AllOf(self.sim, procs)
 

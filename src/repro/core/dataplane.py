@@ -3,12 +3,12 @@
 :class:`~repro.core.middleware.ADA` (one node) and
 :class:`~repro.cluster.shard.ShardedADA` (N nodes behind a router) are
 the *same* middleware over different storage: both pick a precision
-tier, run the ingest skeleton (pre-process -> charge CPU -> record the
-label map -> write subsets -> invalidate derived cache entries ->
+tier, run the ingest skeleton (pre-process -> charge CPU -> write
+subsets -> record the label map or invalidate derived cache entries ->
 receipt) and serve whole-dataset reads under one degrade policy.
 :class:`DataPlane` holds that logic once.  A
 front supplies only the storage-facing steps -- ``_stored_tags``,
-``_write_subsets``, ``_read_subset``, ``_read_chunks``, ``_lookup_all``,
+``_store_subsets``, ``_read_subset``, ``_read_chunks``, ``_lookup_all``,
 ``_store_label``, ``_invalidate_derived``, ``_delete_stored``,
 ``_under_pressure``, ``_downgradable``, ``_charge_preprocess``,
 ``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
@@ -154,7 +154,8 @@ class DataPlane:
     ) -> Generator:
         """Process: pre-process and dispatch one materialized blob --
         with ``pdb_text`` a fresh dataset (structure analyzed, label map
-        recorded), without it a chunk appended under the existing map."""
+        recorded once the subsets have committed, so a failed ingest
+        leaves nothing), without it a chunk appended under the map."""
         fresh = pdb_text is not None
         if fresh:
             result = self.preprocessor.process(pdb_text, trajectory_blob)
@@ -163,10 +164,10 @@ class DataPlane:
             label_map = self.label_map(logical)
             result = self.preprocessor.process_chunk(label_map, trajectory_blob)
         yield from self._charge_preprocess(result.raw_nbytes)
+        yield from self._store_subsets(logical, result.subsets)
         if fresh:
             yield from self._store_label(logical, label_map)
-        yield from self._write_subsets(logical, result.subsets)
-        if not fresh:
+        else:
             # New chunks make every *derived* (assembled whole-subset)
             # cache entry stale; per-chunk blocks stay valid -- chunks are
             # immutable once written.
@@ -212,7 +213,7 @@ class DataPlane:
             raw_total[0] += result.raw_nbytes
             for tag, blob in result.subsets.items():
                 subset_sizes[tag] = subset_sizes.get(tag, 0) + len(blob)
-            return self._write_subsets(logical, result.subsets, config)
+            return self._store_subsets(logical, result.subsets, config)
 
         analyze_window = None
         if hook is not None:

@@ -13,10 +13,11 @@ from typing import Dict, Generator, Optional
 
 from repro.core.dispatcher import IODispatcher
 from repro.core.indexer import Indexer
+from repro.core.ingest import IngestPipelineConfig
 from repro.core.retriever import IORetriever
 from repro.core.tags import PlacementPolicy
 from repro.faults.retry import Retrier, RetryPolicy, RetryStats
-from repro.fs.base import StoredObject
+from repro.fs.base import Payload, StoredObject
 from repro.fs.cache import BlockCache
 from repro.fs.plfs import PLFS
 from repro.obs.metrics import MetricsRegistry
@@ -69,31 +70,35 @@ class IODeterminator:
 
     # -- write path ---------------------------------------------------------
 
-    def store(self, logical: str, subsets: Dict[str, bytes]) -> Generator:
-        """Process: dispatch materialized subsets to their backends."""
-        return self.dispatcher.dispatch(logical, subsets)
-
-    def store_sequential(
-        self, logical: str, subsets: Dict[str, bytes]
+    def store(
+        self,
+        logical: str,
+        subsets: Dict[str, Payload],
+        config: Optional[IngestPipelineConfig] = None,
     ) -> Generator:
-        """Process: dispatch subsets one at a time (serial-ingest baseline)."""
-        return self.dispatcher.dispatch_sequential(logical, subsets)
+        """Process: write one ingest's or stream window's subsets (bytes,
+        or int byte counts in the size-only mode); returns their index
+        records in sorted-tag order.
 
-    def store_run(
-        self, logical: str, subsets: Dict[str, bytes], coalesce: bool = True
-    ) -> Generator:
-        """Process: dispatch one window's subsets as one coalesced chunk
-        run per backend and one index append.
-
-        Tags go out in sorted order (the same chunk-claim order and index
-        lines as the serial baseline).
+        The write schedule of both data planes: one
+        :meth:`IODispatcher.dispatch_run`, coalesced unless
+        ``config.coalesce`` is off -- or, for the serial baseline
+        (``config.pipelined`` off), one uncoalesced ``dispatch_run`` per
+        chunk.  Tags go out sorted either way, so every schedule stores
+        the same chunk names and index lines.
         """
         entries = [(tag, subsets[tag]) for tag in sorted(subsets)]
-        return self.dispatcher.dispatch_run(logical, entries, coalesce=coalesce)
+        if config is not None and not config.pipelined:
+            runs, coalesce = [[entry] for entry in entries], False
+        else:
+            runs, coalesce = [entries], config is None or config.coalesce
+        records = []
+        for run in runs:
+            records += yield from self.dispatcher.dispatch_run(logical, run, coalesce)
+        return records
 
-    def store_virtual(self, logical: str, subset_sizes: Dict[str, int]) -> Generator:
-        """Process: dispatch size-only subsets (modeled mode)."""
-        return self.dispatcher.dispatch_virtual(logical, subset_sizes)
+    #: Alias kept because ``benchmarks/e2e/trace.py`` instruments this name.
+    store_run = store
 
     # -- read path -----------------------------------------------------------
 

@@ -12,12 +12,12 @@ backend instead of failing the ingest -- the dataset stays complete, just
 slower, and the spill is recorded for operators.  A subset that fits
 neither backend still raises ``StorageFullError``.
 
-The streaming ingest pipeline drives :meth:`dispatch_run`: one window's
-``(tag, data)`` entries arrive in deterministic tag order, each backend's
-entries are written as one coalesced chunk run (one metadata operation,
-one seek-amortized transfer -- the write-side mirror of the retriever's
-request coalescing), a ``StorageFullError`` spills that *whole* run to the
-inactive backend, and one index append commits the window.  Traffic
+Every write is one :meth:`IODispatcher.dispatch_run`: an ingest's (or
+stream window's) ``(tag, data)`` entries land as one coalesced chunk run
+per backend (one metadata operation, one seek-amortized transfer -- the
+write-side mirror of the retriever's request coalescing), the backends in
+parallel; a ``StorageFullError`` spills that *whole* run to the inactive
+backend, and one index append commits every run or none.  Traffic
 counters live in the shared :class:`MetricsRegistry`, so the write path
 shows up in the same Prometheus/JSON exports as the read path.
 """
@@ -29,6 +29,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.core.tags import PlacementPolicy
 from repro.errors import StorageFullError
 from repro.faults.retry import Retrier
+from repro.fs.base import Payload
 from repro.fs.plfs import PLFS, IndexRecord
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import span
@@ -96,46 +97,29 @@ class IODispatcher:
             self._bytes_counters[tag] = counter
         counter.inc(int(nbytes))
 
-    def dispatch(self, logical: str, subsets: Dict[str, bytes]) -> Generator:
-        """Process: write every subset to its backend, backends in parallel."""
-        return self._fan_out(logical, {t: (d, None) for t, d in subsets.items()})
-
-    def dispatch_sequential(
-        self, logical: str, subsets: Dict[str, bytes]
-    ) -> Generator:
-        """Process: write every subset one at a time, in tag order.
-
-        The serial-ingest baseline: same chunk numbering, index records
-        and index-log bytes as :meth:`dispatch_run` over the same subsets
-        (tags claim chunks in sorted order either way), but one
-        uncoalesced backend write -- and one index flush -- per chunk.
-        """
-        records = []
-        for tag in sorted(subsets):
-            record = yield from self._dispatch_one(logical, tag, subsets[tag], None)
-            records.append(record)
-        return records
-
     def dispatch_run(
         self,
         logical: str,
-        entries: List[Tuple[str, bytes]],
+        entries: List[Tuple[str, Payload]],
         coalesce: bool = True,
     ) -> Generator:
-        """Process: write one window's ``(tag, data)`` entries as one chunk
-        run per backend plus one index append.
+        """Process: write ``(tag, data)`` entries (``data`` bytes, or an
+        int byte count for a size-only chunk) as one chunk run per backend
+        plus one index append.
 
         Entries are grouped by the backend their tag places on (entry
-        order kept inside a group) and each group is written via
-        :meth:`PLFS.write_chunk_run` -- one span write when ``coalesce``
-        is set.  Groups go out one after another; each retries alone and
-        spills alone on ``StorageFullError``.  Then :meth:`PLFS.commit`
-        indexes the whole window, in ``entries`` order, with a single
-        retried append.  A group or append that fails for good (retries
-        exhausted, a permanent fault, no room on either tier) rolls the
-        window back: no record, no chunk object on any backend.  Counters
-        move only once the window is committed.  Returns the
-        :class:`IndexRecord` list in ``entries`` order.
+        order kept inside a group); each group is one
+        :meth:`PLFS.write_chunk_run` (one span write when ``coalesce`` is
+        set), run as its own process under one barrier, retried and
+        spilled alone.  Once every group has landed or failed, one that
+        failed for good (retries exhausted, a permanent fault, no room on
+        either tier) rolls the window back: no record, no chunk object on
+        any backend.  Otherwise :meth:`PLFS.commit` indexes the window, in
+        ``entries`` order, with a single retried append.  Abandoning the
+        dispatch (interrupt, ``close``) stops the groups still writing and
+        deletes what landed.  Counters move only once the window is
+        committed.  Returns the :class:`IndexRecord` list in ``entries``
+        order.
         """
         if not entries:
             return []
@@ -144,25 +128,38 @@ class IODispatcher:
             groups.setdefault(self.placement.backend_for(tag), []).append(
                 position
             )
-        records: List[Optional[IndexRecord]] = [None] * len(entries)
-        landed: List[Tuple[str, List[IndexRecord], Optional[str]]] = []
-        try:
-            for backend, positions in groups.items():
-                recs, spilled_to = yield from self._write_group(
+        procs = [
+            self.sim.process(
+                self._write_group(
                     logical, backend, [entries[i] for i in positions], coalesce
-                )
-                landed.append((backend, recs, spilled_to))
-                for position, rec in zip(positions, recs):
-                    records[position] = rec
+                ),
+                name=f"dispatch:{logical}@{backend}",
+            )
+            for backend, positions in groups.items()
+        ]
+        try:
+            outcomes = yield AllOf(self.sim, procs)
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    raise outcome
         except BaseException:
-            self.plfs.discard(rec for _, recs, _ in landed for rec in recs)
+            for proc in procs:
+                proc.interrupt("window rolled back")  # no-op once finished
+            self.plfs.discard(
+                rec for proc in procs if isinstance(proc.value, tuple)
+                for rec in proc.value[0]
+            )
             raise
+        records: List[Optional[IndexRecord]] = [None] * len(entries)
+        for positions, (recs, _spilled_to) in zip(groups.values(), outcomes):
+            for position, rec in zip(positions, recs):
+                records[position] = rec
         yield from self.plfs.commit(
             logical, records,
             retry=lambda op: self.retrier.call(op, key=f"index:{logical}"),
         )
         counters = self._metric_fields
-        for backend, recs, spilled_to in landed:
+        for backend, (recs, spilled_to) in zip(groups, outcomes):
             if spilled_to is not None:
                 for tag in sorted({rec.tag for rec in recs}):
                     self.spills.append((logical, tag, backend, spilled_to))
@@ -176,73 +173,25 @@ class IODispatcher:
             self._count_bytes(rec.tag, rec.nbytes)
         return records
 
-    def dispatch_virtual(
-        self, logical: str, subset_sizes: Dict[str, int]
-    ) -> Generator:
-        """Process: dispatch size-only subsets (paper-scale modeled mode)."""
-        return self._fan_out(logical, {t: (None, n) for t, n in subset_sizes.items()})
-
-    def _fan_out(self, logical: str, subsets: Dict[str, tuple]) -> Generator:
-        """Process: ``_dispatch_one`` each ``tag: (data, nbytes)`` in parallel."""
-        procs = [
-            self.sim.process(
-                self._dispatch_one(logical, tag, data=data, nbytes=nbytes),
-                name=f"dispatch:{logical}#{tag}",
-            )
-            for tag, (data, nbytes) in sorted(subsets.items())
-        ]
-        records = yield AllOf(self.sim, procs)
-        return records
+    #: Alias kept because ``benchmarks/e2e/trace.py`` instruments this name.
+    dispatch = dispatch_run
 
     def backend_for(self, tag: str) -> str:
         return self.placement.backend_for(tag)
-
-    def _fallback_for(self, preferred: str) -> Optional[str]:
-        if preferred != self.placement.inactive_backend:
-            return self.placement.inactive_backend
-        return None
-
-    def _dispatch_one(
-        self,
-        logical: str,
-        tag: str,
-        data: Optional[bytes],
-        nbytes: Optional[int],
-    ) -> Generator:
-        preferred = self.placement.backend_for(tag)
-        fallback = self._fallback_for(preferred)
-
-        def write(backend: str, kind: str) -> Generator:
-            return self.retrier.call(
-                lambda: self.plfs.write_subset(
-                    logical, tag, backend=backend, data=data, nbytes=nbytes
-                ),
-                key=f"{kind}:{logical}#{tag}",
-            )
-
-        try:
-            record: IndexRecord = yield from write(preferred, "write")
-        except StorageFullError:
-            if fallback is None:
-                raise
-            record = yield from write(fallback, "spill")
-            self.spills.append((logical, tag, preferred, fallback))
-            self._metric_fields["spill_count"].inc()
-        self._metric_fields["writes"].inc()
-        self._count_bytes(record.tag, record.nbytes)
-        return record
 
     def _write_group(
         self,
         logical: str,
         preferred: str,
-        entries: List[Tuple[str, bytes]],
+        entries: List[Tuple[str, Payload]],
         coalesce: bool,
     ) -> Generator:
         """Process: one retried, spillable chunk run of a window's backend
         group; returns ``(records, spilled_to)`` (``None`` when it landed
-        on ``preferred``)."""
-        fallback = self._fallback_for(preferred)
+        on ``preferred``) -- or the exception it failed with, so the
+        window's barrier waits for every group before rolling back."""
+        inactive = self.placement.inactive_backend
+        fallback = inactive if preferred != inactive else None
         first, last = entries[0][0], entries[-1][0]
         tag_span = first if last == first else f"{first}-{last}"
         do_coalesce = coalesce and len(entries) > 1
@@ -255,17 +204,20 @@ class IODispatcher:
                 key=f"{kind}:{logical}#{tag_span}:{len(entries)}",
             )
 
-        with span(
-            self.sim, "dispatcher.write_run",
-            logical=logical, tags=tag_span, chunks=len(entries),
-            backend=preferred, coalesced=do_coalesce,
-        ) as sp:
-            try:
-                recs: List[IndexRecord] = yield from write(preferred, "write")
-            except StorageFullError:
-                if fallback is None:
-                    raise
-                recs = yield from write(fallback, "spill")
-                sp.tag(spilled_to=fallback)
-                return recs, fallback
-        return recs, None
+        try:
+            with span(
+                self.sim, "dispatcher.write_run",
+                logical=logical, tags=tag_span, chunks=len(entries),
+                backend=preferred, coalesced=do_coalesce,
+            ) as sp:
+                try:
+                    recs: List[IndexRecord] = yield from write(preferred, "write")
+                except StorageFullError:
+                    if fallback is None:
+                        raise
+                    recs = yield from write(fallback, "spill")
+                    sp.tag(spilled_to=fallback)
+                    return recs, fallback
+            return recs, None
+        except Exception as exc:  # dispatch_run re-raises it
+            return exc

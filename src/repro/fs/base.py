@@ -15,14 +15,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple, Union
 
 from repro.errors import StorageFullError
 from repro.faults.plan import FaultDecision, FaultPlan, raise_fault
 from repro.fs.memfs import ObjectStore
 from repro.sim import Simulator
 
-__all__ = ["FileSystem", "StoredObject"]
+__all__ = ["FileSystem", "Payload", "StoredObject"]
+
+#: What a span write stores per object: its bytes, or -- for a size-only
+#: (virtual) object of the paper-scale mode -- just its byte count.
+Payload = Union[bytes, int]
 
 
 @dataclass(frozen=True)
@@ -104,15 +108,15 @@ class FileSystem(ABC):
 
     def write_span(
         self,
-        items: List[Tuple[str, bytes]],
-        request_size: Optional[int] = None,
+        items: List[Tuple[str, Payload]],
         label: str = "write",
         chain: bool = False,
     ) -> Generator:
         """Process: persist several objects as one coalesced span.
 
         The write-side mirror of :meth:`read_span`: ``items`` is a list of
-        ``(path, data)`` pairs bound for this backend.  The base
+        ``(path, data)`` pairs bound for this backend, ``data`` the bytes
+        or, for a size-only (virtual) object, its byte count.  The base
         implementation writes each object in turn; single-device backends
         override it to charge one metadata operation and one
         seek-amortized transfer for the span's total size (and honour
@@ -124,10 +128,9 @@ class FileSystem(ABC):
         """
         objs: List[StoredObject] = []
         try:
-            for path, data in items:
-                obj = yield from self.write(
-                    path, data=data, request_size=request_size, label=label
-                )
+            for path, payload in items:
+                data, nbytes = self._payload(payload)
+                obj = yield from self.write(path, data=data, nbytes=nbytes, label=label)
                 objs.append(obj)
         except BaseException:
             for obj in objs:
@@ -262,6 +265,14 @@ class FileSystem(ABC):
         if nbytes is None:
             raise ValueError("write needs data or nbytes")
         return int(nbytes)
+
+    @staticmethod
+    def _payload(payload: Payload) -> Tuple[Optional[bytes], int]:
+        """``(data, nbytes)`` of a span item's payload: the bytes, or no
+        bytes and the count of a size-only object."""
+        if isinstance(payload, int):
+            return None, payload
+        return payload, len(payload)
 
     @staticmethod
     def _request_count(nbytes: int, request_size: Optional[int]) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.errors import FaultError, FileNotFoundInFSError
+from repro.errors import FileNotFoundInFSError
 from repro.fs.base import FileSystem, StoredObject
 from repro.obs.trace import span
 from repro.sim import Simulator
@@ -66,14 +66,14 @@ class LocalFS(FileSystem):
     ) -> Generator:
         """Process: reserve ``size`` bytes, then pay one metadata operation
         and the device transfer.  Nothing is stored yet; a device-level
-        injected failure releases the reservation so a retried write does
-        not leak capacity."""
+        injected failure (or an abandoned write) releases the reservation
+        so a retried write does not leak capacity."""
         self._reserve(0, size)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
             requests = self._request_count(size, request_size)
             yield from self.device.write(size, requests, label, chain)
-        except FaultError:
+        except BaseException:
             self._release(0, size)
             raise
 
@@ -136,11 +136,7 @@ class LocalFS(FileSystem):
             return objs
 
     def write_span(
-        self,
-        items,
-        request_size: Optional[int] = None,
-        label: str = "write",
-        chain: bool = False,
+        self, items, label: str = "write", chain: bool = False
     ) -> Generator:
         """Process: coalesced write of several objects to the one device.
 
@@ -159,10 +155,11 @@ class LocalFS(FileSystem):
             fs=self.name, paths=len(items), first=items[0][0],
         ):
             yield from self._fault_gate("write", items[0][0])
-            sizes = [self._payload_size(data, None) for _, data in items]
-            yield from self._device_write(sum(sizes), request_size, label, chain)
+            payloads = [self._payload(payload) for _, payload in items]
+            total = sum(size for _, size in payloads)
+            yield from self._device_write(total, None, label, chain)
             objs = []
-            for (path, data), size in zip(items, sizes):
+            for (path, _), (data, size) in zip(items, payloads):
                 self._release_replaced(path)
                 self.store.put(path, data=data, nbytes=size)
                 self.bytes_written += size

@@ -23,7 +23,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Set
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -31,7 +31,7 @@ from repro.errors import (
     CorruptionError,
     TagNotFoundError,
 )
-from repro.fs.base import FileSystem, StoredObject
+from repro.fs.base import FileSystem, Payload, StoredObject
 from repro.sim import AllOf, Simulator
 
 __all__ = ["PLFS", "IndexRecord"]
@@ -254,38 +254,6 @@ class PLFS:
 
     # -- DES processes ------------------------------------------------------------
 
-    def write_subset(
-        self,
-        logical: str,
-        tag: str,
-        backend: str,
-        data: Optional[bytes] = None,
-        nbytes: Optional[int] = None,
-        request_size: Optional[int] = None,
-    ) -> Generator:
-        """Process: append one subset chunk to a container."""
-        if backend not in self.backends:
-            raise ConfigurationError(f"unknown backend {backend!r}")
-        self._adopt(logical)
-        # The index record is registered only *after* the backend write
-        # succeeds, so a failed dispatch leaves no dangling index entry.
-        chunk = self._claim_chunk(logical, tag)
-        path = self.chunk_path(logical, tag, chunk)
-        size = FileSystem._payload_size(data, nbytes)
-        yield from self.backends[backend].write(
-            path, data=data, nbytes=size, request_size=request_size, label="plfs"
-        )
-        record = IndexRecord(
-            tag=tag,
-            backend=backend,
-            path=path,
-            nbytes=size,
-            chunk=chunk,
-            crc=zlib.crc32(data) if data is not None else -1,
-        )
-        yield from self.commit(logical, [record])
-        return record
-
     def verify_chunk(self, record: IndexRecord, obj: StoredObject) -> None:
         """Check one chunk's bytes against its index record.
 
@@ -348,19 +316,19 @@ class PLFS:
     def write_chunk_run(
         self,
         logical: str,
-        entries: List[tuple],
+        entries: List[Tuple[str, Payload]],
         backend: str,
-        request_size: Optional[int] = None,
         coalesce: bool = True,
     ) -> Generator:
         """Process: land one *run* of chunks on a single backend.
 
         The write-side mirror of :meth:`read_chunk_run`: ``entries`` is a
-        list of ``(tag, data)`` pairs.  With ``coalesce`` the run reaches
-        the backend as one span write -- one metadata operation, one
-        seek-amortized transfer -- instead of one request per chunk.  Each
-        chunk keeps its own index record and CRC-32, so tag-selective
-        reads and per-chunk verification are unchanged.
+        list of ``(tag, data)`` pairs, ``data`` bytes or a size-only
+        chunk's byte count.  With ``coalesce`` the run reaches the backend
+        as one span write -- one metadata operation, one seek-amortized
+        transfer -- instead of one request per chunk.  Each chunk keeps its
+        own index record and CRC-32, so tag-selective reads and per-chunk
+        verification are unchanged.
 
         The run is *not indexed*: a window lands one run per backend and
         then :meth:`commit` indexes all of them with one log append; a run
@@ -378,14 +346,15 @@ class PLFS:
             return []
         self._adopt(logical)
         records = []
-        for tag, data in entries:
+        for tag, payload in entries:
+            data, nbytes = FileSystem._payload(payload)
             chunk = self._claim_chunk(logical, tag)
             records.append(IndexRecord(
                 tag=tag, backend=backend,
-                path=self.chunk_path(logical, tag, chunk),
-                nbytes=len(data), chunk=chunk, crc=zlib.crc32(data),
+                path=self.chunk_path(logical, tag, chunk), nbytes=nbytes,
+                chunk=chunk, crc=zlib.crc32(data) if data is not None else -1,
             ))
-        items = [(r.path, data) for r, (_tag, data) in zip(records, entries)]
+        items = [(r.path, payload) for r, (_tag, payload) in zip(records, entries)]
         backend_fs = self.backends[backend]
         # Uncoalesced, the base class's span is one device write per chunk
         # (and deletes its stored prefix when one fails); one chunk is one
@@ -393,8 +362,9 @@ class PLFS:
         write_span = backend_fs.write_span if coalesce or len(items) == 1 else (
             partial(FileSystem.write_span, backend_fs)
         )
-        yield from write_span(items, request_size=request_size, label="plfs",
-                              chain=backend == self.metadata_backend)
+        yield from write_span(
+            items, label="plfs", chain=backend == self.metadata_backend
+        )
         return records
 
     def read_subset(

@@ -22,7 +22,6 @@ from typing import Generator, List, Optional
 
 from repro.errors import (
     ConfigurationError,
-    FaultError,
     FileNotFoundInFSError,
     StorageFullError,
 )
@@ -140,8 +139,9 @@ class PVFS(FileSystem):
     ) -> Generator:
         """Process: reserve and write bytes ``[start, start + nbytes)`` of
         an object on the targets they stripe onto.  Nothing is stored
-        yet; a target-level injected failure releases every stripe
-        reservation so a retried write starts from a clean slate."""
+        yet; a target-level injected failure (or an abandoned write)
+        releases every stripe reservation so a retried write starts from
+        a clean slate."""
         self._reserve(start, nbytes)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
@@ -155,7 +155,7 @@ class PVFS(FileSystem):
             ]
             if procs:
                 yield AllOf(self.sim, procs)
-        except FaultError:
+        except BaseException:
             self._release(start, nbytes)
             raise
 

@@ -64,7 +64,7 @@ def test_fetch_all_returns_every_tag(setup):
 def test_store_virtual_and_metadata(setup):
     sim, _, det = setup
     sim.run_process(
-        det.store_virtual("big.xtc", {"p": int(4 * GB), "m": int(6 * GB)})
+        det.store("big.xtc", {"p": int(4 * GB), "m": int(6 * GB)})
     )
     assert det.subset_nbytes("big.xtc", "p") == int(4 * GB)
     assert det.container_nbytes("big.xtc") == int(10 * GB)
@@ -91,7 +91,7 @@ def test_parallel_subset_fetch_overlaps(setup):
     """fetch_all completes in ~max(subset times), not their sum."""
     sim, _, det = setup
     sim.run_process(
-        det.store_virtual(
+        det.store(
             "big.xtc", {"p": int(300 * MB), "m": int(126 * MB)}
         )
     )

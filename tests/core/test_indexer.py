@@ -7,6 +7,7 @@ from repro.errors import TagNotFoundError
 from repro.fs import LocalFS, PLFS
 from repro.sim import Simulator
 from repro.storage import NVME_SSD_256GB, WD_1TB_HDD
+from tests.fs.plfs_writes import commit_run
 
 
 @pytest.fixture
@@ -19,9 +20,9 @@ def setup():
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
     )
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", nbytes=100))
-    sim.run_process(plfs.write_subset("bar", "m", backend="hdd", nbytes=300))
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", nbytes=50))
+    sim.run_process(commit_run(plfs, "bar", [("p", 100)], "ssd"))
+    sim.run_process(commit_run(plfs, "bar", [("m", 300)], "hdd"))
+    sim.run_process(commit_run(plfs, "bar", [("p", 50)], "ssd"))
     return sim, Indexer(sim, plfs, lookup_latency_s=0.002)
 
 

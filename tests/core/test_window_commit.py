@@ -1,15 +1,19 @@
-"""A stream window lands as one span per backend plus one index append.
+"""Every ingest lands as one span per backend plus one index append.
 
-The write schedule under test: ``IODispatcher.dispatch_run`` groups a
-window's tags by the backend they place on -- not by consecutive runs, which
-with ``lod:`` siblings interleave ``hdd, ssd, hdd, ssd`` and never merged --
-and ``PLFS.commit`` indexes the whole window with a single log append.
-Counted, not timed: ``device_ops_total{op="write"}`` per device for one
-appended window, and the devices' ``plfs-index`` busy intervals.
+The write schedule under test: ``IODispatcher.dispatch_run`` -- the one
+write path of ``ingest``, ``ingest_append``, ``ingest_virtual`` and every
+``ingest_stream`` window -- groups the tags by the backend they place on
+(not by consecutive runs, which with ``lod:`` siblings interleave ``hdd,
+ssd, hdd, ssd`` and never merged), writes the groups in parallel, and
+``PLFS.commit`` indexes the lot with a single log append.  Counted, not
+timed: ``device_ops_total{op="write"}`` per device for one appended
+window, and the devices' ``plfs-index`` busy intervals.
 
 The failure contract rides along: the index append retries alone (no data
 span is rewritten), an exhausted retry leaves nothing of the window behind
-and burns its chunk names, and a full SSD spills only the SSD group.
+and burns its chunk names, a group that fails waits for the others and
+rolls them back, an abandoned dispatch leaves no chunk and no capacity
+reservation, and a full SSD spills only the SSD group.
 """
 
 import pytest
@@ -21,9 +25,9 @@ from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.formats.xtc import encode_xtc
 from repro.fs import PLFS, LocalFS
 from repro.obs.metrics import MetricsRegistry
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.storage import DevicePower, DeviceSpec
-from repro.units import GB, mbps
+from repro.units import GB, MB, mbps
 from repro.workloads import build_workload
 
 LOGICAL = "window.xtc"
@@ -31,16 +35,25 @@ CONFIG = IngestPipelineConfig(window_frames=8)
 WINDOW_TAGS = ["lod:m", "lod:p", "m", "p"]
 
 
-def _fs(sim, name, capacity=100 * GB):
+def _fs(sim, name, capacity=100 * GB, bw=1000):
     spec = DeviceSpec(
         name=name,
-        read_bw=mbps(1000),
-        write_bw=mbps(1000),
+        read_bw=mbps(bw),
+        write_bw=mbps(bw),
         seek_latency_s=8e-3,
         capacity=capacity,
         power=DevicePower(active_w=5.0, idle_w=1.0),
     )
     return LocalFS(sim, spec, name=name)
+
+
+def _two_tier_ada(sim, ssd_bw=1000, hdd_bw=1000):
+    """SSD + HDD; PLFS keeps its index on ``hdd`` (it sorts first)."""
+    return ADA(
+        sim,
+        backends={"ssd": _fs(sim, "ssd", bw=ssd_bw), "hdd": _fs(sim, "hdd", bw=hdd_bw)},
+        lod_precision=12.5,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +102,7 @@ def _index_appends(fs):
 
 def test_two_tier_window_is_one_span_per_backend_plus_one_append(stream):
     sim = Simulator()
-    ada = ADA(
-        sim, backends={"ssd": _fs(sim, "ssd"), "hdd": _fs(sim, "hdd")},
-        lod_precision=12.5,
-    )
+    ada = _two_tier_ada(sim)
     writes = _appended_window(ada, stream, ["ssd", "hdd"])
     # The tags interleave across tiers in sorted order...
     assert ada.all_tags(LOGICAL) == WINDOW_TAGS
@@ -107,6 +117,57 @@ def test_two_tier_window_is_one_span_per_backend_plus_one_append(stream):
     value = ada.metrics.value
     assert value("dispatcher_coalesced_runs_total") == 2 * 2
     assert value("dispatcher_requests_saved_total") == 2 * 2
+
+
+def _schedule_writes(ada):
+    """Device writes per backend that carry chunks or index lines (the
+    label file of a fresh dataset is not part of the write schedule)."""
+    return {
+        name: sum(label.startswith("plfs") for *_, label in fs.device.busy.intervals)
+        for name, fs in ada.plfs.backends.items()
+    }
+
+
+@pytest.mark.parametrize("entry", ["ingest", "ingest_append", "ingest_virtual"])
+def test_every_ingest_entry_point_lands_as_one_span_per_backend(stream, entry):
+    """The monolithic and size-only ingests take the window's write path:
+    four tags on two tiers cost 1 SSD + 2 HDD writes (one commit per tag
+    cost 2 + 6)."""
+    pdb_text, first, second = stream
+    sim = Simulator()
+    ada = _two_tier_ada(sim)
+    if entry == "ingest_append":
+        sim.run_process(ada.ingest(LOGICAL, pdb_text, first))
+    before = _schedule_writes(ada)
+    if entry == "ingest":
+        sim.run_process(ada.ingest(LOGICAL, pdb_text, first))
+    elif entry == "ingest_append":
+        sim.run_process(ada.ingest_append(LOGICAL, second))
+    else:
+        sim.run_process(ada.ingest_virtual(
+            LOGICAL, ada.preprocessor.analyze_structure(pdb_text),
+            {tag: 4096 for tag in WINDOW_TAGS}, compressed_nbytes=4096,
+        ))
+    after = _schedule_writes(ada)
+    assert {d: after[d] - before[d] for d in after} == {"ssd": 1, "hdd": 2}
+    assert ada.all_tags(LOGICAL) == WINDOW_TAGS
+
+
+def test_size_only_store_overlaps_the_tiers():
+    """The tiers write at once: a size-only store takes the slower tier's
+    span plus the index append, not the sum of the spans (the write-side
+    twin of ``test_parallel_subset_fetch_overlaps``)."""
+    sim = Simulator()
+    ada = _two_tier_ada(sim, ssd_bw=1000, hdd_bw=100)
+    sizes = {"p": int(400 * MB), "m": int(100 * MB)}
+    ssd_s = ada.plfs.backends["ssd"].device.spec.write_time(sizes["p"])
+    hdd_s = ada.plfs.backends["hdd"].device.spec.write_time(sizes["m"])
+    sim.run_process(ada.determinator.store(LOGICAL, sizes))
+    # The HDD span, then one small append on the same disk; the SSD's
+    # 0.4 s hides inside the HDD's 1 s.
+    assert hdd_s < sim.now < hdd_s + 0.01 < hdd_s + ssd_s
+    assert ada.plfs.container_nbytes(LOGICAL) == sum(sizes.values())
+    assert _index_appends(ada.plfs.backends["hdd"]) == 1
 
 
 def test_single_backend_window_is_one_span_plus_one_append(stream):
@@ -282,11 +343,81 @@ def test_exhausted_span_rolls_back_the_group_that_landed(stream):
     FaultPlan(seed=0, sites={"fs:ssd": FaultSpec(transient_rate=1.0)}).attach(ssd)
     with pytest.raises(FaultError):
         _ingest(ada, second)
-    # The HDD group went out first and landed; the SSD group's exhausted
-    # retry deleted it again.
+    # The HDD group landed; the SSD group's exhausted retry deleted it again.
     assert _writes(ada.metrics, ["hdd"])["hdd"] == before + 1
     assert ada.plfs.container_index(LOGICAL) == index
     assert _objects(ada) == stored
+    _assert_consistent(ada)
+
+
+def _used(ada):
+    return {name: fs.device.used_bytes for name, fs in ada.plfs.backends.items()}
+
+
+def test_a_failed_group_waits_for_the_group_still_in_flight(stream):
+    """The SSD group gives up while the HDD group is still writing: the
+    window fails only once the HDD span has landed, and deletes it."""
+    pdb_text, first, second = stream
+    sim = Simulator()
+    ada = _three_disk_ada(sim, max_retries=1)
+    _ingest(ada, first, pdb_text)
+    index, stored, used = ada.plfs.container_index(LOGICAL), _objects(ada), _used(ada)
+    ssd, hdd = ada.plfs.backends["ssd"], ada.plfs.backends["hdd"]
+    FaultPlan(seed=0, sites={"fs:ssd": FaultSpec(transient_rate=1.0)}).attach(ssd)
+    failed_at = []
+
+    def window():
+        try:
+            yield from ada.ingest_stream(LOGICAL, second, config=CONFIG)
+        except FaultError:
+            failed_at.append(sim.now)
+
+    spans = len(hdd.device.busy.intervals)
+    sim.process(window())
+    sim.run(until=sim.now + 4e-3)
+    # The SSD group is exhausted; the HDD span is still paying its seek.
+    assert ada.metrics.value("retry_exhausted_total") == 1
+    assert len(hdd.device.busy.intervals) == spans and not failed_at
+    sim.run()
+    landed = hdd.device.busy.intervals[spans][1]
+    assert failed_at and failed_at[0] >= landed
+    # Nothing of the window is left on any backend, and no capacity.
+    assert ada.plfs.container_index(LOGICAL) == index
+    assert _objects(ada) == stored and _used(ada) == used
+    _assert_consistent(ada)
+
+
+def test_an_interrupted_dispatch_leaves_no_chunk_and_no_reservation(stream):
+    """The dispatching process is interrupted (abandoned) while both
+    groups are in flight: the groups stop, nothing lands, and every
+    capacity reservation and device slot is given back."""
+    pdb_text, first, _second = stream
+    sim = Simulator()
+    ada = _two_tier_ada(sim)
+    _ingest(ada, first, pdb_text)
+    index, stored, used = ada.plfs.container_index(LOGICAL), _objects(ada), _used(ada)
+    subsets = {tag: bytes(4096) for tag in WINDOW_TAGS}
+    dispatch = sim.process(ada.determinator.store(LOGICAL, subsets))
+    interrupted = []
+
+    def client():
+        try:
+            yield dispatch
+        except Interrupt:
+            interrupted.append(sim.now)
+
+    sim.process(client())
+    sim.run(until=sim.now + 4e-3)
+    # Both spans are in their 8 ms seek, their capacity reserved.
+    devices = [fs.device for fs in ada.plfs.backends.values()]
+    assert all(d.resource.in_use for d in devices)
+    assert all(_used(ada)[name] > used[name] for name in used)
+    dispatch.interrupt("client went away")
+    sim.run()
+    assert interrupted
+    assert not any(d.resource.in_use for d in devices)
+    assert ada.plfs.container_index(LOGICAL) == index
+    assert _objects(ada) == stored and _used(ada) == used
     _assert_consistent(ada)
 
 

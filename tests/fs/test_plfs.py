@@ -7,6 +7,7 @@ from repro.fs import PLFS, LocalFS
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
 from repro.units import GB, MB, mbps
+from tests.fs.plfs_writes import commit_run
 
 
 def _fs(sim, name, read=100.0):
@@ -46,8 +47,8 @@ def test_unknown_metadata_backend_rejected():
 def test_write_subset_places_on_named_backend():
     sim = Simulator()
     plfs = _plfs(sim)
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", data=b"protein"))
-    sim.run_process(plfs.write_subset("bar", "m", backend="hdd", data=b"misc!"))
+    sim.run_process(commit_run(plfs, "bar", [("p", b"protein")], "ssd"))
+    sim.run_process(commit_run(plfs, "bar", [("m", b"misc!")], "hdd"))
     assert plfs.backends["ssd"].exists("bar.plfs/subset.p/data.0")
     assert plfs.backends["hdd"].exists("bar.plfs/subset.m/data.0")
     # Paper Fig. 6: containers carry per-mount directories + subdirs.
@@ -58,13 +59,13 @@ def test_unknown_backend_rejected():
     sim = Simulator()
     plfs = _plfs(sim)
     with pytest.raises(ConfigurationError):
-        sim.run_process(plfs.write_subset("bar", "p", backend="nvme", data=b"x"))
+        sim.run_process(commit_run(plfs, "bar", [("p", b"x")], "nvme"))
 
 
 def test_read_subset_roundtrip():
     sim = Simulator()
     plfs = _plfs(sim)
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", data=b"abc"))
+    sim.run_process(commit_run(plfs, "bar", [("p", b"abc")], "ssd"))
     obj = sim.run_process(plfs.read_subset("bar", "p"))
     assert obj.data == b"abc"
     assert obj.nbytes == 3
@@ -74,7 +75,7 @@ def test_multi_chunk_subset_concatenates_in_order():
     sim = Simulator()
     plfs = _plfs(sim)
     for part in (b"one-", b"two-", b"three"):
-        sim.run_process(plfs.write_subset("bar", "p", backend="ssd", data=part))
+        sim.run_process(commit_run(plfs, "bar", [("p", part)], "ssd"))
     obj = sim.run_process(plfs.read_subset("bar", "p"))
     assert obj.data == b"one-two-three"
     records = plfs.subset_records("bar", "p")
@@ -84,7 +85,7 @@ def test_multi_chunk_subset_concatenates_in_order():
 def test_missing_tag_raises_with_available_tags():
     sim = Simulator()
     plfs = _plfs(sim)
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", data=b"x"))
+    sim.run_process(commit_run(plfs, "bar", [("p", b"x")], "ssd"))
     with pytest.raises(TagNotFoundError, match="'p'"):
         sim.run_process(plfs.read_subset("bar", "z"))
 
@@ -100,8 +101,8 @@ def test_index_survives_cache_loss():
     """The index is durable on the metadata backend, not just in memory."""
     sim = Simulator()
     plfs = _plfs(sim)
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", data=b"x"))
-    sim.run_process(plfs.write_subset("bar", "m", backend="hdd", data=b"yy"))
+    sim.run_process(commit_run(plfs, "bar", [("p", b"x")], "ssd"))
+    sim.run_process(commit_run(plfs, "bar", [("m", b"yy")], "hdd"))
     plfs._indexes.clear()  # simulate a fresh PLFS client
     assert plfs.tags("bar") == ["m", "p"]
     assert plfs.subset_nbytes("bar", "m") == 2
@@ -110,7 +111,7 @@ def test_index_survives_cache_loss():
 def test_corrupt_index_raises():
     sim = Simulator()
     plfs = _plfs(sim)
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", data=b"x"))
+    sim.run_process(commit_run(plfs, "bar", [("p", b"x")], "ssd"))
     plfs._indexes.clear()
     plfs.backends["ssd"].store.put("bar.plfs/index", data=b"not json")
     with pytest.raises(ContainerError, match="corrupt"):
@@ -121,8 +122,8 @@ def test_container_nbytes_and_exists():
     sim = Simulator()
     plfs = _plfs(sim)
     assert not plfs.exists("bar")
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", nbytes=100))
-    sim.run_process(plfs.write_subset("bar", "m", backend="hdd", nbytes=300))
+    sim.run_process(commit_run(plfs, "bar", [("p", 100)], "ssd"))
+    sim.run_process(commit_run(plfs, "bar", [("m", 300)], "hdd"))
     assert plfs.exists("bar")
     assert plfs.container_nbytes("bar") == 400
     assert plfs.subset_nbytes("bar", "p") == 100
@@ -131,8 +132,8 @@ def test_container_nbytes_and_exists():
 def test_read_container_returns_all_tags():
     sim = Simulator()
     plfs = _plfs(sim)
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", data=b"pp"))
-    sim.run_process(plfs.write_subset("bar", "m", backend="hdd", data=b"mmm"))
+    sim.run_process(commit_run(plfs, "bar", [("p", b"pp")], "ssd"))
+    sim.run_process(commit_run(plfs, "bar", [("m", b"mmm")], "hdd"))
     objs = sim.run_process(plfs.read_container("bar"))
     assert objs["p"].data == b"pp"
     assert objs["m"].nbytes == 3
@@ -144,10 +145,10 @@ def test_subset_reads_hit_only_their_backend():
     sim = Simulator()
     plfs = _plfs(sim)
     sim.run_process(
-        plfs.write_subset("bar", "p", backend="ssd", nbytes=int(10 * MB))
+        commit_run(plfs, "bar", [("p", int(10 * MB))], "ssd")
     )
     sim.run_process(
-        plfs.write_subset("bar", "m", backend="hdd", nbytes=int(10 * MB))
+        commit_run(plfs, "bar", [("m", int(10 * MB))], "hdd")
     )
     hdd_before = plfs.backends["hdd"].device.busy.busy_time("plfs")
     sim.run_process(plfs.read_subset("bar", "p"))
@@ -159,10 +160,10 @@ def test_parallel_subset_read_overlaps_backends():
     sim = Simulator()
     plfs = _plfs(sim, ssd_speed=1000.0, hdd_speed=100.0)
     sim.run_process(
-        plfs.write_subset("bar", "p", backend="ssd", nbytes=int(100 * MB))
+        commit_run(plfs, "bar", [("p", int(100 * MB))], "ssd")
     )
     sim.run_process(
-        plfs.write_subset("bar", "m", backend="hdd", nbytes=int(100 * MB))
+        commit_run(plfs, "bar", [("m", int(100 * MB))], "hdd")
     )
     t0 = sim.now
     sim.run_process(plfs.read_container("bar"))
@@ -173,7 +174,7 @@ def test_parallel_subset_read_overlaps_backends():
 def test_virtual_subsets_flow_through():
     sim = Simulator()
     plfs = _plfs(sim)
-    sim.run_process(plfs.write_subset("bar", "p", backend="ssd", nbytes=10**9))
+    sim.run_process(commit_run(plfs, "bar", [("p", 10**9)], "ssd"))
     obj = sim.run_process(plfs.read_subset("bar", "p"))
     assert obj.is_virtual
     assert obj.nbytes == 10**9
@@ -189,7 +190,7 @@ def _gappy(sim, stored=(0, 1, 2, 5, 6, 9)):
     for chunk in range(max(stored) + 1):
         if chunk in stored:
             sim.run_process(
-                plfs.write_subset("bar", "p", backend="ssd", data=b"x" * (chunk + 1))
+                commit_run(plfs, "bar", [("p", b"x" * (chunk + 1))], "ssd")
             )
         else:
             plfs._claim_chunk("bar", "p")

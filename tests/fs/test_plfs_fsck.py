@@ -5,6 +5,7 @@ import pytest
 from repro.fs import LocalFS, PLFS
 from repro.sim import Simulator
 from repro.storage import NVME_SSD_256GB, WD_1TB_HDD
+from tests.fs.plfs_writes import commit_run
 
 
 @pytest.fixture
@@ -17,9 +18,9 @@ def plfs():
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
     )
-    sim.run_process(fs.write_subset("bar", "p", backend="ssd", data=b"pppp"))
-    sim.run_process(fs.write_subset("bar", "m", backend="hdd", data=b"mm"))
-    sim.run_process(fs.write_subset("baz", "p", backend="ssd", data=b"x"))
+    sim.run_process(commit_run(fs, "bar", [("p", b"pppp")], "ssd"))
+    sim.run_process(commit_run(fs, "bar", [("m", b"mm")], "hdd"))
+    sim.run_process(commit_run(fs, "baz", [("p", b"x")], "ssd"))
     return sim, fs
 
 

@@ -20,6 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.storage import Device, DevicePower, DeviceSpec
 from repro.units import GB, mbps
+from tests.fs.plfs_writes import commit_run
 
 LOGICAL = "bar.xtc"
 INDEX = PLFS.index_path(LOGICAL)
@@ -66,13 +67,6 @@ def _fresh(plfs):
     return PLFS(plfs.sim, plfs.backends, metadata_backend="meta")
 
 
-def _write_run(plfs, entries, backend):
-    """Process: land one chunk run, then commit it with one index append."""
-    records = yield from plfs.write_chunk_run(LOGICAL, entries, backend=backend)
-    yield from plfs.commit(LOGICAL, records)
-    return records
-
-
 def _used(fs):
     if isinstance(fs, PVFS):
         return [t.device.used_bytes for t in fs.targets]
@@ -92,7 +86,7 @@ def test_kth_flush_bytes_do_not_grow_with_the_container():
         before, log_before = written.value, (
             meta.nbytes(INDEX) if meta.exists(INDEX) else 0
         )
-        sim.run_process(_write_run(plfs, run, backend="hdd"))
+        sim.run_process(commit_run(plfs, LOGICAL, run, backend="hdd"))
         per_flush.append(written.value - before)
         # The device moved exactly the run's own log lines.
         assert per_flush[-1] == meta.nbytes(INDEX) - log_before
@@ -116,17 +110,17 @@ def test_cold_replay_matches_warm_index_after_concurrent_writers():
 
     def runs():
         for _ in range(4):
-            yield from _write_run(
-                plfs, [("m", b"m" * 400), ("p", b"p" * 90)], backend="hdd"
+            yield from commit_run(
+                plfs, LOGICAL, [("m", b"m" * 400), ("p", b"p" * 90)], "hdd"
             )
 
     def subsets():
         for _ in range(6):
-            yield from plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"s" * 50)
+            yield from commit_run(plfs, LOGICAL, [("p", b"s" * 50)], "ssd")
 
     def doomed():
         try:
-            yield from _write_run(plfs, [("p", b"lost")], backend="flaky")
+            yield from commit_run(plfs, LOGICAL, [("p", b"lost")], "flaky")
         except TransientFaultError as exc:
             failures.append(exc)
 
@@ -160,11 +154,11 @@ def test_cold_replay_matches_warm_index_after_concurrent_writers():
 
 def test_fresh_client_appends_after_the_stored_chunks():
     sim, plfs = _plfs()
-    sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"one"))
-    sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"two"))
+    sim.run_process(commit_run(plfs, LOGICAL, [("p", b"one")], "ssd"))
+    sim.run_process(commit_run(plfs, LOGICAL, [("p", b"two")], "ssd"))
     other = _fresh(plfs)
-    record = sim.run_process(
-        other.write_subset(LOGICAL, "p", backend="ssd", data=b"three")
+    [record] = sim.run_process(
+        commit_run(other, LOGICAL, [("p", b"three")], "ssd")
     )
     assert record.chunk == 2
     assert sim.run_process(other.read_subset(LOGICAL, "p")).data == b"onetwothree"
@@ -186,8 +180,8 @@ def test_fresh_client_appends_after_the_stored_chunks():
 )
 def test_damaged_log_line_raises_container_error(damage):
     sim, plfs = _plfs()
-    sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"x"))
-    sim.run_process(plfs.write_subset(LOGICAL, "m", backend="hdd", data=b"yy"))
+    sim.run_process(commit_run(plfs, LOGICAL, [("p", b"x")], "ssd"))
+    sim.run_process(commit_run(plfs, LOGICAL, [("m", b"yy")], "hdd"))
     meta = plfs.backends["meta"]
     meta.store.put(INDEX, data=damage(meta.data(INDEX)))
     with pytest.raises(ContainerError, match="corrupt"):
@@ -209,7 +203,7 @@ def test_append_is_gated_as_a_write(meta_factory):
     # The index flush sees the same gate: the run rolls back, no line lands.
     with pytest.raises(TransientFaultError, match="during write"):
         sim.run_process(
-            _write_run(plfs, [("p", b"data")], backend="ssd")
+            commit_run(plfs, LOGICAL, [("p", b"data")], backend="ssd")
         )
     assert not meta.exists(INDEX)
     assert plfs.container_index(LOGICAL) == []
@@ -223,9 +217,9 @@ def test_append_is_gated_as_a_write(meta_factory):
 def test_subset_records_stay_chunk_ordered_when_a_lower_chunk_lands_late():
     sim, plfs = _plfs()
     # Chunk 0 goes to the slow disk and lands after chunks 1 and 2.
-    sim.process(plfs.write_subset(LOGICAL, "p", backend="hdd", data=b"0" * 400_000))
-    sim.process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"1"))
-    sim.process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"2"))
+    sim.process(commit_run(plfs, LOGICAL, [("p", b"0" * 400_000)], "hdd"))
+    sim.process(commit_run(plfs, LOGICAL, [("p", b"1")], "ssd"))
+    sim.process(commit_run(plfs, LOGICAL, [("p", b"2")], "ssd"))
     sim.run()
     log = [
         json.loads(line)["chunk"]
@@ -246,7 +240,7 @@ def test_delete_subset_survives_a_cold_reload():
     sim, plfs = _plfs()
     for _ in range(3):
         sim.run_process(
-            _write_run(plfs, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
+            commit_run(plfs, LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
         )
     meta = plfs.backends["meta"]
     assert plfs.delete_subset(LOGICAL, "m") == 6
@@ -256,7 +250,7 @@ def test_delete_subset_survives_a_cold_reload():
     assert cold.container_index(LOGICAL) == plfs.container_index(LOGICAL)
     assert cold.fsck(LOGICAL)["ok"]
     # The log keeps growing from the compacted state.
-    sim.run_process(plfs.write_subset(LOGICAL, "m", backend="hdd", data=b"new"))
+    sim.run_process(commit_run(plfs, LOGICAL, [("m", b"new")], "hdd"))
     assert _fresh(plfs).subset_nbytes(LOGICAL, "m") == 3
     assert plfs.delete_subset(LOGICAL, "nope") == 0
 
@@ -264,11 +258,11 @@ def test_delete_subset_survives_a_cold_reload():
 def test_delete_subset_during_an_inflight_flush_keeps_the_log_exact():
     sim, plfs = _plfs()
     sim.run_process(
-        _write_run(plfs, [("m", b"mm"), ("p", b"ppp")], backend="ssd")
+        commit_run(plfs, LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="ssd")
     )
     meta = plfs.backends["meta"]
     lines = len(meta.data(INDEX).splitlines())
-    sim.process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"late"))
+    sim.process(commit_run(plfs, LOGICAL, [("p", b"late")], "ssd"))
     # Stop once the chunk is registered in memory but its log line is not
     # down yet, and compact under it.
     while len(plfs.subset_records(LOGICAL, "p")) == 1:
@@ -336,9 +330,9 @@ def test_container_lifecycle_returns_every_byte(meta_factory):
     sim, plfs = _plfs(meta_factory)
     for _ in range(8):
         sim.run_process(
-            _write_run(plfs, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
+            commit_run(plfs, LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
         )
-        sim.run_process(plfs.write_subset(LOGICAL, "p", backend="ssd", data=b"s"))
+        sim.run_process(commit_run(plfs, LOGICAL, [("p", b"s")], "ssd"))
     for fs in plfs.backends.values():
         assert sum(_used(fs)) == fs.store.total_bytes()
     plfs.delete_subset(LOGICAL, "m")

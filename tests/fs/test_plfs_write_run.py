@@ -25,6 +25,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
 from repro.units import GB, mbps
+from tests.fs.plfs_writes import commit_run
 
 
 def _spec(name, capacity=GB, seek_s=8e-3):
@@ -53,15 +54,6 @@ def _plfs(capacity=GB, seek_s=8e-3):
 ENTRIES = [("m", b"misc-bytes-0"), ("p", b"protein-bytes-00")]
 
 
-def _committed_run(plfs, entries, backend="hdd", coalesce=True):
-    """Process: land one chunk run, then commit it with one index append."""
-    records = yield from plfs.write_chunk_run(
-        "bar.xtc", entries, backend=backend, coalesce=coalesce
-    )
-    yield from plfs.commit("bar.xtc", records)
-    return records
-
-
 def test_write_chunk_run_happy_path():
     sim, plfs = _plfs()
     records = sim.run_process(plfs.write_chunk_run("bar.xtc", ENTRIES, backend="hdd"))
@@ -85,8 +77,8 @@ def test_write_chunk_run_happy_path():
 
 def test_chunk_numbers_continue_across_runs():
     sim, plfs = _plfs()
-    first = sim.run_process(_committed_run(plfs, ENTRIES))
-    second = sim.run_process(_committed_run(plfs, ENTRIES))
+    first = sim.run_process(commit_run(plfs, "bar.xtc", ENTRIES, "hdd"))
+    second = sim.run_process(commit_run(plfs, "bar.xtc", ENTRIES, "hdd"))
     assert [(r.tag, r.chunk) for r in first] == [("m", 0), ("p", 0)]
     assert [(r.tag, r.chunk) for r in second] == [("m", 1), ("p", 1)]
     assert plfs.subset_nbytes("bar.xtc", "p") == 2 * len(ENTRIES[1][1])
@@ -112,9 +104,11 @@ def test_coalesced_run_pays_one_device_write():
         return int(counter.value)
 
     sim_c, plfs_c = _plfs()
-    sim_c.run_process(_committed_run(plfs_c, ENTRIES * 2))
+    sim_c.run_process(commit_run(plfs_c, "bar.xtc", ENTRIES * 2, "hdd"))
     sim_u, plfs_u = _plfs()
-    sim_u.run_process(_committed_run(plfs_u, ENTRIES * 2, coalesce=False))
+    sim_u.run_process(
+        commit_run(plfs_u, "bar.xtc", ENTRIES * 2, "hdd", coalesce=False)
+    )
     assert ops(sim_c) == 1
     assert ops(sim_u) == len(ENTRIES * 2)
     # Same chunks landed either way; only the request count differs.
@@ -133,14 +127,14 @@ def test_index_flush_fault_rolls_back_whole_run():
     real_flush = plfs._flush_index
     plfs._flush_index = failing_flush
     with pytest.raises(TransientFaultError):
-        sim.run_process(_committed_run(plfs, ENTRIES))
+        sim.run_process(commit_run(plfs, "bar.xtc", ENTRIES, "hdd"))
     # No index records, no chunk objects, no log lines left behind.
     assert plfs.container_index("bar.xtc") == []
     assert list(plfs.backends["hdd"].store.walk()) == []
     assert list(plfs.backends["meta"].store.walk()) == []
     # A retry rewrites cleanly: counters left gaps, names are never reused.
     plfs._flush_index = real_flush
-    records = sim.run_process(_committed_run(plfs, ENTRIES))
+    records = sim.run_process(commit_run(plfs, "bar.xtc", ENTRIES, "hdd"))
     assert [(r.tag, r.chunk) for r in records] == [("m", 1), ("p", 1)]
     assert plfs.fsck("bar.xtc")["ok"]
 

@@ -86,6 +86,31 @@ def test_full_ssd_spills_to_hdd_by_default(workload):
     assert decode_raw(obj.data).nframes == workload.trajectory.nframes
 
 
+def test_failed_ingest_commits_no_tag():
+    """An ingest commits all its tags or none: the MISC subset finds no
+    room on the HDD, so the protein subset that already landed on the SSD
+    is deleted again -- nothing of the dataset stays readable or stored,
+    and every device is back at its pre-ingest capacity."""
+    workload = build_workload(natoms=400, nframes=16, seed=81)
+    sim = Simulator()
+    ada = _ada(sim, hdd_capacity=4096)
+    backends = ada.plfs.backends
+    used = {name: fs.device.used_bytes for name, fs in backends.items()}
+    with pytest.raises(StorageFullError, match="hdd"):
+        sim.run_process(
+            ada.ingest("bar.xtc", workload.pdb_text, workload.xtc_blob)
+        )
+    with pytest.raises(ContainerError):
+        sim.run_process(ada.fetch("bar.xtc", "p"))
+    assert ada.metrics.value("device_ops_total", device="ssd", op="write") == 1
+    assert not [
+        key for fs in backends.values() for key in fs.store.walk()
+        if "/subset." in key
+    ]
+    assert {name: fs.device.used_bytes for name, fs in backends.items()} == used
+    assert ada.plfs.fsck()["ok"]
+
+
 def test_corrupt_label_file_detected(workload):
     sim = Simulator()
     ada = _ada(sim)
