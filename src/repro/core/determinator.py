@@ -41,7 +41,6 @@ class IODeterminator:
         placement: PlacementPolicy,
         retry_policy: Optional[RetryPolicy] = None,
         block_cache: Optional[BlockCache] = None,
-        coalesce: bool = False,
         serial_requests: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Dict[str, str]] = None,
@@ -64,7 +63,7 @@ class IODeterminator:
         )
         self.retriever = IORetriever(
             sim, plfs, retrier=self.retrier, cache=block_cache,
-            coalesce=coalesce, serial_requests=serial_requests,
+            serial_requests=serial_requests,
             metrics=self.metrics, metric_labels=self.metric_labels,
         )
 

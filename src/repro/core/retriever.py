@@ -1,28 +1,21 @@
 """The I/O retriever: fetches requested subsets from the backends.
 
 "The I/O retriever obtains the requested datasets by triggering file read
-via the dataset paths that are passed by the indexer" (§3.3).  Reads use
-bulk (multi-megabyte) requests: ADA's subset files are log-structured and
-contiguous, so the retriever does not pay the per-small-request tax a
-frame-by-frame reader incurs on a striped file system.
+via the dataset paths that are passed by the indexer" (§3.3).  Every
+subset read -- ``fetch``, ``fetch_all``, ``fetch_merged``,
+``fetch_chunks``, the prefetcher -- takes one path:
+:meth:`IORetriever.retrieve_chunks` groups the missed chunks into runs,
+and each run is one retried :meth:`PLFS.read_chunk_run`, one backend
+``read_span`` in bulk (multi-megabyte) requests, CRC-verified per chunk.
+A failed run re-reads that run only.
 
-The pipelined read path adds two opt-in accelerators on top of PR 2's
-retry/CRC machinery:
-
-* a **tiered block cache** (:class:`~repro.fs.cache.BlockCache`): chunks
-  are keyed ``(logical, tag, chunk)``; hits serve at memory (L1) or
-  SSD-class (L2) speed and verified backend reads are admitted on the way
-  out, so every consumer -- ``fetch``, ``fetch_all``, ``fetch_merged``,
-  the prefetcher -- shares one working set;
-* **request coalescing**: chunk records that are adjacent on the same
-  backend merge into a single span read (one metadata op, one
-  seek-amortized transfer).  Retry and CRC semantics are preserved *per
-  coalesced range*: each chunk inside a span is checksummed individually
-  and a mismatch re-reads only that span.
-
-Both default off, leaving the calibrated figure scenarios byte-for-byte
-(and second-for-second) unchanged; ``ADA`` enables them when configured
-with a block cache.
+A **tiered block cache** (:class:`~repro.fs.cache.BlockCache`), when
+configured, sits in front: chunks are keyed ``(logical, tag, chunk)``,
+hits serve at memory (L1) or SSD-class (L2) speed, verified reads are
+admitted on the way out, and **request coalescing** rides with it --
+chunks adjacent on one backend merge into a single span read (one
+metadata op, one seek-amortized transfer).  Without a cache every run is
+one chunk, the calibrated figure scenarios' timing.
 """
 
 from __future__ import annotations
@@ -37,21 +30,17 @@ from repro.fs.plfs import PLFS, IndexRecord
 from repro.obs.metrics import MetricsRegistry, SIZE_BUCKETS
 from repro.obs.trace import span
 from repro.sim import AllOf, Process, Simulator
-from repro.units import MiB
 
-__all__ = ["IORetriever", "BULK_REQUEST_SIZE"]
-
-#: ADA reads subset files in large sequential requests.
-BULK_REQUEST_SIZE = 4 * MiB
+__all__ = ["IORetriever"]
 
 
 class IORetriever:
     """Reads subset chunks through PLFS with bulk request sizing.
 
-    Every retrieval runs under the retrier: a transient backend failure --
-    including a checksum mismatch detected by PLFS, since corruption is
-    injected in flight -- triggers a backed-off re-read.  With coalescing
-    enabled the retry unit is the coalesced run, not the whole subset.
+    Every run of chunks reads under the retrier: a transient backend
+    failure -- including a checksum mismatch detected by PLFS, since
+    corruption is injected in flight -- triggers a backed-off re-read of
+    that run, not of the whole subset.
 
     ``serial_requests`` forces one synchronous chunk request at a time
     (no per-chunk concurrency, no coalescing) -- the pre-pipelining
@@ -64,7 +53,6 @@ class IORetriever:
         plfs: PLFS,
         retrier: Optional[Retrier] = None,
         cache: Optional[BlockCache] = None,
-        coalesce: bool = False,
         serial_requests: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Dict[str, str]] = None,
@@ -73,7 +61,6 @@ class IORetriever:
         self.plfs = plfs
         self.retrier = retrier if retrier is not None else Retrier(sim)
         self.cache = cache
-        self.coalesce = coalesce
         self.serial_requests = serial_requests
         # Registry-backed accounting.  ``metric_labels`` (e.g. ``{"shard":
         # name}``) keep per-retriever series distinct when several
@@ -119,9 +106,10 @@ class IORetriever:
         return sum(1 for p in self._inflight.values() if p.is_alive)
 
     @property
-    def pipelined(self) -> bool:
-        """Is any pipelined-read feature (cache/coalescing) active?"""
-        return self.cache is not None or self.coalesce
+    def coalesce(self) -> bool:
+        """Do adjacent chunks on one backend merge into one span read?
+        They do exactly when a block cache is configured."""
+        return self.cache is not None
 
     # -- subset retrieval ---------------------------------------------------
 
@@ -130,16 +118,6 @@ class IORetriever:
         with span(
             self.sim, "retriever.retrieve", logical=logical, tag=tag
         ) as sp:
-            if not self.pipelined and not self.serial_requests:
-                # Legacy path: identical timing to the pre-pipeline reader.
-                obj: StoredObject = yield from self.retrier.call(
-                    lambda: self.plfs.read_subset(
-                        logical, tag, request_size=BULK_REQUEST_SIZE
-                    ),
-                    key=f"read:{logical}#{tag}",
-                )
-                self._metric_fields["retrieved_bytes"].inc(float(obj.nbytes))
-                return obj
             if self.cache is not None:
                 # Derived whole-subset entry: a repeat fetch of a multi-chunk
                 # subset serves one assembled block instead of re-walking (and
@@ -195,7 +173,7 @@ class IORetriever:
 
         ``chunks=None`` means every chunk.  Cache hits pay their tier's
         service time; misses are grouped into backend-contiguous runs,
-        each read (coalesced when enabled) under its own retry key, CRC
+        each read (coalesced with a cache) under its own retry key, CRC
         verified per chunk, and admitted into the cache.  Returns the
         per-chunk :class:`StoredObject` list in chunk order -- callers
         that need the subset as one buffer join it themselves, callers
@@ -398,7 +376,7 @@ class IORetriever:
         key = f"read:{logical}#{tag}:{first}" + (
             f"-{last}" if last != first else ""
         )
-        coalesced = self.coalesce and len(run_records) > 1
+        coalesced = len(run_records) > 1  # only ``_runs`` merges chunks
         with span(
             self.sim, "retriever.read_run",
             logical=logical, tag=tag,
@@ -406,12 +384,7 @@ class IORetriever:
             coalesced=coalesced, prefetched=prefetched,
         ) as sp:
             objs = yield from self.retrier.call(
-                lambda: self.plfs.read_chunk_run(
-                    run_records,
-                    request_size=BULK_REQUEST_SIZE,
-                    coalesce=coalesced,
-                ),
-                key=key,
+                lambda: self.plfs.read_chunk_run(run_records), key=key
             )
             nbytes = sum(obj.nbytes for obj in objs)
             sp.tag(nbytes=nbytes)

@@ -83,18 +83,9 @@ class LocalFS(FileSystem):
         request_size: Optional[int] = None,
         label: str = "read",
     ) -> Generator:
-        with span(self.sim, "fs.read", fs=self.name, path=path):
-            decision = yield from self._fault_gate("read", path)
-            if not self.store.exists(path):
-                raise FileNotFoundInFSError(f"{self.name}: {path}")
-            size = self.store.nbytes(path)
-            yield self.sim.timeout(self.metadata_latency_s)
-            requests = self._request_count(size, request_size)
-            yield from self.device.read(size, requests=requests, label=label)
-            self.bytes_read += size
-            data = None if self.store.is_virtual(path) else self.store.data(path)
-            data = self._fault_payload(decision, "read", data)
-            return StoredObject(path=path, nbytes=size, data=data)
+        """Process: one object is a one-path span (same single request)."""
+        objs = yield from self.read_span([path], request_size, label)
+        return objs[0]
 
     def read_span(
         self,

@@ -32,11 +32,17 @@ from repro.errors import (
     TagNotFoundError,
 )
 from repro.fs.base import FileSystem, Payload, StoredObject
-from repro.sim import AllOf, Simulator
+from repro.sim import Simulator
+from repro.units import MiB
 
-__all__ = ["PLFS", "IndexRecord"]
+__all__ = ["PLFS", "IndexRecord", "BULK_REQUEST_SIZE"]
 
 _INDEX_NAME = "index"
+
+#: ADA reads subset files in large sequential requests: its chunks are
+#: log-structured and contiguous, so it never pays the per-small-request
+#: tax a frame-by-frame reader incurs on a striped file system.
+BULK_REQUEST_SIZE = 4 * MiB
 
 
 @dataclass(frozen=True)
@@ -270,21 +276,16 @@ class PLFS:
                 f"(got {len(obj.data)} B, expected {record.nbytes} B)"
             )
 
-    def read_chunk_run(
-        self,
-        records: List[IndexRecord],
-        request_size: Optional[int] = None,
-        coalesce: bool = True,
-    ) -> Generator:
+    def read_chunk_run(self, records: List[IndexRecord]) -> Generator:
         """Process: read one *run* of chunks living on a single backend.
 
-        With ``coalesce`` the run goes to the backend as one span read --
-        one metadata operation, one seek-amortized transfer -- instead of
-        one request per chunk.  Every chunk is still CRC-verified
-        individually, so a coalesced range detects exactly the corruption
-        an uncoalesced one would; the caller retries the whole run.
-        Returns the chunks' :class:`StoredObject` list in ``records``
-        order.
+        The only chunk read: the run goes to the backend as one span read
+        in :data:`BULK_REQUEST_SIZE` requests -- one metadata operation,
+        one seek-amortized transfer; a one-chunk run is one ordinary read.
+        Every chunk is CRC-verified individually, so a span detects
+        exactly the corruption per-chunk reads would; the caller retries
+        the whole run.  Returns the chunks' :class:`StoredObject` list in
+        ``records`` order.
         """
         if not records:
             return []
@@ -293,22 +294,11 @@ class PLFS:
             raise ConfigurationError(
                 f"chunk run spans backends {sorted(backend_names)}"
             )
-        backend = self.backends[records[0].backend]
-        if coalesce:
-            objs = yield from backend.read_span(
-                [r.path for r in records],
-                request_size=request_size,
-                label="plfs",
-            )
-        else:
-            procs = [
-                self.sim.process(
-                    backend.read(r.path, request_size=request_size, label="plfs"),
-                    name=f"plfs:read:{r.path}",
-                )
-                for r in records
-            ]
-            objs = yield AllOf(self.sim, procs)
+        objs = yield from self.backends[records[0].backend].read_span(
+            [r.path for r in records],
+            request_size=BULK_REQUEST_SIZE,
+            label="plfs",
+        )
         for record, obj in zip(records, objs):
             self.verify_chunk(record, obj)
         return objs
@@ -366,57 +356,6 @@ class PLFS:
             items, label="plfs", chain=backend == self.metadata_backend
         )
         return records
-
-    def read_subset(
-        self,
-        logical: str,
-        tag: str,
-        request_size: Optional[int] = None,
-    ) -> Generator:
-        """Process: read every chunk of one subset, chunks in parallel.
-
-        Returns a :class:`StoredObject` whose data is the chunk
-        concatenation (or virtual when any chunk is virtual).
-        """
-        records = self.subset_records(logical, tag)
-        procs = [
-            self.sim.process(
-                self.backends[r.backend].read(
-                    r.path, request_size=request_size, label="plfs"
-                ),
-                name=f"plfs:read:{r.path}",
-            )
-            for r in records
-        ]
-        objs = yield AllOf(self.sim, procs)
-        for record, obj in zip(records, objs):
-            self.verify_chunk(record, obj)
-        total = sum(o.nbytes for o in objs)
-        if any(o.is_virtual for o in objs):
-            data = None
-        else:
-            data = b"".join(o.data for o in objs)
-        return StoredObject(
-            path=f"{logical}#{tag}", nbytes=total, data=data
-        )
-
-    def read_container(
-        self, logical: str, request_size: Optional[int] = None
-    ) -> Generator:
-        """Process: read every subset of a container concurrently.
-
-        Returns ``{tag: StoredObject}``.
-        """
-        tags = self.tags(logical)
-        procs = [
-            self.sim.process(
-                self.read_subset(logical, tag, request_size=request_size),
-                name=f"plfs:read:{logical}#{tag}",
-            )
-            for tag in tags
-        ]
-        objs = yield AllOf(self.sim, procs)
-        return dict(zip(tags, objs))
 
     def fsck(self, logical: Optional[str] = None) -> Dict[str, list]:
         """Container integrity check.

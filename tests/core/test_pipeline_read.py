@@ -120,22 +120,20 @@ def test_coalesced_span_verifies_each_chunk_crc(dataset):
     """Property: a span read detects exactly the corruption per-chunk
     reads would -- CRC is verified per chunk inside the span."""
     pdb_text, blobs = dataset
-    for coalesce in (True, False):
-        sim = Simulator()
-        ada = _ada(sim)
-        _ingest(ada, "bar.xtc", pdb_text, blobs)
-        records = ada.plfs.subset_records("bar.xtc", "p")
-        run = [r for r in records if r.backend == records[2].backend][:3]
-        # Flip one byte of the middle chunk at rest.
-        victim = run[len(run) // 2]
-        store = ada.plfs.backends[victim.backend].store
-        data = bytearray(store.data(victim.path))
-        data[len(data) // 2] ^= 0xFF
-        store.put(victim.path, data=bytes(data))
-        with pytest.raises(CorruptionError):
-            sim.run_process(
-                ada.plfs.read_chunk_run(run, coalesce=coalesce)
-            )
+    sim = Simulator()
+    ada = _ada(sim)
+    _ingest(ada, "bar.xtc", pdb_text, blobs)
+    records = ada.plfs.subset_records("bar.xtc", "p")
+    run = [r for r in records if r.backend == records[2].backend][:3]
+    assert len(run) == 3
+    # Flip one byte of the middle chunk at rest.
+    victim = run[len(run) // 2]
+    store = ada.plfs.backends[victim.backend].store
+    data = bytearray(store.data(victim.path))
+    data[len(data) // 2] ^= 0xFF
+    store.put(victim.path, data=bytes(data))
+    with pytest.raises(CorruptionError, match=victim.path):
+        sim.run_process(ada.plfs.read_chunk_run(run))
 
 
 def test_retrieve_chunks_rejects_unknown_chunk(dataset):

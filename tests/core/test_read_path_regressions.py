@@ -7,6 +7,8 @@
   chunk -- before the fix, only the ``c >= 0`` bound existed, so
   end-of-stream predictions issued doomed windows and inflated the
   ``issued``/``chunks_requested`` counters.
+* A cache-less multi-chunk read retries per chunk -- before the single
+  read path, one transient fault on one chunk re-read the whole subset.
 * The multi-tenant sweep: per-tenant cache accounting must survive
   derived whole-subset entries and cross-tenant dedup (charge follows
   use), and the prefetcher's stride state and in-flight cap must be
@@ -18,6 +20,7 @@ import pytest
 from repro.core import ADA
 from repro.core.prefetch import MAX_INFLIGHT
 from repro.errors import FaultError, PermanentFaultError
+from repro.faults.plan import TRANSIENT, FaultDecision
 from repro.fs.cache import DERIVED_SUBSET, BlockCache
 from repro.fs.localfs import LocalFS
 from repro.serve import TenantBlockCache
@@ -29,14 +32,14 @@ LOGICAL = "reg.xtc"
 NCHUNKS = 10
 
 
-def _chunked_ada(prefetch: bool = False):
+def _chunked_ada(prefetch: bool = False, cache: bool = True):
     from repro.formats.xtc import encode_raw
 
     sim = Simulator()
     ada = ADA(
         sim,
         backends={"ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd")},
-        block_cache=BlockCache(sim),
+        block_cache=BlockCache(sim) if cache else None,
         prefetch=prefetch,
     )
     frames_per_chunk = 3
@@ -86,6 +89,43 @@ def test_successful_run_also_leaves_inflight_empty():
     sim, ada = _chunked_ada()
     sim.run_process(ada.fetch_chunks(LOGICAL, "p", list(range(NCHUNKS))))
     assert ada.determinator.retriever._inflight == {}
+
+
+# -- cache-less reads retry per chunk ----------------------------------------
+
+
+class _FailNthRead:
+    """A fault plan failing the ``nth`` read it sees, once, transiently."""
+
+    def __init__(self, nth):
+        self.nth, self.reads = nth, 0
+
+    def decide(self, site, op):
+        if op != "read":
+            return FaultDecision()
+        self.reads += 1
+        return FaultDecision(error=TRANSIENT if self.reads == self.nth else None)
+
+
+def test_cacheless_fetch_retries_only_the_faulted_chunk():
+    sim, ada = _chunked_ada(cache=False)
+    ssd = ada.plfs.backends["ssd"]
+
+    def device_reads():
+        return ada.metrics.value(
+            "device_ops_total", device=ssd.device.name, op="read"
+        )
+
+    clean = sim.run_process(ada.fetch(LOGICAL, "p"))
+    before = device_reads()
+    assert before == NCHUNKS
+    ssd.faults = _FailNthRead(3)
+    obj = sim.run_process(ada.fetch(LOGICAL, "p"))
+    assert obj.data == clean.data
+    assert ada.metrics.value("retry_retries_total") == 1
+    # Only the faulted chunk is re-read, and its failed attempt never
+    # reached the device; a whole-subset retry costs 2 * NCHUNKS - 1.
+    assert device_reads() - before == NCHUNKS
 
 
 # -- prefetch end-of-stream clamp -------------------------------------------

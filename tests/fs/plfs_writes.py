@@ -1,6 +1,10 @@
-"""The PLFS write every product path makes, for tests that drive PLFS
-directly: land a chunk run on one backend (``PLFS.write_chunk_run``), then
-index it with one log append (``PLFS.commit``)."""
+"""The PLFS write and read every product path makes, for tests that drive
+PLFS directly: land a chunk run on one backend (``PLFS.write_chunk_run``),
+then index it with one log append (``PLFS.commit``); read a subset back
+through a cache-less ``IORetriever`` (one ``PLFS.read_chunk_run`` per
+chunk)."""
+
+from repro.core.retriever import IORetriever
 
 
 def commit_run(plfs, logical, entries, backend, coalesce=True):
@@ -12,3 +16,14 @@ def commit_run(plfs, logical, entries, backend, coalesce=True):
     )
     yield from plfs.commit(logical, records)
     return records
+
+
+def read_subset(plfs, logical, tag):
+    """Process: read one subset; returns one ``StoredObject`` whose data
+    is its chunks joined in chunk order (``None`` when size-only)."""
+    return IORetriever(plfs.sim, plfs).retrieve(logical, tag)
+
+
+def read_container(plfs, logical):
+    """Process: read every subset concurrently; returns ``{tag: obj}``."""
+    return IORetriever(plfs.sim, plfs).retrieve_all(logical)

@@ -7,7 +7,7 @@ from repro.fs import PLFS, LocalFS
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
 from repro.units import GB, MB, mbps
-from tests.fs.plfs_writes import commit_run
+from tests.fs.plfs_writes import commit_run, read_container, read_subset
 
 
 def _fs(sim, name, read=100.0):
@@ -66,7 +66,7 @@ def test_read_subset_roundtrip():
     sim = Simulator()
     plfs = _plfs(sim)
     sim.run_process(commit_run(plfs, "bar", [("p", b"abc")], "ssd"))
-    obj = sim.run_process(plfs.read_subset("bar", "p"))
+    obj = sim.run_process(read_subset(plfs, "bar", "p"))
     assert obj.data == b"abc"
     assert obj.nbytes == 3
 
@@ -76,7 +76,7 @@ def test_multi_chunk_subset_concatenates_in_order():
     plfs = _plfs(sim)
     for part in (b"one-", b"two-", b"three"):
         sim.run_process(commit_run(plfs, "bar", [("p", part)], "ssd"))
-    obj = sim.run_process(plfs.read_subset("bar", "p"))
+    obj = sim.run_process(read_subset(plfs, "bar", "p"))
     assert obj.data == b"one-two-three"
     records = plfs.subset_records("bar", "p")
     assert [r.chunk for r in records] == [0, 1, 2]
@@ -87,7 +87,7 @@ def test_missing_tag_raises_with_available_tags():
     plfs = _plfs(sim)
     sim.run_process(commit_run(plfs, "bar", [("p", b"x")], "ssd"))
     with pytest.raises(TagNotFoundError, match="'p'"):
-        sim.run_process(plfs.read_subset("bar", "z"))
+        sim.run_process(read_subset(plfs, "bar", "z"))
 
 
 def test_missing_container_raises():
@@ -134,7 +134,7 @@ def test_read_container_returns_all_tags():
     plfs = _plfs(sim)
     sim.run_process(commit_run(plfs, "bar", [("p", b"pp")], "ssd"))
     sim.run_process(commit_run(plfs, "bar", [("m", b"mmm")], "hdd"))
-    objs = sim.run_process(plfs.read_container("bar"))
+    objs = sim.run_process(read_container(plfs, "bar"))
     assert objs["p"].data == b"pp"
     assert objs["m"].nbytes == 3
 
@@ -151,7 +151,7 @@ def test_subset_reads_hit_only_their_backend():
         commit_run(plfs, "bar", [("m", int(10 * MB))], "hdd")
     )
     hdd_before = plfs.backends["hdd"].device.busy.busy_time("plfs")
-    sim.run_process(plfs.read_subset("bar", "p"))
+    sim.run_process(read_subset(plfs, "bar", "p"))
     assert plfs.backends["hdd"].device.busy.busy_time("plfs") == hdd_before
 
 
@@ -166,7 +166,7 @@ def test_parallel_subset_read_overlaps_backends():
         commit_run(plfs, "bar", [("m", int(100 * MB))], "hdd")
     )
     t0 = sim.now
-    sim.run_process(plfs.read_container("bar"))
+    sim.run_process(read_container(plfs, "bar"))
     # HDD (1.0 s) dominates; SSD's 0.1 s hides inside it.
     assert sim.now - t0 == pytest.approx(1.0, rel=0.05)
 
@@ -175,7 +175,7 @@ def test_virtual_subsets_flow_through():
     sim = Simulator()
     plfs = _plfs(sim)
     sim.run_process(commit_run(plfs, "bar", [("p", 10**9)], "ssd"))
-    obj = sim.run_process(plfs.read_subset("bar", "p"))
+    obj = sim.run_process(read_subset(plfs, "bar", "p"))
     assert obj.is_virtual
     assert obj.nbytes == 10**9
 

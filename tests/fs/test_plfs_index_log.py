@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.storage import Device, DevicePower, DeviceSpec
 from repro.units import GB, mbps
-from tests.fs.plfs_writes import commit_run
+from tests.fs.plfs_writes import commit_run, read_subset
 
 LOGICAL = "bar.xtc"
 INDEX = PLFS.index_path(LOGICAL)
@@ -161,7 +161,7 @@ def test_fresh_client_appends_after_the_stored_chunks():
         commit_run(other, LOGICAL, [("p", b"three")], "ssd")
     )
     assert record.chunk == 2
-    assert sim.run_process(other.read_subset(LOGICAL, "p")).data == b"onetwothree"
+    assert sim.run_process(read_subset(other, LOGICAL, "p")).data == b"onetwothree"
     assert _fresh(plfs).container_index(LOGICAL) == other.container_index(LOGICAL)
 
 
@@ -229,7 +229,7 @@ def test_subset_records_stay_chunk_ordered_when_a_lower_chunk_lands_late():
     assert [r.chunk for r in plfs.subset_records(LOGICAL, "p")] == [0, 1, 2]
     assert plfs.subset_nbytes(LOGICAL, "p") == 400_002
     assert [r.chunk for r in _fresh(plfs).subset_records(LOGICAL, "p")] == [0, 1, 2]
-    obj = sim.run_process(plfs.read_subset(LOGICAL, "p"))
+    obj = sim.run_process(read_subset(plfs, LOGICAL, "p"))
     assert obj.data == b"0" * 400_000 + b"12"
 
 

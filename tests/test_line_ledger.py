@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Lines under ``src/repro`` at the last PR that moved it, rounded up to
 #: the next 10.
-BUDGET = 23230
+BUDGET = 23130
 
 
 def test_source_lines_stay_within_the_budget():
