@@ -57,6 +57,7 @@ def main() -> None:
             "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
+        metadata_backend="ssd",  # the index log lives on the hot tier
     )
     det = IODeterminator(
         sim,

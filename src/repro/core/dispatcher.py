@@ -17,7 +17,8 @@ stream window's) ``(tag, data)`` entries land as one coalesced chunk run
 per backend (one metadata operation, one seek-amortized transfer -- the
 write-side mirror of the retriever's request coalescing), the backends in
 parallel; a ``StorageFullError`` spills that *whole* run to the inactive
-backend, and one index append commits every run or none.  Traffic
+backend, and one index append commits every run or none (the append
+spills the same way when the metadata backend is full).  Traffic
 counters live in the shared :class:`MetricsRegistry`, so the write path
 shows up in the same Prometheus/JSON exports as the read path.
 """
@@ -157,6 +158,7 @@ class IODispatcher:
         yield from self.plfs.commit(
             logical, records,
             retry=lambda op: self.retrier.call(op, key=f"index:{logical}"),
+            spill_to=self.placement.inactive_backend,
         )
         counters = self._metric_fields
         for backend, (recs, spilled_to) in zip(groups, outcomes):

@@ -7,7 +7,7 @@ HDD-backed FS.  The underlying file systems see ordinary files and "process
 an assigned data subset as independent files without noticing that the
 contents have been altered from the original" (paper §3.3).
 
-An index object on the metadata backend records, per subset chunk: tag,
+An index object records, per subset chunk: tag,
 backend, path, size and CRC-32.  It is an append-only record log, one JSON
 record per line, like PLFS's own index droppings: a commit extends it by
 its own records (``FileSystem.append``), so an index flush
@@ -15,6 +15,11 @@ costs the same at chunk 10 000 as at chunk 10, and a fresh client replays
 the log.  In memory each container keeps one chunk-ordered record list and
 a running byte total per tag, which is what ADA's indexer consults to
 resolve a tag-selective read without walking the container.
+
+Appends go to ``metadata_backend`` (ADA's active tier), or to the caller's
+``spill_to`` tier when it is full, so replay reads every backend's log.  A
+torn final line (a crash mid-append) is uncommitted: replay stops at the
+last complete line, and the next append to that log cuts the tail off.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
     ContainerError,
     CorruptionError,
+    StorageFullError,
     TagNotFoundError,
 )
 from repro.fs.base import FileSystem, Payload, StoredObject
@@ -124,17 +130,19 @@ class PLFS:
             raise ConfigurationError("PLFS needs at least one backend")
         self.sim = sim
         self.backends = dict(backends)
-        self.metadata_backend = metadata_backend or sorted(backends)[0]
-        if self.metadata_backend not in self.backends:
+        if metadata_backend not in (None, *self.backends):
             raise ConfigurationError(
-                f"metadata backend {self.metadata_backend!r} is not a backend"
+                f"metadata backend {metadata_backend!r} is not a backend"
             )
+        #: Where metadata writes go (``None``: a client that replays and
+        #: reads every backend's log but cannot commit).
+        self.metadata_backend = metadata_backend
         # logical -> tag -> that subset's records; a tag with no records
         # has no entry.
         self._indexes: Dict[str, Dict[str, _Subset]] = {}
         self._chunk_counters: Dict[tuple, int] = {}
-        # Registered records whose log append is still in flight.
-        self._flushing: Set[IndexRecord] = set()
+        # (logical, backend) -> complete-line length of a log with a torn tail.
+        self._torn: Dict[Tuple[str, str], int] = {}
 
     # -- paths ------------------------------------------------------------
 
@@ -152,10 +160,15 @@ class PLFS:
 
     # -- container lifecycle ---------------------------------------------------
 
+    def metadata_homes(self, path: str) -> Dict[str, FileSystem]:
+        """The backends holding an index log or label file ``path``: the
+        metadata backend, the spill tier, or (an index log) both."""
+        return {name: fs for name, fs in self.backends.items() if fs.exists(path)}
+
     def exists(self, logical: str) -> bool:
-        return logical in self._indexes or self.backends[
-            self.metadata_backend
-        ].exists(self.index_path(logical))
+        return logical in self._indexes or bool(
+            self.metadata_homes(self.index_path(logical))
+        )
 
     def tags(self, logical: str) -> List[str]:
         """Distinct subset tags present in a container, sorted."""
@@ -208,21 +221,27 @@ class PLFS:
         index = self._indexes.get(logical)
         if index is not None:
             return index
-        meta_fs = self.backends[self.metadata_backend]
-        path = self.index_path(logical)
-        index = {}
-        if meta_fs.exists(path):
-            try:
-                for line in meta_fs.data(path).splitlines():
-                    self._register(logical, index, IndexRecord(**json.loads(line)))
-            except (ValueError, TypeError) as exc:
-                raise ContainerError(
-                    f"corrupt index for {logical!r}: {exc}"
-                ) from exc
-        elif not create:
+        logs = self.metadata_homes(self.index_path(logical))
+        if not logs and not create:
             raise ContainerError(f"no container index for {logical!r}")
+        index = {}
+        for backend in logs:
+            for record in self._read_log(logical, backend):
+                self._register(logical, index, record)
         self._indexes[logical] = index
         return index
+
+    def _read_log(self, logical: str, backend: str) -> List[IndexRecord]:
+        """The records of one backend's index log up to its last complete
+        line; a torn tail is remembered for the next append to cut off."""
+        log = self.backends[backend].data(self.index_path(logical))
+        end = log.rfind(b"\n") + 1
+        if end < len(log):
+            self._torn[(logical, backend)] = end
+        try:
+            return [IndexRecord(**json.loads(line)) for line in log[:end].splitlines()]
+        except (ValueError, TypeError) as exc:
+            raise ContainerError(f"corrupt index for {logical!r}: {exc}") from exc
 
     def _register(
         self, logical: str, index: Dict[str, _Subset], record: IndexRecord
@@ -416,16 +435,11 @@ class PLFS:
     def delete_container(self, logical: str) -> int:
         """Remove every chunk and the index of a container; returns freed
         bytes.  Synchronous (metadata-path operation, like ``rm -r``)."""
-        records = self.container_index(logical)
-        freed = 0
-        for record in records:
-            backend = self.backends[record.backend]
-            if backend.exists(record.path):
-                freed += backend.delete(record.path)
-        meta_fs = self.backends[self.metadata_backend]
+        freed = self.discard(self.container_index(logical))
         index_path = self.index_path(logical)
-        if meta_fs.exists(index_path):
-            meta_fs.delete(index_path)
+        for backend, fs in self.metadata_homes(index_path).items():
+            fs.delete(index_path)
+            self._torn.pop((logical, backend), None)
         self._indexes.pop(logical, None)
         for key in [k for k in self._chunk_counters if k[0] == logical]:
             del self._chunk_counters[key]
@@ -447,21 +461,17 @@ class PLFS:
         if len(index) == 1:
             return self.delete_container(logical)
         del index[tag]
-        freed = 0
-        for record in subset.records:
-            backend = self.backends[record.backend]
-            if backend.exists(record.path):
-                freed += backend.delete(record.path)
+        freed = self.discard(subset.records)
         self._chunk_counters.pop((logical, tag), None)
-        # Compact the log so a fresh client does not replay the dropped
-        # subset's records.  A run whose append is still in flight adds
-        # its own lines when it lands (or none, when it fails).
-        flushed = [
-            r for r in self.container_index(logical) if r not in self._flushing
-        ]
-        self.backends[self.metadata_backend].replace(
-            self.index_path(logical), _encode_log(flushed)
-        )
+        # Compact each log in place (every other record keeps its one copy,
+        # and no log grows) so a fresh client does not replay the dropped
+        # subset.  A run whose append is still in flight adds its own lines
+        # when it lands (or none, when it fails).
+        path = self.index_path(logical)
+        for backend, fs in self.metadata_homes(path).items():
+            kept = [r for r in self._read_log(logical, backend) if r.tag != tag]
+            self._torn.pop((logical, backend), None)
+            fs.replace(path, _encode_log(kept))
         return freed
 
     def commit(
@@ -469,15 +479,15 @@ class PLFS:
         logical: str,
         records: List[IndexRecord],
         retry: Optional[Callable[[Callable[[], Generator]], Generator]] = None,
+        spill_to: Optional[str] = None,
     ) -> Generator:
         """Process: index landed chunks with a single log append.
 
         The group commit of a write: every record is registered, then all
-        of them are persisted by one append, in ``records`` order.
-        ``retry(op_factory)`` runs the append (the dispatcher passes its
-        retrier; a failed append stores nothing, so repeating it is safe).
-        An append that does not land (failed, exhausted, or abandoned)
-        rolls the whole group back -- its records (by identity: concurrent
+        of them are persisted by one append, in ``records`` order -- a
+        :meth:`write_metadata` (``retry`` and ``spill_to`` are its).  An
+        append that does not land (failed, exhausted, or abandoned) rolls
+        the whole group back -- its records (by identity: concurrent
         writers may have registered behind them) and its chunk objects on
         every backend -- so the caller can rewrite it cleanly instead of
         duplicating subset bytes.
@@ -485,10 +495,10 @@ class PLFS:
         index = self._index(logical, create=True)
         for record in records:
             self._register(logical, index, record)
-        self._flushing.update(records)
-        append = partial(self._flush_index, logical, records)
         try:
-            yield from (retry(append) if retry is not None else append())
+            yield from self.write_metadata(
+                partial(self._flush_index, logical, records), retry, spill_to
+            )
         except BaseException:
             for record in records:
                 subset = index[record.tag]
@@ -497,23 +507,47 @@ class PLFS:
                     del index[record.tag]
             self.discard(records)
             raise
-        finally:
-            self._flushing.difference_update(records)
 
-    def discard(self, records: Iterable[IndexRecord]) -> None:
-        """Delete the chunk objects of landed but unindexed records (a
-        window that failed before or during its commit)."""
+    def write_metadata(
+        self,
+        write: Callable[[str], Generator],
+        retry: Optional[Callable[[Callable[[], Generator]], Generator]] = None,
+        spill_to: Optional[str] = None,
+    ) -> Generator:
+        """Process: ``write(backend)`` -- an index append or a label file --
+        on the metadata backend, or on ``spill_to`` when that is full (the
+        rule a data run spills by).  ``retry(op_factory)`` runs each try (a
+        failed write stores nothing).  Returns the backend written."""
+        if self.metadata_backend is None:
+            raise ConfigurationError("no metadata_backend to write to")
+        run = retry or (lambda op: op())
+        try:
+            yield from run(partial(write, self.metadata_backend))
+            return self.metadata_backend
+        except StorageFullError:
+            if spill_to in (None, self.metadata_backend):
+                raise
+        yield from run(partial(write, spill_to))
+        return spill_to
+
+    def discard(self, records: Iterable[IndexRecord]) -> int:
+        """Delete the chunk objects of ``records`` (a window that failed
+        before or during its commit, or a deleted subset); returns freed
+        bytes."""
+        freed = 0
         for record in records:
             backend_fs = self.backends[record.backend]
             if backend_fs.exists(record.path):
-                backend_fs.delete(record.path)
+                freed += backend_fs.delete(record.path)
+        return freed
 
     def _flush_index(
-        self, logical: str, new_records: List[IndexRecord]
+        self, logical: str, new_records: List[IndexRecord], backend: str
     ) -> Generator:
-        """Process: extend the on-disk index log by ``new_records``."""
-        yield from self.backends[self.metadata_backend].append(
-            self.index_path(logical),
-            _encode_log(new_records),
-            label="plfs-index",
-        )
+        """Process: extend ``backend``'s index log by ``new_records``,
+        cutting off the torn tail replay found there first."""
+        fs, path = self.backends[backend], self.index_path(logical)
+        torn = self._torn.pop((logical, backend), None)
+        if torn is not None:
+            fs.replace(path, fs.data(path)[:torn])
+        yield from fs.append(path, _encode_log(new_records), label="plfs-index")

@@ -132,6 +132,7 @@ def test_end_to_end_through_ada_determinator():
             "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
+        metadata_backend="ssd",
     )
     det = IODeterminator(
         sim,

@@ -19,6 +19,7 @@ def setup():
             "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
+        metadata_backend="ssd",
     )
     sim.run_process(commit_run(plfs, "bar", [("p", 100)], "ssd"))
     sim.run_process(commit_run(plfs, "bar", [("m", 300)], "hdd"))

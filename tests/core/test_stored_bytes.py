@@ -1,12 +1,15 @@
-"""The window write schedule moves *when* bytes land, never *which* bytes.
+"""The window write schedule moves *when* and *where* bytes land, never
+*which* bytes.
 
 Grouping a window's chunk runs by backend and committing them with one
-index append changed the order of device requests, not the stored state:
-every object on every backend -- subset chunks, the index log (its lines
+index append changed the order of device requests, and moving the index
+log and label file to the active tier changed their backend, not the
+stored state: every object -- subset chunks, the index log (its lines
 still in each window's sorted-tag order) and the label file -- hashes to
-the digests below, recorded from the tree before that change, the way
-``tests/formats/test_encode_golden.py`` pins the codec.  Run this file as
-a script with ``PYTHONPATH=<tree>/src`` to print a tree's digests.
+the digest below whatever backend holds it, recorded from the tree before
+those changes, the way ``tests/formats/test_encode_golden.py`` pins the
+codec.  Run this file as a script with ``PYTHONPATH=<tree>/src`` to print
+a tree's digests.
 """
 
 import hashlib
@@ -26,17 +29,15 @@ from repro.storage.ssd import NVME_SSD_256GB
 from repro.units import GB, mbps
 from repro.workloads import build_workload
 
-#: scenario -> backend -> (objects stored, sha256 over "path sha256(data)"
-#: lines in path order).
+#: scenario -> (objects stored on all backends, sha256 over their sorted
+#: "path sha256(data)" lines).
 GOLDEN = {
-    "e2e_smoke_ingest_stream": {
-        "hdd": (50, "6546aa64a23689f6fe3e2b7a628602bfdecffaf295183cafdb75a7e9b2f12ed7"),
-        "ssd": (48, "aeb40ceb849eb2de692f452abd08f9353afc5d884e0ec53b621af278fbd4ea4e"),
-    },
-    "two_tier_four_tags": {
-        "hdd": (18, "e7a44d003e714cdb9057e87dda430c5b553ac9b264d54683e3148bdb40418744"),
-        "ssd": (16, "63b14b23f092a9974f77ef7142d8159bb5c805d2a69803781e91fb17d08ce9be"),
-    },
+    "e2e_smoke_ingest_stream": (
+        98, "1b5add4e978124702ad39c6bc8d53b2bef3040f1a007190345f081d2da7d2fdc"
+    ),
+    "two_tier_four_tags": (
+        34, "1b08edc2f821bd1d39cafcba8a561795e9b44f9a5e945fa1e0510e20a9c539ba"
+    ),
 }
 
 
@@ -111,27 +112,43 @@ SCENARIOS = {
 }
 
 
-def stored_digests(ada):
-    out = {}
-    for name, fs in sorted(ada.plfs.backends.items()):
-        paths = sorted(fs.store.walk())
-        listing = "".join(
-            f"{path} {hashlib.sha256(fs.store.data(path)).hexdigest()}\n"
-            for path in paths
-        )
-        out[name] = (len(paths), hashlib.sha256(listing.encode()).hexdigest())
-    return out
+def _homes(ada):
+    """path -> the backend holding it, over every backend."""
+    return {
+        path: name
+        for name, fs in ada.plfs.backends.items()
+        for path in fs.store.walk()
+    }
+
+
+def stored_digest(ada):
+    lines = sorted(
+        f"{path} {hashlib.sha256(fs.store.data(path)).hexdigest()}\n"
+        for fs in ada.plfs.backends.values()
+        for path in fs.store.walk()
+    )
+    return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_every_stored_object_matches_the_recorded_digest(scenario):
     ada, logical = SCENARIOS[scenario]()
-    assert stored_digests(ada) == GOLDEN[scenario]
+    assert stored_digest(ada) == GOLDEN[scenario]
+    # Metadata sits on the active tier; every subset chunk where its tag
+    # places, as before the metadata moved.
+    active = ada.placement.active_backend
+    for path, backend in _homes(ada).items():
+        if path.endswith((".label", ".plfs/index")):
+            assert backend == active, path
+        else:
+            tag = path.split("/subset.")[1].split("/")[0]
+            assert backend == ada.placement.backend_for(tag), path
     assert ada.plfs.fsck(logical)["ok"]
+    # A cold client finds the log without being told where it is.
     cold = PLFS(ada.sim, ada.plfs.backends)
     assert cold.container_index(logical) == ada.plfs.container_index(logical)
 
 
 if __name__ == "__main__":
     for name, build in sorted(SCENARIOS.items()):
-        print(f"    {name!r}: {stored_digests(build()[0])!r},")
+        print(f"    {name!r}: {stored_digest(build()[0])!r},")

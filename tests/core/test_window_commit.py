@@ -5,21 +5,24 @@ write path of ``ingest``, ``ingest_append``, ``ingest_virtual`` and every
 ``ingest_stream`` window -- groups the tags by the backend they place on
 (not by consecutive runs, which with ``lod:`` siblings interleave ``hdd,
 ssd, hdd, ssd`` and never merged), writes the groups in parallel, and
-``PLFS.commit`` indexes the lot with a single log append.  Counted, not
-timed: ``device_ops_total{op="write"}`` per device for one appended
-window, and the devices' ``plfs-index`` busy intervals.
+``PLFS.commit`` indexes the lot with a single log append on the active
+tier.  Counted, not timed: ``device_ops_total{op="write"}`` per device for
+one appended window, and the devices' ``plfs-index`` busy intervals.
 
 The failure contract rides along: the index append retries alone (no data
 span is rewritten), an exhausted retry leaves nothing of the window behind
 and burns its chunk names, a group that fails waits for the others and
 rolls them back, an abandoned dispatch leaves no chunk and no capacity
-reservation, and a full SSD spills only the SSD group.
+reservation, a full SSD spills only the SSD group, and an index append or
+label file that finds the SSD full spills to the HDD like a data run.
 """
+
+import json
 
 import pytest
 
 from repro.cluster.shard import ShardedADA, ShardNode
-from repro.core import ADA, IngestPipelineConfig
+from repro.core import ADA, IngestPipelineConfig, PlacementPolicy
 from repro.errors import FaultError
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.formats.xtc import encode_xtc
@@ -31,6 +34,7 @@ from repro.units import GB, MB, mbps
 from repro.workloads import build_workload
 
 LOGICAL = "window.xtc"
+INDEX = PLFS.index_path(LOGICAL)
 CONFIG = IngestPipelineConfig(window_frames=8)
 WINDOW_TAGS = ["lod:m", "lod:p", "m", "p"]
 
@@ -47,11 +51,15 @@ def _fs(sim, name, capacity=100 * GB, bw=1000):
     return LocalFS(sim, spec, name=name)
 
 
-def _two_tier_ada(sim, ssd_bw=1000, hdd_bw=1000):
-    """SSD + HDD; PLFS keeps its index on ``hdd`` (it sorts first)."""
+def _two_tier_ada(sim, ssd_bw=1000, hdd_bw=1000, ssd_capacity=100 * GB):
+    """SSD + HDD; the index log and label file live on ``ssd``, the
+    active tier."""
     return ADA(
         sim,
-        backends={"ssd": _fs(sim, "ssd", bw=ssd_bw), "hdd": _fs(sim, "hdd", bw=hdd_bw)},
+        backends={
+            "ssd": _fs(sim, "ssd", capacity=ssd_capacity, bw=ssd_bw),
+            "hdd": _fs(sim, "hdd", bw=hdd_bw),
+        },
         lod_precision=12.5,
     )
 
@@ -109,11 +117,13 @@ def test_two_tier_window_is_one_span_per_backend_plus_one_append(stream):
     assert [ada.placement.backend_for(t) for t in WINDOW_TAGS] == [
         "hdd", "ssd", "hdd", "ssd",
     ]
-    # ...yet each tier sees one span, and the metadata disk one append
-    # (consecutive runs cost 2 SSD and 4 + 2 HDD writes).
-    assert writes == {"ssd": 1, "hdd": 2}
-    assert _index_appends(ada.plfs.backends["hdd"]) == 2  # one per window
-    assert _index_appends(ada.plfs.backends["ssd"]) == 0
+    # ...yet each tier sees one span, and the active tier one append
+    # (consecutive runs, one commit each, would cost 2 + 4 SSD and 2 HDD
+    # writes).
+    assert ada.plfs.metadata_backend == ada.placement.active_backend == "ssd"
+    assert writes == {"ssd": 2, "hdd": 1}
+    assert _index_appends(ada.plfs.backends["ssd"]) == 2  # one per window
+    assert _index_appends(ada.plfs.backends["hdd"]) == 0
     value = ada.metrics.value
     assert value("dispatcher_coalesced_runs_total") == 2 * 2
     assert value("dispatcher_requests_saved_total") == 2 * 2
@@ -131,8 +141,8 @@ def _schedule_writes(ada):
 @pytest.mark.parametrize("entry", ["ingest", "ingest_append", "ingest_virtual"])
 def test_every_ingest_entry_point_lands_as_one_span_per_backend(stream, entry):
     """The monolithic and size-only ingests take the window's write path:
-    four tags on two tiers cost 1 SSD + 2 HDD writes (one commit per tag
-    cost 2 + 6)."""
+    four tags on two tiers cost 2 SSD + 1 HDD writes (one commit per tag
+    would cost 6 + 2)."""
     pdb_text, first, second = stream
     sim = Simulator()
     ada = _two_tier_ada(sim)
@@ -149,7 +159,7 @@ def test_every_ingest_entry_point_lands_as_one_span_per_backend(stream, entry):
             {tag: 4096 for tag in WINDOW_TAGS}, compressed_nbytes=4096,
         ))
     after = _schedule_writes(ada)
-    assert {d: after[d] - before[d] for d in after} == {"ssd": 1, "hdd": 2}
+    assert {d: after[d] - before[d] for d in after} == {"ssd": 2, "hdd": 1}
     assert ada.all_tags(LOGICAL) == WINDOW_TAGS
 
 
@@ -163,11 +173,11 @@ def test_size_only_store_overlaps_the_tiers():
     ssd_s = ada.plfs.backends["ssd"].device.spec.write_time(sizes["p"])
     hdd_s = ada.plfs.backends["hdd"].device.spec.write_time(sizes["m"])
     sim.run_process(ada.determinator.store(LOGICAL, sizes))
-    # The HDD span, then one small append on the same disk; the SSD's
-    # 0.4 s hides inside the HDD's 1 s.
+    # The HDD span, then one small append on the SSD; the SSD's 0.4 s
+    # hides inside the HDD's 1 s.
     assert hdd_s < sim.now < hdd_s + 0.01 < hdd_s + ssd_s
     assert ada.plfs.container_nbytes(LOGICAL) == sum(sizes.values())
-    assert _index_appends(ada.plfs.backends["hdd"]) == 1
+    assert _index_appends(ada.plfs.backends["ssd"]) == 1
 
 
 def test_single_backend_window_is_one_span_plus_one_append(stream):
@@ -199,6 +209,8 @@ def test_sharded_window_is_one_append_per_holder_node(stream):
     assert sum(len(tags) for tags in held.values()) == 5
     assert max(len(tags) for tags in held.values()) >= 2
     for node in nodes:
+        # A one-disk node's metadata resolves to its only disk.
+        assert node.ada.plfs.metadata_backend == "hdd"
         fs = node.ada.plfs.backends["hdd"]
         holds = 1 if held[node.name] else 0
         assert writes[node.name] == 2 * holds, node.name
@@ -206,14 +218,17 @@ def test_sharded_window_is_one_append_per_holder_node(stream):
 
 
 def test_no_read_lands_between_a_span_and_its_index_append(stream):
-    """A reader hammering the metadata disk while a window lands: the
-    read that queues behind the span waits for the window's append too,
-    so the disk serves span and append back to back (without the hold it
-    serves span, read, append -- and the reader's next read waits a whole
-    append)."""
+    """A reader hammering a one-disk shard node while a window lands (the
+    index shares the disk with the spans there): the read that queues
+    behind the span waits for the window's append too, so the disk serves
+    span and append back to back (without the hold it serves span, read,
+    append -- and the reader's next read waits a whole append)."""
     pdb_text, first, second = stream
     sim = Simulator()
-    ada = ADA(sim, backends={"hdd": _fs(sim, "hdd")}, lod_precision=12.5)
+    ada = ShardNode.build(
+        sim, "node0", backends={"hdd": _fs(sim, "hdd")}, lod_precision=12.5
+    ).ada
+    assert ada.plfs.metadata_backend == "hdd"
     _ingest(ada, first, pdb_text)
     hdd = ada.plfs.backends["hdd"]
     path = ada.plfs.subset_records(LOGICAL, "m")[0].path
@@ -240,9 +255,10 @@ def test_no_read_lands_between_a_span_and_its_index_append(stream):
 
 
 def _three_disk_ada(sim, ssd_capacity=100 * GB, max_retries=4):
-    """Two data tiers plus a metadata-only disk (``catalog`` sorts first,
-    so PLFS keeps its index there): a fault plan on it hits the index
-    appends and the label file, never a data span."""
+    """Two data tiers plus a metadata-only disk: ``catalog`` is the active
+    tier, so it holds the index log and the label file, and an override
+    sends the active subset to ``ssd``.  A fault plan on ``catalog`` hits
+    the index appends and the label file, never a data span."""
     return ADA(
         sim,
         backends={
@@ -250,6 +266,10 @@ def _three_disk_ada(sim, ssd_capacity=100 * GB, max_retries=4):
             "hdd": _fs(sim, "hdd"),
             "ssd": _fs(sim, "ssd", capacity=ssd_capacity),
         },
+        placement=PlacementPolicy(
+            active_tags=frozenset({"p"}), active_backend="catalog",
+            inactive_backend="hdd", overrides={"p": "ssd"},
+        ),
         lod_precision=12.5,
         retry_policy=RetryPolicy(max_retries=max_retries, seed=1),
     )
@@ -432,3 +452,84 @@ def test_full_ssd_spills_only_the_ssd_group(stream):
     ]
     assert {r.backend for r in ada.plfs.container_index(LOGICAL)} == {"hdd"}
     _assert_consistent(ada)
+
+
+# -- a full active tier: metadata spills like data ------------------------------
+
+
+def _log_records(fs):
+    return [json.loads(line) for line in fs.data(INDEX).splitlines()]
+
+
+def _full_ssd_ada(stream):
+    """Two windows on an SSD sized so the second window's span takes its
+    last free byte: the span lands on the SSD, its index append does not
+    fit.  The sizes come from the same two windows on a roomy twin."""
+    pdb_text, first, second = stream
+    twin = _two_tier_ada(Simulator())
+    ssd = twin.plfs.backends["ssd"]
+    _ingest(twin, first, pdb_text)
+    used, log = ssd.device.used_bytes, ssd.nbytes(INDEX)
+    _ingest(twin, second)
+    span = ssd.device.used_bytes - used - (ssd.nbytes(INDEX) - log)
+    ada = _two_tier_ada(Simulator(), ssd_capacity=used + span)
+    _ingest(ada, first, pdb_text)
+    _ingest(ada, second)
+    return ada
+
+
+def test_index_append_on_a_full_ssd_spills_to_the_hdd(stream):
+    ada = _full_ssd_ada(stream)
+    ssd, hdd = ada.plfs.backends["ssd"], ada.plfs.backends["hdd"]
+    assert ssd.device.free_bytes == 0
+    # The window committed: its data span stayed on the SSD (no data
+    # spill), and only its index lines went to the HDD.
+    assert ada.determinator.dispatcher.spills == []
+    assert {r.backend for r in ada.plfs.subset_records(LOGICAL, "p")} == {"ssd"}
+    assert [r["chunk"] for r in _log_records(ssd)] == [0] * len(WINDOW_TAGS)
+    assert [r["chunk"] for r in _log_records(hdd)] == [1] * len(WINDOW_TAGS)
+    # A cold client replays both logs, each record once.
+    _assert_consistent(ada)
+    cold = PLFS(ada.sim, ada.plfs.backends).container_index(LOGICAL)
+    assert len(cold) == len(set(cold)) == 2 * len(WINDOW_TAGS)
+
+
+def test_compacting_a_split_log_leaves_one_copy_of_each_record(stream):
+    ada = _full_ssd_ada(stream)
+    assert ada.plfs.delete_subset(LOGICAL, "m") > 0
+    logs = [
+        rec for fs in ada.plfs.backends.values() for rec in _log_records(fs)
+    ]
+    assert sorted((r["tag"], r["chunk"]) for r in logs) == [
+        (r.tag, r.chunk) for r in ada.plfs.container_index(LOGICAL)
+    ]
+    assert "m" not in ada.tags(LOGICAL)
+    _assert_consistent(ada)
+
+
+def test_label_on_a_full_ssd_lands_on_the_hdd(stream):
+    pdb_text, first, _second = stream
+    ada = _full_ssd_ada(stream)
+    ssd, hdd = ada.plfs.backends["ssd"], ada.plfs.backends["hdd"]
+    other = "other.xtc"
+
+    def _ingest_other():
+        ada.sim.run_process(
+            ada.ingest_stream(other, first, pdb_text=pdb_text, config=CONFIG)
+        )
+
+    _ingest_other()
+    label = ADA._label_path(other)
+    assert hdd.exists(label) and not ssd.exists(label)
+    reader = ADA(ada.sim, backends=ada.plfs.backends)  # nothing in memory
+    assert reader.label_map(other) == ada.label_map(other)
+    assert ada.plfs.fsck()["ok"]
+    # With room again, a fresh ingest puts the label back on the SSD and
+    # drops the spilled copy.
+    ada.plfs.delete_subset(LOGICAL, "p")
+    _ingest_other()
+    assert ssd.exists(label) and not hdd.exists(label)
+    assert ADA(ada.sim, backends=ada.plfs.backends).label_map(other) == (
+        ada.label_map(other)
+    )
+    assert ada.plfs.fsck()["ok"]

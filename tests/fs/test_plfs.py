@@ -113,7 +113,9 @@ def test_corrupt_index_raises():
     plfs = _plfs(sim)
     sim.run_process(commit_run(plfs, "bar", [("p", b"x")], "ssd"))
     plfs._indexes.clear()
-    plfs.backends["ssd"].store.put("bar.plfs/index", data=b"not json")
+    # A complete line that is no record (a torn, unterminated one is not
+    # corruption: see test_plfs_index_log's torn-tail tests).
+    plfs.backends["ssd"].store.put("bar.plfs/index", data=b"not json\n")
     with pytest.raises(ContainerError, match="corrupt"):
         plfs.container_index("bar")
 

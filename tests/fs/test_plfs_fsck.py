@@ -17,6 +17,7 @@ def plfs():
             "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
+        metadata_backend="ssd",
     )
     sim.run_process(commit_run(fs, "bar", [("p", b"pppp")], "ssd"))
     sim.run_process(commit_run(fs, "bar", [("m", b"mm")], "hdd"))

@@ -165,13 +165,14 @@ def test_fresh_client_appends_after_the_stored_chunks():
     assert _fresh(plfs).container_index(LOGICAL) == other.container_index(LOGICAL)
 
 
-# -- (c) a torn or non-JSON line is a corrupt index ---------------------------
+# -- (c) a damaged complete line is a corrupt index; a torn tail is not -------
 
 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda log: log[: len(log) - 9],  # torn final line
+        # a torn line with a complete one after it: not a crash mid-append
+        lambda log: log[:9] + b"\n" + log.splitlines(keepends=True)[-1],
         lambda log: log + b"not json\n",
         lambda log: log + b"\n",  # blank line
         lambda log: log + b"[1, 2]\n",  # JSON, but not a record
@@ -186,6 +187,52 @@ def test_damaged_log_line_raises_container_error(damage):
     meta.store.put(INDEX, data=damage(meta.data(INDEX)))
     with pytest.raises(ContainerError, match="corrupt"):
         _fresh(plfs).container_index(LOGICAL)
+
+
+def test_torn_final_line_loses_only_its_own_window():
+    """A crash mid-append leaves a prefix of the last window's line: replay
+    stops at the last complete line, the torn window's chunk is an
+    orphan, and the next append cuts the tail off before extending."""
+    sim, plfs = _plfs()
+    first = [("m", b"m" * 30), ("p", b"p" * 20)]
+    sim.run_process(commit_run(plfs, LOGICAL, first, "hdd"))
+    sim.run_process(commit_run(plfs, LOGICAL, [("p", b"q" * 20)], "hdd"))
+    meta = plfs.backends["meta"]
+    log = meta.data(INDEX)
+    committed = log[: log.rfind(b"\n", 0, len(log) - 1) + 1]
+    meta.replace(INDEX, log[: (len(committed) + len(log)) // 2])
+
+    cold = _fresh(plfs)
+    assert cold.container_index(LOGICAL) == plfs.container_index(LOGICAL)[:2]
+    for tag, data in first:
+        assert sim.run_process(read_subset(cold, LOGICAL, tag)).data == data
+    assert cold.fsck(LOGICAL)["orphaned"] == [
+        f"hdd:{PLFS.chunk_path(LOGICAL, 'p', 1)}"
+    ]
+
+    sim.run_process(commit_run(cold, LOGICAL, [("m", b"n" * 10)], "ssd"))
+    assert meta.data(INDEX).startswith(committed)
+    assert len(meta.data(INDEX).splitlines()) == 3
+    assert meta.device.used_bytes == meta.nbytes(INDEX)
+    assert _fresh(plfs).container_index(LOGICAL) == cold.container_index(LOGICAL)
+    assert cold.fsck(LOGICAL)["orphaned"] == [
+        f"hdd:{PLFS.chunk_path(LOGICAL, 'p', 1)}"
+    ]
+
+
+def test_torn_tail_goes_with_a_compaction():
+    sim, plfs = _plfs()
+    for _ in range(2):
+        sim.run_process(
+            commit_run(plfs, LOGICAL, [("m", b"mm"), ("p", b"ppp")], "hdd")
+        )
+    meta = plfs.backends["meta"]
+    meta.replace(INDEX, meta.data(INDEX)[:-5])
+    cold = _fresh(plfs)
+    assert [r.tag for r in cold.container_index(LOGICAL)] == ["m", "m", "p"]
+    cold.delete_subset(LOGICAL, "m")
+    assert meta.data(INDEX).endswith(b"\n")
+    assert _fresh(plfs).container_index(LOGICAL) == cold.container_index(LOGICAL)
 
 
 # -- (d) append goes through the write fault gate -----------------------------

@@ -120,7 +120,7 @@ def test_coalesced_run_pays_one_device_write():
 def test_index_flush_fault_rolls_back_whole_run():
     sim, plfs = _plfs()
 
-    def failing_flush(logical, new_records):
+    def failing_flush(logical, new_records, backend):
         raise TransientFaultError("index flush lost")
         yield  # pragma: no cover
 

@@ -128,7 +128,7 @@ def test_corrupt_container_index_detected(workload):
     sim.run_process(ada.ingest("bar.xtc", workload.pdb_text, workload.xtc_blob))
     ada.plfs._indexes.clear()
     meta_fs = ada.plfs.backends[ada.plfs.metadata_backend]
-    meta_fs.store.put("bar.xtc.plfs/index", data=b"{broken")
+    meta_fs.store.put("bar.xtc.plfs/index", data=b"{broken\n")
     with pytest.raises(ContainerError, match="corrupt"):
         sim.run_process(ada.fetch("bar.xtc", "p"))
 

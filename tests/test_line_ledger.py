@@ -12,9 +12,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: Lines under ``src/repro`` at the last PR that moved it, rounded up to
-#: the next 10.
-BUDGET = 23130
+#: Lines under ``src/repro`` allowed: raised by exactly a PR's net growth,
+#: lowered when it deletes.
+BUDGET = 23168
 
 
 def test_source_lines_stay_within_the_budget():
