@@ -83,7 +83,10 @@ def main() -> None:
     )
 
     # 5. ...while the full-precision analysis reconstructs everything.
-    objs = sim.run_process(det.fetch_all("sensors.dat"))
+    objs = {
+        tag: sim.run_process(det.fetch("sensors.dat", tag))
+        for tag in plfs.tags("sensors.dat")
+    }
     merged = pre.merge({tag: o.data for tag, o in objs.items()})
     full = np.frombuffer(merged, dtype=structure.numpy_dtype())
     assert np.array_equal(full, records)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import replace
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.dataplane import DataPlane
@@ -210,13 +209,6 @@ class ShardNode:
         return f"ShardNode({self.name!r}, {state}, inflight={self.inflight})"
 
 
-def _advertise(obj: StoredObject, bound: Optional[float]) -> StoredObject:
-    """Stamp the *front's* pinned LOD bound on a node's coarse-tier
-    answer: nodes never see an ingest receipt, so only the front knows
-    the bound the dataset was encoded with."""
-    return obj if obj.max_error == bound else replace(obj, max_error=bound)
-
-
 class ShardedADA(DataPlane):
     """N ADA middleware nodes behind one single-middleware surface.
 
@@ -227,15 +219,26 @@ class ShardedADA(DataPlane):
     (primary first, so the primary's copy is never behind a replica's),
     and ``fetch_merged`` scatter-gathers each tag from its own shard.
 
-    Everything that is not routing -- tier resolution, the ingest
-    skeletons, ``fetch_all``'s degrade policy, the merge, ``tags``/
-    ``has_lod``/``lod_bound``/``remove`` -- is the
-    shared :class:`~repro.core.dataplane.DataPlane`, so
+    Everything that is not routing -- the public read and ingest
+    surface, tier resolution, ``fetch_all``'s degrade policy, the merge,
+    ``tags``/``has_lod``/``lod_bound``/``remove`` -- is the shared
+    :class:`~repro.core.dataplane.DataPlane`, so
     :class:`~repro.serve.ServeFront` and
-    :class:`~repro.vmd.session.VMDSession` run unmodified on top.
+    :class:`~repro.vmd.session.VMDSession` run unmodified on top.  The
+    tier resolves once, at the front: the read hooks route the resolved
+    tag to a node's own hooks, never to its public ``fetch*``.
     """
 
     _span_family = "cluster"
+
+    # ``benchmarks/e2e/trace.py`` patches these per class through
+    # ``cls.__dict__``, so each front names the shared entry points.
+    fetch = DataPlane.fetch
+    fetch_chunks = DataPlane.fetch_chunks
+    fetch_merged = DataPlane.fetch_merged
+    ingest = DataPlane.ingest
+    ingest_append = DataPlane.ingest_append
+    ingest_stream = DataPlane.ingest_stream
 
     def __init__(
         self,
@@ -589,46 +592,6 @@ class ShardedADA(DataPlane):
         self._label_maps[logical] = label_map
         return ()
 
-    def ingest(
-        self, logical: str, pdb_text: str, trajectory_blob: bytes
-    ) -> Generator:
-        """Process: pre-process once, route each tagged subset to its shard."""
-        with span(self.sim, "cluster.ingest", logical=logical):
-            receipt = yield from self._ingest_batch(
-                logical, trajectory_blob, pdb_text
-            )
-        return receipt
-
-    def ingest_append(self, logical: str, trajectory_blob: bytes) -> Generator:
-        """Process: append a chunk; each tag lands on its existing holders."""
-        with span(self.sim, "cluster.ingest_append", logical=logical):
-            receipt = yield from self._ingest_batch(
-                logical, trajectory_blob, None
-            )
-        return receipt
-
-    def ingest_stream(
-        self,
-        logical: str,
-        trajectory_blob: bytes,
-        pdb_text: Optional[str] = None,
-        config: Optional[IngestPipelineConfig] = None,
-        analysis: Optional[object] = None,
-    ) -> Generator:
-        """Process: windowed streaming ingest with sharded write-behind.
-
-        The front runs the same bounded producer/(analyzer/)consumer
-        pipeline as a single middleware (see :meth:`ADA.ingest_stream`);
-        the dispatch stage fans each window's tags out to their holder
-        shards as coalesced chunk runs.  Chunk order per ``(node,
-        logical, tag)`` follows window order, so every replica stores
-        byte-identical chunks.
-        """
-        return self._ingest_windows(
-            logical, trajectory_blob, pdb_text,
-            config or IngestPipelineConfig(), analysis,
-        )
-
     def _invalidate_derived(self, logical: str) -> None:
         holders = {
             name
@@ -652,56 +615,26 @@ class ShardedADA(DataPlane):
                     return True
         return False
 
-    def fetch(self, logical: str, tag: str, precision: str = "full") -> Generator:
-        """Process: tag-selective read from the best live holder.
-
-        The tier resolves *before* routing -- the ``lod:`` sibling hashes
-        to its own ring position, so it may live on a different node than
-        its base subset -- and is then passed to the node explicitly, so
-        front and node never disagree mid-request.
-        """
-        tier, route_tag, bound = self._resolve_tier(logical, tag, precision)
-        if tier == "lod":
-            self._counters["lod_routed"].inc()
-        obj = yield from self._routed(
-            logical, route_tag, "fetch",
-            lambda node: node.ada.fetch(logical, tag, precision=tier),
+    def _fetch(self, logical: str, tag: str) -> Generator:
+        return self._routed(
+            logical, tag, "fetch", lambda node: node.ada._fetch(logical, tag)
         )
-        return _advertise(obj, bound) if tier == "lod" else obj
 
-    def fetch_chunks(
-        self, logical: str, tag: str, chunks, precision: str = "full"
+    def _fetch_chunks(
+        self, logical: str, tag: str, chunks: List[int]
     ) -> Generator:
-        """Process: windowed chunk read; sticky routing keeps one shard's
-        prefetcher trained on the stream."""
-        chunks = list(chunks)
-        tier, route_tag, bound = self._resolve_tier(logical, tag, precision)
-        if tier == "lod":
-            self._counters["lod_routed"].inc()
-        objs = yield from self._routed(
-            logical, route_tag, "fetch_chunks",
-            lambda node: node.ada.fetch_chunks(
-                logical, tag, chunks, precision=tier
-            ),
+        return self._routed(
+            logical, tag, "fetch_chunks",
+            lambda node: node.ada._fetch_chunks(logical, tag, chunks),
         )
-        if tier == "lod":
-            objs = [_advertise(obj, bound) for obj in objs]
-        return objs
 
-    def fetch_merged(self, logical: str, precision: str = "full") -> Generator:
-        """Process: scatter-gather -- each tag reads from its own shard,
-        frames reassemble at the front."""
-        return self._gather_merged(logical, precision)
-
-    def _read_subset(self, logical: str, tag: str) -> Generator:
-        return self.fetch(logical, tag)
+    #: ``fetch_all`` reads each tag as one routed fetch.
+    _read_subset = _fetch
 
     def _read_chunks(self, logical: str, tag: str) -> Generator:
         return self._routed(
             logical, tag, "fetch_merged",
-            lambda node: node.ada.determinator.retriever.retrieve_chunks(
-                logical, tag
-            ),
+            lambda node: node.ada._read_chunks(logical, tag),
         )
 
     def _downgradable(self, logical: str, tag: str) -> bool:
@@ -720,7 +653,8 @@ class ShardedADA(DataPlane):
         self._counters["degraded"].inc()
 
     def _tier_counters(self) -> Dict[str, object]:
-        """The tier events the front counts; nodes keep their own ``lod_*``."""
+        """The tier events the front counts.  Tiers resolve only here, so
+        a node's own ``lod_*`` series stay still behind the front."""
         return {
             "routed": self._counters["lod_routed"],
             "fallback": self._counters["lod_fallback"],

@@ -2,19 +2,24 @@
 
 :class:`~repro.core.middleware.ADA` (one node) and
 :class:`~repro.cluster.shard.ShardedADA` (N nodes behind a router) are
-the *same* middleware over different storage: both pick a precision
-tier, run the ingest skeleton (pre-process -> charge CPU -> write
-subsets -> record the label map or invalidate derived cache entries ->
-receipt) and serve whole-dataset reads under one degrade policy.
-:class:`DataPlane` holds that logic once.  A
-front supplies only the storage-facing steps -- ``_stored_tags``,
-``_store_subsets``, ``_read_subset``, ``_read_chunks``, ``_lookup_all``,
-``_store_label``, ``_invalidate_derived``, ``_delete_stored``,
-``_under_pressure``, ``_downgradable``, ``_charge_preprocess``,
-``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
-``label_map``, ``preprocessor`` and ``fault_plan``, and the two hooks a
-*consumer* of the plane needs (:meth:`DataPlane.members`,
-:meth:`DataPlane.chunks_nbytes`).
+the *same* middleware over different storage.  :class:`DataPlane` defines
+the whole public data surface once -- ``fetch``, ``fetch_chunks``,
+``fetch_merged``, ``fetch_all``, ``ingest``, ``ingest_append``,
+``ingest_stream`` -- so a request's precision tier is resolved here, in
+one place, before any front hook runs; the hooks only ever see the
+*resolved* read tag.  Ingest is one skeleton (pre-process -> charge CPU
+-> write subsets -> record the label map or invalidate derived cache
+entries -> receipt); whole-dataset reads share one degrade policy.
+
+A front supplies only the storage-facing steps -- ``_fetch`` (one
+subset, lookup included), ``_fetch_chunks`` (a window of chunks),
+``_read_subset``, ``_read_chunks``, ``_lookup_all``, ``_stored_tags``,
+``_store_subsets``, ``_store_label``, ``_invalidate_derived``,
+``_delete_stored``, ``_under_pressure``, ``_downgradable``,
+``_charge_preprocess``, ``_charge_analysis``, ``_tier_counters``,
+``_landed_on`` -- plus ``label_map``, ``preprocessor`` and
+``fault_plan``, and the two hooks a *consumer* of the plane needs
+(:meth:`DataPlane.members`, :meth:`DataPlane.chunks_nbytes`).
 Nothing here knows which front it serves: a step that would have to ask
 stays in the subclass.
 """
@@ -22,7 +27,7 @@ stays in the subclass.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.ingest import IngestPipeline, IngestPipelineConfig
@@ -114,11 +119,14 @@ def merge_decoded_subsets(
 
 
 class DataPlane:
-    """Tier resolution, ingest skeletons and whole-dataset reads over a
-    front's storage hooks (see the module docstring)."""
+    """The public read and ingest surface, tier resolution and the ingest
+    skeletons, over a front's storage hooks (see the module docstring)."""
 
-    #: Span-name family of the front (``ada.fetch_all`` / ``cluster.fetch_all``).
+    #: Span-name family of the front (``ada.fetch`` / ``cluster.fetch``).
     _span_family = "ada"
+
+    #: Default knobs for :meth:`ingest_stream`; a per-call config wins.
+    ingest_config: Optional[IngestPipelineConfig] = None
 
     def __init__(
         self,
@@ -149,6 +157,27 @@ class DataPlane:
 
     # -- ingest (write) path --------------------------------------------------
 
+    def ingest(
+        self, logical: str, pdb_text: str, trajectory_blob: bytes
+    ) -> Generator:
+        """Process: pre-process and dispatch one materialized dataset.
+
+        The decompression and categorization CPU cost lands on the storage
+        node (when one is attached) -- the whole point of ADA is *where*
+        this work happens.  A sharded front pre-processes once and routes
+        each tagged subset to its holders.
+        """
+        return self._ingest_batch(logical, trajectory_blob, pdb_text)
+
+    def ingest_append(self, logical: str, trajectory_blob: bytes) -> Generator:
+        """Process: append a trajectory chunk to an already-ingested dataset.
+
+        The structure was analyzed at first ingest; subsequent chunks from
+        a running simulation reuse its label map and land as additional
+        PLFS chunks on the same backends (on a cluster, the same holders).
+        """
+        return self._ingest_batch(logical, trajectory_blob, None)
+
     def _ingest_batch(
         self, logical: str, trajectory_blob: bytes, pdb_text: Optional[str]
     ) -> Generator:
@@ -157,21 +186,25 @@ class DataPlane:
         recorded once the subsets have committed, so a failed ingest
         leaves nothing), without it a chunk appended under the map."""
         fresh = pdb_text is not None
-        if fresh:
-            result = self.preprocessor.process(pdb_text, trajectory_blob)
-            label_map = result.label_map
-        else:
-            label_map = self.label_map(logical)
-            result = self.preprocessor.process_chunk(label_map, trajectory_blob)
-        yield from self._charge_preprocess(result.raw_nbytes)
-        yield from self._store_subsets(logical, result.subsets)
-        if fresh:
-            yield from self._store_label(logical, label_map)
-        else:
-            # New chunks make every *derived* (assembled whole-subset)
-            # cache entry stale; per-chunk blocks stay valid -- chunks are
-            # immutable once written.
-            self._invalidate_derived(logical)
+        op = "ingest" if fresh else "ingest_append"
+        with span(self.sim, f"{self._span_family}.{op}", logical=logical):
+            if fresh:
+                result = self.preprocessor.process(pdb_text, trajectory_blob)
+                label_map = result.label_map
+            else:
+                label_map = self.label_map(logical)
+                result = self.preprocessor.process_chunk(
+                    label_map, trajectory_blob
+                )
+            yield from self._charge_preprocess(result.raw_nbytes)
+            yield from self._store_subsets(logical, result.subsets)
+            if fresh:
+                yield from self._store_label(logical, label_map)
+            else:
+                # New chunks make every *derived* (assembled whole-subset)
+                # cache entry stale; per-chunk blocks stay valid -- chunks
+                # are immutable once written.
+                self._invalidate_derived(logical)
         return self._receipt(
             logical,
             label_map,
@@ -180,18 +213,52 @@ class DataPlane:
             result.compressed_nbytes,
         )
 
-    def _ingest_windows(
+    def ingest_stream(
         self,
         logical: str,
         trajectory_blob: bytes,
-        pdb_text: Optional[str],
-        config: IngestPipelineConfig,
-        hook: Optional[object],
+        pdb_text: Optional[str] = None,
+        config: Optional[IngestPipelineConfig] = None,
+        analysis: Optional[object] = None,
     ) -> Generator:
         """Process: streaming windowed ingest with write-behind dispatch
-        and, optionally, a fused in-situ analysis stage (the contract is
-        on :meth:`repro.core.middleware.ADA.ingest_stream`)."""
-        if hook is not None and not callable(getattr(hook, "consume", None)):
+        and, optionally, fused in-situ analysis.
+
+        The arriving trajectory is split into GOF-aligned windows; each
+        window is decompressed, categorized, and encoded on the storage
+        CPU while *previous* windows' subsets drain to the backends
+        through a bounded write-behind queue (see
+        :class:`~repro.core.ingest.IngestPipeline`).  Peak buffered
+        memory is O(window x depth) instead of the whole raw dataset, and
+        the CPU and device stages overlap in simulated time.  On a
+        cluster the dispatch stage fans each window's tags out to their
+        holders; chunk order per ``(node, logical, tag)`` follows window
+        order, so every replica stores byte-identical chunks.
+
+        ``analysis`` fuses an in-situ analysis stage into the pipeline: an
+        object with ``consume(start, stop, coords)`` / ``results()`` --
+        e.g. :class:`repro.analysis.online.InSituAnalysis` -- sees each
+        window's decoded coordinates exactly once, *before* the window's
+        buffers are released, overlapped in simulated time with the next
+        window's CPU work and the previous window's dispatch (charged via
+        ``_charge_analysis`` on the storage nodes' analysis slots).
+        Frame offsets are rebased by the hook's ``frames_seen`` at stream
+        start, so one hook may span a dataset's appended stream segments.
+        The hook's results land on the receipt's ``analysis`` field and
+        the ``analysis_*`` metric families.
+
+        With ``pdb_text`` the structure is analyzed first (a fresh
+        dataset); without it the stream appends under the dataset's
+        existing label map, exactly like :meth:`ingest_append`.  Stored
+        bytes -- chunk paths, contents, CRCs, index records -- are
+        identical to the serial (``pipelined=False``) schedule of the
+        same windows, analyzed or not.  ``config`` defaults to the
+        front's ``ingest_config``, else :class:`IngestPipelineConfig`.
+        """
+        config = config or self.ingest_config or IngestPipelineConfig()
+        if analysis is not None and not callable(
+            getattr(analysis, "consume", None)
+        ):
             raise ConfigurationError(
                 "analysis hook must provide consume(start, stop, coords)"
             )
@@ -204,7 +271,7 @@ class DataPlane:
         pipeline = self._ingest_pipeline_for(config)
         windows = self.preprocessor.process_windows(
             label_map, trajectory_blob, config.window_frames,
-            keep_coords=hook is not None,
+            keep_coords=analysis is not None,
         )
         subset_sizes: Dict[str, int] = {}
         raw_total = [0]
@@ -216,13 +283,13 @@ class DataPlane:
             return self._store_subsets(logical, result.subsets, config)
 
         analyze_window = None
-        if hook is not None:
+        if analysis is not None:
             mets = self._analysis_metrics()
             # Appended segments continue the hook's frame numbering; a
             # fresh ingest keeps raw offsets so re-running a stream that
             # failed midway lets the hook's replay guard skip the windows
             # it already consumed instead of double-counting them.
-            base = 0 if not appending else int(getattr(hook, "frames_seen", 0))
+            base = int(getattr(analysis, "frames_seen", 0)) if appending else 0
 
             def analyze_window(result: WindowResult) -> Generator:
                 with span(
@@ -231,7 +298,7 @@ class DataPlane:
                 ):
                     t0 = self.sim.now
                     yield from self._charge_analysis(result.raw_nbytes)
-                    fresh = hook.consume(
+                    fresh = analysis.consume(
                         base + result.start, base + result.stop, result.coords
                     )
                     result.coords = None  # window buffer released
@@ -240,12 +307,14 @@ class DataPlane:
                     mets["frames"].inc(int(fresh or 0))
                     mets["seconds"].inc(elapsed)
                     mets["window_seconds"].observe(elapsed)
-                    mets["frames_seen"].set(getattr(hook, "frames_seen", 0))
+                    mets["frames_seen"].set(
+                        getattr(analysis, "frames_seen", 0)
+                    )
 
         with span(
             self.sim, f"{self._span_family}.ingest_stream",
             logical=logical, pipelined=config.pipelined,
-            window_frames=config.window_frames, fused=hook is not None,
+            window_frames=config.window_frames, fused=analysis is not None,
         ):
             yield from pipeline.run(
                 windows, self._charge_preprocess, dispatch_window,
@@ -255,8 +324,8 @@ class DataPlane:
             # Same staleness rule as an appended batch.
             self._invalidate_derived(logical)
         results = None
-        if hook is not None and callable(getattr(hook, "results", None)):
-            results = hook.results()
+        if callable(getattr(analysis, "results", None)):
+            results = analysis.results()
         return self._receipt(
             logical, label_map, subset_sizes, raw_total[0],
             len(trajectory_blob), analysis=results,
@@ -328,6 +397,72 @@ class DataPlane:
             analysis=analysis,
         )
 
+    # -- read path ------------------------------------------------------------
+
+    def fetch(self, logical: str, tag: str, precision: str = "full") -> Generator:
+        """Process: tag-selective read (``mol addfile bar.xtc tag p``).
+
+        ``precision`` picks the tier: ``"full"`` (exact bytes, default),
+        ``"lod"`` (the coarse layer when the dataset has one), or
+        ``"auto"`` (LOD only while the front is under pressure -- see
+        :meth:`_resolve_tier`).  An LOD read returns an object tagged
+        ``tier="lod"`` with the dataset's pinned error bound on
+        ``max_error``.  The tier resolves once, here; the front's
+        ``_fetch`` hook gets the resolved read tag (a sharded front
+        routes on it: the ``lod:`` sibling hashes to its own ring
+        position).
+        """
+        tier, read_tag, bound = self._resolve_tier(logical, tag, precision)
+        with span(
+            self.sim, f"{self._span_family}.fetch",
+            logical=logical, tag=tag, tier=tier,
+        ):
+            obj = yield from self._fetch(logical, read_tag)
+            if tier == "lod":
+                [obj] = self._served_coarse([obj], bound)
+            return obj
+
+    def fetch_chunks(
+        self, logical: str, tag: str, chunks, precision: str = "full"
+    ) -> Generator:
+        """Process: read selected chunks of one subset (windowed playback).
+
+        The chunk-granular primitive streaming playback drives: cache
+        hits serve at memory/SSD speed, misses coalesce into span reads,
+        and -- when a prefetcher is attached -- each demand window trains
+        the stride detector and may launch the next window's speculative
+        read in the background (a sharded front routes a stream stickily,
+        so one node's prefetcher stays trained on it).  Returns the
+        per-chunk :class:`StoredObject` list in chunk order (zero-copy
+        buffers; each chunk is a standalone container).
+
+        ``precision`` selects the tier exactly as in :meth:`fetch`; the
+        LOD layer writes one sibling chunk per base chunk, so chunk
+        indices are tier-independent and scrubbing can switch tiers
+        mid-stream.  The prefetcher observes the *resolved* tag: each
+        tier trains its own stride stream and warms its own cache keys.
+        """
+        chunks = list(chunks)
+        tier, read_tag, bound = self._resolve_tier(logical, tag, precision)
+        with span(
+            self.sim, f"{self._span_family}.fetch_chunks",
+            logical=logical, tag=tag, chunks=len(chunks), tier=tier,
+        ):
+            objs = yield from self._fetch_chunks(logical, read_tag, chunks)
+            if tier == "lod":
+                self._count_tier("chunks", len(objs))
+                objs = self._served_coarse(objs, bound)
+            return objs
+
+    def _served_coarse(
+        self, objs: List[StoredObject], bound: Optional[float]
+    ) -> List[StoredObject]:
+        """Count one coarse-tier answer and stamp the front's pinned bound
+        on it (nodes never see an ingest receipt)."""
+        self._count_tier("served")
+        self._count_tier("served_bytes", sum(o.nbytes for o in objs))
+        return [replace(o, tier="lod", max_error=bound) for o in objs]
+
     # -- whole-dataset reads --------------------------------------------------
 
     def fetch_all(self, logical: str, allow_degraded: bool = True) -> Generator:
@@ -390,8 +525,14 @@ class DataPlane:
     def _record_degraded(self, logical: str, tag: str, reason: str) -> None:
         self.degraded.append((logical, tag, reason))
 
-    def _gather_merged(self, logical: str, precision: str) -> Generator:
-        """Process: read every subset's chunks and reassemble whole frames.
+    def fetch_merged(self, logical: str, precision: str = "full") -> Generator:
+        """Process: read every subset and reassemble whole frames.
+
+        Materialized datasets only: each subset decodes and its atoms are
+        scattered back to their original indices per the label map -- the
+        merge step a generic full-data consumer needs.  Returns a
+        :class:`~repro.formats.trajectory.Trajectory`.  On a cluster each
+        tag reads from its own holder and frames reassemble at the front.
 
         The merge is zero-copy up to the final scatter: subsets arrive as
         per-chunk buffers (never joined into one blob), each chunk is a
@@ -400,9 +541,10 @@ class DataPlane:
         of the preallocated output.  Any chunk failure is fatal -- a
         partial dataset cannot be reassembled into whole frames.
 
-        The read degrades to the coarse tier only as a whole: every base
-        subset needs an LOD sibling, or frame counts would disagree
-        mid-merge (a partial layer falls back to full).
+        ``precision`` degrades the read to the coarse tier only as a
+        whole: every base subset needs an LOD sibling, or frame counts
+        would disagree mid-merge (a partial layer falls back to full).
+        The merged coordinates' error bound is :meth:`lod_bound`.
         """
         tier, _, bound = self._resolve_tier(logical, None, precision)
         with span(
@@ -411,8 +553,6 @@ class DataPlane:
         ):
             yield from self._lookup_all(logical)
             tags = self.tags(logical)
-            if tier == "lod":
-                self._count_tier("routed")
             procs = [
                 self.sim.process(
                     self._read_chunks(
@@ -517,7 +657,8 @@ class DataPlane:
 
         The returned tag is the one to *read* -- a sharded front must
         know it before routing, because the ``lod:`` sibling hashes to
-        its own ring position.
+        its own ring position.  Each request resolves once, so every
+        tier event is counted here exactly once.
         """
         precision = validate_precision(precision)
         if precision == "full" or (tag is not None and is_lod_tag(tag)):
@@ -535,6 +676,7 @@ class DataPlane:
             self._count_tier("auto_lod" if coarse else "auto_full")
         if not coarse:
             return "full", tag, None
+        self._count_tier("routed")
         read_tag = lod_tag(tag) if tag is not None else None
         return "lod", read_tag, self.lod_bound(logical)
 

@@ -107,12 +107,6 @@ class IODeterminator:
         obj: StoredObject = yield from self.retriever.retrieve(logical, tag)
         return obj
 
-    def fetch_all(self, logical: str) -> Generator:
-        """Process: retrieve every subset of a container concurrently."""
-        yield from self.indexer.lookup_all(logical)
-        objs = yield from self.retriever.retrieve_all(logical)
-        return objs
-
     # -- metadata ---------------------------------------------------------------
 
     def tags(self, logical: str) -> list:

@@ -9,9 +9,9 @@ slightly in Fig. 7a -- charged as simulated time per query.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
-from repro.fs.plfs import PLFS, IndexRecord
+from repro.fs.plfs import PLFS
 from repro.sim import Simulator
 
 __all__ = ["Indexer"]
@@ -45,11 +45,3 @@ class Indexer:
             tag: self.plfs.subset_records(logical, tag)
             for tag in self.plfs.tags(logical)
         }
-
-    # -- cost-free metadata (for planning, not on the data path) ------------
-
-    def tags(self, logical: str) -> List[str]:
-        return self.plfs.tags(logical)
-
-    def subset_nbytes(self, logical: str, tag: str) -> int:
-        return self.plfs.subset_nbytes(logical, tag)

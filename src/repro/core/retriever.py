@@ -148,18 +148,6 @@ class IORetriever:
             self._metric_fields["retrieved_bytes"].inc(float(total))
             return StoredObject(path=f"{logical}#{tag}", nbytes=total, data=data)
 
-    def retrieve_all(self, logical: str) -> Generator:
-        """Process: read every subset concurrently; returns ``{tag: obj}``."""
-        tags = self.plfs.tags(logical)
-        procs = [
-            self.sim.process(
-                self.retrieve(logical, tag), name=f"retrieve:{logical}#{tag}"
-            )
-            for tag in tags
-        ]
-        objs = yield AllOf(self.sim, procs)
-        return dict(zip(tags, objs))
-
     # -- chunk-granular retrieval (the pipelined primitive) -----------------
 
     def retrieve_chunks(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.shard import ShardNode, ShardedADA
 from repro.core import ADA
+from repro.core.dataplane import DataPlane
 from repro.core.lod import lod_max_error, lod_tag
 from repro.errors import ConfigurationError
 from repro.fs.localfs import LocalFS
@@ -204,3 +205,28 @@ def test_remove_drops_the_datasets_affinity_and_promotion_entries():
     assert not any(key[0] == LOGICAL for key in front._promoted)
     other = BLOBS[1][0]
     sim.run_process(front.fetch(other, "p"))  # other datasets unaffected
+
+
+def test_a_sharded_read_resolves_its_tier_once(monkeypatch):
+    """The front resolves the tier and hands nodes the resolved tag:
+    no node ever re-resolves a request the front already decided."""
+    sim, front = _cluster()
+    resolved = []
+    resolve = DataPlane._resolve_tier
+
+    def counted(self, logical, tag, precision):
+        resolved.append(self)
+        return resolve(self, logical, tag, precision)
+
+    monkeypatch.setattr(DataPlane, "_resolve_tier", counted)
+    for precision in ("lod", "full"):
+        resolved.clear()
+        sim.run_process(front.fetch(LOGICAL, "p", precision=precision))
+        assert resolved == [front], precision
+    resolved.clear()
+    sim.run_process(front.fetch_chunks(LOGICAL, "p", [0, 2], precision="lod"))
+    assert resolved == [front]
+    resolved.clear()
+    sim.run_process(front.fetch_all(LOGICAL))
+    assert all(who is front for who in resolved), "a node re-resolved"
+    assert len(resolved) <= len(front.tags(LOGICAL))

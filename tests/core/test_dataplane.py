@@ -1,9 +1,10 @@
 """The shared data plane: ``ADA`` and ``ShardedADA`` are one surface.
 
-Policy (tier resolution, whole-dataset reads, tag/LOD metadata) is
-defined once on :class:`~repro.core.dataplane.DataPlane`; the two fronts
-differ only in storage hooks and routing.  These tests pin that shape so
-the copies cannot grow back.
+The public read and ingest methods, tier resolution, whole-dataset reads
+and tag/LOD metadata are defined once on
+:class:`~repro.core.dataplane.DataPlane`; the two fronts differ only in
+storage hooks and routing.  These tests pin that shape so the copies
+cannot grow back.
 """
 
 import inspect
@@ -19,7 +20,8 @@ SHARED_POLICY = (
     "_resolve_tier", "fetch_all", "has_lod", "lod_bound", "tags", "all_tags",
 )
 
-#: Entry points the end-to-end benchmark patches on each class by name.
+#: Entry points the end-to-end benchmark patches on each class by name:
+#: each front names them, as aliases of the one ``DataPlane`` body.
 TRACED_ENTRY_POINTS = (
     "fetch", "fetch_chunks", "fetch_merged",
     "ingest", "ingest_append", "ingest_stream",
@@ -55,6 +57,15 @@ def test_shared_policy_is_not_redeclared(cls):
 def test_traced_entry_points_stay_defined_on_each_class(cls):
     for name in TRACED_ENTRY_POINTS:
         assert name in cls.__dict__, f"{cls.__name__}.{name}"
+
+
+def test_each_entry_point_has_one_body():
+    for name in TRACED_ENTRY_POINTS:
+        assert (
+            ADA.__dict__[name]
+            is ShardedADA.__dict__[name]
+            is DataPlane.__dict__[name]
+        ), name
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import IODeterminator, PlacementPolicy
+from repro.core import ADA, IODeterminator, PlacementPolicy
 from repro.fs import LocalFS, PLFS
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
@@ -30,6 +30,14 @@ def setup():
     return sim, backends, det
 
 
+def _ada():
+    """A two-tier ADA over the same devices; whole-dataset reads live on
+    the data plane, not the determinator."""
+    sim = Simulator()
+    backends = {"ssd": _fs(sim, "ssd", 3000.0), "hdd": _fs(sim, "hdd", 126.0)}
+    return sim, ADA(sim, backends)
+
+
 def test_store_routes_by_tag(setup):
     sim, backends, det = setup
     sim.run_process(det.store("bar.xtc", {"p": b"protein!", "m": b"misc"}))
@@ -53,10 +61,12 @@ def test_fetch_charges_indexer_latency(setup):
     assert det.indexer.lookups == 1
 
 
-def test_fetch_all_returns_every_tag(setup):
-    sim, _, det = setup
-    sim.run_process(det.store("bar.xtc", {"p": b"pp", "m": b"mmm"}))
-    objs = sim.run_process(det.fetch_all("bar.xtc"))
+def test_fetch_all_returns_every_tag():
+    sim, ada = _ada()
+    sim.run_process(
+        ada.determinator.store("bar.xtc", {"p": b"pp", "m": b"mmm"})
+    )
+    objs = sim.run_process(ada.fetch_all("bar.xtc"))
     assert objs["p"].data == b"pp"
     assert objs["m"].data == b"mmm"
 
@@ -87,16 +97,16 @@ def test_retriever_counts_bytes(setup):
     assert det.metrics.value("retriever_bytes_total") == 5.0
 
 
-def test_parallel_subset_fetch_overlaps(setup):
+def test_parallel_subset_fetch_overlaps():
     """fetch_all completes in ~max(subset times), not their sum."""
-    sim, _, det = setup
+    sim, ada = _ada()
     sim.run_process(
-        det.store(
+        ada.determinator.store(
             "big.xtc", {"p": int(300 * MB), "m": int(126 * MB)}
         )
     )
     t0 = sim.now
-    sim.run_process(det.fetch_all("big.xtc"))
+    sim.run_process(ada.fetch_all("big.xtc"))
     elapsed = sim.now - t0
     # HDD subset (1.0 s) dominates; SSD subset (0.1 s) hides inside.
     assert elapsed == pytest.approx(1.0, rel=0.1)

@@ -149,7 +149,10 @@ def test_end_to_end_through_ada_determinator():
     hi = pre.project(obj.data, "hi")
     np.testing.assert_array_equal(hi["value_hi"], records["value_hi"])
     # Full reconstruction from both tiers.
-    objs = sim.run_process(det.fetch_all("sensors.dat"))
+    objs = {
+        tag: sim.run_process(det.fetch("sensors.dat", tag))
+        for tag in plfs.tags("sensors.dat")
+    }
     merged = pre.merge({tag: o.data for tag, o in objs.items()})
     np.testing.assert_array_equal(
         np.frombuffer(merged, dtype=s.numpy_dtype()), records

@@ -61,6 +61,6 @@ def test_lookup_unknown_tag(setup):
 def test_costfree_metadata_helpers(setup):
     sim, indexer = setup
     t0 = sim.now
-    assert indexer.tags("bar") == ["m", "p"]
-    assert indexer.subset_nbytes("bar", "p") == 150
+    assert indexer.plfs.tags("bar") == ["m", "p"]
+    assert indexer.plfs.subset_nbytes("bar", "p") == 150
     assert sim.now == t0  # planning queries are free

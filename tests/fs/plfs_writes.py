@@ -5,6 +5,7 @@ through a cache-less ``IORetriever`` (one ``PLFS.read_chunk_run`` per
 chunk)."""
 
 from repro.core.retriever import IORetriever
+from repro.sim import AllOf
 
 
 def commit_run(plfs, logical, entries, backend, coalesce=True):
@@ -25,5 +26,10 @@ def read_subset(plfs, logical, tag):
 
 
 def read_container(plfs, logical):
-    """Process: read every subset concurrently; returns ``{tag: obj}``."""
-    return IORetriever(plfs.sim, plfs).retrieve_all(logical)
+    """Process: read every subset concurrently, one ``retrieve`` per tag;
+    returns ``{tag: obj}``."""
+    retriever = IORetriever(plfs.sim, plfs)
+    tags = plfs.tags(logical)
+    procs = [plfs.sim.process(retriever.retrieve(logical, tag)) for tag in tags]
+    objs = yield AllOf(plfs.sim, procs)
+    return dict(zip(tags, objs))
