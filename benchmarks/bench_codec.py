@@ -104,7 +104,8 @@ def test_bench_codec_json_baseline(run_gate):
     """Emit BENCH_codec.json (schema v3) and hold every codec floor.
 
     The projected process-pool critical path must clear >= 3x decode /
-    >= 2x encode at 8 workers, every worker count must be bit-identical
+    >= 2x encode at 8 workers, the stream must keep its compression ratio
+    (a byte count, not wall clock), every worker count must be bit-identical
     to serial, and the vectorized kernels must stay >= 2x over the pre-PR
     bit-matrix kernel (measured on the all-deflate stream that kernel
     actually produced).  best-of-5 repeats keep scheduler noise out of
@@ -114,7 +115,8 @@ def test_bench_codec_json_baseline(run_gate):
 
     result = run_gate("bench-codec", repeats=5)
     assert result["schema_version"] == 3
-    assert 2.5 < result["workload"]["compression_ratio"] < 5.0
+    ratio = result["workload"]["compression_ratio"]
+    assert FLOORS["compression_ratio"] <= ratio < 5.0
     assert result["bit_identical"] is True
     assert result["baseline_ratio"] >= FLOORS["baseline_ratio"]
     speedup = result["parallel_speedup"]

@@ -340,9 +340,6 @@ class ShardedADA(DataPlane):
     def members(self) -> List[ADA]:
         return [node.ada for node in self.nodes.values()]
 
-    def node(self, name: str) -> ShardNode:
-        return self.nodes[name]
-
     def alive_nodes(self) -> List[str]:
         return sorted(n for n, node in self.nodes.items() if node.alive)
 

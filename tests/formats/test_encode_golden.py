@@ -1,13 +1,21 @@
 """The encoder's bytes, pinned.
 
 ``GOLDEN`` holds the ``sha256`` of ``encode_xtc`` output over a matrix of
-sizes, precisions, keyframe intervals and dynamics, recorded from the tree
-*before* the encode kernels were rebuilt around period words (run this
-file as a script against a tree to print them:
+sizes, precisions, keyframe intervals and dynamics (run this file as a
+script against a tree to print them:
 ``PYTHONPATH=<tree>/src python tests/formats/test_encode_golden.py``).
-Any rewrite of quantize / delta / zigzag / width scan / bit-pack must
-reproduce every stream byte for byte; deflate and the stored-vs-deflated
-rule are part of the bytes.
+They were first recorded from the tree *before* the encode kernels were
+rebuilt around period words, and re-recorded once for the entropy stage
+(Huffman-only deflate in place of level 6).  Every frame, header field
+but the payload length, inflated body and decoded coordinate equals the
+level-6 stream's; only frame 3 of ``683-kick-p100-k8`` and ``-k100``
+flipped its stored flag (stored -> deflated).  Any rewrite of quantize /
+delta / zigzag / width scan / bit-pack must reproduce every stream byte
+for byte; deflate and the stored-vs-deflated rule are part of the bytes.
+
+``MATRIX_BYTES`` caps the matrix's total size at the level-6 total, so an
+entropy-stage change cannot trade ratio away silently: single cases may
+grow (the 1-atom streams did, by up to 3.3 %), the total may not.
 
 Sizes straddle the block geometry (8192 values per block): 2731 atoms is
 8193 values -- two blocks with a one-value tail -- on a P-frame, 5462
@@ -90,186 +98,199 @@ def _matrix():
         yield f"683-boxed-p100-k{interval}", boxed, 100.0, interval
 
 
-def _digest(traj, precision, interval):
-    blob = encode_xtc(traj, precision=precision, keyframe_interval=interval)
-    return hashlib.sha256(blob).hexdigest()
+#: Σ ``len(encode_xtc(...))`` over the matrix with level-6 deflate.
+MATRIX_BYTES = 8_221_643
+
+
+def _encode(traj, precision, interval):
+    return encode_xtc(traj, precision=precision, keyframe_interval=interval)
 
 
 GOLDEN = {
-    "1-thermal-p100-k1": "c60e43dab1deaae1b4c15eb331f809cdf3ec178133d2f5e9d3f0b1266e6b6279",
-    "1-thermal-p100-k8": "049fddda140c1c59ef2543ad1c4fc2c0fcf6966633a052255ac089763f9668b2",
-    "1-thermal-p100-k100": "c08f68a93f28749d3765358e8eb2f5596ecc35195a456479fcc9d2fcb6281b78",
-    "1-thermal-p12.5-k1": "99bd794756324e6272e984628acad922f72260d250f5786c7ad4ebc9a12d743d",
-    "1-thermal-p12.5-k8": "94c58a86a9ce2dd7ab3b3ed8f3b3995c962b30f69dcfd440cfe3908960380d1b",
-    "1-thermal-p12.5-k100": "40313a2f60d31cb8566d5e33cd9acc21d239df6cac18429625f98f8d2d42ba9a",
-    "1-thermal-p1000-k1": "3c0a9c9cd7f36c6c6417bb40d64496fd1d7eb082f51b267307888b6b1733f7d8",
-    "1-thermal-p1000-k8": "9bbb192da5cd6980d31f1761bb074483e5c536f7bfb32f9f454dffec8fcf061b",
-    "1-thermal-p1000-k100": "04d3189a7a649b0019fe0117080242d2fe61a9eb8245ac3ab9d7568364dc139e",
-    "1-frozen-p100-k1": "8cebe7406fae77a138c815e296eb9ab771e61d57069cc9ebb2c8de2670d4515b",
-    "1-frozen-p100-k8": "400da931394dbb299c272b55057ef05fc6064db0864381d49ab1f5a609a9a23e",
-    "1-frozen-p100-k100": "c99b656ffc729df29adda91109da15dce53af714c7c3f5a020cee4796bda2ee0",
-    "1-frozen-p12.5-k1": "0d877dd200a8d0ff6017e620d1a62a1c07ed9a581b5f6b1d4636c188679e5a87",
-    "1-frozen-p12.5-k8": "a6a3d164035df36a4052e7ffb602c644aef26c58095a5bc2e445fcc2f4e543f8",
-    "1-frozen-p12.5-k100": "b3d93cf4d5ff6367429a2abceb7ebc3d6376e36ccc8a18e736e3767f7d4557ea",
-    "1-frozen-p1000-k1": "922e196c1a6b7e50141599188bb2ad3d9786a3237ab49b1ff819ac062030abf9",
-    "1-frozen-p1000-k8": "d8f4123db4b9c67033aa9167e0709e6d154e4ebf550856c8953c46bfd1959190",
-    "1-frozen-p1000-k100": "35921b8cce90bbe038fb2d5a0748eb4b7e659960f9569f8f1dd0f7f8a2e0ba71",
-    "1-kick-p100-k1": "6aefec73c5d4b06e69c60519adb27e5249b42540245e9cc6ccadfde7ca1660bb",
-    "1-kick-p100-k8": "9692bed6544c03ff919c531f714f1886e7801974ac56024acddae7dbda9eab68",
-    "1-kick-p100-k100": "7f92b4df6becda540e8a680c4d6239e8e599606a34f7bd521227111ff208fdbe",
-    "1-kick-p12.5-k1": "7e4e3263d67f965a3c1915d58356e29fdeeb47f2eaff3bfe91e26b3343c2fe8c",
-    "1-kick-p12.5-k8": "02059271b9962ed68776b3d2758cf3a858f9340eb1f2203fc730269c71165c84",
-    "1-kick-p12.5-k100": "0310df4507eee863bb866590a9d90c917d548f25f0d7d7f11d2f372e5d1f1a92",
-    "1-kick-p1000-k1": "ec652b11e14556e19313ad250a59db14cfe79366b12af227db310afee06fda99",
-    "1-kick-p1000-k8": "f9610f5808cb37ae7a74305cc74888720daa8655b159fd703aa5e340d61f5050",
-    "1-kick-p1000-k100": "79830ba5f01e1ee86e39f6dafc062ee8bc7bceeea95d4cb145f986e640aba87f",
-    "2-thermal-p100-k1": "a29263f3ee5dc004a9d276e6cb0aaa04adba5fc7229daeddcb3bb74ccca988f5",
-    "2-thermal-p100-k8": "3b1024fdec8b22ffe1f4026f484e3845cf389f203acee1c8b41261f1f3a7af85",
-    "2-thermal-p100-k100": "ab15b10d5efe9c8cc5aa370a3b8c0bb417ff78584dd2e0dd1e9555e700f80dd7",
-    "2-thermal-p12.5-k1": "6a79ce511ca355c3d4942b6ae0ae893e973d862de6ccab94c355e8a92a94ab3e",
-    "2-thermal-p12.5-k8": "930df0babcce75935824b7f69522b2a0e0d0dfa3cc4a21cf790b665d8c29ae59",
-    "2-thermal-p12.5-k100": "a85c3cb445cafc66c79eba402976f2af0caff6d24015ccfea6ad10ddc69c8943",
-    "2-thermal-p1000-k1": "82a89c5bc4537bc701972363a923db9df3ff88855411e7eedd4aa92639d4b8f6",
-    "2-thermal-p1000-k8": "28f767bfff36ccb6b4eab33b564035b0218c620a4ac5aef88ae71d5d30d51f4d",
-    "2-thermal-p1000-k100": "648f4ae2befe2e6cbf35e431f4e1cbe9627533a1eba1225c7db572e5eb9207f8",
-    "2-frozen-p100-k1": "15a9e1eb71cf55489d577e8061336c186aad32b14f43068dbd5f0bd433833c1e",
-    "2-frozen-p100-k8": "ae3e1af058be6ba1db64b277a81d7c21f158f34cde0b3331e2daf93732713177",
-    "2-frozen-p100-k100": "1b86d1a33e13d89a1bd092e7a5e4eeb006a68527d41fcba03d9cb73a7f1dc677",
-    "2-frozen-p12.5-k1": "403786bfc37f8a88e8d3a3f5e022d2aa8911333f023c916286831f754f7fec04",
-    "2-frozen-p12.5-k8": "5d192ddb2cda7b05032f5e83dda952d6166fd655835a5a2b153b87d626c8d9ea",
-    "2-frozen-p12.5-k100": "d9fea183697c3e9c8d7608361b46336ad25bfa85e3fe8e084193ffc9107bd2c1",
-    "2-frozen-p1000-k1": "a1b9bd4d92b9e49e549a61ff7ae1a905310cbe1ceaeb1aa87b31433a51f1f06d",
-    "2-frozen-p1000-k8": "ccffbb2962a8c59c16a00ba994058c3ba099eff9ff7b7bc9d0f1cc2bdd26a881",
-    "2-frozen-p1000-k100": "69c5da71e0397fdf58decedf2d12ee945ed4cbdcf505445255c25b73b86d01b6",
-    "2-kick-p100-k1": "c44849f39e2ff4e3447fc5de232c4795c7730be6c9dfa4e541eff74d122f5768",
-    "2-kick-p100-k8": "a0f1c78eace639148bd24dd10fb6fca72e473aa38fe1de1c4a0aedb8185b1a83",
-    "2-kick-p100-k100": "4b72a66775890c89a836859ea21a4caba849f4524e99466c73fc186efb2de7f0",
-    "2-kick-p12.5-k1": "e57453ac65faa91f99ed61c968fed4fd3c27e2680c0c7442159e81d902ccb4bb",
-    "2-kick-p12.5-k8": "6398c630a6f5e16dd8f69a0a39dec4404c98feebd1bd0efb22dc91c4f7bcedc0",
-    "2-kick-p12.5-k100": "edf0231198d95b513ba82826f12150243d82c1721527b275c4400816d373e5e9",
-    "2-kick-p1000-k1": "62de8635fdc98cc3cb16340d6b4cd365dacbce524ca315dab95fc9f38d7192fa",
-    "2-kick-p1000-k8": "7a45a322bff0f82e359665d5fd7c68e6ea84ba09ee55ad54291ffc30ebc96266",
-    "2-kick-p1000-k100": "4b9d11f047f4e83aed2dbad0584d2fba92d489582942719a3cfa5cccd1a33c89",
-    "7-thermal-p100-k1": "77d6bb285697555a50cc14f4ed4cb42ccbf97789c029d62c516ddcfbd7f0fd84",
-    "7-thermal-p100-k8": "787ecb48efbc4f058d9880969d04d3e010512ba86b84cb96909935519c24612e",
-    "7-thermal-p100-k100": "6f4073093e9412fe8045c04a1785c0042fbddfce80a44efde899e0a613e80ec0",
-    "7-thermal-p12.5-k1": "e002c8878a48484e419f40bd28e48008e57a1273ddfdb4e9dc9239b72548e146",
-    "7-thermal-p12.5-k8": "abb1a0378aa557beef22f66678b5566ba1b19e2fd077cb8ffab7fb442cea6cc1",
-    "7-thermal-p12.5-k100": "3ebf6a60a6e62c28838cffcde6edc73609ff6b6b964e335bdaeb204f5582ddf1",
-    "7-thermal-p1000-k1": "b98347fa437ddb2b4f583ed9123b78ff8c2aec603e395ec1f0bccf178c6b7d55",
-    "7-thermal-p1000-k8": "b57d23ebeab906ecaad46d57963c88055b6a81e1e07e5e135281d2a113a82aca",
-    "7-thermal-p1000-k100": "1fb4f27ae4e6942b242780aacd65f01d51ecb8c237584a2862f50a1edd2caea0",
-    "7-frozen-p100-k1": "8f00c7b510dd95fc0ed2bff85d947d5b433e19588cecef1362b83addffed4ac8",
-    "7-frozen-p100-k8": "94a08392e5d6cf3b51c58ee70b60c2c9f235ff7cc3e45ac94b7dd92cd5520eb3",
-    "7-frozen-p100-k100": "1cd1fc2f5c59a5f48cfbdae5e73afe1729e9917d1d5d408342a789f207e90d87",
-    "7-frozen-p12.5-k1": "c1009391f82213d158d0ea0c90108ed1bdd4dabfe07a505e06060577b6ac58ca",
-    "7-frozen-p12.5-k8": "ba2171b449c5f1cfcb28a019a5b16b71ca9c373299c0222923e3a6458d2a12f7",
-    "7-frozen-p12.5-k100": "39ee7c8f31c70f543f73595ae444c32fbf4a155714f2aa99536975794a1137ce",
-    "7-frozen-p1000-k1": "ac15844f6a5b89f15c13446f85bb747c7fb895d49c8001b24ad9954f4279a7c6",
-    "7-frozen-p1000-k8": "0dfa258310de4b59fb6175493cc57b76ce437de5a5f61480d2e586c67eb4d01d",
-    "7-frozen-p1000-k100": "8faf670766a0f18ccfbfc34ef4f2b51f6e62a1039b73b71ed95e86a2e83be886",
-    "7-kick-p100-k1": "710ed20571dea0324eb0262e0e1adc6899b8438b07d34725f5dd152e7dcc3d85",
-    "7-kick-p100-k8": "3b20161b7321a5716e7bc6d28bf7fce293036021a563243f5de5f3826e4d99e1",
-    "7-kick-p100-k100": "15eba0a6739dde0e37f92b5a03e458e506a1c32dd6579525bdc8a9e599dae255",
-    "7-kick-p12.5-k1": "c2e3f01cc1e95e6ddd2231e18c3919c06990e12e5cc8aad6a529a069c32d45c2",
-    "7-kick-p12.5-k8": "ebdb0277c367db9e0965fe26f44c196e50f4eaacd4cbef49209b6e72380c22ca",
-    "7-kick-p12.5-k100": "1a977bf7052680bac226655b20c5ee121e69e379e58030a7716be8797bc0b0ce",
-    "7-kick-p1000-k1": "ded9223002f7f58ae43c165a1d3407974e6470b3b4a08a5e090fbf86a33da027",
-    "7-kick-p1000-k8": "9a125efc444f8e642cabe82138e5ffa541b1d0d58fc533188e0fedd2e506b1e2",
-    "7-kick-p1000-k100": "e78c91415a0a4918dd4c21c7b2f9a8bdfe592bf663317de5b09cea52950186c1",
-    "683-thermal-p100-k1": "0c37ee9199232f935697b6c1e43dae6e461d7dd4e3407c9893289d15d0990d2e",
-    "683-thermal-p100-k8": "9580d8d6a3f14bf757cff90c6ff24361eeb434bebdd29a67b60acaf5c4ec5fe8",
-    "683-thermal-p100-k100": "5f40ff477d2530f9d97d89d3f65a4c6190c2d962685b8bb23dece0b09a297702",
-    "683-thermal-p12.5-k1": "df15be313bca021cb8f7bfd6dab6e94a50ea1ded98f09e7cda211d4ae137c037",
-    "683-thermal-p12.5-k8": "cb4b89d12780ef62e36c88d026fd582652dcf99856bd563c9f8351f5ba1b2fb6",
-    "683-thermal-p12.5-k100": "4e6a6779ecda316ad4e6f1ebadfa59349c36cddbb57bc608d1fd568f28c85009",
-    "683-thermal-p1000-k1": "10bbbc56d5c61d6e440838136e9e430f39836844491b8d08874bb888f990c3f0",
-    "683-thermal-p1000-k8": "cbbc771afa6fa16aba8f3d3dd30d2663b5450764678005cf55188da89f7b20b1",
-    "683-thermal-p1000-k100": "d452c76bb0456862db14c4a2c4c4f3991af11924d54c58cac8b0fc85dc126e74",
-    "683-frozen-p100-k1": "1996e4559fc8d4b9d111536489d65f8ab8d28e5edae9ed0ba0b41d67df3bcd03",
-    "683-frozen-p100-k8": "793ba53d04afe1494ee76d84122d1ae19779d4d400f51191e4d86c57c66b515d",
-    "683-frozen-p100-k100": "a057dc20dc8e877f84da3a9501bb0aec67caf534592485d85284589229308b02",
-    "683-frozen-p12.5-k1": "5e491bf2e419efafdad1c6cf0000a8cc9114f6435c13f12c4d179683935980b5",
-    "683-frozen-p12.5-k8": "e8a08c158058c337f0cd9148d399dd92d58443219339b960d83493f053addc43",
-    "683-frozen-p12.5-k100": "3a06d1116863ab1863c48233566314b39e9a374171e3a08c89569c70ffd059ad",
-    "683-frozen-p1000-k1": "0ce35214f4dc49e0269993619f84907bafd1ba9462d0a25aaa1cf092d56af973",
-    "683-frozen-p1000-k8": "d95ba3b5f23dd177a8f9b77145f18a7055a8c0e96d062727641d8f7f15ae0dc3",
-    "683-frozen-p1000-k100": "f9c4297a39950189ef63be330074afdfc186aa77697eb299611063d01f3c829c",
-    "683-kick-p100-k1": "792a6d742e31f1540e25db577e923703439ab43864c4ed1b34c6821c5b6220cc",
-    "683-kick-p100-k8": "5967b4f4e5befb12b9919853d3f1b5e0568240035f0f3204921e082d1d831079",
-    "683-kick-p100-k100": "f49658ac88b18a9493916330d12853e832fcf1509b91e268a970ba35dc083af4",
-    "683-kick-p12.5-k1": "a45d2398168617f06df7d6b083b6c96d7093f5f006fe6740ce2706a6d0d9424a",
-    "683-kick-p12.5-k8": "22439f91b6528dd211d8c0127e5a536f7532555585f312a5fc5535582713cbf2",
-    "683-kick-p12.5-k100": "c1a2a26e04af1c2fb8fc002c23e13b187efe29b3f2894acb129aa8d1454b9856",
-    "683-kick-p1000-k1": "3f2b231bc962e8c66dbaae378bd82fd29b0fd6cf6a53daed57715fcf43645354",
-    "683-kick-p1000-k8": "bd19033eb37f9397950b8aa21546bc6ab33cc68890a87c8540f0aa1baf9192f5",
-    "683-kick-p1000-k100": "fda5e975e08c12bfb494a127e1311dc399e332af03f3d137465b5f750079b216",
-    "2731-thermal-p100-k1": "a29b88591c9e90fcbef7c962cbddf8e1f6820c359e745f7900de354c92c65713",
-    "2731-thermal-p100-k8": "dab341d6fd601fb49b55cdd02b870d4f6eb3c98b855ce0f962e0f3e1d6572d59",
-    "2731-thermal-p100-k100": "12c78fd5c4646d7052efbe9f1306e9ddd332fda392532d584fde55c67b376da0",
-    "2731-thermal-p12.5-k1": "ff9a882a3b361f20daca8d1eb372e9f8d875a2b34974e02dc52cf0e4b8c59a72",
-    "2731-thermal-p12.5-k8": "100a75f63f1230bb1ac947a4bb16d08f2db2631934032d5c70e53bb512f91052",
-    "2731-thermal-p12.5-k100": "5ad5e49f9d2b73b33944b6be080f1dd4a79c4b38554505bd05ef3358813cbce9",
-    "2731-thermal-p1000-k1": "9837fae432557a21c32699080a9952b26f5d73791f9c80fac34621de79076783",
-    "2731-thermal-p1000-k8": "edf595ec25d6c103ec68cd3696ee299b2c29042c6df8816f74c6fc7066bb07ce",
-    "2731-thermal-p1000-k100": "a6427f81313311813f8c979e35ee58319baf226b600a31138f5315244c3ea088",
-    "2731-frozen-p100-k1": "9013a1789cdf422a51351f5f14c9be5ae6acd05645d9119e1c38890836456d99",
-    "2731-frozen-p100-k8": "453fff409838696a9b3dcb397021255359c4dd6f7ff67f14547c9d52f83ec9df",
-    "2731-frozen-p100-k100": "5852d003e6c756a47f540e3c32d3b75b7e8672f1119cece718e1bc4e8c5bae4b",
-    "2731-frozen-p12.5-k1": "bcfe76bbacb52f5d0df424a09ef4179679a1093fd5da16f1c7de10928e19fbe5",
-    "2731-frozen-p12.5-k8": "dd8f8699a0421a0441a75046e98b6546fb5e6e25d0415583b3f6c62bf6a7327c",
-    "2731-frozen-p12.5-k100": "4e0545d6ddfa0a1794aa87a4de2c6972446009149d0f237b78a4f5de308e40e6",
-    "2731-frozen-p1000-k1": "1f7a675c4ff9d7ec646db27d06c7be81348a9a57a4d4be95bc0426d6e6b1c1ce",
-    "2731-frozen-p1000-k8": "cd1a15aad25b2b7f7854ea0bb0227061241291cdf8e293803febc1a63458890b",
-    "2731-frozen-p1000-k100": "d85d3a114df750ee2261fcb609626977ceff242a81ffe61891f5a63c4c5586ed",
-    "2731-kick-p100-k1": "a585ca342788d906cd7c987792364a1dcf56bbeb6ccc5b4fe347eba30a0612b2",
-    "2731-kick-p100-k8": "a30061e6e3ea33ed475c63607d42e4c184168f58842546260ba1b9857a3855ac",
-    "2731-kick-p100-k100": "1693d5f56788657e504d2c521442f8a3c546146de6e4502ae4442c36155064b3",
-    "2731-kick-p12.5-k1": "73ada66fbf3a38edb63009b4201443bb91795afebd8a3d134ec4e5a0a3357fcd",
-    "2731-kick-p12.5-k8": "20b68bb6e8786a4d5443152fe1c230e0ffd89ebedaeb7905b83608222b8d18e4",
-    "2731-kick-p12.5-k100": "884a943b00b49be66055782b8fb9a8e546fe5379a99d5ec3d52a6e8d4a1df0f3",
-    "2731-kick-p1000-k1": "a9b533bb1c2767fd71500d7513aaaac59baa722e78b70aace81707e7795c22b8",
-    "2731-kick-p1000-k8": "60180f088ca6d6f0fe86573ab472d6ce229a94600e5b0f7fa33701f63ca06739",
-    "2731-kick-p1000-k100": "337c476c0c8a9dd1e5319e1233b55f8ed2c4891a97c93955dd2613476ee2c5d9",
-    "5462-thermal-p100-k1": "e80d234e401ec591969f7d3c91cdfed9bd5c39fbd68e74bd902c2a1cbfbdc9d3",
-    "5462-thermal-p100-k8": "471b48d1e35c37b862f26aa560b3a12472ee403978ef36fb39cdb6413e358edc",
-    "5462-thermal-p100-k100": "94d0f22e91983df51440a8d705ddd03d9fb62bde304f642feab8b6022855120d",
-    "5462-thermal-p12.5-k1": "381f469f81fb6317d4f3205207354896988f72cd37e0f568859d5edf62fa06b1",
-    "5462-thermal-p12.5-k8": "0d7270a726cab114ae70daf376dac42dd541ccea218a43bd4a0b1aead5877258",
-    "5462-thermal-p12.5-k100": "96107c7dae0afe5be5b1c74fc78b03f25ece3b5cf1259d0512cc5bf632703541",
-    "5462-thermal-p1000-k1": "ff955ac677a9aa496cbd9aa2da33fe1437a24f66682f8951765f09b55905ff1b",
-    "5462-thermal-p1000-k8": "f34eea00fb2af5b9e7fed6e281cbba59c25bbe683b42590caf1ea8f1af1a669b",
-    "5462-thermal-p1000-k100": "28856268c49ac0eb3b68158230b8b0363109eb260b54002b4fa95b0a35839d30",
-    "5462-frozen-p100-k1": "4b9bf1f59a74b62fbb48effa43ef320d318fc5add7c74ac5a26ea902129b6020",
-    "5462-frozen-p100-k8": "600dda1748f1c002bcc66b95956d0512223891ffb1a91c3d87579c78f5b4b2e5",
-    "5462-frozen-p100-k100": "7da87eaebefb682d91218feea3862f391507a1207cb9b6e543ce9cc43a7e249b",
-    "5462-frozen-p12.5-k1": "7c4c85f5de04146440d88f48661e107a211e28e8fd88490d726431e5eb199604",
-    "5462-frozen-p12.5-k8": "96fb5f38136b3fdc1634075ca5f1104d5bb46fb0cd8df4224e5fbf1cf2f48c38",
-    "5462-frozen-p12.5-k100": "17fc732331e2f57435be2cdf6479edf7920dcf490e38f27f4e2c3ea9bed8c111",
-    "5462-frozen-p1000-k1": "e696c45fd4358c03905d383ccd648380925419bd60997499b804ea06b01de9c6",
-    "5462-frozen-p1000-k8": "b0d5b1df3acc164bf36a05344447fc203c2dce631869064d25631e3c5e91e051",
-    "5462-frozen-p1000-k100": "6c63a638d19349898c49ba2e8748c55dfa8ef6a7bd402e26695b45ffbbdd9e4b",
-    "5462-kick-p100-k1": "6513829b59827b91e9d8bc61f7816b85771068b5b5bf2aa471d91cff1828ba50",
-    "5462-kick-p100-k8": "5b29b50a39a33bfdc87f4c461d3e4eda6c7ccab00c3dfcd1778c49496c20e4f7",
-    "5462-kick-p100-k100": "c26b5ebf0956d45108c01ec50796d3b2884b0966d6d3addf0016eae5a676e436",
-    "5462-kick-p12.5-k1": "d80410869ae33b585fe688bc0171d13992e60d1b45474e5a6014cb3e5bb69948",
-    "5462-kick-p12.5-k8": "72a226ecded482507b95f31ceba3dbdf7c8bd31a9becc92ed758a0d2b66a9d2a",
-    "5462-kick-p12.5-k100": "081b581602b5aa4f65074d086b66f8ccea3dca348a83e0dc9dbc16aa875fdb4b",
-    "5462-kick-p1000-k1": "af19ab6132cbc3d03077392400c90f8d3fdce00de0ed45411e0764478e9e78fa",
-    "5462-kick-p1000-k8": "90f4068215cd3cd82c5770ace72f82166d0d75db1af81691b6741144b19a16a2",
-    "5462-kick-p1000-k100": "6c2256aa30977fcfbdccfccb3295cd4f51f517f2884e3364764a40018fd397cf",
-    "683-boxed-p100-k1": "51d74d63edef776efd5234c0e364a281e663e6849551681c015fbe7cd10e6319",
-    "683-boxed-p100-k8": "a378ff7842d42db1a6e52a5a718e567a786ac698a3fce2dfa7656d26d3b9f2c7",
+    "1-thermal-p100-k1": "34cf6747748aa74eeee3c2195935c9c0cf7f9b8db950562e64d048ec2577a9f3",
+    "1-thermal-p100-k8": "4598048bd648efe67fc82d9473388021782850ad3267cbb1fba1cd73da99f54e",
+    "1-thermal-p100-k100": "ba918ac9891b9472f59d846386522659c4a3a91e27b03e69aca64aac267e97cc",
+    "1-thermal-p12.5-k1": "1a5961777baee72bea209eaac90061ee9dd8fe3c6ae82f2128e1f4194f769825",
+    "1-thermal-p12.5-k8": "4c60e8d03181281ad87437c31e3b1dee539966112f5ed6e10653f4d170bab6ef",
+    "1-thermal-p12.5-k100": "4807eec28f8148354ced659e595dfda5205074cb0ca4fe7c17d23c6039c63ea1",
+    "1-thermal-p1000-k1": "2b3d7e0493c4a7fb1fba28e239d177770b84aa728ad6818499bf82eea2de026a",
+    "1-thermal-p1000-k8": "f5ab481a9913c4e786a00c52e7fcf8d6b429f308f19e512a8149a77731a33ba6",
+    "1-thermal-p1000-k100": "cb191c2c0747acc89b761c9306961b2846941e8ddc1535fe883f0fefade1ee6c",
+    "1-frozen-p100-k1": "22e56a5864cb92bbcbc66a79542e22546bb9267da399940d71720b4c068d3f63",
+    "1-frozen-p100-k8": "07ae41acc50d2019f4ac54cfaa34344061f0d48d2744712c3c4ca9e5bcfb2fe9",
+    "1-frozen-p100-k100": "62c33487d5c297e21cc0aedc8507707cd1f8297fe8cd28d4ebad8ec9514d207b",
+    "1-frozen-p12.5-k1": "72ce1bfc9d2f36b6daf58a27eb2c5cb229a15cface2c40e49fc3798413b26089",
+    "1-frozen-p12.5-k8": "9fc562005923f07df01f4b6928e1f3f03b5f614c29427783b6b38e45e78b55b4",
+    "1-frozen-p12.5-k100": "7fa96c99fc5ee5568891882611d545603f994f825249aaa0dbf72f0e0f7500fc",
+    "1-frozen-p1000-k1": "ecf3cb757474028a64709949a31efd50c026aebb243253f3506c6d68cbe1ba19",
+    "1-frozen-p1000-k8": "f9f2342a0b7a46d8aaee925feb0d5529f0f8c925a927965d0e7197b311418482",
+    "1-frozen-p1000-k100": "6a6df9b9bc6fa9ab41fe781b6fbcc10e81852c75039b374254af822cb27d8e55",
+    "1-kick-p100-k1": "56f5341edd3e7ecf69222f1a9d44ab1836ad32dac343ed13ecd219c5d6ebd1f4",
+    "1-kick-p100-k8": "0dde56969a9d754851a5238a2cea22c88ef336afea784b3b4ada0584ee371d7b",
+    "1-kick-p100-k100": "0e6a752a1889ea83baee0e93363df34dd937b6e72f8440a5b7015ec87253a1bb",
+    "1-kick-p12.5-k1": "bad839cfcb5127ec6f2dfe75f02c84c3a3fb861354e0b4e85a0af76187490caf",
+    "1-kick-p12.5-k8": "a008f49a51ba847e9858aac214a8d0d84bf35ff5975c9bd4bcd74e7ddfee83af",
+    "1-kick-p12.5-k100": "c959b813a8c89e538b0271d25f457c69c23c87cae7f0b2e75f304f6d505e1262",
+    "1-kick-p1000-k1": "1e4f5298a348a436588588d8892e3a514806115dd8edb8cacdeaaec34a6ded65",
+    "1-kick-p1000-k8": "a07243bd8aaf0ec880f35f1c410cd137fe9f710368a060bab6ea9d8ee247feec",
+    "1-kick-p1000-k100": "77fa5abaab69713cc69243a882d3de51659f11a02e76bd6070df3104fd2cd909",
+    "2-thermal-p100-k1": "cc06d7bf83a39503b22db3839087297fd38c91d9fb3d785179f017cb3afff450",
+    "2-thermal-p100-k8": "0c0ce0f6e676c35216efeb3a3793fd3adf1546eac233097f617b6143afd1cb03",
+    "2-thermal-p100-k100": "732d2d2d5710b793716b5cff086644ff74211b9a7d85b7dc2fd7efa879a33bd0",
+    "2-thermal-p12.5-k1": "af77a62fe2276d84563cee82cb6d72cb0bcadf7f23ce638cc232c8346539cad0",
+    "2-thermal-p12.5-k8": "719f502783f264e5b657bd6e72a439d9c94cef823401ff66af4b0c7b1a8e08b6",
+    "2-thermal-p12.5-k100": "fe347dc34d96e9d811891e04f2723aa059f96d9ac721ca2dcf65dc227bc5be9b",
+    "2-thermal-p1000-k1": "ea0c5dccc91a5bfcb011e838ce3615931c06f70d0493ee6aaf98f24c090475b7",
+    "2-thermal-p1000-k8": "d2720acf55d0b25effdac0c1b0c2d4a111b77a486da2355ebb0cd40a27a1e4d7",
+    "2-thermal-p1000-k100": "61583b411083e144a13319e11bf7da6779f5b2e507ddd88b5df0299ca38683b3",
+    "2-frozen-p100-k1": "6960cd7d2803d49a80d861340bd7f6defc187686d904936c7f436452a1b4ee85",
+    "2-frozen-p100-k8": "d07291e7cd7d983b94a210577ec3188e6efea7781faf82dcec90b3719ac9b6d4",
+    "2-frozen-p100-k100": "68a0aeeb4fe8f3bdd31b59b7f28e0f9798f099d4e857dc34042bbc408e80b69b",
+    "2-frozen-p12.5-k1": "cb2db96b75bf1384422d79ef8e097ad09ee687c2ec74e620e1723748f1de78fa",
+    "2-frozen-p12.5-k8": "c67c67a468bac08c8a73d278e04ad014e08439eb9b6680cf7adb6e6aed27ee43",
+    "2-frozen-p12.5-k100": "b8061a74a93a9aa7b4911c699af28f8108bfb5e8542c429d14438da26b92c4b9",
+    "2-frozen-p1000-k1": "79e993898919a8476887e5f4a13edb6561188b7533ef91cd87a44b816e471495",
+    "2-frozen-p1000-k8": "9ad0e66c46cef0939da5a36b0b1a8903f35301e3d63b8d7befe9a3ba559028db",
+    "2-frozen-p1000-k100": "1e593e9398a1fe92396a64cc0144af2b9230b5c4ea9d1912ecba2c6e47218d42",
+    "2-kick-p100-k1": "8b00abd0382584bf361003baf9947300915321d2a4fe995710fe56703f0f3fb6",
+    "2-kick-p100-k8": "380d41bc96701fbb8c64d4370a42b7b6f19b36e0618f7d6542cf9b11b5d533af",
+    "2-kick-p100-k100": "151a8dea354634d0b3b89066bce8ab8e4e50b7bd380e6b6197568f9ef28eafb5",
+    "2-kick-p12.5-k1": "5784fba7e6b190df03334c241f71438248f7189afba53d3756bb4eac40980e45",
+    "2-kick-p12.5-k8": "2caa712dd50af9a4a33128e647092db77eacf9bf88caa0a2ed4c7ba43f56c482",
+    "2-kick-p12.5-k100": "3fa2e577509fa93524585aa7515a4885932475d0bdece12f92461d7cf8efa89f",
+    "2-kick-p1000-k1": "500cbe3ad987b4dd75b94603e927594a51a33d71614c8f1bb726bafe505367af",
+    "2-kick-p1000-k8": "e5cc1cd7aa8aa0fe018f21c490ac4fa5ae38980a3dda51a1a32029e54097e1ac",
+    "2-kick-p1000-k100": "798fdd2ce8fe48319f4448cc7a433d12c39cca32da057991be893729a90e4cf2",
+    "7-thermal-p100-k1": "d2d50115f5d6a9150164b590b1cf62baf6145768471f8b2e35a0048bb019ec73",
+    "7-thermal-p100-k8": "7309717e94e71be20d01c3fdd777ee9114c1e56cabe57c2cb7fbb984327a2e2c",
+    "7-thermal-p100-k100": "ca800e38e5ce2b78ab43da833095c36312dfb97029b4c7ec1187ad30607eadf1",
+    "7-thermal-p12.5-k1": "7351c7ff50f43b691ad1f9585270c68ffc606864402526dd740d412627911822",
+    "7-thermal-p12.5-k8": "04fba2d2001cdc5f0169187d86edd2023f730a871dca3d169c037cf7c242dbf4",
+    "7-thermal-p12.5-k100": "901a9ee8f630a79135b43ad85c17695dfb92a6d9612d6b3fbce9792f565c2379",
+    "7-thermal-p1000-k1": "a02b4db95d518d9c43d5819caf7c62097d803fa476d2c83aed5271a53b25007a",
+    "7-thermal-p1000-k8": "84b1bcea346a41f157aeceacb2c0aad78280059cc5c9001bc17eef48b6ab3fde",
+    "7-thermal-p1000-k100": "94a9e16051af6f300fde85181150b68885832fcd9db4419046e86650811a0064",
+    "7-frozen-p100-k1": "c60c7678324be6ce83fd7a7c26c3659ed7066c210aab61bf5485925ee40c492f",
+    "7-frozen-p100-k8": "9e513190954d9769fae51cc98b2c6957ab9c9857b3cb14b20b6057c963a7f1e2",
+    "7-frozen-p100-k100": "74ab1de57ddd515038b50c0b64905d9635416f5fc4da8aa14275235955124224",
+    "7-frozen-p12.5-k1": "beb2b145e7512d79a4ccc6847148a4174288be1eae4552a68e5257def6ed8f1a",
+    "7-frozen-p12.5-k8": "c3a5cb284da471d23090780c775da12a3856a416f3c3d58102f39652dfb720c7",
+    "7-frozen-p12.5-k100": "ed9e7f7d7d3ad1b6d5ece0a082d2611dad942019b3de5f73e70f2e35d79d8272",
+    "7-frozen-p1000-k1": "ed9b2313ecdbee4c8e0e7601a9d064e2dd9e0f960d0700f520b634a00a63ee54",
+    "7-frozen-p1000-k8": "16fbb7c5adfbfb9f637b607556004fe0310b1da9fec5031d7155b5706d7b7630",
+    "7-frozen-p1000-k100": "af7247b9772ac7e8e58a8540b6cd05f63549f81b8c9e9bf72b16cd4070e335fe",
+    "7-kick-p100-k1": "bb7c51ecfd2479c064ebfde1f247f3512ce2cf204bb604d1b27be86ec31c9cd9",
+    "7-kick-p100-k8": "d6eb0134aea6871b298c34e3e9b64be314d69b728b342c8544141e498a0f587f",
+    "7-kick-p100-k100": "ebf6a8b45842a53f15d95df1e19c90e9e1bfd316a7702e43e7523708efaa17e0",
+    "7-kick-p12.5-k1": "e9c326bc18c903886b89b1e2f695afb471d5048e83ca7c12305c6b14541258ac",
+    "7-kick-p12.5-k8": "0930b0e44d778b8f4b7d4a18f285db3e25e92424fe6d3c6f9d230a7cde030f82",
+    "7-kick-p12.5-k100": "0d77276c0b803941c299d8d507780b94a7613f2f686eb4b68be7192d22b0590d",
+    "7-kick-p1000-k1": "11e0aa2faa81b627a5d68d0693f993fbb1d0b781565c2c941bf57372c715c5b5",
+    "7-kick-p1000-k8": "2ae469062d3055ea5ffe4fd8b54af34c198c7912e11eb7e7dd2742f0ae22c657",
+    "7-kick-p1000-k100": "f97efcfbf2e1ee7afb4a5c134b6edb934f8f6d59c928cbca70dcbfc99567dc65",
+    "683-thermal-p100-k1": "107ef006986a0de9a2f48a218b9f32bc77ddbc3466be7ad595a2f0fcf79486ae",
+    "683-thermal-p100-k8": "420089cb72f048a791a24ef0bffc5be71a4bb3d031e3c3342fe5094d05f1013b",
+    "683-thermal-p100-k100": "97cc0387942b67c26cf2c4a258a3d00a8550753f913d252257c0bdeee4eaca9d",
+    "683-thermal-p12.5-k1": "847781ac2d263a0d442bd336a1298a4deb28c703175f1e812b7b7db035bb4c9d",
+    "683-thermal-p12.5-k8": "ba50ef83c647ea12532fe94812b8e2ada0371c803fca2d23194c71a9b31d2fa1",
+    "683-thermal-p12.5-k100": "b82b08868b1df7452ab9d66639f31332c74a6c4db68fce50d1128133f3cf591a",
+    "683-thermal-p1000-k1": "2f517a7f00eea435a0a69d6e2db97ef1a7689cc5ebe07e00e35bb9233382175f",
+    "683-thermal-p1000-k8": "2ac2990ed573878c892e5956f1db6985bdcfd85dcbf5bf1c196c8e956da3b98f",
+    "683-thermal-p1000-k100": "972801b592eb8c4b23f52d7984fa3ae23733b2b682c3e539204fe426b2a4dd89",
+    "683-frozen-p100-k1": "f343ede231dc403a10230af8be80492c74d6812cf11a4ba4c6e0de5410159f7e",
+    "683-frozen-p100-k8": "544cc6e19b3fbc31a44527d8e1c5a5cdd8a09470ecbfcdb8b87a9f32751c0434",
+    "683-frozen-p100-k100": "cc69db3368cb86fb8909d683b200dd7eda780743e6a29d50470052ed91e51561",
+    "683-frozen-p12.5-k1": "eea3591c6bf9209cdb925e052b1a3a4f9145a22840c0f0f7f3dc6026c12b608b",
+    "683-frozen-p12.5-k8": "8bc804507eecffb9a7be29e158a02a602c2eb72c2e3f2d501f7fe2f3471a260c",
+    "683-frozen-p12.5-k100": "cf992124cd541a1141e062ae9af5ad9b5c4bb5379a382ffd611f2502417c7fa6",
+    "683-frozen-p1000-k1": "7f44e94189417da5f52ef48cac293134fcfbea56a3c47f8d70b3ca96756aec45",
+    "683-frozen-p1000-k8": "68b2ef04d42a0f9d30b6ba0bf74734042d7b4ad9a28ff61ada2209b877521f47",
+    "683-frozen-p1000-k100": "a9714f9813289dd72831cf5c9986367444fd7dd21de62a7d317bc6e8389c1a6f",
+    "683-kick-p100-k1": "7659a4820a9a70880087d31af39f46d3f749557138f92a63298c16a442ba85d2",
+    "683-kick-p100-k8": "b904e4899e83786efa650ec2c11eb66de733a4492bfe8d9ba214ffd327a96030",
+    "683-kick-p100-k100": "ae8c9c6fb4a16826dce5d9e88c527a8b0b6f4f2c49d37891223c004bbd8902f4",
+    "683-kick-p12.5-k1": "e4d7a8eefb946f88567d3669608e0227a193d54d53661911f46178c1a197b24a",
+    "683-kick-p12.5-k8": "3998acda62916a871bdba366ce941ba9cc41d1877d69f0832259515e9622af28",
+    "683-kick-p12.5-k100": "69f05524136ccdbbfb798cffe68c0901919c34627335f63a2fa1fb63894576b5",
+    "683-kick-p1000-k1": "af43ed60d31cf1b3febbb5053f508234a79318157d945a44ec8f6f213eb7d290",
+    "683-kick-p1000-k8": "a90329b6aff5fa977e195d3350a475ac2a1fcd1b482122b8d8c9e3b8842186e7",
+    "683-kick-p1000-k100": "fd3bc7a6f183ce76438dec8b387696de923e1ec2cd92446f71d1185fe31fbd21",
+    "2731-thermal-p100-k1": "22dcc7785e62919c44f9f0df7170548e77109fa494d549d39014bd5e8c910256",
+    "2731-thermal-p100-k8": "661b41ce85e5ec2431e5e419da9feeb91cb4503da5966c781758bfc09a702bc0",
+    "2731-thermal-p100-k100": "d6f021ac5ee4feeec637fe3407ece3cfff5882b7342d0084e1fd88b887681d58",
+    "2731-thermal-p12.5-k1": "c298ecd984fd6fa7bb3547bb94f9d1f192fbf5d0c8bf5c214f0c921ec5530830",
+    "2731-thermal-p12.5-k8": "5849abcdd80c6299722774cb6d12cbbce2e6f8ff9b69e1ccd2f44217ac7d9cf5",
+    "2731-thermal-p12.5-k100": "fea5866bf13205316671033c864c7c966b1cf694235c2cde89b0a57b2cce3210",
+    "2731-thermal-p1000-k1": "63094a116481e0236cdafadb4f34a773886ee93d9c84f2e84aac86578f3721b0",
+    "2731-thermal-p1000-k8": "bbb193fc120e5706cb4631a39c7e4ce880880cab5e21ca929767477a3a4275c3",
+    "2731-thermal-p1000-k100": "d702a859f85e7b08c25fc559a54c07b53dfce07b5f8b0ee060aa79a222c5154c",
+    "2731-frozen-p100-k1": "d1a823c1380ede97b7018dbf16ebe07b741606d480565cf14b0193f0aaeedd3b",
+    "2731-frozen-p100-k8": "ba642c9bec5a86f5fb6f832e11838c115043829e52f804b317105ce017c30a91",
+    "2731-frozen-p100-k100": "c4dcfb7dd2d8ae27954989c710fd945567de631c326c1daa50c25b03d50c01ee",
+    "2731-frozen-p12.5-k1": "ac7b34efa33a97b7e3bf32c6f3c2907b740e5554f7ca927380b7d9330d7f2c48",
+    "2731-frozen-p12.5-k8": "c4a24ecccdbae1e2cb7058c5d0c12197a808abfbe27f1a4ce09a78f9a5a5e311",
+    "2731-frozen-p12.5-k100": "f288bff9409293564ce6e94b0dc1ec57c335cd311c13753c06f87387618bac6c",
+    "2731-frozen-p1000-k1": "0f2a2b2abbe68afc37141598b0ce5ee94da46855b327915d86acd1cae780c266",
+    "2731-frozen-p1000-k8": "f0bf4a98ea6a8d570aa893a268b55644c1a1520af836243085866125a72ad6e1",
+    "2731-frozen-p1000-k100": "76a8adb694d693ca9ea86732eb745c7e3fbf0fed0a08307b6a35132f99a84a7f",
+    "2731-kick-p100-k1": "f2ec91ceb9fc1afd421f3dc7e4875e5bee2c4f4d6c8dd8f8a052410bad3dbcad",
+    "2731-kick-p100-k8": "9a44ee988e64530668f14b6e93a9f4e504abea94a0017a5a4b485eab48f6c738",
+    "2731-kick-p100-k100": "faa679d75f455fafac5325b50411f187dbaa857ce355d58d23624e7ca3aa442c",
+    "2731-kick-p12.5-k1": "719540cb5defd63a80f021d1c5bf650c4f0df25a1007b1c686d2ad387d25a503",
+    "2731-kick-p12.5-k8": "3e7ac4b98db26b914935616e64c61611fe872832143045b758030a2da052100e",
+    "2731-kick-p12.5-k100": "7d336ca49b55449e1a618df2e1aadc9300a46cd3b27d9d54a85fa8e1c404e197",
+    "2731-kick-p1000-k1": "5c0767d2b78c7c8556d8f70217275dec9bb6be7055659b970de87244c5ddfe2e",
+    "2731-kick-p1000-k8": "d41cc7bd31dc78228ff9301c7bee4c4b05415aa601815d7869fe4b1d66b1cd88",
+    "2731-kick-p1000-k100": "8218894b8c7332a0d4977a0ccf195f9555a9b6255c9e5a0a3cf04211e8ad2024",
+    "5462-thermal-p100-k1": "3c0a13fbfd44245ac1443f34e02c7caed8e7fe860ec38c1a42ea767ea36200a0",
+    "5462-thermal-p100-k8": "7000e12af9614fd604dffbc874f28da957135f7dcad01e44a2ebff89affa72d3",
+    "5462-thermal-p100-k100": "0827ff015ad16c8cec7286c2222b4ee3d07e6a1716786fbd02db2bb6798a13f4",
+    "5462-thermal-p12.5-k1": "057468f677d8e2dd228b67d8d4353ac574678ba76d50d99ac56a5b02b324caad",
+    "5462-thermal-p12.5-k8": "02dbbe29779372554fe67f0760fbb3adf0c24123868f960dea38d598c451a23c",
+    "5462-thermal-p12.5-k100": "ca49899521e546e4745a20a23a7e9c671dc86ea1a889b73f4327486f95a16557",
+    "5462-thermal-p1000-k1": "4a98b317d618056288bf88462aa82a44da4c95721e50762f9c8e0d374b8eec21",
+    "5462-thermal-p1000-k8": "01000af551ef689f457e2f43c0bedfa2ea33797ed489703ff2fd35ec3a8d9e59",
+    "5462-thermal-p1000-k100": "2150c4354203c36754248daeb4f8ceb2883536b344cf9a6402322ef4adb7f926",
+    "5462-frozen-p100-k1": "4bb788491de0945b9440d658591f2209c8cb6563227e4e6c3a9f6240633b0486",
+    "5462-frozen-p100-k8": "43785ebff651c9b609afe9e7ead95e157cd9e0ef87a203ffa63a95915fe88f2b",
+    "5462-frozen-p100-k100": "e9596410053ea15f9c057113ab8eff5c3d5f61240f92367dec4445bcafce792d",
+    "5462-frozen-p12.5-k1": "27fffc821fc541df8d8af5b11802405eee02d12f263e2837c7ef1cb622b70a8d",
+    "5462-frozen-p12.5-k8": "98dcdc591489ba1e373573502a085f4e2dfe340fd4491e2beda55c81c010eaa3",
+    "5462-frozen-p12.5-k100": "dabc31c790af7979dc2826b4dcb08367866a5a2914dce8ecb1620f79f11c5870",
+    "5462-frozen-p1000-k1": "306837294f5ed8232492bef1a36ddb47c3db1bebbaf5507289a5277b5071c5a5",
+    "5462-frozen-p1000-k8": "316478773a33a83e3363b156a89921ed24b6659ea44ae5149c35e9dbbf672084",
+    "5462-frozen-p1000-k100": "690de0cfe59f796a08e991b02f80fe53145ceb664785adc8e75317a62beeead8",
+    "5462-kick-p100-k1": "4faa89ed7ce48f1aa36a44a3315065d0ae444f1195a41aa95a200a87166eebe5",
+    "5462-kick-p100-k8": "d84c6cb897d02ac67cf3997097ebb2a9ea23afe667cd462fb4f3065ef03b260f",
+    "5462-kick-p100-k100": "97b8e34ca4021eb414900049c59e59b635140eab4e9780499fcc06cc87a7b29c",
+    "5462-kick-p12.5-k1": "70b76f893afa971c419a739aa280f5c70553718d0433fdb10cb45295363cb115",
+    "5462-kick-p12.5-k8": "19ea86e17e82c3f55867e60eea7980c01133b0f05561407d41d5b8b8e254b89f",
+    "5462-kick-p12.5-k100": "2c53770b8fb84b483fa73d6842cf10217fb34c007f40e2bcbbc567de4ef3cbc4",
+    "5462-kick-p1000-k1": "558194471cf1d0967f0b8ea4fea346811bcf7c22cd95863c8dc5a02681f3589c",
+    "5462-kick-p1000-k8": "30d6f573de8cd214c9604ca4e6929c5150584325a00681b5ca7203be78e2046a",
+    "5462-kick-p1000-k100": "8ceff4cba934bb7c71e451d0406e0c0f3d9ef72c7a1a6cdbc6eb5b4c7c0a6202",
+    "683-boxed-p100-k1": "3cfc344eff23e5820cbdf97626eb1f7fe8998c75f7c89d31ece0f274219d61e7",
+    "683-boxed-p100-k8": "903c4f953d74ad8c6ff6a9c8d9239e67077940de7f380e33b88b12a6d39e2957",
 }
 
 
 @pytest.fixture(scope="module")
-def digests():
-    return {case: _digest(*args) for case, *args in _matrix()}
+def blobs():
+    return {case: _encode(*args) for case, *args in _matrix()}
+
+
+@pytest.fixture(scope="module")
+def digests(blobs):
+    return {case: hashlib.sha256(blob).hexdigest() for case, blob in blobs.items()}
 
 
 def test_matrix_is_the_recorded_one(digests):
     assert sorted(digests) == sorted(GOLDEN)
+
+
+def test_matrix_bytes_do_not_grow(blobs):
+    total = sum(len(blob) for blob in blobs.values())
+    assert total <= MATRIX_BYTES, f"matrix is {total} B, level 6 was {MATRIX_BYTES}"
 
 
 @pytest.mark.parametrize("natoms", NATOMS)
@@ -306,5 +327,5 @@ def test_matrix_reaches_zero_equal_and_mixed_full_blocks():
 if __name__ == "__main__":  # print GOLDEN for the tree on the path
     print("GOLDEN = {")
     for _case, *_args in _matrix():
-        print(f'    "{_case}": "{_digest(*_args)}",')
+        print(f'    "{_case}": "{hashlib.sha256(_encode(*_args)).hexdigest()}",')
     print("}")

@@ -7,7 +7,7 @@ non-finite coordinates win over int32 overflow).  The pack kernel's
 ground truth is the ``np.packbits`` reference in ``test_parallel_codec``.
 
 The sentinels are counts that repeat exactly -- ``tracemalloc`` peaks and
-``zlib.compress`` entries -- taken at two sizes of the same operation, so
+``zlib.compressobj`` entries -- taken at two sizes of the same operation, so
 a pass that quietly comes back (a staging copy, a trial compression)
 fails here rather than in a wall-clock benchmark.
 """
@@ -181,14 +181,15 @@ def test_encode_peak_is_below_the_recorded_parent(natoms):
 
 
 def _count_compress(monkeypatch):
-    """Patch ``zlib.compress`` to log its entries; returns the log."""
-    calls, real = [], zlib.compress
+    """Patch ``zlib.compressobj`` (one deflate stream per entry) to log its
+    entries; returns the log."""
+    calls, real = [], zlib.compressobj
 
-    def counting(data, level=-1):
-        calls.append(len(data))
-        return real(data, level)
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("strategy"))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(zlib, "compress", counting)
+    monkeypatch.setattr(zlib, "compressobj", counting)
     return calls
 
 
@@ -217,3 +218,4 @@ def test_deflate_is_entered_once_per_frame(monkeypatch, natoms_target):
         for _ in pre.process_windows(label_map, blob, window_frames=8):
             pass
     assert len(calls) == 64
+    assert set(calls) == {zlib.Z_HUFFMAN_ONLY}

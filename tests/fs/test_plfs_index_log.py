@@ -165,6 +165,33 @@ def test_fresh_client_appends_after_the_stored_chunks():
     assert _fresh(plfs).container_index(LOGICAL) == other.container_index(LOGICAL)
 
 
+def test_cold_client_never_reuses_an_orphans_name():
+    """Runs that landed without their commit leave ``data.N`` objects the
+    log does not name -- here ``p``'s chunk 1 on the HDD and ``m``'s chunk
+    0 on the SSD, a tag with no indexed record.  A fresh client replays
+    only the log, yet must step past both names on any backend instead of
+    writing over them."""
+    sim, plfs = _plfs()
+    sim.run_process(commit_run(plfs, LOGICAL, [("p", b"one")], "hdd"))
+    for tag, backend in (("p", "hdd"), ("m", "ssd")):
+        sim.run_process(
+            plfs.write_chunk_run(LOGICAL, [(tag, b"orphan")], backend=backend)
+        )
+    cold = _fresh(plfs)
+    records = sim.run_process(
+        commit_run(cold, LOGICAL, [("p", b"three"), ("m", b"mm")], "hdd")
+    )
+    assert [(r.tag, r.chunk) for r in records] == [("p", 2), ("m", 1)]
+    orphans = [PLFS.chunk_path(LOGICAL, "p", 1), PLFS.chunk_path(LOGICAL, "m", 0)]
+    assert plfs.backends["hdd"].data(orphans[0]) == b"orphan"
+    assert plfs.backends["ssd"].data(orphans[1]) == b"orphan"
+    assert cold.fsck(LOGICAL)["orphaned"] == sorted(
+        [f"hdd:{orphans[0]}", f"ssd:{orphans[1]}"]
+    )
+    assert sim.run_process(read_subset(cold, LOGICAL, "p")).data == b"onethree"
+    assert sim.run_process(read_subset(cold, LOGICAL, "m")).data == b"mm"
+
+
 # -- (c) a damaged complete line is a corrupt index; a torn tail is not -------
 
 
