@@ -37,9 +37,10 @@ Performance model (the materialized-mode hot path):
   that feeds the I-frame's intra-frame deltas and, with a single
   subtraction along the frame axis, every P-frame's temporal deltas,
   zigzags them in place and scans every block's width with one segmented
-  ``max``; decode collects all delta rows of a GOF into one int64 matrix,
-  reconstructs with an in-place row-wise prefix sum, and converts kept
-  frames with one reciprocal multiply -- so per-frame Python overhead
+  ``max``; decode inflates per frame, then unpacks a GOF's P-frames of
+  one block layout as one bitstream into one int64 matrix, unzigzags it
+  once, rebuilds it with in-place prefix sums and converts kept frames
+  with one reciprocal multiply -- so per-frame Python overhead
   disappears and each task spends its time inside GIL-releasing C loops
   (on encode, most of it inside the one deflate per frame);
 * keyframes every ``keyframe_interval`` partition a stream into
@@ -447,6 +448,8 @@ def _unpack_words(
     ``data`` may be ``bytes`` or a ``memoryview`` (callers slice large
     payloads as views to avoid copies); ``out``, when given, is a
     ``count``-long uint64 destination written without a staging copy.
+    Widths of 8, 16, 32 and 64 bits are whole big-endian words: one
+    ``frombuffer`` and one widening cast.
     """
     if nbits == 0 or count == 0:
         if out is not None:
@@ -458,6 +461,12 @@ def _unpack_words(
     nbytes = (count * nbits + 7) // 8
     if len(data) < nbytes:
         raise CodecError("packed bitstream shorter than its value count")
+    if nbits in (8, 16, 32, 64):
+        words = np.frombuffer(data, dtype=f">u{nbits >> 3}", count=count)
+        if out is None:
+            return words.astype(np.uint64)
+        out[:] = words
+        return out
     src = np.frombuffer(data, dtype=np.uint8, count=nbytes)
     _, period_bytes, nperiods = _lane_geometry(nbits, count)
     if period_bytes <= 8:
@@ -528,128 +537,90 @@ def _encode_zigzag_block(
     return _FLAG_STORED, body + _STORED_CRC.pack(zlib.crc32(body))
 
 
-def _decode_delta_block(
-    payload: bytes,
-    expected_count: int,
-    stored: bool = False,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Decode one entropy-coded delta block to int64 values.
+def _frame_body(payload, count: int, stored: bool):
+    """Check one frame's entropy-coded body and read its block table.
 
-    ``out``, when given, is an ``expected_count``-long uint64 buffer the
-    unpacked values land in directly (it is un-zigzagged in place and the
-    int64 view of it returned) -- batched GOF decode passes rows of its
-    frame matrix here to skip a per-frame staging copy.
+    The only per-frame pass of decode: a stored body has its CRC-32
+    checked in place, a deflated one is inflated (zlib's adler32 checks
+    it).  Returns ``(body, runs)``, ``runs`` being the body's layout: one
+    ``(start, count, nbits, offset)`` per run of equal-width blocks --
+    values from ``start`` on, packed from byte ``offset`` of ``body``.
+    Every count, length and width is validated here, so unpacking the
+    runs cannot fail.
     """
     if stored:
         if len(payload) < _STORED_CRC.size:
             raise CodecError("stored payload shorter than its checksum")
-        raw = bytes(payload[: -_STORED_CRC.size])
-        (crc,) = _STORED_CRC.unpack_from(payload, len(payload) - _STORED_CRC.size)
-        if zlib.crc32(raw) != crc:
+        body = payload[: -_STORED_CRC.size]
+        (crc,) = _STORED_CRC.unpack_from(payload, len(body))
+        if zlib.crc32(body) != crc:
             raise CodecError("stored payload checksum mismatch")
     else:
         try:
-            raw = zlib.decompress(payload)
+            body = memoryview(zlib.decompress(payload))  # sliced, not copied
         except zlib.error as exc:
             raise CodecError(f"frame payload inflate failed: {exc}") from exc
-    if len(raw) < _PAYLOAD_HEAD.size:
+    if len(body) < _PAYLOAD_HEAD.size:
         raise CodecError("payload shorter than its prologue")
-    nblocks, count = _PAYLOAD_HEAD.unpack_from(raw, 0)
-    if count != expected_count:
-        raise CodecError(f"payload holds {count} values, expected {expected_count}")
+    nblocks, got = _PAYLOAD_HEAD.unpack_from(body, 0)
+    if got != count:
+        raise CodecError(f"payload holds {got} values, expected {count}")
     if nblocks != (count + _BLOCK_VALUES - 1) // _BLOCK_VALUES:
-        raise CodecError(f"block table of {nblocks} blocks cannot hold {count} values")
-    offset = _PAYLOAD_HEAD.size
-    widths = bytes(raw[offset : offset + nblocks])
+        raise CodecError(
+            f"block table of {nblocks} blocks cannot hold {count} values"
+        )
+    offset = _PAYLOAD_HEAD.size + nblocks
+    widths = bytes(body[_PAYLOAD_HEAD.size : offset])
     if len(widths) < nblocks:
         raise CodecError("truncated block-width table")
-    offset += nblocks
-    mv = memoryview(raw)  # slice payload chunks without copying
-    if out is None:
-        out = np.empty(count, dtype=np.uint64)
+    runs = []
     for b, e in _width_runs(widths):
-        nbits = widths[b]
-        run_count = min(e * _BLOCK_VALUES, count) - b * _BLOCK_VALUES
-        nbytes = (run_count * nbits + 7) // 8
-        chunk = mv[offset : offset + nbytes]
-        if len(chunk) < nbytes:
+        nbits, start = widths[b], b * _BLOCK_VALUES
+        run = min(e * _BLOCK_VALUES, count) - start
+        nbytes = (run * nbits + 7) // 8
+        if offset + nbytes > len(body):
             raise CodecError("truncated packed bitstream")
-        _unpack_words(
-            chunk,
-            run_count,
-            nbits,
-            out=out[b * _BLOCK_VALUES : b * _BLOCK_VALUES + run_count],
-        )
+        if nbits > 64:
+            raise CodecError(f"word width {nbits} outside [0, 64]")
+        runs.append((start, run, nbits, offset))
         offset += nbytes
-    return _unzigzag(out)
+    return body, tuple(runs)
 
 
-def _decode_iframe_ints(
-    payload: bytes, natoms: int, stored: bool, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Decode an I-frame payload to its absolute quantized ints.
+def _unpack_frames(dst: np.ndarray, runs, frames) -> None:
+    """Unpack the bodies of ``frames`` -- ``(row, body)`` pairs, rows
+    ascending, that share the layout ``runs`` -- into rows of ``dst``.
 
-    ``out``, when given, is a flat ``natoms * 3`` int64 row (batched GOF
-    decode passes rows of its frame matrix); returns the ``(natoms, 3)``
-    view either way.
+    One :func:`_unpack_words` call per run for all the frames: their
+    packed runs are joined into one bitstream, each padded to a whole lane
+    period so every frame's values start on one.  A run that fills whole
+    consecutive rows lands in ``dst`` directly (only the GOF matrix, which
+    is C-contiguous, takes more than one frame); otherwise one copy
+    scatters it.
     """
-    prefix = 12 + _STORED_CRC.size
-    if len(payload) < prefix:
-        raise CodecError("I-frame payload missing origin")
-    (origin_crc,) = _STORED_CRC.unpack_from(payload, 12)
-    if zlib.crc32(bytes(payload[:12])) != origin_crc:
-        raise CodecError("I-frame origin checksum mismatch")
-    origin = np.frombuffer(payload, dtype="<i4", count=3).astype(np.int64)
-    deltas = _decode_delta_block(
-        payload[prefix:], (natoms - 1) * 3, stored
-    ).reshape(natoms - 1, 3)
-    ints = (
-        np.empty((natoms, 3), dtype=np.int64)
-        if out is None
-        else out.reshape(natoms, 3)
-    )
-    ints[0] = origin
-    np.cumsum(deltas, axis=0, dtype=np.int64, out=ints[1:])
-    ints[1:] += origin
-    return ints
-
-
-def _decode_frame_payload(
-    payload: bytes,
-    natoms: int,
-    precision: float,
-    flags: int,
-    prev_ints: Optional[np.ndarray],
-    out: Optional[np.ndarray] = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Decode one frame; returns ``(coords_float32, quantized_ints)``.
-
-    ``out`` (a ``(natoms, 3)`` float32 view) receives the coordinates
-    without an intermediate allocation when provided.  The hot path
-    (:func:`_decode_run`) batches whole GOFs instead; this single-frame
-    entry point remains for targeted decodes and tests.
-    """
-    stored = bool(flags & _FLAG_STORED)
-    if flags & _FLAG_PFRAME:
-        if prev_ints is None:
-            raise CodecError("P-frame encountered with no reference frame")
-        deltas = _decode_delta_block(payload, natoms * 3, stored).reshape(
-            natoms, 3
+    rows = [row for row, _ in frames]
+    for start, count, nbits, offset in runs:
+        nbytes = (count * nbits + 7) // 8
+        if len(frames) == 1:
+            _unpack_words(
+                frames[0][1][offset : offset + nbytes], count, nbits,
+                out=dst[rows[0], start : start + count],
+            )
+            continue
+        lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
+        padded, gap = nperiods * lanes, bytes(nperiods * period_bytes - nbytes)
+        end = offset + nbytes
+        stream = b"".join(
+            [part for _, body in frames for part in (body[offset:end], gap)]
         )
-        np.add(deltas, prev_ints, out=deltas)  # deltas buffer is ours
-        ints = deltas
-    else:
-        ints = _decode_iframe_ints(payload, natoms, stored)
-    if out is None:
-        out = np.empty((natoms, 3), dtype=np.float32)
-    # Multiply by the float64 reciprocal instead of dividing: the float64
-    # intermediate can differ from true division by <= 1 ulp, which is far
-    # inside the float32 rounding the store performs and orders of magnitude
-    # below the 0.5-quantum margin the idempotent-recompression property
-    # needs (re-quantizing a decoded coordinate lands on the same integer).
-    np.multiply(ints, 1.0 / precision, out=out, casting="unsafe")
-    return out, ints
+        whole_rows = padded == count == dst.shape[1]
+        if whole_rows and rows[-1] - rows[0] == len(rows) - 1:
+            flat = dst[rows[0] : rows[-1] + 1].reshape(-1)
+            _unpack_words(stream, flat.size, nbits, out=flat)
+        else:
+            grid = _unpack_words(stream, len(rows) * padded, nbits)
+            grid = grid.reshape(len(rows), padded)
+            dst[rows, start : start + count] = grid[:, :count]
 
 
 def resolve_workers(workers: Optional[int], ntasks: int) -> int:
@@ -913,16 +884,21 @@ def _decode_gof_ints(
     """Decode one keyframe-anchored group of frames to absolute quantized
     ints, shape ``(nframes, natoms, 3)``.
 
-    Batched kernel: every frame's entropy stage unpacks straight into one
-    row of a ``(nframes, natoms * 3)`` int64 matrix, then a single
-    ``np.cumsum`` along the frame axis resolves all temporal P-frame deltas
-    at once.  Equivalent to the per-frame ``prev + delta`` chain (int64
-    addition is associative and overflow-free at these magnitudes) but the
-    Python-level loop only touches the entropy stage.
+    Batched kernel: only :func:`_frame_body` (inflate or the stored-body
+    CRC check, then the block table) runs per frame.  Every other pass
+    runs once per group, on one ``(nframes, natoms * 3)`` int64 matrix:
+    P-frames sharing a block layout unpack as one bitstream
+    (:func:`_unpack_frames`), one unzigzag covers the matrix, the I-frame
+    row -- its origin, then its deltas along the atom axis -- resolves
+    with one in-place ``cumsum``, and a row-wise prefix sum the P-frames'
+    temporal deltas.  The group is the batch unit because its matrix stays
+    in cache; a whole call's would not.  Equivalent to the per-frame
+    ``prev + delta`` chain: int64 addition is associative.
     """
-    nframes = len(infos)
-    ints = np.empty((nframes, natoms * 3), dtype=np.int64)
+    nframes, width = len(infos), natoms * 3
+    ints = np.empty((nframes, width), dtype=np.int64)
     udat = ints.view(np.uint64)
+    layouts = {}  # P-frame layout -> [(row, body)]
     for pos, info in enumerate(infos):
         begin = info.offset + info.header_nbytes
         payload = view[begin : begin + info.payload_nbytes]
@@ -930,13 +906,28 @@ def _decode_gof_ints(
         if pos == 0:
             if info.flags & _FLAG_PFRAME:
                 raise CodecError("P-frame encountered with no reference frame")
-            _decode_iframe_ints(payload, natoms, stored, out=ints[0])
+            prefix = 12 + _STORED_CRC.size
+            if len(payload) < prefix:
+                raise CodecError("I-frame payload missing origin")
+            (origin_crc,) = _STORED_CRC.unpack_from(payload, 12)
+            if zlib.crc32(payload[:12]) != origin_crc:
+                raise CodecError("I-frame origin checksum mismatch")
+            origin = np.frombuffer(payload, dtype="<i4", count=3)
+            body, runs = _frame_body(payload[prefix:], width - 3, stored)
+            _unpack_frames(udat[:1, 3:], runs, [(0, body)])
         else:
             if not info.flags & _FLAG_PFRAME:
                 raise CodecError(
                     f"I-frame {info.index} inside a group of frames"
                 )
-            _decode_delta_block(payload, natoms * 3, stored, out=udat[pos])
+            body, runs = _frame_body(payload, width, stored)
+            layouts.setdefault(runs, []).append((pos, body))
+    for runs, frames in layouts.items():
+        _unpack_frames(udat, runs, frames)
+    _unzigzag(udat)
+    ints[0, :3] = origin
+    iframe = ints[0].reshape(natoms, 3)
+    np.cumsum(iframe, axis=0, out=iframe)
     # Row-wise prefix sum: each add streams two contiguous rows, where
     # ``np.cumsum(axis=0)`` would walk columns with frame-sized strides.
     for pos in range(1, nframes):
@@ -949,10 +940,12 @@ def _ints_to_coords(
 ) -> None:
     """Dequantize a block of frames into float32 ``out``.
 
-    Multiply by the float64 reciprocal instead of dividing (see
-    :func:`_decode_frame_payload`); a single vectorized multiply when every
-    frame shares one precision (the encoder always emits that), with a
-    per-frame fallback for hand-crafted/fuzzed streams that disagree.
+    Multiply by the float64 reciprocal instead of dividing: the float64
+    intermediate can differ from true division by <= 1 ulp, far inside
+    the float32 rounding of the store and the 0.5-quantum margin that
+    idempotent recompression needs.  A single vectorized multiply when
+    every frame shares one precision (the encoder always emits that), with
+    a per-frame fallback for hand-crafted/fuzzed streams that disagree.
     """
     p0 = infos[0].precision
     if all(i.precision == p0 for i in infos):
