@@ -676,12 +676,6 @@ class ShardedADA(DataPlane):
     def subset_nbytes(self, logical: str, tag: str) -> int:
         return self._any_holder(logical, tag).ada.subset_nbytes(logical, tag)
 
-    def container_nbytes(self, logical: str) -> int:
-        # Stored volume counts every representation, LOD siblings included.
-        return sum(
-            self.subset_nbytes(logical, tag) for tag in self.all_tags(logical)
-        )
-
     def _delete_stored(self, logical: str) -> int:
         """Every holder's copy, plus the routing state keyed on it."""
         freed = 0
@@ -792,9 +786,7 @@ class ShardedADA(DataPlane):
             logical, tag
         )
         entries = [(tag, obj.data) for obj in objs]
-        yield from dest.ada.determinator.dispatcher.dispatch_run(
-            logical, entries, coalesce=True
-        )
+        yield from dest.ada.determinator.dispatcher.dispatch_run(logical, entries)
         return sum(obj.nbytes for obj in objs)
 
     # -- reporting ----------------------------------------------------------------

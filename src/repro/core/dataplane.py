@@ -610,6 +610,11 @@ class DataPlane:
         """Every stored tag, the LOD family included (operator surface)."""
         return list(self._stored_tags(logical))
 
+    def container_nbytes(self, logical: str) -> int:
+        """Stored bytes of a dataset, every representation (LOD siblings
+        included): Σ ``subset_nbytes`` over :meth:`all_tags`."""
+        return sum(self.subset_nbytes(logical, t) for t in self.all_tags(logical))
+
     def has_lod(self, logical: str, tag: Optional[str] = None) -> bool:
         """Does the dataset carry an LOD sibling for ``tag`` (or, with no
         tag, for *every* base subset -- the merged-read requirement)?"""

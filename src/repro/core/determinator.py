@@ -106,14 +106,3 @@ class IODeterminator:
         yield from self.indexer.lookup(logical, tag)
         obj: StoredObject = yield from self.retriever.retrieve(logical, tag)
         return obj
-
-    # -- metadata ---------------------------------------------------------------
-
-    def tags(self, logical: str) -> list:
-        return self.plfs.tags(logical)
-
-    def subset_nbytes(self, logical: str, tag: str) -> int:
-        return self.plfs.subset_nbytes(logical, tag)
-
-    def container_nbytes(self, logical: str) -> int:
-        return self.plfs.container_nbytes(logical)

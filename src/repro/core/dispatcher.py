@@ -18,7 +18,8 @@ per backend (one metadata operation, one seek-amortized transfer -- the
 write-side mirror of the retriever's request coalescing), the backends in
 parallel; a ``StorageFullError`` spills that *whole* run to the inactive
 backend, and one index append commits every run or none (the append
-spills the same way when the metadata backend is full).  Traffic
+spills the same way when the metadata backend is full; a lone run on the
+metadata backend carries it in its own span write).  Traffic
 counters live in the shared :class:`MetricsRegistry`, so the write path
 shows up in the same Prometheus/JSON exports as the read path.
 """
@@ -116,11 +117,13 @@ class IODispatcher:
         failed for good (retries exhausted, a permanent fault, no room on
         either tier) rolls the window back: no record, no chunk object on
         any backend.  Otherwise :meth:`PLFS.commit` indexes the window, in
-        ``entries`` order, with a single retried append.  Abandoning the
+        ``entries`` order, with a single retried append -- unless the
+        window is one group that landed on the metadata backend, whose
+        index line rode (and retried with) its span.  Abandoning the
         dispatch (interrupt, ``close``) stops the groups still writing and
-        deletes what landed.  Counters move only once the window is
-        committed.  Returns the :class:`IndexRecord` list in ``entries``
-        order.
+        deletes what landed uncommitted.  Counters move only once the
+        window is committed.  Returns the :class:`IndexRecord` list in
+        ``entries`` order.
         """
         if not entries:
             return []
@@ -129,10 +132,11 @@ class IODispatcher:
             groups.setdefault(self.placement.backend_for(tag), []).append(
                 position
             )
+        alone = len(groups) == 1
         procs = [
             self.sim.process(
                 self._write_group(
-                    logical, backend, [entries[i] for i in positions], coalesce
+                    logical, backend, [entries[i] for i in positions], coalesce, alone
                 ),
                 name=f"dispatch:{logical}@{backend}",
             )
@@ -147,21 +151,23 @@ class IODispatcher:
             for proc in procs:
                 proc.interrupt("window rolled back")  # no-op once finished
             self.plfs.discard(
-                rec for proc in procs if isinstance(proc.value, tuple)
+                rec for proc in procs
+                if isinstance(proc.value, tuple) and not proc.value[2]
                 for rec in proc.value[0]
             )
             raise
         records: List[Optional[IndexRecord]] = [None] * len(entries)
-        for positions, (recs, _spilled_to) in zip(groups.values(), outcomes):
+        for positions, (recs, *_) in zip(groups.values(), outcomes):
             for position, rec in zip(positions, recs):
                 records[position] = rec
-        yield from self.plfs.commit(
-            logical, records,
-            retry=lambda op: self.retrier.call(op, key=f"index:{logical}"),
-            spill_to=self.placement.inactive_backend,
-        )
+        if not outcomes[0][2]:  # a lone group may have committed in its run
+            yield from self.plfs.commit(
+                logical, records,
+                retry=lambda op: self.retrier.call(op, key=f"index:{logical}"),
+                spill_to=self.placement.inactive_backend,
+            )
         counters = self._metric_fields
-        for backend, (recs, spilled_to) in zip(groups, outcomes):
+        for backend, (recs, spilled_to, _) in zip(groups, outcomes):
             if spilled_to is not None:
                 for tag in sorted({rec.tag for rec in recs}):
                     self.spills.append((logical, tag, backend, spilled_to))
@@ -187,11 +193,14 @@ class IODispatcher:
         preferred: str,
         entries: List[Tuple[str, Payload]],
         coalesce: bool,
+        alone: bool,
     ) -> Generator:
         """Process: one retried, spillable chunk run of a window's backend
-        group; returns ``(records, spilled_to)`` (``None`` when it landed
-        on ``preferred``) -- or the exception it failed with, so the
-        window's barrier waits for every group before rolling back."""
+        group; returns ``(records, spilled_to, committed)`` (``None`` when
+        it landed on ``preferred``; ``committed`` when the group is
+        ``alone`` in the window and its index line rode the span) -- or
+        the exception it failed with, so the window's barrier waits for
+        every group before rolling back."""
         inactive = self.placement.inactive_backend
         fallback = inactive if preferred != inactive else None
         first, last = entries[0][0], entries[-1][0]
@@ -199,12 +208,14 @@ class IODispatcher:
         do_coalesce = coalesce and len(entries) > 1
 
         def write(backend: str, kind: str) -> Generator:
-            return self.retrier.call(
+            commit = alone and backend == self.plfs.metadata_backend
+            recs = yield from self.retrier.call(
                 lambda: self.plfs.write_chunk_run(
-                    logical, entries, backend=backend, coalesce=do_coalesce
+                    logical, entries, backend, do_coalesce, commit
                 ),
                 key=f"{kind}:{logical}#{tag_span}:{len(entries)}",
             )
+            return recs, commit
 
         try:
             with span(
@@ -213,13 +224,13 @@ class IODispatcher:
                 backend=preferred, coalesced=do_coalesce,
             ) as sp:
                 try:
-                    recs: List[IndexRecord] = yield from write(preferred, "write")
+                    recs, committed = yield from write(preferred, "write")
                 except StorageFullError:
                     if fallback is None:
                         raise
-                    recs = yield from write(fallback, "spill")
+                    recs, committed = yield from write(fallback, "spill")
                     sp.tag(spilled_to=fallback)
-                    return recs, fallback
-            return recs, None
+                    return recs, fallback, committed
+            return recs, None, committed
         except Exception as exc:  # dispatch_run re-raises it
             return exc

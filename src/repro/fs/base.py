@@ -110,21 +110,21 @@ class FileSystem(ABC):
         self,
         items: List[Tuple[str, Payload]],
         label: str = "write",
-        chain: bool = False,
+        append: Optional[Tuple[str, bytes]] = None,
     ) -> Generator:
         """Process: persist several objects as one coalesced span.
 
         The write-side mirror of :meth:`read_span`: ``items`` is a list of
         ``(path, data)`` pairs bound for this backend, ``data`` the bytes
-        or, for a size-only (virtual) object, its byte count.  The base
-        implementation writes each object in turn; single-device backends
-        override it to charge one metadata operation and one
-        seek-amortized transfer for the span's total size (and honour
-        ``chain``, see ``Device.write``).  A mid-span failure must leave no
-        partial objects behind (the caller retries the whole span), so the
-        sequential fallback rolls back anything it already stored before
-        re-raising.  Returns the :class:`StoredObject` list in ``items``
-        order.
+        or, for a size-only (virtual) object, its byte count; ``append``,
+        a ``(path, data)`` extension, lands with them.  The base
+        implementation writes each object in turn, then appends;
+        single-device backends override it to charge one metadata
+        operation and one seek-amortized transfer for the span's total
+        size.  A mid-span failure must leave no partial objects behind
+        (the caller retries the whole span), so the sequential fallback
+        rolls back anything it already stored before re-raising.  Returns
+        the :class:`StoredObject` list in ``items`` order.
         """
         objs: List[StoredObject] = []
         try:
@@ -132,6 +132,8 @@ class FileSystem(ABC):
                 data, nbytes = self._payload(payload)
                 obj = yield from self.write(path, data=data, nbytes=nbytes, label=label)
                 objs.append(obj)
+            if append is not None:
+                yield from self.append(*append, label=label)
         except BaseException:
             for obj in objs:
                 if self.store.exists(obj.path):

@@ -9,7 +9,7 @@ at this model's fidelity, which matches the paper's usage (both are simply
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 from repro.errors import FileNotFoundInFSError
 from repro.fs.base import FileSystem, StoredObject
@@ -46,7 +46,8 @@ class LocalFS(FileSystem):
     ) -> Generator:
         yield from self._fault_gate("write", path)
         size = self._payload_size(data, nbytes)
-        yield from self._device_write(size, request_size, label)
+        requests = self._request_count(size, request_size)
+        yield from self._device_write(size, requests, label)
         self._release_replaced(path)
         self.store.put(path, data=data, nbytes=size)
         self.bytes_written += size
@@ -55,24 +56,21 @@ class LocalFS(FileSystem):
     def append(self, path: str, data: bytes, label: str = "write") -> Generator:
         """Process: extend an object, paying for the appended bytes only."""
         yield from self._fault_gate("write", path)
-        yield from self._device_write(len(data), None, label)
+        yield from self._device_write(len(data), 1, label)
         self.store.append(path, data)
         self.bytes_written += len(data)
         return StoredObject(path=path, nbytes=len(data), data=data)
 
-    def _device_write(
-        self, size: int, request_size: Optional[int], label: str,
-        chain: bool = False,
-    ) -> Generator:
+    def _device_write(self, size: int, requests: int, label: str) -> Generator:
         """Process: reserve ``size`` bytes, then pay one metadata operation
-        and the device transfer.  Nothing is stored yet; a device-level
-        injected failure (or an abandoned write) releases the reservation
-        so a retried write does not leak capacity."""
+        and the device transfer of ``requests`` requests.  Nothing is
+        stored yet; a device-level injected failure (or an abandoned write)
+        releases the reservation so a retried write does not leak
+        capacity."""
         self._reserve(0, size)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
-            requests = self._request_count(size, request_size)
-            yield from self.device.write(size, requests, label, chain)
+            yield from self.device.write(size, requests, label)
         except BaseException:
             self._release(0, size)
             raise
@@ -127,17 +125,22 @@ class LocalFS(FileSystem):
             return objs
 
     def write_span(
-        self, items, label: str = "write", chain: bool = False
+        self,
+        items,
+        label: str = "write",
+        append: Optional[Tuple[str, bytes]] = None,
     ) -> Generator:
         """Process: coalesced write of several objects to the one device.
 
         The write-behind mirror of :meth:`read_span`: one metadata
         operation and one seek-amortized device transfer cover the span's
         total size, so a batch of log-structured subset chunks stops
-        paying the per-chunk seek tax.  Capacity is reserved up front
-        (``StorageFullError`` before any state changes, so the caller can
-        spill the whole span) and nothing is stored until the device
-        transfer completes -- a mid-span fault leaves no partial objects.
+        paying the per-chunk seek tax; ``append`` (a window's index line)
+        rides the same service as a second request.  Capacity is reserved
+        up front (``StorageFullError`` before any state changes, so the
+        caller can spill the whole span) and nothing is stored until the
+        device transfer completes -- a mid-span fault leaves no partial
+        objects and no line.
         """
         if not items:
             return []
@@ -147,14 +150,18 @@ class LocalFS(FileSystem):
         ):
             yield from self._fault_gate("write", items[0][0])
             payloads = [self._payload(payload) for _, payload in items]
-            total = sum(size for _, size in payloads)
-            yield from self._device_write(total, None, label, chain)
+            line = b"" if append is None else append[1]
+            total = sum(size for _, size in payloads) + len(line)
+            yield from self._device_write(total, 1 + (append is not None), label)
             objs = []
             for (path, _), (data, size) in zip(items, payloads):
                 self._release_replaced(path)
                 self.store.put(path, data=data, nbytes=size)
                 self.bytes_written += size
                 objs.append(StoredObject(path=path, nbytes=size, data=data))
+            if append is not None:
+                self.store.append(*append)
+                self.bytes_written += len(line)
             return objs
 
     # One device: an extent's capacity does not depend on where it starts.

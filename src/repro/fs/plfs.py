@@ -227,8 +227,7 @@ class PLFS:
             raise ContainerError(f"no container index for {logical!r}")
         index = {}
         for backend in logs:
-            for record in self._read_log(logical, backend):
-                self._register(logical, index, record)
+            self._register_all(logical, index, self._read_log(logical, backend))
         if logs:  # orphans: runs that landed but whose commit never did
             prefix = self.container_dir(logical) + "/subset."
             for fs in self.backends.values():
@@ -251,12 +250,13 @@ class PLFS:
         except (ValueError, TypeError) as exc:
             raise ContainerError(f"corrupt index for {logical!r}: {exc}") from exc
 
-    def _register(
-        self, logical: str, index: Dict[str, _Subset], record: IndexRecord
+    def _register_all(
+        self, logical: str, index: Dict[str, _Subset], records: Iterable[IndexRecord]
     ) -> None:
-        """Index one record and keep the tag's next chunk number above it."""
-        index.setdefault(record.tag, _Subset()).add(record)
-        self._step_counter(logical, record.tag, record.chunk)
+        """Index records and keep each tag's next chunk number above them."""
+        for record in records:
+            index.setdefault(record.tag, _Subset()).add(record)
+            self._step_counter(logical, record.tag, record.chunk)
 
     def _step_counter(self, logical: str, tag: str, chunk: int) -> None:
         """Keep the tag's next chunk number above ``chunk`` -- an indexed
@@ -339,6 +339,7 @@ class PLFS:
         entries: List[Tuple[str, Payload]],
         backend: str,
         coalesce: bool = True,
+        commit: bool = False,
     ) -> Generator:
         """Process: land one *run* of chunks on a single backend.
 
@@ -350,15 +351,16 @@ class PLFS:
         own index record and CRC-32, so tag-selective reads and per-chunk
         verification are unchanged.
 
-        The run is *not indexed*: a window lands one run per backend and
-        then :meth:`commit` indexes all of them with one log append; a run
-        on the metadata backend holds its device for that append
-        (``Device.write``'s ``chain``).  Chunk numbers are claimed up
-        front (a failed run leaves counter gaps, never reused names), a
-        failed run leaves no chunk object, and ``StorageFullError``
-        propagates before any chunk is stored, so the caller can spill the
-        *whole* run.  Returns the :class:`IndexRecord` list in ``entries``
-        order.
+        Without ``commit`` the run is *not indexed*: a window lands one run
+        per backend, then :meth:`commit` indexes them all with one log
+        append.  With it (a one-run window) the run's line rides its span
+        write to ``backend``'s log and the records are indexed once that
+        lands: no landed-but-uncommitted state.  Chunk numbers are claimed
+        up front (a failed run leaves counter gaps, never reused names), a
+        failed run leaves no chunk object and no line, and
+        ``StorageFullError`` propagates before anything is stored, so the
+        caller can spill the *whole* run.  Returns the
+        :class:`IndexRecord` list in ``entries`` order.
         """
         if backend not in self.backends:
             raise ConfigurationError(f"unknown backend {backend!r}")
@@ -382,9 +384,13 @@ class PLFS:
         write_span = backend_fs.write_span if coalesce or len(items) == 1 else (
             partial(FileSystem.write_span, backend_fs)
         )
-        yield from write_span(
-            items, label="plfs", chain=backend == self.metadata_backend
-        )
+        # A committing run opens the index first: a replay after the write
+        # would read the new line and then index the records a second time.
+        index = self._index(logical, create=True) if commit else None
+        line = self._index_line(logical, records, backend) if commit else None
+        yield from write_span(items, label="plfs", append=line)
+        if commit:
+            self._register_all(logical, index, records)
         return records
 
     def fsck(self, logical: Optional[str] = None) -> Dict[str, list]:
@@ -504,8 +510,7 @@ class PLFS:
         duplicating subset bytes.
         """
         index = self._index(logical, create=True)
-        for record in records:
-            self._register(logical, index, record)
+        self._register_all(logical, index, records)
         try:
             yield from self.write_metadata(
                 partial(self._flush_index, logical, records), retry, spill_to
@@ -555,10 +560,17 @@ class PLFS:
     def _flush_index(
         self, logical: str, new_records: List[IndexRecord], backend: str
     ) -> Generator:
-        """Process: extend ``backend``'s index log by ``new_records``,
-        cutting off the torn tail replay found there first."""
+        """Process: extend ``backend``'s index log by ``new_records``."""
+        path, line = self._index_line(logical, new_records, backend)
+        return self.backends[backend].append(path, line, label="plfs-index")
+
+    def _index_line(
+        self, logical: str, records: List[IndexRecord], backend: str
+    ) -> Tuple[str, bytes]:
+        """``(path, line)`` that extends ``backend``'s index log by
+        ``records``, once the torn tail replay found there is cut off."""
         fs, path = self.backends[backend], self.index_path(logical)
         torn = self._torn.pop((logical, backend), None)
         if torn is not None:
             fs.replace(path, fs.data(path)[:torn])
-        yield from fs.append(path, _encode_log(new_records), label="plfs-index")
+        return path, _encode_log(records)

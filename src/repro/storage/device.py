@@ -19,9 +19,6 @@ from repro.storage.power import DevicePower
 
 __all__ = ["DeviceSpec", "Device"]
 
-#: Seconds a chained write holds the device for the write that follows.
-CHAIN_WINDOW_S = 1e-3
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -72,7 +69,6 @@ class Device:
         self.busy = BusyTracker(self.name)
         self.used_bytes = 0.0
         self.faults: Optional[FaultPlan] = None
-        self._held = None  # a chained write's expiry, valued with its slot
 
     @property
     def free_bytes(self) -> float:
@@ -118,47 +114,28 @@ class Device:
         duration = self.spec.read_time(nbytes, requests)
         return self._serve("read", duration, nbytes, requests, label)
 
-    def write(
-        self, nbytes: float, requests: int = 1, label: str = "write",
-        chain: bool = False,
-    ) -> Generator:
-        """DES process: occupy the device for the write's service time.
-        ``chain`` holds the device for up to :data:`CHAIN_WINDOW_S` after
-        it, for the next write only -- a window's index append follows
-        its data span with no queued read between (block-layer plugging).
-        """
+    def write(self, nbytes: float, requests: int = 1, label: str = "write") -> Generator:
+        """DES process: occupy the device for the write's service time."""
         duration = self.spec.write_time(nbytes, requests)
-        return self._serve("write", duration, nbytes, requests, label, chain)
+        return self._serve("write", duration, nbytes, requests, label)
 
     def _serve(
-        self, op: str, duration: float, nbytes: float, requests: int,
-        label: str, chain: bool = False,
+        self, op: str, duration: float, nbytes: float, requests: int, label: str
     ) -> Generator:
         with span(
             self.sim, f"device.{op}",
             device=self.name, nbytes=int(nbytes), requests=requests,
         ):
             yield from self._fault_gate(op)
-            req = (self._unhold() if op == "write" else None) or self.resource.request()
+            req = self.resource.request()
             try:
                 yield req
                 start = self.sim.now
                 yield self.sim.timeout(duration)
                 self.busy.record(start, self.sim.now, label)
-            except BaseException:
-                req.release()
-                raise
-            if chain:
-                self._held = self.sim.timeout(CHAIN_WINDOW_S, value=req)
-                self._held.callbacks.append(lambda _: self._unhold().release())
-            else:
+            finally:
                 req.release()
             self._record_metrics(op, duration, nbytes)
-
-    def _unhold(self):
-        """The slot a chained write holds (its expiry stopped), or None."""
-        held, self._held = self._held, None
-        return held.cancel().value if held is not None else None
 
     def _record_metrics(self, op: str, duration: float, nbytes: float) -> None:
         """Per-device counters/histograms on the sim-attached registry.

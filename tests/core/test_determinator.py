@@ -76,9 +76,9 @@ def test_store_virtual_and_metadata(setup):
     sim.run_process(
         det.store("big.xtc", {"p": int(4 * GB), "m": int(6 * GB)})
     )
-    assert det.subset_nbytes("big.xtc", "p") == int(4 * GB)
-    assert det.container_nbytes("big.xtc") == int(10 * GB)
-    assert det.tags("big.xtc") == ["m", "p"]
+    assert det.plfs.subset_nbytes("big.xtc", "p") == int(4 * GB)
+    assert det.plfs.container_nbytes("big.xtc") == int(10 * GB)
+    assert det.plfs.tags("big.xtc") == ["m", "p"]
 
 
 def test_dispatch_counters(setup):

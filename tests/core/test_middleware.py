@@ -47,6 +47,18 @@ def test_needs_backends():
         ADA(Simulator(), backends={})
 
 
+def test_tiers_are_never_picked_by_alphabet():
+    """Several backends need ``ssd``/``hdd`` names or a ``placement``;
+    one backend is both tiers, whatever its name."""
+    sim = Simulator()
+    with pytest.raises(ConfigurationError, match="placement="):
+        ADA(sim, backends={"a": _fs(sim, "a"), "b": _fs(sim, "b")})
+    with pytest.raises(ConfigurationError, match="'hdd'"):
+        ADA(sim, backends={"ssd": _fs(sim, "ssd"), "b": _fs(sim, "b")})
+    lone = ADA(sim, backends={"disk": _fs(sim, "disk")})
+    assert lone.placement.active_backend == lone.placement.inactive_backend == "disk"
+
+
 def test_is_target_file():
     assert ADA.is_target_file("/data/run7/bar.xtc")
     assert ADA.is_target_file("FOO.PDB")

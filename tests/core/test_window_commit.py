@@ -6,15 +6,18 @@ write path of ``ingest``, ``ingest_append``, ``ingest_virtual`` and every
 (not by consecutive runs, which with ``lod:`` siblings interleave ``hdd,
 ssd, hdd, ssd`` and never merged), writes the groups in parallel, and
 ``PLFS.commit`` indexes the lot with a single log append on the active
-tier.  Counted, not timed: ``device_ops_total{op="write"}`` per device for
-one appended window, and the devices' ``plfs-index`` busy intervals.
+tier.  A window that is one group on the active tier (a one-disk node)
+carries its index line in its own span write instead.  Counted, not
+timed: ``device_ops_total{op="write"}`` per device for one appended
+window, and the devices' ``plfs-index`` busy intervals.
 
 The failure contract rides along: the index append retries alone (no data
-span is rewritten), an exhausted retry leaves nothing of the window behind
-and burns its chunk names, a group that fails waits for the others and
-rolls them back, an abandoned dispatch leaves no chunk and no capacity
-reservation, a full SSD spills only the SSD group, and an index append or
-label file that finds the SSD full spills to the HDD like a data run.
+span is rewritten), a one-group window's span and line retry together, an
+exhausted retry leaves nothing of the window behind and burns its chunk
+names, a group that fails waits for the others and rolls them back, an
+abandoned dispatch leaves no chunk and no capacity reservation, a full SSD
+spills only the SSD group, and an index append or label file that finds
+the SSD full spills to the HDD like a data run.
 """
 
 import json
@@ -181,10 +184,14 @@ def test_size_only_store_overlaps_the_tiers():
 
 
 def test_single_backend_window_is_one_span_plus_one_append(stream):
+    """One disk holds data and index: the window's line rides its span,
+    one device write charged as two requests."""
     sim = Simulator()
     ada = ADA(sim, backends={"hdd": _fs(sim, "hdd")}, lod_precision=12.5)
-    assert _appended_window(ada, stream, ["hdd"]) == {"hdd": 2}
+    assert _appended_window(ada, stream, ["hdd"]) == {"hdd": 1}
     assert ada.all_tags(LOGICAL) == WINDOW_TAGS
+    assert _index_appends(ada.plfs.backends["hdd"]) == 0
+    assert len(_log_records(ada.plfs.backends["hdd"])) == 2 * len(WINDOW_TAGS)
 
 
 def test_sharded_window_is_one_append_per_holder_node(stream):
@@ -205,7 +212,7 @@ def test_sharded_window_is_one_append_per_holder_node(stream):
         for name in names
     }
     # Five (tag, holder) copies on four nodes: some node holds two tags,
-    # and it still pays one span and one append for the window.
+    # and it still pays one span, carrying its one append, for the window.
     assert sum(len(tags) for tags in held.values()) == 5
     assert max(len(tags) for tags in held.values()) >= 2
     for node in nodes:
@@ -213,16 +220,17 @@ def test_sharded_window_is_one_append_per_holder_node(stream):
         assert node.ada.plfs.metadata_backend == "hdd"
         fs = node.ada.plfs.backends["hdd"]
         holds = 1 if held[node.name] else 0
-        assert writes[node.name] == 2 * holds, node.name
-        assert _index_appends(fs) == 2 * holds, node.name
+        assert writes[node.name] == holds, node.name
+        assert _index_appends(fs) == 0, node.name
+        if holds:
+            assert len(_log_records(fs)) == 2 * len(held[node.name]), node.name
 
 
 def test_no_read_lands_between_a_span_and_its_index_append(stream):
     """A reader hammering a one-disk shard node while a window lands (the
-    index shares the disk with the spans there): the read that queues
-    behind the span waits for the window's append too, so the disk serves
-    span and append back to back (without the hold it serves span, read,
-    append -- and the reader's next read waits a whole append)."""
+    index shares the disk with the spans there): the window's chunks and
+    its index line are one ``plfs`` busy interval, charged as two
+    requests, so no read can queue between them."""
     pdb_text, first, second = stream
     sim = Simulator()
     ada = ShardNode.build(
@@ -242,13 +250,19 @@ def test_no_read_lands_between_a_span_and_its_index_append(stream):
         yield from ada.ingest_stream(LOGICAL, second, config=CONFIG)
         landed.append(True)
 
-    start = len(hdd.device.busy.intervals)
+    start, log = len(hdd.device.busy.intervals), hdd.nbytes(INDEX)
     sim.process(reader())
     sim.run_process(writer())
-    labels = [label for *_, label in hdd.device.busy.intervals[start:]]
+    intervals = hdd.device.busy.intervals[start:]
+    labels = [label for *_, label in intervals]
     assert labels.count("plfs") == 1 and "read" in labels
-    span = labels.index("plfs")
-    assert labels[span + 1] == "plfs-index"
+    assert "plfs-index" not in labels
+    window = hdd.nbytes(INDEX) - log + sum(
+        r.nbytes for t in WINDOW_TAGS for r in ada.plfs.subset_records(LOGICAL, t)
+        if r.chunk == 1
+    )
+    begin, end, _ = intervals[labels.index("plfs")]
+    assert end - begin == pytest.approx(hdd.device.spec.write_time(window, 2))
 
 
 # -- failure semantics ---------------------------------------------------------
@@ -533,3 +547,81 @@ def test_label_on_a_full_ssd_lands_on_the_hdd(stream):
         ada.label_map(other)
     )
     assert ada.plfs.fsck()["ok"]
+
+
+# -- a one-group window commits in its own span write ---------------------------
+
+
+def _one_disk_node(sim, max_retries):
+    return ShardNode.build(
+        sim, "node0", backends={"hdd": _fs(sim, "hdd")}, lod_precision=12.5,
+        retry_policy=RetryPolicy(max_retries=max_retries, seed=1),
+    ).ada
+
+
+def test_a_p_only_window_on_a_full_ssd_spills_its_span_and_commits_apart():
+    """A window of the active tag alone is one group on the metadata tier.
+    The SSD holds the span but not the span plus its line, so the whole
+    span spills to the HDD, and the line is appended on the SSD after."""
+    sim = Simulator()
+    payload = bytes(4096)
+    ada = _two_tier_ada(sim, ssd_capacity=len(payload))
+    ssd, hdd = ada.plfs.backends["ssd"], ada.plfs.backends["hdd"]
+    records = sim.run_process(ada.determinator.store(LOGICAL, {"p": payload}))
+    assert ada.determinator.dispatcher.spills == [(LOGICAL, "p", "ssd", "hdd")]
+    assert [r.backend for r in records] == ["hdd"]
+    assert [label for *_, label in hdd.device.busy.intervals] == ["plfs"]
+    assert [label for *_, label in ssd.device.busy.intervals] == ["plfs-index"]
+    assert [r["backend"] for r in _log_records(ssd)] == ["hdd"]
+    assert not hdd.exists(INDEX)
+    _assert_consistent(ada)
+
+
+def test_an_exhausted_one_group_window_leaves_nothing_and_burns_the_names(stream):
+    pdb_text, first, second = stream
+    sim = Simulator()
+    ada = _one_disk_node(sim, max_retries=2)
+    _ingest(ada, first, pdb_text)
+    index, stored, used = ada.plfs.container_index(LOGICAL), _objects(ada), _used(ada)
+    hdd = ada.plfs.backends["hdd"]
+    FaultPlan(seed=0, sites={"fs:hdd": FaultSpec(transient_rate=1.0)}).attach(hdd)
+    with pytest.raises(FaultError):
+        _ingest(ada, second)
+    # No chunk, no log byte, no capacity reservation.
+    assert ada.plfs.container_index(LOGICAL) == index
+    assert _objects(ada) == stored and _used(ada) == used
+    _assert_consistent(ada)
+    # Each of the three attempts burnt its chunk names; the clean retry
+    # is one device write and lands on 4.
+    hdd.faults = None
+    before = _schedule_writes(ada)["hdd"]
+    _ingest(ada, second)
+    assert _schedule_writes(ada)["hdd"] - before == 1
+    for tag in WINDOW_TAGS:
+        assert [r.chunk for r in ada.plfs.subset_records(LOGICAL, tag)] == [0, 4]
+    _assert_consistent(ada)
+
+
+def test_a_one_group_window_retries_its_span_and_line_under_one_key(stream):
+    pdb_text, first, second = stream
+    sim = Simulator()
+    ada = _one_disk_node(sim, max_retries=8)
+    _ingest(ada, first, pdb_text)
+    hdd = ada.plfs.backends["hdd"]
+    log_before, writes_before = hdd.nbytes(INDEX), _schedule_writes(ada)["hdd"]
+    retrier, keys = ada.determinator.retrier, []
+    call = retrier.call
+    retrier.call = lambda op, key: keys.append(key) or call(op, key)
+    plan = FaultPlan(seed=1, sites={"fs:hdd": FaultSpec(transient_rate=0.6)})
+    plan.attach(hdd)
+    _ingest(ada, second)
+    assert plan.injected[("fs:hdd", "transient")] == 3
+    assert keys == [f"write:{LOGICAL}#{WINDOW_TAGS[0]}-{WINDOW_TAGS[-1]}:4"]
+    # Rejected attempts fail at the gate: one device write reached the disk,
+    # and the log grew by exactly the window's lines.
+    assert _schedule_writes(ada)["hdd"] - writes_before == 1
+    log = hdd.data(INDEX)
+    lines = log.splitlines(keepends=True)[-len(WINDOW_TAGS):]
+    assert len(log) - log_before == sum(map(len, lines))
+    assert [json.loads(line)["chunk"] for line in lines] == [4] * len(WINDOW_TAGS)
+    _assert_consistent(ada)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError, StorageFullError
 from repro.sim import Simulator
 from repro.storage import Device, DeviceSpec, DevicePower, WD_1TB_HDD, NVME_SSD_256GB
-from repro.storage.device import CHAIN_WINDOW_S
 from repro.units import GB, MB, mbps
 
 
@@ -89,47 +88,3 @@ def test_device_write_label_recorded():
     sim.run_process(dev.write(50 * MB, label="checkpoint"))
     assert dev.busy.by_label() == {"checkpoint": pytest.approx(1.0)}
 
-
-def _at(sim, delay, op):
-    yield sim.timeout(delay)
-    yield from op
-
-
-def test_chained_write_goes_before_a_queued_read():
-    sim = Simulator()
-    dev = Device(sim, _spec(read=100.0, write=50.0, seek_ms=0.0))
-    sim.process(dev.write(50 * MB, label="span", chain=True))  # 0 .. 1 s
-    sim.process(_at(sim, 0.5, dev.read(10 * MB, label="read")))
-    sim.process(_at(sim, 1.0 + 50e-6, dev.write(1 * MB, label="index")))
-    sim.run()
-    assert [label for *_, label in dev.busy.intervals] == [
-        "span", "index", "read",
-    ]
-    assert dev.busy.intervals[1][0] == pytest.approx(1.0 + 50e-6)
-
-
-def test_claimed_chain_does_not_drag_the_clock():
-    sim = Simulator()
-    dev = Device(sim, _spec(write=50.0, seek_ms=0.0))
-
-    def span_then_index():
-        yield from dev.write(50 * MB, chain=True)
-        yield from dev.write(0.01 * MB)  # 0.2 ms, inside the window
-
-    sim.run_process(span_then_index())
-    # The follow-up cancelled the hold's expiry, so draining the heap
-    # stops where it ended, not at the end of the window.
-    assert sim.now == pytest.approx(1.0 + 0.2e-3)
-    assert dev.resource.in_use == 0
-
-
-def test_unclaimed_chain_lets_the_device_go_after_its_window():
-    sim = Simulator()
-    dev = Device(sim, _spec(read=100.0, write=50.0, seek_ms=0.0))
-    sim.process(dev.write(50 * MB, label="span", chain=True))
-    sim.process(_at(sim, 0.5, dev.read(10 * MB, label="read")))
-    sim.run()
-    _, (start, _end, label) = dev.busy.intervals
-    assert label == "read"
-    assert start == pytest.approx(1.0 + CHAIN_WINDOW_S)
-    assert dev.resource.in_use == 0
