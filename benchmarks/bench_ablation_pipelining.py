@@ -2,8 +2,8 @@
 
 The scenario pipelines charge device service and the network hop
 *sequentially* per target.  Real storage servers overlap them (read chunk
-k+1 while shipping chunk k).  This bench models both with the DES Store
-channel and quantifies the simplification:
+k+1 while shipping chunk k).  This bench models both as two DES processes
+around a bounded staging buffer and quantifies the simplification:
 
 * on the HDD pool -- which paces every *traditional* retrieval result --
   the InfiniBand hop is ~25x faster than the disk stream, so sequential
@@ -17,8 +17,7 @@ channel and quantifies the simplification:
 import pytest
 
 from repro.harness.report import Table
-from repro.sim import Simulator
-from repro.sim.store import Store
+from repro.sim import Event, Simulator
 from repro.units import GB, MB, fmt_seconds, gbps, mbps
 
 PAYLOAD = 3 * GB
@@ -30,16 +29,21 @@ def _staged(device_bw: float, link_bw: float, pipelined: bool) -> float:
     nchunks = int(PAYLOAD // CHUNK)
     # Pipelined: a tight double buffer.  Store-and-forward: an unbounded
     # staging area (everything lands before anything ships).
-    store = Store(sim, capacity=2 if pipelined else nchunks)
+    capacity = 2 if pipelined else nchunks
+    staged = [Event(sim) for _ in range(nchunks)]  # chunk i is in the buffer
+    taken = [Event(sim) for _ in range(nchunks)]  # chunk i left the buffer
 
     def reader():
         for i in range(nchunks):
             yield sim.timeout(CHUNK / device_bw)
-            yield from store.put(i)
+            if i >= capacity:
+                yield taken[i - capacity]  # full: wait for a free slot
+            staged[i].succeed()
 
     def shipper():
-        for _ in range(nchunks):
-            yield from store.get()
+        for i in range(nchunks):
+            yield staged[i]
+            taken[i].succeed()
             yield sim.timeout(CHUNK / link_bw)
 
     if pipelined:

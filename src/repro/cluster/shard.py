@@ -589,15 +589,6 @@ class ShardedADA(DataPlane):
         self._label_maps[logical] = label_map
         return ()
 
-    def _invalidate_derived(self, logical: str) -> None:
-        holders = {
-            name
-            for tag in self._catalog.get(logical, ())
-            for name in self._placement.get((logical, tag), ())
-        }
-        for name in sorted(holders):
-            self.nodes[name].ada._invalidate_derived(logical)
-
     # -- fetch (read) path ---------------------------------------------------------
 
     def _under_pressure(self, logical: str, tag: Optional[str]) -> bool:

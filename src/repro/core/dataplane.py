@@ -8,17 +8,17 @@ the whole public data surface once -- ``fetch``, ``fetch_chunks``,
 ``ingest_stream`` -- so a request's precision tier is resolved here, in
 one place, before any front hook runs; the hooks only ever see the
 *resolved* read tag.  Ingest is one skeleton (pre-process -> charge CPU
--> write subsets -> record the label map or invalidate derived cache
-entries -> receipt); whole-dataset reads share one degrade policy.
+-> write subsets -> record the label map on a fresh dataset -> receipt);
+whole-dataset reads share one degrade policy.  An append needs no cache
+step: chunks are immutable and the block cache holds nothing else.
 
 A front supplies only the storage-facing steps -- ``_fetch`` (one
 subset, lookup included), ``_fetch_chunks`` (a window of chunks),
 ``_read_subset``, ``_read_chunks``, ``_lookup_all``, ``_stored_tags``,
-``_store_subsets``, ``_store_label``, ``_invalidate_derived``,
-``_delete_stored``, ``_under_pressure``, ``_downgradable``,
-``_charge_preprocess``, ``_charge_analysis``, ``_tier_counters``,
-``_landed_on`` -- plus ``label_map``, ``preprocessor`` and
-``fault_plan``, and the two hooks a *consumer* of the plane needs
+``_store_subsets``, ``_store_label``, ``_delete_stored``,
+``_under_pressure``, ``_downgradable``, ``_charge_preprocess``,
+``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
+``label_map``, ``preprocessor`` and ``fault_plan``, and the two hooks a *consumer* of the plane needs
 (:meth:`DataPlane.members`, :meth:`DataPlane.chunks_nbytes`).
 Nothing here knows which front it serves: a step that would have to ask
 stays in the subclass.
@@ -200,11 +200,6 @@ class DataPlane:
             yield from self._store_subsets(logical, result.subsets)
             if fresh:
                 yield from self._store_label(logical, label_map)
-            else:
-                # New chunks make every *derived* (assembled whole-subset)
-                # cache entry stale; per-chunk blocks stay valid -- chunks
-                # are immutable once written.
-                self._invalidate_derived(logical)
         return self._receipt(
             logical,
             label_map,
@@ -320,9 +315,6 @@ class DataPlane:
                 windows, self._charge_preprocess, dispatch_window,
                 analyze_window,
             )
-        if appending:
-            # Same staleness rule as an appended batch.
-            self._invalidate_derived(logical)
         results = None
         if callable(getattr(analysis, "results", None)):
             results = analysis.results()

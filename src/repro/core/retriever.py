@@ -25,7 +25,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from repro.errors import FaultError
 from repro.faults.retry import Retrier
 from repro.fs.base import StoredObject
-from repro.fs.cache import DERIVED_SUBSET, BlockCache, BlockKey
+from repro.fs.cache import BlockCache, BlockKey
 from repro.fs.plfs import PLFS, IndexRecord
 from repro.obs.metrics import MetricsRegistry, SIZE_BUCKETS
 from repro.obs.trace import span
@@ -114,27 +114,13 @@ class IORetriever:
     # -- subset retrieval ---------------------------------------------------
 
     def retrieve(self, logical: str, tag: str) -> Generator:
-        """Process: read one tagged subset; returns a :class:`StoredObject`."""
-        with span(
-            self.sim, "retriever.retrieve", logical=logical, tag=tag
-        ) as sp:
-            if self.cache is not None:
-                # Derived whole-subset entry: a repeat fetch of a multi-chunk
-                # subset serves one assembled block instead of re-walking (and
-                # re-joining) every chunk.  ``ingest_append`` invalidates these.
-                derived = yield from self.cache.lookup(
-                    (logical, tag, DERIVED_SUBSET)
-                )
-                if derived is not None:
-                    served = float(derived.nbytes)
-                    self._metric_fields["retrieved_bytes"].inc(served)
-                    self._metric_fields["cache_served_bytes"].inc(served)
-                    sp.tag(cache_hit=True)
-                    return StoredObject(
-                        path=f"{logical}#{tag}",
-                        nbytes=derived.nbytes,
-                        data=derived.data,
-                    )
+        """Process: read one tagged subset; returns a :class:`StoredObject`.
+
+        :meth:`retrieve_chunks` plus the join.  Only the chunks are cached:
+        the joined buffer is the caller's copy, so the cache holds each
+        stored byte once and an append has nothing to invalidate.
+        """
+        with span(self.sim, "retriever.retrieve", logical=logical, tag=tag):
             objs = yield from self.retrieve_chunks(logical, tag)
             total = sum(o.nbytes for o in objs)
             if any(o.is_virtual for o in objs):
@@ -143,8 +129,6 @@ class IORetriever:
                 data = objs[0].data  # zero-copy: no join for single-chunk subsets
             else:
                 data = b"".join(o.data for o in objs)
-            if self.cache is not None and len(objs) > 1:
-                self.cache.admit((logical, tag, DERIVED_SUBSET), total, data=data)
             self._metric_fields["retrieved_bytes"].inc(float(total))
             return StoredObject(path=f"{logical}#{tag}", nbytes=total, data=data)
 

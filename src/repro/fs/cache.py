@@ -13,9 +13,10 @@ Two distinct caches live here:
   bytes.
 
 * :class:`BlockCache` -- ADA's *own* read accelerator.  A two-level
-  (memory over SSD) cache keyed by PLFS ``(logical, tag, chunk)`` blocks,
-  shared by ``ADA.fetch`` / ``fetch_all`` / ``fetch_merged`` and warmed by
-  the adaptive prefetcher.  L1 serves at memory bandwidth; blocks evicted
+  (memory over SSD) cache keyed by PLFS ``(logical, tag, chunk)`` blocks
+  -- one entry per stored chunk, never an assembled subset -- shared by
+  ``ADA.fetch`` / ``fetch_all`` / ``fetch_merged`` and warmed by the
+  adaptive prefetcher.  L1 serves at memory bandwidth; blocks evicted
   from L1 demote to an SSD-class L2 before leaving the cache entirely.
   Hit/miss/eviction counters are the ``block_cache_*`` registry
   families; the :meth:`BlockCache.pressure` watermark is what the
@@ -34,7 +35,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.units import MiB, gbps
 
-__all__ = ["CachedFS", "BlockCache", "BlockKey", "CachedBlock", "DERIVED_SUBSET"]
+__all__ = ["CachedFS", "BlockCache", "BlockKey", "CachedBlock"]
 
 
 class CachedFS(FileSystem):
@@ -167,14 +168,9 @@ class CachedFS(FileSystem):
 # Tiered block cache (the pipelined read path's L1/L2)
 # ---------------------------------------------------------------------------
 
-#: Cache key: one PLFS subset chunk.
+#: Cache key: one PLFS subset chunk.  Chunks are immutable once written,
+#: so an append adds keys and never leaves a resident block stale.
 BlockKey = Tuple[str, str, int]
-
-#: Chunk number used for *derived* whole-subset entries: the assembled
-#: (chunk-concatenated) subset a repeat ``fetch`` serves as one block.
-#: Real chunk numbers are >= 0, so -1 can never collide.  Derived entries
-#: must be invalidated whenever new chunks land (``ingest_append``).
-DERIVED_SUBSET = -1
 
 #: Service-time calibration of the two tiers: an L1 hit streams from
 #: memory with no fixed latency; an L2 (SSD-class) hit pays a fixed
@@ -386,25 +382,18 @@ class BlockCache:
         """Drop matching blocks; ``None`` fields are wildcards.
 
         ``invalidate()`` empties the cache; ``invalidate(logical)`` drops a
-        dataset (what ``ADA.remove`` uses).  Naming all three fields is an
-        exact-key drop that scans nothing -- what ``ingest_append`` pays
-        per stored tag to keep derived subset state coherent.  Returns the
-        number dropped.
+        dataset (what ``ADA.remove`` uses).  Returns the number dropped.
         """
-        if None not in (logical, tag, chunk):
-            key = (logical, tag, chunk)
-            in_l1 = [key] if key in self._l1 else []
-            in_l2 = [key] if key in self._l2 else []
-        else:
-            def matches(key: BlockKey) -> bool:
-                return (
-                    (logical is None or key[0] == logical)
-                    and (tag is None or key[1] == tag)
-                    and (chunk is None or key[2] == chunk)
-                )
 
-            in_l1 = [k for k in self._l1 if matches(k)]
-            in_l2 = [k for k in self._l2 if matches(k)]
+        def matches(key: BlockKey) -> bool:
+            return (
+                (logical is None or key[0] == logical)
+                and (tag is None or key[1] == tag)
+                and (chunk is None or key[2] == chunk)
+            )
+
+        in_l1 = [k for k in self._l1 if matches(k)]
+        in_l2 = [k for k in self._l2 if matches(k)]
         for key in in_l1:
             self._on_removed(key, self._take_l1(key))
         for key in in_l2:

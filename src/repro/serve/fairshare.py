@@ -14,10 +14,10 @@
   A tenant's within-quota working set therefore survives another
   tenant's scan;
 * **charge follows use**: a block that a second tenant hits is re-charged
-  to the shared pool (owner ``None``).  This is the fix for the two
-  accounting-leak classes the multi-tenant suite exposed -- derived
-  whole-subset entries billed forever to whichever tenant assembled them
-  first, and in-flight dedup joins where the joining tenant consumed a
+  to the shared pool (owner ``None``).  This is the fix for the
+  accounting leak the multi-tenant suite exposed: blocks billed forever
+  to whichever tenant faulted them in first -- a whole-subset read by one
+  tenant, or an in-flight dedup join where the joining tenant consumed a
   block only the issuing tenant was charged for.
 
 Tenant attribution is ambient: :func:`span_tenant_source` reads the

@@ -20,7 +20,6 @@ from repro.sim.engine import (
 )
 from repro.sim.resources import Request, Resource
 from repro.sim.stats import BusyTracker
-from repro.sim.store import Store
 
 __all__ = [
     "AllOf",
@@ -32,6 +31,5 @@ __all__ = [
     "Request",
     "Resource",
     "Simulator",
-    "Store",
     "Timeout",
 ]

@@ -6,6 +6,7 @@ operations cause a low data hit rate under random frame accesses (e.g.,
 replaying the frames back and forth)" (paper §2.1).  :class:`Animator`
 models that: a fixed-size frame cache in front of the frame array, with
 hit-rate accounting under sequential and rocking (back-and-forth) access.
+Every render is a demand render: the cache holds only frames shown.
 """
 
 from __future__ import annotations
@@ -36,39 +37,20 @@ class PlaybackStats:
 
 
 class Animator:
-    """Replays a molecule's frames through an LRU geometry cache.
+    """Replays a molecule's frames through an LRU geometry cache."""
 
-    ``readahead=N`` renders up to N frames ahead of a miss in the current
-    playback direction -- the geometry-level analogue of ADA's chunk
-    prefetch.  Readahead follows the observed stride (so rewind and
-    skip-frame playback readahead correctly), never fills more than half
-    the cache speculatively, and renders bit-identical geometry to a
-    demand render, so playback output is unchanged.
-    """
-
-    def __init__(
-        self,
-        molecule: Molecule,
-        cache_frames: int = 64,
-        readahead: int = 0,
-    ):
+    def __init__(self, molecule: Molecule, cache_frames: int = 64):
         if molecule.num_frames == 0:
             raise TopologyError("nothing to animate: molecule has no frames")
         if cache_frames < 1:
             raise ValueError("cache must hold at least one frame")
-        if readahead < 0:
-            raise ValueError("readahead must be >= 0")
         self.molecule = molecule
         self.builder = GeometryBuilder(molecule)
         self.cache_frames = cache_frames
-        self.readahead = int(readahead)
         self._cache: "OrderedDict[int, FrameGeometry]" = OrderedDict()
         self.current = 0
         self.hits = 0
         self.misses = 0
-        self.readahead_rendered = 0
-        self._previous: Optional[int] = None
-        self._stride = 1
 
     def goto(self, iframe: int) -> FrameGeometry:
         """Jump to a frame, rendering (or cache-hitting) its geometry."""
@@ -76,40 +58,17 @@ class Animator:
         if not 0 <= iframe < n:
             raise IndexError(f"frame {iframe} outside [0, {n})")
         self.current = iframe
-        if self._previous is not None and iframe != self._previous:
-            self._stride = iframe - self._previous
-        self._previous = iframe
         cached = self._cache.get(iframe)
         if cached is not None:
             self._cache.move_to_end(iframe)
             self.hits += 1
             return cached
         self.misses += 1
-        geometry = self._render_into_cache(iframe)
-        if self.readahead:
-            self._read_ahead(iframe, n)
-        return geometry
-
-    def _render_into_cache(self, iframe: int) -> FrameGeometry:
         geometry = self.builder.render_frame(iframe)
         self._cache[iframe] = geometry
         if len(self._cache) > self.cache_frames:
             self._cache.popitem(last=False)
         return geometry
-
-    def _read_ahead(self, iframe: int, n: int) -> None:
-        """Pre-render the next frames along the current stride.
-
-        Speculation is capped at half the cache so readahead can never
-        flush the frames a rocking playback is about to revisit.
-        """
-        budget = min(self.readahead, self.cache_frames // 2)
-        for step in range(1, budget + 1):
-            target = iframe + step * self._stride
-            if not 0 <= target < n or target in self._cache:
-                continue
-            self._render_into_cache(target)
-            self.readahead_rendered += 1
 
     def play(self, order: Optional[Iterable[int]] = None) -> PlaybackStats:
         """Replay frames in the given order (default: sequential)."""

@@ -16,35 +16,24 @@ degenerates to a whole-window decode.  Sequential playback decodes each
 window once; rocking playback with a too-small budget thrashes --
 reproducing the paper's "low data hit rate under random frame accesses".
 
-With ``prefetch=True`` the stream overlaps decode with playback: once the
-window access pattern is confirmed sequential (or strided -- skip-frame
-playback), the *next* window decodes -- whole: the caller is about to play
-through it -- on a background worker while the caller consumes the current
-one.  Speculation is watermark-guarded -- it never evicts a demand window
-(``resident + pending < max_windows``) and stands down when an external
-``pressure_fn`` reports a loaded cache.
-Prefetched windows are bit-identical to demand decodes
-(:func:`decode_frame_range` is deterministic), so playback output is
-unchanged; only the stall time moves.
+Every decode is a demand decode on the caller's thread: the stream holds
+decoded windows and nothing speculative.
 
 With ``lod_bytes`` the stream additionally carries ADA's coarse
 low-precision sibling (the ``lod:`` tier): set ``precision`` to ``"lod"``
-to scrub through ~4x-cheaper frames, or ``"auto"`` to degrade to the LOD
-tier only while ``pressure_fn`` reports a loaded cache -- the same
-watermark that stands prefetch down.  Decoded windows cache per tier, so
-a coarse window can never satisfy (or evict into) a full-precision hit,
-and :attr:`lod_max_error` advertises the per-coordinate bound the coarse
-frames honour.
+to scrub through ~4x-cheaper frames.  ``"auto"`` is refused -- the stream
+has no load signal to decide by; the middleware fronts keep it.  Decoded
+windows cache per tier, so a coarse window can never satisfy (or evict
+into) a full-precision hit, and :attr:`lod_max_error` advertises the
+per-coordinate bound the coarse frames honour.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.lod import validate_precision
-from repro.core.prefetch import HIGH_WATERMARK
 from repro.errors import CodecError
 from repro.formats.trajectory import BYTES_PER_COORD, Frame, Trajectory
 from repro.formats.xtc import FrameIndex, decode_frame_range
@@ -85,15 +74,9 @@ class StreamingTrajectory:
     frames actually pushed through the decode kernel (rewind frames
     before a mid-group window edge included).
 
-    ``prefetch`` enables adaptive window readahead (see module docstring);
-    ``pressure_fn`` optionally reports external memory pressure in
-    ``[0, 1]`` -- speculation is suppressed at or above
-    :data:`~repro.core.prefetch.HIGH_WATERMARK`, the middleware's own
-    stand-down point.
-
     ``lod_bytes`` optionally attaches the coarse LOD sibling stream;
-    :attr:`precision` (``"full"``/``"lod"``/``"auto"``, mutable at any
-    point of playback) then picks the tier each ``frame()`` call decodes
+    :attr:`precision` (``"full"``/``"lod"``, mutable at any point of
+    playback) then picks the tier each ``frame()`` call decodes
     from.  ``lod_max_error`` advertises the coarse tier's per-coordinate
     error bound (ADA's :meth:`~repro.core.middleware.ADA.lod_bound`).
     """
@@ -104,8 +87,6 @@ class StreamingTrajectory:
         window_frames: int = 32,
         max_windows: int = 4,
         index: Optional[FrameIndex] = None,
-        prefetch: bool = False,
-        pressure_fn: Optional[Callable[[], float]] = None,
         lod_bytes: Optional[bytes] = None,
         lod_max_error: Optional[float] = None,
         precision: str = "full",
@@ -133,19 +114,6 @@ class StreamingTrajectory:
         self.precision = precision
         self.last_tier: Optional[str] = None
         self.lod_frames_served = 0
-        # -- adaptive prefetch state ---------------------------------------
-        self.prefetch = bool(prefetch)
-        self.pressure_fn = pressure_fn
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._pending: Dict[Tuple[str, int], "Future[Trajectory]"] = {}
-        self._speculative: set = set()  # resident but never demanded yet
-        self._last_window: Optional[int] = None
-        self._stride: Optional[int] = None
-        self._confirmed = False
-        self.prefetch_issued = 0
-        self.prefetch_hits = 0
-        self.prefetch_wasted = 0
-        self.prefetch_suppressed = 0
 
     @property
     def nframes(self) -> int:
@@ -157,12 +125,17 @@ class StreamingTrajectory:
 
     @property
     def precision(self) -> str:
-        """Requested tier policy: ``"full"``, ``"lod"``, or ``"auto"``."""
+        """Requested tier: ``"full"`` or ``"lod"``."""
         return self._precision
 
     @precision.setter
     def precision(self, value: str) -> None:
         value = validate_precision(value)
+        if value == "auto":
+            raise CodecError(
+                "precision='auto' needs a load signal a stream does not "
+                "have: pick 'full' or 'lod'"
+            )
         if value == "lod" and self._lod_data is None:
             raise CodecError(
                 "precision='lod' needs an attached LOD stream (lod_bytes)"
@@ -197,67 +170,32 @@ class StreamingTrajectory:
         tier = self.tier()
         window_id = index // self.window_frames
         key = (tier, window_id)
-        if self._pending:
-            self._drain_pending()
         window = self._windows.get(key)
         if window is not None:
             self.window_hits += 1
             self._windows.move_to_end(key)
-            if key in self._speculative:
-                # First demand touch of a prefetched window: useful work.
-                self._speculative.discard(key)
-                self.prefetch_hits += 1
         else:
-            future = self._pending.pop(key, None)
-            if future is not None:
-                # In flight: wait out the remaining decode (the overlap
-                # already absorbed the rest) and count it a useful hit.
-                window = self._whole_window(key, future.result())
-                self._speculative.discard(key)
-                self.window_hits += 1
-                self.prefetch_hits += 1
-            else:
-                window = _Window(*self._window_span(window_id))
-                self._fill(tier, window, index)  # raises before any count
-                self.window_decodes += 1
-            self._install(key, window)
+            window = _Window(*self._window_span(window_id))
+            self._fill(tier, window, index)  # raises before any count
+            self.window_decodes += 1
+            self._windows[key] = window
+            if len(self._windows) > self.max_windows:
+                self._windows.popitem(last=False)
         if window.slots[index - window.start] is None:
             self._fill(tier, window, index)
         self.last_tier = tier
         if tier == "lod":
             self.lod_frames_served += 1
-        if self.prefetch:
-            self._observe(tier, window_id)
         span, first = window.slots[index - window.start]
         return span.frame(index - first)
 
     def tier(self) -> str:
-        """The tier the next ``frame()`` call would decode from.
-
-        ``"auto"`` degrades to the coarse tier exactly while
-        ``pressure_fn`` sits at or above ``HIGH_WATERMARK`` -- the
-        same signal that stands prefetch down: under memory pressure the
-        stream first stops speculating, then (if asked to) serves cheap
-        frames instead of exact ones.
-        """
-        if self._precision == "full" or self._lod_data is None:
-            return "full"
-        if self._precision == "lod":
-            return "lod"
-        return "lod" if self._under_pressure() else "full"
-
-    def _under_pressure(self) -> bool:
-        return (
-            self.pressure_fn is not None
-            and self.pressure_fn() >= HIGH_WATERMARK
-        )
+        """The tier the next ``frame()`` call decodes from: ``"lod"``
+        exactly when :attr:`precision` is ``"lod"``."""
+        return self._precision
 
     def close(self) -> None:
-        """Drain the prefetch worker (idempotent; safe without prefetch)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._pending.clear()
+        """Nothing to release (the stream owns no worker); idempotent."""
 
     def hit_rate(self) -> float:
         total = self.window_hits + self.window_decodes
@@ -286,86 +224,14 @@ class StreamingTrajectory:
             return self._lod_data, self._lod_frame_index()
         return self._data, self.index
 
-    def _decode(self, tier: str, start: int, stop: int) -> Trajectory:
-        data, index = self._tier_source(tier)
-        return decode_frame_range(data, start, stop, index=index)
-
     def _fill(self, tier: str, window: _Window, index: int) -> None:
         """Decode the group of frames holding ``index``, clipped to
         ``window``, into it."""
-        gof_start, gof_stop = self._tier_source(tier)[1].gof(index)
+        data, frame_index = self._tier_source(tier)
+        gof_start, gof_stop = frame_index.gof(index)
         first = max(gof_start, window.start)
         stop = min(gof_stop, window.start + len(window.slots))
-        window.fill(first, self._decode(tier, first, stop))
+        window.fill(
+            first, decode_frame_range(data, first, stop, index=frame_index)
+        )
         self.frames_decoded += stop - gof_start
-
-    def _decode_window(self, key: Tuple[str, int]) -> Trajectory:
-        """Whole-window decode: what a speculative prefetch runs."""
-        tier, window_id = key
-        return self._decode(tier, *self._window_span(window_id))
-
-    def _whole_window(
-        self, key: Tuple[str, int], decoded: Trajectory
-    ) -> _Window:
-        """Wrap a finished speculative decode as a fully filled window."""
-        tier, window_id = key
-        start, stop = self._window_span(window_id)
-        window = _Window(start, stop)
-        window.fill(start, decoded)
-        self.frames_decoded += stop - self._tier_source(tier)[1].anchor(start)
-        return window
-
-    def _install(self, key: Tuple[str, int], window: _Window) -> None:
-        self._windows[key] = window
-        while len(self._windows) > self.max_windows:
-            evicted, _ = self._windows.popitem(last=False)
-            if evicted in self._speculative:
-                self._speculative.discard(evicted)
-                self.prefetch_wasted += 1
-
-    def _observe(self, tier: str, window_id: int) -> None:
-        """Train the stride detector; maybe launch the next window.
-
-        The stride is a property of the *access pattern*, so it trains on
-        window ids regardless of tier; the speculative decode itself runs
-        in whatever tier the triggering demand fetch used.
-        """
-        if self._last_window is not None and window_id != self._last_window:
-            stride = window_id - self._last_window
-            if stride == self._stride:
-                self._confirmed = True
-            else:
-                self._confirmed = False
-                self._stride = stride
-        if window_id != self._last_window:
-            self._last_window = window_id
-        if not self._confirmed:
-            return
-        target = window_id + self._stride
-        if not 0 <= target * self.window_frames < self._nframes:
-            return
-        key = (tier, target)
-        if key in self._windows or key in self._pending:
-            return
-        # Watermarks: never evict a demand window for speculation, and
-        # stand down under external pressure.
-        if len(self._windows) + len(self._pending) >= self.max_windows:
-            self.prefetch_suppressed += 1
-            return
-        if self._under_pressure():
-            self.prefetch_suppressed += 1
-            return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="stream-prefetch"
-            )
-        self.prefetch_issued += 1
-        self._pending[key] = self._executor.submit(self._decode_window, key)
-        self._speculative.add(key)
-
-    def _drain_pending(self) -> None:
-        """Install any completed speculative decodes (opportunistic)."""
-        done = [wid for wid, f in self._pending.items() if f.done()]
-        for wid in done:
-            future = self._pending.pop(wid)
-            self._install(wid, self._whole_window(wid, future.result()))

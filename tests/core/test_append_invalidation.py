@@ -1,12 +1,17 @@
-"""An append invalidates its derived subset entries in O(tags), not O(cache).
+"""An append leaves nothing stale in the block cache, on every front.
 
-``ingest_append`` must drop the dataset's *derived* (assembled
-whole-subset) cache entries.  It used to do so with a wildcard
-``invalidate(logical=..., chunk=DERIVED_SUBSET)`` that list-scanned every
-resident L1 and L2 key -- and the sharded front repeated that scan once
-per tag per holder.  Counted, not timed: with the cache's two tier maps
-instrumented, the same append beside 16 and beside 4096 unrelated
-resident blocks examines the same number of keys.
+The block cache holds one entry per stored chunk, keyed ``(logical, tag,
+chunk)`` with ``chunk >= 0``, and chunks never change once written -- so
+an append (``ingest_append`` or an appending ``ingest_stream``) adds keys
+and has nothing to invalidate.  Checked through behaviour, not through
+the cache's keys: after each append, a fetch on a cached ``ADA`` or
+``ShardedADA(replicas=2)``, over a plain or a tenant-partitioned cache,
+returns exactly the bytes a cache-less ``ADA`` fed the same writes
+returns, from every replica when routing is forced to it.  The append
+itself examines no cache key at all, however full the cache.
+
+``remove`` is the one path that does invalidate, by wildcard: one scan
+per holder node, not one per ``(tag, holder)`` pair.
 """
 
 from collections import OrderedDict
@@ -15,12 +20,13 @@ import pytest
 
 from repro.cluster.shard import ShardNode, ShardedADA
 from repro.core import ADA
-from repro.fs.cache import DERIVED_SUBSET, BlockCache
+from repro.core.ingest import IngestPipelineConfig
+from repro.formats.xtc import encode_xtc
+from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
 from repro.serve.fairshare import TenantBlockCache
 from repro.sim import Simulator
 from repro.storage.ssd import NVME_SSD_256GB
-from repro.units import MiB
 from repro.workloads import build_workload
 
 LOGICAL = "live.xtc"
@@ -43,7 +49,17 @@ class _CountingTier(OrderedDict):
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(natoms=200, nframes=8, seed=9, keyframe_interval=4)
+    return build_workload(natoms=200, nframes=12, seed=9, keyframe_interval=4)
+
+
+@pytest.fixture(scope="module")
+def segments(workload):
+    """The first ingest, the appended batch and the appended stream."""
+    traj = workload.trajectory
+    return [
+        encode_xtc(traj.slice_frames(lo, lo + 4), keyframe_interval=4)
+        for lo in (0, 4, 8)
+    ]
 
 
 def _instrument(cache: BlockCache) -> None:
@@ -51,99 +67,84 @@ def _instrument(cache: BlockCache) -> None:
     cache._l2 = _CountingTier(cache._l2)
 
 
-def _append_cost(workload, resident: int, cache_cls=BlockCache):
-    """Ingest, read (so derived entries exist), park ``resident``
-    unrelated blocks, append once; return (keys examined, invalidated)."""
-    sim = Simulator()
-    cache = cache_cls(sim, l1_capacity_bytes=64 * MiB)
-    ada = ADA(
-        sim,
-        backends={"ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd")},
-        block_cache=cache,
-    )
-    sim.run_process(ada.ingest(LOGICAL, workload.pdb_text, workload.xtc_blob))
-    sim.run_process(ada.ingest_append(LOGICAL, workload.xtc_blob))
-    for tag in ada.tags(LOGICAL):
-        sim.run_process(ada.fetch(LOGICAL, tag))  # admits the derived entry
-        assert cache.peek((LOGICAL, tag, DERIVED_SUBSET))
-    for i in range(resident):
-        cache.admit(("other.xtc", "p", i), 64)
-    before = ada.metrics.value("block_cache_invalidations_total")
-    _instrument(cache)
-    _CountingTier.examined = 0
-    sim.run_process(ada.ingest_append(LOGICAL, workload.xtc_blob))
-    examined = _CountingTier.examined
-    for tag in ada.tags(LOGICAL):
-        assert not cache.peek((LOGICAL, tag, DERIVED_SUBSET))
-        assert cache.peek((LOGICAL, tag, 0))  # chunk blocks stay valid
-    assert len(cache) >= resident
-    dropped = ada.metrics.value("block_cache_invalidations_total") - before
-    return examined, dropped
+def _ssd(sim, name="ssd"):
+    return {"ssd": LocalFS(sim, NVME_SSD_256GB, name=name)}
 
 
-@pytest.mark.parametrize("cache_cls", [BlockCache, TenantBlockCache])
-def test_append_examines_no_more_keys_in_a_full_cache(workload, cache_cls):
-    short, dropped_short = _append_cost(workload, 16, cache_cls)
-    long, dropped_long = _append_cost(workload, 4096, cache_cls)
-    assert short == long
-    assert dropped_short == dropped_long == 2  # one derived entry per tag
-
-
-def test_exact_key_invalidate_matches_the_wildcard_scan():
-    """Same hooks, same count, same survivors as the scan it replaces."""
-    sim = Simulator()
-    caches = [
-        BlockCache(sim, l1_capacity_bytes=300.0, l2_capacity_bytes=1000.0)
-        for _ in range(2)
-    ]
-    for cache in caches:
-        for i in range(6):  # 100-byte blocks: three stay in L1, three demote
-            cache.admit(("d.xtc", "p", i), 100)
-        cache.admit(("d.xtc", "p", DERIVED_SUBSET), 100)
-        cache.admit(("d.xtc", "m", DERIVED_SUBSET), 100)
-    exact, scan = caches
-    assert exact.invalidate("d.xtc", "p", 1) == 1  # an L2 resident
-    assert exact.invalidate("d.xtc", "p", DERIVED_SUBSET) == 1
-    assert exact.invalidate("d.xtc", "m", DERIVED_SUBSET) == 1
-    assert exact.invalidate("d.xtc", "p", 99) == 0  # absent: nothing, no error
-    assert scan.invalidate(logical="d.xtc", chunk=1) == 1
-    assert scan.invalidate(logical="d.xtc", chunk=DERIVED_SUBSET) == 2
-    assert list(exact._l1) == list(scan._l1)
-    assert list(exact._l2) == list(scan._l2)
-    assert (exact.l1_bytes, exact.l2_bytes) == (scan.l1_bytes, scan.l2_bytes)
-    assert exact.metrics.query("block_cache_") == scan.metrics.query(
-        "block_cache_"
-    )
-
-
-def test_sharded_append_visits_each_holder_once(workload, monkeypatch):
-    sim = Simulator()
+def _sharded(sim, block_cache):
     nodes = [
         ShardNode.build(
-            sim, f"node{i}",
-            backends={"ssd": LocalFS(sim, NVME_SSD_256GB, name=f"ssd{i}")},
-            block_cache=BlockCache(sim),
+            sim, f"node{i}", backends=_ssd(sim, f"ssd{i}"),
+            block_cache=block_cache(sim),
         )
         for i in range(3)
     ]
-    front = ShardedADA(sim, nodes, replicas=2, replicated_tags=("p", "m"))
-    sim.run_process(front.ingest(LOGICAL, workload.pdb_text, workload.xtc_blob))
-    visits = []
-    original = ADA._invalidate_derived
+    return ShardedADA(sim, nodes, replicas=2, replicated_tags=("p", "m"))
 
-    def counting(self, logical):
-        visits.append(self.shard_id)
-        return original(self, logical)
 
-    monkeypatch.setattr(ADA, "_invalidate_derived", counting)
-    sim.run_process(front.ingest_append(LOGICAL, workload.xtc_blob))
-    holders = {
-        name
-        for tag in front.all_tags(LOGICAL)
-        for name in front.holders(LOGICAL, tag)
-    }
-    assert sorted(visits) == sorted(holders)  # once each, not per tag
-    assert len(visits) < 2 * len(front.all_tags(LOGICAL))
+def _writes(front, workload, segments):
+    """Ingest, then yield after each of the two appends."""
+    run = front.sim.run_process
+    first, batch, stream = segments
+    run(front.ingest(LOGICAL, workload.pdb_text, first))
+    yield "ingest"
+    run(front.ingest_append(LOGICAL, batch))
+    yield "ingest_append"
+    run(
+        front.ingest_stream(
+            LOGICAL, stream, config=IngestPipelineConfig(window_frames=2)
+        )
+    )
+    yield "ingest_stream"
+
+
+@pytest.mark.parametrize(
+    "cache_cls", [BlockCache, TenantBlockCache], ids=lambda c: c.__name__
+)
+@pytest.mark.parametrize("kind", ["ADA", "ShardedADA"])
+def test_a_fetch_after_an_append_returns_the_appended_bytes(
+    workload, segments, kind, cache_cls
+):
+    ref_sim, sim = Simulator(), Simulator()
+    reference = ADA(ref_sim, backends=_ssd(ref_sim))
+    if kind == "ADA":
+        front = ADA(sim, backends=_ssd(sim), block_cache=cache_cls(sim))
+    else:
+        front = _sharded(sim, cache_cls)
+    caches = [member.block_cache for member in front.members()]
+    for cache in caches:
+        _instrument(cache)
+    _CountingTier.examined = 0
+    lengths = {}
+    for step, _ in zip(
+        _writes(front, workload, segments),
+        _writes(reference, workload, segments),
+    ):
+        # A write, append or not, never looks at a cache key.
+        assert _CountingTier.examined == 0, step
+        for tag in front.tags(LOGICAL):
+            want = ref_sim.run_process(reference.fetch(LOGICAL, tag)).data
+            assert len(want) > lengths.get(tag, 0), (step, tag)
+            lengths[tag] = len(want)
+            if kind == "ADA":
+                holders = [None]
+            else:
+                holders = front.holders(LOGICAL, tag)
+                assert len(holders) == (2 if tag in ("p", "m") else 1)
+            for holder in holders:
+                if holder is not None:
+                    # Forced routing: this read is served by ``holder``.
+                    front._select = lambda logical, t, live, h=holder: h
+                got = sim.run_process(front.fetch(LOGICAL, tag)).data
+                assert got == want, (step, tag, holder)
+        merged = sim.run_process(front.fetch_merged(LOGICAL))
+        assert merged.nframes == ref_sim.run_process(
+            reference.fetch_merged(LOGICAL)
+        ).nframes
+        _CountingTier.examined = 0
+    resident = [key for cache in caches for key in (*cache._l1, *cache._l2)]
+    assert resident  # the fetches above did go through the caches
+    assert all(chunk >= 0 for _, _, chunk in resident)
 
 
 def test_sharded_remove_scans_each_holder_cache_once(workload):

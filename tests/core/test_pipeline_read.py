@@ -14,7 +14,7 @@ import pytest
 from repro.core import ADA
 from repro.errors import ContainerError, CorruptionError
 from repro.fs import LocalFS
-from repro.fs.cache import DERIVED_SUBSET, BlockCache
+from repro.fs.cache import BlockCache
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
 from repro.storage.hdd import hdd_spec
@@ -164,23 +164,6 @@ def test_repeat_fetch_serves_from_cache(dataset):
         "retriever_cache_served_bytes_total"
     ) >= warm.nbytes
     assert warm_s < cold_s / 2  # memory-speed, no seeks paid twice
-
-
-def test_ingest_append_invalidates_derived_subset_entry(dataset):
-    """The stale-read regression: a cached whole-subset entry must not
-    survive an append, or repeat fetches miss the new chunk entirely."""
-    pdb_text, blobs = dataset
-    sim = Simulator()
-    ada = _ada(sim, cache=True)
-    _ingest(ada, "bar.xtc", pdb_text, blobs[:-1])
-    before = sim.run_process(ada.fetch("bar.xtc", "p"))
-    # The multi-chunk subset is now cached as one derived entry.
-    assert ("bar.xtc", "p", DERIVED_SUBSET) in ada.block_cache
-    sim.run_process(ada.ingest_append("bar.xtc", blobs[-1]))
-    assert ("bar.xtc", "p", DERIVED_SUBSET) not in ada.block_cache
-    after = sim.run_process(ada.fetch("bar.xtc", "p"))
-    assert after.nbytes > before.nbytes  # the appended chunk is visible
-    assert after.data[: before.nbytes] == before.data
 
 
 def test_remove_drops_every_cached_block(dataset):

@@ -10,8 +10,7 @@
 * A cache-less multi-chunk read retries per chunk -- before the single
   read path, one transient fault on one chunk re-read the whole subset.
 * The multi-tenant sweep: per-tenant cache accounting must survive
-  derived whole-subset entries and cross-tenant dedup (charge follows
-  use), and the prefetcher's stride state and in-flight cap must be
+  whole-subset reads and cross-tenant dedup (charge follows use), and the prefetcher's stride state and in-flight cap must be
   keyed per tenant, not global.
 """
 
@@ -21,7 +20,7 @@ from repro.core import ADA
 from repro.core.prefetch import MAX_INFLIGHT
 from repro.errors import FaultError, PermanentFaultError
 from repro.faults.plan import TRANSIENT, FaultDecision
-from repro.fs.cache import DERIVED_SUBSET, BlockCache
+from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
 from repro.serve import TenantBlockCache
 from repro.sim import Simulator
@@ -207,15 +206,16 @@ def _charge_is_consistent(cache):
     )
 
 
-def test_derived_subset_entry_recharged_on_cross_tenant_hit():
-    """The whole-subset entry A assembled stops billing A once B uses it.
+def test_whole_subset_chunk_recharged_on_cross_tenant_hit():
+    """A chunk A's whole-subset read faulted in stops billing A once B's
+    whole-subset read uses it.
 
-    Before the fix the derived entry stayed charged to whichever tenant
-    happened to assemble it first, silently eating that tenant's quota
-    while every neighbor enjoyed the hits.
+    Before the fix a block stayed charged to whichever tenant happened to
+    read it first, silently eating that tenant's quota while every
+    neighbor enjoyed the hits.
     """
     sim, ada, current = _tenant_ada()
-    key = (LOGICAL, "p", DERIVED_SUBSET)
+    key = (LOGICAL, "p", 0)
 
     current["tenant"] = "a"
     sim.run_process(ada.fetch(LOGICAL, "p"))

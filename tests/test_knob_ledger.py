@@ -27,6 +27,7 @@ from repro.formats.xtc import decode_frame_range, decode_xtc, encode_xtc
 from repro.fs.cache import BlockCache
 from repro.serve import ServeFront
 from repro.serve.fairshare import TenantBlockCache
+from repro.vmd.animation import Animator
 from repro.vmd.loader import TrajectoryLoader
 from repro.vmd.streaming import StreamingTrajectory
 
@@ -57,9 +58,10 @@ LEDGER = {
     "DataPreProcessor": "policy subset_format workers lod_precision metrics",
     "TrajectoryLoader": "",
     "StreamingTrajectory": (
-        "xtc_bytes window_frames max_windows index prefetch pressure_fn "
+        "xtc_bytes window_frames max_windows index "
         "lod_bytes lod_max_error precision"
     ),
+    "Animator": "molecule cache_frames",
     "CodecPool": "workers metrics",
     "shared_pool": "workers",
     "encode_xtc": "trajectory precision keyframe_interval workers executor",
@@ -111,6 +113,7 @@ _CALLABLES = {
     "DataPreProcessor": DataPreProcessor,
     "TrajectoryLoader": TrajectoryLoader,
     "StreamingTrajectory": StreamingTrajectory,
+    "Animator": Animator,
     "CodecPool": CodecPool,
     "shared_pool": shared_pool,
     "encode_xtc": encode_xtc,
@@ -176,9 +179,6 @@ KEPT_FOR = {
     "to replicate; tests/cluster replicates other tags",
     ("StreamingTrajectory", "index"): "callers holding a FrameIndex skip the "
     "header scan (tests/vmd viewer budget counts index builds)",
-    ("StreamingTrajectory", "prefetch"): "tests/vmd compare readahead on "
-    "against off, bit-equal frames",
-    ("StreamingTrajectory", "pressure_fn"): "a test substitutes a fake signal",
     ("StreamingTrajectory", "precision"): "the starting tier; mutable after",
     ("TenantBlockCache", "quotas"): "reservations before any ServeFront exists",
     ("TenantBlockCache", "tenant_source"): "a test substitutes a fake tenant",

@@ -8,15 +8,12 @@ frame.  What a caller can observe must not move --
   ``decode_xtc`` (of the tier it was served from), in any access order;
 * ``window_decodes``/``window_hits``/``hit_rate()`` are what a plain LRU
   over ``(tier, window)`` keys yields -- the whole-window implementation's
-  numbers -- and, with ``prefetch`` on, the numbers that implementation
-  produced on the same scripts (recorded from it; run this file as a
-  script against a tree to print them);
+  numbers;
 * ``resident_nbytes <= max_resident_nbytes`` after every call;
 
-across ``full``/``lod``/``auto``, ``prefetch`` on/off and
-``keyframe_interval`` 1 (every frame its own group), 4 (groups nest in
-windows) and 100 (one group spans several windows: the whole-window
-degenerate case).
+across ``full``/``lod`` and ``keyframe_interval`` 1 (every frame its own
+group), 4 (groups nest in windows) and 100 (one group spans several
+windows: the whole-window degenerate case).
 """
 
 import random
@@ -36,7 +33,7 @@ WINDOW = 8
 MAX_WINDOWS = 6
 LOD_PRECISION = 12.5
 KEYFRAME_INTERVALS = (1, 4, 100)
-PRECISIONS = ("full", "lod", "auto")
+PRECISIONS = ("full", "lod")
 
 
 @pytest.fixture(scope="module")
@@ -67,52 +64,31 @@ def _scripts():
 SCRIPTS = _scripts()
 
 
-def _pressure_at(step):
-    """The scripted external pressure: loaded two steps out of every five."""
-    return 1.0 if step % 5 >= 3 else 0.0
-
-
-def _play(blobs, order, precision, prefetch, truth=None):
-    """Run ``order`` through a stream; returns it (closed) for its counters.
-
-    Speculative decodes are waited out after every call, so with
-    ``prefetch`` on the counters are a function of the script alone.
-    """
+def _play(blobs, order, precision, truth=None):
+    """Run ``order`` through a stream; returns it for its counters."""
     blob, lod = blobs
-    step = {"now": 0}
     stream = StreamingTrajectory(
         blob,
         window_frames=WINDOW,
         max_windows=MAX_WINDOWS,
         lod_bytes=lod,
         precision=precision,
-        prefetch=prefetch,
-        pressure_fn=lambda: _pressure_at(step["now"]),
     )
-    try:
-        for step["now"], iframe in enumerate(order):
-            frame = stream.frame(iframe)
-            if truth is not None:
-                want = truth[stream.last_tier][iframe]
-                assert np.array_equal(frame.coords, want), (iframe, stream.last_tier)
-            assert stream.resident_nbytes <= stream.max_resident_nbytes
-            for future in list(stream._pending.values()):
-                future.result()
-    finally:
-        stream.close()
+    for iframe in order:
+        frame = stream.frame(iframe)
+        if truth is not None:
+            want = truth[stream.last_tier][iframe]
+            assert np.array_equal(frame.coords, want), (iframe, stream.last_tier)
+        assert stream.resident_nbytes <= stream.max_resident_nbytes
     return stream
 
 
-def _lru_counts(order, precision):
+def _lru_counts(order, tier):
     """(decodes, hits) of a whole-window LRU over ``(tier, window)`` keys:
     the accounting this class has always had, modelled independently."""
     resident = OrderedDict()
     decodes = hits = 0
-    for step, iframe in enumerate(order):
-        if precision == "auto":
-            tier = "lod" if _pressure_at(step) >= 0.85 else "full"
-        else:
-            tier = precision
+    for iframe in order:
         key = (tier, iframe // WINDOW)
         if key in resident:
             hits += 1
@@ -125,35 +101,6 @@ def _lru_counts(order, precision):
     return decodes, hits
 
 
-#: ``(window_decodes, window_hits, prefetch_issued, prefetch_hits,
-#: prefetch_wasted, prefetch_suppressed)`` of the whole-window
-#: implementation with ``prefetch=True``, per ``(script, precision)`` --
-#: the same for every keyframe interval, which that implementation never
-#: looked at.
-WHOLE_WINDOW_PREFETCH = {
-    ("rock", "full"): (15, 177, 3, 3, 0, 97),
-    ("rock", "lod"): (15, 177, 3, 3, 0, 97),
-    ("rock", "auto"): (41, 151, 1, 1, 0, 139),
-    ("scrub", "full"): (69, 51, 0, 0, 0, 1),
-    ("scrub", "lod"): (69, 51, 0, 0, 0, 1),
-    ("scrub", "auto"): (89, 31, 0, 0, 0, 2),
-    ("skip", "full"): (16, 27, 1, 1, 0, 26),
-    ("skip", "lod"): (16, 27, 1, 1, 0, 26),
-    ("skip", "auto"): (30, 13, 1, 0, 1, 26),
-}
-
-
-def _counters(stream):
-    return (
-        stream.window_decodes,
-        stream.window_hits,
-        stream.prefetch_issued,
-        stream.prefetch_hits,
-        stream.prefetch_wasted,
-        stream.prefetch_suppressed,
-    )
-
-
 @pytest.mark.parametrize("interval", KEYFRAME_INTERVALS)
 @pytest.mark.parametrize("precision", PRECISIONS)
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
@@ -162,24 +109,10 @@ def test_on_demand_playback_matches_decode_and_lru(
 ):
     blobs, truth = streams
     order = SCRIPTS[script]
-    stream = _play(blobs[interval], order, precision, False, truth)
+    stream = _play(blobs[interval], order, precision, truth)
     decodes, hits = _lru_counts(order, precision)
     assert (stream.window_decodes, stream.window_hits) == (decodes, hits)
     assert stream.hit_rate() == hits / len(order)
-    assert stream.prefetch_issued == 0
-
-
-@pytest.mark.parametrize("interval", KEYFRAME_INTERVALS)
-@pytest.mark.parametrize("precision", PRECISIONS)
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_prefetching_playback_matches_decode_and_recorded_counters(
-    streams, script, precision, interval
-):
-    blobs, truth = streams
-    order = SCRIPTS[script]
-    stream = _play(blobs[interval], order, precision, True, truth)
-    assert _counters(stream) == WHOLE_WINDOW_PREFETCH[script, precision]
-    assert stream.window_decodes + stream.window_hits == len(order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,16 +120,13 @@ def test_prefetching_playback_matches_decode_and_recorded_counters(
     st.lists(st.integers(0, NFRAMES - 1), min_size=1, max_size=60),
     st.sampled_from(PRECISIONS),
     st.sampled_from(KEYFRAME_INTERVALS),
-    st.booleans(),
 )
-def test_hypothesis_access_orders(streams, order, precision, interval, prefetch):
+def test_hypothesis_access_orders(streams, order, precision, interval):
     blobs, truth = streams
-    stream = _play(blobs[interval], order, precision, prefetch, truth)
-    assert stream.window_decodes + stream.window_hits == len(order)
-    if not prefetch:
-        assert (stream.window_decodes, stream.window_hits) == _lru_counts(
-            order, precision
-        )
+    stream = _play(blobs[interval], order, precision, truth)
+    assert (stream.window_decodes, stream.window_hits) == _lru_counts(
+        order, precision
+    )
 
 
 # -- what demand fill changes: the frames pushed through the decoder ------------
@@ -206,7 +136,7 @@ def test_frames_decoded_counts_groups_not_windows(streams):
     blobs, _ = streams
     order = SCRIPTS["scrub"]
     by_interval = {
-        interval: _play(blobs[interval], order, "full", False).frames_decoded
+        interval: _play(blobs[interval], order, "full").frames_decoded
         for interval in KEYFRAME_INTERVALS
     }
     decodes, _ = _lru_counts(order, "full")
@@ -222,7 +152,7 @@ def test_frames_decoded_counts_groups_not_windows(streams):
 def test_sequential_playback_decodes_every_frame_once(streams):
     blobs, _ = streams
     for interval in (1, 4):
-        stream = _play(blobs[interval], range(NFRAMES), "full", False)
+        stream = _play(blobs[interval], range(NFRAMES), "full")
         assert stream.frames_decoded == NFRAMES
         assert stream.window_decodes == NFRAMES // WINDOW
 
@@ -240,17 +170,3 @@ def test_failed_fill_counts_and_caches_nothing(streams):
     assert (stream.window_decodes, stream.window_hits) == (1, 0)
     assert list(stream._windows) == [("full", 0)]
 
-
-if __name__ == "__main__":  # print WHOLE_WINDOW_PREFETCH for the tree on the path
-    _system = build_gpcr_system(natoms_target=300, seed=211)
-    _traj = generate_trajectory(_system, nframes=NFRAMES, seed=212)
-    for _interval in KEYFRAME_INTERVALS:
-        _blobs = (
-            encode_xtc(_traj, keyframe_interval=_interval),
-            encode_xtc(_traj, precision=LOD_PRECISION, keyframe_interval=_interval),
-        )
-        print(f"keyframe_interval={_interval}")
-        for _script in sorted(SCRIPTS):
-            for _precision in PRECISIONS:
-                _stream = _play(_blobs, SCRIPTS[_script], _precision, True)
-                print(f'    ("{_script}", "{_precision}"): {_counters(_stream)},')

@@ -2,8 +2,8 @@
 
 The streaming window cache is the layer that must keep the tiers
 honest: a coarse window may never satisfy a full-precision hit, the
-``precision`` knob flips tiers mid-playback, and ``auto`` follows the
-same pressure watermark that stands prefetch down.
+``precision`` knob flips tiers mid-playback, and ``auto`` -- which needs
+a load signal the stream does not have -- is refused.
 """
 
 import numpy as np
@@ -81,8 +81,6 @@ def test_lod_precision_requires_an_attached_stream(tiered_setup):
         bare.precision = "lod"
     with pytest.raises(CodecError):
         StreamingTrajectory(blob, window_frames=8, precision="lod")
-    # "auto" without a LOD stream quietly stays full.
-    bare.precision = "auto"
     assert bare.tier() == "full"
 
 
@@ -92,21 +90,13 @@ def test_precision_validates(tiered_setup):
         s.precision = "approx"
 
 
-def test_auto_follows_the_pressure_watermark(tiered_setup):
-    pressure = {"level": 0.0}
-    s = _stream(tiered_setup, precision="auto", pressure_fn=lambda: pressure["level"])
-    assert s.tier() == "full"
-    s.frame(0)
-    assert s.last_tier == "full"
-
-    pressure["level"] = 0.9  # at/above the 0.85 watermark
-    assert s.tier() == "lod"
-    s.frame(1)
-    assert s.last_tier == "lod" and s.lod_frames_served == 1
-
-    pressure["level"] = 0.2  # relaxed again: exact on the next frame
-    s.frame(2)
-    assert s.last_tier == "full"
+def test_auto_is_refused_without_a_load_signal(tiered_setup):
+    with pytest.raises(CodecError, match="auto"):
+        _stream(tiered_setup, precision="auto")
+    s = _stream(tiered_setup, precision="lod")
+    with pytest.raises(CodecError, match="auto"):
+        s.precision = "auto"
+    assert s.tier() == "lod"  # a refused flip leaves the tier as it was
 
 
 def test_lod_stream_frame_count_must_match(tiered_setup):
@@ -120,11 +110,3 @@ def test_lod_stream_frame_count_must_match(tiered_setup):
     with pytest.raises(CodecError, match="frames"):
         s.frame(0)
 
-
-def test_prefetch_speculates_in_the_serving_tier(tiered_setup):
-    s = _stream(tiered_setup, precision="lod", prefetch=True, max_windows=4)
-    for i in range(24):  # sequential scrub across three windows
-        s.frame(i)
-    assert s.prefetch_issued > 0
-    assert all(tier == "lod" for tier, _ in s._windows)
-    s.close()
