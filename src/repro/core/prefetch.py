@@ -129,6 +129,7 @@ class Prefetcher:
                 "suppressed_inflight",
                 "suppressed_eof",  # predicted chunks clamped at the subset's end
                 "suppressed_budget",  # tenant's speculative-byte budget exhausted
+                "suppressed_resident",  # every predicted chunk already cached
                 "failed",  # speculative reads that hit a permanent fault
             )
         }
@@ -191,6 +192,9 @@ class Prefetcher:
         if clamped:
             counters["suppressed_eof"].inc(clamped)
         if not targets:
+            return None
+        if all(cache.peek((logical, tag, chunk)) for chunk in targets):
+            counters["suppressed_resident"].inc()  # nothing left to read
             return None
         if not self._within_budget(tenant, cache, logical, tag, targets):
             counters["suppressed_budget"].inc()

@@ -143,10 +143,10 @@ class IORetriever:
     ) -> Generator:
         """Process: read selected chunks of one subset, cache-aware.
 
-        ``chunks=None`` means every chunk.  Cache hits pay their tier's
-        service time; misses are grouped into backend-contiguous runs,
-        each read (coalesced with a cache) under its own retry key, CRC
-        verified per chunk, and admitted into the cache.  Returns the
+        ``chunks=None`` means every chunk.  One cache lookup serves all
+        the hits (one wait); misses are grouped into backend-contiguous
+        runs, each read (coalesced with a cache) under its own retry key,
+        CRC verified per chunk, and admitted into the cache.  Returns the
         per-chunk :class:`StoredObject` list in chunk order -- callers
         that need the subset as one buffer join it themselves, callers
         that decode per chunk (``fetch_merged``, streaming playback)
@@ -164,25 +164,20 @@ class IORetriever:
             out: List[Optional[StoredObject]] = [None] * len(records)
             to_read: List[int] = []  # positions in `records` that missed
             waits: Dict[int, Process] = {}  # positions someone else is reading
-            cache_served = self._metric_fields["cache_served_bytes"]
-            for pos, record in enumerate(records):
-                if self.cache is None:
-                    to_read.append(pos)
-                    continue
-                block = yield from self.cache.lookup(
-                    (logical, tag, record.chunk)
+            if self.cache is None:
+                to_read = list(range(len(records)))
+            else:
+                yield from self._serve_hits(
+                    logical, tag, records, range(len(records)), out
                 )
-                if block is not None:
-                    out[pos] = StoredObject(
-                        path=record.path, nbytes=block.nbytes, data=block.data
-                    )
-                    cache_served.inc(float(block.nbytes))
-                    continue
-                inflight = self._inflight.get((logical, tag, record.chunk))
-                if inflight is not None and inflight.is_alive:
-                    waits[pos] = inflight
-                else:
-                    to_read.append(pos)
+                for pos, record in enumerate(records):
+                    if out[pos] is not None:
+                        continue
+                    inflight = self._inflight.get((logical, tag, record.chunk))
+                    if inflight is not None and inflight.is_alive:
+                        waits[pos] = inflight
+                    else:
+                        to_read.append(pos)
             sp.tag(
                 cache_hits=len(records) - len(to_read) - len(waits),
                 joined=len(waits),
@@ -195,7 +190,7 @@ class IORetriever:
                     )
                     for pos, obj in zip(run, objs):
                         out[pos] = obj
-            else:
+            elif runs:
                 procs: List[Process] = []
                 for run in runs:
                     proc = self.sim.process(
@@ -254,26 +249,31 @@ class IORetriever:
                     yield AllOf(self.sim, pending)
                 except FaultError:
                     pass  # the owner saw the failure; we re-read below
-            reread = 0
-            for pos in waits:
-                if out[pos] is not None:
-                    continue
-                record = records[pos]
-                block = yield from self.cache.lookup((logical, tag, record.chunk))
-                if block is not None:
-                    out[pos] = StoredObject(
-                        path=record.path, nbytes=block.nbytes, data=block.data
-                    )
-                    self._metric_fields["cache_served_bytes"].inc(
-                        float(block.nbytes)
-                    )
-                else:
-                    reread += 1
-                    objs = yield from self._read_run(
-                        logical, tag, records, [pos], False
-                    )
-                    out[pos] = objs[0]
-            sp.tag(rereads=reread)
+            yield from self._serve_hits(logical, tag, records, list(waits), out)
+            reread = [pos for pos in waits if out[pos] is None]
+            for pos in reread:
+                objs = yield from self._read_run(
+                    logical, tag, records, [pos], False
+                )
+                out[pos] = objs[0]
+            sp.tag(rereads=len(reread))
+
+    def _serve_hits(
+        self, logical: str, tag: str, records: List[IndexRecord],
+        positions: Sequence[int], out: List[Optional[StoredObject]],
+    ) -> Generator:
+        """Process: one cache lookup for ``positions``; a hit fills its
+        slot of ``out``."""
+        blocks = yield from self.cache.lookup(
+            [(logical, tag, records[pos].chunk) for pos in positions]
+        )
+        served = self._metric_fields["cache_served_bytes"]
+        for pos, block in zip(positions, blocks):
+            if block is not None:
+                out[pos] = StoredObject(
+                    path=records[pos].path, nbytes=block.nbytes, data=block.data
+                )
+                served.inc(float(block.nbytes))
 
     def prefetch_chunks(
         self, logical: str, tag: str, chunks: Sequence[int]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fs.base import FileSystem, StoredObject
@@ -319,42 +319,46 @@ class BlockCache:
 
     # -- data path ---------------------------------------------------------
 
-    def lookup(self, key: BlockKey) -> Generator:
-        """Process: fetch a block, paying its tier's service time.
+    def lookup(self, keys: Sequence[BlockKey]) -> Generator:
+        """Process: fetch a window of blocks with one probe and one wait.
 
-        Returns the :class:`CachedBlock` (L2 hits are promoted to L1) or
-        ``None`` on a miss.
+        Probes every key once, in order (tier counter, LRU move, prefetch
+        use, L2 take), waits once until exactly where a chain of per-hit
+        waits in key order would end, then promotes the L2 hits in key
+        order.  Returns a :class:`CachedBlock` or ``None`` per key.  Hits
+        are decided at the probe: a block another process evicts during
+        the wait is still served to this window.
         """
-        logical, tag, chunk = key
         counters = self._metric_fields
-        block = self._l1.get(key)
-        if block is not None:
-            counters["hits_l1"].inc()
-            self._l1.move_to_end(key)
+        blocks, promote = [], []
+        end = self.sim.now
+        for key in keys:
+            block = self._l1.get(key)
+            if block is not None:
+                counters["hits_l1"].inc()
+                self._l1.move_to_end(key)
+                end += block.nbytes / L1_BANDWIDTH
+            else:
+                block = self._take_l2(key)
+                if block is None:
+                    counters["misses"].inc()
+                    blocks.append(None)
+                    continue
+                counters["hits_l2"].inc()
+                promote.append((key, block))
+                end += L2_LATENCY_S + block.nbytes / L2_BANDWIDTH
             if block.prefetched:
                 self._count_prefetch_use(key, block)
+            blocks.append(block)
+        if blocks.count(None) < len(blocks):
             with span(
-                self.sim, "cache.lookup", logical=logical, tag=tag,
-                chunk=chunk, tier="l1", cache_hit=True,
+                self.sim, "cache.lookup", logical=keys[0][0], tag=keys[0][1],
+                chunks=len(keys), l2_hits=len(promote), cache_hit=True,
             ):
-                yield self.sim.timeout(block.nbytes / L1_BANDWIDTH)
-            return block
-        block = self._take_l2(key)
-        if block is not None:
-            counters["hits_l2"].inc()
-            if block.prefetched:
-                self._count_prefetch_use(key, block)
-            with span(
-                self.sim, "cache.lookup", logical=logical, tag=tag,
-                chunk=chunk, tier="l2", cache_hit=True,
-            ):
-                yield self.sim.timeout(
-                    L2_LATENCY_S + block.nbytes / L2_BANDWIDTH
-                )
-            self._insert_l1(key, block)  # promote
-            return block
-        counters["misses"].inc()
-        return None
+                yield self.sim.timeout_at(end)
+        for key, block in promote:
+            self._insert_l1(key, block)
+        return blocks
 
     def admit(
         self,

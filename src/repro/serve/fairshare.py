@@ -31,7 +31,7 @@ request (direct ADA use, warm-up reads, tier-1 tests) the source returns
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.fs.cache import BlockCache, BlockKey, CachedBlock
 from repro.obs.metrics import MetricsRegistry
@@ -151,15 +151,16 @@ class TenantBlockCache(BlockCache):
             # Bypassed (larger than L1): never leave a dangling owner.
             self._owner.pop(key, None)
 
-    def lookup(self, key: BlockKey):
-        block = yield from super().lookup(key)
-        if block is not None:
-            owner = self._owner.get(key)
-            tenant = self._current_tenant()
-            if tenant is not None and owner is not None and tenant != owner:
-                self._metric_fields["cross_tenant_hits"].inc()
-                self._transfer(key, None)
-        return block
+    def lookup(self, keys: Sequence[BlockKey]):
+        blocks = yield from super().lookup(keys)
+        tenant = self._current_tenant()
+        if tenant is not None:
+            for key, block in zip(keys, blocks):
+                owner = self._owner.get(key)
+                if block is not None and owner is not None and owner != tenant:
+                    self._metric_fields["cross_tenant_hits"].inc()
+                    self._transfer(key, None)
+        return blocks
 
     # -- hook implementations ------------------------------------------------
 

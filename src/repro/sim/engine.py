@@ -131,7 +131,12 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(
+        self, sim: "Simulator", delay: float, value: Any = None,
+        at: Optional[float] = None,
+    ):
+        if at is not None:
+            delay = at - sim._now
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         # Slots set here rather than through ``Event.__init__`` and
@@ -143,7 +148,8 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True  # scheduled immediately, fires at now+delay
         self._cancelled = False
-        heapq.heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
+        when = sim._now + delay if at is None else float(at)
+        heapq.heappush(sim._heap, (when, next(sim._seq), self))
 
 
 class Process(Event):
@@ -368,6 +374,11 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event firing at absolute time ``when``: exactly where a chain
+        of timeouts summed into it ends (``now + (when - now)`` may not)."""
+        return Timeout(self, 0.0, value, at=when)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start ``generator`` as a process; returns the process-as-event."""

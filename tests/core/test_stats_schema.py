@@ -23,7 +23,7 @@ from repro.workloads import build_workload
 _PREFETCH = (
     "issued", "issued_direction", "chunks_requested", "suppressed_pressure",
     "suppressed_degraded", "suppressed_pattern", "suppressed_inflight",
-    "suppressed_eof", "suppressed_budget", "failed",
+    "suppressed_eof", "suppressed_budget", "suppressed_resident", "failed",
 )
 _RETRY = (
     "attempts", "retries", "recovered", "transient_faults",

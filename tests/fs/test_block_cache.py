@@ -73,9 +73,9 @@ def test_lookup_miss_then_hit():
     sim = Simulator()
     cache = _block_cache(sim)
     key = ("bar.xtc", "p", 0)
-    assert sim.run_process(cache.lookup(key)) is None
+    assert sim.run_process(cache.lookup([key]))[0] is None
     cache.admit(key, 1000, data=b"z" * 1000)
-    block = sim.run_process(cache.lookup(key))
+    block = sim.run_process(cache.lookup([key]))[0]
     assert block is not None and block.data == b"z" * 1000
     assert cache.metrics.value("block_cache_misses_total") == 1
     assert cache.metrics.value("block_cache_hits_total", tier="l1") == 1
@@ -87,7 +87,7 @@ def test_l1_hit_pays_memory_bandwidth_time():
     cache = BlockCache(sim, l1_capacity_bytes=1 * GB)
     cache.admit(("f", "p", 0), int(600 * MB))
     t0 = sim.now
-    sim.run_process(cache.lookup(("f", "p", 0)))
+    sim.run_process(cache.lookup([("f", "p", 0)]))
     assert sim.now - t0 == pytest.approx(0.1, rel=0.01)
 
 
@@ -100,13 +100,13 @@ def test_eviction_demotes_to_l2_and_promotes_back():
     assert cache.metrics.value("block_cache_demotions_total") == 1
     assert ("f", "p", 0) in cache
     t0 = sim.now
-    block = sim.run_process(cache.lookup(("f", "p", 0)))
+    block = sim.run_process(cache.lookup([("f", "p", 0)]))[0]
     assert block is not None
     assert cache.metrics.value("block_cache_hits_total", tier="l2") == 1
     # L2 pays its latency floor; an L1 hit of the same size costs far less.
     l2_time = sim.now - t0
     t0 = sim.now
-    sim.run_process(cache.lookup(("f", "p", 0)))  # promoted: now an L1 hit
+    sim.run_process(cache.lookup([("f", "p", 0)]))  # promoted: now an L1 hit
     assert cache.metrics.value("block_cache_hits_total", tier="l1") == 1
     assert sim.now - t0 < l2_time
 
@@ -156,7 +156,7 @@ def test_prefetched_accounting_hit_and_wasted():
     sim = Simulator()
     cache = _block_cache(sim, l1=int(250 * KB))
     cache.admit(("f", "p", 0), int(100 * KB), prefetched=True)
-    sim.run_process(cache.lookup(("f", "p", 0)))
+    sim.run_process(cache.lookup([("f", "p", 0)]))
     assert cache.metrics.value("block_cache_prefetch_hits_total") == 1
     cache.admit(("f", "p", 1), int(100 * KB), prefetched=True)
     cache.admit(("f", "p", 2), int(100 * KB))
@@ -168,7 +168,7 @@ def test_stats_schema():
     sim = Simulator()
     cache = _block_cache(sim)
     cache.admit(("f", "p", 0), 10)
-    sim.run_process(cache.lookup(("f", "p", 0)))
+    sim.run_process(cache.lookup([("f", "p", 0)]))
     series = cache.metrics.query("block_cache_")
     for key in (
         'block_cache_bytes{tier="l1"}',
@@ -202,13 +202,13 @@ def test_lod_and_full_tiers_never_collide():
     cache.admit(lod_key, 250, data=b"c" * 250)
 
     # A full-precision lookup of the same logical chunk is a miss.
-    assert sim.run_process(cache.lookup(full_key)) is None
+    assert sim.run_process(cache.lookup([full_key]))[0] is None
     assert cache.metrics.value("block_cache_misses_total") == 1
     assert cache.metrics.value("block_cache_hits_total", tier="l1") == 0
 
     cache.admit(full_key, 1000, data=b"f" * 1000)
-    exact = sim.run_process(cache.lookup(full_key))
-    coarse = sim.run_process(cache.lookup(lod_key))
+    exact = sim.run_process(cache.lookup([full_key]))[0]
+    coarse = sim.run_process(cache.lookup([lod_key]))[0]
     assert exact.data == b"f" * 1000
     assert coarse.data == b"c" * 250
     assert cache.metrics.value("block_cache_hits_total", tier="l1") == 2
@@ -220,7 +220,7 @@ def test_lod_and_full_tiers_never_collide():
     # Invalidating the dataset's full tier leaves the coarse tier alone
     # only if asked per-tag; whole-logical invalidation drops both.
     cache.invalidate(logical="bar.xtc", tag="p")
-    assert sim.run_process(cache.lookup(full_key)) is None
-    assert sim.run_process(cache.lookup(lod_key)) is not None
+    assert sim.run_process(cache.lookup([full_key]))[0] is None
+    assert sim.run_process(cache.lookup([lod_key]))[0] is not None
     cache.invalidate(logical="bar.xtc")
-    assert sim.run_process(cache.lookup(lod_key)) is None
+    assert sim.run_process(cache.lookup([lod_key]))[0] is None

@@ -9,8 +9,8 @@ shape.  A regression in any of the three mechanisms that keep the hit path
 lean fails here as a number, not as a slower wall clock:
 
 * **kernel events** -- an event that fires with nobody subscribed (an idle
-  slot's grant, the barrier of an all-hit window, a completion nobody
-  waits for) is never dispatched;
+  slot's grant, a completion nobody waits for) is never dispatched, and a
+  window waits once for all its hits;
 * **spans** -- the tenant rides the DES process, so serving without a
   tracer attached constructs no ``Span``;
 * **record copies** -- a window resolves its own chunks' records; nobody
@@ -34,24 +34,28 @@ TENANTS = ("t0", "t1", "t2", "t3")
 REQUESTS_PER_TENANT = 60
 
 #: Kernel events dispatched by the measured phase, exactly.  A request
-#: costs 11 at most: the scheduler loop woken by the submit, its wake on
+#: costs 7 at most: the scheduler loop woken by the submit, its wake on
 #: the (already granted) slot, the executing process's boot, the indexer
-#: latency, one timeout per cache hit, the wake on the window's empty read
-#: barrier, the loop woken again by the completion, and the client's wake
-#: on ``done``.  A kick that finds the loop already awake is merged, which
-#: is where the remainder goes: 10.71 a request here, 11.27 at the
-#: end-to-end benchmark's own shape.  Before subscriber-less triggers
-#: stopped reaching the heap this phase dispatched 3350 (13.96 a request;
-#: 14.53 at the benchmark's shape), built 2219 spans and made 953
-#: whole-subset record copies.
+#: latency, one cache wait for the whole window (the window is probed
+#: once; its hits' charges are summed into one timeout), the loop woken
+#: again by the completion, and the client's wake on ``done``.  An all-hit
+#: window yields no read barrier, and a prefetch whose predicted window is
+#: already resident is not launched.  A kick that finds the loop already
+#: awake is merged, which is where the remainder goes: 6.46 a request
+#: here, 7.02 at the end-to-end benchmark's own shape (its driver's slice
+#: barriers included).  With one timeout per hit, a wake on the empty
+#: barrier and resident prefetches launched, this phase dispatched 2570
+#: (10.71 a request; 11.27 at the benchmark's shape); before
+#: subscriber-less triggers stopped reaching the heap, 3350 (13.96), with
+#: 2219 spans and 953 whole-subset record copies.
 REQUESTS = len(TENANTS) * REQUESTS_PER_TENANT
-EVENTS = 2570
+EVENTS = 1551
 
 #: Simulated second the measured phase starts at.  The count depends on
 #: where float rounding of the absolute clock falls (it decides which
 #: event times tie, and so which kicks merge), so the phase starts at a
 #: fixed clock, not wherever the catalogue ingest and warm-up happened to
-#: end: it reads 2570 from 2, 4, 8 or 16 s alike.
+#: end: it reads 1551 from 2, 4, 8 or 16 s alike.
 PHASE_START_S = 2.0
 
 

@@ -167,7 +167,7 @@ def test_cross_tenant_hit_moves_block_to_shared_pool():
     assert cache.owner(key) == "a"
 
     current["tenant"] = "b"
-    block = sim.run_process(cache.lookup(key))
+    block = sim.run_process(cache.lookup([key]))[0]
     assert block is not None
     assert cache.owner(key) is None
     assert cache.metrics.value("block_cache_cross_tenant_hits_total") == 1
@@ -176,7 +176,7 @@ def test_cross_tenant_hit_moves_block_to_shared_pool():
 
     # A community block stays communal: A touching it again changes nothing.
     current["tenant"] = "a"
-    sim.run_process(cache.lookup(key))
+    sim.run_process(cache.lookup([key]))
     assert cache.owner(key) is None
     assert cache.metrics.value("block_cache_cross_tenant_hits_total") == 1
 
