@@ -160,14 +160,10 @@ class ServeFront:
         cost = self._estimate_cost(kind, payload)
         self.sessions.admit(tenant, cost)  # raises AdmissionRejected
         request = ServeRequest(
-            tenant=tenant,
-            kind=kind,
-            payload=dict(payload),
+            tenant=tenant, kind=kind, payload=dict(payload),
             nice=state.config.nice if nice is None else int(nice),
             cost_bytes=cost,
-            on_complete=lambda req, t=tenant, c=cost: self.sessions.release(
-                t, c
-            ),
+            on_complete=lambda req: self.sessions.release(tenant, cost),
         )
         return self.scheduler.submit(request)
 
@@ -180,33 +176,23 @@ class ServeFront:
         """
         try:
             if kind == "fetch_chunks":
-                return max(
-                    1,
-                    self.ada.chunks_nbytes(
-                        payload["logical"], payload["tag"],
-                        payload.get("chunks") or (),
-                    ),
+                nbytes = self.ada.chunks_nbytes(
+                    payload["logical"], payload["tag"],
+                    payload.get("chunks") or (),
                 )
-            if kind == "fetch":
-                return max(
-                    1,
-                    int(
-                        self.ada.subset_nbytes(
-                            payload["logical"], payload["tag"]
-                        )
-                    ),
+            elif kind == "fetch":
+                nbytes = self.ada.subset_nbytes(
+                    payload["logical"], payload["tag"]
                 )
-            if kind == "fetch_merged":
-                return max(
-                    1, int(self.ada.container_nbytes(payload["logical"]))
-                )
-            if kind == "ingest_stream":
-                return max(1, len(payload["blob"]))
+            elif kind == "fetch_merged":
+                nbytes = self.ada.container_nbytes(payload["logical"])
+            else:  # ingest_stream; submit() rejected every other kind
+                nbytes = len(payload["blob"])
         except ReproError:
             return 1
-        return 1
+        return max(1, int(nbytes))
 
-    # -- dispatch (runs in the scheduler's per-request process) -------------
+    # -- dispatch (runs in whichever process executes the request) ---------
 
     def _dispatch(self, request: ServeRequest) -> Generator:
         if self.fault_plan is None:

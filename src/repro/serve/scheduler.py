@@ -124,6 +124,7 @@ class RequestScheduler:
         self._vtime = 0.0
         self._seq = itertools.count()
         self._wake: Optional[Event] = None
+        self._caller_runs = False  # set by ``call`` around its submit
         #: Completed (ok or failed) requests per tenant, in finish order.
         self.completed: Dict[str, List[ServeRequest]] = {}
         self._tenant_metrics: Dict[str, Dict[str, object]] = {}
@@ -147,7 +148,7 @@ class RequestScheduler:
 
         Synchronous bookkeeping: the caller gets the request back with
         ``done`` armed; waiting on it is optional (open-loop tenants fire
-        and forget, closed-loop tenants ``yield request.done``).
+        and forget, closed-loop tenants submit through :meth:`call`).
         """
         request.seq = next(self._seq)
         request.submitted_s = self.sim.now
@@ -163,11 +164,47 @@ class RequestScheduler:
         request.start_tag = start
         request.finish_tag = start + cost / request.weight
         self._flow_finish[request.tenant] = request.finish_tag
+        self._metrics_for(request.tenant)["queued"].inc()
+        if self._caller_runs:  # ``call`` runs it now: the queue's next pick
+            self._caller_runs = False
+            self._vtime = start
+            return request
         self._queues.setdefault(request.tenant, deque()).append(request)
         self._backlog += 1
-        self._metrics_for(request.tenant)["queued"].inc()
         self._kick()
         return request
+
+    def call(self, submit: Callable[[], ServeRequest]) -> Generator:
+        """Closed loop: ``submit()`` one request, wait, return its result.
+
+        With nothing queued, a slot free, a process calling and no other
+        event due now, the queue would dispatch it next with nothing in
+        between, so the caller's process runs ``_execute`` itself: tags,
+        virtual time, billing and every timestamp come out the same.
+        """
+        sim = self.sim
+        caller = sim.active_process
+        self._caller_runs = direct = (
+            caller is not None and not self._backlog
+            and self.slots.in_use < self.concurrency and not sim.due_now()
+        )
+        try:
+            request = submit()
+        finally:
+            self._caller_runs = False
+        if not direct:
+            return (yield request.done)
+        context = caller.context
+        try:
+            yield from self._execute(request, self.slots.request())
+        finally:
+            caller.context = context
+        if sim.due_now():
+            # Resume where the ``done`` wake would have: after what is due.
+            yield sim.timeout(0)
+        if request.error is not None:
+            raise request.error
+        return request.done.value
 
     # -- the drain loop -----------------------------------------------------
 
@@ -238,7 +275,8 @@ class RequestScheduler:
             ) as sp:
                 result = yield from self.dispatch(request)
                 sp.tag(served_bytes=request.served_bytes)
-        except Exception as exc:  # noqa: BLE001 - delivered to the waiter
+        except (Exception, GeneratorExit) as exc:  # noqa: BLE001 - to waiter
+            # A caller closed mid-request (``call``) still completes it.
             request.error = exc
         request.finished_s = sim.now
         tm["latency"].observe(request.finished_s - request.submitted_s)
@@ -251,7 +289,10 @@ class RequestScheduler:
         if request.on_complete is not None:
             request.on_complete(request)
         grant.release()
-        self._kick()
+        if sim.due_now():
+            # Alone at this instant the loop would wake to an empty queue
+            # and park again; only a same-instant neighbour can change that.
+            self._kick()
         if request.error is None:
             request.done.succeed(result)
         else:

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
 from repro.core.lod import validate_precision
-from repro.errors import AdmissionRejected, ConfigurationError
+from repro.errors import (
+    AdmissionRejected, ConfigurationError, SimulationError,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.serve.scheduler import NICE_MAX, NICE_MIN, ServeRequest, nice_weight
@@ -115,14 +117,6 @@ class SessionManager:
             raise ConfigurationError(f"unknown tenant {tenant!r}")
         return state
 
-    @property
-    def tenants(self) -> Dict[str, TenantState]:
-        return dict(self._tenants)
-
-    @property
-    def total_inflight(self) -> int:
-        return sum(s.inflight for s in self._tenants.values())
-
     def admit(self, tenant: str, cost_bytes: int) -> None:
         """Charge one request against the tenant's limits or reject it."""
         state = self.get(tenant)
@@ -169,10 +163,12 @@ class SessionManager:
     def release(self, tenant: str, cost_bytes: int) -> None:
         """Return one completed (or failed) request's admission charge."""
         state = self.get(tenant)
-        state.inflight = max(0, state.inflight - 1)
-        state.outstanding_bytes = max(
-            0, state.outstanding_bytes - int(cost_bytes)
-        )
+        state.inflight -= 1
+        state.outstanding_bytes -= int(cost_bytes)
+        if state.inflight < 0 or state.outstanding_bytes < 0:
+            raise SimulationError(
+                f"tenant {tenant!r} released more than it was admitted"
+            )
 
     def stats(self) -> Dict[str, object]:
         """The registered tenants' policy (admission counts and in-flight
@@ -208,37 +204,35 @@ class Session:
 
     # -- submit-and-wait conveniences (closed-loop traffic) ------------------
 
+    def _call(self, kind: str, nice: Optional[int], **payload) -> Generator:
+        return (yield from self._front.scheduler.call(
+            lambda: self.submit(kind, nice=nice, **payload)
+        ))
+
     def fetch_chunks(
         self, logical: str, tag: str, chunks,
         nice: Optional[int] = None, precision: Optional[str] = None,
     ) -> Generator:
-        request = self.submit(
-            "fetch_chunks", nice=nice,
-            logical=logical, tag=tag, chunks=list(chunks),
-            precision=precision,
-        )
-        result = yield request.done
-        return result
+        return (yield from self._call(
+            "fetch_chunks", nice, logical=logical, tag=tag,
+            chunks=list(chunks), precision=precision,
+        ))
 
     def fetch(
         self, logical: str, tag: str,
         nice: Optional[int] = None, precision: Optional[str] = None,
     ) -> Generator:
-        request = self.submit(
-            "fetch", nice=nice, logical=logical, tag=tag, precision=precision,
-        )
-        result = yield request.done
-        return result
+        return (yield from self._call(
+            "fetch", nice, logical=logical, tag=tag, precision=precision,
+        ))
 
     def fetch_merged(
         self, logical: str,
         nice: Optional[int] = None, precision: Optional[str] = None,
     ) -> Generator:
-        request = self.submit(
-            "fetch_merged", nice=nice, logical=logical, precision=precision,
-        )
-        result = yield request.done
-        return result
+        return (yield from self._call(
+            "fetch_merged", nice, logical=logical, precision=precision,
+        ))
 
     def ingest_stream(
         self,
@@ -247,9 +241,7 @@ class Session:
         pdb_text: Optional[str] = None,
         nice: Optional[int] = None,
     ) -> Generator:
-        request = self.submit(
-            "ingest_stream", nice=nice,
-            logical=logical, blob=blob, pdb_text=pdb_text,
-        )
-        result = yield request.done
-        return result
+        return (yield from self._call(
+            "ingest_stream", nice, logical=logical, blob=blob,
+            pdb_text=pdb_text,
+        ))

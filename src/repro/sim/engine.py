@@ -365,6 +365,12 @@ class Simulator:
         nobody was subscribed to is not dispatched, so not counted."""
         return self._processed
 
+    def due_now(self) -> bool:
+        """Whether a heap entry fires at the current instant.  A cancelled
+        entry counts until it is popped, so the answer errs towards due."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= self._now
+
     # -- event factories -----------------------------------------------------
 
     def event(self) -> Event:

@@ -35,19 +35,9 @@ KILOJOULE = 1e3
 MEGAJOULE = 1e6
 
 
-def kb(n: float) -> float:
-    """``n`` decimal kilobytes expressed in bytes."""
-    return n * KB
-
-
 def mb(n: float) -> float:
     """``n`` decimal megabytes expressed in bytes."""
     return n * MB
-
-
-def gb(n: float) -> float:
-    """``n`` decimal gigabytes expressed in bytes."""
-    return n * GB
 
 
 def to_mb(nbytes: float) -> float:

@@ -9,8 +9,9 @@ shape.  A regression in any of the three mechanisms that keep the hit path
 lean fails here as a number, not as a slower wall clock:
 
 * **kernel events** -- an event that fires with nobody subscribed (an idle
-  slot's grant, a completion nobody waits for) is never dispatched, and a
-  window waits once for all its hits;
+  slot's grant, a completion nobody waits for) is never dispatched, a
+  window waits once for all its hits, and an uncontended request runs in
+  the process that waits for it;
 * **spans** -- the tenant rides the DES process, so serving without a
   tracer attached constructs no ``Span``;
 * **record copies** -- a window resolves its own chunks' records; nobody
@@ -34,28 +35,34 @@ TENANTS = ("t0", "t1", "t2", "t3")
 REQUESTS_PER_TENANT = 60
 
 #: Kernel events dispatched by the measured phase, exactly.  A request
-#: costs 7 at most: the scheduler loop woken by the submit, its wake on
-#: the (already granted) slot, the executing process's boot, the indexer
-#: latency, one cache wait for the whole window (the window is probed
-#: once; its hits' charges are summed into one timeout), the loop woken
-#: again by the completion, and the client's wake on ``done``.  An all-hit
+#: the queue would dispatch next with nothing in between runs in the
+#: waiting tenant's own process and costs 2: the indexer latency and one
+#: cache wait for the whole window (the window is probed once; its hits'
+#: charges are summed into one timeout).  Its completion hops once at zero
+#: delay only when another event is due at that instant, so the tenant
+#: resumes where the ``done`` wake would have resumed it.  An all-hit
 #: window yields no read barrier, and a prefetch whose predicted window is
-#: already resident is not launched.  A kick that finds the loop already
-#: awake is merged, which is where the remainder goes: 6.46 a request
-#: here, 7.02 at the end-to-end benchmark's own shape (its driver's slice
-#: barriers included).  With one timeout per hit, a wake on the empty
-#: barrier and resident prefetches launched, this phase dispatched 2570
-#: (10.71 a request; 11.27 at the benchmark's shape); before
-#: subscriber-less triggers stopped reaching the heap, 3350 (13.96), with
-#: 2219 spans and 953 whole-subset record copies.
+#: already resident is not launched.  A request that meets a same-instant
+#: neighbour takes the queue: the drain loop's wake, its wake on the
+#: already granted slot, the exec process's boot, the two waits, the
+#: client's wake on ``done`` and, when a neighbour is due then too, the
+#: loop's wake on the completion (a kick that finds the loop awake
+#: merges).  Four tenants with identical service times collide often
+#: here, so 129 of the 240 requests queue: 4.24 a request (2.33 at the
+#: end-to-end benchmark's own shape).  Before uncontended requests ran in
+#: place this phase dispatched 1551 (6.46; 7.02 at the benchmark's
+#: shape); with one timeout per hit, a wake on the empty barrier and
+#: resident prefetches launched, 2570 (10.71); before subscriber-less
+#: triggers stopped reaching the heap, 3350 (13.96), with 2219 spans and
+#: 953 whole-subset record copies.
 REQUESTS = len(TENANTS) * REQUESTS_PER_TENANT
-EVENTS = 1551
+EVENTS = 1017
 
 #: Simulated second the measured phase starts at.  The count depends on
 #: where float rounding of the absolute clock falls (it decides which
 #: event times tie, and so which kicks merge), so the phase starts at a
 #: fixed clock, not wherever the catalogue ingest and warm-up happened to
-#: end: it reads 1551 from 2, 4, 8 or 16 s alike.
+#: end: it reads 1017 from 2, 4, 8 or 16 s alike.
 PHASE_START_S = 2.0
 
 
