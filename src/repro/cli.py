@@ -203,14 +203,13 @@ BENCHES: Dict[str, Bench] = {
     "bench-codec": Bench(
         run_codec_bench, render_codec_bench,
         _RESULTS / "BENCH_codec.json",
-        _flags("natoms", "nframes", "keyframe_interval", "workers",
-               "repeats"),
+        _flags("natoms", "nframes", "keyframe_interval", "repeats"),
     ),
     "bench-ingest": Bench(
         run_ingest_bench, render_ingest_bench,
         _RESULTS / "BENCH_ingest.json",
         _flags("natoms", "nframes", "keyframe_interval", "window_frames",
-               "depth", "seed", "workers"),
+               "depth", "seed"),
     ),
     "bench-insitu": Bench(
         run_insitu_bench, render_insitu_bench,
@@ -278,12 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="(bench-codec/-ingest/-insitu) trajectory frames")
     bench.add_argument("--keyframe-interval", type=int,
                        help="(bench-codec/-ingest/-insitu) frames per GOF")
-    bench.add_argument("--workers", type=int,
-                       help="host-side codec worker processes: the sweep "
-                            "row the headline quotes (bench-codec; 0 = the "
-                            "sweep maximum) and the ingest pre-processor's "
-                            "GOF fan-out (bench-ingest; 0 = one per CPU, "
-                            "unset or 1 = serial)")
     bench.add_argument("--repeats", type=int,
                        help="(bench-codec) best-of-N timing repeats")
     bench.add_argument("--nchunks", type=int,

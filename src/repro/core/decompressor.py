@@ -4,26 +4,20 @@ Wraps the XTC codec for ADA's storage-side use: "the data decompressor
 will be invoked if the original data is compressed" (§3.1).  Pass-through
 for raw containers, so the pre-processor accepts either representation.
 
-Two performance knobs ride along with the codec's hot path:
-
-* ``workers`` -- groups of frames decode concurrently in worker processes
-  (see :func:`repro.formats.xtc.resolve_workers`); results are
-  bit-identical to a serial decode, so callers opt in freely.
-* a small :class:`~repro.formats.xtc.FrameIndex` cache -- repeated queries
-  against the same blob (``frame_count`` then ``raw_nbytes`` then
-  ``decompress``, the pre-processor's exact sequence) share one header
-  scan instead of rescanning the stream each call.
+A small :class:`~repro.formats.xtc.FrameIndex` cache rides along with the
+codec's hot path: repeated queries against the same blob (``frame_count``
+then ``raw_nbytes`` then ``decompress``, the pre-processor's exact
+sequence) share one header scan instead of rescanning the stream each
+call.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import CodecError
-from repro.formats.codecexec import CodecPool
 from repro.formats.dcd import (
     DCD_MAGIC,
     dcd_frame_count,
@@ -44,7 +38,6 @@ from repro.formats.xtc import (
     decode_frame_range,
     decode_xtc,
     decode_raw,
-    resolve_workers,
 )
 
 __all__ = ["Decompressor", "TrajectoryWindow"]
@@ -80,20 +73,11 @@ class TrajectoryWindow:
 class Decompressor:
     """Format-sniffing trajectory decoder.
 
-    ``workers`` is forwarded to :func:`repro.formats.xtc.decode_xtc` for
-    group-of-frames parallel decode; the last :data:`INDEX_CACHE_SIZE`
-    blobs keep a cached :class:`FrameIndex` (LRU, keyed by blob identity);
-    ``metrics`` is the registry pool lifecycle lands in (ambient global by
-    default).
+    The last :data:`INDEX_CACHE_SIZE` blobs keep a cached
+    :class:`FrameIndex` (LRU, keyed by blob identity).
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        metrics=None,
-    ):
-        self.workers = workers
-        self.metrics = metrics
+    def __init__(self):
         # id(blob) -> (blob, FrameIndex).  Holding the blob keeps the id
         # stable (and the entry is verified by identity before use, so a
         # recycled id can never alias a different blob).
@@ -109,33 +93,6 @@ class Decompressor:
         )
         self.index_hits = 0
         self.index_misses = 0
-        # Persistent codec pool: one pool for the life of the decompressor
-        # instead of one per decode call (streaming ingest decodes a window
-        # at a time -- per-call pool construction would dominate).
-        self._executor: Optional[CodecPool] = None
-
-    def _pool(self) -> Optional[CodecPool]:
-        """The lazily-created persistent worker pool (None when serial)."""
-        # Sized by ``workers`` alone: the pool outlives any one stream, and
-        # each call caps its own fan-out at its number of groups of frames.
-        size = resolve_workers(self.workers, sys.maxsize)
-        if size <= 1:
-            return None
-        if self._executor is None:
-            self._executor = CodecPool(size, metrics=self.metrics)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "Decompressor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     @staticmethod
     def sniff(data: bytes) -> str:
@@ -181,12 +138,7 @@ class Decompressor:
         """Decode any supported container into an in-memory trajectory."""
         kind = self.sniff(data)
         if kind == "xtc":
-            return decode_xtc(
-                data,
-                workers=self.workers,
-                index=self.frame_index(data),
-                executor=self._pool(),
-            )
+            return decode_xtc(data, index=self.frame_index(data))
         if kind == "dcd":
             return decode_dcd(data)
         if kind == "trr":
@@ -242,12 +194,7 @@ class Decompressor:
         kind = self.sniff(data)
         if kind == "xtc":
             return decode_frame_range(
-                data,
-                start,
-                stop,
-                index=self.frame_index(data),
-                workers=self.workers,
-                executor=self._pool(),
+                data, start, stop, index=self.frame_index(data)
             )
         if kind == "trr":
             trajectory, _velocities = decode_trr_range(data, start, stop)

@@ -79,7 +79,6 @@ class ADA(DataPlane):
         storage_cpu: Optional[ComputeNode] = None,
         storage_cpus: Optional[List[ComputeNode]] = None,
         subset_format: str = "raw",
-        workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         block_cache: Optional[BlockCache] = None,
@@ -141,16 +140,10 @@ class ADA(DataPlane):
         self.fault_plan = fault_plan
         if fault_plan is not None:
             fault_plan.attach_to(self)
-        # ``workers`` fans the pre-processor's codec calls out to worker
-        # processes (see ``repro.formats.codecexec``); host-side
-        # parallelism only: simulated timings and stored bytes are
-        # identical at any worker count.
         self.preprocessor = DataPreProcessor(
             self.policy,
             subset_format=subset_format,
-            workers=workers,
             lod_precision=lod_precision,
-            metrics=self.metrics,
         )
         # Tier-selection state (see :meth:`_under_pressure`).
         self._lod_last_degradation: Optional[float] = None

@@ -9,7 +9,6 @@ every read, on a compute node, as the traditional workflow does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Iterator, Optional
 
 from repro.core.categorizer import Categorizer
@@ -102,9 +101,7 @@ class DataPreProcessor:
         self,
         policy: TagPolicy = None,
         subset_format: str = "raw",
-        workers: Optional[int] = None,
         lod_precision: Optional[float] = None,
-        metrics=None,
     ):
         if subset_format not in SUBSET_ENCODERS:
             raise ValueError(
@@ -115,23 +112,18 @@ class DataPreProcessor:
             lod_max_error(lod_precision)  # validates > 0
         self.policy = policy or TagPolicy.protein_vs_misc()
         self.subset_format = subset_format
-        self.workers = workers
         self.lod_precision = (
             float(lod_precision) if lod_precision is not None else None
         )
-        self.metrics = metrics
         self.categorizer = Categorizer(self.policy)
-        self.decompressor = Decompressor(workers=workers, metrics=metrics)
+        self.decompressor = Decompressor()
 
     def close(self) -> None:
-        """Shut down the decompressor's persistent pool (idempotent)."""
-        self.decompressor.close()
+        """Nothing to release: the codec holds no processes or buffers.
 
-    def __enter__(self) -> "DataPreProcessor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        Kept because ``benchmarks/e2e/workloads.py`` calls it at teardown,
+        and that directory changes only with the benchmark.
+        """
 
     def analyze_structure(self, pdb_text: str) -> LabelMap:
         """Algorithm 1 applied to a ``.pdb`` file."""
@@ -206,20 +198,13 @@ class DataPreProcessor:
         downstream applies to the cheap tier unchanged.
         """
         split = self.categorizer.split(trajectory, label_map)
-        # Every compressed encode fans its groups of frames out under
-        # ``workers`` (subset sizes are wildly uneven, so per-GOF work
-        # units balance far better than per-tag ones); raw and dcd
-        # containers are a header plus a copy and encode inline.
-        if self.subset_format == "xtc":
-            encoder = partial(encode_xtc, workers=self.workers)
-        else:
-            encoder = SUBSET_ENCODERS[self.subset_format]
+        encoder = SUBSET_ENCODERS[self.subset_format]
         # Base tags first (the chunk-claim order), then the LOD siblings.
         subsets = {tag: encoder(sub) for tag, sub in split.items()}
         if self.lod_precision is not None:
             for tag, sub in split.items():
                 subsets[lod_tag(tag)] = encode_xtc(
-                    sub, precision=self.lod_precision, workers=self.workers
+                    sub, precision=self.lod_precision
                 )
         return subsets
 

@@ -26,7 +26,6 @@ from repro.formats.xtc import (
     encode_xtc,
     iter_frame_infos,
     raw_frame_nbytes,
-    resolve_workers,
 )
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "iter_frame_infos",
     "parse_pdb",
     "raw_frame_nbytes",
-    "resolve_workers",
     "write_pdb",
 ]

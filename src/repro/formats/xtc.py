@@ -41,16 +41,11 @@ Performance model (the materialized-mode hot path):
   one block layout as one bitstream into one int64 matrix, unzigzags it
   once, rebuilds it with in-place prefix sums and converts kept frames
   with one reciprocal multiply -- so per-frame Python overhead
-  disappears and each task spends its time inside GIL-releasing C loops
+  disappears and each GOF spends its time inside numpy and zlib C loops
   (on encode, most of it inside the one deflate per frame);
 * keyframes every ``keyframe_interval`` partition a stream into
-  independently codable **groups of frames** (GOFs); ``encode_xtc`` /
-  ``decode_xtc`` accept ``workers=N`` and, when that resolves to more
-  than one worker (:func:`resolve_workers`), fan GOFs out to the worker
-  processes of :mod:`repro.formats.codecexec`, which exchange coordinates
-  through shared memory.  Parallel output is bit-identical to serial
-  because each GOF is self-contained and results are reassembled in
-  stream order;
+  independently codable **groups of frames** (GOFs), each encoded and
+  decoded by the batch kernels above, in stream order;
 * a :class:`FrameIndex` captures one header scan (offsets, keyframe
   anchors) and makes every subsequent :func:`decode_frame_range` /
   frame-count / size query O(1) in the number of frames outside the
@@ -63,7 +58,6 @@ import bisect
 import functools
 import math
 import operator
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -72,12 +66,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CodecError
-from repro.formats.codecexec import (
-    CodecPool,
-    process_decode,
-    process_encode,
-    shared_pool,
-)
 from repro.formats.trajectory import BYTES_PER_COORD, Trajectory
 
 __all__ = [
@@ -91,7 +79,6 @@ __all__ = [
     "iter_frame_infos",
     "count_frames",
     "raw_frame_nbytes",
-    "resolve_workers",
     "encode_raw",
     "decode_raw",
     "raw_container_nbytes",
@@ -623,26 +610,6 @@ def _unpack_frames(dst: np.ndarray, runs, frames) -> None:
             dst[rows, start : start + count] = grid[:, :count]
 
 
-def resolve_workers(workers: Optional[int], ntasks: int) -> int:
-    """Effective worker count for ``ntasks`` independent codec tasks.
-
-    ``None`` or ``1`` means serial, ``0`` means one worker per CPU (so
-    serial on a one-CPU host), and any positive count is capped at the
-    number of tasks.  A result above 1 is the whole selection rule: the
-    call fans out to a :class:`~repro.formats.codecexec.CodecPool`,
-    otherwise it runs the serial kernel.  Worker count never changes
-    results -- only how GOFs are scheduled.
-    """
-    if workers is None:
-        return 1
-    workers = int(workers)
-    if workers < 0:
-        raise CodecError(f"workers must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, ntasks))
-
-
 def _encode_gof(
     trajectory: Trajectory,
     start: int,
@@ -696,31 +663,18 @@ def _encode_gof(
     return b"".join(chunks)
 
 
-def _fanout_pool(executor: Optional[CodecPool], nworkers: int) -> CodecPool:
-    """The pool a fanned-out call runs on: the caller's long-lived one,
-    else the process-lifetime shared pool (no per-call construction)."""
-    return executor if executor is not None else shared_pool(nworkers)
-
-
 def encode_xtc(
     trajectory: Trajectory,
     precision: float = DEFAULT_PRECISION,
     keyframe_interval: int = 100,
-    workers: Optional[int] = None,
-    executor: Optional[CodecPool] = None,
 ) -> bytes:
     """Serialize a trajectory to an XTC-like compressed byte stream.
 
     ``keyframe_interval`` inserts an independently-decodable I-frame every
     N frames (video-codec style), bounding how far
-    :func:`decode_frame_range` must rewind for random access.  Because each
-    group of frames (keyframe to keyframe) is encoded against only its own
-    frames, GOFs are embarrassingly parallel: ``workers`` (see
-    :func:`resolve_workers`) fans them out to worker processes reading
-    coordinates from a shared-memory segment, and the concatenated result
-    is bit-identical to a serial encode.  ``executor`` supplies a caller's
-    long-lived :class:`~repro.formats.codecexec.CodecPool`; without one
-    the process-lifetime shared pool is reused.
+    :func:`decode_frame_range` must rewind for random access.  Each group
+    of frames (keyframe to keyframe) is encoded against only its own
+    frames.
     """
     _check_precision(precision)
     if keyframe_interval < 1:
@@ -738,12 +692,6 @@ def encode_xtc(
         (s, min(s + keyframe_interval, nframes))
         for s in range(0, nframes, keyframe_interval)
     ]
-    nworkers = resolve_workers(workers, len(spans))
-    if nworkers > 1:
-        return process_encode(
-            trajectory, spans, precision, box9,
-            _fanout_pool(executor, nworkers), nworkers,
-        )
     return b"".join(
         _encode_gof(trajectory, s, e, precision, box9) for s, e in spans
     )
@@ -861,15 +809,6 @@ class FrameIndex:
         bounds = self.keyframes + [len(self.infos)]
         return list(zip(bounds, bounds[1:]))
 
-    def gofs_overlapping(self, start: int, stop: int) -> List[Tuple[int, int]]:
-        """Spans of the GOFs holding frames ``[start, stop)``: the first
-        begins at ``anchor(start)``, the last is cut at ``stop``.  Found by
-        bisection -- a seek never walks the stream's other GOFs."""
-        first = bisect.bisect_right(self.keyframes, start) - 1
-        last = bisect.bisect_left(self.keyframes, stop)
-        bounds = self.keyframes[first:last] + [stop]
-        return list(zip(bounds, bounds[1:]))
-
 
 def _header_box(data: bytes, offset: int) -> Optional[np.ndarray]:
     """Box matrix stored in the frame header at ``offset`` (None if zero)."""
@@ -967,8 +906,7 @@ def _decode_run(
     (or view); frames before ``keep_from`` are decoded for prediction state
     but not materialized.  Each group of frames decodes through the batched
     :func:`_decode_gof_ints` kernel and dequantizes straight into its output
-    slice -- no per-frame allocation, no final ``np.stack`` copy -- which
-    also lets parallel GOF workers fill disjoint slices of one shared array.
+    slice -- no per-frame allocation, no final ``np.stack`` copy.
     """
     view = memoryview(data)  # per-frame payload slices stay zero-copy
     natoms = infos[0].natoms if infos else 0
@@ -988,9 +926,7 @@ def _decode_run(
 
 def decode_xtc(
     data: bytes,
-    workers: Optional[int] = None,
     index: Optional[FrameIndex] = None,
-    executor: Optional[CodecPool] = None,
 ) -> Trajectory:
     """Decompress an XTC stream into a :class:`Trajectory`.
 
@@ -998,27 +934,13 @@ def decode_xtc(
     that an atom selection cannot happen before decompression; filter the
     result with :meth:`Trajectory.select_atoms`.
 
-    ``workers`` (see :func:`resolve_workers`) decodes independent groups of
-    frames concurrently: worker processes fill disjoint slices of a
-    shared-memory coordinate array, returned zero-copy, so the output is
-    bit-identical to a serial decode.  ``index`` reuses an existing
-    :class:`FrameIndex` instead of rescanning headers; ``executor`` reuses
-    a caller's long-lived
-    :class:`~repro.formats.codecexec.CodecPool` (the
-    :class:`~repro.core.decompressor.Decompressor` holds one for its read
-    path); without one the process-lifetime shared pool is reused.
+    ``index`` reuses an existing :class:`FrameIndex` instead of rescanning
+    headers.
     """
     idx = index if index is not None else FrameIndex.build(data)
     infos = idx.infos
-    gofs = idx.gofs()
-    nworkers = resolve_workers(workers, len(gofs))
-    if nworkers > 1:
-        coords = process_decode(
-            data, infos, gofs, _fanout_pool(executor, nworkers), nworkers
-        )
-    else:
-        coords = np.empty((len(infos), idx.natoms, 3), dtype=np.float32)
-        _decode_run(data, infos, coords)
+    coords = np.empty((len(infos), idx.natoms, 3), dtype=np.float32)
+    _decode_run(data, infos, coords)
     return Trajectory(
         coords=coords,
         steps=[i.step for i in infos],
@@ -1032,8 +954,6 @@ def decode_frame_range(
     start: int,
     stop: int,
     index: Optional[FrameIndex] = None,
-    workers: Optional[int] = None,
-    executor: Optional[CodecPool] = None,
 ) -> Trajectory:
     """Decode only frames ``[start, stop)`` of an XTC stream.
 
@@ -1043,8 +963,7 @@ def decode_frame_range(
     streaming playback layer uses to animate trajectories that do not fit
     in memory.  Passing ``index`` (a prebuilt :class:`FrameIndex`) skips the
     per-call header scan, making windowed playback O(window) instead of
-    O(file) per window.  ``workers``/``executor`` fan the window's groups
-    of frames out exactly as in :func:`decode_xtc`.
+    O(file) per window.
     """
     try:
         start = operator.index(start)
@@ -1057,21 +976,10 @@ def decode_frame_range(
         raise CodecError(
             f"frame range [{start}, {stop}) outside [0, {nframes})"
         )
-    spans = idx.gofs_overlapping(start, stop)
-    anchor = spans[0][0]
+    anchor = idx.anchor(start)  # bisection: never walks the other GOFs
     infos = idx.infos[anchor:stop]
-    keep_from = start - anchor
-    # Groups of frames overlapping the window, relative to the anchor.
-    rel = [(s - anchor, e - anchor) for s, e in spans]
-    nworkers = resolve_workers(workers, len(rel))
-    if nworkers > 1:
-        coords = process_decode(
-            data, infos, rel, _fanout_pool(executor, nworkers), nworkers,
-            keep_from=keep_from,
-        )
-    else:
-        coords = np.empty((stop - start, idx.natoms, 3), dtype=np.float32)
-        _decode_run(data, infos, coords, keep_from=keep_from)
+    coords = np.empty((stop - start, idx.natoms, 3), dtype=np.float32)
+    _decode_run(data, infos, coords, keep_from=start - anchor)
     kept = idx.infos[start:stop]
     return Trajectory(
         coords=coords,

@@ -1,10 +1,10 @@
 """Codec throughput benchmark with a frozen pre-PR kernel baseline.
 
-Produces the machine-readable ``BENCH_codec.json`` record (schema v3):
-encode/decode MB/s, a measured {1, 2, 4, 8}-worker sweep,
+Produces the machine-readable ``BENCH_codec.json`` record (schema v4):
+serial encode/decode MB/s, the stream's compression ratio, and
 ``baseline_ratio`` -- serial decode throughput of the vectorized kernels
-relative to the seed's bit-matrix kernels -- and a full metrics-registry
-snapshot of the pools' lifecycle.
+relative to the seed's bit-matrix kernels.  Every gated number is a
+measured serial rate or a byte count.
 
 The baseline is *embedded* here rather than checked out from history:
 :func:`legacy_decode_xtc` decodes the exact same stream with the seed's
@@ -13,55 +13,18 @@ strategy -- an O(count x nbits) bit-matrix expansion per block
 with fresh allocations at every step, and a final ``np.stack``.  Only the
 container parsing (header struct, stored-payload flag, block size) tracks
 the current format so both kernels read identical bytes.
-
-Gating methodology.  The >= 3x decode / >= 2x encode floors gate on a
-*projected* critical-path speedup rather than measured wall clock, so the
-record is meaningful on any host (CI boxes routinely expose one core,
-where a wall-clock 3x is physically impossible).  The projection is built
-from measured quantities only::
-
-    projected(w) = serial_s / (fixed_s + makespan(w) + overhead(w))
-
-* per-GOF kernel costs are timed one group of frames at a time through
-  the same ``_decode_run`` / ``_encode_gof`` entry points the dispatcher
-  calls, each sample into a freshly allocated output buffer so
-  first-touch page faulting is charged as parallelizable work (process
-  workers fault their disjoint shared-memory slices concurrently);
-* ``makespan(w)`` is the largest chunk-sum of those costs under the exact
-  byte-weighted (decode) / frame-weighted (encode) contiguous partition
-  ``codecexec`` dispatches -- the parallel critical path with all
-  scheduling assumptions identical to the real executor;
-* ``fixed_s`` is the measured serial wall time minus the summed GOF
-  costs (index scan, argument staging -- work that does not parallelize),
-  clamped at zero;
-* ``overhead(w)`` is the measured wall time of a real process-pool
-  dispatch with the kernels stubbed out (:func:`probe_decode_overhead` /
-  :func:`probe_encode_overhead`): shared-memory create/attach/unlink,
-  the parent-side memcpy of the compressed runs into the segment's blob
-  region, task pickling, and the pool round trip.
-
-Measured wall-clock sweep numbers are recorded alongside (``sweep``) so
-multi-core hosts can see the realized speedup; ``bit_identical`` asserts
-every worker count reproduced the serial bytes exactly.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 import zlib
 
 from repro.errors import CodecError
-from repro.formats.codecexec import (
-    CodecPool,
-    partition_weighted,
-    probe_decode_overhead,
-    probe_encode_overhead,
-)
 from repro.formats.trajectory import Trajectory
 from repro.formats.xtc import (
     _BLOCK_VALUES,
@@ -69,45 +32,34 @@ from repro.formats.xtc import (
     _FLAG_STORED,
     _HEADER,
     _PAYLOAD_HEAD,
-    DEFAULT_PRECISION,
     FrameIndex,
-    _decode_run,
-    _encode_gof,
     _header_box,
     decode_xtc,
     encode_xtc,
     iter_frame_infos,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.units import to_mb
 
 __all__ = [
     "FLOORS",
-    "WORKER_SWEEP",
     "all_deflate_stream",
     "legacy_decode_xtc",
     "render_codec_bench",
     "run_codec_bench",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-#: Worker counts every sweep exercises (and the projection is evaluated at).
-WORKER_SWEEP = (1, 2, 4, 8)
-
-#: What ``pass`` requires.  Speedups are the projected critical-path values
-#: at 8 process workers (see module docstring); ``baseline_ratio`` is
-#: measured serial wall clock vs the frozen seed kernel.  The ratio floor
-#: sits at 2.0 because this workload is deliberately P-frame heavy
-#: (``keyframe_interval=12`` over 384 frames) -- delta payloads are
-#: smaller and cheaper for *both* kernels, which compresses the gap the
-#: v1 I-frame-heavy mix showed (~3.1x); the floor still trips hard if the
-#: seed kernel's per-frame full-deflate path is ever reintroduced (~1x).
-#: ``compression_ratio`` is bytes, not wall clock (3.452x with level-6
-#: deflate, 3.453x Huffman-only): an entropy stage that costs ratio fails.
+#: What ``pass`` requires.  ``baseline_ratio`` is measured serial wall
+#: clock vs the frozen seed kernel.  Its floor sits at 2.0 because this
+#: workload is deliberately P-frame heavy (``keyframe_interval=12`` over
+#: 384 frames) -- delta payloads are smaller and cheaper for *both*
+#: kernels, which compresses the gap the v1 I-frame-heavy mix showed
+#: (~3.1x); the floor still trips hard if the seed kernel's per-frame
+#: full-deflate path is ever reintroduced (~1x).  ``compression_ratio`` is
+#: bytes, not wall clock (3.452x with level-6 deflate, 3.453x
+#: Huffman-only): an entropy stage that costs ratio fails.
 FLOORS = {
-    "decode_parallel_speedup_8w": 3.0,
-    "encode_parallel_speedup_8w": 2.0,
     "baseline_ratio": 2.0,
     "compression_ratio": 3.45,
 }
@@ -227,294 +179,84 @@ def all_deflate_stream(data: bytes, level: int = 6) -> bytes:
 # -- measurement --------------------------------------------------------------
 
 
-def _best_seconds(
-    fn: Callable[[], object], repeats: int
-) -> "Tuple[float, object]":
-    """Best-of-N wall seconds (+ last result) -- the minimum filters
-    scheduler noise; the result feeds the bit-identity checks for free."""
+def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
+    """Best-of-N wall seconds -- the minimum filters scheduler noise."""
     best = float("inf")
-    result: object = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        result = fn()
+        fn()
         best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def _makespan(costs: Sequence[float], weights: Sequence[float], w: int) -> float:
-    """Critical path of ``costs`` under the dispatcher's contiguous
-    ``weights``-balanced partition into ``w`` chunks."""
-    return max(
-        sum(costs[lo:hi]) for lo, hi in partition_weighted(weights, w)
-    )
+    return best
 
 
 def run_codec_bench(
     natoms: int = 8000,
     nframes: int = 384,
     keyframe_interval: int = 12,
-    workers: int = 0,
     repeats: int = 3,
     seed: int = 7,
 ) -> dict:
     """Measure codec throughput; returns the ``BENCH_codec.json`` record.
 
-    ``workers`` picks which sweep row the headline ``encode_mb_s``/
-    ``decode_mb_s`` parallel entries quote; ``0`` resolves to the sweep
-    maximum (8 -- the gated configuration).  Rates are best-of-``repeats``
-    so a noisy run cannot understate them; the floors gate on the
-    projected critical path either way (see module docstring).
+    Rates are best-of-``repeats`` so a noisy run cannot understate them.
     """
     from repro.workloads import build_workload
 
-    registry = MetricsRegistry()
     workload = build_workload(natoms=natoms, nframes=nframes, seed=seed)
     trajectory = workload.trajectory
     raw_nbytes = trajectory.nbytes
     blob = encode_xtc(trajectory, keyframe_interval=keyframe_interval)
-    idx = FrameIndex.build(blob)
-    gofs = idx.gofs()
-    ngofs = len(gofs)
-    nworkers = max(WORKER_SWEEP) if workers == 0 else max(1, int(workers))
-
-    # -- serial + legacy baselines ---------------------------------------
-    encode_serial_s, _ = _best_seconds(
+    legacy_blob = all_deflate_stream(blob)
+    encode_s = _best_seconds(
         lambda: encode_xtc(trajectory, keyframe_interval=keyframe_interval),
         repeats,
     )
-    decode_serial_s, reference = _best_seconds(
-        lambda: decode_xtc(blob), repeats
-    )
-    legacy_blob = all_deflate_stream(blob)
-    decode_legacy_s, _ = _best_seconds(
-        lambda: legacy_decode_xtc(legacy_blob), repeats
-    )
-    encode_serial = to_mb(raw_nbytes) / encode_serial_s
-    decode_serial = to_mb(raw_nbytes) / decode_serial_s
-    decode_legacy = to_mb(raw_nbytes) / decode_legacy_s
+    decode_s = _best_seconds(lambda: decode_xtc(blob), repeats)
+    legacy_s = _best_seconds(lambda: legacy_decode_xtc(legacy_blob), repeats)
 
-    # -- per-GOF kernel costs (the projection's work terms) --------------
-    # Each timing pass decodes into a fresh anonymous mmap so first-touch
-    # page faulting counts as per-GOF (parallelizable) work -- in the
-    # real process path workers fault their disjoint shm slices
-    # concurrently.  A recycled heap buffer (np.empty reuses freed,
-    # already-faulted pages) would leak that cost into fixed_s and charge
-    # it as serial.
-    decode_costs = [float("inf")] * ngofs
-    for _ in range(repeats):
-        raw_map = mmap.mmap(-1, len(idx) * idx.natoms * 3 * 4)
-        fresh = np.frombuffer(raw_map, dtype=np.float32).reshape(
-            len(idx), idx.natoms, 3
-        )
-        for i, (s, e) in enumerate(gofs):
-            t0 = time.perf_counter()
-            _decode_run(blob, idx.infos[s:e], fresh[s:e])
-            decode_costs[i] = min(
-                decode_costs[i], time.perf_counter() - t0
-            )
-        del fresh
-        raw_map.close()
-    box9 = tuple(
-        float(v)
-        for v in (
-            trajectory.box.reshape(9)
-            if trajectory.box is not None
-            else np.zeros(9, dtype=np.float32)
-        )
-    )
-    encode_costs = [
-        _best_seconds(
-            lambda s=s, e=e: _encode_gof(
-                trajectory, s, e, DEFAULT_PRECISION, box9
-            ),
-            repeats,
-        )[0]
-        for s, e in gofs
-    ]
-    decode_weights = [
-        (idx.infos[e - 1].offset + idx.infos[e - 1].total_nbytes)
-        - idx.infos[s].offset
-        for s, e in gofs
-    ]
-    encode_weights = [float(e - s) for s, e in gofs]
-    decode_fixed_s = max(0.0, decode_serial_s - sum(decode_costs))
-    encode_fixed_s = max(0.0, encode_serial_s - sum(encode_costs))
-
-    # -- dispatch overhead + projection -----------------------------------
-    spans = gofs
-    projected_decode: dict = {}
-    projected_encode: dict = {}
-    decode_overhead: dict = {}
-    encode_overhead: dict = {}
-    with CodecPool(max(WORKER_SWEEP), metrics=registry) as probe_pool:
-        for w in WORKER_SWEEP:
-            d_over, _ = _best_seconds(
-                lambda w=w: probe_decode_overhead(
-                    blob, idx.infos, gofs, probe_pool, w
-                ),
-                max(2, repeats),
-            )
-            e_over, _ = _best_seconds(
-                lambda w=w: probe_encode_overhead(
-                    trajectory, spans, DEFAULT_PRECISION, box9, probe_pool, w,
-                ),
-                max(2, repeats),
-            )
-            decode_overhead[str(w)] = round(d_over, 6)
-            encode_overhead[str(w)] = round(e_over, 6)
-            projected_decode[str(w)] = round(
-                decode_serial_s
-                / (
-                    decode_fixed_s
-                    + _makespan(decode_costs, decode_weights, w)
-                    + d_over
-                ),
-                2,
-            )
-            projected_encode[str(w)] = round(
-                encode_serial_s
-                / (
-                    encode_fixed_s
-                    + _makespan(encode_costs, encode_weights, w)
-                    + e_over
-                ),
-                2,
-            )
-
-    # -- measured wall-clock sweep, bit-identity ---------------------------
-    sweep: dict = {}
-    bit_identical = True
-    with CodecPool(max(WORKER_SWEEP), metrics=registry) as pool:
-        for w in WORKER_SWEEP:
-            dec_s, traj = _best_seconds(
-                lambda w=w: decode_xtc(
-                    blob, workers=w, index=idx, executor=pool
-                ),
-                repeats,
-            )
-            enc_s, reblob = _best_seconds(
-                lambda w=w: encode_xtc(
-                    trajectory,
-                    keyframe_interval=keyframe_interval,
-                    workers=w,
-                    executor=pool,
-                ),
-                repeats,
-            )
-            bit_identical = bit_identical and (
-                np.array_equal(traj.coords, reference.coords)
-                and np.array_equal(traj.steps, reference.steps)
-                and np.array_equal(traj.times_ps, reference.times_ps)
-                and reblob == blob
-            )
-            sweep[str(w)] = {
-                "decode_mb_s": round(to_mb(raw_nbytes) / dec_s, 1),
-                "encode_mb_s": round(to_mb(raw_nbytes) / enc_s, 1),
-                "decode_speedup": round(decode_serial_s / dec_s, 2),
-                "encode_speedup": round(encode_serial_s / enc_s, 2),
-            }
-    # Zero-copy decode results keep their shm mapping alive; drop the last
-    # one so the metrics snapshot below records codec_shm_active == 0.
-    traj = None
-
-    gate_w = str(max(WORKER_SWEEP))
-    headline = sweep.get(str(nworkers), sweep[gate_w])
-    baseline_ratio = round(decode_serial / decode_legacy, 2)
-    floors_ok = (
-        projected_decode[gate_w] >= FLOORS["decode_parallel_speedup_8w"]
-        and projected_encode[gate_w] >= FLOORS["encode_parallel_speedup_8w"]
-        and baseline_ratio >= FLOORS["baseline_ratio"]
-        and raw_nbytes / len(blob) >= FLOORS["compression_ratio"]
-    )
-
+    compression_ratio = raw_nbytes / len(blob)
+    baseline_ratio = round(legacy_s / decode_s, 2)
     return {
         "schema_version": SCHEMA_VERSION,
         "workload": {
             "natoms": trajectory.natoms,
             "nframes": trajectory.nframes,
             "keyframe_interval": keyframe_interval,
-            "gofs": ngofs,
+            "gofs": len(FrameIndex.build(blob).gofs()),
             "raw_mb": round(to_mb(raw_nbytes), 3),
             "compressed_mb": round(to_mb(len(blob)), 3),
-            "compression_ratio": round(raw_nbytes / len(blob), 3),
+            "compression_ratio": round(compression_ratio, 3),
             "seed": seed,
         },
         "host": {"cpus": os.cpu_count() or 1},
-        "workers": nworkers,
-        "workers_swept": list(WORKER_SWEEP),
         "repeats": repeats,
-        "encode_mb_s": {
-            "serial": round(encode_serial, 1),
-            "parallel": headline["encode_mb_s"],
-        },
-        "decode_mb_s": {
-            "serial": round(decode_serial, 1),
-            "parallel": headline["decode_mb_s"],
-            "legacy_kernel": round(decode_legacy, 1),
-        },
+        "encode_mb_s": round(to_mb(raw_nbytes) / encode_s, 1),
+        "decode_mb_s": round(to_mb(raw_nbytes) / decode_s, 1),
+        "legacy_decode_mb_s": round(to_mb(raw_nbytes) / legacy_s, 1),
         "baseline_ratio": baseline_ratio,
-        "sweep": sweep,
-        "projected_speedup": {
-            "model": (
-                "serial_s / (fixed_s + makespan(w) + dispatch_overhead(w)); "
-                "per-GOF costs measured serially into fresh mmaps (page "
-                "faults count as parallelizable work), makespan under the "
-                "dispatcher's weighted contiguous partition, overhead from "
-                "a kernel-stubbed pool dispatch through the real "
-                "shm+pool machinery"
-            ),
-            "decode": projected_decode,
-            "encode": projected_encode,
-            "decode_fixed_s": round(decode_fixed_s, 6),
-            "encode_fixed_s": round(encode_fixed_s, 6),
-            "decode_overhead_s": decode_overhead,
-            "encode_overhead_s": encode_overhead,
-        },
-        "parallel_speedup": {
-            "decode": projected_decode[gate_w],
-            "encode": projected_encode[gate_w],
-            "basis": "projected_process_critical_path_8w",
-            "measured": {
-                "decode": sweep[gate_w]["decode_speedup"],
-                "encode": sweep[gate_w]["encode_speedup"],
-            },
-        },
-        "bit_identical": bit_identical,
         "floors": dict(FLOORS),
-        "pass": bool(floors_ok and bit_identical),
-        "metrics": registry.to_json(),
+        "pass": bool(
+            baseline_ratio >= FLOORS["baseline_ratio"]
+            and compression_ratio >= FLOORS["compression_ratio"]
+        ),
     }
 
 
 def render_codec_bench(result: dict) -> str:
     """Human-readable summary of a :func:`run_codec_bench` record."""
     w = result["workload"]
-    enc, dec = result["encode_mb_s"], result["decode_mb_s"]
-    speedup = result["parallel_speedup"]
-    lines = [
-        "Codec throughput (MB/s of raw frames)",
-        f"  workload: {w['natoms']} atoms x {w['nframes']} frames "
-        f"({w['raw_mb']} MB raw, ratio {w['compression_ratio']}x, "
-        f"keyframe interval {w['keyframe_interval']}, {w['gofs']} GOFs)",
-        f"  host: {result['host']['cpus']} cpu(s)",
-        f"  encode: serial {enc['serial']}, "
-        f"parallel[x{result['workers']}] {enc['parallel']}",
-        f"  decode: serial {dec['serial']}, "
-        f"parallel[x{result['workers']}] {dec['parallel']}, "
-        f"legacy kernel {dec['legacy_kernel']}",
-        f"  baseline_ratio: {result['baseline_ratio']}x over the pre-PR kernel",
-        "  sweep (measured speedup @ workers):",
-    ]
-    for op in ("decode", "encode"):
-        entries = ", ".join(
-            f"{wk}w {cell[f'{op}_speedup']}x"
-            for wk, cell in result["sweep"].items()
-        )
-        lines.append(f"    {op}: {entries}")
-    lines += [
-        f"  projected (critical path): "
-        f"decode {speedup['decode']}x, encode {speedup['encode']}x @ 8w",
-        f"  bit_identical: {result['bit_identical']}",
-        f"  pass: {result['pass']} (floors: {result['floors']})",
-    ]
-    return "\n".join(lines)
+    return "\n".join(
+        [
+            "Codec throughput (MB/s of raw frames, serial)",
+            f"  workload: {w['natoms']} atoms x {w['nframes']} frames "
+            f"({w['raw_mb']} MB raw, ratio {w['compression_ratio']}x, "
+            f"keyframe interval {w['keyframe_interval']}, {w['gofs']} GOFs)",
+            f"  host: {result['host']['cpus']} cpu(s)",
+            f"  encode: {result['encode_mb_s']}",
+            f"  decode: {result['decode_mb_s']}, "
+            f"legacy kernel {result['legacy_decode_mb_s']}",
+            f"  baseline_ratio: {result['baseline_ratio']}x over the pre-PR "
+            "kernel",
+            f"  pass: {result['pass']} (floors: {result['floors']})",
+        ]
+    )

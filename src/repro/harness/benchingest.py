@@ -31,7 +31,7 @@ overrides).  ``FLOORS`` holds the regression gate.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core import IngestPipelineConfig
 from repro.harness.benchkit import (
@@ -63,7 +63,6 @@ def _scenario(
     window_frames: int,
     depth: int,
     workload,
-    workers: Optional[int],
 ) -> Dict[str, object]:
     config = IngestPipelineConfig(
         window_frames=window_frames,
@@ -76,7 +75,6 @@ def _scenario(
     ada = hdd_ada(
         sim,
         storage_cpu=storage_cpu(sim),
-        workers=workers,
         ingest_config=config,
     )
     started = sim.now
@@ -115,30 +113,19 @@ def run_ingest_bench(
     window_frames: int = 8,
     depth: int = 4,
     seed: int = 7,
-    workers: Optional[int] = None,
 ) -> dict:
-    """Measure the three write-path scenarios; returns the JSON record.
-
-    ``workers`` gives every scenario's pre-processor the same codec
-    fan-out (the >= 2x gate compares equal worker counts); it affects
-    host wall time only -- simulated timings and stored bytes are
-    worker-invariant.
-    """
+    """Measure the three write-path scenarios; returns the JSON record."""
     workload = build_workload(
         natoms=natoms, nframes=nframes, seed=seed,
         keyframe_interval=keyframe_interval,
     )
 
     runs = {
-        "serial": _scenario(
-            False, False, window_frames, depth, workload, workers
-        ),
+        "serial": _scenario(False, False, window_frames, depth, workload),
         "pipelined_uncoalesced": _scenario(
-            True, False, window_frames, depth, workload, workers
+            True, False, window_frames, depth, workload
         ),
-        "pipelined": _scenario(
-            True, True, window_frames, depth, workload, workers
-        ),
+        "pipelined": _scenario(True, True, window_frames, depth, workload),
     }
     scenarios = {name: run["record"] for name, run in runs.items()}
     digests = {name: run["digest"] for name, run in runs.items()}
@@ -172,7 +159,6 @@ def run_ingest_bench(
             "raw_mb": round(to_mb(raw_nbytes), 3),
             "buffer_watermark_mb": round(to_mb(BUFFER_WATERMARK), 3),
             "seed": seed,
-            "workers": workers,
         },
         "scenarios": scenarios,
         "speedup_vs_serial": speedups,

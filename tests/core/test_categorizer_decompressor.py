@@ -137,8 +137,11 @@ def test_index_cache_identity_keyed(trajectory):
     assert d.index_misses == 2 + INDEX_CACHE_SIZE
 
 
-def test_parallel_decompress_bit_identical(trajectory):
+def test_decompress_with_cached_index_bit_identical(trajectory):
     blob = encode_xtc(trajectory, keyframe_interval=2)
-    serial = Decompressor().decompress(blob)
-    parallel = Decompressor(workers=4).decompress(blob)
-    np.testing.assert_array_equal(serial.coords, parallel.coords)
+    d = Decompressor()
+    first = d.decompress(blob)
+    again = d.decompress(blob)  # reuses the cached FrameIndex
+    assert d.index_hits == 1
+    np.testing.assert_array_equal(first.coords, decode_xtc(blob).coords)
+    np.testing.assert_array_equal(again.coords, first.coords)

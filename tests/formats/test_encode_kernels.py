@@ -209,13 +209,13 @@ def test_deflate_is_entered_once_per_frame(monkeypatch, natoms_target):
         generate_trajectory(system, nframes=8, seed=7), keyframe_interval=8
     )
     calls = _count_compress(monkeypatch)
-    with DataPreProcessor(lod_precision=12.5) as pre:
-        label_map = pre.categorizer.label(system.topology)
-        pre.process_chunk(label_map, append)
+    pre = DataPreProcessor(lod_precision=12.5)
+    label_map = pre.categorizer.label(system.topology)
+    pre.process_chunk(label_map, append)
     assert len(calls) == 16
     calls.clear()
-    with DataPreProcessor(subset_format="xtc", lod_precision=12.5) as pre:
-        for _ in pre.process_windows(label_map, blob, window_frames=8):
-            pass
+    pre = DataPreProcessor(subset_format="xtc", lod_precision=12.5)
+    for _ in pre.process_windows(label_map, blob, window_frames=8):
+        pass
     assert len(calls) == 64
     assert set(calls) == {zlib.Z_HUFFMAN_ONLY}

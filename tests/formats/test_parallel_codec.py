@@ -1,4 +1,4 @@
-"""Tests for the vectorized kernels, parallel GOF codec, and FrameIndex."""
+"""Tests for the vectorized codec kernels and FrameIndex."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.formats.xtc import (
     _unpack_words,
     decode_frame_range,
     iter_frame_infos,
-    resolve_workers,
 )
 
 
@@ -89,58 +88,6 @@ def test_unpack_words_validates_width_and_length():
         _unpack_words(b"\x00", 1, 65)
     with pytest.raises(CodecError):
         _unpack_words(b"", 8, 7)  # 7 bytes needed, none given
-
-
-# -- parallel GOF codec --------------------------------------------------------
-
-
-@pytest.mark.parametrize("keyframe_interval", [1, 3, 100])
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_decode_bit_identical(keyframe_interval, workers):
-    t = _traj(nframes=25)
-    blob = encode_xtc(t, keyframe_interval=keyframe_interval)
-    serial = decode_xtc(blob)
-    parallel = decode_xtc(blob, workers=workers)
-    np.testing.assert_array_equal(serial.coords, parallel.coords)
-    np.testing.assert_array_equal(serial.steps, parallel.steps)
-    np.testing.assert_array_equal(serial.times_ps, parallel.times_ps)
-
-
-@pytest.mark.parametrize("keyframe_interval", [1, 3, 100])
-def test_parallel_encode_bit_identical(keyframe_interval):
-    t = _traj(nframes=25, seed=4)
-    serial = encode_xtc(t, keyframe_interval=keyframe_interval)
-    parallel = encode_xtc(t, keyframe_interval=keyframe_interval, workers=4)
-    assert serial == parallel
-
-
-def test_parallel_decode_with_selection():
-    t = _traj(nframes=20, natoms=50)
-    blob = encode_xtc(t, keyframe_interval=5)
-    sel = np.arange(0, 50, 3)
-    serial = decode_xtc(blob).select_atoms(sel)
-    parallel = decode_xtc(blob, workers=3).select_atoms(sel)
-    np.testing.assert_array_equal(serial.coords, parallel.coords)
-
-
-def test_parallel_frame_range_bit_identical():
-    t = _traj(nframes=27, seed=9)
-    blob = encode_xtc(t, keyframe_interval=4)
-    for start, stop in [(0, 27), (1, 5), (3, 17), (5, 6), (2, 22), (20, 27)]:
-        serial = decode_frame_range(blob, start, stop)
-        parallel = decode_frame_range(blob, start, stop, workers=4)
-        np.testing.assert_array_equal(serial.coords, parallel.coords)
-        np.testing.assert_array_equal(serial.steps, parallel.steps)
-
-
-def test_resolve_workers():
-    assert resolve_workers(None, 10) == 1
-    assert resolve_workers(1, 10) == 1
-    assert resolve_workers(4, 10) == 4
-    assert resolve_workers(8, 3) == 3  # capped at task count
-    assert resolve_workers(0, 64) >= 1  # 0 = one per CPU
-    with pytest.raises(CodecError):
-        resolve_workers(-1, 10)
 
 
 # -- FrameIndex ----------------------------------------------------------------

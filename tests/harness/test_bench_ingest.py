@@ -58,7 +58,6 @@ def test_bench_ingest_schema_stable(small_result):
         "raw_mb",
         "buffer_watermark_mb",
         "seed",
-        "workers",
     }
     assert set(result["scenarios"]) == {
         "serial",

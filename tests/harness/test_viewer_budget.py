@@ -96,7 +96,6 @@ def deployment():
     lod_windows = [rng.randrange(nwindows) for _ in range(LOD_SEEKS)]
     seek_frames = [rng.randrange(NFRAMES) for _ in range(FRAME_SEEKS)]
     yield workload, ada, lod_windows, seek_frames
-    ada.preprocessor.close()
 
 
 class _Counts:

@@ -22,7 +22,6 @@ from repro.core.ingest import IngestPipelineConfig
 from repro.core.middleware import ADA
 from repro.core.prefetch import Prefetcher
 from repro.core.preprocessor import DataPreProcessor
-from repro.formats.codecexec import CodecPool, shared_pool
 from repro.formats.xtc import decode_frame_range, decode_xtc, encode_xtc
 from repro.fs.cache import BlockCache
 from repro.serve import ServeFront
@@ -34,7 +33,7 @@ from repro.vmd.streaming import StreamingTrajectory
 LEDGER = {
     "ADA": (
         "sim backends policy placement storage_cpu storage_cpus "
-        "subset_format workers retry_policy fault_plan block_cache prefetch "
+        "subset_format retry_policy fault_plan block_cache prefetch "
         "serial_requests ingest_config lod_precision "
         "metrics tracer shard_id"
     ),
@@ -54,27 +53,25 @@ LEDGER = {
     "IngestPipelineConfig": (
         "window_frames depth max_buffered_bytes coalesce pipelined"
     ),
-    "Decompressor": "workers metrics",
-    "DataPreProcessor": "policy subset_format workers lod_precision metrics",
+    "Decompressor": "",
+    "DataPreProcessor": "policy subset_format lod_precision",
     "TrajectoryLoader": "",
     "StreamingTrajectory": (
         "xtc_bytes window_frames max_windows index "
         "lod_bytes lod_max_error precision"
     ),
     "Animator": "molecule cache_frames",
-    "CodecPool": "workers metrics",
-    "shared_pool": "workers",
-    "encode_xtc": "trajectory precision keyframe_interval workers executor",
-    "decode_xtc": "data workers index executor",
-    "decode_frame_range": "data start stop index workers executor",
+    "encode_xtc": "trajectory precision keyframe_interval",
+    "decode_xtc": "data index",
+    "decode_frame_range": "data start stop index",
     "run_cluster_bench": (
         "node_counts ntenants ndatasets natoms nchunks frames_per_chunk "
         "window_chunks requests_per_tenant concurrency max_inflight "
         "l1_capacity_kib replicas zipf_s seed kill_at_fraction"
     ),
-    "run_codec_bench": "natoms nframes keyframe_interval workers repeats seed",
+    "run_codec_bench": "natoms nframes keyframe_interval repeats seed",
     "run_ingest_bench": (
-        "natoms nframes keyframe_interval window_frames depth seed workers"
+        "natoms nframes keyframe_interval window_frames depth seed"
     ),
     "run_insitu_bench": (
         "natoms nframes keyframe_interval window_frames depth seed"
@@ -96,7 +93,7 @@ LEDGER = {
         "--keyframe-interval --lod-precision --logical --natoms --nchunks "
         "--ndatasets --nframes --nodes --output --precision --rate --repeats "
         "--replicas --requests-per-tenant --rounds --seed --selftest --tag "
-        "--tenants --window-chunks --window-frames --workers --zipf -d -h -o"
+        "--tenants --window-chunks --window-frames --zipf -d -h -o"
     ),
 }
 
@@ -114,8 +111,6 @@ _CALLABLES = {
     "TrajectoryLoader": TrajectoryLoader,
     "StreamingTrajectory": StreamingTrajectory,
     "Animator": Animator,
-    "CodecPool": CodecPool,
-    "shared_pool": shared_pool,
     "encode_xtc": encode_xtc,
     "decode_xtc": decode_xtc,
     "decode_frame_range": decode_frame_range,
