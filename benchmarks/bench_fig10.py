@@ -1,96 +1,18 @@
 """Fig. 10: the 1 TB fat-node evaluation (incl. OOM kills and energy).
 
-Regenerates all four panels over the Table-6 sweep, prints the Table-5
-parameters, and asserts the paper's claims: retrieval insignificance,
-the exact OOM-kill thresholds (XFS and ADA(all) at 1,876,800 frames;
-ADA(protein) at 5,004,800), the >2x renderable-frames headline, and the
->3x energy gap.
+Regenerates ``fig10.txt`` (``python -m repro fig10``): the Table-5
+platform tables and the four panels over the Table-6 sweep.  The paper's
+bands (kill thresholds, >2x renderable frames, energy) are the ``fig10*``
+entries of ``repro.harness.scorecard.CLAIMS``.
 
 The timed kernel is one fat-node pipeline point.
 """
 
-import pytest
-
-from repro.harness import fat_node, run_point, run_sweep, series_pivot
-from repro.harness.report import Table
-from repro.workloads import FAT_NODE_FRAME_COUNTS
-
-SCENARIOS = ("C-trad", "D-ada-all", "D-ada-p")
+from repro.harness import fat_node, run_point
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    return run_sweep(fat_node, FAT_NODE_FRAME_COUNTS, scenario_keys=SCENARIOS)
-
-
-def test_fig10_regeneration(sweep, artifact_sink):
-    platform = fat_node()
-    params = Table(["parameter", "value"], title="Table 5: fat-node parameters")
-    for name, value in platform.parameters():
-        params.add_row(name, value)
-    disks = Table(
-        ["device", "read", "write", "capacity"], title="Table 5: disk array"
-    )
-    for row in platform.device_inventory():
-        disks.add_row(*row)
-    from repro.harness.asciichart import series_chart
-
-    panels = [params.render(), disks.render()]
-    for metric in ("retrieval", "turnaround", "memory", "energy"):
-        panels.append(series_pivot(sweep, metric, fs_label="XFS").render())
-        panels.append(series_chart(sweep, metric, fs_label="XFS"))
-    artifact_sink("fig10.txt", "\n\n".join(panels))
-
-
-def _first_kill(sweep, scenario):
-    frames = [r.nframes for r in sweep if r.scenario == scenario and r.killed]
-    return min(frames) if frames else None
-
-
-def test_fig10_kill_thresholds(sweep):
-    assert _first_kill(sweep, "C-trad") == 1_876_800
-    assert _first_kill(sweep, "D-ada-all") == 1_876_800
-    assert _first_kill(sweep, "D-ada-p") == 5_004_800
-
-
-def test_fig10_ada_renders_2x_graphs(sweep):
-    """Abstract: 'ADA allows the 1TB memory server to render more than 2x
-    VMD graphs'."""
-    xfs_max = max(
-        r.nframes for r in sweep if r.scenario == "C-trad" and not r.killed
-    )
-    ada_max = max(
-        r.nframes for r in sweep if r.scenario == "D-ada-p" and not r.killed
-    )
-    assert ada_max > 2 * xfs_max
-
-
-def test_fig10a_retrieval_weight_shrinks(sweep):
-    at = {(r.scenario, r.nframes): r for r in sweep}
-    r = at[("C-trad", 1_564_000)]
-    assert r.retrieval_s / r.turnaround_s < 0.10
-
-
-def test_fig10d_energy_claims(sweep):
-    at = {(r.scenario, r.nframes): r for r in sweep}
-    xfs = at[("C-trad", 1_564_000)]
-    ada_all = at[("D-ada-all", 1_564_000)]
-    ada_p = at[("D-ada-p", 1_564_000)]
-    # Paper: >12,500 kJ for XFS near the kill point, <5,000 kJ with ADA,
-    # "XFS consumes more than 3x energy compared to ADA".
-    assert xfs.energy_j > 10_000e3
-    assert ada_all.energy_j < 5_000e3
-    assert xfs.energy_j / ada_p.energy_j > 3.0
-
-
-def test_fig10_memory_monotone_until_kill(sweep):
-    series = sorted(
-        (r.nframes, r.peak_memory_nbytes)
-        for r in sweep
-        if r.scenario == "D-ada-p" and not r.killed
-    )
-    values = [m for _, m in series]
-    assert values == sorted(values)
+def test_fig10_regeneration(run_artifact):
+    run_artifact("fig10")
 
 
 def test_bench_fat_node_point(benchmark):

@@ -1,46 +1,16 @@
 """Fig. 7: the SSD-server evaluation (retrieval / turnaround / memory).
 
-Regenerates all three panels over the Table-2 frame sweep and asserts the
-paper's headline shapes: C-ext4 wins retrieval, loses turnaround by up to
-~13.4x, and uses >2.5x ADA's memory at 5,006 frames.
+Regenerates ``fig7.txt`` (``python -m repro fig7``); the paper's bands are
+the ``fig7*`` entries of ``repro.harness.scorecard.CLAIMS``.
 
 The timed kernel is one full modeled pipeline point.
 """
 
-import pytest
-
-from repro.harness import run_point, run_sweep, series_pivot, ssd_server
-from repro.workloads import SSD_SERVER_FRAME_COUNTS
+from repro.harness import run_point, ssd_server
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    return run_sweep(ssd_server, SSD_SERVER_FRAME_COUNTS)
-
-
-def test_fig7_regeneration(sweep, artifact_sink):
-    from repro.harness.asciichart import series_chart
-
-    panels = []
-    for metric in ("retrieval", "turnaround", "memory"):
-        panels.append(series_pivot(sweep, metric, fs_label="ext4").render())
-        panels.append(series_chart(sweep, metric, fs_label="ext4"))
-    artifact_sink("fig7.txt", "\n\n".join(panels))
-
-
-def test_fig7_headlines(sweep):
-    at = {(r.scenario, r.nframes): r for r in sweep}
-    c = at[("C-trad", 5_006)]
-    p = at[("D-ada-p", 5_006)]
-    d = at[("D-trad", 5_006)]
-    a = at[("D-ada-all", 5_006)]
-    # Fig. 7a: C-ext4 best retrieval; ADA(all) slightly worse than D-ext4.
-    assert c.retrieval_s == min(r.retrieval_s for r in (c, p, d, a))
-    assert d.retrieval_s < a.retrieval_s < 1.2 * d.retrieval_s
-    # Fig. 7b: up to ~13.4x turnaround win for ADA(protein).
-    assert 11.0 < c.turnaround_s / p.turnaround_s < 16.0
-    # Fig. 7c: >2.5x memory.
-    assert c.peak_memory_nbytes / p.peak_memory_nbytes > 2.5
+def test_fig7_regeneration(run_artifact):
+    run_artifact("fig7")
 
 
 def test_bench_pipeline_point(benchmark):

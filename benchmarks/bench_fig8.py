@@ -2,43 +2,28 @@
 
 The paper profiles the traditional pipeline and finds decompression taking
 more than 50 % of the CPU burst.  We regenerate the per-phase breakdown
-both from the calibrated model (paper scale) and from the *live* Python
-pipeline under ``perf_counter`` (real bytes), and print a flame-graph-like
-bar chart.
+both from the calibrated model (paper scale, ``fig8_modeled.txt`` =
+``python -m repro fig8``, its bands in ``repro.harness.scorecard.CLAIMS``)
+and from the *live* Python pipeline under ``perf_counter`` (real bytes,
+``fig8_measured.txt``, wall-clock and checked here).
 
 The timed kernels are the real decompression and the real render phases.
 """
 
-import pytest
-
 from repro.formats import decode_xtc
-from repro.harness.profilecpu import measured_cpu_profile, modeled_cpu_profile
-from repro.harness.report import Table
+from repro.cli import render_profiles
+from repro.harness.profilecpu import measured_cpu_profile
 from repro.vmd import GeometryBuilder, Molecule
 
 
-def _bars(profile):
-    table = Table(
-        ["phase", "seconds", "share", ""],
-        title=f"CPU burst, pipeline {profile.pipeline}",
-    )
-    for phase, seconds, pct in profile.rows():
-        table.add_row(phase, f"{seconds:.3f}", f"{pct:5.1f}%", "#" * int(pct / 2))
-    return table.render()
-
-
-def test_fig8_modeled(artifact_sink):
-    c = modeled_cpu_profile(5_006, pipeline="C-trad")
-    ada = modeled_cpu_profile(5_006, pipeline="D-ada-p")
-    artifact_sink("fig8_modeled.txt", _bars(c) + "\n\n" + _bars(ada))
-    assert c.fraction("decompress") > 0.5
-    assert ada.total < 0.5 * c.total
+def test_fig8_modeled(run_artifact):
+    run_artifact("fig8")
 
 
 def test_fig8_measured_on_live_code(artifact_sink, small_workload):
     c = measured_cpu_profile(small_workload, pipeline="C-trad")
     ada = measured_cpu_profile(small_workload, pipeline="D-ada-p")
-    artifact_sink("fig8_measured.txt", _bars(c) + "\n\n" + _bars(ada))
+    artifact_sink("fig8_measured.txt", render_profiles(c, ada))
     # The live pipeline shows the same dominance the paper measured.
     assert c.fraction("decompress") > 0.5
     assert ada.total < c.total

@@ -1,74 +1,18 @@
 """Fig. 9: the nine-node cluster evaluation (PVFS vs ADA).
 
-Regenerates the three panels over the cluster sweep (626..6,256 frames),
-prints the Table-4 platform parameters, and asserts the paper's
-headlines: >2x retrieval win for ADA over hybrid PVFS and the 9x
-turnaround gap at 6,256 frames.
+Regenerates ``fig9.txt`` (``python -m repro fig9``): the Table-4 platform
+tables and the three panels over the cluster sweep (626..6,256 frames).
+The paper's bands are the ``fig9*`` entries of
+``repro.harness.scorecard.CLAIMS``.
 
 The timed kernel is one cluster pipeline point (striped DES read fan-out).
 """
 
-import pytest
-
-from repro.harness import run_point, run_sweep, series_pivot, small_cluster
-from repro.harness.report import Table
-from repro.workloads import CLUSTER_FRAME_COUNTS
+from repro.harness import run_point, small_cluster
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    return run_sweep(small_cluster, CLUSTER_FRAME_COUNTS)
-
-
-def test_fig9_regeneration(sweep, artifact_sink):
-    platform = small_cluster()
-    params = Table(["parameter", "value"], title="Table 4: system parameters")
-    for name, value in platform.parameters():
-        params.add_row(name, value)
-    disks = Table(
-        ["device", "read", "write", "capacity"],
-        title="Table 4: disk systems spec",
-    )
-    for row in platform.device_inventory():
-        disks.add_row(*row)
-    from repro.harness.asciichart import series_chart
-
-    panels = [params.render(), disks.render()]
-    for metric in ("retrieval", "turnaround", "memory"):
-        panels.append(series_pivot(sweep, metric, fs_label="PVFS").render())
-        panels.append(series_chart(sweep, metric, fs_label="PVFS"))
-    artifact_sink("fig9.txt", "\n\n".join(panels))
-
-
-def test_fig9_headlines(sweep):
-    at = {(r.scenario, r.nframes): r for r in sweep}
-    d = at[("D-trad", 6_256)]
-    a = at[("D-ada-all", 6_256)]
-    p = at[("D-ada-p", 6_256)]
-    c = at[("C-trad", 6_256)]
-    # Fig. 9a: ADA retrieval >2x better than PVFS; both ADA scenarios sit
-    # between the best (C-PVFS) and worst (D-PVFS) cases.
-    assert d.retrieval_s / a.retrieval_s > 2.0
-    assert a.retrieval_s < d.retrieval_s
-    assert p.retrieval_s < a.retrieval_s
-    # Fig. 9b: 9x turnaround at 6,256 frames.
-    assert 7.0 < d.turnaround_s / p.turnaround_s < 12.0
-    # Fig. 9b: compressed PVFS is the worst turnaround at scale.
-    assert c.turnaround_s > d.turnaround_s
-    # Fig. 9c: same memory trend as Fig. 7c.
-    assert c.peak_memory_nbytes / p.peak_memory_nbytes > 2.5
-
-
-def test_fig9_turnaround_gap_widens(sweep):
-    """Paper: the compressed-vs-decompressed gap widens with frame count."""
-    at = {(r.scenario, r.nframes): r for r in sweep}
-    gap_small = (
-        at[("C-trad", 626)].turnaround_s - at[("D-ada-p", 626)].turnaround_s
-    )
-    gap_large = (
-        at[("C-trad", 6_256)].turnaround_s - at[("D-ada-p", 6_256)].turnaround_s
-    )
-    assert gap_large > 5 * gap_small
+def test_fig9_regeneration(run_artifact):
+    run_artifact("fig9")
 
 
 def test_bench_cluster_point(benchmark):

@@ -2,100 +2,28 @@
 
 Both tables are pure sizing arithmetic: the compressed file a traditional
 FS moves vs. the decompressed protein subset ADA moves, against the raw
-volume.  We regenerate every row from the sizing model and assert each
-against the paper's printed numbers, then cross-check the constants with
-the real codec (calibration).
+volume.  We regenerate every row from the sizing model and cross-check the
+constants with the real codec (calibration); the paper's printed rows are
+the ``table*`` and ``calibration-*`` entries of
+``repro.harness.scorecard.CLAIMS``.
 
 The timed kernel is ADA's dispatch of a materialized dataset.
 """
 
-import pytest
-
 from repro.core import DataPreProcessor
-from repro.harness import measure_calibration
-from repro.harness.report import Table
-from repro.units import GB, MB, to_gb, to_mb
-from repro.workloads import (
-    FAT_NODE_FRAME_COUNTS,
-    SSD_SERVER_FRAME_COUNTS,
-    SizingModel,
-)
-
-#: Table 2's printed rows: frames -> (compressed MB, protein MB, raw MB).
-TABLE2_ROWS = {
-    626: (100, 139, 327),
-    1_251: (200, 277, 653),
-    1_877: (300, 416, 980),
-    2_503: (400, 555, 1_306),
-    3_129: (500, 693, 1_632),
-    3_754: (600, 832, 1_959),
-    4_380: (700, 970, 2_285),
-    5_006: (800, 1_108, 2_612),
-}
-
-#: Table 6's printed rows: frames -> (compressed GB, protein GB, raw GB).
-TABLE6_ROWS = {
-    62_560: (10, 13.9, 32.7),
-    625_600: (100, 138.6, 326.6),
-    1_876_800: (300, 415.8, 979.8),
-    5_004_800: (800, 1_108.8, 2_612.8),
-}
 
 
-def test_table2_regeneration(artifact_sink):
-    model = SizingModel.paper()
-    table = Table(
-        ["frames", "ext4 (compressed)", "ADA (protein)", "raw data"],
-        title="Table 2: data size comparisons, ext4 vs ADA (MB)",
-    )
-    for nframes in SSD_SERVER_FRAME_COUNTS:
-        d = model.dataset(nframes)
-        table.add_row(
-            f"{nframes:,}",
-            f"{to_mb(d.compressed_nbytes):,.0f}",
-            f"{to_mb(d.protein_nbytes):,.0f}",
-            f"{to_mb(d.raw_nbytes):,.0f}",
-        )
-        if nframes in TABLE2_ROWS:
-            c, p, r = TABLE2_ROWS[nframes]
-            assert d.compressed_nbytes == pytest.approx(c * MB, rel=0.015)
-            assert d.protein_nbytes == pytest.approx(p * MB, rel=0.015)
-            assert d.raw_nbytes == pytest.approx(r * MB, rel=0.015)
-    artifact_sink("table2.txt", table.render())
+def test_table2_regeneration(run_artifact):
+    run_artifact("table2")
 
 
-def test_table6_regeneration(artifact_sink):
-    model = SizingModel.paper()
-    table = Table(
-        ["frames", "XFS (compressed)", "ADA (protein)", "raw data"],
-        title="Table 6: data size comparisons, XFS vs ADA (GB)",
-    )
-    for nframes in FAT_NODE_FRAME_COUNTS:
-        d = model.dataset(nframes)
-        table.add_row(
-            f"{nframes:,}",
-            f"{to_gb(d.compressed_nbytes):,.1f}",
-            f"{to_gb(d.protein_nbytes):,.1f}",
-            f"{to_gb(d.raw_nbytes):,.1f}",
-        )
-        if nframes in TABLE6_ROWS:
-            c, p, r = TABLE6_ROWS[nframes]
-            assert d.compressed_nbytes == pytest.approx(c * GB, rel=0.015)
-            assert d.protein_nbytes == pytest.approx(p * GB, rel=0.015)
-            assert d.raw_nbytes == pytest.approx(r * GB, rel=0.015)
-    artifact_sink("table6.txt", table.render())
+def test_table6_regeneration(run_artifact):
+    run_artifact("table6")
 
 
-def test_sizing_constants_vs_real_codec(artifact_sink):
+def test_sizing_constants_vs_real_codec(run_artifact):
     """Calibration: paper constants vs the live generator + codec."""
-    report = measure_calibration(natoms=8000, nframes=30, seed=0)
-    table = Table(["constant", "paper", "measured"], title="Sizing calibration")
-    for row in report.rows():
-        table.add_row(*row)
-    artifact_sink("calibration.txt", table.render())
-    assert report.measured.protein_fraction == pytest.approx(
-        report.paper.protein_fraction, abs=0.05
-    )
+    run_artifact("calibration")
 
 
 def test_bench_ada_ingest(benchmark, small_workload):

@@ -48,6 +48,21 @@ def run_gate(artifact_sink):
 
 
 @pytest.fixture(scope="session")
+def run_artifact(artifact_sink):
+    """Callable regenerating one ``repro.cli.GENERATORS`` paper artifact by
+    name into its committed file; returns the text."""
+    from repro.cli import GENERATORS
+
+    def _run(name: str) -> str:
+        entry = GENERATORS[name]
+        text = entry.generate()
+        artifact_sink(entry.artifact.name, text)
+        return text
+
+    return _run
+
+
+@pytest.fixture(scope="session")
 def small_workload():
     """A shared materialized GPCR workload for the real-bytes benches."""
     from repro.workloads import build_workload

@@ -7,18 +7,23 @@ Usage::
     python -m repro fig10 -o out.txt    # ... or to a file
     python -m repro all -d results/     # everything into a directory
 
-The same code paths the benchmark suite drives, minus pytest.
+Each artifact prints its committed ``benchmarks/results/`` file exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import pathlib
 import sys
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.harness import (
+    SCENARIOS,
+    RunResult,
     fat_node,
     measure_calibration,
     render_chaos,
@@ -29,19 +34,18 @@ from repro.harness import (
     small_cluster,
     ssd_server,
 )
+from repro.harness.asciichart import series_chart
 from repro.harness.benchcluster import render_cluster_bench, run_cluster_bench
 from repro.harness.benchcodec import render_codec_bench, run_codec_bench
 from repro.harness.benchingest import render_ingest_bench, run_ingest_bench
 from repro.harness.benchinsitu import render_insitu_bench, run_insitu_bench
 from repro.harness.benchkit import dump_record
 from repro.harness.benchlod import render_lod_bench, run_lod_bench
-from repro.harness.benchpipeline import (
-    render_pipeline_bench,
-    run_pipeline_bench,
-)
+from repro.harness.benchpipeline import render_pipeline_bench, run_pipeline_bench
 from repro.harness.benchserve import render_serve_bench, run_serve_bench
-from repro.harness.profilecpu import measured_cpu_profile, modeled_cpu_profile
+from repro.harness.profilecpu import CpuProfile, modeled_cpu_profile
 from repro.harness.report import Table
+from repro.harness.scorecard import render_scorecard
 from repro.obs.trace import render_trace
 from repro.units import to_gb, to_mb
 from repro.workloads import (
@@ -51,123 +55,141 @@ from repro.workloads import (
     SizingModel,
 )
 
-__all__ = ["main", "BENCHES", "COMMANDS", "GENERATORS", "flag_kwargs"]
+__all__ = ["main", "BENCHES", "COMMANDS", "GENERATORS", "flag_kwargs",
+           "render_profiles", "results_to_csv"]
+
+_RESULTS = pathlib.Path("benchmarks/results")
 
 
-def _gen_sizes(number, fs_label, frame_counts, to_unit, unit, fmt) -> str:
-    """Tables 2 and 6: stored bytes per frame count, one file system each."""
-    model = SizingModel.paper()
-    table = Table(
-        ["frames", f"{fs_label} (compressed, {unit})",
-         f"ADA (protein, {unit})", f"raw ({unit})"],
-        title=f"Table {number}: data size comparisons ({fs_label} vs ADA)",
-    )
-    for nframes in frame_counts:
-        d = model.dataset(nframes)
-        sizes = (d.compressed_nbytes, d.protein_nbytes, d.raw_nbytes)
-        table.add_row(
-            f"{nframes:,}", *(format(to_unit(n), fmt) for n in sizes)
-        )
-    return table.render()
-
-
-def _gen_fig7() -> str:
-    results = run_sweep(ssd_server, SSD_SERVER_FRAME_COUNTS)
-    panels = [
-        series_pivot(results, metric, fs_label="ext4").render()
-        for metric in ("retrieval", "turnaround", "memory")
-    ]
-    return "\n\n".join(panels)
-
-
-def _gen_fig8() -> str:
-    parts = []
-    for pipeline in ("C-trad", "D-trad", "D-ada-p"):
-        profile = modeled_cpu_profile(5_006, pipeline=pipeline)
-        table = Table(
-            ["phase", "seconds", "share"],
-            title=f"Fig. 8 (modeled): CPU burst, {pipeline}",
-        )
-        for phase, seconds, pct in profile.rows():
-            table.add_row(phase, f"{seconds:.2f}", f"{pct:.1f}%")
-        parts.append(table.render())
-    live = measured_cpu_profile(pipeline="C-trad")
-    table = Table(
-        ["phase", "seconds", "share"],
-        title="Fig. 8 (measured on live Python pipeline): C path",
-    )
-    for phase, seconds, pct in live.rows():
-        table.add_row(phase, f"{seconds:.4f}", f"{pct:.1f}%")
-    parts.append(table.render())
-    return "\n\n".join(parts)
-
-
-def _gen_fig9() -> str:
-    params = Table(["parameter", "value"], title="Table 4: system parameters")
-    for name, value in small_cluster().parameters():
-        params.add_row(name, value)
-    results = run_sweep(small_cluster, CLUSTER_FRAME_COUNTS)
-    panels = [params.render()] + [
-        series_pivot(results, metric, fs_label="PVFS").render()
-        for metric in ("retrieval", "turnaround", "memory")
-    ]
-    return "\n\n".join(panels)
-
-
-def _gen_fig10() -> str:
-    params = Table(["parameter", "value"], title="Table 5: fat-node parameters")
-    for name, value in fat_node().parameters():
-        params.add_row(name, value)
-    results = run_sweep(
-        fat_node, FAT_NODE_FRAME_COUNTS,
-        scenario_keys=("C-trad", "D-ada-all", "D-ada-p"),
-    )
-    panels = [params.render()] + [
-        series_pivot(results, metric, fs_label="XFS").render()
-        for metric in ("retrieval", "turnaround", "memory", "energy")
-    ]
-    return "\n\n".join(panels)
-
-
-def _gen_calibration() -> str:
-    report = measure_calibration()
-    table = Table(
-        ["constant", "paper", "measured"],
-        title="Calibration: paper constants vs live generator + codec",
-    )
-    for row in report.rows():
+def _table(title, headers, rows) -> str:
+    table = Table(headers, title=title)
+    for row in rows:
         table.add_row(*row)
     return table.render()
 
 
-def _gen_csv(platform_factory, frame_counts, fs_label, scenario_keys=None):
-    from repro.harness.figdata import results_to_csv
+def _gen_sizes(number, fs_label, frame_counts, to_unit, unit, fmt) -> str:
+    """Tables 2 and 6: stored bytes per frame count, one file system each."""
+    model, rows = SizingModel.paper(), []
+    for nframes in frame_counts:
+        d = model.dataset(nframes)
+        sizes = (d.compressed_nbytes, d.protein_nbytes, d.raw_nbytes)
+        rows.append((f"{nframes:,}", *(format(to_unit(n), fmt) for n in sizes)))
+    return _table(
+        f"Table {number}: data size comparisons, {fs_label} vs ADA ({unit})",
+        ["frames", f"{fs_label} (compressed)", "ADA (protein)", "raw data"],
+        rows,
+    )
 
-    results = run_sweep(platform_factory, frame_counts, scenario_keys=scenario_keys)
-    return results_to_csv(results, fs_label=fs_label).rstrip()
+
+def render_profiles(*profiles: CpuProfile) -> str:
+    """Fig. 8's flame-graph view: one bar table per CPU profile."""
+    return "\n\n".join(
+        _table(
+            f"CPU burst, pipeline {profile.pipeline}",
+            ["phase", "seconds", "share", ""],
+            [(phase, f"{seconds:.3f}", f"{pct:5.1f}%", "#" * int(pct / 2))
+             for phase, seconds, pct in profile.rows()],
+        )
+        for profile in profiles
+    )
 
 
-GENERATORS: Dict[str, Callable[[], str]] = {
-    "table2": lambda: _gen_sizes(
-        2, "ext4", SSD_SERVER_FRAME_COUNTS, to_mb, "MB", ",.0f"
+_PANELS = ("retrieval", "turnaround", "memory")
+
+#: Figs. 7, 9, 10: testbed, frame sweep, file-system label, scenarios (None:
+#: all four), metric panels, and the Table 4/5 titles printed above them.
+_FIGURES = {
+    "fig7": (ssd_server, SSD_SERVER_FRAME_COUNTS, "ext4", None, _PANELS, ()),
+    "fig9": (small_cluster, CLUSTER_FRAME_COUNTS, "PVFS", None, _PANELS,
+             ("Table 4: system parameters", "Table 4: disk systems spec")),
+    "fig10": (fat_node, FAT_NODE_FRAME_COUNTS, "XFS",
+              ("C-trad", "D-ada-all", "D-ada-p"), _PANELS + ("energy",),
+              ("Table 5: fat-node parameters", "Table 5: disk array")),
+}
+
+
+def _gen_figure(name: str) -> str:
+    """The platform's parameter and disk tables, then a pivot table and an
+    ASCII chart per metric over the figure's sweep."""
+    factory, frame_counts, fs_label, keys, metrics, titles = _FIGURES[name]
+    platform = factory()
+    panels = [
+        _table(title, headers, rows)
+        for title, headers, rows in zip(
+            titles,
+            (["parameter", "value"], ["device", "read", "write", "capacity"]),
+            (platform.parameters(), platform.device_inventory()),
+        )
+    ]
+    sweep = run_sweep(factory, frame_counts, keys)
+    for metric in metrics:
+        panels.append(series_pivot(sweep, metric, fs_label=fs_label).render())
+        panels.append(series_chart(sweep, metric, fs_label=fs_label))
+    return "\n\n".join(panels)
+
+
+#: The columns of ``python -m repro figN-csv``: one row per sweep point.
+CSV_FIELDS: List[str] = [
+    "scenario", "scenario_label", "nframes", "loaded_nbytes", "raw_nbytes",
+    "retrieval_s", "turnaround_s", "peak_memory_nbytes", "energy_j",
+    "killed", "killed_phase",
+]
+
+
+def results_to_csv(results: Iterable[RunResult], fs_label: str = "FS") -> str:
+    """Serialize sweep results as CSV text (header + one row per point)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_FIELDS)
+    for r in results:
+        writer.writerow([
+            r.scenario, SCENARIOS[r.scenario].display(fs_label), r.nframes,
+            r.loaded_nbytes, r.raw_nbytes, f"{r.retrieval_s:.6f}",
+            f"{r.turnaround_s:.6f}", f"{r.peak_memory_nbytes:.0f}",
+            f"{r.energy_j:.1f}", int(r.killed), r.killed_phase or "",
+        ])
+    return buffer.getvalue()
+
+
+def _gen_csv(name: str) -> str:
+    factory, frame_counts, fs_label, keys = _FIGURES[name][:4]
+    return results_to_csv(run_sweep(factory, frame_counts, keys), fs_label).rstrip()
+
+
+class Artifact(NamedTuple):
+    """One paper artifact: a row of :data:`GENERATORS`."""
+
+    generate: Callable[[], str]  # -> the text, without its final newline
+    artifact: Optional[pathlib.Path] = None  # the committed file it rewrites
+
+
+#: Every paper artifact, generated once: ``python -m repro <name>``, ``all``
+#: and ``benchmarks/bench_*.py`` print this text, and a row naming an
+#: ``artifact`` reproduces that committed file byte for byte.
+GENERATORS: Dict[str, Artifact] = {
+    "table2": Artifact(
+        lambda: _gen_sizes(2, "ext4", SSD_SERVER_FRAME_COUNTS, to_mb, "MB", ",.0f"),
+        _RESULTS / "table2.txt",
     ),
-    "table6": lambda: _gen_sizes(
-        6, "XFS", FAT_NODE_FRAME_COUNTS, to_gb, "GB", ",.1f"
+    "table6": Artifact(
+        lambda: _gen_sizes(6, "XFS", FAT_NODE_FRAME_COUNTS, to_gb, "GB", ",.1f"),
+        _RESULTS / "table6.txt",
     ),
-    "fig7": _gen_fig7,
-    "fig8": _gen_fig8,
-    "fig9": _gen_fig9,
-    "fig10": _gen_fig10,
-    "calibration": _gen_calibration,
-    "fig7-csv": lambda: _gen_csv(ssd_server, SSD_SERVER_FRAME_COUNTS, "ext4"),
-    "fig9-csv": lambda: _gen_csv(small_cluster, CLUSTER_FRAME_COUNTS, "PVFS"),
-    "fig10-csv": lambda: _gen_csv(
-        fat_node, FAT_NODE_FRAME_COUNTS, "XFS",
-        scenario_keys=("C-trad", "D-ada-all", "D-ada-p"),
+    "calibration": Artifact(
+        lambda: _table("Sizing calibration", ["constant", "paper", "measured"],
+                       measure_calibration().rows()),
+        _RESULTS / "calibration.txt",
     ),
-    "scorecard": lambda: __import__(
-        "repro.harness.scorecard", fromlist=["render_scorecard"]
-    ).render_scorecard(),
+    "fig8": Artifact(
+        lambda: render_profiles(*(modeled_cpu_profile(5_006, pipeline=key)
+                                  for key in ("C-trad", "D-ada-p"))),
+        _RESULTS / "fig8_modeled.txt",
+    ),
+    **{name: Artifact(partial(_gen_figure, name), _RESULTS / f"{name}.txt")
+       for name in _FIGURES},
+    **{f"{name}-csv": Artifact(partial(_gen_csv, name)) for name in _FIGURES},
+    "scorecard": Artifact(render_scorecard),
 }
 
 
@@ -178,9 +200,6 @@ class Bench(NamedTuple):
     render: Callable[[dict], str]  # record -> the human-readable sibling
     artifact: pathlib.Path  # where ``--json`` lands without ``-o``
     flags: Dict[str, str]  # argparse dest -> ``run`` keyword
-
-
-_RESULTS = pathlib.Path("benchmarks/results")
 
 
 def _flags(*same: str, **renamed: str) -> Dict[str, str]:
@@ -469,10 +488,11 @@ def main(argv=None) -> int:
         return COMMANDS[args.target](args)
     if args.target == "all":
         directory = args.directory or pathlib.Path("results")
-        for name, gen in sorted(GENERATORS.items()):
-            _emit(gen(), directory / f"{name}.txt")
+        for name, entry in sorted(GENERATORS.items()):
+            path = entry.artifact or pathlib.Path(f"{name}.txt")
+            _emit(entry.generate(), directory / path.name)
         return 0
-    _emit(GENERATORS[args.target](), args.output)
+    _emit(GENERATORS[args.target].generate(), args.output)
     return 0
 
 

@@ -20,7 +20,7 @@ from repro.harness.scenarios import (
     Scenario,
 )
 from repro.harness.runner import run_point, run_sweep
-from repro.harness.report import Table, format_results, series_pivot
+from repro.harness.report import Table, series_pivot
 from repro.harness.tracedemo import run_trace_demo
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Scenario",
     "Table",
     "fat_node",
-    "format_results",
     "measure_calibration",
     "render_chaos",
     "run_chaos",

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from repro.harness.scenarios import SCENARIOS, RunResult
 from repro.units import fmt_bytes, fmt_seconds, to_gb, to_kj, to_mb
 
-__all__ = ["Table", "series_pivot", "format_results", "METRICS"]
+__all__ = ["Table", "series_pivot", "METRICS"]
 
 
 class Table:
@@ -109,15 +109,3 @@ def series_pivot(
                 cells.append(fmt(extract(r)))
         table.add_row(*cells)
     return table
-
-
-def format_results(
-    results: Iterable[RunResult],
-    metrics: Sequence[str] = ("retrieval", "turnaround", "memory"),
-    fs_label: str = "FS",
-) -> str:
-    """Render one table per metric, newline-separated."""
-    return "\n\n".join(
-        series_pivot(results, metric, fs_label=fs_label).render()
-        for metric in metrics
-    )

@@ -4,7 +4,7 @@ import csv
 import io
 
 from repro.harness import run_sweep, ssd_server
-from repro.harness.figdata import CSV_FIELDS, results_to_csv
+from repro.cli import CSV_FIELDS, results_to_csv
 
 
 def test_csv_shape_and_fields():

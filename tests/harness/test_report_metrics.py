@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness import run_sweep, ssd_server
-from repro.harness.report import METRICS, format_results, series_pivot
+from repro.harness.report import METRICS, series_pivot
 from repro.harness.scenarios import RunResult
 
 
@@ -30,12 +30,6 @@ def test_loaded_metric_matches_table2_column():
     results = run_sweep(ssd_server, (626,), scenario_keys=("C-trad",))
     out = series_pivot(results, "loaded").render()
     assert "100" in out  # 100 MB compressed at 626 frames
-
-
-def test_format_results_multiple_sections():
-    results = run_sweep(ssd_server, (626,), scenario_keys=("C-trad",))
-    out = format_results(results, metrics=("retrieval", "memory"), fs_label="ext4")
-    assert out.count("by frame count") == 2
 
 
 def test_missing_cell_renders_dash():

@@ -1,16 +1,15 @@
 """Tests for the scenario pipelines and the paper's headline shapes.
 
-These are the reproduction's regression suite: each test pins one claim the
-paper makes about a figure, with tolerance bands wide enough to survive
-reasonable recalibration but tight enough to catch a broken model.
+Scenario and sweep mechanics, plus one test per paper figure panel that
+checks the scorecard claims stating its bands.
 """
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness import fat_node, run_point, run_sweep, small_cluster, ssd_server
+from repro.harness import fat_node, run_point, run_sweep, ssd_server
 from repro.harness.scenarios import SCENARIOS, ScenarioPipeline
-from repro.units import GB, MB
+from repro.harness.scorecard import CLAIMS
 from repro.workloads import SizingModel
 
 
@@ -37,113 +36,69 @@ def test_loaded_bytes_per_scenario():
     assert loaded["D-ada-p"] == d.protein_nbytes
 
 
-# -- Fig. 7 (SSD server) ------------------------------------------------------
+# -- paper claims -------------------------------------------------------------
+# Each figure test checks the scorecard claims that state its bands; the
+# bands themselves live only in ``repro.harness.scorecard.CLAIMS``.
+
+CLAIM = {claim.key: claim for claim in CLAIMS}
+
+
+def _holds(*keys):
+    for key in keys:
+        measured, passed = CLAIM[key].check()
+        assert passed, f"{key}: measured {measured}"
 
 
 def test_fig7a_retrieval_ordering():
-    """C-ext4 fastest retrieval; D-ADA(all) slightly slower than D-ext4."""
-    r = {k: run_point(ssd_server, k, 5_006) for k in SCENARIOS}
-    assert r["C-trad"].retrieval_s < r["D-ada-p"].retrieval_s
-    assert r["D-ada-p"].retrieval_s < r["D-trad"].retrieval_s
-    assert r["D-trad"].retrieval_s < r["D-ada-all"].retrieval_s
-    assert r["D-ada-all"].retrieval_s < 1.2 * r["D-trad"].retrieval_s
+    _holds("fig7a-ordering", "fig7a-ada-all")
 
 
 def test_fig7b_headline_13x():
-    """C-ext4 turnaround ~13.4x D-ADA(protein) at 5,006 frames."""
-    c = run_point(ssd_server, "C-trad", 5_006)
-    p = run_point(ssd_server, "D-ada-p", 5_006)
-    assert 11.0 < c.turnaround_s / p.turnaround_s < 16.0
+    _holds("fig7b-13.4x")
 
 
 def test_fig7b_ada_all_matches_d_ext4():
-    """Paper: 'D-ADA(all) performs the same as D-ext4'."""
-    a = run_point(ssd_server, "D-ada-all", 5_006)
-    d = run_point(ssd_server, "D-trad", 5_006)
-    assert a.turnaround_s == pytest.approx(d.turnaround_s, rel=0.05)
+    _holds("fig7b-ada-all")
 
 
 def test_fig7b_gap_grows_with_frames():
-    """The C-vs-ADA gap widens as decompression dominates."""
-    def ratio(nframes):
-        c = run_point(ssd_server, "C-trad", nframes)
-        p = run_point(ssd_server, "D-ada-p", nframes)
-        return c.turnaround_s / p.turnaround_s
-
-    assert ratio(5_006) > ratio(626)
+    _holds("fig7b-widening")
 
 
 def test_fig7c_memory_2_5x():
-    """ext4 memory usage over 2.5x ADA's at 5,006 frames."""
-    c = run_point(ssd_server, "C-trad", 5_006)
-    p = run_point(ssd_server, "D-ada-p", 5_006)
-    assert c.peak_memory_nbytes / p.peak_memory_nbytes > 2.5
+    _holds("fig7c-2.5x")
 
 
 def test_no_kills_on_ssd_server_sweep():
-    results = run_sweep(ssd_server, (626, 5_006))
-    assert not any(r.killed for r in results)
-
-
-# -- Fig. 9 (cluster) -----------------------------------------------------------
+    _holds("fig7-no-kills")
 
 
 def test_fig9a_ada_beats_pvfs_retrieval_2x():
-    """ADA > 2x better than hybrid PVFS on raw retrieval."""
-    d = run_point(small_cluster, "D-trad", 6_256)
-    a = run_point(small_cluster, "D-ada-all", 6_256)
-    assert d.retrieval_s / a.retrieval_s > 2.0
+    _holds("fig9a-2x")
 
 
 def test_fig9b_headline_9x():
-    """D-PVFS turnaround ~9x D-ADA(protein) at 6,256 frames."""
-    d = run_point(small_cluster, "D-trad", 6_256)
-    p = run_point(small_cluster, "D-ada-p", 6_256)
-    assert 7.0 < d.turnaround_s / p.turnaround_s < 12.0
+    _holds("fig9b-9x")
 
 
 def test_fig9c_memory_trend_matches_fig7c():
-    """Same data groups move => same memory story as the SSD server."""
-    c_cluster = run_point(small_cluster, "C-trad", 5_006)
-    c_server = run_point(ssd_server, "C-trad", 5_006)
-    assert c_cluster.peak_memory_nbytes == pytest.approx(
-        c_server.peak_memory_nbytes, rel=0.01
-    )
-
-
-# -- Fig. 10 (fat node) ------------------------------------------------------------
+    _holds("fig9c-same-memory", "fig9c-2.5x")
 
 
 def test_fig10_oom_kill_thresholds():
-    """XFS and ADA(all) die at 1,876,800 frames; ADA(protein) at 5,004,800."""
-    assert not run_point(fat_node, "C-trad", 1_564_000).killed
-    assert run_point(fat_node, "C-trad", 1_876_800).killed
-    assert not run_point(fat_node, "D-ada-all", 1_564_000).killed
-    assert run_point(fat_node, "D-ada-all", 1_876_800).killed
-    assert not run_point(fat_node, "D-ada-p", 4_379_200).killed
-    assert run_point(fat_node, "D-ada-p", 5_004_800).killed
+    _holds("fig10-kills")
 
 
 def test_fig10_ada_renders_2x_more_frames():
-    """ADA(protein) survives >2x the frames XFS can render."""
-    assert not run_point(fat_node, "D-ada-p", 2 * 1_876_800).killed
+    _holds("fig10-2x-graphs")
 
 
 def test_fig10a_retrieval_becomes_insignificant():
-    """Raw retrieval <10% of turnaround at 1,564,000 frames (paper §4.3)."""
-    r = run_point(fat_node, "C-trad", 1_564_000)
-    assert r.retrieval_s / r.turnaround_s < 0.10
+    _holds("fig10a-10pct")
 
 
 def test_fig10d_energy_shape():
-    """XFS >12,000 kJ near the kill point; ADA(all) <5,000; >3x vs ADA."""
-    xfs = run_point(fat_node, "C-trad", 1_564_000)
-    ada_all = run_point(fat_node, "D-ada-all", 1_564_000)
-    ada_p = run_point(fat_node, "D-ada-p", 1_564_000)
-    assert xfs.energy_j > 10_000e3
-    assert ada_all.energy_j < 5_000e3
-    assert xfs.energy_j / ada_all.energy_j > 2.0
-    assert xfs.energy_j / ada_p.energy_j > 3.0
+    _holds("fig10d-3x", "fig10d-ada-all", "fig10d-xfs-kj", "fig10d-ada-all-kj")
 
 
 def test_killed_runs_report_partial_energy():

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import pathlib
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.cli import (
     flag_kwargs,
     main,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_list_prints_targets(capsys):
@@ -76,20 +79,43 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_all_writes_directory(tmp_path):
-    # Keep it cheap: patch out the slow generators.
+    """``all`` writes each generator's committed file name (``<name>.txt``
+    for a target with none); the fast tables land byte-identical."""
     import repro.cli as cli
 
     originals = dict(cli.GENERATORS)
     try:
-        for name in list(cli.GENERATORS):
+        for name, entry in originals.items():  # keep it cheap
             if name not in ("table2", "table6"):
-                cli.GENERATORS[name] = lambda name=name: f"stub {name}"
+                cli.GENERATORS[name] = entry._replace(
+                    generate=lambda name=name: f"stub {name}"
+                )
         assert main(["all", "-d", str(tmp_path)]) == 0
         written = {p.name for p in tmp_path.iterdir()}
-        assert written == {f"{n}.txt" for n in cli.GENERATORS}
+        assert written == {
+            entry.artifact.name if entry.artifact else f"{name}.txt"
+            for name, entry in cli.GENERATORS.items()
+        }
+        assert "fig8_modeled.txt" in written
+        for name in ("table2", "table6"):
+            committed = ROOT / originals[name].artifact
+            assert (tmp_path / committed.name).read_bytes() == (
+                committed.read_bytes()
+            )
     finally:
         cli.GENERATORS.clear()
         cli.GENERATORS.update(originals)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, e in GENERATORS.items() if e.artifact)
+)
+def test_target_prints_its_committed_artifact(name, capsys):
+    """``python -m repro <name>`` is the one generator of its paper file:
+    what it prints is the committed file, byte for byte."""
+    assert main([name]) == 0
+    out = capsys.readouterr().out
+    assert out == (ROOT / GENERATORS[name].artifact).read_text()
 
 
 def test_unknown_target_rejected():
@@ -98,13 +124,13 @@ def test_unknown_target_rejected():
 
 
 def test_fig7_generator_output():
-    text = GENERATORS["fig7"]()
+    text = GENERATORS["fig7"].generate()
     assert "turnaround by frame count" in text
     assert "D-ADA (protein)" in text
 
 
 def test_calibration_generator_output():
-    text = GENERATORS["calibration"]()
+    text = GENERATORS["calibration"].generate()
     assert "compression ratio" in text
 
 
