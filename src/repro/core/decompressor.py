@@ -15,19 +15,21 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from repro.errors import CodecError
+# ``decode_dcd``/``decode_trr`` are imported, not called: the window tests
+# patch them here to prove no window falls back to a whole-stream decode.
 from repro.formats.dcd import (
     DCD_MAGIC,
     dcd_frame_count,
-    decode_dcd,
+    decode_dcd,  # noqa: F401
     decode_dcd_range,
 )
 from repro.formats.trajectory import Trajectory
 from repro.formats.trr import (
     TRR_MAGIC,
-    decode_trr,
+    decode_trr,  # noqa: F401
     decode_trr_range,
     trr_frame_count,
 )
@@ -36,7 +38,6 @@ from repro.formats.xtc import (
     XTC_MAGIC,
     FrameIndex,
     decode_frame_range,
-    decode_xtc,
     decode_raw,
 )
 
@@ -53,7 +54,7 @@ class TrajectoryWindow:
     ``[start, stop)`` are frame indices into the full stream; for
     compressed streams the window is GOF-aligned (``start`` is a
     keyframe), so each window decodes independently and the concatenation
-    of all windows is bit-identical to a whole-stream decode.
+    of all windows is the whole-stream decode.
     """
 
     index: int
@@ -135,16 +136,41 @@ class Decompressor:
         return index
 
     def decompress(self, data: bytes) -> Trajectory:
-        """Decode any supported container into an in-memory trajectory."""
+        """Decode any supported container into an in-memory trajectory:
+        raw as its zero-copy views, every other format as the range
+        decode of all its frames."""
+        if self.sniff(data) == "raw":
+            return decode_raw(data)
+        nframes, decode = self._seekable(data)
+        return decode(0, nframes)
+
+    def _seekable(
+        self, data: bytes
+    ) -> "tuple[int, Callable[[int, int], Trajectory]]":
+        """``(nframes, decode)``: the stream's frame count, read without
+        inflating payloads, and its ``[start, stop)`` frame-range decoder --
+        the one format switch behind every decode.
+
+        XTC seeks via its (cached) :class:`FrameIndex`, TRR and DCD via
+        fixed-frame-size header arithmetic, and raw slices its (cached)
+        zero-copy view.
+        """
         kind = self.sniff(data)
         if kind == "xtc":
-            return decode_xtc(data, index=self.frame_index(data))
-        if kind == "dcd":
-            return decode_dcd(data)
+            index = self.frame_index(data)
+            return index.nframes, lambda start, stop: decode_frame_range(
+                data, start, stop, index=index
+            )
         if kind == "trr":
-            trajectory, _velocities = decode_trr(data)
-            return trajectory
-        return decode_raw(data)
+            return trr_frame_count(data), (
+                lambda start, stop: decode_trr_range(data, start, stop)[0]
+            )
+        if kind == "dcd":
+            return dcd_frame_count(data), (
+                lambda start, stop: decode_dcd_range(data, start, stop)
+            )
+        raw = self._raw_trajectory(data)
+        return raw.nframes, raw.slice_frames
 
     # -- streaming windows ------------------------------------------------
 
@@ -184,24 +210,12 @@ class Decompressor:
     def decode_range(self, data: bytes, start: int, stop: int) -> Trajectory:
         """Decode frames ``[start, stop)`` only -- any supported format.
 
-        The shared lazy-window primitive: XTC seeks via its
-        :class:`FrameIndex`, TRR and DCD via fixed-frame-size header
-        arithmetic, and raw slices its (cached) zero-copy view.  Bytes
+        The shared lazy-window primitive (see :meth:`_seekable`).  Bytes
         outside the range are never inflated for the seekable formats, so
         windowed ingest of a TRR or DCD stream peaks at one window of
         frames exactly like the XTC path.
         """
-        kind = self.sniff(data)
-        if kind == "xtc":
-            return decode_frame_range(
-                data, start, stop, index=self.frame_index(data)
-            )
-        if kind == "trr":
-            trajectory, _velocities = decode_trr_range(data, start, stop)
-            return trajectory
-        if kind == "dcd":
-            return decode_dcd_range(data, start, stop)
-        return self._raw_trajectory(data).slice_frames(start, stop)
+        return self._seekable(data)[1](start, stop)
 
     def iter_windows(
         self, data: bytes, window_frames: int
@@ -212,8 +226,8 @@ class Decompressor:
         :class:`TrajectoryWindow` is decoded lazily on ``next()`` via
         :meth:`decode_range`, so peak memory is one window's frames (plus
         the encoded stream), not the whole raw dataset -- for XTC, TRR,
-        and DCD alike.  Concatenating every window's frames is
-        bit-identical to :meth:`decompress` of the full stream.
+        and DCD alike.  Concatenating every window's frames gives
+        :meth:`decompress` of the full stream: it is the same range decode.
         """
         spans = self.window_spans(data, window_frames)
         for i, (start, stop) in enumerate(spans):
@@ -226,14 +240,7 @@ class Decompressor:
 
     def frame_count(self, data: bytes) -> int:
         """Frames in a stream without inflating coordinate payloads."""
-        kind = self.sniff(data)
-        if kind == "xtc":
-            return self.frame_index(data).nframes
-        if kind == "trr":
-            return trr_frame_count(data)
-        if kind == "dcd":
-            return dcd_frame_count(data)
-        return self._raw_trajectory(data).nframes
+        return self._seekable(data)[0]
 
     def raw_nbytes(self, data: bytes) -> int:
         """Decompressed payload size (headers only for xtc)."""

@@ -55,6 +55,8 @@ def _read_record(data: bytes, offset: int) -> "tuple[bytes, int]":
 def encode_dcd(trajectory: Trajectory) -> bytes:
     """Serialize a trajectory as a DCD byte stream."""
     nframes = trajectory.nframes
+    if nframes == 0:
+        raise CodecError("cannot encode a trajectory of zero frames as DCD")
     natoms = trajectory.natoms
     icntrl = [0] * 20
     icntrl[0] = nframes  # NSET
@@ -78,45 +80,13 @@ def encode_dcd(trajectory: Trajectory) -> bytes:
 
 
 def decode_dcd(data: bytes) -> Trajectory:
-    """Parse a DCD byte stream back into a :class:`Trajectory`.
+    """Parse a DCD byte stream back into a :class:`Trajectory`: the
+    :func:`decode_dcd_range` of every frame.
 
     Accepts a concatenation of DCD files over the same atom set (the shape
     of a multi-chunk PLFS subset) and splices them frame-wise.
     """
-    parts: List[Trajectory] = []
-    offset = 0
-    while offset < len(data):
-        part, offset = _decode_one_dcd(data, offset)
-        parts.append(part)
-    if not parts:
-        raise CodecError("empty DCD stream")
-    return parts[0] if len(parts) == 1 else Trajectory.concatenate(parts)
-
-
-def _decode_one_dcd(data: bytes, start: int) -> "tuple[Trajectory, int]":
-    header, offset = _read_record(data, start)
-    if header[:4] != DCD_MAGIC:
-        raise CodecError(f"bad DCD magic {header[:4]!r}")
-    icntrl = struct.unpack_from("<20i", header, 4)
-    nframes, istart = icntrl[0], icntrl[1]
-    _titles, offset = _read_record(data, offset)
-    natoms_rec, offset = _read_record(data, offset)
-    (natoms,) = struct.unpack("<i", natoms_rec)
-    if natoms <= 0 or nframes < 0:
-        raise CodecError(f"implausible DCD dimensions ({nframes}x{natoms})")
-
-    coords = np.empty((nframes, natoms, 3), dtype=np.float32)
-    for f in range(nframes):
-        for axis in range(3):
-            payload, offset = _read_record(data, offset)
-            if len(payload) != natoms * 4:
-                raise CodecError(
-                    f"DCD frame {f} axis {axis}: {len(payload)} bytes, "
-                    f"expected {natoms * 4}"
-                )
-            coords[f, :, axis] = np.frombuffer(payload, dtype="<f4")
-    steps = istart + np.arange(nframes, dtype=np.int64)
-    return Trajectory(coords=coords, steps=steps), offset
+    return decode_dcd_range(data, 0, dcd_frame_count(data))
 
 
 def _scan_dcd(data: bytes) -> "List[tuple[int, int, int, int, int]]":
@@ -141,6 +111,11 @@ def _scan_dcd(data: bytes) -> "List[tuple[int, int, int, int, int]]":
         (natoms,) = struct.unpack("<i", natoms_rec)
         if natoms <= 0 or nframes < 0:
             raise CodecError(f"implausible DCD dimensions ({nframes}x{natoms})")
+        if segments and natoms != segments[0][2]:
+            raise CodecError(
+                f"DCD segment at offset {offset} holds {natoms} atoms, "
+                f"the first holds {segments[0][2]}"
+            )
         frame_bytes = 3 * (8 + natoms * 4)
         end = off + nframes * frame_bytes
         if end > len(data):
@@ -160,9 +135,10 @@ def dcd_frame_count(data: bytes) -> int:
 def decode_dcd_range(data: bytes, start: int, stop: int) -> Trajectory:
     """Decode frames ``[start, stop)`` of a (concatenated) DCD stream.
 
-    Only the records inside the range are read and CRC-of-marker checked;
-    the concatenation of range decodes over a partition of ``[0,
-    nframes)`` is bit-identical to :func:`decode_dcd`.
+    Only the records inside the range are read: each segment's share is
+    one ``(frames, 3, natoms + 2)`` int32 view -- every record's two
+    length markers checked at once, the float32 payloads between them
+    transposed straight into the output.
     """
     segments = _scan_dcd(data)
     total = sum(seg[1] for seg in segments)
@@ -170,27 +146,30 @@ def decode_dcd_range(data: bytes, start: int, stop: int) -> Trajectory:
         raise CodecError(
             f"frame range [{start}, {stop}) outside stream of {total}"
         )
-    parts: List[Trajectory] = []
+    natoms = segments[0][2]
+    coords = np.empty((stop - start, natoms, 3), dtype=np.float32)
+    steps = np.empty(stop - start, dtype=np.int64)
     base = 0  # first global frame index of the current segment
-    for coords_offset, nframes, natoms, istart, frame_bytes in segments:
-        lo = max(start, base)
-        hi = min(stop, base + nframes)
+    for coords_offset, nframes, _natoms, istart, frame_bytes in segments:
+        lo, hi = max(start, base) - base, min(stop, base + nframes) - base
         if lo < hi:
-            coords = np.empty((hi - lo, natoms, 3), dtype=np.float32)
-            for i, f in enumerate(range(lo - base, hi - base)):
-                offset = coords_offset + f * frame_bytes
-                for axis in range(3):
-                    payload, offset = _read_record(data, offset)
-                    if len(payload) != natoms * 4:
-                        raise CodecError(
-                            f"DCD frame {f} axis {axis}: {len(payload)} "
-                            f"bytes, expected {natoms * 4}"
-                        )
-                    coords[i, :, axis] = np.frombuffer(payload, dtype="<f4")
-            steps = istart + np.arange(lo - base, hi - base, dtype=np.int64)
-            parts.append(Trajectory(coords=coords, steps=steps))
+            records = np.frombuffer(
+                data, dtype="<i4", count=(hi - lo) * 3 * (natoms + 2),
+                offset=coords_offset + lo * frame_bytes,
+            ).reshape(hi - lo, 3, natoms + 2)
+            markers = records[:, :, [0, -1]]
+            bad = (markers != natoms * 4).any(axis=2)
+            if bad.any():
+                f, axis = np.argwhere(bad)[0]
+                raise CodecError(
+                    f"DCD frame {lo + f} axis {axis}: record markers "
+                    f"{markers[f, axis].tolist()}, expected {natoms * 4}"
+                )
+            out = slice(base + lo - start, base + hi - start)
+            coords[out] = records[:, :, 1:-1].view("<f4").transpose(0, 2, 1)
+            steps[out] = istart + np.arange(lo, hi)
         base += nframes
-    return parts[0] if len(parts) == 1 else Trajectory.concatenate(parts)
+    return Trajectory(coords=coords, steps=steps)
 
 
 def dcd_nbytes(natoms: int, nframes: int) -> int:

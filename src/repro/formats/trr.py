@@ -33,6 +33,12 @@ TRR_MAGIC = 1993
 
 # magic, natoms, step, time, has_velocities, reserved
 _HEADER = struct.Struct("<iiq f i i")
+#: ``_HEADER`` as a numpy record: a stream's frame headers read as one
+#: strided array.
+_HEADER_RECORD = np.dtype(
+    [("magic", "<i4"), ("natoms", "<i4"), ("step", "<i8"), ("time", "<f4"),
+     ("vel", "<i4"), ("reserved", "<i4")]
+)
 
 
 def encode_trr(
@@ -69,53 +75,9 @@ def encode_trr(
 
 
 def decode_trr(data: bytes) -> "tuple[Trajectory, Optional[np.ndarray]]":
-    """Parse TRR bytes into ``(trajectory, velocities-or-None)``."""
-    coords: List[np.ndarray] = []
-    vels: List[np.ndarray] = []
-    steps: List[int] = []
-    times: List[float] = []
-    offset = 0
-    has_vel = None
-    n = len(data)
-    while offset < n:
-        if offset + _HEADER.size > n:
-            raise CodecError("truncated TRR frame header")
-        magic, natoms, step, time_ps, vel_flag, _ = _HEADER.unpack_from(
-            data, offset
-        )
-        if magic != TRR_MAGIC:
-            raise CodecError(f"bad TRR magic {magic} at offset {offset}")
-        if natoms <= 0:
-            raise CodecError(f"implausible TRR atom count {natoms}")
-        if has_vel is None:
-            has_vel = bool(vel_flag)
-        elif has_vel != bool(vel_flag):
-            raise CodecError("inconsistent velocity sections across frames")
-        offset += _HEADER.size
-        frame_bytes = natoms * 12
-        sections = 2 if has_vel else 1
-        if offset + sections * frame_bytes > n:
-            raise CodecError("truncated TRR frame payload")
-        coords.append(
-            np.frombuffer(data, dtype="<f4", count=natoms * 3, offset=offset)
-            .reshape(natoms, 3)
-            .copy()
-        )
-        offset += frame_bytes
-        if has_vel:
-            vels.append(
-                np.frombuffer(data, dtype="<f4", count=natoms * 3, offset=offset)
-                .reshape(natoms, 3)
-                .copy()
-            )
-            offset += frame_bytes
-        steps.append(step)
-        times.append(time_ps)
-    if not coords:
-        raise CodecError("empty TRR stream")
-    trajectory = Trajectory(coords=np.stack(coords), steps=steps, times_ps=times)
-    velocities = np.stack(vels) if has_vel else None
-    return trajectory, velocities
+    """Parse TRR bytes into ``(trajectory, velocities-or-None)``: the
+    :func:`decode_trr_range` of every frame."""
+    return decode_trr_range(data, 0, trr_frame_count(data))
 
 
 def _trr_geometry(data: bytes) -> "tuple[int, bool, int]":
@@ -138,15 +100,46 @@ def _trr_geometry(data: bytes) -> "tuple[int, bool, int]":
     return natoms, bool(vel_flag), frame_size
 
 
+def _frame_headers(data: bytes, start: int, count: int) -> np.ndarray:
+    """Headers of frames ``[start, start + count)``, one strided record view,
+    checked against frame 0's layout: the first frame whose magic, atom
+    count or velocity section differs raises."""
+    natoms, has_vel, frame_size = _trr_geometry(data)
+    heads = np.ndarray(
+        (count,), _HEADER_RECORD, data, start * frame_size, (frame_size,)
+    )
+    bad = (heads["magic"] != TRR_MAGIC) | (heads["natoms"] != natoms)
+    bad |= (heads["vel"] != 0) != has_vel
+    if bad.any():
+        f = int(bad.argmax())
+        magic, f_natoms = int(heads["magic"][f]), int(heads["natoms"][f])
+        f += start
+        if magic != TRR_MAGIC:
+            raise CodecError(f"bad TRR magic {magic} at offset {f * frame_size}")
+        if f_natoms != natoms:
+            raise CodecError(
+                f"TRR frame {f} holds {f_natoms} atoms, frame 0 holds {natoms}"
+            )
+        raise CodecError("inconsistent velocity sections across frames")
+    return heads
+
+
 def trr_frame_count(data: bytes) -> int:
-    """Frames in a TRR stream from header arithmetic alone (no decode)."""
+    """Frames in a TRR stream from header arithmetic alone (no decode).
+
+    A length that is not a whole number of frames is a truncated stream,
+    or streams of different atom counts spliced together: the headers at
+    every frame stride tell which.
+    """
     _natoms, _has_vel, frame_size = _trr_geometry(data)
-    if len(data) % frame_size:
+    nframes, rem = divmod(len(data), frame_size)
+    if rem:
+        _frame_headers(data, 0, (len(data) - _HEADER.size) // frame_size + 1)
         raise CodecError(
-            f"TRR stream length {len(data)} is not a whole number of "
-            f"{frame_size}-byte frames"
+            f"truncated TRR stream: {len(data)} bytes is not a whole number "
+            f"of {frame_size}-byte frames"
         )
-    return len(data) // frame_size
+    return nframes
 
 
 def decode_trr_range(
@@ -155,8 +148,8 @@ def decode_trr_range(
     """Decode frames ``[start, stop)`` only (lazy windowed ingest).
 
     Seeks directly to ``start * frame_size`` and touches nothing outside
-    the range; the concatenation of range decodes over a partition of
-    ``[0, nframes)`` is bit-identical to :func:`decode_trr`.
+    the range: headers, coordinates and velocities are each one strided
+    view over the range's frames, copied out once.
     """
     natoms, has_vel, frame_size = _trr_geometry(data)
     nframes = trr_frame_count(data)
@@ -164,40 +157,19 @@ def decode_trr_range(
         raise CodecError(
             f"frame range [{start}, {stop}) outside stream of {nframes}"
         )
-    coords: List[np.ndarray] = []
-    vels: List[np.ndarray] = []
-    steps: List[int] = []
-    times: List[float] = []
-    frame_bytes = natoms * 12
-    for f in range(start, stop):
-        offset = f * frame_size
-        magic, f_natoms, step, time_ps, vel_flag, _ = _HEADER.unpack_from(
-            data, offset
-        )
-        if magic != TRR_MAGIC:
-            raise CodecError(f"bad TRR magic {magic} at offset {offset}")
-        if f_natoms != natoms or bool(vel_flag) != has_vel:
-            raise CodecError("inconsistent TRR frame layout mid-stream")
-        offset += _HEADER.size
-        coords.append(
-            np.frombuffer(data, dtype="<f4", count=natoms * 3, offset=offset)
-            .reshape(natoms, 3)
-            .copy()
-        )
-        if has_vel:
-            vels.append(
-                np.frombuffer(
-                    data, dtype="<f4", count=natoms * 3,
-                    offset=offset + frame_bytes,
-                )
-                .reshape(natoms, 3)
-                .copy()
-            )
-        steps.append(step)
-        times.append(time_ps)
-    trajectory = Trajectory(coords=np.stack(coords), steps=steps, times_ps=times)
-    velocities = np.stack(vels) if has_vel else None
-    return trajectory, velocities
+    heads = _frame_headers(data, start, stop - start)
+
+    def section(k: int) -> np.ndarray:
+        offset = start * frame_size + _HEADER.size + k * natoms * 12
+        shape, strides = (stop - start, natoms, 3), (frame_size, 12, 4)
+        return np.ndarray(shape, "<f4", data, offset, strides).copy()
+
+    trajectory = Trajectory(
+        coords=section(0),
+        steps=heads["step"].copy(),
+        times_ps=heads["time"].astype(np.float64),
+    )
+    return trajectory, section(1) if has_vel else None
 
 
 def trr_nbytes(natoms: int, nframes: int, with_velocities: bool = False) -> int:

@@ -29,9 +29,9 @@ Performance model (the materialized-mode hot path):
 * the bit-packing kernels work on **period words**: a fixed-width stream
   repeats its byte/bit phase every few values, so pack folds each period
   into big-endian 64-bit words with one integer mat-vec and unpack pulls
-  the lanes back out with one shift each -- a constant handful of numpy
-  passes per equal-width run of blocks, never a per-bit matrix (unpack
-  alone keeps a per-lane byte path, for periods wider than two words);
+  the lanes back out with one shift each (one more where a field straddles
+  two words) -- a constant handful of numpy passes per equal-width run of
+  blocks at every width, never a per-bit matrix;
 * the delta/zigzag/quantize stages run as **whole-GOF batch operations**:
   encode quantizes a GOF's frames in five passes into one int64 block
   that feeds the I-frame's intra-frame deltas and, with a single
@@ -222,7 +222,7 @@ def _lane_geometry(nbits: int, count: int) -> "tuple[int, int, int]":
     repetitions of a ``period_bytes``-byte pattern, and lane ``j`` of every
     period starts at the same scalar ``(byte, bit)`` offset -- which is what
     lets pack/unpack run as a handful of whole-array ops per period word
-    (or per lane) instead of per-value (or per-bit) work.
+    instead of per-value (or per-bit) work.
     """
     lanes = 8 // math.gcd(nbits, 8)
     period_bytes = nbits * lanes // 8
@@ -295,75 +295,35 @@ def _pack_words(values_u: np.ndarray, nbits: int) -> bytes:
     return out.tobytes()[: (count * nbits + 7) // 8]
 
 
-def _unpack_lanes(
-    buf: np.ndarray, count: int, nbits: int, out: np.ndarray
-) -> None:
-    """Unpack ``count`` fields from padded byte array ``buf`` into ``out``.
-
-    ``buf`` must extend at least ``period_bytes + 9`` bytes past the last
-    packed byte (zero padding); ``out`` is a ``count``-long uint64 slice.
-    """
-    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    mask = np.uint64((1 << nbits) - 1) if nbits < 64 else np.uint64(2**64 - 1)
-    stop = (nperiods - 1) * period_bytes + 1
-    grid = np.empty((nperiods, lanes), dtype=np.uint64)
-    for j in range(lanes):
-        offset = j * nbits
-        byte0, phase = offset >> 3, offset & 7
-        span = (phase + nbits + 7) // 8
-        if span <= 8:
-            acc = buf[byte0 : byte0 + stop : period_bytes].astype(np.uint64)
-            for k in range(1, span):
-                np.left_shift(acc, np.uint64(8), out=acc)
-                np.bitwise_or(
-                    acc,
-                    buf[byte0 + k : byte0 + k + stop : period_bytes],
-                    out=acc,
-                )
-            np.right_shift(acc, np.uint64(span * 8 - phase - nbits), out=acc)
-            np.bitwise_and(acc, mask, out=acc)
-            grid[:, j] = acc
-        else:
-            # 9-byte span: accumulate 8 bytes (the field minus its low
-            # ``spill`` bits), then OR in the ninth byte's top bits.
-            spill = phase + nbits - 64
-            acc = (
-                buf[byte0 : byte0 + stop : period_bytes] & np.uint8(0xFF >> phase)
-            ).astype(np.uint64)
-            for k in range(1, 8):
-                acc = (acc << np.uint64(8)) | buf[
-                    byte0 + k : byte0 + k + stop : period_bytes
-                ]
-            tail = buf[byte0 + 8 : byte0 + 8 + stop : period_bytes] >> np.uint8(
-                8 - spill
-            )
-            grid[:, j] = (acc << np.uint64(spill)) | tail
-    out[:] = grid.ravel()[:count]
-
-
 def _unpack_periods(
     src: np.ndarray, count: int, nbits: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Unpack fields whose whole lane period fits one 64-bit word.
+    """Period words, the mirror of :func:`_pack_words`: one path for every
+    width.
 
-    Left-justifies each period's bytes in a big-endian uint64, converts to
-    native order in one cast, then pulls every lane out with one scalar
-    shift into contiguous rows -- a handful of full-width vector passes,
-    no per-lane byte striding.  Covers every width the encoder emits in
-    practice (all of 1-8 plus the even widths up to 64).
+    Left-justifies each lane period's bytes in ``ceil(period_bytes / 8)``
+    big-endian words, converts them to native order and to contiguous
+    per-word rows in one cast, then takes each lane with one right shift
+    of the word holding its last bit -- plus one shift-or from the word
+    before when the field straddles the boundary -- and masks once: a
+    handful of full-width vector passes, no per-lane byte striding.
     """
     lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    words = np.zeros((nperiods, 8), dtype=np.uint8)
-    flat = words[:, :period_bytes]
+    staged = np.zeros((nperiods, -(-period_bytes // 8) * 8), dtype=np.uint8)
+    flat = staged[:, :period_bytes]
     nfull = len(src) // period_bytes
     flat[:nfull] = src[: nfull * period_bytes].reshape(nfull, period_bytes)
     rem = len(src) - nfull * period_bytes
     if rem:
         flat[nfull, :rem] = src[nfull * period_bytes :]
-    acc = words.view(">u8").reshape(nperiods).astype(np.uint64)
+    words = staged.view(">u8").T.astype(np.uint64, order="C")
     rows = np.empty((lanes, nperiods), dtype=np.uint64)
     for j in range(lanes):
-        np.right_shift(acc, np.uint64(64 - (j + 1) * nbits), out=rows[j])
+        end = (j + 1) * nbits
+        word = (end - 1) >> 6
+        np.right_shift(words[word], np.uint64(64 * (word + 1) - end), out=rows[j])
+        if end - nbits < 64 * word:
+            rows[j] |= words[word - 1] << np.uint64(end - 64 * word)
     if nbits < 64:
         np.bitwise_and(rows, np.uint64((1 << nbits) - 1), out=rows)
     return _emit_rows(rows, count, out)
@@ -388,43 +348,6 @@ def _emit_rows(
         out[:] = result
         return out
     return result
-
-
-def _unpack_periods2(
-    src: np.ndarray, count: int, nbits: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Unpack fields whose lane period fits two 64-bit words (9-16 bytes).
-
-    Same left-justified big-endian layout as :func:`_unpack_periods`, with
-    each period split into a high and a low word; a lane's field is read
-    from whichever word holds it, or stitched across the boundary with one
-    shift/or.  This keeps the widths real delta streams actually produce
-    (9, 11, 13 bits at odd phases) off the per-byte strided path.
-    """
-    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    words = np.zeros((nperiods, 16), dtype=np.uint8)
-    flat = words[:, :period_bytes]
-    nfull = len(src) // period_bytes
-    flat[:nfull] = src[: nfull * period_bytes].reshape(nfull, period_bytes)
-    rem = len(src) - nfull * period_bytes
-    if rem:
-        flat[nfull, :rem] = src[nfull * period_bytes :]
-    pair = words.reshape(-1).view(">u8").reshape(nperiods, 2)
-    hi = pair[:, 0].astype(np.uint64)
-    lo = pair[:, 1].astype(np.uint64)
-    rows = np.empty((lanes, nperiods), dtype=np.uint64)
-    for j in range(lanes):
-        start = j * nbits
-        end = start + nbits
-        if end <= 64:
-            np.right_shift(hi, np.uint64(64 - end), out=rows[j])
-        elif start >= 64:
-            np.right_shift(lo, np.uint64(128 - end), out=rows[j])
-        else:
-            np.left_shift(hi, np.uint64(end - 64), out=rows[j])
-            rows[j] |= lo >> np.uint64(128 - end)
-    np.bitwise_and(rows, np.uint64((1 << nbits) - 1), out=rows)
-    return _emit_rows(rows, count, out)
 
 
 def _unpack_words(
@@ -455,17 +378,7 @@ def _unpack_words(
         out[:] = words
         return out
     src = np.frombuffer(data, dtype=np.uint8, count=nbytes)
-    _, period_bytes, nperiods = _lane_geometry(nbits, count)
-    if period_bytes <= 8:
-        return _unpack_periods(src, count, nbits, out)
-    if period_bytes <= 16:
-        return _unpack_periods2(src, count, nbits, out)
-    buf = np.zeros(nperiods * period_bytes + 16, dtype=np.uint8)
-    buf[:nbytes] = src
-    if out is None:
-        out = np.empty(count, dtype=np.uint64)
-    _unpack_lanes(buf, count, nbits, out)
-    return out
+    return _unpack_periods(src, count, nbits, out)
 
 
 def _width_runs(widths: Sequence[int]) -> Iterator[Tuple[int, int]]:
@@ -898,7 +811,7 @@ def _decode_run(
     data: bytes,
     infos: Sequence[XtcFrameInfo],
     out: np.ndarray,
-    keep_from: int = 0,
+    keep_from: int,
 ) -> None:
     """Decode a contiguous keyframe-anchored run into ``out``.
 
@@ -928,7 +841,8 @@ def decode_xtc(
     data: bytes,
     index: Optional[FrameIndex] = None,
 ) -> Trajectory:
-    """Decompress an XTC stream into a :class:`Trajectory`.
+    """Decompress an XTC stream into a :class:`Trajectory`: the
+    :func:`decode_frame_range` of every frame.
 
     The full frame is always inflated -- the paper's point is precisely
     that an atom selection cannot happen before decompression; filter the
@@ -938,15 +852,7 @@ def decode_xtc(
     headers.
     """
     idx = index if index is not None else FrameIndex.build(data)
-    infos = idx.infos
-    coords = np.empty((len(infos), idx.natoms, 3), dtype=np.float32)
-    _decode_run(data, infos, coords)
-    return Trajectory(
-        coords=coords,
-        steps=[i.step for i in infos],
-        times_ps=[i.time_ps for i in infos],
-        box=_header_box(data, infos[0].offset),
-    )
+    return decode_frame_range(data, 0, len(idx), index=idx)
 
 
 def decode_frame_range(
@@ -1052,6 +958,12 @@ def decode_raw(data: bytes) -> Trajectory:
         raise CodecError("empty raw stream")
     if len(parts) == 1:
         return parts[0]
+    for part in parts:
+        if part.natoms != parts[0].natoms:
+            raise CodecError(
+                f"raw containers disagree on atom count: {parts[0].natoms} "
+                f"and {part.natoms}"
+            )
     return Trajectory.concatenate(parts)
 
 

@@ -89,3 +89,9 @@ def test_property_roundtrip_lossless(nframes, natoms, seed):
     t = _traj(nframes=nframes, natoms=natoms, seed=seed)
     d = decode_dcd(encode_dcd(t))
     np.testing.assert_array_equal(d.coords, t.coords)
+
+
+def test_empty_trajectory_encode_rejected():
+    empty = Trajectory(coords=np.zeros((0, 5, 3), np.float32))
+    with pytest.raises(CodecError, match="zero frames"):
+        encode_dcd(empty)

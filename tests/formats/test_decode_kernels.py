@@ -325,3 +325,22 @@ def test_fuzzed_bodies_raise_or_decode_like_the_reference():
         got = _assert_agree(blob, list(iter_frame_infos(blob)))
         failures += isinstance(got, str)
     assert 100 < failures < 600  # both outcomes were exercised
+
+
+# -- the unpack kernel at every width -------------------------------------------
+
+
+@pytest.mark.parametrize("nbits", range(1, 65))
+def test_unpack_matches_bit_matrix_at_every_width(nbits):
+    """One period-word kernel (plus whole words at 8/16/32/64) serves every
+    width: straddling fields, partial last periods and both ``out=`` forms
+    agree with the reference's bit-matrix unpacker."""
+    lanes = xtc._lane_geometry(nbits, 1)[0]
+    rng = np.random.default_rng(nbits)
+    for count in sorted({1, lanes - 1, lanes, lanes + 1, 8192, 8193}):
+        data = _pack_words(_values(rng, count, nbits), nbits)
+        want = ref._unpack_words(data, count, nbits)
+        assert np.array_equal(xtc._unpack_words(data, count, nbits), want)
+        out = np.full(count, 7, dtype=np.uint64)
+        assert xtc._unpack_words(data, count, nbits, out=out) is out
+        assert np.array_equal(out, want), (nbits, count)

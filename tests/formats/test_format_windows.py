@@ -16,6 +16,7 @@ from repro.core.decompressor import Decompressor
 from repro.core.lod import lod_tag
 from repro.core.ingest import IngestPipelineConfig
 from repro.errors import CodecError
+from repro.formats import Trajectory
 from repro.formats.dcd import (
     dcd_frame_count,
     decode_dcd,
@@ -163,3 +164,29 @@ def test_windowed_ingest_with_lod_roundtrip(workload, fmt):
     err = np.abs(coarse.coords - got.coords).max()
     assert err <= lod.max_error
     assert lod.nbytes < 0.5 * full.nbytes
+
+
+# -- mixed atom counts --------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", ["small_first", "large_first"])
+@pytest.mark.parametrize("fmt", ["raw", "dcd", "trr"])
+def test_mixed_atom_counts_raise_a_codec_error_naming_both(fmt, order):
+    """Containers over different atom sets cannot splice into one stream:
+    every decode path says so as a ``CodecError`` naming both counts."""
+    rng = np.random.default_rng(11)
+    parts = [
+        Trajectory(coords=rng.normal(size=(nframes, natoms, 3)).astype(np.float32))
+        for nframes, natoms in [(2, 13), (3, 17)]
+    ]
+    if order == "large_first":
+        parts.reverse()
+    blob = b"".join(ENCODERS[fmt](part) for part in parts)
+    decoders = [Decompressor().decompress]
+    decoders.append({"raw": decode_raw, "dcd": decode_dcd, "trr": decode_trr}[fmt])
+    if fmt == "dcd":
+        decoders.append(lambda b: decode_dcd_range(b, 0, 1))
+    for decode in decoders:
+        with pytest.raises(CodecError) as info:
+            decode(blob)
+        assert "13" in str(info.value) and "17" in str(info.value)

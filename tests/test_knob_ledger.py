@@ -172,6 +172,9 @@ KEPT_FOR = {
     ("ShardedADA", "retry_policy"): "the chaos suites bound the front's retries",
     ("ShardedADA", "replicated_tags"): "policy: which subsets are hot enough "
     "to replicate; tests/cluster replicates other tags",
+    ("decode_xtc", "index"): "public API (docs/api.md): callers holding a "
+    "FrameIndex skip the header scan; Decompressor passes its cached one "
+    "to decode_frame_range, which decode_xtc wraps",
     ("StreamingTrajectory", "index"): "callers holding a FrameIndex skip the "
     "header scan (tests/vmd viewer budget counts index builds)",
     ("StreamingTrajectory", "precision"): "the starting tier; mutable after",
