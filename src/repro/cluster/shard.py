@@ -182,6 +182,7 @@ class ShardNode:
         self.alive = True
         self.inflight = 0
         self.served_bytes = 0
+        self._backends = tuple(ada.plfs.backends.values())
 
     @classmethod
     def build(
@@ -197,6 +198,12 @@ class ShardNode:
             sim, backends, metrics=metrics, shard_id=str(name), **ada_kwargs
         )
         return cls(name, ada)
+
+    def backlog(self) -> Tuple[int, int]:
+        """``(queued_ns, queued_writes)`` on the node's devices: reads and
+        writes alike, routed or not (appends never pass the router)."""
+        queued_ns, writes = zip(*(fs.device_backlog() for fs in self._backends))
+        return sum(queued_ns), sum(writes)
 
     def kill(self) -> None:
         self.alive = False
@@ -286,6 +293,7 @@ class ShardedADA(DataPlane):
         )
         self._counters = {
             "routed": self.metrics.counter("cluster_routed_total"),
+            "steers": self.metrics.counter("cluster_read_steers_total"),
             "failovers": self.metrics.counter("cluster_failovers_total"),
             "kills": self.metrics.counter("cluster_node_kills_total"),
             "degraded": self.metrics.counter("cluster_degraded_reads_total"),
@@ -315,6 +323,11 @@ class ShardedADA(DataPlane):
         self.metrics.gauge(
             "shard_inflight",
             fn=lambda n=node: n.inflight,
+            shard=node.name,
+        )
+        self.metrics.gauge(
+            "shard_queued_device_seconds",
+            fn=lambda n=node: n.backlog()[0] / 1e9,
             shard=node.name,
         )
         self.metrics.gauge(
@@ -396,6 +409,16 @@ class ShardedADA(DataPlane):
         served ``affinity_bytes_slack`` more bytes than it (the byte
         bound stops a Zipf-hot stream from pinning its whole volume on
         one replica -- stickiness is a tiebreak, not a hard pin).
+
+        Appends reach every holder outside the router, so ``inflight``
+        cannot see a holder whose device is busy writing.  When the
+        holder the stream would use (its sticky one, else the least
+        loaded) has a write queued, the read goes instead to the live
+        holder with the fewest queued device nanoseconds, if that is
+        strictly fewer, and the stream's affinity follows it.  With no
+        write queued the rule never fires, so a read-only deployment
+        keeps the locality stickiness buys; a steer trades some cache
+        hits on the old holder for not waiting behind its append.
         """
         def load(name: str) -> Tuple[int, int, str]:
             node = self.nodes[name]
@@ -403,6 +426,15 @@ class ShardedADA(DataPlane):
 
         best = min(candidates, key=load)
         sticky = self._affinity.get((logical, tag))
+        cur = sticky if sticky in candidates else best
+        queued_ns, writes = self.nodes[cur].backlog()
+        if writes:
+            backlog = {name: self.nodes[name].backlog()[0] for name in candidates}
+            alt = min(candidates, key=lambda name: (backlog[name], load(name)))
+            if queued_ns > backlog[alt]:
+                self._counters["steers"].inc()
+                self._affinity[(logical, tag)] = alt
+                return alt
         if sticky in candidates:
             snode, bnode = self.nodes[sticky], self.nodes[best]
             if (
@@ -788,6 +820,7 @@ class ShardedADA(DataPlane):
                 "alive": node.alive,
                 "inflight": node.inflight,
                 "served_bytes": node.served_bytes,
+                "queued_device_s": node.backlog()[0] / 1e9,
             }
             for name, node in sorted(self.nodes.items())
         }

@@ -239,6 +239,13 @@ class FileSystem(ABC):
             data = self.faults.corrupt_payload(self.fault_site, op, data)
         return data
 
+    def device_backlog(self) -> Tuple[int, int]:
+        """``(queued_ns, queued_writes)``: the device ledgers of every
+        request queued or in service below this file system, summed over
+        its devices (:class:`~repro.storage.device.Device`).  A file
+        system with no device has no backlog."""
+        return 0, 0
+
     # -- shared internals -------------------------------------------------------
 
     def _reserve(self, start: int, nbytes: int) -> None:

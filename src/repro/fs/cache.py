@@ -117,7 +117,10 @@ class CachedFS(FileSystem):
         self.bytes_written += obj.nbytes
         return obj
 
-    # The wrapped file system owns the capacity ledger.
+    # The wrapped file system owns the capacity ledger and the devices.
+
+    def device_backlog(self) -> Tuple[int, int]:
+        return self.inner.device_backlog()
 
     def _reserve(self, start: int, nbytes: int) -> None:
         self.inner._reserve(start, nbytes)

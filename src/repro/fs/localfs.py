@@ -164,6 +164,9 @@ class LocalFS(FileSystem):
                 self.bytes_written += len(line)
             return objs
 
+    def device_backlog(self) -> Tuple[int, int]:
+        return self.device.queued_ns, self.device.queued_writes
+
     # One device: an extent's capacity does not depend on where it starts.
 
     def _reserve(self, start: int, nbytes: int) -> None:

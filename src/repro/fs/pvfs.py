@@ -18,7 +18,7 @@ request-size ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -185,6 +185,13 @@ class PVFS(FileSystem):
         data = None if self.store.is_virtual(path) else self.store.data(path)
         data = self._fault_payload(decision, "read", data)
         return StoredObject(path=path, nbytes=size, data=data)
+
+    def device_backlog(self) -> Tuple[int, int]:
+        devices = [target.device for target in self.targets]
+        return (
+            sum(d.queued_ns for d in devices),
+            sum(d.queued_writes for d in devices),
+        )
 
     def _reserve(self, start: int, nbytes: int) -> None:
         layout = self._extent_layout(start, nbytes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Generator, Optional
 
-from repro.errors import ConfigurationError, StorageFullError
+from repro.errors import ConfigurationError, SimulationError, StorageFullError
 from repro.faults.plan import FaultPlan, raise_fault
 from repro.obs.trace import span
 from repro.sim import BusyTracker, Resource, Simulator
@@ -69,6 +69,12 @@ class Device:
         self.busy = BusyTracker(self.name)
         self.used_bytes = 0.0
         self.faults: Optional[FaultPlan] = None
+        #: Requests queued or in service: their service time in integer
+        #: nanoseconds, and how many are writes.  Exact integers, so both
+        #: are 0 at quiescence and "a write is queued" never comes from
+        #: rounding.
+        self.queued_ns = 0
+        self.queued_writes = 0
 
     @property
     def free_bytes(self) -> float:
@@ -105,7 +111,12 @@ class Device:
         self.used_bytes += nbytes
 
     def free(self, nbytes: float) -> None:
-        self.used_bytes = max(0.0, self.used_bytes - nbytes)
+        """Return capacity :meth:`allocate` reserved (raises on underflow)."""
+        if nbytes > self.used_bytes:
+            raise SimulationError(
+                f"{self.name}: freed {nbytes:.3e} B, {self.used_bytes:.3e} B used"
+            )
+        self.used_bytes -= nbytes
 
     # -- sim processes --------------------------------------------------------
 
@@ -127,7 +138,10 @@ class Device:
             device=self.name, nbytes=int(nbytes), requests=requests,
         ):
             yield from self._fault_gate(op)
+            queued_ns, writes = round(duration * 1e9), int(op == "write")
             req = self.resource.request()
+            self.queued_ns += queued_ns
+            self.queued_writes += writes
             try:
                 yield req
                 start = self.sim.now
@@ -135,6 +149,8 @@ class Device:
                 self.busy.record(start, self.sim.now, label)
             finally:
                 req.release()
+                self.queued_ns -= queued_ns
+                self.queued_writes -= writes
             self._record_metrics(op, duration, nbytes)
 
     def _record_metrics(self, op: str, duration: float, nbytes: float) -> None:

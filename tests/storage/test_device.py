@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, StorageFullError
+from repro.errors import (
+    ConfigurationError,
+    RetryExhaustedError,
+    SimulationError,
+    StorageFullError,
+    TransientFaultError,
+)
+from repro.faults import FaultPlan, FaultSpec, Retrier, RetryPolicy
 from repro.sim import Simulator
 from repro.storage import Device, DeviceSpec, DevicePower, WD_1TB_HDD, NVME_SSD_256GB
 from repro.units import GB, MB, mbps
@@ -88,3 +95,79 @@ def test_device_write_label_recorded():
     sim.run_process(dev.write(50 * MB, label="checkpoint"))
     assert dev.busy.by_label() == {"checkpoint": pytest.approx(1.0)}
 
+
+
+def test_free_raises_on_underflow():
+    dev = Device(Simulator(), _spec(capacity=1 * GB))
+    dev.allocate(100 * MB)
+    with pytest.raises(SimulationError):
+        dev.free(100 * MB + 1)
+    dev.free(100 * MB)
+    assert dev.used_bytes == 0
+
+
+# -- the queue ledgers: queued nanoseconds and queued writes ------------------
+
+
+def _ledgers(dev):
+    return dev.queued_ns, dev.queued_writes
+
+
+def test_ledgers_count_queued_work_and_balance_after_service():
+    sim = Simulator()
+    spec = _spec(read=100.0, write=50.0, seek_ms=0.0)
+    dev = Device(sim, spec)
+    sim.process(dev.write(50 * MB))
+    sim.process(dev.read(100 * MB))
+    sim.run(until=0.5)
+    # The write is in service and the read queued behind it: both count.
+    assert _ledgers(dev) == (2_000_000_000, 1)
+    sim.run(until=1.5)
+    assert _ledgers(dev) == (1_000_000_000, 0)
+    sim.run()
+    assert _ledgers(dev) == (0, 0)
+
+
+def test_ledgers_untouched_by_a_fault_at_the_gate():
+    sim = Simulator()
+    dev = Device(sim, _spec())
+    FaultPlan(seed=1, sites={dev.fault_site: FaultSpec(transient_rate=1.0)}).attach(
+        dev
+    )
+    for op in (dev.read, dev.write):
+        with pytest.raises(TransientFaultError):
+            sim.run_process(op(1 * MB))
+        assert _ledgers(dev) == (0, 0)
+
+
+def test_ledgers_balance_when_a_deadline_cancels_a_queued_request():
+    sim = Simulator()
+    dev = Device(sim, _spec(write=50.0, seek_ms=0.0))
+    retrier = Retrier(sim, policy=RetryPolicy.no_retries(timeout_s=0.1))
+    sim.process(dev.write(50 * MB))  # 1 s in service
+
+    def late_write():
+        with pytest.raises(RetryExhaustedError):
+            yield from retrier.call(lambda: dev.write(1 * MB))
+
+    late = sim.process(late_write())
+    sim.run(until=0.5)
+    assert late.triggered and late.ok
+    # Cancelled while it waited: only the write in service remains.
+    assert _ledgers(dev) == (1_000_000_000, 1)
+    sim.run()
+    assert _ledgers(dev) == (0, 0)
+
+
+def test_ledgers_balance_when_a_waiting_generator_is_abandoned():
+    sim = Simulator()
+    dev = Device(sim, _spec(read=100.0, write=50.0, seek_ms=0.0))
+    sim.process(dev.read(100 * MB))
+    sim.run(until=0.5)
+    waiting = dev.write(50 * MB)
+    next(waiting)  # queued behind the read in service
+    assert _ledgers(dev) == (2_000_000_000, 1)
+    waiting.close()
+    assert _ledgers(dev) == (1_000_000_000, 0)
+    sim.run()
+    assert _ledgers(dev) == (0, 0)
