@@ -4,7 +4,8 @@
 uses tags from the queries to look for paths of datasets on the underlying
 file systems and passes them to the I/O retriever" (§3.2).  The lookup has
 a small but real cost -- it is why D-ADA(all) retrieval trails D-ext4
-slightly in Fig. 7a -- charged as simulated time per query.
+slightly in Fig. 7a -- charged as simulated time per query that reads
+storage: a single-node read the block cache holds whole skips it.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ CATALOGUE = {
             "writes",
         )
     },
+    "indexer_lookups_avoided_total": ("counter", (), int),
     **{f"prefetch_{field}_total": ("counter", (), int) for field in _PREFETCH},
     "retriever_bytes_total": ("counter", (), float),
     "retriever_cache_served_bytes_total": ("counter", (), float),

@@ -2,10 +2,14 @@
 
 Marked ``bench`` so CI can run ``pytest -m bench`` as a fast gate: the
 node sweep still covers 1 through 8 shards, just over a smaller catalog
-and fewer requests -- and because every duration is *simulated*, the
-scaling and imbalance floors hold exactly as they do at full size.  The
-JSON schema is pinned so downstream tooling reading
-``BENCH_cluster.json`` never silently breaks.
+and fewer requests, and every duration is *simulated*, so the result is
+deterministic at its seed.  The floors are the full-size ones, but the
+smoke size sits much closer to the imbalance floor (0.25): its widest
+sweep reads 0.2156 at the pinned seed 3 against 0.1315 at full size, and
+of seeds 1-12 only seed 3 clears the floor (median 0.334).  The seed is a
+pin, not a sample; a change that moves routing can fail this floor here
+while the full-size run still clears it.  The JSON schema is pinned so
+downstream tooling reading ``BENCH_cluster.json`` never silently breaks.
 """
 
 import json

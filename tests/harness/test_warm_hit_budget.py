@@ -36,33 +36,35 @@ REQUESTS_PER_TENANT = 60
 
 #: Kernel events dispatched by the measured phase, exactly.  A request
 #: the queue would dispatch next with nothing in between runs in the
-#: waiting tenant's own process and costs 2: the indexer latency and one
-#: cache wait for the whole window (the window is probed once; its hits'
-#: charges are summed into one timeout).  Its completion hops once at zero
-#: delay only when another event is due at that instant, so the tenant
-#: resumes where the ``done`` wake would have resumed it.  An all-hit
-#: window yields no read barrier, and a prefetch whose predicted window is
-#: already resident is not launched.  A request that meets a same-instant
-#: neighbour takes the queue: the drain loop's wake, its wake on the
-#: already granted slot, the exec process's boot, the two waits, the
-#: client's wake on ``done`` and, when a neighbour is due then too, the
-#: loop's wake on the completion (a kick that finds the loop awake
-#: merges).  Four tenants with identical service times collide often
-#: here, so 129 of the 240 requests queue: 4.24 a request (2.33 at the
-#: end-to-end benchmark's own shape).  Before uncontended requests ran in
-#: place this phase dispatched 1551 (6.46; 7.02 at the benchmark's
-#: shape); with one timeout per hit, a wake on the empty barrier and
-#: resident prefetches launched, 2570 (10.71); before subscriber-less
-#: triggers stopped reaching the heap, 3350 (13.96), with 2219 spans and
-#: 953 whole-subset record copies.
+#: waiting tenant's own process and costs 1: one cache wait for the whole
+#: window (the window is probed once; its hits' charges are summed into
+#: one timeout).  Every chunk is resident, so the window skips the
+#: indexer's 2 ms lookup, which only a read that goes to storage pays.
+#: Its completion hops once at zero delay only when another event is due
+#: at that instant, so the tenant resumes where the ``done`` wake would
+#: have resumed it.  An all-hit window yields no read barrier, and a
+#: prefetch whose predicted window is already resident is not launched.
+#: A request that meets a same-instant neighbour takes the queue: the
+#: drain loop's wake, its wake on the already granted slot, the exec
+#: process's boot, the one wait, the client's wake on ``done`` and, when a
+#: neighbour is due then too, the loop's wake on the completion (a kick
+#: that finds the loop awake merges).  Four tenants with identical service
+#: times collide often here, so 129 of the 240 requests queue: 3.24 a
+#: request (1.34 at the end-to-end benchmark's own shape).  While every
+#: read paid the lookup this phase dispatched 1017 (4.24; 2.33 at the
+#: benchmark's shape); before uncontended requests ran in place, 1551
+#: (6.46; 7.02 at the benchmark's shape); with one timeout per hit, a wake
+#: on the empty barrier and resident prefetches launched, 2570 (10.71);
+#: before subscriber-less triggers stopped reaching the heap, 3350
+#: (13.96), with 2219 spans and 953 whole-subset record copies.
 REQUESTS = len(TENANTS) * REQUESTS_PER_TENANT
-EVENTS = 1017
+EVENTS = 777
 
 #: Simulated second the measured phase starts at.  The count depends on
 #: where float rounding of the absolute clock falls (it decides which
 #: event times tie, and so which kicks merge), so the phase starts at a
 #: fixed clock, not wherever the catalogue ingest and warm-up happened to
-#: end: it reads 1017 from 2, 4, 8 or 16 s alike.
+#: end: it reads 777 from 2, 4, 8 or 16 s alike.
 PHASE_START_S = 2.0
 
 
