@@ -401,8 +401,7 @@ class DataPlane:
         ``tier="lod"`` with the dataset's pinned error bound on
         ``max_error``.  The tier resolves once, here; the front's
         ``_fetch`` hook gets the resolved read tag (a sharded front
-        routes on it: the ``lod:`` sibling hashes to its own ring
-        position).
+        routes on it: the ``lod:`` sibling is a stream of its own).
         """
         tier, read_tag, bound = self._resolve_tier(logical, tag, precision)
         with span(
@@ -653,9 +652,9 @@ class DataPlane:
         read, which needs a sibling for *every* base subset.
 
         The returned tag is the one to *read* -- a sharded front must
-        know it before routing, because the ``lod:`` sibling hashes to
-        its own ring position.  Each request resolves once, so every
-        tier event is counted here exactly once.
+        know it before routing, because the ``lod:`` sibling is its own
+        routed stream on its base's holders.  Each request resolves
+        once, so every tier event is counted here exactly once.
         """
         precision = validate_precision(precision)
         if precision == "full" or (tag is not None and is_lod_tag(tag)):

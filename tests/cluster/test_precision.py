@@ -1,10 +1,10 @@
 """Precision-selective serving through the sharded front.
 
-The ``lod:`` sibling hashes to its own ring position, so a coarse read
-may land on a *different node* than its base subset -- the front must
-resolve the tier before routing, and the node must agree.  The usual
-sharding contract still holds per tier: bytes through N nodes are
-bit-identical to the same read through one plain middleware.
+The ``lod:`` sibling is a routed stream of its own on its base's
+holders, so the front must resolve the tier before routing, and the
+node must agree.  The usual sharding contract still holds per tier:
+bytes through N nodes are bit-identical to the same read through one
+plain middleware.
 """
 
 import numpy as np

@@ -211,10 +211,11 @@ def test_sharded_window_is_one_append_per_holder_node(stream):
         name: [t for t in WINDOW_TAGS if name in sharded.holders(LOGICAL, t)]
         for name in names
     }
-    # Five (tag, holder) copies on four nodes: some node holds two tags,
-    # and it still pays one span, carrying its one append, for the window.
-    assert sum(len(tags) for tags in held.values()) == 5
-    assert max(len(tags) for tags in held.values()) >= 2
+    # Six (tag, holder) copies on two nodes: ``p`` and ``lod:p`` on both
+    # holders, MISC and its sibling on the primary.  Each holder still
+    # pays one span, carrying its one append, for the window.
+    assert sum(len(tags) for tags in held.values()) == 6
+    assert held[sharded.holders(LOGICAL, "p")[0]] == WINDOW_TAGS
     for node in nodes:
         # A one-disk node's metadata resolves to its only disk.
         assert node.ada.plfs.metadata_backend == "hdd"

@@ -239,15 +239,41 @@ def test_degraded_read_accounting_matches_warnings():
     assert front.metrics.value("cluster_degraded_reads_total") == warned
 
 
-def test_replicated_tag_never_degrades_while_one_replica_lives():
-    blobs = _blobs()
+def _kill_primary(blobs):
+    """A deployment whose first dataset lost its primary (the node that
+    also holds its MISC), plus that dataset's clean ``p`` bytes."""
     sim, front = _build(blobs)
     logical = blobs[0][0]
+    clean = sim.run_process(front.fetch(logical, PLAYBACK_TAG)).data
     front.kill_node(front.holders(logical, PLAYBACK_TAG)[0])
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("error", DegradedReadWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         subsets = sim.run_process(front.fetch_all(logical))
-    assert PLAYBACK_TAG in subsets
+    degraded = [w for w in caught if isinstance(w.message, DegradedReadWarning)]
+    return front, logical, clean, subsets, degraded
+
+
+def test_replicated_tag_never_degrades_while_one_replica_lives():
+    blobs = _blobs()
+    _, logical, clean, subsets, degraded = _kill_primary(blobs)
+    assert subsets[PLAYBACK_TAG].data == clean
+    named = [w for w in degraded if f"subset {PLAYBACK_TAG!r}" in str(w.message)]
+    assert not named
+
+
+def test_losing_a_datasets_primary_degrades_its_misc_loudly():
+    """MISC lives on the primary only: losing that node drops every
+    unreplicated tag from ``fetch_all``, one warning and one record each."""
+    blobs = _blobs()
+    front, logical, _, subsets, degraded = _kill_primary(blobs)
+    misc = [t for t in front.tags(logical) if t != PLAYBACK_TAG]
+    assert misc, "the workload must store some MISC"
+    assert sorted(subsets) == [PLAYBACK_TAG]
+    assert len(degraded) == len(misc)
+    for tag in misc:
+        assert [w for w in degraded if f"subset {tag!r}" in str(w.message)]
+    assert sorted(t for lg, t, _ in front.degraded if lg == logical) == misc
+    assert front.metrics.value("cluster_degraded_reads_total") == len(misc)
 
 
 def test_losing_every_replica_is_an_error_not_a_degradation():
