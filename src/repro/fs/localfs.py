@@ -61,18 +61,23 @@ class LocalFS(FileSystem):
         self.bytes_written += len(data)
         return StoredObject(path=path, nbytes=len(data), data=data)
 
-    def _device_write(self, size: int, requests: int, label: str) -> Generator:
-        """Process: reserve ``size`` bytes, then pay one metadata operation
-        and the device transfer of ``requests`` requests.  Nothing is
-        stored yet; a device-level injected failure (or an abandoned write)
-        releases the reservation so a retried write does not leak
-        capacity."""
-        self._reserve(0, size)
+    def _device_write(
+        self, size: int, requests: int, label: str, line: Optional[int] = None
+    ) -> Generator:
+        """Process: reserve ``size`` bytes (plus a ``line``), then pay one
+        metadata operation and the device transfer of ``requests``
+        requests, then the line's own request.  Nothing is stored yet; a
+        device-level injected failure (or an abandoned write) releases the
+        reservation so a retried write does not leak capacity."""
+        total = size + (line or 0)
+        self._reserve(0, total)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
             yield from self.device.write(size, requests, label)
+            if line is not None:
+                yield from self.device.write(line, 1, label)
         except BaseException:
-            self._release(0, size)
+            self._release(0, total)
             raise
 
     def read(
@@ -136,11 +141,13 @@ class LocalFS(FileSystem):
         operation and one seek-amortized device transfer cover the span's
         total size, so a batch of log-structured subset chunks stops
         paying the per-chunk seek tax; ``append`` (a window's index line)
-        rides the same service as a second request.  Capacity is reserved
-        up front (``StorageFullError`` before any state changes, so the
-        caller can spill the whole span) and nothing is stored until the
-        device transfer completes -- a mid-span fault leaves no partial
-        objects and no line.
+        follows as its own device request under the same fault gate,
+        metadata operation and reservation, so a read queued during the
+        span is served before the line.  Capacity is reserved up front
+        (``StorageFullError`` before any state changes, so the caller can
+        spill the whole span) and nothing is stored until the line's
+        request completes -- a fault on either request, or an abandoned
+        write, leaves no partial objects and no line.
         """
         if not items:
             return []
@@ -150,9 +157,13 @@ class LocalFS(FileSystem):
         ):
             yield from self._fault_gate("write", items[0][0])
             payloads = [self._payload(payload) for _, payload in items]
-            line = b"" if append is None else append[1]
-            total = sum(size for _, size in payloads) + len(line)
-            yield from self._device_write(total, 1 + (append is not None), label)
+            line = None if append is None else len(append[1])
+            total = sum(size for _, size in payloads)
+            # Span, then line.  Measured on serve_sharded_mixed (seeds 1-21)
+            # against this split: a read-first device queue alone cut the
+            # tail 11 % (~1 % more on top of the split), and the split
+            # without the sharded front's write steer raised it to 37.5 ms.
+            yield from self._device_write(total, 1, label, line)
             objs = []
             for (path, _), (data, size) in zip(items, payloads):
                 self._release_replaced(path)
@@ -161,7 +172,7 @@ class LocalFS(FileSystem):
                 objs.append(StoredObject(path=path, nbytes=size, data=data))
             if append is not None:
                 self.store.append(*append)
-                self.bytes_written += len(line)
+                self.bytes_written += line
             return objs
 
     def device_backlog(self) -> Tuple[int, int]:

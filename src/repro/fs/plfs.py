@@ -354,12 +354,14 @@ class PLFS:
         Without ``commit`` the run is *not indexed*: a window lands one run
         per backend, then :meth:`commit` indexes them all with one log
         append.  With it (a one-run window) the run's line rides its span
-        write to ``backend``'s log and the records are indexed once that
-        lands: no landed-but-uncommitted state.  Chunk numbers are claimed
-        up front (a failed run leaves counter gaps, never reused names), a
-        failed run leaves no chunk object and no line, and
-        ``StorageFullError`` propagates before anything is stored, so the
-        caller can spill the *whole* run.  Returns the
+        write to ``backend``'s log, as a second device request after the
+        span's (a read queued during the span goes between them), and the
+        records are indexed once the line lands: no read sees the chunks
+        before their line, and no landed-but-uncommitted state.  Chunk
+        numbers are claimed up front (a failed run leaves counter gaps,
+        never reused names), a failed run leaves no chunk object and no
+        line, and ``StorageFullError`` propagates before anything is
+        stored, so the caller can spill the *whole* run.  Returns the
         :class:`IndexRecord` list in ``entries`` order.
         """
         if backend not in self.backends:

@@ -4,7 +4,8 @@ The paper keeps every tagged subset of a dataset in one PLFS container;
 the sharded front keeps them on one holder set.  Every tag is placed by
 the ring key of the first replicated tag (``p``): ``p`` and ``lod:p``
 on its R holders, MISC and its sibling on the primary.  So an append
-costs one device write per replica, not one per ``(tag, holder)``, and
+costs one span write per replica (plus its index line's request), not
+one per ``(tag, holder)``, and
 a LOD read of ``p`` has as many replicas to fail over to as ``p``.
 """
 
@@ -100,7 +101,8 @@ def test_an_append_costs_one_device_write_per_replica():
         after = front.metrics.query("device_ops_total", op="write")
         assert front.all_tags(logical) == WINDOW_TAGS
         writes = sum(after.values()) - sum(before.values())
-        assert writes == REPLICAS, logical
+        # Per replica: one span request, then one index line request.
+        assert writes == 2 * REPLICAS, logical
 
 
 def test_lod_read_fails_over_when_its_first_holder_dies():

@@ -7,9 +7,10 @@ write path of ``ingest``, ``ingest_append``, ``ingest_virtual`` and every
 ssd, hdd, ssd`` and never merged), writes the groups in parallel, and
 ``PLFS.commit`` indexes the lot with a single log append on the active
 tier.  A window that is one group on the active tier (a one-disk node)
-carries its index line in its own span write instead.  Counted, not
-timed: ``device_ops_total{op="write"}`` per device for one appended
-window, and the devices' ``plfs-index`` busy intervals.
+carries its index line in its own span write instead: the span's device
+request, then the line's, so a read queued during the span goes between
+them.  Counted, not timed: ``device_ops_total{op="write"}`` per device
+for one appended window, and the devices' ``plfs-index`` busy intervals.
 
 The failure contract rides along: the index append retries alone (no data
 span is rewritten), a one-group window's span and line retry together, an
@@ -28,6 +29,7 @@ from repro.cluster.shard import ShardedADA, ShardNode
 from repro.core import ADA, IngestPipelineConfig, PlacementPolicy
 from repro.errors import FaultError
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.faults.plan import TRANSIENT, FaultDecision
 from repro.formats.xtc import encode_xtc
 from repro.fs import PLFS, LocalFS
 from repro.obs.metrics import MetricsRegistry
@@ -108,6 +110,13 @@ def _index_appends(fs):
     return [label for *_, label in fs.device.busy.intervals].count("plfs-index")
 
 
+def _window_bytes(ada, chunk):
+    return sum(
+        r.nbytes for t in WINDOW_TAGS for r in ada.plfs.subset_records(LOGICAL, t)
+        if r.chunk == chunk
+    )
+
+
 # -- the write schedule, counted ----------------------------------------------
 
 
@@ -184,14 +193,22 @@ def test_size_only_store_overlaps_the_tiers():
 
 
 def test_single_backend_window_is_one_span_plus_one_append(stream):
-    """One disk holds data and index: the window's line rides its span,
-    one device write charged as two requests."""
+    """One disk holds data and index: the window's line rides its span's
+    write, one span request then one line request (no separate commit).
+    With no reader the line follows the span at once: the window costs
+    what one write of both as two requests would."""
     sim = Simulator()
     ada = ADA(sim, backends={"hdd": _fs(sim, "hdd")}, lod_precision=12.5)
-    assert _appended_window(ada, stream, ["hdd"]) == {"hdd": 1}
+    hdd = ada.plfs.backends["hdd"]
+    assert _appended_window(ada, stream, ["hdd"]) == {"hdd": 2}
     assert ada.all_tags(LOGICAL) == WINDOW_TAGS
-    assert _index_appends(ada.plfs.backends["hdd"]) == 0
-    assert len(_log_records(ada.plfs.backends["hdd"])) == 2 * len(WINDOW_TAGS)
+    assert _index_appends(hdd) == 0
+    assert len(_log_records(hdd)) == 2 * len(WINDOW_TAGS)
+    (s0, e0, _), (s1, e1, _) = hdd.device.busy.intervals[-2:]
+    assert e0 == s1
+    lines = hdd.data(INDEX).splitlines(keepends=True)[-len(WINDOW_TAGS):]
+    window = _window_bytes(ada, 1) + sum(map(len, lines))
+    assert e1 - s0 == pytest.approx(hdd.device.spec.write_time(window, 2))
 
 
 def test_sharded_window_is_one_append_per_holder_node(stream):
@@ -213,57 +230,77 @@ def test_sharded_window_is_one_append_per_holder_node(stream):
     }
     # Six (tag, holder) copies on two nodes: ``p`` and ``lod:p`` on both
     # holders, MISC and its sibling on the primary.  Each holder still
-    # pays one span, carrying its one append, for the window.
+    # pays one span, then its one line, for the window.
     assert sum(len(tags) for tags in held.values()) == 6
     assert held[sharded.holders(LOGICAL, "p")[0]] == WINDOW_TAGS
     for node in nodes:
         # A one-disk node's metadata resolves to its only disk.
         assert node.ada.plfs.metadata_backend == "hdd"
         fs = node.ada.plfs.backends["hdd"]
-        holds = 1 if held[node.name] else 0
+        holds = 2 if held[node.name] else 0  # one span, one line
         assert writes[node.name] == holds, node.name
         assert _index_appends(fs) == 0, node.name
         if holds:
             assert len(_log_records(fs)) == 2 * len(held[node.name]), node.name
 
 
-def test_no_read_lands_between_a_span_and_its_index_append(stream):
-    """A reader hammering a one-disk shard node while a window lands (the
-    index shares the disk with the spans there): the window's chunks and
-    its index line are one ``plfs`` busy interval, charged as two
-    requests, so no read can queue between them."""
+def _served(device):
+    """Log each request ``device`` serves as ``(op, nbytes, end time)``,
+    in the order the requests finish."""
+    log = []
+    for op in ("read", "write"):
+        serve = getattr(device, op)
+
+        def spy(nbytes, *args, _serve=serve, _op=op, **kwargs):
+            yield from _serve(nbytes, *args, **kwargs)
+            log.append((_op, nbytes, device.sim.now))
+
+        setattr(device, op, spy)
+    return log
+
+
+def test_a_read_queued_during_a_span_goes_before_its_index_line(stream):
+    """A reader hammering a one-disk shard node while a window lands: the
+    window's span and its index line are two device requests, so the read
+    queued during the span is served between them (it waits one seek, not
+    two).  The window stays invisible until its line's request completes:
+    every fetch that finishes before then indexes the first window only
+    and returns its bytes."""
     pdb_text, first, second = stream
     sim = Simulator()
-    ada = ShardNode.build(
-        sim, "node0", backends={"hdd": _fs(sim, "hdd")}, lod_precision=12.5
-    ).ada
-    assert ada.plfs.metadata_backend == "hdd"
+    ada = _one_disk_node(sim, max_retries=4)
+    assert ada.plfs.metadata_backend == "hdd"  # the index shares the disk
     _ingest(ada, first, pdb_text)
     hdd = ada.plfs.backends["hdd"]
-    path = ada.plfs.subset_records(LOGICAL, "m")[0].path
-    landed = []
+    before = sim.run_process(ada.fetch(LOGICAL, "m")).data
+    served, fetched, landed = _served(hdd.device), [], []
 
     def reader():
         while not landed:
-            yield from hdd.read(path)
+            obj = yield from ada.fetch(LOGICAL, "m")
+            chunks = [r.chunk for r in ada.plfs.subset_records(LOGICAL, "m")]
+            fetched.append((sim.now, obj.data, chunks))
 
     def writer():
         yield from ada.ingest_stream(LOGICAL, second, config=CONFIG)
         landed.append(True)
 
-    start, log = len(hdd.device.busy.intervals), hdd.nbytes(INDEX)
+    log = hdd.nbytes(INDEX)
     sim.process(reader())
     sim.run_process(writer())
-    intervals = hdd.device.busy.intervals[start:]
-    labels = [label for *_, label in intervals]
-    assert labels.count("plfs") == 1 and "read" in labels
-    assert "plfs-index" not in labels
-    window = hdd.nbytes(INDEX) - log + sum(
-        r.nbytes for t in WINDOW_TAGS for r in ada.plfs.subset_records(LOGICAL, t)
-        if r.chunk == 1
-    )
-    begin, end, _ = intervals[labels.index("plfs")]
-    assert end - begin == pytest.approx(hdd.device.spec.write_time(window, 2))
+    ops = [(op, nbytes) for op, nbytes, _ in served]
+    span_at = ops.index(("write", _window_bytes(ada, 1)))
+    line_at = ops.index(("write", hdd.nbytes(INDEX) - log))
+    # span -> read(s) -> line, and nothing else written.
+    assert line_at > span_at + 1
+    assert {op for op, _ in ops[span_at + 1:line_at]} == {"read"}
+    assert [op for op, _ in ops].count("write") == 2
+    span_end, line_end = served[span_at][2], served[line_at][2]
+    early = [f for f in fetched if f[0] < line_end]
+    assert any(end > span_end for end, *_ in early)
+    assert all(data == before and chunks == [0] for _, data, chunks in early)
+    assert sim.run_process(ada.fetch(LOGICAL, "m")).data != before
+    assert [r.chunk for r in ada.plfs.subset_records(LOGICAL, "m")] == [0, 1]
 
 
 # -- failure semantics ---------------------------------------------------------
@@ -593,11 +630,11 @@ def test_an_exhausted_one_group_window_leaves_nothing_and_burns_the_names(stream
     assert _objects(ada) == stored and _used(ada) == used
     _assert_consistent(ada)
     # Each of the three attempts burnt its chunk names; the clean retry
-    # is one device write and lands on 4.
+    # is one span request plus one line request and lands on 4.
     hdd.faults = None
     before = _schedule_writes(ada)["hdd"]
     _ingest(ada, second)
-    assert _schedule_writes(ada)["hdd"] - before == 1
+    assert _schedule_writes(ada)["hdd"] - before == 2
     for tag in WINDOW_TAGS:
         assert [r.chunk for r in ada.plfs.subset_records(LOGICAL, tag)] == [0, 4]
     _assert_consistent(ada)
@@ -618,11 +655,118 @@ def test_a_one_group_window_retries_its_span_and_line_under_one_key(stream):
     _ingest(ada, second)
     assert plan.injected[("fs:hdd", "transient")] == 3
     assert keys == [f"write:{LOGICAL}#{WINDOW_TAGS[0]}-{WINDOW_TAGS[-1]}:4"]
-    # Rejected attempts fail at the gate: one device write reached the disk,
-    # and the log grew by exactly the window's lines.
-    assert _schedule_writes(ada)["hdd"] - writes_before == 1
+    # Rejected attempts fail at the gate: one span request and one line
+    # request reached the disk, and the log grew by exactly the window's
+    # lines.
+    assert _schedule_writes(ada)["hdd"] - writes_before == 2
     log = hdd.data(INDEX)
     lines = log.splitlines(keepends=True)[-len(WINDOW_TAGS):]
     assert len(log) - log_before == sum(map(len, lines))
     assert [json.loads(line)["chunk"] for line in lines] == [4] * len(WINDOW_TAGS)
+    _assert_consistent(ada)
+
+
+class _RejectWrite(FaultPlan):
+    """A device fault plan that rejects exactly its ``nth`` write."""
+
+    def __init__(self, nth):
+        super().__init__()
+        self.left = nth
+
+    def decide(self, site, op):
+        if op == "write":
+            self.left -= 1
+            if self.left == 0:
+                self.injected[(site, TRANSIENT)] += 1
+                return FaultDecision(error=TRANSIENT)
+        return super().decide(site, op)
+
+
+def _snapshot_failures(ada):
+    """Snapshot the node each time its disk's ``write_span`` fails."""
+    hdd = ada.plfs.backends["hdd"]
+    write_span, snapshots = hdd.write_span, []
+
+    def spy(*args, **kwargs):
+        try:
+            return (yield from write_span(*args, **kwargs))
+        except BaseException:
+            snapshots.append((
+                ada.plfs.container_index(LOGICAL), _objects(ada), _used(ada),
+            ))
+            raise
+
+    hdd.write_span = spy
+    return snapshots
+
+
+@pytest.mark.parametrize("cut", ["fault", "line-waits-behind-a-read"])
+def test_a_window_cut_between_its_span_and_its_line_leaves_nothing(stream, cut):
+    """A one-disk node's window dies after its span's request was served
+    and before its line's: a device fault on the line's request (retried
+    in place), or the writer interrupted while its line waits behind a
+    read (stored again).  Nothing of the cut attempt is left -- no chunk,
+    no log byte, no capacity, no queued request -- and the retry, under
+    the window's one ``write:`` key, lands the window once."""
+    pdb_text, first, _second = stream
+    sim = Simulator()
+    ada = _one_disk_node(sim, max_retries=1)
+    _ingest(ada, first, pdb_text)
+    hdd = ada.plfs.backends["hdd"]
+    clean = (ada.plfs.container_index(LOGICAL), _objects(ada), _used(ada))
+    log = hdd.nbytes(INDEX)
+    retrier, keys = ada.determinator.retrier, []
+    call = retrier.call
+    retrier.call = lambda op, key: keys.append(key) or call(op, key)
+    snapshots, served = _snapshot_failures(ada), _served(hdd.device)
+    subsets = {tag: bytes(4096) for tag in WINDOW_TAGS}
+    span = sum(map(len, subsets.values()))
+    if cut == "fault":
+        plan = _RejectWrite(2).attach(hdd.device)  # the window's line request
+        sim.run_process(ada.determinator.store(LOGICAL, subsets))
+        assert plan.injected[("dev:hdd", "transient")] == 1
+    else:
+        path = ada.plfs.subset_records(LOGICAL, "m")[0].path
+        stop, interrupted = [], []
+
+        def reader():
+            while not stop:
+                yield from hdd.read(path)
+
+        def client(dispatch):
+            try:
+                yield dispatch
+            except Interrupt:
+                interrupted.append(True)
+
+        sim.process(reader())
+        dispatch = sim.process(ada.determinator.store(LOGICAL, subsets))
+        sim.process(client(dispatch))
+        while ("write", span) not in [(op, n) for op, n, _ in served]:
+            sim.run(until=sim.now + 1e-4)
+        # The span is served; a read holds the disk, the line waits.
+        assert hdd.device.resource.in_use and hdd.device.queued_writes == 1
+        dispatch.interrupt("writer went away")
+        stop.append(True)
+        sim.run()
+        assert interrupted
+        assert hdd.device_backlog() == (0, 0)
+        assert (ada.plfs.container_index(LOGICAL), _objects(ada), _used(ada)) == clean
+        _assert_consistent(ada)
+        sim.run_process(ada.determinator.store(LOGICAL, subsets))
+    assert snapshots == [clean]
+    assert hdd.device_backlog() == (0, 0)
+    key = f"write:{LOGICAL}#{WINDOW_TAGS[0]}-{WINDOW_TAGS[-1]}:4"
+    assert keys == [key] * (1 if cut == "fault" else 2)
+    # The cut attempt's span, then the retry's span and line; the cut
+    # attempt's number stays burnt.
+    line = hdd.nbytes(INDEX) - log
+    assert [(op, n) for op, n, _ in served if op == "write"] == [
+        ("write", span), ("write", span), ("write", line),
+    ]
+    for tag in WINDOW_TAGS:
+        assert [r.chunk for r in ada.plfs.subset_records(LOGICAL, tag)] == [0, 2]
+    lines = hdd.data(INDEX).splitlines(keepends=True)[-len(WINDOW_TAGS):]
+    assert line == sum(map(len, lines))
+    assert len(_objects(ada)) == len(clean[1]) + len(WINDOW_TAGS)
     _assert_consistent(ada)
