@@ -644,18 +644,6 @@ class ShardedADA(DataPlane):
 
     # -- fetch (read) path ---------------------------------------------------------
 
-    def _under_pressure(self, logical: str, tag: Optional[str]) -> bool:
-        """Any live holder of the base subset (of any base subset, for a
-        merged read) reporting pressure?  The front has no signal of its
-        own: ``"auto"`` folds in the holders' cache watermark and fresh
-        fault degradation."""
-        for base in [tag] if tag is not None else self.tags(logical):
-            for name in self._placement.get((logical, base), ()):
-                node = self.nodes[name]
-                if node.alive and node.ada._under_pressure(logical, base):
-                    return True
-        return False
-
     def _fetch(self, logical: str, tag: str) -> Generator:
         return self._routed(
             logical, tag, "fetch", lambda node: node.ada._fetch(logical, tag)

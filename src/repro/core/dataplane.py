@@ -16,7 +16,7 @@ A front supplies only the storage-facing steps -- ``_fetch`` (one
 subset, lookup included), ``_fetch_chunks`` (a window of chunks),
 ``_read_subset``, ``_read_chunks``, ``_lookup_all``, ``_stored_tags``,
 ``_store_subsets``, ``_store_label``, ``_delete_stored``,
-``_under_pressure``, ``_downgradable``, ``_charge_preprocess``,
+``_downgradable``, ``_charge_preprocess``,
 ``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
 ``label_map``, ``preprocessor`` and ``fault_plan``, and the two hooks a *consumer* of the plane needs
 (:meth:`DataPlane.members`, :meth:`DataPlane.chunks_nbytes`).
@@ -394,9 +394,8 @@ class DataPlane:
     def fetch(self, logical: str, tag: str, precision: str = "full") -> Generator:
         """Process: tag-selective read (``mol addfile bar.xtc tag p``).
 
-        ``precision`` picks the tier: ``"full"`` (exact bytes, default),
-        ``"lod"`` (the coarse layer when the dataset has one), or
-        ``"auto"`` (LOD only while the front is under pressure -- see
+        ``precision`` picks the tier: ``"full"`` (exact bytes, default)
+        or ``"lod"`` (the coarse layer when the dataset has one -- see
         :meth:`_resolve_tier`).  An LOD read returns an object tagged
         ``tier="lod"`` with the dataset's pinned error bound on
         ``max_error``.  The tier resolves once, here; the front's
@@ -645,11 +644,9 @@ class DataPlane:
 
         ``"full"`` never looks at anything; ``"lod"`` serves the coarse
         layer when the dataset has one and falls back (counted) when it
-        does not; ``"auto"`` degrades to LOD only while the front reports
-        pressure (:meth:`_under_pressure`).  Explicitly requesting a tier
-        is always honoured regardless of pressure: pinned analyses pass
-        ``"full"`` and get exact bytes.  ``tag=None`` resolves a merged
-        read, which needs a sibling for *every* base subset.
+        does not.  The caller's choice is the only input: no load signal
+        changes a tier.  ``tag=None`` resolves a merged read, which needs
+        a sibling for *every* base subset.
 
         The returned tag is the one to *read* -- a sharded front must
         know it before routing, because the ``lod:`` sibling is its own
@@ -661,16 +658,8 @@ class DataPlane:
             # A caller addressing the LOD family directly (operator
             # tooling, rebalancers) bypasses tier selection.
             return "full", tag, None
-        available = self.has_lod(logical, tag)
-        if precision == "lod":
-            coarse = available
-            if not available:
-                self._count_tier("fallback")
-        else:
-            # auto: cheap tier only under pressure, and only when it exists.
-            coarse = self._under_pressure(logical, tag) and available
-            self._count_tier("auto_lod" if coarse else "auto_full")
-        if not coarse:
+        if not self.has_lod(logical, tag):
+            self._count_tier("fallback")
             return "full", tag, None
         self._count_tier("routed")
         read_tag = lod_tag(tag) if tag is not None else None

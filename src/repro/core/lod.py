@@ -10,14 +10,12 @@ span coalescing, the block cache, consistent-hash sharding -- applies to
 it unchanged, and the cache can never confuse tiers: the tag is part of
 the block key.
 
-Tier selection is a per-read knob, ``precision``:
+Tier selection is a per-read knob, ``precision``, and a read gets the
+tier it asks for:
 
 * ``"full"`` -- exact bytes, always (pinned analyses);
 * ``"lod"``  -- the coarse layer when the dataset has one (interactive
-  scrubbing, thumbnails); falls back to full bytes otherwise;
-* ``"auto"`` -- full under normal conditions, LOD while the serving
-  stack is under pressure (block-cache occupancy at/over the prefetch
-  watermark, fresh fault-layer degradation, or a backlogged scheduler).
+  scrubbing, thumbnails); falls back to full bytes otherwise.
 
 The coarse layer is plain XTC at a reduced ``precision`` (quantization
 steps per coordinate unit), so its error is the codec's quantization
@@ -55,7 +53,7 @@ LOD_PREFIX = "lod:"
 DEFAULT_LOD_PRECISION = 12.5
 
 #: The tier knob's accepted values.
-PRECISIONS = ("full", "lod", "auto")
+PRECISIONS = ("full", "lod")
 
 #: Relative slack folded into the advertised error bound: the grid-snap
 #: bound (0.5/precision) holds in exact arithmetic, but encode/decode

@@ -28,7 +28,7 @@ from repro.core.dataplane import (
 from repro.core.determinator import IODeterminator
 from repro.core.ingest import IngestPipelineConfig
 from repro.core.labeler import LabelMap
-from repro.core.prefetch import HIGH_WATERMARK, Prefetcher
+from repro.core.prefetch import Prefetcher
 from repro.core.preprocessor import DataPreProcessor
 from repro.core.tags import PlacementPolicy, TagPolicy
 from repro.errors import (
@@ -154,8 +154,6 @@ class ADA(DataPlane):
             subset_format=subset_format,
             lod_precision=lod_precision,
         )
-        # Tier-selection state (see :meth:`_under_pressure`).
-        self._lod_last_degradation: Optional[float] = None
         self._lod_metric_fields: Optional[Dict[str, object]] = None
         # One or many storage-side CPUs: with many, pre-processing work
         # splits across them ("ADA exploits the computing resources of
@@ -279,7 +277,7 @@ class ADA(DataPlane):
                 self.fault_plan.snapshot() if self.fault_plan is not None else {}
             ),
             # Kept for benchmarks/e2e (``workloads.py`` reads these two
-            # keys) until ROADMAP item 5d re-points it at the registry;
+            # keys) until ROADMAP item 10(d) re-points it at the registry;
             # the peak is the ``ingest_buffered_bytes_peak`` gauge.
             "ingest": {} if pipeline is None else {
                 "overlap_ratio": pipeline.overlap_ratio,
@@ -290,24 +288,6 @@ class ADA(DataPlane):
         }
 
     # -- precision tiers ---------------------------------------------------------------
-
-    def _under_pressure(self, logical: str, tag: Optional[str]) -> bool:
-        """Is the serving stack loaded enough to justify degraded reads?
-        (One node has one answer for every subset.)
-
-        Mirrors the prefetcher's two watermarks: L1 occupancy at/over the
-        watermark, or a *growing* fault-degradation level between two
-        auto-tier reads (monotone counter, so one burst of faults
-        degrades the next read and a clean interval restores full
-        precision).
-        """
-        cache = self.block_cache
-        if cache is not None and cache.pressure() >= HIGH_WATERMARK:
-            return True
-        level = self._degradation_level()
-        previous = self._lod_last_degradation
-        self._lod_last_degradation = level
-        return previous is not None and level > previous
 
     def _lod_metrics(self) -> Dict[str, object]:
         """The lazily-registered ``lod_*`` metric families."""
@@ -326,12 +306,6 @@ class ADA(DataPlane):
                 "fallback": self.metrics.counter(
                     "lod_fallback_total", **extra
                 ),  # lod requested, no layer stored -> full bytes
-                "auto_lod": self.metrics.counter(
-                    "lod_auto_lod_total", **extra
-                ),
-                "auto_full": self.metrics.counter(
-                    "lod_auto_full_total", **extra
-                ),
             }
         return self._lod_metric_fields
 

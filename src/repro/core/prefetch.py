@@ -11,9 +11,10 @@ consumer decodes the current one.
 
 Speculation is guarded by two watermarks:
 
-* **cache pressure** -- when L1 occupancy crosses :data:`HIGH_WATERMARK` the
-  prefetcher stands down rather than evict blocks the consumer still
-  wants (speculation must never worsen the demand hit rate);
+* **cache pressure** -- when L1 occupancy crosses :data:`HIGH_WATERMARK`
+  (a watermark only the prefetcher reads) the prefetcher stands down
+  rather than evict blocks the consumer still wants (speculation must
+  never worsen the demand hit rate);
 * **fault degradation** -- when the retry layer reports new transient
   faults/timeouts/degraded reads since the last window, the backend is
   struggling; speculative load would compound the damage, so the
@@ -36,9 +37,7 @@ from repro.sim import Process, Simulator
 
 __all__ = ["Prefetcher"]
 
-#: L1 occupancy at which speculation stands down -- and at which
-#: ``precision="auto"`` reads degrade to the LOD tier, so "the server is
-#: under pressure" means one thing.
+#: L1 occupancy at which speculation stands down.
 HIGH_WATERMARK = 0.85
 
 #: Speculative windows one tenant may have in flight at once.

@@ -200,8 +200,7 @@ def run_lod_bench(
         # The last LOD deployment's lod_* counters: the observable trace
         # of tiered serving.
         record["lod"] = counter_values(
-            ada.metrics, "lod",
-            "served", "chunks", "fallback", "auto_lod", "auto_full",
+            ada.metrics, "lod", "served", "chunks", "fallback",
         )
     else:
         record["pass"] = identical and record["error_bound"]["within"]

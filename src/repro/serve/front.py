@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
-from repro.core.lod import validate_precision
 from repro.core.middleware import ADA
 from repro.errors import ConfigurationError, ReproError
 from repro.faults.plan import FaultPlan, raise_fault
@@ -57,11 +56,6 @@ class ServeFront:
         retry_policy: Optional[RetryPolicy] = None,
     ):
         self.ada = ada
-        # The serving layer's own degradation signal for "auto" reads: a
-        # WFQ backlog deeper than twice the slot count means demand
-        # outruns the slots, so auto-tier tenants drop to the cheap LOD
-        # layer until the queues drain.
-        self.lod_backlog = 2 * int(concurrency)
         self.sim = ada.sim
         self.metrics = ada.metrics
         self.tenant_source = span_tenant_source(self.sim)
@@ -218,22 +212,11 @@ class ServeFront:
         return result
 
     def _resolve_precision(self, request: ServeRequest) -> str:
-        """The request's read tier: payload override, else tenant policy.
-
-        ``"auto"`` additionally folds in the serving layer's own pressure
-        signal -- a WFQ backlog past :attr:`lod_backlog` resolves auto
-        straight to the LOD tier; otherwise the middleware's cache and
-        fault watermarks decide (see :meth:`ADA._resolve_tier`).
-        """
+        """The request's read tier: payload override, else tenant policy
+        (the data plane validates it)."""
         precision = request.payload.get("precision")
         if precision is None:
-            precision = self.sessions.get(request.tenant).config.precision
-        precision = validate_precision(precision)
-        if precision == "auto" and self.scheduler.backlog > self.lod_backlog:
-            self.metrics.counter(
-                "serve_lod_backlog_total", tenant=request.tenant
-            ).inc()
-            return "lod"
+            return self.sessions.get(request.tenant).config.precision
         return precision
 
     def _execute_kind(self, request: ServeRequest) -> Generator:
@@ -277,11 +260,3 @@ class ServeFront:
             return None
         budget = state.config.prefetch_budget_bytes
         return None if budget is None else float(budget)
-
-    # -- reporting -----------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "scheduler": self.scheduler.stats(),
-            "sessions": self.sessions.stats(),
-        }

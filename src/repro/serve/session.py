@@ -40,10 +40,10 @@ class TenantConfig:
     byte_budget: Optional[int] = None  # outstanding estimated bytes
     cache_quota_bytes: Optional[int] = None  # reserved L1 share
     prefetch_budget_bytes: Optional[int] = None  # speculative-byte cap
-    #: Default read tier for this tenant's requests ("full"/"lod"/"auto");
-    #: a per-request ``precision`` payload key overrides it.  Interactive
-    #: viewers register "auto" (cheap frames under load), pinned analyses
-    #: keep the "full" default (exact bytes, always).
+    #: Default read tier for this tenant's requests ("full"/"lod"); a
+    #: per-request ``precision`` payload key overrides it.  Scrubbing
+    #: viewers register "lod" (cheap frames), pinned analyses keep the
+    #: "full" default (exact bytes, always).
     precision: str = "full"
 
     def __post_init__(self) -> None:

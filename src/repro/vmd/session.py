@@ -107,8 +107,8 @@ class VMDSession:
     ) -> LoadResult:
         """``mol addfile /mnt/bar.xtc tag p``: tag-selective load via ADA.
 
-        ``precision`` picks the read tier (``"full"``/``"lod"``/``"auto"``);
-        a coarse read surfaces its tier and advertised error bound on the
+        ``precision`` picks the read tier (``"full"``/``"lod"``); a
+        coarse read surfaces its tier and advertised error bound on the
         returned :class:`LoadResult`.
         """
         mol = self._target(molecule)

@@ -21,11 +21,10 @@ decoded windows and nothing speculative.
 
 With ``lod_bytes`` the stream additionally carries ADA's coarse
 low-precision sibling (the ``lod:`` tier): set ``precision`` to ``"lod"``
-to scrub through ~4x-cheaper frames.  ``"auto"`` is refused -- the stream
-has no load signal to decide by; the middleware fronts keep it.  Decoded
-windows cache per tier, so a coarse window can never satisfy (or evict
-into) a full-precision hit, and :attr:`lod_max_error` advertises the
-per-coordinate bound the coarse frames honour.
+to scrub through ~4x-cheaper frames.  Decoded windows cache per tier, so
+a coarse window can never satisfy (or evict into) a full-precision hit,
+and :attr:`lod_max_error` advertises the per-coordinate bound the coarse
+frames honour.
 """
 
 from __future__ import annotations
@@ -131,11 +130,6 @@ class StreamingTrajectory:
     @precision.setter
     def precision(self, value: str) -> None:
         value = validate_precision(value)
-        if value == "auto":
-            raise CodecError(
-                "precision='auto' needs a load signal a stream does not "
-                "have: pick 'full' or 'lod'"
-            )
         if value == "lod" and self._lod_data is None:
             raise CodecError(
                 "precision='lod' needs an attached LOD stream (lod_bytes)"

@@ -126,22 +126,9 @@ def test_lod_request_without_layer_falls_back():
 
 def test_unknown_precision_rejected_before_routing():
     simn, front = _cluster()
-    with pytest.raises(ConfigurationError, match="unknown precision"):
-        simn.run_process(front.fetch(LOGICAL, "p", precision="approx"))
-
-
-def test_auto_follows_a_holder_under_pressure():
-    """The front's auto folds in the *holders'* pressure signals."""
-    simn, front = _cluster()
-    relaxed = simn.run_process(front.fetch(LOGICAL, "p", precision="auto"))
-    assert relaxed.tier == "full"
-
-    # Pin every live holder of the base subset into the degraded state
-    # the middleware watermark watches.
-    for name in front.holders(LOGICAL, "p"):
-        front.nodes[name].ada.degraded.append(LOGICAL)
-    degraded = simn.run_process(front.fetch(LOGICAL, "p", precision="auto"))
-    assert degraded.tier == "lod"
+    for bad in ("approx", "auto"):
+        with pytest.raises(ConfigurationError, match="unknown precision"):
+            simn.run_process(front.fetch(LOGICAL, "p", precision=bad))
 
 
 def _retune(deployment, lod_precision):

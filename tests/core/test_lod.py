@@ -4,8 +4,8 @@ The tentpole property set: the coarse layer is a sibling tag family
 (``p`` -> ``lod:p``) written at ingest, so every existing chunk
 mechanism applies unchanged; ``precision`` picks the tier per read;
 ``"full"`` is always exact; ``"lod"`` advertises (and honours) its
-quantization error bound; ``"auto"`` degrades exactly while the
-middleware is under pressure.
+quantization error bound.  Those two are the only tiers: a read gets
+the tier it asks for, whatever the load.
 """
 
 import numpy as np
@@ -23,11 +23,9 @@ from repro.core.lod import (
 )
 from repro.errors import ConfigurationError
 from repro.formats.xtc import decode_raw, decode_xtc
-from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
 from repro.sim import Simulator
 from repro.storage.ssd import NVME_SSD_256GB
-from repro.units import MiB
 from repro.workloads import build_workload
 
 pytestmark = pytest.mark.lod
@@ -70,10 +68,11 @@ def test_lod_tag_helpers_round_trip():
 
 
 def test_validate_precision_rejects_unknown():
-    for good in ("full", "lod", "auto"):
+    for good in ("full", "lod"):
         assert validate_precision(good) == good
-    with pytest.raises(ConfigurationError, match="unknown precision"):
-        validate_precision("half")
+    for bad in ("half", "auto"):
+        with pytest.raises(ConfigurationError, match="unknown precision"):
+            validate_precision(bad)
 
 
 def test_lod_max_error_is_half_a_grid_step_plus_slack():
@@ -185,39 +184,6 @@ def test_fetch_merged_lod_degrades_as_a_whole(workload):
     assert np.abs(coarse.coords - exact.coords).max() <= coarse.max_error
 
 
-# -- auto: pressure-driven degradation ----------------------------------------
-
-
-def test_auto_degrades_at_the_cache_watermark(workload):
-    sim = Simulator()
-    ada = ADA(
-        sim,
-        backends={"ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd")},
-        block_cache=BlockCache(sim, l1_capacity_bytes=1 * MiB),
-        lod_precision=DEFAULT_LOD_PRECISION,
-    )
-    sim.run_process(ada.ingest(LOGICAL, workload.pdb_text, workload.xtc_blob))
-
-    relaxed = sim.run_process(ada.fetch(LOGICAL, "p", precision="auto"))
-    assert relaxed.tier == "full"
-    assert ada.metrics.value("lod_auto_full_total") == 1
-
-    # Warm the L1, then shrink it under the working set: occupancy sits
-    # past the prefetch watermark -- the signal auto shares with the
-    # prefetcher's stand-down.
-    sim.run_process(ada.fetch(LOGICAL, "p"))
-    ada.block_cache.l1_capacity_bytes = float(ada.block_cache.l1_bytes)
-    assert ada.block_cache.pressure() >= 0.85
-    degraded = sim.run_process(ada.fetch(LOGICAL, "p", precision="auto"))
-    assert degraded.tier == "lod"
-    assert degraded.max_error == ada.lod_bound(LOGICAL)
-    assert ada.metrics.value("lod_auto_lod_total") == 1
-
-    # ... but an explicit "full" is always honoured regardless.
-    pinned = sim.run_process(ada.fetch(LOGICAL, "p"))
-    assert pinned.tier == "full" and pinned.max_error is None
-
-
 def test_bound_is_pinned_at_ingest_not_reconfiguration(workload):
     """Re-tuning ``lod_precision`` later must not re-advertise stored data."""
     sim, ada = _ingested(workload)
@@ -233,9 +199,6 @@ def test_stats_carry_the_lod_section(workload):
     assert section["lod_served_total"] == 1
     assert set(section) == {
         f"lod_{event}_total"
-        for event in (
-            "served", "chunks", "served_bytes", "fallback",
-            "auto_lod", "auto_full",
-        )
+        for event in ("served", "chunks", "served_bytes", "fallback")
     }
     assert ada.lod_precision == DEFAULT_LOD_PRECISION

@@ -1,7 +1,7 @@
 """Serve-layer retries reach the exporters.
 
 ``ServeFront`` used to build its ``Retrier`` over a *private* registry:
-retries at the serving boundary showed up in ``front.stats()`` and in no
+retries at the serving boundary showed up in a front snapshot and in no
 Prometheus/JSON export.  They now count into the deployment's registry
 under ``layer="serve"``, apart from the middleware's own ``retry_*``.
 """
@@ -62,8 +62,6 @@ def test_serve_layer_retries_are_exported():
         "retry_attempts_total",
         'retry_attempts_total{layer="serve"}',
     }
-    # The snapshot that remains carries no retry section.
-    assert set(front.stats()) == {"scheduler", "sessions"}
 
 
 def test_front_without_a_fault_plan_exports_no_serve_series():

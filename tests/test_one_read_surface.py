@@ -4,7 +4,7 @@ Every count lives in ``repro.obs.MetricsRegistry``: writers hold their
 metric objects and call ``inc``/``set``/``observe``; readers go through
 ``MetricsRegistry.value``/``query``.  This guard keeps the second surface
 from growing back: no attribute-view descriptor, no ``stats()``/
-``*_stats()``/``fault_counters()`` dict builder beyond the five snapshots
+``*_stats()``/``fault_counters()`` dict builder beyond the four snapshots
 of live state the registry does not hold, and no ``+=`` on a metric.
 """
 
@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 KEPT = {
     ("core/middleware.py", "ADA", "stats"),
     ("cluster/shard.py", "ShardedADA", "stats"),
-    ("serve/front.py", "ServeFront", "stats"),
     ("serve/scheduler.py", "RequestScheduler", "stats"),
     ("serve/session.py", "SessionManager", "stats"),
 }

@@ -1,9 +1,8 @@
 """StreamingTrajectory with an attached LOD sibling stream.
 
 The streaming window cache is the layer that must keep the tiers
-honest: a coarse window may never satisfy a full-precision hit, the
-``precision`` knob flips tiers mid-playback, and ``auto`` -- which needs
-a load signal the stream does not have -- is refused.
+honest: a coarse window may never satisfy a full-precision hit, and the
+``precision`` knob flips tiers mid-playback.
 """
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 
 from repro.core.lod import lod_max_error
 from repro.datagen import build_gpcr_system, generate_trajectory
-from repro.errors import CodecError
+from repro.errors import CodecError, ConfigurationError
 from repro.vmd.streaming import StreamingTrajectory
 from repro.formats import decode_xtc, encode_xtc
 
@@ -86,15 +85,17 @@ def test_lod_precision_requires_an_attached_stream(tiered_setup):
 
 def test_precision_validates(tiered_setup):
     s = _stream(tiered_setup)
-    with pytest.raises(Exception, match="unknown precision"):
+    with pytest.raises(ConfigurationError, match="unknown precision"):
         s.precision = "approx"
 
 
 def test_auto_is_refused_without_a_load_signal(tiered_setup):
-    with pytest.raises(CodecError, match="auto"):
+    # The stream has no load signal to drive an adaptive tier, so "auto"
+    # is just an unknown precision, at construction and on a flip.
+    with pytest.raises(ConfigurationError, match="unknown precision"):
         _stream(tiered_setup, precision="auto")
     s = _stream(tiered_setup, precision="lod")
-    with pytest.raises(CodecError, match="auto"):
+    with pytest.raises(ConfigurationError, match="unknown precision"):
         s.precision = "auto"
     assert s.tier() == "lod"  # a refused flip leaves the tier as it was
 
