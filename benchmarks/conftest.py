@@ -31,16 +31,20 @@ def artifact_sink():
 @pytest.fixture(scope="session")
 def run_gate(artifact_sink):
     """Callable running one ``repro.cli.BENCHES`` gate by name; writes its
-    JSON record and rendered sibling, returns the record."""
+    JSON record and rendered rows, asserts ``pass`` and that every row
+    applies and holds on the record as written, returns the record."""
     from repro.cli import BENCHES
-    from repro.harness.benchkit import dump_record
+    from repro.harness.benchkit import check_gate, dump_record, render_gate
 
     def _run(name: str, **run_kwargs) -> dict:
         bench = BENCHES[name]
         result = bench.run(**run_kwargs)
+        rendered = render_gate(name, bench.gate, result)
         artifact_sink(bench.artifact.name, dump_record(result))
-        artifact_sink(
-            bench.artifact.with_suffix(".txt").name, bench.render(result)
+        artifact_sink(bench.artifact.with_suffix(".txt").name, rendered)
+        assert result["pass"], rendered
+        assert all(v.ok is True for v in check_gate(bench.gate, result)), (
+            rendered
         )
         return result
 

@@ -21,28 +21,24 @@ import sys
 from functools import partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from repro.errors import ConfigurationError, TopologyError
 from repro.harness import (
     SCENARIOS,
     RunResult,
     fat_node,
     measure_calibration,
-    render_chaos,
-    run_chaos,
     run_sweep,
     run_trace_demo,
     series_pivot,
     small_cluster,
     ssd_server,
 )
+from repro.harness import (
+    benchcluster, benchcodec, benchingest, benchinsitu, benchlod,
+    benchpipeline, benchserve, chaos,
+)
 from repro.harness.asciichart import series_chart
-from repro.harness.benchcluster import render_cluster_bench, run_cluster_bench
-from repro.harness.benchcodec import render_codec_bench, run_codec_bench
-from repro.harness.benchingest import render_ingest_bench, run_ingest_bench
-from repro.harness.benchinsitu import render_insitu_bench, run_insitu_bench
-from repro.harness.benchkit import dump_record
-from repro.harness.benchlod import render_lod_bench, run_lod_bench
-from repro.harness.benchpipeline import render_pipeline_bench, run_pipeline_bench
-from repro.harness.benchserve import render_serve_bench, run_serve_bench
+from repro.harness.benchkit import Row, dump_record, render_gate
 from repro.harness.profilecpu import CpuProfile, modeled_cpu_profile
 from repro.harness.report import Table
 from repro.harness.scorecard import render_scorecard
@@ -189,7 +185,7 @@ GENERATORS: Dict[str, Artifact] = {
     **{name: Artifact(partial(_gen_figure, name), _RESULTS / f"{name}.txt")
        for name in _FIGURES},
     **{f"{name}-csv": Artifact(partial(_gen_csv, name)) for name in _FIGURES},
-    "scorecard": Artifact(render_scorecard),
+    "scorecard": Artifact(lambda: render_scorecard(_committed_gates())),
 }
 
 
@@ -197,7 +193,7 @@ class Bench(NamedTuple):
     """One ``bench-*`` engineering gate: a row of :data:`BENCHES`."""
 
     run: Callable[..., dict]  # -> the JSON record; ``record["pass"]`` gates
-    render: Callable[[dict], str]  # record -> the human-readable sibling
+    gate: List[Row]  # the rows ``pass`` holds; rendered as the text
     artifact: pathlib.Path  # where ``--json`` lands without ``-o``
     flags: Dict[str, str]  # argparse dest -> ``run`` keyword
 
@@ -214,46 +210,62 @@ def _flags(*same: str, **renamed: str) -> Dict[str, str]:
 #: are the same run.
 BENCHES: Dict[str, Bench] = {
     "bench-cluster": Bench(
-        run_cluster_bench, render_cluster_bench,
+        benchcluster.run_cluster_bench, benchcluster.GATE,
         _RESULTS / "BENCH_cluster.json",
         _flags("requests_per_tenant", "replicas", "seed",
                nodes="node_counts", zipf="zipf_s"),
     ),
     "bench-codec": Bench(
-        run_codec_bench, render_codec_bench,
+        benchcodec.run_codec_bench, benchcodec.GATE,
         _RESULTS / "BENCH_codec.json",
         _flags("natoms", "nframes", "keyframe_interval", "repeats"),
     ),
     "bench-ingest": Bench(
-        run_ingest_bench, render_ingest_bench,
+        benchingest.run_ingest_bench, benchingest.GATE,
         _RESULTS / "BENCH_ingest.json",
         _flags("natoms", "nframes", "keyframe_interval", "window_frames",
                "depth", "seed"),
     ),
     "bench-insitu": Bench(
-        run_insitu_bench, render_insitu_bench,
+        benchinsitu.run_insitu_bench, benchinsitu.GATE,
         _RESULTS / "BENCH_insitu.json",
         _flags("natoms", "nframes", "keyframe_interval", "window_frames",
                "depth", "seed"),
     ),
     "bench-lod": Bench(
-        run_lod_bench, render_lod_bench,
+        benchlod.run_lod_bench, benchlod.GATE,
         _RESULTS / "BENCH_lod.json",
         _flags("natoms", "nchunks", "frames_per_chunk", "window_chunks",
                "seed", "lod_precision", "precision"),
     ),
     "bench-pipeline": Bench(
-        run_pipeline_bench, render_pipeline_bench,
+        benchpipeline.run_pipeline_bench, benchpipeline.GATE,
         _RESULTS / "BENCH_pipeline.json",
         _flags("nchunks", "frames_per_chunk", "window_chunks", "seed"),
     ),
     "bench-serve": Bench(
-        run_serve_bench, render_serve_bench,
+        benchserve.run_serve_bench, benchserve.GATE,
         _RESULTS / "BENCH_serve.json",
         _flags("ndatasets", "natoms", "requests_per_tenant", "concurrency",
                "seed", tenants="ntenants", zipf="zipf_s"),
     ),
 }
+
+#: The chaos run is gated like a bench; its record is not committed.
+CHAOS = Bench(
+    chaos.run_chaos, chaos.GATE, pathlib.Path("CHAOS_report.json"),
+    _flags("seed", "rounds", rate="transient_rate"),
+)
+
+
+def _committed_gates():
+    """``(title, rows, record)`` per bench, over its committed record in
+    this checkout (``None`` when the file is absent) -- the scorecard's
+    floor rows, the same from any working directory."""
+    for name, bench in sorted(BENCHES.items()):
+        path = pathlib.Path(__file__).resolve().parents[2] / bench.artifact
+        record = json.loads(path.read_text()) if path.exists() else None
+        yield f"{name} ({bench.artifact})", bench.gate, record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,37 +388,20 @@ def _emit(text: str, path: Optional[pathlib.Path]) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _run_bench(args, name: str) -> int:
-    bench = BENCHES[name]
+def _run_gate(args, name: str, bench: Bench) -> int:
+    """Run one gate: its record as JSON, or its rows as text; exit 1 when a
+    row fails, 2 when an argument is rejected."""
     try:
         result = bench.run(**flag_kwargs(args, bench.flags))
-    except ValueError as exc:  # a flag value the bench (or its codec) rejects
+    except (ValueError, ConfigurationError, TopologyError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     if args.json:
         _emit(dump_record(result), args.output or bench.artifact)
     else:
-        _emit(bench.render(result), args.output)
+        _emit(render_gate(name, bench.gate, result), args.output)
     if not result["pass"]:
-        print(f"repro: {name} below its floors", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_chaos(args) -> int:
-    report = run_chaos(
-        **flag_kwargs(args, _flags("seed", "rounds", rate="transient_rate"))
-    )
-    if args.json:
-        _emit(
-            dump_record(report.as_dict()),
-            args.output or pathlib.Path("CHAOS_report.json"),
-        )
-    else:
-        _emit(render_chaos(report), args.output)
-    if not report.identical:
-        print("repro: chaos run diverged from fault-free baseline",
-              file=sys.stderr)
+        print(f"repro: {name} failed its gate", file=sys.stderr)
         return 1
     return 0
 
@@ -468,9 +463,9 @@ def _run_trace(args) -> int:
     return 0
 
 
-#: Targets that are neither a paper artifact nor a gate.
+#: Targets that are neither a paper artifact nor a ``bench-*`` gate.
 COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
-    "chaos": _run_chaos,
+    "chaos": partial(_run_gate, name="chaos", bench=CHAOS),
     "metrics": _run_metrics,
     "trace": _run_trace,
 }
@@ -483,7 +478,7 @@ def main(argv=None) -> int:
             print("\n".join(sorted(group)))
         return 0
     if args.target in BENCHES:
-        return _run_bench(args, args.target)
+        return _run_gate(args, args.target, BENCHES[args.target])
     if args.target in COMMANDS:
         return COMMANDS[args.target](args)
     if args.target == "all":

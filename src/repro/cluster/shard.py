@@ -834,16 +834,5 @@ class ShardedADA(DataPlane):
             for name, node in sorted(self.nodes.items())
         }
 
-    def stats(self) -> Dict[str, object]:
-        """Live cluster state the registry does not hold as counts (the
-        ``cluster_*``/``shard_*`` families carry those)."""
-        return {
-            "nodes": self.node_loads(),
-            "replicas": self.replicas,
-            "replicated_tags": list(self.replicated_tags),
-            "placement_keys": len(self._placement),
-            "degraded": list(self.degraded),
-        }
-
     def _landed_on(self, logical: str, tag: str) -> str:
         return ",".join(self._placement.get((logical, tag), []))

@@ -12,7 +12,7 @@ from repro.harness.calibration import (
     CalibrationReport,
     measure_calibration,
 )
-from repro.harness.chaos import ChaosReport, render_chaos, run_chaos
+from repro.harness.chaos import run_chaos
 from repro.harness.platforms import Platform, fat_node, small_cluster, ssd_server
 from repro.harness.scenarios import (
     SCENARIOS,
@@ -25,7 +25,6 @@ from repro.harness.tracedemo import run_trace_demo
 
 __all__ = [
     "CalibrationReport",
-    "ChaosReport",
     "E5_2603V4",
     "E7_4820V3",
     "Platform",
@@ -35,7 +34,6 @@ __all__ = [
     "Table",
     "fat_node",
     "measure_calibration",
-    "render_chaos",
     "run_chaos",
     "run_point",
     "run_sweep",

@@ -20,7 +20,8 @@ fronting ``N`` single-backend middleware nodes, and sweeps ``N`` over
 All timings are **simulated** seconds, so the record is bit-reproducible
 and the CI smoke test can gate the floors without flaking.  The record
 lands at ``benchmarks/results/BENCH_cluster.json`` (``python -m repro
-bench-cluster --json``); ``FLOORS`` holds the regression gate.
+bench-cluster --json``); ``FLOORS`` holds the tunable floors and
+``GATE`` every row ``pass`` holds.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
 from repro.harness.benchkit import (
     PLAYBACK_TAG,
+    Row,
     chunked_catalog,
+    gate_pass,
     ingest_chunks,
     run_traffic,
 )
@@ -42,19 +45,30 @@ from repro.sim import Simulator
 from repro.storage.hdd import WD_1TB_HDD
 from repro.units import KiB, MiB
 
-__all__ = [
-    "FLOORS",
-    "render_cluster_bench",
-    "run_cluster_bench",
-]
+__all__ = ["FLOORS", "GATE", "run_cluster_bench"]
 
 SCHEMA_VERSION = 1
 
-#: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
+#: Tunable floors; the record carries them as ``floors``.
 FLOORS = {
     "scaling_widest": 3.0,  # widest sweep >= 3x the 1-node throughput
     "imbalance_max": 0.25,  # (max - mean) / mean served bytes per node
 }
+
+#: What ``pass`` requires.  The chaos pass must complete every request a
+#: clean sweep does (the 1-node baseline is always swept), with the clean
+#: run's bytes, after at least one failover it timed.
+GATE = [
+    Row("all_completed", "==", True),
+    Row("digests_consistent_across_node_counts", "==", True),
+    Row("scaling_widest", ">=", "floors.scaling_widest"),
+    Row("imbalance_widest", "<=", "floors.imbalance_max"),
+    Row("chaos.digests_match_clean_run", "==", True),
+    Row("chaos.completed", "==", "sweeps.1.completed"),
+    Row("chaos.failed", "==", 0),
+    Row("chaos.failovers", ">", 0),
+    Row("chaos.recovery_s", ">=", 0.0),
+]
 
 
 def _build_cluster_front(
@@ -228,8 +242,6 @@ def run_cluster_bench(
         for key, entry in sweeps.items()
     }
     widest_key = str(widest)
-    scaling_widest = scaling[widest_key]
-    imbalance_widest = sweeps[widest_key]["imbalance"]
 
     # -- chaos pass: fail-stop the hottest primary mid-playback -------------
     kill_t = round(
@@ -249,8 +261,7 @@ def run_cluster_bench(
     chaos_traffic = run_traffic(
         chaos_front, tenants, catalog, traffic_config
     )
-    chaos_digests = _digest_map(chaos_traffic)
-    chaos_match = chaos_digests == baseline_digests
+    chaos_match = _digest_map(chaos_traffic) == baseline_digests
     events = list(chaos_sharded.events)
     kill_events = [e for e in events if e["event"] == "kill"]
     failovers = [
@@ -277,24 +288,7 @@ def run_cluster_bench(
     }
 
     expected = ntenants * requests_per_tenant
-    all_completed = all(
-        entry["completed"] == expected and entry["failed"] == 0
-        for entry in sweeps.values()
-    )
-    chaos_ok = (
-        chaos_match
-        and chaos_traffic["completed"] == expected
-        and chaos_traffic["failed"] == 0
-        and len(failovers) > 0
-    )
-    passed = (
-        all_completed
-        and digests_consistent
-        and scaling_widest >= FLOORS["scaling_widest"]
-        and imbalance_widest <= FLOORS["imbalance_max"]
-        and chaos_ok
-    )
-    return {
+    record = {
         "schema_version": SCHEMA_VERSION,
         "workload": {
             "node_counts": counts,
@@ -314,54 +308,19 @@ def run_cluster_bench(
         },
         "sweeps": sweeps,
         "scaling_vs_1node": scaling,
-        "scaling_widest": scaling_widest,
-        "imbalance_widest": imbalance_widest,
+        "scaling_widest": scaling[widest_key],
+        "imbalance_widest": sweeps[widest_key]["imbalance"],
         "digests_consistent_across_node_counts": digests_consistent,
         "chaos": chaos,
         "floors": dict(FLOORS),
-        "all_completed": all_completed,
-        "pass": passed,
-        # Full registry snapshot of the widest clean sweep (per-shard
-        # labels keep every node's counters distinct in one registry).
-        "metrics": widest_front.metrics.to_json(),
+        "all_completed": all(
+            entry["completed"] == expected and entry["failed"] == 0
+            for entry in sweeps.values()
+        ),
     }
+    record["pass"] = gate_pass(GATE, record)
+    # Full registry snapshot of the widest clean sweep (per-shard labels
+    # keep every node's counters distinct in one registry).
+    record["metrics"] = widest_front.metrics.to_json()
+    return record
 
-
-def render_cluster_bench(result: dict) -> str:
-    """Human-readable summary of a :func:`run_cluster_bench` record."""
-    w = result["workload"]
-    lines = [
-        "Sharded middleware scale-out (simulated seconds)",
-        f"  workload: {w['ntenants']} tenants x {w['requests_per_tenant']} "
-        f"requests, {w['ndatasets']} datasets (zipf {w['zipf_s']}), "
-        f"replicas {w['replicas']}, per-node L1 {w['l1_capacity_mb']} MB",
-    ]
-    for key in sorted(result["sweeps"], key=int):
-        entry = result["sweeps"][key]
-        lines.append(
-            f"  {entry['nodes']:>2} node(s): elapsed {entry['elapsed_s']:.6f} s, "
-            f"p99 {entry['p99_s']:.6f} s, "
-            f"{entry['throughput_bytes_per_s'] / 1e6:.1f} MB/s, "
-            f"speedup {result['scaling_vs_1node'][key]}x, "
-            f"imbalance {entry['imbalance']:.1%}"
-        )
-    chaos = result["chaos"]
-    recovery = (
-        f"{chaos['recovery_s']:.6f} s"
-        if chaos["recovery_s"] is not None
-        else "n/a"
-    )
-    lines += [
-        f"  scaling at {max(int(k) for k in result['sweeps'])} nodes: "
-        f"{result['scaling_widest']}x "
-        f"(floor >= {result['floors']['scaling_widest']}x), "
-        f"imbalance {result['imbalance_widest']:.1%} "
-        f"(ceiling <= {result['floors']['imbalance_max']:.0%})",
-        f"  chaos: killed {chaos['victim']} at t={chaos['kill_t_s']:.6f} s, "
-        f"{chaos['failovers']} failovers, recovery {recovery}, "
-        f"digests match clean run: {chaos['digests_match_clean_run']}",
-        f"  digests identical across node counts: "
-        f"{result['digests_consistent_across_node_counts']}",
-        f"  pass: {result['pass']}",
-    ]
-    return "\n".join(lines)

@@ -26,7 +26,8 @@ the configured watermark (the O(window x depth) memory claim).
 
 The record is written to ``benchmarks/results/BENCH_ingest.json`` (one
 canonical copy; ``python -m repro bench-ingest --json -o PATH``
-overrides).  ``FLOORS`` holds the regression gate.
+overrides).  ``FLOORS`` holds the tunable floors; ``GATE`` is every row
+``pass`` holds.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from typing import Dict
 
 from repro.core import IngestPipelineConfig
 from repro.harness.benchkit import (
+    Row,
     counter_values,
+    gate_pass,
     hdd_ada,
     storage_cpu,
     store_digest,
@@ -44,17 +47,32 @@ from repro.sim import Simulator
 from repro.units import MiB, to_mb
 from repro.workloads import build_workload
 
-__all__ = ["FLOORS", "render_ingest_bench", "run_ingest_bench"]
+__all__ = ["FLOORS", "GATE", "run_ingest_bench"]
 
 SCHEMA_VERSION = 1
 
-#: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
+#: Write-behind watermark the pipelined scenarios must stay under.
+BUFFER_WATERMARK = 2 * MiB
+
+#: Tunable floors; the record carries them as ``floors``.
 FLOORS = {
     "pipelined_vs_serial": 2.0,  # overlap + coalescing at least doubles
 }
 
-#: Write-behind watermark the pipelined scenarios must stay under.
-BUFFER_WATERMARK = 2 * MiB
+#: What ``pass`` requires.  Overlap alone already wins, coalescing stacks
+#: on top of it, CPU work is mostly hidden behind dispatch, and
+#: write-behind stays O(window x depth) in memory.
+GATE = [
+    Row("identical", "==", True),
+    Row("speedup_vs_serial.pipelined", ">=", "floors.pipelined_vs_serial"),
+    Row("speedup_vs_serial.pipelined_uncoalesced", ">", 1.0),
+    Row("speedup_vs_serial.pipelined", ">",
+        "speedup_vs_serial.pipelined_uncoalesced"),
+    Row("scenarios.pipelined.overlap_ratio", ">=", 0.5),
+    Row("scenarios.pipelined.buffered_bytes_peak", "<=", BUFFER_WATERMARK),
+    Row("scenarios.pipelined_uncoalesced.buffered_bytes_peak", "<=",
+        BUFFER_WATERMARK),
+]
 
 
 def _scenario(
@@ -135,19 +153,8 @@ def run_ingest_bench(
         name: round(serial_s / scenarios[name]["ingest_s"], 2)
         for name in ("pipelined_uncoalesced", "pipelined")
     }
-    identical = len(set(digests.values())) == 1
-    buffer_bounded = all(
-        scenarios[name]["buffered_bytes_peak"] <= BUFFER_WATERMARK
-        for name in ("pipelined_uncoalesced", "pipelined")
-    )
-    passed = (
-        identical
-        and buffer_bounded
-        and speedups["pipelined"] >= FLOORS["pipelined_vs_serial"]
-    )
-    nwindows = scenarios["pipelined"]["windows"]
     raw_nbytes = nframes * natoms * 12
-    return {
+    record = {
         "schema_version": SCHEMA_VERSION,
         "workload": {
             "natoms": natoms,
@@ -155,7 +162,7 @@ def run_ingest_bench(
             "keyframe_interval": keyframe_interval,
             "window_frames": window_frames,
             "depth": depth,
-            "windows": nwindows,
+            "windows": scenarios["pipelined"]["windows"],
             "raw_mb": round(to_mb(raw_nbytes), 3),
             "buffer_watermark_mb": round(to_mb(BUFFER_WATERMARK), 3),
             "seed": seed,
@@ -163,39 +170,15 @@ def run_ingest_bench(
         "scenarios": scenarios,
         "speedup_vs_serial": speedups,
         "floors": dict(FLOORS),
-        "identical": identical,
-        "buffer_bounded": buffer_bounded,
-        "pass": passed,
-        # Full registry snapshot of the fully pipelined deployment (the
-        # scenario that exercises every write-path subsystem at once).
-        "metrics": runs["pipelined"]["ada"].metrics.to_json(),
+        "identical": len(set(digests.values())) == 1,
+        "buffer_bounded": all(
+            scenarios[name]["buffered_bytes_peak"] <= BUFFER_WATERMARK
+            for name in ("pipelined_uncoalesced", "pipelined")
+        ),
     }
+    record["pass"] = gate_pass(GATE, record)
+    # Full registry snapshot of the fully pipelined deployment (the
+    # scenario that exercises every write-path subsystem at once).
+    record["metrics"] = runs["pipelined"]["ada"].metrics.to_json()
+    return record
 
-
-def render_ingest_bench(result: dict) -> str:
-    """Human-readable summary of a :func:`run_ingest_bench` record."""
-    w = result["workload"]
-    s = result["scenarios"]
-    sp = result["speedup_vs_serial"]
-    pipe = s["pipelined"]
-    lines = [
-        "Streaming ingest path (simulated ingest seconds)",
-        f"  workload: {w['raw_mb']} MB raw, {w['windows']} windows of "
-        f"~{w['window_frames']} frames ({w['natoms']} atoms, "
-        f"depth {w['depth']})",
-        f"  serial baseline: {s['serial']['ingest_s']:.3f} s",
-        f"  pipelined (uncoalesced): "
-        f"{s['pipelined_uncoalesced']['ingest_s']:.3f} s "
-        f"({sp['pipelined_uncoalesced']}x)",
-        f"  pipelined + coalesced runs: {pipe['ingest_s']:.3f} s "
-        f"({sp['pipelined']}x, overlap {pipe['overlap_ratio']})",
-        f"  write coalescing: {pipe['write_coalescing']['coalesced_runs']} "
-        f"runs, {pipe['write_coalescing']['requests_saved']} requests saved",
-        f"  peak buffered: {pipe['buffered_bytes_peak']} B "
-        f"(watermark {w['buffer_watermark_mb']} MB, "
-        f"bounded: {result['buffer_bounded']})",
-        f"  floors: pipelined >= {result['floors']['pipelined_vs_serial']}x",
-        f"  bit-identical stores across scenarios: {result['identical']}",
-        f"  pass: {result['pass']}",
-    ]
-    return "\n".join(lines)

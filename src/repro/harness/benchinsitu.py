@@ -17,17 +17,12 @@ into the rotating-disk deployment three ways:
 
 Every duration is **simulated** seconds, so results are exactly
 reproducible and the CI smoke test (``pytest -m bench``) can hold the
-floors without flaking on machine noise.  The gates:
-
-* the fused path's ingest overhead over ``pipelined`` stays under
-  ``FLOORS['fused_overhead_max_frac']`` (< 15 %);
-* fused and plain ingest leave **bit-identical** backend stores (the
-  analysis stage moves *when* things happen, never what is stored);
-* the fused online results are **exact** against the batch operators run
-  on the merged read-back trajectory (OnlineStats rows within the
-  documented ``STATS_RTOL``/``STATS_ATOL``);
-* time-to-results (ingest start -> analysis available) beats the
-  post-hoc schedule by ``FLOORS['vs_post_hoc_min_speedup']``.
+floors without flaking on machine noise.  ``GATE`` bounds the fused
+overhead over ``pipelined``, requires the analysis stage to overlap and
+time-to-results to beat post hoc, and requires **bit-identical** stores
+(analysis moves *when* things happen, never what is stored) and online
+results **exact** against the batch operators on the read-back
+trajectory (OnlineStats rows within ``STATS_RTOL``/``STATS_ATOL``).
 
 The record is written to ``benchmarks/results/BENCH_insitu.json`` (one
 canonical copy; ``python -m repro bench-insitu --json -o PATH``
@@ -53,16 +48,22 @@ from repro.analysis import (
     rmsd_trajectory,
 )
 from repro.core import IngestPipelineConfig
-from repro.harness.benchkit import hdd_ada, storage_cpu, store_digest
+from repro.harness.benchkit import (
+    Row,
+    hdd_ada,
+    seal,
+    storage_cpu,
+    store_digest,
+)
 from repro.sim import Simulator
 from repro.units import to_mb
 from repro.workloads import build_workload
 
-__all__ = ["FLOORS", "render_insitu_bench", "run_insitu_bench"]
+__all__ = ["FLOORS", "GATE", "run_insitu_bench"]
 
 SCHEMA_VERSION = 1
 
-#: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
+#: Tunable floors; the record carries them as ``floors``.
 FLOORS = {
     # Fused ingest may cost at most this fraction over plain pipelined
     # ingest -- the analysis stage must overlap, not serialize.
@@ -70,6 +71,15 @@ FLOORS = {
     # Time-to-results must beat ingest + read-back + batch analysis.
     "vs_post_hoc_min_speedup": 1.02,
 }
+
+#: What ``pass`` requires.
+GATE = [
+    Row("identical", "==", True),
+    Row("equivalent", "==", True),
+    Row("fused_overhead_frac", "<", "floors.fused_overhead_max_frac"),
+    Row("speedup_vs_post_hoc", ">=", "floors.vs_post_hoc_min_speedup"),
+    Row("scenarios.fused.overlap_ratio", ">=", 0.5),
+]
 
 
 def _ingest(workload, config, analysis=None):
@@ -167,17 +177,10 @@ def run_insitu_bench(
     )
     equivalent = exact and stats_ok and online["frames"] == merged.nframes
 
-    identical = store_digest(ada_plain) == store_digest(ada_fused)
     overhead_frac = (fused_s - plain_s) / plain_s if plain_s > 0 else 0.0
     speedup_vs_post_hoc = post_hoc_s / fused_s if fused_s > 0 else 0.0
-    passed = (
-        identical
-        and equivalent
-        and overhead_frac < FLOORS["fused_overhead_max_frac"]
-        and speedup_vs_post_hoc >= FLOORS["vs_post_hoc_min_speedup"]
-    )
     raw_nbytes = nframes * natoms * 12
-    return {
+    record = {
         "schema_version": SCHEMA_VERSION,
         "workload": {
             "natoms": natoms,
@@ -214,47 +217,16 @@ def run_insitu_bench(
                 "total_s": round(post_hoc_s, 6),
             },
         },
-        "fused_overhead_frac": round(overhead_frac, 4),
-        "speedup_vs_post_hoc": round(speedup_vs_post_hoc, 2),
+        "fused_overhead_frac": overhead_frac,
+        "speedup_vs_post_hoc": speedup_vs_post_hoc,
         "floors": dict(FLOORS),
         "tolerance": {"stats_rtol": STATS_RTOL, "stats_atol": STATS_ATOL},
-        "identical": identical,
+        "identical": store_digest(ada_plain) == store_digest(ada_fused),
         "equivalent": equivalent,
-        "pass": passed,
-        # Full registry snapshot of the fused deployment (the scenario
-        # that exercises ingest + analysis metric families at once).
-        "metrics": ada_fused.metrics.to_json(),
     }
+    seal(GATE, record, {"fused_overhead_frac": 4, "speedup_vs_post_hoc": 2})
+    # Full registry snapshot of the fused deployment (the scenario that
+    # exercises ingest + analysis metric families at once).
+    record["metrics"] = ada_fused.metrics.to_json()
+    return record
 
-
-def render_insitu_bench(result: dict) -> str:
-    """Human-readable summary of a :func:`run_insitu_bench` record."""
-    w = result["workload"]
-    s = result["scenarios"]
-    fused = s["fused"]
-    ph = s["post_hoc"]
-    lines = [
-        "In-situ streaming analysis (simulated seconds)",
-        f"  workload: {w['raw_mb']} MB raw, {w['windows']} windows of "
-        f"~{w['window_frames']} frames ({w['natoms']} atoms)",
-        f"  pipelined ingest (no analysis): {s['pipelined']['ingest_s']:.3f} s",
-        f"  fused in-situ ingest: {fused['ingest_s']:.3f} s "
-        f"(+{100 * result['fused_overhead_frac']:.1f}% overhead, "
-        f"overlap {fused['overlap_ratio']})",
-        f"  analysis stage: {fused['analysis_seconds']:.3f} s over "
-        f"{fused['frames_analyzed']} frames "
-        f"({', '.join(fused['operators'])})",
-        f"  post hoc (ingest + readback + batch scan): {ph['total_s']:.3f} s "
-        f"= {ph['ingest_s']:.3f} + {ph['readback_s']:.3f} "
-        f"+ {ph['batch_scan_s']:.3f}",
-        f"  time-to-results speedup vs post hoc: "
-        f"{result['speedup_vs_post_hoc']}x "
-        f"(floor {result['floors']['vs_post_hoc_min_speedup']}x)",
-        f"  overhead floor: < "
-        f"{100 * result['floors']['fused_overhead_max_frac']:.0f}%",
-        f"  bit-identical stores (plain vs fused): {result['identical']}",
-        f"  online == batch (exact; stats in tolerance): "
-        f"{result['equivalent']}",
-        f"  pass: {result['pass']}",
-    ]
-    return "\n".join(lines)

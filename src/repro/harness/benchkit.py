@@ -16,12 +16,16 @@ exist once, here, as plain functions:
   :class:`~repro.serve.ServeFront`;
 * the **checks and the record** -- :func:`store_digest`,
   :func:`counter_values`, :func:`percentile`, :func:`jain_index`,
-  :func:`dump_record`.
+  :func:`dump_record`;
+* the **gate** -- a harness's ``GATE`` is a list of :class:`Row` entries read
+  off its record; :func:`check_gate` is their one evaluator,
+  :func:`gate_pass` the record's ``pass`` and :func:`render_gate` the one
+  text view (CLI text mode, ``BENCH_*.txt``, ``python -m repro scorecard``).
 
 Variants are only comparable when one dataset/deployment recipe sits
-under all of them, so a harness states its scenario matrix, ``FLOORS``,
-``pass`` expression and rendering -- nothing else.  The table that turns
-a harness into a CLI target lives beside the CLI (``repro.cli.BENCHES``).
+under all of them, so a harness states its scenario matrix, ``FLOORS``
+and ``GATE`` -- nothing else.  The table that turns a harness into a CLI
+target lives beside the CLI (``repro.cli.BENCHES``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Dict, List, Sequence, Tuple
+import operator
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.node import ComputeNode
 from repro.core import ADA
@@ -37,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.formats.xtc import encode_raw
 from repro.fs.localfs import LocalFS
 from repro.harness.calibration import E5_2603V4
+from repro.harness.report import Table
 from repro.serve import DatasetRef, ServeFront, TrafficConfig, TrafficGenerator
 from repro.sim import AllOf, Simulator
 from repro.storage.hdd import WD_1TB_HDD
@@ -45,16 +51,21 @@ from repro.workloads import build_workload
 
 __all__ = [
     "PLAYBACK_TAG",
+    "Row",
+    "check_gate",
     "chunk_windows",
     "chunked_catalog",
     "counter_values",
     "dump_record",
+    "gate_pass",
     "hdd_ada",
     "ingest_chunks",
     "jain_index",
     "percentile",
     "play_windows",
+    "render_gate",
     "run_traffic",
+    "seal",
     "storage_cpu",
     "store_digest",
 ]
@@ -146,6 +157,10 @@ def chunk_windows(
     ``scrub`` plays forward, ``backward`` rewinds, ``skip`` is the jumpy
     ensemble browse.
     """
+    if window_chunks < 1:
+        raise ConfigurationError(
+            f"window_chunks must be >= 1, got {window_chunks}"
+        )
     starts = list(range(0, nchunks, window_chunks))
     if pattern == "scrub":
         ordered = starts
@@ -311,3 +326,94 @@ def dump_record(result: dict) -> str:
     """The one serialisation of a bench record (what ``BENCH_*.json`` holds,
     minus the trailing newline every artifact writer adds)."""
     return json.dumps(result, indent=2)
+
+
+# -- the gate ------------------------------------------------------------------
+
+_OPS = {
+    ">=": operator.ge, ">": operator.gt, "<=": operator.le,
+    "<": operator.lt, "==": operator.eq,
+}
+_MISSING = object()
+
+
+class Row(NamedTuple):
+    """One term of a gate: ``record[path] op bound``.
+
+    ``path`` is dotted (``"speedup_vs_serial.prefetch"``).  A string
+    ``bound`` is another record path -- ``"floors.<key>"`` for a tunable
+    floor, which the record carries -- anything else is the bound itself.
+    """
+
+    path: str
+    op: str
+    bound: object
+
+
+class Verdict(NamedTuple):
+    row: Row
+    measured: object
+    bound: object
+    ok: Optional[bool]  # None: the record does not carry ``row.path``
+
+
+def _lookup(record: dict, path: str) -> object:
+    value = record
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            return _MISSING
+        value = value[key]
+    return value
+
+
+def check_gate(rows: Sequence[Row], record: dict) -> List[Verdict]:
+    """Every row evaluated on ``record``: the gate's one evaluator.
+
+    A row whose ``path`` the record lacks reads ``ok=None`` and gates
+    nothing (a partial run, ``bench-lod --precision full``, carries no
+    tier comparison); a value that does not compare (``None``) fails.
+    """
+    verdicts = []
+    for row in rows:
+        measured = _lookup(record, row.path)
+        bound = (
+            _lookup(record, row.bound) if isinstance(row.bound, str)
+            else row.bound
+        )
+        ok: Optional[bool] = None
+        if measured is not _MISSING:
+            try:
+                ok = bool(_OPS[row.op](measured, bound))
+            except TypeError:
+                ok = False
+        verdicts.append(Verdict(row, measured, bound, ok))
+    return verdicts
+
+
+def gate_pass(rows: Sequence[Row], record: dict) -> bool:
+    """A record's ``pass``: every row it carries holds."""
+    return all(v.ok is not False for v in check_gate(rows, record))
+
+
+def seal(rows: Sequence[Row], record: dict, places: Dict[str, int]) -> None:
+    """``pass`` from the raw values, then each ``places`` path rounded to
+    its digits for the artifact: rounding never moves a verdict."""
+    record["pass"] = gate_pass(rows, record)
+    for path, ndigits in places.items():
+        parent, _, key = path.rpartition(".")
+        node = _lookup(record, parent) if parent else record
+        node[key] = round(node[key], ndigits)
+
+
+def render_gate(title: str, rows: Sequence[Row], record: dict) -> str:
+    """Any record as its gate: path, bound, measured value, verdict."""
+    table = Table(["row", "bound", "measured", "verdict"], title=title)
+    for v in check_gate(rows, record):
+        named = f" ({v.row.bound})" if isinstance(v.row.bound, str) else ""
+        table.add_row(
+            v.row.path,
+            f"{v.row.op} {v.bound}{named}",
+            "-" if v.measured is _MISSING else v.measured,
+            {True: "PASS", False: "FAIL", None: "n/a"}[v.ok],
+        )
+    return f"{table.render()}\npass: {gate_pass(rows, record)}"

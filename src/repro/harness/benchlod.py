@@ -27,8 +27,7 @@ every scenario.
 
 The record is written to ``benchmarks/results/BENCH_lod.json`` (one
 canonical copy; ``python -m repro bench-lod --json -o PATH`` overrides).
-``FLOORS`` holds the regression gates (LOD bytes/frame <= 0.35x full,
-coarse forward scrub >= 2x faster than exact).
+``FLOORS`` holds the tunable floors; ``GATE`` is every row ``pass`` holds.
 """
 
 from __future__ import annotations
@@ -44,25 +43,36 @@ from repro.formats.xtc import decode_raw, decode_xtc
 from repro.fs.cache import BlockCache
 from repro.harness.benchkit import (
     PLAYBACK_TAG,
+    Row,
     chunk_windows,
     chunked_catalog,
     counter_values,
     hdd_ada,
     ingest_chunks,
     play_windows,
+    seal,
 )
 from repro.sim import Simulator
 from repro.units import to_mb
 
-__all__ = ["FLOORS", "render_lod_bench", "run_lod_bench"]
+__all__ = ["FLOORS", "GATE", "run_lod_bench"]
 
 SCHEMA_VERSION = 1
 
-#: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
+#: Tunable floors; the record carries them as ``floors``.
 FLOORS = {
     "lod_bytes_per_frame_ratio": 0.35,  # coarse layer <= 0.35x full bytes
     "scrub_lod_speedup": 2.0,  # coarse forward scrub at least doubles
 }
+
+#: What ``pass`` requires.  A one-tier run (``precision="full"``/``"lod"``)
+#: carries no ``lod_speedup``, so its row reads n/a and gates nothing.
+GATE = [
+    Row("identical", "==", True),
+    Row("error_bound.measured", "<=", "error_bound.advertised"),
+    Row("bytes_per_frame.ratio", "<=", "floors.lod_bytes_per_frame_ratio"),
+    Row("lod_speedup.scrub", ">=", "floors.scrub_lod_speedup"),
+]
 
 
 def _max_lod_error(ada: ADA, logical: str, chunks: Sequence[int]) -> float:
@@ -93,7 +103,8 @@ def run_lod_bench(
     """Measure the scrub matrix across both tiers; returns the JSON record.
 
     ``precision`` restricts the matrix (``"full"``/``"lod"``/``"both"``);
-    the floors only gate a ``"both"`` run, since they compare the tiers.
+    the scrub speedup floor only gates a ``"both"`` run, since it compares
+    the tiers' playback.
     """
     if precision not in ("full", "lod", "both"):
         raise ConfigurationError(
@@ -152,11 +163,9 @@ def run_lod_bench(
 
     full_bpf = ada.subset_nbytes(logical, PLAYBACK_TAG) / nframes
     lod_bpf = ada.subset_nbytes(logical, lod_tag(PLAYBACK_TAG)) / nframes
-    bytes_ratio = lod_bpf / full_bpf
     advertised = ada.lod_bound(logical)
     measured_error = _max_lod_error(ada, logical, (0, nchunks // 2))
 
-    identical = len(set(full_digests.values())) == 1
     record = {
         "schema_version": SCHEMA_VERSION,
         "workload": {
@@ -171,7 +180,7 @@ def run_lod_bench(
         "bytes_per_frame": {
             "full": round(full_bpf, 1),
             "lod": round(lod_bpf, 1),
-            "ratio": round(bytes_ratio, 4),
+            "ratio": lod_bpf / full_bpf,
         },
         "error_bound": {
             "advertised": advertised,
@@ -179,10 +188,10 @@ def run_lod_bench(
             "within": measured_error <= advertised,
         },
         "floors": dict(FLOORS),
-        "identical": identical,
+        "identical": len(set(full_digests.values())) == 1,
     }
     if precision == "both":
-        speedups = {
+        record["lod_speedup"] = {
             pattern: round(
                 scenarios[f"{pattern}_full"]["playback_s"]
                 / scenarios[f"{pattern}_lod"]["playback_s"],
@@ -190,54 +199,12 @@ def run_lod_bench(
             )
             for pattern in ("scrub", "backward", "skip")
         }
-        record["lod_speedup"] = speedups
-        record["pass"] = (
-            identical
-            and record["error_bound"]["within"]
-            and bytes_ratio <= FLOORS["lod_bytes_per_frame_ratio"]
-            and speedups["scrub"] >= FLOORS["scrub_lod_speedup"]
-        )
+    seal(GATE, record, {"bytes_per_frame.ratio": 4})
+    if precision == "both":
         # The last LOD deployment's lod_* counters: the observable trace
         # of tiered serving.
         record["lod"] = counter_values(
             ada.metrics, "lod", "served", "chunks", "fallback",
         )
-    else:
-        record["pass"] = identical and record["error_bound"]["within"]
     return record
 
-
-def render_lod_bench(result: dict) -> str:
-    """Human-readable summary of a :func:`run_lod_bench` record."""
-    w = result["workload"]
-    s = result["scenarios"]
-    bpf = result["bytes_per_frame"]
-    lines = [
-        "Precision-selective scrubbing (simulated playback seconds)",
-        f"  workload: {w['nchunks']} chunks x {w['frames_per_chunk']} frames"
-        f" ({w['natoms']} atoms, window {w['window_chunks']} chunks,"
-        f" lod precision {w['lod_precision']})",
-        f"  bytes/frame: full {bpf['full']:.0f}, lod {bpf['lod']:.0f}"
-        f" (ratio {bpf['ratio']})",
-    ]
-    for name in sorted(s):
-        lines.append(f"  {name}: {s[name]['playback_s']:.3f} s"
-                     f" ({s[name]['served_mb']} MB)")
-    if "lod_speedup" in result:
-        sp = result["lod_speedup"]
-        lines.append(
-            "  lod speedup: "
-            + ", ".join(f"{k} {v}x" for k, v in sorted(sp.items()))
-        )
-    err = result["error_bound"]
-    lines += [
-        f"  error: measured {err['measured']:.6f}"
-        f" <= advertised {err['advertised']:.6f}: {err['within']}",
-        f"  floors: bytes ratio <= "
-        f"{result['floors']['lod_bytes_per_frame_ratio']}, scrub speedup >= "
-        f"{result['floors']['scrub_lod_speedup']}x",
-        f"  full tier bit-identical (incl. no-LOD deployment): "
-        f"{result['identical']}",
-        f"  pass: {result['pass']}",
-    ]
-    return "\n".join(lines)

@@ -24,8 +24,7 @@ paths change *when* bytes move, never *which* bytes).
 
 The record is written to ``benchmarks/results/BENCH_pipeline.json`` (one
 canonical copy; ``python -m repro bench-pipeline --json -o PATH``
-overrides).  ``FLOORS`` holds the regression gates (prefetch >= 2x over
-serial, warm-pass hit ratio >= 0.9).
+overrides); ``GATE`` is every row ``pass`` holds.
 """
 
 from __future__ import annotations
@@ -36,9 +35,11 @@ from repro.core import ADA
 from repro.fs.cache import BlockCache
 from repro.harness.benchkit import (
     PLAYBACK_TAG,
+    Row,
     chunk_windows,
     chunked_catalog,
     counter_values,
+    gate_pass,
     hdd_ada,
     ingest_chunks,
     play_windows,
@@ -46,15 +47,25 @@ from repro.harness.benchkit import (
 from repro.sim import Simulator
 from repro.units import to_mb
 
-__all__ = ["FLOORS", "render_pipeline_bench", "run_pipeline_bench"]
+__all__ = ["FLOORS", "GATE", "run_pipeline_bench"]
 
 SCHEMA_VERSION = 2  # v2: adds the "metrics" registry snapshot
 
-#: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
+#: Tunable floors; the record carries them as ``floors``.
 FLOORS = {
     "prefetch_vs_serial": 2.0,  # pipelined playback at least doubles
     "warm_hit_ratio": 0.9,  # second pass serves from the block cache
 }
+
+#: What ``pass`` requires.  The pipeline is strictly additive: every
+#: accelerated path beats serial, and the warm pass beats the cold one.
+GATE = [
+    Row("identical", "==", True),
+    Row("speedup_vs_serial.prefetch", ">=", "floors.prefetch_vs_serial"),
+    Row("scenarios.warm_cache.hit_ratio", ">=", "floors.warm_hit_ratio"),
+    Row("speedup_vs_serial.cold_cache", ">", 1.0),
+    Row("speedup_vs_serial.warm_cache", ">", "speedup_vs_serial.cold_cache"),
+]
 
 
 def _hits_misses(ada: ADA) -> Tuple[int, int]:
@@ -145,13 +156,7 @@ def run_pipeline_bench(
         name: round(serial_s / scenarios[name]["playback_s"], 2)
         for name in ("cold_cache", "warm_cache", "prefetch")
     }
-    identical = len(set(digests.values())) == 1
-    passed = (
-        identical
-        and speedups["prefetch"] >= FLOORS["prefetch_vs_serial"]
-        and scenarios["warm_cache"]["hit_ratio"] >= FLOORS["warm_hit_ratio"]
-    )
-    return {
+    record = {
         "schema_version": SCHEMA_VERSION,
         "workload": {
             "natoms": natoms,
@@ -164,32 +169,11 @@ def run_pipeline_bench(
         "scenarios": scenarios,
         "speedup_vs_serial": speedups,
         "floors": dict(FLOORS),
-        "identical": identical,
-        "pass": passed,
-        # Full registry snapshot of the prefetch deployment (the scenario
-        # that exercises every read-path subsystem at once).
-        "metrics": ada.metrics.to_json(),
+        "identical": len(set(digests.values())) == 1,
     }
+    record["pass"] = gate_pass(GATE, record)
+    # Full registry snapshot of the prefetch deployment (the scenario that
+    # exercises every read-path subsystem at once).
+    record["metrics"] = ada.metrics.to_json()
+    return record
 
-
-def render_pipeline_bench(result: dict) -> str:
-    """Human-readable summary of a :func:`run_pipeline_bench` record."""
-    w = result["workload"]
-    s = result["scenarios"]
-    sp = result["speedup_vs_serial"]
-    lines = [
-        "Pipelined read path (simulated playback seconds)",
-        f"  workload: {w['nchunks']} chunks x {w['chunk_mb']} MB "
-        f"({w['natoms']} atoms, window {w['window_chunks']} chunks)",
-        f"  serial baseline: {s['serial']['playback_s']:.3f} s",
-        f"  cold cache+coalesce: {s['cold_cache']['playback_s']:.3f} s "
-        f"({sp['cold_cache']}x)",
-        f"  warm cache: {s['warm_cache']['playback_s']:.3f} s "
-        f"({sp['warm_cache']}x, hit ratio {s['warm_cache']['hit_ratio']})",
-        f"  prefetch: {s['prefetch']['playback_s']:.3f} s ({sp['prefetch']}x)",
-        f"  floors: prefetch >= {result['floors']['prefetch_vs_serial']}x, "
-        f"warm hit ratio >= {result['floors']['warm_hit_ratio']}",
-        f"  bit-identical across scenarios: {result['identical']}",
-        f"  pass: {result['pass']}",
-    ]
-    return "\n".join(lines)

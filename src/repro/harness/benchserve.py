@@ -19,7 +19,8 @@ see :mod:`repro.serve.traffic`) in three scenarios:
 All timings are **simulated** seconds, so the record is bit-reproducible
 and the CI smoke test can gate the floors without flaking.  The record
 lands at ``benchmarks/results/BENCH_serve.json`` (``python -m repro
-bench-serve --json``); ``FLOORS`` holds the regression gate.
+bench-serve --json``); ``FLOORS`` holds the tunable floors and ``GATE``
+every row ``pass`` holds.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.harness.benchkit import (
     PLAYBACK_TAG,
+    Row,
     chunked_catalog,
     hdd_ada,
     ingest_chunks,
     jain_index,
     percentile,
     run_traffic,
+    seal,
 )
 from repro.serve import DatasetRef, ServeFront, TenantBlockCache, TrafficConfig
 from repro.sim import Simulator
@@ -45,21 +48,30 @@ from repro.units import KiB, MiB
 # ``benchmarks/e2e/run.py`` imports the first two from this module.
 __all__ = [
     "FLOORS",
+    "GATE",
     "PLAYBACK_TAG",
     "build_front",
     "jain_index",
     "percentile",
-    "render_serve_bench",
     "run_serve_bench",
 ]
 
 SCHEMA_VERSION = 1
 
-#: Regression gates the bench (and the ``-m bench`` smoke test) enforces.
+#: Tunable floors; the record carries them as ``floors``.
 FLOORS = {
     "jain_fairness": 0.90,  # contended byte shares stay near-equal
     "p99_slowdown_vs_solo": 8.0,  # contended p99 within 8x uncontended
 }
+
+#: What ``pass`` requires.  Admission control is load-bearing: the open
+#: loop overruns the per-tenant in-flight cap and the gate rejects work.
+GATE = [
+    Row("all_completed", "==", True),
+    Row("fairness.jain_contended", ">=", "floors.jain_fairness"),
+    Row("latency.p99_slowdown_vs_solo", "<=", "floors.p99_slowdown_vs_solo"),
+    Row("scenarios.open_loop.rejected", ">", 0),
+]
 
 
 def build_front(
@@ -172,15 +184,7 @@ def run_serve_bench(
     solo_p99 = solo["per_tenant"]["t0"]["p99_s"]
     slowdown = (contended["p99_s"] / solo_p99) if solo_p99 else float("inf")
     expected = ntenants * requests_per_tenant
-    all_completed = (
-        contended["completed"] == expected and contended["failed"] == 0
-    )
-    passed = (
-        all_completed
-        and jain >= FLOORS["jain_fairness"]
-        and slowdown <= FLOORS["p99_slowdown_vs_solo"]
-    )
-    return {
+    record = {
         "schema_version": SCHEMA_VERSION,
         "workload": {
             "ntenants": ntenants,
@@ -202,7 +206,7 @@ def run_serve_bench(
             "open_loop": opened,
         },
         "fairness": {
-            "jain_contended": round(jain, 4),
+            "jain_contended": jain,
             "served_bytes": {
                 name: contended["per_tenant"][name]["served_bytes"]
                 for name in tenants
@@ -211,37 +215,17 @@ def run_serve_bench(
         "latency": {
             "solo_p99_s": solo_p99,
             "contended_p99_s": contended["p99_s"],
-            "p99_slowdown_vs_solo": round(slowdown, 2),
+            "p99_slowdown_vs_solo": slowdown,
         },
         "floors": dict(FLOORS),
-        "all_completed": all_completed,
-        "pass": passed,
-        # Full registry snapshot of the contended deployment (the scenario
-        # that exercises admission, scheduling, fair share, and prefetch).
-        "metrics": contended_front.metrics.to_json(),
+        "all_completed": (
+            contended["completed"] == expected and contended["failed"] == 0
+        ),
     }
+    seal(GATE, record, {"fairness.jain_contended": 4,
+                        "latency.p99_slowdown_vs_solo": 2})
+    # Full registry snapshot of the contended deployment (the scenario that
+    # exercises admission, scheduling, fair share, and prefetch).
+    record["metrics"] = contended_front.metrics.to_json()
+    return record
 
-
-def render_serve_bench(result: dict) -> str:
-    """Human-readable summary of a :func:`run_serve_bench` record."""
-    w = result["workload"]
-    s = result["scenarios"]
-    lines = [
-        "Multi-tenant serving layer (simulated seconds)",
-        f"  workload: {w['ntenants']} tenants x {w['requests_per_tenant']} "
-        f"requests, {w['ndatasets']} datasets (zipf {w['zipf_s']}), "
-        f"concurrency {w['concurrency']}, L1 {w['l1_capacity_mb']} MB",
-        f"  solo:      p50 {s['solo']['p50_s']:.6f} s, "
-        f"p99 {s['solo']['p99_s']:.6f} s",
-        f"  contended: p50 {s['contended']['p50_s']:.6f} s, "
-        f"p99 {s['contended']['p99_s']:.6f} s "
-        f"({result['latency']['p99_slowdown_vs_solo']}x solo, "
-        f"floor <= {result['floors']['p99_slowdown_vs_solo']}x)",
-        f"  open loop: p99 {s['open_loop']['p99_s']:.6f} s, "
-        f"{s['open_loop']['rejected']} admission rejections",
-        f"  fairness: Jain {result['fairness']['jain_contended']} "
-        f"(floor >= {result['floors']['jain_fairness']})",
-        f"  all contended requests completed: {result['all_completed']}",
-        f"  pass: {result['pass']}",
-    ]
-    return "\n".join(lines)

@@ -5,15 +5,18 @@ against the model and prints PASS/FAIL with the measured value -- the
 machine-checkable version of EXPERIMENTS.md.  Each paper band is stated
 here and nowhere else: tier-1 checks every :data:`CLAIMS` entry by key
 (``tests/harness/test_scorecard.py``), and the figure benches only
-regenerate their artifacts.
+regenerate their artifacts.  Below the claims it prints each engineering
+gate's rows over its committed ``BENCH_*.json``
+(:func:`~repro.harness.benchkit.render_gate`).
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
+from repro.harness.benchkit import Row, check_gate, render_gate
 from repro.harness.calibration import measure_calibration
 from repro.harness.platforms import fat_node, small_cluster, ssd_server
 from repro.harness.profilecpu import modeled_cpu_profile
@@ -232,8 +235,11 @@ CLAIMS: List[Claim] = [
 ]
 
 
-def render_scorecard() -> str:
-    """Evaluate every claim into a printable table plus a verdict line."""
+def render_scorecard(
+    gates: Iterable[Tuple[str, List[Row], Optional[dict]]] = (),
+) -> str:
+    """Every claim in a printable table plus a verdict line, then each
+    ``(title, rows, record)`` gate's rows (a ``None`` record fails)."""
     rows = [(claim, *claim.check()) for claim in CLAIMS]
     table = Table(
         ["claim", "source", "paper statement", "measured", "verdict"],
@@ -245,4 +251,15 @@ def render_scorecard() -> str:
             "PASS" if passed else "FAIL",
         )
     passed = sum(1 for _, _, ok in rows if ok)
-    return f"{table.render()}\n\n{passed}/{len(rows)} claims reproduced"
+    parts = [table.render(), f"{passed}/{len(rows)} claims reproduced"]
+    held = total = 0
+    for title, gate, record in gates:
+        total += len(gate)
+        if record is None:
+            parts.append(f"{title}: no committed record -- FAIL")
+            continue
+        held += sum(v.ok is True for v in check_gate(gate, record))
+        parts.append(render_gate(title, gate, record))
+    if total:
+        parts.append(f"{held}/{total} floor rows hold")
+    return "\n\n".join(parts)

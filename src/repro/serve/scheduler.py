@@ -332,12 +332,3 @@ class RequestScheduler:
             )
             self._tenant_metrics[tenant] = tm
         return tm
-
-    def stats(self) -> Dict[str, object]:
-        """Scheduler state outside the registry (per-tenant counts and
-        waits are the ``serve_*{tenant=...}`` series)."""
-        return {
-            "concurrency": self.concurrency,
-            "backlog": self.backlog,
-            "vtime": self._vtime,
-        }

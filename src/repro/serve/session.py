@@ -170,20 +170,6 @@ class SessionManager:
                 f"tenant {tenant!r} released more than it was admitted"
             )
 
-    def stats(self) -> Dict[str, object]:
-        """The registered tenants' policy (admission counts and in-flight
-        gauges are the ``serve_*{tenant=...}`` registry series)."""
-        return {
-            name: {
-                "nice": state.config.nice,
-                "weight": state.config.weight,
-                "max_inflight": state.config.max_inflight,
-                "byte_budget": state.config.byte_budget,
-                "precision": state.config.precision,
-            }
-            for name, state in sorted(self._tenants.items())
-        }
-
 
 class Session:
     """One tenant's handle onto the serving front end."""

@@ -65,14 +65,15 @@ def _ingested_ada(workload, retry_policy=None):
 def test_transient_chaos_is_bit_identical_with_retries():
     """ISSUE acceptance: >= 5% transient rate, bit-identical, retries > 0."""
     report = run_chaos(seed=7, transient_rate=0.05, rounds=3)
-    assert report.identical, (
-        f"faulted digest {report.faulted_digest} != "
-        f"baseline {report.baseline_digest}"
+    assert report["identical"] and report["pass"], (
+        f"faulted digest {report['faulted_digest']} != "
+        f"baseline {report['baseline_digest']}"
     )
-    assert report.retries > 0  # the middleware counters saw recovery work
-    assert report.injected_total > 0
-    assert report.counters["retry_permanent_failures_total"] == 0
-    assert report.degraded_reads == 0
+    counters = report["counters"]
+    assert counters["retry_retries_total"] > 0  # recovery work was counted
+    assert report["injected_total"] > 0
+    assert counters["retry_permanent_failures_total"] == 0
+    assert report["degraded_reads"] == 0
 
 
 @settings(max_examples=6, deadline=None)
@@ -82,16 +83,14 @@ def test_transient_chaos_sweep(seed):
     report = run_chaos(
         seed=seed, transient_rate=0.08, rounds=2, natoms=400, nframes=3
     )
-    assert report.identical
-    assert report.counters["retry_exhausted_total"] == 0
+    assert report["identical"]
+    assert report["counters"]["retry_exhausted_total"] == 0
 
 
 def test_run_chaos_is_deterministic():
     a = run_chaos(seed=21, transient_rate=0.06, rounds=2, natoms=400, nframes=3)
     b = run_chaos(seed=21, transient_rate=0.06, rounds=2, natoms=400, nframes=3)
-    assert a.faulted_digest == b.faulted_digest
-    assert a.counters == b.counters
-    assert a.sim_time_faulted_s == b.sim_time_faulted_s
+    assert a == b
 
 
 def test_high_rate_chaos_still_recovers():
@@ -100,8 +99,8 @@ def test_high_rate_chaos_still_recovers():
         seed=5, transient_rate=0.20, rounds=2, natoms=400, nframes=3,
         max_retries=12,
     )
-    assert report.identical
-    assert report.retries >= 1
+    assert report["identical"]
+    assert report["counters"]["retry_retries_total"] >= 1
 
 
 # -- permanent faults: typed errors or documented degradation ---------------

@@ -17,7 +17,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.benchcluster import FLOORS, run_cluster_bench
+from repro.harness.benchcluster import FLOORS, GATE, run_cluster_bench
+from repro.harness.benchkit import check_gate
 
 #: Tiny but floor-clearing: 8 tenants x 16 requests over 24 small datasets.
 _SMALL = dict(
@@ -81,14 +82,8 @@ def test_bench_cluster_schema_stable(small_result):
 @pytest.mark.bench
 @pytest.mark.cluster
 def test_bench_cluster_holds_floors_at_smoke_size(small_result):
-    result = small_result
-    assert result["all_completed"]
-    assert result["digests_consistent_across_node_counts"]
-    assert result["scaling_widest"] >= FLOORS["scaling_widest"]
-    assert result["imbalance_widest"] <= FLOORS["imbalance_max"]
-    assert result["chaos"]["digests_match_clean_run"]
-    assert result["chaos"]["failovers"] > 0
-    assert result["pass"]
+    assert all(v.ok for v in check_gate(GATE, small_result))
+    assert small_result["pass"]
 
 
 @pytest.mark.bench

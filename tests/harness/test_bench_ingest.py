@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.benchingest import BUFFER_WATERMARK, FLOORS, run_ingest_bench
+from repro.harness.benchingest import FLOORS, GATE, run_ingest_bench
+from repro.harness.benchkit import check_gate
 
 #: Tiny but floor-clearing: 16 windows of 8 frames at 2000 atoms.
 _SMALL = dict(
@@ -76,19 +77,11 @@ def test_bench_ingest_schema_stable(small_result):
 @pytest.mark.bench
 def test_bench_ingest_holds_floors_at_smoke_size(small_result):
     result = small_result
-    assert result["identical"], "pipelining changed the stored bytes"
-    speedups = result["speedup_vs_serial"]
-    assert speedups["pipelined"] >= FLOORS["pipelined_vs_serial"]
-    # Overlap alone already wins; coalescing stacks on top of it.
-    assert speedups["pipelined_uncoalesced"] > 1.0
-    assert speedups["pipelined"] > speedups["pipelined_uncoalesced"]
-    # The O(window x depth) memory claim: bounded write-behind buffer.
-    assert result["buffer_bounded"]
+    assert all(v.ok for v in check_gate(GATE, result))
+    assert result["pass"] and result["buffer_bounded"]
+    # The watermark row is not vacuous: write-behind buffered something.
     for name in ("pipelined", "pipelined_uncoalesced"):
-        peak = result["scenarios"][name]["buffered_bytes_peak"]
-        assert 0 < peak <= BUFFER_WATERMARK
-    assert result["scenarios"]["pipelined"]["overlap_ratio"] > 0.5
-    assert result["pass"]
+        assert result["scenarios"][name]["buffered_bytes_peak"] > 0
 
 
 @pytest.mark.bench

@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.benchinsitu import FLOORS, run_insitu_bench
+from repro.harness.benchinsitu import FLOORS, GATE, run_insitu_bench
+from repro.harness.benchkit import check_gate
 
 #: Tiny but floor-clearing: 8 windows of 8 frames at 300 atoms.
 _SMALL = dict(
@@ -68,15 +69,8 @@ def test_bench_insitu_schema_stable(small_result):
 
 @pytest.mark.bench
 def test_bench_insitu_holds_floors_at_smoke_size(small_result):
-    result = small_result
-    assert result["identical"], "fused analysis changed the stored bytes"
-    assert result["equivalent"], "online results diverged from batch"
-    assert result["fused_overhead_frac"] < FLOORS["fused_overhead_max_frac"]
-    assert (
-        result["speedup_vs_post_hoc"] >= FLOORS["vs_post_hoc_min_speedup"]
-    )
-    assert result["scenarios"]["fused"]["overlap_ratio"] > 0.5
-    assert result["pass"]
+    assert all(v.ok for v in check_gate(GATE, small_result))
+    assert small_result["pass"]
 
 
 @pytest.mark.bench

@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.benchlod import FLOORS, run_lod_bench
+from repro.harness.benchkit import check_gate
+from repro.harness.benchlod import FLOORS, GATE, run_lod_bench
 
 #: Small but floor-clearing: chunks big enough that transfer time (the
 #: thing the coarse tier quarters) dominates the per-request seek tax.
@@ -73,11 +74,7 @@ def test_bench_lod_schema_stable(small_result):
 @pytest.mark.lod
 def test_bench_lod_holds_floors_at_smoke_size(small_result):
     result = small_result
-    assert result["identical"]
-    assert result["error_bound"]["measured"] <= result["error_bound"]["advertised"]
-    ratio = result["bytes_per_frame"]["ratio"]
-    assert ratio <= FLOORS["lod_bytes_per_frame_ratio"]
-    assert result["lod_speedup"]["scrub"] >= FLOORS["scrub_lod_speedup"]
+    assert all(v.ok for v in check_gate(GATE, result))
     # Rewind and jumpy browse are the satellite scenarios: the rewind
     # confirms a negative exact stride; the jumpy browse never repeats a
     # stride, so any readahead there came from the direction detector.
@@ -109,7 +106,11 @@ def test_bench_lod_single_tier_run_skips_comparative_floors():
     result = run_lod_bench(precision="lod", **_SMALL)
     assert "lod_speedup" not in result
     assert set(result["scenarios"]) == {"scrub_lod", "backward_lod", "skip_lod"}
-    assert result["pass"]  # identity + error bound still gate
+    # Only the speedup row is n/a: identity, error bound and bytes gate.
+    verdicts = {v.row.path: v.ok for v in check_gate(GATE, result)}
+    assert verdicts.pop("lod_speedup.scrub") is None
+    assert all(verdicts.values())
+    assert result["pass"]
 
 
 @pytest.mark.bench
@@ -127,14 +128,18 @@ def test_cli_bench_lod_json(tmp_path, monkeypatch):
 
 @pytest.mark.bench
 @pytest.mark.lod
-def test_cli_bench_lod_precision_knob(tmp_path, monkeypatch, capsys):
+def test_cli_bench_lod_precision_knob(tmp_path, monkeypatch):
     """--precision and --lod-precision reach the harness from the CLI."""
     monkeypatch.chdir(tmp_path)
+    out = tmp_path / "lod.json"
     code = main(
-        ["bench-lod", "--precision", "full", "--lod-precision", "25.0"]
+        ["bench-lod", "--json", "-o", str(out), "--precision", "full",
+         "--lod-precision", "25.0"]
         + _SMALL_ARGS
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "lod precision 25.0" in out
-    assert "scrub_full" in out and "scrub_lod" not in out
+    record = json.loads(out.read_text())
+    assert record["workload"]["lod_precision"] == 25.0
+    assert set(record["scenarios"]) == {
+        "scrub_full", "backward_full", "skip_full"
+    }

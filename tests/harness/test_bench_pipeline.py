@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.benchpipeline import FLOORS, run_pipeline_bench
+from repro.harness.benchkit import check_gate
+from repro.harness.benchpipeline import FLOORS, GATE, run_pipeline_bench
 
 #: Tiny but floor-clearing: 24 chunks of ~32 KB, four-chunk windows.
 _SMALL = dict(natoms=300, nchunks=24, frames_per_chunk=20, window_chunks=4)
@@ -70,16 +71,8 @@ def test_bench_pipeline_schema_stable(small_result):
 
 @pytest.mark.bench
 def test_bench_pipeline_holds_floors_at_smoke_size(small_result):
-    result = small_result
-    assert result["identical"]
-    assert (
-        result["speedup_vs_serial"]["prefetch"] >= FLOORS["prefetch_vs_serial"]
-    )
-    assert (
-        result["scenarios"]["warm_cache"]["hit_ratio"]
-        >= FLOORS["warm_hit_ratio"]
-    )
-    assert result["pass"]
+    assert all(v.ok for v in check_gate(GATE, small_result))
+    assert small_result["pass"]
 
 
 @pytest.mark.bench

@@ -13,7 +13,14 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.benchserve import FLOORS, jain_index, percentile, run_serve_bench
+from repro.harness.benchkit import check_gate
+from repro.harness.benchserve import (
+    FLOORS,
+    GATE,
+    jain_index,
+    percentile,
+    run_serve_bench,
+)
 
 #: Tiny but floor-clearing: 4 tenants x 8 requests over 2 small datasets.
 _SMALL = dict(
@@ -77,16 +84,8 @@ def test_bench_serve_schema_stable(small_result):
 
 @pytest.mark.bench
 def test_bench_serve_holds_floors_at_smoke_size(small_result):
-    result = small_result
-    assert result["all_completed"]
-    assert result["fairness"]["jain_contended"] >= FLOORS["jain_fairness"]
-    assert (
-        result["latency"]["p99_slowdown_vs_solo"]
-        <= FLOORS["p99_slowdown_vs_solo"]
-    )
-    # The open loop overruns max_inflight, so admission actually rejects.
-    assert result["scenarios"]["open_loop"]["rejected"] > 0
-    assert result["pass"]
+    assert all(v.ok for v in check_gate(GATE, small_result))
+    assert small_result["pass"]
 
 
 @pytest.mark.bench

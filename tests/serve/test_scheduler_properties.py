@@ -264,8 +264,4 @@ def test_failure_without_waiter_is_counted_not_raised():
         ("serve_wait_seconds_count", 2),
     ):
         assert series[f'{family}{{tenant="t"}}'] == want, family
-    assert scheduler.stats() == {
-        "concurrency": scheduler.concurrency,
-        "backlog": 0,
-        "vtime": scheduler.vtime,
-    }
+    assert scheduler.backlog == 0

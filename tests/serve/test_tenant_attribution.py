@@ -327,4 +327,5 @@ def test_cache_quota_on_plain_node_caches_names_the_cause(catalog_blobs):
         ConfigurationError, match="TenantBlockCache on every node.*BlockCache"
     ):
         front.register("t0", cache_quota_bytes=8192)
-    assert "t0" not in front.sessions.stats()  # nothing half-registered
+    with pytest.raises(ConfigurationError, match="unknown tenant"):
+        front.sessions.get("t0")  # nothing half-registered

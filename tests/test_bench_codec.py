@@ -79,11 +79,13 @@ def test_cli_writes_json(tmp_path):
 
 
 def test_cli_text_mode(capsys):
+    """Text mode prints the gate's rows over the run's record."""
     argv = [
         "bench-codec", "--natoms", "600", "--nframes", "8",
         "--keyframe-interval", "4", "--repeats", "1",
     ]
     assert main(argv) in (0, 1)
     out = capsys.readouterr().out
-    assert "baseline_ratio" in out
-    assert "legacy kernel" in out
+    assert out.startswith("bench-codec\nrow")
+    assert "baseline_ratio" in out and "(floors.compression_ratio)" in out
+    assert out.rstrip().splitlines()[-1] in ("pass: True", "pass: False")

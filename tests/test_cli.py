@@ -55,6 +55,39 @@ def test_chaos_without_seed_runs_seed_zero(tmp_path):
     assert main(["chaos", "--json", "--rounds", "1", "-o", str(out)]) == 0
     record = json.loads(out.read_text())
     assert (record["seed"], record["rounds"]) == (0, 1)
+    assert record["pass"] is record["identical"] is True
+
+
+def test_chaos_text_is_its_gate(capsys):
+    """``chaos`` runs through the same gate runner as ``bench-*``."""
+    assert main(["chaos", "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("chaos\nrow")
+    assert "identical" in out and out.rstrip().endswith("pass: True")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench-ingest", "--window-frames", "0", "--natoms", "300",
+         "--nframes", "4"],
+        ["bench-insitu", "--depth", "0", "--natoms", "300", "--nframes", "4"],
+        ["bench-lod", "--lod-precision", "-1", "--natoms", "200",
+         "--nchunks", "4", "--frames-per-chunk", "2"],
+        ["bench-codec", "--natoms", "300", "--nframes", "0", "--repeats", "1"],
+        ["bench-pipeline", "--window-chunks", "0", "--nchunks", "4",
+         "--frames-per-chunk", "2"],
+        ["chaos", "--rate", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_rejected_argument_exits_2_without_a_traceback(argv, capsys):
+    """Exit 1 means "below its floors" or "diverged"; a value the target
+    rejects is a usage error: exit 2 and one ``repro: error:`` line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert "Traceback" not in err and "range()" not in err
 
 
 def test_table2_to_stdout(capsys):

@@ -4,8 +4,8 @@ Every count lives in ``repro.obs.MetricsRegistry``: writers hold their
 metric objects and call ``inc``/``set``/``observe``; readers go through
 ``MetricsRegistry.value``/``query``.  This guard keeps the second surface
 from growing back: no attribute-view descriptor, no ``stats()``/
-``*_stats()``/``fault_counters()`` dict builder beyond the four snapshots
-of live state the registry does not hold, and no ``+=`` on a metric.
+``*_stats()``/``fault_counters()`` dict builder beyond ``ADA.stats()``
+(which ``benchmarks/e2e`` still reads), and no ``+=`` on a metric.
 """
 
 import ast
@@ -13,13 +13,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: The snapshot methods that stay (live state, no registry duplicates).
-KEPT = {
-    ("core/middleware.py", "ADA", "stats"),
-    ("cluster/shard.py", "ShardedADA", "stats"),
-    ("serve/scheduler.py", "RequestScheduler", "stats"),
-    ("serve/session.py", "SessionManager", "stats"),
-}
+#: The one snapshot method that stays: ``benchmarks/e2e/workloads.py``
+#: reads ``ADA.stats()["ingest"]``.
+KEPT = {("core/middleware.py", "ADA", "stats")}
 
 
 #: The deleted descriptor factory (spelled apart so a grep for it across
