@@ -54,7 +54,9 @@ from repro.workloads import (
 __all__ = ["main", "BENCHES", "COMMANDS", "GENERATORS", "flag_kwargs",
            "render_profiles", "results_to_csv"]
 
-_RESULTS = pathlib.Path("benchmarks/results")
+#: The checkout's committed artifacts, whatever the working directory.
+_ROOT = pathlib.Path(__file__).resolve().parents[2]
+_RESULTS = _ROOT / "benchmarks" / "results"
 
 
 def _table(title, headers, rows) -> str:
@@ -263,9 +265,9 @@ def _committed_gates():
     this checkout (``None`` when the file is absent) -- the scorecard's
     floor rows, the same from any working directory."""
     for name, bench in sorted(BENCHES.items()):
-        path = pathlib.Path(__file__).resolve().parents[2] / bench.artifact
+        path = bench.artifact
         record = json.loads(path.read_text()) if path.exists() else None
-        yield f"{name} ({bench.artifact})", bench.gate, record
+        yield f"{name} ({path.relative_to(_ROOT)})", bench.gate, record
 
 
 def build_parser() -> argparse.ArgumentParser:

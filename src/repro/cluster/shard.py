@@ -28,11 +28,10 @@ the middleware out:
   an unreplicated subset whose only holder died degrades exactly like a
   lost inactive tier (:class:`~repro.errors.DegradedReadWarning`).
 
-Fault injection composes: each routed operation first consults the
-``shard:<node>`` site of the attached :class:`~repro.faults.FaultPlan`
-(the shard's "network/RPC device"), with transient errors retried by a
-front-side :class:`~repro.faults.Retrier` and permanent errors treated as
-a node crash.  Rebalancing (:meth:`ShardedADA.add_node` /
+The front has no fault site of its own: a holder's device or file-system
+fault (``dev:``/``fs:`` sites of a per-node plan) fails the read over to
+the next replica, and a crash is :meth:`ShardedADA.kill_node`.
+Rebalancing (:meth:`ShardedADA.add_node` /
 :meth:`ShardedADA.drain_node`) migrates only the keys whose ownership
 changed, re-using the write path's coalesced chunk-run machinery and
 overlapping migration with serving -- reads keep routing to the old
@@ -56,8 +55,6 @@ from repro.errors import (
     NodeDownError,
     PermanentFaultError,
 )
-from repro.faults.plan import PERMANENT, FaultPlan, raise_fault
-from repro.faults.retry import Retrier, RetryPolicy, RetryStats
 from repro.fs.base import FileSystem, StoredObject
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
@@ -256,8 +253,6 @@ class ShardedADA(DataPlane):
         nodes: Sequence[ShardNode],
         replicas: int = 2,
         replicated_tags: Sequence[str] = ("p",),
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         affinity_bytes_slack: int = 256 * 1024,
     ):
@@ -282,18 +277,6 @@ class ShardedADA(DataPlane):
         #: (logical, tag, dead primary) already logged as promoted, so the
         #: timeline records each promotion once, not once per read.
         self._promoted: set = set()
-        self.fault_plan = fault_plan
-        self._retrier = (
-            Retrier(
-                sim,
-                policy=retry_policy,
-                stats=RetryStats(
-                    metrics=self.metrics, metric_labels=self.metric_labels
-                ),
-            )
-            if fault_plan is not None
-            else None
-        )
         self._counters = {
             "routed": self.metrics.counter("cluster_routed_total"),
             "steers": self.metrics.counter("cluster_read_steers_total"),
@@ -467,37 +450,6 @@ class ShardedADA(DataPlane):
         self._affinity[(logical, tag)] = best
         return best
 
-    def _gate(self, node: ShardNode, op: str) -> Generator:
-        """Process: the shard's fault site -- pay latency, raise injections.
-
-        A permanent injection at a shard site means the *node* is gone
-        (fail-stop), not just one request: the node is killed and the
-        error surfaces as :class:`NodeDownError` for the router to fail
-        over.
-        """
-        if not node.alive:
-            raise NodeDownError(f"shard:{node.name} is down")
-        if self.fault_plan is None:
-            return
-        site = f"shard:{node.name}"
-        decision = self.fault_plan.decide(site, op)
-        if decision.latency_s:
-            yield self.sim.timeout(decision.latency_s)
-        if decision.error is not None:
-            if decision.error == PERMANENT:
-                self.kill_node(node.name)
-                raise NodeDownError(
-                    f"shard:{node.name}: injected node crash during {op}"
-                )
-            raise_fault(decision.error, site, op)
-
-    def _attempt(
-        self, node: ShardNode, op: str, factory: Callable[[ShardNode], Generator]
-    ) -> Generator:
-        yield from self._gate(node, op)
-        result = yield from factory(node)
-        return result
-
     @staticmethod
     def _result_nbytes(result) -> int:
         """Served bytes of a routed read (one object or a chunk list)."""
@@ -513,9 +465,9 @@ class ShardedADA(DataPlane):
     ) -> Generator:
         """Process: run ``factory(node)`` on the best live holder.
 
-        Transient shard faults retry on the *same* node (bounded by the
-        front's retry policy); a dead node -- killed out-of-band or by a
-        permanent injection -- fails over to the next live replica.
+        The node's own retriever retries transient device faults; a
+        permanent one (``RetryExhaustedError`` too) fails over to the
+        next live replica, as does a node killed out-of-band.
         ``NodeDownError`` escapes only when every holder is gone.
         """
         candidates = self.holders(logical, tag)
@@ -539,14 +491,8 @@ class ShardedADA(DataPlane):
                 self._counters["routed"].inc()
                 node.inflight += 1
                 try:
-                    if self._retrier is not None:
-                        result = yield from self._retrier.call(
-                            lambda n=node: self._attempt(n, op, factory),
-                            key=f"shard:{name}:{op}:{logical}#{tag}",
-                        )
-                    else:
-                        result = yield from self._attempt(node, op, factory)
-                except (NodeDownError, PermanentFaultError) as exc:
+                    result = yield from factory(node)
+                except PermanentFaultError as exc:
                     tried.append(name)
                     self._counters["failovers"].inc()
                     self._log_failover(logical, tag, op, name, reason=str(exc))

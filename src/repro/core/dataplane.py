@@ -18,8 +18,8 @@ subset, lookup included), ``_fetch_chunks`` (a window of chunks),
 ``_store_subsets``, ``_store_label``, ``_delete_stored``,
 ``_downgradable``, ``_charge_preprocess``,
 ``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
-``label_map``, ``preprocessor`` and ``fault_plan``, and the two hooks a *consumer* of the plane needs
-(:meth:`DataPlane.members`, :meth:`DataPlane.chunks_nbytes`).
+``label_map`` and ``preprocessor``, and the two hooks a *consumer* of the
+plane needs (:meth:`DataPlane.members`, :meth:`DataPlane.chunks_nbytes`).
 Nothing here knows which front it serves: a step that would have to ask
 stays in the subclass.
 """

@@ -40,7 +40,6 @@ from repro.fs.base import FileSystem, Payload
 from repro.fs.cache import BlockCache
 from repro.fs.plfs import PLFS
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 from repro.sim import AllOf, Simulator
 
 # ``IngestReceipt`` and ``merge_decoded_subsets`` live with the shared data
@@ -89,7 +88,6 @@ class ADA(DataPlane):
         ingest_config: Optional[IngestPipelineConfig] = None,
         lod_precision: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         shard_id: Optional[str] = None,
     ):
         if not backends:
@@ -107,9 +105,6 @@ class ADA(DataPlane):
             sim, metrics,
             {"shard": str(shard_id)} if shard_id is not None else {},
         )
-        self.tracer = tracer
-        if tracer is not None and sim.tracer is None:
-            sim.tracer = tracer
         self.policy = policy or TagPolicy.protein_vs_misc()
         self.placement = placement or PlacementPolicy.paper_default(
             active_backend=self._pick(backends, "ssd"),

@@ -99,16 +99,8 @@ class Prefetcher:
         # both collapse to the single-tenant behavior.
         self.tenant_source: Optional[Callable[[], Optional[str]]] = None
         self.budget_source: Optional[Callable[[str], Optional[float]]] = None
-        # Sharded deployments label each prefetcher (``{"shard": name}``):
-        # the shard id becomes part of every stream key, so one logical
-        # scan that touches datasets owned by different shards tracks an
-        # independent stride per shard instead of looking like a broken
-        # pattern to a single global detector.
         self.metric_labels = dict(metric_labels or {})
-        self.shard_id: Optional[str] = self.metric_labels.get("shard")
-        self._streams: Dict[
-            Tuple[Optional[str], Optional[str], str, str], _StreamState
-        ] = {}
+        self._streams: Dict[Tuple[Optional[str], str, str], _StreamState] = {}
         self._inflight: Dict[Optional[str], list] = {}
         self._last_degradation: Optional[float] = None
         self.metrics = (
@@ -149,9 +141,7 @@ class Prefetcher:
         counters = self._metric_fields
         tenant = self.tenant_source() if self.tenant_source is not None else None
         start, span = min(chunks), len(chunks)
-        state = self._streams.setdefault(
-            (self.shard_id, tenant, logical, tag), _StreamState()
-        )
+        state = self._streams.setdefault((tenant, logical, tag), _StreamState())
         self._advance_pattern(state, start, span)
         if not state.confirmed and not state.direction:
             counters["suppressed_pattern"].inc()

@@ -143,9 +143,8 @@ class RetryExhaustedError(PermanentFaultError):
 class NodeDownError(PermanentFaultError):
     """An ADA middleware node is dead (fail-stop).
 
-    Raised by the sharded front when a routed operation targets a killed
-    node; the router catches it and fails over to a surviving replica, so
-    callers only ever see it when *every* holder of a subset is gone."""
+    Raised by the sharded front when *every* holder of a subset is gone;
+    the router skips a single dead holder."""
 
 
 class DegradedReadWarning(UserWarning):

@@ -4,8 +4,8 @@ Two halves, designed to meet in the middle:
 
 * **Injection** (:mod:`repro.faults.plan`): a deterministic, seedable
   :class:`FaultPlan` that file systems, storage devices, and network links
-  consult per operation -- latency spikes, transient/permanent errors,
-  in-flight bit flips, short reads.
+  consult per operation through one :class:`FaultSite` gate -- latency
+  spikes, transient/permanent errors, in-flight bit flips, short reads.
 * **Recovery** (:mod:`repro.faults.retry`): a :class:`RetryPolicy`
   (bounded retries, exponential backoff with deterministic jitter, per-op
   timeouts) driven by a :class:`Retrier`, with :class:`RetryStats`
@@ -22,6 +22,7 @@ from repro.faults.plan import (
     TRANSIENT,
     FaultDecision,
     FaultPlan,
+    FaultSite,
     FaultSpec,
     raise_fault,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "TRANSIENT",
     "FaultDecision",
     "FaultPlan",
+    "FaultSite",
     "FaultSpec",
     "Retrier",
     "RetryPolicy",

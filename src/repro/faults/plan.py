@@ -25,7 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, Optional
+from typing import Dict, Generator, Iterable, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -39,6 +39,7 @@ __all__ = [
     "FaultSpec",
     "FaultDecision",
     "FaultPlan",
+    "FaultSite",
     "raise_fault",
 ]
 
@@ -129,6 +130,42 @@ def raise_fault(kind: str, site: str, op: str, subject: str = "") -> None:
     if kind == PERMANENT:
         raise PermanentFaultError(message)
     raise TransientFaultError(message)
+
+
+class FaultSite:
+    """Mixin: a piece of hardware that fails at site ``<site_kind>:<name>``.
+
+    File systems, devices and links share this one gate; the host class
+    supplies ``sim``, ``name`` and its ``site_kind``.
+    """
+
+    faults: Optional[FaultPlan] = None
+
+    def attach_faults(self, plan: FaultPlan):
+        """Route this part's operations through a fault plan."""
+        self.faults = plan
+        return self
+
+    @property
+    def fault_site(self) -> str:
+        return f"{self.site_kind}:{self.name}"
+
+    def _fault_gate(self, op: str, subject: str = "") -> Generator:
+        """Process: pay injected latency, raise injected errors.
+
+        Returns the :class:`FaultDecision` (or ``None`` with no plan
+        attached) so a read can reuse it for payload effects.  Callers
+        gate *before* mutating any state, so a failed attempt is always
+        safe to retry.
+        """
+        if self.faults is None:
+            return None
+        decision = self.faults.decide(self.fault_site, op)
+        if decision.latency_s > 0:
+            yield self.sim.timeout(decision.latency_s)
+        if decision.error is not None:
+            raise_fault(decision.error, self.fault_site, op, subject)
+        return decision
 
 
 class FaultPlan:

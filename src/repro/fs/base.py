@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple, Union
 
 from repro.errors import StorageFullError
-from repro.faults.plan import FaultDecision, FaultPlan, raise_fault
+from repro.faults.plan import FaultDecision, FaultSite
 from repro.fs.memfs import ObjectStore
 from repro.sim import Simulator
 
@@ -51,8 +51,10 @@ class StoredObject:
         return self.data is None
 
 
-class FileSystem(ABC):
+class FileSystem(FaultSite, ABC):
     """Base class for all simulated file systems."""
+
+    site_kind = "fs"
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
@@ -60,7 +62,6 @@ class FileSystem(ABC):
         self.store = ObjectStore()
         self.bytes_read = 0.0
         self.bytes_written = 0.0
-        self.faults: Optional[FaultPlan] = None
 
     # -- DES processes ------------------------------------------------------
 
@@ -196,32 +197,6 @@ class FileSystem(ABC):
         return f"{type(self).__name__}(name={self.name!r}, objects={len(self.store)})"
 
     # -- fault injection ----------------------------------------------------
-
-    def attach_faults(self, plan: FaultPlan) -> "FileSystem":
-        """Route this file system's operations through a fault plan."""
-        self.faults = plan
-        return self
-
-    @property
-    def fault_site(self) -> str:
-        return f"fs:{self.name}"
-
-    def _fault_gate(self, op: str, path: str) -> Generator:
-        """Process: pay injected latency, raise injected errors.
-
-        Returns the :class:`FaultDecision` (or ``None`` with no plan
-        attached) so the read path can reuse it for payload effects.
-        Concrete file systems call this *before* mutating any state, so a
-        failed attempt is always safe to retry.
-        """
-        if self.faults is None:
-            return None
-        decision = self.faults.decide(self.fault_site, op)
-        if decision.latency_s > 0:
-            yield self.sim.timeout(decision.latency_s)
-        if decision.error is not None:
-            raise_fault(decision.error, self.fault_site, op, path)
-        return decision
 
     def _fault_payload(
         self, decision: Optional[FaultDecision], op: str, data: Optional[bytes]

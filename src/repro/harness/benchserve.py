@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.harness.benchkit import (
     PLAYBACK_TAG,
     Row,
@@ -81,8 +79,6 @@ def build_front(
     l1_capacity_bytes: float,
     max_inflight: int,
     byte_budget: Optional[int],
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> ServeFront:
     """Fresh deployment: ingest the catalog, register ``ntenants``.
 
@@ -99,12 +95,7 @@ def build_front(
     ada = hdd_ada(sim, block_cache=cache, prefetch=True)
     for logical, pdb_text, chunks in blobs:
         ingest_chunks(ada, logical, pdb_text, chunks)
-    front = ServeFront(
-        ada,
-        concurrency=concurrency,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    )
+    front = ServeFront(ada, concurrency=concurrency)
     quota = l1_capacity_bytes / (2 * max(1, ntenants))
     for index in range(ntenants):
         front.register(

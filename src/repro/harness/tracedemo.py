@@ -58,9 +58,7 @@ def run_trace_demo(
     """
     sim = Simulator()
     tracer = Tracer(sim)
-    ada = hdd_ada(
-        sim, block_cache=BlockCache(sim), prefetch=True, tracer=tracer
-    )
+    ada = hdd_ada(sim, block_cache=BlockCache(sim), prefetch=True)
     [(_, pdb_text, blobs)] = chunked_catalog(
         1, natoms, nchunks, frames_per_chunk, seed
     )

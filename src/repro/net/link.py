@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultPlan, raise_fault
+from repro.faults.plan import FaultSite
 from repro.sim import BusyTracker, Resource, Simulator
 
 __all__ = ["LinkSpec", "Link"]
@@ -29,8 +29,10 @@ class LinkSpec:
         return max(messages, 1) * self.latency_s + nbytes / self.bandwidth
 
 
-class Link:
+class Link(FaultSite):
     """Sim-bound link: transfers queue FIFO and record busy intervals."""
+
+    site_kind = "link"
 
     def __init__(self, sim: Simulator, spec: LinkSpec, name: Optional[str] = None):
         self.sim = sim
@@ -39,26 +41,6 @@ class Link:
         self.resource = Resource(sim, capacity=1, name=self.name)
         self.busy = BusyTracker(self.name)
         self.bytes_moved = 0.0
-        self.faults: Optional[FaultPlan] = None
-
-    def attach_faults(self, plan: FaultPlan) -> "Link":
-        """Route this link's transfers through a fault plan."""
-        self.faults = plan
-        return self
-
-    @property
-    def fault_site(self) -> str:
-        return f"link:{self.name}"
-
-    def _fault_gate(self, op: str) -> Generator:
-        """Process: injected latency / dropped-transfer error before send."""
-        if self.faults is None:
-            return
-        decision = self.faults.decide(self.fault_site, op)
-        if decision.latency_s > 0:
-            yield self.sim.timeout(decision.latency_s)
-        if decision.error is not None:
-            raise_fault(decision.error, self.fault_site, op)
 
     def transfer(
         self, nbytes: float, messages: int = 1, label: str = "xfer"

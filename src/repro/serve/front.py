@@ -5,7 +5,6 @@ middleware with the serving-layer pieces::
 
     Session.submit --> SessionManager.admit (typed rejection)
                    --> RequestScheduler     (WFQ, nice-levels)
-                   --> per-tenant fault gate + bounded retries
                    --> ADA.fetch_chunks / fetch / fetch_merged / ingest_stream
 
 Tenant attribution is ambient: the scheduler stamps the tenant on the
@@ -15,16 +14,12 @@ prefetcher, so *every* cache admission and speculative read deep inside
 the middleware is billed to the right tenant -- including background
 prefetch processes, which inherit the demand fetch's context.  Serving
 is traced like every other layer: attach a :class:`~repro.obs.Tracer`
-to the simulator (or pass ``ADA(tracer=...)``) and the ``serve.*`` spans
-appear; without one nothing is recorded.
+to the simulator and the ``serve.*`` spans appear; without one nothing
+is recorded.
 
-Per-tenant device faults are modeled at the serving boundary: when a
-:class:`~repro.faults.FaultPlan` is supplied, every dispatched request
-first consults the ``serve:<tenant>`` site, paying injected latency and
-transient errors through a bounded :class:`~repro.faults.Retrier`.
-Because the retries run *inside the faulty tenant's concurrency slot and
-WFQ flow*, a misbehaving tenant burns only its own share -- the
-non-monopolization property the chaos suite pins.
+The front has no fault site of its own: faults are injected where
+hardware fails (attach a :class:`~repro.faults.FaultPlan` to ``ada``), and
+the middleware's retries absorb the transient ones.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ from typing import Dict, Generator, Optional
 
 from repro.core.middleware import ADA
 from repro.errors import ConfigurationError, ReproError
-from repro.faults.plan import FaultPlan, raise_fault
-from repro.faults.retry import Retrier, RetryPolicy, RetryStats
 from repro.serve.fairshare import TenantBlockCache, span_tenant_source
 from repro.serve.scheduler import RequestScheduler, ServeRequest
 from repro.serve.session import Session, SessionManager, TenantConfig
@@ -48,13 +41,7 @@ KINDS = ("fetch_chunks", "fetch", "fetch_merged", "ingest_stream")
 class ServeFront:
     """Multiplexes N tenant sessions over one shared ADA middleware."""
 
-    def __init__(
-        self,
-        ada: ADA,
-        concurrency: int = 4,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
+    def __init__(self, ada: ADA, concurrency: int = 4):
         self.ada = ada
         self.sim = ada.sim
         self.metrics = ada.metrics
@@ -75,23 +62,9 @@ class ServeFront:
         self.sessions = SessionManager(self.sim, self.metrics)
         self.scheduler = RequestScheduler(
             self.sim,
-            dispatch=self._dispatch,
+            dispatch=self._execute_kind,
             concurrency=concurrency,
             metrics=self.metrics,
-        )
-        self.fault_plan = fault_plan
-        # Serve-boundary retries count into the deployment's registry,
-        # apart from the middleware's own ``retry_*`` series.
-        self._retrier = (
-            Retrier(
-                self.sim,
-                policy=retry_policy,
-                stats=RetryStats(
-                    metrics=self.metrics, metric_labels={"layer": "serve"}
-                ),
-            )
-            if fault_plan is not None
-            else None
         )
 
     # -- tenant lifecycle ---------------------------------------------------
@@ -187,29 +160,6 @@ class ServeFront:
         return max(1, int(nbytes))
 
     # -- dispatch (runs in whichever process executes the request) ---------
-
-    def _dispatch(self, request: ServeRequest) -> Generator:
-        if self.fault_plan is None:
-            result = yield from self._attempt(request)
-            return result
-        result = yield from self._retrier.call(
-            lambda: self._attempt(request),
-            key=f"serve:{request.tenant}:{request.seq}",
-        )
-        return result
-
-    def _attempt(self, request: ServeRequest) -> Generator:
-        if self.fault_plan is not None:
-            # The tenant's "device": faults at the serving boundary hit
-            # every request of this tenant and nobody else's.
-            site = f"serve:{request.tenant}"
-            decision = self.fault_plan.decide(site, request.kind)
-            if decision.latency_s:
-                yield self.sim.timeout(decision.latency_s)
-            if decision.error is not None:
-                raise_fault(decision.error, site, request.kind)
-        result = yield from self._execute_kind(request)
-        return result
 
     def _resolve_precision(self, request: ServeRequest) -> str:
         """The request's read tier: payload override, else tenant policy

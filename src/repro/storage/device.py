@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Generator, Optional
 
 from repro.errors import ConfigurationError, SimulationError, StorageFullError
-from repro.faults.plan import FaultPlan, raise_fault
+from repro.faults.plan import FaultSite
 from repro.obs.trace import span
 from repro.sim import BusyTracker, Resource, Simulator
 from repro.storage.power import DevicePower
@@ -58,8 +58,10 @@ class DeviceSpec:
         )
 
 
-class Device:
+class Device(FaultSite):
     """A sim-bound storage device: FIFO service + occupancy accounting."""
+
+    site_kind = "dev"
 
     def __init__(self, sim: Simulator, spec: DeviceSpec, name: Optional[str] = None):
         self.sim = sim
@@ -68,7 +70,6 @@ class Device:
         self.resource = Resource(sim, capacity=1, name=self.name)
         self.busy = BusyTracker(self.name)
         self.used_bytes = 0.0
-        self.faults: Optional[FaultPlan] = None
         #: Requests queued or in service: their service time in integer
         #: nanoseconds, and how many are writes.  Exact integers, so both
         #: are 0 at quiescence and "a write is queued" never comes from
@@ -79,27 +80,6 @@ class Device:
     @property
     def free_bytes(self) -> float:
         return self.spec.capacity - self.used_bytes
-
-    # -- fault injection ------------------------------------------------------
-
-    def attach_faults(self, plan: FaultPlan) -> "Device":
-        """Route this device's operations through a fault plan."""
-        self.faults = plan
-        return self
-
-    @property
-    def fault_site(self) -> str:
-        return f"dev:{self.name}"
-
-    def _fault_gate(self, op: str) -> Generator:
-        """Process: injected latency spike / error before service begins."""
-        if self.faults is None:
-            return
-        decision = self.faults.decide(self.fault_site, op)
-        if decision.latency_s > 0:
-            yield self.sim.timeout(decision.latency_s)
-        if decision.error is not None:
-            raise_fault(decision.error, self.fault_site, op)
 
     def allocate(self, nbytes: float) -> None:
         """Reserve capacity for a write (raises when the device is full)."""

@@ -170,16 +170,14 @@ def test_per_shard_metric_attribution():
 
 
 def test_prefetch_streams_scoped_per_shard():
-    """Satellite regression: stride streams carry their shard id."""
+    """Each node's prefetcher tracks only the streams it holds."""
     sim, front = build_cluster(nnodes=2, replicas=1)
     for logical, _, _ in BLOBS:
         for window in ([0, 1], [2, 3]):
             sim.run_process(front.fetch_chunks(logical, "p", window))
     streams = 0
     for name, node in front.nodes.items():
-        for key in node.ada.prefetcher._streams:
-            shard_id, _tenant, logical, tag = key
-            assert shard_id == name
+        for _tenant, logical, tag in node.ada.prefetcher._streams:
             assert (logical, tag) in front._placement
             assert front.holders(logical, tag) == [name]
             streams += 1

@@ -295,8 +295,8 @@ def test_stride_detection_survives_cross_tenant_interleaving():
         for tenant in ("a", "b"):
             current["tenant"] = tenant
             prefetcher.observe(LOGICAL, "p", window)
-    assert (None, "a", LOGICAL, "p") in prefetcher._streams
-    assert (None, "b", LOGICAL, "p") in prefetcher._streams
+    assert ("a", LOGICAL, "p") in prefetcher._streams
+    assert ("b", LOGICAL, "p") in prefetcher._streams
     # both confirmed on their third window
     assert prefetcher.metrics.value("prefetch_issued_total") == 2
     assert prefetcher.metrics.value("prefetch_suppressed_inflight_total") == 0

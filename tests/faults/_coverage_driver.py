@@ -36,6 +36,7 @@ def _exercise() -> None:
         TRANSIENT,
         FaultDecision,
         FaultPlan,
+        FaultSite,
         FaultSpec,
         Retrier,
         RetryPolicy,
@@ -118,6 +119,25 @@ def _exercise() -> None:
     plan.attach_to(FakeAda())
     assert sink.plans and local_fs.device.plans
     assert striped_fs.targets[0].link.plans
+
+    # -- the shared hardware gate ---------------------------------------------
+    class Part(FaultSite):
+        site_kind = "fs"
+
+        def __init__(self, sim):
+            self.sim, self.name = sim, "ssd"
+
+    sim = Simulator()
+    part = Part(sim)
+    assert sim.run_process(part._fault_gate("read")) is None
+    assert part.attach_faults(plan) is part and part.fault_site == "fs:ssd"
+    expect(
+        TransientFaultError,
+        lambda: sim.run_process(part._fault_gate("read", "obj")),
+    )
+    assert sim.now > 0  # the latency spike was paid before the error
+    part.attach_faults(FaultPlan(seed=3))
+    assert sim.run_process(part._fault_gate("read")) is CLEAN
 
     # -- RetryPolicy ---------------------------------------------------------
     expect(ConfigurationError, lambda: RetryPolicy(max_retries=-1))

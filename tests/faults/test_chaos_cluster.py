@@ -1,8 +1,8 @@
 """Chaos properties over the sharded middleware.
 
-A node fail-stops mid-playback -- either killed out-of-band or by a
-permanent injection at its ``shard:<node>`` fault site -- and the
-properties are:
+A node fail-stops mid-playback (``kill_node``), or a holder's disk
+faults under a plan attached to the node backends, and the properties
+are:
 
 * **bytes survive** -- every replicated ``p`` read after the kill is
   bit-identical to the fault-free run, served by a surviving replica;
@@ -10,8 +10,9 @@ properties are:
   out of ``fetch_all`` with a :class:`DegradedReadWarning` each, and the
   front's accounting (``degraded`` list, counters) matches the warnings
   one for one;
-* **transients are absorbed** -- transient injections at shard sites
-  retry on the *same* node and never promote a replica.
+* **device faults stay device faults** -- a permanent disk fault on a
+  holder fails the read over without killing the node, and transient
+  ones retry on the *same* node and never promote a replica.
 """
 
 import warnings
@@ -44,7 +45,7 @@ def _blobs():
     )
 
 
-def _build(blobs, fault_plan=None, retry_policy=None):
+def _build(blobs, retry_policy=None):
     sim = Simulator()
     metrics = MetricsRegistry()
     nodes = [
@@ -55,17 +56,11 @@ def _build(blobs, fault_plan=None, retry_policy=None):
             metrics=metrics,
             block_cache=BlockCache(sim, l1_capacity_bytes=128 * 1024),
             prefetch=True,
+            retry_policy=retry_policy,
         )
         for i in range(_NNODES)
     ]
-    front = ShardedADA(
-        sim,
-        nodes,
-        replicas=2,
-        metrics=metrics,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    )
+    front = ShardedADA(sim, nodes, replicas=2, metrics=metrics)
     for logical, pdb_text, chunks in blobs:
         sim.run_process(front.ingest(logical, pdb_text, chunks[0]))
         for blob in chunks[1:]:
@@ -152,7 +147,8 @@ def test_kill_actually_disrupted_the_run(playback_runs):
 
 
 def test_injected_node_crash_fails_over():
-    """A permanent injection at a shard site kills the node, not the read."""
+    """A permanent fault on the primary's disk fails the read over to the
+    replica; the node stays up, because a device fault is not a crash."""
     blobs = _blobs()
     logical = blobs[0][0]
     _, reference_front = _build(blobs)
@@ -160,48 +156,44 @@ def test_injected_node_crash_fails_over():
         reference_front.fetch(logical, PLAYBACK_TAG)
     ).data
 
-    # Placement is deterministic (md5 ring, same node names), so the
-    # reference deployment tells us the victim before we build the
-    # faulty one with its site armed.
-    primary = reference_front.holders(logical, PLAYBACK_TAG)[0]
+    sim, front = _build(blobs)
+    primary = front.holders(logical, PLAYBACK_TAG)[0]
     plan = FaultPlan(
-        seed=11, sites={f"shard:{primary}": FaultSpec(permanent_rate=1.0)}
-    )
-    sim, front = _build(blobs, fault_plan=plan)
-    assert front.holders(logical, PLAYBACK_TAG)[0] == primary
+        seed=11, sites={"dev:*HDD*": FaultSpec(permanent_rate=1.0)}
+    ).attach_to(front.nodes[primary].ada)
     # Aim the first read at the primary (selection would otherwise be
-    # free to start on the replica and never touch the armed site).
+    # free to start on the replica and never touch the armed disk).
     front._affinity[(logical, PLAYBACK_TAG)] = primary
     got = sim.run_process(front.fetch(logical, PLAYBACK_TAG))
     assert got.data == reference
-    assert plan.total() > 0, "the injection never fired"
-    assert not front.nodes[primary].alive, "permanent fault must fail-stop"
+    assert plan.total("permanent") > 0, "the injection never fired"
     assert front.metrics.value("cluster_failovers_total") >= 1
-    assert front.fault_plan is plan
+    assert [e["from"] for e in front.events] == [primary]
+    assert front.nodes[primary].alive, "a device fault is not a node crash"
+    assert front.metrics.value("cluster_node_kills_total") == 0
 
 
 def test_transient_shard_faults_retry_without_promotion():
     blobs = _blobs()
-    logical = blobs[0][0]
+    sim, front = _build(blobs, retry_policy=RetryPolicy(max_retries=6))
     plan = FaultPlan(
-        seed=13,
-        sites={"shard:*": FaultSpec(transient_rate=0.3)},
-    )
-    sim, front = _build(
-        blobs, fault_plan=plan, retry_policy=RetryPolicy(max_retries=6)
-    )
+        seed=13, sites={"dev:*HDD*": FaultSpec(transient_rate=0.3)}
+    ).attach_to(front)
     _, reference_front = _build(blobs)
     for logical, _, _ in blobs:
         ref = reference_front.sim.run_process(
             reference_front.fetch(logical, PLAYBACK_TAG)
         ).data
         assert sim.run_process(front.fetch(logical, PLAYBACK_TAG)).data == ref
-    assert plan.total() > 0, "chaos run injected nothing"
-    retry = front.metrics.query("retry_", shard="front")
-    assert retry['retry_transient_faults_total{shard="front"}'] > 0
-    assert retry['retry_retries_total{shard="front"}'] > 0
+    assert plan.total("transient") > 0, "chaos run injected nothing"
+    retries = sum(
+        front.metrics.value("retry_retries_total", shard=name)
+        for name in front.nodes
+    )
+    assert retries > 0
     # Transients are same-node affairs: nothing was killed or promoted.
     assert front.metrics.value("cluster_node_kills_total") == 0
+    assert front.metrics.value("cluster_failovers_total") == 0
     assert all(node.alive for node in front.nodes.values())
 
 

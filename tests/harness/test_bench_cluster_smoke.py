@@ -114,8 +114,7 @@ def test_bench_cluster_rejects_bad_node_counts():
 
 @pytest.mark.bench
 @pytest.mark.cluster
-def test_cli_bench_cluster_json(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_bench_cluster_json(tmp_path, scratch_results):
     code = main(
         [
             "bench-cluster",

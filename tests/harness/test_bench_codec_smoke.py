@@ -31,8 +31,7 @@ def test_bench_codec_smoke_schema_and_identity(smoke_result):
 
 
 @pytest.mark.bench
-def test_cli_bench_codec_writes_canonical_artifact(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_bench_codec_writes_canonical_artifact(tmp_path, scratch_results):
     code = main(
         [
             "bench-codec", "--json",

@@ -80,8 +80,7 @@ def test_bench_insitu_is_deterministic(small_result):
 
 
 @pytest.mark.bench
-def test_cli_bench_insitu_json(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_bench_insitu_json(tmp_path, scratch_results):
     code = main(
         [
             "bench-insitu",

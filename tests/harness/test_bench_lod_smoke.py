@@ -115,8 +115,7 @@ def test_bench_lod_single_tier_run_skips_comparative_floors():
 
 @pytest.mark.bench
 @pytest.mark.lod
-def test_cli_bench_lod_json(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_bench_lod_json(tmp_path, scratch_results):
     code = main(["bench-lod", "--json"] + _SMALL_ARGS)
     assert code == 0
     canonical = tmp_path / "benchmarks" / "results" / "BENCH_lod.json"

@@ -82,8 +82,7 @@ def test_bench_pipeline_is_deterministic(small_result):
 
 
 @pytest.mark.bench
-def test_cli_bench_pipeline_json(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_bench_pipeline_json(tmp_path, scratch_results):
     code = main(
         [
             "bench-pipeline",

@@ -106,8 +106,7 @@ def test_fairness_and_percentile_helpers():
 
 
 @pytest.mark.bench
-def test_cli_bench_serve_json(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_bench_serve_json(tmp_path, scratch_results):
     code = main(
         [
             "bench-serve",

@@ -22,7 +22,7 @@ import hashlib
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.faults import FaultPlan, FaultSpec
 from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog, run_traffic
 from repro.harness.benchserve import build_front
 from repro.obs.trace import Tracer
@@ -71,16 +71,13 @@ def _traced(blobs):
 
 
 def _faulty(blobs):
-    plan = FaultPlan(seed=11, sites={
-        "serve:t0": FaultSpec(transient_rate=0.3, latency_rate=0.3,
-                              latency_spike_s=2e-3),
-        "serve:t2": FaultSpec(transient_rate=0.2),
-    })
     front = build_front(
         blobs, ntenants=3, concurrency=3, l1_capacity_bytes=96 * 1024.0,
-        max_inflight=4, byte_budget=None, fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=6),
+        max_inflight=4, byte_budget=None,
     )
+    FaultPlan(seed=1, sites={"dev:*HDD*": FaultSpec(
+        transient_rate=0.3, latency_rate=0.3, latency_spike_s=2e-3,
+    )}).attach_to(front.ada)
     return front, lambda: _traffic(front, 3)
 
 

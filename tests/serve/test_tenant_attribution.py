@@ -184,7 +184,7 @@ def test_attribution_is_the_same_with_and_without_a_tracer(
         return sum(untraced.metrics.query(family).values())
 
     assert total("block_cache_cross_tenant_hits_total") > 0
-    assert {key[1] for e in ledgers for key in e["streams"]} == set(_TENANTS)
+    assert {key[0] for e in ledgers for key in e["streams"]} == set(_TENANTS)
     assert any(e["charged"][t] > 0 for e in ledgers for t in _TENANTS)
     if build is _tight:
         assert total("block_cache_quota_evictions_total") > 0
@@ -240,7 +240,7 @@ def test_read_outside_any_request_is_billed_to_nobody(catalog_blobs, build):
         resident += len(cache)
         assert all(owner is None for owner in cache._owner.values())
         assert all(cache.charged_bytes(t) == 0.0 for t in _TENANTS)
-        assert all(key[1] is None for key in prefetcher._streams)
+        assert all(key[0] is None for key in prefetcher._streams)
     assert resident >= 8
 
 

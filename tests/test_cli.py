@@ -39,6 +39,18 @@ def test_bench_cli_defaults_are_the_function_defaults(name):
     assert bench.artifact.name == f"BENCH_{name[len('bench-'):]}.json"
 
 
+def test_artifacts_resolve_under_the_checkout(tmp_path, monkeypatch):
+    """A run from any working directory writes the checkout's files."""
+    monkeypatch.chdir(tmp_path)
+    results = (ROOT / "benchmarks" / "results").resolve()
+    paths = [bench.artifact for bench in BENCHES.values()] + [
+        entry.artifact for entry in GENERATORS.values() if entry.artifact
+    ]
+    assert len(paths) > len(BENCHES)
+    for path in paths:
+        assert path.resolve().parent == results, path
+
+
 def test_bench_cli_forwards_only_the_flags_given():
     args = build_parser().parse_args(
         ["bench-cluster", "--seed", "0", "--nodes", "1,2", "--zipf", "0.5"]

@@ -35,14 +35,13 @@ LEDGER = {
         "sim backends policy placement storage_cpu storage_cpus "
         "subset_format retry_policy fault_plan block_cache prefetch "
         "serial_requests ingest_config lod_precision "
-        "metrics tracer shard_id"
+        "metrics shard_id"
     ),
     "ShardedADA": (
-        "sim nodes replicas replicated_tags fault_plan "
-        "retry_policy metrics affinity_bytes_slack"
+        "sim nodes replicas replicated_tags metrics affinity_bytes_slack"
     ),
     "ShardNode.build": "sim name backends metrics ada_kwargs",
-    "ServeFront": "ada concurrency fault_plan retry_policy",
+    "ServeFront": "ada concurrency",
     "BlockCache": (
         "sim l1_capacity_bytes l2_capacity_bytes"
     ),
@@ -168,8 +167,6 @@ _FORWARDS_TO = {
 
 #: Parameters without a product caller, kept on purpose: the reason.
 KEPT_FOR = {
-    ("ShardedADA", "fault_plan"): "tests/faults chaos: injected shard sites",
-    ("ShardedADA", "retry_policy"): "the chaos suites bound the front's retries",
     ("ShardedADA", "replicated_tags"): "policy: which subsets are hot enough "
     "to replicate; tests/cluster replicates other tags",
     ("decode_xtc", "index"): "public API (docs/api.md): callers holding a "
