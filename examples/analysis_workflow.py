@@ -14,16 +14,21 @@ import io
 
 import numpy as np
 
-from repro import ADA, Simulator, VMDSession, build_gpcr_system
+from repro import (
+    ADA,
+    Simulator,
+    VMDSession,
+    build_gpcr_system,
+    generate_trajectory,
+)
 from repro.analysis import (
     gyration_radius,
     native_contact_fraction,
     rmsd_trajectory,
     rmsf,
 )
-from repro.formats import write_pdb
+from repro.formats import encode_xtc, write_pdb
 from repro.fs import LocalFS
-from repro.mdengine import LangevinEngine, SimulationCampaign
 from repro.storage import NVME_SSD_256GB, WD_1TB_HDD
 from repro.units import fmt_bytes
 from repro.vmd import select
@@ -33,9 +38,9 @@ def main() -> None:
     # 1. The campaign: one structure, two motion phases (paper §2.1).
     system = build_gpcr_system(natoms_target=4000, seed=33)
     pdb_text = write_pdb(system.topology, system.coords)
-    campaign = SimulationCampaign(engine=LangevinEngine(system, seed=34))
-    campaign.run_phase("equilibration", nframes=10, stride=20)
-    campaign.run_phase("production", nframes=30, stride=20)
+    # Each phase is its own run (own seed) under the same .pdb.
+    equilibration = encode_xtc(generate_trajectory(system, 10, seed=34))
+    production = encode_xtc(generate_trajectory(system, 30, seed=35))
 
     # 2. Both phases ingest under one structure analysis.
     sim = Simulator()
@@ -46,12 +51,8 @@ def main() -> None:
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
     )
-    sim.run_process(
-        ada.ingest("prod.xtc", pdb_text, campaign.phase_blob("production"))
-    )
-    sim.run_process(
-        ada.ingest("equi.xtc", pdb_text, campaign.phase_blob("equilibration"))
-    )
+    sim.run_process(ada.ingest("prod.xtc", pdb_text, production))
+    sim.run_process(ada.ingest("equi.xtc", pdb_text, equilibration))
 
     # 3. Protein-only load of the production phase.
     session = VMDSession(ada=ada)

@@ -1,21 +1,27 @@
 #!/usr/bin/env python
 """A running MD simulation streaming into ADA, analyzed live.
 
-The full upstream story of Fig. 3b: a Langevin MD engine integrates a
-GPCR-in-membrane system and emits ``.xtc`` chunks as it goes; each chunk
-streams into ADA, which splits it storage-side; the biologist then loads
-only the protein subset and computes RMSD/RMSF/Rg on it.
+The full upstream story of Fig. 3b: an MD run over a GPCR-in-membrane
+system (here :func:`generate_trajectory`, standing in for GROMACS/NAMD)
+emits ``.xtc`` chunks as it goes; each chunk streams into ADA, which
+splits it storage-side; the biologist then loads only the protein subset
+and computes RMSD/RMSF/Rg on it.
 
 Run:  python examples/simulation_to_ada.py
 """
 
 import numpy as np
 
-from repro import ADA, Simulator, VMDSession, build_gpcr_system
+from repro import (
+    ADA,
+    Simulator,
+    VMDSession,
+    build_gpcr_system,
+    generate_trajectory,
+)
 from repro.analysis import gyration_radius, rmsd_trajectory, rmsf
-from repro.formats import write_pdb
+from repro.formats import encode_xtc, write_pdb
 from repro.fs import LocalFS
-from repro.mdengine import ChunkedXtcWriter, LangevinEngine
 from repro.storage import NVME_SSD_256GB, WD_1TB_HDD
 from repro.units import fmt_bytes
 
@@ -23,8 +29,13 @@ from repro.units import fmt_bytes
 def main() -> None:
     system = build_gpcr_system(natoms_target=5000, seed=23)
     pdb_text = write_pdb(system.topology, system.coords)
-    engine = LangevinEngine(system, dt_ps=0.002, seed=24)
     print(f"simulating {system.topology!r}")
+    # The run's output, written every 10 ps and flushed every 10 frames.
+    traj = generate_trajectory(system, nframes=40, seed=24)
+    chunks = [
+        encode_xtc(traj.slice_frames(start, start + 10))
+        for start in range(0, traj.nframes, 10)
+    ]
 
     sim = Simulator()
     ada = ADA(
@@ -36,26 +47,16 @@ def main() -> None:
     )
 
     # Chunk 0 establishes the dataset (structure analysis happens once)...
-    boot = ChunkedXtcWriter(chunk_frames=10)
-    for frame in engine.sample(10, stride=25):
-        boot.add_frame(frame)
-    boot.flush()
-    sim.run_process(
-        ada.ingest("live.xtc", pdb_text, next(iter(boot.chunks.values())))
-    )
+    sim.run_process(ada.ingest("live.xtc", pdb_text, chunks[0]))
 
-    # ...then the engine keeps running, streaming chunks into ADA.
-    def pump(name, blob):
+    # ...then the run keeps going, streaming each chunk into ADA.
+    for part, blob in enumerate(chunks[1:]):
         receipt = sim.run_process(ada.ingest_append("live.xtc", blob))
         print(
-            f"  streamed {name}: +{fmt_bytes(sum(receipt.subset_sizes.values()))} "
+            f"  streamed live.part{part:04d}.xtc: "
+            f"+{fmt_bytes(sum(receipt.subset_sizes.values()))} "
             f"raw split storage-side"
         )
-
-    writer = ChunkedXtcWriter(basename="live", chunk_frames=10, on_chunk=pump)
-    for frame in engine.sample(30, stride=25):
-        writer.add_frame(frame)
-    writer.flush()
 
     # Tag-selective load of everything simulated so far.
     session = VMDSession(ada=ada)

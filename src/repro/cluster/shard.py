@@ -219,12 +219,13 @@ class ShardedADA(DataPlane):
     """N ADA middleware nodes behind one single-middleware surface.
 
     Datasets partition across nodes by consistent-hashing their active
-    tag: tags in ``replicated_tags`` (the hot active subset) and their
-    ``lod:`` siblings land on its ``replicas`` holders, every other tag
-    on its primary.  Reads route to the least-loaded live holder
-    (sticky per ``(logical, tag)`` stream), writes go to every holder
-    (primary first, so the primary's copy is never behind a replica's),
-    and ``fetch_merged`` routes each tag on its own.
+    tag: the nodes' ``PlacementPolicy.active_tags`` (the hot subset,
+    ``replicated_tags`` here) and their ``lod:`` siblings land on its
+    ``replicas`` holders, every other tag on its primary.  Reads route to
+    the least-loaded live holder (sticky per ``(logical, tag)`` stream),
+    writes go to every holder (primary first, so the primary's copy is
+    never behind a replica's), and ``fetch_merged`` routes each tag on
+    its own.
 
     Everything that is not routing -- the public read and ingest
     surface, tier resolution, ``fetch_all``'s degrade policy, the merge,
@@ -252,7 +253,6 @@ class ShardedADA(DataPlane):
         sim: Simulator,
         nodes: Sequence[ShardNode],
         replicas: int = 2,
-        replicated_tags: Sequence[str] = ("p",),
         metrics: Optional[MetricsRegistry] = None,
         affinity_bytes_slack: int = 256 * 1024,
     ):
@@ -262,7 +262,6 @@ class ShardedADA(DataPlane):
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
         super().__init__(sim, metrics, {"shard": "front"})
         self.replicas = int(replicas)
-        self.replicated_tags = tuple(replicated_tags)
         self.affinity_bytes_slack = int(affinity_bytes_slack)
         self.nodes: Dict[str, ShardNode] = {}
         self.ring = HashRing()
@@ -294,8 +293,11 @@ class ShardedADA(DataPlane):
             self._register(node)
         # The front does host-side preprocessing (categorize/encode)
         # once; nodes only see already-encoded per-tag subsets.
-        self.preprocessor = self._first_ada().preprocessor
-        self.policy = self._first_ada().policy
+        first = self._first_ada()
+        self.preprocessor = first.preprocessor
+        self.policy = first.policy
+        #: The cluster's active tier: the nodes' active tags get R copies.
+        self.replicated_tags = tuple(sorted(first.placement.active_tags))
 
     # -- membership -----------------------------------------------------------
 
@@ -338,9 +340,6 @@ class ShardedADA(DataPlane):
 
     def members(self) -> List[ADA]:
         return [node.ada for node in self.nodes.values()]
-
-    def alive_nodes(self) -> List[str]:
-        return sorted(n for n, node in self.nodes.items() if node.alive)
 
     def kill_node(self, name: str) -> None:
         """Fail-stop a node: no new requests route to it."""

@@ -40,9 +40,6 @@ class LabelMap:
     def tags(self) -> List[str]:
         return sorted(self.ranges)
 
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.ranges
-
     def _tag_ranges(self, tag: str) -> List[Tuple[int, int]]:
         try:
             return self.ranges[tag]

@@ -46,9 +46,6 @@ from repro.sim import AllOf, Simulator
 # plane; they stay importable from here.
 __all__ = ["ADA", "IngestReceipt", "merge_decoded_subsets"]
 
-#: File suffixes belonging to the target application (VMD's data files).
-TARGET_SUFFIXES = (".xtc", ".pdb", ".trr", ".dcd")
-
 
 class ADA(DataPlane):
     """Application-conscious data acquirer middleware.
@@ -182,13 +179,6 @@ class ADA(DataPlane):
         if tier not in backends:
             raise ConfigurationError(f"no {tier!r} backend: pass placement=")
         return tier
-
-    # -- application awareness ------------------------------------------------
-
-    @staticmethod
-    def is_target_file(path: str) -> bool:
-        """Does this file belong to the target application (VMD)?"""
-        return path.lower().endswith(TARGET_SUFFIXES)
 
     # -- ingest (write) path -----------------------------------------------------
 

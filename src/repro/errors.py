@@ -26,13 +26,6 @@ class FileExistsInFSError(FileSystemError):
     """Exclusive create of a path that already exists."""
 
 
-class NotAFileError(FileSystemError):
-    """A directory path was used where a regular file was required."""
-
-class NotADirectoryInFSError(FileSystemError):
-    """A file path was used where a directory was required."""
-
-
 class StorageFullError(FileSystemError):
     """A storage device ran out of capacity during a write."""
 

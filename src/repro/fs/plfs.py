@@ -144,6 +144,9 @@ class PLFS:
         self._chunk_counters: Dict[tuple, int] = {}
         # (logical, backend) -> complete-line length of a log with a torn tail.
         self._torn: Dict[Tuple[str, str], int] = {}
+        # Containers this client may claim chunk names in: created here, or
+        # adopted (log replayed, orphan names stepped past) before a claim.
+        self._adopted: set = set()
 
     # -- paths ------------------------------------------------------------
 
@@ -228,13 +231,6 @@ class PLFS:
         index = {}
         for backend in logs:
             self._register_all(logical, index, self._read_log(logical, backend))
-        if logs:  # orphans: runs that landed but whose commit never did
-            prefix = self.container_dir(logical) + "/subset."
-            for fs in self.backends.values():
-                for key in fs.store.walk(self.container_dir(logical)):
-                    tag, _, chunk = key[len(prefix):].rpartition("/data.")
-                    if key.startswith(prefix) and chunk.isdigit():
-                        self._step_counter(logical, tag, int(chunk))
         self._indexes[logical] = index
         return index
 
@@ -275,10 +271,23 @@ class PLFS:
         return subset
 
     def _adopt(self, logical: str) -> None:
-        """Before writing to a container another client created, replay
-        its log (a container nobody has written yet needs nothing)."""
-        if self.exists(logical):
-            self._index(logical)
+        """Before this client's first claim in a container another client
+        created: replay its log and step past every orphan -- a run that
+        landed but whose commit never did -- so no stored name is reused.
+        Once per container; a read-only client never walks the store, and
+        a container nobody has written yet needs nothing."""
+        if logical in self._adopted:
+            return
+        self._adopted.add(logical)
+        if not self.exists(logical):
+            return
+        self._index(logical)
+        prefix = self.container_dir(logical) + "/subset."
+        for fs in self.backends.values():
+            for key in fs.store.walk(self.container_dir(logical)):
+                tag, _, chunk = key[len(prefix):].rpartition("/data.")
+                if key.startswith(prefix) and chunk.isdigit():
+                    self._step_counter(logical, tag, int(chunk))
 
     def _claim_chunk(self, logical: str, tag: str) -> int:
         """Next chunk number of a subset.  Claimed *before* the write (so
@@ -460,6 +469,7 @@ class PLFS:
             fs.delete(index_path)
             self._torn.pop((logical, backend), None)
         self._indexes.pop(logical, None)
+        self._adopted.discard(logical)
         for key in [k for k in self._chunk_counters if k[0] == logical]:
             del self._chunk_counters[key]
         return freed

@@ -25,9 +25,8 @@ from repro.sim import Simulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fs <-> core)
     from repro.core.middleware import ADA
 
-#: Suffixes of the target application's files (mirrors
-#: repro.core.middleware.TARGET_SUFFIXES; duplicated to keep this module a
-#: leaf of the fs package and break the fs <-> core import cycle).
+#: Suffixes of the target application's (VMD's) files, which the
+#: interposer traps; every other file passes through.
 _TARGET_SUFFIXES = (".xtc", ".pdb", ".trr", ".dcd")
 
 __all__ = ["FileHandle", "VFS", "ADAInterposer"]

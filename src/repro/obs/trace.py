@@ -49,11 +49,6 @@ class Span:
         self.children: List["Span"] = []
         self.status = "ok"
 
-    @property
-    def duration_s(self) -> float:
-        end = self.end_s if self.end_s is not None else self.tracer.sim.now
-        return end - self.start_s
-
     def tag(self, **tags) -> "Span":
         self.tags.update(tags)
         return self

@@ -390,12 +390,6 @@ class Simulator:
         """Start ``generator`` as a process; returns the process-as-event."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling / main loop ----------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster.shard import ShardNode, ShardedADA
 from repro.core.lod import lod_tag
+from repro.core.tags import PlacementPolicy
 from repro.fs.localfs import LocalFS
 from repro.harness.benchkit import chunked_catalog
 from repro.obs.metrics import MetricsRegistry
@@ -30,23 +31,22 @@ REPLICAS = 2
 WINDOW_TAGS = ["lod:m", "lod:p", "m", "p"]
 
 
-def _node(sim, name, metrics):
+def _node(sim, name, metrics, **kwargs):
     return ShardNode.build(
         sim, name,
         backends={"hdd": LocalFS(sim, WD_1TB_HDD, name=f"{name}:hdd")},
-        metrics=metrics, lod_precision=12.5,
+        metrics=metrics, lod_precision=12.5, **kwargs,
     )
 
 
 def _cluster(nnodes=4, appends=True, **kwargs):
     """A one-disk-per-node cluster holding every dataset of ``BLOBS``
-    (only its first chunk when ``appends`` is false)."""
+    (only its first chunk when ``appends`` is false); ``kwargs`` go to
+    each node."""
     sim = Simulator()
     metrics = MetricsRegistry()
-    nodes = [_node(sim, f"node{i}", metrics) for i in range(nnodes)]
-    front = ShardedADA(
-        sim, nodes, replicas=REPLICAS, metrics=metrics, **kwargs
-    )
+    nodes = [_node(sim, f"node{i}", metrics, **kwargs) for i in range(nnodes)]
+    front = ShardedADA(sim, nodes, replicas=REPLICAS, metrics=metrics)
     for logical, pdb_text, chunks in BLOBS:
         sim.run_process(front.ingest(logical, pdb_text, chunks[0]))
         for blob in chunks[1:] if appends else ():
@@ -85,7 +85,7 @@ def test_every_sibling_shares_its_base_holders_and_misc_the_primary():
 
 
 def test_without_replicated_tags_each_sibling_follows_its_base():
-    _, front = _cluster(replicated_tags=())
+    _, front = _cluster(placement=PlacementPolicy(frozenset(), "hdd", "hdd"))
     for logical, _, _ in BLOBS:
         for tag in front.tags(logical):
             held = front.holders(logical, tag)

@@ -118,6 +118,17 @@ def test_fetch_fails_only_when_every_holder_is_dead():
         sim.run_process(front.fetch(logical, "p"))
 
 
+def test_losing_an_unreplicated_active_tag_still_raises():
+    """With one copy of everything, the active tag is still not
+    expendable: ``fetch_all`` past its only holder raises instead of
+    returning a session without the protein."""
+    sim, front = build_cluster(nnodes=4, replicas=1)
+    logical = BLOBS[0][0]
+    front.kill_node(front.holders(logical, "p")[0])
+    with pytest.raises(NodeDownError):
+        sim.run_process(front.fetch_all(logical))
+
+
 def test_degraded_read_warning_for_unreplicated_tag():
     sim, front = build_cluster(nnodes=4, replicas=2)
     logical = BLOBS[0][0]

@@ -19,7 +19,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.cluster.shard import ShardNode, ShardedADA
-from repro.core import ADA
+from repro.core import ADA, PlacementPolicy
 from repro.core.ingest import IngestPipelineConfig
 from repro.formats.xtc import encode_xtc
 from repro.fs.cache import BlockCache
@@ -30,6 +30,8 @@ from repro.storage.ssd import NVME_SSD_256GB
 from repro.workloads import build_workload
 
 LOGICAL = "live.xtc"
+#: Both subsets hot, so each lives on both replicas of a sharded front.
+HOT_PM = PlacementPolicy(frozenset({"p", "m"}), "ssd", "ssd")
 
 
 class _CountingTier(OrderedDict):
@@ -75,11 +77,11 @@ def _sharded(sim, block_cache):
     nodes = [
         ShardNode.build(
             sim, f"node{i}", backends=_ssd(sim, f"ssd{i}"),
-            block_cache=block_cache(sim),
+            block_cache=block_cache(sim), placement=HOT_PM,
         )
         for i in range(3)
     ]
-    return ShardedADA(sim, nodes, replicas=2, replicated_tags=("p", "m"))
+    return ShardedADA(sim, nodes, replicas=2)
 
 
 def _writes(front, workload, segments):
@@ -151,15 +153,8 @@ def test_sharded_remove_scans_each_holder_cache_once(workload):
     """``remove`` drops a dataset by wildcard -- a full scan by design --
     but one scan per holder node, not one per (tag, holder) pair."""
     sim = Simulator()
-    nodes = [
-        ShardNode.build(
-            sim, f"node{i}",
-            backends={"ssd": LocalFS(sim, NVME_SSD_256GB, name=f"ssd{i}")},
-            block_cache=BlockCache(sim),
-        )
-        for i in range(3)
-    ]
-    front = ShardedADA(sim, nodes, replicas=2, replicated_tags=("p", "m"))
+    front = _sharded(sim, BlockCache)
+    nodes = front.nodes.values()
     sim.run_process(front.ingest(LOGICAL, workload.pdb_text, workload.xtc_blob))
     for tag in front.tags(LOGICAL):
         sim.run_process(front.fetch(LOGICAL, tag))

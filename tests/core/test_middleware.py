@@ -59,13 +59,6 @@ def test_tiers_are_never_picked_by_alphabet():
     assert lone.placement.active_backend == lone.placement.inactive_backend == "disk"
 
 
-def test_is_target_file():
-    assert ADA.is_target_file("/data/run7/bar.xtc")
-    assert ADA.is_target_file("FOO.PDB")
-    assert not ADA.is_target_file("results.csv")
-    assert not ADA.is_target_file("checkpoint.chk")
-
-
 def test_ingest_splits_and_places(dataset):
     system, pdb_text, blob, traj = dataset
     sim = Simulator()

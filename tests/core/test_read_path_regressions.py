@@ -23,7 +23,7 @@ from repro.faults.plan import TRANSIENT, FaultDecision
 from repro.fs.cache import BlockCache
 from repro.fs.localfs import LocalFS
 from repro.serve import TenantBlockCache
-from repro.sim import Simulator
+from repro.sim import AllOf, Simulator
 from repro.storage.ssd import NVME_SSD_256GB
 from repro.workloads import build_workload
 
@@ -264,7 +264,7 @@ def test_concurrent_cross_tenant_fetch_keeps_accounting_consistent():
     def race():
         a = sim.process(tenant_fetch("a", [3, 4, 5]))
         b = sim.process(tenant_fetch("b", [3, 4, 5]))
-        yield sim.all_of([a, b])
+        yield AllOf(sim, [a, b])
         return None
 
     sim.run_process(race())

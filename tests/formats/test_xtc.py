@@ -77,6 +77,18 @@ def test_decode_with_atom_indices_filters():
     np.testing.assert_allclose(d.coords[:, 1], t.coords[:, 5], atol=0.01)
 
 
+def test_concatenated_chunks_decode_as_one_stream():
+    """An engine that flushes every few frames writes independent
+    containers; spliced, they decode as one trajectory."""
+    t = _traj(nframes=7)
+    stream = b"".join(
+        encode_xtc(t.slice_frames(start, start + 3)) for start in (0, 3, 6)
+    )
+    decoded = decode_xtc(stream)
+    assert decoded.nframes == 7
+    np.testing.assert_array_equal(decoded.coords, decode_xtc(encode_xtc(t)).coords)
+
+
 def test_iter_frame_infos_metadata():
     t = _traj(nframes=5, natoms=17)
     blob = encode_xtc(t)

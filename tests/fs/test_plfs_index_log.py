@@ -170,26 +170,57 @@ def test_cold_client_never_reuses_an_orphans_name():
     log does not name -- here ``p``'s chunk 1 on the HDD and ``m``'s chunk
     0 on the SSD, a tag with no indexed record.  A fresh client replays
     only the log, yet must step past both names on any backend instead of
-    writing over them."""
-    sim, plfs = _plfs()
-    sim.run_process(commit_run(plfs, LOGICAL, [("p", b"one")], "hdd"))
-    for tag, backend in (("p", "hdd"), ("m", "ssd")):
-        sim.run_process(
-            plfs.write_chunk_run(LOGICAL, [(tag, b"orphan")], backend=backend)
+    writing over them -- also when its replay served a read first."""
+    for read_first in (False, True):
+        sim, plfs = _plfs()
+        sim.run_process(commit_run(plfs, LOGICAL, [("p", b"one")], "hdd"))
+        for tag, backend in (("p", "hdd"), ("m", "ssd")):
+            sim.run_process(
+                plfs.write_chunk_run(LOGICAL, [(tag, b"orphan")], backend=backend)
+            )
+        cold = _fresh(plfs)
+        if read_first:
+            assert sim.run_process(read_subset(cold, LOGICAL, "p")).data == b"one"
+        records = sim.run_process(
+            commit_run(cold, LOGICAL, [("p", b"three"), ("m", b"mm")], "hdd")
         )
+        assert [(r.tag, r.chunk) for r in records] == [("p", 2), ("m", 1)]
+        orphans = [PLFS.chunk_path(LOGICAL, "p", 1), PLFS.chunk_path(LOGICAL, "m", 0)]
+        assert plfs.backends["hdd"].data(orphans[0]) == b"orphan"
+        assert plfs.backends["ssd"].data(orphans[1]) == b"orphan"
+        assert cold.fsck(LOGICAL)["orphaned"] == sorted(
+            [f"hdd:{orphans[0]}", f"ssd:{orphans[1]}"]
+        )
+        assert sim.run_process(read_subset(cold, LOGICAL, "p")).data == b"onethree"
+        assert sim.run_process(read_subset(cold, LOGICAL, "m")).data == b"mm"
+
+
+def test_read_only_cold_open_never_walks_the_store(monkeypatch):
+    """Only a claim needs the orphan walk: a fresh client that replays a
+    populated container to serve reads lists no backend's objects."""
+    sim, plfs = _plfs()
+    for backend in ("ssd", "hdd"):
+        sim.run_process(
+            commit_run(plfs, LOGICAL, [("p", b"p-" + backend.encode())], backend)
+        )
+    sim.run_process(plfs.write_chunk_run(LOGICAL, [("m", b"orphan")], "hdd"))
+    walks = []
+    real_walk = ObjectStore.walk
+
+    def counted_walk(store, *args):
+        walks.append(args)
+        return real_walk(store, *args)
+
+    monkeypatch.setattr(ObjectStore, "walk", counted_walk)
     cold = _fresh(plfs)
-    records = sim.run_process(
-        commit_run(cold, LOGICAL, [("p", b"three"), ("m", b"mm")], "hdd")
-    )
-    assert [(r.tag, r.chunk) for r in records] == [("p", 2), ("m", 1)]
-    orphans = [PLFS.chunk_path(LOGICAL, "p", 1), PLFS.chunk_path(LOGICAL, "m", 0)]
-    assert plfs.backends["hdd"].data(orphans[0]) == b"orphan"
-    assert plfs.backends["ssd"].data(orphans[1]) == b"orphan"
-    assert cold.fsck(LOGICAL)["orphaned"] == sorted(
-        [f"hdd:{orphans[0]}", f"ssd:{orphans[1]}"]
-    )
-    assert sim.run_process(read_subset(cold, LOGICAL, "p")).data == b"onethree"
-    assert sim.run_process(read_subset(cold, LOGICAL, "m")).data == b"mm"
+    records = cold.subset_records(LOGICAL, "p")
+    objs = [sim.run_process(cold.read_chunk_run([r])) for r in records]
+    assert [obj.data for [obj] in objs] == [b"p-ssd", b"p-hdd"]
+    assert walks == []
+    # Its first write still steps past the orphan, with one walk per backend.
+    sim.run_process(commit_run(cold, LOGICAL, [("m", b"mm")], "hdd"))
+    assert cold.subset_records(LOGICAL, "m")[0].chunk == 1
+    assert len(walks) == len(plfs.backends)
 
 
 # -- (c) a damaged complete line is a corrupt index; a torn tail is not -------

@@ -112,6 +112,23 @@ def test_target_files_are_trapped(interposer, workload):
     assert interposer.ada.tags("run/bar.xtc") == ["m", "p"]
 
 
+def test_one_structure_guides_several_phases(interposer, workload):
+    """One .pdb guides several .xtc files, one per motion phase (paper
+    §2.1)."""
+    with interposer.open("/mnt/ada/run/foo.pdb", "w") as fh:
+        fh.write(workload.pdb_text.encode())
+    for phase in ("bar.xtc", "baz.xtc"):
+        with interposer.open(f"/mnt/ada/run/{phase}", "w") as fh:
+            fh.write(workload.xtc_blob)
+    assert set(interposer.trapped) == {"run/bar.xtc", "run/baz.xtc"}
+    for logical, receipt in interposer.trapped.items():
+        assert set(receipt.subset_sizes) == {"p", "m"}
+        assert interposer.ada.tags(logical) == ["m", "p"]
+    assert interposer.ada.label_map("run/baz.xtc") == (
+        interposer.ada.label_map("run/bar.xtc")
+    )
+
+
 def test_non_target_files_pass_through(interposer):
     with interposer.open("/mnt/ada/notes.txt", "w") as fh:
         fh.write(b"plain data")
@@ -123,6 +140,23 @@ def test_non_target_files_pass_through(interposer):
     # And it reads back through the same handle API.
     with interposer.open("/mnt/ada/notes.txt") as fh:
         assert fh.read() == b"plain data"
+
+
+def test_target_files_chosen_by_suffix_whatever_case(interposer, workload):
+    """Only VMD's files are trapped, and an upper-case suffix counts."""
+    with interposer.open("/mnt/ada/run/FOO.PDB", "w") as fh:
+        fh.write(workload.pdb_text.encode())
+    with interposer.open("/mnt/ada/run/bar.xtc", "w") as fh:
+        fh.write(workload.xtc_blob)
+    assert set(interposer.trapped) == {"run/bar.xtc"}
+    inactive = interposer.ada.plfs.backends[
+        interposer.ada.placement.inactive_backend
+    ]
+    for name in ("results.csv", "checkpoint.chk"):
+        with interposer.open(f"/mnt/ada/{name}", "w") as fh:
+            fh.write(name.encode())
+        assert set(interposer.trapped) == {"run/bar.xtc"}
+        assert inactive.data(name) == name.encode()
 
 
 def test_trajectory_before_structure_rejected(interposer, workload):

@@ -1,6 +1,6 @@
 """End-to-end integration: the full story on real bytes.
 
-MD engine -> chunked .xtc -> ADA ingest (storage-side split) -> PLFS
+Trajectory -> chunked .xtc -> ADA ingest (storage-side split) -> PLFS
 containers on SSD/HDD backends -> VMD tag-selective load -> render ->
 analysis.  Verifies data *integrity* across the entire stack, not just
 timing shapes.
@@ -11,10 +11,11 @@ import pytest
 
 from repro.analysis import rmsd_trajectory
 from repro.core import ADA, TagPolicy
-from repro.datagen import build_gpcr_system
-from repro.formats import decode_xtc, write_pdb
+from repro.datagen import build_gpcr_system, generate_trajectory
+from repro.errors import LabelIndexError
+from repro.formats import decode_xtc, encode_xtc, write_pdb
+from repro.formats.xtc import decode_raw
 from repro.fs import LocalFS, PVFS, StorageTarget
-from repro.mdengine import ChunkedXtcWriter, LangevinEngine
 from repro.sim import Simulator
 from repro.storage import Device, NVME_SSD_256GB, PLEXTOR_SSD_256GB, WD_1TB_HDD
 from repro.storage.raid import raid0_spec
@@ -22,25 +23,27 @@ from repro.units import GB
 from repro.vmd import Animator, GeometryBuilder, VMDSession
 
 
-@pytest.fixture(scope="module")
-def world():
-    """A full materialized world over LocalFS backends."""
-    system = build_gpcr_system(natoms_target=2500, protein_fraction=0.44, seed=71)
-    pdb_text = write_pdb(system.topology, system.coords)
-    engine = LangevinEngine(system, seed=72)
-    traj = engine.run(nframes=12, stride=10)
-    from repro.formats import encode_xtc
-
-    blob = encode_xtc(traj)
-
-    sim = Simulator()
-    ada = ADA(
+def _local_ada(sim, **kwargs):
+    return ADA(
         sim,
         backends={
             "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
             "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
         },
+        **kwargs,
     )
+
+
+@pytest.fixture(scope="module")
+def world():
+    """A full materialized world over LocalFS backends."""
+    system = build_gpcr_system(natoms_target=2500, protein_fraction=0.44, seed=71)
+    pdb_text = write_pdb(system.topology, system.coords)
+    traj = generate_trajectory(system, nframes=12, seed=72)
+    blob = encode_xtc(traj)
+
+    sim = Simulator()
+    ada = _local_ada(sim)
     sim.run_process(ada.ingest("run.xtc", pdb_text, blob))
     return system, pdb_text, blob, traj, sim, ada
 
@@ -93,12 +96,39 @@ def test_subset_volumes_sum_to_raw(world):
     assert p + m == pytest.approx(traj.nbytes, rel=0.01)
 
 
+def test_streaming_ingest_into_ada():
+    """Chunks of a running simulation stream straight into ADA: the first
+    establishes the dataset, the rest append under its stored label map."""
+    system = build_gpcr_system(natoms_target=1000, seed=61)
+    pdb_text = write_pdb(system.topology, system.coords)
+    traj = generate_trajectory(system, nframes=15, seed=4)
+    chunks = [encode_xtc(traj.slice_frames(a, a + 5)) for a in (0, 5, 10)]
+
+    sim = Simulator()
+    ada = _local_ada(sim)
+    sim.run_process(ada.ingest("stream.xtc", pdb_text, chunks[0]))
+    for blob in chunks[1:]:
+        sim.run_process(ada.ingest_append("stream.xtc", blob))
+
+    # The protein subset now holds all 15 frames across 3 PLFS chunks.
+    assert len(ada.plfs.subset_records("stream.xtc", "p")) == 3
+    protein = decode_raw(sim.run_process(ada.fetch("stream.xtc", "p")).data)
+    assert protein.nframes == 15
+    assert protein.natoms == ada.label_map("stream.xtc").atom_count("p")
+
+
+def test_append_before_ingest_rejected():
+    sim = Simulator()
+    ada = _local_ada(sim)
+    with pytest.raises(LabelIndexError):
+        sim.run_process(ada.ingest_append("ghost.xtc", b"whatever"))
+
+
 def test_full_pipeline_over_striped_pvfs():
     """The cluster shape, materialized: PLFS over two PVFS pools."""
     system = build_gpcr_system(natoms_target=1500, seed=73)
     pdb_text = write_pdb(system.topology, system.coords)
-    traj = LangevinEngine(system, seed=74).run(nframes=6, stride=10)
-    from repro.formats import encode_xtc
+    traj = generate_trajectory(system, nframes=6, seed=74)
 
     sim = Simulator()
 
@@ -133,18 +163,10 @@ def test_full_pipeline_over_striped_pvfs():
 def test_per_class_policy_end_to_end():
     system = build_gpcr_system(natoms_target=2000, seed=75)
     pdb_text = write_pdb(system.topology, system.coords)
-    traj = LangevinEngine(system, seed=76).run(nframes=5, stride=10)
-    from repro.formats import encode_xtc
+    traj = generate_trajectory(system, nframes=5, seed=76)
 
     sim = Simulator()
-    ada = ADA(
-        sim,
-        backends={
-            "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
-            "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
-        },
-        policy=TagPolicy.per_class(),
-    )
+    ada = _local_ada(sim, policy=TagPolicy.per_class())
     sim.run_process(ada.ingest("fine.xtc", pdb_text, encode_xtc(traj)))
     session = VMDSession(ada=ada)
     session.mol_new(pdb_text)

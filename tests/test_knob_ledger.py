@@ -38,7 +38,7 @@ LEDGER = {
         "metrics shard_id"
     ),
     "ShardedADA": (
-        "sim nodes replicas replicated_tags metrics affinity_bytes_slack"
+        "sim nodes replicas metrics affinity_bytes_slack"
     ),
     "ShardNode.build": "sim name backends metrics ada_kwargs",
     "ServeFront": "ada concurrency",
@@ -167,8 +167,6 @@ _FORWARDS_TO = {
 
 #: Parameters without a product caller, kept on purpose: the reason.
 KEPT_FOR = {
-    ("ShardedADA", "replicated_tags"): "policy: which subsets are hot enough "
-    "to replicate; tests/cluster replicates other tags",
     ("decode_xtc", "index"): "public API (docs/api.md): callers holding a "
     "FrameIndex skip the header scan; Decompressor passes its cached one "
     "to decode_frame_range, which decode_xtc wraps",

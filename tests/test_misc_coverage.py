@@ -1,6 +1,5 @@
 """Breadth tests over smaller surfaces the main suites touch lightly."""
 
-import numpy as np
 import pytest
 
 from repro.harness import run_point, small_cluster, ssd_server
@@ -14,34 +13,6 @@ def test_cluster_energy_includes_storage_nodes():
     # Same CPU work, but the cluster's turnaround window multiplies across
     # seven nodes (1 compute + 6 storage).
     assert cluster.energy_j > 3 * server.energy_j
-
-
-def test_chunked_writer_precision_option():
-    from repro.datagen import build_gpcr_system
-    from repro.formats import decode_xtc
-    from repro.mdengine import ChunkedXtcWriter, LangevinEngine
-
-    system = build_gpcr_system(natoms_target=600, seed=211)
-    engine = LangevinEngine(system, seed=212)
-    writer = ChunkedXtcWriter(chunk_frames=4, precision=10.0)  # coarse
-    for frame in engine.sample(4, stride=5):
-        writer.add_frame(frame)
-    writer.flush()
-    blob = next(iter(writer.chunks.values()))
-    decoded = decode_xtc(blob)
-    # Coarse precision => 0.05 A quantization error is possible.
-    assert decoded.nframes == 4
-
-
-def test_langevin_forces_vanish_at_reference():
-    from repro.datagen import build_gpcr_system
-    from repro.mdengine import LangevinEngine
-
-    system = build_gpcr_system(natoms_target=600, seed=213)
-    engine = LangevinEngine(system, seed=214)
-    np.testing.assert_allclose(engine.forces(), 0.0, atol=1e-12)
-    engine.positions += 1.0
-    assert np.all(engine.forces() < 0)  # restoring force points back
 
 
 def test_cached_fs_serves_virtual_objects():
