@@ -484,23 +484,29 @@ class DataPlane:
                 for tag in tags
             ]
             results = yield AllOf(self.sim, procs)
-            objs: Dict[str, StoredObject] = {}
-            for tag, result in zip(tags, results):
-                if isinstance(result, FaultError):
-                    if allow_degraded and self._downgradable(logical, tag):
-                        self._record_degraded(logical, tag, str(result))
-                        sp.tag(degraded=True)
-                        warnings.warn(
-                            DegradedReadWarning(
-                                f"{logical}: expendable subset {tag!r} "
-                                f"unavailable, loading without it ({result})"
-                            ),
-                            stacklevel=2,
-                        )
-                        continue
-                    raise result
-                objs[tag] = result
-            return objs
+            failed = [
+                (tag, result) for tag, result in zip(tags, results)
+                if isinstance(result, FaultError)
+            ]
+            # A fatal loss raises before any expendable one is recorded:
+            # a read that fails degraded nothing.
+            for tag, exc in failed:
+                if not (allow_degraded and self._downgradable(logical, tag)):
+                    raise exc
+            for tag, exc in failed:
+                self._record_degraded(logical, tag, str(exc))
+                sp.tag(degraded=True)
+                warnings.warn(
+                    DegradedReadWarning(
+                        f"{logical}: expendable subset {tag!r} "
+                        f"unavailable, loading without it ({exc})"
+                    ),
+                    stacklevel=2,
+                )
+            return {
+                tag: result for tag, result in zip(tags, results)
+                if not isinstance(result, FaultError)
+            }
 
     @staticmethod
     def _guarded(read: Generator) -> Generator:

@@ -388,7 +388,7 @@ class ADA(DataPlane):
         off whenever it grows between two demand windows."""
         s = self.determinator.retrier.stats
         return float(
-            s.transient_faults.value + s.timeouts.value + s.exhausted.value
+            s.transient_faults.value + s.exhausted.value
             + len(self.degraded)
         )
 

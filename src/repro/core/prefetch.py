@@ -16,9 +16,9 @@ Speculation is guarded by two watermarks:
   rather than evict blocks the consumer still wants (speculation must
   never worsen the demand hit rate);
 * **fault degradation** -- when the retry layer reports new transient
-  faults/timeouts/degraded reads since the last window, the backend is
-  struggling; speculative load would compound the damage, so the
-  prefetcher backs off until a clean window passes.
+  faults/exhausted retries/degraded reads since the last window, the
+  backend is struggling; speculative load would compound the damage, so
+  the prefetcher backs off until a clean window passes.
 
 Prefetched blocks ride the same retry + per-chunk CRC path as demand
 reads, so a chaos run with prefetch on remains bit-identical to one with

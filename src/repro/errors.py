@@ -124,10 +124,6 @@ class CorruptionError(TransientFaultError):
     """
 
 
-class FaultTimeoutError(TransientFaultError):
-    """An operation exceeded its per-op deadline and was abandoned."""
-
-
 class RetryExhaustedError(PermanentFaultError):
     """Bounded retries ran out; wraps the last transient failure as its
     ``__cause__``.  Permanent from the caller's point of view."""

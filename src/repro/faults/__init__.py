@@ -7,9 +7,9 @@ Two halves, designed to meet in the middle:
   consult per operation through one :class:`FaultSite` gate -- latency
   spikes, transient/permanent errors, in-flight bit flips, short reads.
 * **Recovery** (:mod:`repro.faults.retry`): a :class:`RetryPolicy`
-  (bounded retries, exponential backoff with deterministic jitter, per-op
-  timeouts) driven by a :class:`Retrier`, with :class:`RetryStats`
-  counters the middleware surfaces to operators.
+  (bounded retries, exponential backoff with deterministic jitter) driven
+  by a :class:`Retrier`, with :class:`RetryStats` counters the middleware
+  surfaces to operators.
 
 The chaos test suite (``tests/faults/``) closes the loop: under
 transient-only injection with retries enabled, the full ingest ->

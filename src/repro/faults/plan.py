@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Dict, Generator, Iterable, Optional
 
@@ -62,8 +62,7 @@ class FaultSpec:
 
     ``latency_spike_s`` is the extra service delay charged when a latency
     spike fires (an HDD remap or retried SATA command is tens of
-    milliseconds; an SSD hiccup is sub-millisecond -- see the per-device
-    profiles in :mod:`repro.storage.ssd` / :mod:`repro.storage.hdd`).
+    milliseconds; an SSD hiccup is sub-millisecond).
     """
 
     transient_rate: float = 0.0
@@ -90,15 +89,6 @@ class FaultSpec:
         """True when this spec can never inject anything."""
         return all(getattr(self, field) == 0.0 for field in _RATE_FIELDS)
 
-    def scaled(self, factor: float) -> "FaultSpec":
-        """A spec with every rate scaled by ``factor`` (clipped to 1)."""
-        if factor < 0:
-            raise ConfigurationError(f"scale factor {factor!r} must be >= 0")
-        return replace(
-            self,
-            **{f: min(1.0, getattr(self, f) * factor) for f in _RATE_FIELDS},
-        )
-
 
 @dataclass(frozen=True)
 class FaultDecision:
@@ -108,15 +98,6 @@ class FaultDecision:
     error: Optional[str] = None  # None | TRANSIENT | PERMANENT
     corrupt: bool = False
     short_read: bool = False
-
-    @property
-    def is_clean(self) -> bool:
-        return (
-            self.latency_s == 0.0
-            and self.error is None
-            and not self.corrupt
-            and not self.short_read
-        )
 
 
 #: Shared "nothing happens" decision (the overwhelmingly common case).
@@ -220,24 +201,6 @@ class FaultPlan:
             latency_spike_s=latency_spike_s,
         )
         return cls(seed=seed, default=spec)
-
-    @classmethod
-    def two_tier(cls, seed: int = 0, scale: float = 1.0) -> "FaultPlan":
-        """Device-conscious plan: flash and rotating tiers fault differently
-        (profiles from :mod:`repro.storage.ssd` / :mod:`repro.storage.hdd`)."""
-        from repro.storage.hdd import hdd_fault_profile
-        from repro.storage.ssd import ssd_fault_profile
-
-        return cls(
-            seed=seed,
-            default=FaultSpec(),
-            sites={
-                "*ssd*": ssd_fault_profile().scaled(scale),
-                "*SSD*": ssd_fault_profile().scaled(scale),
-                "*hdd*": hdd_fault_profile().scaled(scale),
-                "*HDD*": hdd_fault_profile().scaled(scale),
-            },
-        )
 
     # -- attachment ----------------------------------------------------------
 

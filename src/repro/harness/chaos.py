@@ -41,7 +41,7 @@ GATE = [Row("identical", "==", True)]
 
 
 def _build_ada(sim: Simulator, plan: Optional[FaultPlan], seed: int,
-               max_retries: int, timeout_s: Optional[float]) -> ADA:
+               max_retries: int) -> ADA:
     """Two-tier deployment (NVMe active, WD rotating inactive)."""
     backends = {
         "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
@@ -50,9 +50,7 @@ def _build_ada(sim: Simulator, plan: Optional[FaultPlan], seed: int,
     return ADA(
         sim,
         backends=backends,
-        retry_policy=RetryPolicy(
-            max_retries=max_retries, timeout_s=timeout_s, seed=seed
-        ),
+        retry_policy=RetryPolicy(max_retries=max_retries, seed=seed),
         fault_plan=plan,
     )
 
@@ -82,7 +80,6 @@ def run_chaos(
     natoms: int = 600,
     nframes: int = 4,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    timeout_s: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run the ingest -> tag-selective-read pipeline with and without faults.
 
@@ -96,14 +93,14 @@ def run_chaos(
     logical = "chaos.xtc"
 
     baseline_sim = Simulator()
-    baseline = _build_ada(baseline_sim, None, seed, max_retries, timeout_s)
+    baseline = _build_ada(baseline_sim, None, seed, max_retries)
     baseline_digest = _drive(
         baseline, logical, workload.pdb_text, workload.xtc_blob, rounds
     )
 
     plan = FaultPlan.transient_only(seed=seed, rate=transient_rate)
     faulted_sim = Simulator()
-    faulted = _build_ada(faulted_sim, plan, seed, max_retries, timeout_s)
+    faulted = _build_ada(faulted_sim, plan, seed, max_retries)
     faulted_digest = _drive(
         faulted, logical, workload.pdb_text, workload.xtc_blob, rounds
     )

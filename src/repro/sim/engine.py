@@ -63,7 +63,7 @@ class Event:
     dispatch that ran no callback had no effect.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_cancelled")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -71,27 +71,10 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._cancelled = False
 
     @property
     def triggered(self) -> bool:
         return self._triggered
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> "Event":
-        """Abandon a scheduled firing: a cancelled event's heap entry is
-        skipped without advancing time or running callbacks.
-
-        This is how a race winner discards the loser (e.g. a completed
-        operation cancelling its unexpired deadline) so the stale entry
-        does not drag the clock to its fire time when the heap drains.
-        """
-        self._cancelled = True
-        self.callbacks = []
-        return self
 
     @property
     def ok(self) -> bool:
@@ -147,7 +130,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._triggered = True  # scheduled immediately, fires at now+delay
-        self._cancelled = False
         when = sim._now + delay if at is None else float(at)
         heapq.heappush(sim._heap, (when, next(sim._seq), self))
 
@@ -366,8 +348,7 @@ class Simulator:
         return self._processed
 
     def due_now(self) -> bool:
-        """Whether a heap entry fires at the current instant.  A cancelled
-        entry counts until it is popped, so the answer errs towards due."""
+        """Whether a heap entry fires at the current instant."""
         heap = self._heap
         return bool(heap) and heap[0][0] <= self._now
 
@@ -407,8 +388,6 @@ class Simulator:
                 self._now = until
                 return until
             when, _, event = pop(heap)
-            if event._cancelled:
-                continue
             if when > self._now:
                 self._now = when
             elif when < self._now - 1e-12:

@@ -8,12 +8,11 @@ effect PLFS's log-structured layout mitigates.
 
 from __future__ import annotations
 
-from repro.faults.plan import FaultSpec
 from repro.storage.device import DeviceSpec
 from repro.storage.power import DevicePower
 from repro.units import TB, mbps
 
-__all__ = ["WD_1TB_HDD", "hdd_fault_profile", "hdd_spec"]
+__all__ = ["WD_1TB_HDD", "hdd_spec"]
 
 
 def hdd_spec(
@@ -34,24 +33,6 @@ def hdd_spec(
         capacity=capacity,
         power=DevicePower(active_w=active_w, idle_w=idle_w),
     )
-
-
-def hdd_fault_profile(scale: float = 1.0) -> FaultSpec:
-    """Typical rotating-disk failure envelope for chaos runs.
-
-    Disks fail more often and more slowly than flash: sector remaps and
-    retried SATA commands show up as tens-of-milliseconds spikes, and media
-    errors surface as transient read failures the host must retry.
-    ``scale`` multiplies every rate for stress sweeps.
-    """
-    return FaultSpec(
-        transient_rate=0.01,
-        permanent_rate=0.0,
-        corruption_rate=0.004,
-        short_read_rate=0.002,
-        latency_rate=0.03,
-        latency_spike_s=30e-3,
-    ).scaled(scale)
 
 
 #: The cluster's storage drive (Table 4): WD 1 TB SATA, 126 MB/s max.

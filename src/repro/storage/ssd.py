@@ -9,12 +9,11 @@ irrelevant next to decompression.
 
 from __future__ import annotations
 
-from repro.faults.plan import FaultSpec
 from repro.storage.device import DeviceSpec
 from repro.storage.power import DevicePower
 from repro.units import GB, mbps
 
-__all__ = ["NVME_SSD_256GB", "PLEXTOR_SSD_256GB", "ssd_fault_profile", "ssd_spec"]
+__all__ = ["NVME_SSD_256GB", "PLEXTOR_SSD_256GB", "ssd_spec"]
 
 
 def ssd_spec(
@@ -35,24 +34,6 @@ def ssd_spec(
         capacity=capacity,
         power=DevicePower(active_w=active_w, idle_w=idle_w),
     )
-
-
-def ssd_fault_profile(scale: float = 1.0) -> FaultSpec:
-    """Typical flash failure envelope for chaos runs.
-
-    Flash fails rarely and fast: occasional sub-millisecond latency spikes
-    (garbage collection stalls) and a low transient error rate, with
-    corruption caught by on-device ECC before it reaches the host most of
-    the time.  ``scale`` multiplies every rate for stress sweeps.
-    """
-    return FaultSpec(
-        transient_rate=0.002,
-        permanent_rate=0.0,
-        corruption_rate=0.001,
-        short_read_rate=0.0005,
-        latency_rate=0.01,
-        latency_spike_s=0.5e-3,
-    ).scaled(scale)
 
 
 #: The cluster's flash drive (Table 4): Plextor 256 GB PCIe.

@@ -27,7 +27,7 @@ _PREFETCH = (
 )
 _RETRY = (
     "attempts", "retries", "recovered", "transient_faults",
-    "corruption_detected", "timeouts", "permanent_failures", "exhausted",
+    "corruption_detected", "permanent_failures", "exhausted",
 )
 
 #: family -> (kind, label keys, Python type of the value / histogram sum).

@@ -25,7 +25,6 @@ def _exercise() -> None:
     from repro.errors import (
         ConfigurationError,
         CorruptionError,
-        FaultTimeoutError,
         PermanentFaultError,
         RetryExhaustedError,
         TransientFaultError,
@@ -34,7 +33,6 @@ def _exercise() -> None:
         CLEAN,
         PERMANENT,
         TRANSIENT,
-        FaultDecision,
         FaultPlan,
         FaultSite,
         FaultSpec,
@@ -52,14 +50,11 @@ def _exercise() -> None:
             return
         raise AssertionError(f"expected {exc_type.__name__}")
 
-    # -- FaultSpec / FaultDecision -------------------------------------------
+    # -- FaultSpec -----------------------------------------------------------
     expect(ConfigurationError, lambda: FaultSpec(transient_rate=1.5))
     expect(ConfigurationError, lambda: FaultSpec(latency_spike_s=-1.0))
     spec = FaultSpec(transient_rate=0.5, latency_rate=0.5)
     assert not spec.is_quiet and FaultSpec().is_quiet
-    assert spec.scaled(4.0).transient_rate == 1.0
-    expect(ConfigurationError, lambda: spec.scaled(-1.0))
-    assert CLEAN.is_clean and not FaultDecision(corrupt=True).is_clean
     expect(PermanentFaultError, lambda: raise_fault(PERMANENT, "s", "op"))
     expect(TransientFaultError, lambda: raise_fault(TRANSIENT, "s", "op", "x"))
 
@@ -87,7 +82,6 @@ def _exercise() -> None:
 
     # -- factories and attachment --------------------------------------------
     FaultPlan.transient_only(seed=2, rate=0.1).decide("fs:a", "read")
-    assert FaultPlan.two_tier(seed=2).spec_for("dev:ssd0").latency_rate > 0
 
     class Sink:
         def __init__(self, device=None, targets=(), link=None):
@@ -141,15 +135,9 @@ def _exercise() -> None:
 
     # -- RetryPolicy ---------------------------------------------------------
     expect(ConfigurationError, lambda: RetryPolicy(max_retries=-1))
-    expect(ConfigurationError, lambda: RetryPolicy(backoff_base_s=-1.0))
-    expect(ConfigurationError, lambda: RetryPolicy(backoff_factor=0.5))
-    expect(ConfigurationError, lambda: RetryPolicy(jitter_frac=2.0))
-    expect(ConfigurationError, lambda: RetryPolicy(timeout_s=0.0))
     policy = RetryPolicy(max_retries=3, seed=5)
     expect(ConfigurationError, lambda: policy.delay_s(-1))
-    assert RetryPolicy(jitter_frac=0.0).delay_s(0) == 1e-3
     assert len(policy.schedule("k")) == 3
-    assert RetryPolicy.no_retries().max_retries == 0
     stats = RetryStats()
     assert stats.metrics.value("retry_attempts_total") == 0
 
@@ -186,60 +174,6 @@ def _exercise() -> None:
     assert retrier.stats.metrics.value(
         "retry_corruption_detected_total"
     ) >= 1
-
-    # Timeout race: slow op times out, fast op cancels the deadline, an op
-    # finishing exactly at the deadline is honored, a failing op under a
-    # deadline propagates its own error.
-    sim = Simulator()
-    timed = Retrier(
-        sim, policy=RetryPolicy(max_retries=0, timeout_s=0.1, seed=5)
-    )
-
-    def never(sim):
-        yield sim.event()
-
-    def hang():
-        try:
-            sim.run_process(timed.call(lambda: never(sim), "hang"))
-        except RetryExhaustedError as exc:
-            raise exc.__cause__  # the wrapped FaultTimeoutError
-
-    expect(FaultTimeoutError, hang)
-    assert timed.stats.metrics.value("retry_timeouts_total") == 1
-
-    def fast(sim):
-        yield sim.timeout(0.01)
-        return "fast"
-
-    assert sim.run_process(timed.call(lambda: fast(sim), "fast")) == "fast"
-
-    photo = sim.timeout(0.1)  # pre-scheduled: fires before the deadline
-
-    def finish_at_deadline():
-        yield photo
-        return "exact"
-
-    assert sim.run_process(timed.call(finish_at_deadline, "exact")) == "exact"
-
-    boom = sim.timeout(0.1)
-
-    def fail_at_deadline():
-        yield boom
-        raise TransientFaultError("late failure")
-
-    expect(
-        RetryExhaustedError,
-        lambda: sim.run_process(timed.call(fail_at_deadline, "late")),
-    )
-
-    def fail_fast(sim):
-        yield sim.timeout(0.01)
-        raise PermanentFaultError("early failure")
-
-    expect(
-        PermanentFaultError,
-        lambda: sim.run_process(timed.call(lambda: fail_fast(sim), "early")),
-    )
 
 
 def _executable_lines(path: str) -> set:

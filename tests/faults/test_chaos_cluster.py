@@ -274,5 +274,11 @@ def test_losing_every_replica_is_an_error_not_a_degradation():
     logical = blobs[0][0]
     for name in front.holders(logical, PLAYBACK_TAG):
         front.kill_node(name)
-    with pytest.raises(NodeDownError):
-        sim.run_process(front.fetch_all(logical))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NodeDownError):
+            sim.run_process(front.fetch_all(logical))
+    # The fatal loss raises before any expendable tag is recorded.
+    assert front.degraded == []
+    assert front.metrics.value("cluster_degraded_reads_total") == 0
+    assert not [w for w in caught if isinstance(w.message, DegradedReadWarning)]

@@ -43,7 +43,7 @@ def _ingested(seed, plan):
         backends={"ssd": _fs(sim, "ssd")},
         lod_precision=12.5,
         fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=8, backoff_base_s=1e-4),
+        retry_policy=RetryPolicy(max_retries=8),
     )
     sim.run_process(ada.ingest(LOGICAL, workload.pdb_text, workload.xtc_blob))
     return sim, ada

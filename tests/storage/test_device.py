@@ -4,13 +4,12 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
-    RetryExhaustedError,
     SimulationError,
     StorageFullError,
     TransientFaultError,
 )
-from repro.faults import FaultPlan, FaultSpec, Retrier, RetryPolicy
-from repro.sim import Simulator
+from repro.faults import FaultPlan, FaultSpec
+from repro.sim import Interrupt, Simulator
 from repro.storage import Device, DeviceSpec, DevicePower, WD_1TB_HDD, NVME_SSD_256GB
 from repro.units import GB, MB, mbps
 
@@ -140,20 +139,25 @@ def test_ledgers_untouched_by_a_fault_at_the_gate():
         assert _ledgers(dev) == (0, 0)
 
 
-def test_ledgers_balance_when_a_deadline_cancels_a_queued_request():
+def test_ledgers_balance_when_an_interrupt_abandons_a_queued_request():
     sim = Simulator()
     dev = Device(sim, _spec(write=50.0, seek_ms=0.0))
-    retrier = Retrier(sim, policy=RetryPolicy.no_retries(timeout_s=0.1))
     sim.process(dev.write(50 * MB))  # 1 s in service
 
     def late_write():
-        with pytest.raises(RetryExhaustedError):
-            yield from retrier.call(lambda: dev.write(1 * MB))
+        with pytest.raises(Interrupt):
+            yield from dev.write(1 * MB)
 
     late = sim.process(late_write())
+
+    def abort():
+        yield sim.timeout(0.1)
+        late.interrupt("abort")
+
+    sim.process(abort())
     sim.run(until=0.5)
     assert late.triggered and late.ok
-    # Cancelled while it waited: only the write in service remains.
+    # Abandoned while it waited: only the write in service remains.
     assert _ledgers(dev) == (1_000_000_000, 1)
     sim.run()
     assert _ledgers(dev) == (0, 0)

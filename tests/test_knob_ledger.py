@@ -22,6 +22,7 @@ from repro.core.ingest import IngestPipelineConfig
 from repro.core.middleware import ADA
 from repro.core.prefetch import Prefetcher
 from repro.core.preprocessor import DataPreProcessor
+from repro.faults import RetryPolicy
 from repro.formats.xtc import decode_frame_range, decode_xtc, encode_xtc
 from repro.fs.cache import BlockCache
 from repro.serve import ServeFront
@@ -60,6 +61,7 @@ LEDGER = {
         "lod_bytes lod_max_error precision"
     ),
     "Animator": "molecule cache_frames",
+    "RetryPolicy": "max_retries seed",
     "encode_xtc": "trajectory precision keyframe_interval",
     "decode_xtc": "data index",
     "decode_frame_range": "data start stop index",
@@ -110,6 +112,7 @@ _CALLABLES = {
     "TrajectoryLoader": TrajectoryLoader,
     "StreamingTrajectory": StreamingTrajectory,
     "Animator": Animator,
+    "RetryPolicy": RetryPolicy,
     "encode_xtc": encode_xtc,
     "decode_xtc": decode_xtc,
     "decode_frame_range": decode_frame_range,
