@@ -20,7 +20,7 @@ from repro.core.tags import PlacementPolicy, SelectionTagPolicy, TagPolicy
 from repro.core.categorizer import Categorizer
 from repro.core.generic import FieldSpec, GenericPreProcessor, RecordStructure
 from repro.core.labeler import LabelMap, build_label_map
-from repro.core.decompressor import Decompressor, TrajectoryWindow
+from repro.core.decompressor import Decompressor
 from repro.core.preprocessor import (
     DataPreProcessor,
     PreProcessResult,
@@ -52,7 +52,6 @@ __all__ = [
     "PreProcessResult",
     "SelectionTagPolicy",
     "TagPolicy",
-    "TrajectoryWindow",
     "WindowResult",
     "build_label_map",
 ]

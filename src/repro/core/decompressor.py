@@ -4,71 +4,33 @@ Wraps the XTC codec for ADA's storage-side use: "the data decompressor
 will be invoked if the original data is compressed" (§3.1).  Pass-through
 for raw containers, so the pre-processor accepts either representation.
 
-A small :class:`~repro.formats.xtc.FrameIndex` cache rides along with the
-codec's hot path: repeated queries against the same blob (``frame_count``
-then ``raw_nbytes`` then ``decompress``, the pre-processor's exact
-sequence) share one header scan instead of rescanning the stream each
-call.
+A small :class:`~repro.formats.xtc.FrameIndex` cache rides along:
+repeated queries against one blob (its windows' spans, then each
+window's decode) share one header scan.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.errors import CodecError
-# ``decode_dcd``/``decode_trr`` are imported, not called: the window tests
-# patch them here to prove no window falls back to a whole-stream decode.
-from repro.formats.dcd import (
-    DCD_MAGIC,
-    dcd_frame_count,
-    decode_dcd,  # noqa: F401
-    decode_dcd_range,
-)
+from repro.formats.dcd import DCD_MAGIC, dcd_frame_count, decode_dcd_range
 from repro.formats.trajectory import Trajectory
-from repro.formats.trr import (
-    TRR_MAGIC,
-    decode_trr,  # noqa: F401
-    decode_trr_range,
-    trr_frame_count,
-)
+from repro.formats.trr import TRR_MAGIC, decode_trr_range, trr_frame_count
 from repro.formats.xtc import (
     RAW_MAGIC,
     XTC_MAGIC,
     FrameIndex,
+    _decode_frames,
     decode_frame_range,
     decode_raw,
 )
 
-__all__ = ["Decompressor", "TrajectoryWindow"]
+__all__ = ["Decompressor"]
 
 #: Blobs whose :class:`FrameIndex` (or raw decode) a decompressor keeps.
 INDEX_CACHE_SIZE = 8
-
-
-@dataclass(frozen=True)
-class TrajectoryWindow:
-    """One decoded slice of an arriving trajectory stream.
-
-    ``[start, stop)`` are frame indices into the full stream; for
-    compressed streams the window is GOF-aligned (``start`` is a
-    keyframe), so each window decodes independently and the concatenation
-    of all windows is the whole-stream decode.
-    """
-
-    index: int
-    start: int
-    stop: int
-    trajectory: Trajectory
-
-    @property
-    def nframes(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def raw_nbytes(self) -> int:
-        return self.trajectory.nbytes
 
 
 class Decompressor:
@@ -207,36 +169,17 @@ class Decompressor:
             for s in range(0, nframes, window_frames)
         ]
 
-    def decode_range(self, data: bytes, start: int, stop: int) -> Trajectory:
-        """Decode frames ``[start, stop)`` only -- any supported format.
-
-        The shared lazy-window primitive (see :meth:`_seekable`).  Bytes
-        outside the range are never inflated for the seekable formats, so
-        windowed ingest of a TRR or DCD stream peaks at one window of
-        frames exactly like the XTC path.
-        """
-        return self._seekable(data)[1](start, stop)
-
-    def iter_windows(
-        self, data: bytes, window_frames: int
-    ) -> Iterator[TrajectoryWindow]:
-        """Decode an arriving stream one GOF-aligned window at a time.
-
-        The streaming-ingest primitive: each yielded
-        :class:`TrajectoryWindow` is decoded lazily on ``next()`` via
-        :meth:`decode_range`, so peak memory is one window's frames (plus
-        the encoded stream), not the whole raw dataset -- for XTC, TRR,
-        and DCD alike.  Concatenating every window's frames gives
-        :meth:`decompress` of the full stream: it is the same range decode.
-        """
-        spans = self.window_spans(data, window_frames)
-        for i, (start, stop) in enumerate(spans):
-            yield TrajectoryWindow(
-                index=i,
-                start=start,
-                stop=stop,
-                trajectory=self.decode_range(data, start, stop),
-            )
+    def range_decoder(self, data: bytes) -> Callable[[int, int], Trajectory]:
+        """The ``[start, stop)`` frame-range decoder of ``data`` -- any
+        supported format (see :meth:`_seekable`): windowed ingest never
+        inflates bytes outside a window.  Sniff and caches are read here,
+        on the caller; for (trusted) :meth:`window_spans` bounds the
+        decoder reaches no public codec entry point, so the ingest
+        read-ahead may run it on its own thread."""
+        if self.sniff(data) == "xtc":
+            index = self.frame_index(data)
+            return lambda start, stop: _decode_frames(data, start, stop, index)
+        return self._seekable(data)[1]
 
     def frame_count(self, data: bytes) -> int:
         """Frames in a stream without inflating coordinate payloads."""

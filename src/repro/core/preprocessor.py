@@ -8,7 +8,10 @@ every read, on a compute node, as the traditional workflow does.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, Optional
 
 from repro.core.categorizer import Categorizer
@@ -20,7 +23,7 @@ from repro.formats.pdb import parse_pdb
 from repro.formats.topology import Topology
 from repro.formats.trajectory import Trajectory
 from repro.formats.dcd import encode_dcd
-from repro.formats.xtc import encode_raw, encode_xtc
+from repro.formats.xtc import _encode_raw, _encode_xtc
 
 __all__ = [
     "DataPreProcessor",
@@ -33,12 +36,31 @@ __all__ = [
 #: decompressed ("raw") so reads skip inflation entirely; "xtc" trades
 #: read-time CPU for ~3x less backend storage (the design-choice ablation
 #: in ``bench_ablation_subset_format.py``); "dcd" is raw-volume but in the
-#: interoperable CHARMM layout.
-SUBSET_ENCODERS = {
-    "raw": encode_raw,
-    "xtc": encode_xtc,
-    "dcd": encode_dcd,
-}
+#: interoperable CHARMM layout.  The kernels beneath ``encode_raw`` and
+#: ``encode_xtc``: the read-ahead thread runs them too, and a host tracer
+#: that keeps one span stack may wrap the public names.
+SUBSET_ENCODERS = {"raw": _encode_raw, "xtc": _encode_xtc, "dcd": encode_dcd}
+
+#: The cgroup v2 CPU quota (``"<quota> <period>"`` or ``"max <period>"``).
+CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: affinity (or count) capped by quota."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    try:
+        with open(CPU_MAX) as f:
+            quota, period = f.read().split()
+        return min(cpus, max(1, int(quota) // int(period)))
+    except (OSError, ValueError):  # no cgroup v2, or no quota ("max")
+        return cpus
+
+
+@lru_cache(maxsize=None)
+def _pool() -> ThreadPoolExecutor:
+    """The read-ahead thread: created on first use, lives with the process."""
+    return ThreadPoolExecutor(1, thread_name_prefix="ada-window")
 
 
 @dataclass
@@ -88,10 +110,6 @@ class WindowResult:
     def nbytes(self) -> int:
         """Encoded bytes this window holds in the write-behind buffer."""
         return sum(len(blob) for blob in self.subsets.values())
-
-    @property
-    def tags(self) -> list:
-        return sorted(self.subsets)
 
 
 class DataPreProcessor:
@@ -164,27 +182,47 @@ class DataPreProcessor:
         """Pre-process an arriving stream one GOF-aligned window at a time.
 
         Lazily decodes, categorizes, and encodes ``window_frames``-frame
-        windows (compressed streams round up to whole GOFs): each
-        ``next()`` performs one window's CPU work, which is what the
-        streaming ingest pipeline overlaps with backend dispatch of the
-        previous windows.  Every subset byte across all windows equals a
-        monolithic :meth:`process_chunk` split of the same blob.
+        windows (compressed streams round up to whole GOFs), in window
+        order; every subset byte across all windows equals a monolithic
+        :meth:`process_chunk` split of the same blob.  With at least two
+        usable CPUs, a ``next()`` whose window is not in flight computes it
+        on the calling thread while a process-lifetime thread reads one
+        window ahead, never more, outside the ingest pipeline's buffer
+        bound (numpy and zlib release the GIL).  The next ``next()`` takes
+        it, raising what computing it raised, or computes it itself if the
+        thread has not started it.  Both call codec kernels and no
+        decompressor cache.  Closing the generator cancels or waits it out.
 
         ``keep_coords=True`` additionally exposes each window's decoded
         coordinate array on :attr:`WindowResult.coords` -- the in-situ
         analysis stage consumes it without a second decompression pass.
         """
-        for window in self.decompressor.iter_windows(
-            trajectory_blob, window_frames
-        ):
-            yield WindowResult(
-                index=window.index,
-                start=window.start,
-                stop=window.stop,
-                subsets=self._encode_split(label_map, window.trajectory),
-                raw_nbytes=window.raw_nbytes,
-                coords=window.trajectory.coords if keep_coords else None,
+        spans = self.decompressor.window_spans(trajectory_blob, window_frames)
+        decode = self.decompressor.range_decoder(trajectory_blob)
+        read_ahead = usable_cpus() > 1
+
+        def window(i: int) -> WindowResult:
+            start, stop = spans[i]
+            trajectory = decode(start, stop)
+            return WindowResult(
+                i, start, stop, self._encode_split(label_map, trajectory),
+                trajectory.nbytes, trajectory.coords if keep_coords else None,
             )
+
+        ahead: Optional[Future] = None  # window i + 1, once submitted
+        try:
+            for i in range(len(spans)):
+                future, ahead = ahead, None
+                if future is None and read_ahead and i + 1 < len(spans):
+                    ahead = _pool().submit(window, i + 1)
+                # A window the thread has not started yet is the caller's.
+                if future is None or future.cancel():
+                    yield window(i)
+                else:
+                    yield future.result()
+        finally:  # a window nobody will consume: drop its result or error
+            if ahead is not None and not ahead.cancel():
+                wait([ahead])
 
     def _encode_split(
         self, label_map: LabelMap, trajectory: Trajectory
@@ -203,9 +241,7 @@ class DataPreProcessor:
         subsets = {tag: encoder(sub) for tag, sub in split.items()}
         if self.lod_precision is not None:
             for tag, sub in split.items():
-                subsets[lod_tag(tag)] = encode_xtc(
-                    sub, precision=self.lod_precision
-                )
+                subsets[lod_tag(tag)] = _encode_xtc(sub, self.lod_precision)
         return subsets
 
     def _divide(

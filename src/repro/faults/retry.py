@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -74,10 +74,6 @@ class RetryPolicy:
         raw = min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_FACTOR**attempt)
         u = random.Random(f"{self.seed}/{key}/{attempt}").random()
         return raw * (1.0 + JITTER_FRAC * (u - 0.5))
-
-    def schedule(self, key: str = "") -> List[float]:
-        """Every backoff delay this policy would use for ``key``, in order."""
-        return [self.delay_s(attempt, key) for attempt in range(self.max_retries)]
 
 
 class RetryStats:

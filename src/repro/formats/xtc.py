@@ -589,9 +589,17 @@ def encode_xtc(
     of frames (keyframe to keyframe) is encoded against only its own
     frames.
     """
-    _check_precision(precision)
     if keyframe_interval < 1:
         raise CodecError("keyframe interval must be >= 1")
+    return _encode_xtc(trajectory, precision, keyframe_interval)
+
+
+def _encode_xtc(trajectory: Trajectory, precision: float = DEFAULT_PRECISION,
+                keyframe_interval: int = 100) -> bytes:
+    """:func:`encode_xtc` past its interval check, for the pre-processor,
+    whose ingest read-ahead runs it off the caller's thread: a host tracer
+    may wrap the public name and keeps one span stack."""
+    _check_precision(precision)
     box9 = tuple(
         float(v)
         for v in (
@@ -882,6 +890,13 @@ def decode_frame_range(
         raise CodecError(
             f"frame range [{start}, {stop}) outside [0, {nframes})"
         )
+    return _decode_frames(data, start, stop, idx)
+
+
+def _decode_frames(
+    data: bytes, start: int, stop: int, idx: FrameIndex
+) -> Trajectory:
+    """:func:`decode_frame_range` of a checked range (see `_encode_xtc`)."""
     anchor = idx.anchor(start)  # bisection: never walks the other GOFs
     infos = idx.infos[anchor:stop]
     coords = np.empty((stop - start, idx.natoms, 3), dtype=np.float32)
@@ -902,6 +917,11 @@ def decode_frame_range(
 
 def encode_raw(trajectory: Trajectory) -> bytes:
     """Serialize a trajectory as uncompressed float32 with a tiny header."""
+    return _encode_raw(trajectory)
+
+
+def _encode_raw(trajectory: Trajectory) -> bytes:
+    """:func:`encode_raw` for the pre-processor (see :func:`_encode_xtc`)."""
     header = _RAW_HEADER.pack(
         RAW_MAGIC, trajectory.natoms, trajectory.nframes, 0, 0.0
     )

@@ -34,17 +34,21 @@ def _flaky(failures, value="ok", exc_type=TransientFaultError):
 # -- deterministic backoff ---------------------------------------------------
 
 
+def _delays(policy, key):
+    return [policy.delay_s(attempt, key) for attempt in range(5)]
+
+
 def test_schedule_reproducible_for_fixed_seed():
-    a = RetryPolicy(seed=7, max_retries=5).schedule("read:x")
-    b = RetryPolicy(seed=7, max_retries=5).schedule("read:x")
+    a = _delays(RetryPolicy(seed=7), "read:x")
+    b = _delays(RetryPolicy(seed=7), "read:x")
     assert a == b
-    assert len(a) == 5
+    assert len(set(a)) == 5
 
 
 def test_schedule_decorrelated_across_keys_and_seeds():
-    base = RetryPolicy(seed=7, max_retries=5)
-    assert base.schedule("read:x") != base.schedule("read:y")
-    assert base.schedule("read:x") != RetryPolicy(seed=8, max_retries=5).schedule("read:x")
+    base = RetryPolicy(seed=7)
+    assert _delays(base, "read:x") != _delays(base, "read:y")
+    assert _delays(base, "read:x") != _delays(RetryPolicy(seed=8), "read:x")
 
 
 def test_backoff_grows_exponentially_within_jitter():

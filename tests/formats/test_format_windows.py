@@ -1,8 +1,8 @@
 """Format parity for the windowed ingest + LOD path (XTC/TRR/DCD/raw).
 
-TRR and DCD used to take a bespoke whole-file decode inside
-``iter_windows`` while XTC decoded lazily per window.  Both now route
-through the shared :meth:`Decompressor.decode_range` helper -- fixed
+TRR and DCD used to take a bespoke whole-file decode per ingest window
+while XTC decoded lazily per window.  Both now route
+through the shared :meth:`Decompressor.range_decoder` helper -- fixed
 frame size makes them randomly addressable -- so windowed ingest (and
 therefore the LOD sibling encode) treats every arriving format the same
 way.
@@ -14,6 +14,7 @@ import pytest
 from repro.core import ADA
 from repro.core.decompressor import Decompressor
 from repro.core.lod import lod_tag
+from repro.core.preprocessor import DataPreProcessor
 from repro.core.ingest import IngestPipelineConfig
 from repro.errors import CodecError
 from repro.formats import Trajectory
@@ -62,7 +63,8 @@ def test_decode_range_partition_matches_full_decode(workload, fmt):
     assert dec.frame_count(blob) == NFRAMES
     reference = dec.decompress(blob)
     spans = [(0, 5), (5, 9), (9, NFRAMES)]
-    parts = [dec.decode_range(blob, lo, hi) for lo, hi in spans]
+    decode = dec.range_decoder(blob)
+    parts = [decode(lo, hi) for lo, hi in spans]
     coords = np.concatenate([p.coords for p in parts])
     np.testing.assert_array_equal(coords, reference.coords)
     steps = np.concatenate([p.steps for p in parts])
@@ -70,17 +72,22 @@ def test_decode_range_partition_matches_full_decode(workload, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["trr", "dcd"])
-def test_iter_windows_never_decodes_whole_stream(workload, fmt, monkeypatch):
+def test_process_windows_never_decodes_whole_stream(workload, fmt, monkeypatch):
     """The parity fix itself: no whole-file decode behind a window."""
     blob = ENCODERS[fmt](workload.trajectory)
     reference = Decompressor().decompress(blob)
-    monkeypatch.setattr(
-        f"repro.core.decompressor.decode_{fmt}",
-        lambda *a, **k: pytest.fail(f"whole-stream decode_{fmt} called"),
-    )
-    windows = list(Decompressor().iter_windows(blob, 4))
+    # The format module's name, and the decompressor's should it import it.
+    for owner in (f"repro.formats.{fmt}", "repro.core.decompressor"):
+        monkeypatch.setattr(
+            f"{owner}.decode_{fmt}",
+            lambda *a, **k: pytest.fail(f"whole-stream decode_{fmt} called"),
+            raising=False,
+        )
+    pre = DataPreProcessor()
+    label_map = pre.analyze_structure(workload.pdb_text)
+    windows = list(pre.process_windows(label_map, blob, 4, keep_coords=True))
     assert [w.nframes for w in windows] == [4, 4, 4]
-    coords = np.concatenate([w.trajectory.coords for w in windows])
+    coords = np.concatenate([w.coords for w in windows])
     np.testing.assert_array_equal(coords, reference.coords)
 
 

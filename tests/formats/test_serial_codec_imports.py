@@ -1,4 +1,5 @@
-"""The codec runs in the caller: the product never loads a process pool.
+"""The codec runs in-process -- in the caller, and on the ingest
+read-ahead's one thread -- so the product never loads a process pool.
 
 Checked in a fresh interpreter, so modules another test imported cannot
 mask an import the product makes itself.

@@ -173,6 +173,10 @@ KEPT_FOR = {
     ("decode_xtc", "index"): "public API (docs/api.md): callers holding a "
     "FrameIndex skip the header scan; Decompressor passes its cached one "
     "to decode_frame_range, which decode_xtc wraps",
+    ("encode_xtc", "precision"): "public codec API (test_encode_golden pins "
+    "it); the pre-processor's LOD tier passes its precision to _encode_xtc, "
+    "the kernel beneath, which the ingest read-ahead runs off the caller's "
+    "thread",
     ("StreamingTrajectory", "index"): "callers holding a FrameIndex skip the "
     "header scan (tests/vmd viewer budget counts index builds)",
     ("StreamingTrajectory", "precision"): "the starting tier; mutable after",
