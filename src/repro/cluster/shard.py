@@ -10,8 +10,7 @@ the middleware out:
   a dataset's active tag (all its subsets share holders).  Placement is
   a pure function of ``(seed, node names, key)`` (md5, independent of
   ``PYTHONHASHSEED``), so every process and every run agrees on
-  ownership, and adding or removing a node only remaps the
-  ring-adjacent key ranges (~1/N of keys).
+  ownership.
 * :class:`ShardNode` -- one ADA middleware instance plus its liveness
   flag and load gauges.  Each node owns its *own* backends, block cache,
   prefetcher, and retriever, so N nodes mean N independent device queues
@@ -31,11 +30,9 @@ the middleware out:
 The front has no fault site of its own: a holder's device or file-system
 fault (``dev:``/``fs:`` sites of a per-node plan) fails the read over to
 the next replica, and a crash is :meth:`ShardedADA.kill_node`.
-Rebalancing (:meth:`ShardedADA.add_node` /
-:meth:`ShardedADA.drain_node`) migrates only the keys whose ownership
-changed, re-using the write path's coalesced chunk-run machinery and
-overlapping migration with serving -- reads keep routing to the old
-holders until each key's copy has landed.
+Membership is fixed at construction: a killed node stays on the ring and
+in every holder list, so a key's holders never change after its first
+store.
 """
 
 from __future__ import annotations
@@ -84,8 +81,7 @@ class HashRing:
     ``owners(key, n)`` walks clockwise from the key's hash collecting the
     first ``n`` *distinct* nodes -- the replica set.  Adding a node
     claims only the ranges immediately counter-clockwise of its vnodes;
-    every other key keeps its owners, which is the minimal-movement
-    property the rebalancer relies on.
+    every other key keeps its owners.
     """
 
     def __init__(
@@ -103,16 +99,6 @@ class HashRing:
         self._nodes: List[str] = []
         for node in nodes:
             self.add(node)
-
-    @property
-    def nodes(self) -> List[str]:
-        return list(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
 
     @staticmethod
     def key_for(logical: str, tag: str) -> str:
@@ -133,16 +119,6 @@ class HashRing:
             bisect.insort(self._hashes, point)
         self._nodes.append(node)
         self._nodes.sort()
-
-    def remove(self, node: str) -> None:
-        if node not in self._nodes:
-            raise ConfigurationError(f"node {node!r} not on the ring")
-        for point in self._points(node):
-            if self._ring.get(point) == node:
-                del self._ring[point]
-                index = bisect.bisect_left(self._hashes, point)
-                del self._hashes[index]
-        self._nodes.remove(node)
 
     def owners(self, key: str, n: int = 1) -> List[str]:
         """The first ``n`` distinct nodes clockwise of ``key``'s hash."""
@@ -207,9 +183,6 @@ class ShardNode:
     def kill(self) -> None:
         self.alive = False
 
-    def revive(self) -> None:
-        self.alive = True
-
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
         return f"ShardNode({self.name!r}, {state}, inflight={self.inflight})"
@@ -265,9 +238,10 @@ class ShardedADA(DataPlane):
         self.affinity_bytes_slack = int(affinity_bytes_slack)
         self.nodes: Dict[str, ShardNode] = {}
         self.ring = HashRing()
-        #: Authoritative holder lists: ``(logical, tag) -> [node, ...]``
-        #: (primary first).  The ring proposes targets; this records where
-        #: data currently *is*, so reads keep resolving mid-migration.
+        #: Holder lists, ``(logical, tag) -> [node, ...]`` (primary first),
+        #: written once at a key's first store and popped at its removal:
+        #: membership never changes, so they equal the ring's targets, and
+        #: a read looks them up instead of walking the ring.
         self._placement: Dict[Tuple[str, str], List[str]] = {}
         self._catalog: Dict[str, List[str]] = {}
         self._affinity: Dict[Tuple[str, str], str] = {}
@@ -282,8 +256,6 @@ class ShardedADA(DataPlane):
             "failovers": self.metrics.counter("cluster_failovers_total"),
             "kills": self.metrics.counter("cluster_node_kills_total"),
             "degraded": self.metrics.counter("cluster_degraded_reads_total"),
-            "keys_moved": self.metrics.counter("cluster_keys_moved_total"),
-            "bytes_moved": self.metrics.counter("cluster_bytes_moved_total"),
             "lod_routed": self.metrics.counter("cluster_lod_routed_total"),
             "lod_fallback": self.metrics.counter(
                 "cluster_lod_fallback_total"
@@ -304,8 +276,6 @@ class ShardedADA(DataPlane):
     def _register(self, node: ShardNode) -> None:
         if node.name in self.nodes:
             raise ConfigurationError(f"duplicate shard node {node.name!r}")
-        if self.nodes:
-            self._wire_like_peer(node.ada)
         self.nodes[node.name] = node
         self.ring.add(node.name)
         self.metrics.gauge(
@@ -325,19 +295,6 @@ class ShardedADA(DataPlane):
             "shard_served_bytes_total", shard=node.name
         )
 
-    def _wire_like_peer(self, ada: ADA) -> None:
-        """A joining node takes the ambient sources (current tenant,
-        prefetch budget) a consumer wired on the members already here, so
-        its cache and prefetcher bill the same tenants -- the sources
-        only, not cache reservations made before it joined."""
-        peer = self._first_ada()
-        for part in ("block_cache", "prefetcher"):
-            wired, fresh = getattr(peer, part), getattr(ada, part)
-            for source in ("tenant_source", "budget_source"):
-                # has the slot, and nobody filled it
-                if getattr(fresh, source, True) is None:
-                    setattr(fresh, source, getattr(wired, source, None))
-
     def members(self) -> List[ADA]:
         return [node.ada for node in self.nodes.values()]
 
@@ -348,8 +305,6 @@ class ShardedADA(DataPlane):
             return
         node.kill()
         self._counters["kills"].inc()
-        # A fresh corpse gets a fresh promotion timeline (revive + re-kill).
-        self._promoted = {p for p in self._promoted if p[2] != name}
         self.events.append({"t": self.sim.now, "event": "kill", "node": name})
 
     # -- placement ------------------------------------------------------------
@@ -358,7 +313,7 @@ class ShardedADA(DataPlane):
         return self.replicas if base_tag(tag) in self.replicated_tags else 1
 
     def targets(self, logical: str, tag: str) -> List[str]:
-        """Where the ring says ``(logical, tag)`` should live now.
+        """Where the ring places ``(logical, tag)``.
 
         A dataset lives on its active tag's holders, as the paper keeps
         every tagged subset in one container: every tag is keyed on the
@@ -669,102 +624,6 @@ class ShardedADA(DataPlane):
                 cache.invalidate(logical=logical)
         self._promoted = {p for p in self._promoted if p[0] != logical}
         return freed
-
-    # -- rebalancing -------------------------------------------------------------
-
-    def add_node(self, node: ShardNode) -> Generator:
-        """Process: join a node and migrate the keys it now owns.
-
-        Only ring-adjacent ranges move (consistent hashing's minimal-
-        movement property).  Each moved subset is read from a surviving
-        current holder and written to its new owner through the normal
-        coalesced chunk-run write path, *then* the placement entry flips
-        and the stale copy is dropped -- reads keep resolving against
-        the old holders for the whole transfer, so migration overlaps
-        serving.  Returns ``{"keys_moved": ..., "bytes_moved": ...}``.
-        """
-        self._register(node)
-        stats = yield from self._rebalance()
-        self.events.append(
-            {"t": self.sim.now, "event": "add_node", "node": node.name, **stats}
-        )
-        return stats
-
-    def drain_node(self, name: str) -> Generator:
-        """Process: migrate a node's keys away, then remove it from the ring.
-
-        The inverse of :meth:`add_node`: the ring drops the node first
-        (so targets no longer include it), every key it held migrates to
-        the new owner set, and the node leaves the deployment.
-        """
-        if name not in self.nodes:
-            raise ConfigurationError(f"unknown shard node {name!r}")
-        self.ring.remove(name)
-        stats = yield from self._rebalance(draining=name)
-        node = self.nodes.pop(name)
-        node.kill()
-        self.events.append(
-            {"t": self.sim.now, "event": "drain_node", "node": name, **stats}
-        )
-        return stats
-
-    def _rebalance(self, draining: Optional[str] = None) -> Generator:
-        """Process: converge placement onto the ring's current targets."""
-        keys_moved = 0
-        bytes_moved = 0
-        with span(self.sim, "cluster.rebalance", draining=draining or "") as sp:
-            for key in sorted(self._placement):
-                logical, tag = key
-                current = self._placement[key]
-                desired = self.targets(logical, tag)
-                additions = [n for n in desired if n not in current]
-                for dest_name in additions:
-                    moved = yield from self._migrate_subset(
-                        logical, tag, current, dest_name
-                    )
-                    bytes_moved += moved
-                if additions:
-                    keys_moved += 1
-                if current != desired:
-                    # Flip routing only after every new copy landed.
-                    self._placement[key] = list(desired)
-                    self._affinity.pop(key, None)
-                    for stale in current:
-                        if stale in desired or stale not in self.nodes:
-                            continue
-                        node = self.nodes[stale]
-                        node.ada.plfs.delete_subset(logical, tag)
-                        if node.ada.block_cache is not None:
-                            node.ada.block_cache.invalidate(logical=logical)
-            sp.tag(keys_moved=keys_moved, bytes_moved=bytes_moved)
-        self._counters["keys_moved"].inc(keys_moved)
-        self._counters["bytes_moved"].inc(bytes_moved)
-        return {"keys_moved": keys_moved, "bytes_moved": bytes_moved}
-
-    def _migrate_subset(
-        self,
-        logical: str,
-        tag: str,
-        sources: List[str],
-        dest_name: str,
-    ) -> Generator:
-        """Process: copy one subset to ``dest`` via the coalesced write path."""
-        source = None
-        for name in sources:
-            if name in self.nodes and self.nodes[name].alive:
-                source = self.nodes[name]
-                break
-        if source is None:
-            raise NodeDownError(
-                f"{logical}#{tag}: no live source to migrate from"
-            )
-        dest = self.nodes[dest_name]
-        objs = yield from source.ada.determinator.retriever.retrieve_chunks(
-            logical, tag
-        )
-        entries = [(tag, obj.data) for obj in objs]
-        yield from dest.ada.determinator.dispatcher.dispatch_run(logical, entries)
-        return sum(obj.nbytes for obj in objs)
 
     # -- reporting ----------------------------------------------------------------
 

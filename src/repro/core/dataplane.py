@@ -662,7 +662,7 @@ class DataPlane:
         precision = validate_precision(precision)
         if precision == "full" or (tag is not None and is_lod_tag(tag)):
             # A caller addressing the LOD family directly (operator
-            # tooling, rebalancers) bypasses tier selection.
+            # tooling) bypasses tier selection.
             return "full", tag, None
         if not self.has_lod(logical, tag):
             self._count_tier("fallback")

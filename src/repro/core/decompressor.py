@@ -33,6 +33,24 @@ __all__ = ["Decompressor"]
 INDEX_CACHE_SIZE = 8
 
 
+def _cached(cache: "OrderedDict[int, tuple]", data: bytes, build: Callable):
+    """``(build(data), hit)`` through an LRU of :data:`INDEX_CACHE_SIZE`
+    blobs keyed by ``id(data)``.  Each entry holds its blob, which keeps
+    the id stable, and is verified by identity before use, so a recycled
+    id can never alias a different blob."""
+    key = id(data)
+    entry = cache.get(key)
+    if entry is not None and entry[0] is data:
+        cache.move_to_end(key)
+        return entry[1], True
+    value = build(data)
+    cache[key] = (data, value)
+    cache.move_to_end(key)
+    if len(cache) > INDEX_CACHE_SIZE:
+        cache.popitem(last=False)
+    return value, False
+
+
 class Decompressor:
     """Format-sniffing trajectory decoder.
 
@@ -41,16 +59,14 @@ class Decompressor:
     """
 
     def __init__(self):
-        # id(blob) -> (blob, FrameIndex).  Holding the blob keeps the id
-        # stable (and the entry is verified by identity before use, so a
-        # recycled id can never alias a different blob).
+        # id(blob) -> (blob, FrameIndex); see :func:`_cached`.
         self._index_cache: "OrderedDict[int, tuple[bytes, FrameIndex]]" = (
             OrderedDict()
         )
-        # Same identity-keyed LRU idea for decoded *raw* containers: raw
-        # decodes are zero-copy views, but a multi-container stream pays
-        # one splice per decode -- windowed ingest slices the cached
-        # trajectory instead of re-splicing per window.
+        # The same LRU for decoded *raw* containers: raw decodes are
+        # zero-copy views, but a multi-container stream pays one splice
+        # per decode -- windowed ingest slices the cached trajectory
+        # instead of re-splicing per window.
         self._raw_cache: "OrderedDict[int, tuple[bytes, Trajectory]]" = (
             OrderedDict()
         )
@@ -83,18 +99,11 @@ class Decompressor:
         reuse the cached index, so ``frame_count`` / ``raw_nbytes`` /
         ``decompress`` sequences cost a single scan total.
         """
-        key = id(data)
-        entry = self._index_cache.get(key)
-        if entry is not None and entry[0] is data:
+        index, hit = _cached(self._index_cache, data, FrameIndex.build)
+        if hit:
             self.index_hits += 1
-            self._index_cache.move_to_end(key)
-            return entry[1]
-        index = FrameIndex.build(data)
-        self.index_misses += 1
-        self._index_cache[key] = (data, index)
-        self._index_cache.move_to_end(key)
-        if len(self._index_cache) > INDEX_CACHE_SIZE:
-            self._index_cache.popitem(last=False)
+        else:
+            self.index_misses += 1
         return index
 
     def decompress(self, data: bytes) -> Trajectory:
@@ -193,14 +202,4 @@ class Decompressor:
 
     def _raw_trajectory(self, data: bytes) -> Trajectory:
         """The (cached) decoded form of a raw container stream."""
-        key = id(data)
-        entry = self._raw_cache.get(key)
-        if entry is not None and entry[0] is data:
-            self._raw_cache.move_to_end(key)
-            return entry[1]
-        trajectory = decode_raw(data)
-        self._raw_cache[key] = (data, trajectory)
-        self._raw_cache.move_to_end(key)
-        if len(self._raw_cache) > INDEX_CACHE_SIZE:
-            self._raw_cache.popitem(last=False)
-        return trajectory
+        return _cached(self._raw_cache, data, decode_raw)[0]

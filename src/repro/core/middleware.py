@@ -34,7 +34,6 @@ from repro.core.tags import PlacementPolicy, TagPolicy
 from repro.errors import (
     ConfigurationError, ContainerError, LabelIndexError, TagNotFoundError,
 )
-from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.fs.base import FileSystem, Payload
 from repro.fs.cache import BlockCache
@@ -78,7 +77,6 @@ class ADA(DataPlane):
         storage_cpus: Optional[List[ComputeNode]] = None,
         subset_format: str = "raw",
         retry_policy: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
         block_cache: Optional[BlockCache] = None,
         prefetch: bool = False,
         serial_requests: bool = False,
@@ -138,9 +136,6 @@ class ADA(DataPlane):
                 metrics=self.metrics,
                 metric_labels=self.metric_labels,
             )
-        self.fault_plan = fault_plan
-        if fault_plan is not None:
-            fault_plan.attach_to(self)
         self.preprocessor = DataPreProcessor(
             self.policy,
             subset_format=subset_format,
@@ -245,8 +240,9 @@ class ADA(DataPlane):
 
     def stats(self) -> Dict[str, object]:
         """Live state the registry does not hold: datasets, per-backend
-        bytes, spill records, index lookups, degraded reads, injected
-        faults.  Every *count* is a registry series (``metrics.query()``).
+        bytes, spill records, index lookups, degraded reads.  Every
+        *count* is a registry series (``metrics.query()``); injected
+        faults are the plan's own ``snapshot()``.
         """
         pipeline = self._ingest_pipeline
         return {
@@ -258,9 +254,6 @@ class ADA(DataPlane):
             "spills": list(self.determinator.dispatcher.spills),
             "indexer_lookups": self.determinator.indexer.lookups,
             "degraded": list(self.degraded),
-            "injected": (
-                self.fault_plan.snapshot() if self.fault_plan is not None else {}
-            ),
             # Kept for benchmarks/e2e (``workloads.py`` reads these two
             # keys) until ROADMAP item 10(d) re-points it at the registry;
             # the peak is the ``ingest_buffered_bytes_peak`` gauge.

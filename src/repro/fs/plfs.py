@@ -478,10 +478,10 @@ class PLFS:
         """Remove one tagged subset's chunks from a container; returns
         freed bytes.  Synchronous, like :meth:`delete_container`.
 
-        The rebalancer's cleanup primitive: after a subset migrates to
-        another node, the source drops just that ``(logical, tag)`` --
-        the rest of the container (and its index) stays serviceable.
-        Deleting the last subset removes the container entirely.
+        A sharded front's per-holder delete: a holder drops just that
+        ``(logical, tag)`` -- the rest of the container (and its index)
+        stays serviceable.  Deleting the last subset removes the
+        container entirely.
         """
         index = self._index(logical)
         subset = index.get(tag)

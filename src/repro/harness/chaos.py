@@ -47,12 +47,14 @@ def _build_ada(sim: Simulator, plan: Optional[FaultPlan], seed: int,
         "ssd": LocalFS(sim, NVME_SSD_256GB, name="ssd"),
         "hdd": LocalFS(sim, WD_1TB_HDD, name="hdd"),
     }
-    return ADA(
+    ada = ADA(
         sim,
         backends=backends,
         retry_policy=RetryPolicy(max_retries=max_retries, seed=seed),
-        fault_plan=plan,
     )
+    if plan is not None:
+        plan.attach_to(ada)
+    return ada
 
 
 def _drive(ada: ADA, logical: str, pdb_text: str, xtc_blob: bytes,

@@ -47,7 +47,7 @@ class ServeFront:
         self.metrics = ada.metrics
         self.tenant_source = span_tenant_source(self.sim)
         # Every node's cache and prefetcher bill the ambient tenant (a
-        # shard node joining later copies this wiring from its peers).
+        # sharded front's membership is fixed, so every node is here).
         for member in ada.members():
             cache, prefetcher = member.block_cache, member.prefetcher
             if isinstance(cache, TenantBlockCache) and (

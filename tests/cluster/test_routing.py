@@ -128,11 +128,12 @@ def test_a_dead_holder_with_no_backlog_is_never_chosen():
     assert front._affinity[KEY] == sticky
     assert front.metrics.value("cluster_read_steers_total") == 0
     # Nor when the stream's sticky holder is the one that died.
-    front.nodes[other].revive()
-    front._affinity[KEY] = other
-    front.kill_node(other)
-    queue(sim, front, sticky, "write", 4 * MB)
-    assert read(sim, front, 2) == sticky
+    sim, front = build_pair()
+    sticky, other = sticky_stream(sim, front)
+    front.kill_node(sticky)
+    queue(sim, front, other, "write", 4 * MB)
+    assert device(front, sticky).queued_ns == 0
+    assert read(sim, front, 1) == other
 
 
 def _old_select(front, logical, tag, candidates):

@@ -1,9 +1,11 @@
-"""ShardedADA behavior: transparency, replication, attribution, rebalance.
+"""ShardedADA behavior: transparency, replication, attribution, placement.
 
 The cluster front's contract is that sharding is invisible to data:
 every byte fetched through N nodes is bit-identical to the same fetch
 through one plain :class:`~repro.core.ADA`, whatever happens to the
-node set in between (adds, drains, fail-stops of redundant holders).
+node set in between (fail-stops of redundant holders).  Membership is
+fixed at construction, so a key's holders never move after its first
+store.
 """
 
 import warnings
@@ -28,14 +30,14 @@ BLOBS = chunked_catalog(
 )
 
 
-def _ingest(sim, front):
+def _ingest(sim, front, appends=True):
     for logical, pdb_text, chunks in BLOBS:
         sim.run_process(front.ingest(logical, pdb_text, chunks[0]))
-        for blob in chunks[1:]:
+        for blob in chunks[1:] if appends else ():
             sim.run_process(front.ingest_append(logical, blob))
 
 
-def build_cluster(nnodes=4, replicas=2, **kwargs):
+def build_cluster(nnodes=4, replicas=2, appends=True, **kwargs):
     sim = Simulator()
     metrics = MetricsRegistry()
     nodes = [
@@ -50,7 +52,7 @@ def build_cluster(nnodes=4, replicas=2, **kwargs):
         for i in range(nnodes)
     ]
     front = ShardedADA(sim, nodes, replicas=replicas, metrics=metrics, **kwargs)
-    _ingest(sim, front)
+    _ingest(sim, front, appends)
     return sim, front
 
 
@@ -189,62 +191,35 @@ def test_prefetch_streams_scoped_per_shard():
     streams = 0
     for name, node in front.nodes.items():
         for _tenant, logical, tag in node.ada.prefetcher._streams:
-            assert (logical, tag) in front._placement
             assert front.holders(logical, tag) == [name]
             streams += 1
     assert streams == len(BLOBS)
 
 
-def test_add_node_moves_minimally_and_preserves_bytes():
-    sim, front = build_cluster(nnodes=4, replicas=2)
-    reference = {
-        (logical, tag): sim.run_process(front.fetch(logical, tag)).data
-        for logical, _, _ in BLOBS
-        for tag in front.tags(logical)
-    }
-    before = dict(front._placement)
-    new_node = ShardNode.build(
-        sim,
-        "node4",
-        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="node4:hdd")},
-        metrics=front.metrics,
-        block_cache=BlockCache(sim, l1_capacity_bytes=1 << 20),
-        prefetch=True,
-    )
-    moved = sim.run_process(front.add_node(new_node))
-    changed = [
-        key for key in before if front._placement[key] != before[key]
-    ]
-    # Only ring-adjacent ranges migrate: a strict minority of keys.
-    assert moved["keys_moved"] == len(changed)
-    assert len(changed) < len(before) / 2
-    for key, holders in front._placement.items():
-        assert holders == front.targets(*key)
-    for (logical, tag), data in reference.items():
-        assert sim.run_process(front.fetch(logical, tag)).data == data
-    for node in front.nodes.values():
-        assert node.ada.plfs.fsck()["ok"]
+def test_holders_are_written_once():
+    """A key's holder list is fixed at its first store: appends, a kill
+    of the primary and the failover read after it never move it."""
+    sim, front = build_cluster(appends=False)
 
+    def holder_lists():
+        return {
+            (logical, tag): front.holders(logical, tag)
+            for logical, _, _ in BLOBS
+            for tag in front.all_tags(logical)
+        }
 
-def test_drain_node_evacuates_and_preserves_bytes():
-    sim, front = build_cluster(nnodes=4, replicas=2)
-    reference = {
-        (logical, tag): sim.run_process(front.fetch(logical, tag)).data
-        for logical, _, _ in BLOBS
-        for tag in front.tags(logical)
-    }
-    victim = "node2"
-    moved = sim.run_process(front.drain_node(victim))
-    assert victim not in front.nodes
-    assert moved["keys_moved"] > 0 or all(
-        victim not in holders for holders in front._placement.values()
-    )
-    for holders in front._placement.values():
-        assert victim not in holders
-    for (logical, tag), data in reference.items():
-        assert sim.run_process(front.fetch(logical, tag)).data == data
-    for node in front.nodes.values():
-        assert node.ada.plfs.fsck()["ok"]
+    first = holder_lists()
+    for logical, _, chunks in BLOBS:
+        for blob in chunks[1:4]:
+            sim.run_process(front.ingest_append(logical, blob))
+    logical = BLOBS[0][0]
+    reference = sim.run_process(front.fetch(logical, "p")).data
+    front.kill_node(front.holders(logical, "p")[0])
+    assert sim.run_process(front.fetch(logical, "p")).data == reference
+    assert front.metrics.value("cluster_failovers_total") == 1
+    assert holder_lists() == first
+    for (logical, tag), holders in first.items():
+        assert holders == front.targets(logical, tag)
 
 
 def test_remove_deletes_from_every_holder():

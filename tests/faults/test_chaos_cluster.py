@@ -206,8 +206,9 @@ def test_degraded_read_accounting_matches_warnings():
     front.kill_node(victim)
     lost_keys = [
         (logical, tag)
-        for (logical, tag), holders in front._placement.items()
-        if holders == [victim]
+        for logical, _, _ in blobs
+        for tag in front.all_tags(logical)
+        if front.holders(logical, tag) == [victim]
     ]
     assert lost_keys, "pick a different victim: node1 held nothing alone"
     warned = 0

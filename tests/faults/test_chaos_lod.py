@@ -42,9 +42,9 @@ def _ingested(seed, plan):
         sim,
         backends={"ssd": _fs(sim, "ssd")},
         lod_precision=12.5,
-        fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=8),
     )
+    plan.attach_to(ada)
     sim.run_process(ada.ingest(LOGICAL, workload.pdb_text, workload.xtc_blob))
     return sim, ada
 

@@ -274,8 +274,8 @@ def _billed_for_four_chunks(front: ServeFront, tenant="t0"):
 def test_sharded_front_bills_the_tenant_like_a_single_node(catalog_blobs):
     """The same read bills the same tenant the same bytes whichever data
     plane is behind the front: the front wires every member's cache (a
-    shard node's used to bill the shared pool), ``cache_quota_bytes``
-    reserves on every node, and a node that joins later is wired too."""
+    shard node's used to bill the shared pool), and ``cache_quota_bytes``
+    reserves on every node."""
     sim = Simulator()
     ada = ADA(
         sim,
@@ -302,19 +302,6 @@ def test_sharded_front_bills_the_tenant_like_a_single_node(catalog_blobs):
         member.block_cache.quota_bytes("t0") for member in sharded.members()
     ] == [8192.0, 8192.0]
     assert _billed_for_four_chunks(front) == (payload, billed, shared)
-
-    # A third node joins, takes its replica, and then is the only one up.
-    late = _node(sim, "node2", metrics)
-    sim.run_process(sharded.add_node(late))
-    cache, prefetcher = late.ada.block_cache, late.ada.prefetcher
-    assert cache.tenant_source is front.tenant_source
-    assert prefetcher.tenant_source is front.tenant_source
-    assert prefetcher.budget_source == front._prefetch_budget
-    sharded.kill_node("node0")
-    sharded.kill_node("node1")
-    sim.run_process(front.session("t0").fetch_chunks(*_FOUR))
-    assert cache.charged_bytes("t0") == billed
-    assert cache.charged_bytes(None) == 0.0
 
 
 def test_cache_quota_on_plain_node_caches_names_the_cause(catalog_blobs):

@@ -34,7 +34,7 @@ from repro.vmd.streaming import StreamingTrajectory
 LEDGER = {
     "ADA": (
         "sim backends policy placement storage_cpu storage_cpus "
-        "subset_format retry_policy fault_plan block_cache prefetch "
+        "subset_format retry_policy block_cache prefetch "
         "serial_requests ingest_config lod_precision "
         "metrics shard_id"
     ),
