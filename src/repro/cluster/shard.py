@@ -610,20 +610,17 @@ class ShardedADA(DataPlane):
 
     def _delete_stored(self, logical: str) -> int:
         """Every holder's copy, plus the routing state keyed on it."""
-        freed = 0
         holders = set()
         for tag in self._catalog.pop(logical, []):
-            for name in self._placement.pop((logical, tag), []):
-                freed += self.nodes[name].ada.plfs.delete_subset(logical, tag)
-                holders.add(name)
+            holders.update(self._placement.pop((logical, tag), []))
             self._affinity.pop((logical, tag), None)
-        # One scan of each holder's cache, however many tags it held.
-        for name in sorted(holders):
-            cache = self.nodes[name].ada.block_cache
-            if cache is not None:
-                cache.invalidate(logical=logical)
         self._promoted = {p for p in self._promoted if p[0] != logical}
-        return freed
+        # One container delete (and one cache scan) per holder, however
+        # many of the dataset's tags it held.
+        return sum(
+            self.nodes[name].ada._delete_stored(logical)
+            for name in sorted(holders)
+        )
 
     # -- reporting ----------------------------------------------------------------
 

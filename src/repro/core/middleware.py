@@ -239,24 +239,13 @@ class ADA(DataPlane):
         return freed
 
     def stats(self) -> Dict[str, object]:
-        """Live state the registry does not hold: datasets, per-backend
-        bytes, spill records, index lookups, degraded reads.  Every
-        *count* is a registry series (``metrics.query()``); injected
-        faults are the plan's own ``snapshot()``.
+        """The streaming ingest's overlap ratio and buffered-byte peak,
+        kept for ``benchmarks/e2e`` (``workloads.py`` reads them) until
+        ROADMAP item 10(d) re-points it at the registry.  Counts are
+        registry series; other live state is an attribute (docs/api.md).
         """
         pipeline = self._ingest_pipeline
         return {
-            "datasets": sorted(self._label_maps),
-            "bytes_written_per_backend": {
-                name: float(fs.bytes_written)
-                for name, fs in self.plfs.backends.items()
-            },
-            "spills": list(self.determinator.dispatcher.spills),
-            "indexer_lookups": self.determinator.indexer.lookups,
-            "degraded": list(self.degraded),
-            # Kept for benchmarks/e2e (``workloads.py`` reads these two
-            # keys) until ROADMAP item 10(d) re-points it at the registry;
-            # the peak is the ``ingest_buffered_bytes_peak`` gauge.
             "ingest": {} if pipeline is None else {
                 "overlap_ratio": pipeline.overlap_ratio,
                 "buffered_bytes_peak": self.metrics.value(

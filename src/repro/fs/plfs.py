@@ -474,35 +474,6 @@ class PLFS:
             del self._chunk_counters[key]
         return freed
 
-    def delete_subset(self, logical: str, tag: str) -> int:
-        """Remove one tagged subset's chunks from a container; returns
-        freed bytes.  Synchronous, like :meth:`delete_container`.
-
-        A sharded front's per-holder delete: a holder drops just that
-        ``(logical, tag)`` -- the rest of the container (and its index)
-        stays serviceable.  Deleting the last subset removes the
-        container entirely.
-        """
-        index = self._index(logical)
-        subset = index.get(tag)
-        if subset is None:
-            return 0
-        if len(index) == 1:
-            return self.delete_container(logical)
-        del index[tag]
-        freed = self.discard(subset.records)
-        self._chunk_counters.pop((logical, tag), None)
-        # Compact each log in place (every other record keeps its one copy,
-        # and no log grows) so a fresh client does not replay the dropped
-        # subset.  A run whose append is still in flight adds its own lines
-        # when it lands (or none, when it fails).
-        path = self.index_path(logical)
-        for backend, fs in self.metadata_homes(path).items():
-            kept = [r for r in self._read_log(logical, backend) if r.tag != tag]
-            self._torn.pop((logical, backend), None)
-            fs.replace(path, _encode_log(kept))
-        return freed
-
     def commit(
         self,
         logical: str,

@@ -25,7 +25,7 @@ every row ``pass`` holds.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.harness.benchkit import (
     PLAYBACK_TAG,
@@ -78,7 +78,6 @@ def build_front(
     concurrency: int,
     l1_capacity_bytes: float,
     max_inflight: int,
-    byte_budget: Optional[int],
 ) -> ServeFront:
     """Fresh deployment: ingest the catalog, register ``ntenants``.
 
@@ -101,7 +100,6 @@ def build_front(
         front.register(
             f"t{index}",
             max_inflight=max_inflight,
-            byte_budget=byte_budget,
             cache_quota_bytes=int(quota),
             prefetch_budget_bytes=int(quota),
         )
@@ -140,7 +138,6 @@ def run_serve_bench(
             concurrency=concurrency,
             l1_capacity_bytes=l1_capacity,
             max_inflight=max_inflight,
-            byte_budget=None,
         )
 
     closed = TrafficConfig(

@@ -4,8 +4,8 @@ One :class:`~repro.core.ADA` middleware, many concurrent VMD sessions:
 
 * :mod:`repro.serve.session` -- per-tenant handles and admission control
   (:class:`SessionManager`, typed :class:`~repro.errors.AdmissionRejected`);
-* :mod:`repro.serve.scheduler` -- weighted fair queuing with nice-levels
-  (:class:`RequestScheduler`), deterministic under the sim clock;
+* :mod:`repro.serve.scheduler` -- start-time fair queuing with equal
+  shares (:class:`RequestScheduler`), deterministic under the sim clock;
 * :mod:`repro.serve.fairshare` -- per-tenant block-cache quotas over a
   reclaimable shared pool (:class:`TenantBlockCache`);
 * :mod:`repro.serve.front` -- :class:`ServeFront`, the composition that
@@ -16,13 +16,7 @@ One :class:`~repro.core.ADA` middleware, many concurrent VMD sessions:
 
 from repro.serve.fairshare import TenantBlockCache, span_tenant_source
 from repro.serve.front import ServeFront
-from repro.serve.scheduler import (
-    NICE_MAX,
-    NICE_MIN,
-    RequestScheduler,
-    ServeRequest,
-    nice_weight,
-)
+from repro.serve.scheduler import RequestScheduler, ServeRequest
 from repro.serve.session import (
     Session,
     SessionManager,
@@ -38,8 +32,6 @@ from repro.serve.traffic import (
 
 __all__ = [
     "DatasetRef",
-    "NICE_MAX",
-    "NICE_MIN",
     "RequestScheduler",
     "ServeFront",
     "ServeRequest",
@@ -51,6 +43,5 @@ __all__ = [
     "TenantState",
     "TrafficConfig",
     "TrafficGenerator",
-    "nice_weight",
     "span_tenant_source",
 ]

@@ -56,7 +56,6 @@ class TenantBlockCache(BlockCache):
     def __init__(
         self,
         sim,
-        quotas: Optional[Dict[str, float]] = None,
         tenant_source: Optional[Callable[[], Optional[str]]] = None,
         **kwargs,
     ):
@@ -69,8 +68,6 @@ class TenantBlockCache(BlockCache):
         self._quotas: Dict[str, float] = {}
         self.tenant_source = tenant_source
         super().__init__(sim, **kwargs)
-        for tenant, nbytes in (quotas or {}).items():
-            self.set_quota(tenant, nbytes)
 
     # -- configuration ------------------------------------------------------
 

@@ -4,7 +4,7 @@
 middleware with the serving-layer pieces::
 
     Session.submit --> SessionManager.admit (typed rejection)
-                   --> RequestScheduler     (WFQ, nice-levels)
+                   --> RequestScheduler     (start-time fair queuing)
                    --> ADA.fetch_chunks / fetch / fetch_merged / ingest_stream
 
 Tenant attribution is ambient: the scheduler stamps the tenant on the
@@ -72,9 +72,7 @@ class ServeFront:
     def register(
         self,
         name: str,
-        nice: int = 0,
         max_inflight: int = 8,
-        byte_budget: Optional[int] = None,
         cache_quota_bytes: Optional[int] = None,
         prefetch_budget_bytes: Optional[int] = None,
         precision: str = "full",
@@ -82,9 +80,7 @@ class ServeFront:
         """Register a tenant and return its session handle."""
         config = TenantConfig(
             name=name,
-            nice=nice,
             max_inflight=max_inflight,
-            byte_budget=byte_budget,
             cache_quota_bytes=cache_quota_bytes,
             prefetch_budget_bytes=prefetch_budget_bytes,
             precision=precision,
@@ -112,30 +108,24 @@ class ServeFront:
     # -- submission ---------------------------------------------------------
 
     def submit(
-        self,
-        tenant: str,
-        kind: str,
-        payload: Dict[str, object],
-        nice: Optional[int] = None,
+        self, tenant: str, kind: str, payload: Dict[str, object],
     ) -> ServeRequest:
         """Admission-check and enqueue one request (synchronous)."""
         if kind not in KINDS:
             raise ConfigurationError(
                 f"unknown serve request kind {kind!r}; expected one of {KINDS}"
             )
-        state = self.sessions.get(tenant)
         cost = self._estimate_cost(kind, payload)
-        self.sessions.admit(tenant, cost)  # raises AdmissionRejected
+        self.sessions.admit(tenant)  # raises AdmissionRejected
         request = ServeRequest(
             tenant=tenant, kind=kind, payload=dict(payload),
-            nice=state.config.nice if nice is None else int(nice),
             cost_bytes=cost,
-            on_complete=lambda req: self.sessions.release(tenant, cost),
+            on_complete=lambda req: self.sessions.release(tenant),
         )
         return self.scheduler.submit(request)
 
     def _estimate_cost(self, kind: str, payload: Dict[str, object]) -> int:
-        """Byte estimate used for admission budgets and WFQ cost.
+        """Byte estimate used as the request's SFQ cost.
 
         Index metadata is synchronous bookkeeping in this repo's
         convention, so sizing from the subset records is free; unknown

@@ -1,25 +1,20 @@
-"""Weighted fair queuing request scheduler with nice-levels.
+"""Start-time fair queuing request scheduler.
 
 The serving front end multiplexes many tenants over one middleware; this
-module decides *who goes next*.  The shape follows the ActionManager
-queue-with-nice-levels pattern (a priority queue drained by a scheduler
-process, lower nice served sooner), hardened into start-time fair queuing
-(SFQ) so priority is a *share*, not a lockout:
+module decides *who goes next*.  Every tenant is one flow with an equal
+share, scheduled by start-time fair queuing (SFQ):
 
-* each tenant is one WFQ flow with weight ``2 ** (-nice / 2)`` -- every
-  two nice levels halve the share, mirroring CPU-scheduler convention;
 * a submitted request is stamped with virtual start/finish tags
-  ``start = max(V, flow_finish)``, ``finish = start + cost / weight``
-  where ``cost`` is the request's byte estimate, so fairness is
+  ``start = max(V, flow_finish)``, ``finish = start + cost`` where
+  ``cost`` is the request's byte estimate, so fairness is
   *byte-weighted*, not request-counted;
 * dispatch always picks the backlogged request with the smallest finish
   tag, tie-broken deterministically by ``(finish, tenant, seq)`` -- under
   the sim clock two identical runs schedule identically;
 * the virtual clock ``V`` advances to the start tag of the dispatched
   request, which bounds how far a backlogged flow can run ahead and
-  yields the textbook starvation-freedom guarantee: every admitted
-  request's finish tag is finite, and tags of competing flows must pass
-  it after a bounded number of bytes.
+  yields the textbook starvation-freedom guarantee: a new flow starts at
+  ``V``, not behind another flow's backlog.
 
 ``concurrency`` slots (a :class:`~repro.sim.resources.Resource`) bound
 how many requests execute at once; the execution itself is an injectable
@@ -40,26 +35,12 @@ from repro.obs.metrics import MetricsRegistry, TIME_BUCKETS
 from repro.obs.trace import span
 from repro.sim import Event, Process, Resource, Simulator
 
-__all__ = ["NICE_MIN", "NICE_MAX", "nice_weight", "ServeRequest", "RequestScheduler"]
-
-#: Nice levels follow the CPU-scheduler convention: lower is more urgent.
-NICE_MIN = -8
-NICE_MAX = 8
-
-
-def nice_weight(nice: int) -> float:
-    """WFQ weight for a nice level: every +2 nice halves the share."""
-    nice = int(nice)
-    if not NICE_MIN <= nice <= NICE_MAX:
-        raise ConfigurationError(
-            f"nice level {nice} outside [{NICE_MIN}, {NICE_MAX}]"
-        )
-    return 2.0 ** (-nice / 2.0)
+__all__ = ["ServeRequest", "RequestScheduler"]
 
 
 @dataclass
 class ServeRequest:
-    """One queued unit of tenant work, stamped with its WFQ tags.
+    """One queued unit of tenant work, stamped with its SFQ tags.
 
     ``payload`` is opaque to the scheduler; the injected ``dispatch``
     callable interprets it.  ``done`` fires with the dispatch result (or
@@ -69,9 +50,7 @@ class ServeRequest:
     tenant: str
     kind: str
     payload: Dict[str, object] = field(default_factory=dict)
-    nice: int = 0
     cost_bytes: int = 1
-    weight: Optional[float] = None  # derived from ``nice`` when None
     seq: int = -1
     submitted_s: float = 0.0
     started_s: Optional[float] = None
@@ -100,7 +79,7 @@ class ServeRequest:
 
 
 class RequestScheduler:
-    """Drains per-tenant FIFO queues in weighted-fair finish-tag order."""
+    """Drains per-tenant FIFO queues in fair finish-tag order."""
 
     def __init__(
         self,
@@ -153,16 +132,10 @@ class RequestScheduler:
         request.seq = next(self._seq)
         request.submitted_s = self.sim.now
         request.done = Event(self.sim)
-        if request.weight is None:
-            request.weight = nice_weight(request.nice)
-        if request.weight <= 0:
-            raise ConfigurationError(
-                f"request weight {request.weight!r} must be positive"
-            )
         cost = max(1, int(request.cost_bytes))
         start = max(self._vtime, self._flow_finish.get(request.tenant, 0.0))
         request.start_tag = start
-        request.finish_tag = start + cost / request.weight
+        request.finish_tag = start + cost
         self._flow_finish[request.tenant] = request.finish_tag
         self._metrics_for(request.tenant)["queued"].inc()
         if self._caller_runs:  # ``call`` runs it now: the queue's next pick
@@ -262,7 +235,8 @@ class RequestScheduler:
             # Zero-duration marker span recording the dispatch decision.
             with span(
                 sim, "serve.schedule",
-                tenant=request.tenant, seq=request.seq, nice=request.nice,
+                tenant=request.tenant, seq=request.seq,
+                cost_bytes=request.cost_bytes,
                 finish_tag=round(request.finish_tag, 6),
                 wait_s=round(request.started_s - request.submitted_s, 9),
             ):

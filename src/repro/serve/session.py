@@ -2,8 +2,7 @@
 
 :class:`SessionManager` owns the tenant registry and the admission
 gate: each tenant is bounded by a maximum number of in-flight requests
-and (optionally) a budget on *outstanding estimated bytes* -- admitted
-but not yet completed work.  A breach raises the typed
+(admitted but not yet completed).  A breach raises the typed
 :class:`~repro.errors.AdmissionRejected` synchronously at submit time,
 so a misbehaving tenant cannot even grow the scheduler's queues, let
 alone another tenant's latency.
@@ -25,19 +24,17 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
-from repro.serve.scheduler import NICE_MAX, NICE_MIN, ServeRequest, nice_weight
+from repro.serve.scheduler import ServeRequest
 
 __all__ = ["TenantConfig", "TenantState", "SessionManager", "Session"]
 
 
 @dataclass
 class TenantConfig:
-    """Admission limits, scheduling weight, and cache shares for one tenant."""
+    """Admission limit, cache shares and read tier for one tenant."""
 
     name: str
-    nice: int = 0
     max_inflight: int = 8
-    byte_budget: Optional[int] = None  # outstanding estimated bytes
     cache_quota_bytes: Optional[int] = None  # reserved L1 share
     prefetch_budget_bytes: Optional[int] = None  # speculative-byte cap
     #: Default read tier for this tenant's requests ("full"/"lod"); a
@@ -50,35 +47,20 @@ class TenantConfig:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
         validate_precision(self.precision)
-        if not NICE_MIN <= int(self.nice) <= NICE_MAX:
-            raise ConfigurationError(
-                f"nice level {self.nice} outside [{NICE_MIN}, {NICE_MAX}]"
-            )
         if int(self.max_inflight) < 1:
             raise ConfigurationError(
                 f"max_inflight {self.max_inflight} must be >= 1"
             )
-        if self.byte_budget is not None and int(self.byte_budget) < 1:
-            raise ConfigurationError(
-                f"byte budget {self.byte_budget} must be >= 1"
-            )
-
-    @property
-    def weight(self) -> float:
-        return nice_weight(self.nice)
 
 
 class TenantState:
     """Live admission accounting for one registered tenant."""
 
-    __slots__ = (
-        "config", "inflight", "outstanding_bytes", "admitted_counter",
-    )
+    __slots__ = ("config", "inflight", "admitted_counter")
 
     def __init__(self, config: TenantConfig):
         self.config = config
         self.inflight = 0
-        self.outstanding_bytes = 0
         #: ``serve_admitted_total{tenant}``, held from the first admission
         #: (a tenant that never submits exports no series).
         self.admitted_counter = None
@@ -104,11 +86,6 @@ class SessionManager:
             fn=lambda s=state: float(s.inflight),
             tenant=config.name,
         )
-        self.metrics.gauge(
-            "serve_outstanding_bytes",
-            fn=lambda s=state: float(s.outstanding_bytes),
-            tenant=config.name,
-        )
         return state
 
     def get(self, tenant: str) -> TenantState:
@@ -117,13 +94,12 @@ class SessionManager:
             raise ConfigurationError(f"unknown tenant {tenant!r}")
         return state
 
-    def admit(self, tenant: str, cost_bytes: int) -> None:
-        """Charge one request against the tenant's limits or reject it."""
+    def admit(self, tenant: str) -> None:
+        """Charge one request against the tenant's in-flight cap or reject
+        it."""
         state = self.get(tenant)
         config = state.config
-        with span(
-            self.sim, "serve.admit", tenant=tenant, cost_bytes=cost_bytes,
-        ) as sp:
+        with span(self.sim, "serve.admit", tenant=tenant) as sp:
             if state.inflight + 1 > config.max_inflight:
                 self.metrics.counter(
                     "serve_rejected_total", tenant=tenant, reason="inflight"
@@ -133,25 +109,7 @@ class SessionManager:
                     tenant, "in-flight requests",
                     config.max_inflight, state.inflight + 1,
                 )
-            budget = config.byte_budget
-            if (
-                budget is not None
-                and state.inflight > 0
-                and state.outstanding_bytes + cost_bytes > budget
-            ):
-                # An idle tenant's first request always admits, however
-                # large -- a budget smaller than one request must degrade
-                # to serialization, not a permanent lockout.
-                self.metrics.counter(
-                    "serve_rejected_total", tenant=tenant, reason="bytes"
-                ).inc()
-                sp.tag(admitted=False, reason="bytes")
-                raise AdmissionRejected(
-                    tenant, "outstanding bytes",
-                    budget, state.outstanding_bytes + cost_bytes,
-                )
             state.inflight += 1
-            state.outstanding_bytes += int(cost_bytes)
             counter = state.admitted_counter
             if counter is None:
                 counter = state.admitted_counter = self.metrics.counter(
@@ -160,12 +118,11 @@ class SessionManager:
             counter.inc()
             sp.tag(admitted=True)
 
-    def release(self, tenant: str, cost_bytes: int) -> None:
+    def release(self, tenant: str) -> None:
         """Return one completed (or failed) request's admission charge."""
         state = self.get(tenant)
         state.inflight -= 1
-        state.outstanding_bytes -= int(cost_bytes)
-        if state.inflight < 0 or state.outstanding_bytes < 0:
+        if state.inflight < 0:
             raise SimulationError(
                 f"tenant {tenant!r} released more than it was admitted"
             )
@@ -181,53 +138,44 @@ class Session:
 
     # -- fire-and-forget (open-loop traffic) --------------------------------
 
-    def submit(
-        self, kind: str, nice: Optional[int] = None, **payload
-    ) -> ServeRequest:
+    def submit(self, kind: str, **payload) -> ServeRequest:
         """Admit + enqueue; returns the request whose ``done`` event fires
         on completion.  Raises :class:`AdmissionRejected` synchronously."""
-        return self._front.submit(self.name, kind, payload, nice=nice)
+        return self._front.submit(self.name, kind, payload)
 
     # -- submit-and-wait conveniences (closed-loop traffic) ------------------
 
-    def _call(self, kind: str, nice: Optional[int], **payload) -> Generator:
+    def _call(self, kind: str, **payload) -> Generator:
         return (yield from self._front.scheduler.call(
-            lambda: self.submit(kind, nice=nice, **payload)
+            lambda: self.submit(kind, **payload)
         ))
 
     def fetch_chunks(
         self, logical: str, tag: str, chunks,
-        nice: Optional[int] = None, precision: Optional[str] = None,
+        precision: Optional[str] = None,
     ) -> Generator:
         return (yield from self._call(
-            "fetch_chunks", nice, logical=logical, tag=tag,
+            "fetch_chunks", logical=logical, tag=tag,
             chunks=list(chunks), precision=precision,
         ))
 
     def fetch(
-        self, logical: str, tag: str,
-        nice: Optional[int] = None, precision: Optional[str] = None,
+        self, logical: str, tag: str, precision: Optional[str] = None,
     ) -> Generator:
         return (yield from self._call(
-            "fetch", nice, logical=logical, tag=tag, precision=precision,
+            "fetch", logical=logical, tag=tag, precision=precision,
         ))
 
     def fetch_merged(
-        self, logical: str,
-        nice: Optional[int] = None, precision: Optional[str] = None,
+        self, logical: str, precision: Optional[str] = None,
     ) -> Generator:
         return (yield from self._call(
-            "fetch_merged", nice, logical=logical, precision=precision,
+            "fetch_merged", logical=logical, precision=precision,
         ))
 
     def ingest_stream(
-        self,
-        logical: str,
-        blob: bytes,
-        pdb_text: Optional[str] = None,
-        nice: Optional[int] = None,
+        self, logical: str, blob: bytes, pdb_text: Optional[str] = None,
     ) -> Generator:
         return (yield from self._call(
-            "ingest_stream", nice, logical=logical, blob=blob,
-            pdb_text=pdb_text,
+            "ingest_stream", logical=logical, blob=blob, pdb_text=pdb_text,
         ))

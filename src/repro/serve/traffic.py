@@ -4,7 +4,7 @@ The serving benchmarks need workloads that look like a fleet of VMD
 users, not a single scripted reader:
 
 * **closed loop** -- each tenant is one interactive user: issue a
-  playback window, wait for it, think, repeat.  Offered load adapts to
+  playback window, wait for it, repeat.  Offered load adapts to
   service rate (the classic interactive model);
 * **open loop** -- requests arrive by a seeded Poisson process whether
   or not earlier ones finished, so queues (and the admission gate) are
@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Sequence
 
 from repro.errors import AdmissionRejected, ConfigurationError, FaultError
 from repro.serve.session import Session
@@ -47,7 +47,6 @@ class TrafficConfig:
     mode: str = "closed"  # "closed" | "open"
     requests_per_tenant: int = 32
     window_chunks: int = 4  # chunks per playback window
-    think_s: float = 0.0  # closed-loop think time between requests
     arrival_rate_hz: float = 200.0  # open-loop per-tenant Poisson rate
     zipf_s: float = 1.1  # popularity skew across the catalog
     seed: int = 0
@@ -59,8 +58,8 @@ class TrafficConfig:
             raise ConfigurationError(
                 "requests_per_tenant and window_chunks must be >= 1"
             )
-        if self.arrival_rate_hz <= 0 or self.think_s < 0 or self.zipf_s < 0:
-            raise ConfigurationError("invalid traffic rate/think/zipf")
+        if self.arrival_rate_hz <= 0 or self.zipf_s < 0:
+            raise ConfigurationError("invalid traffic rate/zipf")
 
 
 @dataclass
@@ -155,7 +154,6 @@ class TrafficGenerator:
         return stats
 
     def _closed_loop(self, session: Session) -> Generator:
-        sim = session._front.sim
         stats = TenantRunStats(tenant=session.name)
         for ref, window in self.plan(session.name):
             try:
@@ -167,8 +165,6 @@ class TrafficGenerator:
                 stats.rejected += 1
             except FaultError:
                 stats.failed += 1
-            if self.config.think_s:
-                yield sim.timeout(self.config.think_s)
         return stats
 
     def _open_loop(self, session: Session) -> Generator:

@@ -101,3 +101,37 @@ def test_lod_read_fails_over_when_its_first_holder_dies():
     assert got.tier == "lod"
     assert got.data == reference.data
     assert front.metrics.value("cluster_failovers_total") >= 1
+
+
+def test_remove_rewrites_no_index_log(monkeypatch):
+    """Removing a dataset deletes each holder's container outright: no
+    holder rewrites its index log, every chunk's bytes come back and
+    nothing of the dataset is left on any node."""
+    _, front = _cluster()
+    logical = BLOBS[0][0]
+    prefix = f"{logical}."  # the container dir and anything beside it
+
+    def stored(node):
+        fs = node.ada.plfs.backends["hdd"]
+        return [k for k in fs.store.walk() if k.startswith(prefix)]
+
+    holders = {
+        name for tag in front.all_tags(logical)
+        for name in front.holders(logical, tag)
+    }
+    held = sum(
+        record.nbytes
+        for name in holders
+        for record in front.nodes[name].ada.plfs.container_index(logical)
+    )
+    rewrites = []
+    replace = LocalFS.replace
+    monkeypatch.setattr(
+        LocalFS, "replace",
+        lambda fs, *args: rewrites.append(fs.name) or replace(fs, *args),
+    )
+    assert front.remove(logical) == held > 0
+    assert rewrites == []
+    for node in front.nodes.values():
+        assert stored(node) == []
+        assert node.ada.plfs.fsck()["ok"]

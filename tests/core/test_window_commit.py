@@ -546,19 +546,6 @@ def test_index_append_on_a_full_ssd_spills_to_the_hdd(stream):
     assert len(cold) == len(set(cold)) == 2 * len(WINDOW_TAGS)
 
 
-def test_compacting_a_split_log_leaves_one_copy_of_each_record(stream):
-    ada = _full_ssd_ada(stream)
-    assert ada.plfs.delete_subset(LOGICAL, "m") > 0
-    logs = [
-        rec for fs in ada.plfs.backends.values() for rec in _log_records(fs)
-    ]
-    assert sorted((r["tag"], r["chunk"]) for r in logs) == [
-        (r.tag, r.chunk) for r in ada.plfs.container_index(LOGICAL)
-    ]
-    assert "m" not in ada.tags(LOGICAL)
-    _assert_consistent(ada)
-
-
 def test_label_on_a_full_ssd_lands_on_the_hdd(stream):
     pdb_text, first, _second = stream
     ada = _full_ssd_ada(stream)
@@ -578,7 +565,7 @@ def test_label_on_a_full_ssd_lands_on_the_hdd(stream):
     assert ada.plfs.fsck()["ok"]
     # With room again, a fresh ingest puts the label back on the SSD and
     # drops the spilled copy.
-    ada.plfs.delete_subset(LOGICAL, "p")
+    ada.remove(LOGICAL)
     _ingest_other()
     assert ssd.exists(label) and not hdd.exists(label)
     assert ADA(ada.sim, backends=ada.plfs.backends).label_map(other) == (

@@ -53,7 +53,6 @@ def runs():
             concurrency=_NTENANTS,  # one slot per tenant
             l1_capacity_bytes=256 * 1024.0,
             max_inflight=4,
-            byte_budget=None,
         )
 
     clean_front = build()

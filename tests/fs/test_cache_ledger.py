@@ -343,15 +343,23 @@ def test_block_cache_byte_counters_balance(l2_capacity, ops):
         _check_tiers(cache, oracle)
 
 
+def _tenant_cache(sim, current, l2_capacity):
+    """A tenant cache billing ``current["tenant"]``, with ``QUOTAS`` set."""
+    cache = TenantBlockCache(
+        sim, tenant_source=lambda: current["tenant"],
+        l1_capacity_bytes=L1_CAPACITY, l2_capacity_bytes=l2_capacity,
+    )
+    for tenant, nbytes in QUOTAS.items():
+        cache.set_quota(tenant, nbytes)
+    return cache
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((0.0, 200.0)), st.lists(_OPS, max_size=60))
 def test_tenant_cache_ledgers_balance(l2_capacity, ops):
     sim = Simulator()
     current = {"tenant": None}
-    cache = TenantBlockCache(
-        sim, quotas=QUOTAS, tenant_source=lambda: current["tenant"],
-        l1_capacity_bytes=L1_CAPACITY, l2_capacity_bytes=l2_capacity,
-    )
+    cache = _tenant_cache(sim, current, l2_capacity)
     oracle = _OracleTenantCache(l2_capacity, current)
     for op in ops:
         _apply(sim, cache, oracle, current, op)
@@ -387,10 +395,7 @@ def test_windows_over_both_tiers_match_the_oracle(warmup, ops):
         sim = Simulator()
         current = {"tenant": None}
         if tenants:
-            cache = TenantBlockCache(
-                sim, quotas=QUOTAS, tenant_source=lambda: current["tenant"],
-                l1_capacity_bytes=L1_CAPACITY, l2_capacity_bytes=200.0,
-            )
+            cache = _tenant_cache(sim, current, 200.0)
             oracle = _OracleTenantCache(200.0, current)
         else:
             cache = BlockCache(

@@ -87,5 +87,5 @@ def test_fsck_after_spilled_ingest():
         },
     )
     sim.run_process(ada.ingest("s.xtc", workload.pdb_text, workload.xtc_blob))
-    assert ada.stats()["spills"]
+    assert ada.determinator.dispatcher.spills
     assert ada.plfs.fsck()["ok"]

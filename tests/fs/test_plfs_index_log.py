@@ -278,21 +278,6 @@ def test_torn_final_line_loses_only_its_own_window():
     ]
 
 
-def test_torn_tail_goes_with_a_compaction():
-    sim, plfs = _plfs()
-    for _ in range(2):
-        sim.run_process(
-            commit_run(plfs, LOGICAL, [("m", b"mm"), ("p", b"ppp")], "hdd")
-        )
-    meta = plfs.backends["meta"]
-    meta.replace(INDEX, meta.data(INDEX)[:-5])
-    cold = _fresh(plfs)
-    assert [r.tag for r in cold.container_index(LOGICAL)] == ["m", "m", "p"]
-    cold.delete_subset(LOGICAL, "m")
-    assert meta.data(INDEX).endswith(b"\n")
-    assert _fresh(plfs).container_index(LOGICAL) == cold.container_index(LOGICAL)
-
-
 # -- (d) append goes through the write fault gate -----------------------------
 
 
@@ -336,48 +321,6 @@ def test_subset_records_stay_chunk_ordered_when_a_lower_chunk_lands_late():
     assert [r.chunk for r in _fresh(plfs).subset_records(LOGICAL, "p")] == [0, 1, 2]
     obj = sim.run_process(read_subset(plfs, LOGICAL, "p"))
     assert obj.data == b"0" * 400_000 + b"12"
-
-
-# -- delete_subset persists ---------------------------------------------------
-
-
-def test_delete_subset_survives_a_cold_reload():
-    sim, plfs = _plfs()
-    for _ in range(3):
-        sim.run_process(
-            commit_run(plfs, LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="hdd")
-        )
-    meta = plfs.backends["meta"]
-    assert plfs.delete_subset(LOGICAL, "m") == 6
-    assert meta.device.used_bytes == meta.nbytes(INDEX)
-    cold = _fresh(plfs)
-    assert cold.tags(LOGICAL) == ["p"]
-    assert cold.container_index(LOGICAL) == plfs.container_index(LOGICAL)
-    assert cold.fsck(LOGICAL)["ok"]
-    # The log keeps growing from the compacted state.
-    sim.run_process(commit_run(plfs, LOGICAL, [("m", b"new")], "hdd"))
-    assert _fresh(plfs).subset_nbytes(LOGICAL, "m") == 3
-    assert plfs.delete_subset(LOGICAL, "nope") == 0
-
-
-def test_delete_subset_during_an_inflight_flush_keeps_the_log_exact():
-    sim, plfs = _plfs()
-    sim.run_process(
-        commit_run(plfs, LOGICAL, [("m", b"mm"), ("p", b"ppp")], backend="ssd")
-    )
-    meta = plfs.backends["meta"]
-    lines = len(meta.data(INDEX).splitlines())
-    sim.process(commit_run(plfs, LOGICAL, [("p", b"late")], "ssd"))
-    # Stop once the chunk is registered in memory but its log line is not
-    # down yet, and compact under it.
-    while len(plfs.subset_records(LOGICAL, "p")) == 1:
-        sim.run(until=sim.now + 1e-4)
-    assert len(meta.data(INDEX).splitlines()) == lines
-    plfs.delete_subset(LOGICAL, "m")
-    sim.run()
-    assert [r.chunk for r in _fresh(plfs).container_index(LOGICAL)] == [0, 1]
-    assert _fresh(plfs).container_index(LOGICAL) == plfs.container_index(LOGICAL)
-    assert meta.device.used_bytes == meta.nbytes(INDEX)
 
 
 # -- the capacity ledger balances --------------------------------------------
@@ -440,7 +383,6 @@ def test_container_lifecycle_returns_every_byte(meta_factory):
         sim.run_process(commit_run(plfs, LOGICAL, [("p", b"s")], "ssd"))
     for fs in plfs.backends.values():
         assert sum(_used(fs)) == fs.store.total_bytes()
-    plfs.delete_subset(LOGICAL, "m")
     plfs.delete_container(LOGICAL)
     for fs in plfs.backends.values():
         assert not any(_used(fs)) and len(fs.store) == 0

@@ -73,7 +73,7 @@ def _warm_front():
     working_set = sum(len(b) for _l, _p, chunks in blobs for b in chunks)
     front = build_front(
         blobs, ntenants=len(TENANTS), concurrency=8,
-        l1_capacity_bytes=2.0 * working_set, max_inflight=8, byte_budget=None,
+        l1_capacity_bytes=2.0 * working_set, max_inflight=8,
     )
     sim, ada = front.sim, front.ada
     # Warm-up: every window once, so the measured phase is all hits.

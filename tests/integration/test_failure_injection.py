@@ -77,8 +77,9 @@ def test_full_ssd_spills_to_hdd_by_default(workload):
     assert set(receipt.subset_sizes) == {"p", "m"}
     records = ada.plfs.subset_records("bar.xtc", "p")
     assert all(r.backend == "hdd" for r in records)
-    stats = ada.stats()
-    assert stats["spills"] == [("bar.xtc", "p", "ssd", "hdd")]
+    assert ada.determinator.dispatcher.spills == [
+        ("bar.xtc", "p", "ssd", "hdd")
+    ]
     # Data still loads correctly from the spill location.
     obj = sim.run_process(ada.fetch("bar.xtc", "p"))
     from repro.formats.xtc import decode_raw

@@ -59,7 +59,7 @@ def _warm(_blobs):
 def _contended(blobs):
     front = build_front(
         blobs, ntenants=4, concurrency=2, l1_capacity_bytes=96 * 1024.0,
-        max_inflight=4, byte_budget=None,
+        max_inflight=4,
     )
     return front, lambda: _traffic(front, 4)
 
@@ -73,7 +73,7 @@ def _traced(blobs):
 def _faulty(blobs):
     front = build_front(
         blobs, ntenants=3, concurrency=3, l1_capacity_bytes=96 * 1024.0,
-        max_inflight=4, byte_budget=None,
+        max_inflight=4,
     )
     FaultPlan(seed=1, sites={"dev:*HDD*": FaultSpec(
         transient_rate=0.3, latency_rate=0.3, latency_spike_s=2e-3,
@@ -169,7 +169,7 @@ def test_direct_path_moves_nothing(monkeypatch, blobs, case, paths):
 def _direct_front(blobs):
     front = build_front(
         blobs, ntenants=1, concurrency=2, l1_capacity_bytes=96 * 1024.0,
-        max_inflight=4, byte_budget=None,
+        max_inflight=4,
     )
     return front, front.session("t0")
 
@@ -178,7 +178,7 @@ def _assert_quiescent(front):
     state = front.sessions.get("t0")
     assert front.scheduler.slots.in_use == 0
     assert front.scheduler.backlog == 0
-    assert state.inflight == 0 and state.outstanding_bytes == 0
+    assert state.inflight == 0
     (request,) = front.scheduler.completed["t0"]
     assert not request.ok and request.finished_s is not None
     assert front.metrics.value("serve_failed_total", tenant="t0") == 1
@@ -228,7 +228,7 @@ def test_closed_caller_leaves_an_empty_ledger(blobs):
 
 def test_double_release_raises(blobs):
     front, _session = _direct_front(blobs)
-    front.sessions.admit("t0", 10)
-    front.sessions.release("t0", 10)
+    front.sessions.admit("t0")
+    front.sessions.release("t0")
     with pytest.raises(SimulationError, match="released more"):
-        front.sessions.release("t0", 10)
+        front.sessions.release("t0")

@@ -36,7 +36,6 @@ def _front(catalog_blobs, **overrides):
         concurrency=4,
         l1_capacity_bytes=128 * 1024.0,
         max_inflight=4,
-        byte_budget=None,
     )
     kwargs.update(overrides)
     return build_front(catalog_blobs, **kwargs)

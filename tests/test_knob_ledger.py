@@ -25,7 +25,7 @@ from repro.core.preprocessor import DataPreProcessor
 from repro.faults import RetryPolicy
 from repro.formats.xtc import decode_frame_range, decode_xtc, encode_xtc
 from repro.fs.cache import BlockCache
-from repro.serve import ServeFront
+from repro.serve import ServeFront, TrafficConfig
 from repro.serve.fairshare import TenantBlockCache
 from repro.vmd.animation import Animator
 from repro.vmd.loader import TrajectoryLoader
@@ -43,10 +43,16 @@ LEDGER = {
     ),
     "ShardNode.build": "sim name backends metrics ada_kwargs",
     "ServeFront": "ada concurrency",
+    "ServeFront.register": (
+        "name max_inflight cache_quota_bytes prefetch_budget_bytes precision"
+    ),
+    "TrafficConfig": (
+        "mode requests_per_tenant window_chunks arrival_rate_hz zipf_s seed"
+    ),
     "BlockCache": (
         "sim l1_capacity_bytes l2_capacity_bytes"
     ),
-    "TenantBlockCache": "sim quotas tenant_source kwargs",
+    "TenantBlockCache": "sim tenant_source kwargs",
     "Prefetcher": (
         "sim retriever degradation_source metrics metric_labels"
     ),
@@ -103,6 +109,8 @@ _CALLABLES = {
     "ShardedADA": ShardedADA,
     "ShardNode.build": ShardNode.build,
     "ServeFront": ServeFront,
+    "ServeFront.register": ServeFront.register,
+    "TrafficConfig": TrafficConfig,
     "BlockCache": BlockCache,
     "TenantBlockCache": TenantBlockCache,
     "Prefetcher": Prefetcher,
@@ -120,6 +128,13 @@ _CALLABLES = {
 }
 
 
+def _parameters(entry: str) -> dict:
+    """An entry's signature parameters (a method's without ``self``)."""
+    params = dict(inspect.signature(_CALLABLES[entry]).parameters)
+    params.pop("self", None)
+    return params
+
+
 def _knobs(entry: str) -> list:
     if entry == "python -m repro":
         return sorted(
@@ -127,7 +142,7 @@ def _knobs(entry: str) -> list:
             for action in build_parser()._actions
             for option in action.option_strings
         )
-    return list(inspect.signature(_CALLABLES[entry]).parameters)
+    return list(_parameters(entry))
 
 
 def test_ledger_covers_the_whole_surface():
@@ -168,6 +183,10 @@ _FORWARDS_TO = {
     "TenantBlockCache": "BlockCache",
 }
 
+#: Methods audited by the attribute they are called under, whatever the
+#: receiver is named: ``front.register(...)`` is ``ServeFront.register``.
+_METHODS = {"register": "ServeFront.register"}
+
 #: Parameters without a product caller, kept on purpose: the reason.
 KEPT_FOR = {
     ("decode_xtc", "index"): "public API (docs/api.md): callers holding a "
@@ -180,7 +199,6 @@ KEPT_FOR = {
     ("StreamingTrajectory", "index"): "callers holding a FrameIndex skip the "
     "header scan (tests/vmd viewer budget counts index builds)",
     ("StreamingTrajectory", "precision"): "the starting tier; mutable after",
-    ("TenantBlockCache", "quotas"): "reservations before any ServeFront exists",
     ("TenantBlockCache", "tenant_source"): "a test substitutes a fake tenant",
 }
 
@@ -193,16 +211,14 @@ def _call_name(func: ast.expr) -> str:
             f"{func.value.id}.{func.attr}" in _CALLABLES
         ):
             return f"{func.value.id}.{func.attr}"
-        return func.attr
+        return _METHODS.get(func.attr, func.attr)
     return ""
 
 
 def _named_params(entry: str) -> list:
     return [
         name
-        for name, param in inspect.signature(
-            _CALLABLES[entry]
-        ).parameters.items()
+        for name, param in _parameters(entry).items()
         if param.kind is not inspect.Parameter.VAR_KEYWORD
     ]
 

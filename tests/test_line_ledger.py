@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Lines under ``src/repro`` allowed: raised by exactly a PR's net growth,
 #: lowered when it deletes.
-BUDGET = 20820
+BUDGET = 20670
 
 
 def test_source_lines_stay_within_the_budget():
