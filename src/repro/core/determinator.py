@@ -41,7 +41,6 @@ class IODeterminator:
         placement: PlacementPolicy,
         retry_policy: Optional[RetryPolicy] = None,
         block_cache: Optional[BlockCache] = None,
-        serial_requests: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Dict[str, str]] = None,
     ):
@@ -63,7 +62,6 @@ class IODeterminator:
         )
         self.retriever = IORetriever(
             sim, plfs, retrier=self.retrier, cache=block_cache,
-            serial_requests=serial_requests,
             metrics=self.metrics, metric_labels=self.metric_labels,
         )
 

@@ -79,7 +79,6 @@ class ADA(DataPlane):
         retry_policy: Optional[RetryPolicy] = None,
         block_cache: Optional[BlockCache] = None,
         prefetch: bool = False,
-        serial_requests: bool = False,
         ingest_config: Optional[IngestPipelineConfig] = None,
         lod_precision: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -123,7 +122,6 @@ class ADA(DataPlane):
             self.placement,
             retry_policy=retry_policy,
             block_cache=block_cache,
-            serial_requests=serial_requests,
             metrics=self.metrics,
             metric_labels=self.metric_labels,
         )

@@ -41,10 +41,6 @@ class IORetriever:
     failure -- including a checksum mismatch detected by PLFS, since
     corruption is injected in flight -- triggers a backed-off re-read of
     that run, not of the whole subset.
-
-    ``serial_requests`` forces one synchronous chunk request at a time
-    (no per-chunk concurrency, no coalescing) -- the pre-pipelining
-    baseline the ``bench-pipeline`` harness measures against.
     """
 
     def __init__(
@@ -53,7 +49,6 @@ class IORetriever:
         plfs: PLFS,
         retrier: Optional[Retrier] = None,
         cache: Optional[BlockCache] = None,
-        serial_requests: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Dict[str, str]] = None,
     ):
@@ -61,7 +56,6 @@ class IORetriever:
         self.plfs = plfs
         self.retrier = retrier if retrier is not None else Retrier(sim)
         self.cache = cache
-        self.serial_requests = serial_requests
         # Registry-backed accounting.  ``metric_labels`` (e.g. ``{"shard":
         # name}``) keep per-retriever series distinct when several
         # retrievers share one registry.  The two byte counters are floats.
@@ -183,14 +177,7 @@ class IORetriever:
                 joined=len(waits),
             )
             runs = self._runs(records, to_read)
-            if self.serial_requests:
-                for run in runs:
-                    objs = yield from self._read_run(
-                        logical, tag, records, run, prefetched
-                    )
-                    for pos, obj in zip(run, objs):
-                        out[pos] = obj
-            elif runs:
+            if runs:
                 procs: List[Process] = []
                 for run in runs:
                     proc = self.sim.process(
@@ -312,10 +299,10 @@ class IORetriever:
         A run is a maximal stretch of positions that are consecutive in
         the subset's chunk order and whose chunks live on one backend --
         exactly the stretches that are adjacent in the backend's
-        log-structured layout.  Without coalescing (or in serial mode)
-        every chunk is its own run.
+        log-structured layout.  Without coalescing every chunk is its own
+        run.
         """
-        if not self.coalesce or self.serial_requests:
+        if not self.coalesce:
             return [[pos] for pos in positions]
         runs: List[List[int]] = []
         for pos in positions:

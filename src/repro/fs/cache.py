@@ -239,15 +239,15 @@ class BlockCache:
         """(Re)home this cache's counters and gauges in ``metrics``.
 
         A cache is usually constructed standalone and handed to ``ADA``,
-        which then rebinds it into the middleware's shared registry;
-        counts accumulated so far carry over.  ``labels`` distinguish this
-        cache's series when several caches share one registry -- a sharded
-        deployment binds each shard's cache with ``{"shard": name}``.
+        which rebinds it into the middleware's shared registry before the
+        cache has counted anything, so no count is carried over.
+        ``labels`` distinguish this cache's series when several caches
+        share one registry -- a sharded deployment binds each shard's
+        cache with ``{"shard": name}``.
         Without them, same-named counters from two caches would be the
         *same* registry object (silently merged series) and the derived
         occupancy gauges would track only the last cache bound.
         """
-        previous = getattr(self, "_metric_fields", None)
         if labels:
             self.metric_labels.update({k: str(v) for k, v in labels.items()})
         extra = self.metric_labels
@@ -278,12 +278,6 @@ class BlockCache:
                 "block_cache_prefetch_wasted_total", **extra
             ),
         }
-        if previous is not None:
-            for field, metric in previous.items():
-                # Subclasses widen ``_metric_fields`` after this runs; skip
-                # their keys here and let their ``bind_metrics`` carry them.
-                if field in self._metric_fields and metric.value:
-                    self._metric_fields[field].set(metric.value)
         self.metrics.gauge(
             "block_cache_bytes", fn=lambda: self.l1_bytes, tier="l1", **extra
         )
@@ -350,8 +344,9 @@ class BlockCache:
                 counters["hits_l2"].inc()
                 promote.append((key, block))
                 end += L2_LATENCY_S + block.nbytes / L2_BANDWIDTH
-            if block.prefetched:
-                self._count_prefetch_use(key, block)
+            if block.prefetched:  # a speculative block's first demand read
+                counters["prefetch_hits"].inc()
+                block.prefetched = False
             blocks.append(block)
         if blocks.count(None) < len(blocks):
             with span(
@@ -373,9 +368,7 @@ class BlockCache:
         """Install (or refresh) a block in L1."""
         if nbytes > self.l1_capacity_bytes:
             return  # larger than the whole L1: bypass
-        stale = self._take_l2(key)
-        if stale is not None:
-            self._on_replaced(key, stale)
+        self._take_l2(key)
         self._insert_l1(
             key, CachedBlock(nbytes=int(nbytes), data=data, prefetched=prefetched)
         )
@@ -411,16 +404,10 @@ class BlockCache:
 
     # -- internals ---------------------------------------------------------
 
-    def _count_prefetch_use(self, key: BlockKey, block: CachedBlock) -> None:
-        """A speculatively admitted block served its first demand read."""
-        self._metric_fields["prefetch_hits"].inc()
-        block.prefetched = False
-
     def _take_l1(self, key: BlockKey) -> CachedBlock:
         """Remove and return a resident L1 block."""
         block = self._l1.pop(key)
         self._l1_nbytes -= block.nbytes
-        self._on_l1_remove(key, block)
         return block
 
     def _take_l2(self, key: BlockKey) -> Optional[CachedBlock]:
@@ -432,10 +419,9 @@ class BlockCache:
 
     def _insert_l1(self, key: BlockKey, block: CachedBlock) -> None:
         if key in self._l1:
-            self._on_replaced(key, self._take_l1(key))
+            self._take_l1(key)
         self._l1[key] = block
         self._l1_nbytes += block.nbytes
-        self._on_l1_insert(key, block)
         while self._l1_nbytes > self.l1_capacity_bytes and len(self._l1) > 1:
             victim_key = self._pick_l1_victim()
             self._demote(victim_key, self._take_l1(victim_key))
@@ -453,7 +439,7 @@ class BlockCache:
         self._l2.move_to_end(key)
         self._l2_nbytes += block.nbytes
         while self._l2_nbytes > self.l2_capacity_bytes and self._l2:
-            victim_key = self._pick_l2_victim()
+            victim_key = next(iter(self._l2))  # plain LRU
             self._drop(victim_key, self._take_l2(victim_key))
 
     def _drop(self, key: BlockKey, block: CachedBlock) -> None:
@@ -468,19 +454,5 @@ class BlockCache:
         """Key of the next L1 block to demote; default is plain LRU."""
         return next(iter(self._l1))
 
-    def _pick_l2_victim(self) -> BlockKey:
-        """Key of the next L2 block to evict; default is plain LRU."""
-        return next(iter(self._l2))
-
-    def _on_l1_insert(self, key: BlockKey, block: CachedBlock) -> None:
-        """A block became L1-resident (admit, refresh, or promote)."""
-
-    def _on_l1_remove(self, key: BlockKey, block: CachedBlock) -> None:
-        """A block left L1 (demotion, invalidation, or refresh)."""
-
     def _on_removed(self, key: BlockKey, block: CachedBlock) -> None:
         """A block left the cache entirely (eviction or invalidation)."""
-
-    def _on_replaced(self, key: BlockKey, block: CachedBlock) -> None:
-        """A resident block was overwritten by a newer one under its key
-        (re-admission; the key itself stays resident)."""

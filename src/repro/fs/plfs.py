@@ -461,12 +461,13 @@ class PLFS:
         return report
 
     def delete_container(self, logical: str) -> int:
-        """Remove every chunk and the index of a container; returns freed
-        bytes.  Synchronous (metadata-path operation, like ``rm -r``)."""
+        """Remove every chunk and the index of a container; returns the
+        freed bytes, index logs included.  Synchronous (metadata-path
+        operation, like ``rm -r``)."""
         freed = self.discard(self.container_index(logical))
         index_path = self.index_path(logical)
         for backend, fs in self.metadata_homes(index_path).items():
-            fs.delete(index_path)
+            freed += fs.delete(index_path)
             self._torn.pop((logical, backend), None)
         self._indexes.pop(logical, None)
         self._adopted.discard(logical)

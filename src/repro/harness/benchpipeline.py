@@ -5,8 +5,9 @@ fetch a window of subset chunks, spend the calibrated CPU time consuming
 it, advance -- against one multi-chunk dataset on rotating storage, under
 four read-path configurations:
 
-* ``serial``         -- one synchronous chunk request at a time, no cache:
-                        the pre-pipelining baseline;
+* ``serial``         -- the uncached deployment: one request per chunk,
+                        no coalescing, no prefetch -- the baseline every
+                        pipelined path is measured against;
 * ``cold_cache``     -- tiered block cache + request coalescing, first
                         pass (every block is a miss, but windows coalesce
                         into span reads);
@@ -114,8 +115,8 @@ def run_pipeline_bench(
     scenarios: Dict[str, Dict[str, object]] = {}
     digests: Dict[str, str] = {}
 
-    # serial: the pre-pipelining baseline -- one chunk request at a time.
-    ada = deployment(serial_requests=True)
+    # serial: the uncached baseline -- one request per chunk.
+    ada = deployment()
     chunk_nbytes = ada.subset_nbytes(logical, PLAYBACK_TAG) // nchunks
     scenarios["serial"] = {"playback_s": playback(ada, "serial")}
 

@@ -82,11 +82,6 @@ class Counter:
             )
         self._value += amount
 
-    def set(self, value) -> None:
-        """Direct assignment -- exists so ``bind_metrics`` can carry a
-        count over into another registry, not for general use."""
-        self._value = value
-
 
 class Gauge:
     """Point-in-time value; may also be backed by a callback.

@@ -13,12 +13,16 @@
   no reservation, or the shared pool beyond its capacity), in LRU order.
   A tenant's within-quota working set therefore survives another
   tenant's scan;
-* **charge follows use**: a block that a second tenant hits is re-charged
-  to the shared pool (owner ``None``).  This is the fix for the
-  accounting leak the multi-tenant suite exposed: blocks billed forever
-  to whichever tenant faulted them in first -- a whole-subset read by one
-  tenant, or an in-flight dedup join where the joining tenant consumed a
-  block only the issuing tenant was charged for.
+* **charge follows use**: a block that a second tenant hits (or
+  re-admits) is re-charged to the shared pool (owner ``None``), so a
+  block one tenant faulted in is not billed to it forever once others
+  read it too.
+
+The owner map is the only per-tenant state.  Every figure billed -- L1
+bytes per holder, resident prefetched-but-unused bytes per holder -- is a
+scan of the resident blocks, so it equals the sum over them by
+construction.  The scans are cold: the prefetch budget check, a victim
+pick on an L1 eviction, and a gauge export.
 
 Tenant attribution is ambient: :func:`span_tenant_source` reads the
 ``context`` of the DES process that is running, which the scheduler sets
@@ -59,15 +63,10 @@ class TenantBlockCache(BlockCache):
         tenant_source: Optional[Callable[[], Optional[str]]] = None,
         **kwargs,
     ):
-        # Accounting state must exist before ``super().__init__`` runs:
-        # it calls ``bind_metrics``, which our override extends.
+        super().__init__(sim, **kwargs)
         self._owner: Dict[BlockKey, Optional[str]] = {}
-        self._l1_charged: Dict[Optional[str], float] = {}
-        # Resident prefetched-but-unused bytes per owner, both tiers.
-        self._speculative: Dict[Optional[str], int] = {}
         self._quotas: Dict[str, float] = {}
         self.tenant_source = tenant_source
-        super().__init__(sim, **kwargs)
 
     # -- configuration ------------------------------------------------------
 
@@ -89,7 +88,6 @@ class TenantBlockCache(BlockCache):
         metrics: MetricsRegistry,
         labels: Optional[Dict[str, str]] = None,
     ) -> None:
-        previous = getattr(self, "_metric_fields", None)
         super().bind_metrics(metrics, labels=labels)
         extra = self.metric_labels
         for name, field in (
@@ -97,12 +95,9 @@ class TenantBlockCache(BlockCache):
             ("block_cache_quota_evictions_total", "quota_evictions"),
         ):
             self._metric_fields[field] = metrics.counter(name, **extra)
-            if previous is not None and field in previous:
-                if previous[field].value:
-                    self._metric_fields[field].set(previous[field].value)
         metrics.gauge(
             "block_cache_shared_pool_bytes",
-            fn=lambda: self._l1_charged.get(None, 0.0),
+            fn=lambda: self.charged_bytes(None),
             **extra,
         )
 
@@ -114,12 +109,20 @@ class TenantBlockCache(BlockCache):
 
     def charged_bytes(self, tenant: Optional[str]) -> float:
         """L1 bytes currently billed to ``tenant`` (``None`` = shared)."""
-        return self._l1_charged.get(tenant, 0.0)
+        return float(sum(
+            block.nbytes for key, block in self._l1.items()
+            if self._owner.get(key) == tenant
+        ))
 
     def prefetched_bytes(self, tenant: Optional[str]) -> float:
         """Resident speculative (prefetched, unused) bytes billed to
         ``tenant`` -- what the prefetcher's per-tenant budget caps."""
-        return float(self._speculative.get(tenant, 0))
+        return float(sum(
+            block.nbytes
+            for tier in (self._l1, self._l2)
+            for key, block in tier.items()
+            if block.prefetched and self._owner.get(key) == tenant
+        ))
 
     # -- data path overrides -------------------------------------------------
 
@@ -141,8 +144,7 @@ class TenantBlockCache(BlockCache):
         if key not in self:
             self._owner[key] = tenant
         elif self._owner.get(key) != tenant:
-            # Re-admitted by a different tenant: community block.
-            self._transfer(key, None)
+            self._owner[key] = None  # re-admitted by another tenant: shared
         super().admit(key, nbytes, data=data, prefetched=prefetched)
         if key not in self:
             # Bypassed (larger than L1): never leave a dangling owner.
@@ -156,87 +158,32 @@ class TenantBlockCache(BlockCache):
                 owner = self._owner.get(key)
                 if block is not None and owner is not None and owner != tenant:
                     self._metric_fields["cross_tenant_hits"].inc()
-                    self._transfer(key, None)
+                    self._owner[key] = None
         return blocks
 
     # -- hook implementations ------------------------------------------------
 
-    def _on_l1_insert(self, key: BlockKey, block: CachedBlock) -> None:
-        owner = self._owner.get(key)
-        self._l1_charged[owner] = (
-            self._l1_charged.get(owner, 0.0) + block.nbytes
-        )
-        if block.prefetched:
-            # Only a fresh speculative admission arrives flagged: a
-            # promotion's flag was cleared by the hit that caused it.
-            self._speculate(owner, block.nbytes)
-
-    def _on_l1_remove(self, key: BlockKey, block: CachedBlock) -> None:
-        owner = self._owner.get(key)
-        remaining = self._l1_charged.get(owner, 0.0) - block.nbytes
-        if remaining > 0.0:
-            self._l1_charged[owner] = remaining
-        else:
-            self._l1_charged.pop(owner, None)
-
     def _on_removed(self, key: BlockKey, block: CachedBlock) -> None:
-        owner = self._owner.pop(key, None)
-        if block.prefetched:
-            self._speculate(owner, -block.nbytes)
+        self._owner.pop(key, None)
 
-    def _on_replaced(self, key: BlockKey, block: CachedBlock) -> None:
-        if block.prefetched:
-            self._speculate(self._owner.get(key), -block.nbytes)
-
-    def _count_prefetch_use(self, key: BlockKey, block: CachedBlock) -> None:
-        self._speculate(self._owner.get(key), -block.nbytes)
-        super()._count_prefetch_use(key, block)
-
-    def _speculate(self, owner: Optional[str], nbytes: int) -> None:
-        """Move ``owner``'s resident speculative bytes by ``nbytes``."""
-        left = self._speculative.get(owner, 0) + nbytes
-        if left:
-            self._speculative[owner] = left
-        else:
-            self._speculative.pop(owner, None)
-
-    def _transfer(self, key: BlockKey, new_owner: Optional[str]) -> None:
-        old_owner = self._owner.get(key)
-        if old_owner == new_owner:
-            return
-        block = self._l1.get(key)
-        if block is not None:
-            remaining = self._l1_charged.get(old_owner, 0.0) - block.nbytes
-            if remaining > 0.0:
-                self._l1_charged[old_owner] = remaining
-            else:
-                self._l1_charged.pop(old_owner, None)
-            self._l1_charged[new_owner] = (
-                self._l1_charged.get(new_owner, 0.0) + block.nbytes
-            )
-        else:
-            block = self._l2.get(key)
-        if block is not None and block.prefetched:
-            self._speculate(old_owner, -block.nbytes)
-            self._speculate(new_owner, block.nbytes)
-        self._owner[key] = new_owner
-
-    def _over_allocation(self, owner: Optional[str]) -> bool:
+    def _over_allocation(
+        self, owner: Optional[str], charged: Dict[Optional[str], float]
+    ) -> bool:
         """Is this holder using more L1 than it is entitled to keep?"""
-        charged = self._l1_charged.get(owner, 0.0)
         if owner is None:
-            return charged > self.shared_capacity_bytes()
+            return charged[owner] > self.shared_capacity_bytes()
         quota = self._quotas.get(owner)
         if quota is None:
             return True  # no reservation: always reclaimable
-        return charged > quota
+        return charged[owner] > quota
 
     def _pick_l1_victim(self) -> BlockKey:
-        fallback = None
+        charged: Dict[Optional[str], float] = {}
+        for key, block in self._l1.items():
+            owner = self._owner.get(key)
+            charged[owner] = charged.get(owner, 0.0) + block.nbytes
         for key in self._l1:
-            if fallback is None:
-                fallback = key
-            if self._over_allocation(self._owner.get(key)):
+            if self._over_allocation(self._owner.get(key), charged):
                 self._metric_fields["quota_evictions"].inc()
                 return key
-        return fallback
+        return next(iter(self._l1))

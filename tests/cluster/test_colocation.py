@@ -105,8 +105,9 @@ def test_lod_read_fails_over_when_its_first_holder_dies():
 
 def test_remove_rewrites_no_index_log(monkeypatch):
     """Removing a dataset deletes each holder's container outright: no
-    holder rewrites its index log, every chunk's bytes come back and
-    nothing of the dataset is left on any node."""
+    holder rewrites its index log, it returns every byte its holders
+    held (chunks and index logs) and nothing of the dataset is left on
+    any node."""
     _, front = _cluster()
     logical = BLOBS[0][0]
     prefix = f"{logical}."  # the container dir and anything beside it
@@ -120,9 +121,9 @@ def test_remove_rewrites_no_index_log(monkeypatch):
         for name in front.holders(logical, tag)
     }
     held = sum(
-        record.nbytes
-        for name in holders
-        for record in front.nodes[name].ada.plfs.container_index(logical)
+        node.ada.plfs.backends["hdd"].store.nbytes(key)
+        for node in (front.nodes[name] for name in holders)
+        for key in stored(node)
     )
     rewrites = []
     replace = LocalFS.replace

@@ -1,7 +1,7 @@
 """Tests for the pipelined read path: coalescing, block cache, prefetch.
 
 The contract under test: every pipelined configuration (cache, coalesced
-spans, adaptive prefetch, serial baseline) returns *exactly* the bytes the
+spans, adaptive prefetch) returns *exactly* the bytes the
 plain path returns -- the pipeline moves time, never data -- while saving
 backend requests and simulated seconds where it claims to.
 """
@@ -51,7 +51,7 @@ def _chunk_blobs(natoms=300, nchunks=6, frames_per_chunk=3, seed=3):
     return workload.pdb_text, blobs
 
 
-def _ada(sim, cache=False, prefetch=False, serial=False, seeky=False, **kw):
+def _ada(sim, cache=False, prefetch=False, seeky=False, **kw):
     if seeky:
         backends = {
             "ssd": _fs(sim, "ssd", hdd_spec(name="seeky-ssd")),
@@ -64,7 +64,6 @@ def _ada(sim, cache=False, prefetch=False, serial=False, seeky=False, **kw):
         backends=backends,
         block_cache=BlockCache(sim) if cache else None,
         prefetch=prefetch,
-        serial_requests=serial,
         **kw,
     )
 
@@ -86,11 +85,9 @@ def dataset():
 def test_coalesced_reads_bit_identical_to_plain(dataset):
     pdb_text, blobs = dataset
     results = {}
-    for mode in ("plain", "pipelined", "serial"):
+    for mode in ("plain", "pipelined"):
         sim = Simulator()
-        ada = _ada(
-            sim, cache=(mode == "pipelined"), serial=(mode == "serial")
-        )
+        ada = _ada(sim, cache=(mode == "pipelined"))
         _ingest(ada, "bar.xtc", pdb_text, blobs)
         results[mode] = {
             tag: sim.run_process(ada.fetch("bar.xtc", tag)).data
@@ -98,22 +95,21 @@ def test_coalesced_reads_bit_identical_to_plain(dataset):
         }
         if mode == "pipelined":
             assert ada.metrics.value("retriever_requests_saved_total") > 0
-    assert results["pipelined"] == results["plain"] == results["serial"]
+    assert results["pipelined"] == results["plain"]
 
 
 def test_coalescing_saves_simulated_time_on_seeky_media(dataset):
     pdb_text, blobs = dataset
     elapsed = {}
-    for mode in ("serial", "coalesced"):
+    for mode in ("uncached", "coalesced"):
         sim = Simulator()
-        ada = _ada(sim, cache=(mode == "coalesced"), serial=(mode == "serial"),
-                   seeky=True)
+        ada = _ada(sim, cache=(mode == "coalesced"), seeky=True)
         _ingest(ada, "bar.xtc", pdb_text, blobs)
         t0 = sim.now
         sim.run_process(ada.fetch("bar.xtc", "p"))
         elapsed[mode] = sim.now - t0
-    # 6 chunks x 8 ms seek serially vs one span: a real gap, not noise.
-    assert elapsed["coalesced"] < elapsed["serial"] / 2
+    # 6 chunk requests x 8 ms seek uncached vs one span: a real gap.
+    assert elapsed["coalesced"] < elapsed["uncached"] / 2
 
 
 def test_coalesced_span_verifies_each_chunk_crc(dataset):

@@ -1,18 +1,20 @@
-"""Ledger conservation for the block cache's running counters.
+"""Ledger conservation for the block cache.
 
-``BlockCache.l1_bytes``/``l2_bytes`` and
-``TenantBlockCache.prefetched_bytes`` used to be recomputed from the
-resident blocks on every read; they are running counters now.  This suite
+``BlockCache.l1_bytes``/``l2_bytes`` are running counters (``pressure()``
+reads them on every prefetch decision); the per-tenant figures of
+``TenantBlockCache`` -- ``charged_bytes`` and ``prefetched_bytes`` -- are
+derived, scans of the resident blocks and their owners.  This suite
 drives arbitrary admit / lookup / window lookup / invalidate /
 re-admit-by-another-tenant / over-capacity sequences and checks after
 *every* step that
 
-* each counter equals the sum recomputed from the resident blocks, and
-* LRU order, owners, demotions, evictions and every other decision equal
-  those of the pre-change implementation, kept below as the oracle (the
-  recompute-everything version: its byte totals are ``sum()`` over the
-  tiers, its speculative bytes a scan of both), and that a window lookup
-  decides exactly what the oracle's per-key lookups do.
+* each running counter equals the sum recomputed from the resident
+  blocks, and the tenant figures add up to the tier totals, and
+* LRU order, owners, L1 charges, demotions, evictions, victim choice and
+  every other decision equal those of the oracle below (a
+  recompute-everything cache whose tenant variant keeps its own running
+  charge ledger), and that a window lookup decides exactly what the
+  oracle's per-key lookups do.
 
 Below the oracle run: a window waits once, to exactly the float the chain
 of per-hit waits ends on, and serves every block its probe found.
@@ -365,6 +367,14 @@ def test_tenant_cache_ledgers_balance(l2_capacity, ops):
         _apply(sim, cache, oracle, current, op)
         _check_tiers(cache, oracle)
         assert cache._owner == oracle.owner
+        # Conservation: every resident byte is billed to exactly one holder.
+        assert sum(map(cache.charged_bytes, TENANTS)) == cache.l1_bytes
+        assert sum(map(cache.prefetched_bytes, TENANTS)) == sum(
+            block.nbytes
+            for tier in (cache._l1, cache._l2)
+            for block in tier.values()
+            if block.prefetched
+        )
         for tenant in TENANTS:
             recomputed = sum(
                 block.nbytes
@@ -380,7 +390,7 @@ def test_tenant_cache_ledgers_balance(l2_capacity, ops):
     # Nothing is left on the books for blocks that are gone.
     cache.invalidate()
     assert (cache.l1_bytes, cache.l2_bytes) == (0.0, 0.0)
-    assert cache._speculative == {} and cache._owner == {}
+    assert cache._owner == {}
 
 
 @settings(max_examples=150, deadline=None)

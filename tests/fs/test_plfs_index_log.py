@@ -388,6 +388,19 @@ def test_container_lifecycle_returns_every_byte(meta_factory):
         assert not any(_used(fs)) and len(fs.store) == 0
 
 
+def test_delete_container_returns_every_byte_it_frees():
+    """The freed count covers the index log on each of its homes, not
+    only the chunks: it equals the capacity the backends get back."""
+    sim, plfs = _plfs()
+    for backend in ("hdd", "ssd", "hdd"):
+        sim.run_process(commit_run(plfs, LOGICAL, [("p", b"ppp")], backend))
+    index_bytes = plfs.backends["meta"].store.nbytes(INDEX)
+    used = sum(sum(_used(fs)) for fs in plfs.backends.values())
+    assert index_bytes > 0 and used == 9 + index_bytes
+    assert plfs.delete_container(LOGICAL) == used
+    assert not any(sum(_used(fs)) for fs in plfs.backends.values())
+
+
 # -- the store primitive ------------------------------------------------------
 
 

@@ -35,7 +35,7 @@ LEDGER = {
     "ADA": (
         "sim backends policy placement storage_cpu storage_cpus "
         "subset_format retry_policy block_cache prefetch "
-        "serial_requests ingest_config lod_precision "
+        "ingest_config lod_precision "
         "metrics shard_id"
     ),
     "ShardedADA": (
