@@ -1,7 +1,10 @@
 """Structure superposition (Kabsch algorithm).
 
 RMSD over a trajectory is only meaningful after removing rigid-body
-motion; the Kabsch algorithm finds the optimal rotation in one SVD.
+motion; the Kabsch algorithm finds the optimal rotation in one SVD.  One
+stacked kernel (``matmul``, ``svd``, ``det`` over an ``(F, N, 3)`` stack)
+runs it, each frame by the same float operations whatever the stack, and
+:func:`kabsch_rotation` and :func:`superpose` are its one-frame case.
 """
 
 from __future__ import annotations
@@ -23,17 +26,32 @@ def _validate_pair(mobile: np.ndarray, reference: np.ndarray) -> None:
         )
 
 
+def _superpose_stack(
+    mobile: np.ndarray, reference: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rotations, aligned, rmsd)`` of each frame of the ``(F, N, 3)``
+    ``mobile`` superposed onto one ``(N, 3)`` reference: mobile centred in
+    its own dtype, ``u, vt = svd(mᵀr)``, ``R = u·diag(1, 1, d)·vt`` with
+    ``d = sign(det(u·vt))`` (a proper rotation), ``m·R + r̄``, then
+    ``sqrt(mean(sum(δ²)))``."""
+    centered = mobile - mobile.mean(axis=1, keepdims=True)
+    ref_mean = reference.mean(axis=0)
+    h = centered.transpose(0, 2, 1) @ (reference - ref_mean)
+    u, _s, vt = np.linalg.svd(h)
+    correction = np.zeros(h.shape)
+    correction[:, 0, 0] = correction[:, 1, 1] = 1.0
+    correction[:, 2, 2] = np.sign(np.linalg.det(u @ vt))
+    rotations = u @ correction @ vt
+    aligned = centered @ rotations + ref_mean
+    delta = aligned - reference
+    return rotations, aligned, np.sqrt((delta**2).sum(axis=2).mean(axis=1))
+
+
 def kabsch_rotation(mobile: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Optimal rotation matrix aligning centered ``mobile`` onto centered
     ``reference`` (proper rotation: reflections are corrected)."""
     _validate_pair(mobile, reference)
-    m = mobile - mobile.mean(axis=0)
-    r = reference - reference.mean(axis=0)
-    h = m.T @ r
-    u, _s, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(u @ vt))
-    correction = np.diag([1.0, 1.0, d])
-    return u @ correction @ vt
+    return _superpose_stack(mobile[None], reference)[0][0]
 
 
 def superpose(
@@ -41,9 +59,5 @@ def superpose(
 ) -> Tuple[np.ndarray, float]:
     """Align ``mobile`` onto ``reference``; returns ``(aligned, rmsd)``."""
     _validate_pair(mobile, reference)
-    rotation = kabsch_rotation(mobile, reference)
-    centered = mobile - mobile.mean(axis=0)
-    aligned = centered @ rotation + reference.mean(axis=0)
-    delta = aligned - reference
-    value = float(np.sqrt((delta**2).sum(axis=1).mean()))
-    return aligned, value
+    _, aligned, value = _superpose_stack(mobile[None], reference)
+    return aligned[0], float(value[0])

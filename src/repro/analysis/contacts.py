@@ -6,7 +6,8 @@ from track helix-helix contacts).  Every contact is decided by the exact
 neighbour-grid kernel in :mod:`repro.analysis.neighbors`, so time and
 memory follow the number of contacts, not the square of the selection --
 only :func:`contact_map`, whose *result* is an ``(N, N)`` matrix, is
-quadratic in anything.
+quadratic in anything.  Each frame becomes float64 rows once, for the
+count and the native-pair test alike.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.analysis.neighbors import (
-    count_self_pairs,
-    pairs_within,
+    _count_self_pairs,
+    _pairs_within,
+    _rows,
     self_pairs,
 )
 from repro.errors import TopologyError
@@ -91,11 +93,10 @@ def pair_series(
     counts = np.zeros(stack.shape[0], dtype=np.int64)
     overlap = np.zeros_like(counts) if native is not None else None
     for f, frame in enumerate(stack):
-        counts[f] = count_self_pairs(frame, cutoff)
+        xyz = _rows(frame)
+        counts[f] = _count_self_pairs(xyz, cutoff)
         if native is not None:
-            overlap[f] = np.count_nonzero(
-                pairs_within(frame, *native, cutoff)
-            )
+            overlap[f] = np.count_nonzero(_pairs_within(xyz, *native, cutoff))
     return counts, overlap
 
 
@@ -129,10 +130,9 @@ def contact_count(
     selection: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-frame number of (unordered) contacts."""
-    coords = trajectory.coords
     if selection is not None:
-        coords = coords[:, np.asarray(selection)]
-    return pair_series(coords, cutoff)[0]
+        trajectory = trajectory.select_atoms(selection)
+    return pair_series(trajectory.coords, cutoff)[0]
 
 
 def native_contact_fraction(
@@ -148,11 +148,8 @@ def native_contact_fraction(
     """
     if not 0 <= reference_frame < trajectory.nframes:
         raise TopologyError(f"reference frame {reference_frame} out of range")
-    native = native_pairs(
-        trajectory.coords[reference_frame], cutoff, selection=selection
-    )
-    coords = trajectory.coords
     if selection is not None:
-        coords = coords[:, np.asarray(selection)]
-    _, overlap = pair_series(coords, cutoff, native=native)
+        trajectory = trajectory.select_atoms(selection)
+    native = native_pairs(trajectory.coords[reference_frame], cutoff)
+    _, overlap = pair_series(trajectory.coords, cutoff, native=native)
     return overlap / native[0].size

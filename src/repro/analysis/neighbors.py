@@ -13,7 +13,8 @@ classic cell list, and **exactly**:
   arithmetic, so a pair at the cutoff can never land two cells apart.
 * Each candidate then goes through the float64 expression the all-pairs
   code applied -- subtract, square, left-to-right three-term sum,
-  ``< cutoff**2`` -- on the original coordinates.  ``d2(i, j)`` and
+  ``< cutoff**2`` -- on the original coordinates, gathered with ``take``
+  from one ``(3, N)`` row set per frame (:func:`_rows`).  ``d2(i, j)`` and
   ``d2(j, i)`` are the same IEEE value (``a - b == -(b - a)``), so one
   evaluation per unordered pair decides both orders.  Results are
   therefore bit-identical to all-pairs by construction, not by tolerance.
@@ -31,7 +32,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["any_within", "count_self_pairs", "pairs_within", "self_pairs"]
+__all__ = ["any_within", "self_pairs"]
 
 #: Cells per axis at most; three padded axes then fit one int64 key.
 _MAX_CELLS = 1 << 20
@@ -55,9 +56,9 @@ _SHELL = np.array(
     ],
     dtype=np.int64,
 )
-#: The 13 neighbour offsets that sort after the home cell: with the home
-#: cell's own later atoms they cover every unordered pair exactly once.
-_HALF_SHELL = _SHELL[14:]
+#: The home cell, then the 13 neighbour offsets that sort after it: with the
+#: home cell's own later atoms they cover every unordered pair exactly once.
+_HOME_AND_HALF_SHELL = _SHELL[13:]
 
 
 class _Grid:
@@ -71,8 +72,8 @@ class _Grid:
     that grid leaves empty), and those outside the padded box are dropped:
     nothing of that grid is within reach of them.
 
-    ``atoms`` are the kept points' indices in cell order, ``xyz`` their
-    float64 coordinates as three contiguous rows in the same order, and
+    The points come in as :func:`_rows`.  ``atoms`` are the kept points'
+    indices in cell order, ``xyz`` their rows in the same order, and
     ``cell_key/cell_start/cell_count`` describe the occupied cells.
     """
 
@@ -81,34 +82,33 @@ class _Grid:
         "cell_key", "cell_start", "cell_count",
     )
 
-    def __init__(self, pts: np.ndarray, cutoff: float, like: "_Grid" = None):
+    def __init__(self, xyz: np.ndarray, cutoff: float, like: "_Grid" = None):
         # Binned at half scale: the extent of any finite float64 cloud is
         # then itself finite.
-        half = pts * 0.5
+        half = xyz * 0.5
         if like is None:
-            keep = np.flatnonzero(np.isfinite(half).all(axis=1))
-            half = half[keep]
-            self.lo = half.min(axis=0, initial=np.inf)
-            span = half.max(axis=0, initial=-np.inf) - self.lo
+            keep = np.flatnonzero(np.isfinite(half).all(axis=0))
+            half = half[:, keep]
+            self.lo = half.min(axis=1, initial=np.inf)[:, None]
+            span = half.max(axis=1, initial=-np.inf)[:, None] - self.lo
             self.edge = max(
                 0.5 * cutoff * _SLACK, span.max(initial=0.0) / _MAX_CELLS
             )
             cells = ((half - self.lo) / self.edge).astype(np.int64) + 1
-            self.dims = cells.max(axis=0, initial=0) + 2
+            self.dims = cells.max(axis=1, initial=0) + 2
         else:
             self.lo, self.edge, self.dims = like.lo, like.edge, like.dims
             scaled = (half - self.lo) / self.edge
             # NaN compares False, so non-finite points drop out here too.
-            keep = np.flatnonzero(
-                ((scaled >= -1.0) & (scaled < self.dims - 1)).all(axis=1)
-            )
-            cells = np.floor(scaled[keep]).astype(np.int64) + 1
-        key = cells[:, 0] * self.dims[1] + cells[:, 1]
-        key = key * self.dims[2] + cells[:, 2]
+            inside = (scaled >= -1.0) & (scaled < self.dims[:, None] - 1)
+            keep = np.flatnonzero(inside.all(axis=0))
+            cells = np.floor(scaled[:, keep]).astype(np.int64) + 1
+        dims = self.dims
+        key = np.array([dims[1] * dims[2], dims[2], 1]) @ cells
         order = np.argsort(key, kind="stable")
         key = key[order]
         self.atoms = keep[order]
-        self.xyz = np.ascontiguousarray(pts[self.atoms].T)
+        self.xyz = xyz.take(self.atoms, axis=1)
         # A cell starts wherever the sorted key changes (and at point 0).
         self.cell_start = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
         self.cell_key = key[self.cell_start]
@@ -123,7 +123,7 @@ class _Grid:
         in the cell at that offset from the point's own (count 0 where
         that cell is empty)."""
         strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1])
-        target = query.cell_key[None, :] + (offsets @ strides)[:, None]
+        target = query.cell_key + (offsets @ strides)[:, None]
         slot = np.minimum(
             np.searchsorted(self.cell_key, target), self.cell_key.size - 1
         )
@@ -131,14 +131,17 @@ class _Grid:
             self.cell_key[slot] == target, self.cell_count[slot], 0
         )
         cell_of = np.repeat(np.arange(query.cell_key.size), query.cell_count)
-        return self.cell_start[slot][:, cell_of], counts[:, cell_of]
+        return self.cell_start[slot].take(cell_of, 1), counts.take(cell_of, 1)
 
 
 def _candidates(
-    owners: np.ndarray, starts: np.ndarray, counts: np.ndarray
+    starts: np.ndarray, counts: np.ndarray
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Every ``(owners[k], starts[k] + t)`` for ``t < counts[k]``, as
-    ``(p, q)`` index arrays of about :data:`_CHUNK` pairs at a time."""
+    """Every ``(k, starts[r, k] + t)`` for ``t < counts[r, k]`` (point ``k``
+    of a query grid and its run at shell row ``r``), as ``(p, q)`` index
+    arrays of about :data:`_CHUNK` pairs at a time."""
+    owners = np.tile(np.arange(starts.shape[1]), len(starts))
+    starts, counts = starts.ravel(), counts.ravel()
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     cuts = np.searchsorted(ends, np.arange(_CHUNK, total, _CHUNK), "right")
@@ -153,60 +156,55 @@ def _candidates(
         lo = hi
 
 
+def _rows(pts: np.ndarray) -> np.ndarray:
+    """``(N, 3)`` points as the ``(3, N)`` float64 rows the kernels read."""
+    return np.asarray(pts).T.astype(np.float64, order="C")
+
+
 def _close(
     a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray, cutoff: float
 ) -> np.ndarray:
     """The per-pair contact test -- the one place a contact is decided.
 
-    ``a`` and ``b`` are ``(3, n)`` float64 coordinate rows, ``p`` and ``q``
-    index them pairwise.
+    ``a`` and ``b`` are :func:`_rows`, ``p`` and ``q`` index them pairwise.
     """
-    d2 = a[0][p] - b[0][q]
+    d2 = a[0].take(p)
+    d2 -= b[0].take(q)
     d2 *= d2
     for axis in (1, 2):  # left to right: (dx^2 + dy^2) + dz^2
-        delta = a[axis][p] - b[axis][q]
+        delta = a[axis].take(p)
+        delta -= b[axis].take(q)
         delta *= delta
         d2 += delta
     return d2 < cutoff * cutoff
 
 
-def pairs_within(
-    pts: np.ndarray, i: np.ndarray, j: np.ndarray, cutoff: float
+def _pairs_within(
+    xyz: np.ndarray, i: np.ndarray, j: np.ndarray, cutoff: float
 ) -> np.ndarray:
-    """Boolean mask over the given index pairs: ``pts[i[k]]`` closer than
-    ``cutoff`` to ``pts[j[k]]`` -- the same test :func:`self_pairs`
-    applies, for callers that already know which pairs they care about.
-    A non-finite point is within the cutoff of nothing here too."""
-    xyz = np.ascontiguousarray(np.asarray(pts, dtype=np.float64).T)
+    """Mask over index pairs of the rows ``xyz``: ``i[k]`` closer than
+    ``cutoff`` to ``j[k]`` (a non-finite point is within reach of nothing)."""
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, compares False
         return _close(xyz, i, xyz, j, cutoff)
 
 
 def _self_hits(
-    pts: np.ndarray, cutoff: float
+    xyz: np.ndarray, cutoff: float
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(atoms, p, q, hit)`` per chunk of candidate pairs among the points:
-    original indices ``atoms[p[k]]``, ``atoms[q[k]]`` are closer than the
-    cutoff where ``hit[k]``; every unordered pair is a candidate at most
-    once."""
-    pts = np.asarray(pts, dtype=np.float64)
+    """``(atoms, p, q, hit)`` per chunk of candidate pairs among the rows
+    ``xyz``: original indices ``atoms[p[k]]``, ``atoms[q[k]]`` are closer
+    than the cutoff where ``hit[k]``; every unordered pair is a candidate
+    at most once."""
     if not cutoff > 0:
         return
-    grid = _Grid(pts, cutoff)
+    grid = _Grid(xyz, cutoff)
     here = np.arange(grid.atoms.size)
-    starts, counts = grid.shell(grid, _HALF_SHELL)
-    own_cell_end = np.repeat(
-        grid.cell_start + grid.cell_count, grid.cell_count
-    )
     # Row 0 pairs a point with the rest of its own cell, rows 1..13 with
     # the whole cell at each half-shell offset.
-    starts = np.concatenate((here[None, :] + 1, starts))
-    counts = np.concatenate((own_cell_end[None, :] - here - 1, counts))
-    for p, q in _candidates(
-        np.broadcast_to(here, starts.shape).ravel(),
-        starts.ravel(),
-        counts.ravel(),
-    ):
+    starts, counts = grid.shell(grid, _HOME_AND_HALF_SHELL)
+    counts[0] += starts[0] - here - 1
+    starts[0] = here + 1
+    for p, q in _candidates(starts, counts):
         yield grid.atoms, p, q, _close(grid.xyz, p, grid.xyz, q, cutoff)
 
 
@@ -220,38 +218,30 @@ def self_pairs(
     """
     none = np.zeros(0, dtype=np.intp)
     first, second = [none], [none]
-    for atoms, p, q, hit in _self_hits(pts, cutoff):
+    for atoms, p, q, hit in _self_hits(_rows(pts), cutoff):
         first.append(atoms[p[hit]])
         second.append(atoms[q[hit]])
     a, b = np.concatenate(first), np.concatenate(second)
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def count_self_pairs(pts: np.ndarray, cutoff: float) -> int:
-    """``len(self_pairs(pts, cutoff)[0])`` without materialising the pairs."""
-    return sum(
-        np.count_nonzero(hit) for _, _, _, hit in _self_hits(pts, cutoff)
-    )
+def _count_self_pairs(xyz: np.ndarray, cutoff: float) -> int:
+    """``len(self_pairs(pts, cutoff)[0])`` from the rows of ``pts``."""
+    return sum(np.count_nonzero(hit) for *_, hit in _self_hits(xyz, cutoff))
 
 
 def any_within(pts: np.ndarray, ref: np.ndarray, cutoff: float) -> np.ndarray:
     """Boolean mask over the ``(N, 3)`` points: closer than ``cutoff`` to
     at least one of the ``(M, 3)`` reference points."""
-    pts = np.asarray(pts, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    out = np.zeros(pts.shape[0], dtype=bool)
+    out = np.zeros(np.shape(pts)[0], dtype=bool)
     if not cutoff > 0:
         return out
-    grid = _Grid(ref, cutoff)
+    grid = _Grid(_rows(ref), cutoff)
     if not grid.atoms.size:
         return out
-    query = _Grid(pts, cutoff, like=grid)
+    query = _Grid(_rows(pts), cutoff, like=grid)
     starts, counts = grid.shell(query, _SHELL)
-    for p, q in _candidates(
-        np.broadcast_to(np.arange(query.atoms.size), starts.shape).ravel(),
-        starts.ravel(),
-        counts.ravel(),
-    ):
+    for p, q in _candidates(starts, counts):
         hit = _close(query.xyz, p, grid.xyz, q, cutoff)
         out[query.atoms[p[hit]]] = True
     return out

@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.contacts import native_pairs, pair_series
-from repro.analysis.rmsd import rmsd
+from repro.analysis.rmsd import _rmsd_stack
 from repro.analysis.timeseries import BlockResult
 from repro.errors import ConfigurationError, TopologyError
 
@@ -109,9 +109,7 @@ class OnlineRMSD:
         slab = _as_slab(coords)
         if self._reference is None and slab.shape[0] > 0:
             self._reference = slab[0].astype(np.float64)
-        fresh = np.array(
-            [rmsd(frame, self._reference, align=self.align) for frame in slab]
-        )
+        fresh = _rmsd_stack(slab, self._reference, self.align)
         self._values.extend(fresh.tolist())
         return {"rmsd": fresh}
 
@@ -165,9 +163,7 @@ class OnlineContacts:
             }
         if self._native is None:
             self._set_reference(slab[0])
-        sel = slab
-        if self.selection is not None:
-            sel = slab[:, self.selection]
+        sel = slab if self.selection is None else slab[:, self.selection]
         counts, overlap = pair_series(sel, self.cutoff, native=self._native)
         q = overlap / self._native[0].size
         self._counts.extend(counts.tolist())

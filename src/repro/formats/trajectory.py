@@ -159,12 +159,14 @@ class Trajectory:
     def select_atoms(self, indices: np.ndarray) -> "Trajectory":
         """Atom subset across every frame -- the core filtering primitive.
 
-        One vectorized fancy-index: this is what a compute node does when it
-        scans decompressed raw data for active (protein) atoms.
+        One vectorized ``take`` (of indices or a boolean mask): what a compute
+        node does when it scans decompressed raw data for active atoms.
         """
         indices = np.asarray(indices)
+        if indices.dtype == bool:  # a mask, not the indices 0 and 1
+            indices = np.arange(self.natoms)[indices]
         return Trajectory(
-            coords=self.coords[:, indices, :],
+            coords=self.coords.take(indices, axis=1),
             steps=self.steps,
             times_ps=self.times_ps,
             box=self.box,

@@ -26,6 +26,8 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -126,7 +128,7 @@ class Histogram:
     resizing to leak wall-clock nondeterminism into exports.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum")
+    __slots__ = ("name", "labels", "bounds", "_hits", "count", "sum")
 
     kind = "histogram"
 
@@ -139,7 +141,8 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        self.bucket_counts: List[int] = [0] * len(self.bounds)
+        # Per bucket, not cumulative; the last slot is above every bound.
+        self._hits: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0
 
@@ -147,12 +150,16 @@ class Histogram:
     def value(self):
         return self.count
 
+    @property
+    def bucket_counts(self) -> List[int]:  # cumulative: ``le`` semantics
+        return list(accumulate(self._hits[:-1]))
+
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
+        # The first bound >= value; NaN, >= no bound, takes the last slot.
+        slot = bisect_left(self.bounds, value) if value == value else -1
+        self._hits[slot] += 1
 
     def quantile(self, q: float) -> float:
         """Bucket-resolution quantile estimate (upper bound of the bucket

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    OnlineRMSD,
     kabsch_rotation,
     pairwise_rmsd,
     rmsd,
@@ -105,3 +106,70 @@ def test_property_superposition_invariant_to_rigid_motion(seed, angle):
     moved = a @ _rotation_matrix(seed + 1, angle).T + seed % 7
     _, value = superpose(moved, a)
     assert value == pytest.approx(0.0, abs=1e-6)
+
+
+# -- the stacked Kabsch kernel against the per-frame chain --------------------
+
+
+def _per_frame_kabsch(mobile, reference):
+    """``(rmsd, d)``: the per-frame superposition as written before the
+    stacked kernel -- mobile centred in its own dtype, ``mᵀr``, SVD,
+    ``sign(det(u·vt))``, ``u·diag(1, 1, d)·vt``, ``m·R + r̄``,
+    ``sqrt(mean(sum(δ²)))`` -- the float operations every stacked frame
+    must reproduce bit for bit."""
+    m = mobile - mobile.mean(axis=0)
+    r = reference - reference.mean(axis=0)
+    u, _s, vt = np.linalg.svd(m.T @ r)
+    d = np.sign(np.linalg.det(u @ vt))
+    rotation = u @ np.diag([1.0, 1.0, d]) @ vt
+    centered = mobile - mobile.mean(axis=0)
+    delta = centered @ rotation + reference.mean(axis=0) - reference
+    return float(np.sqrt((delta**2).sum(axis=1).mean())), d
+
+
+def _slab(nframes, dtype, natoms=300):
+    """A reference and ``nframes`` noisy rigid copies of it; the last
+    frame is a mirror image, whose fit needs the reflection fix."""
+    rng = np.random.default_rng(nframes)
+    reference = rng.normal(size=(natoms, 3)) * 10.0
+    frames = [
+        reference @ _rotation_matrix(f, 0.1 * f).T + f
+        + rng.normal(scale=0.5, size=(natoms, 3))
+        for f in range(nframes)
+    ]
+    if frames:
+        frames[-1] = frames[-1] * np.array([-1.0, 1.0, 1.0])
+    slab = np.array(frames, dtype=dtype).reshape(nframes, natoms, 3)
+    return slab, reference.astype(dtype).astype(np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("nframes", [0, 1, 4, 37, 64, 65])
+def test_stacked_rmsd_is_the_per_frame_rmsd_bit_for_bit(nframes, dtype):
+    slab, reference = _slab(nframes, dtype)
+    frozen = [_per_frame_kabsch(frame, reference) for frame in slab]
+    want = np.array([value for value, _ in frozen])
+    if nframes:
+        assert frozen[-1][1] == -1.0  # the mirror frame is reflection-fixed
+    online = OnlineRMSD(reference=reference).update(slab)["rmsd"]
+    assert online.shape == (nframes,) and np.array_equal(online, want)
+    assert [rmsd(frame, reference) for frame in slab] == want.tolist()
+    if dtype is np.float32:  # a Trajectory stores float32
+        traj = Trajectory(coords=np.concatenate([reference[None], slab]))
+        batch = rmsd_trajectory(traj)  # blocks of 64 frames
+        assert np.array_equal(batch[1:], want)
+
+
+@pytest.mark.parametrize("align", [True, False])
+def test_pairwise_rmsd_is_the_per_pair_rmsd_bit_for_bit(align):
+    slab, _ = _slab(6, np.float32)
+    coords = slab.astype(np.float64)
+    got = pairwise_rmsd(Trajectory(coords=slab), align=align)
+    for i in range(6):
+        for j in range(i + 1, 6):
+            if align:
+                want = _per_frame_kabsch(coords[i], coords[j])[0]
+            else:
+                delta = coords[i] - coords[j]
+                want = float(np.sqrt((delta**2).sum(axis=1).mean()))
+            assert got[i, j] == got[j, i] == want

@@ -251,6 +251,41 @@ def test_non_finite_coordinates_contact_nothing(bad, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def _sum_order_pairs(count, cutoff):
+    """``(2 * count, 3)`` points, far apart pair by pair; each pair sits at a
+    distance whose contact bit depends on the order of the three-term sum:
+    ``(dx² + dy²) + dz²`` and ``(dx² + dz²) + dy²`` fall on opposite sides
+    of ``cutoff²``."""
+    rng = np.random.default_rng(5)
+    c2 = cutoff * cutoff
+    pts = []
+    while len(pts) < 2 * count:
+        base = np.array([4.0 * cutoff * len(pts), 0.0, 0.0])
+        u = rng.normal(size=3)
+        partner = base + u * (cutoff / np.linalg.norm(u))
+        sq = (partner - base) ** 2
+        if ((sq[0] + sq[1]) + sq[2] < c2) != ((sq[0] + sq[2]) + sq[1] < c2):
+            pts += [base, partner]
+    return np.array(pts)
+
+
+def test_pair_series_decides_sum_order_ties_like_all_pairs():
+    """Counts and native overlap where the order of the three-term sum
+    flips a contact, with native pairs whose atoms later go NaN or +-inf."""
+    cloud = np.random.default_rng(8).uniform(-200.0, -170.0, size=(40, 3))
+    frame = np.concatenate([_sum_order_pairs(12, 8.0), cloud])
+    native = reference.contact_map(frame, 8.0)
+    assert 0 < native[:24, :24].sum() < 24  # flips both ways among natives
+    i, j = np.nonzero(np.triu(native[24:, 24:]))
+    i, j = i + 24, j + 24  # native pairs within the cloud
+    coords = np.stack([frame] * 4)
+    coords[1, j[0]] = np.nan
+    coords[2, i[1]] = np.inf
+    coords[2, j[2], 1] = -np.inf
+    coords[3, [i[3], j[3]]] = np.inf  # inf - inf between the two
+    _assert_matches_reference(coords, 8.0)
+
+
 def test_nan_cutoff_reaches_nothing():
     coords = np.zeros((5, 3))
     assert neighbors.self_pairs(coords, float("nan"))[0].size == 0

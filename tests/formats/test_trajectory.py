@@ -86,6 +86,27 @@ def test_select_atoms_across_frames():
     np.testing.assert_array_equal(sub.steps, t.steps)
 
 
+
+@pytest.mark.parametrize(
+    "selection",
+    [
+        np.array([7, 1, 3, 3]),
+        np.array([-1, 0, -4]),
+        np.arange(10) % 3 == 0,  # a mask, not the indices 0 and 1
+        np.zeros(0, dtype=np.intp),
+    ],
+    ids=["indices", "negative", "mask", "empty"],
+)
+def test_select_atoms_matches_fancy_indexing(selection):
+    t = _traj()
+    sub = t.select_atoms(selection)
+    want = t.coords[:, selection, :]
+    assert sub.coords.shape == want.shape and np.array_equal(sub.coords, want)
+    assert sub.coords.dtype == np.float32 and sub.coords.flags.c_contiguous
+    assert np.array_equal(sub.steps, t.steps)
+    assert np.array_equal(sub.times_ps, t.times_ps)
+
+
 def test_slice_frames():
     t = _traj(nframes=10)
     sl = t.slice_frames(2, 5)

@@ -67,6 +67,34 @@ def test_histogram_buckets_are_cumulative_and_fixed():
         registry.histogram("bad_seconds", bounds=[2.0, 1.0])
 
 
+def _bucket_counts_by_loop(bounds, values):
+    """Cumulative ``le`` counts the way the histogram once found them: one
+    comparison per bound per observation."""
+    counts = [0] * len(bounds)
+    for value in values:
+        for i, bound in enumerate(bounds):
+            if value <= bound:
+                counts[i] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "bounds", [TIME_BUCKETS, (1.0, 2.0, float("inf"))], ids=["time", "inf"]
+)
+def test_histogram_buckets_match_the_per_bound_loop(bounds):
+    values = [
+        float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e9,
+        *bounds,  # exactly on each bound
+        *(b * (1 + 2**-52) for b in bounds),
+        *(b * (1 - 2**-53) for b in bounds),
+    ]
+    hist = MetricsRegistry().histogram("x_seconds", bounds=bounds)
+    for value in values:
+        hist.observe(value)
+    assert hist.count == len(values)
+    assert hist.bucket_counts == _bucket_counts_by_loop(bounds, values)
+
+
 def test_bucket_constants_are_ascending():
     assert list(TIME_BUCKETS) == sorted(TIME_BUCKETS)
     assert list(SIZE_BUCKETS) == sorted(SIZE_BUCKETS)
