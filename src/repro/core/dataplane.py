@@ -221,22 +221,25 @@ class DataPlane:
 
         The arriving trajectory is split into GOF-aligned windows; each
         window is decompressed, categorized, and encoded on the storage
-        CPU while *previous* windows' subsets drain to the backends
-        through a bounded write-behind queue (see
+        CPU while *previous* windows' subsets drain to the backends: each
+        charged window is one process, dispatched after the window before
+        it, and at most ``depth`` windows are held (see
         :class:`~repro.core.ingest.IngestPipeline`).  Peak buffered
         memory is O(window x depth) instead of the whole raw dataset, and
-        the CPU and device stages overlap in simulated time.  On a
-        cluster the dispatch stage fans each window's tags out to their
-        holders; chunk order per ``(node, logical, tag)`` follows window
-        order, so every replica stores byte-identical chunks.
+        the CPU and device work overlap in simulated time.  On a cluster
+        each window's dispatch fans its tags out to their holders; chunk
+        order per ``(node, logical, tag)`` follows window order, so every
+        replica stores byte-identical chunks.
 
-        ``analysis`` fuses an in-situ analysis stage into the pipeline: an
-        object with ``consume(start, stop, coords)`` / ``results()`` --
-        e.g. :class:`repro.analysis.online.InSituAnalysis` -- sees each
-        window's decoded coordinates exactly once, *before* the window's
-        buffers are released, overlapped in simulated time with the next
-        window's CPU work and the previous window's dispatch (charged via
-        ``_charge_analysis`` on the storage nodes' analysis slots).
+        ``analysis`` fuses an in-situ analysis step into each window's
+        process: an object with ``consume(start, stop, coords)`` /
+        ``results()`` -- e.g. :class:`repro.analysis.online.InSituAnalysis`
+        -- sees each window's decoded coordinates exactly once, in window
+        order and *before* the window dispatches and its buffers are
+        released, overlapped in simulated time with the next window's CPU
+        work and the previous window's dispatch (charged via
+        ``_charge_analysis`` on the storage nodes' analysis slots).  A
+        hook that raises fails the stream with its exception.
         Frame offsets are rebased by the hook's ``frames_seen`` at stream
         start, so one hook may span a dataset's appended stream segments.
         The hook's results land on the receipt's ``analysis`` field and

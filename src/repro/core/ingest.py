@@ -5,56 +5,56 @@ The monolithic ingest path (:meth:`ADA.ingest`) decompresses and
 categorizes the *entire* arriving trajectory on the storage CPU, then
 dispatches every subset -- peak memory is the whole raw dataset and the
 backends sit idle while the CPU works (and vice versa).  This module
-pipelines the stages:
+pipelines the windows instead:
 
-* the **producer** pulls GOF-aligned windows from
-  :meth:`DataPreProcessor.process_windows`, pays the storage-CPU charge
-  for each, and pushes the encoded per-tag blobs into a bounded
-  write-behind queue;
-* the optional **analyzer** runs the fused in-situ analysis hook on each
-  window's decoded coordinates *before* the window's buffers are
-  released -- the online operators see every frame exactly once without
-  a second decompression pass;
-* the **consumer** drains the queue in arrival order and dispatches each
-  window's subsets as coalesced chunk runs
-  (:meth:`IODispatcher.dispatch_run`).
+* the **driver** (:meth:`IngestPipeline.run`) pulls GOF-aligned windows
+  from :meth:`DataPreProcessor.process_windows` and pays each window's
+  storage-CPU charge, in order;
+* each charged window then gets **one process**, chained to the window
+  before it: it runs the optional fused in-situ analysis hook on the
+  window's decoded coordinates once window *k-1* has analyzed (the online
+  operators see every frame exactly once, before the window's buffers are
+  released), then dispatches the window's subsets as coalesced chunk runs
+  (:meth:`IODispatcher.dispatch_run`) once window *k-1* has dispatched.
 
 Because the storage CPU, the analysis slot, and the backend devices are
 independent simulated resources, window *k*'s categorize/encode overlaps
-window *k-1*'s analysis which overlaps window *k-2*'s device writes.  The
-buffer is bounded by ``depth`` windows and (optionally)
-``max_buffered_bytes``, so peak buffered memory is O(window x depth), not
-O(raw dataset); a full queue *backpressures* the producer, which is how a
-slow tier throttles a fast simulation stream instead of ballooning the
-buffer.  An empty buffer always admits one window, so a single oversized
-window can never deadlock the pipeline.
+window *k-1*'s analysis which overlaps window *k-2*'s device writes.  A
+window is *held* from its charge to the end of its dispatch; at most
+``depth`` windows (and, optionally, ``max_buffered_bytes``) are held, so
+peak buffered memory is O(window x depth), not O(raw dataset).  Windows
+dispatch in order, so a full buffer *backpressures* the driver on the
+oldest held window's process -- which is how a slow tier throttles a fast
+simulation stream.  An empty buffer always admits one window, so a single
+oversized window can never deadlock the pipeline.  ``pipelined=False``
+waits for each window's process before charging the next.
 
-Determinism: the consumer dispatches windows strictly in arrival order
-and each window's tags go out sorted, so chunk numbering -- and therefore
-every stored path, CRC, and index record -- is identical to the serial
-(``pipelined=False``) schedule over the same windows, with or without an
-analysis stage.  The pipeline only moves *when* bytes hit the backends,
-never *which* bytes.
+Determinism: each window's tags go out sorted and windows dispatch in
+arrival order, so chunk numbering -- and therefore every stored path,
+CRC, and index record -- is identical under every schedule, with or
+without an analysis stage.  The pipeline only moves *when* bytes hit the
+backends, never *which* bytes.
 
-Abandonment: a caller that abandons the driving generator mid-stream
-(``close()`` / ``GeneratorExit``) -- or any stage failure -- tears the
-run down through :meth:`IngestPipeline._abort`: the still-alive stages
-are interrupted, the window iterator is closed, and every buffered
-window's accounting is returned, so a shared pipeline (and its
-``ingest_buffered_bytes`` gauge) is clean for the next stream.
+Failure and abandonment: a window process never raises (a failed process
+nobody waits on would surface out of ``sim.run``); it returns the
+exception it, or a window before it, failed with, and the driver raises
+it.  A failed or abandoned run (``close()`` / ``GeneratorExit`` on the
+driving generator) goes through :meth:`IngestPipeline._abort`: the window
+iterator is closed and every held window is interrupted and released at
+once, so a shared pipeline (and its ``ingest_buffered_bytes`` gauge) is
+clean for the next stream.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Generator, Iterable, List, Optional
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.core.preprocessor import WindowResult
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
-from repro.sim import AllOf, Event, Interrupt, Process, Simulator
+from repro.sim import Event, Process, Simulator
 
 __all__ = ["IngestPipeline", "IngestPipelineConfig"]
 
@@ -67,11 +67,11 @@ DEFAULT_WINDOW_FRAMES = 64
 class IngestPipelineConfig:
     """Tuning knobs for the streaming ingest path.
 
-    ``depth`` bounds how many pre-processed windows may be buffered
-    (queued plus in analysis or dispatch) at once; ``max_buffered_bytes``
-    adds a byte watermark on top.  ``pipelined=False`` runs the identical
-    windowed schedule with no overlap and no coalescing -- the serial
-    baseline the ``bench-ingest`` harness measures against.
+    ``depth`` bounds how many pre-processed windows may be held (charged
+    but not yet dispatched) at once; ``max_buffered_bytes`` adds a byte
+    watermark on top.  ``pipelined=False`` runs the identical windowed
+    schedule with no overlap and no coalescing -- the serial baseline the
+    ``bench-ingest`` harness measures against.
     """
 
     window_frames: int = DEFAULT_WINDOW_FRAMES
@@ -93,9 +93,22 @@ class IngestPipelineConfig:
             )
 
 
+#: A run's held windows, oldest first: window index -> (process, bytes).
+Held = Dict[int, Tuple[Process, int]]
+
+
+def _settled(event: Optional[Event]) -> Generator:
+    """Process: wait for a window's process or analysis event (no hop if it
+    has fired), then raise the exception it carries, if any."""
+    if event is not None:
+        if not event.triggered:
+            yield event
+        if event.value is not None:
+            raise event.value
+
+
 class IngestPipeline:
-    """Producer/analyzer/consumer overlap of per-window CPU work,
-    in-situ analysis, and dispatch.
+    """Per-window overlap of CPU work, in-situ analysis, and dispatch.
 
     One instance may :meth:`run` several streams; counters accumulate in
     the shared :class:`MetricsRegistry` (``ingest_*`` families), so the
@@ -120,7 +133,7 @@ class IngestPipeline:
             "windows": self.metrics.counter("ingest_windows_total", **extra),
             "backpressure_waits": self.metrics.counter(
                 "ingest_backpressure_waits_total", **extra
-            ),  # producer stalls on a full queue
+            ),  # driver stalls on a full buffer
             "backpressure_seconds": self.metrics.counter(
                 "ingest_backpressure_seconds_total", **extra
             ),  # simulated seconds spent stalled
@@ -134,7 +147,7 @@ class IngestPipeline:
                 "ingest_analysis_seconds_total", **extra
             ),  # simulated seconds in the fused in-situ stage
         }
-        #: Windows currently buffered: queued plus in analysis/dispatch.
+        #: Windows currently held: charged, not yet dispatched.
         self._held = 0
         self._buffered_bytes = 0
         self.metrics.gauge("ingest_queue_depth", fn=lambda: self._held, **extra)
@@ -147,9 +160,6 @@ class IngestPipeline:
         self._peak_bytes_gauge = self.metrics.gauge(
             "ingest_buffered_bytes_peak", **extra
         )
-        self._space_event: Optional[Event] = None
-        self._feed_event: Optional[Event] = None
-        self._data_event: Optional[Event] = None
         self.last_elapsed_s = 0.0
 
     # -- entry point --------------------------------------------------------
@@ -174,87 +184,18 @@ class IngestPipeline:
         started = self.sim.now
         records: List[list] = []
         counters = self._metric_fields
-        if not self.config.pipelined:
-            try:
-                for result in windows:
-                    t0 = self.sim.now
-                    yield from cpu_charge(result.raw_nbytes)
-                    counters["cpu_seconds"].inc(self.sim.now - t0)
-                    if analyze_window is not None:
-                        t0 = self.sim.now
-                        yield from analyze_window(result)
-                        counters["analysis_seconds"].inc(self.sim.now - t0)
-                    t0 = self.sim.now
-                    recs = yield from dispatch_window(result)
-                    counters["dispatch_seconds"].inc(self.sim.now - t0)
-                    records.append(recs)
-                    counters["windows"].inc()
-                self.last_elapsed_s = self.sim.now - started
-                return records
-            finally:
-                self._close_windows(windows)
-        state: Dict[str, object] = {
-            "produced": False,
-            "analyzed": False,
-            "error": None,
-            "abort": False,
-        }
-        pending: Deque[WindowResult] = deque()  # encoded, awaiting analysis
-        ready: Deque[WindowResult] = deque()  # analyzed, awaiting dispatch
-        fused = analyze_window is not None
-        procs: List[Process] = [
-            self.sim.process(
-                self._produce(
-                    windows, cpu_charge, pending if fused else ready,
-                    state, fused,
-                ),
-                name="ingest:producer",
-            )
-        ]
-        if fused:
-            procs.append(
-                self.sim.process(
-                    self._analyze(analyze_window, pending, ready, state),
-                    name="ingest:analyzer",
-                )
-            )
-        procs.append(
-            self.sim.process(
-                self._consume(dispatch_window, ready, state, records),
-                name="ingest:consumer",
-            )
-        )
-        try:
-            yield AllOf(self.sim, procs)
-        except BaseException:
-            self._abort(procs, windows, (pending, ready), state)
-            raise
-        finally:
-            self.last_elapsed_s = self.sim.now - started
-        return records
-
-    # -- the stages ---------------------------------------------------------
-
-    def _produce(
-        self,
-        windows: Iterable[WindowResult],
-        cpu_charge: Callable[[int], Generator],
-        queue: Deque[WindowResult],
-        state: Dict[str, object],
-        fused: bool,
-    ) -> Generator:
-        """Process: pre-process windows, enqueue under backpressure."""
-        counters = self._metric_fields
+        held: Held = {}
+        last: Optional[Process] = None
+        analyzed: Optional[Event] = None
         try:
             for result in windows:
                 t0 = self.sim.now
                 yield from cpu_charge(result.raw_nbytes)
                 counters["cpu_seconds"].inc(self.sim.now - t0)
-                while (
-                    state["error"] is None
-                    and not state["abort"]
-                    and not self._admits(result)
-                ):
+                if last is not None and last.value is not None:
+                    raise last.value  # the chain failed: stop charging
+                while not self._admits(held, result):
+                    oldest = next(iter(held.values()))[0]
                     counters["backpressure_waits"].inc()
                     with span(
                         self.sim, "ingest.backpressure",
@@ -262,181 +203,115 @@ class IngestPipeline:
                         buffered=self._buffered_bytes,
                     ):
                         t0 = self.sim.now
-                        event = self.sim.event()
-                        self._space_event = event
-                        yield event
+                        yield from _settled(oldest)
                         counters["backpressure_seconds"].inc(self.sim.now - t0)
-                if state["abort"]:
-                    return
-                if state["error"] is not None:
-                    # A downstream stage already failed; surface its error
-                    # here too so the AllOf barrier cannot hang on us.
-                    raise state["error"]  # type: ignore[misc]
-                queue.append(result)
                 self._held += 1
                 self._buffered_bytes += result.nbytes
                 if self._held > self._peak_depth_gauge.value:
                     self._peak_depth_gauge.set(self._held)
                 if self._buffered_bytes > self._peak_bytes_gauge.value:
                     self._peak_bytes_gauge.set(self._buffered_bytes)
-                self._wake(which="feed" if fused else "data")
-        except Interrupt:
-            if not state["abort"]:
-                raise
+                done = None if analyze_window is None else self.sim.event()
+                last = self.sim.process(
+                    self._window(
+                        result, last, analyzed, done, held, records,
+                        dispatch_window, analyze_window,
+                    ),
+                    name=f"ingest:window{result.index}",
+                )
+                held[result.index] = (last, result.nbytes)
+                analyzed = done
+                if not self.config.pipelined:
+                    yield from _settled(last)
+            yield from _settled(last)
+        except BaseException:
+            self._abort(held, windows)
+            raise
         finally:
-            state["produced"] = True
-            self._wake(which="feed")
-            if not fused:
-                state["analyzed"] = True
-                self._wake(which="data")
+            self.last_elapsed_s = self.sim.now - started
+        return records
 
-    def _analyze(
+    def _window(
         self,
-        analyze_window: Callable[[WindowResult], Generator],
-        pending: Deque[WindowResult],
-        ready: Deque[WindowResult],
-        state: Dict[str, object],
-    ) -> Generator:
-        """Process: run the fused in-situ pass on each buffered window.
-
-        Sits between producer and consumer so a window's decoded
-        coordinates are analyzed exactly once, before its buffers are
-        released; the window stays *held* (for backpressure accounting)
-        until dispatch completes.
-        """
-        counters = self._metric_fields
-        try:
-            while True:
-                if state["abort"]:
-                    return
-                if not pending:
-                    if state["produced"]:
-                        return
-                    event = self.sim.event()
-                    self._feed_event = event
-                    yield event
-                    continue
-                result = pending.popleft()
-                t0 = self.sim.now
-                try:
-                    yield from analyze_window(result)
-                except BaseException as exc:
-                    if not (isinstance(exc, Interrupt) and state["abort"]):
-                        state["error"] = exc
-                    raise
-                finally:
-                    counters["analysis_seconds"].inc(self.sim.now - t0)
-                ready.append(result)
-                self._wake(which="data")
-        except Interrupt:
-            if not state["abort"]:
-                raise
-        finally:
-            state["analyzed"] = True
-            self._wake(which="data")
-            self._wake(which="space")
-
-    def _consume(
-        self,
-        dispatch_window: Callable[[WindowResult], Generator],
-        ready: Deque[WindowResult],
-        state: Dict[str, object],
+        result: WindowResult,
+        prev: Optional[Process],
+        prev_analyzed: Optional[Event],
+        analyzed: Optional[Event],
+        held: Held,
         records: List[list],
+        dispatch_window: Callable[[WindowResult], Generator],
+        analyze_window: Optional[Callable[[WindowResult], Generator]],
     ) -> Generator:
-        """Process: drain windows in arrival order, dispatching each."""
+        """Process: one held window -- analyzed after window *k-1* has
+        analyzed (``analyzed`` then fires), dispatched after window *k-1*'s
+        process has finished.  Returns ``None``, or the exception the
+        window or one before it failed with."""
         counters = self._metric_fields
         try:
-            while True:
-                if state["abort"]:
-                    return
-                if not ready:
-                    if state["analyzed"]:
-                        return
-                    event = self.sim.event()
-                    self._data_event = event
-                    yield event
-                    continue
-                result = ready.popleft()
-                t0 = self.sim.now
+            if analyzed is not None:
                 try:
-                    recs = yield from dispatch_window(result)
-                except BaseException as exc:
-                    if not (isinstance(exc, Interrupt) and state["abort"]):
-                        state["error"] = exc
+                    yield from _settled(prev_analyzed)
+                    t0 = self.sim.now
+                    try:
+                        yield from analyze_window(result)
+                    finally:
+                        counters["analysis_seconds"].inc(self.sim.now - t0)
+                except Exception as exc:
+                    analyzed.succeed(exc)
                     raise
-                finally:
-                    counters["dispatch_seconds"].inc(self.sim.now - t0)
-                    self._held -= 1
-                    self._buffered_bytes -= result.nbytes
-                    self._wake(which="space")
-                records.append(recs)
-                counters["windows"].inc()
-        except Interrupt:
-            if not state["abort"]:
-                raise
+                analyzed.succeed()
+            yield from _settled(prev)
+            t0 = self.sim.now
+            try:
+                records.append((yield from dispatch_window(result)))
+            finally:
+                counters["dispatch_seconds"].inc(self.sim.now - t0)
+            counters["windows"].inc()
+        except Exception as exc:  # the driver raises it
+            return exc
+        finally:
+            # Absent once ``_abort`` has released it.
+            if held.pop(result.index, None) is not None:
+                self._held -= 1
+                self._buffered_bytes -= result.nbytes
+        return None
 
     # -- internals ----------------------------------------------------------
 
-    def _abort(
-        self,
-        procs: List[Process],
-        windows: Iterable[WindowResult],
-        queues: Iterable[Deque[WindowResult]],
-        state: Dict[str, object],
-    ) -> None:
+    def _abort(self, held: Held, windows: Iterable[WindowResult]) -> None:
         """Tear down a failed or abandoned run without leaking buffers.
 
-        Called when the stage barrier raises -- a stage failed, or the
-        driving generator was abandoned mid-stream (``close()`` /
-        ``GeneratorExit``).  Marks the run aborted so the stage loops
-        exit cleanly at their next resume, interrupts the still-alive
-        stages, closes the window iterator (releasing the decoder), and
-        returns every queued window's accounting, so this (shared)
-        pipeline and its ``ingest_queue_depth`` / ``ingest_buffered_bytes``
-        gauges are clean for the next stream.
+        Called when the driver raises -- a window failed, or the driving
+        generator was abandoned mid-stream (``close()`` /
+        ``GeneratorExit``).  Closes the window iterator (releasing the
+        decoder), interrupts every held window's process and returns its
+        accounting now, so this (shared) pipeline and its
+        ``ingest_queue_depth`` / ``ingest_buffered_bytes`` gauges are
+        clean for the next stream.
         """
-        state["abort"] = True
-        self._close_windows(windows)
-        for proc in procs:
-            if proc.is_alive:
-                proc.interrupt("ingest aborted")
-        for queue in queues:
-            while queue:
-                result = queue.popleft()
-                self._held -= 1
-                self._buffered_bytes -= result.nbytes
-        self._space_event = None
-        self._feed_event = None
-        self._data_event = None
-
-    @staticmethod
-    def _close_windows(windows: Iterable[WindowResult]) -> None:
         close = getattr(windows, "close", None)
         if close is not None:
             close()
+        for proc, nbytes in held.values():
+            proc.interrupt("ingest aborted")
+            self._held -= 1
+            self._buffered_bytes -= nbytes
+        held.clear()
 
-    def _admits(self, result: WindowResult) -> bool:
-        """May one more window enter the write-behind buffer?
+    def _admits(self, held: Held, result: WindowResult) -> bool:
+        """May the run hold one more window?
 
-        An empty buffer always admits (no-deadlock invariant); otherwise
-        both the depth bound and the byte watermark must hold.
+        A run holding nothing always admits (no-deadlock invariant);
+        otherwise both the depth bound and the byte watermark must hold.
         """
-        if self._held == 0:
+        if not held:
             return True
-        if self._held >= self.config.depth:
+        if len(held) >= self.config.depth:
             return False
         limit = self.config.max_buffered_bytes
-        return limit is None or self._buffered_bytes + result.nbytes <= limit
-
-    def _wake(self, which: str) -> None:
-        if which == "space":
-            event, self._space_event = self._space_event, None
-        elif which == "feed":
-            event, self._feed_event = self._feed_event, None
-        else:
-            event, self._data_event = self._data_event, None
-        if event is not None and not event.triggered:
-            event.succeed()
+        return limit is None or (
+            sum(nbytes for _, nbytes in held.values()) + result.nbytes <= limit
+        )
 
     @property
     def overlap_ratio(self) -> float:

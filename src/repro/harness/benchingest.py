@@ -7,8 +7,8 @@ into a rotating-disk deployment under three write-path configurations:
                               one uncoalesced backend write (plus one
                               index flush) per chunk: the pre-pipelining
                               ingest baseline;
-* ``pipelined_uncoalesced``-- producer/consumer overlap through the
-                              bounded write-behind queue, but every chunk
+* ``pipelined_uncoalesced``-- CPU/dispatch overlap with a bounded
+                              number of held windows, but every chunk
                               still pays its own backend request
                               (isolates the overlap win);
 * ``pipelined``            -- overlap plus coalesced chunk-run writes

@@ -120,6 +120,7 @@ def test_serial_and_pipelined_stores_identical(workload):
         )
         stores[pipelined] = _digest(ada)
         indexes[pipelined] = ada.plfs.container_index(LOGICAL)
+        _assert_balanced(ada)
     assert stores[False] == stores[True]
     assert indexes[False] == indexes[True]
 
@@ -149,7 +150,7 @@ def test_receipt_matches_monolithic_ingest(workload):
 
 def test_backpressure_bounds_queue_depth(workload):
     sim = Simulator()
-    ada = _ada(sim, write_bw_mbps=1)  # slow tier: producer must stall
+    ada = _ada(sim, write_bw_mbps=1)  # slow tier: the driver must stall
     config = IngestPipelineConfig(window_frames=4, depth=2)
     sim.run_process(
         ada.ingest_stream(
@@ -352,6 +353,17 @@ def test_consumer_failure_propagates_without_deadlock(workload):
         sim.run_process(
             ada.ingest_stream(LOGICAL, workload.xtc_blob, config=config)
         )
+    _assert_balanced(ada)
+    sim.run()
+    _assert_balanced(ada)
+
+
+def _assert_balanced(ada):
+    """Every window the shared pipeline held has been released."""
+    pipe = ada._ingest_pipeline
+    assert pipe._held == 0 and pipe._buffered_bytes == 0
+    assert int(ada.metrics.gauge("ingest_queue_depth").value) == 0
+    assert int(ada.metrics.gauge("ingest_buffered_bytes").value) == 0
 
 
 # -- fused in-situ analysis ---------------------------------------------------
@@ -412,8 +424,8 @@ def test_fused_analysis_matches_batch_and_preserves_digest(workload):
 def test_fused_analysis_overlaps_instead_of_serializing(workload):
     sim_fused, ada_fused, _ = _run_stream(workload, analysis=True)
     sim_serial, _, _ = _run_stream(workload, analysis=True, pipelined=False)
-    # Same CPU + analysis + dispatch charges, but the three-stage pipeline
-    # overlaps them in simulated time.
+    # Same CPU + analysis + dispatch charges, but pipelined windows
+    # overlap them in simulated time.
     assert sim_fused.now < sim_serial.now
     assert ada_fused.metrics.value("ingest_analysis_seconds_total") > 0.0
     assert ada_fused.stats()["ingest"]["overlap_ratio"] > 0.25
@@ -505,6 +517,44 @@ def test_rerunning_failed_stream_with_same_hook_skips_seen_windows(workload):
     res = hook.results()
     assert res["frames"] == 32
     assert res["replays_ignored"] == seen_before // 4
+
+
+class _FailingHook:
+    """An analysis hook whose ``consume`` raises from frame ``fail_from`` on."""
+
+    def __init__(self, fail_from):
+        self.fail_from = fail_from
+        self.frames_seen = 0
+
+    def consume(self, start, stop, coords):
+        if start >= self.fail_from:
+            raise RuntimeError(f"hook failed at frame {start}")
+        self.frames_seen = stop
+        return stop - start
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_analysis_failure_propagates_and_releases_buffers(workload, pipelined):
+    sim = Simulator()
+    ada = _ada(sim, storage_cpu=_storage_cpu(sim))
+    config = IngestPipelineConfig(window_frames=4, pipelined=pipelined)
+    with pytest.raises(RuntimeError, match="hook failed at frame 8"):
+        sim.run_process(
+            ada.ingest_stream(
+                LOGICAL, workload.xtc_blob, pdb_text=workload.pdb_text,
+                config=config, analysis=_FailingHook(fail_from=8),  # window 2
+            )
+        )
+    _assert_balanced(ada)
+    sim.run()
+    _assert_balanced(ada)
+    assert ada.plfs.fsck(LOGICAL)["ok"]
+    # What committed is whole windows from the start of the stream, none
+    # from the failed window on.
+    merged = sim.run_process(ada.fetch_merged(LOGICAL))
+    ref = DataPreProcessor().decompressor.decompress(workload.xtc_blob)
+    assert merged.nframes == 8 or (pipelined and merged.nframes == 4)
+    assert np.array_equal(merged.coords, ref.coords[: merged.nframes])
 
 
 def test_rejects_analysis_hook_without_consume(workload):
