@@ -219,9 +219,7 @@ class ADA(DataPlane):
         return [self]
 
     def chunks_nbytes(self, logical: str, tag: str, chunks) -> int:
-        find = self.plfs.chunk_record
-        records = [find(logical, tag, chunk) for chunk in chunks]
-        return sum(r.nbytes for r in records if r is not None)
+        return self.plfs.chunks_nbytes(logical, tag, chunks)
 
     def subset_nbytes(self, logical: str, tag: str) -> int:
         return self.plfs.subset_nbytes(logical, tag)
@@ -314,10 +312,10 @@ class ADA(DataPlane):
         block cache?  Then the read skips the indexer, whose paths only a
         storage read uses, and counts ``indexer_lookups_avoided_total``.
 
-        ``peek`` is free and moves no LRU entry, and the hooks call this in
-        the instant the retriever probes, so a resident read never reaches
-        storage.  An empty window, an unknown subset (the lookup raises,
-        after its latency) and a partial hit all pay the lookup.
+        ``peek_all`` is free and moves no LRU entry, and the hooks call this
+        in the instant the retriever probes, so a resident read never
+        reaches storage.  An empty window, an unknown subset (the lookup
+        raises, after its latency) and a partial hit all pay the lookup.
 
         A shard node (``shard_id`` set) pays it too.  With the skip on
         nodes, ``BENCH_cluster`` smoke ``imbalance_widest`` at seed 3 went
@@ -334,8 +332,7 @@ class ADA(DataPlane):
                 chunks = [r.chunk for r in self.plfs.subset_records(logical, tag)]
             except (ContainerError, TagNotFoundError):
                 return False
-        peek = self.block_cache.peek
-        if not chunks or not all(peek((logical, tag, c)) for c in chunks):
+        if not chunks or not self.block_cache.peek_all(logical, tag, chunks):
             return False
         self._lookups_avoided.inc()
         return True

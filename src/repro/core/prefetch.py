@@ -141,7 +141,9 @@ class Prefetcher:
         counters = self._metric_fields
         tenant = self.tenant_source() if self.tenant_source is not None else None
         start, span = min(chunks), len(chunks)
-        state = self._streams.setdefault((tenant, logical, tag), _StreamState())
+        state = self._streams.get((tenant, logical, tag))
+        if state is None:
+            state = self._streams[(tenant, logical, tag)] = _StreamState()
         self._advance_pattern(state, start, span)
         if not state.confirmed and not state.direction:
             counters["suppressed_pattern"].inc()
@@ -182,7 +184,7 @@ class Prefetcher:
             counters["suppressed_eof"].inc(clamped)
         if not targets:
             return None
-        if all(cache.peek((logical, tag, chunk)) for chunk in targets):
+        if cache.peek_all(logical, tag, targets):
             counters["suppressed_resident"].inc()  # nothing left to read
             return None
         if not self._within_budget(tenant, cache, logical, tag, targets):
@@ -237,9 +239,7 @@ class Prefetcher:
             return True
         resident_fn = getattr(cache, "prefetched_bytes", None)
         resident = float(resident_fn(tenant)) if resident_fn is not None else 0.0
-        stored = self.retriever.plfs.chunk_record
-        records = [stored(logical, tag, chunk) for chunk in targets]
-        window_bytes = sum(r.nbytes for r in records if r is not None)
+        window_bytes = self.retriever.plfs.chunks_nbytes(logical, tag, targets)
         return resident + window_bytes <= float(budget)
 
     def _degraded(self) -> bool:

@@ -63,27 +63,16 @@ class IORetriever:
         self.metric_labels = dict(metric_labels or {})
         extra = self.metric_labels
         self._metric_fields = {
-            "retrieved_bytes": self.metrics.counter(
-                "retriever_bytes_total", **extra
-            ),
-            "cache_served_bytes": self.metrics.counter(
-                "retriever_cache_served_bytes_total", **extra
-            ),
-            "coalesced_runs": self.metrics.counter(
-                "retriever_coalesced_runs_total", **extra
-            ),  # spans issued with > 1 chunk
-            "coalesced_chunks": self.metrics.counter(
-                "retriever_coalesced_chunks_total", **extra
-            ),  # chunks that rode in those spans
-            "requests_saved": self.metrics.counter(
-                "retriever_requests_saved_total", **extra
-            ),  # backend requests coalescing removed
-            "prefetched_chunks": self.metrics.counter(
-                "retriever_prefetched_chunks_total", **extra
-            ),  # chunks admitted speculatively
-            "dedup_waits": self.metrics.counter(
-                "retriever_dedup_waits_total", **extra
-            ),  # demand reads that joined an in-flight read
+            field: self.metrics.counter(f"retriever_{field}_total", **extra)
+            for field in (
+                "bytes",  # joined whole-subset reads
+                "cache_served_bytes",
+                "coalesced_runs",  # spans issued with > 1 chunk
+                "coalesced_chunks",  # chunks that rode in those spans
+                "requests_saved",  # backend requests coalescing removed
+                "prefetched_chunks",  # chunks admitted speculatively
+                "dedup_waits",  # demand reads that joined an in-flight read
+            )
         }
         self._run_bytes = self.metrics.histogram(
             "retriever_run_bytes", bounds=SIZE_BUCKETS, **extra
@@ -123,7 +112,7 @@ class IORetriever:
                 data = objs[0].data  # zero-copy: no join for single-chunk subsets
             else:
                 data = b"".join(o.data for o in objs)
-            self._metric_fields["retrieved_bytes"].inc(float(total))
+            self._metric_fields["bytes"].inc(float(total))
             return StoredObject(path=f"{logical}#{tag}", nbytes=total, data=data)
 
     # -- chunk-granular retrieval (the pipelined primitive) -----------------
@@ -164,10 +153,10 @@ class IORetriever:
                 yield from self._serve_hits(
                     logical, tag, records, range(len(records)), out
                 )
-                for pos, record in enumerate(records):
-                    if out[pos] is not None:
-                        continue
-                    inflight = self._inflight.get((logical, tag, record.chunk))
+                misses = [pos for pos, obj in enumerate(out) if obj is None]
+                for pos in misses:  # join a read in flight, or read it
+                    key = (logical, tag, records[pos].chunk)
+                    inflight = self._inflight.get(key)
                     if inflight is not None and inflight.is_alive:
                         waits[pos] = inflight
                     else:
@@ -176,8 +165,8 @@ class IORetriever:
                 cache_hits=len(records) - len(to_read) - len(waits),
                 joined=len(waits),
             )
-            runs = self._runs(records, to_read)
-            if runs:
+            if to_read:
+                runs = self._runs(records, to_read)
                 procs: List[Process] = []
                 for run in runs:
                     proc = self.sim.process(
@@ -207,7 +196,7 @@ class IORetriever:
                         out[pos] = obj
             if waits:
                 yield from self._join_inflight(logical, tag, records, waits, out)
-            return list(out)
+            return out
 
     def _join_inflight(
         self,
@@ -254,13 +243,15 @@ class IORetriever:
         blocks = yield from self.cache.lookup(
             [(logical, tag, records[pos].chunk) for pos in positions]
         )
-        served = self._metric_fields["cache_served_bytes"]
+        served = []
         for pos, block in zip(positions, blocks):
             if block is not None:
                 out[pos] = StoredObject(
                     path=records[pos].path, nbytes=block.nbytes, data=block.data
                 )
-                served.inc(float(block.nbytes))
+                served.append(block.nbytes)
+        if served:  # one float add of the int sum: the per-block adds' total
+            self._metric_fields["cache_served_bytes"].inc(float(sum(served)))
 
     def prefetch_chunks(
         self, logical: str, tag: str, chunks: Sequence[int]

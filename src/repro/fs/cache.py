@@ -253,31 +253,18 @@ class BlockCache:
         extra = self.metric_labels
         self.metrics = metrics
         self._metric_fields = {
-            "hits_l1": self.metrics.counter(
-                "block_cache_hits_total", tier="l1", **extra
-            ),
-            "hits_l2": self.metrics.counter(
-                "block_cache_hits_total", tier="l2", **extra
-            ),
-            "misses": self.metrics.counter(
-                "block_cache_misses_total", **extra
-            ),
-            "demotions": self.metrics.counter(
-                "block_cache_demotions_total", **extra
-            ),
-            "evictions": self.metrics.counter(
-                "block_cache_evictions_total", **extra
-            ),
-            "invalidations": self.metrics.counter(
-                "block_cache_invalidations_total", **extra
-            ),
-            "prefetch_hits": self.metrics.counter(
-                "block_cache_prefetch_hits_total", **extra
-            ),
-            "prefetch_wasted": self.metrics.counter(
-                "block_cache_prefetch_wasted_total", **extra
-            ),
+            f"hits_{tier}": metrics.counter(
+                "block_cache_hits_total", tier=tier, **extra
+            )
+            for tier in ("l1", "l2")
         }
+        for field in (
+            "misses", "demotions", "evictions", "invalidations",
+            "prefetch_hits", "prefetch_wasted",
+        ):
+            self._metric_fields[field] = metrics.counter(
+                f"block_cache_{field}_total", **extra
+            )
         self.metrics.gauge(
             "block_cache_bytes", fn=lambda: self.l1_bytes, tier="l1", **extra
         )
@@ -314,6 +301,15 @@ class BlockCache:
         """Residency check with no simulated cost and no LRU effect."""
         return key in self
 
+    def peek_all(self, logical: str, tag: str, chunks: Sequence[int]) -> bool:
+        """``peek`` over a window of one subset: is every chunk resident?"""
+        l1, l2 = self._l1, self._l2
+        for chunk in chunks:
+            key = (logical, tag, chunk)
+            if key not in l1 and key not in l2:
+                return False
+        return True
+
     # -- data path ---------------------------------------------------------
 
     def lookup(self, keys: Sequence[BlockKey]) -> Generator:
@@ -326,14 +322,15 @@ class BlockCache:
         are decided at the probe: a block another process evicts during
         the wait is still served to this window.
         """
-        counters = self._metric_fields
+        counters, l1 = self._metric_fields, self._l1
         blocks, promote = [], []
         end = self.sim.now
+        l1_hits = 0  # counted once per window (an int: the same total)
         for key in keys:
-            block = self._l1.get(key)
+            block = l1.get(key)
             if block is not None:
-                counters["hits_l1"].inc()
-                self._l1.move_to_end(key)
+                l1_hits += 1
+                l1.move_to_end(key)
                 end += block.nbytes / L1_BANDWIDTH
             else:
                 block = self._take_l2(key)
@@ -348,7 +345,9 @@ class BlockCache:
                 counters["prefetch_hits"].inc()
                 block.prefetched = False
             blocks.append(block)
-        if blocks.count(None) < len(blocks):
+        if l1_hits:
+            counters["hits_l1"].inc(l1_hits)
+        if l1_hits or promote:
             with span(
                 self.sim, "cache.lookup", logical=keys[0][0], tag=keys[0][1],
                 chunks=len(keys), l2_hits=len(promote), cache_hit=True,

@@ -113,18 +113,20 @@ class LocalFS(FileSystem):
         ):
             decision = yield from self._fault_gate("read", paths[0])
             sizes = []
-            for path in paths:
-                if not self.store.exists(path):
-                    raise FileNotFoundInFSError(f"{self.name}: {path}")
-                sizes.append(self.store.nbytes(path))
+            for path in paths:  # each path resolved once before the wait
+                try:
+                    sizes.append(self.store.entry(path).nbytes)
+                except FileNotFoundInFSError:
+                    missing = f"{self.name}: {path}"
+                    raise FileNotFoundInFSError(missing) from None
             total = sum(sizes)
             yield self.sim.timeout(self.metadata_latency_s)
             requests = self._request_count(total, request_size)
             yield from self.device.read(total, requests=requests, label=label)
             self.bytes_read += total
             objs = []
-            for path, size in zip(paths, sizes):
-                data = None if self.store.is_virtual(path) else self.store.data(path)
+            for path, size in zip(paths, sizes):  # and once after it
+                data = self.store.entry(path).content()
                 data = self._fault_payload(decision, "read", data)
                 objs.append(StoredObject(path=path, nbytes=size, data=data))
             return objs

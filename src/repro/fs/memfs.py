@@ -24,6 +24,13 @@ class _Entry:
     # Appended segments not yet joined into ``data`` (see ``append``).
     tail: List[bytes] = field(default_factory=list)
 
+    def content(self) -> Optional[bytes]:
+        """The bytes, queued appends joined in; ``None`` when virtual."""
+        if self.tail:
+            self.data = b"".join([self.data, *self.tail])
+            self.tail.clear()
+        return self.data
+
 
 class ObjectStore:
     """Flat path -> object map with implicit directories."""
@@ -94,22 +101,19 @@ class ObjectStore:
         return self.normalize(path) in self._entries
 
     def nbytes(self, path: str) -> int:
-        return self._get(path).nbytes
+        return self.entry(path).nbytes
 
     def data(self, path: str) -> bytes:
         """Materialized content; raises for virtual objects."""
-        entry = self._get(path)
+        entry = self.entry(path)
         if entry.data is None:
             raise FileNotFoundInFSError(
                 f"{path!r} is a virtual (size-only) object with no content"
             )
-        if entry.tail:
-            entry.data = b"".join([entry.data, *entry.tail])
-            entry.tail.clear()
-        return entry.data
+        return entry.content()
 
     def is_virtual(self, path: str) -> bool:
-        return self._get(path).data is None
+        return self.entry(path).data is None
 
     def listdir(self, prefix: str = "") -> List[str]:
         """Immediate children (names) under a directory prefix, sorted."""
@@ -135,7 +139,9 @@ class ObjectStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _get(self, path: str) -> _Entry:
+    def entry(self, path: str) -> _Entry:
+        """One object's ``nbytes`` and ``content()``, its path resolved
+        once (raises :class:`FileNotFoundInFSError` when absent)."""
         key = self.normalize(path)
         entry = self._entries.get(key)
         if entry is None:

@@ -204,10 +204,16 @@ class PLFS:
         find = self._subset(logical, tag).find
         wanted = sorted(set(chunks))
         records = [find(chunk) for chunk in wanted]
-        if None in records:
+        if not all(records):  # records are truthy; ``None in`` calls __eq__
             missing = [c for c, r in zip(wanted, records) if r is None]
             raise ContainerError(f"{logical}#{tag}: no chunk(s) {missing}")
         return records
+
+    def chunks_nbytes(self, logical: str, tag: str, chunks) -> int:
+        """Stored bytes of the listed chunks of one subset (absent chunks
+        count nothing), resolving the subset once."""
+        find = self._subset(logical, tag).find
+        return sum([r.nbytes for r in map(find, chunks) if r is not None])
 
     def last_chunk(self, logical: str, tag: str) -> int:
         """The subset's highest chunk number."""

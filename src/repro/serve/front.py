@@ -116,11 +116,10 @@ class ServeFront:
                 f"unknown serve request kind {kind!r}; expected one of {KINDS}"
             )
         cost = self._estimate_cost(kind, payload)
-        self.sessions.admit(tenant)  # raises AdmissionRejected
+        state = self.sessions.admit(tenant)  # raises AdmissionRejected
         request = ServeRequest(
             tenant=tenant, kind=kind, payload=dict(payload),
-            cost_bytes=cost,
-            on_complete=lambda req: self.sessions.release(tenant),
+            cost_bytes=cost, on_complete=state.release,
         )
         return self.scheduler.submit(request)
 
@@ -151,24 +150,19 @@ class ServeFront:
 
     # -- dispatch (runs in whichever process executes the request) ---------
 
-    def _resolve_precision(self, request: ServeRequest) -> str:
-        """The request's read tier: payload override, else tenant policy
-        (the data plane validates it)."""
-        precision = request.payload.get("precision")
-        if precision is None:
-            return self.sessions.get(request.tenant).config.precision
-        return precision
-
     def _execute_kind(self, request: ServeRequest) -> Generator:
         payload = request.payload
-        if request.kind != "ingest_stream":
-            precision = self._resolve_precision(request)
+        # The read tier: payload override, else tenant policy (the data
+        # plane validates it).
+        precision = payload.get("precision")
+        if precision is None and request.kind != "ingest_stream":
+            precision = self.sessions.get(request.tenant).config.precision
         if request.kind == "fetch_chunks":
             objs = yield from self.ada.fetch_chunks(
                 payload["logical"], payload["tag"], payload["chunks"],
                 precision=precision,
             )
-            request.served_bytes = int(sum(o.nbytes for o in objs))
+            request.served_bytes = int(sum([o.nbytes for o in objs]))
             return objs
         if request.kind == "fetch":
             obj = yield from self.ada.fetch(

@@ -44,7 +44,8 @@ class ServeRequest:
 
     ``payload`` is opaque to the scheduler; the injected ``dispatch``
     callable interprets it.  ``done`` fires with the dispatch result (or
-    fails with its exception) when execution completes.
+    fails with its exception) when execution completes; a request its
+    caller runs in place (:meth:`RequestScheduler.call`) has no ``done``.
     """
 
     tenant: str
@@ -129,20 +130,20 @@ class RequestScheduler:
         ``done`` armed; waiting on it is optional (open-loop tenants fire
         and forget, closed-loop tenants submit through :meth:`call`).
         """
+        tenant = request.tenant
         request.seq = next(self._seq)
         request.submitted_s = self.sim.now
-        request.done = Event(self.sim)
         cost = max(1, int(request.cost_bytes))
-        start = max(self._vtime, self._flow_finish.get(request.tenant, 0.0))
+        start = max(self._vtime, self._flow_finish.get(tenant, 0.0))
         request.start_tag = start
-        request.finish_tag = start + cost
-        self._flow_finish[request.tenant] = request.finish_tag
-        self._metrics_for(request.tenant)["queued"].inc()
+        request.finish_tag = self._flow_finish[tenant] = start + cost
+        self._metrics_for(tenant)["queued"].inc()
         if self._caller_runs:  # ``call`` runs it now: the queue's next pick
             self._caller_runs = False
             self._vtime = start
             return request
-        self._queues.setdefault(request.tenant, deque()).append(request)
+        request.done = Event(self.sim)
+        self._queues.setdefault(tenant, deque()).append(request)
         self._backlog += 1
         self._kick()
         return request
@@ -153,7 +154,8 @@ class RequestScheduler:
         With nothing queued, a slot free, a process calling and no other
         event due now, the queue would dispatch it next with nothing in
         between, so the caller's process runs ``_execute`` itself: tags,
-        virtual time, billing and every timestamp come out the same.
+        virtual time, billing and every timestamp come out the same.  Its
+        slot is ``acquire``-d and it has no ``done``: nobody waits on either.
         """
         sim = self.sim
         caller = sim.active_process
@@ -167,9 +169,10 @@ class RequestScheduler:
             self._caller_runs = False
         if not direct:
             return (yield request.done)
+        self.slots.acquire()
         context = caller.context
         try:
-            yield from self._execute(request, self.slots.request())
+            result = yield from self._execute(request, self.slots)
         finally:
             caller.context = context
         if sim.due_now():
@@ -177,7 +180,7 @@ class RequestScheduler:
             yield sim.timeout(0)
         if request.error is not None:
             raise request.error
-        return request.done.value
+        return result
 
     # -- the drain loop -----------------------------------------------------
 
@@ -224,6 +227,8 @@ class RequestScheduler:
         return request
 
     def _execute(self, request: ServeRequest, grant) -> Generator:
+        """Run one request here and return its result; ``grant.release()``
+        frees its slot (a granted ``Request``, or the acquired ``slots``)."""
         sim = self.sim
         # Everything this process (and whatever it spawns) does from here
         # on is on the tenant's behalf -- see ``span_tenant_source``.
@@ -231,24 +236,12 @@ class RequestScheduler:
         request.started_s = sim.now
         tm = self._metrics_for(request.tenant)
         tm["wait"].observe(request.started_s - request.submitted_s)
-        if sim.tracer is not None:
-            # Zero-duration marker span recording the dispatch decision.
-            with span(
-                sim, "serve.schedule",
-                tenant=request.tenant, seq=request.seq,
-                cost_bytes=request.cost_bytes,
-                finish_tag=round(request.finish_tag, 6),
-                wait_s=round(request.started_s - request.submitted_s, 9),
-            ):
-                pass
         result = None
         try:
-            with span(
-                sim, "serve.request",
-                tenant=request.tenant, kind=request.kind, seq=request.seq,
-            ) as sp:
+            if sim.tracer is None:
                 result = yield from self.dispatch(request)
-                sp.tag(served_bytes=request.served_bytes)
+            else:
+                result = yield from self._traced_dispatch(request)
         except (Exception, GeneratorExit) as exc:  # noqa: BLE001 - to waiter
             # A caller closed mid-request (``call``) still completes it.
             request.error = exc
@@ -267,38 +260,53 @@ class RequestScheduler:
             # Alone at this instant the loop would wake to an empty queue
             # and park again; only a same-instant neighbour can change that.
             self._kick()
+        if request.done is None:
+            return result
         if request.error is None:
             request.done.succeed(result)
         else:
             # Failing an event nobody waits on is silent by design: an
             # open-loop tenant learns about failures from the counters.
             request.done.fail(request.error)
+        return result
+
+    def _traced_dispatch(self, request: ServeRequest) -> Generator:
+        """``dispatch`` under a zero-duration ``serve.schedule`` marker
+        (the dispatch decision) and the ``serve.request`` span."""
+        sim = self.sim
+        with span(
+            sim, "serve.schedule",
+            tenant=request.tenant, seq=request.seq,
+            cost_bytes=request.cost_bytes,
+            finish_tag=round(request.finish_tag, 6),
+            wait_s=round(request.started_s - request.submitted_s, 9),
+        ):
+            pass
+        with span(
+            sim, "serve.request",
+            tenant=request.tenant, kind=request.kind, seq=request.seq,
+        ) as sp:
+            result = yield from self.dispatch(request)
+            sp.tag(served_bytes=request.served_bytes)
+        return result
 
     # -- reporting ----------------------------------------------------------
 
     def _metrics_for(self, tenant: str) -> Dict[str, object]:
         tm = self._tenant_metrics.get(tenant)
         if tm is None:
+            counter = self.metrics.counter
             tm = {
-                "queued": self.metrics.counter(
-                    "serve_requests_total", tenant=tenant
-                ),
-                "completed": self.metrics.counter(
-                    "serve_completed_total", tenant=tenant
-                ),
-                "failed": self.metrics.counter(
-                    "serve_failed_total", tenant=tenant
-                ),
-                "bytes": self.metrics.counter(
-                    "serve_served_bytes_total", tenant=tenant
-                ),
-                "wait": self.metrics.histogram(
-                    "serve_wait_seconds", TIME_BUCKETS, tenant=tenant
-                ),
-                "latency": self.metrics.histogram(
-                    "serve_latency_seconds", TIME_BUCKETS, tenant=tenant
-                ),
+                field: counter(f"serve_{name}_total", tenant=tenant)
+                for field, name in (
+                    ("queued", "requests"), ("completed", "completed"),
+                    ("failed", "failed"), ("bytes", "served_bytes"),
+                )
             }
+            for field in ("wait", "latency"):
+                tm[field] = self.metrics.histogram(
+                    f"serve_{field}_seconds", TIME_BUCKETS, tenant=tenant
+                )
             self.metrics.gauge(
                 "serve_queue_depth",
                 fn=lambda t=tenant: float(len(self._queues.get(t) or ())),

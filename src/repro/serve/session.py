@@ -65,6 +65,15 @@ class TenantState:
         #: (a tenant that never submits exports no series).
         self.admitted_counter = None
 
+    def release(self, _request=None) -> None:
+        """Return one request's admission charge (its ``on_complete``)."""
+        self.inflight -= 1
+        if self.inflight < 0:
+            name = self.config.name
+            raise SimulationError(
+                f"tenant {name!r} released more than it was admitted"
+            )
+
 
 class SessionManager:
     """Tenant registry plus the synchronous admission gate."""
@@ -94,9 +103,9 @@ class SessionManager:
             raise ConfigurationError(f"unknown tenant {tenant!r}")
         return state
 
-    def admit(self, tenant: str) -> None:
+    def admit(self, tenant: str) -> TenantState:
         """Charge one request against the tenant's in-flight cap or reject
-        it."""
+        it; returns the tenant's state."""
         state = self.get(tenant)
         config = state.config
         with span(self.sim, "serve.admit", tenant=tenant) as sp:
@@ -117,15 +126,11 @@ class SessionManager:
                 )
             counter.inc()
             sp.tag(admitted=True)
+        return state
 
     def release(self, tenant: str) -> None:
         """Return one completed (or failed) request's admission charge."""
-        state = self.get(tenant)
-        state.inflight -= 1
-        if state.inflight < 0:
-            raise SimulationError(
-                f"tenant {tenant!r} released more than it was admitted"
-            )
+        self.get(tenant).release()
 
 
 class Session:
@@ -146,9 +151,10 @@ class Session:
     # -- submit-and-wait conveniences (closed-loop traffic) ------------------
 
     def _call(self, kind: str, **payload) -> Generator:
-        return (yield from self._front.scheduler.call(
-            lambda: self.submit(kind, **payload)
-        ))
+        front = self._front  # not a generator: one frame less per resume
+        return front.scheduler.call(
+            lambda: front.submit(self.name, kind, payload)
+        )
 
     def fetch_chunks(
         self, logical: str, tag: str, chunks,

@@ -84,6 +84,13 @@ class Resource:
             self.peak_queue_len = max(self.peak_queue_len, len(self._queue))
         return req
 
+    def acquire(self) -> None:
+        """Take a free slot now, with no event (``release()`` frees it)."""
+        if self._users >= self.capacity:
+            raise SimulationError(f"no free slot on {self.name!r}")
+        self.total_requests += 1
+        self._users += 1
+
     def release(self, request: Optional[Request] = None) -> None:
         """Free a slot (idempotent per request: releasing an unfired queued
         request just cancels it)."""

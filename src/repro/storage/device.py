@@ -76,6 +76,7 @@ class Device(FaultSite):
         #: rounding.
         self.queued_ns = 0
         self.queued_writes = 0
+        self._series: dict = {}  # op -> (registry, its three series)
 
     @property
     def free_bytes(self) -> float:
@@ -142,10 +143,16 @@ class Device(FaultSite):
         registry = getattr(self.sim, "metrics", None)
         if registry is None:
             return
-        registry.counter("device_ops_total", device=self.name, op=op).inc()
-        registry.counter(
-            "device_bytes_total", device=self.name, op=op
-        ).inc(int(nbytes))
-        registry.histogram(
-            "device_service_seconds", device=self.name, op=op
-        ).observe(duration)
+        series = self._series.get(op)
+        if series is None or series[0] is not registry:
+            labels = {"device": self.name, "op": op}
+            series = self._series[op] = (
+                registry,
+                registry.counter("device_ops_total", **labels),
+                registry.counter("device_bytes_total", **labels),
+                registry.histogram("device_service_seconds", **labels),
+            )
+        _, ops, nbytes_total, seconds = series
+        ops.inc()
+        nbytes_total.inc(int(nbytes))
+        seconds.observe(duration)

@@ -111,6 +111,20 @@ def test_eviction_demotes_to_l2_and_promotes_back():
     assert sim.now - t0 < l2_time
 
 
+def test_peek_all_covers_both_tiers_and_moves_nothing():
+    sim = Simulator()
+    cache = _block_cache(sim, l1=int(250 * KB), l2=int(1 * MB))
+    for chunk in range(3):
+        cache.admit(("f", "p", chunk), int(100 * KB))  # chunk 0 -> L2
+    order = list(cache._l1)
+    assert cache.peek_all("f", "p", [2, 0, 1])
+    assert cache.peek_all("f", "p", [])
+    assert not cache.peek_all("f", "p", [0, 3])
+    assert not cache.peek_all("f", "q", [0])
+    assert list(cache._l1) == order and ("f", "p", 0) in cache._l2
+    assert cache.metrics.value("block_cache_hits_total", tier="l1") == 0
+
+
 def test_eviction_without_l2_drops():
     sim = Simulator()
     cache = _block_cache(sim, l1=int(250 * KB), l2=0.0)

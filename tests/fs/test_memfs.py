@@ -37,6 +37,19 @@ def test_virtual_object_size_only():
         store.data("big.xtc")
 
 
+def test_entry_resolves_a_path_once():
+    store = ObjectStore()
+    store.put("/a//log", data=b"ab")
+    store.append("a/log", b"cd")
+    entry = store.entry("a/./log")
+    assert entry.nbytes == 4 and entry.content() == b"abcd"
+    assert entry.content() is store.data("a/log")  # joined once, kept
+    store.put("v", nbytes=7)
+    assert store.entry("v").content() is None
+    with pytest.raises(FileNotFoundInFSError):
+        store.entry("missing")
+
+
 def test_put_requires_data_or_size():
     with pytest.raises(ValueError):
         ObjectStore().put("x")

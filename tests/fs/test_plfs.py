@@ -206,6 +206,12 @@ def test_chunk_record_finds_dense_and_gappy_chunks():
     for chunk in range(-2, 13):
         assert plfs.chunk_record("bar", "p", chunk) is whole.get(chunk)
     assert plfs.last_chunk("bar", "p") == 9
+    # The cost estimate sums the same records, absent chunks counting 0.
+    window = [9, -1, 3, 4, 12, 0]
+    assert plfs.chunks_nbytes("bar", "p", window) == sum(
+        whole[c].nbytes for c in window if c in whole
+    )
+    assert plfs.chunks_nbytes("bar", "p", []) == 0
 
 
 def test_chunk_records_is_the_filtered_subset_in_chunk_order():

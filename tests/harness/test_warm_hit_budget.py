@@ -1,12 +1,13 @@
 """The warm-hit request budget, gated by exact counts.
 
 A request whose chunks are all cache hits should cost almost nothing, and
-what it costs is bookkeeping: kernel events, trace spans, index copies.
-Those are *counts* -- deterministic at a fixed seed -- so this gate (marked
-``bench``: CI's ``pytest -m bench`` step runs it) pins them per request on
-a small warmed ``ServeFront`` of the end-to-end benchmark's ``serve_warm``
-shape.  A regression in any of the three mechanisms that keep the hit path
-lean fails here as a number, not as a slower wall clock:
+what it costs is bookkeeping: kernel events, trace spans, index copies,
+Python calls.  Those are *counts* -- deterministic at a fixed seed -- so
+this gate (marked ``bench``: CI's ``pytest -m bench`` step runs it) pins
+them per request on a small warmed ``ServeFront`` of the end-to-end
+benchmark's ``serve_warm`` shape.  A regression in any of the mechanisms
+that keep the hit path lean fails here as a number, not as a slower wall
+clock:
 
 * **kernel events** -- an event that fires with nobody subscribed (an idle
   slot's grant, a completion nobody waits for) is never dispatched, a
@@ -15,11 +16,18 @@ lean fails here as a number, not as a slower wall clock:
 * **spans** -- the tenant rides the DES process, so serving without a
   tracer attached constructs no ``Span``;
 * **record copies** -- a window resolves its own chunks' records; nobody
-  snapshots the whole subset.
+  snapshots the whole subset;
+* **Python calls** -- the front's bookkeeping is paid once per request: the
+  cost estimate resolves its subset once, a direct request takes its slot
+  as a counter, residency and hit counts are one pass over the window.
 """
+
+import os
+import sys
 
 import pytest
 
+import repro
 from repro.fs.plfs import PLFS
 from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog
 from repro.harness.benchserve import build_front
@@ -66,6 +74,18 @@ EVENTS = 777
 #: fixed clock, not wherever the catalogue ingest and warm-up happened to
 #: end: it reads 777 from 2, 4, 8 or 16 s alike.
 PHASE_START_S = 2.0
+
+#: Python calls into ``repro`` code (``sys.setprofile`` "call" events,
+#: generator resumes included) in the measured phase, exactly: 116.6 a
+#: request, the traffic plan included.  Before the front did its
+#: bookkeeping once -- a per-chunk record lookup for the cost estimate, a
+#: ``Request`` event and a ``done`` event per direct request, two calls per
+#: chunk to test residency, a counter call per hit -- it was 41342 (172.3).
+#: List, dict and set comprehensions are left out: Python 3.12 inlines them,
+#: so they would make the count depend on the interpreter.
+CALLS = 27973
+_REPRO = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 
 def _warm_front():
@@ -117,6 +137,31 @@ def _closed_loops(front):
     sim.run_process(barrier())
 
 
+def _count_calls(body):
+    """Run ``body()``; returns the Python calls it made into ``repro``."""
+    calls = []
+    counted = {}  # code object -> whether its calls count
+
+    def profile(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        counts = counted.get(code)
+        if counts is None:  # the path as loaded may be relative
+            counts = counted[code] = code.co_name not in _INLINED and (
+                os.path.abspath(code.co_filename).startswith(_REPRO)
+            )
+        if counts:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        body()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
 def test_warm_hit_request_budget(monkeypatch):
     front = _warm_front()
     sim = front.sim
@@ -142,7 +187,7 @@ def test_warm_hit_request_budget(monkeypatch):
         return front.metrics.value("block_cache_misses_total")
 
     misses, events = cache_misses(), sim.events_processed
-    _closed_loops(front)
+    calls = _count_calls(lambda: _closed_loops(front))
     done = front.scheduler.completed
     assert sum(len(v) for v in done.values()) == REQUESTS
     assert all(r.ok for v in done.values() for r in v)
@@ -151,3 +196,4 @@ def test_warm_hit_request_budget(monkeypatch):
     assert sim.events_processed - events == EVENTS
     assert sim.tracer is None and not spans
     assert not copies
+    assert calls == CALLS

@@ -6,11 +6,14 @@ between.  That is only an optimisation if nothing observable moves, so
 each case here runs the same closed-loop traffic twice -- once as is, once
 with ``Simulator.due_now`` forced to report "something due", which sends
 every request down the queued path -- and compares, request by request,
-its WFQ tags and every timestamp, the bytes served and their digest, each
-tenant's cache billing, every ``serve_*``/``retry_*`` series, the
-scheduler's virtual clock and, with a ``Tracer`` attached, every span.
-The name of the process that runs ``_execute`` shows which path each
-request took, so the cases also prove both paths actually ran.
+its WFQ tags and every timestamp, the bytes served and the digest of the
+result ``_execute`` returned, each tenant's cache billing, every
+``serve_*``/``retry_*`` series, the slot resource's request count and
+peak queue, the scheduler's virtual clock and, with a ``Tracer``
+attached, every span.  The name of the process that runs ``_execute``
+shows which path each request took, so the cases also prove both paths
+actually ran.  A direct request takes its slot with ``Resource.acquire``
+and has no ``done`` event, so the result is read where it is returned.
 
 A direct request shares its caller's fate: interrupting or closing the
 caller mid-request must still leave the slot, the queue and the tenant's
@@ -81,25 +84,25 @@ def _faulty(blobs):
     return front, lambda: _traffic(front, 3)
 
 
-def _digest(request):
+def _digest(request, result):
     if not request.ok:
         return type(request.error).__name__
     sha = hashlib.sha256()
-    for obj in request.done.value:
+    for obj in result:
         sha.update(obj.data)
     return sha.hexdigest()
 
 
 def _observe(monkeypatch, case, blobs, queued):
     """Run ``case``; returns what must not move, and who ran ``_execute``."""
-    runners = {}
+    runners, results = {}, {}
     execute = RequestScheduler._execute
 
     def recording(self, request, grant):
-        runners[(request.tenant, request.seq)] = (
-            self.sim.active_process.name.split(":")[0]
-        )
-        return (yield from execute(self, request, grant))
+        key = (request.tenant, request.seq)
+        runners[key] = self.sim.active_process.name.split(":")[0]
+        results[key] = yield from execute(self, request, grant)
+        return results[key]
 
     with monkeypatch.context() as patch:
         patch.setattr(RequestScheduler, "_execute", recording)
@@ -111,7 +114,7 @@ def _observe(monkeypatch, case, blobs, queued):
         (
             r.tenant, r.seq, r.kind, r.start_tag, r.finish_tag,
             r.submitted_s, r.started_s, r.finished_s, r.served_bytes,
-            _digest(r),
+            _digest(r, results[(r.tenant, r.seq)]),
         )
         for tenant in sorted(front.scheduler.completed)
         for r in front.scheduler.completed[tenant]
@@ -126,6 +129,9 @@ def _observe(monkeypatch, case, blobs, queued):
         **front.metrics.query("serve_"), **front.metrics.query("retry_"),
     }
     clocks = (front.scheduler.vtime, front.sim.now)
+    slots = front.scheduler.slots
+    assert slots.in_use == 0 and not slots.queue_length
+    slot_counts = (slots.total_requests, slots.peak_queue_len)
     tracer = front.sim.tracer
     spans = tracer and [
         (
@@ -134,7 +140,7 @@ def _observe(monkeypatch, case, blobs, queued):
         )
         for root in tracer.roots for sp in root.walk()
     ]
-    return (requests, billing, series, clocks, spans), runners
+    return (requests, billing, series, clocks, slot_counts, spans), runners
 
 
 @pytest.mark.parametrize(
@@ -161,7 +167,7 @@ def test_direct_path_moves_nothing(monkeypatch, blobs, case, paths):
             v for k, v in series.items() if k.startswith("retry_retries")
         )
     if case is _traced:  # both paths open the serve spans
-        names = [name for _id, name, *_rest in direct[4]]
+        names = [name for _id, name, *_rest in direct[5]]
         assert names.count("serve.request") == len(direct[0])
         assert names.count("serve.schedule") == len(direct[0])
 

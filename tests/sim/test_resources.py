@@ -120,3 +120,20 @@ def test_queue_and_peak_stats():
     sim.run()
     assert res.total_requests == 3
     assert res.peak_queue_len == 2
+
+
+def test_acquire_takes_a_slot_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    res.acquire()
+    assert res.in_use == 1 and res.total_requests == 1
+    assert sim.events_processed == 0 and not sim.due_now()
+    with pytest.raises(SimulationError, match="no free slot"):
+        res.acquire()
+    assert res.total_requests == 1  # a refused acquire is not counted
+    waiter = res.request()  # queues behind the acquired slot
+    assert not waiter.triggered and res.peak_queue_len == 1
+    res.release()  # hands the slot straight over, as for a Request
+    assert waiter.triggered and res.in_use == 1
+    waiter.release()
+    assert res.in_use == 0 and res.total_requests == 2

@@ -175,3 +175,25 @@ def test_ledgers_balance_when_a_waiting_generator_is_abandoned():
     assert _ledgers(dev) == (1_000_000_000, 0)
     sim.run()
     assert _ledgers(dev) == (0, 0)
+
+
+def test_metrics_follow_the_registry_the_sim_carries():
+    from repro.obs.metrics import MetricsRegistry
+
+    sim = Simulator()
+    dev = Device(sim, _spec())
+    sim.run_process(dev.read(1 * MB))  # no registry: nothing recorded
+    first, second = MetricsRegistry(), MetricsRegistry()
+    sim.metrics = first
+    for nbytes in (1 * MB, 2 * MB):
+        sim.run_process(dev.read(nbytes))
+    sim.run_process(dev.write(3 * MB))
+    sim.metrics = second  # a new registry gets series of its own
+    sim.run_process(dev.read(4 * MB))
+    labels = {"device": "test", "op": "read"}
+    assert first.value("device_ops_total", **labels) == 2
+    assert first.value("device_bytes_total", **labels) == 3 * MB
+    assert first.value("device_service_seconds", **labels) == 2
+    assert first.value("device_ops_total", device="test", op="write") == 1
+    assert second.value("device_ops_total", **labels) == 1
+    assert second.value("device_bytes_total", **labels) == 4 * MB
