@@ -90,15 +90,15 @@ class Prefetcher:
         self.sim = sim
         self.retriever = retriever
         self.degradation_source = degradation_source
-        # Multi-tenant serving (repro.serve) assigns these: ``tenant_source``
-        # resolves the ambient tenant so stride state and the in-flight
-        # cap become *per tenant* (two tenants interleaving sequential
-        # scans on one dataset must not corrupt each other's pattern or
-        # starve each other's speculation slot); ``budget_source`` maps a
-        # tenant to its cap on resident speculative bytes.  Left at None,
-        # both collapse to the single-tenant behavior.
+        # Stride state and the in-flight cap are *per tenant* (two tenants
+        # interleaving sequential scans on one dataset must not corrupt
+        # each other's pattern or starve each other's speculation slot).
+        # The tenant is the running process's ``context`` (the serving
+        # scheduler sets it; ``None`` outside serving) unless a test
+        # substitutes ``tenant_source``; ``budgets`` caps a tenant's
+        # resident speculative bytes (``ServeFront.register`` fills it).
         self.tenant_source: Optional[Callable[[], Optional[str]]] = None
-        self.budget_source: Optional[Callable[[str], Optional[float]]] = None
+        self.budgets: Dict[str, float] = {}
         self.metric_labels = dict(metric_labels or {})
         self._streams: Dict[Tuple[Optional[str], str, str], _StreamState] = {}
         self._inflight: Dict[Optional[str], list] = {}
@@ -139,7 +139,11 @@ class Prefetcher:
         if not chunks:
             return None
         counters = self._metric_fields
-        tenant = self.tenant_source() if self.tenant_source is not None else None
+        if self.tenant_source is not None:
+            tenant = self.tenant_source()
+        else:
+            proc = self.sim.active_process
+            tenant = None if proc is None else proc.context
         start, span = min(chunks), len(chunks)
         state = self._streams.get((tenant, logical, tag))
         if state is None:
@@ -232,15 +236,13 @@ class Prefetcher:
         naturally reclaimable: demand consumption clears the block's
         ``prefetched`` flag and frees budget for the next window.
         """
-        if tenant is None or self.budget_source is None:
-            return True
-        budget = self.budget_source(tenant)
+        budget = self.budgets.get(tenant)
         if budget is None:
             return True
         resident_fn = getattr(cache, "prefetched_bytes", None)
         resident = float(resident_fn(tenant)) if resident_fn is not None else 0.0
         window_bytes = self.retriever.plfs.chunks_nbytes(logical, tag, targets)
-        return resident + window_bytes <= float(budget)
+        return resident + window_bytes <= budget
 
     def _degraded(self) -> bool:
         """Has the fault layer reported new trouble since the last look?"""

@@ -24,13 +24,14 @@ scan of the resident blocks, so it equals the sum over them by
 construction.  The scans are cold: the prefetch budget check, a victim
 pick on an L1 eviction, and a gauge export.
 
-Tenant attribution is ambient: :func:`span_tenant_source` reads the
-``context`` of the DES process that is running, which the scheduler sets
-to the tenant when it starts executing a request.  Because a spawned
-process inherits its parent's context, background prefetches are
-attributed to the tenant whose demand window triggered them.  Outside any
-request (direct ADA use, warm-up reads, tier-1 tests) the source returns
-``None`` and the cache behaves exactly like its parent class.
+Tenant attribution is ambient: by default the cache bills the ``context``
+of the DES process that is running (:func:`span_tenant_source`), which
+the scheduler sets to the tenant when it starts executing a request.
+Because a spawned process inherits its parent's context, background
+prefetches are attributed to the tenant whose demand window triggered
+them.  Outside any request (direct ADA use, warm-up reads, tier-1 tests)
+the context is ``None`` and the cache behaves exactly like its parent
+class.
 """
 
 from __future__ import annotations
@@ -66,16 +67,15 @@ class TenantBlockCache(BlockCache):
         super().__init__(sim, **kwargs)
         self._owner: Dict[BlockKey, Optional[str]] = {}
         self._quotas: Dict[str, float] = {}
-        self.tenant_source = tenant_source
+        # Looked up per construction, not bound as a default argument, so
+        # a tracer that swaps the factory times the closure it returns.
+        self.tenant_source = tenant_source or span_tenant_source(sim)
 
     # -- configuration ------------------------------------------------------
 
     def set_quota(self, tenant: str, nbytes: float) -> None:
         """Reserve ``nbytes`` of L1 for ``tenant`` (0 removes protection)."""
         self._quotas[str(tenant)] = max(0.0, float(nbytes))
-
-    def quota_bytes(self, tenant: str) -> float:
-        return self._quotas.get(str(tenant), 0.0)
 
     def shared_capacity_bytes(self) -> float:
         """L1 bytes not reserved by any tenant (the reclaimable pool)."""
@@ -127,10 +127,7 @@ class TenantBlockCache(BlockCache):
     # -- data path overrides -------------------------------------------------
 
     def _current_tenant(self) -> Optional[str]:
-        source = self.tenant_source
-        if source is None:
-            return None
-        tenant = source()
+        tenant = self.tenant_source()
         return None if tenant is None else str(tenant)
 
     def admit(

@@ -3,19 +3,23 @@
 :class:`ServeFront` composes one shared :class:`~repro.core.ADA`
 middleware with the serving-layer pieces::
 
-    Session.submit --> SessionManager.admit (typed rejection)
-                   --> RequestScheduler     (start-time fair queuing)
+    Session.submit --> ServeFront.submit  (in-flight cap, typed rejection)
+                   --> RequestScheduler   (start-time fair queuing)
                    --> ADA.fetch_chunks / fetch / fetch_merged / ingest_stream
 
+Each tenant is one :class:`~repro.serve.session.Tenant` record in
+``ServeFront.tenants``.  ``register`` pushes its node policy to every
+member once: the cache quota to each :class:`TenantBlockCache`, the
+prefetch budget to each prefetcher's ``budgets``.
+
 Tenant attribution is ambient: the scheduler stamps the tenant on the
-DES process executing a request (``Process.context``), and the front
-wires a source reading it into the :class:`TenantBlockCache` and the
-prefetcher, so *every* cache admission and speculative read deep inside
-the middleware is billed to the right tenant -- including background
-prefetch processes, which inherit the demand fetch's context.  Serving
-is traced like every other layer: attach a :class:`~repro.obs.Tracer`
-to the simulator and the ``serve.*`` spans appear; without one nothing
-is recorded.
+DES process executing a request (``Process.context``), and the cache and
+the prefetcher read it from the running process, so *every* cache
+admission and speculative read deep inside the middleware is billed to
+the right tenant -- including background prefetch processes, which
+inherit the demand fetch's context.  Serving is traced like every other
+layer: attach a :class:`~repro.obs.Tracer` to the simulator and the
+``serve.*`` spans appear; without one nothing is recorded.
 
 The front has no fault site of its own: faults are injected where
 hardware fails (attach a :class:`~repro.faults.FaultPlan` to ``ada``), and
@@ -27,10 +31,11 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from repro.core.middleware import ADA
-from repro.errors import ConfigurationError, ReproError
-from repro.serve.fairshare import TenantBlockCache, span_tenant_source
+from repro.errors import AdmissionRejected, ConfigurationError, ReproError
+from repro.obs.trace import span
+from repro.serve.fairshare import TenantBlockCache
 from repro.serve.scheduler import RequestScheduler, ServeRequest
-from repro.serve.session import Session, SessionManager, TenantConfig
+from repro.serve.session import Session, Tenant
 
 __all__ = ["ServeFront"]
 
@@ -45,21 +50,7 @@ class ServeFront:
         self.ada = ada
         self.sim = ada.sim
         self.metrics = ada.metrics
-        self.tenant_source = span_tenant_source(self.sim)
-        # Every node's cache and prefetcher bill the ambient tenant (a
-        # sharded front's membership is fixed, so every node is here).
-        for member in ada.members():
-            cache, prefetcher = member.block_cache, member.prefetcher
-            if isinstance(cache, TenantBlockCache) and (
-                cache.tenant_source is None
-            ):
-                cache.tenant_source = self.tenant_source
-            if prefetcher is not None:
-                if prefetcher.tenant_source is None:
-                    prefetcher.tenant_source = self.tenant_source
-                if prefetcher.budget_source is None:
-                    prefetcher.budget_source = self._prefetch_budget
-        self.sessions = SessionManager(self.sim, self.metrics)
+        self.tenants: Dict[str, Tenant] = {}
         self.scheduler = RequestScheduler(
             self.sim,
             dispatch=self._execute_kind,
@@ -77,33 +68,44 @@ class ServeFront:
         prefetch_budget_bytes: Optional[int] = None,
         precision: str = "full",
     ) -> Session:
-        """Register a tenant and return its session handle."""
-        config = TenantConfig(
+        """Register a tenant, push its node policy, return its session."""
+        tenant = Tenant(
             name=name,
             max_inflight=max_inflight,
             cache_quota_bytes=cache_quota_bytes,
             prefetch_budget_bytes=prefetch_budget_bytes,
             precision=precision,
         )
-        caches = []
+        if name in self.tenants:
+            raise ConfigurationError(f"tenant {name!r} already registered")
+        members = self.ada.members()
         if cache_quota_bytes is not None:
             # The reservation is per node: every member's cache takes it.
-            caches = [member.block_cache for member in self.ada.members()]
-            for cache in caches:
+            for member in members:
+                cache = member.block_cache
                 if not isinstance(cache, TenantBlockCache):
                     found = "no cache" if cache is None else type(cache).__name__
                     raise ConfigurationError(
                         "cache_quota_bytes needs a TenantBlockCache on "
                         f"every node of the deployment; one has {found}"
                     )
-        state = self.sessions.register(config)
-        for cache in caches:
-            cache.set_quota(name, cache_quota_bytes)
-        return Session(self, state)
+        self.tenants[name] = tenant
+        self.metrics.gauge(
+            "serve_inflight", fn=lambda: float(tenant.inflight), tenant=name
+        )
+        for member in members:
+            if cache_quota_bytes is not None:
+                member.block_cache.set_quota(name, cache_quota_bytes)
+            prefetcher = member.prefetcher
+            if prefetch_budget_bytes is not None and prefetcher is not None:
+                prefetcher.budgets[name] = float(prefetch_budget_bytes)
+        return Session(self, name)
 
     def session(self, name: str) -> Session:
         """A (new) handle onto an already-registered tenant."""
-        return Session(self, self.sessions.get(name))
+        if name not in self.tenants:
+            raise ConfigurationError(f"unknown tenant {name!r}")
+        return Session(self, name)
 
     # -- submission ---------------------------------------------------------
 
@@ -116,10 +118,29 @@ class ServeFront:
                 f"unknown serve request kind {kind!r}; expected one of {KINDS}"
             )
         cost = self._estimate_cost(kind, payload)
-        state = self.sessions.admit(tenant)  # raises AdmissionRejected
+        record = self.tenants.get(tenant)
+        if record is None:
+            raise ConfigurationError(f"unknown tenant {tenant!r}")
+        with span(self.sim, "serve.admit", tenant=tenant) as sp:
+            if record.inflight + 1 > record.max_inflight:
+                self.metrics.counter(
+                    "serve_rejected_total", tenant=tenant, reason="inflight"
+                ).inc()
+                sp.tag(admitted=False, reason="inflight")
+                raise AdmissionRejected(
+                    tenant, "in-flight requests",
+                    record.max_inflight, record.inflight + 1,
+                )
+            record.inflight += 1
+            counter = record.admitted
+            if counter is None:
+                counter = record.admitted = self.metrics.counter(
+                    "serve_admitted_total", tenant=tenant
+                )
+            counter.inc()
+            sp.tag(admitted=True)
         request = ServeRequest(
-            tenant=tenant, kind=kind, payload=dict(payload),
-            cost_bytes=cost, on_complete=state.release,
+            tenant=tenant, kind=kind, payload=dict(payload), cost_bytes=cost,
         )
         return self.scheduler.submit(request)
 
@@ -152,45 +173,39 @@ class ServeFront:
 
     def _execute_kind(self, request: ServeRequest) -> Generator:
         payload = request.payload
-        # The read tier: payload override, else tenant policy (the data
-        # plane validates it).
-        precision = payload.get("precision")
-        if precision is None and request.kind != "ingest_stream":
-            precision = self.sessions.get(request.tenant).config.precision
-        if request.kind == "fetch_chunks":
-            objs = yield from self.ada.fetch_chunks(
-                payload["logical"], payload["tag"], payload["chunks"],
-                precision=precision,
-            )
-            request.served_bytes = int(sum([o.nbytes for o in objs]))
-            return objs
-        if request.kind == "fetch":
-            obj = yield from self.ada.fetch(
-                payload["logical"], payload["tag"], precision=precision
-            )
-            request.served_bytes = int(obj.nbytes)
-            return obj
-        if request.kind == "fetch_merged":
-            obj = yield from self.ada.fetch_merged(
-                payload["logical"], precision=precision
-            )
-            request.served_bytes = int(obj.nbytes)
-            return obj
-        # Guarded in submit(); only ingest_stream remains.
-        result = yield from self.ada.ingest_stream(
-            payload["logical"],
-            payload["blob"],
-            pdb_text=payload.get("pdb_text"),
-        )
-        request.served_bytes = len(payload["blob"])
-        return result
-
-    # -- wiring helpers ------------------------------------------------------
-
-    def _prefetch_budget(self, tenant: str) -> Optional[float]:
+        tenant = self.tenants[request.tenant]
         try:
-            state = self.sessions.get(tenant)
-        except ConfigurationError:
-            return None
-        budget = state.config.prefetch_budget_bytes
-        return None if budget is None else float(budget)
+            # The read tier: payload override, else tenant policy (the
+            # data plane validates it).
+            precision = payload.get("precision")
+            if precision is None and request.kind != "ingest_stream":
+                precision = tenant.precision
+            if request.kind == "fetch_chunks":
+                objs = yield from self.ada.fetch_chunks(
+                    payload["logical"], payload["tag"], payload["chunks"],
+                    precision=precision,
+                )
+                request.served_bytes = int(sum([o.nbytes for o in objs]))
+                return objs
+            if request.kind == "fetch":
+                obj = yield from self.ada.fetch(
+                    payload["logical"], payload["tag"], precision=precision
+                )
+                request.served_bytes = int(obj.nbytes)
+                return obj
+            if request.kind == "fetch_merged":
+                obj = yield from self.ada.fetch_merged(
+                    payload["logical"], precision=precision
+                )
+                request.served_bytes = int(obj.nbytes)
+                return obj
+            # Guarded in submit(); only ingest_stream remains.
+            result = yield from self.ada.ingest_stream(
+                payload["logical"],
+                payload["blob"],
+                pdb_text=payload.get("pdb_text"),
+            )
+            request.served_bytes = len(payload["blob"])
+            return result
+        finally:
+            tenant.release()  # however the request ends, at that instant

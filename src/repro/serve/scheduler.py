@@ -61,7 +61,6 @@ class ServeRequest:
     served_bytes: int = 0
     error: Optional[BaseException] = None
     done: Optional[Event] = None
-    on_complete: Optional[Callable[["ServeRequest"], None]] = None
 
     @property
     def wait_s(self) -> float:
@@ -118,10 +117,6 @@ class RequestScheduler:
     @property
     def backlog(self) -> int:
         return self._backlog
-
-    @property
-    def vtime(self) -> float:
-        return self._vtime
 
     def submit(self, request: ServeRequest) -> ServeRequest:
         """Stamp, enqueue, and (eventually) execute one request.
@@ -253,8 +248,6 @@ class RequestScheduler:
         else:
             tm["failed"].inc()
         self.completed.setdefault(request.tenant, []).append(request)
-        if request.on_complete is not None:
-            request.on_complete(request)
         grant.release()
         if sim.due_now():
             # Alone at this instant the loop would wake to an empty queue

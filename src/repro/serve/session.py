@@ -1,47 +1,48 @@
-"""Per-tenant session handles and admission control.
+"""One record per tenant, and the tenant's session handle.
 
-:class:`SessionManager` owns the tenant registry and the admission
-gate: each tenant is bounded by a maximum number of in-flight requests
-(admitted but not yet completed).  A breach raises the typed
-:class:`~repro.errors.AdmissionRejected` synchronously at submit time,
-so a misbehaving tenant cannot even grow the scheduler's queues, let
-alone another tenant's latency.
+:class:`Tenant` is everything the front end knows about one tenant: the
+policy it registered (in-flight cap, cache quota, prefetch budget, default
+read tier) and its live admission count.  :class:`~repro.serve.ServeFront`
+keeps one per name, admits each request against ``max_inflight`` (a
+breach raises the typed :class:`~repro.errors.AdmissionRejected`
+synchronously, so a misbehaving tenant cannot even grow the scheduler's
+queues) and returns the charge when the request finishes.
 
-:class:`Session` is the handle the front end returns from
-``register()``: thin DES-generator wrappers (``fetch_chunks`` /
-``fetch`` / ``fetch_merged`` / ``ingest_stream``) around submit+wait,
-plus a fire-and-forget ``submit`` for open-loop traffic.
+:class:`Session` is the handle ``register()`` returns: thin DES-generator
+wrappers (``fetch_chunks`` / ``fetch`` / ``fetch_merged`` /
+``ingest_stream``) around submit+wait, plus a fire-and-forget ``submit``
+for open-loop traffic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
 from repro.core.lod import validate_precision
-from repro.errors import (
-    AdmissionRejected, ConfigurationError, SimulationError,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import span
+from repro.errors import ConfigurationError, SimulationError
+from repro.obs.metrics import Counter
 from repro.serve.scheduler import ServeRequest
 
-__all__ = ["TenantConfig", "TenantState", "SessionManager", "Session"]
+__all__ = ["Tenant", "Session"]
 
 
 @dataclass
-class TenantConfig:
-    """Admission limit, cache shares and read tier for one tenant."""
+class Tenant:
+    """A registered tenant's policy and its live in-flight count."""
 
     name: str
     max_inflight: int = 8
-    cache_quota_bytes: Optional[int] = None  # reserved L1 share
+    cache_quota_bytes: Optional[int] = None  # reserved L1 share, per node
     prefetch_budget_bytes: Optional[int] = None  # speculative-byte cap
-    #: Default read tier for this tenant's requests ("full"/"lod"); a
-    #: per-request ``precision`` payload key overrides it.  Scrubbing
-    #: viewers register "lod" (cheap frames), pinned analyses keep the
-    #: "full" default (exact bytes, always).
+    #: Default read tier ("full"/"lod"); a per-request ``precision``
+    #: overrides it.  Scrubbing viewers register "lod" (cheap frames),
+    #: pinned analyses keep the "full" default (exact bytes, always).
     precision: str = "full"
+    inflight: int = 0  # admitted, not yet finished
+    #: ``serve_admitted_total{tenant}``, made on the first admission (a
+    #: tenant that never submits exports no series).
+    admitted: Optional[Counter] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -51,95 +52,26 @@ class TenantConfig:
             raise ConfigurationError(
                 f"max_inflight {self.max_inflight} must be >= 1"
             )
+        for knob in ("cache_quota_bytes", "prefetch_budget_bytes"):
+            value = getattr(self, knob)
+            if value is not None and value < 0:
+                raise ConfigurationError(f"{knob} {value} must be >= 0")
 
-
-class TenantState:
-    """Live admission accounting for one registered tenant."""
-
-    __slots__ = ("config", "inflight", "admitted_counter")
-
-    def __init__(self, config: TenantConfig):
-        self.config = config
-        self.inflight = 0
-        #: ``serve_admitted_total{tenant}``, held from the first admission
-        #: (a tenant that never submits exports no series).
-        self.admitted_counter = None
-
-    def release(self, _request=None) -> None:
-        """Return one request's admission charge (its ``on_complete``)."""
-        self.inflight -= 1
-        if self.inflight < 0:
-            name = self.config.name
+    def release(self) -> None:
+        """Return one finished request's admission charge."""
+        if self.inflight < 1:
             raise SimulationError(
-                f"tenant {name!r} released more than it was admitted"
+                f"tenant {self.name!r} released more than it was admitted"
             )
-
-
-class SessionManager:
-    """Tenant registry plus the synchronous admission gate."""
-
-    def __init__(self, sim, metrics: Optional[MetricsRegistry] = None):
-        self.sim = sim
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._tenants: Dict[str, TenantState] = {}
-
-    def register(self, config: TenantConfig) -> TenantState:
-        if config.name in self._tenants:
-            raise ConfigurationError(
-                f"tenant {config.name!r} already registered"
-            )
-        state = TenantState(config)
-        self._tenants[config.name] = state
-        self.metrics.gauge(
-            "serve_inflight",
-            fn=lambda s=state: float(s.inflight),
-            tenant=config.name,
-        )
-        return state
-
-    def get(self, tenant: str) -> TenantState:
-        state = self._tenants.get(tenant)
-        if state is None:
-            raise ConfigurationError(f"unknown tenant {tenant!r}")
-        return state
-
-    def admit(self, tenant: str) -> TenantState:
-        """Charge one request against the tenant's in-flight cap or reject
-        it; returns the tenant's state."""
-        state = self.get(tenant)
-        config = state.config
-        with span(self.sim, "serve.admit", tenant=tenant) as sp:
-            if state.inflight + 1 > config.max_inflight:
-                self.metrics.counter(
-                    "serve_rejected_total", tenant=tenant, reason="inflight"
-                ).inc()
-                sp.tag(admitted=False, reason="inflight")
-                raise AdmissionRejected(
-                    tenant, "in-flight requests",
-                    config.max_inflight, state.inflight + 1,
-                )
-            state.inflight += 1
-            counter = state.admitted_counter
-            if counter is None:
-                counter = state.admitted_counter = self.metrics.counter(
-                    "serve_admitted_total", tenant=tenant
-                )
-            counter.inc()
-            sp.tag(admitted=True)
-        return state
-
-    def release(self, tenant: str) -> None:
-        """Return one completed (or failed) request's admission charge."""
-        self.get(tenant).release()
+        self.inflight -= 1
 
 
 class Session:
     """One tenant's handle onto the serving front end."""
 
-    def __init__(self, front, state: TenantState):
+    def __init__(self, front, name: str):
         self._front = front
-        self.state = state
-        self.name = state.config.name
+        self.name = name
 
     # -- fire-and-forget (open-loop traffic) --------------------------------
 

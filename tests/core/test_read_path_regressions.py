@@ -335,7 +335,7 @@ def test_prefetch_budget_caps_speculative_bytes():
     """A zero budget suppresses speculation and counts it as such."""
     sim, ada, current = _tenant_ada(prefetch=True)
     prefetcher = ada.prefetcher
-    prefetcher.budget_source = lambda tenant: 0.0
+    prefetcher.budgets["a"] = 0.0
 
     current["tenant"] = "a"
     prefetcher.observe(LOGICAL, "p", [0, 1])

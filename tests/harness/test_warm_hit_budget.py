@@ -76,14 +76,17 @@ EVENTS = 777
 PHASE_START_S = 2.0
 
 #: Python calls into ``repro`` code (``sys.setprofile`` "call" events,
-#: generator resumes included) in the measured phase, exactly: 116.6 a
-#: request, the traffic plan included.  Before the front did its
-#: bookkeeping once -- a per-chunk record lookup for the cost estimate, a
-#: ``Request`` event and a ``done`` event per direct request, two calls per
-#: chunk to test residency, a counter call per hit -- it was 41342 (172.3).
+#: generator resumes included) in the measured phase, exactly: 112.5 a
+#: request, the traffic plan included.  While a tenant was three objects
+#: behind a ``SessionManager`` -- admission and dispatch each looking the
+#: tenant up through a method, the prefetcher asking a closure for the
+#: tenant -- it was 27973 (116.6).  Before the front did its bookkeeping
+#: once -- a per-chunk record lookup for the cost estimate, a ``Request``
+#: event and a ``done`` event per direct request, two calls per chunk to
+#: test residency, a counter call per hit -- it was 41342 (172.3).
 #: List, dict and set comprehensions are left out: Python 3.12 inlines them,
 #: so they would make the count depend on the interpreter.
-CALLS = 27973
+CALLS = 27009
 _REPRO = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 

@@ -31,7 +31,7 @@ def test_the_request_over_the_inflight_cap_is_rejected_at_submit():
     )
     session, value = front.session("t0"), front.metrics.value
     admitted = [_submit(session), _submit(session)]
-    assert session.state.inflight == 2
+    assert front.tenants["t0"].inflight == 2
     with pytest.raises(AdmissionRejected) as rejected:
         _submit(session)
     assert (rejected.value.tenant, rejected.value.limit, rejected.value.value) == (
@@ -46,10 +46,10 @@ def test_the_request_over_the_inflight_cap_is_rejected_at_submit():
 
     front.sim.run()
     assert all(request.ok for request in admitted)
-    assert session.state.inflight == 0
+    assert front.tenants["t0"].inflight == 0
     fourth = _submit(session)  # the completions returned their charge
-    assert session.state.inflight == 1
+    assert front.tenants["t0"].inflight == 1
     front.sim.run()
-    assert fourth.ok and session.state.inflight == 0
+    assert fourth.ok and front.tenants["t0"].inflight == 0
     assert value("serve_admitted_total", tenant="t0") == 3
     assert value("serve_rejected_total", tenant="t0", reason="inflight") == 1

@@ -24,7 +24,7 @@ import hashlib
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import AdmissionRejected, SimulationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.harness.benchkit import PLAYBACK_TAG, chunked_catalog, run_traffic
 from repro.harness.benchserve import build_front
@@ -128,7 +128,7 @@ def _observe(monkeypatch, case, blobs, queued):
     series = {
         **front.metrics.query("serve_"), **front.metrics.query("retry_"),
     }
-    clocks = (front.scheduler.vtime, front.sim.now)
+    clocks = (front.scheduler._vtime, front.sim.now)
     slots = front.scheduler.slots
     assert slots.in_use == 0 and not slots.queue_length
     slot_counts = (slots.total_requests, slots.peak_queue_len)
@@ -181,10 +181,9 @@ def _direct_front(blobs):
 
 
 def _assert_quiescent(front):
-    state = front.sessions.get("t0")
     assert front.scheduler.slots.in_use == 0
     assert front.scheduler.backlog == 0
-    assert state.inflight == 0
+    assert front.tenants["t0"].inflight == 0
     (request,) = front.scheduler.completed["t0"]
     assert not request.ok and request.finished_s is not None
     assert front.metrics.value("serve_failed_total", tenant="t0") == 1
@@ -206,7 +205,7 @@ def test_interrupted_caller_leaves_an_empty_ledger(blobs):
         yield sim.timeout(1e-4)  # mid-way through the indexer latency
         assert proc.context == "t0"  # the reader runs its request itself
         assert front.scheduler.slots.in_use == 1
-        assert front.sessions.get("t0").inflight == 1
+        assert front.tenants["t0"].inflight == 1
         proc.interrupt("viewer closed")
 
     # Booted first, so nothing else is due when the reader submits.
@@ -233,8 +232,23 @@ def test_closed_caller_leaves_an_empty_ledger(blobs):
 
 
 def test_double_release_raises(blobs):
-    front, _session = _direct_front(blobs)
-    front.sessions.admit("t0")
-    front.sessions.release("t0")
+    front, session = _direct_front(blobs)
+    tenant = front.tenants["t0"]
+
+    def one_chunk():
+        return session.submit(
+            "fetch_chunks", logical="traj0.xtc", tag=PLAYBACK_TAG, chunks=[0],
+        )
+
+    first = one_chunk()
+    front.sim.run()
+    assert first.ok and tenant.inflight == 0
     with pytest.raises(SimulationError, match="released more"):
-        front.sessions.release("t0")
+        tenant.release()
+    # The refused release took nothing: the cap still holds at max_inflight.
+    assert tenant.inflight == 0
+    admitted = [one_chunk() for _ in range(tenant.max_inflight)]
+    with pytest.raises(AdmissionRejected):
+        one_chunk()
+    front.sim.run()
+    assert all(request.ok for request in admitted) and tenant.inflight == 0

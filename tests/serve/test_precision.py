@@ -46,7 +46,7 @@ def test_tenant_precision_policy_sets_the_default_tier(workload):
 
     exact = sim.run_process(analysis.fetch(LOGICAL, "p"))
     assert exact.tier == "full" and exact.max_error is None
-    assert front.sessions.get("viewer").config.precision == "lod"
+    assert front.tenants["viewer"].precision == "lod"
 
 
 def test_per_request_override_beats_tenant_policy(workload):

@@ -273,9 +273,9 @@ def _billed_for_four_chunks(front: ServeFront, tenant="t0"):
 
 def test_sharded_front_bills_the_tenant_like_a_single_node(catalog_blobs):
     """The same read bills the same tenant the same bytes whichever data
-    plane is behind the front: the front wires every member's cache (a
-    shard node's used to bill the shared pool), and ``cache_quota_bytes``
-    reserves on every node."""
+    plane is behind the front: every member's cache bills the running
+    process's tenant (a shard node's used to bill the shared pool), and
+    ``cache_quota_bytes`` reserves on every node."""
     sim = Simulator()
     ada = ADA(
         sim,
@@ -299,7 +299,7 @@ def test_sharded_front_bills_the_tenant_like_a_single_node(catalog_blobs):
     front = ServeFront(sharded)
     front.register("t0", cache_quota_bytes=8192)
     assert [
-        member.block_cache.quota_bytes("t0") for member in sharded.members()
+        member.block_cache._quotas["t0"] for member in sharded.members()
     ] == [8192.0, 8192.0]
     assert _billed_for_four_chunks(front) == (payload, billed, shared)
 
@@ -315,4 +315,25 @@ def test_cache_quota_on_plain_node_caches_names_the_cause(catalog_blobs):
     ):
         front.register("t0", cache_quota_bytes=8192)
     with pytest.raises(ConfigurationError, match="unknown tenant"):
-        front.sessions.get("t0")  # nothing half-registered
+        front.session("t0")  # nothing half-registered
+
+
+@pytest.mark.parametrize("knob", ["cache_quota_bytes", "prefetch_budget_bytes"])
+def test_register_refuses_a_negative_byte_limit(knob):
+    """A negative budget used to suppress every speculative window, and a
+    negative quota was clamped to 0: both are refused before anything is
+    registered, on any node."""
+    sim = Simulator()
+    ada = ADA(
+        sim,
+        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
+        block_cache=TenantBlockCache(sim, l1_capacity_bytes=_ROOMY),
+        prefetch=True,
+    )
+    front = ServeFront(ada)
+    with pytest.raises(ConfigurationError, match=f"{knob} -1 must be >= 0"):
+        front.register("t0", **{knob: -1})
+    with pytest.raises(ConfigurationError, match="unknown tenant"):
+        front.session("t0")
+    assert not ada.block_cache._quotas and not ada.prefetcher.budgets
+    assert not front.metrics.query("serve_inflight")

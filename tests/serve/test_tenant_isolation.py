@@ -123,7 +123,7 @@ def test_quota_protects_working_set_from_neighbor_scan():
     # B's own blocks evicted each other; the cache never overflowed.
     assert cache.l1_bytes <= cache.l1_capacity_bytes
     assert cache.metrics.value("block_cache_quota_evictions_total") > 0
-    assert cache.quota_bytes("a") == 5_000.0 == cache.charged_bytes("a")
+    assert cache._quotas["a"] == 5_000.0 == cache.charged_bytes("a")
 
 
 def test_shared_pool_is_reclaimable_not_wasted():

@@ -199,7 +199,8 @@ KEPT_FOR = {
     ("StreamingTrajectory", "index"): "callers holding a FrameIndex skip the "
     "header scan (tests/vmd viewer budget counts index builds)",
     ("StreamingTrajectory", "precision"): "the starting tier; mutable after",
-    ("TenantBlockCache", "tenant_source"): "a test substitutes a fake tenant",
+    ("TenantBlockCache", "tenant_source"): "defaults to the running "
+    "process's context; a test substitutes a fake tenant",
 }
 
 
