@@ -27,7 +27,7 @@ stays in the subclass.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.ingest import IngestPipeline, IngestPipelineConfig
@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.fs.base import StoredObject
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import span
+from repro.obs.trace import NULL_SPAN, span
 from repro.sim import AllOf, Simulator
 
 __all__ = ["DataPlane", "IngestReceipt", "merge_decoded_subsets"]
@@ -437,7 +437,7 @@ class DataPlane:
         """
         chunks = list(chunks)
         tier, read_tag, bound = self._resolve_tier(logical, tag, precision)
-        with span(
+        with NULL_SPAN if self.sim.tracer is None else span(
             self.sim, f"{self._span_family}.fetch_chunks",
             logical=logical, tag=tag, chunks=len(chunks), tier=tier,
         ):
@@ -454,7 +454,7 @@ class DataPlane:
         on it (nodes never see an ingest receipt)."""
         self._count_tier("served")
         self._count_tier("served_bytes", sum(o.nbytes for o in objs))
-        return [replace(o, tier="lod", max_error=bound) for o in objs]
+        return [o._replace(tier="lod", max_error=bound) for o in objs]
 
     # -- whole-dataset reads --------------------------------------------------
 

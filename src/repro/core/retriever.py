@@ -28,7 +28,7 @@ from repro.fs.base import StoredObject
 from repro.fs.cache import BlockCache, BlockKey
 from repro.fs.plfs import PLFS, IndexRecord
 from repro.obs.metrics import MetricsRegistry, SIZE_BUCKETS
-from repro.obs.trace import span
+from repro.obs.trace import NULL_SPAN, span
 from repro.sim import AllOf, Process, Simulator
 
 __all__ = ["IORetriever"]
@@ -139,7 +139,7 @@ class IORetriever:
             records = self.plfs.subset_records(logical, tag)
         else:
             records = self.plfs.chunk_records(logical, tag, chunks)
-        with span(
+        with NULL_SPAN if self.sim.tracer is None else span(
             self.sim, "retriever.retrieve_chunks",
             logical=logical, tag=tag, chunks=len(records),
             prefetched=prefetched,

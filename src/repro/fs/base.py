@@ -14,8 +14,7 @@ pipelines pay for (e.g. ADA's indexer lookup) are modeled where they occur.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple, Union
+from typing import Generator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import StorageFullError
 from repro.faults.plan import FaultDecision, FaultSite
@@ -29,8 +28,7 @@ __all__ = ["FileSystem", "Payload", "StoredObject"]
 Payload = Union[bytes, int]
 
 
-@dataclass(frozen=True)
-class StoredObject:
+class StoredObject(NamedTuple):
     """What a read returns: size always, content when materialized.
 
     ``tier``/``max_error`` surface the precision tier a read was served
@@ -38,6 +36,7 @@ class StoredObject:
     ``"lod"`` means the coarse-quantized layer, with ``max_error`` the
     advertised per-atom-coordinate worst-case error bound.  Reads below
     the middleware's tier-selection layer always return ``"full"``.
+    An immutable tuple: derive a variant with ``_replace``.
     """
 
     path: str

@@ -32,7 +32,7 @@ from typing import Dict, Generator, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.fs.base import FileSystem, StoredObject
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import span
+from repro.obs.trace import NULL_SPAN, span
 from repro.units import MiB, gbps
 
 __all__ = ["CachedFS", "BlockCache", "BlockKey", "CachedBlock"]
@@ -348,7 +348,7 @@ class BlockCache:
         if l1_hits:
             counters["hits_l1"].inc(l1_hits)
         if l1_hits or promote:
-            with span(
+            with NULL_SPAN if self.sim.tracer is None else span(
                 self.sim, "cache.lookup", logical=keys[0][0], tag=keys[0][1],
                 chunks=len(keys), l2_hits=len(promote), cache_hit=True,
             ):

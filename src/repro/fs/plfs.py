@@ -29,7 +29,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -52,8 +52,7 @@ _INDEX_NAME = "index"
 BULK_REQUEST_SIZE = 4 * MiB
 
 
-@dataclass(frozen=True)
-class IndexRecord:
+class IndexRecord(NamedTuple):
     """One subset chunk inside a container.
 
     ``crc`` is the zlib CRC-32 of the chunk's bytes, or ``-1`` when the
@@ -113,9 +112,8 @@ class _Subset:
 
 
 def _encode_log(records: List[IndexRecord]) -> bytes:
-    """Index-log lines for ``records`` (``vars`` of the flat dataclass is
-    its field dict, without ``asdict``'s deep copy)."""
-    return "".join(json.dumps(vars(r)) + "\n" for r in records).encode()
+    """Index-log lines for ``records``, one JSON object per record."""
+    return "".join(json.dumps(r._asdict()) + "\n" for r in records).encode()
 
 
 class PLFS:

@@ -26,7 +26,7 @@ import json
 from collections import deque
 from typing import Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "span", "render_trace"]
+__all__ = ["NULL_SPAN", "Span", "Tracer", "span", "render_trace"]
 
 
 class Span:
@@ -121,7 +121,9 @@ class _NullContext:
         pass
 
 
-_NULL = _NullContext()
+#: The null span: a hot site opens it when ``sim.tracer`` is None instead
+#: of calling :func:`span`, so an untraced run builds no tags and no call.
+NULL_SPAN = _NullContext()
 
 
 class Tracer:
@@ -244,7 +246,7 @@ def span(sim, name: str, **tags):
     """
     tracer = getattr(sim, "tracer", None)
     if tracer is None:
-        return _NULL
+        return NULL_SPAN
     return tracer.span(name, **tags)
 
 

@@ -32,7 +32,7 @@ from typing import Dict, Generator, Optional
 
 from repro.core.middleware import ADA
 from repro.errors import AdmissionRejected, ConfigurationError, ReproError
-from repro.obs.trace import span
+from repro.obs.trace import NULL_SPAN, span
 from repro.serve.fairshare import TenantBlockCache
 from repro.serve.scheduler import RequestScheduler, ServeRequest
 from repro.serve.session import Session, Tenant
@@ -79,16 +79,22 @@ class ServeFront:
         if name in self.tenants:
             raise ConfigurationError(f"tenant {name!r} already registered")
         members = self.ada.members()
-        if cache_quota_bytes is not None:
-            # The reservation is per node: every member's cache takes it.
-            for member in members:
-                cache = member.block_cache
-                if not isinstance(cache, TenantBlockCache):
-                    found = "no cache" if cache is None else type(cache).__name__
-                    raise ConfigurationError(
-                        "cache_quota_bytes needs a TenantBlockCache on "
-                        f"every node of the deployment; one has {found}"
-                    )
+        # The reservation and the budget are per node: every member takes them.
+        for member in members:
+            cache = member.block_cache
+            if cache_quota_bytes is not None and not isinstance(
+                cache, TenantBlockCache
+            ):
+                found = "no cache" if cache is None else type(cache).__name__
+                raise ConfigurationError(
+                    "cache_quota_bytes needs a TenantBlockCache on "
+                    f"every node of the deployment; one has {found}"
+                )
+            if prefetch_budget_bytes is not None and member.prefetcher is None:
+                raise ConfigurationError(
+                    "prefetch_budget_bytes needs a prefetcher on every node "
+                    "of the deployment; one has none"
+                )
         self.tenants[name] = tenant
         self.metrics.gauge(
             "serve_inflight", fn=lambda: float(tenant.inflight), tenant=name
@@ -96,9 +102,8 @@ class ServeFront:
         for member in members:
             if cache_quota_bytes is not None:
                 member.block_cache.set_quota(name, cache_quota_bytes)
-            prefetcher = member.prefetcher
-            if prefetch_budget_bytes is not None and prefetcher is not None:
-                prefetcher.budgets[name] = float(prefetch_budget_bytes)
+            if prefetch_budget_bytes is not None:
+                member.prefetcher.budgets[name] = float(prefetch_budget_bytes)
         return Session(self, name)
 
     def session(self, name: str) -> Session:
@@ -121,7 +126,9 @@ class ServeFront:
         record = self.tenants.get(tenant)
         if record is None:
             raise ConfigurationError(f"unknown tenant {tenant!r}")
-        with span(self.sim, "serve.admit", tenant=tenant) as sp:
+        with NULL_SPAN if self.sim.tracer is None else span(
+            self.sim, "serve.admit", tenant=tenant
+        ) as sp:
             if record.inflight + 1 > record.max_inflight:
                 self.metrics.counter(
                     "serve_rejected_total", tenant=tenant, reason="inflight"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ContainerError, TagNotFoundError
 from repro.fs import PLFS, LocalFS
+from repro.fs.plfs import IndexRecord
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
 from repro.units import GB, MB, mbps
@@ -232,3 +233,31 @@ def test_chunk_records_names_the_missing_chunks():
         plfs.chunk_records("bar", "nope", [0])
     with pytest.raises(TagNotFoundError):
         plfs.last_chunk("bar", "nope")
+
+
+def _record(**changes):
+    fields = dict(tag="p", backend="ssd", path="bar.plfs/p.0", nbytes=7)
+    return IndexRecord(**{**fields, **changes})
+
+
+def test_index_record_is_immutable():
+    record = _record()
+    with pytest.raises(AttributeError):
+        record.nbytes = 8
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_index_record_compares_and_hashes_by_value():
+    a, b = _record(chunk=3, crc=11), _record(chunk=3, crc=11)
+    assert a == b and hash(a) == hash(b)
+    assert a == ("p", "ssd", "bar.plfs/p.0", 7, 3, 11)  # a tuple of its fields
+    assert a != _record(chunk=4, crc=11)
+    assert len({a, b, _record()}) == 2
+
+
+def test_index_record_replace_leaves_the_original():
+    record = _record(chunk=2)
+    moved = record._replace(backend="hdd")
+    assert moved is not record and moved.backend == "hdd"
+    assert (record.backend, moved.chunk) == ("ssd", 2)

@@ -337,3 +337,26 @@ def test_register_refuses_a_negative_byte_limit(knob):
         front.session("t0")
     assert not ada.block_cache._quotas and not ada.prefetcher.budgets
     assert not front.metrics.query("serve_inflight")
+
+
+def test_prefetch_budget_on_a_node_without_a_prefetcher_names_the_cause():
+    """The budget used to be dropped silently where no prefetcher could
+    spend it; like a quota without a fair-share cache, it is refused
+    before anything is registered."""
+    sim = Simulator()
+    ada = ADA(
+        sim,
+        backends={"hdd": LocalFS(sim, WD_1TB_HDD, name="hdd")},
+        block_cache=TenantBlockCache(sim, l1_capacity_bytes=_ROOMY),
+    )
+    assert ada.prefetcher is None
+    front = ServeFront(ada)
+    with pytest.raises(
+        ConfigurationError, match="prefetch_budget_bytes needs a prefetcher"
+    ):
+        front.register("t0", cache_quota_bytes=8192, prefetch_budget_bytes=1024)
+    with pytest.raises(ConfigurationError, match="unknown tenant"):
+        front.session("t0")
+    assert not ada.block_cache._quotas
+    assert not front.metrics.query("serve_inflight")
+    front.register("t0", cache_quota_bytes=8192)  # no budget: fine
