@@ -161,10 +161,11 @@ class IORetriever:
                         waits[pos] = inflight
                     else:
                         to_read.append(pos)
-            sp.tag(
-                cache_hits=len(records) - len(to_read) - len(waits),
-                joined=len(waits),
-            )
+            if sp is not NULL_SPAN:
+                sp.tag(
+                    cache_hits=len(records) - len(to_read) - len(waits),
+                    joined=len(waits),
+                )
             if to_read:
                 runs = self._runs(records, to_read)
                 procs: List[Process] = []

@@ -65,6 +65,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import fastzlib
 from repro.errors import CodecError
 from repro.formats.trajectory import BYTES_PER_COORD, Trajectory
 
@@ -434,7 +435,7 @@ def _encode_zigzag_block(
     comp = deflate.compress(body) + deflate.flush()
     if not allow_stored or len(comp) < len(body) - len(body) // 16:
         return 0, comp
-    return _FLAG_STORED, body + _STORED_CRC.pack(zlib.crc32(body))
+    return _FLAG_STORED, body + _STORED_CRC.pack(fastzlib.crc32(body))
 
 
 def _frame_body(payload, count: int, stored: bool):
@@ -453,11 +454,14 @@ def _frame_body(payload, count: int, stored: bool):
             raise CodecError("stored payload shorter than its checksum")
         body = payload[: -_STORED_CRC.size]
         (crc,) = _STORED_CRC.unpack_from(payload, len(body))
-        if zlib.crc32(body) != crc:
+        if fastzlib.crc32(body) != crc:
             raise CodecError("stored payload checksum mismatch")
     else:
+        # A valid body fits its prologue, width table and 64-bit words;
+        # a longer one falls back to zlib, which checks it as before.
+        bound = _PAYLOAD_HEAD.size + -(-count // _BLOCK_VALUES) + 8 * count
         try:
-            body = memoryview(zlib.decompress(payload))  # sliced, not copied
+            body = memoryview(fastzlib.inflate(payload, bound))
         except zlib.error as exc:
             raise CodecError(f"frame payload inflate failed: {exc}") from exc
     if len(body) < _PAYLOAD_HEAD.size:
@@ -569,7 +573,7 @@ def _encode_gof(
     sflag, block = _encode_zigzag_block(
         intra[0], _block_widths(intra)[0], allow_stored=False
     )
-    emit(0, sflag, origin + _STORED_CRC.pack(zlib.crc32(origin)) + block)
+    emit(0, sflag, origin + _STORED_CRC.pack(fastzlib.crc32(origin)) + block)
     for i, (row, widths) in enumerate(zip(temporal, _block_widths(temporal)), 1):
         sflag, block = _encode_zigzag_block(row, widths)
         emit(i, _FLAG_PFRAME | sflag, block)
@@ -770,7 +774,7 @@ def _decode_gof_ints(
             if len(payload) < prefix:
                 raise CodecError("I-frame payload missing origin")
             (origin_crc,) = _STORED_CRC.unpack_from(payload, 12)
-            if zlib.crc32(payload[:12]) != origin_crc:
+            if fastzlib.crc32(payload[:12]) != origin_crc:
                 raise CodecError("I-frame origin checksum mismatch")
             origin = np.frombuffer(payload, dtype="<i4", count=3)
             body, runs = _frame_body(payload[prefix:], width - 3, stored)

@@ -26,11 +26,11 @@ last complete line, and the next append to that log cuts the tail off.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
+from repro import fastzlib
 from repro.errors import (
     ConfigurationError,
     ContainerError,
@@ -313,7 +313,7 @@ class PLFS:
         """
         if record.crc == -1 or obj.data is None:
             return
-        if len(obj.data) != record.nbytes or zlib.crc32(obj.data) != record.crc:
+        if len(obj.data) != record.nbytes or fastzlib.crc32(obj.data) != record.crc:
             raise CorruptionError(
                 f"plfs: checksum mismatch reading {record.path} "
                 f"(got {len(obj.data)} B, expected {record.nbytes} B)"
@@ -389,7 +389,7 @@ class PLFS:
             records.append(IndexRecord(
                 tag=tag, backend=backend,
                 path=self.chunk_path(logical, tag, chunk), nbytes=nbytes,
-                chunk=chunk, crc=zlib.crc32(data) if data is not None else -1,
+                chunk=chunk, crc=fastzlib.crc32(data) if data is not None else -1,
             ))
         items = [(r.path, payload) for r, (_tag, payload) in zip(records, entries)]
         backend_fs = self.backends[backend]

@@ -4,7 +4,9 @@ Produces the machine-readable ``BENCH_codec.json`` record (schema v4):
 serial encode/decode MB/s, the stream's compression ratio, and
 ``baseline_ratio`` -- serial decode throughput of the vectorized kernels
 relative to the seed's bit-matrix kernels.  Every gated number is a
-measured serial rate or a byte count.
+measured serial rate or a byte count.  ``host["inflate"]`` names what
+inflates the live decode's frames (``libdeflate`` or ``zlib``, see
+:mod:`repro.fastzlib`); the frozen kernel always inflates with zlib.
 
 The baseline is *embedded* here rather than checked out from history:
 :func:`legacy_decode_xtc` decodes the exact same stream with the seed's
@@ -24,6 +26,7 @@ from typing import Callable, List, Optional
 import numpy as np
 import zlib
 
+from repro import fastzlib
 from repro.errors import CodecError
 from repro.formats.trajectory import Trajectory
 from repro.formats.xtc import (
@@ -235,7 +238,8 @@ def run_codec_bench(
             "compression_ratio": raw_nbytes / len(blob),
             "seed": seed,
         },
-        "host": {"cpus": os.cpu_count() or 1},
+        # Decode MB/s is comparable only between hosts of one backend.
+        "host": {"cpus": os.cpu_count() or 1, "inflate": fastzlib.backend()},
         "repeats": repeats,
         "encode_mb_s": round(to_mb(raw_nbytes) / encode_s, 1),
         "decode_mb_s": round(to_mb(raw_nbytes) / decode_s, 1),

@@ -145,7 +145,8 @@ class ServeFront:
                     "serve_admitted_total", tenant=tenant
                 )
             counter.inc()
-            sp.tag(admitted=True)
+            if sp is not NULL_SPAN:
+                sp.tag(admitted=True)
         request = ServeRequest(
             tenant=tenant, kind=kind, payload=dict(payload), cost_bytes=cost,
         )

@@ -8,6 +8,10 @@ group), and error for error -- same ``CodecError`` message -- on every
 corruption, hand-made or fuzzed.  Decoded windows are compared through
 ``decode_frame_range`` with the kernel swapped for the reference, which
 covers every ``keep_from``.
+
+This module inflates through the host's libdeflate and skips where it is
+absent; ``test_decode_kernels_zlib.py`` runs every test here again on
+``repro.fastzlib``'s zlib fallback.
 """
 
 import zlib
@@ -15,6 +19,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import fastzlib
 from repro.errors import CodecError
 from repro.formats import Trajectory, encode_xtc
 from repro.formats import xtc
@@ -34,6 +39,12 @@ from repro.formats.xtc import (
 )
 from repro.harness.benchcodec import all_deflate_stream
 from tests.formats import decode_reference as ref
+
+
+@pytest.fixture(autouse=True)
+def inflate_backend():
+    if fastzlib.backend() != "libdeflate":
+        pytest.skip("libdeflate.so.0 (Debian libdeflate0) is not installed")
 
 
 def _walk(nframes, natoms, step=0.25, seed=0):

@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro import fastzlib
 from repro.cli import main
 from repro.harness.benchcodec import FLOORS, run_codec_bench
 
@@ -53,7 +54,8 @@ def test_bench_codec_schema_stable(small_result):
         "compression_ratio",
         "seed",
     }
-    assert set(result["host"]) == {"cpus"}
+    assert set(result["host"]) == {"cpus", "inflate"}
+    assert result["host"]["inflate"] == fastzlib.backend()
     assert set(result["floors"]) == set(FLOORS) == {
         "baseline_ratio",
         "compression_ratio",
@@ -61,6 +63,14 @@ def test_bench_codec_schema_stable(small_result):
     for rate in ("encode_mb_s", "decode_mb_s", "legacy_decode_mb_s"):
         assert result[rate] > 0
     assert result["baseline_ratio"] > 0
+
+
+def test_record_names_the_inflate_backend(monkeypatch):
+    """A host without libdeflate records ``zlib``: its decode MB/s is not
+    comparable to a libdeflate host's."""
+    monkeypatch.setattr(fastzlib, "_LIB", None)
+    result = run_codec_bench(**dict(_SMALL, repeats=1))
+    assert result["host"]["inflate"] == "zlib"
 
 
 def test_cli_writes_json(tmp_path):
