@@ -9,8 +9,8 @@ devices and uplink of one storage server.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Generator, List, Optional
 
 from repro.cluster.memory import MemoryLedger
 from repro.errors import ConfigurationError
@@ -134,10 +134,3 @@ class StorageNode:
     devices: List[Device]
     power: NodePower
     link: Optional[Link] = None
-
-    def device_busy_union(self) -> float:
-        """Wall-clock seconds any of this node's devices were active."""
-        merged = BusyTracker(self.name)
-        for dev in self.devices:
-            merged.intervals.extend(dev.busy.intervals)
-        return merged.union_time()

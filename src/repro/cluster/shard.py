@@ -601,6 +601,9 @@ class ShardedADA(DataPlane):
             raise LabelIndexError(f"unknown dataset {logical!r}")
         return self._catalog[logical]
 
+    def _stored_chunks(self, logical: str, tag: str) -> List[bytes]:
+        return self._any_holder(logical, tag).ada._stored_chunks(logical, tag)
+
     def chunks_nbytes(self, logical: str, tag: str, chunks) -> int:
         holder = self._any_holder(logical, tag).ada
         return holder.chunks_nbytes(logical, tag, chunks)

@@ -44,13 +44,3 @@ class Categorizer:
             tag: trajectory.select_atoms(label_map.indices(tag))
             for tag in label_map.tags
         }
-
-    def split_topology(
-        self, topology: Topology, label_map: LabelMap
-    ) -> Dict[str, Topology]:
-        """Per-tag structure subsets (for writing per-subset PDBs)."""
-        if topology.natoms != label_map.natoms:
-            raise TopologyError("topology/label-map atom count mismatch")
-        return {
-            tag: topology.select(label_map.indices(tag)) for tag in label_map.tags
-        }

@@ -17,7 +17,8 @@ subset, lookup included), ``_fetch_chunks`` (a window of chunks),
 ``_read_subset``, ``_read_chunks``, ``_lookup_all``, ``_stored_tags``,
 ``_store_subsets``, ``_store_label``, ``_delete_stored``,
 ``_downgradable``, ``_charge_preprocess``,
-``_charge_analysis``, ``_tier_counters``, ``_landed_on`` -- plus
+``_charge_analysis``, ``_tier_counters``, ``_landed_on``,
+``_stored_chunks`` -- plus
 ``label_map`` and ``preprocessor``, and the two hooks a *consumer* of the
 plane needs (:meth:`DataPlane.members`, :meth:`DataPlane.chunks_nbytes`).
 Nothing here knows which front it serves: a step that would have to ask
@@ -34,6 +35,7 @@ from repro.core.ingest import IngestPipeline, IngestPipelineConfig
 from repro.core.labeler import LabelMap
 from repro.core.lod import (
     base_tags,
+    encoded_max_error,
     is_lod_tag,
     lod_max_error,
     lod_tag,
@@ -148,8 +150,6 @@ class DataPlane:
         #: (logical, tag, reason) for every degraded (partial) fetch_all.
         self.degraded: List[Tuple[str, str, str]] = []
         self._label_maps: Dict[str, LabelMap] = {}
-        #: Error bound each dataset's LOD layer was *encoded* with.
-        self._lod_bounds: Dict[str, float] = {}
         self._ingest_pipeline: Optional[IngestPipeline] = None
         # Lazily-registered ``analysis_*`` metric families (only streams
         # ingested with a fused analysis hook create them).
@@ -372,14 +372,6 @@ class DataPlane:
         compressed_nbytes: int,
         analysis: Optional[Dict[str, object]] = None,
     ) -> IngestReceipt:
-        lod_precision = self.preprocessor.lod_precision
-        if lod_precision is not None and any(
-            is_lod_tag(tag) for tag in subset_sizes
-        ):
-            # Pin the bound the dataset was *encoded* with: a later
-            # reconfiguration of ``lod_precision`` must not silently
-            # change what existing LOD chunks advertise.
-            self._lod_bounds.setdefault(logical, lod_max_error(lod_precision))
         return IngestReceipt(
             logical=logical,
             label_map=label_map,
@@ -400,19 +392,19 @@ class DataPlane:
         ``precision`` picks the tier: ``"full"`` (exact bytes, default)
         or ``"lod"`` (the coarse layer when the dataset has one -- see
         :meth:`_resolve_tier`).  An LOD read returns an object tagged
-        ``tier="lod"`` with the dataset's pinned error bound on
-        ``max_error``.  The tier resolves once, here; the front's
+        ``tier="lod"`` with the error bound its bytes were encoded with
+        on ``max_error``.  The tier resolves once, here; the front's
         ``_fetch`` hook gets the resolved read tag (a sharded front
         routes on it: the ``lod:`` sibling is a stream of its own).
         """
-        tier, read_tag, bound = self._resolve_tier(logical, tag, precision)
+        tier, read_tag = self._resolve_tier(logical, tag, precision)
         with span(
             self.sim, f"{self._span_family}.fetch",
             logical=logical, tag=tag, tier=tier,
         ):
             obj = yield from self._fetch(logical, read_tag)
             if tier == "lod":
-                [obj] = self._served_coarse([obj], bound)
+                [obj] = self._served_coarse([obj])
             return obj
 
     def fetch_chunks(
@@ -436,7 +428,7 @@ class DataPlane:
         tier trains its own stride stream and warms its own cache keys.
         """
         chunks = list(chunks)
-        tier, read_tag, bound = self._resolve_tier(logical, tag, precision)
+        tier, read_tag = self._resolve_tier(logical, tag, precision)
         with NULL_SPAN if self.sim.tracer is None else span(
             self.sim, f"{self._span_family}.fetch_chunks",
             logical=logical, tag=tag, chunks=len(chunks), tier=tier,
@@ -444,17 +436,18 @@ class DataPlane:
             objs = yield from self._fetch_chunks(logical, read_tag, chunks)
             if tier == "lod":
                 self._count_tier("chunks", len(objs))
-                objs = self._served_coarse(objs, bound)
+                objs = self._served_coarse(objs)
             return objs
 
-    def _served_coarse(
-        self, objs: List[StoredObject], bound: Optional[float]
-    ) -> List[StoredObject]:
-        """Count one coarse-tier answer and stamp the front's pinned bound
-        on it (nodes never see an ingest receipt)."""
+    def _served_coarse(self, objs: List[StoredObject]) -> List[StoredObject]:
+        """Count one coarse-tier answer and stamp each object with the
+        bound its own frame headers say it was encoded with."""
         self._count_tier("served")
         self._count_tier("served_bytes", sum(o.nbytes for o in objs))
-        return [o._replace(tier="lod", max_error=bound) for o in objs]
+        return [
+            o._replace(tier="lod", max_error=encoded_max_error([o.data]))
+            for o in objs
+        ]
 
     # -- whole-dataset reads --------------------------------------------------
 
@@ -543,9 +536,10 @@ class DataPlane:
         ``precision`` degrades the read to the coarse tier only as a
         whole: every base subset needs an LOD sibling, or frame counts
         would disagree mid-merge (a partial layer falls back to full).
-        The merged coordinates' error bound is :meth:`lod_bound`.
+        The merged coordinates' error bound is the loosest over the
+        chunks served.
         """
-        tier, _, bound = self._resolve_tier(logical, None, precision)
+        tier, _ = self._resolve_tier(logical, None, precision)
         with span(
             self.sim, f"{self._span_family}.fetch_merged",
             logical=logical, tier=tier,
@@ -562,11 +556,15 @@ class DataPlane:
                 for tag in tags
             ]
             results = yield AllOf(self.sim, procs)
+            bound = None
             if tier == "lod":
                 self._count_tier("served")
                 self._count_tier(
                     "served_bytes",
                     sum(o.nbytes for objs in results for o in objs),
+                )
+                bound = encoded_max_error(
+                    o.data for objs in results for o in objs
                 )
         merged = merge_decoded_subsets(
             logical,
@@ -627,12 +625,22 @@ class DataPlane:
         return bool(bases) and all(lod_tag(t) in stored for t in bases)
 
     def lod_bound(self, logical: str) -> Optional[float]:
-        """The advertised per-atom-coordinate error bound of the
-        dataset's LOD layer (None when the tier is disabled)."""
-        bound = self._lod_bounds.get(logical)
-        if bound is None and self.preprocessor.lod_precision is not None:
-            bound = lod_max_error(self.preprocessor.lod_precision)
-        return bound
+        """The per-atom-coordinate error bound of the dataset's stored LOD
+        layer: the loosest its chunks' frame headers record.  Without a
+        stored layer, the bound the configured grid would encode (None
+        when the tier is disabled)."""
+        try:
+            stored = self._stored_tags(logical)
+        except (ContainerError, LabelIndexError):
+            stored = []
+        blobs = [
+            blob for tag in stored if is_lod_tag(tag)
+            for blob in self._stored_chunks(logical, tag)
+        ]
+        if blobs:
+            return encoded_max_error(blobs)
+        precision = self.preprocessor.lod_precision
+        return None if precision is None else lod_max_error(precision)
 
     def remove(self, logical: str) -> int:
         """Delete a dataset -- every stored subset and everything the
@@ -640,16 +648,14 @@ class DataPlane:
         is released on the backing devices)."""
         freed = self._delete_stored(logical)
         self._label_maps.pop(logical, None)
-        # A re-ingest under the same name may encode at another grid.
-        self._lod_bounds.pop(logical, None)
         return freed
 
     # -- precision tiers ------------------------------------------------------
 
     def _resolve_tier(
         self, logical: str, tag: Optional[str], precision: str
-    ) -> Tuple[str, Optional[str], Optional[float]]:
-        """Map the ``precision`` knob to a concrete (tier, tag, bound).
+    ) -> Tuple[str, Optional[str]]:
+        """Map the ``precision`` knob to a concrete (tier, read tag).
 
         ``"full"`` never looks at anything; ``"lod"`` serves the coarse
         layer when the dataset has one and falls back (counted) when it
@@ -666,13 +672,12 @@ class DataPlane:
         if precision == "full" or (tag is not None and is_lod_tag(tag)):
             # A caller addressing the LOD family directly (operator
             # tooling) bypasses tier selection.
-            return "full", tag, None
+            return "full", tag
         if not self.has_lod(logical, tag):
             self._count_tier("fallback")
-            return "full", tag, None
+            return "full", tag
         self._count_tier("routed")
-        read_tag = lod_tag(tag) if tag is not None else None
-        return "lod", read_tag, self.lod_bound(logical)
+        return "lod", lod_tag(tag) if tag is not None else None
 
     def _count_tier(self, event: str, amount: float = 1) -> None:
         """Bump the front's counter for a tier event, if it keeps one."""

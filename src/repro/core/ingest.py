@@ -161,6 +161,8 @@ class IngestPipeline:
             "ingest_buffered_bytes_peak", **extra
         )
         self.last_elapsed_s = 0.0
+        #: Simulated CPU, analysis and dispatch seconds of the last run.
+        self.last_stage_s = (0.0, 0.0, 0.0)
 
     # -- entry point --------------------------------------------------------
 
@@ -184,6 +186,10 @@ class IngestPipeline:
         started = self.sim.now
         records: List[list] = []
         counters = self._metric_fields
+        stages = [
+            counters[f"{s}_seconds"] for s in ("cpu", "analysis", "dispatch")
+        ]
+        stages_before = [stage.value for stage in stages]
         held: Held = {}
         last: Optional[Process] = None
         analyzed: Optional[Event] = None
@@ -229,6 +235,10 @@ class IngestPipeline:
             raise
         finally:
             self.last_elapsed_s = self.sim.now - started
+            self.last_stage_s = tuple(
+                stage.value - before
+                for stage, before in zip(stages, stages_before)
+            )
         return records
 
     def _window(
@@ -321,10 +331,7 @@ class IngestPipeline:
         maximum is ``C + A + D - max(C, A, D)`` (with no analysis stage
         this reduces to the two-stage ``min(C, D)``).  Serial runs report
         0."""
-        cpu, ana, io = (
-            self._metric_fields[f"{stage}_seconds"].value
-            for stage in ("cpu", "analysis", "dispatch")
-        )
+        cpu, ana, io = self.last_stage_s
         bound = cpu + ana + io - max(cpu, ana, io)
         if bound <= 0:
             return 0.0

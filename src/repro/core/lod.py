@@ -21,7 +21,9 @@ The coarse layer is plain XTC at a reduced ``precision`` (quantization
 steps per coordinate unit), so its error is the codec's quantization
 bound: ``|x_lod - x| <= 0.5 / lod_precision`` per atom coordinate.  That
 bound is advertised on every LOD read (``StoredObject.max_error``), which
-is what the chaos suite asserts against.
+is what the chaos suite asserts against.  It is read from the served
+bytes -- every XTC frame header stores the grid it was quantized on --
+never from the deployment's current ``lod_precision``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.errors import ConfigurationError
+from repro.formats.xtc import coarsest_precision
 
 __all__ = [
     "DEFAULT_LOD_PRECISION",
@@ -36,6 +39,7 @@ __all__ = [
     "PRECISIONS",
     "base_tag",
     "base_tags",
+    "encoded_max_error",
     "is_lod_tag",
     "lod_max_error",
     "lod_tag",
@@ -113,3 +117,9 @@ def lod_max_error(lod_precision: float) -> float:
             f"lod precision must be > 0, got {lod_precision!r}"
         )
     return (0.5 / float(lod_precision)) * (1.0 + FLOAT32_SLACK)
+
+
+def encoded_max_error(blobs: Iterable[bytes]) -> float:
+    """The loosest bound over LOD bytes (XTC streams): that of the coarsest
+    grid their frame headers say they were quantized on."""
+    return lod_max_error(min(coarsest_precision(blob) for blob in blobs))

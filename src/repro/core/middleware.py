@@ -280,6 +280,13 @@ class ADA(DataPlane):
     def _stored_tags(self, logical: str) -> List[str]:
         return self.plfs.tags(logical)
 
+    def _stored_chunks(self, logical: str, tag: str) -> List[bytes]:
+        """A subset's stored chunk bytes, as held (no simulated read)."""
+        return [
+            self.plfs.backends[r.backend].data(r.path)
+            for r in self.plfs.subset_records(logical, tag)
+        ]
+
     def _store_subsets(
         self,
         logical: str,
@@ -352,11 +359,11 @@ class ADA(DataPlane):
         """A subset is expendable when no part of it lives on the active
         tier (checked against where chunks actually landed, spills
         included)."""
-        backends = {r.backend for r in self.plfs.subset_records(logical, tag)}
+        backends = self.plfs.subset_backends(logical, tag)
         return self.placement.active_backend not in backends
 
     def _landed_on(self, logical: str, tag: str) -> str:
-        return self.placement.backend_for(tag)
+        return ",".join(self.plfs.subset_backends(logical, tag))
 
     # -- internals --------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import TopologyError
-from repro.formats.topology import AtomClass, Topology, classify_residue
+from repro.formats.topology import AtomClass, Topology
 
 __all__ = ["parse_pdb", "write_pdb"]
 
@@ -71,7 +71,7 @@ def parse_pdb(text: str) -> Tuple[Topology, np.ndarray]:
 
     Only ``ATOM``/``HETATM`` records are consumed; for multi-model files
     parsing stops at the first ``ENDMDL`` (the first conformation defines
-    the structure -- use :func:`parse_pdb_models` for the whole ensemble).
+    the structure).
     Raises :class:`TopologyError` on malformed records or if no atoms are
     found.
 
@@ -250,80 +250,3 @@ def _parse_lines(text: str) -> Tuple[Topology, np.ndarray]:
         elements=elements,
     )
     return topo, np.asarray(xyz, dtype=np.float32)
-
-
-def write_pdb_models(topology: Topology, trajectory) -> str:
-    """Serialize a whole trajectory as a multi-model PDB (NMR-style).
-
-    Each frame becomes one ``MODEL``/``ENDMDL`` block -- VMD's other way
-    of carrying several conformations in one file.
-    """
-    if trajectory.natoms != topology.natoms:
-        raise TopologyError(
-            f"trajectory carries {trajectory.natoms} atoms, topology has "
-            f"{topology.natoms}"
-        )
-    blocks = []
-    for i in range(trajectory.nframes):
-        body = write_pdb(topology, trajectory.coords[i])
-        body = body.rsplit("END", 1)[0].rstrip("\n")  # strip the final END
-        blocks.append(f"MODEL     {i + 1:>4d}\n{body}\nENDMDL")
-    return "\n".join(blocks) + "\nEND\n"
-
-
-def parse_pdb_models(text: str):
-    """Parse a multi-model PDB into ``(Topology, Trajectory)``.
-
-    All models must carry the same atoms; single-model files yield a
-    one-frame trajectory.
-    """
-    from repro.formats.trajectory import Trajectory
-
-    blocks = []
-    current: list = []
-    saw_model = False
-    for line in text.splitlines():
-        rec = line[:6].strip()
-        if rec == "MODEL":
-            saw_model = True
-            current = []
-        elif rec == "ENDMDL":
-            blocks.append("\n".join(current))
-            current = []
-        elif rec in (_RECORD_ATOM, _RECORD_HETATM):
-            current.append(line)
-    if not saw_model:
-        topo, coords = parse_pdb(text)
-        return topo, Trajectory(coords=coords[None, :, :])
-    if current:
-        blocks.append("\n".join(current))
-    blocks = [b for b in blocks if b]
-    if not blocks:
-        raise TopologyError("no models found")
-    topo, first = parse_pdb(blocks[0])
-    frames = [first]
-    for i, block in enumerate(blocks[1:], start=2):
-        other, coords = parse_pdb(block)
-        if other != topo:
-            raise TopologyError(f"model {i} has a different structure")
-        frames.append(coords)
-    return topo, Trajectory(coords=np.stack(frames))
-
-
-def pdb_nbytes(topology: Topology) -> int:
-    """Size in bytes of the serialized PDB (81 bytes/record incl. newline)."""
-    return 81 * topology.natoms + 4
-
-
-def classify_pdb_text(text: str) -> dict:
-    """Quick class histogram of a PDB without building a full topology.
-
-    Used by ADA's categorizer fast path when only volume fractions are
-    needed.
-    """
-    counts: dict = {}
-    for line in text.splitlines():
-        if line[:6].strip() in (_RECORD_ATOM, _RECORD_HETATM):
-            cls = classify_residue(line[17:21].strip())
-            counts[cls] = counts.get(cls, 0) + 1
-    return counts

@@ -14,7 +14,7 @@ microseconds.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -196,21 +196,6 @@ class Topology:
             chains=self.chains[indices],
             elements=self.elements[indices],
         )
-
-    def class_runs(self) -> List[Tuple[int, int, AtomClass]]:
-        """Maximal runs of consecutive atoms sharing a class.
-
-        Returns ``[(begin, end, cls), ...]`` with half-open ranges covering
-        ``[0, natoms)`` exactly.  This is the structure Algorithm 1 extracts.
-        """
-        if self.natoms == 0:
-            return []
-        change = np.flatnonzero(np.diff(self.classes)) + 1
-        bounds = np.concatenate(([0], change, [self.natoms]))
-        return [
-            (int(b), int(e), AtomClass(int(self.classes[b])))
-            for b, e in zip(bounds[:-1], bounds[1:])
-        ]
 
 
 def _guess_elements(names: np.ndarray) -> np.ndarray:

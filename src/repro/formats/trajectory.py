@@ -10,7 +10,7 @@ protein atoms across all frames`) a single fancy-indexing operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -90,21 +90,6 @@ class Trajectory:
         )
 
     # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_frames(cls, frames: Iterable[Frame]) -> "Trajectory":
-        frames = list(frames)
-        if not frames:
-            raise TopologyError("cannot build a trajectory from zero frames")
-        natoms = frames[0].natoms
-        if any(f.natoms != natoms for f in frames):
-            raise TopologyError("all frames must have the same atom count")
-        return cls(
-            coords=np.stack([f.coords for f in frames]),
-            steps=[f.step for f in frames],
-            times_ps=[f.time_ps for f in frames],
-            box=frames[0].box,
-        )
 
     @classmethod
     def concatenate(cls, parts: Iterable["Trajectory"]) -> "Trajectory":

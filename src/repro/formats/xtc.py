@@ -79,6 +79,7 @@ __all__ = [
     "decode_xtc",
     "iter_frame_infos",
     "count_frames",
+    "coarsest_precision",
     "raw_frame_nbytes",
     "encode_raw",
     "decode_raw",
@@ -147,10 +148,6 @@ class XtcFrameInfo:
     def is_keyframe(self) -> bool:
         """True for I-frames (decodable without any earlier frame)."""
         return not self.flags & _FLAG_PFRAME
-
-    @property
-    def total_nbytes(self) -> int:
-        return self.header_nbytes + self.payload_nbytes
 
     @property
     def raw_nbytes(self) -> int:
@@ -655,6 +652,22 @@ def iter_frame_infos(data: bytes) -> Iterator[XtcFrameInfo]:
         index += 1
 
 
+# A header's last three fields: precision, flags (skipped), payload length.
+_HEADER_TAIL = struct.Struct("<f4xI")
+
+
+def coarsest_precision(data: bytes) -> float:
+    """The smallest quantization precision over a well-formed XTC stream's
+    frames, read from their headers alone (no payload is touched)."""
+    offset, coarsest = 0, math.inf
+    tail_at = _HEADER.size - _HEADER_TAIL.size
+    while offset < len(data):
+        precision, payload = _HEADER_TAIL.unpack_from(data, offset + tail_at)
+        coarsest = min(coarsest, precision)
+        offset += _HEADER.size + payload
+    return coarsest
+
+
 def count_frames(data: bytes) -> int:
     """Number of frames in an XTC stream (header scan only)."""
     return sum(1 for _ in iter_frame_infos(data))
@@ -708,12 +721,6 @@ class FrameIndex:
         """Total decompressed payload size of the stream (every frame
         carries the same ``natoms`` -- enforced at construction)."""
         return len(self.infos) * raw_frame_nbytes(self.infos[0].natoms)
-
-    @property
-    def stream_nbytes(self) -> int:
-        """Serialized size of the indexed stream."""
-        last = self.infos[-1]
-        return last.offset + last.total_nbytes
 
     def anchor(self, frame: int) -> int:
         """Index of the nearest keyframe at or before ``frame``."""

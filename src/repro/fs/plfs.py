@@ -69,10 +69,12 @@ class IndexRecord(NamedTuple):
 
 @dataclass
 class _Subset:
-    """One tag's records in chunk order, with their running byte total."""
+    """One tag's records in chunk order, with their running byte total
+    and chunk count per backend (in the order each backend took one)."""
 
     records: List[IndexRecord] = field(default_factory=list)
     nbytes: int = 0
+    backends: Dict[str, int] = field(default_factory=dict)
 
     def add(self, record: IndexRecord) -> None:
         # Writers register when their backend write lands, so a lower
@@ -83,6 +85,7 @@ class _Subset:
             pos -= 1
         self.records.insert(pos, record)
         self.nbytes += record.nbytes
+        self.backends[record.backend] = self.backends.get(record.backend, 0) + 1
 
     def find(self, chunk: int) -> Optional[IndexRecord]:
         """The record of one chunk number, or ``None``.  Chunk numbers
@@ -108,6 +111,9 @@ class _Subset:
             if self.records[pos] is record:
                 del self.records[pos]
                 self.nbytes -= record.nbytes
+                self.backends[record.backend] -= 1
+                if not self.backends[record.backend]:
+                    del self.backends[record.backend]
                 return
 
 
@@ -185,6 +191,10 @@ class PLFS:
         """One subset's records in chunk order (a snapshot: callers keep
         it across simulated time while writers append)."""
         return list(self._subset(logical, tag).records)
+
+    def subset_backends(self, logical: str, tag: str) -> List[str]:
+        """The backends holding a subset's chunks, spills included."""
+        return list(self._subset(logical, tag).backends)
 
     def chunk_record(
         self, logical: str, tag: str, chunk: int

@@ -89,12 +89,12 @@ def measured_cpu_profile(
     selection = label_map.indices("p")
 
     if pipeline == "C-trad":
-        result = loader.load_compressed(workload.xtc_blob, selection=selection)
+        result = loader.load(workload.xtc_blob, selection=selection)
     elif pipeline == "D-ada-p":
         from repro.formats.xtc import encode_raw
 
         subset_blob = encode_raw(workload.trajectory.select_atoms(selection))
-        result = loader.load_subset(subset_blob)
+        result = loader.load(subset_blob)
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
 

@@ -161,20 +161,6 @@ class Histogram:
         slot = bisect_left(self.bounds, value) if value == value else -1
         self._hits[slot] += 1
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation); +inf observations clamp to the top
-        bound."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile {q!r} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        for bound, cumulative in zip(self.bounds, self.bucket_counts):
-            if cumulative >= rank:
-                return bound
-        return self.bounds[-1]
-
 
 class MetricsRegistry:
     """Families of named, labeled metrics with deterministic export.

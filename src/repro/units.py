@@ -3,7 +3,7 @@
 All sizes inside the library are plain ``int``/``float`` **bytes**, all times
 are ``float`` **seconds**, all energies are ``float`` **joules**, and all
 power figures are ``float`` **watts**.  These helpers exist so call sites can
-say ``256 * GiB`` or ``mb(100)`` instead of sprinkling magic powers of ten.
+say ``256 * GiB`` or ``100 * MB`` instead of sprinkling magic powers of ten.
 
 The paper reports storage sizes in decimal megabytes/gigabytes (Table 2 and
 Table 6 use MB/GB as marketing units), so the decimal constants are the ones
@@ -33,11 +33,6 @@ HOUR = 3600.0
 # Energy units (joules).
 KILOJOULE = 1e3
 MEGAJOULE = 1e6
-
-
-def mb(n: float) -> float:
-    """``n`` decimal megabytes expressed in bytes."""
-    return n * MB
 
 
 def to_mb(nbytes: float) -> float:

@@ -21,7 +21,7 @@ into ADA) or through ADA logical names directly.
 from __future__ import annotations
 
 import shlex
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError, ReproError
 from repro.vmd.session import VMDSession
@@ -63,18 +63,6 @@ class VMDConsole:
         response = handler(tokens[1:])
         self.log.append(command)
         return response
-
-    def execute_script(self, script: str) -> List[str]:
-        """Run a newline-separated script; '#' comments are skipped."""
-        responses = []
-        for line in script.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            responses.append(self.execute(line))
-            if not self.running:
-                break
-        return responses
 
     # -- handlers -------------------------------------------------------------
 

@@ -84,58 +84,28 @@ class TrajectoryLoader:
     def __init__(self) -> None:
         self.decompressor = Decompressor()
 
-    def load_compressed(
-        self, blob: bytes, selection: Optional[np.ndarray] = None
-    ) -> LoadResult:
-        """C path: inflate the whole stream, then filter the selection."""
-        timer = PhaseTimer()
-        with timer.phase("decompress"):
-            full = self.decompressor.decompress(blob)
-        if selection is not None:
-            with timer.phase("filter"):
-                traj = full.select_atoms(selection)
-        else:
-            traj = full
-        return LoadResult(
-            trajectory=traj,
-            source_nbytes=len(blob),
-            decompressed_nbytes=full.nbytes,
-            timer=timer,
-        )
+    def load(self, blob: bytes, selection: Optional[np.ndarray] = None) -> LoadResult:
+        """Decode ``blob`` into frames, then filter ``selection`` if given.
 
-    def load_raw(
-        self, blob: bytes, selection: Optional[np.ndarray] = None
-    ) -> LoadResult:
-        """D path: parse the raw container, then filter the selection."""
-        timer = PhaseTimer()
-        with timer.phase("parse"):
-            full = self.decompressor.decompress(blob)
-        if selection is not None:
-            with timer.phase("filter"):
-                traj = full.select_atoms(selection)
-        else:
-            traj = full
-        return LoadResult(
-            trajectory=traj,
-            source_nbytes=len(blob),
-            decompressed_nbytes=0,
-            timer=timer,
-        )
-
-    def load_subset(self, blob: bytes) -> LoadResult:
-        """ADA path: the blob already *is* the active subset.
-
-        Subsets are normally raw containers (parse only); an ADA configured
-        with ``subset_format='xtc'`` ships compressed subsets, and the
-        inflation cost then shows up here -- the design-choice ablation.
+        The blob picks the path: an XTC stream pays inflation (the ``C``
+        path, or an ADA subset stored with ``subset_format='xtc'`` -- the
+        design-choice ablation), a raw container only the parse (``D``,
+        or an ADA subset, which already *is* the selection).
         """
         timer = PhaseTimer()
         compressed = self.decompressor.is_compressed(blob)
         with timer.phase("decompress" if compressed else "parse"):
-            traj = self.decompressor.decompress(blob)
+            full = self.decompressor.decompress(blob)
+        traj = full
+        if selection is not None:
+            with timer.phase("filter"):
+                traj = full.select_atoms(selection)
         return LoadResult(
             trajectory=traj,
             source_nbytes=len(blob),
-            decompressed_nbytes=traj.nbytes if compressed else 0,
+            decompressed_nbytes=full.nbytes if compressed else 0,
             timer=timer,
         )
+
+    #: The ADA path's traced name (``benchmarks/e2e`` calls and patches it).
+    load_subset = load

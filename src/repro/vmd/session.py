@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.cluster.memory import MemoryLedger
 from repro.core.middleware import ADA
 from repro.errors import ConfigurationError, TopologyError
@@ -82,10 +80,7 @@ class VMDSession:
         """
         mol = self._target(molecule)
         selection = self._resolve_selection(mol, selection)
-        if self.loader.decompressor.is_compressed(blob):
-            result = self.loader.load_compressed(blob, selection=selection)
-        else:
-            result = self.loader.load_raw(blob, selection=selection)
+        result = self.loader.load(blob, selection=selection)
         self._charge_memory(result)
         mol.add_frames(result.trajectory, atom_indices=selection)
         return result

@@ -111,7 +111,6 @@ def test_storage_node_energy_includes_devices():
     )
     # Node idle 100*2 + device active 10*1 + device idle 2*1.
     assert storage_node_energy(node, wall_s=2.0) == pytest.approx(212.0)
-    assert node.device_busy_union() == pytest.approx(1.0)
 
 
 def test_cluster_energy_sums_nodes():

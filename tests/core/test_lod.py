@@ -192,6 +192,61 @@ def test_bound_is_pinned_at_ingest_not_reconfiguration(workload):
     assert ada.lod_bound(LOGICAL) == before
 
 
+def _measured_lod_error(sim, ada):
+    exact = sim.run_process(ada.fetch_merged(LOGICAL))
+    coarse = sim.run_process(ada.fetch_merged(LOGICAL, precision="lod"))
+    return coarse, float(np.abs(coarse.coords - exact.coords).max())
+
+
+def test_cold_reader_advertises_the_bound_the_bytes_were_encoded_with(
+    workload,
+):
+    """A fresh ADA at another ``lod_precision`` over the same backends
+    remembers nothing: the bound comes from the stored frame headers."""
+    sim, writer = _ingested(workload, lod_precision=2.0)
+    reader = ADA(
+        sim, backends=writer.plfs.backends, lod_precision=DEFAULT_LOD_PRECISION
+    )
+    assert reader.lod_bound(LOGICAL) == lod_max_error(2.0)
+    coarse, measured = _measured_lod_error(sim, reader)
+    assert coarse.max_error == lod_max_error(2.0) >= measured
+    assert measured > lod_max_error(DEFAULT_LOD_PRECISION)
+    lod = sim.run_process(reader.fetch(LOGICAL, "p", precision="lod"))
+    [chunk] = sim.run_process(
+        reader.fetch_chunks(LOGICAL, "p", [0], precision="lod")
+    )
+    assert lod.max_error == chunk.max_error == lod_max_error(2.0)
+
+
+def test_an_append_after_retuning_advertises_its_own_grid(workload):
+    """Chunks appended after ``lod_precision`` changes carry the new grid;
+    each chunk advertises its own, a whole-subset read the loosest."""
+    sim, ada = _ingested(workload)
+    ada.lod_precision = 2.0
+    sim.run_process(ada.ingest_append(LOGICAL, workload.xtc_blob))
+    first, appended = sim.run_process(
+        ada.fetch_chunks(LOGICAL, "p", [0, 1], precision="lod")
+    )
+    assert first.max_error == lod_max_error(DEFAULT_LOD_PRECISION)
+    assert appended.max_error == lod_max_error(2.0)
+    whole = sim.run_process(ada.fetch(LOGICAL, "p", precision="lod"))
+    assert whole.max_error == ada.lod_bound(LOGICAL) == lod_max_error(2.0)
+    coarse, measured = _measured_lod_error(sim, ada)
+    assert coarse.max_error == lod_max_error(2.0) >= measured
+    assert measured > lod_max_error(DEFAULT_LOD_PRECISION)
+
+
+def test_a_grid_float32_cannot_hold_advertises_the_stored_one(workload):
+    """The header stores the grid as float32; the bound is that grid's."""
+    sim, ada = _ingested(workload, lod_precision=3.3)
+    stored = float(np.float32(3.3))
+    assert stored != 3.3
+    assert ada.lod_bound(LOGICAL) == lod_max_error(stored)
+    assert ada.lod_bound(LOGICAL) == pytest.approx(lod_max_error(3.3), rel=1e-7)
+    coarse, measured = _measured_lod_error(sim, ada)
+    assert coarse.max_error == lod_max_error(stored) >= measured
+
+
 def test_stats_carry_the_lod_section(workload):
     sim, ada = _ingested(workload)
     sim.run_process(ada.fetch(LOGICAL, "p", precision="lod"))

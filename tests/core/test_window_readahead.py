@@ -14,7 +14,6 @@ that tracer keeps one span stack.
 import importlib
 import sys
 import threading
-import time
 from concurrent.futures import Future, wait
 
 import pytest
@@ -172,12 +171,15 @@ def test_read_ahead_is_one_window_however_many_cpus(workload, monkeypatch):
 
 @pytest.mark.parametrize("running", [True, False])
 def test_close_leaves_no_window_in_flight(workload, monkeypatch, running):
-    """The read-ahead window is running (slowed down), or queued behind
-    another task on the pool's one thread, when the generator is closed."""
+    """The read-ahead window is running (held inside its decode), or
+    queued behind another task on the pool's one thread, when the
+    generator is closed."""
     _cpus(monkeypatch, 2)
     futures = []
     real_pool = preprocessor_mod._pool
-    blocker = threading.Event()
+    blocker = threading.Event()  # holds the pool's thread before the window
+    started = threading.Event()  # the window's decode has begun
+    release = threading.Event()  # lets that decode finish
 
     class RecordingPool:
         def submit(self, *args):
@@ -188,27 +190,34 @@ def test_close_leaves_no_window_in_flight(workload, monkeypatch, running):
 
     range_decoder = Decompressor.range_decoder
 
-    def slow_decoder(self, data):
+    def held_decoder(self, data):
         decode = range_decoder(self, data)
 
-        def slow(start, stop):
+        def held(start, stop):
             if threading.current_thread() is not threading.main_thread():
-                time.sleep(0.5)
+                started.set()
+                release.wait(60)
             return decode(start, stop)
 
-        return slow
+        return held
 
     monkeypatch.setattr(preprocessor_mod, "_pool", RecordingPool)
-    monkeypatch.setattr(Decompressor, "range_decoder", slow_decoder)
+    monkeypatch.setattr(Decompressor, "range_decoder", held_decoder)
     windows = _windows(workload, workload.xtc_blob)
     try:
         assert next(windows).index == 0
-        assert len(futures) == 1 and not futures[0].done()
+        assert len(futures) == 1
+        if running:
+            assert started.wait(60)
+        assert not futures[0].done()
+        release.set()
         windows.close()
         assert futures[0].done()
         assert futures[0].cancelled() != running
+        assert started.is_set() == running
     finally:
         blocker.set()
+        release.set()
 
 
 def test_a_window_the_thread_has_not_started_is_the_callers(

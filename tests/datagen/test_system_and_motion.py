@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import TagPolicy, build_label_map
+from repro.core.tags import CLASS_TAGS
 from repro.datagen import build_gpcr_system, generate_trajectory
 from repro.errors import TopologyError
 from repro.formats import AtomClass, encode_xtc
+
+
+def _class_runs(topology):
+    """Runs of consecutive same-class atoms per class tag, as the labeler
+    (Algorithm 1) extracts them."""
+    label_map = build_label_map(topology, TagPolicy.per_class())
+    return {tag: label_map.run_count(tag) for tag in label_map.tags}
 
 
 def test_system_total_atoms_near_target():
@@ -29,18 +38,17 @@ def test_all_major_classes_present():
 
 def test_block_layout_yields_few_runs():
     s = build_gpcr_system(natoms_target=3000, seed=3)
-    runs = s.topology.class_runs()
-    assert len(runs) <= 6  # protein, ligand, lipid, water, ions
+    runs = _class_runs(s.topology)
+    assert sum(runs.values()) <= 6  # protein, ligand, lipid, water, ions
 
 
 def test_multi_chain_and_interleaved_ligand():
     s = build_gpcr_system(
         natoms_target=4000, seed=4, n_chains=3, interleave_ligand=True
     )
-    runs = s.topology.class_runs()
-    classes = [c for _, _, c in runs]
-    assert classes.count(AtomClass.PROTEIN) == 3
-    assert classes.count(AtomClass.LIGAND) == 2
+    runs = _class_runs(s.topology)
+    assert runs[CLASS_TAGS[AtomClass.PROTEIN]] == 3
+    assert runs[CLASS_TAGS[AtomClass.LIGAND]] == 2
 
 
 def test_deterministic_per_seed():

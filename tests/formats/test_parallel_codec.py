@@ -107,7 +107,6 @@ def test_frame_index_anchors_and_gofs():
     spans = idx.gofs()
     assert spans == [(0, 7), (7, 14), (14, 21), (21, 23)]
     assert idx.raw_nbytes == t.nbytes
-    assert idx.stream_nbytes == len(blob)
 
 
 def test_frame_index_empty_stream_rejected():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.formats import AtomClass, Topology, parse_pdb, write_pdb
-from repro.formats.pdb import classify_pdb_text, pdb_nbytes
+from repro.formats import Topology, parse_pdb, write_pdb
 
 
 def _topology():
@@ -88,16 +87,17 @@ def test_serial_wraps_at_99999():
     assert "     1" in text.splitlines()[0]
 
 
-def test_pdb_nbytes_close_to_actual():
+def test_parse_pdb_stops_at_first_endmdl():
+    """A multi-model file: the first conformation defines the structure."""
     topo = _topology()
-    actual = len(write_pdb(topo).encode())
-    assert abs(pdb_nbytes(topo) - actual) / actual < 0.05
-
-
-def test_classify_pdb_text_histogram():
-    counts = classify_pdb_text(write_pdb(_topology()))
-    assert counts[AtomClass.PROTEIN] == 4
-    assert counts[AtomClass.WATER] == 3
+    first = _coords(topo.natoms)
+    bodies = [write_pdb(topo, c).rsplit("END", 1)[0] for c in (first, first + 1)]
+    text = "".join(
+        f"MODEL     {i + 1:>4d}\n{body}ENDMDL\n" for i, body in enumerate(bodies)
+    )
+    parsed, coords = parse_pdb(text + "END\n")
+    assert parsed == topo
+    np.testing.assert_allclose(coords, first, atol=1e-3)
 
 
 def test_large_resid_wraps():

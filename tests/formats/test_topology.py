@@ -90,26 +90,6 @@ def test_select_preserves_classification():
     assert all(sub.classes == AtomClass.WATER)
 
 
-def test_class_runs_partition_index_space():
-    topo = _tiny_topology()
-    runs = topo.class_runs()
-    assert runs == [
-        (0, 3, AtomClass.PROTEIN),
-        (3, 6, AtomClass.WATER),
-        (6, 7, AtomClass.ION),
-    ]
-    # Half-open ranges tile [0, natoms) exactly.
-    assert runs[0][0] == 0
-    assert runs[-1][1] == topo.natoms
-    for (a, b, _), (c, d, _) in zip(runs, runs[1:]):
-        assert b == c
-
-
-def test_class_runs_single_class():
-    topo = Topology(names=["CA"] * 4, resnames=["ALA"] * 4, resids=[1, 1, 2, 2])
-    assert topo.class_runs() == [(0, 4, AtomClass.PROTEIN)]
-
-
 def test_concatenate():
     a = _tiny_topology()
     b = _tiny_topology()

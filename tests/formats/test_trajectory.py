@@ -60,23 +60,6 @@ def test_iteration_yields_frames():
     np.testing.assert_array_equal(frames[1].coords, t.coords[1])
 
 
-def test_from_frames_roundtrip():
-    t = _traj(nframes=4)
-    rebuilt = Trajectory.from_frames(list(t))
-    assert rebuilt.allclose(t)
-
-
-def test_from_frames_empty_rejected():
-    with pytest.raises(TopologyError):
-        Trajectory.from_frames([])
-
-
-def test_from_frames_atom_mismatch_rejected():
-    frames = [Frame(np.zeros((3, 3))), Frame(np.zeros((4, 3)))]
-    with pytest.raises(TopologyError):
-        Trajectory.from_frames(frames)
-
-
 def test_select_atoms_across_frames():
     t = _traj(nframes=5, natoms=10)
     sub = t.select_atoms(np.array([1, 3, 5]))

@@ -96,7 +96,7 @@ def test_iter_frame_infos_metadata():
     assert len(infos) == 5
     assert all(i.natoms == 17 for i in infos)
     assert [i.index for i in infos] == list(range(5))
-    assert sum(i.total_nbytes for i in infos) == len(blob)
+    assert sum(i.header_nbytes + i.payload_nbytes for i in infos) == len(blob)
     assert infos[0].raw_nbytes == raw_frame_nbytes(17)
 
 

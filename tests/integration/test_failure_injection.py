@@ -22,7 +22,7 @@ from repro.errors import (
 from repro.fs import LocalFS
 from repro.sim import Simulator
 from repro.storage import DevicePower, DeviceSpec
-from repro.units import GB, MB, mbps
+from repro.units import GB, KiB, MB, mbps
 from repro.vmd import VMDSession
 from repro.workloads import build_workload
 
@@ -85,6 +85,25 @@ def test_full_ssd_spills_to_hdd_by_default(workload):
     from repro.formats.xtc import decode_raw
 
     assert decode_raw(obj.data).nframes == workload.trajectory.nframes
+
+
+def test_receipt_names_the_backends_a_subset_landed_on(workload):
+    """A spilled subset's receipt names the tier that holds it, and a
+    subset split across tiers by a later spill names both."""
+    sim = Simulator()
+    ada = _ada(sim, ssd_capacity=4 * KiB)
+    receipt = sim.run_process(
+        ada.ingest("bar.xtc", workload.pdb_text, workload.xtc_blob)
+    )
+    assert ada.determinator.dispatcher.spills == [
+        ("bar.xtc", "p", "ssd", "hdd")
+    ]
+    assert receipt.backends == {"p": "hdd", "m": "hdd"}
+    sim = Simulator()
+    ada = _ada(sim, ssd_capacity=40 * KiB)  # room for one protein chunk
+    sim.run_process(ada.ingest("bar.xtc", workload.pdb_text, workload.xtc_blob))
+    appended = sim.run_process(ada.ingest_append("bar.xtc", workload.xtc_blob))
+    assert appended.backends == {"p": "ssd,hdd", "m": "hdd"}
 
 
 def test_failed_ingest_commits_no_tag():

@@ -62,7 +62,6 @@ def test_histogram_buckets_are_cumulative_and_fixed():
     assert hist.count == 3
     assert hist.bucket_counts[-1] == 2
     assert hist.bucket_counts == sorted(hist.bucket_counts)
-    assert hist.quantile(0.5) >= 2e-6
     with pytest.raises(ConfigurationError):
         registry.histogram("bad_seconds", bounds=[2.0, 1.0])
 

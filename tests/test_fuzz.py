@@ -24,7 +24,6 @@ from repro.errors import (
 )
 from repro.formats import parse_pdb
 from repro.formats.dcd import decode_dcd
-from repro.formats.pdb import parse_pdb_models
 from repro.formats.trr import decode_trr
 from repro.formats.xtc import (
     FrameIndex,
@@ -64,13 +63,7 @@ def test_fuzz_parse_pdb_atomish_text(text):
         pass
 
 
-@settings(**SETTINGS)
-@given(text=st.text(max_size=300))
-def test_fuzz_parse_pdb_models(text):
-    try:
-        parse_pdb_models(text)
-    except TopologyError:
-        pass
+
 
 
 @settings(**SETTINGS)

@@ -6,10 +6,12 @@ names of the public constructors, the codec entry points and the seven
 ``run_*_bench`` harnesses, plus the CLI's option strings, compared with
 the committed ``LEDGER`` below.  Adding, removing, renaming or reordering
 a parameter fails tier-1 until its line is edited, so the diff of this
-file *is* the PR's knob ledger.
+file *is* the PR's knob ledger.  Its caller audits hold every audited
+parameter, and every public name of ``src/repro``, to a product caller.
 """
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -224,28 +226,34 @@ def _named_params(entry: str) -> list:
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _audited_trees() -> tuple:
+    """Every module under the audited directories, parsed once."""
+    return tuple(
+        ast.parse(path.read_text(), filename=str(path))
+        for top in _AUDITED_DIRS
+        for path in sorted((_ROOT / top).rglob("*.py"))
+    )
+
+
 def _passed_parameters() -> set:
     """Every ``(ledger entry, parameter)`` some product call site passes."""
     passed = set()
-    for top in _AUDITED_DIRS:
-        for path in sorted((_ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _call_name(node.func)
-                own = _named_params(name) if name in _CALLABLES else []
-                target = _FORWARDS_TO.get(name)
-                for position, arg in enumerate(node.args):
-                    if position < len(own) and not isinstance(
-                        arg, ast.Starred
-                    ):
-                        passed.add((name, own[position]))
-                for keyword in node.keywords:
-                    if keyword.arg in own:
-                        passed.add((name, keyword.arg))
-                    elif keyword.arg is not None and target is not None:
-                        passed.add((target, keyword.arg))
+    for tree in _audited_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node.func)
+            own = _named_params(name) if name in _CALLABLES else []
+            target = _FORWARDS_TO.get(name)
+            for position, arg in enumerate(node.args):
+                if position < len(own) and not isinstance(arg, ast.Starred):
+                    passed.add((name, own[position]))
+            for keyword in node.keywords:
+                if keyword.arg in own:
+                    passed.add((name, keyword.arg))
+                elif keyword.arg is not None and target is not None:
+                    passed.add((target, keyword.arg))
     return passed
 
 
@@ -265,3 +273,115 @@ def test_every_knob_has_a_caller():
     )
     stale = sorted(set(KEPT_FOR) - orphans)
     assert not stale, f"{stale} have a caller now (or are gone): drop them"
+
+
+# -- the name audit -------------------------------------------------------------
+#
+# The same walk for names: every public function, class and method defined
+# under ``src/repro`` must be referenced from code under the audited
+# directories, or sit in ``NAMES_KEPT_FOR`` with the reason it stays.  A
+# reference is an ``ast.Name`` or ``ast.Attribute`` spelling the bare name,
+# so a method counts as used when an attribute of that name is read on any
+# receiver; strings (``__all__``, ``benchmarks/e2e/trace.py::TARGETS``) do
+# not count.  A name only its own tests reach is deleted, not kept.
+
+_ACCESSOR = "an accessor tests read to observe the component that owns it"
+
+#: Public names without a product reference, kept on purpose: the reason.
+NAMES_KEPT_FOR = {
+    "CodecPool": "named only inside a benchmarks/e2e/trace.py::TARGETS "
+    "string, which times CodecPool.run",
+    "VMDConsole": "the paper's §3.4 command surface (mol new, mol "
+    "addfile ... tag p), driven line by line",
+    "VMDConsole.execute": "the paper's §3.4 command surface",
+    "VMDSession.mol_addfile_all": "Table 3's D-ADA (all) load: every subset "
+    "merged back into whole frames",
+    "SelectionTagPolicy": "the tag policy written in VMD selections "
+    "(docs/api.md), the paper's future-work interface",
+    "AnyOf": "the simulation kernel's first-of barrier, AllOf's counterpart "
+    "(docs/api.md)",
+    "FaultPlan.attach": "arms one fault site directly, where a test "
+    "injects at a single device, file system or link",
+    "FaultPlan.snapshot": "the faults a plan has fired, which the chaos "
+    "suites compare",
+    "VFS.mount": "builds a console's /mnt tree; the console tests mount "
+    "their file systems with it",
+    "compile_selection": "one selection applied to many topologies",
+    "decode_dcd": "one-call decoder of a supported format (docs/api.md); "
+    "ingest reaches its kernel through Decompressor's range decoder",
+    "decode_trr": "one-call decoder of a supported format (docs/api.md); "
+    "ingest reaches its kernel through Decompressor's range decoder",
+    "encode_trr": "writes the TRR streams the format and ingest tests feed "
+    "in (docs/api.md)",
+    "count_frames": "the header-scan frame count tests hold the encoder to",
+    "dcd_nbytes": "the layout formula tests hold encode_dcd's size to",
+    "trr_nbytes": "the layout formula tests hold encode_trr's size to",
+    "raw_container_nbytes": "the layout formula tests hold encode_raw's "
+    "size to",
+    "kabsch_rotation": "batch analysis API: the alignment behind rmsd",
+    "rmsd": "batch analysis API: the reference the online RMSD is held to",
+    "pairwise_rmsd": "batch analysis API (repro.analysis)",
+    "contact_map": "batch analysis API: the dense form of the contacts the "
+    "cell-list kernel counts",
+    "integrated_act": "batch analysis API (repro.analysis.timeseries)",
+    "MemoryLedger.available": _ACCESSOR,
+    "MemoryLedger.snapshot": _ACCESSOR,
+    "LabelMap.run_count": _ACCESSOR,
+    "TagPolicy.tag_of_class": _ACCESSOR,
+    "MolecularSystem.class_counts": _ACCESSOR,
+    "CachedFS.is_cached": _ACCESSOR,
+    "ObjectStore.total_bytes": _ACCESSOR,
+    "TenantBlockCache.prefetched_bytes": _ACCESSOR,
+    "Resource.queue_length": _ACCESSOR,
+    "BusyTracker.by_label": _ACCESSOR,
+    "BusyTracker.last_end": _ACCESSOR,
+    "NodePower.peak_w": _ACCESSOR,
+    "Molecule.frame_nbytes": _ACCESSOR,
+    "FrameGeometry.nspheres": _ACCESSOR,
+}
+
+
+def _public_names() -> dict:
+    """``{"name" or "Class.method": "path:line"}`` of every public
+    function, class and method defined in ``src/repro``."""
+    names = {}
+
+    def add(name, path, node):
+        names[name] = f"{path.relative_to(_ROOT)}:{node.lineno}"
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted((_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            add(node.name, path, node)
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, defs[:2]) and not sub.name.startswith("_"):
+                        add(f"{node.name}.{sub.name}", path, sub)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    referenced = set()
+    for tree in _audited_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    names = _public_names()
+    orphans = {
+        name for name in names if name.rsplit(".", 1)[-1] not in referenced
+    }
+    unexplained = sorted(
+        f"{name} ({names[name]})" for name in orphans - set(NAMES_KEPT_FOR)
+    )
+    assert not unexplained, (
+        f"{unexplained} are referenced by no code under "
+        f"{'/, '.join(_AUDITED_DIRS)}/: delete each, or add it to "
+        "NAMES_KEPT_FOR with the reason it stays"
+    )
+    stale = sorted(set(NAMES_KEPT_FOR) - orphans)
+    assert not stale, f"{stale} have a caller now (or are gone): drop them"
+

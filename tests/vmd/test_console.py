@@ -77,21 +77,6 @@ def test_animate_and_render(console, tmp_path, monkeypatch):
     assert console.vfs.exists("/mnt/ada/run/shot.pgm")
 
 
-def test_script_execution_with_comments(console):
-    responses = console.execute_script(
-        """
-        # the paper's workflow
-        mol new /mnt/ada/run/foo.pdb
-        mol addfile /mnt/ada/run/bar.xtc tag p
-        animate goto 1
-        quit
-        """
-    )
-    assert len(responses) == 4
-    assert responses[-1] == "bye"
-    assert not console.running
-
-
 @pytest.mark.parametrize(
     "bad",
     [
